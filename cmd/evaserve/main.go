@@ -105,6 +105,15 @@ func main() {
 	}
 }
 
+// planCacheMB maps the -plan-cache-mb flag onto serve.Config.PlanCacheMB,
+// whose zero value means "leave the process default" rather than "off".
+func planCacheMB(flagMB int) int {
+	if flagMB <= 0 {
+		return -1
+	}
+	return flagMB
+}
+
 // parsePeers parses "id=url,id=url" into a peer map.
 func parsePeers(s string) (map[string]string, error) {
 	peers := map[string]string{}
@@ -137,6 +146,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		workers   = fs.Int("workers", 0, "default executor workers per batch (0 = GOMAXPROCS)")
 		ringW     = fs.Int("ring-workers", 0, "RNS-limb worker pool shared by all executions (0 = GOMAXPROCS)")
 		hoist     = fs.Bool("hoist-rotations", true, "batch shared-source rotations behind one hoisted decomposition")
+		planMB    = fs.Int("plan-cache-mb", 512, "byte budget in MiB for keeping programs' constants encoded between runs (0 = off)")
 		batches   = fs.Int("batches", 0, "max concurrent batches per request (0 = GOMAXPROCS)")
 		contexts  = fs.Int("contexts", 256, "max retained execution contexts (LRU)")
 		demo      = fs.Bool("demo", false, "enable server-side keygen (trusted demo mode)")
@@ -227,6 +237,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		AllowServerKeygen:    *demo,
 		RingWorkers:          *ringW,
 		DisableHoisting:      !*hoist,
+		PlanCacheMB:          planCacheMB(*planMB),
 		JobWorkers:           *jobW,
 		JobQueueDepth:        *jobQueue,
 		JobMemoryBudgetBytes: *jobMemMB << 20,

@@ -101,6 +101,29 @@ func BenchmarkMulPlain(b *testing.B) {
 	}
 }
 
+// BenchmarkMulPlainAccumulate compares Σ ctᵢ·ptᵢ over 36 products — the
+// longest chain of the bench-config SqueezeNet — as one fused kernel and as
+// the MulPlain/Add sequence it replaces (intermediates recycled, so both
+// sides run allocation-free).
+func BenchmarkMulPlainAccumulate(b *testing.B) {
+	tc := benchContext(b)
+	cts, pts := accumulateOperands(b, tc, 36)
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out, err := tc.eval.MulPlainAccumulate(cts, pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tc.eval.Recycle(out)
+		}
+	})
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tc.eval.Recycle(sequentialAccumulate(b, tc.eval, cts, pts))
+		}
+	})
+}
+
 func BenchmarkRelinearize(b *testing.B) {
 	tc := benchContext(b)
 	va, vb := benchVectors(tc)

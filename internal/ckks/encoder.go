@@ -119,12 +119,37 @@ func (e *Encoder) fftSpecialInv(vals []complex128) {
 // treatment of inputs whose vector size divides the slot count); the input
 // length must be a power of two.
 func (e *Encoder) EncodeComplex(values []complex128, scale float64, level int) (*Plaintext, error) {
-	slots := e.params.Slots()
-	if len(values) == 0 || len(values) > slots {
-		return nil, fmt.Errorf("ckks: encoding %d values into %d slots", len(values), slots)
+	buf, err := e.slotBuffer(len(values), scale, level)
+	if err != nil {
+		return nil, err
 	}
-	if len(values)&(len(values)-1) != 0 {
-		return nil, fmt.Errorf("ckks: input length %d is not a power of two", len(values))
+	for i := range buf {
+		buf[i] = values[i%len(values)]
+	}
+	return e.encodeSlots(buf, scale, level), nil
+}
+
+// Encode encodes real values (see EncodeComplex for the semantics of short inputs).
+func (e *Encoder) Encode(values []float64, scale float64, level int) (*Plaintext, error) {
+	buf, err := e.slotBuffer(len(values), scale, level)
+	if err != nil {
+		return nil, err
+	}
+	for i := range buf {
+		buf[i] = complex(values[i%len(values)], 0)
+	}
+	return e.encodeSlots(buf, scale, level), nil
+}
+
+// slotBuffer validates an encoding request of n values and returns the slot
+// buffer for the caller to fill.
+func (e *Encoder) slotBuffer(n int, scale float64, level int) ([]complex128, error) {
+	slots := e.params.Slots()
+	if n == 0 || n > slots {
+		return nil, fmt.Errorf("ckks: encoding %d values into %d slots", n, slots)
+	}
+	if n&(n-1) != 0 {
+		return nil, fmt.Errorf("ckks: input length %d is not a power of two", n)
 	}
 	if level < 0 || level > e.params.MaxLevel() {
 		return nil, fmt.Errorf("ckks: level %d out of range [0,%d]", level, e.params.MaxLevel())
@@ -132,31 +157,22 @@ func (e *Encoder) EncodeComplex(values []complex128, scale float64, level int) (
 	if scale <= 0 {
 		return nil, fmt.Errorf("ckks: scale must be positive")
 	}
-	buf := make([]complex128, slots)
-	for i := 0; i < slots; i++ {
-		buf[i] = values[i%len(values)]
-	}
-	e.fftSpecialInv(buf)
+	return make([]complex128, slots), nil
+}
 
+// encodeSlots turns a full buffer of slot values (consumed as scratch) into
+// an NTT-form plaintext.
+func (e *Encoder) encodeSlots(buf []complex128, scale float64, level int) *Plaintext {
+	e.fftSpecialInv(buf)
 	r := e.params.RingQ()
 	pt := r.NewPoly(level)
-	n := e.params.N()
+	slots := len(buf)
 	for j := 0; j < slots; j++ {
 		encodeCoefficient(real(buf[j])*scale, j, pt, r)
 		encodeCoefficient(imag(buf[j])*scale, j+slots, pt, r)
 	}
-	_ = n
 	r.NTT(pt)
-	return &Plaintext{Value: pt, Scale: scale, Level: level}, nil
-}
-
-// Encode encodes real values (see EncodeComplex for the semantics of short inputs).
-func (e *Encoder) Encode(values []float64, scale float64, level int) (*Plaintext, error) {
-	cv := make([]complex128, len(values))
-	for i, v := range values {
-		cv[i] = complex(v, 0)
-	}
-	return e.EncodeComplex(cv, scale, level)
+	return &Plaintext{Value: pt, Scale: scale, Level: level}
 }
 
 // EncodeSingle encodes the same scalar in every slot.

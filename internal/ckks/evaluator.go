@@ -25,9 +25,12 @@ type Evaluator struct {
 	rlk    *RelinearizationKey
 	rtk    *RotationKeySet
 
-	// pool and buf recycle the scratch polynomials and special-prime limb
-	// buffers of the key-switch/rescale hot paths across operations (and
-	// across the executor's worker goroutines — sync.Pool is concurrent).
+	// pool and buf recycle polynomials and special-prime limb buffers across
+	// operations (and across the executor's worker goroutines — sync.Pool is
+	// concurrent). Scratch comes from them, and so does every result
+	// ciphertext: a caller that knows a result is dead hands it back with
+	// Recycle, and the next operation at that level reuses its buffers
+	// instead of allocating.
 	pool *polyPool
 	buf  *coeffPool
 }
@@ -52,6 +55,37 @@ func NewEvaluator(params *Parameters, keys EvaluationKeys) *Evaluator {
 
 // Params returns the evaluator's parameter set.
 func (ev *Evaluator) Params() *Parameters { return ev.params }
+
+// newCiphertext assembles a result ciphertext from pooled polynomials. Their
+// coefficients are undefined: the caller overwrites every limb.
+func (ev *Evaluator) newCiphertext(size, level int, scale float64) *Ciphertext {
+	ct := &Ciphertext{Value: make([]*ring.Poly, size), Scale: scale, Level: level}
+	for i := range ct.Value {
+		ct.Value[i] = ev.pool.Get(level)
+	}
+	return ct
+}
+
+// copyCiphertext is Ciphertext.CopyNew into pooled polynomials.
+func (ev *Evaluator) copyCiphertext(a *Ciphertext) *Ciphertext {
+	out := ev.newCiphertext(len(a.Value), a.Level, a.Scale)
+	for i := range a.Value {
+		out.Value[i].Copy(a.Value[i])
+	}
+	return out
+}
+
+// Recycle returns the polynomials of a ciphertext this evaluator produced to
+// its buffer pool and empties ct. The caller must own ct outright and never
+// touch it again: a recycled buffer is overwritten by whichever operation
+// draws it next. Ciphertexts that came from anywhere else — decoded inputs,
+// results already handed to a client — must not be recycled.
+func (ev *Evaluator) Recycle(ct *Ciphertext) {
+	for _, p := range ct.Value {
+		ev.pool.Put(p)
+	}
+	ct.Value = nil
+}
 
 func (ev *Evaluator) checkBinaryCt(a, b *Ciphertext) error {
 	if a.Level != b.Level {
@@ -78,7 +112,7 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 		size = len(b.Value)
 	}
 	r := ev.params.RingQ()
-	out := NewCiphertext(ev.params, size, a.Level, a.Scale)
+	out := ev.newCiphertext(size, a.Level, a.Scale)
 	for i := 0; i < size; i++ {
 		switch {
 		case i < len(a.Value) && i < len(b.Value):
@@ -106,7 +140,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 		size = len(b.Value)
 	}
 	r := ev.params.RingQ()
-	out := NewCiphertext(ev.params, size, a.Level, a.Scale)
+	out := ev.newCiphertext(size, a.Level, a.Scale)
 	for i := 0; i < size; i++ {
 		switch {
 		case i < len(a.Value) && i < len(b.Value):
@@ -124,7 +158,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 // Negate returns -a.
 func (ev *Evaluator) Negate(a *Ciphertext) (*Ciphertext, error) {
 	r := ev.params.RingQ()
-	out := NewCiphertext(ev.params, len(a.Value), a.Level, a.Scale)
+	out := ev.newCiphertext(len(a.Value), a.Level, a.Scale)
 	for i := range a.Value {
 		r.Neg(a.Value[i], out.Value[i])
 		out.Value[i].IsNTT = true
@@ -150,11 +184,20 @@ func (ev *Evaluator) AddPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) 
 	if !scalesMatch(a.Scale, p.Scale) {
 		return nil, fmt.Errorf("ckks: plaintext addition scale mismatch (%g vs %g)", a.Scale, p.Scale)
 	}
-	r := ev.params.RingQ()
-	out := a.CopyNew()
-	r.Add(a.Value[0], p.Value, out.Value[0])
+	return ev.combinePlain(a, p, ev.params.RingQ().Add), nil
+}
+
+// combinePlain builds a ± p: component 0 is written straight from a.Value[0]
+// and p.Value (op reads only the limbs of the result's level, so a plaintext
+// at a higher level needs no truncated copy); higher components are copied.
+func (ev *Evaluator) combinePlain(a *Ciphertext, p *Plaintext, op func(a, b, out *ring.Poly)) *Ciphertext {
+	out := ev.newCiphertext(len(a.Value), a.Level, a.Scale)
+	op(a.Value[0], p.Value, out.Value[0])
 	out.Value[0].IsNTT = true
-	return out, nil
+	for i := 1; i < len(a.Value); i++ {
+		out.Value[i].Copy(a.Value[i])
+	}
+	return out
 }
 
 // SubPlain returns a - p.
@@ -165,14 +208,7 @@ func (ev *Evaluator) SubPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) 
 	if !scalesMatch(a.Scale, p.Scale) {
 		return nil, fmt.Errorf("ckks: plaintext subtraction scale mismatch (%g vs %g)", a.Scale, p.Scale)
 	}
-	r := ev.params.RingQ()
-	out := a.CopyNew()
-	// out0 = a0 - p; higher components unchanged.
-	tmp := r.NewPoly(a.Level)
-	tmp.Copy(p.Value)
-	r.Sub(a.Value[0], tmp, out.Value[0])
-	out.Value[0].IsNTT = true
-	return out, nil
+	return ev.combinePlain(a, p, ev.params.RingQ().Sub), nil
 }
 
 // Mul multiplies two degree-1 ciphertexts, producing a degree-2 ciphertext
@@ -186,7 +222,7 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: ciphertext multiplication requires degree-1 operands (got %d and %d); relinearize first", a.Degree(), b.Degree())
 	}
 	r := ev.params.RingQ()
-	out := NewCiphertext(ev.params, 3, a.Level, a.Scale*b.Scale)
+	out := ev.newCiphertext(3, a.Level, a.Scale*b.Scale)
 	// (a0 + a1 s)(b0 + b1 s) = a0b0 + (a0b1 + a1b0) s + a1b1 s².
 	r.MulCoeffs(a.Value[0], b.Value[0], out.Value[0])
 	r.MulCoeffs(a.Value[0], b.Value[1], out.Value[1])
@@ -202,10 +238,65 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) 
 		return nil, err
 	}
 	r := ev.params.RingQ()
-	out := NewCiphertext(ev.params, len(a.Value), a.Level, a.Scale*p.Scale)
+	out := ev.newCiphertext(len(a.Value), a.Level, a.Scale*p.Scale)
 	for i := range a.Value {
 		r.MulCoeffs(a.Value[i], p.Value, out.Value[i])
 	}
+	return out, nil
+}
+
+// MulPlainAccumulate returns Σ cts[i]·pts[i], bit-identical to summing the
+// MulPlain products left to right with Add (the result takes the first
+// product's scale, as that chain of Adds would), but evaluated as one fused
+// kernel: the products accumulate lazily in 128 bits, so every output
+// coefficient pays one Barrett reduction instead of one per product plus a
+// modular add per sum, and no intermediate ciphertext is materialised. It is
+// the key-switch inner product with the roles swapped — the plaintexts are
+// the digits and the ciphertext halves the key. All ciphertexts must be
+// degree 1 and at one level, and every product must match the first one's
+// scale.
+func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*Ciphertext, error) {
+	if len(cts) == 0 || len(cts) != len(pts) {
+		return nil, fmt.Errorf("ckks: multiply-accumulate of %d ciphertexts and %d plaintexts", len(cts), len(pts))
+	}
+	level, scale := cts[0].Level, cts[0].Scale*pts[0].Scale
+	for i, ct := range cts {
+		if ct.Degree() != 1 {
+			return nil, fmt.Errorf("ckks: multiply-accumulate requires degree-1 ciphertexts (operand %d has degree %d)", i, ct.Degree())
+		}
+		if ct.Level != level {
+			return nil, fmt.Errorf("ckks: operand level mismatch (%d vs %d): ciphertexts must have the same coefficient modulus", level, ct.Level)
+		}
+		if err := ev.checkPlain(ct, pts[i]); err != nil {
+			return nil, err
+		}
+		if s := ct.Scale * pts[i].Scale; !scalesMatch(scale, s) {
+			return nil, fmt.Errorf("ckks: addition operand scale mismatch (%g vs %g)", scale, s)
+		}
+	}
+	r := ev.params.RingQ()
+	out := ev.newCiphertext(2, level, scale)
+	var ps, c0s, c1s [ring.MaxLazyDigits]*ring.Poly
+	var part0, part1 *ring.Poly // partial sums of the chunks after the first
+	for start := 0; start < len(cts); start += ring.MaxLazyDigits {
+		n := min(len(cts)-start, ring.MaxLazyDigits)
+		for i := 0; i < n; i++ {
+			ps[i] = pts[start+i].Value
+			c0s[i], c1s[i] = cts[start+i].Value[0], cts[start+i].Value[1]
+		}
+		if start == 0 {
+			r.InnerProductAutoNTTPair(ps[:n], c0s[:n], c1s[:n], 1, out.Value[0], out.Value[1])
+			continue
+		}
+		if part0 == nil {
+			part0, part1 = ev.pool.Get(level), ev.pool.Get(level)
+		}
+		r.InnerProductAutoNTTPair(ps[:n], c0s[:n], c1s[:n], 1, part0, part1)
+		r.Add(out.Value[0], part0, out.Value[0])
+		r.Add(out.Value[1], part1, out.Value[1])
+	}
+	ev.pool.Put(part0)
+	ev.pool.Put(part1)
 	return out, nil
 }
 
@@ -213,7 +304,7 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) 
 // relinearization key.
 func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
 	if a.Degree() == 1 {
-		return a.CopyNew(), nil
+		return ev.copyCiphertext(a), nil
 	}
 	if a.Degree() != 2 {
 		return nil, fmt.Errorf("ckks: relinearization supports degree-2 ciphertexts, got degree %d", a.Degree())
@@ -226,13 +317,11 @@ func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewCiphertext(ev.params, 2, a.Level, a.Scale)
-	r.Add(a.Value[0], ks0, out.Value[0])
-	r.Add(a.Value[1], ks1, out.Value[1])
-	ev.pool.Put(ks0)
-	ev.pool.Put(ks1)
-	out.Value[0].IsNTT, out.Value[1].IsNTT = true, true
-	return out, nil
+	// The key-switch outputs become the result's components in place.
+	r.Add(a.Value[0], ks0, ks0)
+	r.Add(a.Value[1], ks1, ks1)
+	ks0.IsNTT, ks1.IsNTT = true, true
+	return &Ciphertext{Value: []*ring.Poly{ks0, ks1}, Scale: a.Scale, Level: a.Level}, nil
 }
 
 // Rescale divides the ciphertext by the last prime of its modulus chain,
@@ -243,17 +332,16 @@ func (ev *Evaluator) Rescale(a *Ciphertext) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: cannot rescale a level-0 ciphertext (modulus chain exhausted)")
 	}
 	r := ev.params.RingQ()
-	q := ev.params.Qi()[a.Level]
-	out := &Ciphertext{Value: make([]*ring.Poly, len(a.Value)), Scale: a.Scale / float64(q), Level: a.Level - 1}
+	q := r.Moduli[a.Level].Q
+	out := ev.newCiphertext(len(a.Value), a.Level-1, a.Scale/float64(q))
+	tmp := ev.pool.Get(a.Level)
 	for i := range a.Value {
-		tmp := ev.pool.Get(a.Level)
 		tmp.Copy(a.Value[i])
 		r.InvNTT(tmp)
-		res := r.DivideByLastModulus(tmp)
-		ev.pool.Put(tmp)
-		r.NTT(res)
-		out.Value[i] = res
+		r.DivideByLastModulusInto(tmp, out.Value[i])
+		r.NTT(out.Value[i])
 	}
+	ev.pool.Put(tmp)
 	return out, nil
 }
 
@@ -263,10 +351,12 @@ func (ev *Evaluator) ModSwitch(a *Ciphertext) (*Ciphertext, error) {
 	if a.Level == 0 {
 		return nil, fmt.Errorf("ckks: cannot modulus-switch a level-0 ciphertext")
 	}
-	r := ev.params.RingQ()
-	out := &Ciphertext{Value: make([]*ring.Poly, len(a.Value)), Scale: a.Scale, Level: a.Level - 1}
-	for i := range a.Value {
-		out.Value[i] = r.DropLastModulus(a.Value[i])
+	out := ev.newCiphertext(len(a.Value), a.Level-1, a.Scale)
+	for i, p := range a.Value {
+		for j, limb := range out.Value[i].Coeffs {
+			copy(limb, p.Coeffs[j])
+		}
+		out.Value[i].IsNTT = p.IsNTT
 	}
 	return out, nil
 }
@@ -337,7 +427,7 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int) (map[int]*Ciphertext
 		}
 		seen[k] = struct{}{}
 		if k%ev.params.Slots() == 0 {
-			out[k] = a.CopyNew()
+			out[k] = ev.copyCiphertext(a)
 			continue
 		}
 		galEl, swk, err := ev.rotationElement(k, a.Level)
@@ -377,7 +467,7 @@ func (ev *Evaluator) RotateLeft(a *Ciphertext, k int) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext; relinearize first")
 	}
 	if k%ev.params.Slots() == 0 {
-		return a.CopyNew(), nil
+		return ev.copyCiphertext(a), nil
 	}
 	galEl, swk, err := ev.rotationElement(k, a.Level)
 	if err != nil {

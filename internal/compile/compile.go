@@ -9,6 +9,8 @@ package compile
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"eva/internal/analysis"
 	"eva/internal/ckks"
@@ -75,6 +77,35 @@ type Result struct {
 	// SourceStats and CompiledStats summarize the input and output programs.
 	SourceStats   core.Stats
 	CompiledStats core.Stats
+
+	// prepared is the slot behind Prepared. A Result is shared by pointer and
+	// must not be copied once it has been executed.
+	prepMu   sync.Mutex
+	prepared atomic.Pointer[any]
+}
+
+// Prepared returns the value build produced the first time it was called for
+// this result, calling build (once, even under concurrent callers) if that
+// has not happened yet; with a nil build it only looks, returning nil when
+// nothing has been prepared. The executor keeps its prepared execution plan
+// here — opaque, because package execute imports this one — so the plan is
+// found from the result in one atomic load and lives exactly as long as the
+// result does.
+func (r *Result) Prepared(build func() any) any {
+	if v := r.prepared.Load(); v != nil {
+		return *v
+	}
+	if build == nil {
+		return nil
+	}
+	r.prepMu.Lock()
+	defer r.prepMu.Unlock()
+	if v := r.prepared.Load(); v != nil {
+		return *v
+	}
+	v := build()
+	r.prepared.Store(&v)
+	return v
 }
 
 // Compile runs the EVA compiler on the input program. The input program must

@@ -280,6 +280,21 @@ type RunStats struct {
 	HoistedBatches   int
 	HoistedRotations int
 
+	// PlainCacheHits counts the run-invariant plain operands (program
+	// constants) this run took ready-encoded from the plan's cache, and
+	// PlainCacheMisses those it had to encode itself: the first run's fill,
+	// or every run's once the cache budget is exhausted or when the
+	// context's parameters differ from the cached encodings'.
+	PlainCacheHits   int
+	PlainCacheMisses int
+	// FusedChains counts the add chains this run evaluated as one fused
+	// multiply-accumulate and FusedTerms the instructions they covered.
+	FusedChains int
+	FusedTerms  int
+	// RecycledBuffers counts the ciphertext polynomials returned to the
+	// evaluator's pool at their value's last use.
+	RecycledBuffers int
+
 	// PerOp maps each executed opcode to its aggregated instruction
 	// latencies. Leaf pseudo-instructions (INPUT, CONSTANT) are included so
 	// the totals account for every scheduled term.
@@ -324,11 +339,4 @@ func Replicate(v []float64, size int) []float64 {
 		out[i] = v[i%len(v)]
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -34,10 +34,18 @@ func compileSkippingPasses(t *testing.T, p *core.Program, tweak func(*rewrite.Op
 	}
 	// Swap in the under-transformed program while keeping the (valid)
 	// parameter plan, so execution reaches the backend and fails there.
-	bad := *good
-	bad.Program = prog
-	bad.Scales = rewrite.ComputeLogScales(prog)
-	return &bad
+	return &compile.Result{
+		Program:       prog,
+		Plan:          good.Plan,
+		RotationSteps: good.RotationSteps,
+		LogN:          good.LogN,
+		Scales:        rewrite.ComputeLogScales(prog),
+		Chains:        good.Chains,
+		Types:         good.Types,
+		Options:       good.Options,
+		SourceStats:   good.SourceStats,
+		CompiledStats: good.CompiledStats,
+	}
 }
 
 func TestRunSurfacesMissingRelinearization(t *testing.T) {

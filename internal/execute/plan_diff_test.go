@@ -1,0 +1,226 @@
+package execute_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"eva/internal/apps"
+	"eva/internal/ckks"
+	"eva/internal/compile"
+	"eva/internal/core"
+	"eva/internal/execute"
+	"eva/internal/lang"
+	"eva/internal/nn"
+)
+
+var schedulers = map[string]execute.Scheduler{
+	"parallel":         execute.SchedulerParallel,
+	"bulk-synchronous": execute.SchedulerBulkSynchronous,
+	"sequential":       execute.SchedulerSequential,
+}
+
+// fixture is one compiled program with a context, keys and encrypted inputs,
+// all derived from fixed seeds so that two fixtures of one program hold
+// identical key material and identical input ciphertexts.
+type fixture struct {
+	res  *compile.Result
+	ctx  *execute.Context
+	keys *execute.KeyMaterial
+	enc  *execute.EncryptedInputs
+}
+
+func compileUnreleased(t testing.TB, prog *core.Program, opts compile.Options) *compile.Result {
+	t.Helper()
+	opts.AllowInsecure = true
+	res, err := compile.Compile(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// compileInsecure compiles for a test and releases the result's plan when the
+// test ends: the test process compiles many programs, and each plan's cached
+// bytes should go back to the shared budget as soon as its test is over.
+func compileInsecure(t testing.TB, prog *core.Program, opts compile.Options) *compile.Result {
+	t.Helper()
+	res := compileUnreleased(t, prog, opts)
+	t.Cleanup(func() { execute.ReleasePlan(res) })
+	return res
+}
+
+func newFixture(t testing.TB, res *compile.Result, in execute.Inputs, keySeed uint64) *fixture {
+	t.Helper()
+	prng := ckks.NewTestPRNG(keySeed)
+	ctx, keys, err := execute.NewContext(res, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := execute.EncryptInputs(ctx, res, keys, in, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{res: res, ctx: ctx, keys: keys, enc: enc}
+}
+
+func (f *fixture) run(t testing.TB, opts execute.RunOptions) *execute.Outputs {
+	t.Helper()
+	out, err := execute.Run(f.ctx, f.res, f.enc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func randomInputs(p *core.Program, seed int64) execute.Inputs {
+	rng := rand.New(rand.NewSource(seed))
+	in := execute.Inputs{}
+	for _, t := range p.Inputs() {
+		v := make([]float64, t.VecWidth)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		in[t.Name] = v
+	}
+	return in
+}
+
+// serialized renders every output of a run — ciphertexts in the wire format,
+// plain outputs as their values — so runs can be compared byte for byte.
+func serialized(t testing.TB, out *execute.Outputs) map[string][]byte {
+	t.Helper()
+	ser := map[string][]byte{}
+	for name, ct := range out.Cipher {
+		data, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ser[name] = data
+	}
+	for name, v := range out.Plain {
+		var buf []byte
+		for _, x := range v {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+		ser["plain:"+name] = buf
+	}
+	return ser
+}
+
+func requireSameBytes(t testing.TB, what string, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want))
+	}
+	for name, w := range want {
+		if !bytes.Equal(got[name], w) {
+			t.Fatalf("%s: output %q differs from the reference run", what, name)
+		}
+	}
+}
+
+// differential runs one program cold-plan, warm-plan and with the plan's
+// mechanisms switched off, under each scheduler, and requires every run's
+// serialized outputs to be byte-identical. Each scheduler gets a freshly
+// compiled result (so its first run really is the plan's first) with the
+// same keys and inputs, which also makes the schedulers comparable.
+func differential(t *testing.T, prog *core.Program, opts compile.Options, in execute.Inputs) {
+	var reference map[string][]byte
+	for name, sched := range schedulers {
+		f := newFixture(t, compileInsecure(t, prog, opts), in, 41)
+		ropts := execute.RunOptions{Scheduler: sched, Workers: 3}
+		cold := f.run(t, ropts)
+		warm := f.run(t, ropts)
+		off := f.run(t, execute.WithoutPlanMechanisms(ropts))
+
+		if warm.Stats.PlainCacheMisses != 0 {
+			t.Errorf("%s: warm run missed the plan cache %d times", name, warm.Stats.PlainCacheMisses)
+		}
+		if warm.Stats.PlainCacheHits != cold.Stats.PlainCacheHits+cold.Stats.PlainCacheMisses {
+			t.Errorf("%s: warm run looked up %d constants, cold run %d", name,
+				warm.Stats.PlainCacheHits, cold.Stats.PlainCacheHits+cold.Stats.PlainCacheMisses)
+		}
+		if s := off.Stats; s.PlainCacheHits != 0 || s.FusedChains != 0 || s.RecycledBuffers != 0 {
+			t.Errorf("%s: switched-off run still reports %d cache hits, %d fused chains, %d recycled buffers",
+				name, s.PlainCacheHits, s.FusedChains, s.RecycledBuffers)
+		}
+		for _, o := range []*execute.Outputs{cold, warm} {
+			if o.Stats.Instructions != off.Stats.Instructions {
+				t.Errorf("%s: %d instructions, switched-off run %d", name, o.Stats.Instructions, off.Stats.Instructions)
+			}
+			for op, os := range off.Stats.PerOp {
+				if got := o.Stats.PerOp[op]; got == nil || got.Count != os.Count {
+					t.Errorf("%s: per-opcode count of %s differs from the switched-off run", name, op)
+				}
+			}
+		}
+
+		want := serialized(t, off)
+		requireSameBytes(t, name+" cold", serialized(t, cold), want)
+		requireSameBytes(t, name+" warm", serialized(t, warm), want)
+		if reference == nil {
+			reference = want
+		}
+		requireSameBytes(t, name+" vs other schedulers", want, reference)
+	}
+}
+
+// TestPlanDifferentialExamples covers every program under examples/.
+func TestPlanDifferentialExamples(t *testing.T) {
+	sources, err := filepath.Glob("../../examples/*/*.eva")
+	if err != nil || len(sources) == 0 {
+		t.Fatalf("no example sources found (%v)", err)
+	}
+	for _, path := range sources {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := lang.ParseProgram(string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			differential(t, prog, compile.DefaultOptions(), randomInputs(prog, 5))
+		})
+	}
+}
+
+// TestPlanDifferentialApps covers the six Table 8 applications.
+func TestPlanDifferentialApps(t *testing.T) {
+	suite, err := apps.Suite(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range suite {
+		t.Run(app.Name, func(t *testing.T) {
+			differential(t, app.Program, compile.DefaultOptions(), app.MakeInputs(rand.New(rand.NewSource(6))))
+		})
+	}
+}
+
+func benchSqueezeNet(t testing.TB) (*core.Program, execute.Inputs) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	net := nn.SqueezeNetCIFAR(nn.BenchConfig())
+	prog, err := nn.BuildProgram(net, nn.RandomWeights(net, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, nn.RandomImage(net, rng)
+}
+
+// TestPlanDifferentialSqueezeNet covers the benchmark's network, the program
+// with the long fused chains.
+func TestPlanDifferentialSqueezeNet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("nine whole-network inferences are too slow under the race detector")
+	}
+	prog, image := benchSqueezeNet(t)
+	differential(t, prog, compile.DefaultOptions(), image)
+}

@@ -41,25 +41,41 @@ func RunReference(p *core.Program, values Inputs) (map[string][]float64, error) 
 }
 
 func evalReference(t *core.Term, env map[*core.Term][]float64, vecSize int) ([]float64, error) {
-	switch t.Op {
-	case core.OpConstant:
+	if t.Op == core.OpConstant {
 		return Replicate(t.Value, vecSize), nil
+	}
+	var a, b []float64
+	if len(t.Parms()) > 0 {
+		a = env[t.Parm(0)]
+	}
+	if len(t.Parms()) > 1 {
+		b = env[t.Parm(1)]
+	}
+	return plainOp(t, a, b)
+}
+
+// plainOp evaluates one instruction on unencrypted operand vectors (b is nil
+// for unary instructions): the reference semantics, which is also how the
+// CKKS executor evaluates the Plain terms of a program. The FHE-specific
+// instructions return their operand itself, not a copy.
+func plainOp(t *core.Term, a, b []float64) ([]float64, error) {
+	switch t.Op {
 	case core.OpNegate:
-		return mapVec(env[t.Parm(0)], func(x float64) float64 { return -x }), nil
+		return mapVec(a, func(x float64) float64 { return -x }), nil
 	case core.OpAdd:
-		return zipVec(env[t.Parm(0)], env[t.Parm(1)], func(a, b float64) float64 { return a + b }), nil
+		return zipVec(a, b, func(a, b float64) float64 { return a + b }), nil
 	case core.OpSub:
-		return zipVec(env[t.Parm(0)], env[t.Parm(1)], func(a, b float64) float64 { return a - b }), nil
+		return zipVec(a, b, func(a, b float64) float64 { return a - b }), nil
 	case core.OpMultiply:
-		return zipVec(env[t.Parm(0)], env[t.Parm(1)], func(a, b float64) float64 { return a * b }), nil
+		return zipVec(a, b, func(a, b float64) float64 { return a * b }), nil
 	case core.OpRotateLeft:
-		return rotate(env[t.Parm(0)], t.RotateBy), nil
+		return rotate(a, t.RotateBy), nil
 	case core.OpRotateRight:
-		return rotate(env[t.Parm(0)], -t.RotateBy), nil
+		return rotate(a, -t.RotateBy), nil
 	case core.OpRelinearize, core.OpModSwitch, core.OpRescale:
-		return env[t.Parm(0)], nil
+		return a, nil
 	default:
-		return nil, fmt.Errorf("execute: unsupported opcode %s in reference executor", t.Op)
+		return nil, fmt.Errorf("execute: unsupported opcode %s", t.Op)
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
-	"eva/internal/rewrite"
 )
 
 // Scheduler selects how the instruction DAG is scheduled onto worker threads.
@@ -54,6 +54,12 @@ type RunOptions struct {
 	// serialized under the run's lock but may come from any worker goroutine;
 	// the callback must be fast and must not call back into the executor.
 	OnInstruction func(t *core.Term, rec InstrRecord)
+
+	// withoutPlanMechanisms is the differential tests' switch: the run goes
+	// through the same plan and scheduler but encodes every constant itself,
+	// allocates every result fresh and evaluates fused chains one member at
+	// a time — what every run did before plans carried those mechanisms.
+	withoutPlanMechanisms bool
 }
 
 // InstrRecord is the per-instruction measurement handed to
@@ -62,7 +68,9 @@ type RunOptions struct {
 type InstrRecord struct {
 	// Wall is the instruction's evaluation wall time (backend call only, not
 	// queueing). For the first-scheduled member of a hoisted rotation batch it
-	// includes the whole batch's shared key-switch work.
+	// includes the whole batch's shared key-switch work; for a member of a
+	// fused chain it is the chain's wall time apportioned by the cost model's
+	// units (CostModel.OpUnits).
 	Wall time.Duration
 	// Cipher reports whether the result is a ciphertext. Level and Scale are
 	// the result ciphertext's post-op level and raw scale (Level is -1 and
@@ -77,6 +85,11 @@ type InstrRecord struct {
 	Operands     int
 	// Hoisted reports membership in a hoisted rotation batch.
 	Hoisted bool
+	// Fused reports that the instruction was evaluated as part of a fused
+	// multiply-accumulate chain rather than on its own. Level, Scale and
+	// OutBytes are then those of the chain's result, which every
+	// intermediate of the chain would have shared.
+	Fused bool
 }
 
 // value is the run-time value of a term: either a ciphertext or a plain
@@ -84,81 +97,101 @@ type InstrRecord struct {
 type value struct {
 	ct    *ckks.Ciphertext
 	plain []float64
+	// owned marks a ciphertext this run's evaluator produced and nothing else
+	// references, so its buffers go back to the evaluator's pool at its last
+	// use. Caller-owned ciphertexts — the run's inputs — never are, and a
+	// program output is never released in the first place.
+	owned bool
 }
 
-func (v *value) bytes() int {
-	if v == nil {
-		return 0
-	}
+func (v value) bytes() int {
 	if v.ct != nil {
 		return v.ct.MemoryBytes()
 	}
 	return 8 * len(v.plain)
 }
 
-// runState carries the shared mutable state of one execution.
-type runState struct {
-	stdctx  context.Context
-	ctx     *Context
-	res     *compile.Result
-	in      *EncryptedInputs
-	vecSize int
-	total   int
-	onDone  func(done, total int)
-	onInstr func(t *core.Term, rec InstrRecord)
+// numOps sizes the per-opcode statistics table.
+const numOps = int(core.OpRescale) + 1
 
-	// hoist maps each rotation instruction that belongs to a hoistable set
-	// (two or more rotations of one Cipher term; see rewrite.RotationSets) to
-	// its group. Nil when hoisting is disabled.
-	hoist          map[*core.Term]*hoistGroup
+// opStats returns the run's latency aggregate for an opcode. Opcodes outside
+// the language (which validation rejects long before execution) share the
+// OpInvalid slot rather than indexing out of range.
+func (st *runState) opStats(op core.OpCode) *OpStats {
+	if op < 0 || int(op) >= numOps {
+		op = core.OpInvalid
+	}
+	return &st.perOp[op]
+}
+
+// runState carries the shared mutable state of one execution of a plan.
+type runState struct {
+	stdctx context.Context
+	ctx    *Context
+	plan   *plan
+	in     *EncryptedInputs
+
+	onDone         func(done, total int)
+	onInstr        func(t *core.Term, rec InstrRecord)
 	onHoistedBatch func(rotations int)
 
-	mu         sync.Mutex
-	values     map[*core.Term]*value
-	refcounts  map[*core.Term]int
+	// The plan's three mechanisms, each of which a run may have to do
+	// without: cache (the context's parameters match the cached encodings),
+	// recycle and fuse (off only under the tests' switch).
+	cache, recycle, fuse bool
+	// hoists holds the per-run state of the plan's hoistable rotation sets;
+	// nil when hoisting is disabled.
+	hoists []hoistRun
+
+	cacheHits, cacheMisses atomic.Int64
+
+	mu sync.Mutex
+	// values, refs and pending are indexed by instruction id. A worker reads
+	// the values of its operands without the lock: each was stored under mu
+	// before the worker's unit was made ready under mu, and is released only
+	// once every consumer has completed.
+	values     []value
+	refs       []int32
+	pending    []int32
+	ready      chan int32 // parallel scheduler's queue of dispatchable units; nil otherwise
+	remaining  int        // units not yet complete
 	liveBytes  int
 	liveValues int
 	completed  int
+	perOp      [numOps]OpStats
 	stats      RunStats
 	firstErr   error
 }
 
-// hoistGroup carries the shared state of one hoistable rotation set during a
+// hoistRun carries the shared state of one hoistable rotation set during a
 // run: whichever member is scheduled first computes the whole batch with one
 // shared decomposition (Evaluator.RotateHoisted) and parks the results; the
 // remaining members pick theirs up without touching the backend.
-type hoistGroup struct {
-	members []*core.Term
-
+type hoistRun struct {
 	mu      sync.Mutex
-	results map[*core.Term]*ckks.Ciphertext
+	results map[int]*ckks.Ciphertext // by step; nil until the batch has run
 	failed  bool
 }
 
-// hoistedRotation returns the batch result for member t, computing the batch
-// on first use. ok is false when the batch failed (the caller falls back to
-// an independent rotation, so a batch error can only ever degrade
+// hoistedRotation returns the batch result for the rotation in, computing the
+// batch on first use. ok is false when the batch failed (the caller falls
+// back to an independent rotation, so a batch error can only ever degrade
 // performance, not correctness).
-func (st *runState) hoistedRotation(g *hoistGroup, t *core.Term, src *ckks.Ciphertext) (*ckks.Ciphertext, bool) {
+func (st *runState) hoistedRotation(in *instr, src *ckks.Ciphertext) (v value, ok bool) {
+	set := &st.plan.hoists[in.hoist]
+	g := &st.hoists[in.hoist]
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.failed {
-		return nil, false
+		return value{}, false
 	}
 	if g.results == nil {
-		ks := make([]int, len(g.members))
-		for i, m := range g.members {
-			ks[i] = rewrite.EffectiveRotation(m)
-		}
-		batch, err := st.ctx.Evaluator.RotateHoisted(src, ks)
+		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.steps)
 		if err != nil {
 			g.failed = true
-			return nil, false
+			return value{}, false
 		}
-		g.results = make(map[*core.Term]*ckks.Ciphertext, len(g.members))
-		for _, m := range g.members {
-			g.results[m] = batch[rewrite.EffectiveRotation(m)]
-		}
+		g.results = batch
 		st.mu.Lock()
 		st.stats.HoistedBatches++
 		st.stats.HoistedRotations += len(batch)
@@ -167,9 +200,8 @@ func (st *runState) hoistedRotation(g *hoistGroup, t *core.Term, src *ckks.Ciphe
 			st.onHoistedBatch(len(batch))
 		}
 	}
-	ct, ok := g.results[t]
-	delete(g.results, t) // each member is consumed exactly once
-	return ct, ok
+	ct, ok := g.results[in.rot]
+	return value{ct: ct, owned: !set.shared[in.hoistPos]}, ok
 }
 
 // Run executes a compiled program on encrypted inputs using the CKKS backend.
@@ -183,6 +215,9 @@ func Run(ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions
 // instruction they are evaluating (CKKS kernels are not interruptible
 // mid-operation), start no new ones, and RunContext returns the context's
 // error.
+//
+// The run follows the program's prepared plan (see plan), built on the first
+// run of res and shared by every later one, whatever its context.
 func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions) (*Outputs, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -191,101 +226,131 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		opts.Workers = 1
 	}
 	start := time.Now()
-	order := res.Program.TopoSort()
+	p := planFor(res)
+	n := len(p.instrs)
 
+	on := !opts.withoutPlanMechanisms
 	st := &runState{
 		stdctx:    stdctx,
 		ctx:       ctx,
-		res:       res,
+		plan:      p,
 		in:        in,
-		vecSize:   res.Program.VecSize,
-		total:     len(order),
 		onDone:    opts.Progress,
 		onInstr:   opts.OnInstruction,
-		values:    make(map[*core.Term]*value, len(order)),
-		refcounts: make(map[*core.Term]int, len(order)),
+		cache:     on && p.cache.usableWith(ctx.Params),
+		recycle:   on,
+		fuse:      on,
+		values:    make([]value, n),
+		refs:      make([]int32, n),
+		pending:   make([]int32, n),
+		remaining: len(p.units),
 	}
-	st.stats.PerOp = make(map[string]*OpStats)
-	if !opts.DisableHoisting {
+	for i := range p.instrs {
+		st.refs[i], st.pending[i] = p.instrs[i].refs, p.instrs[i].pending
+	}
+	if !opts.DisableHoisting && len(p.hoists) > 0 {
 		st.onHoistedBatch = opts.OnHoistedBatch
-		sets := rewrite.RotationSets(res.Program)
-		if len(sets) > 0 {
-			st.hoist = make(map[*core.Term]*hoistGroup)
-			for _, set := range sets {
-				g := &hoistGroup{members: set}
-				for _, m := range set {
-					st.hoist[m] = g
-				}
-			}
-		}
-	}
-	outputRefs := map[*core.Term]int{}
-	for _, o := range res.Program.Outputs() {
-		outputRefs[o.Term]++
-	}
-	for _, t := range order {
-		st.refcounts[t] = t.NumUses() + outputRefs[t]
+		st.hoists = make([]hoistRun, len(p.hoists))
 	}
 
-	var err error
-	switch opts.Scheduler {
-	case SchedulerParallel, SchedulerSequential:
-		err = runParallel(st, order, opts.Workers)
-	case SchedulerBulkSynchronous:
-		err = runBulkSynchronous(st, order, opts.Workers)
-	default:
-		err = fmt.Errorf("execute: unknown scheduler %d", opts.Scheduler)
+	err := stdctx.Err()
+	if err == nil {
+		st.completeInvariants()
+		switch opts.Scheduler {
+		case SchedulerParallel, SchedulerSequential:
+			err = runParallel(st, opts.Workers)
+		case SchedulerBulkSynchronous:
+			err = runBulkSynchronous(st, opts.Workers)
+		default:
+			err = fmt.Errorf("execute: unknown scheduler %d", opts.Scheduler)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	out := &Outputs{Cipher: map[string]*ckks.Ciphertext{}, Plain: map[string][]float64{}}
-	for _, o := range res.Program.Outputs() {
-		v := st.values[o.Term]
-		if v == nil {
-			return nil, fmt.Errorf("execute: output %q was never computed", o.Name)
+	for _, o := range p.outputs {
+		if p.instrs[o.id].invariant {
+			v, err := p.invariantValue(o.id)
+			if err != nil {
+				return nil, err
+			}
+			// The plan's copy is shared between runs; the caller gets its own.
+			out.Plain[o.name] = append([]float64(nil), v...)
+			continue
 		}
-		if v.ct != nil {
-			out.Cipher[o.Name] = v.ct
-		} else {
-			out.Plain[o.Name] = v.plain
+		switch v := st.values[o.id]; {
+		case v.ct != nil:
+			out.Cipher[o.name] = v.ct
+		case v.plain != nil:
+			out.Plain[o.name] = v.plain
+		default:
+			return nil, fmt.Errorf("execute: output %q was never computed", o.name)
 		}
 	}
-	st.stats.Instructions = len(order)
+	st.stats.PerOp = make(map[string]*OpStats)
+	for op, os := range st.perOp {
+		if os.Count > 0 {
+			st.stats.PerOp[core.OpCode(op).String()] = &os
+		}
+	}
+	st.stats.PlainCacheHits, st.stats.PlainCacheMisses = int(st.cacheHits.Load()), int(st.cacheMisses.Load())
+	st.stats.Instructions = n
 	st.stats.Workers = opts.Workers
 	st.stats.WallTime = time.Since(start)
 	out.Stats = st.stats
 	return out, nil
 }
 
-// runParallel is EVA's asynchronous DAG scheduler: a pool of workers consumes
-// a ready queue; finishing a term may make its uses ready.
-func runParallel(st *runState, order []*core.Term, workers int) error {
-	if workers > len(order) {
-		workers = len(order)
-	}
-	pending := make(map[*core.Term]int, len(order))
-	ready := make(chan *core.Term, len(order))
-	for _, t := range order {
-		n := 0
-		seen := map[*core.Term]bool{}
-		for _, parm := range t.Parms() {
-			if !seen[parm] {
-				seen[parm] = true
-				n++
-			}
+// completeInvariants is the run's prologue: the run-invariant instructions
+// need no evaluation — consumers read their values and encodings from the
+// plan — so they complete here, before anything is dispatched, each with its
+// statistics sample, profiler record and progress tick like any other
+// instruction.
+func (st *runState) completeInvariants() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	vb := 8 * st.plan.vecSize
+	for _, id := range st.plan.invariants {
+		in := &st.plan.instrs[id]
+		st.opStats(in.term.Op).observe(0)
+		if st.onInstr != nil {
+			st.onInstr(in.term, InstrRecord{
+				Level:        -1,
+				OutBytes:     vb,
+				OperandBytes: vb * len(in.parms),
+				Operands:     len(in.parms),
+			})
 		}
-		pending[t] = n
-		if n == 0 {
-			ready <- t
+		st.tickLocked()
+	}
+}
+
+// runParallel is EVA's asynchronous DAG scheduler: a pool of workers consumes
+// a ready queue; finishing a unit may make its dependants ready.
+func runParallel(st *runState, workers int) error {
+	units := st.plan.units
+	if len(units) == 0 {
+		return nil
+	}
+	if workers > len(units) {
+		workers = len(units)
+	}
+	// Every unit is enqueued exactly once, so the queue never blocks a sender.
+	st.ready = make(chan int32, len(units))
+	for _, id := range units {
+		if st.pending[id] == 0 {
+			st.ready <- id
 		}
 	}
 
-	var mu sync.Mutex // guards pending and remaining
-	remaining := len(order)
 	done := make(chan struct{})
 	var closeDone sync.Once
+	fail := func(err error) {
+		st.setErr(err)
+		closeDone.Do(func() { close(done) })
+	}
 	var wg sync.WaitGroup
 	cancelled := st.stdctx.Done()
 	for w := 0; w < workers; w++ {
@@ -297,10 +362,9 @@ func runParallel(st *runState, order []*core.Term, workers int) error {
 				case <-done:
 					return
 				case <-cancelled:
-					st.setErr(st.stdctx.Err())
-					closeDone.Do(func() { close(done) })
+					fail(st.stdctx.Err())
 					return
-				case t, ok := <-ready:
+				case id, ok := <-st.ready:
 					if !ok {
 						return
 					}
@@ -308,36 +372,14 @@ func runParallel(st *runState, order []*core.Term, workers int) error {
 					// branch may win the select race after cancellation.
 					select {
 					case <-cancelled:
-						st.setErr(st.stdctx.Err())
-						closeDone.Do(func() { close(done) })
+						fail(st.stdctx.Err())
 						return
 					default:
 					}
-					if err := st.evalAndStore(t); err != nil {
-						st.setErr(err)
-						closeDone.Do(func() { close(done) })
+					if err := st.runUnit(id); err != nil {
+						fail(err)
 						return
 					}
-					mu.Lock()
-					// A child may use t through several slots; count each
-					// distinct child only once (mirrors the setup above).
-					notified := map[*core.Term]bool{}
-					for _, u := range t.Uses() {
-						if notified[u] {
-							continue
-						}
-						notified[u] = true
-						pending[u]--
-						if pending[u] == 0 {
-							pending[u] = -1 // guard against double enqueue
-							ready <- u
-						}
-					}
-					remaining--
-					if remaining == 0 {
-						close(ready)
-					}
-					mu.Unlock()
 				}
 			}
 		}()
@@ -346,46 +388,34 @@ func runParallel(st *runState, order []*core.Term, workers int) error {
 	return st.firstErr
 }
 
-// runBulkSynchronous executes the program kernel by kernel: the terms of each
+// runBulkSynchronous executes the program kernel by kernel: the units of each
 // kernel are processed in waves of ready instructions with a barrier after
 // every wave, which is how a statically parallelized kernel library behaves.
-func runBulkSynchronous(st *runState, order []*core.Term, workers int) error {
-	groups := groupByKernel(order)
-	computed := make(map[*core.Term]bool, len(order))
-	for _, group := range groups {
-		remaining := append([]*core.Term(nil), group...)
+func runBulkSynchronous(st *runState, workers int) error {
+	for _, group := range st.plan.kernels {
+		remaining := group
 		for len(remaining) > 0 {
 			if err := st.stdctx.Err(); err != nil {
 				return err
 			}
-			var wave, next []*core.Term
-			for _, t := range remaining {
-				ok := true
-				for _, parm := range t.Parms() {
-					if !computed[parm] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					wave = append(wave, t)
+			var wave, next []int32
+			for _, id := range remaining {
+				if st.pending[id] == 0 {
+					wave = append(wave, id)
 				} else {
-					next = append(next, t)
+					next = append(next, id)
 				}
 			}
 			if len(wave) == 0 {
 				return fmt.Errorf("execute: bulk-synchronous scheduler is stuck (cross-kernel dependency cycle)")
 			}
-			if err := parallelFor(wave, workers, func(t *core.Term) error {
+			if err := parallelFor(wave, workers, func(id int32) error {
 				if err := st.stdctx.Err(); err != nil {
 					return err
 				}
-				return st.evalAndStore(t)
+				return st.runUnit(id)
 			}); err != nil {
 				return err
-			}
-			for _, t := range wave {
-				computed[t] = true
 			}
 			remaining = next
 		}
@@ -393,37 +423,13 @@ func runBulkSynchronous(st *runState, order []*core.Term, workers int) error {
 	return st.firstErr
 }
 
-// groupByKernel splits the topologically ordered terms into maximal runs
-// sharing the same kernel label; unlabeled terms attach to the current run.
-func groupByKernel(order []*core.Term) [][]*core.Term {
-	var groups [][]*core.Term
-	var cur []*core.Term
-	curLabel := ""
-	for _, t := range order {
-		label := t.Kernel
-		if label == "" {
-			label = curLabel
-		}
-		if label != curLabel && len(cur) > 0 {
-			groups = append(groups, cur)
-			cur = nil
-		}
-		curLabel = label
-		cur = append(cur, t)
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	return groups
-}
-
-func parallelFor(items []*core.Term, workers int, f func(*core.Term) error) error {
+func parallelFor(items []int32, workers int, f func(int32) error) error {
 	if workers > len(items) {
 		workers = len(items)
 	}
 	if workers <= 1 {
-		for _, t := range items {
-			if err := f(t); err != nil {
+		for _, id := range items {
+			if err := f(id); err != nil {
 				return err
 			}
 		}
@@ -432,17 +438,17 @@ func parallelFor(items []*core.Term, workers int, f func(*core.Term) error) erro
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	work := make(chan *core.Term, len(items))
-	for _, t := range items {
-		work <- t
+	work := make(chan int32, len(items))
+	for _, id := range items {
+		work <- id
 	}
 	close(work)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range work {
-				if err := f(t); err != nil {
+			for id := range work {
+				if err := f(id); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -465,42 +471,81 @@ func (st *runState) setErr(err error) {
 	st.mu.Unlock()
 }
 
-func (st *runState) valuePeek(t *core.Term) (*value, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	v, ok := st.values[t]
-	return v, ok
-}
-
-// evalAndStore computes the value of t, stores it, and releases operand
-// values whose last use this was (the executor's memory reuse).
-func (st *runState) evalAndStore(t *core.Term) (err error) {
+// runUnit evaluates one dispatched unit: a single instruction, or a whole
+// fused chain when id is a chain's root.
+func (st *runState) runUnit(id int32) (err error) {
 	// The backend assumes well-shaped operands; inputs from untrusted wire
 	// formats are validated before they get here, but a panic in a worker
 	// goroutine would otherwise kill the whole process, so convert any slip
 	// into an ordinary execution error (defense in depth for evaserve).
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("execute: panic evaluating %s: %v", t, r)
+			err = fmt.Errorf("execute: panic evaluating %s: %v", st.plan.instrs[id].term, r)
 		}
 	}()
+	ch := st.plan.instrs[id].chain
+	if ch == nil {
+		return st.evalAndStore(id)
+	}
+	if st.fuse {
+		start := time.Now()
+		if ct := st.evalChain(ch); ct != nil {
+			st.completeChain(ch, ct, time.Since(start))
+			return nil
+		}
+	}
+	// Unfused (the tests' switch), or the fused kernel refused the operands:
+	// evaluate the members one at a time, which also reproduces exactly the
+	// error an unfused run reports.
+	for _, m := range ch.members {
+		if err := st.evalAndStore(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalAndStore computes the value of one instruction, stores it, and releases
+// operand values whose last use this was (the executor's memory reuse).
+func (st *runState) evalAndStore(id int32) error {
+	in := &st.plan.instrs[id]
 	start := time.Now()
-	v, err := st.eval(t)
+	v, err := st.eval(in)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	st.mu.Lock()
-	op := t.Op.String()
-	os := st.stats.PerOp[op]
-	if os == nil {
-		os = &OpStats{}
-		st.stats.PerOp[op] = os
-	}
-	os.observe(elapsed)
-	st.values[t] = v
+	st.storeLocked(id, v)
+	st.recordLocked(in, elapsed, v, v.bytes(), false)
+	st.finishLocked(in)
+	st.mu.Unlock()
+	return nil
+}
+
+// completeChain completes every member of a chain that evaluated fused to ct:
+// only the root has a value, but each member still gets its statistics
+// sample, profiler record, operand release and progress tick, so a fused run
+// reports the same instructions as an unfused one.
+func (st *runState) completeChain(ch *fusedChain, ct *ckks.Ciphertext, elapsed time.Duration) {
+	v := value{ct: ct, owned: true}
 	vb := v.bytes()
-	st.liveBytes += vb
+	root := ch.members[len(ch.members)-1]
+	st.mu.Lock()
+	st.storeLocked(root, v)
+	for k, m := range ch.members {
+		in := &st.plan.instrs[m]
+		st.recordLocked(in, time.Duration(float64(elapsed)*ch.weights[k]), v, vb, true)
+		st.finishLocked(in)
+	}
+	st.stats.FusedChains++
+	st.stats.FusedTerms += len(ch.members)
+	st.mu.Unlock()
+}
+
+func (st *runState) storeLocked(id int32, v value) {
+	st.values[id] = v
+	st.liveBytes += v.bytes()
 	st.liveValues++
 	if st.liveBytes > st.stats.PeakLiveBytes {
 		st.stats.PeakLiveBytes = st.liveBytes
@@ -508,215 +553,279 @@ func (st *runState) evalAndStore(t *core.Term) (err error) {
 	if st.liveValues > st.stats.PeakLiveValues {
 		st.stats.PeakLiveValues = st.liveValues
 	}
-	if st.onInstr != nil {
-		// Operand footprints must be read before the release loop below frees
-		// last uses. Serialized under st.mu like Progress.
-		rec := InstrRecord{
-			Wall:     elapsed,
-			Level:    -1,
-			OutBytes: vb,
-			Operands: len(t.Parms()),
-			Hoisted:  st.hoist[t] != nil,
-		}
-		if v.ct != nil {
-			rec.Cipher = true
-			rec.Level = v.ct.Level
-			rec.Scale = v.ct.Scale
-		}
-		for _, parm := range t.Parms() {
-			rec.OperandBytes += st.values[parm].bytes()
-		}
-		st.onInstr(t, rec)
+}
+
+// recordLocked adds the instruction's latency sample and, when a profiler is
+// attached, emits its record. v is the instruction's result — for a fused
+// member, its chain's. It must run before finishLocked, which releases the
+// operands whose footprints the record reads.
+func (st *runState) recordLocked(in *instr, wall time.Duration, v value, vb int, fused bool) {
+	st.opStats(in.term.Op).observe(wall)
+	if st.onInstr == nil {
+		return
 	}
-	// Release operands whose uses are all satisfied: one refcount decrement
-	// per (child, slot) use edge consumed by this instruction.
-	for _, parm := range t.Parms() {
-		st.refcounts[parm]--
-		if st.refcounts[parm] == 0 {
-			if old := st.values[parm]; old != nil {
-				st.liveBytes -= old.bytes()
-				st.liveValues--
-				st.values[parm] = nil
-				st.stats.ReusedValues++
-			}
+	rec := InstrRecord{
+		Wall:     wall,
+		Level:    -1,
+		OutBytes: vb,
+		Operands: len(in.parms),
+		Hoisted:  st.hoists != nil && in.hoist >= 0,
+		Fused:    fused,
+	}
+	if v.ct != nil {
+		rec.Cipher = true
+		rec.Level = v.ct.Level
+		rec.Scale = v.ct.Scale
+	}
+	for _, q := range in.parms {
+		switch parm := st.values[q]; {
+		case parm.ct != nil || parm.plain != nil:
+			rec.OperandBytes += parm.bytes()
+		case st.plan.instrs[q].invariant:
+			rec.OperandBytes += 8 * st.plan.vecSize
+		default:
+			// An absorbed member of this fused chain: never materialised,
+			// but it would have had the footprint of the chain's result.
+			rec.OperandBytes += vb
 		}
 	}
+	// Serialized under st.mu like Progress.
+	st.onInstr(in.term, rec)
+}
+
+// finishLocked retires one completed instruction: it releases the operands
+// whose uses are all satisfied (one reference per (child, slot) edge this
+// instruction consumed), recycling the ciphertexts the run owns, ticks the
+// progress callback, and — when the instruction is a unit of the schedule —
+// tells its dependants.
+func (st *runState) finishLocked(in *instr) {
+	for _, q := range in.parms {
+		st.refs[q]--
+		if st.refs[q] != 0 {
+			continue
+		}
+		old := st.values[q]
+		if old.ct == nil && old.plain == nil {
+			continue // run-invariant, or absorbed into a fused chain
+		}
+		st.liveBytes -= old.bytes()
+		st.liveValues--
+		st.values[q] = value{}
+		st.stats.ReusedValues++
+		if old.owned && st.recycle {
+			st.stats.RecycledBuffers += len(old.ct.Value)
+			st.ctx.Evaluator.Recycle(old.ct)
+		}
+	}
+	st.tickLocked()
+	if in.absorbed {
+		return
+	}
+	for _, c := range in.children {
+		st.pending[c]--
+		if st.pending[c] == 0 && st.ready != nil {
+			st.ready <- c
+		}
+	}
+	st.remaining--
+	if st.remaining == 0 && st.ready != nil {
+		close(st.ready)
+	}
+}
+
+func (st *runState) tickLocked() {
 	st.completed++
 	if st.onDone != nil {
 		// Invoked under st.mu so calls are serialized and the (done, total)
 		// pairs are monotone; the callback contract requires it to be fast.
-		st.onDone(st.completed, st.total)
+		st.onDone(st.completed, len(st.plan.instrs))
 	}
-	st.mu.Unlock()
-	return nil
 }
 
-// operand returns the computed value of a parameter.
-func (st *runState) operand(t *core.Term) (*value, error) {
-	v, ok := st.valuePeek(t)
-	if !ok || v == nil {
-		return nil, fmt.Errorf("execute: operand %s not available (scheduling bug or released too early)", t)
+// operand returns the computed value of an instruction's operand.
+func (st *runState) operand(in *instr, slot int) (value, error) {
+	q := in.parms[slot]
+	if st.plan.instrs[q].invariant {
+		v, err := st.plan.invariantValue(q)
+		return value{plain: v}, err
+	}
+	v := st.values[q]
+	if v.ct == nil && v.plain == nil {
+		return v, fmt.Errorf("execute: operand %s not available (scheduling bug or released too early)", st.plan.instrs[q].term)
 	}
 	return v, nil
 }
 
-// eval dispatches one instruction to the CKKS evaluator (for ciphertext
-// values) or to plain vector arithmetic (for unencrypted values).
-func (st *runState) eval(t *core.Term) (*value, error) {
-	ev := st.ctx.Evaluator
-	switch t.Op {
-	case core.OpInput:
-		if ct, ok := st.in.Cipher[t.Name]; ok {
-			return &value{ct: ct}, nil
+// plaintext encodes the plain operand q at a level and scale. A run-invariant
+// operand comes from the plan's cache when it can — encoded on the first run
+// that needs it there, never ahead of time.
+func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintext, error) {
+	invariant := st.plan.instrs[q].invariant
+	cached := st.cache && invariant
+	key := plainKey{id: q, level: level, scale: scale}
+	if cached {
+		if pt := st.plan.cache.plaintext(key); pt != nil {
+			st.cacheHits.Add(1)
+			return pt, nil
 		}
-		if pv, ok := st.in.Plain[t.Name]; ok {
-			return &value{plain: pv}, nil
-		}
-		return nil, fmt.Errorf("execute: no value supplied for input %q", t.Name)
-	case core.OpConstant:
-		return &value{plain: Replicate(t.Value, st.vecSize)}, nil
-	case core.OpNegate:
-		a, err := st.operand(t.Parm(0))
-		if err != nil {
-			return nil, err
-		}
-		if a.ct == nil {
-			return &value{plain: mapVec(a.plain, func(x float64) float64 { return -x })}, nil
-		}
-		ct, err := ev.Negate(a.ct)
-		return &value{ct: ct}, err
-	case core.OpAdd, core.OpSub, core.OpMultiply:
-		return st.evalBinary(t)
-	case core.OpRotateLeft, core.OpRotateRight:
-		a, err := st.operand(t.Parm(0))
-		if err != nil {
-			return nil, err
-		}
-		k := t.RotateBy
-		if t.Op == core.OpRotateRight {
-			k = -k
-		}
-		if a.ct == nil {
-			return &value{plain: rotate(a.plain, k)}, nil
-		}
-		if g := st.hoist[t]; g != nil {
-			if ct, ok := st.hoistedRotation(g, t, a.ct); ok {
-				return &value{ct: ct}, nil
-			}
-		}
-		ct, err := ev.RotateLeft(a.ct, k)
-		return &value{ct: ct}, err
-	case core.OpRelinearize:
-		a, err := st.operand(t.Parm(0))
-		if err != nil {
-			return nil, err
-		}
-		if a.ct == nil {
-			return a, nil
-		}
-		ct, err := ev.Relinearize(a.ct)
-		return &value{ct: ct}, err
-	case core.OpModSwitch:
-		a, err := st.operand(t.Parm(0))
-		if err != nil {
-			return nil, err
-		}
-		if a.ct == nil {
-			return a, nil
-		}
-		ct, err := ev.ModSwitch(a.ct)
-		return &value{ct: ct}, err
-	case core.OpRescale:
-		a, err := st.operand(t.Parm(0))
-		if err != nil {
-			return nil, err
-		}
-		if a.ct == nil {
-			return a, nil
-		}
-		ct, err := ev.Rescale(a.ct)
-		return &value{ct: ct}, err
-	default:
-		return nil, fmt.Errorf("execute: unsupported opcode %s", t.Op)
 	}
+	plain := st.values[q].plain
+	if invariant {
+		st.cacheMisses.Add(1)
+		var err error
+		if plain, err = st.plan.invariantValue(q); err != nil {
+			return nil, err
+		}
+	}
+	pt, err := st.ctx.Encoder.Encode(plain, scale, level)
+	if err != nil {
+		return nil, err
+	}
+	if cached {
+		pt = st.plan.cache.keepPlaintext(key, pt)
+	}
+	return pt, nil
 }
 
-func (st *runState) evalBinary(t *core.Term) (*value, error) {
-	a, err := st.operand(t.Parm(0))
-	if err != nil {
-		return nil, err
-	}
-	b, err := st.operand(t.Parm(1))
-	if err != nil {
-		return nil, err
-	}
-	ev := st.ctx.Evaluator
-
-	// Plain-plain folds to vector arithmetic.
-	if a.ct == nil && b.ct == nil {
-		var f func(x, y float64) float64
-		switch t.Op {
-		case core.OpAdd:
-			f = func(x, y float64) float64 { return x + y }
-		case core.OpSub:
-			f = func(x, y float64) float64 { return x - y }
-		default:
-			f = func(x, y float64) float64 { return x * y }
+// evalChain evaluates a fused chain as one multiply-accumulate. It returns
+// nil when the backend refuses the operands (mixed levels or degrees,
+// mismatched scales); the caller then evaluates the chain's members one by
+// one.
+func (st *runState) evalChain(ch *fusedChain) *ckks.Ciphertext {
+	cts := make([]*ckks.Ciphertext, len(ch.products))
+	pts := make([]*ckks.Plaintext, len(ch.products))
+	for i, pr := range ch.products {
+		ct := st.values[pr.ct].ct
+		if ct == nil {
+			return nil
 		}
-		return &value{plain: zipVec(a.plain, b.plain, f)}, nil
+		pt, err := st.plaintext(pr.plain, ct.Level, math.Exp2(st.plan.instrs[pr.plain].logScale))
+		if err != nil {
+			return nil
+		}
+		cts[i], pts[i] = ct, pt
 	}
+	out, err := st.ctx.Evaluator.MulPlainAccumulate(cts, pts)
+	if err != nil {
+		return nil
+	}
+	return out
+}
+
+// eval dispatches one instruction to the CKKS evaluator (for ciphertext
+// values) or to plain vector arithmetic (for unencrypted values).
+func (st *runState) eval(in *instr) (value, error) {
+	t := in.term
+	if t.Op == core.OpInput {
+		if ct, ok := st.in.Cipher[t.Name]; ok {
+			return value{ct: ct}, nil
+		}
+		if pv, ok := st.in.Plain[t.Name]; ok {
+			return value{plain: pv}, nil
+		}
+		return value{}, fmt.Errorf("execute: no value supplied for input %q", t.Name)
+	}
+	var a, b value
+	var err error
+	if len(in.parms) > 0 {
+		if a, err = st.operand(in, 0); err != nil {
+			return value{}, err
+		}
+	}
+	if len(in.parms) > 1 {
+		if b, err = st.operand(in, 1); err != nil {
+			return value{}, err
+		}
+	}
+	if a.ct == nil && b.ct == nil {
+		plain, err := plainOp(t, a.plain, b.plain)
+		return value{plain: plain}, err
+	}
+
+	ev := st.ctx.Evaluator
+	var ct *ckks.Ciphertext
+	switch t.Op {
+	case core.OpNegate:
+		ct, err = ev.Negate(a.ct)
+	case core.OpAdd, core.OpSub, core.OpMultiply:
+		ct, err = st.evalBinary(in, a, b)
+	case core.OpRotateLeft, core.OpRotateRight:
+		if st.hoists != nil && in.hoist >= 0 {
+			if v, ok := st.hoistedRotation(in, a.ct); ok {
+				return v, nil
+			}
+		}
+		ct, err = ev.RotateLeft(a.ct, in.rot)
+	case core.OpRelinearize:
+		ct, err = ev.Relinearize(a.ct)
+	case core.OpModSwitch:
+		ct, err = ev.ModSwitch(a.ct)
+	case core.OpRescale:
+		ct, err = ev.Rescale(a.ct)
+	default:
+		err = fmt.Errorf("execute: unsupported opcode %s", t.Op)
+	}
+	if err != nil {
+		return value{}, err
+	}
+	return value{ct: ct, owned: true}, nil
+}
+
+// evalBinary evaluates ADD, SUB or MULTIPLY with at least one ciphertext
+// operand.
+func (st *runState) evalBinary(in *instr, a, b value) (*ckks.Ciphertext, error) {
+	t := in.term
+	ev := st.ctx.Evaluator
 
 	// Cipher-cipher uses the homomorphic evaluator directly.
 	if a.ct != nil && b.ct != nil {
-		var ct *ckks.Ciphertext
 		switch t.Op {
 		case core.OpAdd:
-			ct, err = ev.Add(a.ct, b.ct)
+			return ev.Add(a.ct, b.ct)
 		case core.OpSub:
-			ct, err = ev.Sub(a.ct, b.ct)
+			return ev.Sub(a.ct, b.ct)
 		default:
-			ct, err = ev.Mul(a.ct, b.ct)
+			return ev.Mul(a.ct, b.ct)
 		}
-		return &value{ct: ct}, err
 	}
 
 	// Mixed cipher-plain: encode the plain operand at the ciphertext's level,
 	// at the scale the compiler assigned to the plain term (for products) or
 	// at the ciphertext's own scale (for sums, to satisfy Constraint 2 exactly).
-	ct, plain, plainTerm, swapped := a.ct, b.plain, t.Parm(1), false
+	ct, plainSlot := a.ct, 1
 	if ct == nil {
-		ct, plain, plainTerm, swapped = b.ct, a.plain, t.Parm(0), true
+		ct, plainSlot = b.ct, 0
 	}
-	var scale float64
+	q := in.parms[plainSlot]
+	scale := ct.Scale
 	if t.Op == core.OpMultiply {
-		scale = math.Exp2(st.res.Scales[plainTerm])
-	} else {
-		scale = ct.Scale
+		scale = math.Exp2(st.plan.instrs[q].logScale)
 	}
-	pt, err := st.ctx.Encoder.Encode(plain, scale, ct.Level)
+	pt, err := st.plaintext(q, ct.Level, scale)
 	if err != nil {
 		return nil, fmt.Errorf("execute: encoding plain operand of %s: %w", t, err)
 	}
 	var out *ckks.Ciphertext
-	switch t.Op {
-	case core.OpAdd:
+	switch {
+	case t.Op == core.OpAdd:
 		out, err = ev.AddPlain(ct, pt)
-	case core.OpMultiply:
+	case t.Op == core.OpMultiply:
 		out, err = ev.MulPlain(ct, pt)
-	case core.OpSub:
-		if swapped {
-			// plain - cipher = -(cipher) + plain.
-			neg, nerr := ev.Negate(ct)
-			if nerr != nil {
-				return nil, nerr
-			}
-			out, err = ev.AddPlain(neg, pt)
-		} else {
-			out, err = ev.SubPlain(ct, pt)
+	case plainSlot == 1:
+		out, err = ev.SubPlain(ct, pt)
+	default:
+		// plain - cipher = -(cipher) + plain.
+		var neg *ckks.Ciphertext
+		if neg, err = ev.Negate(ct); err != nil {
+			return nil, err
+		}
+		out, err = ev.AddPlain(neg, pt)
+		if st.recycle {
+			ev.Recycle(neg)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("execute: %s: %w", t, err)
 	}
-	return &value{ct: out}, nil
+	return out, nil
 }

@@ -49,15 +49,15 @@ func (cal *Calibration) PredictNs(op string, units float64) float64 {
 }
 
 // ErrNoSamples reports a calibration fit over profiles with no eligible
-// (cipher, non-hoisted) compute samples.
+// (cipher, non-hoisted, non-fused) compute samples.
 var ErrNoSamples = errors.New("profile: no eligible samples to fit")
 
 // Fit computes per-opcode cost coefficients from accumulated profiles as the
 // ratio of summed measured nanoseconds to summed predicted units — the
 // least-squares slope through the origin under per-sample unit weighting.
-// Hoisted buckets are excluded (the first batch member absorbs the whole
-// batch's key-switch work), as are buckets with no model units (leaves and
-// plain results, which the model prices at zero).
+// Hoisted and fused buckets are excluded (see BucketKey.priced), as are
+// buckets with no model units (leaves and plain results, which the model
+// prices at zero).
 func Fit(profiles []ProgramProfile) (*Calibration, error) {
 	type sums struct{ ns, units float64 }
 	perOp := map[string]*sums{}
@@ -66,7 +66,7 @@ func Fit(profiles []ProgramProfile) (*Calibration, error) {
 	for i := range profiles {
 		for j := range profiles[i].Buckets {
 			b := &profiles[i].Buckets[j]
-			if b.Hoisted || b.Units <= 0 || b.Count == 0 {
+			if !b.key().priced() || b.Units <= 0 || b.Count == 0 {
 				continue
 			}
 			s := perOp[b.Op]
@@ -109,7 +109,7 @@ func MeanRelativeError(profiles []ProgramProfile, predict func(op string, units 
 	for i := range profiles {
 		for j := range profiles[i].Buckets {
 			b := &profiles[i].Buckets[j]
-			if b.Hoisted || b.Units <= 0 || b.Count == 0 || b.TotalNS <= 0 {
+			if !b.key().priced() || b.Units <= 0 || b.Count == 0 || b.TotalNS <= 0 {
 				continue
 			}
 			n := float64(b.Count)

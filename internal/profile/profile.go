@@ -110,7 +110,7 @@ type Collector struct {
 	drift        []DriftEvent // ring of size cfg.DriftRing
 	driftNext    int
 	driftTotal   uint64
-	totalNs      float64 // cipher, non-hoisted compute samples only:
+	totalNs      float64 // cipher, non-hoisted, non-fused compute samples only:
 	totalUnits   float64 // the global measured ns-per-cost-unit baseline
 	programs     map[string]*programAgg
 	lastDriftLog time.Time
@@ -277,7 +277,7 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 	}
 	r.samples++
 	pd, known := r.p.perTerm[t]
-	key := BucketKey{Op: t.Op.String(), Level: rec.Level, Hoisted: rec.Hoisted}
+	key := BucketKey{Op: t.Op.String(), Level: rec.Level, Hoisted: rec.Hoisted, Fused: rec.Fused}
 	b := r.local[key]
 	if b == nil {
 		b = newBucket()
@@ -298,10 +298,10 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 		}
 	}
 	// Cost drift: compare measured wall time against the calibrated (or
-	// running-baseline) prediction. Hoisted members are excluded — the first
-	// scheduled member absorbs the whole batch's key-switch work, so its wall
-	// time diverges from the per-instruction model by design.
-	if rec.Hoisted || pd.units <= 0 || rec.Wall < r.c.cfg.MinCostWall {
+	// running-baseline) prediction. Hoisted and fused members are excluded:
+	// their wall times diverge from the per-instruction model by design (see
+	// BucketKey.priced).
+	if !key.priced() || pd.units <= 0 || rec.Wall < r.c.cfg.MinCostWall {
 		return
 	}
 	var predNs float64
@@ -364,7 +364,7 @@ func (c *Collector) fold(r *Recorder) {
 			c.buckets[k] = b
 		}
 		b.merge(lb)
-		if !k.Hoisted && lb.units > 0 {
+		if k.priced() && lb.units > 0 {
 			c.totalNs += lb.ns
 			c.totalUnits += lb.units
 		}

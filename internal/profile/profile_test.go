@@ -249,6 +249,48 @@ func TestDriftDetection(t *testing.T) {
 	if len(rep2.Drift) != 1 || rep2.Drift[0].TraceID != "trace-def" || rep2.Drift[0].Kind != profile.DriftKindCost {
 		t.Fatalf("cost drift event %+v", rep2.Drift)
 	}
+
+	// The same outlier as a member of a fused chain is no cost event: its
+	// wall time is a share of one measurement, apportioned by the model's
+	// own units. It aggregates in a bucket of its own.
+	c3 := profile.NewCollector(profile.Config{SampleRate: 1})
+	c3.SetCalibration(c2.Calibration())
+	rec3 := c3.Recorder("deep", res, "trace-ghi")
+	fused := base
+	fused.Fused = true
+	rec3.OnInstruction(mul, fused)
+	rec3.OnInstruction(mul, base)
+	rec3.Finish()
+	rep3 := c3.Report()
+	if rep3.DriftCounts[profile.DriftKindCost] != 1 {
+		t.Fatalf("cost drift counts %v, want only the unfused sample's event", rep3.DriftCounts)
+	}
+	if len(rep3.Buckets) != 2 || rep3.Buckets[0].Fused || !rep3.Buckets[1].Fused || rep3.Buckets[1].Count != 1 {
+		t.Fatalf("buckets %+v, want an unfused and a fused bucket of one sample each", rep3.Buckets)
+	}
+}
+
+// TestFusedChainsProfiled runs the matmul workload, whose row sums fuse: the
+// fused members still arrive one record each (the bucket counts add up to
+// the instruction count), flagged, and stay out of the calibration fit.
+func TestFusedChainsProfiled(t *testing.T) {
+	res := buildMatmul(t, 64, 8)
+	c := profile.NewCollector(profile.Config{SampleRate: 1})
+	out := runProfiled(t, c, "matmul", res, "", 8)
+	if out.Stats.FusedTerms == 0 {
+		t.Fatal("the matmul fused nothing; the test needs a workload with fused chains")
+	}
+	var total, fused uint64
+	for _, b := range c.Report().Buckets {
+		total += b.Count
+		if b.Fused {
+			fused += b.Count
+		}
+	}
+	if total != uint64(out.Stats.Instructions) || fused != uint64(out.Stats.FusedTerms) {
+		t.Fatalf("profiled %d instructions (%d fused), the run executed %d (%d fused)",
+			total, fused, out.Stats.Instructions, out.Stats.FusedTerms)
+	}
 }
 
 // TestPipelineHeadroomSkipsExpectations: with ExtraLevels the absolute entry
@@ -335,7 +377,7 @@ func TestMergeReports(t *testing.T) {
 	sum := func(rep profile.Report) map[profile.BucketKey]uint64 {
 		m := map[profile.BucketKey]uint64{}
 		for _, b := range rep.Buckets {
-			m[profile.BucketKey{Op: b.Op, Level: b.Level, Hoisted: b.Hoisted}] += b.Count
+			m[profile.BucketKey{Op: b.Op, Level: b.Level, Hoisted: b.Hoisted, Fused: b.Fused}] += b.Count
 		}
 		return m
 	}

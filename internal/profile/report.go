@@ -33,12 +33,21 @@ var latencyBounds = func() []float64 {
 var ByteBounds = []float64{1 << 12, 1 << 15, 1 << 18, 1 << 21, 1 << 24, 1 << 27}
 
 // BucketKey identifies one aggregation bucket: opcode × post-op ring level ×
-// hoisted-batch membership. Level is -1 for plain (unencrypted) results.
+// hoisted-batch membership × fused-chain membership. Level is -1 for plain
+// (unencrypted) results.
 type BucketKey struct {
 	Op      string
 	Level   int
 	Hoisted bool
+	Fused   bool
 }
+
+// priced reports whether the bucket's wall times are comparable with the
+// cost model's per-instruction units. A hoisted batch charges all its shared
+// key-switch work to the first member scheduled, and a fused chain's wall
+// time is one measurement split over its members by the model's own units,
+// so neither may feed the baseline, a fit, or a cost-drift check.
+func (k BucketKey) priced() bool { return !k.Hoisted && !k.Fused }
 
 // bucket is the internal aggregate; Bucket is its mergeable wire form.
 type bucket struct {
@@ -103,7 +112,7 @@ func bucketIndexF(bounds []float64, v float64) int {
 	return i
 }
 
-// Bucket is one (opcode, level, hoisted) aggregate in wire form. The raw sums
+// Bucket is one (opcode, level, hoisted, fused) aggregate in wire form. The raw sums
 // (TotalNS, Units, Bytes) make buckets mergeable across nodes and process
 // restarts without losing the ability to recompute means; MeanUS and
 // PredictedUS are derived conveniences.
@@ -111,6 +120,7 @@ type Bucket struct {
 	Op       string   `json:"op"`
 	Level    int      `json:"level"`
 	Hoisted  bool     `json:"hoisted,omitempty"`
+	Fused    bool     `json:"fused,omitempty"`
 	Count    uint64   `json:"count"`
 	TotalNS  float64  `json:"total_ns"`
 	MaxNS    float64  `json:"max_ns"`
@@ -126,7 +136,9 @@ type Bucket struct {
 	PredictedUS float64 `json:"predicted_us,omitempty"`
 }
 
-func (w *Bucket) key() BucketKey { return BucketKey{Op: w.Op, Level: w.Level, Hoisted: w.Hoisted} }
+func (w *Bucket) key() BucketKey {
+	return BucketKey{Op: w.Op, Level: w.Level, Hoisted: w.Hoisted, Fused: w.Fused}
+}
 
 func (w *Bucket) toInternal() *bucket {
 	b := newBucket()
@@ -145,7 +157,7 @@ func (w *Bucket) toInternal() *bucket {
 	return b
 }
 
-// wireBuckets renders an aggregate map sorted by (op, level, hoisted),
+// wireBuckets renders an aggregate map sorted by (op, level, hoisted, fused),
 // deriving means and — when cal is non-nil — calibrated predictions.
 func wireBuckets(m map[BucketKey]*bucket, cal *Calibration) []Bucket {
 	out := make([]Bucket, 0, len(m))
@@ -154,6 +166,7 @@ func wireBuckets(m map[BucketKey]*bucket, cal *Calibration) []Bucket {
 			Op:       k.Op,
 			Level:    k.Level,
 			Hoisted:  k.Hoisted,
+			Fused:    k.Fused,
 			Count:    b.count,
 			TotalNS:  b.ns,
 			MaxNS:    b.maxNs,
@@ -178,7 +191,10 @@ func wireBuckets(m map[BucketKey]*bucket, cal *Calibration) []Bucket {
 		if out[i].Level != out[j].Level {
 			return out[i].Level < out[j].Level
 		}
-		return !out[i].Hoisted && out[j].Hoisted
+		if out[i].Hoisted != out[j].Hoisted {
+			return !out[i].Hoisted
+		}
+		return !out[i].Fused && out[j].Fused
 	})
 	return out
 }
@@ -352,7 +368,7 @@ func MergeReports(node string, reports []Report) Report {
 			} else {
 				buckets[k] = ib
 			}
-			if !k.Hoisted && ib.units > 0 {
+			if k.priced() && ib.units > 0 {
 				totalNs += ib.ns
 				totalUnits += ib.units
 			}
@@ -439,6 +455,7 @@ func bucketLabels(b *Bucket) map[string]string {
 		"op":      b.Op,
 		"level":   strconv.Itoa(b.Level),
 		"hoisted": strconv.FormatBool(b.Hoisted),
+		"fused":   strconv.FormatBool(b.Fused),
 	}
 }
 

@@ -604,11 +604,12 @@ func MulAddVec(a, b, acc []uint64, br numth.Barrett) {
 	}
 }
 
-// maxLazyDigits bounds how many digit products the 128-bit lazy accumulator
-// of the key-switch inner product can sum without overflow: each product of
-// sub-2^60 residues is below 2^120, so up to 2^8 fit in 128 bits; 64 leaves
-// headroom and bounds the kernel's stack-resident limb views.
-const maxLazyDigits = 64
+// MaxLazyDigits bounds how many products the 128-bit lazy accumulator of the
+// inner-product kernels can sum without overflow: each product of sub-2^60
+// residues is below 2^120, so up to 2^8 fit in 128 bits; 64 leaves headroom
+// and bounds the kernel's stack-resident limb views. Callers with longer sums
+// (the CKKS layer's fused plaintext multiply-accumulate) chunk at this size.
+const MaxLazyDigits = 64
 
 // InnerProductAutoVec computes acc[j] = Σ_t es[t][σ(j)]·ks[t][j] mod q, where
 // σ is the slot permutation described by idx (nil for the identity; otherwise
@@ -622,7 +623,7 @@ func InnerProductAutoVec(es, ks [][]uint64, idx []uint32, acc []uint64, br numth
 	if len(ks) < len(es) {
 		panic("ring: fewer key digits than decomposition digits")
 	}
-	if len(es) > maxLazyDigits {
+	if len(es) > MaxLazyDigits {
 		panic("ring: too many digits for lazy inner-product accumulation")
 	}
 	n := len(acc)
@@ -659,7 +660,7 @@ func InnerProductAutoVecPair(es, kbs, kas [][]uint64, idx []uint32, accB, accA [
 	if len(kbs) < len(es) || len(kas) < len(es) {
 		panic("ring: fewer key digits than decomposition digits")
 	}
-	if len(es) > maxLazyDigits {
+	if len(es) > MaxLazyDigits {
 		panic("ring: too many digits for lazy inner-product accumulation")
 	}
 	n := len(accB)
@@ -693,7 +694,7 @@ func (r *Ring) InnerProductAutoNTTPair(es, kbs, kas []*Poly, galEl uint64, outB,
 	if len(kbs) < len(es) || len(kas) < len(es) {
 		panic("ring: fewer key digits than decomposition digits")
 	}
-	if len(es) > maxLazyDigits {
+	if len(es) > MaxLazyDigits {
 		panic("ring: too many digits for lazy inner-product accumulation")
 	}
 	if galEl%2 == 0 {
@@ -725,7 +726,7 @@ func (r *Ring) InnerProductAutoNTTPair(es, kbs, kas []*Poly, galEl uint64, outB,
 }
 
 func innerProductPairLimb(es, kbs, kas []*Poly, limb int, idx []uint32, accB, accA []uint64, br numth.Barrett) {
-	var ebuf, bbuf, abuf [maxLazyDigits][]uint64
+	var ebuf, bbuf, abuf [MaxLazyDigits][]uint64
 	d := len(es)
 	for t := 0; t < d; t++ {
 		ebuf[t] = es[t].Coeffs[limb]
@@ -744,7 +745,7 @@ func (r *Ring) InnerProductAutoNTT(es, ks []*Poly, galEl uint64, out *Poly) {
 	if len(ks) < len(es) {
 		panic("ring: fewer key digits than decomposition digits")
 	}
-	if len(es) > maxLazyDigits {
+	if len(es) > MaxLazyDigits {
 		panic("ring: too many digits for lazy inner-product accumulation")
 	}
 	if galEl%2 == 0 {
@@ -774,7 +775,7 @@ func (r *Ring) InnerProductAutoNTT(es, ks []*Poly, galEl uint64, out *Poly) {
 // stack-resident arrays (no heap allocation on the hot path) and runs the
 // fused accumulation kernel on them.
 func innerProductLimb(es, ks []*Poly, limb int, idx []uint32, acc []uint64, br numth.Barrett) {
-	var ebuf, kbuf [maxLazyDigits][]uint64
+	var ebuf, kbuf [MaxLazyDigits][]uint64
 	d := len(es)
 	for t := 0; t < d; t++ {
 		ebuf[t] = es[t].Coeffs[limb]
@@ -974,6 +975,18 @@ func (r *Ring) AutomorphismNTTSlice(galEl uint64, src, dst []uint64) {
 // per-limb constants ((q_L mod q_i)^{-1}, q_L/2 mod q_i) are precomputed at
 // ring construction.
 func (r *Ring) DivideByLastModulus(p *Poly) *Poly {
+	if p.Level() == 0 {
+		panic("ring: cannot rescale below level 0")
+	}
+	out := r.NewPoly(p.Level() - 1)
+	r.DivideByLastModulusInto(p, out)
+	return out
+}
+
+// DivideByLastModulusInto is DivideByLastModulus writing into a caller-owned
+// polynomial one level below p (every coefficient of out is overwritten), so
+// hot paths can draw the result from a buffer pool.
+func (r *Ring) DivideByLastModulusInto(p, out *Poly) {
 	if p.IsNTT {
 		panic("ring: DivideByLastModulus requires coefficient-domain input")
 	}
@@ -981,8 +994,10 @@ func (r *Ring) DivideByLastModulus(p *Poly) *Poly {
 	if level == 0 {
 		panic("ring: cannot rescale below level 0")
 	}
+	if out.Level() != level-1 {
+		panic("ring: DivideByLastModulusInto output must be one level below the input")
+	}
 	qL := r.Moduli[level].Q
-	out := r.NewPoly(level - 1)
 	last := p.Coeffs[level]
 	half := qL >> 1
 	// Every output limb reads only the shared last limb and its own limb, so
@@ -995,7 +1010,6 @@ func (r *Ring) DivideByLastModulus(p *Poly) *Poly {
 		}
 	}
 	out.IsNTT = false
-	return out
 }
 
 func (r *Ring) rescaleLimb(p, out *Poly, level, i int, last []uint64, half, qL uint64) {
@@ -1014,21 +1028,6 @@ func (r *Ring) rescaleLimb(p, out *Poly, level, i int, last []uint64, half, qL u
 		tmp = numth.AddMod(tmp, halfMod, q)
 		oi[j] = numth.MulModShoup(tmp, qLInv, qLInvShoup, q)
 	}
-}
-
-// DropLastModulus removes the last RNS limb of p without scaling the
-// underlying plaintext. This realizes the CKKS MODSWITCH operation.
-func (r *Ring) DropLastModulus(p *Poly) *Poly {
-	level := p.Level()
-	if level == 0 {
-		panic("ring: cannot drop modulus below level 0")
-	}
-	out := r.NewPoly(level - 1)
-	for i := 0; i <= level-1; i++ {
-		copy(out.Coeffs[i], p.Coeffs[i])
-	}
-	out.IsNTT = p.IsNTT
-	return out
 }
 
 // ExtendBasisSmall takes the residues `small` of a polynomial modulo srcQ

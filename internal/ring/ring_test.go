@@ -257,22 +257,6 @@ func TestDivideByLastModulus(t *testing.T) {
 	}
 }
 
-func TestDropLastModulus(t *testing.T) {
-	r := testRing(t, 5, 3)
-	p := randPoly(r, 2, 14)
-	out := r.DropLastModulus(p)
-	if out.Level() != 1 {
-		t.Fatalf("level = %d, want 1", out.Level())
-	}
-	for i := 0; i <= 1; i++ {
-		for j := range out.Coeffs[i] {
-			if out.Coeffs[i][j] != p.Coeffs[i][j] {
-				t.Fatal("DropLastModulus changed remaining limbs")
-			}
-		}
-	}
-}
-
 func TestExtendBasisSmall(t *testing.T) {
 	r := testRing(t, 5, 3)
 	srcQ := r.Moduli[2].Q

@@ -27,6 +27,11 @@ type Metrics struct {
 	execFailed uint64
 	execTotal  time.Duration
 	perOp      map[string]*execute.OpStats
+	// plans sums what the executions' prepared plans saved them (see
+	// PlanMetrics for the fields).
+	plans struct {
+		hits, misses, fusedChains, fusedTerms, recycled uint64
+	}
 	// predictedCost accumulates, per opcode, the cost-model estimate of every
 	// program compiled by this process (abstract limb-element operations).
 	predictedCost map[string]float64
@@ -87,6 +92,11 @@ func (m *Metrics) RecordExecution(stats execute.RunStats) {
 		}
 		agg.Merge(os)
 	}
+	m.plans.hits += uint64(stats.PlainCacheHits)
+	m.plans.misses += uint64(stats.PlainCacheMisses)
+	m.plans.fusedChains += uint64(stats.FusedChains)
+	m.plans.fusedTerms += uint64(stats.FusedTerms)
+	m.plans.recycled += uint64(stats.RecycledBuffers)
 	m.mu.Unlock()
 }
 
@@ -151,8 +161,63 @@ type MetricsReport struct {
 	// Handles reports the content-addressed ciphertext handle registry:
 	// resident entries and bytes against the quota, put/dedup/resolve
 	// traffic, and sweep/quota rejections.
-	Handles *handle.Stats          `json:"handles,omitempty"`
-	PerOp   map[string]OpHistogram `json:"per_op_latency"`
+	Handles *handle.Stats `json:"handles,omitempty"`
+	// Plans reports the executor's prepared plans: how many registry
+	// programs have one, what their plaintext caches hold against the
+	// process-wide budget, and what the executions so far got out of them.
+	Plans PlanMetrics            `json:"plans"`
+	PerOp map[string]OpHistogram `json:"per_op_latency"`
+}
+
+// PlanMetrics is the "plans" section of the metrics report. The gauges
+// describe the programs currently in the registry; the counters sum over
+// every execution this server has run.
+type PlanMetrics struct {
+	// Plans is the number of registry programs that have run and so carry a
+	// prepared plan.
+	Plans int `json:"plans"`
+	// CachedPlaintexts and CachedBytes are what those plans' constant caches
+	// hold; ProcessBytes is the whole process's cached bytes (it can exceed
+	// CachedBytes: evicted programs still pinned by contexts hold none, but
+	// other servers in the process may) against BudgetBytes.
+	CachedPlaintexts int   `json:"cached_plaintexts"`
+	CachedBytes      int64 `json:"cached_bytes"`
+	ProcessBytes     int64 `json:"process_bytes"`
+	BudgetBytes      int64 `json:"budget_bytes"`
+	// Hits and Misses count constant operands served from a cache versus
+	// encoded by the execution itself; HitRatio is hits/(hits+misses).
+	Hits     uint64  `json:"hits"`
+	Misses   uint64  `json:"misses"`
+	HitRatio float64 `json:"hit_ratio"`
+	// FusedChains and FusedTerms count the add chains evaluated as one
+	// multiply-accumulate and the instructions they covered;
+	// RecycledBuffers the ciphertext polynomials reused at last use.
+	FusedChains     uint64 `json:"fused_chains"`
+	FusedTerms      uint64 `json:"fused_terms"`
+	RecycledBuffers uint64 `json:"recycled_buffers"`
+}
+
+// planMetrics assembles the plans section from the metrics' counters and a
+// scan of the registry's programs.
+func (s *Server) planMetrics() PlanMetrics {
+	var pm PlanMetrics
+	for _, e := range s.registry.List() {
+		if ps, ok := execute.PlanStatsOf(e.Result); ok {
+			pm.Plans++
+			pm.CachedPlaintexts += ps.CachedPlaintexts
+			pm.CachedBytes += ps.CachedBytes
+		}
+	}
+	pm.ProcessBytes, pm.BudgetBytes = execute.PlanCacheBudget()
+	m := s.metrics
+	m.mu.Lock()
+	pm.Hits, pm.Misses = m.plans.hits, m.plans.misses
+	pm.FusedChains, pm.FusedTerms, pm.RecycledBuffers = m.plans.fusedChains, m.plans.fusedTerms, m.plans.recycled
+	m.mu.Unlock()
+	if total := pm.Hits + pm.Misses; total > 0 {
+		pm.HitRatio = float64(pm.Hits) / float64(total)
+	}
+	return pm
 }
 
 // Report snapshots the metrics against the registry's cache counters, the

@@ -139,6 +139,16 @@ func TestPrometheusConformance(t *testing.T) {
 		"eva_coalesce_batches_total",
 		"eva_store_entries",
 		"eva_trace_phase_duration_seconds",
+		"eva_plan_plans",
+		"eva_plan_cached_plaintexts",
+		"eva_plan_cached_bytes",
+		"eva_plan_process_bytes",
+		"eva_plan_budget_bytes",
+		"eva_plan_cache_hits_total",
+		"eva_plan_cache_misses_total",
+		"eva_plan_fused_chains_total",
+		"eva_plan_fused_terms_total",
+		"eva_plan_recycled_buffers_total",
 	} {
 		if _, ok := families[name]; !ok {
 			t.Errorf("family %q missing from exposition", name)
@@ -168,6 +178,11 @@ func TestPrometheusConformance(t *testing.T) {
 	}
 	if len(report.Requests) == 0 || len(report.RequestsByClass) == 0 {
 		t.Errorf("JSON report lost its request counters: %+v", report.Requests)
+	}
+	// The job ran the program once: one plan, its constant encoded and kept.
+	if p := report.Plans; p.Plans != 1 || p.Misses == 0 || p.CachedPlaintexts == 0 || p.CachedBytes == 0 ||
+		p.CachedBytes > p.ProcessBytes || p.BudgetBytes == 0 || p.RecycledBuffers == 0 {
+		t.Errorf("JSON report's plans section: %+v", p)
 	}
 }
 

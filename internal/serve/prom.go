@@ -111,6 +111,28 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Meta("eva_cache_evictions_total", "Registry cache evictions.", "counter")
 	p.Sample("eva_cache_evictions_total", nil, float64(cache.Evictions))
 
+	pm := s.planMetrics()
+	p.Meta("eva_plan_plans", "Registry programs that have run and carry a prepared execution plan.", "gauge")
+	p.Sample("eva_plan_plans", nil, float64(pm.Plans))
+	p.Meta("eva_plan_cached_plaintexts", "Program constants held encoded in the plans' caches.", "gauge")
+	p.Sample("eva_plan_cached_plaintexts", nil, float64(pm.CachedPlaintexts))
+	p.Meta("eva_plan_cached_bytes", "Bytes held by the registry programs' plan caches.", "gauge")
+	p.Sample("eva_plan_cached_bytes", nil, float64(pm.CachedBytes))
+	p.Meta("eva_plan_process_bytes", "Bytes held by every plan cache of the process.", "gauge")
+	p.Sample("eva_plan_process_bytes", nil, float64(pm.ProcessBytes))
+	p.Meta("eva_plan_budget_bytes", "Process-wide byte budget of the plan caches.", "gauge")
+	p.Sample("eva_plan_budget_bytes", nil, float64(pm.BudgetBytes))
+	p.Meta("eva_plan_cache_hits_total", "Constant operands served ready-encoded from a plan cache.", "counter")
+	p.Sample("eva_plan_cache_hits_total", nil, float64(pm.Hits))
+	p.Meta("eva_plan_cache_misses_total", "Constant operands an execution had to encode itself.", "counter")
+	p.Sample("eva_plan_cache_misses_total", nil, float64(pm.Misses))
+	p.Meta("eva_plan_fused_chains_total", "Add chains evaluated as one fused multiply-accumulate.", "counter")
+	p.Sample("eva_plan_fused_chains_total", nil, float64(pm.FusedChains))
+	p.Meta("eva_plan_fused_terms_total", "Instructions covered by fused chains.", "counter")
+	p.Sample("eva_plan_fused_terms_total", nil, float64(pm.FusedTerms))
+	p.Meta("eva_plan_recycled_buffers_total", "Ciphertext polynomials returned to an evaluator pool at last use.", "counter")
+	p.Sample("eva_plan_recycled_buffers_total", nil, float64(pm.RecycledBuffers))
+
 	js := s.jobs.Stats()
 	p.Meta("eva_jobs_queue_depth", "Jobs waiting for a worker.", "gauge")
 	p.Sample("eva_jobs_queue_depth", nil, float64(js.QueueDepth))

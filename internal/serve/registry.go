@@ -12,6 +12,7 @@ import (
 
 	"eva/internal/compile"
 	"eva/internal/core"
+	"eva/internal/execute"
 	"eva/internal/store"
 )
 
@@ -22,7 +23,8 @@ import (
 // deduplication). Entries are evicted least-recently-used once the capacity
 // is exceeded; eviction only removes an entry from the cache, never
 // invalidates it — execution contexts holding the compiled result keep it
-// alive.
+// alive (and keep executing it, though without the prepared plan's constant
+// cache, which eviction releases).
 //
 // With a durable artifact store attached the registry is a cache in front
 // of the store rather than the source of truth: every fresh compilation
@@ -237,8 +239,14 @@ func (r *Registry) insertLocked(e *Entry) {
 			break
 		}
 		r.lru.Remove(oldest)
-		delete(r.byID, oldest.Value.(*Entry).ID)
+		evicted := oldest.Value.(*Entry)
+		delete(r.byID, evicted.ID)
 		r.evictions++
+		// The executor's prepared plan dies with the registry entry: its
+		// cached constants go back to the plan-cache budget now, not when
+		// the last context pinning the program lets go of it. Such a context
+		// keeps working, encoding constants per run.
+		execute.ReleasePlan(evicted.Result)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"eva/internal/builder"
+	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
+	"eva/internal/execute"
 )
 
 // testProgram builds a small compilable program; the salt value makes
@@ -290,5 +292,60 @@ func TestRegistryNeverEvictsJustInserted(t *testing.T) {
 	}
 	if _, ok := reg.Get(entry.ID); !ok {
 		t.Fatal("entry evicted by its own insertion")
+	}
+}
+
+// TestRegistryEvictionReleasesPlan: a prepared plan dies with its registry
+// entry — evicting the program returns the plan's cached bytes to the budget
+// at once, while a context still pinning the entry keeps executing it.
+func TestRegistryEvictionReleasesPlan(t *testing.T) {
+	reg := NewRegistry(1)
+	first, _, err := reg.GetOrCompile(testProgram(t, "pinned", 0.5), insecureOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := first.Result
+	prng := ckks.NewTestPRNG(3)
+	ctx, keys, err := execute.NewContext(res, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := execute.Inputs{"x": {1, 2, 3, 4, 5, 6, 7, 8}, "y": {8, 7, 6, 5, 4, 3, 2, 1}}
+	enc, err := execute.EncryptInputs(ctx, res, keys, in, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() map[string][]float64 {
+		out, err := execute.Run(ctx, res, enc, execute.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		values, _ := execute.DecryptOutputs(ctx, res, keys, out)
+		return values
+	}
+	before, _ := execute.PlanCacheBudget()
+	want := run()
+	held, ok := execute.PlanStatsOf(res)
+	if !ok || held.CachedBytes == 0 {
+		t.Fatalf("the run left no cached constants (stats %+v)", held)
+	}
+
+	if _, _, err := reg.GetOrCompile(testProgram(t, "evictor", 0.25), insecureOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Stats().Evictions != 1 {
+		t.Fatalf("expected one eviction, stats %+v", reg.Stats())
+	}
+	if after, _ := execute.PlanStatsOf(res); after.CachedBytes != 0 || after.CachedPlaintexts != 0 {
+		t.Errorf("evicted program's plan still holds %+v", after)
+	}
+	if used, _ := execute.PlanCacheBudget(); used != before {
+		t.Errorf("plan-cache budget use is %d after the eviction, was %d before the program ran", used, before)
+	}
+	got := run()
+	for i, w := range want["out"] {
+		if got["out"][i] != w {
+			t.Fatalf("pinned context computes slot %d = %v after the eviction, %v before", i, got["out"][i], w)
+		}
 	}
 }

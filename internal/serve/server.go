@@ -91,6 +91,13 @@ type Config struct {
 	// and benchmarking escape hatch; hoisting is bit-exact, so there is no
 	// accuracy reason to disable it.
 	DisableHoisting bool
+	// PlanCacheMB sets the byte budget, in MiB, of the executor's prepared-
+	// plan caches, which keep each program's constants encoded between runs
+	// (0 = leave the process's budget alone, 512 MiB unless something changed
+	// it; < 0 = no caching, every run encodes its constants itself). Like
+	// RingWorkers it is process-wide — one budget bounds all plans, and the
+	// last server configured wins.
+	PlanCacheMB int
 
 	// JobWorkers is how many async jobs run concurrently (0 = 2); each job
 	// additionally parallelizes internally across the executor's workers.
@@ -243,6 +250,9 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.RingWorkers > 0 {
 		ring.SetWorkers(cfg.RingWorkers)
+	}
+	if cfg.PlanCacheMB != 0 {
+		execute.SetPlanCacheBudget(int64(max(cfg.PlanCacheMB, 0)) << 20)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -1341,6 +1351,7 @@ func (s *Server) MetricsReport() MetricsReport {
 	rep.Coalesce = &cs
 	hs := s.handles.Stats()
 	rep.Handles = &hs
+	rep.Plans = s.planMetrics()
 	return rep
 }
 
