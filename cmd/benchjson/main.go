@@ -15,14 +15,14 @@
 // b.ReportMetric unit) keyed by unit.
 //
 // In -compare mode, every benchmark whose name matches -track (default: the
-// hot backend ops NTT, Rotate, RotateHoisted, Relinearize, Rescale, the
-// serving tier's CoalescedExecute and HandleResolve, the end-to-end
-// HetensorMatmul, ProfiledExecute and PlannedExecute workloads, and the
-// fused MulPlainAccumulate kernel) is compared between the two documents
-// on the -metric
-// value (default ns/op); if any tracked
-// benchmark got slower by more than -threshold (a fraction: 0.25 = 25%),
-// benchjson prints the offenders and exits non-zero, failing the build.
+// hot backend ops NTT, BasisConvert, Rotate, RotateHoisted, Relinearize,
+// KeyGeneration and Rescale, the serving tier's CoalescedExecute and
+// HandleResolve, the end-to-end HetensorMatmul, ProfiledExecute and
+// PlannedExecute workloads, and the fused MulPlainAccumulate kernel) is
+// compared between the two documents on the -metric value (default ns/op); if
+// any tracked benchmark got slower by more than -threshold (a fraction:
+// 0.25 = 25%), benchjson prints the offenders and exits non-zero, failing the
+// build.
 // Reports carrying repeated runs (-count=N) collapse to the per-name
 // minimum, and -ref names a reference benchmark whose old/new ratio
 // normalizes away uniform machine-speed differences (CI runners are not the
@@ -74,7 +74,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	outPath := fs.String("o", "", "write JSON to this file instead of stdout")
 	compare := fs.Bool("compare", false, "compare two JSON reports (old.json new.json) instead of parsing bench output")
 	threshold := fs.Float64("threshold", 0.25, "compare mode: allowed fractional slowdown per tracked benchmark")
-	track := fs.String("track", "NTT|Rotate|RotateHoisted|Relinearize|Rescale|CoalescedExecute|HandleResolve|HetensorMatmul|ProfiledExecute|PlannedExecute|MulPlainAccumulate", "compare mode: regexp of benchmark names to gate on")
+	track := fs.String("track", "NTT|BasisConvert|Rotate|RotateHoisted|Relinearize|KeyGeneration|Rescale|CoalescedExecute|HandleResolve|HetensorMatmul|ProfiledExecute|PlannedExecute|MulPlainAccumulate", "compare mode: regexp of benchmark names to gate on")
 	ref := fs.String("ref", "", "compare mode: regexp of a reference benchmark used to normalize machine speed (empty = raw times)")
 	metric := fs.String("metric", "ns/op", "compare mode: metric to compare")
 	if err := fs.Parse(args); err != nil {

@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 
-	"eva/internal/analysis"
 	"eva/internal/bench"
 	"eva/internal/compile"
 	"eva/internal/core"
@@ -93,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, res.Summary())
-	fmt.Fprintf(stdout, "prime bit sizes (consumption order, special first): [%d %v]\n", res.Plan.SpecialBits, res.Plan.BitSizes)
+	fmt.Fprintf(stdout, "prime bit sizes: special %v, chain (consumption order) %v\n", res.Plan.SpecialBits, res.Plan.BitSizes)
 	fmt.Fprintf(stdout, "rotation steps requiring Galois keys: %v\n", res.RotationSteps)
 	fmt.Fprintf(stdout, "critical output: %q, chain length %d\n", res.Plan.CriticalOutput, res.Plan.MaxChainLength)
 	fmt.Fprintf(stdout, "instructions: input %d -> compiled %d (mult depth %d)\n",
@@ -101,7 +100,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for op, count := range res.CompiledStats.Instructions {
 		fmt.Fprintf(stdout, "  %-12s %d\n", op, count)
 	}
-	model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
+	model := res.CostModel()
+	fmt.Fprintf(stdout, "key switching: digits of %d chain primes, %.1f MB per switching key\n",
+		model.DigitSize, float64(model.SwitchingKeyBytes())/1e6)
 	est := model.EstimateCost(res.Program)
 	fmt.Fprintf(stdout, "estimated cost: %.3g limb-element ops, critical path %.3g (ideal parallel speedup <= %.1fx)\n",
 		est.Total, est.CriticalPath, est.ParallelSpeedupBound())

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,8 +184,8 @@ func TestSelectParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.SpecialBits != 60 {
-		t.Errorf("special prime bits = %d, want 60", plan.SpecialBits)
+	if !slices.Equal(plan.SpecialBits, []int{60}) {
+		t.Errorf("special prime bits = %v, want one 60-bit prime", plan.SpecialBits)
 	}
 	// Chain of length 2 (two rescales by 2^60) plus the output requirement
 	// (scale 2^30 times desired 2^30 = 2^60 -> one more 60-bit prime).

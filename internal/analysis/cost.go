@@ -15,14 +15,19 @@ import (
 // N·log(N) for transform-bound operations and to N for element-wise ones,
 // times the number of limbs alive at the instruction's level. Key-switching
 // operations (relinearization and rotation) additionally pay one pass per
-// (digit, limb) pair. This is the quantity EVA's parameter-minimizing
-// passes reduce, and it explains the Table 5/6 relationship: fewer chain
-// primes means both fewer and cheaper operations.
+// (digit, extended limb) pair, where hybrid key switching groups the limbs
+// into digits of DigitSize primes and extends them by as many special primes.
+// This is the quantity EVA's parameter-minimizing passes reduce, and it
+// explains the Table 5/6 relationship: fewer chain primes means both fewer
+// and cheaper operations.
 type CostModel struct {
 	// LogN is the ring-degree exponent used for the estimate.
 	LogN int
-	// TotalLevels is the length of the modulus chain (without the special prime).
+	// TotalLevels is the length of the modulus chain (without the special primes).
 	TotalLevels int
+	// DigitSize is the key-switch digit size α (the number of special
+	// primes); 0 is read as 1, the per-prime decomposition.
+	DigitSize int
 }
 
 // InstructionCost is the estimated cost of one instruction in abstract
@@ -50,12 +55,7 @@ type CostEstimate struct {
 // The per-op shape here is what calibration (internal/profile) fits measured
 // wall-clock coefficients against.
 func (m CostModel) OpUnits(op core.OpCode, chainPos int, ctct bool) float64 {
-	n := math.Exp2(float64(m.LogN))
-	logN := float64(m.LogN)
-	limbs := float64(m.TotalLevels - chainPos)
-	if limbs < 1 {
-		limbs = 1
-	}
+	n, logN, limbs := m.shape(chainPos)
 	switch {
 	case op == core.OpAdd || op == core.OpSub || op == core.OpNegate || op == core.OpModSwitch:
 		return n * limbs
@@ -69,11 +69,47 @@ func (m CostModel) OpUnits(op core.OpCode, chainPos int, ctct bool) float64 {
 	case op == core.OpRescale:
 		return n * logN * limbs
 	case op == core.OpRelinearize || op.IsRotation():
-		// Key switching: one NTT pass per digit per limb.
-		return n * logN * limbs * limbs
+		decompose, perKey := m.KeySwitchUnits(chainPos)
+		return decompose + perKey
 	default:
 		return n * limbs
 	}
+}
+
+// shape returns the ring degree, its logarithm and the number of limbs alive
+// at a chain position, as floats for the unit formulas.
+func (m CostModel) shape(chainPos int) (n, logN, limbs float64) {
+	return math.Exp2(float64(m.LogN)), float64(m.LogN), float64(max(m.TotalLevels-chainPos, 1))
+}
+
+// KeySwitchUnits prices the two halves of one hybrid key switch at a chain
+// position: transforms at n·logN each, element-wise multiply-accumulate
+// passes at n each. With d = ⌈limbs/α⌉ digits over e = limbs+α extended limbs:
+//
+//	decompose  limbs inverse transforms, then per digit of s primes a basis
+//	           conversion (s residues and the overshoot row) into, and a
+//	           forward transform of, the e−s limbs outside it
+//	perKey     the inner product, 2·d·e passes (both halves of the key), and
+//	           two mod-downs: α inverse and limbs forward transforms, an
+//	           (α+1)-term conversion into each of the limbs, the final scaling
+//
+// A relinearization or a lone rotation pays both; the rotations of one hoisted
+// batch share a single decompose. OpUnits prices every rotation in full, as
+// the profiler's calibration assumes (hoisted members are excluded from its
+// fit); SelectKeySwitchDigits prices batches as the executor runs them.
+func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
+	n, logN, limbs := m.shape(chainPos)
+	alpha := float64(max(m.DigitSize, 1))
+	ext := limbs + alpha
+	transforms, passes := limbs, 0.0
+	for rest := limbs; rest > 0; rest -= alpha {
+		s := min(alpha, rest)
+		transforms += ext - s
+		passes += (ext - s) * (s + 1)
+	}
+	decompose = n*logN*transforms + n*passes
+	perKey = n*logN*2*(alpha+limbs) + n*(2*math.Ceil(limbs/alpha)*ext+2*limbs*(alpha+2))
+	return decompose, perKey
 }
 
 // EstimateCost walks the compiled program and estimates its cost under the

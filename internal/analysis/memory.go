@@ -69,3 +69,15 @@ func (m CostModel) EstimatePeakMemoryBytes(p *core.Program) int64 {
 	}
 	return peak
 }
+
+// SwitchingKeyBytes returns the size of one switching key (the
+// relinearization key, or one rotation's Galois key): ⌈L/α⌉ digits, each a
+// pair of polynomials over the L chain primes and the α special primes, with
+// L = TotalLevels and α = DigitSize. Keys do not shrink with the level, so
+// this is also what each key occupies for the lifetime of a context.
+func (m CostModel) SwitchingKeyBytes() int64 {
+	alpha := int64(max(m.DigitSize, 1))
+	limbs := int64(m.TotalLevels)
+	digits := (limbs + alpha - 1) / alpha
+	return digits * 2 * (limbs + alpha) * 8 << uint(m.LogN)
+}

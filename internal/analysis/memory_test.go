@@ -63,3 +63,20 @@ func TestEstimatePeakAccountsDegree3Products(t *testing.T) {
 		t.Errorf("estimate = %d; want %d", est, want)
 	}
 }
+
+// TestSwitchingKeyBytes: ⌈L/α⌉ digits of two polynomials over L+α limbs.
+func TestSwitchingKeyBytes(t *testing.T) {
+	cases := []struct {
+		model CostModel
+		limbs int64 // limb count of one key
+	}{
+		{CostModel{LogN: 10, TotalLevels: 16}, 16 * 2 * 17},
+		{CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}, 4 * 2 * 20},
+		{CostModel{LogN: 14, TotalLevels: 5, DigitSize: 2}, 3 * 2 * 7},
+	}
+	for _, c := range cases {
+		if got, want := c.model.SwitchingKeyBytes(), c.limbs*8<<uint(c.model.LogN); got != want {
+			t.Errorf("%+v: %d bytes, want %d", c.model, got, want)
+		}
+	}
+}

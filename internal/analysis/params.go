@@ -11,8 +11,8 @@ import (
 // minPrimeLog is the smallest chain prime the backend can generate.
 const minPrimeLog = 20
 
-// SpecialPrimeLog is the bit size of the key-switching special prime, fixed
-// to the maximum rescale value as in the paper.
+// SpecialPrimeLog is the preferred (and largest) bit size of a key-switching
+// special prime: the maximum rescale value, as in the paper.
 const SpecialPrimeLog = 60
 
 // ParameterPlan is the output of the encryption-parameter selection pass: the
@@ -22,31 +22,37 @@ type ParameterPlan struct {
 	// BitSizes lists the chain prime bit sizes in consumption order:
 	// BitSizes[0] is consumed by the first RESCALE/MOD_SWITCH after
 	// encryption and the last entries hold the output value. The special
-	// prime is not included.
+	// primes are not included.
 	BitSizes []int
-	// SpecialBits is the bit size of the key-switching special prime.
-	SpecialBits int
+	// SpecialBits lists the bit sizes of the key-switching special primes.
+	// Their number is the key-switch digit size α: the backend groups the
+	// chain primes, from the last-consumed one up, into digits of α.
+	// SelectParameters starts every plan at one 60-bit special prime;
+	// SelectKeySwitchDigits may replace it.
+	SpecialBits []int
 	// MaxChainLength is the longest conforming rescale chain over all outputs.
 	MaxChainLength int
 	// CriticalOutput is the name of the output that determined the plan.
 	CriticalOutput string
 }
 
-// LogQ returns the total bit count of the chain primes (without the special prime).
-func (pl *ParameterPlan) LogQ() int {
+// LogQ returns the total bit count of the chain primes (without the special primes).
+func (pl *ParameterPlan) LogQ() int { return sum(pl.BitSizes) }
+
+// LogQP returns the total modulus bit count including the special primes.
+func (pl *ParameterPlan) LogQP() int { return pl.LogQ() + sum(pl.SpecialBits) }
+
+// NumPrimes returns the number of coefficient-modulus primes r (including
+// every special prime), the quantity the paper's Table 6 reports.
+func (pl *ParameterPlan) NumPrimes() int { return len(pl.BitSizes) + len(pl.SpecialBits) }
+
+func sum(bits []int) int {
 	total := 0
-	for _, b := range pl.BitSizes {
+	for _, b := range bits {
 		total += b
 	}
 	return total
 }
-
-// LogQP returns the total modulus bit count including the special prime.
-func (pl *ParameterPlan) LogQP() int { return pl.LogQ() + pl.SpecialBits }
-
-// NumPrimes returns the number of coefficient-modulus primes r (including the
-// special prime), the quantity the paper's Table 6 reports.
-func (pl *ParameterPlan) NumPrimes() int { return len(pl.BitSizes) + 1 }
 
 // SelectParameters implements the encryption-parameter selection pass of
 // Section 6.2: it computes the conforming rescale chain and scale of every
@@ -85,7 +91,7 @@ func SelectParameters(p *core.Program, chains map[*core.Term]Chain, scales map[*
 		}
 	}
 
-	plan := &ParameterPlan{SpecialBits: SpecialPrimeLog, MaxChainLength: maxChain, CriticalOutput: bestName}
+	plan := &ParameterPlan{SpecialBits: []int{SpecialPrimeLog}, MaxChainLength: maxChain, CriticalOutput: bestName}
 	for _, c := range bestChain {
 		if math.IsInf(c, 1) {
 			// A position consumed only by MOD_SWITCH constrains nothing; use
@@ -130,3 +136,128 @@ func clampPrimeBits(bits int) int {
 // distinct rotation step counts used by the program, for which Galois keys
 // must be generated.
 func SelectRotationSteps(p *core.Program) []int { return p.RotationSteps() }
+
+// minKeySwitchGain is the fraction by which the modelled key-switch cost must
+// fall before a digit size above 1 is taken: every extra special prime widens
+// each mod-down and enlarges the parameter set, so a marginal modelled gain is
+// not worth leaving the per-prime construction.
+const minKeySwitchGain = 0.10
+
+// KeySwitchLoad counts, per chain position, the key-switch work a program
+// gives the backend: how many polynomials are decomposed and how many
+// switching keys are applied to a decomposition.
+type KeySwitchLoad map[int]KeySwitchCount
+
+// KeySwitchCount is one chain position's entry of a KeySwitchLoad.
+type KeySwitchCount struct{ Decompositions, Keys int }
+
+// ProgramKeySwitchLoad counts the key switches of a compiled program as the
+// executor runs them: a RELINEARIZE is one decomposition and one key; the
+// rotations of one Cipher source are hoisted into one batch, so they share a
+// decomposition. chains is Validate's result: it holds exactly the Cipher
+// terms, and the length of a term's chain is its chain position.
+func ProgramKeySwitchLoad(chains map[*core.Term]Chain) KeySwitchLoad {
+	load := KeySwitchLoad{}
+	rotated := map[*core.Term]bool{}
+	for t, chain := range chains {
+		l := load[len(chain)]
+		switch {
+		case t.Op == core.OpRelinearize:
+			l.Decompositions++
+			l.Keys++
+		case t.Op.IsRotation():
+			if src := t.Parm(0); !rotated[src] {
+				rotated[src] = true
+				l.Decompositions++
+			}
+			l.Keys++
+		default:
+			continue
+		}
+		load[len(chain)] = l
+	}
+	return load
+}
+
+// UniformKeySwitchLoad is the load of one plain key switch at every position
+// of a chain of the given length — what a digit size is chosen for when it
+// may depend on the chain but not on any one program (pipeline stages).
+func UniformKeySwitchLoad(chainLength int) KeySwitchLoad {
+	load := KeySwitchLoad{}
+	for pos := 0; pos < chainLength; pos++ {
+		load[pos] = KeySwitchCount{Decompositions: 1, Keys: 1}
+	}
+	return load
+}
+
+// SelectKeySwitchDigits chooses the key-switch digit size α for a plan whose
+// chain (pl.BitSizes) and ring degree are already fixed, and sets
+// pl.SpecialBits to the α special primes it needs. It minimises the cost
+// model's units over the given load, under two rules:
+//
+//   - The ring degree is never raised. maxLogQP is the total-modulus budget of
+//     the degree the one-special-prime plan already needs (0 = unbounded, for
+//     insecure test parameters); a digit size whose special primes cannot fit
+//     in what the chain leaves of it is not considered.
+//   - The special primes together must cover the largest digit (key-switch
+//     noise grows with digit product over special product). Each is 60 bits
+//     when the budget allows; otherwise the remaining budget is shared evenly,
+//     and a digit size whose largest digit exceeds the budget is infeasible.
+//
+// α > 1 is taken only when it cuts the modelled key-switch cost by at least
+// minKeySwitchGain; an empty load keeps α = 1.
+func (pl *ParameterPlan) SelectKeySwitchDigits(load KeySwitchLoad, logN, maxLogQP int) {
+	if len(load) == 0 {
+		return
+	}
+	cost := func(alpha int) float64 {
+		m := CostModel{LogN: logN, TotalLevels: len(pl.BitSizes), DigitSize: alpha}
+		total := 0.0
+		for pos, l := range load {
+			decompose, perKey := m.KeySwitchUnits(pos)
+			total += float64(l.Decompositions)*decompose + float64(l.Keys)*perKey
+		}
+		return total
+	}
+	base := cost(1)
+	best, bestCost := pl.SpecialBits, base
+	for alpha := 2; alpha <= len(pl.BitSizes); alpha++ {
+		special := pl.specialBitsFor(alpha, maxLogQP)
+		if special == nil {
+			continue
+		}
+		if c := cost(alpha); c < bestCost {
+			best, bestCost = special, c
+		}
+	}
+	if bestCost <= (1-minKeySwitchGain)*base {
+		pl.SpecialBits = best
+	}
+}
+
+// specialBitsFor sizes α special primes for the plan's chain within the
+// total-modulus budget maxLogQP (0 = unbounded), or returns nil when they
+// cannot cover the largest digit.
+func (pl *ParameterPlan) specialBitsFor(alpha, maxLogQP int) []int {
+	// Digits group the chain from the last-consumed prime up, i.e. from the
+	// end of BitSizes.
+	largest := 0
+	for hi := len(pl.BitSizes); hi > 0; hi -= alpha {
+		largest = max(largest, sum(pl.BitSizes[max(hi-alpha, 0):hi]))
+	}
+	total := alpha * SpecialPrimeLog
+	if maxLogQP > 0 {
+		total = min(total, maxLogQP-pl.LogQ())
+	}
+	if total < largest {
+		return nil
+	}
+	special := make([]int, alpha)
+	for i := range special {
+		special[i] = total / alpha
+		if i < total%alpha {
+			special[i]++
+		}
+	}
+	return special
+}

@@ -169,6 +169,9 @@ func TestRecycleReusesBuffers(t *testing.T) {
 		}
 	}
 	step()
+	if raceEnabled {
+		return // sync.Pool drops a share of Puts under the race detector
+	}
 	if allocs := testing.AllocsPerRun(50, step); allocs > 3 {
 		t.Errorf("Add + Recycle allocates %.0f objects per op in steady state, want <= 3", allocs)
 	}

@@ -1,7 +1,10 @@
 package ckks
 
 import (
+	"slices"
 	"testing"
+
+	"eva/internal/analysis"
 )
 
 // benchContext builds a realistic parameter set (N = 2^13, four 40-60 bit
@@ -124,19 +127,66 @@ func BenchmarkMulPlainAccumulate(b *testing.B) {
 	})
 }
 
-func BenchmarkRelinearize(b *testing.B) {
-	tc := benchContext(b)
-	va, vb := benchVectors(tc)
-	prod, err := tc.eval.Mul(tc.encrypt(b, va), tc.encrypt(b, vb))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tc.eval.Relinearize(prod); err != nil {
-			b.Fatal(err)
+// keySwitchBenchChains are the two chains the key-switch benchmarks run on:
+// the 16-prime small-ring chain of the bench SqueezeNet (where the digit
+// count dominates) and a 5-prime production-size chain (where each limb
+// transform is expensive and digits are few).
+var keySwitchBenchChains = []struct {
+	name  string
+	logN  int
+	logQi []int
+}{
+	{"N=1024x16", 10, []int{60, 60, 60, 60, 60, 60, 60, 60, 60, 60, 60, 60, 60, 60, 60, 60}},
+	{"N=16384x5", 14, []int{60, 60, 60, 60, 60}},
+}
+
+// chosenSpecials asks the compiler's digit-size selection what it would pick
+// for a chain under one key switch per level with no security budget — the
+// "alpha=chosen" side of the key-switch benchmarks.
+func chosenSpecials(logN int, logQi []int) []int {
+	plan := &analysis.ParameterPlan{BitSizes: slices.Clone(logQi), SpecialBits: []int{analysis.SpecialPrimeLog}}
+	slices.Reverse(plan.BitSizes) // plans list the chain in consumption order
+	plan.SelectKeySwitchDigits(analysis.UniformKeySwitchLoad(len(logQi)), logN, 0)
+	return plan.SpecialBits
+}
+
+// benchKeySwitch runs body once per chain and digit size, as sub-benchmarks
+// <chain>/alpha=1 and <chain>/alpha=chosen.
+func benchKeySwitch(b *testing.B, rotations []int, body func(b *testing.B, tc *testContext)) {
+	for _, chain := range keySwitchBenchChains {
+		for _, side := range []struct {
+			name  string
+			logPi []int
+		}{{"alpha=1", []int{60}}, {"alpha=chosen", chosenSpecials(chain.logN, chain.logQi)}} {
+			b.Run(chain.name+"/"+side.name, func(b *testing.B) {
+				tc := newTestContextSpecials(b, chain.logN, chain.logQi, side.logPi, 1<<40, rotations)
+				body(b, tc)
+				b.ReportMetric(float64(len(side.logPi)), "alpha")
+			})
 		}
 	}
+}
+
+// The key-switch benchmarks recycle their results, as the executor does with
+// values it owns, so B/op shows what an operation really allocates rather than
+// the result ciphertexts leaving the pool.
+
+func BenchmarkRelinearize(b *testing.B) {
+	benchKeySwitch(b, nil, func(b *testing.B, tc *testContext) {
+		va, vb := benchVectors(tc)
+		prod, err := tc.eval.Mul(tc.encrypt(b, va), tc.encrypt(b, vb))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := tc.eval.Relinearize(prod)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tc.eval.Recycle(out)
+		}
+	})
 }
 
 func BenchmarkRescale(b *testing.B) {
@@ -158,57 +208,56 @@ func BenchmarkRescale(b *testing.B) {
 	}
 }
 
-// benchRotationContext builds the shared parameter set for the rotation
-// benchmarks: N = 2^13 with a deep modulus chain (eight 40-bit scaling primes
-// under a 60-bit first prime), the regime EVA's deep circuits — and the
-// rotation-heavy matmul/conv kernels riding on them — actually run at. Depth
-// matters for the hoisting ratio: the shared decompose half grows
-// quadratically with the chain length (digits x limbs transforms) while the
-// per-element half stays linear, so shallow chains understate what hoisting
-// buys a real workload. Keys for steps 1-8 cover the hoisted batch below.
-func benchRotationContext(b *testing.B) *testContext {
-	return newTestContext(b, 13, []int{60, 40, 40, 40, 40, 40, 40, 40, 40}, 60, 1<<40,
-		[]int{1, 2, 3, 4, 5, 6, 7, 8})
-}
-
 func BenchmarkRotate(b *testing.B) {
-	tc := benchRotationContext(b)
-	va, _ := benchVectors(tc)
-	ct := tc.encrypt(b, va)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tc.eval.RotateLeft(ct, 1); err != nil {
-			b.Fatal(err)
+	benchKeySwitch(b, []int{1}, func(b *testing.B, tc *testContext) {
+		va, _ := benchVectors(tc)
+		ct := tc.encrypt(b, va)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := tc.eval.RotateLeft(ct, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tc.eval.Recycle(out)
 		}
-	}
+	})
 }
 
 // BenchmarkRotateHoisted measures an 8-rotation hoisted batch on the same
-// parameters as BenchmarkRotate; the acceptance bar for hoisting is ns/op
-// here at less than half of 8x BenchmarkRotate's ns/op.
+// parameters as BenchmarkRotate; hoisting pays when ns/op here is well under
+// 8x BenchmarkRotate's.
 func BenchmarkRotateHoisted(b *testing.B) {
-	tc := benchRotationContext(b)
-	va, _ := benchVectors(tc)
-	ct := tc.encrypt(b, va)
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tc.eval.RotateHoisted(ct, ks); err != nil {
-			b.Fatal(err)
+	benchKeySwitch(b, ks, func(b *testing.B, tc *testContext) {
+		va, _ := benchVectors(tc)
+		ct := tc.encrypt(b, va)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := tc.eval.RotateHoisted(ct, ks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, rot := range out {
+				tc.eval.Recycle(rot)
+			}
 		}
-	}
+	})
 }
 
+// BenchmarkKeyGeneration generates a secret, a public and a relinearization
+// key: the switching key is ⌈L/α⌉ samples over L+α limbs, so it shrinks with
+// the digit size.
 func BenchmarkKeyGeneration(b *testing.B) {
-	params := testParams(b, 13, []int{60, 40, 40, 40}, 60, 1<<40)
-	prng := NewTestPRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kg := NewKeyGenerator(params, prng)
-		sk := kg.GenSecretKey()
-		kg.GenPublicKey(sk)
-		if _, err := kg.GenRelinearizationKey(sk); err != nil {
-			b.Fatal(err)
+	benchKeySwitch(b, nil, func(b *testing.B, tc *testContext) {
+		prng := NewTestPRNG(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kg := NewKeyGenerator(tc.params, prng)
+			sk := kg.GenSecretKey()
+			kg.GenPublicKey(sk)
+			if _, err := kg.GenRelinearizationKey(sk); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

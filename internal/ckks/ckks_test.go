@@ -22,8 +22,15 @@ type testContext struct {
 
 func newTestContext(t testing.TB, logN int, logQi []int, logP int, scale float64, rotations []int) *testContext {
 	t.Helper()
+	return newTestContextSpecials(t, logN, logQi, specials(logP), scale, rotations)
+}
+
+// newTestContextSpecials is newTestContext with an explicit special-prime
+// list, i.e. an explicit key-switch digit size.
+func newTestContextSpecials(t testing.TB, logN int, logQi, logPi []int, scale float64, rotations []int) *testContext {
+	t.Helper()
 	params, err := NewParameters(ParametersLiteral{
-		LogN: logN, LogQi: logQi, LogP: logP, Scale: scale, AllowInsecure: true,
+		LogN: logN, LogQi: logQi, LogPi: logPi, Scale: scale, AllowInsecure: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +41,7 @@ func newTestContext(t testing.TB, logN int, logQi []int, logP int, scale float64
 	pk := kg.GenPublicKey(sk)
 	var rlk *RelinearizationKey
 	var rtk *RotationKeySet
-	if logP > 0 {
+	if len(logPi) > 0 {
 		rlk, err = kg.GenRelinearizationKey(sk)
 		if err != nil {
 			t.Fatal(err)
@@ -382,7 +389,7 @@ func TestParametersAccessors(t *testing.T) {
 	if len(params.Qi()) != 3 || len(params.LogQi()) != 3 {
 		t.Errorf("Qi/LogQi lengths wrong")
 	}
-	if params.SpecialPrime() == 0 || params.SpecialModulus() == nil {
+	if len(params.SpecialPrimes()) != 1 || params.RingP() == nil || params.DigitSize() != 1 {
 		t.Error("special prime missing")
 	}
 	if params.QAtLevel(0) <= 0 {
@@ -397,15 +404,43 @@ func TestParametersAccessors(t *testing.T) {
 	}
 }
 
+// TestParametersEqualCoversEverySpecialPrime: parameter sets that share the
+// chain and the first special prime but not the second are different sets —
+// their keys are not interchangeable.
+func TestParametersEqualCoversEverySpecialPrime(t *testing.T) {
+	build := func(logPi []int) *Parameters {
+		p, err := NewParameters(ParametersLiteral{LogN: 11, LogQi: []int{50, 40, 40}, LogPi: logPi, Scale: 1 << 40, AllowInsecure: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b, c := build([]int{55, 55}), build([]int{55, 54}), build([]int{55})
+	if a.SpecialPrimes()[0] != b.SpecialPrimes()[0] || a.SpecialPrimes()[0] != c.SpecialPrimes()[0] {
+		t.Fatal("the fixtures were meant to share their first special prime")
+	}
+	if a.Equal(b) || a.Equal(c) || c.Equal(a) {
+		t.Error("parameter sets with different special primes compare equal")
+	}
+	if !a.Equal(build([]int{55, 55})) {
+		t.Error("identical literals should produce equal parameters")
+	}
+	if a.LogQP() != 130+110 || a.DigitSize() != 2 || a.Digits(2) != 2 || a.Digits(1) != 1 {
+		t.Errorf("LogQP/DigitSize/Digits = %d/%d/%d,%d", a.LogQP(), a.DigitSize(), a.Digits(2), a.Digits(1))
+	}
+}
+
 func TestParameterValidation(t *testing.T) {
 	cases := []ParametersLiteral{
-		{LogN: 5, LogQi: []int{30}, Scale: 1 << 30},                                 // logN too small
-		{LogN: 12, LogQi: nil, Scale: 1 << 30},                                      // no primes
-		{LogN: 12, LogQi: []int{30}, Scale: 0},                                      // bad scale
-		{LogN: 12, LogQi: []int{10}, Scale: 1 << 30, AllowInsecure: true},           // prime too small
-		{LogN: 12, LogQi: []int{61}, Scale: 1 << 30, AllowInsecure: true},           // prime too large
-		{LogN: 12, LogQi: []int{60, 60}, LogP: 60, Scale: 1 << 30},                  // exceeds security bound
-		{LogN: 12, LogQi: []int{30}, LogP: 10, Scale: 1 << 30, AllowInsecure: true}, // bad special prime size
+		{LogN: 5, LogQi: []int{30}, Scale: 1 << 30},                                             // logN too small
+		{LogN: 12, LogQi: nil, Scale: 1 << 30},                                                  // no primes
+		{LogN: 12, LogQi: []int{30}, Scale: 0},                                                  // bad scale
+		{LogN: 12, LogQi: []int{10}, Scale: 1 << 30, AllowInsecure: true},                       // prime too small
+		{LogN: 12, LogQi: []int{61}, Scale: 1 << 30, AllowInsecure: true},                       // prime too large
+		{LogN: 12, LogQi: []int{60, 60}, LogPi: []int{60}, Scale: 1 << 30},                      // exceeds security bound
+		{LogN: 12, LogQi: []int{30}, LogPi: []int{10}, Scale: 1 << 30, AllowInsecure: true},     // bad special prime size
+		{LogN: 12, LogQi: []int{30}, LogPi: []int{30, 30}, Scale: 1 << 30, AllowInsecure: true}, // digit larger than the chain
+		{LogN: 13, LogQi: []int{50, 50, 50}, LogPi: []int{35, 35}, Scale: 1 << 30},              // second special prime breaks the bound
 	}
 	for i, lit := range cases {
 		if _, err := NewParameters(lit); err == nil {

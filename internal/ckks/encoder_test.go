@@ -6,9 +6,18 @@ import (
 	"testing"
 )
 
+// specials is the special-prime list of the one-special-prime parameter sets
+// most tests use: a single prime of logP bits, none for logP = 0.
+func specials(logP int) []int {
+	if logP == 0 {
+		return nil
+	}
+	return []int{logP}
+}
+
 func testParams(t testing.TB, logN int, logQi []int, logP int, scale float64) *Parameters {
 	t.Helper()
-	p, err := NewParameters(ParametersLiteral{LogN: logN, LogQi: logQi, LogP: logP, Scale: scale, AllowInsecure: true})
+	p, err := NewParameters(ParametersLiteral{LogN: logN, LogQi: logQi, LogPi: specials(logP), Scale: scale, AllowInsecure: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,11 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 	r := params.RingQ()
 	level := pt.Level
 
-	u := enc.sampler.signedToPolyQ(enc.sampler.ternarySigned(), level)
+	u := enc.sampler.signedToPoly(r, enc.sampler.ternarySigned(), level)
 	r.NTT(u)
-	e0 := enc.sampler.signedToPolyQ(enc.sampler.gaussianSigned(), level)
+	e0 := enc.sampler.signedToPoly(r, enc.sampler.gaussianSigned(), level)
 	r.NTT(e0)
-	e1 := enc.sampler.signedToPolyQ(enc.sampler.gaussianSigned(), level)
+	e1 := enc.sampler.signedToPoly(r, enc.sampler.gaussianSigned(), level)
 	r.NTT(e1)
 
 	ct := NewCiphertext(params, 2, level, pt.Scale)

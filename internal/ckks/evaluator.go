@@ -3,6 +3,8 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"eva/internal/ring"
 )
@@ -25,14 +27,17 @@ type Evaluator struct {
 	rlk    *RelinearizationKey
 	rtk    *RotationKeySet
 
-	// pool and buf recycle polynomials and special-prime limb buffers across
-	// operations (and across the executor's worker goroutines — sync.Pool is
-	// concurrent). Scratch comes from them, and so does every result
-	// ciphertext: a caller that knows a result is dead hands it back with
-	// Recycle, and the next operation at that level reuses its buffers
-	// instead of allocating.
-	pool *polyPool
-	buf  *coeffPool
+	// pool and poolP recycle polynomials over the chain and over the special
+	// primes across operations (and across the executor's worker goroutines —
+	// sync.Pool is concurrent). Scratch comes from them, and so does every
+	// result ciphertext: a caller that knows a result is dead hands it back
+	// with Recycle, and the next operation at that level reuses its buffers
+	// instead of allocating. decomps and batches recycle the bookkeeping of
+	// key-switch decompositions and hoisted rotation batches the same way.
+	pool    *polyPool
+	poolP   *polyPool
+	decomps sync.Pool
+	batches sync.Pool
 }
 
 // EvaluationKeys bundles the public evaluation material the evaluator needs.
@@ -44,13 +49,18 @@ type EvaluationKeys struct {
 // NewEvaluator builds an evaluator; keys may be nil when the corresponding
 // operations (relinearize, rotate) are not used.
 func NewEvaluator(params *Parameters, keys EvaluationKeys) *Evaluator {
-	return &Evaluator{
+	ev := &Evaluator{
 		params: params,
 		rlk:    keys.Rlk,
 		rtk:    keys.Rtk,
 		pool:   newPolyPool(params.RingQ()),
-		buf:    newCoeffPool(params.N()),
 	}
+	if rp := params.RingP(); rp != nil {
+		ev.poolP = newPolyPool(rp)
+		ev.decomps.New = ev.newDecomp
+	}
+	ev.batches.New = func() any { return new(rotationBatch) }
+	return ev
 }
 
 // Params returns the evaluator's parameter set.
@@ -372,8 +382,8 @@ func (ev *Evaluator) rotationElement(k, level int) (uint64, *SwitchingKey, error
 	if !ok {
 		return 0, nil, fmt.Errorf("ckks: missing rotation key for step %d (Galois element %d)", k, galEl)
 	}
-	if len(swk.BQ) < level+1 {
-		return 0, nil, fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), level+1)
+	if err := ev.checkSwitchable(swk, level); err != nil {
+		return 0, nil, err
 	}
 	return galEl, swk, nil
 }
@@ -384,22 +394,31 @@ func (ev *Evaluator) rotationElement(k, level int) (uint64, *SwitchingKey, error
 // of the rotated c1 back to the original secret; the automorphism commutes
 // with the NTT, so it is applied directly in the NTT domain as a slot
 // permutation — no InvNTT+NTT round trip.
-func (ev *Evaluator) rotateFromDecomp(a *Ciphertext, h *hoistedDecomp, swk *SwitchingKey, galEl uint64) (*Ciphertext, error) {
+func (ev *Evaluator) rotateFromDecomp(a *Ciphertext, h *hoistedDecomp, swk *SwitchingKey, galEl uint64) *Ciphertext {
 	r := ev.params.RingQ()
 	rot0 := ev.pool.Get(a.Level)
 	r.AutomorphismNTT(a.Value[0], galEl, rot0)
-	ks0, ks1, err := ev.keySwitchHoisted(h, swk, galEl)
-	if err != nil {
-		ev.pool.Put(rot0)
-		return nil, err
-	}
+	ks0, ks1 := ev.keySwitchHoisted(h, swk, galEl)
 	// Assemble the result in place: the key-switch outputs become the
 	// ciphertext components directly (they leave the pool for good), so the
 	// batch path never zero-allocates a ciphertext or copies a limb.
 	r.Add(rot0, ks0, ks0)
 	ev.pool.Put(rot0)
 	ks0.IsNTT, ks1.IsNTT = true, true
-	return &Ciphertext{Value: []*ring.Poly{ks0, ks1}, Scale: a.Scale, Level: a.Level}, nil
+	return &Ciphertext{Value: []*ring.Poly{ks0, ks1}, Scale: a.Scale, Level: a.Level}
+}
+
+// rotationBatch is the bookkeeping of one RotateHoisted call, recycled
+// through Evaluator.batches so a batch allocates only what it returns.
+type rotationBatch struct {
+	elems []rotationElem
+	cts   []*Ciphertext
+}
+
+type rotationElem struct {
+	k     int
+	galEl uint64
+	swk   *SwitchingKey
 }
 
 // RotateHoisted rotates a by every step in ks, sharing one decomposition of
@@ -413,48 +432,44 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int) (map[int]*Ciphertext
 	if a.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext; relinearize first")
 	}
-	out := make(map[int]*Ciphertext, len(ks))
-	type rotElem struct {
-		k     int
-		galEl uint64
-		swk   *SwitchingKey
-	}
-	seen := make(map[int]struct{}, len(ks))
-	elems := make([]rotElem, 0, len(ks))
+	b := ev.batches.Get().(*rotationBatch)
+	defer func() {
+		clear(b.elems)
+		clear(b.cts)
+		b.elems, b.cts = b.elems[:0], b.cts[:0]
+		ev.batches.Put(b)
+	}()
+	// Resolve every key before producing anything, so a missing key fails
+	// the batch without results to hand back.
 	for _, k := range ks {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		if k%ev.params.Slots() == 0 {
-			out[k] = ev.copyCiphertext(a)
+		if k%ev.params.Slots() == 0 || slices.ContainsFunc(b.elems, func(e rotationElem) bool { return e.k == k }) {
 			continue
 		}
 		galEl, swk, err := ev.rotationElement(k, a.Level)
 		if err != nil {
 			return nil, err
 		}
-		elems = append(elems, rotElem{k, galEl, swk})
+		b.elems = append(b.elems, rotationElem{k, galEl, swk})
 	}
-	if len(elems) == 0 {
+	out := make(map[int]*Ciphertext, len(ks))
+	for _, k := range ks {
+		if _, dup := out[k]; !dup && k%ev.params.Slots() == 0 {
+			out[k] = ev.copyCiphertext(a)
+		}
+	}
+	if len(b.elems) == 0 {
 		return out, nil
 	}
 
-	h, err := ev.decomposeNTT(a.Value[1], a.Level)
-	if err != nil {
-		return nil, err
-	}
-	cts := make([]*Ciphertext, len(elems))
-	errs := make([]error, len(elems))
+	h := ev.decomposeNTT(a.Value[1], a.Level)
+	b.cts = append(b.cts, make([]*Ciphertext, len(b.elems))...)
+	elems, cts := b.elems, b.cts
 	ring.Parallel(len(elems), func(i int) {
-		cts[i], errs[i] = ev.rotateFromDecomp(a, h, elems[i].swk, elems[i].galEl)
+		cts[i] = ev.rotateFromDecomp(a, h, elems[i].swk, elems[i].galEl)
 	})
 	ev.releaseDecomp(h)
-	for i := range elems {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out[elems[i].k] = cts[i]
+	for i, e := range elems {
+		out[e.k] = cts[i]
 	}
 	return out, nil
 }
@@ -473,13 +488,10 @@ func (ev *Evaluator) RotateLeft(a *Ciphertext, k int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := ev.decomposeNTT(a.Value[1], a.Level)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ev.rotateFromDecomp(a, h, swk, galEl)
+	h := ev.decomposeNTT(a.Value[1], a.Level)
+	out := ev.rotateFromDecomp(a, h, swk, galEl)
 	ev.releaseDecomp(h)
-	return out, err
+	return out, nil
 }
 
 // RotateRight rotates slots right by k positions.

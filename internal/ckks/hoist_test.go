@@ -31,7 +31,17 @@ func ciphertextsEqual(a, b *Ciphertext) bool {
 // RotateLeft call (the hoisted decomposition commutes exactly with the Galois
 // automorphism, so this is equality of RNS limbs, not approximate equality).
 func TestRotateHoistedMatchesRotateLeft(t *testing.T) {
-	tc := newTestContext(t, 11, []int{50, 40, 40}, 50, 1<<40, hoistTestSteps)
+	hoistedMatchesRotateLeft(t, newTestContext(t, 11, []int{50, 40, 40}, 50, 1<<40, hoistTestSteps))
+}
+
+// TestRotateHoistedMatchesRotateLeftGroupedDigits is the same property with
+// digits of two primes, whose last digit is partial on the top and bottom
+// levels of the three-prime chain.
+func TestRotateHoistedMatchesRotateLeftGroupedDigits(t *testing.T) {
+	hoistedMatchesRotateLeft(t, newTestContextSpecials(t, 11, []int{50, 40, 40}, []int{60, 60}, 1<<40, hoistTestSteps))
+}
+
+func hoistedMatchesRotateLeft(t *testing.T, tc *testContext) {
 	va := tc.randomVector(3, 1)
 	base := tc.encrypt(t, va)
 

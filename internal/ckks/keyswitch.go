@@ -7,85 +7,127 @@ import (
 	"eva/internal/ring"
 )
 
-// Key switching is split into two halves so rotation batches can share work:
+// Key switching is the hybrid (grouped-digit) construction of Han and Ki:
+// the chain primes alive at the operand's level are grouped into digits of α
+// consecutive primes (α = the number of special primes; the last digit may be
+// partial), each digit is lifted to the extended basis {q_0..q_level,
+// p_0..p_{α-1}}, the lifted digits are multiplied into the switching key, and
+// the sum is divided by P = ∏p_i. A level-ℓ switch costs ⌈(ℓ+1)/α⌉·(ℓ+1+α)
+// limb products where per-prime decomposition (α = 1, the degenerate case of
+// the same code) costs (ℓ+1)(ℓ+2). It is split into two halves so rotation
+// batches can share work:
 //
-//   - decomposeNTT performs the expensive half — the InvNTT of the input and
-//     the per-digit mod-up (ExtendBasisSmall/ReduceCentered to the extended
-//     basis {q_0..q_level, P}) followed by the forward NTT of every extended
-//     digit. Its output depends only on the input polynomial, not on the
+//   - decomposeNTT performs the shared half — one InvNTT of the input, then
+//     per digit an RNS basis conversion to the primes outside the digit and
+//     their forward NTTs (the digit's own limbs are the input's, already in
+//     NTT form). Its output depends only on the input polynomial, not on the
 //     switching key or the Galois element.
 //
-//   - keySwitchHoisted performs the cheap half for one key: the inner product
-//     of the (optionally automorphism-permuted) extended digits against the
-//     key digits, and the final modDownByP.
+//   - keySwitchHoisted performs the per-key half: the inner product of the
+//     (optionally automorphism-permuted) extended digits against the key
+//     digits, and the final modDownByP.
 //
-// The hoisting trick (Halevi–Shoup) is that the RNS digit decomposition
-// commutes with the Galois automorphism: a digit is a centered lift of a
-// per-coefficient residue, the automorphism only permutes and negates
-// coefficients, and the centered lift of a negated residue is the negated
-// centered lift for odd primes. So φ(decompose(c1)) = decompose(φ(c1))
-// bit-exactly, and a batch of rotations of one ciphertext can decompose c1
-// once and apply a cheap NTT-domain permutation per Galois element instead of
-// redoing the InvNTT/mod-up/NTT per rotation.
+// The hoisting trick (Halevi–Shoup) is that the lift commutes with the Galois
+// automorphism well enough: the automorphism only permutes and negates
+// coefficients, so φ of a lifted digit is congruent to φ(d) modulo the
+// digit's primes and exactly as small — a valid lift of the rotated
+// polynomial's digit. A batch of rotations of one ciphertext can therefore
+// decompose c1 once and apply a cheap NTT-domain permutation per Galois
+// element instead of redoing the InvNTT/mod-up/NTT per rotation.
+//
+// Noise: the lifted digit is bounded by half the digit's prime product D_j, so
+// the switched ciphertext gains an error of about Σ_j D_j·|e_j|/P plus the
+// rounding of the division. The compiler therefore sizes P to at least the
+// largest digit product, which keeps the first term at the size of a fresh
+// encryption error.
 
 // hoistedDecomp holds the decomposed, mod-upped digits of one polynomial:
-// extQ[j] is digit j lifted to every chain prime at the decomposition level
-// and extP[j] is the same digit's special-prime limb, both in NTT form. The
-// buffers come from the evaluator's pools; release with ev.releaseDecomp.
+// extQ[j] is digit j over every chain prime at the decomposition level and
+// extP[j] the same digit over the special primes, both in NTT form. The
+// struct, its slices and the polynomials all come from the evaluator's pools;
+// release with ev.releaseDecomp.
 type hoistedDecomp struct {
 	level int
 	extQ  []*ring.Poly
-	extP  []*[]uint64
-	// extPView dereferences extP once so the inner-product kernel can take
-	// the special-prime digits as a plain [][]uint64.
-	extPView [][]uint64
+	extP  []*ring.Poly
+	// targets is the per-digit destination list handed to the mod-up
+	// converter: every chain limb, then every special limb.
+	targets [][]uint64
+}
+
+func (ev *Evaluator) newDecomp() any {
+	params := ev.params
+	digits := params.Digits(params.MaxLevel())
+	return &hoistedDecomp{
+		extQ:    make([]*ring.Poly, 0, digits),
+		extP:    make([]*ring.Poly, 0, digits),
+		targets: make([][]uint64, params.MaxLevel()+1+params.DigitSize()),
+	}
+}
+
+// checkSwitchable reports whether swk can switch a polynomial at the given
+// level under the evaluator's parameters.
+func (ev *Evaluator) checkSwitchable(swk *SwitchingKey, level int) error {
+	if ev.params.RingP() == nil {
+		return fmt.Errorf("ckks: key switching requires a special prime")
+	}
+	if need := ev.params.Digits(level); len(swk.BQ) < need {
+		return fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), need)
+	}
+	return nil
 }
 
 // decomposeNTT runs the shared half of a key switch on d (NTT form, at the
-// given level): one InvNTT plus, per digit, the basis extension and forward
-// NTTs. The result can be fed to keySwitchHoisted any number of times, with
-// any switching key and Galois element.
-func (ev *Evaluator) decomposeNTT(d *ring.Poly, level int) (*hoistedDecomp, error) {
+// given level): one InvNTT plus, per digit, the basis conversion and forward
+// NTTs of the limbs outside the digit. The result can be fed to
+// keySwitchHoisted any number of times, with any switching key and Galois
+// element. The parameters must have special primes (checkSwitchable).
+func (ev *Evaluator) decomposeNTT(d *ring.Poly, level int) *hoistedDecomp {
 	params := ev.params
-	sp := params.SpecialModulus()
-	if sp == nil {
-		return nil, fmt.Errorf("ckks: key switching requires a special prime")
-	}
 	r := params.RingQ()
+	alpha := params.DigitSize()
+	chain := params.MaxLevel() + 1
 
 	dCoeff := ev.pool.Get(level)
 	dCoeff.Copy(d)
 	r.InvNTT(dCoeff)
 
-	h := &hoistedDecomp{
-		level:    level,
-		extQ:     make([]*ring.Poly, level+1),
-		extP:     make([]*[]uint64, level+1),
-		extPView: make([][]uint64, level+1),
-	}
-	for j := 0; j <= level; j++ {
-		qj := r.Moduli[j].Q
-		limb := dCoeff.Coeffs[j]
-		extQ := ev.pool.Get(level)
-		extP := ev.buf.Get()
-		r.ExtendBasisSmall(limb, qj, extQ)
-		sp.ReduceCentered(limb, qj, *extP)
-		r.NTT(extQ)
-		sp.NTT(*extP)
-		h.extQ[j] = extQ
-		h.extP[j] = extP
-		h.extPView[j] = *extP
+	h := ev.decomps.Get().(*hoistedDecomp)
+	h.level = level
+	for j := 0; j < params.Digits(level); j++ {
+		lo, hi := j*alpha, min((j+1)*alpha, level+1)
+		extQ, extP := ev.pool.Get(level), ev.poolP.Get(alpha-1)
+		for i := range h.targets[:chain] {
+			if i <= level && (i < lo || i >= hi) {
+				h.targets[i] = extQ.Coeffs[i]
+			} else {
+				h.targets[i] = nil
+			}
+		}
+		copy(h.targets[chain:], extP.Coeffs)
+		params.modUp[j][hi-lo-1].ConvertNTT(dCoeff.Coeffs[lo:hi], h.targets)
+		// Modulo its own primes the lifted digit is d itself.
+		for i := lo; i < hi; i++ {
+			copy(extQ.Coeffs[i], d.Coeffs[i])
+		}
+		extQ.IsNTT, extP.IsNTT = true, true
+		h.extQ, h.extP = append(h.extQ, extQ), append(h.extP, extP)
 	}
 	ev.pool.Put(dCoeff)
-	return h, nil
+	return h
 }
 
-// releaseDecomp returns the decomposition's scratch buffers to the pools.
+// releaseDecomp returns the decomposition and its scratch buffers to the pools.
 func (ev *Evaluator) releaseDecomp(h *hoistedDecomp) {
 	for j := range h.extQ {
 		ev.pool.Put(h.extQ[j])
-		ev.buf.Put(h.extP[j])
+		ev.poolP.Put(h.extP[j])
 	}
+	clear(h.extQ)
+	clear(h.extP)
+	clear(h.targets)
+	h.extQ, h.extP = h.extQ[:0], h.extP[:0]
+	ev.decomps.Put(h)
 }
 
 // keySwitchHoisted applies the switching key swk to the decomposed digits h,
@@ -93,44 +135,33 @@ func (ev *Evaluator) releaseDecomp(h *hoistedDecomp) {
 // polynomial h was decomposed from and s' the secret swk encodes. galEl == 1
 // is the identity (plain key switch); odd galEl > 1 permutes each digit in
 // the NTT domain before the inner product, which is where a hoisted rotation
-// saves its transforms. The returned polynomials come from the evaluator's
-// pool; the caller releases them with ev.pool.Put.
+// saves its transforms. swk must have passed checkSwitchable for h's level.
+// The returned polynomials come from the evaluator's pool; the caller
+// releases them with ev.pool.Put.
 //
 // h is only read, so concurrent calls with distinct Galois elements may share
 // one decomposition.
-func (ev *Evaluator) keySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey, galEl uint64) (ks0, ks1 *ring.Poly, err error) {
+func (ev *Evaluator) keySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey, galEl uint64) (ks0, ks1 *ring.Poly) {
 	params := ev.params
-	level := h.level
-	if len(swk.BQ) < level+1 {
-		return nil, nil, fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), level+1)
-	}
-	r := params.RingQ()
-	sp := params.SpecialModulus()
-	brP := sp.Barrett()
-	var idx []uint32
-	if galEl != 1 {
-		idx = r.AutomorphismNTTIndex(galEl)
-	}
+	rp := params.RingP()
 
-	// The paired inner-product kernels overwrite their accumulators, fuse the
-	// Galois permutation into the digit gather, and share each gathered digit
+	// The paired inner-product kernel overwrites its accumulators, fuses the
+	// Galois permutation into the digit gather, and shares each gathered digit
 	// between the B and A halves of the key, so there is no zeroing pass, no
 	// permutation scratch, a single load of every digit coefficient, and one
 	// Barrett reduction per output coefficient regardless of the digit count.
-	acc0Q := ev.pool.Get(level)
-	acc1Q := ev.pool.Get(level)
-	r.InnerProductAutoNTTPair(h.extQ, swk.BQ, swk.AQ, galEl, acc0Q, acc1Q)
-	acc0P := ev.buf.Get()
-	acc1P := ev.buf.Get()
-	ring.InnerProductAutoVecPair(h.extPView, swk.BP, swk.AP, idx, *acc0P, *acc1P, brP)
+	acc0Q, acc1Q := ev.pool.Get(h.level), ev.pool.Get(h.level)
+	params.RingQ().InnerProductAutoNTTPair(h.extQ, swk.BQ, swk.AQ, galEl, acc0Q, acc1Q)
+	acc0P, acc1P := ev.poolP.Get(rp.MaxLevel()), ev.poolP.Get(rp.MaxLevel())
+	rp.InnerProductAutoNTTPair(h.extP, swk.BP, swk.AP, galEl, acc0P, acc1P)
 
-	ks0 = ev.modDownByP(acc0Q, *acc0P)
-	ks1 = ev.modDownByP(acc1Q, *acc1P)
+	ks0 = ev.modDownByP(acc0Q, acc0P)
+	ks1 = ev.modDownByP(acc1Q, acc1P)
 	ev.pool.Put(acc0Q)
 	ev.pool.Put(acc1Q)
-	ev.buf.Put(acc0P)
-	ev.buf.Put(acc1P)
-	return ks0, ks1, nil
+	ev.poolP.Put(acc0P)
+	ev.poolP.Put(acc1P)
+	return ks0, ks1
 }
 
 // keySwitch applies the switching key swk to the polynomial d (NTT form, at
@@ -143,65 +174,37 @@ func (ev *Evaluator) keySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey, galEl
 // caller owns them and must release them with ev.pool.Put once their values
 // have been consumed.
 func (ev *Evaluator) keySwitch(d *ring.Poly, level int, swk *SwitchingKey) (ks0, ks1 *ring.Poly, err error) {
-	if len(swk.BQ) < level+1 {
-		return nil, nil, fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), level+1)
-	}
-	h, err := ev.decomposeNTT(d, level)
-	if err != nil {
+	if err := ev.checkSwitchable(swk, level); err != nil {
 		return nil, nil, err
 	}
-	ks0, ks1, err = ev.keySwitchHoisted(h, swk, 1)
+	h := ev.decomposeNTT(d, level)
+	ks0, ks1 = ev.keySwitchHoisted(h, swk, 1)
 	ev.releaseDecomp(h)
-	return ks0, ks1, err
+	return ks0, ks1, nil
 }
 
 // modDownByP divides the value represented by (accQ, accP) — an RNS value over
-// the basis {q_0..q_level, P} in NTT form — by the special prime P with
-// rounding, returning the result over {q_0..q_level} in NTT form. The result
-// comes from the evaluator's pool (every slot is written); accQ is left
-// untouched in NTT form, accP is consumed as scratch. All per-limb constants
-// are precomputed on the parameter set, so this never runs an inverse on the
-// hot path.
+// the basis {q_0..q_level, p_0..p_{α-1}} in NTT form — by the special product
+// P with rounding, returning the result over {q_0..q_level} in NTT form. The
+// result comes from the evaluator's pool (every slot is written); accQ is left
+// untouched in NTT form, accP is consumed as scratch. All constants are
+// precomputed on the parameter set, so this never runs an inverse on the hot
+// path.
 //
-// The rounded division (acc − [acc]_P + offsets)·P⁻¹ is a per-coefficient
-// linear map, so it commutes with the NTT: only the correction term [acc]_P
-// needs the coefficient domain (one InvNTT of the single special limb plus
-// one forward NTT of the lifted correction), while accQ itself never leaves
-// the NTT domain. That replaces the InvNTT of every accumulator limb — per
-// key switch, 2·(level+1) limb transforms — with pointwise work, which is
-// what makes the per-element half of a hoisted rotation cheap.
-func (ev *Evaluator) modDownByP(accQ *ring.Poly, accP []uint64) *ring.Poly {
+// The rounded division (acc − [acc]_P)·P⁻¹, with [acc]_P the centered
+// remainder, is a per-coefficient linear map, so it commutes with the NTT:
+// only the remainder needs the coefficient domain (an InvNTT of the α special
+// limbs, their basis conversion to the chain, and a forward NTT of each
+// converted limb), while accQ itself never leaves the NTT domain.
+func (ev *Evaluator) modDownByP(accQ, accP *ring.Poly) *ring.Poly {
 	params := ev.params
 	r := params.RingQ()
-	sp := params.SpecialModulus()
-	p := sp.Q
-	half := p >> 1
-
-	sp.InvNTT(accP)
-	// Shift by P/2 once — the shifted residue is shared by every chain limb
-	// below, so this single pass replaces a per-limb AddMod. accP is caller
-	// scratch and is consumed here.
-	for j := range accP {
-		accP[j] = numth.AddMod(accP[j], half, p)
-	}
+	params.RingP().InvNTT(accP)
 
 	level := accQ.Level()
 	out := ev.pool.Get(level)
-	// Correction polynomial in the coefficient domain: the centered residue
-	// of acc modulo P lifted to each chain prime, with the rounding offsets
-	// folded in (out serves as its own scratch).
-	for i := 0; i <= level; i++ {
-		q := r.Moduli[i].Q
-		br := r.Moduli[i].Barrett()
-		halfMod := params.pHalfModQ[i]
-		oi := out.Coeffs[i]
-		for j := range oi {
-			oi[j] = numth.SubMod(br.ReduceWord(accP[j]), halfMod, q)
-		}
-	}
-	out.IsNTT = false
-	r.NTT(out)
-	// out = (accQ − correction)·P⁻¹, pointwise in the NTT domain — exactly
+	params.modDown.ConvertNTT(accP.Coeffs, out.Coeffs)
+	// out = (accQ − remainder)·P⁻¹, pointwise in the NTT domain — exactly
 	// the coefficient-domain rounded division pushed through the transform.
 	for i := 0; i <= level; i++ {
 		q := r.Moduli[i].Q
@@ -212,5 +215,6 @@ func (ev *Evaluator) modDownByP(accQ *ring.Poly, accP []uint64) *ring.Poly {
 			oi[j] = numth.MulModShoup(numth.SubMod(ai[j], oi[j], q), pInv, pInvShoup, q)
 		}
 	}
+	out.IsNTT = true
 	return out
 }

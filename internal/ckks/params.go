@@ -16,6 +16,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"eva/internal/numth"
 	"eva/internal/ring"
@@ -56,39 +57,53 @@ func MinLogNFor(logQP int, minLogN int) (int, error) {
 
 // Parameters describes a full RNS-CKKS parameter set: the ring degree, the
 // modulus chain (in consumption order: Qi[len-1] is dropped by the first
-// RESCALE), the special prime used for key switching, and the default scale.
+// RESCALE), the special primes used for key switching, and the default scale.
+//
+// Key switching is the hybrid (grouped-digit) construction: the chain primes
+// are grouped, from the base prime up, into digits of α consecutive primes,
+// where α is the number of special primes. A parameter set with one special
+// prime therefore decomposes per chain prime; one with as many special primes
+// as chain primes has a single digit.
 type Parameters struct {
 	logN     int
 	logSlots int
 	qi       []uint64
 	logQi    []int
-	p        uint64
-	logP     int
+	pi       []uint64
+	logPi    []int
 	scale    float64
 	sigma    float64
 
-	ringQ   *ring.Ring
-	special *ring.Modulus
+	ringQ *ring.Ring
+	ringP *ring.Ring // nil without special primes
 
-	// Precomputed mod-down constants for the special prime P, indexed by
-	// chain-prime position, so keySwitch/modDownByP never run an
-	// extended-Euclid inverse on the relinearize/rotate hot path:
-	//   pInvModQ[i]      = (P mod q_i)^{-1} mod q_i
-	//   pInvShoupModQ[i] = Shoup quotient of pInvModQ[i]
-	//   pHalfModQ[i]     = (P/2) mod q_i
+	// Key-switch tables, all precomputed so the relinearize/rotate hot path
+	// never runs an extended-Euclid inverse or builds a table lazily:
+	//   modUp[j][s-1]    converts the first s primes of digit j to every
+	//                    chain prime followed by every special prime (a
+	//                    ciphertext below the top level leaves its last digit
+	//                    partial, hence one converter per prefix length);
+	//   modDown          converts the special primes to every chain prime;
+	//   pInvModQ[i]      = (P mod q_i)^{-1} mod q_i, P the special product;
+	//   pInvShoupModQ[i] = Shoup quotient of pInvModQ[i].
+	modUp         [][]*ring.BasisConverter
+	modDown       *ring.BasisConverter
 	pInvModQ      []uint64
 	pInvShoupModQ []uint64
-	pHalfModQ     []uint64
 }
 
 // ParametersLiteral is the user-facing description from which Parameters are
 // generated. LogQi lists the bit sizes of the chain primes with LogQi[0]
 // being the base prime (consumed last) and LogQi[len-1] consumed by the
-// first rescale. LogP is the special key-switching prime bit size.
+// first rescale. LogPi lists the bit sizes of the special key-switching
+// primes; its length is the key-switch digit size, and it may be empty for a
+// parameter set that never relinearizes or rotates. Key-switch noise scales
+// with (largest digit product)/(special product), so the special primes
+// should together be at least as large as any α consecutive chain primes.
 type ParametersLiteral struct {
 	LogN  int
 	LogQi []int
-	LogP  int
+	LogPi []int
 	Scale float64
 	Sigma float64 // standard deviation of the error distribution; 0 means the default 3.2
 
@@ -113,15 +128,21 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if lit.Scale <= 0 {
 		return nil, fmt.Errorf("ckks: scale must be positive")
 	}
-	totalBits := lit.LogP
+	totalBits := 0
 	for _, b := range lit.LogQi {
 		if b < 20 || b > MaxLogModulusBits {
 			return nil, fmt.Errorf("ckks: chain prime bit size %d out of range [20,%d]", b, MaxLogModulusBits)
 		}
 		totalBits += b
 	}
-	if lit.LogP != 0 && (lit.LogP < 20 || lit.LogP > numth.MaxModulusBits) {
-		return nil, fmt.Errorf("ckks: special prime bit size %d out of range", lit.LogP)
+	for _, b := range lit.LogPi {
+		if b < 20 || b > numth.MaxModulusBits {
+			return nil, fmt.Errorf("ckks: special prime bit size %d out of range [20,%d]", b, numth.MaxModulusBits)
+		}
+		totalBits += b
+	}
+	if len(lit.LogPi) > len(lit.LogQi) {
+		return nil, fmt.Errorf("ckks: %d special primes for a chain of %d (a digit cannot exceed the chain)", len(lit.LogPi), len(lit.LogQi))
 	}
 	if bound, ok := heStandardBound[lit.LogN]; !lit.AllowInsecure && (!ok || totalBits > bound) {
 		return nil, fmt.Errorf("ckks: total modulus of %d bits exceeds the %d-bit security bound for logN=%d (insecure parameters)", totalBits, heStandardBound[lit.LogN], lit.LogN)
@@ -131,61 +152,91 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		sigma = DefaultSigma
 	}
 
-	// Generate distinct primes, grouping requests by bit size so equal bit
-	// sizes yield distinct primes.
+	// Generate distinct primes, chain first, so equal bit sizes yield
+	// distinct primes.
 	used := map[uint64]bool{}
-	qi := make([]uint64, len(lit.LogQi))
-	for i, b := range lit.LogQi {
-		ps, err := numth.GenerateNTTPrimes(b, lit.LogN, 1, used)
-		if err != nil {
-			return nil, err
+	generate := func(bitSizes []int) ([]uint64, error) {
+		primes := make([]uint64, len(bitSizes))
+		for i, b := range bitSizes {
+			ps, err := numth.GenerateNTTPrimes(b, lit.LogN, 1, used)
+			if err != nil {
+				return nil, err
+			}
+			primes[i] = ps[0]
+			used[ps[0]] = true
 		}
-		qi[i] = ps[0]
-		used[ps[0]] = true
+		return primes, nil
 	}
-	var p uint64
-	if lit.LogP > 0 {
-		ps, err := numth.GenerateNTTPrimes(lit.LogP, lit.LogN, 1, used)
-		if err != nil {
-			return nil, err
-		}
-		p = ps[0]
+	qi, err := generate(lit.LogQi)
+	if err != nil {
+		return nil, err
+	}
+	pi, err := generate(lit.LogPi)
+	if err != nil {
+		return nil, err
 	}
 
 	ringQ, err := ring.NewRing(lit.LogN, qi)
 	if err != nil {
 		return nil, err
 	}
-	var special *ring.Modulus
-	if p != 0 {
-		special, err = ring.NewModulus(p, lit.LogN)
-		if err != nil {
-			return nil, err
-		}
-	}
 	params := &Parameters{
 		logN:     lit.LogN,
 		logSlots: lit.LogN - 1,
 		qi:       qi,
 		logQi:    append([]int(nil), lit.LogQi...),
-		p:        p,
-		logP:     lit.LogP,
+		pi:       pi,
+		logPi:    append([]int(nil), lit.LogPi...),
 		scale:    lit.Scale,
 		sigma:    sigma,
 		ringQ:    ringQ,
-		special:  special,
 	}
-	if p != 0 {
-		params.pInvModQ = make([]uint64, len(qi))
-		params.pInvShoupModQ = make([]uint64, len(qi))
-		params.pHalfModQ = make([]uint64, len(qi))
-		for i, q := range qi {
-			params.pInvModQ[i] = numth.MustInvMod(p%q, q)
-			params.pInvShoupModQ[i] = numth.ShoupPrecomp(params.pInvModQ[i], q)
-			params.pHalfModQ[i] = (p >> 1) % q
+	if len(pi) > 0 {
+		if err := params.buildKeySwitchTables(); err != nil {
+			return nil, err
 		}
 	}
 	return params, nil
+}
+
+// buildKeySwitchTables builds the special-prime ring and the mod-up/mod-down
+// conversion tables.
+func (p *Parameters) buildKeySwitchTables() (err error) {
+	if p.ringP, err = ring.NewRing(p.logN, p.pi); err != nil {
+		return err
+	}
+	chain, special := p.ringQ.Moduli, p.ringP.Moduli
+	extended := append(append([]*ring.Modulus(nil), chain...), special...)
+	alpha := len(special)
+	for lo := 0; lo < len(chain); lo += alpha {
+		digit := chain[lo:min(lo+alpha, len(chain))]
+		prefixes := make([]*ring.BasisConverter, len(digit))
+		for s := range digit {
+			if prefixes[s], err = ring.NewBasisConverter(digit[:s+1], extended); err != nil {
+				return err
+			}
+		}
+		p.modUp = append(p.modUp, prefixes)
+	}
+	if p.modDown, err = ring.NewBasisConverter(special, chain); err != nil {
+		return err
+	}
+	p.pInvModQ = make([]uint64, len(chain))
+	p.pInvShoupModQ = make([]uint64, len(chain))
+	for i, m := range chain {
+		p.pInvModQ[i] = numth.MustInvMod(p.specialProductMod(m.Q), m.Q)
+		p.pInvShoupModQ[i] = numth.ShoupPrecomp(p.pInvModQ[i], m.Q)
+	}
+	return nil
+}
+
+// specialProductMod returns P mod q, P being the product of the special primes.
+func (p *Parameters) specialProductMod(q uint64) uint64 {
+	prod := uint64(1)
+	for _, sp := range p.pi {
+		prod = numth.MulMod(prod, sp%q, q)
+	}
+	return prod
 }
 
 // LogN returns log2 of the ring degree.
@@ -209,13 +260,27 @@ func (p *Parameters) Qi() []uint64 { return append([]uint64(nil), p.qi...) }
 // LogQi returns the requested bit sizes of the chain primes.
 func (p *Parameters) LogQi() []int { return append([]int(nil), p.logQi...) }
 
-// SpecialPrime returns the key-switching special prime (0 if none).
-func (p *Parameters) SpecialPrime() uint64 { return p.p }
+// SpecialPrimes returns the key-switching special primes (empty if none).
+func (p *Parameters) SpecialPrimes() []uint64 { return append([]uint64(nil), p.pi...) }
 
-// LogQP returns the total bit count of all chain primes plus the special prime.
+// DigitSize returns α, the number of consecutive chain primes one key-switch
+// decomposition digit covers — which is the number of special primes (0 when
+// the parameter set cannot key switch).
+func (p *Parameters) DigitSize() int { return len(p.pi) }
+
+// Digits returns the number of decomposition digits of a key switch at the
+// given level, ⌈(level+1)/α⌉, or 0 for a parameter set without special primes.
+func (p *Parameters) Digits(level int) int {
+	if len(p.pi) == 0 {
+		return 0
+	}
+	return (level + len(p.pi)) / len(p.pi)
+}
+
+// LogQP returns the total bit count of all chain primes plus the special primes.
 func (p *Parameters) LogQP() int {
-	total := p.logP
-	for _, b := range p.logQi {
+	total := p.LogQ()
+	for _, b := range p.logPi {
 		total += b
 	}
 	return total
@@ -239,10 +304,9 @@ func (p *Parameters) Sigma() float64 { return p.sigma }
 // RingQ returns the RNS ring over the chain primes.
 func (p *Parameters) RingQ() *ring.Ring { return p.ringQ }
 
-// SpecialModulus returns the precomputed NTT tables of the special prime, or
-// nil if the parameter set has no special prime (and therefore cannot
-// relinearize or rotate).
-func (p *Parameters) SpecialModulus() *ring.Modulus { return p.special }
+// RingP returns the RNS ring over the special primes, or nil if the parameter
+// set has none (and therefore cannot relinearize or rotate).
+func (p *Parameters) RingP() *ring.Ring { return p.ringP }
 
 // QAtLevel returns the product of the chain primes up to the given level as a
 // float64 (used for noise-budget style diagnostics only).
@@ -264,17 +328,10 @@ func (p *Parameters) GaloisElementForRotation(k int) uint64 {
 	return numth.PowMod(5, uint64(kk), m)
 }
 
-// Equal reports whether two parameter sets use identical primes, degree and scale.
+// Equal reports whether two parameter sets use identical chain and special
+// primes, degree and scale.
 func (p *Parameters) Equal(o *Parameters) bool {
-	if p.logN != o.logN || p.p != o.p || p.scale != o.scale || len(p.qi) != len(o.qi) {
-		return false
-	}
-	for i := range p.qi {
-		if p.qi[i] != o.qi[i] {
-			return false
-		}
-	}
-	return true
+	return p.logN == o.logN && p.scale == o.scale && slices.Equal(p.qi, o.qi) && slices.Equal(p.pi, o.pi)
 }
 
 func (p *Parameters) String() string {

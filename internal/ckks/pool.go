@@ -43,30 +43,3 @@ func (pp *polyPool) Put(p *ring.Poly) {
 		pp.pools[p.Level()].Put(p)
 	}
 }
-
-// coeffPool recycles single-limb coefficient buffers (length N), used for
-// the special-prime residues in key switching. The buffers travel as
-// *[]uint64 so a Get/Put round trip never re-boxes the slice header.
-type coeffPool struct {
-	pool sync.Pool
-}
-
-func newCoeffPool(n int) *coeffPool {
-	return &coeffPool{pool: sync.Pool{New: func() any {
-		buf := make([]uint64, n)
-		return &buf
-	}}}
-}
-
-// Get returns a length-N buffer with undefined contents.
-func (cp *coeffPool) Get() *[]uint64 { return cp.pool.Get().(*[]uint64) }
-
-// GetZero returns a zeroed length-N buffer.
-func (cp *coeffPool) GetZero() *[]uint64 {
-	b := cp.Get()
-	clear(*b)
-	return b
-}
-
-// Put returns a buffer to the pool. The caller must not use b afterward.
-func (cp *coeffPool) Put(b *[]uint64) { cp.pool.Put(b) }

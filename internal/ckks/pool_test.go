@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -116,14 +117,83 @@ func TestPolyPoolLevels(t *testing.T) {
 		}
 		pp.Put(z)
 	}
-	cp := tc.eval.buf
-	b := cp.Get()
-	if len(*b) != tc.params.N() {
-		t.Fatalf("coeff pool buffer length %d, want %d", len(*b), tc.params.N())
+}
+
+// bytesPerRun reports the mean heap bytes allocated per call of f.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
-	(*b)[0] = 999
-	cp.Put(b)
-	if z := cp.GetZero(); (*z)[0] != 0 {
-		t.Fatal("coeff pool GetZero returned a dirty buffer")
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestKeySwitchSteadyStateBytes is the byte-level guard on the rotate and
+// relinearize paths: with results handed back through Recycle, as the
+// executor does, a warm evaluator must not allocate anything the size of a
+// polynomial — not the decomposition's digit buffers, not the special-prime
+// accumulators — nor the decomposition's and the batch's slice headers, at
+// either digit size. What is left is the result ciphertext headers (64 bytes)
+// and, for a batch, its result map and worker fan-out: under a single limb
+// (16 KiB on this ring), where one leaked top-level polynomial is 80 KiB.
+func TestKeySwitchSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops Puts, so scratch reallocates by design")
+	}
+	ks := []int{1, 2, 3, 4}
+	logQi := []int{50, 40, 40, 40, 40}
+	for _, logPi := range [][]int{{60}, {60, 60}} {
+		tc := newTestContextSpecials(t, 11, logQi, logPi, 1<<40, ks)
+		ct := tc.encrypt(t, tc.randomVector(13, 1))
+		prod, err := tc.eval.Mul(ct, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := map[string]func(){
+			"Relinearize": func() {
+				out, err := tc.eval.Relinearize(prod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.eval.Recycle(out)
+			},
+			"RotateLeft": func() {
+				out, err := tc.eval.RotateLeft(ct, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.eval.Recycle(out)
+			},
+			"RotateHoisted(4)": func() {
+				out, err := tc.eval.RotateHoisted(ct, ks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rot := range out {
+					tc.eval.Recycle(rot)
+				}
+			},
+		}
+		for name, op := range ops {
+			// A lone key switch allocates its result's header and nothing
+			// else; a batch adds its result map and the worker fan-out.
+			budget := 256.0
+			if name == "RotateHoisted(4)" {
+				budget = float64(8 * tc.params.N())
+			}
+			// The best of a few windows: a garbage collection in one of
+			// them (the fixtures leave plenty to collect) empties the pools
+			// and charges that window their refill.
+			got := bytesPerRun(3, op)
+			for window := 0; window < 3; window++ {
+				got = min(got, bytesPerRun(10, op))
+			}
+			if got > budget {
+				t.Errorf("digit size %d: %s allocates %.0f bytes per op in steady state, want at most %.0f",
+					len(logPi), name, got, budget)
+			}
+		}
 	}
 }

@@ -54,10 +54,9 @@ func newSampler(params *Parameters, prng *PRNG) *sampler {
 	return &sampler{params: params, prng: prng}
 }
 
-// uniformQ fills a level-`level` polynomial with uniform residues (NTT-domain
-// semantics: a uniform polynomial is uniform in either domain).
-func (s *sampler) uniformQ(level int, ntt bool) *ring.Poly {
-	r := s.params.RingQ()
+// uniform fills a polynomial of r at the given level with uniform residues,
+// marked as NTT form (a uniform polynomial is uniform in either domain).
+func (s *sampler) uniform(r *ring.Ring, level int) *ring.Poly {
 	p := r.NewPoly(level)
 	for i := 0; i <= level; i++ {
 		q := r.Moduli[i].Q
@@ -70,24 +69,8 @@ func (s *sampler) uniformQ(level int, ntt bool) *ring.Poly {
 			p.Coeffs[i][j] = v % q
 		}
 	}
-	p.IsNTT = ntt
+	p.IsNTT = true
 	return p
-}
-
-// uniformSpecial fills one limb over the special prime with uniform residues.
-func (s *sampler) uniformSpecial() []uint64 {
-	sp := s.params.SpecialModulus()
-	out := make([]uint64, s.params.N())
-	q := sp.Q
-	bound := (^uint64(0) / q) * q
-	for j := range out {
-		v := s.prng.Uint64()
-		for v >= bound {
-			v = s.prng.Uint64()
-		}
-		out[j] = v % q
-	}
-	return out
 }
 
 // ternarySigned samples a ternary polynomial with entries in {-1,0,1}
@@ -126,10 +109,11 @@ func (s *sampler) gaussianSigned() []int64 {
 	return out
 }
 
-// signedToPolyQ reduces signed coefficients into a level-`level` polynomial
-// over the chain primes (coefficient domain).
-func (s *sampler) signedToPolyQ(coeffs []int64, level int) *ring.Poly {
-	r := s.params.RingQ()
+// signedToPoly reduces signed coefficients into a polynomial of r at the
+// given level (coefficient domain). The same signed vector reduced over the
+// chain ring and over the special-prime ring is one small polynomial over
+// their union basis.
+func (s *sampler) signedToPoly(r *ring.Ring, coeffs []int64, level int) *ring.Poly {
 	p := r.NewPoly(level)
 	for i := 0; i <= level; i++ {
 		q := r.Moduli[i].Q
@@ -138,16 +122,6 @@ func (s *sampler) signedToPolyQ(coeffs []int64, level int) *ring.Poly {
 		}
 	}
 	return p
-}
-
-// signedToSpecial reduces signed coefficients modulo the special prime.
-func (s *sampler) signedToSpecial(coeffs []int64) []uint64 {
-	q := s.params.SpecialModulus().Q
-	out := make([]uint64, len(coeffs))
-	for j, c := range coeffs {
-		out[j] = reduceSigned(c, q)
-	}
-	return out
 }
 
 // reduceSigned maps a signed integer to its residue in [0, q).

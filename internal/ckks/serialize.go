@@ -18,14 +18,38 @@ import (
 // it can evolve.
 
 const (
-	magicCiphertext   byte = 0xC1
-	magicPlaintext    byte = 0xA1
-	magicPublicKey    byte = 0xB1
-	magicSecretKey    byte = 0xE1
-	magicSwitchingKey byte = 0xD1
-	magicRelinKey     byte = 0xD2
-	magicRotationKeys byte = 0xD3
+	magicCiphertext byte = 0xC1
+	magicPlaintext  byte = 0xA1
+	magicPublicKey  byte = 0xB1
+
+	// The key formats that carry special-prime material are at their second
+	// layout: digits of α chain primes with α special limbs each. The first
+	// had one digit per chain prime and a single raw special limb, under the
+	// retired magic bytes; such a blob cannot be used with any parameter set
+	// this package generates and is rejected by name rather than mis-parsed.
+	magicSecretKey    byte = 0xE2
+	magicSwitchingKey byte = 0xD4
+	magicRelinKey     byte = 0xD5
+	magicRotationKeys byte = 0xD6
+
+	retiredSecretKey    byte = 0xE1
+	retiredSwitchingKey byte = 0xD1
+	retiredRelinKey     byte = 0xD2
+	retiredRotationKeys byte = 0xD3
 )
+
+// expectKeyMagic consumes a key payload's magic byte and checks it is want,
+// naming the retired layout when it is that format's old byte instead.
+func expectKeyMagic(r *bytes.Reader, want, retired byte, what string) error {
+	magic, err := r.ReadByte()
+	switch {
+	case err == nil && magic == want:
+		return nil
+	case err == nil && magic == retired:
+		return fmt.Errorf("ckks: %s payload uses the retired single-special-prime key layout; regenerate the keys", what)
+	}
+	return fmt.Errorf("ckks: not a %s payload", what)
+}
 
 func writePoly(buf *bytes.Buffer, p *ring.Poly) {
 	var flags byte
@@ -164,33 +188,13 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	return err
 }
 
-func writeSpecialLimb(buf *bytes.Buffer, limb []uint64) {
-	binary.Write(buf, binary.LittleEndian, uint32(len(limb)))
-	binary.Write(buf, binary.LittleEndian, limb)
-}
-
-func readSpecialLimb(r *bytes.Reader) ([]uint64, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > (1 << 18) {
-		return nil, fmt.Errorf("ckks: implausible special-limb length %d", n)
-	}
-	limb := make([]uint64, n)
-	if err := binary.Read(r, binary.LittleEndian, limb); err != nil {
-		return nil, err
-	}
-	return limb, nil
-}
-
 func writeSwitchingKey(buf *bytes.Buffer, swk *SwitchingKey) {
 	binary.Write(buf, binary.LittleEndian, uint32(len(swk.BQ)))
 	for j := range swk.BQ {
 		writePoly(buf, swk.BQ[j])
 		writePoly(buf, swk.AQ[j])
-		writeSpecialLimb(buf, swk.BP[j])
-		writeSpecialLimb(buf, swk.AP[j])
+		writePoly(buf, swk.BP[j])
+		writePoly(buf, swk.AP[j])
 	}
 }
 
@@ -205,22 +209,15 @@ func readSwitchingKey(r *bytes.Reader) (*SwitchingKey, error) {
 	swk := &SwitchingKey{
 		BQ: make([]*ring.Poly, digits),
 		AQ: make([]*ring.Poly, digits),
-		BP: make([][]uint64, digits),
-		AP: make([][]uint64, digits),
+		BP: make([]*ring.Poly, digits),
+		AP: make([]*ring.Poly, digits),
 	}
 	var err error
 	for j := uint32(0); j < digits; j++ {
-		if swk.BQ[j], err = readPoly(r); err != nil {
-			return nil, err
-		}
-		if swk.AQ[j], err = readPoly(r); err != nil {
-			return nil, err
-		}
-		if swk.BP[j], err = readSpecialLimb(r); err != nil {
-			return nil, err
-		}
-		if swk.AP[j], err = readSpecialLimb(r); err != nil {
-			return nil, err
+		for _, dst := range []**ring.Poly{&swk.BQ[j], &swk.AQ[j], &swk.BP[j], &swk.AP[j]} {
+			if *dst, err = readPoly(r); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return swk, nil
@@ -237,9 +234,8 @@ func (swk *SwitchingKey) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a switching key produced by MarshalBinary.
 func (swk *SwitchingKey) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
-	if err != nil || magic != magicSwitchingKey {
-		return fmt.Errorf("ckks: not a switching-key payload")
+	if err := expectKeyMagic(r, magicSwitchingKey, retiredSwitchingKey, "switching-key"); err != nil {
+		return err
 	}
 	decoded, err := readSwitchingKey(r)
 	if err != nil {
@@ -262,10 +258,10 @@ func (rlk *RelinearizationKey) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a relinearization key produced by MarshalBinary.
 func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
-	if err != nil || magic != magicRelinKey {
-		return fmt.Errorf("ckks: not a relinearization-key payload")
+	if err := expectKeyMagic(r, magicRelinKey, retiredRelinKey, "relinearization-key"); err != nil {
+		return err
 	}
+	var err error
 	rlk.Key, err = readSwitchingKey(r)
 	return err
 }
@@ -292,10 +288,10 @@ func (rtk *RotationKeySet) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a rotation key set produced by MarshalBinary.
 func (rtk *RotationKeySet) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
-	if err != nil || magic != magicRotationKeys {
-		return fmt.Errorf("ckks: not a rotation-key-set payload")
+	if err := expectKeyMagic(r, magicRotationKeys, retiredRotationKeys, "rotation-key-set"); err != nil {
+		return err
 	}
+	var err error
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return err
@@ -316,14 +312,16 @@ func (rtk *RotationKeySet) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the secret key (including its special-prime limb).
-// Handle with care: this is the decryption key.
+// MarshalBinary encodes the secret key (including its special-prime limbs,
+// when the parameter set has special primes). Handle with care: this is the
+// decryption key.
 func (sk *SecretKey) MarshalBinary() ([]byte, error) {
 	buf := &bytes.Buffer{}
 	buf.WriteByte(magicSecretKey)
 	writePoly(buf, sk.Value)
-	binary.Write(buf, binary.LittleEndian, uint32(len(sk.ValueSpecial)))
-	binary.Write(buf, binary.LittleEndian, sk.ValueSpecial)
+	if sk.ValueP != nil {
+		writePoly(buf, sk.ValueP)
+	}
 	return buf.Bytes(), nil
 }
 
@@ -332,20 +330,16 @@ func (sk *SecretKey) MarshalBinary() ([]byte, error) {
 // restored secret key can decrypt but cannot generate new rotation keys.
 func (sk *SecretKey) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
-	if err != nil || magic != magicSecretKey {
-		return fmt.Errorf("ckks: not a secret-key payload")
+	if err := expectKeyMagic(r, magicSecretKey, retiredSecretKey, "secret-key"); err != nil {
+		return err
 	}
+	var err error
 	if sk.Value, err = readPoly(r); err != nil {
 		return err
 	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
+	sk.ValueP = nil
+	if r.Len() > 0 {
+		sk.ValueP, err = readPoly(r)
 	}
-	if n > (1 << 18) {
-		return fmt.Errorf("ckks: implausible special-limb length %d", n)
-	}
-	sk.ValueSpecial = make([]uint64, n)
-	return binary.Read(r, binary.LittleEndian, sk.ValueSpecial)
+	return err
 }

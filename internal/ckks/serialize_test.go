@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -92,7 +93,12 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 // client-keygen deployment model of the paper, where the server never sees
 // the secret key.
 func TestEvaluationKeySerializationRoundTrip(t *testing.T) {
-	tc := newTestContext(t, 12, []int{50, 40}, 50, 1<<40, []int{1, 3})
+	for _, logPi := range [][]int{{50}, {50, 50}} { // per-prime digits, and one digit of two
+		evaluationKeyRoundTrip(t, newTestContextSpecials(t, 12, []int{50, 40}, logPi, 1<<40, []int{1, 3}))
+	}
+}
+
+func evaluationKeyRoundTrip(t *testing.T, tc *testContext) {
 
 	rlkData, err := tc.rlk.MarshalBinary()
 	if err != nil {
@@ -174,4 +180,81 @@ func TestSerializationRejectsGarbage(t *testing.T) {
 	if err := ct.UnmarshalBinary(good[:len(good)/2]); err == nil {
 		t.Error("expected error for truncated ciphertext payload")
 	}
+}
+
+// TestKeySerializationRejectsRetiredLayout: key blobs written before digits
+// were grouped (one raw special limb per digit, older magic bytes) must be
+// refused by name, not parsed as the new layout.
+func TestKeySerializationRejectsRetiredLayout(t *testing.T) {
+	retired := map[string]struct {
+		magic  byte
+		decode func([]byte) error
+	}{
+		"secret key":          {retiredSecretKey, new(SecretKey).UnmarshalBinary},
+		"switching key":       {retiredSwitchingKey, new(SwitchingKey).UnmarshalBinary},
+		"relinearization key": {retiredRelinKey, new(RelinearizationKey).UnmarshalBinary},
+		"rotation key set":    {retiredRotationKeys, new(RotationKeySet).UnmarshalBinary},
+	}
+	for what, c := range retired {
+		err := c.decode([]byte{c.magic, 2, 0, 0, 0, 1, 2, 0, 0, 0})
+		if err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("%s with the old magic byte: error %v, want one naming the retired layout", what, err)
+		}
+	}
+	// The current magic bytes differ from every retired one.
+	for _, m := range []byte{magicSecretKey, magicSwitchingKey, magicRelinKey, magicRotationKeys} {
+		for _, c := range retired {
+			if m == c.magic {
+				t.Errorf("magic byte %#x is still in use", m)
+			}
+		}
+	}
+}
+
+// TestSwitchingKeyValidate: a key must have ⌈(L+1)/α⌉ digits of L+1 chain
+// limbs and α special limbs for the parameter set it is used with. A key set
+// generated for a different digit size over the same chain is the realistic
+// mismatch (a client that ignored the special-prime list).
+func TestSwitchingKeyValidate(t *testing.T) {
+	logQi := []int{50, 40, 40, 40, 40}
+	perPrime := newTestContextSpecials(t, 11, logQi, []int{60}, 1<<40, []int{1})
+	grouped := newTestContextSpecials(t, 11, logQi, []int{60, 60}, 1<<40, []int{1})
+	if err := grouped.rlk.Key.Validate(grouped.params); err != nil {
+		t.Fatalf("a freshly generated key fails validation: %v", err)
+	}
+	if got := len(grouped.rlk.Key.BQ); got != 3 {
+		t.Fatalf("5 chain primes in digits of 2: %d digits, want 3", got)
+	}
+	if err := perPrime.rlk.Key.Validate(grouped.params); err == nil || !strings.Contains(err.Error(), "digits") {
+		t.Errorf("per-prime key against digit size 2: error %v, want a digit-count error", err)
+	}
+	if err := grouped.rlk.Key.Validate(perPrime.params); err == nil {
+		t.Error("digit-size-2 key validated against per-prime parameters")
+	}
+	noSpecial := testParams(t, 11, logQi, 0, 1<<40)
+	if err := grouped.rlk.Key.Validate(noSpecial); err == nil {
+		t.Error("key validated against parameters without special primes")
+	}
+
+	corrupt := func(name string, mutate func(swk *SwitchingKey)) {
+		data, err := grouped.rlk.Key.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		swk := &SwitchingKey{}
+		if err := swk.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		mutate(swk)
+		if err := swk.Validate(grouped.params); err == nil {
+			t.Errorf("%s: validation passed", name)
+		}
+	}
+	corrupt("chain polynomial short of a limb", func(swk *SwitchingKey) { swk.AQ[1].Coeffs = swk.AQ[1].Coeffs[:4] })
+	corrupt("special polynomial short of a limb", func(swk *SwitchingKey) { swk.BP[0].Coeffs = swk.BP[0].Coeffs[:1] })
+	corrupt("special polynomial with a chain's limb count", func(swk *SwitchingKey) { swk.AP[2] = swk.AQ[2] })
+	corrupt("truncated limb", func(swk *SwitchingKey) { swk.BQ[2].Coeffs[3] = swk.BQ[2].Coeffs[3][:100] })
+	corrupt("missing polynomial", func(swk *SwitchingKey) { swk.BP[1] = nil })
+	corrupt("coefficient-domain polynomial", func(swk *SwitchingKey) { swk.BQ[0].IsNTT = false })
+	corrupt("dropped digit", func(swk *SwitchingKey) { swk.BQ = swk.BQ[:2] })
 }

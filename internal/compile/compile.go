@@ -9,6 +9,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,6 +170,20 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
+	// Step 5: key-switch digit size, within the security budget of the ring
+	// degree just chosen.
+	budget := ckks.MaxLogQP(logN)
+	if opts.AllowInsecure {
+		budget = 0
+	}
+	load := analysis.ProgramKeySwitchLoad(chains)
+	if opts.ExtraLevels > 0 {
+		// A pipeline stage shares its parameter set, not only its chain, with
+		// stages compiled from other programs, so its digit size may depend
+		// on the chain alone.
+		load = analysis.UniformKeySwitchLoad(len(plan.BitSizes))
+	}
+	plan.SelectKeySwitchDigits(load, logN, budget)
 
 	return &Result{
 		Program:       prog,
@@ -220,7 +235,7 @@ func (r *Result) ParametersLiteral() ckks.ParametersLiteral {
 	return ckks.ParametersLiteral{
 		LogN:          r.LogN,
 		LogQi:         logQi,
-		LogP:          r.Plan.SpecialBits,
+		LogPi:         slices.Clone(r.Plan.SpecialBits),
 		Scale:         math.Exp2(rewrite.Waterline(r.Program)),
 		AllowInsecure: r.Options.AllowInsecure,
 	}
@@ -235,10 +250,16 @@ func (r *Result) InputScales() map[string]float64 {
 	return out
 }
 
+// CostModel returns the analysis cost model of the compiled program: its ring
+// degree, chain length and key-switch digit size.
+func (r *Result) CostModel() analysis.CostModel {
+	return analysis.CostModel{LogN: r.LogN, TotalLevels: len(r.Plan.BitSizes), DigitSize: len(r.Plan.SpecialBits)}
+}
+
 // Summary returns a human-readable report of the compilation, in the style of
-// the paper's Table 6 rows.
+// the paper's Table 6 rows (r counts every special prime).
 func (r *Result) Summary() string {
-	return fmt.Sprintf("program %q: log2(N)=%d, log2(Q)=%d, r=%d, rotations=%d, terms %d -> %d",
-		r.Program.Name, r.LogN, r.Plan.LogQ(), r.Plan.NumPrimes(), len(r.RotationSteps),
+	return fmt.Sprintf("program %q: log2(N)=%d, log2(Q)=%d, r=%d, special=%v, rotations=%d, terms %d -> %d",
+		r.Program.Name, r.LogN, r.Plan.LogQ(), r.Plan.NumPrimes(), r.Plan.SpecialBits, len(r.RotationSteps),
 		r.SourceStats.Terms, r.CompiledStats.Terms)
 }

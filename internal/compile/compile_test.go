@@ -2,6 +2,7 @@ package compile
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"eva/internal/core"
@@ -115,7 +116,7 @@ func TestParametersLiteralOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	lit := res.ParametersLiteral()
-	if lit.LogN != res.LogN || lit.LogP != res.Plan.SpecialBits {
+	if lit.LogN != res.LogN || !slices.Equal(lit.LogPi, res.Plan.SpecialBits) {
 		t.Error("literal ring degree or special prime mismatch")
 	}
 	if len(lit.LogQi) != len(res.Plan.BitSizes) {

@@ -68,6 +68,15 @@ func (b Barrett) ReduceWord(x uint64) uint64 {
 	return r
 }
 
+// Frac64 returns floor(y·floor(2^128/Q) / 2^64) for y < Q: the fraction y/Q
+// as a 64-bit fixed-point number, low by less than 2^-63. RNS basis
+// conversion sums these fractions to find how many multiples of the source
+// modulus its lift overshoots by.
+func (b Barrett) Frac64(y uint64) uint64 {
+	hi, _ := bits.Mul64(y, b.lo)
+	return y*b.hi + hi
+}
+
 // MulMod returns (x·y) mod Q via Barrett reduction of the 128-bit product.
 // It accepts arbitrary uint64 operands, like the reference MulMod.
 func (b Barrett) MulMod(x, y uint64) uint64 {

@@ -84,6 +84,36 @@ func TestBarrettReduce128(t *testing.T) {
 	}
 }
 
+// TestBarrettFrac64 pins Frac64(y) against the exact floor(y·2^64/q): never
+// above it, and below it by at most 2 units of 2^-64 — the bound basis
+// conversion's overshoot rounding relies on — including at the two residues
+// either side of q/2.
+func TestBarrettFrac64(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, q := range testModuli(t) {
+		br := NewBarrett(q)
+		ys := []uint64{0, 1, q >> 1, q>>1 + 1, q - 1}
+		for i := 0; i < 500; i++ {
+			ys = append(ys, rng.Uint64()%q)
+		}
+		for _, y := range ys {
+			exact, _ := bits.Div64(y, 0, q) // floor(y·2^64/q), y < q
+			got := br.Frac64(y)
+			if got > exact || exact-got > 2 {
+				t.Fatalf("q=%d y=%d: Frac64 = %d, exact %d", q, y, got, exact)
+			}
+		}
+		// One prime's worth of rounding is exact: adding one half carries
+		// exactly for the residues above q/2.
+		for _, y := range []uint64{q >> 1, q>>1 + 1} {
+			_, carry := bits.Add64(br.Frac64(y), 1<<63, 0)
+			if (y > q>>1) != (carry == 1) {
+				t.Errorf("q=%d: y=%d rounds to %d", q, y, carry)
+			}
+		}
+	}
+}
+
 func TestNewBarrettRejectsBadModuli(t *testing.T) {
 	for _, q := range []uint64{0, 1, 2, 4, 1 << 40} {
 		func() {

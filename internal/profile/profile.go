@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eva/internal/analysis"
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
@@ -178,7 +177,7 @@ type pred struct {
 }
 
 func buildPredictions(res *compile.Result) *predictions {
-	model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
+	model := res.CostModel()
 	levels := rewrite.Levels(res.Program)
 	types := res.Types
 	if types == nil {

@@ -117,3 +117,28 @@ func BenchmarkAutomorphismNTT(b *testing.B) {
 func sizeName(logN int) string {
 	return map[int]string{12: "N=4096", 13: "N=8192", 14: "N=16384"}[logN]
 }
+
+// BenchmarkBasisConvert measures the hybrid key switch's mod-up kernel in the
+// two shapes the tracked chains give it: a digit of 4 primes lifted to the 16
+// other limbs of a 16+4-limb extended basis on a small ring, and a digit of 2
+// lifted to the 5 others of a 5+2-limb basis on a production-size ring. Each
+// converted limb is also forward-transformed, as in the key switch.
+func BenchmarkBasisConvert(b *testing.B) {
+	for _, shape := range []struct {
+		name            string
+		logN, src, rest int
+	}{{"N=1024/4to16", 10, 4, 16}, {"N=16384/2to5", 14, 2, 5}} {
+		r := benchRing(b, shape.logN, shape.src+shape.rest)
+		bc, err := NewBasisConverter(r.Moduli[:shape.src], r.Moduli[shape.src:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		digit := benchPoly(r, shape.src-1)
+		out := r.NewPoly(shape.rest - 1)
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.ConvertNTT(digit.Coeffs, out.Coeffs)
+			}
+		})
+	}
+}

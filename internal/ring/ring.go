@@ -84,26 +84,6 @@ func NewModulus(q uint64, logN int) (*Modulus, error) {
 // as the CKKS key switch) that run element-wise loops modulo this prime.
 func (m *Modulus) Barrett() numth.Barrett { return m.br }
 
-// ReduceCentered reduces the residues `small` (values in [0, srcQ)) into dst
-// modulo m.Q using centered representatives: residues above srcQ/2 are
-// lifted to their negative representative before reduction. This is the
-// shared digit-lift of RNS basis extension — both ExtendBasisSmall and the
-// CKKS key switch's special-prime path go through it.
-func (m *Modulus) ReduceCentered(small []uint64, srcQ uint64, dst []uint64) {
-	q := m.Q
-	br := m.br
-	srcModQ := srcQ % q
-	halfSrc := srcQ / 2
-	for j, v := range small {
-		if v > halfSrc {
-			// centered lift: v - srcQ (negative), reduced mod q
-			dst[j] = numth.SubMod(br.ReduceWord(v), srcModQ, q)
-		} else {
-			dst[j] = br.ReduceWord(v)
-		}
-	}
-}
-
 // NTT transforms a (length N, coefficient representation, values reduced
 // modulo m.Q) into the negacyclic NTT domain in place. The output is fully
 // reduced to [0, Q).
@@ -613,7 +593,7 @@ const MaxLazyDigits = 64
 
 // InnerProductAutoVec computes acc[j] = Σ_t es[t][σ(j)]·ks[t][j] mod q, where
 // σ is the slot permutation described by idx (nil for the identity; otherwise
-// a table from AutomorphismNTTIndex). This is the fused hot loop of a hoisted
+// a Ring's cached NTT-slot permutation table). This is the fused hot loop of a hoisted
 // key switch: the Galois automorphism is applied as a gather inside the
 // accumulation instead of a separate permutation pass per digit, and the
 // digit products accumulate lazily in 128 bits with a single Barrett
@@ -784,16 +764,6 @@ func innerProductLimb(es, ks []*Poly, limb int, idx []uint32, acc []uint64, br n
 	InnerProductAutoVec(ebuf[:d], kbuf[:d], idx, acc, br)
 }
 
-// AutomorphismNTTIndex returns the NTT-slot permutation table for the odd
-// Galois element galEl, for use with InnerProductAutoVec. The returned slice
-// is cached and shared; callers must treat it as read-only.
-func (r *Ring) AutomorphismNTTIndex(galEl uint64) []uint32 {
-	if galEl%2 == 0 {
-		panic("ring: Galois element must be odd")
-	}
-	return r.automorphismNTTIndex(galEl)
-}
-
 // MulScalar sets out = a * scalar, where scalar is reduced modulo each limb.
 // The scalar is fixed per limb, so each limb uses a Shoup multiplication
 // against a quotient computed once per call. Aliasing out with a is safe.
@@ -953,21 +923,6 @@ func permuteLimb(idx []uint32, ai, oi []uint64) {
 	}
 }
 
-// AutomorphismNTTSlice applies the NTT-domain automorphism permutation for
-// galEl to a single limb: dst[j] = src[idx[j]]. The permutation depends only
-// on the ring degree, not on the limb's prime, so this serves limbs over
-// moduli outside the chain — in particular the special-prime limbs of a
-// hoisted key-switch decomposition. src and dst must not overlap.
-func (r *Ring) AutomorphismNTTSlice(galEl uint64, src, dst []uint64) {
-	if galEl%2 == 0 {
-		panic("ring: Galois element must be odd")
-	}
-	if len(src) > 0 && len(dst) > 0 && &src[0] == &dst[0] {
-		panic("ring: AutomorphismNTTSlice does not support aliased input and output")
-	}
-	permuteLimb(r.automorphismNTTIndex(galEl), src, dst)
-}
-
 // DivideByLastModulus performs RNS rescaling: it interprets p (coefficient
 // domain) as an integer polynomial modulo Q = q_0*...*q_L, divides it by the
 // last prime q_L with rounding, and returns the result at level L-1. This is
@@ -1028,28 +983,4 @@ func (r *Ring) rescaleLimb(p, out *Poly, level, i int, last []uint64, half, qL u
 		tmp = numth.AddMod(tmp, halfMod, q)
 		oi[j] = numth.MulModShoup(tmp, qLInv, qLInvShoup, q)
 	}
-}
-
-// ExtendBasisSmall takes the residues `small` of a polynomial modulo srcQ
-// (one uint64 per coefficient, values in [0, srcQ)) and reduces the centered
-// representative of each residue modulo every modulus of the target ring
-// limbs in out. This is the trivial "mod-up" used by RNS key switching where
-// the decomposed digit is a single-limb polynomial.
-func (r *Ring) ExtendBasisSmall(small []uint64, srcQ uint64, out *Poly) {
-	if r.limbsParallel(len(out.Coeffs)) {
-		Parallel(len(out.Coeffs), func(i int) { extendLimb(r.Moduli[i], small, srcQ, out.Coeffs[i]) })
-	} else {
-		for i := range out.Coeffs {
-			extendLimb(r.Moduli[i], small, srcQ, out.Coeffs[i])
-		}
-	}
-	out.IsNTT = false
-}
-
-func extendLimb(m *Modulus, small []uint64, srcQ uint64, oi []uint64) {
-	if m.Q == srcQ {
-		copy(oi, small)
-		return
-	}
-	m.ReduceCentered(small, srcQ, oi)
 }

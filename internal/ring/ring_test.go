@@ -257,33 +257,6 @@ func TestDivideByLastModulus(t *testing.T) {
 	}
 }
 
-func TestExtendBasisSmall(t *testing.T) {
-	r := testRing(t, 5, 3)
-	srcQ := r.Moduli[2].Q
-	rng := rand.New(rand.NewSource(15))
-	small := make([]uint64, r.N)
-	for j := range small {
-		small[j] = rng.Uint64() % srcQ
-	}
-	out := r.NewPoly(1)
-	r.ExtendBasisSmall(small, srcQ, out)
-	for j := range small {
-		c := numth.CenteredRem(small[j], srcQ)
-		for i := 0; i <= 1; i++ {
-			q := r.Moduli[i].Q
-			var want uint64
-			if c >= 0 {
-				want = uint64(c) % q
-			} else {
-				want = numth.NegMod(uint64(-c)%q, q)
-			}
-			if out.Coeffs[i][j] != want {
-				t.Fatalf("limb %d coeff %d: got %d want %d", i, j, out.Coeffs[i][j], want)
-			}
-		}
-	}
-}
-
 func TestPolyHelpers(t *testing.T) {
 	r := testRing(t, 5, 2)
 	p := randPoly(r, 1, 16)

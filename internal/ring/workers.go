@@ -137,6 +137,10 @@ const parallelMinDegree = 1 << 12
 // they would hand to Parallel, so the serial small-ring path stays
 // allocation-free (escaping closures are heap-allocated even if never run in
 // parallel).
-func (r *Ring) limbsParallel(limbs int) bool {
-	return limbs > 1 && r.N >= parallelMinDegree && Workers() > 1
+func (r *Ring) limbsParallel(limbs int) bool { return parallelLimbs(r.N, limbs) }
+
+// parallelLimbs is limbsParallel for code that works on raw limbs of length n
+// rather than on a Ring's polynomials.
+func parallelLimbs(n, limbs int) bool {
+	return limbs > 1 && n >= parallelMinDegree && Workers() > 1
 }

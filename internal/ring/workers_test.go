@@ -150,28 +150,6 @@ func TestRingOpsParallelMatchSerial(t *testing.T) {
 	}
 }
 
-func TestAutomorphismNTTSliceMatchesPolyPath(t *testing.T) {
-	r := testRing(t, 8, 1)
-	a := randPoly(r, 0, 7)
-	a.IsNTT = true
-	galEl := uint64(5)
-	want := r.NewPoly(0)
-	r.AutomorphismNTT(a, galEl, want)
-	got := make([]uint64, r.N)
-	r.AutomorphismNTTSlice(galEl, a.Coeffs[0], got)
-	for j := range got {
-		if got[j] != want.Coeffs[0][j] {
-			t.Fatalf("slot %d: AutomorphismNTTSlice = %d, AutomorphismNTT = %d", j, got[j], want.Coeffs[0][j])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("aliased AutomorphismNTTSlice did not panic")
-		}
-	}()
-	r.AutomorphismNTTSlice(galEl, got, got)
-}
-
 func TestMulAddVecMatchesScalarLoop(t *testing.T) {
 	r := testRing(t, 8, 1)
 	m := r.Moduli[0]

@@ -44,7 +44,7 @@ func validOutputMode(mode string) error {
 }
 
 // paramsFingerprint identifies an encryption-parameter set (ring degree,
-// modulus chain, special prime) so handle metadata can reject chaining a
+// modulus chain, every special prime) so handle metadata can reject chaining a
 // ciphertext into a context with a different chain — the residues would be
 // reinterpreted as garbage, not rejected, by the ring layer.
 func paramsFingerprint(p *ckks.Parameters) string {
@@ -52,12 +52,14 @@ func paramsFingerprint(p *ckks.Parameters) string {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(p.LogN()))
 	h.Write(buf[:])
-	for _, q := range p.Qi() {
+	// The chain length separates the two lists, so moving a prime between
+	// chain and special primes changes the fingerprint.
+	binary.LittleEndian.PutUint64(buf[:], uint64(p.MaxLevel()+1))
+	h.Write(buf[:])
+	for _, q := range append(p.Qi(), p.SpecialPrimes()...) {
 		binary.LittleEndian.PutUint64(buf[:], q)
 		h.Write(buf[:])
 	}
-	binary.LittleEndian.PutUint64(buf[:], p.SpecialPrime())
-	h.Write(buf[:])
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"time"
 
-	"eva/internal/analysis"
 	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
@@ -117,7 +116,7 @@ func estimateJobBytes(entry *Entry, batches []*execute.EncryptedInputs, pendingV
 	n := int64(1) << uint(res.LogN)
 	freshCt := 2 * int64(len(res.Plan.BitSizes)) * n * 8
 	est += int64(pendingValues) * freshCt
-	model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
+	model := res.CostModel()
 	est += model.EstimatePeakMemoryBytes(res.Program)
 	return est
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"eva/internal/analysis"
 	"eva/internal/ckks"
 	"eva/internal/core"
 	"eva/internal/execute"
@@ -368,7 +367,7 @@ func (s *Server) estimatePipelineBytes(plans []*pipelineStagePlan, handleBytes m
 		for _, pv := range plan.pre.Plain {
 			est += int64(8 * len(pv))
 		}
-		model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
+		model := res.CostModel()
 		if p := model.EstimatePeakMemoryBytes(res.Program); p > peak {
 			peak = p
 		}

@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"eva/internal/analysis"
 	"eva/internal/ckks"
 	"eva/internal/coalesce"
 	"eva/internal/compile"
@@ -611,11 +610,12 @@ type CompileRequest struct {
 
 // ParamsJSON is the wire form of the selected encryption parameters — enough
 // for a client to reconstruct ckks.ParametersLiteral and generate matching
-// keys locally.
+// keys locally. LogPi lists the special primes; their number is the
+// key-switch digit size the server's evaluator expects of uploaded keys.
 type ParamsJSON struct {
 	LogN          int     `json:"log_n"`
 	LogQi         []int   `json:"log_qi"`
-	LogP          int     `json:"log_p"`
+	LogPi         []int   `json:"log_pi"`
 	Scale         float64 `json:"scale"`
 	AllowInsecure bool    `json:"allow_insecure,omitempty"`
 }
@@ -625,7 +625,7 @@ func (p ParamsJSON) Literal() ckks.ParametersLiteral {
 	return ckks.ParametersLiteral{
 		LogN:          p.LogN,
 		LogQi:         p.LogQi,
-		LogP:          p.LogP,
+		LogPi:         p.LogPi,
 		Scale:         p.Scale,
 		AllowInsecure: p.AllowInsecure,
 	}
@@ -708,7 +708,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !cached {
-		model := analysis.CostModel{LogN: entry.Result.LogN, TotalLevels: len(entry.Result.Plan.BitSizes)}
+		model := entry.Result.CostModel()
 		s.metrics.RecordPredictedCost(model.EstimateCost(entry.Result.Program).ByOp)
 	}
 	writeJSON(w, http.StatusOK, s.compileResponse(entry, cached))
@@ -719,7 +719,7 @@ func (s *Server) compileResponse(entry *Entry, cached bool) CompileResponse {
 	lit := res.ParametersLiteral()
 	var predictedMs float64
 	if cal := s.profiles.Calibration(); cal != nil {
-		model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
+		model := res.CostModel()
 		var ns float64
 		for op, units := range model.EstimateCost(res.Program).ByOp {
 			ns += cal.PredictNs(op, units)
@@ -735,7 +735,7 @@ func (s *Server) compileResponse(entry *Entry, cached bool) CompileResponse {
 		Params: ParamsJSON{
 			LogN:          lit.LogN,
 			LogQi:         lit.LogQi,
-			LogP:          lit.LogP,
+			LogPi:         lit.LogPi,
 			Scale:         lit.Scale,
 			AllowInsecure: lit.AllowInsecure,
 		},
