@@ -89,8 +89,8 @@ func countHoistedSpans(spans []eva.JobTraceSpan) int {
 	return n
 }
 
-// TestHoistFlagDefaults: with no flags given, hoisting is on — a job whose
-// rotations share a source traces a rotate_hoisted batch.
+// TestHoistFlagDefaults: hoisting is always on — a job whose rotations share
+// a source traces a rotate_hoisted batch.
 func TestHoistFlagDefaults(t *testing.T) {
 	c, stop := startServer(t)
 	defer stop()
@@ -100,17 +100,12 @@ func TestHoistFlagDefaults(t *testing.T) {
 	}
 }
 
-// TestHoistFlagsDisable: -hoist-rotations=false turns batching off and
-// -ring-workers sizes the process-wide limb pool.
-func TestHoistFlagsDisable(t *testing.T) {
+// TestRingWorkersFlag: -ring-workers sizes the process-wide limb pool.
+func TestRingWorkersFlag(t *testing.T) {
 	defer ring.SetWorkers(0) // restore the GOMAXPROCS default for other tests
-	c, stop := startServer(t, "-hoist-rotations=false", "-ring-workers", "3")
+	_, stop := startServer(t, "-ring-workers", "3")
 	defer stop()
 	if got := ring.Workers(); got != 3 {
 		t.Errorf("-ring-workers 3 left the pool at %d workers", got)
-	}
-	tr := runRotationJob(t, c)
-	if n := countHoistedSpans(tr.Spans); n != 0 {
-		t.Fatalf("-hoist-rotations=false still traced %d rotate_hoisted spans", n)
 	}
 }

@@ -23,7 +23,7 @@
 // Usage:
 //
 //	evaserve [-addr :8080] [-cache 128] [-workers 0] [-batches 0] [-demo]
-//	         [-ring-workers 0] [-hoist-rotations]
+//	         [-ring-workers 0]
 //	         [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192] [-result-ttl 2m]
 //	         [-coalesce-max 64] [-coalesce-wait 25ms]
 //	         [-data-dir /var/lib/evaserve] [-drain-timeout 30s]
@@ -145,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		cache     = fs.Int("cache", 128, "compiled-program cache capacity")
 		workers   = fs.Int("workers", 0, "default executor workers per batch (0 = GOMAXPROCS)")
 		ringW     = fs.Int("ring-workers", 0, "RNS-limb worker pool shared by all executions (0 = GOMAXPROCS)")
-		hoist     = fs.Bool("hoist-rotations", true, "batch shared-source rotations behind one hoisted decomposition")
 		planMB    = fs.Int("plan-cache-mb", 512, "byte budget in MiB for keeping programs' constants encoded between runs (0 = off)")
 		batches   = fs.Int("batches", 0, "max concurrent batches per request (0 = GOMAXPROCS)")
 		contexts  = fs.Int("contexts", 256, "max retained execution contexts (LRU)")
@@ -236,7 +235,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		MaxContexts:          *contexts,
 		AllowServerKeygen:    *demo,
 		RingWorkers:          *ringW,
-		DisableHoisting:      !*hoist,
 		PlanCacheMB:          planCacheMB(*planMB),
 		JobWorkers:           *jobW,
 		JobQueueDepth:        *jobQueue,

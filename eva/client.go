@@ -333,41 +333,6 @@ func (c *Client) Execute(ctx context.Context, programID string, req ExecuteReque
 	return out, err
 }
 
-// SubmitJob enqueues an asynchronous execution (POST /jobs) and returns
-// immediately with the job's id. When the server sheds the submission the
-// returned error is an *APIError with Overloaded() == true; retry after its
-// RetryAfter hint.
-//
-// Deprecated: use Submit, which consolidates the per-variant submission
-// knobs (output mode, coalescing, trace adoption) into SubmitOptions. This
-// wrapper is equivalent to Submit with the options already inlined in req.
-func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (JobStatusInfo, error) {
-	res, err := c.Submit(ctx, req.ProgramID, req.ContextID, req.Batches, SubmitOptions{
-		Workers:   req.Workers,
-		Scheduler: req.Scheduler,
-		Output:    req.Output,
-	})
-	return res.Job, err
-}
-
-// SubmitCoalesced submits a single-batch job to the server's request
-// coalescer (POST /jobs?coalesce=1); see SubmitOptions.Coalesce for the
-// semantics and compatibility rules.
-//
-// Deprecated: use Submit with SubmitOptions{Coalesce: true}.
-func (c *Client) SubmitCoalesced(ctx context.Context, req JobRequest) (CoalesceResponse, error) {
-	res, err := c.Submit(ctx, req.ProgramID, req.ContextID, req.Batches, SubmitOptions{
-		Workers:   req.Workers,
-		Scheduler: req.Scheduler,
-		Output:    req.Output,
-		Coalesce:  true,
-	})
-	if err != nil {
-		return CoalesceResponse{}, err
-	}
-	return *res.Coalesced, nil
-}
-
 // JobStatus polls a job (GET /jobs/{id}).
 func (c *Client) JobStatus(ctx context.Context, jobID string) (JobStatusInfo, error) {
 	var out JobStatusInfo
@@ -463,39 +428,57 @@ func (c *Client) StreamJobEvents(ctx context.Context, jobID string, fn func(JobE
 }
 
 // WaitJob blocks until the job reaches a terminal status, preferring the
-// event stream and falling back to polling if streaming fails.
+// event stream and falling back to polling if streaming fails. The returned
+// status is the terminal event's own snapshot, not a second read: on a
+// cluster, a job whose node died after finishing may already be requeued,
+// and a fresh status read would answer "queued" for a job the stream just
+// reported done. WaitMillis and RunMillis come from the stream's running and
+// terminal events.
 func (c *Client) WaitJob(ctx context.Context, jobID string) (JobStatusInfo, error) {
-	var terminal bool
+	var final, running *JobEvent
 	err := c.StreamJobEvents(ctx, jobID, func(ev JobEvent) error {
 		switch ev.Type {
-		case "done", "failed", "cancelled":
-			terminal = true
+		case string(jobs.StatusRunning):
+			running = &ev
+		case string(jobs.StatusDone), string(jobs.StatusFailed), string(jobs.StatusCancelled):
+			final = &ev
 		}
 		return nil
 	})
-	if err == nil && !terminal {
+	if err == nil && final == nil {
 		err = errors.New("eva: event stream ended before the job finished")
 	}
-	if err != nil && ctx.Err() != nil {
+	if err == nil {
+		st := JobStatusInfo{
+			JobID:       jobID,
+			Status:      final.Type,
+			Batches:     final.Batches,
+			BatchesDone: final.BatchesDone,
+			Error:       final.Error,
+		}
+		if running != nil {
+			st.WaitMillis = running.ElapsedMillis
+			st.RunMillis = final.ElapsedMillis - running.ElapsedMillis
+		}
+		return st, nil
+	}
+	if ctx.Err() != nil {
 		return JobStatusInfo{}, ctx.Err()
 	}
-	if err != nil {
-		// Fall back to polling: the stream may have been cut by a proxy.
-		for {
-			st, perr := c.JobStatus(ctx, jobID)
-			if perr != nil {
-				return st, perr
-			}
-			switch st.Status {
-			case string(jobs.StatusDone), string(jobs.StatusFailed), string(jobs.StatusCancelled):
-				return st, nil
-			}
-			select {
-			case <-ctx.Done():
-				return st, ctx.Err()
-			case <-time.After(50 * time.Millisecond):
-			}
+	// Fall back to polling: the stream may have been cut by a proxy.
+	for {
+		st, perr := c.JobStatus(ctx, jobID)
+		if perr != nil {
+			return st, perr
+		}
+		switch st.Status {
+		case string(jobs.StatusDone), string(jobs.StatusFailed), string(jobs.StatusCancelled):
+			return st, nil
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	return c.JobStatus(ctx, jobID)
 }

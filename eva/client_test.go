@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -213,37 +214,39 @@ output out @30;`,
 	}
 }
 
-// TestClientDeprecatedSubmitWrappers pins the backward-compatible wrappers to
-// the consolidated Submit path: a JobRequest submitted through SubmitJob
-// still runs.
-func TestClientDeprecatedSubmitWrappers(t *testing.T) {
-	c := startDemoServer(t, serve.Config{})
-	ctx := context.Background()
-	comp, err := c.Compile(ctx, eva.CompileRequest{
-		Source:  clientProgramSource(),
-		Options: &serve.CompileOptionsJSON{AllowInsecure: true},
+// TestWaitJobReturnsTerminalEvent: WaitJob reports the job's terminal event
+// itself. The status endpoint here answers "queued", as a cluster router
+// does for a job requeued after its node died between finishing and the
+// read; a second status read would turn a finished job into a lost one.
+func TestWaitJobReturnsTerminalEvent(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		for _, ev := range []string{
+			`{"type":"queued","job_id":"local","batches":2,"batches_done":0,"elapsed_ms":0.1}`,
+			`{"type":"running","job_id":"local","batches":2,"batches_done":0,"elapsed_ms":1.5}`,
+			`{"type":"batch","job_id":"local","batch":1,"batches":2,"batches_done":1,"elapsed_ms":3}`,
+			`{"type":"batch","job_id":"local","batch":2,"batches":2,"batches_done":2,"elapsed_ms":4}`,
+			`{"type":"done","job_id":"local","batches":2,"batches_done":2,"elapsed_ms":4.5}`,
+		} {
+			fmt.Fprintf(w, "event: x\ndata: %s\n\n", ev)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ectx, err := c.NewKeygenContext(ctx, comp.ID, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the deprecated wrapper is exactly what this test pins
-	job, err := c.SubmitJob(ctx, eva.JobRequest{
-		ProgramID: comp.ID,
-		ContextID: ectx.ContextID,
-		Batches:   []eva.ExecuteBatch{{Values: map[string][]float64{"x": {3, 3, 3, 3, 3, 3, 3, 3}}}},
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"job_id":%q,"status":"queued","batches":2,"batches_done":0}`, r.PathValue("id"))
 	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := eva.NewClient(ts.URL)
+	c.HTTP = ts.Client()
+
+	st, err := c.WaitJob(context.Background(), "n1~abc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.WaitJob(ctx, job.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != "done" {
-		t.Fatalf("final status %+v", final)
+	want := eva.JobStatusInfo{JobID: "n1~abc", Status: "done", Batches: 2, BatchesDone: 2, WaitMillis: 1.5, RunMillis: 3}
+	if st != want {
+		t.Fatalf("WaitJob = %+v; want %+v", st, want)
 	}
 }

@@ -8,17 +8,14 @@ import (
 // SubmitOptions consolidates every job-submission knob of the asynchronous
 // jobs API into one struct: executor parallelism, the result form, request
 // coalescing, and distributed-trace adoption. The zero value submits an
-// ordinary asynchronous job with the server's defaults.
-//
-// Submit replaces the accreted per-variant entry points (SubmitJob,
-// SubmitCoalesced) and the option fields inlined in JobRequest; those remain
-// as deprecated wrappers.
+// ordinary asynchronous job with the server's defaults. Submit is the one
+// way to submit a job.
 type SubmitOptions struct {
 	// Workers overrides the executor worker count for this job (0 = the
 	// server's default; the server clamps excessive values).
 	Workers int
 	// Scheduler selects the executor scheduler: "" or "parallel" (DAG
-	// parallel), "bulk" (bulk-synchronous by level), or "sequential".
+	// parallel), or "sequential".
 	Scheduler string
 	// Output selects the result form: "" returns ciphertext payloads
 	// (decrypted values on demo contexts), "handle" persists every encrypted

@@ -287,16 +287,14 @@ func TestClusterOwnerKilledMidJob(t *testing.T) {
 	t.Logf("context %s: owner %s, replicas %v, router %s", contextID, owner.id, candidates[1:], router.id)
 
 	const jobCount = 6
-	req := eva.JobRequest{ProgramID: programID, ContextID: contextID}
-	for b := 0; b < 4; b++ {
-		req.Batches = append(req.Batches, clusterBatch)
-	}
+	batches := []eva.ExecuteBatch{clusterBatch, clusterBatch, clusterBatch, clusterBatch}
 	jobIDs := make([]string, jobCount)
 	for i := range jobIDs {
-		st, err := router.client.SubmitJob(ctx, req)
+		sub, err := router.client.Submit(ctx, programID, contextID, batches, eva.SubmitOptions{})
 		if err != nil {
 			t.Fatalf("submit %d via %s: %v", i, router.id, err)
 		}
+		st := sub.Job
 		if !strings.Contains(st.JobID, "~") {
 			t.Fatalf("job id %q is not cluster-routed", st.JobID)
 		}
@@ -329,8 +327,8 @@ func TestClusterOwnerKilledMidJob(t *testing.T) {
 			}
 			t.Fatalf("fetch job %d (%s): %v", i, id, err)
 		}
-		if len(res.Results) != len(req.Batches) {
-			t.Fatalf("job %d: %d results, want %d", i, len(res.Results), len(req.Batches))
+		if len(res.Results) != len(batches) {
+			t.Fatalf("job %d: %d results, want %d", i, len(res.Results), len(batches))
 		}
 		for bi, br := range res.Results {
 			if br.Error != "" {
@@ -429,13 +427,13 @@ output out2 @30;`)
 			break
 		}
 	}
-	st, err := router.client.SubmitJob(ctx, eva.JobRequest{
-		ProgramID: p1, ContextID: c1, Output: "handle",
-		Batches: []serve.ExecuteBatch{{Values: map[string][]float64{"x": xs, "y": ys}}},
-	})
+	sub, err := router.client.Submit(ctx, p1, c1,
+		[]eva.ExecuteBatch{{Values: map[string][]float64{"x": xs, "y": ys}}},
+		eva.SubmitOptions{Output: "handle"})
 	if err != nil {
 		t.Fatalf("submit stage-1 job via %s: %v", router.id, err)
 	}
+	st := sub.Job
 	if fin, err := router.client.WaitJob(ctx, st.JobID); err != nil || fin.Status != "done" {
 		t.Fatalf("wait stage-1 job: err=%v status=%q error=%q", err, fin.Status, fin.Error)
 	}
@@ -492,13 +490,13 @@ output out2 @30;`)
 			break
 		}
 	}
-	st2, err := via.client.SubmitJob(ctx, eva.JobRequest{
-		ProgramID: p2, ContextID: c2, Output: "values",
-		Batches: []serve.ExecuteBatch{{Handles: map[string]string{"z": handleID}}},
-	})
+	sub2, err := via.client.Submit(ctx, p2, c2,
+		[]eva.ExecuteBatch{{Handles: map[string]string{"z": handleID}}},
+		eva.SubmitOptions{Output: "values"})
 	if err != nil {
 		t.Fatalf("submit handle-input job via %s: %v", via.id, err)
 	}
+	st2 := sub2.Job
 	if _, err := via.client.WaitJob(ctx, st2.JobID); err != nil {
 		t.Fatalf("wait handle-input job: %v", err)
 	}
@@ -629,15 +627,14 @@ func TestClusterProbeRequeuesProactively(t *testing.T) {
 		}
 	}
 
-	req := eva.JobRequest{ProgramID: programID, ContextID: contextID,
-		Batches: []serve.ExecuteBatch{clusterBatch, clusterBatch, clusterBatch, clusterBatch}}
+	batches := []eva.ExecuteBatch{clusterBatch, clusterBatch, clusterBatch, clusterBatch}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := router.client.SubmitJob(ctx, req)
+		sub, err := router.client.Submit(ctx, programID, contextID, batches, eva.SubmitOptions{})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
-		ids = append(ids, st.JobID)
+		ids = append(ids, sub.Job.JobID)
 	}
 	owner.kill()
 

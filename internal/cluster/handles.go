@@ -14,16 +14,16 @@ import (
 // Ciphertext handles on the ring. A handle's content address does not
 // reveal which node stores it, but every handle is created under a context,
 // and contexts have ring placement — so PUT /handles routes to the owning
-// candidates of its context_id (primary stores synchronously, the remaining
-// candidates replicate in the background), while GET/DELETE by bare id fall
-// back to local-then-scatter. The serve layer's execution-time resolver is
+// candidates of its context_id (the primary stores, then the remaining
+// candidates replicate before the PUT is answered), while GET/DELETE by bare
+// id fall back to local-then-scatter. The serve layer's execution-time resolver is
 // wired to the same scatter (SetHandleFetcher in New), so a job routed to a
 // context's owner can consume a handle that physically lives elsewhere.
 
 // handleHandlePut routes a ciphertext store to the owner of its context,
 // failing over down the candidate list, then replicates the stored record
 // to the remaining candidates best-effort (content addressing makes the
-// replica PUT idempotent).
+// replica PUT idempotent) before answering.
 func (c *Cluster) handleHandlePut(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req serve.HandlePutRequest
 	if err := json.Unmarshal(body, &req); err != nil || req.ContextID == "" {
@@ -56,7 +56,7 @@ func (c *Cluster) handleHandlePut(w http.ResponseWriter, r *http.Request, body [
 			continue
 		}
 		if status == http.StatusOK {
-			c.replicateHandleAsync(body, candidates, node)
+			c.replicateHandle(body, candidates, node)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
@@ -72,21 +72,21 @@ func (c *Cluster) handleHandlePut(w http.ResponseWriter, r *http.Request, body [
 	writeError(w, http.StatusServiceUnavailable, "cluster: no healthy node holds context %q", req.ContextID)
 }
 
-// replicateHandleAsync re-sends a stored PUT /handles body to the remaining
-// candidate nodes. Failures are counted, not surfaced: the scatter fetch
-// still finds the primary copy.
-func (c *Cluster) replicateHandleAsync(body []byte, candidates []string, primary string) {
-	go func() {
-		for _, node := range candidates {
-			if node == primary || !c.healthy(node) {
-				continue
-			}
-			status, _, err := c.roundTrip(nodeCtx(), node, http.MethodPut, "/handles", body)
-			if err != nil || status != http.StatusOK {
-				c.countReplErr()
-			}
+// replicateHandle re-sends a stored PUT /handles body to the remaining
+// candidate nodes before the PUT is answered: a replica written after the
+// answer could land after a DELETE the client sends next and resurrect the
+// handle. Failures are counted, not surfaced: the scatter fetch still finds
+// the primary copy.
+func (c *Cluster) replicateHandle(body []byte, candidates []string, primary string) {
+	for _, node := range candidates {
+		if node == primary || !c.healthy(node) {
+			continue
 		}
-	}()
+		status, _, err := c.roundTrip(nodeCtx(), node, http.MethodPut, "/handles", body)
+		if err != nil || status != http.StatusOK {
+			c.countReplErr()
+		}
+	}
 }
 
 // handleHandleGet serves GET /handles/{id}: the local registry first, then

@@ -37,7 +37,7 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatalf("no router distinct from owner %s", ownerID)
 	}
 
-	req := eva.JobRequest{ProgramID: programID, ContextID: contextID, Batches: []eva.ExecuteBatch{clusterBatch}}
+	batches := []eva.ExecuteBatch{clusterBatch}
 
 	const jobs = 4
 	var wg sync.WaitGroup
@@ -45,11 +45,12 @@ func TestClusterTracePropagation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := router.client.SubmitJob(ctx, req)
+			sub, err := router.client.Submit(ctx, programID, contextID, batches, eva.SubmitOptions{})
 			if err != nil {
 				t.Errorf("submit via %s: %v", router.id, err)
 				return
 			}
+			st := sub.Job
 			if st.TraceID == "" {
 				t.Errorf("job %s: no trace id in the submit response", st.JobID)
 				return

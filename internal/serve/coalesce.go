@@ -10,8 +10,6 @@ import (
 
 	"eva/internal/coalesce"
 	"eva/internal/core"
-	"eva/internal/execute"
-	"eva/internal/jobs"
 	"eva/internal/obs"
 )
 
@@ -63,11 +61,12 @@ func coalesceRequested(r *http.Request) bool {
 // here, before it joins a batch, so one malformed caller can never poison
 // co-batched peers.
 func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, req *JobRequest) {
-	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
+	ce, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
+	entry := ce.Entry
 	if len(req.Batches) != 1 {
 		writeError(w, http.StatusBadRequest, "a coalesced submission carries exactly one batch, got %d", len(req.Batches))
 		return
@@ -80,9 +79,30 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 	if len(batch.Cipher) > 0 || len(batch.Handles) > 0 {
 		// Ciphertext-carrying submissions (uploads or stored handles) occupy
 		// the full slot vector, so they cannot share a packed execution with
-		// other callers; run them as a batch of one so the coalesce surface
-		// still accepts every input form.
-		s.runUncoalesced(w, r, req, entry, ce)
+		// other callers; run them inline as a batch of one so the coalesce
+		// surface still accepts every input form. Input failures keep their
+		// submit-time statuses; the run reports errors in the result body
+		// like /execute does.
+		ropts, err := s.runOptions(req.Workers, req.Scheduler)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		plan := newStagePlan(ce, req.Output)
+		if !s.lowerStages(w, r, "batch", []*stagePlan{plan}, []func(string) InputBinding{batch.binding}) {
+			return
+		}
+		start := time.Now()
+		result, _ := s.runStage(r.Context(), plan, nil, ropts)
+		writeJSON(w, http.StatusOK, CoalesceResponse{
+			ProgramID:  entry.ID,
+			ContextID:  ce.ID,
+			BatchSize:  1,
+			Slot:       coalesce.Range{Start: 0, Width: entry.Result.Program.VecSize},
+			Occupancy:  1,
+			WaitMillis: float64(time.Since(start)) / float64(time.Millisecond),
+			Result:     result,
+		})
 		return
 	}
 	if req.Output == outputHandle {
@@ -164,37 +184,6 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 	})
 }
 
-// runUncoalesced serves a coalesce=1 submission that cannot be packed (it
-// carries a full-width ciphertext: an upload or a handle reference) as a
-// synchronous batch of one. Input resolution failures keep their structured
-// statuses (422 chaining, 404 unknown handle); the run itself reports errors
-// in the result body like /execute does.
-func (s *Server) runUncoalesced(w http.ResponseWriter, r *http.Request, req *JobRequest, entry *Entry, ce *contextEntry) {
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	batch := &req.Batches[0]
-	cache := newHandleCache()
-	enc, err := s.buildBatchInputs(r.Context(), ce, entry.Result, batch, nil, cache, false)
-	if err != nil {
-		s.writeInputError(w, err)
-		return
-	}
-	start := time.Now()
-	result := s.runBatch(r.Context(), entry, ce, batch, enc, ropts, req.Output, cache)
-	writeJSON(w, http.StatusOK, CoalesceResponse{
-		ProgramID:  entry.ID,
-		ContextID:  ce.ID,
-		BatchSize:  1,
-		Slot:       coalesce.Range{Start: 0, Width: entry.Result.Program.VecSize},
-		Occupancy:  1,
-		WaitMillis: float64(time.Since(start)) / float64(time.Millisecond),
-		Result:     result,
-	})
-}
-
 // runCoalescedBatch executes one sealed batch: pack every caller's inputs
 // into shared full-width vectors, run them as ONE job through the manager
 // (admission control sees the batch once), demux each output back into
@@ -209,20 +198,18 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 
 	// Re-resolve: the context may have been LRU-evicted (and store-restored)
 	// between submission and seal.
-	ce, entry, _, err := s.resolveExecution(b.Key.Program, b.Key.Context)
+	ce, _, err := s.resolveExecution(b.Key.Program, b.Key.Context)
 	if err != nil {
 		b.FailAll(err)
 		return
 	}
 	layout := b.Layout()
 	reqs := b.Requests()
-	prog := entry.Result.Program
 
 	packSpan := bt.StartSpan("coalesce_pack", nil)
 	packSpan.SetAttr("callers", strconv.Itoa(len(reqs)))
 	packed := &ExecuteBatch{Values: map[string][]float64{}, Plain: map[string][]float64{}}
-	pendingValues := 0
-	for _, in := range prog.Inputs() {
+	for _, in := range ce.Entry.Result.Program.Inputs() {
 		per := make([][]float64, len(reqs))
 		for j, req := range reqs {
 			per[j] = req.Inputs[in.Name]
@@ -234,30 +221,23 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 		}
 		if in.InType == core.TypeCipher {
 			packed.Values[in.Name] = vec
-			pendingValues++
 		} else {
 			packed.Plain[in.Name] = vec
 		}
 	}
-	packSpan.End()
-
-	// One admission charge for the whole batch: the packed plain vectors by
-	// their real size, one fresh ciphertext per encrypted input (not per
-	// caller), and the cost model's peak once.
-	est := estimateJobBytes(entry, []*execute.EncryptedInputs{{Plain: packed.Plain}}, pendingValues)
-	ropts, _ := s.runOptions(0, "") // shared runs use the server's defaults
-	id, err := jobs.NewID()
-	if err != nil {
+	// The packed batch is one stage: admission charges its shared vectors
+	// once — one fresh ciphertext per encrypted input, not per caller.
+	plan := newStagePlan(ce, "")
+	if _, err := s.lowerStage(context.Background(), plan, packed.binding, nil, nil); err != nil {
 		b.FailAll(err)
 		return
 	}
-	s.bindJobTrace(id, bt)
-	queueSpan := bt.StartSpan("queue_wait", nil)
-	snap, err := s.jobs.SubmitWithID(id, 1, est, func(jctx context.Context, batchDone func(int)) (any, error) {
-		queueSpan.End()
-		jctx = obs.ContextWithTrace(jctx, bt)
+	packSpan.End()
+
+	ropts, _ := s.runOptions(0, "") // shared runs use the server's defaults
+	snap, err := s.admit(bt, nil, []*stagePlan{plan}, func(jctx context.Context, batchDone func(int)) (any, error) {
 		start := time.Now()
-		result := s.runBatch(jctx, entry, ce, packed, nil, ropts, "", nil)
+		result, _ := s.runStage(jctx, plan, nil, ropts)
 		b.Done(time.Since(start))
 		batchDone(0)
 		if result.Error != "" {
@@ -291,11 +271,6 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 		return []BatchResult{{Stats: result.Stats}}, nil
 	})
 	if err != nil {
-		// The job never became visible, so the finish hook will not fire;
-		// drop the binding and its reference.
-		if bound := s.takeJobTrace(id); bound != nil {
-			bound.Release()
-		}
 		b.FailAll(err)
 		return
 	}

@@ -16,7 +16,6 @@ import (
 	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
-	"eva/internal/execute"
 	"eva/internal/handle"
 )
 
@@ -213,8 +212,9 @@ func (s *Server) storeOutputHandle(ce *contextEntry, res *compile.Result, ct *ck
 }
 
 // Incompat is one structured chaining rejection in a 422 body: which stage
-// and input is incompatible with its supplied handle (or upstream stage
-// output), on which property, with both sides rendered.
+// (the batch index on /jobs) and input is incompatible with its supplied
+// handle (or upstream stage output), on which property, with both sides
+// rendered.
 type Incompat struct {
 	Stage    int    `json:"stage,omitempty"`
 	Input    string `json:"input"`
@@ -222,138 +222,6 @@ type Incompat struct {
 	Field    string `json:"field"`
 	Want     string `json:"want"`
 	Got      string `json:"got"`
-}
-
-// compatError wraps a handle.Mismatch with the consuming input, so handlers
-// can map it to a structured 422 while runBatch renders it as text.
-type compatError struct {
-	input    string
-	mismatch *handle.Mismatch
-}
-
-func (e *compatError) Error() string {
-	return fmt.Sprintf("input %q: %v", e.input, e.mismatch)
-}
-
-func (e *compatError) Unwrap() error { return e.mismatch }
-
-func (e *compatError) incompat() Incompat {
-	return Incompat{
-		Input:    e.input,
-		HandleID: e.mismatch.HandleID,
-		Field:    e.mismatch.Field,
-		Want:     e.mismatch.Want,
-		Got:      e.mismatch.Got,
-	}
-}
-
-// writeInputError maps an input-resolution failure to its status: chaining
-// incompatibilities are structured 422s, unknown handles 404s, quota
-// exhaustion 507, and everything else a plain 400.
-func (s *Server) writeInputError(w http.ResponseWriter, err error) {
-	var ce *compatError
-	switch {
-	case errors.As(err, &ce):
-		writeJSON(w, http.StatusUnprocessableEntity, apiError{
-			Error:             err.Error(),
-			Incompatibilities: []Incompat{ce.incompat()},
-		})
-	case errors.Is(err, handle.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, handle.ErrQuotaExceeded):
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	}
-}
-
-// buildBatchInputs resolves one batch's wire inputs into executor inputs:
-// inline base64 ciphertexts are decoded and validated, handle references are
-// resolved (locally or from a peer) and checked against the consuming
-// program's compiled level/scale/width requirements, plain inputs are
-// replicated, and — on demo contexts — plaintext values for Cipher inputs
-// are encrypted. pre may carry inputs resolved earlier (the jobs admission
-// path, or a pipeline stage's upstream outputs); they are taken as-is. When
-// deferValues is true, plaintext Cipher values are left for the caller (the
-// job worker encrypts them later) instead of being encrypted now.
-func (s *Server) buildBatchInputs(stdctx context.Context, ce *contextEntry, res *compile.Result, batch *ExecuteBatch, pre *execute.EncryptedInputs, cache *handleCache, deferValues bool) (*execute.EncryptedInputs, error) {
-	enc := &execute.EncryptedInputs{
-		Cipher: map[string]*ckks.Ciphertext{},
-		Plain:  map[string][]float64{},
-	}
-	if pre != nil {
-		for k, v := range pre.Cipher {
-			enc.Cipher[k] = v
-		}
-		for k, v := range pre.Plain {
-			enc.Plain[k] = v
-		}
-		enc.EncryptTime = pre.EncryptTime
-	}
-	var pending execute.Inputs
-	br := s.newBindingResolver(ce, res, cache)
-	for _, in := range res.Program.Inputs() {
-		b := batch.binding(in.Name)
-		if in.InType != core.TypeCipher {
-			if _, ok := enc.Plain[in.Name]; ok {
-				continue
-			}
-			full, ok, err := br.plain(in.Name, b)
-			if !ok {
-				return nil, fmt.Errorf("missing value for plain input %q", in.Name)
-			}
-			if err != nil {
-				return nil, err
-			}
-			enc.Plain[in.Name] = full
-			continue
-		}
-		if _, ok := enc.Cipher[in.Name]; ok {
-			continue
-		}
-		switch {
-		case b.Cipher != "":
-			ct, err := br.cipherFromWire(b.Cipher)
-			if err != nil {
-				return nil, fmt.Errorf("input %q: %w", in.Name, err)
-			}
-			enc.Cipher[in.Name] = ct
-		case b.Handle != "":
-			rh, err := br.cipherFromHandle(stdctx, in.Name, b.Handle, in.LogScale)
-			if err != nil {
-				var cerr *compatError
-				if errors.As(err, &cerr) {
-					return nil, err
-				}
-				return nil, fmt.Errorf("input %q: %w", in.Name, err)
-			}
-			enc.Cipher[in.Name] = rh.ct
-		case b.Values != nil:
-			if ce.Keys == nil {
-				return nil, fmt.Errorf("plaintext \"values\" need a server-keygen (demo) context; this context has no keys")
-			}
-			if deferValues {
-				continue
-			}
-			if pending == nil {
-				pending = execute.Inputs{}
-			}
-			pending[in.Name] = b.Values
-		default:
-			return nil, fmt.Errorf("missing ciphertext for input %q (supply \"cipher\", \"handles\", or demo \"values\")", in.Name)
-		}
-	}
-	if len(pending) > 0 {
-		cts, d, err := execute.EncryptSelected(ce.Ctx, res, ce.Keys, pending, nil)
-		if err != nil {
-			return nil, fmt.Errorf("encrypting values: %v", err)
-		}
-		for name, ct := range cts {
-			enc.Cipher[name] = ct
-		}
-		enc.EncryptTime += d
-	}
-	return enc, nil
 }
 
 // --- /handles handlers ---

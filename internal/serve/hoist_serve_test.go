@@ -102,13 +102,3 @@ func TestJobTraceRecordsHoistedBatches(t *testing.T) {
 		t.Fatalf("trace has %d rotate_hoisted spans covering %d rotations, want >= 1 covering >= 7", batches, rotations)
 	}
 }
-
-// TestDisableHoistingSuppressesBatches runs the same workload with hoisting
-// disabled server-wide and asserts no hoisted batches are dispatched (and the
-// job still succeeds — the sequential path computes the same result).
-func TestDisableHoistingSuppressesBatches(t *testing.T) {
-	tr := runMatmulJob(t, Config{DisableHoisting: true})
-	if batches, rotations := hoistedSpans(t, tr.Spans); batches != 0 {
-		t.Fatalf("DisableHoisting run still traced %d rotate_hoisted spans (%d rotations)", batches, rotations)
-	}
-}

@@ -1,22 +1,15 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"runtime"
 	"time"
 
-	"eva/internal/ckks"
-	"eva/internal/compile"
-	"eva/internal/core"
 	"eva/internal/execute"
-	"eva/internal/handle"
 	"eva/internal/jobs"
-	"eva/internal/obs"
 )
 
 // The jobs API fronts long-running encrypted computations with a queue:
@@ -87,56 +80,6 @@ func jobStatusJSON(s jobs.Snapshot) JobStatus {
 	return js
 }
 
-// estimateJobBytes predicts the resident footprint of one admitted job: the
-// decoded input ciphertexts it pins while queued (their real MemoryBytes),
-// fresh-ciphertext-sized placeholders for demo-mode plaintext values that the
-// worker will encrypt, and the cost model's static peak for the intermediate
-// values of one running batch (batches run sequentially within a job). A
-// ciphertext shared between batches — a resolved handle referenced by many
-// inputs — pins one allocation and is counted once.
-func estimateJobBytes(entry *Entry, batches []*execute.EncryptedInputs, pendingValues int) int64 {
-	res := entry.Result
-	var est int64
-	seen := map[*ckks.Ciphertext]bool{}
-	for _, in := range batches {
-		if in == nil {
-			continue
-		}
-		for _, ct := range in.Cipher {
-			if seen[ct] {
-				continue
-			}
-			seen[ct] = true
-			est += int64(ct.MemoryBytes())
-		}
-		for _, pv := range in.Plain {
-			est += int64(8 * len(pv))
-		}
-	}
-	n := int64(1) << uint(res.LogN)
-	freshCt := 2 * int64(len(res.Plan.BitSizes)) * n * 8
-	est += int64(pendingValues) * freshCt
-	model := res.CostModel()
-	est += model.EstimatePeakMemoryBytes(res.Program)
-	return est
-}
-
-// pendingCipherValues counts the Cipher inputs a partially resolved batch
-// still owes the worker (demo-mode plaintext values encrypted at run time),
-// for the fresh-ciphertext placeholders in the admission estimate.
-func pendingCipherValues(res *compile.Result, enc *execute.EncryptedInputs) int {
-	n := 0
-	for _, in := range res.Program.Inputs() {
-		if in.InType != core.TypeCipher {
-			continue
-		}
-		if _, ok := enc.Cipher[in.Name]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -147,114 +90,24 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.handleCoalescedSubmit(w, r, &req)
 		return
 	}
-	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
-	if err != nil {
-		writeError(w, status, "%v", err)
+	ce, ropts, ok := s.checkBatches(w, &req)
+	if !ok {
 		return
 	}
-	if len(req.Batches) == 0 {
-		writeError(w, http.StatusBadRequest, "no batches")
-		return
-	}
-	if len(req.Batches) > maxBatchesPerRequest {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
-		return
-	}
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := validOutputMode(req.Output); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
 	// Resolve and validate every batch now: submissions fail fast (400 for
-	// malformed inputs, structured 422 for incompatible handle chaining, 404
-	// for unknown handles), and the resolved ciphertexts are what admission
-	// control accounts for. Demo-mode plaintext values are only counted here;
-	// the worker encrypts them when the batch runs. The handle cache is
-	// shared across batches and kept for the workers, so a handle referenced
-	// by many batches is resolved once and counted once.
-	res := entry.Result
-	cache := newHandleCache()
-	decoded := make([]*execute.EncryptedInputs, len(req.Batches))
-	pendingValues := 0
+	// malformed inputs, 404 for unknown handles, one structured 422 for all
+	// incompatible handle chaining), and the resolved ciphertexts are what
+	// admission control accounts for.
+	plans := make([]*stagePlan, len(req.Batches))
+	bindings := make([]func(string) InputBinding, len(req.Batches))
 	for i := range req.Batches {
-		batch := &req.Batches[i]
-		enc, err := s.buildBatchInputs(r.Context(), ce, res, batch, nil, cache, true)
-		if err != nil {
-			var cerr *compatError
-			if errors.As(err, &cerr) {
-				inc := cerr.incompat()
-				writeJSON(w, http.StatusUnprocessableEntity, apiError{
-					Error:             fmt.Sprintf("batch %d: %v", i, err),
-					Incompatibilities: []Incompat{inc},
-				})
-				return
-			}
-			if errors.Is(err, handle.ErrNotFound) {
-				writeError(w, http.StatusNotFound, "batch %d: %v", i, err)
-				return
-			}
-			writeError(w, http.StatusBadRequest, "batch %d: %v", i, err)
-			return
-		}
-		pendingValues += pendingCipherValues(res, enc)
-		decoded[i] = enc
+		plans[i] = newStagePlan(ce, req.Output)
+		bindings[i] = req.Batches[i].binding
 	}
-
-	est := estimateJobBytes(entry, decoded, pendingValues)
-	batches := req.Batches
-
-	// Pre-mint the job id and bind the trace to it before submission: the
-	// manager makes a job visible — and finishable — before Submit returns,
-	// so binding afterwards would race the finish hook.
-	id, err := jobs.NewID()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if !s.lowerStages(w, r, "batch", plans, bindings) {
 		return
 	}
-	t := obs.TraceFromContext(r.Context())
-	routeSpan := obs.SpanFromContext(r.Context())
-	s.bindJobTrace(id, t)
-	admit := t.StartSpan("admission", routeSpan)
-	queueSpan := t.StartSpan("queue_wait", routeSpan)
-	snap, err := s.jobs.SubmitWithID(id, len(batches), est, func(jctx context.Context, batchDone func(int)) (any, error) {
-		queueSpan.End()
-		jctx = obs.ContextWithSpan(obs.ContextWithTrace(jctx, t), routeSpan)
-		results := make([]BatchResult, len(batches))
-		for i := range batches {
-			if err := jctx.Err(); err != nil {
-				return nil, err
-			}
-			results[i] = s.runBatch(jctx, entry, ce, &batches[i], decoded[i], ropts, req.Output, cache)
-			decoded[i] = nil // release the pinned inputs as batches complete
-			batchDone(i)
-		}
-		return results, nil
-	})
-	admit.End()
-	if err != nil {
-		queueSpan.End()
-		// The job never became visible; the finish hook will not fire, so
-		// drop the binding and its reference here.
-		if bound := s.takeJobTrace(id); bound != nil {
-			bound.Release()
-		}
-		s.writeAdmissionError(w, err)
-		return
-	}
-	s.log.Debug("job submitted",
-		slog.String(obs.LogJobID, id),
-		slog.String(obs.LogTraceID, t.ID()),
-		slog.Int("batches", len(batches)),
-		slog.Int64("est_bytes", est))
-	w.Header().Set("Location", "/jobs/"+snap.ID)
-	st := jobStatusJSON(snap)
-	st.TraceID = t.ID()
-	writeJSON(w, http.StatusAccepted, st)
+	s.submitJob(w, r, plans, ropts, false)
 }
 
 func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
@@ -377,20 +230,49 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveExecution looks up the execution context and its pinned program for
+// resolveExecution looks up the execution context, which pins its program, for
 // an execute or job request, refreshing LRU recency. A context missing from
 // the in-memory table (restart, LRU eviction) is restored from the durable
 // store, so execution against a context id survives both.
-func (s *Server) resolveExecution(programID, contextID string) (*contextEntry, *Entry, int, error) {
+func (s *Server) resolveExecution(programID, contextID string) (*contextEntry, int, error) {
 	ce, ok := s.lookupContext(contextID)
 	if !ok {
-		return nil, nil, http.StatusNotFound, fmt.Errorf("unknown context %q; POST /contexts first", contextID)
+		return nil, http.StatusNotFound, fmt.Errorf("unknown context %q; POST /contexts first", contextID)
 	}
 	if ce.Entry.ID != programID {
-		return nil, nil, http.StatusConflict, fmt.Errorf("context %q belongs to program %q, not %q", contextID, ce.Entry.ID, programID)
+		return nil, http.StatusConflict, fmt.Errorf("context %q belongs to program %q, not %q", contextID, ce.Entry.ID, programID)
 	}
 	s.registry.Get(programID) // refresh recency if still cached
-	return ce, ce.Entry, http.StatusOK, nil
+	return ce, http.StatusOK, nil
+}
+
+// checkBatches runs the checks an /execute or /jobs request passes before
+// any input is resolved — its context (which pins the program, so LRU
+// eviction never breaks a live context), batch count, run options and output
+// mode — answering the request itself on failure.
+func (s *Server) checkBatches(w http.ResponseWriter, req *JobRequest) (*contextEntry, execute.RunOptions, bool) {
+	ce, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
+	if err != nil {
+		writeError(w, status, "%v", err)
+		return nil, execute.RunOptions{}, false
+	}
+	if len(req.Batches) == 0 {
+		writeError(w, http.StatusBadRequest, "no batches")
+		return nil, execute.RunOptions{}, false
+	}
+	if len(req.Batches) > maxBatchesPerRequest {
+		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
+		return nil, execute.RunOptions{}, false
+	}
+	ropts, err := s.runOptions(req.Workers, req.Scheduler)
+	if err == nil {
+		err = validOutputMode(req.Output)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, execute.RunOptions{}, false
+	}
+	return ce, ropts, true
 }
 
 // runOptions resolves the per-request scheduler/worker knobs against the
@@ -400,7 +282,7 @@ func (s *Server) runOptions(workers int, scheduler string) (execute.RunOptions, 
 	if err != nil {
 		return execute.RunOptions{}, err
 	}
-	ropts := execute.RunOptions{Workers: workers, Scheduler: sched, DisableHoisting: s.cfg.DisableHoisting}
+	ropts := execute.RunOptions{Workers: workers, Scheduler: sched}
 	if ropts.Workers <= 0 {
 		ropts.Workers = s.cfg.DefaultWorkers
 	}

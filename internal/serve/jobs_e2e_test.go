@@ -328,6 +328,7 @@ func TestJobsValidationErrors(t *testing.T) {
 		{"program mismatch", JobRequest{ProgramID: "wrong", ContextID: f.contextID, Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusConflict},
 		{"no batches", JobRequest{ProgramID: f.programID, ContextID: f.contextID}, http.StatusBadRequest},
 		{"bad scheduler", JobRequest{ProgramID: f.programID, ContextID: f.contextID, Scheduler: "warp", Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusBadRequest},
+		{"bulk scheduler", JobRequest{ProgramID: f.programID, ContextID: f.contextID, Scheduler: "bulk", Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusBadRequest},
 		{"missing input", JobRequest{ProgramID: f.programID, ContextID: f.contextID, Batches: []ExecuteBatch{{Plain: map[string][]float64{"x": {1}}}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -323,12 +323,15 @@ func TestRegistryEvictionReleasesPlan(t *testing.T) {
 		values, _ := execute.DecryptOutputs(ctx, res, keys, out)
 		return values
 	}
-	before, _ := execute.PlanCacheBudget()
 	want := run()
 	held, ok := execute.PlanStatsOf(res)
 	if !ok || held.CachedBytes == 0 {
 		t.Fatalf("the run left no cached constants (stats %+v)", held)
 	}
+	// The budget is process-wide, and cleanups of earlier tests' dropped
+	// plans can hand bytes back at any moment, so the eviction is measured
+	// as a fall of at least this plan's bytes, not an exact value.
+	before, _ := execute.PlanCacheBudget()
 
 	if _, _, err := reg.GetOrCompile(testProgram(t, "evictor", 0.25), insecureOptions()); err != nil {
 		t.Fatal(err)
@@ -339,8 +342,8 @@ func TestRegistryEvictionReleasesPlan(t *testing.T) {
 	if after, _ := execute.PlanStatsOf(res); after.CachedBytes != 0 || after.CachedPlaintexts != 0 {
 		t.Errorf("evicted program's plan still holds %+v", after)
 	}
-	if used, _ := execute.PlanCacheBudget(); used != before {
-		t.Errorf("plan-cache budget use is %d after the eviction, was %d before the program ran", used, before)
+	if used, _ := execute.PlanCacheBudget(); before-used < held.CachedBytes {
+		t.Errorf("plan-cache budget use fell from %d to %d on the eviction, want a fall of at least the plan's %d bytes", before, used, held.CachedBytes)
 	}
 	got := run()
 	for i, w := range want["out"] {

@@ -84,12 +84,6 @@ type Config struct {
 	// because the pool bounds total ring-level parallelism, not per-request
 	// parallelism.
 	RingWorkers int
-	// DisableHoisting turns off hoisted rotation batching for every execution
-	// this server runs: shared-source rotation groups then evaluate as
-	// independent rotations, each paying its own decomposition. A debugging
-	// and benchmarking escape hatch; hoisting is bit-exact, so there is no
-	// accuracy reason to disable it.
-	DisableHoisting bool
 	// PlanCacheMB sets the byte budget, in MiB, of the executor's prepared-
 	// plan caches, which keep each program's constants encoded between runs
 	// (0 = leave the process's budget alone, 512 MiB unless something changed
@@ -1117,54 +1111,37 @@ type ExecuteResponse struct {
 	Results   []BatchResult `json:"results"`
 }
 
+// parseScheduler resolves a request's scheduler name. The bulk-synchronous
+// scheduler models the CHET baseline for the paper's comparisons and is not
+// served.
 func parseScheduler(s string) (execute.Scheduler, error) {
 	switch s {
 	case "", "parallel":
 		return execute.SchedulerParallel, nil
-	case "bulk":
-		return execute.SchedulerBulkSynchronous, nil
 	case "sequential":
 		return execute.SchedulerSequential, nil
 	}
-	return 0, fmt.Errorf("unknown scheduler %q (want parallel, bulk, or sequential)", s)
+	return 0, fmt.Errorf("unknown scheduler %q (want parallel or sequential)", s)
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	programID := r.PathValue("id")
-	var req ExecuteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var body ExecuteRequest
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	// Resolve the program through the context, not the registry: a context
-	// pins its compiled program, so LRU eviction never breaks a live context.
-	ce, entry, status, err := s.resolveExecution(programID, req.ContextID)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	if len(req.Batches) == 0 {
-		writeError(w, http.StatusBadRequest, "no batches")
-		return
-	}
-	if len(req.Batches) > maxBatchesPerRequest {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
-		return
-	}
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := validOutputMode(req.Output); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req := JobRequest{ProgramID: r.PathValue("id"), ContextID: body.ContextID, Workers: body.Workers,
+		Scheduler: body.Scheduler, Output: body.Output, Batches: body.Batches}
+	ce, ropts, ok := s.checkBatches(w, &req)
+	if !ok {
 		return
 	}
 
-	// Fan the batches out across the worker pool: each batch is one
-	// DAG-parallel execution, and up to maxConcurrent batches run at once.
-	// The request context propagates into the executor, so a disconnected
-	// client stops its in-flight work. The handle cache is shared across the
+	// Fan the batches out across the worker pool: each batch is lowered to
+	// a stage and run as one DAG-parallel execution, up to maxConcurrent at
+	// once. A batch's input or run failure is its own result's error. The
+	// request context propagates into the executor, so a disconnected client
+	// stops its in-flight work. The handle cache is shared across the
 	// request's batches: a handle referenced by many batches is fetched and
 	// deserialized once (resolved ciphertexts are read-only to the executor).
 	maxConcurrent := s.cfg.MaxConcurrentBatches
@@ -1181,134 +1158,22 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = s.runBatch(r.Context(), entry, ce, &req.Batches[i], nil, ropts, req.Output, cache)
+			plan := newStagePlan(ce, req.Output)
+			incs, err := s.lowerStage(r.Context(), plan, req.Batches[i].binding, nil, cache)
+			if err == nil && len(incs) > 0 {
+				inc := incs[0]
+				err = fmt.Errorf("input %q: handle %s: incompatible %s: want %s, got %s", inc.Input, inc.HandleID, inc.Field, inc.Want, inc.Got)
+			}
+			if err != nil {
+				s.metrics.RecordExecutionError()
+				results[i] = batchError("%v", err)
+				return
+			}
+			results[i], _ = s.runStage(r.Context(), plan, nil, ropts)
 		}(i)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, ExecuteResponse{ProgramID: programID, Results: results})
-}
-
-func batchError(format string, args ...any) BatchResult {
-	return BatchResult{Error: fmt.Sprintf(format, args...)}
-}
-
-// runBatch executes one input set against a compiled program. decoded may
-// carry inputs resolved ahead of time — fully (the jobs path decodes at
-// admission) or partially (handle references resolved, demo values still
-// pending); buildBatchInputs completes whatever is missing. outMode selects
-// the result form ("", "handle", or "values"); cache, when non-nil, shares
-// resolved handles across the batches of one request. stdctx cancellation
-// aborts the execution.
-func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry, batch *ExecuteBatch, decoded *execute.EncryptedInputs, ropts execute.RunOptions, outMode string, cache *handleCache) BatchResult {
-	result, _ := s.runBatchOutputs(stdctx, entry, ce, batch, decoded, ropts, outMode, cache)
-	return result
-}
-
-// runBatchOutputs is runBatch exposing the raw executor outputs, so the
-// pipeline runner can feed one stage's output ciphertexts straight into the
-// next stage without a serialize/store/fetch round-trip.
-func (s *Server) runBatchOutputs(stdctx context.Context, entry *Entry, ce *contextEntry, batch *ExecuteBatch, decoded *execute.EncryptedInputs, ropts execute.RunOptions, outMode string, cache *handleCache) (BatchResult, *execute.Outputs) {
-	res := entry.Result
-	enc, err := s.buildBatchInputs(stdctx, ce, res, batch, decoded, cache, false)
-	if err != nil {
-		s.metrics.RecordExecutionError()
-		return batchError("%v", err), nil
-	}
-	if outMode == outputValues && ce.Keys == nil {
-		s.metrics.RecordExecutionError()
-		return batchError("\"output\": \"values\" needs a server-keygen (demo) context; this context has no keys"), nil
-	}
-
-	// The execute span carries per-instruction progress (readable on live
-	// traces) and, after the run, the per-opcode time folded from RunStats.
-	t := obs.TraceFromContext(stdctx)
-	sp := t.StartSpan("execute", obs.SpanFromContext(stdctx))
-	if sp != nil && ropts.Progress == nil {
-		ropts.Progress = sp.Progress
-	}
-	// The instruction profiler samples this run; the trace id rides along so
-	// drift events in /profile link back to their /traces entry.
-	if rec := s.profiles.Recorder(entry.ID, res, t.ID()); rec != nil {
-		ropts.OnInstruction = rec.OnInstruction
-		defer rec.Finish()
-	}
-	if sp != nil && ropts.OnHoistedBatch == nil {
-		// Record every hoisted rotation batch the executor dispatches as a
-		// child span, so traces show how many rotations shared one
-		// decomposition. StartSpan is goroutine-safe; the callback can fire
-		// from any executor worker.
-		ropts.OnHoistedBatch = func(rotations int) {
-			hsp := t.StartSpan("rotate_hoisted", sp)
-			hsp.SetAttr("rotations", strconv.Itoa(rotations))
-			hsp.End()
-		}
-	}
-	out, err := execute.RunContext(stdctx, ce.Ctx, res, enc, ropts)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		// A cancelled run (client disconnect, job cancel, shutdown) is not an
-		// execution failure; keep the failure counter meaningful for alerts.
-		if stdctx.Err() == nil {
-			s.metrics.RecordExecutionError()
-		}
-		return batchError("executing: %v", err), nil
-	}
-	if sp != nil {
-		sp.SetAttr("workers", strconv.Itoa(out.Stats.Workers))
-		for op, os := range out.Stats.PerOp {
-			sp.SetAttr("op."+op+"_ms", strconv.FormatFloat(float64(os.Total)/float64(time.Millisecond), 'f', 3, 64))
-		}
-		sp.End()
-	}
-	s.metrics.RecordExecution(out.Stats)
-
-	result := BatchResult{
-		Stats: BatchStats{
-			Instructions: out.Stats.Instructions,
-			Workers:      out.Stats.Workers,
-			WallMillis:   float64(out.Stats.WallTime) / float64(time.Millisecond),
-		},
-	}
-	if outMode == outputHandle {
-		result.Handles = map[string]string{}
-		for name, ct := range out.Cipher {
-			id, err := s.storeOutputHandle(ce, res, ct)
-			if err != nil {
-				s.metrics.RecordExecutionError()
-				return batchError("storing output %q: %v", name, err), nil
-			}
-			result.Handles[name] = id
-		}
-		for name, v := range out.Plain {
-			if result.Values == nil {
-				result.Values = map[string][]float64{}
-			}
-			result.Values[name] = v[:min(res.Program.VecSize, len(v))]
-		}
-		return result, out
-	}
-	if ce.Keys != nil && (outMode == outputValues || len(batch.Values) > 0) {
-		values, _ := execute.DecryptOutputs(ce.Ctx, res, ce.Keys, out)
-		result.Values = values
-		return result, out
-	}
-	result.Cipher = map[string]string{}
-	for name, ct := range out.Cipher {
-		data, err := ct.MarshalBinary()
-		if err != nil {
-			s.metrics.RecordExecutionError()
-			return batchError("serializing output %q: %v", name, err), nil
-		}
-		result.Cipher[name] = base64.StdEncoding.EncodeToString(data)
-	}
-	for name, v := range out.Plain {
-		if result.Values == nil {
-			result.Values = map[string][]float64{}
-		}
-		result.Values[name] = v[:min(res.Program.VecSize, len(v))]
-	}
-	return result, out
+	writeJSON(w, http.StatusOK, ExecuteResponse{ProgramID: req.ProgramID, Results: results})
 }
 
 // --- /healthz and /metrics ---
