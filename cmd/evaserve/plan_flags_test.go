@@ -5,7 +5,7 @@ import (
 	"net/http"
 	"testing"
 
-	"eva/internal/execute"
+	"eva/internal/compile"
 	"eva/internal/serve"
 )
 
@@ -27,8 +27,8 @@ func fetchPlanMetrics(t *testing.T, addr string) serve.PlanMetrics {
 // (512 MiB when the flag is absent) and 0 turns the cache off — executions
 // still succeed, every constant counted as a miss.
 func TestPlanCacheFlag(t *testing.T) {
-	_, old := execute.PlanCacheBudget()
-	defer execute.SetPlanCacheBudget(old)
+	_, old := compile.PlanCacheBudget()
+	defer compile.SetPlanCacheBudget(old)
 
 	for _, tc := range []struct {
 		flags  []string

@@ -2,8 +2,7 @@
 // compiler (Section 6 of the paper): the validation passes that guarantee the
 // transformed program satisfies every constraint of the target RNS-CKKS
 // scheme (and therefore can never trigger a runtime exception in the FHE
-// library), the encryption-parameter selection pass, and the rotation-key
-// selection pass.
+// library) and the encryption-parameter selection pass.
 package analysis
 
 import (

@@ -246,19 +246,6 @@ func TestFactorizeScale(t *testing.T) {
 	}
 }
 
-func TestSelectRotationSteps(t *testing.T) {
-	p := core.MustNewProgram("rot", 8)
-	x, _ := p.NewInput("x", core.TypeCipher, 8, 30)
-	r1, _ := p.NewRotation(core.OpRotateLeft, x, 3)
-	r2, _ := p.NewRotation(core.OpRotateRight, x, 1)
-	sum, _ := p.NewBinary(core.OpAdd, r1, r2)
-	p.AddOutput("out", sum, 30)
-	steps := SelectRotationSteps(p)
-	if len(steps) != 2 || steps[0] != -1 || steps[1] != 3 {
-		t.Errorf("rotation steps = %v, want [-1 3]", steps)
-	}
-}
-
 func asConstraintError(err error, target **ConstraintError) bool {
 	ce, ok := err.(*ConstraintError)
 	if ok {

@@ -132,11 +132,6 @@ func clampPrimeBits(bits int) int {
 	return bits
 }
 
-// SelectRotationSteps implements the rotation-key selection pass: the set of
-// distinct rotation step counts used by the program, for which Galois keys
-// must be generated.
-func SelectRotationSteps(p *core.Program) []int { return p.RotationSteps() }
-
 // minKeySwitchGain is the fraction by which the modelled key-switch cost must
 // fall before a digit size above 1 is taken: every extra special prime widens
 // each mod-down and enlarges the parameter set, so a marginal modelled gain is

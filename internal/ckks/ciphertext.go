@@ -76,7 +76,7 @@ func (ct *Ciphertext) CopyNew() *Ciphertext {
 }
 
 // LogScale returns log2 of the ciphertext's scale — the unit the compiler's
-// scale tracking (compile.Result.Scales) and the profiler's drift checks work
+// scale tracking (compile.Instr.LogScale) and the profiler's drift checks work
 // in. Returns 0 for a non-positive (invalid) scale rather than -Inf/NaN so
 // downstream aggregation stays finite.
 func (ct *Ciphertext) LogScale() float64 {

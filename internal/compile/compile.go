@@ -1,17 +1,16 @@
 // Package compile implements the EVA compiler driver (Algorithm 1 of the
 // paper): it transforms an input program to satisfy every constraint of the
 // target RNS-CKKS scheme, validates the result, selects encryption
-// parameters, and selects the rotation steps for which Galois keys are
-// needed. The output is everything required to generate keys and execute the
-// program against the CKKS backend.
+// parameters, and lowers the program to the dense instruction list the
+// executor runs, selecting on the way the rotation steps for which Galois keys
+// are needed. The output is everything required to generate keys and execute
+// the program against the CKKS backend.
 package compile
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"eva/internal/analysis"
 	"eva/internal/ckks"
@@ -55,8 +54,8 @@ type Options struct {
 func DefaultOptions() Options { return Options{MaxRescaleLog: 60} }
 
 // Result is a compiled EVA program: the transformed program, the encryption
-// parameter plan, the rotation steps, and the per-term analyses the executor
-// relies on.
+// parameter plan, the rotation steps, and the program lowered to the dense
+// form the executor runs. Everything but Cache is fixed once Compile returns.
 type Result struct {
 	// Program is the transformed, validated program (the input is not mutated).
 	Program *core.Program
@@ -66,12 +65,6 @@ type Result struct {
 	RotationSteps []int
 	// LogN is the selected ring degree exponent.
 	LogN int
-	// Scales maps every term of Program to its log2 fixed-point scale.
-	Scales map[*core.Term]float64
-	// Chains maps every Cipher term of Program to its conforming rescale chain.
-	Chains map[*core.Term]analysis.Chain
-	// Types maps every term of Program to its inferred value type.
-	Types map[*core.Term]core.Type
 	// Options echoes the options used.
 	Options Options
 
@@ -79,34 +72,33 @@ type Result struct {
 	SourceStats   core.Stats
 	CompiledStats core.Stats
 
-	// prepared is the slot behind Prepared. A Result is shared by pointer and
-	// must not be copied once it has been executed.
-	prepMu   sync.Mutex
-	prepared atomic.Pointer[any]
-}
+	// Instrs is Program's live terms in topological order, in the dense form
+	// the executor runs; every other id below indexes it.
+	Instrs []Instr
+	// Invariants lists the run-invariant instructions in topological order.
+	// A run completes them in a prologue without evaluating anything; their
+	// values come from Cache.
+	Invariants []int32
+	// Units lists what the schedulers dispatch, in topological order: every
+	// other instruction except the absorbed members of fused chains, which
+	// run as part of their chain's root.
+	Units []int32
+	// Kernels groups the units by kernel label for the bulk-synchronous
+	// scheduler.
+	Kernels [][]int32
+	// Hoists are the hoistable rotation sets (Instr.Hoist indexes them).
+	Hoists []HoistSet
+	// Inputs lists the program's inputs in declaration order, Outputs its
+	// outputs.
+	Inputs  []Input
+	Outputs []Output
 
-// Prepared returns the value build produced the first time it was called for
-// this result, calling build (once, even under concurrent callers) if that
-// has not happened yet; with a nil build it only looks, returning nil when
-// nothing has been prepared. The executor keeps its prepared execution plan
-// here — opaque, because package execute imports this one — so the plan is
-// found from the result in one atomic load and lives exactly as long as the
-// result does.
-func (r *Result) Prepared(build func() any) any {
-	if v := r.prepared.Load(); v != nil {
-		return *v
-	}
-	if build == nil {
-		return nil
-	}
-	r.prepMu.Lock()
-	defer r.prepMu.Unlock()
-	if v := r.prepared.Load(); v != nil {
-		return *v
-	}
-	v := build()
-	r.prepared.Store(&v)
-	return v
+	// Cache holds the encodings of the program's constants, made by its runs
+	// and shared by every context that runs it; copies of a Result share it.
+	Cache *PlainCache
+
+	// waterline is the largest log2 scale of an input or constant.
+	waterline float64
 }
 
 // Compile runs the EVA compiler on the input program. The input program must
@@ -147,15 +139,16 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: parameter selection failed: %w", err)
 	}
-	// Step 4: rotation steps selection.
-	steps := analysis.SelectRotationSteps(prog)
+	// Step 4: lowering to the executor's form, which also selects the
+	// rotation steps.
+	res := Lower(prog, chains, scales)
 
 	// Level headroom for pipeline chaining: pad the front of the chain (the
 	// positions consumed first) with waterline-sized primes, so inputs may
 	// enter up to ExtraLevels below fresh and every rescale still finds a
 	// prime of the size the scale analysis assumed.
 	if opts.ExtraLevels > 0 {
-		w := int(math.Ceil(rewrite.Waterline(prog)))
+		w := int(math.Ceil(res.waterline))
 		if w < 20 {
 			w = 20
 		}
@@ -185,18 +178,8 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	}
 	plan.SelectKeySwitchDigits(load, logN, budget)
 
-	return &Result{
-		Program:       prog,
-		Plan:          plan,
-		RotationSteps: steps,
-		LogN:          logN,
-		Scales:        scales,
-		Chains:        chains,
-		Types:         prog.InferTypes(),
-		Options:       opts,
-		SourceStats:   input.ComputeStats(),
-		CompiledStats: prog.ComputeStats(),
-	}, nil
+	res.Plan, res.LogN, res.Options, res.SourceStats = plan, logN, opts, input.ComputeStats()
+	return res, nil
 }
 
 // selectLogN picks the smallest ring degree that (a) offers at least VecSize
@@ -236,7 +219,7 @@ func (r *Result) ParametersLiteral() ckks.ParametersLiteral {
 		LogN:          r.LogN,
 		LogQi:         logQi,
 		LogPi:         slices.Clone(r.Plan.SpecialBits),
-		Scale:         math.Exp2(rewrite.Waterline(r.Program)),
+		Scale:         math.Exp2(r.waterline),
 		AllowInsecure: r.Options.AllowInsecure,
 	}
 }

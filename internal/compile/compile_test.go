@@ -46,12 +46,29 @@ func TestCompileProducesValidatedProgram(t *testing.T) {
 	if res.Plan == nil || len(res.Plan.BitSizes) == 0 {
 		t.Fatal("missing parameter plan")
 	}
-	if len(res.Scales) == 0 || len(res.Chains) == 0 || len(res.Types) == 0 {
-		t.Error("missing per-term analyses")
-	}
+	checkLowering(t, res)
 	if res.Summary() == "" {
 		t.Error("empty summary")
 	}
+}
+
+// TestSelectRotationSteps: the compiler selects one Galois key per distinct
+// left-rotation step, a right rotation by k counting as a left one by -k.
+func TestSelectRotationSteps(t *testing.T) {
+	p := core.MustNewProgram("rot", 8)
+	x, _ := p.NewInput("x", core.TypeCipher, 8, 30)
+	r1, _ := p.NewRotation(core.OpRotateLeft, x, 3)
+	r2, _ := p.NewRotation(core.OpRotateRight, x, 1)
+	sum, _ := p.NewBinary(core.OpAdd, r1, r2)
+	p.AddOutput("out", sum, 30)
+	res, err := Compile(p, Options{MaxRescaleLog: 60, AllowInsecure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.RotationSteps, []int{-1, 3}) {
+		t.Errorf("rotation steps = %v, want [-1 3]", res.RotationSteps)
+	}
+	checkLowering(t, res)
 }
 
 func TestCompileRejectsBadInput(t *testing.T) {
@@ -82,6 +99,7 @@ func TestCompileSecureParameterSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLowering(t, res)
 	if res.LogN < 13 {
 		t.Errorf("secure logN = %d, expected at least 13 for a %d-bit modulus", res.LogN, res.Plan.LogQP())
 	}
@@ -149,6 +167,7 @@ func TestCompileStrategyOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLowering(t, res)
 	// Fixed-max rescaling rescales after every ciphertext multiply: 4 rescales.
 	if got := res.CompiledStats.Instructions["RESCALE"]; got != 4 {
 		t.Errorf("RESCALE count = %d, want 4 under the fixed-max strategy", got)
@@ -209,6 +228,8 @@ func TestCompileWithFrontendOptimizations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLowering(t, plain)
+	checkLowering(t, opt)
 	if opt.CompiledStats.Terms >= plain.CompiledStats.Terms {
 		t.Errorf("optimized program has %d terms, unoptimized %d", opt.CompiledStats.Terms, plain.CompiledStats.Terms)
 	}

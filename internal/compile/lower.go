@@ -1,0 +1,344 @@
+package compile
+
+import (
+	"slices"
+
+	"eva/internal/analysis"
+	"eva/internal/core"
+	"eva/internal/rewrite"
+)
+
+// Instr is one term of the compiled program in the executor's dense form.
+// Operands, dependants and sets are instruction ids: indices into
+// Result.Instrs, which lists the live terms in topological order.
+type Instr struct {
+	Term  *core.Term
+	Parms []int32 // operand ids, one per parameter slot
+	// Cipher reports that the term's value is a ciphertext.
+	Cipher bool
+	// Invariant marks a Plain term with no INPUT ancestor: its value is the
+	// same in every run of the program.
+	Invariant bool
+	// Refs counts the references that keep the value alive: one per (live
+	// child, slot) use plus one per program output naming the term.
+	Refs int32
+	// LogScale is the log2 scale the compiler assigned to the term; a product
+	// encodes its plain operand at it.
+	LogScale float64
+	// Level is the length of the term's rescale chain: the primes consumed
+	// below a fresh encryption (0 for plain terms).
+	Level int
+	// Rot is the effective left-rotation step of a rotation.
+	Rot int
+
+	// Hoist and HoistPos locate a rotation in its hoistable set (Hoist is -1
+	// for everything else).
+	Hoist, HoistPos int32
+
+	// Chain is set on the root of a fused chain; Absorbed on its other
+	// members, which are never dispatched on their own.
+	Chain    *FusedChain
+	Absorbed bool
+
+	// Children are the distinct units that consume this instruction's value
+	// and Pending the number of distinct run-dependent instructions a unit
+	// waits for — both on the graph with every fused chain contracted into
+	// its root.
+	Children []int32
+	Pending  int32
+}
+
+// HoistSet is one hoistable rotation set: two or more rotations of one
+// Cipher term, which share one key-switch decomposition when run as a batch.
+type HoistSet struct {
+	// Steps holds each member's effective left rotation, in member order.
+	Steps []int
+	// Shared marks members whose step another member also takes: the batch
+	// evaluates a step once, so those members alias one result ciphertext and
+	// none of them may recycle it.
+	Shared []bool
+}
+
+// FusedChain is a maximal tree of ciphertext additions whose interior sums
+// are single-use and not program outputs and whose leaves are all single-use,
+// non-output products of a ciphertext with a run-invariant plain value. The
+// whole tree evaluates as one Σ ctᵢ·ptᵢ (Evaluator.MulPlainAccumulate) when
+// its root is dispatched. SUB never joins a chain: it stays an ordinary
+// instruction, so the tree it roots or feeds is simply cut there.
+type FusedChain struct {
+	// Members lists every term of the tree — leaf products and sums — in
+	// topological order, the root last.
+	Members []int32
+	// Products are the leaves left to right, so Products[0] is the leftmost
+	// leaf, whose scale a chain of Evaluator.Add calls would give the result.
+	Products []FusedProduct
+	// Weights apportions the chain's measured wall time over Members by the
+	// cost model's units (they sum to 1).
+	Weights []float64
+}
+
+// FusedProduct is one leaf of a fused chain: its ciphertext and plain
+// operands.
+type FusedProduct struct {
+	Ct, Plain int32
+}
+
+// Input is one declared input of the program.
+type Input struct {
+	Term *core.Term
+	// ID is the input's instruction, or -1 when no output depends on it.
+	ID int32
+	// Depth is the longest rescale chain among the terms the input reaches:
+	// a ciphertext bound to a Cipher input needs at least that many levels.
+	Depth int
+}
+
+// Output is one output of the program.
+type Output struct {
+	Name string
+	ID   int32
+}
+
+// Lower builds the Result of a transformed program in one walk over its
+// topological order: the dense instruction list, units, kernels, hoist sets,
+// fused chains and invariants the executor runs, the inputs and outputs by
+// id, CompiledStats and RotationSteps. chains and scales are analysis.Validate's
+// per-term results and are not kept. Lower checks nothing itself, so a
+// program that fails validation lowers too; the other fields of the Result
+// (Plan, LogN, Options, SourceStats) are the caller's to fill.
+func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64) *Result {
+	order := prog.TopoSort()
+	n := len(order)
+	r := &Result{Program: prog, Instrs: make([]Instr, n), Cache: newPlainCache()}
+	ids := make(map[*core.Term]int32, n)
+	stats := core.Stats{Terms: n, Instructions: map[string]int{}, Inputs: len(prog.Inputs()), Outputs: len(prog.Outputs())}
+	steps := map[int]bool{}
+	depth := make([]int, n) // multiplicative depth
+	rotations := map[int32][]int32{}
+	var sources []int32 // rotated Cipher terms, in order of their first rotation
+
+	nparms := 0
+	for _, t := range order {
+		nparms += len(t.Parms())
+	}
+	parmBacking := make([]int32, nparms)
+	user := make([]int32, n) // some consumer of each term; the only one when Refs == 1
+	for i, t := range order {
+		ids[t] = int32(i)
+		in := &r.Instrs[i]
+		in.Term = t
+		in.LogScale = scales[t]
+		in.Level = len(chains[t])
+		in.Hoist = -1
+		if t.IsLeaf() {
+			in.Cipher = t.InType == core.TypeCipher
+			r.waterline = max(r.waterline, t.LogScale)
+		} else {
+			stats.Instructions[t.Op.String()]++
+		}
+		in.Parms, parmBacking = parmBacking[:len(t.Parms())], parmBacking[len(t.Parms()):]
+		invariant := t.Op != core.OpInput
+		for slot, parm := range t.Parms() {
+			q := ids[parm]
+			in.Parms[slot] = q
+			r.Instrs[q].Refs++
+			user[q] = int32(i)
+			in.Cipher = in.Cipher || r.Instrs[q].Cipher
+			invariant = invariant && r.Instrs[q].Invariant
+			depth[i] = max(depth[i], depth[q])
+		}
+		in.Invariant = invariant && !in.Cipher
+		if t.Op == core.OpMultiply {
+			depth[i]++
+		}
+		stats.MultDepth = max(stats.MultDepth, depth[i])
+		if t.Op.IsRotation() {
+			in.Rot = rewrite.EffectiveRotation(t)
+			if in.Rot != 0 {
+				steps[in.Rot] = true
+			}
+			if src := in.Parms[0]; r.Instrs[src].Cipher {
+				if len(rotations[src]) == 0 {
+					sources = append(sources, src)
+				}
+				rotations[src] = append(rotations[src], int32(i))
+			}
+		}
+	}
+	for step := range steps {
+		r.RotationSteps = append(r.RotationSteps, step)
+	}
+	slices.Sort(r.RotationSteps)
+	stats.RotationSteps = len(r.RotationSteps)
+	r.CompiledStats = stats
+
+	isOutput := make([]bool, n)
+	for _, o := range prog.Outputs() {
+		id := ids[o.Term]
+		r.Instrs[id].Refs++
+		isOutput[id] = true
+		r.Outputs = append(r.Outputs, Output{Name: o.Name, ID: id})
+	}
+	for _, src := range sources {
+		set := rotations[src]
+		if len(set) < 2 {
+			continue
+		}
+		hs := HoistSet{Steps: make([]int, len(set)), Shared: make([]bool, len(set))}
+		taken := make(map[int]int, len(set))
+		for i, m := range set {
+			in := &r.Instrs[m]
+			in.Hoist, in.HoistPos = int32(len(r.Hoists)), int32(i)
+			hs.Steps[i] = in.Rot
+			taken[in.Rot]++
+		}
+		for i, k := range hs.Steps {
+			hs.Shared[i] = taken[k] > 1
+		}
+		r.Hoists = append(r.Hoists, hs)
+	}
+
+	r.findChains(isOutput, user)
+	r.schedule()
+
+	// An input's depth is the longest chain below it: one reverse sweep
+	// carries every term's longest reachable chain up to its operands.
+	reach := make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		reach[i] = max(reach[i], r.Instrs[i].Level)
+		for _, q := range r.Instrs[i].Parms {
+			reach[q] = max(reach[q], reach[i])
+		}
+	}
+	for _, t := range prog.Inputs() {
+		in := Input{Term: t, ID: -1}
+		if id, ok := ids[t]; ok {
+			in.ID, in.Depth = id, reach[id]
+		}
+		r.Inputs = append(r.Inputs, in)
+	}
+	return r
+}
+
+// findChains marks the fused chains of the program (see FusedChain).
+func (r *Result) findChains(isOutput []bool, user []int32) {
+	instrs := r.Instrs
+	n := len(instrs)
+	// product[i] is 1 + the slot of the ciphertext operand when instruction i
+	// is a fusable leaf; sum[i] reports a tree of additions over such leaves.
+	product := make([]int8, n)
+	sum := make([]bool, n)
+	absorbable := func(i int32) bool { return instrs[i].Refs == 1 && !isOutput[i] }
+	for i := range instrs {
+		in := &instrs[i]
+		if !in.Cipher || len(in.Parms) != 2 {
+			continue
+		}
+		a, b := &instrs[in.Parms[0]], &instrs[in.Parms[1]]
+		switch in.Term.Op {
+		case core.OpMultiply:
+			if !absorbable(int32(i)) {
+				continue
+			}
+			if a.Cipher && b.Invariant {
+				product[i] = 1
+			} else if b.Cipher && a.Invariant {
+				product[i] = 2
+			}
+		case core.OpAdd:
+			leaf := func(q int32) bool { return absorbable(q) && (product[q] != 0 || sum[q]) }
+			sum[i] = leaf(in.Parms[0]) && leaf(in.Parms[1])
+		}
+	}
+	// Every member of a chain works on the same limbs, so the units at any
+	// one chain position and ring degree give the right shares.
+	model := analysis.CostModel{TotalLevels: 1}
+	for i := range instrs {
+		if !sum[i] || (absorbable(int32(i)) && sum[user[i]]) {
+			continue // not a sum, or an interior sum of a larger tree
+		}
+		ch := &FusedChain{}
+		var walk func(id int32)
+		walk = func(id int32) {
+			in := &instrs[id]
+			if product[id] != 0 {
+				ct := in.Parms[product[id]-1]
+				ch.Products = append(ch.Products, FusedProduct{Ct: ct, Plain: in.Parms[2-product[id]]})
+			} else {
+				walk(in.Parms[0])
+				walk(in.Parms[1])
+			}
+			ch.Members = append(ch.Members, id)
+		}
+		walk(int32(i))
+		ch.Weights = make([]float64, len(ch.Members))
+		total := 0.0
+		for k, m := range ch.Members {
+			ch.Weights[k] = model.OpUnits(instrs[m].Term.Op, 0, false)
+			total += ch.Weights[k]
+		}
+		for k := range ch.Weights {
+			ch.Weights[k] /= total
+		}
+		for _, m := range ch.Members[:len(ch.Members)-1] {
+			instrs[m].Absorbed = true
+		}
+		instrs[i].Chain = ch
+	}
+}
+
+// schedule builds the scheduling graph — fused chains contracted into their
+// roots, invariant terms left out (they are complete before the first unit is
+// dispatched) — and the kernel groups of the bulk-synchronous scheduler.
+func (r *Result) schedule() {
+	instrs := r.Instrs
+	seenBy := make([]int32, len(instrs)) // seenBy[q] == i+1: q already counted as a producer of unit i
+	for i := range instrs {
+		in := &instrs[i]
+		switch {
+		case in.Invariant:
+			r.Invariants = append(r.Invariants, int32(i))
+			continue
+		case in.Absorbed:
+			continue
+		}
+		r.Units = append(r.Units, int32(i))
+		depend := func(q int32) {
+			if instrs[q].Invariant || seenBy[q] == int32(i)+1 {
+				return
+			}
+			seenBy[q] = int32(i) + 1
+			in.Pending++
+			instrs[q].Children = append(instrs[q].Children, int32(i))
+		}
+		if in.Chain != nil {
+			for _, pr := range in.Chain.Products {
+				depend(pr.Ct)
+			}
+			continue
+		}
+		for _, q := range in.Parms {
+			depend(q)
+		}
+	}
+
+	// Kernels: maximal runs of the topological order sharing a kernel label
+	// (unlabeled terms attach to the current run), each keeping its units.
+	var group []int32
+	label := ""
+	for i := range instrs {
+		in := &instrs[i]
+		if l := in.Term.Kernel; l != "" && l != label {
+			if len(group) > 0 {
+				r.Kernels = append(r.Kernels, group)
+			}
+			group, label = nil, l
+		}
+		if !in.Invariant && !in.Absorbed {
+			group = append(group, int32(i))
+		}
+	}
+	if len(group) > 0 {
+		r.Kernels = append(r.Kernels, group)
+	}
+}

@@ -1,0 +1,127 @@
+package compile
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"eva/internal/analysis"
+	"eva/internal/core"
+	"eva/internal/rewrite"
+)
+
+// checkLowering cross-checks a Result's dense form against derivations that
+// do not share the lowering walk: the program's own type inference,
+// statistics and rotation steps, the analysis passes' chains, rewrite's
+// scales and rotation sets, and — for programs with at most 64 Cipher
+// inputs — each input's depth against a reachability-mask fold.
+func checkLowering(t testing.TB, res *Result) {
+	t.Helper()
+	prog := res.Program
+	order := prog.TopoSort()
+	types := prog.InferTypes()
+	chains, err := analysis.ComputeChains(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := rewrite.ComputeLogScales(prog)
+	if len(res.Instrs) != len(order) {
+		t.Fatalf("%d instructions for %d live terms", len(res.Instrs), len(order))
+	}
+	for i, in := range res.Instrs {
+		term := order[i]
+		switch {
+		case in.Term != term:
+			t.Fatalf("instruction %d is %s, the topological order has %s", i, in.Term, term)
+		case in.Cipher != (types[term] == core.TypeCipher):
+			t.Fatalf("%s: Cipher %v, inferred type %s", term, in.Cipher, types[term])
+		case in.Level != len(chains[term]):
+			t.Fatalf("%s: Level %d, chain %v", term, in.Level, chains[term])
+		case in.LogScale != scales[term]:
+			t.Fatalf("%s: LogScale %g, computed scale %g", term, in.LogScale, scales[term])
+		}
+	}
+	if want := prog.ComputeStats(); !reflect.DeepEqual(res.CompiledStats, want) {
+		t.Errorf("CompiledStats %+v, ComputeStats %+v", res.CompiledStats, want)
+	}
+	if want := prog.RotationSteps(); !slices.Equal(res.RotationSteps, want) {
+		t.Errorf("RotationSteps %v, program rotation steps %v", res.RotationSteps, want)
+	}
+	sets := rewrite.RotationSets(prog)
+	if len(res.Hoists) != len(sets) {
+		t.Fatalf("%d hoist sets, rewrite finds %d rotation sets", len(res.Hoists), len(sets))
+	}
+	for s, set := range sets {
+		steps := make([]int, len(set))
+		for i, m := range set {
+			steps[i] = rewrite.EffectiveRotation(m)
+			if in := res.Instrs[slices.Index(order, m)]; in.Hoist != int32(s) || in.HoistPos != int32(i) {
+				t.Fatalf("%s is member %d of rotation set %d, lowered as %d of %d", m, i, s, in.HoistPos, in.Hoist)
+			}
+		}
+		if !slices.Equal(res.Hoists[s].Steps, steps) {
+			t.Errorf("hoist set %d steps %v, want %v", s, res.Hoists[s].Steps, steps)
+		}
+	}
+
+	if len(res.Inputs) != len(prog.Inputs()) {
+		t.Fatalf("%d inputs, the program declares %d", len(res.Inputs), len(prog.Inputs()))
+	}
+	depths := maskFoldDepths(prog, chains)
+	for i, in := range res.Inputs {
+		if in.Term != prog.Inputs()[i] {
+			t.Fatalf("input %d is %s, declared %s", i, in.Term, prog.Inputs()[i])
+		}
+		if want, ok := depths[in.Term.Name]; ok && in.Depth != want {
+			t.Errorf("input %q: depth %d, the mask fold says %d", in.Term.Name, in.Depth, want)
+		}
+	}
+}
+
+// maskFoldDepths is the required-level rule the serving tier used before the
+// compiler published input depths: per Cipher input, the longest chain of
+// any term the input reaches, with inputs tracked as bits in a reachability
+// mask folded forward over the terms. The fold needs a topological order;
+// the serving tier's version walked Program.Terms(), creation order, which
+// rewrites break (a RESCALE inserted after a product is created after the
+// product's consumers), so it undercounted. It returns nil above 64 Cipher
+// inputs, where the mask runs out of bits.
+func maskFoldDepths(prog *core.Program, chains map[*core.Term]analysis.Chain) map[string]int {
+	req := map[string]int{}
+	idx := map[*core.Term]int{}
+	var names []string
+	for _, in := range prog.Inputs() {
+		if in.InType == core.TypeCipher {
+			idx[in] = len(names)
+			names = append(names, in.Name)
+			req[in.Name] = 0
+		}
+	}
+	if len(names) > 64 {
+		return nil
+	}
+	masks := map[*core.Term]uint64{}
+	for _, t := range prog.TopoSort() {
+		var m uint64
+		if i, ok := idx[t]; ok {
+			m |= 1 << uint(i)
+		}
+		for _, p := range t.Parms() {
+			m |= masks[p]
+		}
+		if m == 0 {
+			continue
+		}
+		masks[t] = m
+		d := len(chains[t])
+		if d == 0 {
+			continue
+		}
+		for i, name := range names {
+			if m&(1<<uint(i)) != 0 && d > req[name] {
+				req[name] = d
+			}
+		}
+	}
+	return req
+}

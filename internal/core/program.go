@@ -275,19 +275,23 @@ func (p *Program) TopoSort() []*Term {
 		t := queue[0]
 		queue = queue[1:]
 		out = append(out, t)
-		seen := map[*Term]bool{}
-		for _, u := range t.uses {
+		for i, u := range t.uses {
 			c := u.child
-			if !live[c] || seen[c] {
+			if !live[c] {
 				continue
 			}
-			seen[c] = true
-			// Decrement once per distinct parameter edge from t to c.
+			// Retire every parameter edge from t to c at c's first use, so c
+			// is queued in the order of its first use.
+			edges := 0
 			for _, parm := range c.parms {
 				if parm == t {
-					indeg[c]--
+					edges++
 				}
 			}
+			if edges > 1 && usedBefore(t.uses[:i], c) {
+				continue
+			}
+			indeg[c] -= edges
 			if indeg[c] == 0 {
 				queue = append(queue, c)
 			}
@@ -297,6 +301,16 @@ func (p *Program) TopoSort() []*Term {
 		panic("core: cycle detected in program graph")
 	}
 	return out
+}
+
+// usedBefore reports whether c is the child of one of the uses.
+func usedBefore(uses []use, c *Term) bool {
+	for _, u := range uses {
+		if u.child == c {
+			return true
+		}
+	}
+	return false
 }
 
 // liveTerms returns the set of terms reachable from the outputs (or all

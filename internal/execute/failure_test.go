@@ -1,6 +1,7 @@
 package execute
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 func compileSkippingPasses(t *testing.T, p *core.Program, tweak func(*rewrite.Options)) *compile.Result {
 	t.Helper()
 	// Bypass compile.Compile (whose validation would reject the program) and
-	// build the pieces by hand, mirroring what a buggy compiler would do.
+	// lower the under-transformed program itself, as a buggy compiler would.
 	prog := p.Clone()
 	opts := rewrite.DefaultOptions()
 	tweak(&opts)
@@ -32,20 +33,11 @@ func compileSkippingPasses(t *testing.T, p *core.Program, tweak func(*rewrite.Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap in the under-transformed program while keeping the (valid)
-	// parameter plan, so execution reaches the backend and fails there.
-	return &compile.Result{
-		Program:       prog,
-		Plan:          good.Plan,
-		RotationSteps: good.RotationSteps,
-		LogN:          good.LogN,
-		Scales:        rewrite.ComputeLogScales(prog),
-		Chains:        good.Chains,
-		Types:         good.Types,
-		Options:       good.Options,
-		SourceStats:   good.SourceStats,
-		CompiledStats: good.CompiledStats,
-	}
+	// Keep the (valid) parameter plan, so execution reaches the backend and
+	// fails there.
+	bad := compile.Lower(prog, nil, rewrite.ComputeLogScales(prog))
+	bad.Plan, bad.LogN, bad.Options, bad.SourceStats = good.Plan, good.LogN, good.Options, good.SourceStats
+	return bad
 }
 
 func TestRunSurfacesMissingRelinearization(t *testing.T) {
@@ -138,22 +130,24 @@ func TestGroupByKernelPreservesOrder(t *testing.T) {
 	c, _ := p.NewBinary(core.OpAdd, b, x)
 	c.Kernel = "k2"
 	p.AddOutput("out", c, 30)
-	groups := groupByKernel(p.TopoSort())
-	if len(groups) < 2 {
-		t.Fatalf("expected at least 2 kernel groups, got %d", len(groups))
+	res, err := compile.Compile(p, compile.Options{MaxRescaleLog: 60, AllowInsecure: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Flattening the groups must preserve the topological order.
-	var flat []*core.Term
-	for _, g := range groups {
+	if len(res.Kernels) < 2 {
+		t.Fatalf("expected at least 2 kernel groups, got %d", len(res.Kernels))
+	}
+	// Flattened, the groups are exactly the units, in topological order.
+	var flat []int32
+	for _, g := range res.Kernels {
 		flat = append(flat, g...)
 	}
-	pos := map[*core.Term]int{}
-	for i, term := range flat {
-		pos[term] = i
+	if !slices.Equal(flat, res.Units) {
+		t.Fatalf("kernel groups %v do not flatten to the units %v", res.Kernels, res.Units)
 	}
-	for _, term := range flat {
-		for _, parm := range term.Parms() {
-			if pos[parm] >= pos[term] {
+	for i, id := range flat {
+		for _, q := range res.Instrs[id].Parms {
+			if pos := slices.Index(flat, q); pos >= i {
 				t.Fatal("kernel grouping broke the topological order")
 			}
 		}

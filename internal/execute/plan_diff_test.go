@@ -50,7 +50,7 @@ func compileUnreleased(t testing.TB, prog *core.Program, opts compile.Options) *
 func compileInsecure(t testing.TB, prog *core.Program, opts compile.Options) *compile.Result {
 	t.Helper()
 	res := compileUnreleased(t, prog, opts)
-	t.Cleanup(func() { execute.ReleasePlan(res) })
+	t.Cleanup(func() { compile.ReleasePlan(res) })
 	return res
 }
 

@@ -74,7 +74,7 @@ func TestPlanSharedAcrossContexts(t *testing.T) {
 	}
 
 	first := tenants[0].run(t, execute.RunOptions{})
-	filled, _ := execute.PlanStatsOf(res)
+	filled, _ := compile.PlanStatsOf(res)
 	if first.Stats.PlainCacheMisses == 0 || filled.CachedPlaintexts == 0 || filled.CachedBytes == 0 {
 		t.Fatalf("first run cached nothing (misses %d, stats %+v)", first.Stats.PlainCacheMisses, filled)
 	}
@@ -98,7 +98,7 @@ func TestPlanSharedAcrossContexts(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if after, _ := execute.PlanStatsOf(res); after != filled {
+	if after, _ := compile.PlanStatsOf(res); after != filled {
 		t.Errorf("the second tenant changed the cache: %+v, was %+v", after, filled)
 	}
 }
@@ -205,9 +205,9 @@ func TestCallerOwnedBuffersSurviveRecycling(t *testing.T) {
 
 // withPlanCacheBudget sets the process-wide budget for one test.
 func withPlanCacheBudget(t testing.TB, bytes int64) {
-	_, old := execute.PlanCacheBudget()
-	execute.SetPlanCacheBudget(bytes)
-	t.Cleanup(func() { execute.SetPlanCacheBudget(old) })
+	_, old := compile.PlanCacheBudget()
+	compile.SetPlanCacheBudget(bytes)
+	t.Cleanup(func() { compile.SetPlanCacheBudget(old) })
 }
 
 // TestPlanCacheBudgetExhausted: with room for a single plaintext the plan
@@ -218,9 +218,9 @@ func TestPlanCacheBudgetExhausted(t *testing.T) {
 	in := randomInputs(prog, 5)
 	roomy := newFixture(t, compileInsecure(t, prog, compile.DefaultOptions()), in, 71)
 	want := serialized(t, roomy.run(t, execute.RunOptions{}))
-	one, _ := execute.PlanStatsOf(roomy.res)
+	one, _ := compile.PlanStatsOf(roomy.res)
 	perPlaintext := one.CachedBytes / int64(one.CachedPlaintexts)
-	used, _ := execute.PlanCacheBudget()
+	used, _ := compile.PlanCacheBudget()
 
 	withPlanCacheBudget(t, used+perPlaintext)
 	tight := newFixture(t, compileInsecure(t, prog, compile.DefaultOptions()), in, 71)
@@ -231,7 +231,7 @@ func TestPlanCacheBudgetExhausted(t *testing.T) {
 			t.Errorf("run %d reports no cache misses under an exhausted budget", run)
 		}
 	}
-	if got, _ := execute.PlanStatsOf(tight.res); got.CachedBytes > perPlaintext {
+	if got, _ := compile.PlanStatsOf(tight.res); got.CachedBytes > perPlaintext {
 		t.Errorf("plan holds %d bytes; the budget left room for %d", got.CachedBytes, perPlaintext)
 	}
 
@@ -239,7 +239,7 @@ func TestPlanCacheBudgetExhausted(t *testing.T) {
 	off := newFixture(t, compileInsecure(t, prog, compile.DefaultOptions()), in, 71)
 	out := off.run(t, execute.RunOptions{})
 	requireSameBytes(t, "budget 0", serialized(t, out), want)
-	if got, _ := execute.PlanStatsOf(off.res); got.CachedBytes != 0 || out.Stats.PlainCacheHits != 0 {
+	if got, _ := compile.PlanStatsOf(off.res); got.CachedBytes != 0 || out.Stats.PlainCacheHits != 0 {
 		t.Errorf("budget 0 still cached %d bytes / served %d hits", got.CachedBytes, out.Stats.PlainCacheHits)
 	}
 }
@@ -249,24 +249,24 @@ func TestPlanCacheBudgetExhausted(t *testing.T) {
 func TestReleasePlan(t *testing.T) {
 	prog := convLike(t)
 	f := newFixture(t, compileInsecure(t, prog, compile.DefaultOptions()), randomInputs(prog, 6), 81)
-	if _, ok := execute.PlanStatsOf(f.res); ok {
+	if _, ok := compile.PlanStatsOf(f.res); ok {
 		t.Fatal("a result that never ran has a plan")
 	}
-	execute.ReleasePlan(f.res) // no plan yet: must not build one
-	before, _ := execute.PlanCacheBudget()
+	compile.ReleasePlan(f.res) // no plan yet: must not build one
+	before, _ := compile.PlanCacheBudget()
 	want := serialized(t, f.run(t, execute.RunOptions{}))
-	held, _ := execute.PlanStatsOf(f.res)
-	if used, _ := execute.PlanCacheBudget(); held.CachedBytes == 0 || used != before+held.CachedBytes {
+	held, _ := compile.PlanStatsOf(f.res)
+	if used, _ := compile.PlanCacheBudget(); held.CachedBytes == 0 || used != before+held.CachedBytes {
 		t.Fatalf("budget use went %d → %d for a plan holding %d bytes", before, used, held.CachedBytes)
 	}
 
-	execute.ReleasePlan(f.res)
-	if used, _ := execute.PlanCacheBudget(); used != before {
+	compile.ReleasePlan(f.res)
+	if used, _ := compile.PlanCacheBudget(); used != before {
 		t.Errorf("budget use is %d after the release, was %d before the plan filled", used, before)
 	}
 	out := f.run(t, execute.RunOptions{})
 	requireSameBytes(t, "run after release", serialized(t, out), want)
-	if got, _ := execute.PlanStatsOf(f.res); got.CachedBytes != 0 || got.CachedPlaintexts != 0 || out.Stats.PlainCacheHits != 0 {
+	if got, _ := compile.PlanStatsOf(f.res); got.CachedBytes != 0 || got.CachedPlaintexts != 0 || out.Stats.PlainCacheHits != 0 {
 		t.Errorf("released plan cached again: %+v, %d hits", got, out.Stats.PlainCacheHits)
 	}
 }
@@ -274,12 +274,12 @@ func TestReleasePlan(t *testing.T) {
 // TestDroppedResultFreesBudget: a result that becomes garbage without
 // ReleasePlan — nothing outside a server releases — gives its bytes back too.
 func TestDroppedResultFreesBudget(t *testing.T) {
-	before, _ := execute.PlanCacheBudget()
+	before, _ := compile.PlanCacheBudget()
 	func() {
 		prog := convLike(t)
 		res := compileUnreleased(t, prog, compile.DefaultOptions())
 		newFixture(t, res, randomInputs(prog, 7), 91).run(t, execute.RunOptions{})
-		if used, _ := execute.PlanCacheBudget(); used <= before {
+		if used, _ := compile.PlanCacheBudget(); used <= before {
 			t.Fatalf("the run cached nothing (budget use %d → %d)", before, used)
 		}
 		runtime.KeepAlive(res) // collected any earlier, the check above races the cleanup
@@ -287,7 +287,7 @@ func TestDroppedResultFreesBudget(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
-		if used, _ := execute.PlanCacheBudget(); used == before {
+		if used, _ := compile.PlanCacheBudget(); used == before {
 			return
 		} else if time.Now().After(deadline) {
 			t.Fatalf("budget use still %d after the result was collected, want %d", used, before)
@@ -314,7 +314,7 @@ func TestWarmInferenceAllocations(t *testing.T) {
 	out := f.run(t, ropts)
 	runtime.ReadMemStats(&after)
 	allocated := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	cached, _ := execute.PlanStatsOf(f.res)
+	cached, _ := compile.PlanStatsOf(f.res)
 	t.Logf("warm inference: %.1f MB allocated, %d cache hits (%d plaintexts, %.1f MB cached), %d fused chains over %d terms, %d buffers recycled",
 		allocated, out.Stats.PlainCacheHits, cached.CachedPlaintexts, float64(cached.CachedBytes)/1e6,
 		out.Stats.FusedChains, out.Stats.FusedTerms, out.Stats.RecycledBuffers)

@@ -56,7 +56,7 @@ type RunOptions struct {
 	OnInstruction func(t *core.Term, rec InstrRecord)
 
 	// withoutPlanMechanisms is the differential tests' switch: the run goes
-	// through the same plan and scheduler but encodes every constant itself,
+	// through the same program and scheduler but encodes every constant itself,
 	// allocates every result fresh and evaluates fused chains one member at
 	// a time — what every run did before plans carried those mechanisms.
 	withoutPlanMechanisms bool
@@ -124,23 +124,24 @@ func (st *runState) opStats(op core.OpCode) *OpStats {
 	return &st.perOp[op]
 }
 
-// runState carries the shared mutable state of one execution of a plan.
+// runState carries the shared mutable state of one execution of a compiled
+// program.
 type runState struct {
 	stdctx context.Context
 	ctx    *Context
-	plan   *plan
+	res    *compile.Result
 	in     *EncryptedInputs
 
 	onDone         func(done, total int)
 	onInstr        func(t *core.Term, rec InstrRecord)
 	onHoistedBatch func(rotations int)
 
-	// The plan's three mechanisms, each of which a run may have to do
-	// without: cache (the context's parameters match the cached encodings),
-	// recycle and fuse (off only under the tests' switch).
+	// The three plan mechanisms, each of which a run may have to do without:
+	// cache (the context's parameters match the cached encodings), recycle
+	// and fuse (off only under the tests' switch).
 	cache, recycle, fuse bool
-	// hoists holds the per-run state of the plan's hoistable rotation sets;
-	// nil when hoisting is disabled.
+	// hoists holds the per-run state of the program's hoistable rotation
+	// sets; nil when hoisting is disabled.
 	hoists []hoistRun
 
 	cacheHits, cacheMisses atomic.Int64
@@ -177,16 +178,16 @@ type hoistRun struct {
 // batch on first use. ok is false when the batch failed (the caller falls
 // back to an independent rotation, so a batch error can only ever degrade
 // performance, not correctness).
-func (st *runState) hoistedRotation(in *instr, src *ckks.Ciphertext) (v value, ok bool) {
-	set := &st.plan.hoists[in.hoist]
-	g := &st.hoists[in.hoist]
+func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v value, ok bool) {
+	set := &st.res.Hoists[in.Hoist]
+	g := &st.hoists[in.Hoist]
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.failed {
 		return value{}, false
 	}
 	if g.results == nil {
-		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.steps)
+		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.Steps)
 		if err != nil {
 			g.failed = true
 			return value{}, false
@@ -200,8 +201,8 @@ func (st *runState) hoistedRotation(in *instr, src *ckks.Ciphertext) (v value, o
 			st.onHoistedBatch(len(batch))
 		}
 	}
-	ct, ok := g.results[in.rot]
-	return value{ct: ct, owned: !set.shared[in.hoistPos]}, ok
+	ct, ok := g.results[in.Rot]
+	return value{ct: ct, owned: !set.Shared[in.HoistPos]}, ok
 }
 
 // Run executes a compiled program on encrypted inputs using the CKKS backend.
@@ -216,8 +217,8 @@ func Run(ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions
 // mid-operation), start no new ones, and RunContext returns the context's
 // error.
 //
-// The run follows the program's prepared plan (see plan), built on the first
-// run of res and shared by every later one, whatever its context.
+// The run executes res's instructions as compiled (see compile.Lower); the
+// only state it shares with other runs of res is the plaintext cache.
 func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions) (*Outputs, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -226,31 +227,32 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		opts.Workers = 1
 	}
 	start := time.Now()
-	p := planFor(res)
-	n := len(p.instrs)
+	n := len(res.Instrs)
 
 	on := !opts.withoutPlanMechanisms
+	// Every run offers its parameters to the cache, so the first one adopts
+	// them whether or not it uses the cache (compile.PlanStatsOf's "has run").
 	st := &runState{
 		stdctx:    stdctx,
 		ctx:       ctx,
-		plan:      p,
+		res:       res,
 		in:        in,
 		onDone:    opts.Progress,
 		onInstr:   opts.OnInstruction,
-		cache:     on && p.cache.usableWith(ctx.Params),
+		cache:     res.Cache.UsableWith(ctx.Params) && on,
 		recycle:   on,
 		fuse:      on,
 		values:    make([]value, n),
 		refs:      make([]int32, n),
 		pending:   make([]int32, n),
-		remaining: len(p.units),
+		remaining: len(res.Units),
 	}
-	for i := range p.instrs {
-		st.refs[i], st.pending[i] = p.instrs[i].refs, p.instrs[i].pending
+	for i := range res.Instrs {
+		st.refs[i], st.pending[i] = res.Instrs[i].Refs, res.Instrs[i].Pending
 	}
-	if !opts.DisableHoisting && len(p.hoists) > 0 {
+	if !opts.DisableHoisting && len(res.Hoists) > 0 {
 		st.onHoistedBatch = opts.OnHoistedBatch
-		st.hoists = make([]hoistRun, len(p.hoists))
+		st.hoists = make([]hoistRun, len(res.Hoists))
 	}
 
 	err := stdctx.Err()
@@ -270,23 +272,23 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 	}
 
 	out := &Outputs{Cipher: map[string]*ckks.Ciphertext{}, Plain: map[string][]float64{}}
-	for _, o := range p.outputs {
-		if p.instrs[o.id].invariant {
-			v, err := p.invariantValue(o.id)
+	for _, o := range res.Outputs {
+		if res.Instrs[o.ID].Invariant {
+			v, err := invariantValue(res, o.ID)
 			if err != nil {
 				return nil, err
 			}
-			// The plan's copy is shared between runs; the caller gets its own.
-			out.Plain[o.name] = append([]float64(nil), v...)
+			// The cached copy is shared between runs; the caller gets its own.
+			out.Plain[o.Name] = append([]float64(nil), v...)
 			continue
 		}
-		switch v := st.values[o.id]; {
+		switch v := st.values[o.ID]; {
 		case v.ct != nil:
-			out.Cipher[o.name] = v.ct
+			out.Cipher[o.Name] = v.ct
 		case v.plain != nil:
-			out.Plain[o.name] = v.plain
+			out.Plain[o.Name] = v.plain
 		default:
-			return nil, fmt.Errorf("execute: output %q was never computed", o.name)
+			return nil, fmt.Errorf("execute: output %q was never computed", o.Name)
 		}
 	}
 	st.stats.PerOp = make(map[string]*OpStats)
@@ -305,32 +307,59 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 
 // completeInvariants is the run's prologue: the run-invariant instructions
 // need no evaluation — consumers read their values and encodings from the
-// plan — so they complete here, before anything is dispatched, each with its
+// cache — so they complete here, before anything is dispatched, each with its
 // statistics sample, profiler record and progress tick like any other
 // instruction.
 func (st *runState) completeInvariants() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	vb := 8 * st.plan.vecSize
-	for _, id := range st.plan.invariants {
-		in := &st.plan.instrs[id]
-		st.opStats(in.term.Op).observe(0)
+	vb := 8 * st.res.Program.VecSize
+	for _, id := range st.res.Invariants {
+		in := &st.res.Instrs[id]
+		st.opStats(in.Term.Op).observe(0)
 		if st.onInstr != nil {
-			st.onInstr(in.term, InstrRecord{
+			st.onInstr(in.Term, InstrRecord{
 				Level:        -1,
 				OutBytes:     vb,
-				OperandBytes: vb * len(in.parms),
-				Operands:     len(in.parms),
+				OperandBytes: vb * len(in.Parms),
+				Operands:     len(in.Parms),
 			})
 		}
 		st.tickLocked()
 	}
 }
 
+// invariantValue returns the value of a run-invariant instruction. It is
+// shared between runs: callers must not modify it.
+func invariantValue(res *compile.Result, id int32) ([]float64, error) {
+	in := &res.Instrs[id]
+	if in.Term.Op == core.OpConstant {
+		// Replicating a constant is cheaper than remembering it.
+		return Replicate(in.Term.Value, res.Program.VecSize), nil
+	}
+	if v := res.Cache.Value(id); v != nil {
+		return v, nil
+	}
+	var args [2][]float64
+	for slot, q := range in.Parms {
+		a, err := invariantValue(res, q)
+		if err != nil {
+			return nil, err
+		}
+		args[slot] = a
+	}
+	v, err := plainOp(in.Term, args[0], args[1])
+	if err != nil {
+		return nil, err
+	}
+	res.Cache.KeepValue(id, v)
+	return v, nil
+}
+
 // runParallel is EVA's asynchronous DAG scheduler: a pool of workers consumes
 // a ready queue; finishing a unit may make its dependants ready.
 func runParallel(st *runState, workers int) error {
-	units := st.plan.units
+	units := st.res.Units
 	if len(units) == 0 {
 		return nil
 	}
@@ -392,7 +421,7 @@ func runParallel(st *runState, workers int) error {
 // kernel are processed in waves of ready instructions with a barrier after
 // every wave, which is how a statically parallelized kernel library behaves.
 func runBulkSynchronous(st *runState, workers int) error {
-	for _, group := range st.plan.kernels {
+	for _, group := range st.res.Kernels {
 		remaining := group
 		for len(remaining) > 0 {
 			if err := st.stdctx.Err(); err != nil {
@@ -480,10 +509,10 @@ func (st *runState) runUnit(id int32) (err error) {
 	// into an ordinary execution error (defense in depth for evaserve).
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("execute: panic evaluating %s: %v", st.plan.instrs[id].term, r)
+			err = fmt.Errorf("execute: panic evaluating %s: %v", st.res.Instrs[id].Term, r)
 		}
 	}()
-	ch := st.plan.instrs[id].chain
+	ch := st.res.Instrs[id].Chain
 	if ch == nil {
 		return st.evalAndStore(id)
 	}
@@ -497,7 +526,7 @@ func (st *runState) runUnit(id int32) (err error) {
 	// Unfused (the tests' switch), or the fused kernel refused the operands:
 	// evaluate the members one at a time, which also reproduces exactly the
 	// error an unfused run reports.
-	for _, m := range ch.members {
+	for _, m := range ch.Members {
 		if err := st.evalAndStore(m); err != nil {
 			return err
 		}
@@ -508,7 +537,7 @@ func (st *runState) runUnit(id int32) (err error) {
 // evalAndStore computes the value of one instruction, stores it, and releases
 // operand values whose last use this was (the executor's memory reuse).
 func (st *runState) evalAndStore(id int32) error {
-	in := &st.plan.instrs[id]
+	in := &st.res.Instrs[id]
 	start := time.Now()
 	v, err := st.eval(in)
 	if err != nil {
@@ -527,19 +556,19 @@ func (st *runState) evalAndStore(id int32) error {
 // only the root has a value, but each member still gets its statistics
 // sample, profiler record, operand release and progress tick, so a fused run
 // reports the same instructions as an unfused one.
-func (st *runState) completeChain(ch *fusedChain, ct *ckks.Ciphertext, elapsed time.Duration) {
+func (st *runState) completeChain(ch *compile.FusedChain, ct *ckks.Ciphertext, elapsed time.Duration) {
 	v := value{ct: ct, owned: true}
 	vb := v.bytes()
-	root := ch.members[len(ch.members)-1]
+	root := ch.Members[len(ch.Members)-1]
 	st.mu.Lock()
 	st.storeLocked(root, v)
-	for k, m := range ch.members {
-		in := &st.plan.instrs[m]
-		st.recordLocked(in, time.Duration(float64(elapsed)*ch.weights[k]), v, vb, true)
+	for k, m := range ch.Members {
+		in := &st.res.Instrs[m]
+		st.recordLocked(in, time.Duration(float64(elapsed)*ch.Weights[k]), v, vb, true)
 		st.finishLocked(in)
 	}
 	st.stats.FusedChains++
-	st.stats.FusedTerms += len(ch.members)
+	st.stats.FusedTerms += len(ch.Members)
 	st.mu.Unlock()
 }
 
@@ -559,8 +588,8 @@ func (st *runState) storeLocked(id int32, v value) {
 // attached, emits its record. v is the instruction's result — for a fused
 // member, its chain's. It must run before finishLocked, which releases the
 // operands whose footprints the record reads.
-func (st *runState) recordLocked(in *instr, wall time.Duration, v value, vb int, fused bool) {
-	st.opStats(in.term.Op).observe(wall)
+func (st *runState) recordLocked(in *compile.Instr, wall time.Duration, v value, vb int, fused bool) {
+	st.opStats(in.Term.Op).observe(wall)
 	if st.onInstr == nil {
 		return
 	}
@@ -568,8 +597,8 @@ func (st *runState) recordLocked(in *instr, wall time.Duration, v value, vb int,
 		Wall:     wall,
 		Level:    -1,
 		OutBytes: vb,
-		Operands: len(in.parms),
-		Hoisted:  st.hoists != nil && in.hoist >= 0,
+		Operands: len(in.Parms),
+		Hoisted:  st.hoists != nil && in.Hoist >= 0,
 		Fused:    fused,
 	}
 	if v.ct != nil {
@@ -577,12 +606,12 @@ func (st *runState) recordLocked(in *instr, wall time.Duration, v value, vb int,
 		rec.Level = v.ct.Level
 		rec.Scale = v.ct.Scale
 	}
-	for _, q := range in.parms {
+	for _, q := range in.Parms {
 		switch parm := st.values[q]; {
 		case parm.ct != nil || parm.plain != nil:
 			rec.OperandBytes += parm.bytes()
-		case st.plan.instrs[q].invariant:
-			rec.OperandBytes += 8 * st.plan.vecSize
+		case st.res.Instrs[q].Invariant:
+			rec.OperandBytes += 8 * st.res.Program.VecSize
 		default:
 			// An absorbed member of this fused chain: never materialised,
 			// but it would have had the footprint of the chain's result.
@@ -590,7 +619,7 @@ func (st *runState) recordLocked(in *instr, wall time.Duration, v value, vb int,
 		}
 	}
 	// Serialized under st.mu like Progress.
-	st.onInstr(in.term, rec)
+	st.onInstr(in.Term, rec)
 }
 
 // finishLocked retires one completed instruction: it releases the operands
@@ -598,8 +627,8 @@ func (st *runState) recordLocked(in *instr, wall time.Duration, v value, vb int,
 // instruction consumed), recycling the ciphertexts the run owns, ticks the
 // progress callback, and — when the instruction is a unit of the schedule —
 // tells its dependants.
-func (st *runState) finishLocked(in *instr) {
-	for _, q := range in.parms {
+func (st *runState) finishLocked(in *compile.Instr) {
+	for _, q := range in.Parms {
 		st.refs[q]--
 		if st.refs[q] != 0 {
 			continue
@@ -618,10 +647,10 @@ func (st *runState) finishLocked(in *instr) {
 		}
 	}
 	st.tickLocked()
-	if in.absorbed {
+	if in.Absorbed {
 		return
 	}
-	for _, c := range in.children {
+	for _, c := range in.Children {
 		st.pending[c]--
 		if st.pending[c] == 0 && st.ready != nil {
 			st.ready <- c
@@ -638,33 +667,33 @@ func (st *runState) tickLocked() {
 	if st.onDone != nil {
 		// Invoked under st.mu so calls are serialized and the (done, total)
 		// pairs are monotone; the callback contract requires it to be fast.
-		st.onDone(st.completed, len(st.plan.instrs))
+		st.onDone(st.completed, len(st.res.Instrs))
 	}
 }
 
 // operand returns the computed value of an instruction's operand.
-func (st *runState) operand(in *instr, slot int) (value, error) {
-	q := in.parms[slot]
-	if st.plan.instrs[q].invariant {
-		v, err := st.plan.invariantValue(q)
+func (st *runState) operand(in *compile.Instr, slot int) (value, error) {
+	q := in.Parms[slot]
+	if st.res.Instrs[q].Invariant {
+		v, err := invariantValue(st.res, q)
 		return value{plain: v}, err
 	}
 	v := st.values[q]
 	if v.ct == nil && v.plain == nil {
-		return v, fmt.Errorf("execute: operand %s not available (scheduling bug or released too early)", st.plan.instrs[q].term)
+		return v, fmt.Errorf("execute: operand %s not available (scheduling bug or released too early)", st.res.Instrs[q].Term)
 	}
 	return v, nil
 }
 
 // plaintext encodes the plain operand q at a level and scale. A run-invariant
-// operand comes from the plan's cache when it can — encoded on the first run
+// operand comes from the program's cache when it can — encoded on the first run
 // that needs it there, never ahead of time.
 func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintext, error) {
-	invariant := st.plan.instrs[q].invariant
+	invariant := st.res.Instrs[q].Invariant
 	cached := st.cache && invariant
-	key := plainKey{id: q, level: level, scale: scale}
+	key := compile.PlainKey{ID: q, Level: level, Scale: scale}
 	if cached {
-		if pt := st.plan.cache.plaintext(key); pt != nil {
+		if pt := st.res.Cache.Plaintext(key); pt != nil {
 			st.cacheHits.Add(1)
 			return pt, nil
 		}
@@ -673,7 +702,7 @@ func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintex
 	if invariant {
 		st.cacheMisses.Add(1)
 		var err error
-		if plain, err = st.plan.invariantValue(q); err != nil {
+		if plain, err = invariantValue(st.res, q); err != nil {
 			return nil, err
 		}
 	}
@@ -682,7 +711,7 @@ func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintex
 		return nil, err
 	}
 	if cached {
-		pt = st.plan.cache.keepPlaintext(key, pt)
+		pt = st.res.Cache.KeepPlaintext(key, pt)
 	}
 	return pt, nil
 }
@@ -691,15 +720,15 @@ func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintex
 // nil when the backend refuses the operands (mixed levels or degrees,
 // mismatched scales); the caller then evaluates the chain's members one by
 // one.
-func (st *runState) evalChain(ch *fusedChain) *ckks.Ciphertext {
-	cts := make([]*ckks.Ciphertext, len(ch.products))
-	pts := make([]*ckks.Plaintext, len(ch.products))
-	for i, pr := range ch.products {
-		ct := st.values[pr.ct].ct
+func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
+	cts := make([]*ckks.Ciphertext, len(ch.Products))
+	pts := make([]*ckks.Plaintext, len(ch.Products))
+	for i, pr := range ch.Products {
+		ct := st.values[pr.Ct].ct
 		if ct == nil {
 			return nil
 		}
-		pt, err := st.plaintext(pr.plain, ct.Level, math.Exp2(st.plan.instrs[pr.plain].logScale))
+		pt, err := st.plaintext(pr.Plain, ct.Level, math.Exp2(st.res.Instrs[pr.Plain].LogScale))
 		if err != nil {
 			return nil
 		}
@@ -714,8 +743,8 @@ func (st *runState) evalChain(ch *fusedChain) *ckks.Ciphertext {
 
 // eval dispatches one instruction to the CKKS evaluator (for ciphertext
 // values) or to plain vector arithmetic (for unencrypted values).
-func (st *runState) eval(in *instr) (value, error) {
-	t := in.term
+func (st *runState) eval(in *compile.Instr) (value, error) {
+	t := in.Term
 	if t.Op == core.OpInput {
 		if ct, ok := st.in.Cipher[t.Name]; ok {
 			return value{ct: ct}, nil
@@ -727,12 +756,12 @@ func (st *runState) eval(in *instr) (value, error) {
 	}
 	var a, b value
 	var err error
-	if len(in.parms) > 0 {
+	if len(in.Parms) > 0 {
 		if a, err = st.operand(in, 0); err != nil {
 			return value{}, err
 		}
 	}
-	if len(in.parms) > 1 {
+	if len(in.Parms) > 1 {
 		if b, err = st.operand(in, 1); err != nil {
 			return value{}, err
 		}
@@ -750,12 +779,12 @@ func (st *runState) eval(in *instr) (value, error) {
 	case core.OpAdd, core.OpSub, core.OpMultiply:
 		ct, err = st.evalBinary(in, a, b)
 	case core.OpRotateLeft, core.OpRotateRight:
-		if st.hoists != nil && in.hoist >= 0 {
+		if st.hoists != nil && in.Hoist >= 0 {
 			if v, ok := st.hoistedRotation(in, a.ct); ok {
 				return v, nil
 			}
 		}
-		ct, err = ev.RotateLeft(a.ct, in.rot)
+		ct, err = ev.RotateLeft(a.ct, in.Rot)
 	case core.OpRelinearize:
 		ct, err = ev.Relinearize(a.ct)
 	case core.OpModSwitch:
@@ -773,8 +802,8 @@ func (st *runState) eval(in *instr) (value, error) {
 
 // evalBinary evaluates ADD, SUB or MULTIPLY with at least one ciphertext
 // operand.
-func (st *runState) evalBinary(in *instr, a, b value) (*ckks.Ciphertext, error) {
-	t := in.term
+func (st *runState) evalBinary(in *compile.Instr, a, b value) (*ckks.Ciphertext, error) {
+	t := in.Term
 	ev := st.ctx.Evaluator
 
 	// Cipher-cipher uses the homomorphic evaluator directly.
@@ -796,10 +825,10 @@ func (st *runState) evalBinary(in *instr, a, b value) (*ckks.Ciphertext, error) 
 	if ct == nil {
 		ct, plainSlot = b.ct, 0
 	}
-	q := in.parms[plainSlot]
+	q := in.Parms[plainSlot]
 	scale := ct.Scale
 	if t.Op == core.OpMultiply {
-		scale = math.Exp2(st.plan.instrs[q].logScale)
+		scale = math.Exp2(st.res.Instrs[q].LogScale)
 	}
 	pt, err := st.plaintext(q, ct.Level, scale)
 	if err != nil {

@@ -27,7 +27,6 @@ import (
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
-	"eva/internal/rewrite"
 	"eva/internal/store"
 )
 
@@ -178,30 +177,24 @@ type pred struct {
 
 func buildPredictions(res *compile.Result) *predictions {
 	model := res.CostModel()
-	levels := rewrite.Levels(res.Program)
-	types := res.Types
-	if types == nil {
-		types = res.Program.InferTypes()
-	}
 	p := &predictions{
 		perTerm:    make(map[*core.Term]pred),
 		maxLevel:   len(res.Plan.BitSizes) - 1,
 		skipExpect: res.Options.ExtraLevels > 0,
 	}
-	for _, t := range res.Program.TopoSort() {
-		if types[t] != core.TypeCipher {
+	for _, in := range res.Instrs {
+		if !in.Cipher {
 			continue
 		}
 		var units float64
-		if !t.IsLeaf() {
-			ctct := t.Op == core.OpMultiply &&
-				types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
-			units = model.OpUnits(t.Op, levels[t], ctct)
+		if t := in.Term; !t.IsLeaf() {
+			ctct := t.Op == core.OpMultiply && res.Instrs[in.Parms[0]].Cipher && res.Instrs[in.Parms[1]].Cipher
+			units = model.OpUnits(t.Op, in.Level, ctct)
 		}
-		p.perTerm[t] = pred{
+		p.perTerm[in.Term] = pred{
 			units:    units,
-			expLevel: p.maxLevel - levels[t],
-			logScale: res.Scales[t],
+			expLevel: p.maxLevel - in.Level,
+			logScale: in.LogScale,
 		}
 	}
 	return p

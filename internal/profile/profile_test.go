@@ -193,9 +193,10 @@ func TestDriftDetection(t *testing.T) {
 	res := buildDeepChain(t)
 	maxLevel := len(res.Plan.BitSizes) - 1
 	levels := rewrite.Levels(res.Program)
+	types := res.Program.InferTypes()
 	var mul *core.Term
 	for _, term := range res.Program.TopoSort() {
-		if term.Op == core.OpMultiply && res.Types[term] == core.TypeCipher {
+		if term.Op == core.OpMultiply && types[term] == core.TypeCipher {
 			mul = term
 			break
 		}
@@ -204,7 +205,7 @@ func TestDriftDetection(t *testing.T) {
 		t.Fatal("no cipher multiply in deep chain")
 	}
 	expLevel := maxLevel - levels[mul]
-	okScale := math.Exp2(res.Scales[mul])
+	okScale := math.Exp2(rewrite.ComputeLogScales(res.Program)[mul])
 	base := execute.InstrRecord{Wall: time.Millisecond, Cipher: true, Level: expLevel, Scale: okScale, OutBytes: 4096, Operands: 2}
 
 	c := profile.NewCollector(profile.Config{SampleRate: 1})

@@ -15,7 +15,6 @@ import (
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
-	"eva/internal/core"
 	"eva/internal/handle"
 )
 
@@ -60,65 +59,6 @@ func paramsFingerprint(p *ckks.Parameters) string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// requiredInputLevels computes, per Cipher input, how many levels the
-// executor consumes below that input: the longest rescale/modswitch chain of
-// any term the input reaches. A chained ciphertext entering at that input
-// must have at least this many levels left. Inputs are tracked as bits in a
-// reachability mask folded forward over the (topologically ordered) term
-// list; programs with more than 64 Cipher inputs fall back to the whole
-// program's depth for every input.
-func requiredInputLevels(res *compile.Result) map[string]int {
-	req := map[string]int{}
-	idx := map[*core.Term]int{}
-	names := []string{}
-	for _, in := range res.Program.Inputs() {
-		if in.InType == core.TypeCipher {
-			idx[in] = len(names)
-			names = append(names, in.Name)
-			req[in.Name] = 0
-		}
-	}
-	if len(names) == 0 {
-		return req
-	}
-	if len(names) > 64 {
-		depth := 0
-		for _, c := range res.Chains {
-			if len(c) > depth {
-				depth = len(c)
-			}
-		}
-		for _, name := range names {
-			req[name] = depth
-		}
-		return req
-	}
-	masks := map[*core.Term]uint64{}
-	for _, t := range res.Program.Terms() {
-		var m uint64
-		if i, ok := idx[t]; ok {
-			m |= 1 << uint(i)
-		}
-		for _, p := range t.Parms() {
-			m |= masks[p]
-		}
-		if m == 0 {
-			continue
-		}
-		masks[t] = m
-		d := len(res.Chains[t])
-		if d == 0 {
-			continue
-		}
-		for i, name := range names {
-			if m&(1<<uint(i)) != 0 && d > req[name] {
-				req[name] = d
-			}
-		}
-	}
-	return req
 }
 
 // resolvedHandle is a handle pulled into memory for execution: its metadata

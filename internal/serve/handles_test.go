@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -546,6 +547,96 @@ func TestPipelineIncompatibleChaining(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("non-final values stage: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHandleAdmissionUsesPerInputDepth: a handle is admitted by the depth of
+// the input it binds, whatever the number of inputs. The program has 65
+// Cipher inputs; x0 only feeds a sum, while every other input meets a
+// rescaled product (lazy mod-switching: the eager strategy would pad x0 to
+// the common depth). A handle for x0 mod-switched to level 0 — below the
+// program's depth, at x0's own — is admitted and runs.
+func TestHandleAdmissionUsesPerInputDepth(t *testing.T) {
+	p := core.MustNewProgram("wide", 8)
+	var xs []*core.Term
+	values := execute.Inputs{}
+	for i := 0; i < 65; i++ {
+		name := fmt.Sprintf("x%d", i)
+		x, err := p.NewInput(name, core.TypeCipher, 8, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, x)
+		values[name] = []float64{float64(i%7+1) / 8}
+	}
+	shallow, _ := p.NewBinary(core.OpAdd, xs[0], xs[0])
+	deep, _ := p.NewBinary(core.OpMultiply, xs[1], xs[2])
+	for _, x := range xs[3:] {
+		deep, _ = p.NewBinary(core.OpAdd, deep, x)
+	}
+	if err := p.AddOutput("shallow", shallow, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddOutput("deep", deep, 30); err != nil {
+		t.Fatal(err)
+	}
+
+	ts, srv := newTestServer(t, Config{AllowServerKeygen: true, JobWorkers: 1})
+	client := ts.Client()
+	comp, resp := postJSON[CompileResponse](t, client, ts.URL+"/compile", CompileRequest{
+		Program: programJSON(t, p),
+		Options: &CompileOptionsJSON{AllowInsecure: true, MaxRescaleLog: 30, ModSwitch: "lazy"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: status %d", resp.StatusCode)
+	}
+	ctxResp, resp := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{ProgramID: comp.ID, Keygen: &KeygenJSON{Seed: 9}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("contexts: status %d", resp.StatusCode)
+	}
+	ce, _ := srv.lookupContext(ctxResp.ContextID)
+	if in := ce.Entry.Result.Inputs; in[0].Depth != 0 || in[1].Depth == 0 || in[64].Depth == 0 {
+		t.Fatalf("input depths x0 %d, x1 %d, x64 %d; the test needs 0, >0, >0", in[0].Depth, in[1].Depth, in[64].Depth)
+	}
+
+	pt, err := ce.Ctx.Encoder.Encode(values["x0"], math.Exp2(30), ce.Ctx.Params.MaxLevel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ckks.NewEncryptor(ce.Ctx.Params, ce.Keys.Public, ckks.NewTestPRNG(10)).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ct.Level > 0 {
+		if ct, err = ce.Ctx.Evaluator.ModSwitch(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := ct.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf := &handleFixture{url: ts.URL, client: client, contextID: ctxResp.ContextID}
+	meta, resp := hf.putHandleRaw(t, base64.StdEncoding.EncodeToString(data))
+	if resp.StatusCode != http.StatusOK || meta.Level != 0 {
+		t.Fatalf("PUT /handles: status %d, level %d", resp.StatusCode, meta.Level)
+	}
+
+	delete(values, "x0")
+	st, resp := postJSON[JobStatus](t, client, ts.URL+"/jobs", JobRequest{
+		ProgramID: comp.ID, ContextID: ctxResp.ContextID,
+		Batches: []ExecuteBatch{{Handles: map[string]string{"x0": meta.ID}, Values: values}},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs: status %d, want 202 (%+v)", resp.StatusCode, st)
+	}
+	waitJobDone(t, client, ts.URL, st.JobID)
+	res := getJSON[JobResult](t, client, ts.URL+"/jobs/"+st.JobID+"/result")
+	if len(res.Results) != 1 || res.Results[0].Error != "" {
+		t.Fatalf("job result %+v", res.Results)
+	}
+	if got := res.Results[0].Values["shallow"]; len(got) == 0 || math.Abs(got[0]-0.25) > 1e-3 {
+		t.Errorf("shallow = %v, want 2·x0 = 0.25", got)
 	}
 }
 

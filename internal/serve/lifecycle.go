@@ -111,10 +111,10 @@ func newStagePlan(ce *contextEntry, outMode string) *stagePlan {
 func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding func(name string) InputBinding, earlier []*stagePlan, cache *handleCache) ([]Incompat, error) {
 	res, ce := plan.entry.Result, plan.ce
 	var incompats []Incompat
-	var required map[string]int
 	var fpr string
 	anyValues := false
-	for _, in := range res.Program.Inputs() {
+	for _, input := range res.Inputs {
+		in := input.Term
 		b := binding(in.Name)
 		anyValues = anyValues || b.Values != nil
 		if in.InType != core.TypeCipher {
@@ -184,11 +184,10 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 			}
 			plan.refs[in.Name] = stageRef{stage: j, output: out}
 		}
-		if required == nil {
-			required = requiredInputLevels(res)
+		if fpr == "" {
 			fpr = paramsFingerprint(ce.Ctx.Params)
 		}
-		want := handle.Want{MinLevel: required[in.Name], LogScale: in.LogScale, Width: res.Program.VecSize, ParamsID: fpr}
+		want := handle.Want{MinLevel: input.Depth, LogScale: in.LogScale, Width: res.Program.VecSize, ParamsID: fpr}
 		if m, ok := meta.Check(want).(*handle.Mismatch); ok {
 			incompats = append(incompats, Incompat{Input: in.Name, HandleID: m.HandleID, Field: m.Field, Want: m.Want, Got: m.Got})
 			continue
@@ -227,23 +226,24 @@ func decodeCiphertext(b64 string, params *ckks.Parameters) (*ckks.Ciphertext, er
 
 // producerMeta is the statically known metadata of a stage's encrypted
 // output, playing the role of a handle's Meta for edges that exist only
-// inside the pipeline: the stage's entry level minus the compiled chain
-// length fixes the output level, the compiled scale its log2 scale.
+// inside the pipeline: the stage's entry level minus the output's compiled
+// level fixes its level, the compiled scale its log2 scale.
 func producerMeta(plan *stagePlan, stage int, outName string) (handle.Meta, error) {
 	res := plan.entry.Result
-	for _, out := range res.Program.Outputs() {
+	for _, out := range res.Outputs {
 		if out.Name != outName {
 			continue
 		}
-		if res.Types[out.Term] != core.TypeCipher {
+		in := &res.Instrs[out.ID]
+		if !in.Cipher {
 			return handle.Meta{}, fmt.Errorf("output %q of program %s is not encrypted", outName, plan.entry.ID)
 		}
 		return handle.Meta{
 			ID:        fmt.Sprintf("stage[%d].%s", stage, outName),
 			ContextID: plan.ce.ID,
 			ParamsID:  paramsFingerprint(plan.ce.Ctx.Params),
-			Level:     plan.entryLevel - len(res.Chains[out.Term]),
-			LogScale:  res.Scales[out.Term],
+			Level:     plan.entryLevel - in.Level,
+			LogScale:  in.LogScale,
 			Width:     res.Program.VecSize,
 		}, nil
 	}
@@ -255,8 +255,8 @@ func producerMeta(plan *stagePlan, stage int, outName string) (handle.Meta, erro
 func defaultCipherOutput(entry *Entry) (string, error) {
 	res := entry.Result
 	var name string
-	for _, out := range res.Program.Outputs() {
-		if res.Types[out.Term] != core.TypeCipher {
+	for _, out := range res.Outputs {
+		if !res.Instrs[out.ID].Cipher {
 			continue
 		}
 		if name != "" {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eva/internal/coalesce"
+	"eva/internal/compile"
 	"eva/internal/execute"
 	"eva/internal/handle"
 	"eva/internal/jobs"
@@ -27,7 +28,7 @@ type Metrics struct {
 	execFailed uint64
 	execTotal  time.Duration
 	perOp      map[string]*execute.OpStats
-	// plans sums what the executions' prepared plans saved them (see
+	// plans sums what the plan mechanisms saved the executions (see
 	// PlanMetrics for the fields).
 	plans struct {
 		hits, misses, fusedChains, fusedTerms, recycled uint64
@@ -162,8 +163,8 @@ type MetricsReport struct {
 	// resident entries and bytes against the quota, put/dedup/resolve
 	// traffic, and sweep/quota rejections.
 	Handles *handle.Stats `json:"handles,omitempty"`
-	// Plans reports the executor's prepared plans: how many registry
-	// programs have one, what their plaintext caches hold against the
+	// Plans reports the compiled programs' plaintext caches: how many
+	// registry programs have run, what their caches hold against the
 	// process-wide budget, and what the executions so far got out of them.
 	Plans PlanMetrics            `json:"plans"`
 	PerOp map[string]OpHistogram `json:"per_op_latency"`
@@ -173,8 +174,7 @@ type MetricsReport struct {
 // describe the programs currently in the registry; the counters sum over
 // every execution this server has run.
 type PlanMetrics struct {
-	// Plans is the number of registry programs that have run and so carry a
-	// prepared plan.
+	// Plans is the number of registry programs that have run.
 	Plans int `json:"plans"`
 	// CachedPlaintexts and CachedBytes are what those plans' constant caches
 	// hold; ProcessBytes is the whole process's cached bytes (it can exceed
@@ -202,13 +202,13 @@ type PlanMetrics struct {
 func (s *Server) planMetrics() PlanMetrics {
 	var pm PlanMetrics
 	for _, e := range s.registry.List() {
-		if ps, ok := execute.PlanStatsOf(e.Result); ok {
+		if ps, ok := compile.PlanStatsOf(e.Result); ok {
 			pm.Plans++
 			pm.CachedPlaintexts += ps.CachedPlaintexts
 			pm.CachedBytes += ps.CachedBytes
 		}
 	}
-	pm.ProcessBytes, pm.BudgetBytes = execute.PlanCacheBudget()
+	pm.ProcessBytes, pm.BudgetBytes = compile.PlanCacheBudget()
 	m := s.metrics
 	m.mu.Lock()
 	pm.Hits, pm.Misses = m.plans.hits, m.plans.misses

@@ -112,7 +112,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Sample("eva_cache_evictions_total", nil, float64(cache.Evictions))
 
 	pm := s.planMetrics()
-	p.Meta("eva_plan_plans", "Registry programs that have run and carry a prepared execution plan.", "gauge")
+	p.Meta("eva_plan_plans", "Registry programs that have run.", "gauge")
 	p.Sample("eva_plan_plans", nil, float64(pm.Plans))
 	p.Meta("eva_plan_cached_plaintexts", "Program constants held encoded in the plans' caches.", "gauge")
 	p.Sample("eva_plan_cached_plaintexts", nil, float64(pm.CachedPlaintexts))

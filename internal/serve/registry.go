@@ -12,7 +12,6 @@ import (
 
 	"eva/internal/compile"
 	"eva/internal/core"
-	"eva/internal/execute"
 	"eva/internal/store"
 )
 
@@ -23,8 +22,8 @@ import (
 // deduplication). Entries are evicted least-recently-used once the capacity
 // is exceeded; eviction only removes an entry from the cache, never
 // invalidates it — execution contexts holding the compiled result keep it
-// alive (and keep executing it, though without the prepared plan's constant
-// cache, which eviction releases).
+// alive (and keep executing it, though without the constant cache, which
+// eviction releases).
 //
 // With a durable artifact store attached the registry is a cache in front
 // of the store rather than the source of truth: every fresh compilation
@@ -242,11 +241,11 @@ func (r *Registry) insertLocked(e *Entry) {
 		evicted := oldest.Value.(*Entry)
 		delete(r.byID, evicted.ID)
 		r.evictions++
-		// The executor's prepared plan dies with the registry entry: its
-		// cached constants go back to the plan-cache budget now, not when
+		// The compiled program's constant cache dies with the registry entry:
+		// its cached constants go back to the plan-cache budget now, not when
 		// the last context pinning the program lets go of it. Such a context
 		// keeps working, encoding constants per run.
-		execute.ReleasePlan(evicted.Result)
+		compile.ReleasePlan(evicted.Result)
 	}
 }
 

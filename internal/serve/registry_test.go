@@ -295,8 +295,8 @@ func TestRegistryNeverEvictsJustInserted(t *testing.T) {
 	}
 }
 
-// TestRegistryEvictionReleasesPlan: a prepared plan dies with its registry
-// entry — evicting the program returns the plan's cached bytes to the budget
+// TestRegistryEvictionReleasesPlan: a program's constant cache dies with its
+// registry entry — evicting the program returns the cached bytes to the budget
 // at once, while a context still pinning the entry keeps executing it.
 func TestRegistryEvictionReleasesPlan(t *testing.T) {
 	reg := NewRegistry(1)
@@ -324,14 +324,14 @@ func TestRegistryEvictionReleasesPlan(t *testing.T) {
 		return values
 	}
 	want := run()
-	held, ok := execute.PlanStatsOf(res)
+	held, ok := compile.PlanStatsOf(res)
 	if !ok || held.CachedBytes == 0 {
 		t.Fatalf("the run left no cached constants (stats %+v)", held)
 	}
 	// The budget is process-wide, and cleanups of earlier tests' dropped
 	// plans can hand bytes back at any moment, so the eviction is measured
 	// as a fall of at least this plan's bytes, not an exact value.
-	before, _ := execute.PlanCacheBudget()
+	before, _ := compile.PlanCacheBudget()
 
 	if _, _, err := reg.GetOrCompile(testProgram(t, "evictor", 0.25), insecureOptions()); err != nil {
 		t.Fatal(err)
@@ -339,10 +339,10 @@ func TestRegistryEvictionReleasesPlan(t *testing.T) {
 	if reg.Stats().Evictions != 1 {
 		t.Fatalf("expected one eviction, stats %+v", reg.Stats())
 	}
-	if after, _ := execute.PlanStatsOf(res); after.CachedBytes != 0 || after.CachedPlaintexts != 0 {
+	if after, _ := compile.PlanStatsOf(res); after.CachedBytes != 0 || after.CachedPlaintexts != 0 {
 		t.Errorf("evicted program's plan still holds %+v", after)
 	}
-	if used, _ := execute.PlanCacheBudget(); before-used < held.CachedBytes {
+	if used, _ := compile.PlanCacheBudget(); before-used < held.CachedBytes {
 		t.Errorf("plan-cache budget use fell from %d to %d on the eviction, want a fall of at least the plan's %d bytes", before, used, held.CachedBytes)
 	}
 	got := run()

@@ -84,8 +84,8 @@ type Config struct {
 	// because the pool bounds total ring-level parallelism, not per-request
 	// parallelism.
 	RingWorkers int
-	// PlanCacheMB sets the byte budget, in MiB, of the executor's prepared-
-	// plan caches, which keep each program's constants encoded between runs
+	// PlanCacheMB sets the byte budget, in MiB, of the compiled programs'
+	// plaintext caches, which keep each program's constants encoded between runs
 	// (0 = leave the process's budget alone, 512 MiB unless something changed
 	// it; < 0 = no caching, every run encodes its constants itself). Like
 	// RingWorkers it is process-wide — one budget bounds all plans, and the
@@ -245,7 +245,7 @@ func NewServer(cfg Config) *Server {
 		ring.SetWorkers(cfg.RingWorkers)
 	}
 	if cfg.PlanCacheMB != 0 {
-		execute.SetPlanCacheBudget(int64(max(cfg.PlanCacheMB, 0)) << 20)
+		compile.SetPlanCacheBudget(int64(max(cfg.PlanCacheMB, 0)) << 20)
 	}
 	s := &Server{
 		cfg:       cfg,
