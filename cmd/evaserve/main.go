@@ -43,7 +43,9 @@
 // of every execution (default every 16th) into per-(opcode, level)
 // histograms, checks each sample against the compiler's scale/level
 // expectations and the cost model's runtime prediction, and exposes the
-// aggregate as GET /profile and eva_profile_* Prometheus families. With
+// aggregate as GET /profile and eva_profile_* Prometheus families; it also
+// sums every instruction's wall time per opcode into the execute span's
+// op.*_ms attrs, which -profile-sample -1 therefore drops. With
 // -data-dir the per-program profiles persist across restarts;
 // `evaserve -data-dir DIR -calibrate` then fits per-opcode cost-model
 // coefficients from everything recorded so far, saves the calibration (loaded
@@ -170,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		slowTrace = fs.Duration("slow-trace", 0, "log a structured phase breakdown for requests slower than this (0 = off)")
 		traceRing = fs.Int("trace-ring", 0, "finished traces retained for GET /traces (0 = 256)")
 		maxTraces = fs.Int("max-active-traces", 0, "in-flight traces tracked before shedding (0 = 4096)")
-		profSamp  = fs.Int("profile-sample", 0, "instruction profiler stride: record every Nth instruction (0 = 16, 1 = all, <0 = off)")
+		profSamp  = fs.Int("profile-sample", 0, "instruction profiler stride: record every Nth instruction (0 = 16, 1 = all, <0 = off, which also drops the execute span's per-opcode op.*_ms attrs)")
 		calibrate = fs.Bool("calibrate", false, "fit cost-model calibration from the profiles in -data-dir, save it, print it, and exit")
 		calibFile = fs.String("calibration", "", "calibration JSON file to install at startup (overrides the store's copy)")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")

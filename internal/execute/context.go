@@ -205,66 +205,6 @@ type Outputs struct {
 	Stats  RunStats
 }
 
-// OpLatencyBounds are the upper bounds (inclusive) of the per-opcode latency
-// histogram buckets in RunStats.PerOp. A sample larger than the last bound
-// lands in the overflow bucket, so a histogram has len(OpLatencyBounds)+1
-// buckets. The bounds span microseconds (element-wise ops on small rings) to
-// seconds (key switching on paper-scale rings).
-var OpLatencyBounds = []time.Duration{
-	time.Microsecond,
-	10 * time.Microsecond,
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-}
-
-// OpStats aggregates the latency of every instruction with one opcode during
-// an execution: a count, a total (Total/Count is the mean), the slowest
-// sample, and a histogram bucketed by OpLatencyBounds.
-type OpStats struct {
-	Count   int
-	Total   time.Duration
-	Max     time.Duration
-	Buckets []int
-}
-
-func (s *OpStats) observe(d time.Duration) {
-	if s.Buckets == nil {
-		s.Buckets = make([]int, len(OpLatencyBounds)+1)
-	}
-	s.Count++
-	s.Total += d
-	if d > s.Max {
-		s.Max = d
-	}
-	i := 0
-	for i < len(OpLatencyBounds) && d > OpLatencyBounds[i] {
-		i++
-	}
-	s.Buckets[i]++
-}
-
-// Merge folds another aggregate into s (used to combine the statistics of
-// many executions, e.g. by the evaserve /metrics endpoint).
-func (s *OpStats) Merge(o *OpStats) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	if s.Buckets == nil {
-		s.Buckets = make([]int, len(OpLatencyBounds)+1)
-	}
-	s.Count += o.Count
-	s.Total += o.Total
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range o.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // RunStats reports scheduler statistics for one execution.
 type RunStats struct {
 	Instructions   int
@@ -294,11 +234,6 @@ type RunStats struct {
 	// RecycledBuffers counts the ciphertext polynomials returned to the
 	// evaluator's pool at their value's last use.
 	RecycledBuffers int
-
-	// PerOp maps each executed opcode to its aggregated instruction
-	// latencies. Leaf pseudo-instructions (INPUT, CONSTANT) are included so
-	// the totals account for every scheduled term.
-	PerOp map[string]*OpStats
 }
 
 // DecryptOutputs decrypts and decodes every encrypted output, truncating each

@@ -10,7 +10,8 @@ import (
 // TestOnInstructionRecords checks the profiler hook: every scheduled term
 // produces exactly one record, ciphertext results report a plausible post-op
 // level/scale/footprint, operand footprints are read before release, and
-// hoisted rotation members are flagged.
+// hoisted rotation members are flagged, and each record's ID names its term's
+// instruction.
 func TestOnInstructionRecords(t *testing.T) {
 	p := buildRotationProgram(t, 8)
 	res := compileForTest(t, p, compile.Options{})
@@ -23,6 +24,9 @@ func TestOnInstructionRecords(t *testing.T) {
 		OnInstruction: func(term *core.Term, rec InstrRecord) {
 			if _, dup := recs[term]; dup {
 				t.Errorf("term %s recorded twice", term)
+			}
+			if rec.ID < 0 || int(rec.ID) >= len(res.Instrs) || res.Instrs[rec.ID].Term != term {
+				t.Errorf("term %s recorded with id %d, which is not its instruction", term, rec.ID)
 			}
 			recs[term] = rec
 		},

@@ -3,6 +3,7 @@ package execute_test
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -77,6 +78,14 @@ func (f *fixture) run(t testing.TB, opts execute.RunOptions) *execute.Outputs {
 	return out
 }
 
+// countingOps returns opts with an OnInstruction callback that counts the
+// run's records per opcode into the returned map.
+func countingOps(opts execute.RunOptions) (execute.RunOptions, map[core.OpCode]int) {
+	counts := map[core.OpCode]int{}
+	opts.OnInstruction = func(t *core.Term, _ execute.InstrRecord) { counts[t.Op]++ }
+	return opts, counts
+}
+
 func randomInputs(p *core.Program, seed int64) execute.Inputs {
 	rng := rand.New(rand.NewSource(seed))
 	in := execute.Inputs{}
@@ -134,9 +143,12 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 	for name, sched := range schedulers {
 		f := newFixture(t, compileInsecure(t, prog, opts), in, 41)
 		ropts := execute.RunOptions{Scheduler: sched, Workers: 3}
-		cold := f.run(t, ropts)
-		warm := f.run(t, ropts)
-		off := f.run(t, execute.WithoutPlanMechanisms(ropts))
+		coldOpts, coldOps := countingOps(ropts)
+		warmOpts, warmOps := countingOps(ropts)
+		offOpts, offOps := countingOps(execute.WithoutPlanMechanisms(ropts))
+		cold := f.run(t, coldOpts)
+		warm := f.run(t, warmOpts)
+		off := f.run(t, offOpts)
 
 		if warm.Stats.PlainCacheMisses != 0 {
 			t.Errorf("%s: warm run missed the plan cache %d times", name, warm.Stats.PlainCacheMisses)
@@ -153,10 +165,10 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 			if o.Stats.Instructions != off.Stats.Instructions {
 				t.Errorf("%s: %d instructions, switched-off run %d", name, o.Stats.Instructions, off.Stats.Instructions)
 			}
-			for op, os := range off.Stats.PerOp {
-				if got := o.Stats.PerOp[op]; got == nil || got.Count != os.Count {
-					t.Errorf("%s: per-opcode count of %s differs from the switched-off run", name, op)
-				}
+		}
+		for _, ops := range []map[core.OpCode]int{coldOps, warmOps} {
+			if !maps.Equal(ops, offOps) {
+				t.Errorf("%s: per-opcode record counts %v differ from the switched-off run's %v", name, ops, offOps)
 			}
 		}
 

@@ -66,6 +66,9 @@ type RunOptions struct {
 // RunOptions.OnInstruction: what actually happened when the instruction ran,
 // for the profiler to compare against the compiler's static expectations.
 type InstrRecord struct {
+	// ID is the instruction's index into the compiled program's Instrs, the
+	// key to everything the compiler knows about it.
+	ID int32
 	// Wall is the instruction's evaluation wall time (backend call only, not
 	// queueing). For the first-scheduled member of a hoisted rotation batch it
 	// includes the whole batch's shared key-switch work; for a member of a
@@ -111,19 +114,6 @@ func (v value) bytes() int {
 	return 8 * len(v.plain)
 }
 
-// numOps sizes the per-opcode statistics table.
-const numOps = int(core.OpRescale) + 1
-
-// opStats returns the run's latency aggregate for an opcode. Opcodes outside
-// the language (which validation rejects long before execution) share the
-// OpInvalid slot rather than indexing out of range.
-func (st *runState) opStats(op core.OpCode) *OpStats {
-	if op < 0 || int(op) >= numOps {
-		op = core.OpInvalid
-	}
-	return &st.perOp[op]
-}
-
 // runState carries the shared mutable state of one execution of a compiled
 // program.
 type runState struct {
@@ -159,7 +149,6 @@ type runState struct {
 	liveBytes  int
 	liveValues int
 	completed  int
-	perOp      [numOps]OpStats
 	stats      RunStats
 	firstErr   error
 }
@@ -291,12 +280,6 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 			return nil, fmt.Errorf("execute: output %q was never computed", o.Name)
 		}
 	}
-	st.stats.PerOp = make(map[string]*OpStats)
-	for op, os := range st.perOp {
-		if os.Count > 0 {
-			st.stats.PerOp[core.OpCode(op).String()] = &os
-		}
-	}
 	st.stats.PlainCacheHits, st.stats.PlainCacheMisses = int(st.cacheHits.Load()), int(st.cacheMisses.Load())
 	st.stats.Instructions = n
 	st.stats.Workers = opts.Workers
@@ -308,17 +291,16 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 // completeInvariants is the run's prologue: the run-invariant instructions
 // need no evaluation — consumers read their values and encodings from the
 // cache — so they complete here, before anything is dispatched, each with its
-// statistics sample, profiler record and progress tick like any other
-// instruction.
+// profiler record and progress tick like any other instruction.
 func (st *runState) completeInvariants() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	vb := 8 * st.res.Program.VecSize
 	for _, id := range st.res.Invariants {
 		in := &st.res.Instrs[id]
-		st.opStats(in.Term.Op).observe(0)
 		if st.onInstr != nil {
 			st.onInstr(in.Term, InstrRecord{
+				ID:           id,
 				Level:        -1,
 				OutBytes:     vb,
 				OperandBytes: vb * len(in.Parms),
@@ -546,16 +528,16 @@ func (st *runState) evalAndStore(id int32) error {
 	elapsed := time.Since(start)
 	st.mu.Lock()
 	st.storeLocked(id, v)
-	st.recordLocked(in, elapsed, v, v.bytes(), false)
+	st.recordLocked(id, elapsed, v, v.bytes(), false)
 	st.finishLocked(in)
 	st.mu.Unlock()
 	return nil
 }
 
 // completeChain completes every member of a chain that evaluated fused to ct:
-// only the root has a value, but each member still gets its statistics
-// sample, profiler record, operand release and progress tick, so a fused run
-// reports the same instructions as an unfused one.
+// only the root has a value, but each member still gets its profiler record,
+// operand release and progress tick, so a fused run reports the same
+// instructions as an unfused one.
 func (st *runState) completeChain(ch *compile.FusedChain, ct *ckks.Ciphertext, elapsed time.Duration) {
 	v := value{ct: ct, owned: true}
 	vb := v.bytes()
@@ -563,9 +545,8 @@ func (st *runState) completeChain(ch *compile.FusedChain, ct *ckks.Ciphertext, e
 	st.mu.Lock()
 	st.storeLocked(root, v)
 	for k, m := range ch.Members {
-		in := &st.res.Instrs[m]
-		st.recordLocked(in, time.Duration(float64(elapsed)*ch.Weights[k]), v, vb, true)
-		st.finishLocked(in)
+		st.recordLocked(m, time.Duration(float64(elapsed)*ch.Weights[k]), v, vb, true)
+		st.finishLocked(&st.res.Instrs[m])
 	}
 	st.stats.FusedChains++
 	st.stats.FusedTerms += len(ch.Members)
@@ -584,16 +565,17 @@ func (st *runState) storeLocked(id int32, v value) {
 	}
 }
 
-// recordLocked adds the instruction's latency sample and, when a profiler is
-// attached, emits its record. v is the instruction's result — for a fused
-// member, its chain's. It must run before finishLocked, which releases the
-// operands whose footprints the record reads.
-func (st *runState) recordLocked(in *compile.Instr, wall time.Duration, v value, vb int, fused bool) {
-	st.opStats(in.Term.Op).observe(wall)
+// recordLocked emits instruction id's record when a profiler is attached. v
+// is the instruction's result — for a fused member, its chain's. It must run
+// before finishLocked, which releases the operands whose footprints the
+// record reads.
+func (st *runState) recordLocked(id int32, wall time.Duration, v value, vb int, fused bool) {
 	if st.onInstr == nil {
 		return
 	}
+	in := &st.res.Instrs[id]
 	rec := InstrRecord{
+		ID:       id,
 		Wall:     wall,
 		Level:    -1,
 		OutBytes: vb,

@@ -18,12 +18,14 @@
 package profile
 
 import (
+	"iter"
 	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"eva/internal/analysis"
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
@@ -96,14 +98,13 @@ type Collector struct {
 	cfg     Config
 	enabled bool
 
-	preds sync.Map // program id -> *predictions
 	calib atomic.Pointer[Calibration]
 
 	mu           sync.Mutex
 	executions   uint64
 	instructions uint64
 	samples      uint64
-	buckets      map[BucketKey]*bucket
+	buckets      map[BucketKey]*Bucket
 	driftCounts  map[string]uint64
 	drift        []DriftEvent // ring of size cfg.DriftRing
 	driftNext    int
@@ -118,7 +119,7 @@ type programAgg struct {
 	executions   uint64
 	instructions uint64
 	samples      uint64
-	buckets      map[BucketKey]*bucket
+	buckets      map[BucketKey]*Bucket
 	lastPersist  time.Time
 
 	persistMu sync.Mutex // serializes baseline load + store writes
@@ -134,7 +135,7 @@ func NewCollector(cfg Config) *Collector {
 	return &Collector{
 		cfg:         cfg,
 		enabled:     enabled,
-		buckets:     map[BucketKey]*bucket{},
+		buckets:     map[BucketKey]*Bucket{},
 		driftCounts: map[string]uint64{},
 		programs:    map[string]*programAgg{},
 	}
@@ -158,73 +159,40 @@ func (c *Collector) Calibration() *Calibration {
 	return c.calib.Load()
 }
 
-// predictions is the per-program static expectation table, computed once per
-// program id and shared by every Recorder for that program.
-type predictions struct {
-	perTerm  map[*core.Term]pred
-	maxLevel int
-	// skipExpect suppresses level/scale drift checks: with ExtraLevels
-	// pipeline headroom, inputs legally enter below fresh and every absolute
-	// level expectation shifts by the (unknown at compile time) entry depth.
-	skipExpect bool
-}
-
-type pred struct {
-	units    float64 // cost-model units; 0 for leaves
-	expLevel int     // expected post-op ciphertext level
-	logScale float64 // expected log2 scale
-}
-
-func buildPredictions(res *compile.Result) *predictions {
-	model := res.CostModel()
-	p := &predictions{
-		perTerm:    make(map[*core.Term]pred),
-		maxLevel:   len(res.Plan.BitSizes) - 1,
-		skipExpect: res.Options.ExtraLevels > 0,
-	}
-	for _, in := range res.Instrs {
-		if !in.Cipher {
-			continue
-		}
-		var units float64
-		if t := in.Term; !t.IsLeaf() {
-			ctct := t.Op == core.OpMultiply && res.Instrs[in.Parms[0]].Cipher && res.Instrs[in.Parms[1]].Cipher
-			units = model.OpUnits(t.Op, in.Level, ctct)
-		}
-		p.perTerm[in.Term] = pred{
-			units:    units,
-			expLevel: p.maxLevel - in.Level,
-			logScale: in.LogScale,
-		}
-	}
-	return p
-}
-
-func (c *Collector) predictionsFor(programID string, res *compile.Result) *predictions {
-	if v, ok := c.preds.Load(programID); ok {
-		return v.(*predictions)
-	}
-	v, _ := c.preds.LoadOrStore(programID, buildPredictions(res))
-	return v.(*predictions)
-}
-
 // Recorder samples one execution. It is NOT internally synchronized: the
 // executor serializes OnInstruction calls under the run lock, and Finish must
 // be called after the run returns. A nil Recorder is a valid no-op.
+//
+// A sample's static expectations come from the compiled instruction its
+// record names (compile.Result.Instrs[rec.ID]): the recorder holds the Result
+// for its run only, so the collector keeps nothing of a program but its id.
 type Recorder struct {
 	c         *Collector
-	p         *predictions
+	res       *compile.Result
+	model     analysis.CostModel
+	maxLevel  int
 	programID string
 	traceID   string
 	rate      int
 	nsPerUnit float64 // cost-drift baseline when no calibration is installed
 	cal       *Calibration
+	// skipExpect suppresses level/scale drift checks: with ExtraLevels
+	// pipeline headroom, inputs legally enter below fresh and every absolute
+	// level expectation shifts by the (unknown at compile time) entry depth.
+	skipExpect bool
 
 	n           uint64
 	samples     uint64
-	local       map[BucketKey]*bucket
+	opTotals    [core.OpRescale + 1]opTotal // by opcode, over every record
+	local       map[BucketKey]*Bucket
 	drift       []DriftEvent
 	driftCounts map[string]uint64
+}
+
+// opTotal is one opcode's exact record count and summed wall time in a run.
+type opTotal struct {
+	n    int
+	wall time.Duration
 }
 
 // Recorder starts sampling one execution of the given compiled program.
@@ -235,13 +203,16 @@ func (c *Collector) Recorder(programID string, res *compile.Result, traceID stri
 		return nil
 	}
 	r := &Recorder{
-		c:         c,
-		p:         c.predictionsFor(programID, res),
-		programID: programID,
-		traceID:   traceID,
-		rate:      c.cfg.SampleRate,
-		cal:       c.calib.Load(),
-		local:     map[BucketKey]*bucket{},
+		c:          c,
+		res:        res,
+		model:      res.CostModel(),
+		maxLevel:   len(res.Plan.BitSizes) - 1,
+		programID:  programID,
+		traceID:    traceID,
+		rate:       c.cfg.SampleRate,
+		cal:        c.calib.Load(),
+		skipExpect: res.Options.ExtraLevels > 0,
+		local:      map[BucketKey]*Bucket{},
 	}
 	if r.cal == nil {
 		// Snapshot the running global ratio once per run: a lock per
@@ -262,45 +233,56 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 	if r == nil {
 		return
 	}
+	if op := t.Op; op >= 0 && int(op) < len(r.opTotals) {
+		r.opTotals[op].n++
+		r.opTotals[op].wall += rec.Wall
+	}
 	i := r.n
 	r.n++
 	if r.rate > 1 && i%uint64(r.rate) != 0 {
 		return
 	}
 	r.samples++
-	pd, known := r.p.perTerm[t]
+	in := &r.res.Instrs[rec.ID]
+	// The cost model prices ciphertext compute only; leaves and plain
+	// results cost 0 units.
+	var units float64
+	if in.Cipher && !t.IsLeaf() {
+		ctct := t.Op == core.OpMultiply && r.res.Instrs[in.Parms[0]].Cipher && r.res.Instrs[in.Parms[1]].Cipher
+		units = r.model.OpUnits(t.Op, in.Level, ctct)
+	}
 	key := BucketKey{Op: t.Op.String(), Level: rec.Level, Hoisted: rec.Hoisted, Fused: rec.Fused}
 	b := r.local[key]
 	if b == nil {
-		b = newBucket()
+		b = newBucket(key)
 		r.local[key] = b
 	}
-	b.observe(rec, pd.units)
+	b.observe(rec, units)
 
-	if !rec.Cipher || !known {
+	if !rec.Cipher || !in.Cipher {
 		return
 	}
 	wallNs := float64(rec.Wall.Nanoseconds())
-	if !r.p.skipExpect {
-		if rec.Level != pd.expLevel {
-			r.addDrift(DriftKindLevel, t, rec, float64(pd.expLevel), float64(rec.Level))
+	if !r.skipExpect {
+		if expLevel := r.maxLevel - in.Level; rec.Level != expLevel {
+			r.addDrift(DriftKindLevel, t, rec, float64(expLevel), float64(rec.Level))
 		}
-		if logScale := math.Log2(rec.Scale); rec.Scale > 0 && math.Abs(logScale-pd.logScale) > r.c.cfg.ScaleTolBits {
-			r.addDrift(DriftKindScale, t, rec, pd.logScale, logScale)
+		if logScale := math.Log2(rec.Scale); rec.Scale > 0 && math.Abs(logScale-in.LogScale) > r.c.cfg.ScaleTolBits {
+			r.addDrift(DriftKindScale, t, rec, in.LogScale, logScale)
 		}
 	}
 	// Cost drift: compare measured wall time against the calibrated (or
 	// running-baseline) prediction. Hoisted and fused members are excluded:
 	// their wall times diverge from the per-instruction model by design (see
 	// BucketKey.priced).
-	if !key.priced() || pd.units <= 0 || rec.Wall < r.c.cfg.MinCostWall {
+	if !key.priced() || units <= 0 || rec.Wall < r.c.cfg.MinCostWall {
 		return
 	}
 	var predNs float64
 	if r.cal != nil {
-		predNs = r.cal.PredictNs(key.Op, pd.units)
+		predNs = r.cal.PredictNs(key.Op, units)
 	} else {
-		predNs = r.nsPerUnit * pd.units
+		predNs = r.nsPerUnit * units
 	}
 	if predNs <= 0 {
 		return
@@ -331,6 +313,21 @@ func (r *Recorder) addDrift(kind string, t *core.Term, rec execute.InstrRecord, 
 	})
 }
 
+// OpWall yields, for every opcode the run executed, the exact summed wall
+// time of all its instructions, sampled or not.
+func (r *Recorder) OpWall() iter.Seq2[string, time.Duration] {
+	return func(yield func(string, time.Duration) bool) {
+		if r == nil {
+			return
+		}
+		for op, tot := range r.opTotals {
+			if tot.n > 0 && !yield(core.OpCode(op).String(), tot.wall) {
+				return
+			}
+		}
+	}
+}
+
 // Finish folds the run's samples into the collector and triggers throttled
 // persistence. Must be called at most once, after the run has returned.
 func (r *Recorder) Finish() {
@@ -350,15 +347,10 @@ func (c *Collector) fold(r *Recorder) {
 	c.instructions += r.n
 	c.samples += r.samples
 	for k, lb := range r.local {
-		b := c.buckets[k]
-		if b == nil {
-			b = newBucket()
-			c.buckets[k] = b
-		}
-		b.merge(lb)
-		if k.priced() && lb.units > 0 {
-			c.totalNs += lb.ns
-			c.totalUnits += lb.units
+		addBucket(c.buckets, lb)
+		if k.priced() && lb.Units > 0 {
+			c.totalNs += lb.TotalNS
+			c.totalUnits += lb.Units
 		}
 	}
 	for kind, n := range r.driftCounts {
@@ -376,19 +368,14 @@ func (c *Collector) fold(r *Recorder) {
 	}
 	pa := c.programs[r.programID]
 	if pa == nil {
-		pa = &programAgg{buckets: map[BucketKey]*bucket{}}
+		pa = &programAgg{buckets: map[BucketKey]*Bucket{}}
 		c.programs[r.programID] = pa
 	}
 	pa.executions++
 	pa.instructions += r.n
 	pa.samples += r.samples
-	for k, lb := range r.local {
-		b := pa.buckets[k]
-		if b == nil {
-			b = newBucket()
-			pa.buckets[k] = b
-		}
-		b.merge(lb)
+	for _, lb := range r.local {
+		addBucket(pa.buckets, lb)
 	}
 	if c.cfg.Store != nil && now.Sub(pa.lastPersist) >= c.cfg.PersistInterval {
 		pa.lastPersist = now

@@ -2,10 +2,15 @@ package profile_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"eva/internal/builder"
 	"eva/internal/ckks"
@@ -204,9 +209,10 @@ func TestDriftDetection(t *testing.T) {
 	if mul == nil {
 		t.Fatal("no cipher multiply in deep chain")
 	}
+	id := slices.IndexFunc(res.Instrs, func(in compile.Instr) bool { return in.Term == mul })
 	expLevel := maxLevel - levels[mul]
 	okScale := math.Exp2(rewrite.ComputeLogScales(res.Program)[mul])
-	base := execute.InstrRecord{Wall: time.Millisecond, Cipher: true, Level: expLevel, Scale: okScale, OutBytes: 4096, Operands: 2}
+	base := execute.InstrRecord{ID: int32(id), Wall: time.Millisecond, Cipher: true, Level: expLevel, Scale: okScale, OutBytes: 4096, Operands: 2}
 
 	c := profile.NewCollector(profile.Config{SampleRate: 1})
 	rec := c.Recorder("deep", res, "trace-abc")
@@ -427,4 +433,115 @@ func TestWriteProm(t *testing.T) {
 			t.Errorf("family %s missing from exposition", name)
 		}
 	}
+}
+
+// runAndDrop compiles and runs the matmul workload, profiled by c (nil runs
+// it unprofiled), and returns a weak pointer to one of its constant terms;
+// the compiled Result itself is dropped on return.
+func runAndDrop(t *testing.T, c *profile.Collector) weak.Pointer[core.Term] {
+	res := buildMatmul(t, 64, 8)
+	runProfiled(t, c, "matmul", res, "", 5)
+	for _, in := range res.Instrs {
+		if in.Term.Op == core.OpConstant {
+			return weak.Make(in.Term)
+		}
+	}
+	t.Fatal("the matmul has no constant term")
+	return weak.Pointer[core.Term]{}
+}
+
+// TestCollectorKeepsNoProgram: the collector remembers a program by its id
+// only, so once the caller drops a profiled program's compiled Result its
+// term graph is collectable, exactly as an unprofiled program's is.
+func TestCollectorKeepsNoProgram(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *profile.Collector
+	}{
+		{"profiled", profile.NewCollector(profile.Config{SampleRate: 1})},
+		{"unprofiled", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			term := runAndDrop(t, tc.c)
+			runtime.GC()
+			if term.Value() != nil {
+				t.Error("a term of the dropped program is still reachable after GC")
+			}
+			runtime.KeepAlive(tc.c)
+		})
+	}
+}
+
+// persistedBucket is one bucket of a profile record in the wire form the
+// store has always held; persistedProfile wraps it in its record.
+const (
+	persistedBucket  = `{"op":"MULTIPLY","level":99,"hoisted":true,"count":3,"total_ns":3000000,"max_ns":1500000,"cost_units":4800,"bytes":98304,"max_bytes":32768,"latency_buckets":[0,0,0,2,1,0,0,0],"byte_buckets":[0,3,0,0,0,0,0],"mean_us":1000}`
+	persistedProfile = `{"program_id":"deep","executions":2,"instructions":40,"samples":40,"buckets":[` + persistedBucket + `],"updated_at":"2026-01-01T00:00:00Z"}`
+)
+
+// TestPersistedProfileLoads: a profile record written in the wire form
+// decodes, merges with a live collector's samples, and re-encodes with its
+// bucket's fields unchanged, so records persisted by earlier builds keep
+// accumulating.
+func TestPersistedProfileLoads(t *testing.T) {
+	var old profile.ProgramProfile
+	if err := json.Unmarshal([]byte(persistedProfile), &old); err != nil {
+		t.Fatal(err)
+	}
+	if len(old.Buckets) != 1 || old.Buckets[0].Units != 4800 || len(old.Buckets[0].Latency) != 8 || len(old.Buckets[0].Sizes) != 7 {
+		t.Fatalf("decoded %+v", old)
+	}
+
+	st := store.NewMemory()
+	defer st.Close()
+	if err := st.Put(profile.KindProfile, "deep", []byte(persistedProfile)); err != nil {
+		t.Fatal(err)
+	}
+	res := buildDeepChain(t)
+	c := profile.NewCollector(profile.Config{SampleRate: 1, Store: st})
+	runProfiled(t, c, "deep", res, "", 7)
+	live := c.Report()
+	c.Flush()
+
+	data, err := st.Get(profile.KindProfile, "deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged profile.ProgramProfile
+	if err := json.Unmarshal(data, &merged); err != nil {
+		t.Fatal(err)
+	}
+	if merged.Executions != old.Executions+1 || merged.Samples != old.Samples+live.Samples {
+		t.Fatalf("merged record has %d executions / %d samples, want %d / %d",
+			merged.Executions, merged.Samples, old.Executions+1, old.Samples+live.Samples)
+	}
+	if want := len(live.Buckets) + 1; len(merged.Buckets) != want {
+		t.Fatalf("merged record has %d buckets, want the live run's %d plus the persisted one", len(merged.Buckets), want-1)
+	}
+
+	var raw struct {
+		Buckets []map[string]json.RawMessage `json:"buckets"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(persistedBucket), &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range raw.Buckets {
+		if string(b["level"]) != "99" {
+			continue
+		}
+		if len(b) != len(want) {
+			t.Errorf("re-encoded bucket has fields %v, want %v", slices.Sorted(maps.Keys(b)), slices.Sorted(maps.Keys(want)))
+		}
+		for k, v := range want {
+			if !bytes.Equal(b[k], v) {
+				t.Errorf("re-encoded bucket field %s = %s, want %s", k, b[k], v)
+			}
+		}
+		return
+	}
+	t.Fatalf("the persisted bucket is missing from the re-encoded record: %s", data)
 }

@@ -17,15 +17,11 @@ const (
 	DriftKindCost  = "cost"  // wall time off the cost-model prediction by ≥ factor
 )
 
-// latencyBounds are the histogram upper bounds in seconds, shared with the
-// executor's per-op histograms so /metrics and /profile bucket identically.
-var latencyBounds = func() []float64 {
-	b := make([]float64, len(execute.OpLatencyBounds))
-	for i, d := range execute.OpLatencyBounds {
-		b[i] = d.Seconds()
-	}
-	return b
-}()
+// latencyBounds are the per-instruction latency histogram upper bounds in
+// seconds: 1 µs (element-wise ops on small rings) through 1 s (key switching
+// on paper-scale rings), geometric by 10x. A slower sample lands in the
+// overflow bucket.
+var latencyBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 
 // ByteBounds are the result-size histogram upper bounds in bytes: 4 KiB
 // (plain vectors, tiny rings) through 128 MiB (triple-poly paper-scale
@@ -48,61 +44,6 @@ type BucketKey struct {
 // time is one measurement split over its members by the model's own units,
 // so neither may feed the baseline, a fit, or a cost-drift check.
 func (k BucketKey) priced() bool { return !k.Hoisted && !k.Fused }
-
-// bucket is the internal aggregate; Bucket is its mergeable wire form.
-type bucket struct {
-	count    uint64
-	ns       float64
-	maxNs    float64
-	units    float64
-	bytes    float64
-	maxBytes float64
-	latency  []uint64
-	sizes    []uint64
-}
-
-func newBucket() *bucket {
-	return &bucket{
-		latency: make([]uint64, len(latencyBounds)+1),
-		sizes:   make([]uint64, len(ByteBounds)+1),
-	}
-}
-
-func (b *bucket) observe(rec execute.InstrRecord, units float64) {
-	b.count++
-	ns := float64(rec.Wall.Nanoseconds())
-	b.ns += ns
-	if ns > b.maxNs {
-		b.maxNs = ns
-	}
-	b.units += units
-	out := float64(rec.OutBytes)
-	b.bytes += out
-	if out > b.maxBytes {
-		b.maxBytes = out
-	}
-	b.latency[bucketIndexF(latencyBounds, rec.Wall.Seconds())]++
-	b.sizes[bucketIndexF(ByteBounds, out)]++
-}
-
-func (b *bucket) merge(o *bucket) {
-	b.count += o.count
-	b.ns += o.ns
-	if o.maxNs > b.maxNs {
-		b.maxNs = o.maxNs
-	}
-	b.units += o.units
-	b.bytes += o.bytes
-	if o.maxBytes > b.maxBytes {
-		b.maxBytes = o.maxBytes
-	}
-	for i := range o.latency {
-		b.latency[i] += o.latency[i]
-	}
-	for i := range o.sizes {
-		b.sizes[i] += o.sizes[i]
-	}
-}
 
 func bucketIndexF(bounds []float64, v float64) int {
 	i := 0
@@ -136,50 +77,78 @@ type Bucket struct {
 	PredictedUS float64 `json:"predicted_us,omitempty"`
 }
 
-func (w *Bucket) key() BucketKey {
-	return BucketKey{Op: w.Op, Level: w.Level, Hoisted: w.Hoisted, Fused: w.Fused}
+func (b *Bucket) key() BucketKey {
+	return BucketKey{Op: b.Op, Level: b.Level, Hoisted: b.Hoisted, Fused: b.Fused}
 }
 
-func (w *Bucket) toInternal() *bucket {
-	b := newBucket()
-	b.count = w.Count
-	b.ns = w.TotalNS
-	b.maxNs = w.MaxNS
-	b.units = w.Units
-	b.bytes = w.Bytes
-	b.maxBytes = w.MaxBytes
-	for i := 0; i < len(b.latency) && i < len(w.Latency); i++ {
-		b.latency[i] = w.Latency[i]
+// newBucket returns an empty aggregate for k with histograms of the current
+// bounds.
+func newBucket(k BucketKey) *Bucket {
+	return &Bucket{
+		Op:      k.Op,
+		Level:   k.Level,
+		Hoisted: k.Hoisted,
+		Fused:   k.Fused,
+		Latency: make([]uint64, len(latencyBounds)+1),
+		Sizes:   make([]uint64, len(ByteBounds)+1),
 	}
-	for i := 0; i < len(b.sizes) && i < len(w.Sizes); i++ {
-		b.sizes[i] = w.Sizes[i]
+}
+
+func (b *Bucket) observe(rec execute.InstrRecord, units float64) {
+	b.Count++
+	ns := float64(rec.Wall.Nanoseconds())
+	b.TotalNS += ns
+	b.MaxNS = max(b.MaxNS, ns)
+	b.Units += units
+	out := float64(rec.OutBytes)
+	b.Bytes += out
+	b.MaxBytes = max(b.MaxBytes, out)
+	b.Latency[bucketIndexF(latencyBounds, rec.Wall.Seconds())]++
+	b.Sizes[bucketIndexF(ByteBounds, out)]++
+}
+
+// merge folds o's sums into b. Histogram buckets beyond b's bounds (a record
+// persisted under other bounds) are dropped; the derived MeanUS and
+// PredictedUS are left for wireBuckets to recompute.
+func (b *Bucket) merge(o *Bucket) {
+	b.Count += o.Count
+	b.TotalNS += o.TotalNS
+	b.MaxNS = max(b.MaxNS, o.MaxNS)
+	b.Units += o.Units
+	b.Bytes += o.Bytes
+	b.MaxBytes = max(b.MaxBytes, o.MaxBytes)
+	for i := 0; i < len(b.Latency) && i < len(o.Latency); i++ {
+		b.Latency[i] += o.Latency[i]
 	}
-	return b
+	for i := 0; i < len(b.Sizes) && i < len(o.Sizes); i++ {
+		b.Sizes[i] += o.Sizes[i]
+	}
+}
+
+// addBucket folds o into m's aggregate for o's key, creating it if absent.
+func addBucket(m map[BucketKey]*Bucket, o *Bucket) {
+	k := o.key()
+	b := m[k]
+	if b == nil {
+		b = newBucket(k)
+		m[k] = b
+	}
+	b.merge(o)
 }
 
 // wireBuckets renders an aggregate map sorted by (op, level, hoisted, fused),
-// deriving means and — when cal is non-nil — calibrated predictions.
-func wireBuckets(m map[BucketKey]*bucket, cal *Calibration) []Bucket {
+// deriving means and — when cal is non-nil — calibrated predictions. The
+// copies share nothing with m.
+func wireBuckets(m map[BucketKey]*Bucket, cal *Calibration) []Bucket {
 	out := make([]Bucket, 0, len(m))
 	for k, b := range m {
-		w := Bucket{
-			Op:       k.Op,
-			Level:    k.Level,
-			Hoisted:  k.Hoisted,
-			Fused:    k.Fused,
-			Count:    b.count,
-			TotalNS:  b.ns,
-			MaxNS:    b.maxNs,
-			Units:    b.units,
-			Bytes:    b.bytes,
-			MaxBytes: b.maxBytes,
-			Latency:  append([]uint64(nil), b.latency...),
-			Sizes:    append([]uint64(nil), b.sizes...),
-		}
-		if b.count > 0 {
-			w.MeanUS = b.ns / float64(b.count) / 1e3
-			if cal != nil && b.units > 0 {
-				w.PredictedUS = cal.PredictNs(k.Op, b.units/float64(b.count)) / 1e3
+		w := *b
+		w.Latency = append([]uint64(nil), b.Latency...)
+		w.Sizes = append([]uint64(nil), b.Sizes...)
+		if b.Count > 0 {
+			w.MeanUS = b.TotalNS / float64(b.Count) / 1e3
+			if cal != nil && b.Units > 0 {
+				w.PredictedUS = cal.PredictNs(k.Op, b.Units/float64(b.Count)) / 1e3
 			}
 		}
 		out = append(out, w)
@@ -239,17 +208,12 @@ func (p *ProgramProfile) mergeFrom(o *ProgramProfile) {
 	p.Executions += o.Executions
 	p.Instructions += o.Instructions
 	p.Samples += o.Samples
-	m := map[BucketKey]*bucket{}
+	m := map[BucketKey]*Bucket{}
 	for i := range p.Buckets {
-		m[p.Buckets[i].key()] = p.Buckets[i].toInternal()
+		addBucket(m, &p.Buckets[i])
 	}
 	for i := range o.Buckets {
-		k := o.Buckets[i].key()
-		if b, ok := m[k]; ok {
-			b.merge(o.Buckets[i].toInternal())
-		} else {
-			m[k] = o.Buckets[i].toInternal()
-		}
+		addBucket(m, &o.Buckets[i])
 	}
 	p.Buckets = wireBuckets(m, nil)
 }
@@ -340,7 +304,7 @@ func MergeReports(node string, reports []Report) Report {
 		ByteBounds:      append([]float64(nil), ByteBounds...),
 		Buckets:         []Bucket{},
 	}
-	buckets := map[BucketKey]*bucket{}
+	buckets := map[BucketKey]*Bucket{}
 	programs := map[string]*ProgramSummary{}
 	var totalNs, totalUnits float64
 	for _, rep := range reports {
@@ -361,16 +325,11 @@ func MergeReports(node string, reports []Report) Report {
 			merged.DriftCounts[k] += v
 		}
 		for i := range rep.Buckets {
-			k := rep.Buckets[i].key()
-			ib := rep.Buckets[i].toInternal()
-			if b, ok := buckets[k]; ok {
-				b.merge(ib)
-			} else {
-				buckets[k] = ib
-			}
-			if k.priced() && ib.units > 0 {
-				totalNs += ib.ns
-				totalUnits += ib.units
+			b := &rep.Buckets[i]
+			addBucket(buckets, b)
+			if b.key().priced() && b.Units > 0 {
+				totalNs += b.TotalNS
+				totalUnits += b.Units
 			}
 		}
 		merged.Drift = append(merged.Drift, rep.Drift...)

@@ -467,15 +467,16 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 	}
 
 	// The execute span carries per-instruction progress (readable on live
-	// traces) and, after the run, the per-opcode time folded from RunStats.
+	// traces) and, after the run, the per-opcode time the profiler summed.
 	t := obs.TraceFromContext(stdctx)
 	sp := t.StartSpan("execute", obs.SpanFromContext(stdctx))
 	if sp != nil && ropts.Progress == nil {
 		ropts.Progress = sp.Progress
 	}
-	// The instruction profiler samples this run; the trace id rides along so
-	// drift events in /profile link back to their /traces entry.
-	if rec := s.profiles.Recorder(plan.entry.ID, res, t.ID()); rec != nil {
+	// The instruction profiler measures this run; the trace id rides along
+	// so drift events in /profile link back to their /traces entry.
+	rec := s.profiles.Recorder(plan.entry.ID, res, t.ID())
+	if rec != nil {
 		ropts.OnInstruction = rec.OnInstruction
 		defer rec.Finish()
 	}
@@ -503,8 +504,8 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 	}
 	if sp != nil {
 		sp.SetAttr("workers", strconv.Itoa(out.Stats.Workers))
-		for op, os := range out.Stats.PerOp {
-			sp.SetAttr("op."+op+"_ms", strconv.FormatFloat(float64(os.Total)/float64(time.Millisecond), 'f', 3, 64))
+		for op, wall := range rec.OpWall() {
+			sp.SetAttr("op."+op+"_ms", strconv.FormatFloat(float64(wall)/float64(time.Millisecond), 'f', 3, 64))
 		}
 		sp.End()
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -15,11 +14,9 @@ import (
 )
 
 // Metrics aggregates service-level counters: per-route request counts, cache
-// statistics (taken from the registry at report time), execution counts, and
-// per-opcode latency histograms merged from every execution's RunStats. The
-// measured histograms sit next to the per-opcode cost predicted by the
-// analysis cost model (the same model the bench harness uses), so operators
-// can see whether the service behaves the way the model says it should.
+// statistics (taken from the registry at report time), and execution counts.
+// Per-opcode latency and cost-model units are the instruction profiler's
+// (GET /profile, eva_profile_* families).
 type Metrics struct {
 	mu         sync.Mutex
 	start      time.Time
@@ -27,15 +24,11 @@ type Metrics struct {
 	executions uint64
 	execFailed uint64
 	execTotal  time.Duration
-	perOp      map[string]*execute.OpStats
 	// plans sums what the plan mechanisms saved the executions (see
 	// PlanMetrics for the fields).
 	plans struct {
 		hits, misses, fusedChains, fusedTerms, recycled uint64
 	}
-	// predictedCost accumulates, per opcode, the cost-model estimate of every
-	// program compiled by this process (abstract limb-element operations).
-	predictedCost map[string]float64
 }
 
 // routeStats is one route's request accounting: total count, counts per
@@ -49,10 +42,8 @@ type routeStats struct {
 // NewMetrics returns an empty metrics collector.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		start:         time.Now(),
-		requests:      map[string]*routeStats{},
-		perOp:         map[string]*execute.OpStats{},
-		predictedCost: map[string]float64{},
+		start:    time.Now(),
+		requests: map[string]*routeStats{},
 	}
 }
 
@@ -85,14 +76,6 @@ func (m *Metrics) RecordExecution(stats execute.RunStats) {
 	m.mu.Lock()
 	m.executions++
 	m.execTotal += stats.WallTime
-	for op, os := range stats.PerOp {
-		agg := m.perOp[op]
-		if agg == nil {
-			agg = &execute.OpStats{}
-			m.perOp[op] = agg
-		}
-		agg.Merge(os)
-	}
 	m.plans.hits += uint64(stats.PlainCacheHits)
 	m.plans.misses += uint64(stats.PlainCacheMisses)
 	m.plans.fusedChains += uint64(stats.FusedChains)
@@ -106,31 +89,6 @@ func (m *Metrics) RecordExecutionError() {
 	m.mu.Lock()
 	m.execFailed++
 	m.mu.Unlock()
-}
-
-// RecordPredictedCost folds a compiled program's per-opcode cost-model
-// estimate into the aggregate.
-func (m *Metrics) RecordPredictedCost(byOp map[string]float64) {
-	m.mu.Lock()
-	for op, c := range byOp {
-		m.predictedCost[op] += c
-	}
-	m.mu.Unlock()
-}
-
-// OpHistogram is the wire form of one opcode's latency aggregate.
-type OpHistogram struct {
-	Count   int     `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-	MeanUS  float64 `json:"mean_us"`
-	MaxUS   float64 `json:"max_us"`
-	// BucketBounds are the histogram bucket upper bounds in microseconds;
-	// the final bucket in Buckets is the overflow bucket.
-	BucketBounds []float64 `json:"bucket_bounds_us"`
-	Buckets      []int     `json:"buckets"`
-	// PredictedShare is the opcode's share of the cost model's total
-	// predicted cost across all programs compiled by this process.
-	PredictedShare float64 `json:"predicted_cost_share"`
 }
 
 // MetricsReport is the JSON document served by GET /metrics.
@@ -166,8 +124,7 @@ type MetricsReport struct {
 	// Plans reports the compiled programs' plaintext caches: how many
 	// registry programs have run, what their caches hold against the
 	// process-wide budget, and what the executions so far got out of them.
-	Plans PlanMetrics            `json:"plans"`
-	PerOp map[string]OpHistogram `json:"per_op_latency"`
+	Plans PlanMetrics `json:"plans"`
 }
 
 // PlanMetrics is the "plans" section of the metrics report. The gauges
@@ -226,42 +183,6 @@ func (m *Metrics) Report(cache CacheStats, jobStats jobs.Stats, storeStats *stor
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	bounds := make([]float64, len(execute.OpLatencyBounds))
-	for i, b := range execute.OpLatencyBounds {
-		bounds[i] = float64(b) / float64(time.Microsecond)
-	}
-	var predictedTotal float64
-	for _, c := range m.predictedCost {
-		predictedTotal += c
-	}
-	perOp := make(map[string]OpHistogram, len(m.perOp))
-	ops := make([]string, 0, len(m.perOp))
-	for op := range m.perOp {
-		ops = append(ops, op)
-	}
-	for op := range m.predictedCost {
-		if _, ok := m.perOp[op]; !ok {
-			ops = append(ops, op)
-		}
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		h := OpHistogram{BucketBounds: bounds}
-		if os := m.perOp[op]; os != nil {
-			h.Count = os.Count
-			h.TotalMS = float64(os.Total) / float64(time.Millisecond)
-			if os.Count > 0 {
-				h.MeanUS = float64(os.Total) / float64(os.Count) / float64(time.Microsecond)
-			}
-			h.MaxUS = float64(os.Max) / float64(time.Microsecond)
-			h.Buckets = append([]int(nil), os.Buckets...)
-		}
-		if predictedTotal > 0 {
-			h.PredictedShare = m.predictedCost[op] / predictedTotal
-		}
-		perOp[op] = h
-	}
-
 	requests := make(map[string]uint64, len(m.requests))
 	byClass := make(map[string]map[string]uint64, len(m.requests))
 	for k, rs := range m.requests {
@@ -283,6 +204,5 @@ func (m *Metrics) Report(cache CacheStats, jobStats jobs.Stats, storeStats *stor
 		ExecTotalMS:      float64(m.execTotal) / float64(time.Millisecond),
 		Jobs:             jobStats,
 		Store:            storeStats,
-		PerOp:            perOp,
 	}
 }

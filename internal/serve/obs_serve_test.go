@@ -67,8 +67,7 @@ func TestJobTraceEndToEnd(t *testing.T) {
 		t.Errorf("%d execute spans; want 2 (one per batch)", names["execute"])
 	}
 	// The e2e program squares (RELINEARIZE+RESCALE), rotates, multiplies:
-	// each execute span's per-op attrs must name those opcodes, matching
-	// what RunStats reported for the batch.
+	// each execute span's per-op attrs must name those opcodes.
 	for i, attrs := range execAttrs {
 		for _, op := range []string{"MULTIPLY", "RELINEARIZE", "RESCALE", "ROTATE_LEFT"} {
 			if _, ok := attrs["op."+op+"_ms"]; !ok {
@@ -132,7 +131,7 @@ func TestPrometheusConformance(t *testing.T) {
 		"eva_requests_total",
 		"eva_request_duration_seconds",
 		"eva_executions_total",
-		"eva_op_duration_seconds",
+		"eva_profile_op_duration_seconds",
 		"eva_cache_entries",
 		"eva_jobs_submitted_total",
 		"eva_jobs_queue_depth",
@@ -205,12 +204,7 @@ func TestMetricsTraceConcurrency(t *testing.T) {
 				switch g % 4 {
 				case 0:
 					s.metrics.RecordRequest("jobs_submit", 200+i%300, time.Duration(i)*time.Microsecond)
-					s.metrics.RecordExecution(execute.RunStats{
-						WallTime: time.Duration(i) * time.Microsecond,
-						PerOp: map[string]*execute.OpStats{
-							"MULTIPLY": {Count: 1, Total: time.Microsecond, Max: time.Microsecond, Buckets: make([]int, len(execute.OpLatencyBounds)+1)},
-						},
-					})
+					s.metrics.RecordExecution(execute.RunStats{WallTime: time.Duration(i) * time.Microsecond})
 				case 1:
 					s.MetricsReport()
 				case 2:

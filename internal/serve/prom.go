@@ -5,15 +5,14 @@ import (
 	"sort"
 	"time"
 
-	"eva/internal/execute"
 	"eva/internal/obs"
 )
 
 // WritePrometheus renders the full metrics surface in the Prometheus text
 // exposition format: per-route request counters split by status class with
-// latency histograms, cache/execution counters, per-opcode latency
-// histograms (RunStats buckets converted to seconds), jobs/store/coalesce
-// gauges, and the tracer's per-phase duration histograms. The JSON report
+// latency histograms, cache/execution counters, jobs/store/coalesce gauges,
+// the tracer's per-phase duration histograms, and the instruction profiler's
+// eva_profile_* families (per-opcode latency among them). The JSON report
 // (GET /metrics) is unchanged; this is GET /metrics?format=prometheus.
 func (s *Server) WritePrometheus(w io.Writer) error {
 	p := obs.NewPromWriter(w)
@@ -56,49 +55,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Meta("eva_execution_seconds_total", "Summed wall time of batch executions.", "counter")
 	p.Sample("eva_execution_seconds_total", nil, m.execTotal.Seconds())
 
-	if len(m.perOp) > 0 {
-		opBounds := make([]float64, len(execute.OpLatencyBounds))
-		for i, b := range execute.OpLatencyBounds {
-			opBounds[i] = b.Seconds()
-		}
-		ops := make([]string, 0, len(m.perOp))
-		for op := range m.perOp {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		p.Meta("eva_op_duration_seconds", "Per-opcode instruction latency across all executions.", "histogram")
-		for _, op := range ops {
-			os := m.perOp[op]
-			snap := obs.HistogramSnapshot{
-				Bounds: opBounds,
-				Counts: make([]uint64, len(opBounds)+1),
-				Sum:    os.Total.Seconds(),
-				Count:  uint64(os.Count),
-			}
-			for i, n := range os.Buckets {
-				if i < len(snap.Counts) {
-					snap.Counts[i] = uint64(n)
-				}
-			}
-			p.Histogram("eva_op_duration_seconds", map[string]string{"op": op}, snap)
-		}
-	}
-
-	var predictedTotal float64
-	for _, c := range m.predictedCost {
-		predictedTotal += c
-	}
-	if predictedTotal > 0 {
-		predOps := make([]string, 0, len(m.predictedCost))
-		for op := range m.predictedCost {
-			predOps = append(predOps, op)
-		}
-		sort.Strings(predOps)
-		p.Meta("eva_op_predicted_cost_share", "Per-opcode share of the cost model's total predicted cost.", "gauge")
-		for _, op := range predOps {
-			p.Sample("eva_op_predicted_cost_share", map[string]string{"op": op}, m.predictedCost[op]/predictedTotal)
-		}
-	}
 	m.mu.Unlock()
 
 	cache := s.registry.Stats()

@@ -15,6 +15,7 @@ import (
 	"eva/internal/ckks"
 	"eva/internal/core"
 	"eva/internal/execute"
+	"eva/internal/profile"
 )
 
 // e2eProgram exercises every interesting opcode class: a ciphertext square
@@ -99,7 +100,8 @@ func compileRequest(t testing.TB, p *core.Program) CompileRequest {
 // decrypt the returned ciphertexts locally. The decrypted results must match
 // the unencrypted reference execution within the program's output precision.
 func TestEndToEndClientKeys(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
+	// Every instruction is profiled, so /profile sees the program's multiplies.
+	ts, _ := newTestServer(t, Config{ProfileSampleRate: 1})
 	client := ts.Client()
 	prog := e2eProgram(t)
 
@@ -291,12 +293,18 @@ func TestEndToEndClientKeys(t *testing.T) {
 	if metrics.Executions != uint64(len(inputSets)) {
 		t.Errorf("executions %d, want %d", metrics.Executions, len(inputSets))
 	}
-	mul, ok := metrics.PerOp["MULTIPLY"]
-	if !ok || mul.Count == 0 {
-		t.Errorf("per-op metrics missing MULTIPLY latencies: %+v", metrics.PerOp)
+	// Per-opcode latency and cost-model units are the profiler's.
+	prof := getJSON[profile.Report](t, client, ts.URL+"/profile")
+	var mul profile.Bucket
+	for _, b := range prof.Buckets {
+		if b.Op == "MULTIPLY" {
+			mul.Count += b.Count
+			mul.Units += b.Units
+		}
 	}
-	if mul.PredictedShare <= 0 {
-		t.Errorf("MULTIPLY predicted cost share is %v, want > 0", mul.PredictedShare)
+	if mul.Count == 0 || mul.Units <= 0 {
+		t.Errorf("/profile MULTIPLY buckets sum to count %d, cost units %v; want both > 0 (buckets %+v)",
+			mul.Count, mul.Units, prof.Buckets)
 	}
 }
 

@@ -164,8 +164,9 @@ type Config struct {
 	// ProfileSampleRate is the instruction profiler's sampling stride: every
 	// execution records one in ProfileSampleRate instructions into the
 	// flight recorder behind GET /profile and the eva_profile_* families
-	// (0 = every 16th, 1 = every instruction, < 0 = profiling off). Sampled
-	// records are compared against the cost model and the compiler's
+	// (0 = every 16th, 1 = every instruction, < 0 = profiling off, which also
+	// drops the execute span's per-opcode op.*_ms attrs). Sampled records
+	// are compared against the cost model and the compiler's
 	// scale/level expectations; divergence surfaces as drift events. With a
 	// Store, per-program profiles persist under kind "profile" and a fitted
 	// calibration (kind "calibration") is loaded at startup.
@@ -700,10 +701,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
-	}
-	if !cached {
-		model := entry.Result.CostModel()
-		s.metrics.RecordPredictedCost(model.EstimateCost(entry.Result.Program).ByOp)
 	}
 	writeJSON(w, http.StatusOK, s.compileResponse(entry, cached))
 }
