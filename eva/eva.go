@@ -115,6 +115,11 @@ func EncryptInputs(ctx *Context, c *Compiled, keys *KeyMaterial, values Inputs, 
 	return execute.EncryptInputs(ctx, c, keys, values, prng)
 }
 
+// InputMismatch is the error Run returns (wrapped) for input ciphertexts
+// that break the compiled program's input contract (Compiled.Bind), before
+// anything runs.
+type InputMismatch = compile.Mismatch
+
 // Run executes a compiled program homomorphically.
 func Run(ctx *Context, c *Compiled, in *EncryptedInputs, opts RunOptions) (*Outputs, error) {
 	return execute.Run(ctx, c, in, opts)

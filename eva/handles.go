@@ -17,7 +17,7 @@ import (
 
 type (
 	// HandleMeta is a stored handle's metadata (content-address id, owning
-	// context, level/scale/width for the chaining checker).
+	// context, parameter fingerprint, level, scale and width).
 	HandleMeta = handle.Meta
 	// HandleRecord is the body of GET /handles/{id}: metadata plus the
 	// serialized ciphertext.

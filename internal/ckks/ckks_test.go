@@ -3,6 +3,7 @@ package ckks
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -524,5 +525,45 @@ func TestKeyGenErrorsWithoutSpecialPrime(t *testing.T) {
 	}
 	if _, err := kg.GenRotationKeys([]int{1}, sk); err == nil {
 		t.Error("expected error generating rotation keys without special prime")
+	}
+}
+
+// TestFingerprint: the fingerprint tells apart parameter sets that differ in
+// the ring degree, in any special prime, or in how one list of primes splits
+// between chain and special primes; it is equal for sets built from one
+// literal, and stable: handles stored with it keep chaining.
+func TestFingerprint(t *testing.T) {
+	build := func(logN int, logQi, logPi []int) *Parameters {
+		p, err := NewParameters(ParametersLiteral{LogN: logN, LogQi: logQi, LogPi: logPi, Scale: 1 << 30, AllowInsecure: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	chain := []int{40, 30, 30}
+	a := build(10, chain, []int{50, 50})
+	if got := a.Fingerprint(); got != "6f69fa6b2a8a38b2" {
+		t.Errorf("fingerprint %s, stored handles carry 6f69fa6b2a8a38b2", got)
+	}
+	if build(10, chain, []int{50, 50}).Fingerprint() != a.Fingerprint() {
+		t.Error("identical literals fingerprint differently")
+	}
+	for name, other := range map[string]*Parameters{
+		"logN differs":                 build(11, chain, []int{50, 50}),
+		"second special prime differs": build(10, chain, []int{50, 49}),
+		"second special prime missing": build(10, chain, []int{50}),
+	} {
+		if other.Fingerprint() == a.Fingerprint() {
+			t.Errorf("%s: same fingerprint", name)
+		}
+	}
+	// The same primes in the same order, split differently between chain and
+	// special primes.
+	b, c := build(10, chain, []int{50}), build(10, chain[:2], []int{30, 50})
+	if !slices.Equal(append(b.Qi(), b.SpecialPrimes()...), append(c.Qi(), c.SpecialPrimes()...)) {
+		t.Fatal("the fixtures were meant to use one list of primes")
+	}
+	if b.Fingerprint() == c.Fingerprint() {
+		t.Error("moving a prime from the chain to the special primes keeps the fingerprint")
 	}
 }

@@ -14,6 +14,9 @@
 package ckks
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
@@ -259,6 +262,18 @@ func (p *Parameters) Qi() []uint64 { return append([]uint64(nil), p.qi...) }
 
 // LogQi returns the requested bit sizes of the chain primes.
 func (p *Parameters) LogQi() []int { return append([]int(nil), p.logQi...) }
+
+// Fingerprint identifies the parameter set by its ring degree and every chain
+// and special prime (the chain length separates the two lists), so no
+// ciphertext is chained into a ring that would misread its residues.
+func (p *Parameters) Fingerprint() string {
+	var buf []byte
+	for _, w := range append(append([]uint64{uint64(p.logN), uint64(len(p.qi))}, p.qi...), p.pi...) {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
 
 // SpecialPrimes returns the key-switching special primes (empty if none).
 func (p *Parameters) SpecialPrimes() []uint64 { return append([]uint64(nil), p.pi...) }

@@ -89,23 +89,31 @@ type Input struct {
 	// ID is the input's instruction, or -1 when no output depends on it.
 	ID int32
 	// Depth is the longest rescale chain among the terms the input reaches:
-	// a ciphertext bound to a Cipher input needs at least that many levels.
+	// the input's level group must enter at least that many levels up.
 	Depth int
+	// Group is the input's level group, named by the index in Result.Inputs
+	// of its first member; -1 for a Plain input and a Cipher input no output
+	// depends on. Two Cipher inputs share a group when they reach a common
+	// term: MODSWITCH placement assumes they enter at one level (Result.Bind).
+	Group int
 }
 
 // Output is one output of the program.
 type Output struct {
 	Name string
 	ID   int32
+	// Group is the level group the output depends on (-1 for none).
+	Group int
 }
 
 // Lower builds the Result of a transformed program in one walk over its
 // topological order: the dense instruction list, units, kernels, hoist sets,
 // fused chains and invariants the executor runs, the inputs and outputs by
-// id, CompiledStats and RotationSteps. chains and scales are analysis.Validate's
-// per-term results and are not kept. Lower checks nothing itself, so a
-// program that fails validation lowers too; the other fields of the Result
-// (Plan, LogN, Options, SourceStats) are the caller's to fill.
+// id with their level groups, CompiledStats and RotationSteps. chains and
+// scales are analysis.Validate's per-term results and are not kept. Lower
+// checks nothing itself, so a program that fails validation lowers too; the
+// other fields of the Result (Plan, LogN, Options, SourceStats) are the
+// caller's to fill.
 func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64) *Result {
 	order := prog.TopoSort()
 	n := len(order)
@@ -116,6 +124,22 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 	depth := make([]int, n) // multiplicative depth
 	rotations := map[int32][]int32{}
 	var sources []int32 // rotated Cipher terms, in order of their first rotation
+	// Level groups: reached[i] is the index of some Cipher input term i
+	// reaches (-1 for none), and union-find over the input indices, rooted at
+	// each group's first input, merges the inputs of every term's operands.
+	reached := make([]int32, n)
+	index := make(map[*core.Term]int32, len(prog.Inputs()))
+	root := make([]int32, len(prog.Inputs()))
+	for k, t := range prog.Inputs() {
+		index[t], root[k] = int32(k), int32(k)
+	}
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
 
 	nparms := 0
 	for _, t := range order {
@@ -138,6 +162,10 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 		}
 		in.Parms, parmBacking = parmBacking[:len(t.Parms())], parmBacking[len(t.Parms()):]
 		invariant := t.Op != core.OpInput
+		reached[i] = -1
+		if t.Op == core.OpInput && in.Cipher {
+			reached[i] = index[t]
+		}
 		for slot, parm := range t.Parms() {
 			q := ids[parm]
 			in.Parms[slot] = q
@@ -146,6 +174,14 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 			in.Cipher = in.Cipher || r.Instrs[q].Cipher
 			invariant = invariant && r.Instrs[q].Invariant
 			depth[i] = max(depth[i], depth[q])
+			switch g := reached[q]; {
+			case g < 0:
+			case reached[i] < 0:
+				reached[i] = g
+			default:
+				a, b := find(g), find(reached[i])
+				root[max(a, b)] = min(a, b)
+			}
 		}
 		in.Invariant = invariant && !in.Cipher
 		if t.Op == core.OpMultiply {
@@ -172,12 +208,18 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 	stats.RotationSteps = len(r.RotationSteps)
 	r.CompiledStats = stats
 
+	group := func(id int32) int {
+		if reached[id] < 0 {
+			return -1
+		}
+		return int(find(reached[id]))
+	}
 	isOutput := make([]bool, n)
 	for _, o := range prog.Outputs() {
 		id := ids[o.Term]
 		r.Instrs[id].Refs++
 		isOutput[id] = true
-		r.Outputs = append(r.Outputs, Output{Name: o.Name, ID: id})
+		r.Outputs = append(r.Outputs, Output{Name: o.Name, ID: id, Group: group(id)})
 	}
 	for _, src := range sources {
 		set := rotations[src]
@@ -211,9 +253,9 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 		}
 	}
 	for _, t := range prog.Inputs() {
-		in := Input{Term: t, ID: -1}
+		in := Input{Term: t, ID: -1, Group: -1}
 		if id, ok := ids[t]; ok {
-			in.ID, in.Depth = id, reach[id]
+			in.ID, in.Depth, in.Group = id, reach[id], group(id)
 		}
 		r.Inputs = append(r.Inputs, in)
 	}

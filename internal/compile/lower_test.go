@@ -76,6 +76,73 @@ func checkLowering(t testing.TB, res *Result) {
 			t.Errorf("input %q: depth %d, the mask fold says %d", in.Term.Name, in.Depth, want)
 		}
 	}
+	checkGroups(t, res)
+}
+
+// checkGroups holds the level groups to their definition, computed by brute
+// force: the Cipher inputs' reached-term sets, a pair of inputs related when
+// the sets meet, and the groups the classes of that relation's transitive
+// closure, each named by its first input. An output's group is that of any
+// Cipher input it reaches.
+func checkGroups(t testing.TB, res *Result) {
+	t.Helper()
+	order := res.Program.TopoSort()
+	var live []int // indices into res.Inputs
+	var reached []map[*core.Term]bool
+	for k, in := range res.Inputs {
+		if in.ID < 0 || in.Term.InType != core.TypeCipher {
+			if in.Group != -1 {
+				t.Errorf("input %q: group %d, want -1 (dead or Plain)", in.Term.Name, in.Group)
+			}
+			continue
+		}
+		set := map[*core.Term]bool{in.Term: true}
+		for _, term := range order {
+			for _, p := range term.Parms() {
+				if set[p] {
+					set[term] = true
+				}
+			}
+		}
+		live = append(live, k)
+		reached = append(reached, set)
+	}
+	related := make([][]bool, len(live))
+	for i := range related {
+		related[i] = make([]bool, len(live))
+		for j := range related[i] {
+			for term := range reached[i] {
+				if reached[j][term] {
+					related[i][j] = true
+					break
+				}
+			}
+		}
+	}
+	for m := range live {
+		for i := range live {
+			for j := range live {
+				related[i][j] = related[i][j] || related[i][m] && related[m][j]
+			}
+		}
+	}
+	for i, k := range live {
+		first := live[slices.Index(related[i], true)]
+		if in := res.Inputs[k]; in.Group != first {
+			t.Fatalf("input %q: group %d, want %d (the first input it shares a term with, transitively)", in.Term.Name, in.Group, first)
+		}
+	}
+	for _, o := range res.Outputs {
+		want := -1
+		for i, k := range live {
+			if reached[i][res.Instrs[o.ID].Term] {
+				want = res.Inputs[k].Group
+			}
+		}
+		if o.Group != want {
+			t.Errorf("output %q: group %d, want %d", o.Name, o.Group, want)
+		}
+	}
 }
 
 // maskFoldDepths is the required-level rule the serving tier used before the

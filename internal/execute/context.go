@@ -133,28 +133,16 @@ type EncryptedInputs struct {
 // their compiled scales and leaves plain inputs as vectors, mirroring the
 // client-side step of the EVA workflow.
 func EncryptInputs(ctx *Context, res *compile.Result, keys *KeyMaterial, values Inputs, prng *ckks.PRNG) (*EncryptedInputs, error) {
-	start := time.Now()
-	enc := ckks.NewEncryptor(ctx.Params, keys.Public, prng)
-	out := &EncryptedInputs{Cipher: map[string]*ckks.Ciphertext{}, Plain: map[string][]float64{}}
+	out := &EncryptedInputs{Plain: map[string][]float64{}}
+	cipher := Inputs{}
 	for _, in := range res.Program.Inputs() {
 		v, ok := values[in.Name]
-		if !ok {
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("execute: missing value for input %q", in.Name)
-		}
-		if len(v) == 0 || len(v) > res.Program.VecSize {
-			return nil, fmt.Errorf("execute: input %q has %d values; want 1..%d", in.Name, len(v), res.Program.VecSize)
-		}
-		if in.InType == core.TypeCipher {
-			pt, err := ctx.Encoder.Encode(v, math.Exp2(in.LogScale), ctx.Params.MaxLevel())
-			if err != nil {
-				return nil, fmt.Errorf("execute: encoding input %q: %w", in.Name, err)
-			}
-			ct, err := enc.Encrypt(pt)
-			if err != nil {
-				return nil, fmt.Errorf("execute: encrypting input %q: %w", in.Name, err)
-			}
-			out.Cipher[in.Name] = ct
-		} else {
+		case in.InType == core.TypeCipher:
+			cipher[in.Name] = v
+		default:
 			full, err := PreparePlain(res, in.Name, v)
 			if err != nil {
 				return nil, err
@@ -162,36 +150,49 @@ func EncryptInputs(ctx *Context, res *compile.Result, keys *KeyMaterial, values 
 			out.Plain[in.Name] = full
 		}
 	}
-	out.EncryptTime = time.Since(start)
+	var err error
+	if out.Cipher, out.EncryptTime, err = EncryptSelected(ctx, res, keys, cipher, nil, prng); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
 // EncryptSelected encodes and encrypts a subset of the program's Cipher
-// inputs at their compiled scales. Unlike EncryptInputs it does not demand
-// every input: servers resolving mixed batches (some inputs arriving as
-// stored ciphertext handles, some as plaintext values) encrypt only the
-// plaintext remainder. Every name must be a Cipher input of the program.
-func EncryptSelected(ctx *Context, res *compile.Result, keys *KeyMaterial, values Inputs, prng *ckks.PRNG) (map[string]*ckks.Ciphertext, time.Duration, error) {
+// inputs at their compiled scales, in declaration order, each at its level
+// group's entry level (compile.Result.Bind) or, when entry is nil, at the top
+// of the chain: a server given some inputs as ciphertexts encrypts the rest
+// to match them. Every name must be a Cipher input of the program.
+func EncryptSelected(ctx *Context, res *compile.Result, keys *KeyMaterial, values Inputs, entry []int, prng *ckks.PRNG) (map[string]*ckks.Ciphertext, time.Duration, error) {
 	start := time.Now()
 	enc := ckks.NewEncryptor(ctx.Params, keys.Public, prng)
-	out := make(map[string]*ckks.Ciphertext, len(values))
-	for name, v := range values {
-		in := res.Program.InputByName(name)
-		if in == nil || in.InType != core.TypeCipher {
+	for name := range values {
+		if in := res.Program.InputByName(name); in == nil || in.InType != core.TypeCipher {
 			return nil, 0, fmt.Errorf("execute: %q is not a Cipher input of the program", name)
 		}
-		if len(v) == 0 || len(v) > res.Program.VecSize {
-			return nil, 0, fmt.Errorf("execute: input %q has %d values; want 1..%d", name, len(v), res.Program.VecSize)
+	}
+	out := make(map[string]*ckks.Ciphertext, len(values))
+	for _, in := range res.Inputs {
+		t := in.Term
+		v, ok := values[t.Name]
+		if !ok {
+			continue
 		}
-		pt, err := ctx.Encoder.Encode(v, math.Exp2(in.LogScale), ctx.Params.MaxLevel())
+		if err := CheckWidth(res, t.Name, v); err != nil {
+			return nil, 0, err
+		}
+		level := ctx.Params.MaxLevel()
+		if entry != nil && in.Group >= 0 {
+			level = entry[in.Group]
+		}
+		pt, err := ctx.Encoder.Encode(v, math.Exp2(t.LogScale), level)
 		if err != nil {
-			return nil, 0, fmt.Errorf("execute: encoding input %q: %w", name, err)
+			return nil, 0, fmt.Errorf("execute: encoding input %q: %w", t.Name, err)
 		}
 		ct, err := enc.Encrypt(pt)
 		if err != nil {
-			return nil, 0, fmt.Errorf("execute: encrypting input %q: %w", name, err)
+			return nil, 0, fmt.Errorf("execute: encrypting input %q: %w", t.Name, err)
 		}
-		out[name] = ct
+		out[t.Name] = ct
 	}
 	return out, time.Since(start), nil
 }
@@ -252,13 +253,22 @@ func DecryptOutputs(ctx *Context, res *compile.Result, keys *KeyMaterial, output
 	return out, time.Since(start)
 }
 
+// CheckWidth rejects an input vector that is empty or wider than the
+// program's vector size: shorter vectors are replicated to the full width.
+func CheckWidth(res *compile.Result, name string, v []float64) error {
+	if len(v) == 0 || len(v) > res.Program.VecSize {
+		return fmt.Errorf("execute: input %q has %d values; want 1..%d", name, len(v), res.Program.VecSize)
+	}
+	return nil
+}
+
 // PreparePlain validates a plain input vector for a compiled program and
 // replicates it to the full vector size — the same semantics EncryptInputs
 // applies, exported so servers decoding wire-format inputs don't duplicate
 // them.
 func PreparePlain(res *compile.Result, name string, v []float64) ([]float64, error) {
-	if len(v) == 0 || len(v) > res.Program.VecSize {
-		return nil, fmt.Errorf("execute: input %q has %d values; want 1..%d", name, len(v), res.Program.VecSize)
+	if err := CheckWidth(res, name, v); err != nil {
+		return nil, err
 	}
 	return Replicate(v, res.Program.VecSize), nil
 }

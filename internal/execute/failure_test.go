@@ -1,6 +1,8 @@
 package execute
 
 import (
+	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -151,5 +153,69 @@ func TestGroupByKernelPreservesOrder(t *testing.T) {
 				t.Fatal("kernel grouping broke the topological order")
 			}
 		}
+	}
+}
+
+// TestRunRejectsInputsBreakingTheContract: input ciphertexts that break the
+// program's input contract fail Run with compile.Result.Bind's mismatch
+// before a single instruction completes, rather than with a backend error
+// partway through the run.
+func TestRunRejectsInputsBreakingTheContract(t *testing.T) {
+	p := buildPolynomialProgram(t, 8)
+	res, err := compile.Compile(p, compile.Options{MaxRescaleLog: 60, AllowInsecure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prng := ckks.NewTestPRNG(4)
+	ctx, keys, err := NewContext(res, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := randomInputs(p, 4)
+	fresh, err := EncryptInputs(ctx, res, keys, values, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := func(ct *ckks.Ciphertext, levels int) *ckks.Ciphertext {
+		for range levels {
+			if ct, err = ctx.Evaluator.ModSwitch(ct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ct
+	}
+	top := ctx.Params.MaxLevel()
+	pt, err := ctx.Encoder.Encode(values["x"], math.Exp2(p.InputByName("x").LogScale+10), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed, err := ckks.NewEncryptor(ctx.Params, keys.Public, prng).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := fresh.Cipher["x"], fresh.Cipher["y"]
+	for _, tc := range []struct {
+		name  string
+		x, y  *ckks.Ciphertext
+		input string
+		field string
+	}{
+		{"under-levelled", down(x, top), down(y, top), "x", "level"},
+		{"mixed-level group", x, down(y, 1), "x", "level"},
+		{"skewed scale", skewed, y, "x", "scale"},
+	} {
+		records := 0
+		in := &EncryptedInputs{Cipher: map[string]*ckks.Ciphertext{"x": tc.x, "y": tc.y}, Plain: fresh.Plain}
+		_, err := Run(ctx, res, in, RunOptions{OnInstruction: func(*core.Term, InstrRecord) { records++ }})
+		var m compile.Mismatch
+		if !errors.As(err, &m) || m.Input != tc.input || m.Field != tc.field {
+			t.Errorf("%s: err %v, want a mismatch on input %s field %s", tc.name, err, tc.input, tc.field)
+		}
+		if records != 0 {
+			t.Errorf("%s: %d instruction records, want none", tc.name, records)
+		}
+	}
+	if _, err := Run(ctx, res, fresh, RunOptions{}); err != nil {
+		t.Fatalf("fresh inputs: %v", err)
 	}
 }

@@ -207,8 +207,17 @@ func Run(ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions
 // error.
 //
 // The run executes res's instructions as compiled (see compile.Lower); the
-// only state it shares with other runs of res is the plaintext cache.
+// only state it shares with other runs of res is the plaintext cache. Input
+// ciphertexts that break the program's input contract (compile.Result.Bind)
+// are rejected with the first compile.Mismatch before anything runs.
 func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions) (*Outputs, error) {
+	args := make(map[string]compile.CipherArg, len(in.Cipher))
+	for name, ct := range in.Cipher {
+		args[name] = compile.CipherArg{Level: ct.Level, LogScale: math.Log2(ct.Scale), Width: res.Program.VecSize}
+	}
+	if _, mismatches := res.Bind(ctx.Params, args); len(mismatches) > 0 {
+		return nil, fmt.Errorf("execute: %w", mismatches[0])
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}

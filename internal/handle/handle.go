@@ -6,10 +6,10 @@
 // A handle's id is the SHA-256 of the serialized ciphertext bound to the
 // context id it was stored under, so identical ciphertexts deduplicate and a
 // handle can never silently refer to different bytes on different nodes.
-// Alongside the ciphertext the registry records the metadata the pipeline
-// checker needs to reject incompatible chaining at submit time: the context,
-// a fingerprint of the encryption parameters, the remaining level, the log2
-// scale, and the slot width.
+// Alongside the ciphertext the registry stores what the ciphertext is — its
+// context, parameter fingerprint, level, log2 scale and slot width — and
+// nothing about what it may feed: whether it fits a program input is the
+// consuming program's decision (compile.Result.Bind).
 package handle
 
 import (
@@ -18,8 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"eva/internal/store"
@@ -28,23 +27,14 @@ import (
 // Kind is the artifact-store kind ciphertext handles are stored under.
 const Kind = "ct"
 
-// ScaleTolerance is the maximum |log2| scale drift accepted when chaining a
-// handle into an input: rescaling divides by the actual chain prime rather
-// than the nominal power of two, so a produced ciphertext's scale wanders a
-// fraction of a bit away from the consumer's compiled input scale.
-const ScaleTolerance = 0.5
-
 // Meta is the metadata stored with (and returned for) every handle.
 type Meta struct {
 	ID        string `json:"id"`
 	ContextID string `json:"context_id"`
 	// ParamsID fingerprints the encryption parameters the ciphertext lives
-	// under (ring degree + modulus chain). Two contexts chain only when
-	// their fingerprints match: a ciphertext is raw residue data and means
-	// nothing under a different modulus chain.
+	// under (ckks.Parameters.Fingerprint).
 	ParamsID string `json:"params_id,omitempty"`
-	// Level is the ciphertext's remaining position in the modulus chain; a
-	// consumer needs at least its input's rescale depth left.
+	// Level is the ciphertext's remaining position in the modulus chain.
 	Level int `json:"level"`
 	// LogScale is the log2 of the ciphertext's actual scale.
 	LogScale float64 `json:"log_scale"`
@@ -70,57 +60,6 @@ func ID(contextID string, ct []byte) string {
 	h.Write([]byte{0})
 	h.Write(ct)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Want is what a consumer requires of a chained ciphertext, derived from the
-// consuming program's compile result.
-type Want struct {
-	// MinLevel is the rescale depth below the input: the ciphertext must
-	// have at least this many levels left.
-	MinLevel int
-	// LogScale is the input's compiled encoding scale (log2).
-	LogScale float64
-	// Width is the consuming program's vector size.
-	Width int
-	// ParamsID is the consumer context's parameter fingerprint.
-	ParamsID string
-}
-
-// Mismatch is a structured chaining rejection: which property of the handle
-// is incompatible with the consumer, with both sides rendered for the 422
-// body. It implements error.
-type Mismatch struct {
-	HandleID string `json:"handle_id,omitempty"`
-	Field    string `json:"field"`
-	Want     string `json:"want"`
-	Got      string `json:"got"`
-}
-
-func (m *Mismatch) Error() string {
-	return fmt.Sprintf("handle %s: incompatible %s: want %s, got %s", m.HandleID, m.Field, m.Want, m.Got)
-}
-
-// Check validates the handle's metadata against a consumer's requirements,
-// returning a *Mismatch describing the first violated property.
-func (m Meta) Check(w Want) error {
-	if w.ParamsID != "" && m.ParamsID != "" && m.ParamsID != w.ParamsID {
-		return &Mismatch{HandleID: m.ID, Field: "params",
-			Want: w.ParamsID, Got: m.ParamsID}
-	}
-	if w.Width > 0 && m.Width != w.Width {
-		return &Mismatch{HandleID: m.ID, Field: "width",
-			Want: fmt.Sprintf("%d", w.Width), Got: fmt.Sprintf("%d", m.Width)}
-	}
-	if m.Level < w.MinLevel {
-		return &Mismatch{HandleID: m.ID, Field: "level",
-			Want: fmt.Sprintf(">=%d", w.MinLevel), Got: fmt.Sprintf("%d", m.Level)}
-	}
-	if math.Abs(m.LogScale-w.LogScale) > ScaleTolerance {
-		return &Mismatch{HandleID: m.ID, Field: "scale",
-			Want: fmt.Sprintf("2^%.2f (±%.1f)", w.LogScale, ScaleTolerance),
-			Got:  fmt.Sprintf("2^%.2f", m.LogScale)}
-	}
-	return nil
 }
 
 // ErrNotFound reports an unknown handle id.
@@ -167,14 +106,7 @@ type Stats struct {
 type Registry struct {
 	cfg Config
 
-	mu       sync.Mutex
-	puts     uint64
-	dedups   uint64
-	resolves uint64
-	misses   uint64
-	deletes  uint64
-	swept    uint64
-	rejected uint64
+	puts, dedups, resolves, misses, deletes, swept, rejected atomic.Uint64
 }
 
 // NewRegistry builds a handle registry over a store.
@@ -191,13 +123,7 @@ func NewRegistry(cfg Config) *Registry {
 // Retention returns the configured sweep window (negative = keep forever).
 func (r *Registry) Retention() time.Duration { return r.cfg.Retention }
 
-func (r *Registry) usedBytes() int64 {
-	st := r.cfg.Store.Stats()
-	if ks, ok := st.PerKind[Kind]; ok {
-		return ks.Bytes
-	}
-	return 0
-}
+func (r *Registry) usedBytes() int64 { return r.cfg.Store.Stats().PerKind[Kind].Bytes }
 
 // Put stores a ciphertext under its content address, filling the meta's ID,
 // Bytes, and CreatedAt. Storing bytes that already exist is a cheap dedup
@@ -209,7 +135,7 @@ func (r *Registry) Put(meta Meta, data []byte) (Meta, error) {
 		meta.CreatedAt = time.Now().UTC()
 	}
 	if existing, err := r.Stat(meta.ID); err == nil {
-		r.count(func() { r.dedups++ })
+		r.dedups.Add(1)
 		return existing, nil
 	}
 	rec, err := json.Marshal(Record{Meta: meta, Data: data})
@@ -217,14 +143,14 @@ func (r *Registry) Put(meta Meta, data []byte) (Meta, error) {
 		return Meta{}, fmt.Errorf("handle: encoding record: %w", err)
 	}
 	if r.cfg.QuotaBytes > 0 && r.usedBytes()+int64(len(rec)) > r.cfg.QuotaBytes {
-		r.count(func() { r.rejected++ })
+		r.rejected.Add(1)
 		return Meta{}, fmt.Errorf("%w: %d handle bytes resident, quota %d",
 			ErrQuotaExceeded, r.usedBytes(), r.cfg.QuotaBytes)
 	}
 	if err := r.cfg.Store.Put(Kind, meta.ID, rec); err != nil {
 		return Meta{}, fmt.Errorf("handle: persisting %s: %w", meta.ID, err)
 	}
-	r.count(func() { r.puts++ })
+	r.puts.Add(1)
 	return meta, nil
 }
 
@@ -234,7 +160,7 @@ func (r *Registry) Get(id string) (Meta, []byte, error) {
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	r.count(func() { r.resolves++ })
+	r.resolves.Add(1)
 	return rec.Meta, rec.Data, nil
 }
 
@@ -251,7 +177,7 @@ func (r *Registry) load(id string) (*Record, error) {
 	data, err := r.cfg.Store.Get(Kind, id)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
-			r.count(func() { r.misses++ })
+			r.misses.Add(1)
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
 		return nil, fmt.Errorf("handle: loading %s: %w", id, err)
@@ -280,7 +206,7 @@ func (r *Registry) Delete(id string) error {
 	if err := r.cfg.Store.Delete(Kind, id); err != nil {
 		return fmt.Errorf("handle: deleting %s: %w", id, err)
 	}
-	r.count(func() { r.deletes++ })
+	r.deletes.Add(1)
 	return nil
 }
 
@@ -324,38 +250,23 @@ func (r *Registry) Sweep() int {
 			}
 		}
 	}
-	if swept > 0 {
-		r.count(func() { r.swept += uint64(swept) })
-	}
+	r.swept.Add(uint64(swept))
 	return swept
 }
 
 // Stats snapshots the registry counters and the store's handle-kind usage.
 func (r *Registry) Stats() Stats {
-	st := r.cfg.Store.Stats()
-	var entries int
-	var bytes int64
-	if ks, ok := st.PerKind[Kind]; ok {
-		entries, bytes = ks.Entries, ks.Bytes
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	ks := r.cfg.Store.Stats().PerKind[Kind]
 	return Stats{
-		Entries:       entries,
-		Bytes:         bytes,
+		Entries:       ks.Entries,
+		Bytes:         ks.Bytes,
 		QuotaBytes:    r.cfg.QuotaBytes,
-		Puts:          r.puts,
-		Dedups:        r.dedups,
-		Resolves:      r.resolves,
-		Misses:        r.misses,
-		Deletes:       r.deletes,
-		Swept:         r.swept,
-		QuotaRejected: r.rejected,
+		Puts:          r.puts.Load(),
+		Dedups:        r.dedups.Load(),
+		Resolves:      r.resolves.Load(),
+		Misses:        r.misses.Load(),
+		Deletes:       r.deletes.Load(),
+		Swept:         r.swept.Load(),
+		QuotaRejected: r.rejected.Load(),
 	}
-}
-
-func (r *Registry) count(f func()) {
-	r.mu.Lock()
-	f()
-	r.mu.Unlock()
 }

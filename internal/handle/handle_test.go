@@ -139,35 +139,3 @@ func TestInstallVerifiesContentAddress(t *testing.T) {
 		t.Fatalf("tampered record accepted: %v", err)
 	}
 }
-
-func TestCheck(t *testing.T) {
-	m := Meta{ID: "h", ParamsID: "p", Level: 2, LogScale: 30.1, Width: 8}
-	want := Want{MinLevel: 1, LogScale: 30, Width: 8, ParamsID: "p"}
-	if err := m.Check(want); err != nil {
-		t.Fatalf("compatible handle rejected: %v", err)
-	}
-	cases := []struct {
-		name  string
-		w     Want
-		field string
-	}{
-		{"params", Want{MinLevel: 1, LogScale: 30, Width: 8, ParamsID: "other"}, "params"},
-		{"width", Want{MinLevel: 1, LogScale: 30, Width: 16, ParamsID: "p"}, "width"},
-		{"level", Want{MinLevel: 3, LogScale: 30, Width: 8, ParamsID: "p"}, "level"},
-		{"scale", Want{MinLevel: 1, LogScale: 40, Width: 8, ParamsID: "p"}, "scale"},
-	}
-	for _, tc := range cases {
-		err := m.Check(tc.w)
-		var mm *Mismatch
-		if !errors.As(err, &mm) || mm.Field != tc.field {
-			t.Errorf("%s: err = %v, want mismatch on %q", tc.name, err, tc.field)
-		}
-	}
-	// Params and width checks are skipped when either side is unknown.
-	if err := (Meta{Level: 5}).Check(Want{Width: 8}); err == nil {
-		t.Error("zero-width handle matched a sized consumer")
-	}
-	if err := (Meta{Level: 5, Width: 8}).Check(Want{Width: 8}); err != nil {
-		t.Errorf("fingerprint-less sides should not mismatch on params: %v", err)
-	}
-}

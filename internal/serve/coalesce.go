@@ -228,7 +228,7 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 	// The packed batch is one stage: admission charges its shared vectors
 	// once — one fresh ciphertext per encrypted input, not per caller.
 	plan := newStagePlan(ce, "")
-	if _, err := s.lowerStage(context.Background(), plan, packed.binding, nil, nil); err != nil {
+	if _, err := s.lowerStage(context.Background(), plan, packed.binding, nil, newHandleCache()); err != nil {
 		b.FailAll(err)
 		return
 	}

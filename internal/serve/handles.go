@@ -2,10 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/base64"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,26 +37,6 @@ func validOutputMode(mode string) error {
 	return fmt.Errorf("unknown output mode %q (want \"handle\" or \"values\")", mode)
 }
 
-// paramsFingerprint identifies an encryption-parameter set (ring degree,
-// modulus chain, every special prime) so handle metadata can reject chaining a
-// ciphertext into a context with a different chain — the residues would be
-// reinterpreted as garbage, not rejected, by the ring layer.
-func paramsFingerprint(p *ckks.Parameters) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(p.LogN()))
-	h.Write(buf[:])
-	// The chain length separates the two lists, so moving a prime between
-	// chain and special primes changes the fingerprint.
-	binary.LittleEndian.PutUint64(buf[:], uint64(p.MaxLevel()+1))
-	h.Write(buf[:])
-	for _, q := range append(p.Qi(), p.SpecialPrimes()...) {
-		binary.LittleEndian.PutUint64(buf[:], q)
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
 // resolvedHandle is a handle pulled into memory for execution: its metadata
 // plus the deserialized ciphertext. The executor treats input ciphertexts as
 // read-only, so one resolved handle is safely shared across inputs, batches,
@@ -87,13 +63,11 @@ func newHandleCache() *handleCache {
 // node (remote records are re-verified against their content address and
 // cached locally, best effort).
 func (s *Server) resolveHandle(stdctx context.Context, id string, cache *handleCache) (*resolvedHandle, error) {
-	if cache != nil {
-		cache.mu.Lock()
-		rh, ok := cache.m[id]
-		cache.mu.Unlock()
-		if ok {
-			return rh, nil
-		}
+	cache.mu.Lock()
+	rh, ok := cache.m[id]
+	cache.mu.Unlock()
+	if ok {
+		return rh, nil
 	}
 	meta, data, err := s.handles.Get(id)
 	if err != nil {
@@ -121,47 +95,38 @@ func (s *Server) resolveHandle(stdctx context.Context, id string, cache *handleC
 	if err := ct.UnmarshalBinary(data); err != nil {
 		return nil, fmt.Errorf("handle %s: decoding ciphertext: %w", id, err)
 	}
-	rh := &resolvedHandle{meta: meta, ct: ct}
-	if cache != nil {
-		cache.mu.Lock()
-		cache.m[id] = rh
-		cache.mu.Unlock()
-	}
+	rh = &resolvedHandle{meta: meta, ct: ct}
+	cache.mu.Lock()
+	cache.m[id] = rh
+	cache.mu.Unlock()
 	return rh, nil
 }
 
-// storeOutputHandle persists one execution output as a content-addressed
-// handle under the executing context, recording the metadata the chaining
-// checker needs.
-func (s *Server) storeOutputHandle(ce *contextEntry, res *compile.Result, ct *ckks.Ciphertext) (string, error) {
-	data, err := ct.MarshalBinary()
-	if err != nil {
-		return "", err
+// storeHandle stores ct, serialized as data (nil: serialize it here), as a
+// content-addressed handle under the context ce.
+func (s *Server) storeHandle(ce *contextEntry, ct *ckks.Ciphertext, data []byte) (handle.Meta, error) {
+	if data == nil {
+		var err error
+		if data, err = ct.MarshalBinary(); err != nil {
+			return handle.Meta{}, err
+		}
 	}
-	meta, err := s.handles.Put(handle.Meta{
+	return s.handles.Put(handle.Meta{
 		ContextID: ce.ID,
-		ParamsID:  paramsFingerprint(ce.Ctx.Params),
+		ParamsID:  ce.Ctx.Params.Fingerprint(),
 		Level:     ct.Level,
 		LogScale:  math.Log2(ct.Scale),
-		Width:     res.Program.VecSize,
+		Width:     ce.Entry.Result.Program.VecSize,
 	}, data)
-	if err != nil {
-		return "", err
-	}
-	return meta.ID, nil
 }
 
-// Incompat is one structured chaining rejection in a 422 body: which stage
-// (the batch index on /jobs) and input is incompatible with its supplied
-// handle (or upstream stage output), on which property, with both sides
-// rendered.
+// Incompat is one input contract violation in a 422 body: which stage (the
+// batch index on /jobs), the handle or upstream stage output the input's
+// ciphertext came from (empty for an inline one), and the mismatch.
 type Incompat struct {
 	Stage    int    `json:"stage,omitempty"`
-	Input    string `json:"input"`
 	HandleID string `json:"handle,omitempty"`
-	Field    string `json:"field"`
-	Want     string `json:"want"`
-	Got      string `json:"got"`
+	compile.Mismatch
 }
 
 // --- /handles handlers ---
@@ -202,13 +167,8 @@ func (s *Server) handleHandlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "\"cipher\" is required")
 		return
 	}
-	data, err := base64.StdEncoding.DecodeString(req.Cipher)
+	ct, data, err := decodeCiphertext(req.Cipher)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding ciphertext: %v", err)
-		return
-	}
-	ct := &ckks.Ciphertext{}
-	if err := ct.UnmarshalBinary(data); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding ciphertext: %v", err)
 		return
 	}
@@ -216,13 +176,7 @@ func (s *Server) handleHandlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "ciphertext does not fit context %q: %v", req.ContextID, err)
 		return
 	}
-	meta, err := s.handles.Put(handle.Meta{
-		ContextID: ce.ID,
-		ParamsID:  paramsFingerprint(ce.Ctx.Params),
-		Level:     ct.Level,
-		LogScale:  math.Log2(ct.Scale),
-		Width:     ce.Entry.Result.Program.VecSize,
-	}, data)
+	meta, err := s.storeHandle(ce, ct, data)
 	if err != nil {
 		if errors.Is(err, handle.ErrQuotaExceeded) {
 			writeError(w, http.StatusInsufficientStorage, "%v", err)

@@ -96,7 +96,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve and validate every batch now: submissions fail fast (400 for
 	// malformed inputs, 404 for unknown handles, one structured 422 for all
-	// incompatible handle chaining), and the resolved ciphertexts are what
+	// input contract violations), and the resolved ciphertexts are what
 	// admission control accounts for.
 	plans := make([]*stagePlan, len(req.Batches))
 	bindings := make([]func(string) InputBinding, len(req.Batches))

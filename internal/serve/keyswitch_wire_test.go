@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"slices"
 	"strings"
 	"testing"
 
@@ -135,39 +134,5 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		if math.Abs(got[j]-want) > 1e-2 {
 			t.Errorf("slot %d: got %v, want %v", j, got[j], want)
 		}
-	}
-}
-
-// TestParamsFingerprintCoversEverySpecialPrime: two parameter sets that agree
-// on the ring, the chain and the first special prime are still different sets.
-func TestParamsFingerprintCoversEverySpecialPrime(t *testing.T) {
-	build := func(logQi, logPi []int) *ckks.Parameters {
-		p, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 10, LogQi: logQi, LogPi: logPi, Scale: 1 << 30, AllowInsecure: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	chain := []int{40, 30, 30}
-	a := build(chain, []int{50, 50})
-	if got := paramsFingerprint(build(chain, []int{50, 50})); got != paramsFingerprint(a) {
-		t.Error("identical literals fingerprint differently")
-	}
-	for name, other := range map[string]*ckks.Parameters{
-		"second special prime differs": build(chain, []int{50, 49}),
-		"second special prime missing": build(chain, []int{50}),
-	} {
-		if paramsFingerprint(other) == paramsFingerprint(a) {
-			t.Errorf("%s: same fingerprint", name)
-		}
-	}
-	// The same primes in the same order, split differently between chain and
-	// special primes.
-	b, c := build(chain, []int{50}), build(chain[:2], []int{30, 50})
-	if !slices.Equal(append(b.Qi(), b.SpecialPrimes()...), append(c.Qi(), c.SpecialPrimes()...)) {
-		t.Fatal("the fixtures were meant to use one list of primes")
-	}
-	if paramsFingerprint(b) == paramsFingerprint(c) {
-		t.Error("moving a prime from the chain to the special primes keeps the fingerprint")
 	}
 }

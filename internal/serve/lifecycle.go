@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"eva/internal/ckks"
+	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
 	"eva/internal/handle"
@@ -75,10 +77,9 @@ type stagePlan struct {
 	refs    map[string]stageRef // input name -> upstream stage output
 	values  execute.Inputs      // demo values, encrypted when the stage runs
 	outMode string
-	// entryLevel is the level the stage's cipher inputs enter at: fresh
-	// encryptions start at MaxLevel, chained/handle inputs lower it. The
-	// stage's own outputs sit len(chain) rescales below it.
-	entryLevel int
+	// levels is each level group's entry level (compile.Result.Bind): demo
+	// values are encrypted at it, and outputs sit their Level below it.
+	levels []int
 }
 
 func newStagePlan(ce *contextEntry, outMode string) *stagePlan {
@@ -89,10 +90,9 @@ func newStagePlan(ce *contextEntry, outMode string) *stagePlan {
 			Cipher: map[string]*ckks.Ciphertext{},
 			Plain:  map[string][]float64{},
 		},
-		refs:       map[string]stageRef{},
-		values:     execute.Inputs{},
-		outMode:    outMode,
-		entryLevel: ce.Ctx.Params.MaxLevel(),
+		refs:    map[string]stageRef{},
+		values:  execute.Inputs{},
+		outMode: outMode,
 	}
 }
 
@@ -101,8 +101,8 @@ func newStagePlan(ce *contextEntry, outMode string) *stagePlan {
 // source — a stored handle, an earlier stage's output (earlier lists the
 // stages it may reference), an inline ciphertext, or demo values, which stay
 // pending until the stage runs — and a plain input takes "plain" (or
-// "values") vectors. Handle and stage edges are checked against the input's
-// level, scale, width and parameter requirements, and every violation is
+// "values") vectors. Every supplied ciphertext is then bound to the program
+// once (compile.Result.Bind), and every violation of its input contract is
 // returned as an Incompat, not only the first. Any other problem ends
 // resolution with an error that inputStatus maps to an HTTP status.
 //
@@ -110,8 +110,8 @@ func newStagePlan(ce *contextEntry, outMode string) *stagePlan {
 // outputs decrypted, the demo-mode default.
 func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding func(name string) InputBinding, earlier []*stagePlan, cache *handleCache) ([]Incompat, error) {
 	res, ce := plan.entry.Result, plan.ce
-	var incompats []Incompat
-	var fpr string
+	args := map[string]compile.CipherArg{}
+	from := map[string]string{} // the handle or stage output behind an arg
 	anyValues := false
 	for _, input := range res.Inputs {
 		in := input.Term
@@ -141,133 +141,106 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 		if sources != 1 {
 			return nil, fmt.Errorf("input %q needs exactly one of \"handle\", \"stage\", \"cipher\", or \"values\" (got %d)", in.Name, sources)
 		}
-		var meta handle.Meta
-		var ct *ckks.Ciphertext // a stored handle's ciphertext
 		switch {
 		case b.Values != nil:
 			if ce.Keys == nil {
 				return nil, fmt.Errorf("input %q: plaintext \"values\" need a server-keygen (demo) context; this context has no keys", in.Name)
 			}
-			if len(b.Values) == 0 || len(b.Values) > res.Program.VecSize {
-				return nil, fmt.Errorf("input %q has %d values; want 1..%d", in.Name, len(b.Values), res.Program.VecSize)
+			if err := execute.CheckWidth(res, in.Name, b.Values); err != nil {
+				return nil, err
 			}
 			plan.values[in.Name] = b.Values
-			continue
 		case b.Cipher != "":
-			upload, err := decodeCiphertext(b.Cipher, ce.Ctx.Params)
+			upload, _, err := decodeCiphertext(b.Cipher)
+			if err == nil {
+				err = upload.Validate(ce.Ctx.Params)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("input %q: %w", in.Name, err)
 			}
 			plan.in.Cipher[in.Name] = upload
-			plan.entryLevel = min(plan.entryLevel, upload.Level)
-			continue
+			args[in.Name] = compile.CipherArg{Level: upload.Level, LogScale: math.Log2(upload.Scale), Width: res.Program.VecSize}
 		case b.Handle != "":
 			rh, err := s.resolveHandle(stdctx, b.Handle, cache)
 			if err != nil {
 				return nil, fmt.Errorf("input %q: %w", in.Name, err)
 			}
-			meta, ct = rh.meta, rh.ct
+			m := rh.meta
+			plan.in.Cipher[in.Name] = rh.ct // validated once it binds
+			args[in.Name] = compile.CipherArg{Level: m.Level, LogScale: m.LogScale, Width: m.Width, Params: m.ParamsID}
+			from[in.Name] = m.ID
 		default:
 			j := *b.Stage
 			if j < 0 || j >= len(earlier) {
 				return nil, fmt.Errorf("input %q references stage %d; stages may only consume earlier stages", in.Name, j)
 			}
-			out := b.Output
-			var err error
-			if out == "" {
-				if out, err = defaultCipherOutput(earlier[j].entry); err != nil {
-					return nil, fmt.Errorf("input %q: %w", in.Name, err)
-				}
-			}
-			if meta, err = producerMeta(earlier[j], j, out); err != nil {
+			p := earlier[j]
+			out, err := stageOutput(p.entry, b.Output)
+			if err != nil {
 				return nil, fmt.Errorf("input %q: %w", in.Name, err)
 			}
-			plan.refs[in.Name] = stageRef{stage: j, output: out}
+			pin := &p.entry.Result.Instrs[out.ID]
+			args[in.Name] = compile.CipherArg{Level: p.levels[out.Group] - pin.Level, LogScale: pin.LogScale,
+				Width: p.entry.Result.Program.VecSize, Params: p.ce.Ctx.Params.Fingerprint()}
+			from[in.Name] = fmt.Sprintf("stage[%d].%s", j, out.Name)
+			plan.refs[in.Name] = stageRef{stage: j, output: out.Name}
 		}
-		if fpr == "" {
-			fpr = paramsFingerprint(ce.Ctx.Params)
+	}
+	levels, mismatches := res.Bind(ce.Ctx.Params, args)
+	plan.levels = levels
+	if len(mismatches) > 0 {
+		incompats := make([]Incompat, len(mismatches))
+		for i, m := range mismatches {
+			incompats[i] = Incompat{HandleID: from[m.Input], Mismatch: m}
 		}
-		want := handle.Want{MinLevel: input.Depth, LogScale: in.LogScale, Width: res.Program.VecSize, ParamsID: fpr}
-		if m, ok := meta.Check(want).(*handle.Mismatch); ok {
-			incompats = append(incompats, Incompat{Input: in.Name, HandleID: m.HandleID, Field: m.Field, Want: m.Want, Got: m.Got})
-			continue
-		}
-		if ct != nil {
+		return incompats, nil
+	}
+	for _, input := range res.Inputs {
+		name := input.Term.Name
+		if ct, id := plan.in.Cipher[name], from[name]; ct != nil && id != "" {
 			if err := ct.Validate(ce.Ctx.Params); err != nil {
-				return nil, fmt.Errorf("input %q: handle %s: %w", in.Name, b.Handle, err)
+				return nil, fmt.Errorf("input %q: handle %s: %w", name, id, err)
 			}
-			plan.in.Cipher[in.Name] = ct
 		}
-		plan.entryLevel = min(plan.entryLevel, meta.Level)
 	}
 	if plan.outMode == "" && anyValues && ce.Keys != nil {
 		plan.outMode = outputValues
 	}
-	return incompats, nil
+	return nil, nil
 }
 
-// decodeCiphertext decodes an inline base64 ciphertext and validates it
-// against the context's parameters. Malformed uploads are rejected before
-// the executor touches them: the ring layer assumes well-shaped NTT operands.
-func decodeCiphertext(b64 string, params *ckks.Parameters) (*ckks.Ciphertext, error) {
+// decodeCiphertext decodes a base64 ciphertext upload, returning it with its
+// wire bytes. Callers validate it against their context's parameters before
+// the executor touches it: the ring layer assumes well-shaped NTT operands.
+func decodeCiphertext(b64 string) (*ckks.Ciphertext, []byte, error) {
 	data, err := base64.StdEncoding.DecodeString(b64)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ct := &ckks.Ciphertext{}
-	if err := ct.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	if err := ct.Validate(params); err != nil {
-		return nil, err
-	}
-	return ct, nil
+	return ct, data, ct.UnmarshalBinary(data)
 }
 
-// producerMeta is the statically known metadata of a stage's encrypted
-// output, playing the role of a handle's Meta for edges that exist only
-// inside the pipeline: the stage's entry level minus the output's compiled
-// level fixes its level, the compiled scale its log2 scale.
-func producerMeta(plan *stagePlan, stage int, outName string) (handle.Meta, error) {
-	res := plan.entry.Result
-	for _, out := range res.Outputs {
-		if out.Name != outName {
-			continue
-		}
-		in := &res.Instrs[out.ID]
-		if !in.Cipher {
-			return handle.Meta{}, fmt.Errorf("output %q of program %s is not encrypted", outName, plan.entry.ID)
-		}
-		return handle.Meta{
-			ID:        fmt.Sprintf("stage[%d].%s", stage, outName),
-			ContextID: plan.ce.ID,
-			ParamsID:  paramsFingerprint(plan.ce.Ctx.Params),
-			Level:     plan.entryLevel - in.Level,
-			LogScale:  in.LogScale,
-			Width:     res.Program.VecSize,
-		}, nil
-	}
-	return handle.Meta{}, fmt.Errorf("program %s has no output %q", plan.entry.ID, outName)
-}
-
-// defaultCipherOutput returns the producer's single encrypted output name,
-// erroring when the choice is ambiguous.
-func defaultCipherOutput(entry *Entry) (string, error) {
+// stageOutput is the encrypted output of an earlier stage that feeds an
+// input: the one named, or the producer's only encrypted output when name is
+// empty.
+func stageOutput(entry *Entry, name string) (compile.Output, error) {
 	res := entry.Result
-	var name string
+	var found []compile.Output
 	for _, out := range res.Outputs {
-		if !res.Instrs[out.ID].Cipher {
-			continue
+		if res.Instrs[out.ID].Cipher && (name == "" || out.Name == name) {
+			found = append(found, out)
 		}
-		if name != "" {
-			return "", fmt.Errorf("program %s has several encrypted outputs; name one with \"output\"", entry.ID)
-		}
-		name = out.Name
 	}
-	if name == "" {
-		return "", fmt.Errorf("program %s has no encrypted output to chain", entry.ID)
+	switch {
+	case len(found) == 1:
+		return found[0], nil
+	case name != "":
+		return compile.Output{}, fmt.Errorf("program %s has no encrypted output %q", entry.ID, name)
+	case len(found) == 0:
+		return compile.Output{}, fmt.Errorf("program %s has no encrypted output to chain", entry.ID)
 	}
-	return name, nil
+	return compile.Output{}, fmt.Errorf("program %s has several encrypted outputs; name one with \"output\"", entry.ID)
 }
 
 // inputStatus maps an input-resolution error to its HTTP status: an unknown
@@ -284,7 +257,7 @@ func inputStatus(err error) int {
 // resolved — and estimated — once. label names a stage in error messages
 // ("batch" on /jobs, "stage" on /pipelines). On failure it answers the
 // request itself and returns false: the first resolution error with its
-// status, or one 422 listing every chaining incompatibility of every stage.
+// status, or one 422 listing every input contract violation of every stage.
 func (s *Server) lowerStages(w http.ResponseWriter, r *http.Request, label string, plans []*stagePlan, bindings []func(string) InputBinding) bool {
 	cache := newHandleCache()
 	var incompats []Incompat
@@ -455,7 +428,7 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 		enc.Cipher[name] = ct
 	}
 	if len(plan.values) > 0 {
-		cts, d, err := execute.EncryptSelected(ce.Ctx, res, ce.Keys, plan.values, nil)
+		cts, d, err := execute.EncryptSelected(ce.Ctx, res, ce.Keys, plan.values, plan.levels, nil)
 		if err != nil {
 			return fail("encrypting values: %v", err)
 		}
@@ -525,11 +498,11 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 	case outputHandle:
 		result.Handles = map[string]string{}
 		for name, ct := range out.Cipher {
-			id, err := s.storeOutputHandle(ce, res, ct)
+			meta, err := s.storeHandle(ce, ct, nil)
 			if err != nil {
 				return fail("storing output %q: %v", name, err)
 			}
-			result.Handles[name] = id
+			result.Handles[name] = meta.ID
 		}
 	default:
 		result.Cipher = map[string]string{}

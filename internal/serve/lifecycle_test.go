@@ -5,10 +5,12 @@ import (
 	"encoding/base64"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"eva/internal/ckks"
+	"eva/internal/compile"
 	"eva/internal/execute"
 	"eva/internal/handle"
 )
@@ -21,50 +23,111 @@ type parityFixture struct {
 	ce *contextEntry
 }
 
+// request is the URL and body that submit batch through the named entry
+// point.
+func (f *parityFixture) request(entry string, batch ExecuteBatch, output string) (string, any) {
+	req := JobRequest{ProgramID: f.programID, ContextID: f.contextID, Output: output, Batches: []ExecuteBatch{batch}}
+	switch entry {
+	case "execute":
+		return f.url + "/execute/" + f.programID, ExecuteRequest{ContextID: f.contextID, Output: output, Batches: req.Batches}
+	case "coalesce":
+		return f.url + "/jobs?coalesce=1", req
+	case "jobs":
+		return f.url + "/jobs", req
+	}
+	inputs := map[string]PipelineInput{}
+	for _, in := range f.prog.Inputs() {
+		inputs[in.Name] = batch.binding(in.Name)
+	}
+	if output == "" {
+		output = outputValues
+	}
+	return f.url + "/pipelines", PipelineRequest{Stages: []PipelineStage{{
+		ProgramID: f.programID, ContextID: f.contextID, Inputs: inputs, Output: output,
+	}}}
+}
+
 // run submits batch through the named entry point and returns the HTTP
 // status of the submission, the batch's result when it ran, and the
 // admission estimate of the job it became (0 when it became none).
 func (f *parityFixture) run(t *testing.T, entry string, batch ExecuteBatch, output string) (int, BatchResult, int64) {
 	t.Helper()
-	req := JobRequest{ProgramID: f.programID, ContextID: f.contextID, Output: output, Batches: []ExecuteBatch{batch}}
+	url, body := f.request(entry, batch, output)
 	switch entry {
 	case "execute":
-		out, resp := postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, ExecuteRequest{
-			ContextID: f.contextID, Output: output, Batches: req.Batches,
-		})
+		out, resp := postJSON[ExecuteResponse](t, f.client, url, body)
 		if resp.StatusCode != http.StatusOK {
 			return resp.StatusCode, BatchResult{}, 0
 		}
 		return resp.StatusCode, out.Results[0], 0
 	case "coalesce":
-		out, resp := postJSON[CoalesceResponse](t, f.client, f.url+"/jobs?coalesce=1", req)
+		out, resp := postJSON[CoalesceResponse](t, f.client, url, body)
 		if resp.StatusCode != http.StatusOK || out.BatchJobID == "" {
 			return resp.StatusCode, out.Result, 0
 		}
 		return resp.StatusCode, out.Result, getJSON[JobStatus](t, f.client, f.url+"/jobs/"+out.BatchJobID).EstBytes
 	}
-	var st JobStatus
-	var resp *http.Response
-	if entry == "jobs" {
-		st, resp = postJSON[JobStatus](t, f.client, f.url+"/jobs", req)
-	} else {
-		inputs := map[string]PipelineInput{}
-		for _, in := range f.prog.Inputs() {
-			inputs[in.Name] = batch.binding(in.Name)
-		}
-		if output == "" {
-			output = outputValues
-		}
-		st, resp = postJSON[JobStatus](t, f.client, f.url+"/pipelines", PipelineRequest{Stages: []PipelineStage{{
-			ProgramID: f.programID, ContextID: f.contextID, Inputs: inputs, Output: output,
-		}}})
-	}
+	st, resp := postJSON[JobStatus](t, f.client, url, body)
 	if resp.StatusCode != http.StatusAccepted {
 		return resp.StatusCode, BatchResult{}, 0
 	}
 	waitJobDone(t, f.client, f.url, st.JobID)
 	res := getJSON[JobResult](t, f.client, f.url+"/jobs/"+st.JobID+"/result")
 	return resp.StatusCode, res.Results[0], st.EstBytes
+}
+
+// withHeadroom is a fixture for the same program compiled with extra levels,
+// on its own demo context on the same server.
+func (f *parityFixture) withHeadroom(t *testing.T, levels int) *parityFixture {
+	t.Helper()
+	comp, resp := postJSON[CompileResponse](t, f.client, f.url+"/compile", CompileRequest{
+		Program: programJSON(t, f.prog),
+		Options: &CompileOptionsJSON{AllowInsecure: true, ExtraLevels: levels},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: status %d", resp.StatusCode)
+	}
+	ctxResp, resp := postJSON[ContextResponse](t, f.client, f.url+"/contexts", ContextRequest{ProgramID: comp.ID, Keygen: &KeygenJSON{Seed: 6}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("contexts: status %d", resp.StatusCode)
+	}
+	ce, ok := f.srv.lookupContext(ctxResp.ContextID)
+	if !ok {
+		t.Fatal("headroom context not installed")
+	}
+	cf := *f.coalesceFixture
+	cf.programID, cf.contextID = comp.ID, ctxResp.ContextID
+	return &parityFixture{coalesceFixture: &cf, ce: ce}
+}
+
+// encrypt encrypts v for input name under the fixture's keys, at the given
+// level and log2 scale offset from the input's compiled scale.
+func (f *parityFixture) encrypt(t *testing.T, name string, v []float64, level int, skew float64) *ckks.Ciphertext {
+	t.Helper()
+	params := f.ce.Ctx.Params
+	pt, err := f.ce.Ctx.Encoder.Encode(v, math.Exp2(f.prog.InputByName(name).LogScale+skew), params.MaxLevel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ckks.NewEncryptor(params, f.ce.Keys.Public, ckks.NewTestPRNG(4)).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ct.Level > level {
+		if ct, err = f.ce.Ctx.Evaluator.ModSwitch(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ct
+}
+
+func b64(t *testing.T, ct *ckks.Ciphertext) string {
+	t.Helper()
+	data, err := ct.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(data)
 }
 
 // outputBytes is the serialized "out" ciphertext of a result, whether it
@@ -104,7 +167,9 @@ func (f *parityFixture) putHandle(t *testing.T, b64 string) string {
 // entry point and every input source, and holds them to one behaviour: the
 // same outputs (byte-identical ciphertexts from the same input ciphertexts,
 // the reference's values from demo values), the same admission estimate,
-// and the same status for each class of bad input.
+// and the same status for each class of bad input. A second copy of the
+// program, compiled with level headroom, takes ciphertexts below the top of
+// the chain.
 func TestEntryPointParity(t *testing.T) {
 	cf := newCoalesceFixture(t, Config{CoalesceMaxBatch: 1, CoalesceMaxWait: time.Second})
 	ce, ok := cf.srv.lookupContext(cf.contextID)
@@ -124,11 +189,7 @@ func TestEntryPointParity(t *testing.T) {
 	handles := map[string]string{}
 	var cipherBytes int64
 	for name, ct := range cts.Cipher {
-		data, err := ct.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire[name] = base64.StdEncoding.EncodeToString(data)
+		wire[name] = b64(t, ct)
 		handles[name] = f.putHandle(t, wire[name])
 		cipherBytes += int64(ct.MemoryBytes())
 	}
@@ -136,41 +197,53 @@ func TestEntryPointParity(t *testing.T) {
 	// The admission estimate every entry point charges, in the accounting
 	// the jobs path has always used: distinct input ciphertexts once,
 	// pending demo values as fresh ciphertexts, the modelled peak once.
-	model := res.CostModel()
-	peak := model.EstimatePeakMemoryBytes(res.Program)
-	freshCt := 2 * int64(len(res.Plan.BitSizes)) * (int64(1) << uint(res.LogN)) * 8
+	estimate := func(res *compile.Result, cipherBytes int64, values int) int64 {
+		model := res.CostModel()
+		freshCt := 2 * int64(len(res.Plan.BitSizes)) * (int64(1) << uint(res.LogN)) * 8
+		return cipherBytes + int64(values)*freshCt + model.EstimatePeakMemoryBytes(res.Program)
+	}
 	x := cts.Cipher["x"]
+
+	// The headroom copy: x one level below the top of its chain.
+	deep := f.withHeadroom(t, 2)
+	deepTop := deep.ce.Ctx.Params.MaxLevel()
+	lowX := deep.encrypt(t, "x", in["x"], deepTop-1, 0)
+	lowHandle := deep.putHandle(t, b64(t, lowX))
 
 	entries := []string{"execute", "jobs", "coalesce", "pipelines"}
 	shapes := []struct {
 		name  string
+		fx    *parityFixture
 		batch ExecuteBatch
 		est   int64
 	}{
-		{"cipher", ExecuteBatch{Cipher: wire}, cipherBytes + peak},
-		{"handle", ExecuteBatch{Handles: handles}, cipherBytes + peak},
-		{"mixed", ExecuteBatch{Handles: map[string]string{"x": handles["x"]}, Cipher: map[string]string{"y": wire["y"]}}, cipherBytes + peak},
-		{"shared handle", ExecuteBatch{Handles: map[string]string{"x": handles["x"], "y": handles["x"]}}, int64(x.MemoryBytes()) + peak},
-		{"values", ExecuteBatch{Values: in}, 2*freshCt + peak},
+		{"cipher", f, ExecuteBatch{Cipher: wire}, estimate(res, cipherBytes, 0)},
+		{"handle", f, ExecuteBatch{Handles: handles}, estimate(res, cipherBytes, 0)},
+		{"mixed", f, ExecuteBatch{Handles: map[string]string{"x": handles["x"]}, Cipher: map[string]string{"y": wire["y"]}}, estimate(res, cipherBytes, 0)},
+		{"shared handle", f, ExecuteBatch{Handles: map[string]string{"x": handles["x"], "y": handles["x"]}}, estimate(res, int64(x.MemoryBytes()), 0)},
+		{"values", f, ExecuteBatch{Values: in}, estimate(res, 0, 2)},
+		// y's values are encrypted at the level x's handle enters at.
+		{"lowered handle and values", deep, ExecuteBatch{Handles: map[string]string{"x": lowHandle}, Values: map[string][]float64{"y": in["y"]}},
+			estimate(deep.ce.Entry.Result, int64(lowX.MemoryBytes()), 1)},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
+			values := shape.batch.Values != nil
 			var ref []byte
 			for _, entry := range entries {
 				output := ""
-				if entry == "pipelines" && shape.name != "values" {
+				if entry == "pipelines" && !values {
 					output = outputHandle
 				}
-				status, r, est := f.run(t, entry, shape.batch, output)
+				status, r, est := shape.fx.run(t, entry, shape.batch, output)
 				if status/100 != 2 || r.Error != "" {
 					t.Fatalf("%s: status %d, result error %q", entry, status, r.Error)
 				}
-				if entry == "jobs" || entry == "pipelines" || (entry == "coalesce" && shape.name == "values") {
-					if est != shape.est {
-						t.Errorf("%s: est_bytes %d, want %d", entry, est, shape.est)
-					}
+				packed := entry == "coalesce" && shape.batch.Cipher == nil && shape.batch.Handles == nil
+				if (entry == "jobs" || entry == "pipelines" || packed) && est != shape.est {
+					t.Errorf("%s: est_bytes %d, want %d", entry, est, shape.est)
 				}
-				if shape.name == "values" {
+				if values {
 					got := r.Values["out"]
 					if len(got) < len(want) {
 						t.Fatalf("%s: %d output slots, want %d", entry, len(got), len(want))
@@ -182,7 +255,7 @@ func TestEntryPointParity(t *testing.T) {
 					}
 					continue
 				}
-				out := f.outputBytes(t, r)
+				out := shape.fx.outputBytes(t, r)
 				if ref == nil {
 					ref = out
 				} else if !bytes.Equal(out, ref) {
@@ -192,48 +265,61 @@ func TestEntryPointParity(t *testing.T) {
 		})
 	}
 
-	// A handle encoded at a scale x does not take: a chaining incompatibility.
-	pt, err := ce.Ctx.Encoder.Encode(in["x"], math.Exp2(res.Program.InputByName("x").LogScale-10), ce.Ctx.Params.MaxLevel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewedCt, err := ckks.NewEncryptor(ce.Ctx.Params, ce.Keys.Public, ckks.NewTestPRNG(4)).Encrypt(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewedData, err := skewedCt.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed := f.putHandle(t, base64.StdEncoding.EncodeToString(skewedData))
+	// A ciphertext breaking the input contract is rejected, whether it comes
+	// as a handle or inline: encoded at a scale x does not take, below the
+	// depth of its input, or at another level than the rest of its group.
+	skewed := f.encrypt(t, "x", in["x"], ce.Ctx.Params.MaxLevel(), -10)
+	skewedHandle := f.putHandle(t, b64(t, skewed))
 	bad := []struct {
 		name   string
+		fx     *parityFixture
 		batch  ExecuteBatch
 		status int
+		field  string
 	}{
-		{"bad base64", ExecuteBatch{Cipher: map[string]string{"x": "!!not base64", "y": wire["y"]}}, http.StatusBadRequest},
-		{"unknown handle", ExecuteBatch{Handles: map[string]string{"x": "0000000000000000000000000000000000000000000000000000000000000000", "y": handles["y"]}}, http.StatusNotFound},
-		{"scale mismatch", ExecuteBatch{Handles: map[string]string{"x": skewed, "y": handles["y"]}}, http.StatusUnprocessableEntity},
-		{"missing input", ExecuteBatch{Cipher: map[string]string{"x": wire["x"]}}, http.StatusBadRequest},
+		{"bad base64", f, ExecuteBatch{Cipher: map[string]string{"x": "!!not base64", "y": wire["y"]}}, http.StatusBadRequest, ""},
+		{"unknown handle", f, ExecuteBatch{Handles: map[string]string{"x": "0000000000000000000000000000000000000000000000000000000000000000", "y": handles["y"]}}, http.StatusNotFound, ""},
+		{"scale mismatch", f, ExecuteBatch{Handles: map[string]string{"x": skewedHandle, "y": handles["y"]}}, http.StatusUnprocessableEntity, "scale"},
+		{"missing input", f, ExecuteBatch{Cipher: map[string]string{"x": wire["x"]}}, http.StatusBadRequest, ""},
+		{"inline scale mismatch", f, ExecuteBatch{Cipher: map[string]string{"x": b64(t, skewed), "y": wire["y"]}}, http.StatusUnprocessableEntity, "scale"},
+		{"inline below depth", f, ExecuteBatch{Cipher: map[string]string{
+			"x": b64(t, f.encrypt(t, "x", in["x"], 0, 0)), "y": b64(t, f.encrypt(t, "y", in["y"], 0, 0)),
+		}}, http.StatusUnprocessableEntity, "level"},
+		{"lowered handle and top-level cipher", deep, ExecuteBatch{
+			Handles: map[string]string{"x": lowHandle},
+			Cipher:  map[string]string{"y": b64(t, deep.encrypt(t, "y", in["y"], deepTop, 0))},
+		}, http.StatusUnprocessableEntity, "level"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, entry := range entries {
-				status, r, _ := f.run(t, entry, tc.batch, "")
 				if entry == "execute" {
 					// /execute answers 200 and reports input errors per batch.
-					if status != http.StatusOK || r.Error == "" {
+					status, r, _ := tc.fx.run(t, entry, tc.batch, "")
+					if status != http.StatusOK || r.Error == "" || tc.field != "" && !strings.Contains(r.Error, "incompatible "+tc.field) {
 						t.Errorf("execute: status %d, result error %q; want 200 with a batch error", status, r.Error)
 					}
-				} else if status != tc.status {
-					t.Errorf("%s: status %d, want %d", entry, status, tc.status)
+					continue
+				}
+				url, body := tc.fx.request(entry, tc.batch, "")
+				apiErr, resp := postJSON[apiError](t, tc.fx.client, url, body)
+				if resp.StatusCode != tc.status {
+					t.Errorf("%s: status %d, want %d", entry, resp.StatusCode, tc.status)
+				}
+				if tc.field != "" && len(apiErr.Incompatibilities) == 0 {
+					t.Errorf("%s: no incompatibilities in %+v", entry, apiErr)
+				}
+				for _, inc := range apiErr.Incompatibilities {
+					if inc.Field != tc.field {
+						t.Errorf("%s: incompatibility %+v, want field %s", entry, inc, tc.field)
+					}
 				}
 			}
 		})
 	}
 
 	// A two-batch /jobs 422 names every incompatible input, not the first.
-	batch := ExecuteBatch{Handles: map[string]string{"x": skewed, "y": handles["y"]}}
+	batch := ExecuteBatch{Handles: map[string]string{"x": skewedHandle, "y": handles["y"]}}
 	apiErr, resp := postJSON[apiError](t, f.client, f.url+"/jobs", JobRequest{
 		ProgramID: f.programID, ContextID: f.contextID, Batches: []ExecuteBatch{batch, batch},
 	})

@@ -9,12 +9,12 @@ import (
 // server-side: each stage runs against its own program and context, its
 // encrypted outputs chain straight into later stages' inputs in memory (and
 // are persisted as content-addressed handles), so a multi-stage encrypted
-// workload never round-trips ciphertext through the client. The checker
-// verifies every stage edge — level budget, scale, slot width, parameter
-// fingerprint — at submit time and rejects incompatible chaining with a
-// structured 422 before anything runs. The whole pipeline is one job through
-// internal/jobs (admission control, SSE progress per stage, cancel, result
-// fetch-once), with a per-stage span recorded in the request trace.
+// workload never round-trips ciphertext through the client. Every stage is
+// bound to its program's input contract (compile.Result.Bind) at submit
+// time, so incompatible chaining gets a structured 422 before anything runs.
+// The whole pipeline is one job through internal/jobs (admission control,
+// SSE progress per stage, cancel, result fetch-once), with a per-stage span
+// recorded in the request trace.
 
 // PipelineInput is one input binding of a pipeline stage — the shared
 // InputBinding shape used by every execution entry point; see InputBinding

@@ -1158,8 +1158,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			plan := newStagePlan(ce, req.Output)
 			incs, err := s.lowerStage(r.Context(), plan, req.Batches[i].binding, nil, cache)
 			if err == nil && len(incs) > 0 {
-				inc := incs[0]
-				err = fmt.Errorf("input %q: handle %s: incompatible %s: want %s, got %s", inc.Input, inc.HandleID, inc.Field, inc.Want, inc.Got)
+				err = incs[0]
 			}
 			if err != nil {
 				s.metrics.RecordExecutionError()
