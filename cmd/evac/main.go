@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	model := res.CostModel()
 	fmt.Fprintf(stdout, "key switching: digits of %d chain primes, %.1f MB per switching key\n",
 		model.DigitSize, float64(model.SwitchingKeyBytes())/1e6)
-	est := model.EstimateCost(res.Program)
+	est := res.Cost()
 	fmt.Fprintf(stdout, "estimated cost: %.3g limb-element ops, critical path %.3g (ideal parallel speedup <= %.1fx)\n",
 		est.Total, est.CriticalPath, est.ParallelSpeedupBound())
 	if *printProg {

@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
 	"eva/internal/core"
-	"eva/internal/rewrite"
 )
 
 // CostModel estimates the execution cost of a compiled program under a simple
@@ -19,7 +17,8 @@ import (
 // into digits of DigitSize primes and extends them by as many special primes.
 // This is the quantity EVA's parameter-minimizing passes reduce, and it
 // explains the Table 5/6 relationship: fewer chain primes means both fewer
-// and cheaper operations.
+// and cheaper operations. The model only prices; compile.Result applies it to
+// a compiled program (Cost, PeakMemoryBytes, KeySwitchLoad).
 type CostModel struct {
 	// LogN is the ring-degree exponent used for the estimate.
 	LogN int
@@ -30,27 +29,19 @@ type CostModel struct {
 	DigitSize int
 }
 
-// InstructionCost is the estimated cost of one instruction in abstract
-// "limb-element operations".
-type InstructionCost struct {
-	Term *core.Term
-	Cost float64
-}
-
 // CostEstimate summarizes a program's estimated execution cost.
 type CostEstimate struct {
-	Total    float64
-	ByOp     map[string]float64
-	Heaviest []InstructionCost
+	Total float64
+	ByOp  map[string]float64
 	// CriticalPath is the estimated cost along the most expensive
 	// dependence chain: a lower bound on parallel execution time.
 	CriticalPath float64
 }
 
 // OpUnits returns the model's cost of one instruction in abstract
-// "limb-element operations", given its opcode, its chain position (as
-// computed by rewrite.Levels; deeper positions operate on fewer limbs), and —
-// for multiplies — whether both operands are ciphertexts. Leaves and plain
+// "limb-element operations", given its opcode, its chain position (the
+// compiled instruction's Level; deeper positions operate on fewer limbs), and
+// — for multiplies — whether both operands are ciphertexts. Leaves and plain
 // terms cost 0 by definition and are the caller's responsibility to exclude.
 // The per-op shape here is what calibration (internal/profile) fits measured
 // wall-clock coefficients against.
@@ -112,49 +103,6 @@ func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
 	return decompose, perKey
 }
 
-// EstimateCost walks the compiled program and estimates its cost under the
-// model. levels must map every Cipher term to its chain position (as computed
-// by rewrite.Levels); terms at deeper levels operate on fewer limbs.
-func (m CostModel) EstimateCost(p *core.Program) CostEstimate {
-	levels := rewrite.Levels(p)
-	types := p.InferTypes()
-
-	est := CostEstimate{ByOp: map[string]float64{}}
-	pathCost := map[*core.Term]float64{}
-	var all []InstructionCost
-
-	for _, t := range p.TopoSort() {
-		var cost float64
-		if !t.IsLeaf() && types[t] == core.TypeCipher {
-			ctct := t.Op == core.OpMultiply &&
-				types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
-			cost = m.OpUnits(t.Op, levels[t], ctct)
-		}
-		est.Total += cost
-		est.ByOp[t.Op.String()] += cost
-
-		longest := 0.0
-		for _, parm := range t.Parms() {
-			if pathCost[parm] > longest {
-				longest = pathCost[parm]
-			}
-		}
-		pathCost[t] = longest + cost
-		if pathCost[t] > est.CriticalPath {
-			est.CriticalPath = pathCost[t]
-		}
-		if cost > 0 {
-			all = append(all, InstructionCost{Term: t, Cost: cost})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Cost > all[j].Cost })
-	if len(all) > 10 {
-		all = all[:10]
-	}
-	est.Heaviest = all
-	return est
-}
-
 // ParallelSpeedupBound returns the cost model's upper bound on the speedup an
 // ideal parallel schedule can achieve over sequential execution (total work
 // divided by critical-path work) — the quantity that limits Figure 7 scaling.
@@ -163,4 +111,16 @@ func (e CostEstimate) ParallelSpeedupBound() float64 {
 		return 1
 	}
 	return e.Total / e.CriticalPath
+}
+
+// SwitchingKeyBytes returns the size of one switching key (the
+// relinearization key, or one rotation's Galois key): ⌈L/α⌉ digits, each a
+// pair of polynomials over the L chain primes and the α special primes, with
+// L = TotalLevels and α = DigitSize. Keys do not shrink with the level, so
+// this is also what each key occupies for the lifetime of a context.
+func (m CostModel) SwitchingKeyBytes() int64 {
+	alpha := int64(max(m.DigitSize, 1))
+	limbs := int64(m.TotalLevels)
+	digits := (limbs + alpha - 1) / alpha
+	return digits * 2 * (limbs + alpha) * 8 << uint(m.LogN)
 }

@@ -4,94 +4,7 @@ import (
 	"testing"
 
 	"eva/internal/core"
-	"eva/internal/rewrite"
 )
-
-func TestCostModelBasicProperties(t *testing.T) {
-	p := buildCompiledX2Y3(t)
-	chains, _, err := Validate(p, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxChain := 0
-	for _, c := range chains {
-		if len(c) > maxChain {
-			maxChain = len(c)
-		}
-	}
-	model := CostModel{LogN: 13, TotalLevels: maxChain + 2}
-	est := model.EstimateCost(p)
-	if est.Total <= 0 || est.CriticalPath <= 0 {
-		t.Fatal("cost estimate should be positive")
-	}
-	if est.CriticalPath > est.Total {
-		t.Error("critical path cannot exceed total work")
-	}
-	if est.ParallelSpeedupBound() < 1 {
-		t.Error("parallel speedup bound below 1")
-	}
-	if len(est.Heaviest) == 0 || est.Heaviest[0].Cost < est.Heaviest[len(est.Heaviest)-1].Cost {
-		t.Error("heaviest instructions not sorted")
-	}
-	// Key switching must dominate this multiplication-heavy program.
-	if est.ByOp["RELINEARIZE"] <= est.ByOp["ADD"] {
-		t.Errorf("expected relinearization to dominate: %v", est.ByOp)
-	}
-}
-
-// TestCostModelRewardsShorterChains checks the model captures the paper's
-// core performance argument: the same program compiled with a longer modulus
-// chain (the CHET-style fixed rescaling) costs more than with the waterline
-// pipeline.
-func TestCostModelRewardsShorterChains(t *testing.T) {
-	// Scales of 2^30 make waterline rescaling skip every other level, which is
-	// exactly where EVA saves chain primes over the per-multiply discipline.
-	build := func() *core.Program {
-		p := core.MustNewProgram("chain", 8)
-		x, _ := p.NewInput("x", core.TypeCipher, 8, 30)
-		y, _ := p.NewInput("y", core.TypeCipher, 8, 30)
-		cur, _ := p.NewBinary(core.OpMultiply, x, y)
-		for i := 0; i < 3; i++ {
-			sq, _ := p.NewBinary(core.OpMultiply, cur, cur)
-			cur = sq
-		}
-		p.AddOutput("out", cur, 30)
-		return p
-	}
-
-	waterline := build()
-	if err := rewrite.Transform(waterline, rewrite.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	fixed := build()
-	opts := rewrite.DefaultOptions()
-	opts.Rescale = rewrite.RescaleFixedMax
-	opts.ModSwitch = rewrite.ModSwitchLazy
-	if err := rewrite.Transform(fixed, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	chainLen := func(p *core.Program) int {
-		chains, err := ComputeChains(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		max := 0
-		for _, c := range chains {
-			if len(c) > max {
-				max = len(c)
-			}
-		}
-		return max
-	}
-	wlLevels, fxLevels := chainLen(waterline)+2, chainLen(fixed)+2
-
-	wlCost := CostModel{LogN: 14, TotalLevels: wlLevels}.EstimateCost(waterline)
-	fxCost := CostModel{LogN: 14, TotalLevels: fxLevels}.EstimateCost(fixed)
-	if wlCost.Total >= fxCost.Total {
-		t.Errorf("waterline cost %.3g should be below fixed-rescale cost %.3g", wlCost.Total, fxCost.Total)
-	}
-}
 
 func TestParallelSpeedupBoundDegenerate(t *testing.T) {
 	var e CostEstimate
@@ -144,5 +57,22 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 	}
 	if units := perPrime.OpUnits(core.OpRelinearize, 0, false); units < n {
 		t.Errorf("implausible key-switch units %v", units)
+	}
+}
+
+// TestSwitchingKeyBytes: ⌈L/α⌉ digits of two polynomials over L+α limbs.
+func TestSwitchingKeyBytes(t *testing.T) {
+	cases := []struct {
+		model CostModel
+		limbs int64 // limb count of one key
+	}{
+		{CostModel{LogN: 10, TotalLevels: 16}, 16 * 2 * 17},
+		{CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}, 4 * 2 * 20},
+		{CostModel{LogN: 14, TotalLevels: 5, DigitSize: 2}, 3 * 2 * 7},
+	}
+	for _, c := range cases {
+		if got, want := c.model.SwitchingKeyBytes(), c.limbs*8<<uint(c.model.LogN); got != want {
+			t.Errorf("%+v: %d bytes, want %d", c.model, got, want)
+		}
 	}
 }

@@ -140,39 +140,12 @@ const minKeySwitchGain = 0.10
 
 // KeySwitchLoad counts, per chain position, the key-switch work a program
 // gives the backend: how many polynomials are decomposed and how many
-// switching keys are applied to a decomposition.
+// switching keys are applied to a decomposition (compile.Result.KeySwitchLoad
+// counts it for a compiled program).
 type KeySwitchLoad map[int]KeySwitchCount
 
 // KeySwitchCount is one chain position's entry of a KeySwitchLoad.
 type KeySwitchCount struct{ Decompositions, Keys int }
-
-// ProgramKeySwitchLoad counts the key switches of a compiled program as the
-// executor runs them: a RELINEARIZE is one decomposition and one key; the
-// rotations of one Cipher source are hoisted into one batch, so they share a
-// decomposition. chains is Validate's result: it holds exactly the Cipher
-// terms, and the length of a term's chain is its chain position.
-func ProgramKeySwitchLoad(chains map[*core.Term]Chain) KeySwitchLoad {
-	load := KeySwitchLoad{}
-	rotated := map[*core.Term]bool{}
-	for t, chain := range chains {
-		l := load[len(chain)]
-		switch {
-		case t.Op == core.OpRelinearize:
-			l.Decompositions++
-			l.Keys++
-		case t.Op.IsRotation():
-			if src := t.Parm(0); !rotated[src] {
-				rotated[src] = true
-				l.Decompositions++
-			}
-			l.Keys++
-		default:
-			continue
-		}
-		load[len(chain)] = l
-	}
-	return load
-}
 
 // UniformKeySwitchLoad is the load of one plain key switch at every position
 // of a chain of the given length — what a digit size is chosen for when it

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"eva/internal/compile"
-	"eva/internal/core"
 )
 
 // Compatible decides whether a compiled program can host coalesced
@@ -42,18 +41,4 @@ func Compatible(res *compile.Result) (stride int, err error) {
 		return 0, fmt.Errorf("coalesce: program %q has width %d of %d slots; nothing to coalesce", prog.Name, stride, prog.VecSize)
 	}
 	return stride, nil
-}
-
-// CipherInputs returns the names of the program's encrypted inputs — the
-// inputs a coalesced caller must supply as plaintext values (the server
-// packs and encrypts them), since client-encrypted ciphertexts cannot be
-// packed without one masking multiply per caller.
-func CipherInputs(prog *core.Program) []string {
-	var names []string
-	for _, in := range prog.Inputs() {
-		if in.InType == core.TypeCipher {
-			names = append(names, in.Name)
-		}
-	}
-	return names
 }

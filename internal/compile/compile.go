@@ -169,7 +169,7 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	if opts.AllowInsecure {
 		budget = 0
 	}
-	load := analysis.ProgramKeySwitchLoad(chains)
+	load := res.KeySwitchLoad()
 	if opts.ExtraLevels > 0 {
 		// A pipeline stage shares its parameter set, not only its chain, with
 		// stages compiled from other programs, so its digit size may depend

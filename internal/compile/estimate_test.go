@@ -1,0 +1,268 @@
+package compile
+
+import (
+	"testing"
+
+	"eva/internal/analysis"
+	"eva/internal/core"
+	"eva/internal/rewrite"
+)
+
+// The reference* walks are the estimators as they were written over the term
+// graph, before they read the dense form: per-term levels, types and use
+// counts re-derived from the program. checkLowering holds the dense walks to
+// them.
+
+// referenceLevels is each live term's rescale-chain length: the number of
+// RESCALE and MOD_SWITCH instructions on a path from a root to the term,
+// maximized over paths.
+func referenceLevels(p *core.Program) map[*core.Term]int {
+	levels := make(map[*core.Term]int, p.NumTerms())
+	for _, t := range p.TopoSort() {
+		l := 0
+		for _, parm := range t.Parms() {
+			l = max(l, levels[parm])
+		}
+		if t.Op.IsModulusChanging() {
+			l++
+		}
+		levels[t] = l
+	}
+	return levels
+}
+
+// referenceKeySwitchLoad counts key switches from Validate's chains, which
+// hold exactly the Cipher terms: a RELINEARIZE is one decomposition and one
+// key; the rotations of one Cipher source share a decomposition.
+func referenceKeySwitchLoad(chains map[*core.Term]analysis.Chain) analysis.KeySwitchLoad {
+	load := analysis.KeySwitchLoad{}
+	rotated := map[*core.Term]bool{}
+	for t, chain := range chains {
+		l := load[len(chain)]
+		switch {
+		case t.Op == core.OpRelinearize:
+			l.Decompositions++
+			l.Keys++
+		case t.Op.IsRotation():
+			if src := t.Parm(0); !rotated[src] {
+				rotated[src] = true
+				l.Decompositions++
+			}
+			l.Keys++
+		default:
+			continue
+		}
+		load[len(chain)] = l
+	}
+	return load
+}
+
+// referenceCost prices every Cipher instruction of the topological order by
+// OpUnits and tracks the dearest dependence chain.
+func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate {
+	levels := referenceLevels(p)
+	types := p.InferTypes()
+	est := analysis.CostEstimate{ByOp: map[string]float64{}}
+	pathCost := map[*core.Term]float64{}
+	for _, t := range p.TopoSort() {
+		var cost float64
+		if !t.IsLeaf() && types[t] == core.TypeCipher {
+			ctct := t.Op == core.OpMultiply &&
+				types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
+			cost = m.OpUnits(t.Op, levels[t], ctct)
+		}
+		est.Total += cost
+		est.ByOp[t.Op.String()] += cost
+		longest := 0.0
+		for _, parm := range t.Parms() {
+			longest = max(longest, pathCost[parm])
+		}
+		pathCost[t] = longest + cost
+		est.CriticalPath = max(est.CriticalPath, pathCost[t])
+	}
+	return est
+}
+
+// referencePeak replays liveness over the topological order with refcounts
+// from Term.NumUses, which counts the uses of dead terms too: after
+// Optimize a value some dead term still names is never freed, so it agrees
+// with PeakMemoryBytes only on programs without dead terms.
+func referencePeak(m analysis.CostModel, p *core.Program) int64 {
+	levels := referenceLevels(p)
+	types := p.InferTypes()
+	n := int64(1) << uint(m.LogN)
+	bytesOf := func(t *core.Term) int64 {
+		if types[t] != core.TypeCipher {
+			return 8 * n
+		}
+		limbs := int64(max(m.TotalLevels-levels[t], 1))
+		polys := int64(2)
+		if t.Op == core.OpMultiply &&
+			types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher {
+			polys = 3
+		}
+		return 8 * n * limbs * polys
+	}
+	order := p.TopoSort()
+	refcounts := make(map[*core.Term]int, len(order))
+	for _, o := range p.Outputs() {
+		refcounts[o.Term]++
+	}
+	for _, t := range order {
+		refcounts[t] += t.NumUses()
+	}
+	var live, peak int64
+	alive := make(map[*core.Term]int64, len(order))
+	for _, t := range order {
+		alive[t] = bytesOf(t)
+		live += alive[t]
+		peak = max(peak, live)
+		for _, parm := range t.Parms() {
+			if refcounts[parm]--; refcounts[parm] == 0 {
+				live -= alive[parm]
+				delete(alive, parm)
+			}
+		}
+	}
+	return peak
+}
+
+// lowerAt lowers a program as it stands, without transforming or validating
+// it, and prices it at ring degree 2^logN on a chain of the given length with
+// per-prime key switching.
+func lowerAt(t *testing.T, p *core.Program, logN, chainLength int) *Result {
+	t.Helper()
+	chains, err := analysis.ComputeChains(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Lower(p, chains, rewrite.ComputeLogScales(p))
+	res.LogN, res.Plan = logN, &analysis.ParameterPlan{BitSizes: make([]int, chainLength)}
+	return res
+}
+
+// maxChain is the longest chain of a program's Cipher terms.
+func maxChain(t *testing.T, p *core.Program) int {
+	t.Helper()
+	chains, err := analysis.ComputeChains(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, c := range chains {
+		longest = max(longest, len(c))
+	}
+	return longest
+}
+
+func TestCostModelBasicProperties(t *testing.T) {
+	p := buildExample(t, 8, 60, 30)
+	if err := rewrite.Transform(p, rewrite.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	est := lowerAt(t, p, 13, maxChain(t, p)+2).Cost()
+	if est.Total <= 0 || est.CriticalPath <= 0 {
+		t.Fatal("cost estimate should be positive")
+	}
+	if est.CriticalPath > est.Total {
+		t.Error("critical path cannot exceed total work")
+	}
+	if est.ParallelSpeedupBound() < 1 {
+		t.Error("parallel speedup bound below 1")
+	}
+	// Key switching must dominate this multiplication-heavy program.
+	if est.ByOp["RELINEARIZE"] <= est.ByOp["ADD"] {
+		t.Errorf("expected relinearization to dominate: %v", est.ByOp)
+	}
+}
+
+// TestCostModelRewardsShorterChains checks the model captures the paper's
+// core performance argument: the same program compiled with a longer modulus
+// chain (the CHET-style fixed rescaling) costs more than with the waterline
+// pipeline.
+func TestCostModelRewardsShorterChains(t *testing.T) {
+	// Scales of 2^30 make waterline rescaling skip every other level, which is
+	// exactly where EVA saves chain primes over the per-multiply discipline.
+	build := func() *core.Program {
+		p := core.MustNewProgram("chain", 8)
+		x, _ := p.NewInput("x", core.TypeCipher, 8, 30)
+		y, _ := p.NewInput("y", core.TypeCipher, 8, 30)
+		cur, _ := p.NewBinary(core.OpMultiply, x, y)
+		for i := 0; i < 3; i++ {
+			sq, _ := p.NewBinary(core.OpMultiply, cur, cur)
+			cur = sq
+		}
+		p.AddOutput("out", cur, 30)
+		return p
+	}
+
+	waterline := build()
+	if err := rewrite.Transform(waterline, rewrite.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	fixed := build()
+	opts := rewrite.DefaultOptions()
+	opts.Rescale = rewrite.RescaleFixedMax
+	opts.ModSwitch = rewrite.ModSwitchLazy
+	if err := rewrite.Transform(fixed, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	wlCost := lowerAt(t, waterline, 14, maxChain(t, waterline)+2).Cost()
+	fxCost := lowerAt(t, fixed, 14, maxChain(t, fixed)+2).Cost()
+	if wlCost.Total >= fxCost.Total {
+		t.Errorf("waterline cost %.3g should be below fixed-rescale cost %.3g", wlCost.Total, fxCost.Total)
+	}
+}
+
+func memProgram(t *testing.T, chain int) *core.Program {
+	t.Helper()
+	p := core.MustNewProgram("mem", 8)
+	x, _ := p.NewInput("x", core.TypeCipher, 8, 30)
+	acc := x
+	for i := 0; i < chain; i++ {
+		acc, _ = p.NewBinary(core.OpMultiply, acc, x)
+	}
+	if err := p.AddOutput("out", acc, 30); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestEstimatePeakMemoryBytes(t *testing.T) {
+	small := lowerAt(t, memProgram(t, 1), 12, 4).PeakMemoryBytes()
+	large := lowerAt(t, memProgram(t, 3), 12, 4).PeakMemoryBytes()
+	if small <= 0 {
+		t.Fatalf("estimate not positive: %d", small)
+	}
+	// A fresh input ciphertext is 2 polys x 4 limbs x 4096 coeffs x 8 bytes.
+	if minInput := int64(2 * 4 * 4096 * 8); small < minInput {
+		t.Errorf("estimate %d smaller than one input ciphertext (%d)", small, minInput)
+	}
+	if large <= small {
+		t.Errorf("deeper program estimated at %d bytes, shallow one at %d; want growth", large, small)
+	}
+}
+
+func TestEstimatePeakMemoryPlainProgram(t *testing.T) {
+	p := core.MustNewProgram("plain", 8)
+	x, _ := p.NewInput("x", core.TypeVector, 8, 30)
+	y, _ := p.NewBinary(core.OpAdd, x, x)
+	if err := p.AddOutput("out", y, 30); err != nil {
+		t.Fatal(err)
+	}
+	// Two live plain vectors of 2^12 float64s.
+	if est, want := lowerAt(t, p, 12, 4).PeakMemoryBytes(), int64(2*8*4096); est != want {
+		t.Errorf("plain-only estimate = %d; want %d", est, want)
+	}
+}
+
+// TestEstimatePeakAccountsDegree3Products: an unrelinearized cipher-cipher
+// product is charged three polynomials.
+func TestEstimatePeakAccountsDegree3Products(t *testing.T) {
+	// Live set peaks with the input (2 polys) plus the product (3 polys),
+	// all at 1 limb of 4096 coefficients.
+	if est, want := lowerAt(t, memProgram(t, 1), 12, 1).PeakMemoryBytes(), int64((2+3)*1*4096*8); est != want {
+		t.Errorf("estimate = %d; want %d", est, want)
+	}
+}

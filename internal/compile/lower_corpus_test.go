@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"eva/internal/analysis"
 	"eva/internal/apps"
 	"eva/internal/compile"
 	"eva/internal/core"
@@ -53,5 +54,57 @@ func TestLoweringMatchesAnalyses(t *testing.T) {
 			}
 			compile.CheckLowering(t, res)
 		})
+	}
+}
+
+// TestPeakIgnoresDeadTerms: Optimize leaves the terms it merges away in the
+// graph, still naming their operands. The peak estimate counts only the
+// compiled program's references, so it charges an optimized program what it
+// charges the same program after a serialization round trip drops the dead
+// terms.
+func TestPeakIgnoresDeadTerms(t *testing.T) {
+	want := map[string]int64{
+		"Sobel Filter Detection":  1351680,
+		"Harris Corner Detection": 1572864,
+	}
+	suite, err := apps.Suite(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := compile.DefaultOptions()
+	opts.AllowInsecure, opts.Optimize = true, true
+	for _, app := range suite {
+		peak, ok := want[app.Name]
+		if !ok {
+			continue
+		}
+		delete(want, app.Name)
+		res, err := compile.Compile(app.Program, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Program.NumTerms() == len(res.Instrs) {
+			t.Fatalf("%s: no dead terms after Optimize", app.Name)
+		}
+		data, err := res.Program.SerializeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := core.DeserializeBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains, scales, err := analysis.Validate(prog, opts.MaxRescaleLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := compile.Lower(prog, chains, scales)
+		rt.Plan, rt.LogN = res.Plan, res.LogN
+		if got, trip := res.PeakMemoryBytes(), rt.PeakMemoryBytes(); got != peak || trip != peak {
+			t.Errorf("%s: peak %d B, after a round trip %d B; want %d B", app.Name, got, trip, peak)
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("applications not in the suite: %v", want)
 	}
 }

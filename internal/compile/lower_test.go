@@ -13,7 +13,9 @@ import (
 // checkLowering cross-checks a Result's dense form against derivations that
 // do not share the lowering walk: the program's own type inference,
 // statistics and rotation steps, the analysis passes' chains, rewrite's
-// scales and rotation sets, and — for programs with at most 64 Cipher
+// scales and rotation sets, the term-graph estimators (key-switch load and
+// cost always, peak memory where the program has no dead terms, whose uses
+// the term-graph replay counts), and — for programs with at most 64 Cipher
 // inputs — each input's depth against a reachability-mask fold.
 func checkLowering(t testing.TB, res *Result) {
 	t.Helper()
@@ -46,6 +48,18 @@ func checkLowering(t testing.TB, res *Result) {
 	}
 	if want := prog.RotationSteps(); !slices.Equal(res.RotationSteps, want) {
 		t.Errorf("RotationSteps %v, program rotation steps %v", res.RotationSteps, want)
+	}
+	if got, want := res.KeySwitchLoad(), referenceKeySwitchLoad(chains); !reflect.DeepEqual(got, want) {
+		t.Errorf("KeySwitchLoad %v, the chains give %v", got, want)
+	}
+	model := res.CostModel()
+	if got, want := res.Cost(), referenceCost(model, prog); !reflect.DeepEqual(got, want) {
+		t.Errorf("Cost %+v, the term-graph walk gives %+v", got, want)
+	}
+	if prog.NumTerms() == len(res.Instrs) {
+		if got, want := res.PeakMemoryBytes(), referencePeak(model, prog); got != want {
+			t.Errorf("PeakMemoryBytes %d, the term-graph replay gives %d", got, want)
+		}
 	}
 	sets := rewrite.RotationSets(prog)
 	if len(res.Hoists) != len(sets) {

@@ -20,7 +20,6 @@ import (
 	"eva/internal/hetensor"
 	"eva/internal/obs"
 	"eva/internal/profile"
-	"eva/internal/rewrite"
 	"eva/internal/store"
 )
 
@@ -197,21 +196,13 @@ func TestCollectorDisabled(t *testing.T) {
 func TestDriftDetection(t *testing.T) {
 	res := buildDeepChain(t)
 	maxLevel := len(res.Plan.BitSizes) - 1
-	levels := rewrite.Levels(res.Program)
-	types := res.Program.InferTypes()
-	var mul *core.Term
-	for _, term := range res.Program.TopoSort() {
-		if term.Op == core.OpMultiply && types[term] == core.TypeCipher {
-			mul = term
-			break
-		}
-	}
-	if mul == nil {
+	id := slices.IndexFunc(res.Instrs, func(in compile.Instr) bool { return in.Term.Op == core.OpMultiply && in.Cipher })
+	if id < 0 {
 		t.Fatal("no cipher multiply in deep chain")
 	}
-	id := slices.IndexFunc(res.Instrs, func(in compile.Instr) bool { return in.Term == mul })
-	expLevel := maxLevel - levels[mul]
-	okScale := math.Exp2(rewrite.ComputeLogScales(res.Program)[mul])
+	mul := res.Instrs[id].Term
+	expLevel := maxLevel - res.Instrs[id].Level
+	okScale := math.Exp2(res.Instrs[id].LogScale)
 	base := execute.InstrRecord{ID: int32(id), Wall: time.Millisecond, Cipher: true, Level: expLevel, Scale: okScale, OutBytes: 4096, Operands: 2}
 
 	c := profile.NewCollector(profile.Config{SampleRate: 1})

@@ -6,51 +6,6 @@ import (
 	"eva/internal/core"
 )
 
-// Levels computes, for every live term, its rescale-chain length: the number
-// of RESCALE and MOD_SWITCH instructions on a path from a root to the term
-// (counting the term itself). The map is only meaningful once the chains are
-// conforming; before modulus-switch insertion it returns the maximum over
-// paths, which is exactly what LAZY-MODSWITCH needs.
-func Levels(p *core.Program) map[*core.Term]int {
-	levels := make(map[*core.Term]int, p.NumTerms())
-	for _, t := range p.TopoSort() {
-		l := 0
-		for _, parm := range t.Parms() {
-			if levels[parm] > l {
-				l = levels[parm]
-			}
-		}
-		if t.Op.IsModulusChanging() {
-			l++
-		}
-		levels[t] = l
-	}
-	return levels
-}
-
-// ReverseLevels computes rlevel for every live term: the number of RESCALE
-// and MOD_SWITCH instructions on a path from the term down to an output
-// (counting the term itself), maximized over paths. Program outputs count as
-// uses at rlevel zero.
-func ReverseLevels(p *core.Program) map[*core.Term]int {
-	rlevels := make(map[*core.Term]int, p.NumTerms())
-	order := p.TopoSort()
-	for i := len(order) - 1; i >= 0; i-- {
-		t := order[i]
-		r := 0
-		for _, u := range t.Uses() {
-			if rlevels[u] > r {
-				r = rlevels[u]
-			}
-		}
-		if t.Op.IsModulusChanging() {
-			r++
-		}
-		rlevels[t] = r
-	}
-	return rlevels
-}
-
 // InsertModSwitchLazy applies the LAZY-MODSWITCH rule: walking forward, when
 // the operands of an ADD, SUB or MULTIPLY are at different levels, insert the
 // appropriate number of MOD_SWITCH instructions directly before the

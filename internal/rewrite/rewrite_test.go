@@ -6,6 +6,44 @@ import (
 	"eva/internal/core"
 )
 
+// termLevels is each live term's level: the number of RESCALE and
+// MOD_SWITCH instructions on a path from a root to the term (counting the
+// term itself), maximized over paths.
+func termLevels(p *core.Program) map[*core.Term]int {
+	levels := make(map[*core.Term]int, p.NumTerms())
+	for _, t := range p.TopoSort() {
+		l := 0
+		for _, parm := range t.Parms() {
+			l = max(l, levels[parm])
+		}
+		if t.Op.IsModulusChanging() {
+			l++
+		}
+		levels[t] = l
+	}
+	return levels
+}
+
+// reverseLevels is each live term's rlevel: the number of RESCALE and
+// MOD_SWITCH instructions on a path from the term down to an output
+// (counting the term itself), maximized over paths. Program outputs count as
+// uses at rlevel zero.
+func reverseLevels(p *core.Program) map[*core.Term]int {
+	rlevels := make(map[*core.Term]int, p.NumTerms())
+	order := p.TopoSort()
+	for i := len(order) - 1; i >= 0; i-- {
+		r := 0
+		for _, u := range order[i].Uses() {
+			r = max(r, rlevels[u])
+		}
+		if order[i].Op.IsModulusChanging() {
+			r++
+		}
+		rlevels[order[i]] = r
+	}
+	return rlevels
+}
+
 // buildX2Y3 reproduces the input graph of Figure 2(a): x²y³ with
 // x.scale = 2^60 and y.scale = 2^30.
 func buildX2Y3(t *testing.T) *core.Program {
@@ -79,7 +117,7 @@ func TestFigure2WaterlineRescale(t *testing.T) {
 	}
 	// The two operands of the bottom multiply end up at the same chain length,
 	// so Constraint 1 holds without MOD_SWITCH (as the paper notes).
-	levels := Levels(p)
+	levels := termLevels(p)
 	var bottom *core.Term
 	for _, term := range p.TopoSort() {
 		if term.Op == core.OpMultiply && levels[term] > 0 {
@@ -119,7 +157,7 @@ func TestFigure2DefaultWaterlineNeedsModSwitch(t *testing.T) {
 		t.Fatal("expected at least one MOD_SWITCH")
 	}
 	// After insertion, every binary instruction has level-matched operands.
-	levels := Levels(p)
+	levels := termLevels(p)
 	for _, term := range p.TopoSort() {
 		if term.Op.IsBinary() {
 			if levels[term.Parm(0)] != levels[term.Parm(1)] {
@@ -228,7 +266,7 @@ func TestFigure5LazyVsEagerModSwitch(t *testing.T) {
 	}
 	// Both strategies must level-match all binary operands.
 	for name, prog := range map[string]*core.Program{"lazy": lazy, "eager": eager} {
-		levels := Levels(prog)
+		levels := termLevels(prog)
 		for _, term := range prog.TopoSort() {
 			if term.Op.IsBinary() && levels[term.Parm(0)] != levels[term.Parm(1)] {
 				t.Errorf("%s: %s operand levels differ", name, term)
@@ -364,7 +402,7 @@ func TestReverseLevels(t *testing.T) {
 	if err := InsertRescaleWaterline(p, 60, 0); err != nil {
 		t.Fatal(err)
 	}
-	rlevels := ReverseLevels(p)
+	rlevels := reverseLevels(p)
 	x := p.InputByName("x")
 	if rlevels[x] != 1 {
 		t.Errorf("rlevel(x) = %d, want 1", rlevels[x])
@@ -389,7 +427,7 @@ func TestEagerModSwitchEqualizesRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	InsertModSwitchEager(p)
-	rlevels := ReverseLevels(p)
+	rlevels := reverseLevels(p)
 	if rlevels[x] != rlevels[y] {
 		t.Errorf("root rlevels differ after eager insertion: %d vs %d", rlevels[x], rlevels[y])
 	}
@@ -410,7 +448,7 @@ func TestLevelsComputation(t *testing.T) {
 	if err := InsertRescaleWaterline(p, 60, 30); err != nil {
 		t.Fatal(err)
 	}
-	levels := Levels(p)
+	levels := termLevels(p)
 	out := p.Outputs()[0].Term
 	if levels[out] != 2 {
 		t.Errorf("output level = %d, want 2", levels[out])

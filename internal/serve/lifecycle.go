@@ -304,12 +304,10 @@ func estimateBytes(plans []*stagePlan) int64 {
 		for _, pv := range p.in.Plain {
 			est += int64(8 * len(pv))
 		}
-		freshCt := 2 * int64(len(res.Plan.BitSizes)) * (int64(1) << uint(res.LogN)) * 8
-		est += int64(len(p.values)) * freshCt
+		est += int64(len(p.values)) * res.CiphertextBytes(0, 2)
 		if !modelled[p.entry] {
 			modelled[p.entry] = true
-			model := res.CostModel()
-			peak = max(peak, model.EstimatePeakMemoryBytes(res.Program))
+			peak = max(peak, res.PeakMemoryBytes())
 		}
 	}
 	return est + peak

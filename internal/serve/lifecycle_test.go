@@ -198,9 +198,7 @@ func TestEntryPointParity(t *testing.T) {
 	// the jobs path has always used: distinct input ciphertexts once,
 	// pending demo values as fresh ciphertexts, the modelled peak once.
 	estimate := func(res *compile.Result, cipherBytes int64, values int) int64 {
-		model := res.CostModel()
-		freshCt := 2 * int64(len(res.Plan.BitSizes)) * (int64(1) << uint(res.LogN)) * 8
-		return cipherBytes + int64(values)*freshCt + model.EstimatePeakMemoryBytes(res.Program)
+		return cipherBytes + int64(values)*res.CiphertextBytes(0, 2) + res.PeakMemoryBytes()
 	}
 	x := cts.Cipher["x"]
 

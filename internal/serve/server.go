@@ -710,9 +710,8 @@ func (s *Server) compileResponse(entry *Entry, cached bool) CompileResponse {
 	lit := res.ParametersLiteral()
 	var predictedMs float64
 	if cal := s.profiles.Calibration(); cal != nil {
-		model := res.CostModel()
 		var ns float64
-		for op, units := range model.EstimateCost(res.Program).ByOp {
+		for op, units := range res.Cost().ByOp {
 			ns += cal.PredictNs(op, units)
 		}
 		predictedMs = ns / 1e6
