@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"eva/eva"
-	"eva/internal/ring"
 	"eva/internal/serve"
 )
 
@@ -78,34 +77,30 @@ output out @30;`,
 	return tr
 }
 
-func countHoistedSpans(spans []eva.JobTraceSpan) int {
-	n := 0
-	for _, sp := range spans {
-		if sp.Name == "rotate_hoisted" {
-			n++
+// executeSpan returns the first span named "execute" in a span tree.
+func executeSpan(spans []eva.JobTraceSpan) *eva.JobTraceSpan {
+	for i := range spans {
+		if spans[i].Name == "execute" {
+			return &spans[i]
 		}
-		n += countHoistedSpans(sp.Children)
+		if sp := executeSpan(spans[i].Children); sp != nil {
+			return sp
+		}
 	}
-	return n
+	return nil
 }
 
 // TestHoistFlagDefaults: hoisting is always on — a job whose rotations share
-// a source traces a rotate_hoisted batch.
+// a source reports a hoisted batch of both on its execute span.
 func TestHoistFlagDefaults(t *testing.T) {
 	c, stop := startServer(t)
 	defer stop()
 	tr := runRotationJob(t, c)
-	if n := countHoistedSpans(tr.Spans); n < 1 {
-		t.Fatalf("default flags traced %d rotate_hoisted spans, want >= 1", n)
+	sp := executeSpan(tr.Spans)
+	if sp == nil {
+		t.Fatal("job trace has no execute span")
 	}
-}
-
-// TestRingWorkersFlag: -ring-workers sizes the process-wide limb pool.
-func TestRingWorkersFlag(t *testing.T) {
-	defer ring.SetWorkers(0) // restore the GOMAXPROCS default for other tests
-	_, stop := startServer(t, "-ring-workers", "3")
-	defer stop()
-	if got := ring.Workers(); got != 3 {
-		t.Errorf("-ring-workers 3 left the pool at %d workers", got)
+	if b, r := sp.Attrs["hoisted_batches"], sp.Attrs["hoisted_rotations"]; b != "1" || r != "2" {
+		t.Fatalf("default flags: execute span hoisted_batches=%q hoisted_rotations=%q, want 1 and 2", b, r)
 	}
 }

@@ -22,16 +22,26 @@
 //
 // Usage:
 //
-//	evaserve [-addr :8080] [-cache 128] [-workers 0] [-batches 0] [-demo]
-//	         [-ring-workers 0]
-//	         [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192] [-result-ttl 2m]
+//	evaserve [-addr :8080] [-demo]
+//	         [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192]
 //	         [-coalesce-max 64] [-coalesce-wait 25ms]
+//	         [-handle-quota-mb 4096] [-handle-retention 24h]
 //	         [-data-dir /var/lib/evaserve] [-drain-timeout 30s]
 //	         [-node-id n1] [-peers n2=http://host2:8080,n3=http://host3:8080]
+//	         [-routed-job-retention 24h] [-retired-job-retention 10m]
+//	         [-route-sweep-interval 1m]
 //	         [-log-level info] [-log-format text] [-slow-trace 0]
-//	         [-trace-ring 0] [-max-active-traces 0]
 //	         [-profile-sample 0] [-calibration fit.json] [-calibrate]
 //	         [-pprof-addr 127.0.0.1:6060]
+//
+// Everything else is fixed: the compiled-program registry holds 128
+// programs, the server retains 256 contexts, /execute runs up to GOMAXPROCS
+// batches at once on GOMAXPROCS workers each unless the request names its
+// own worker count, request bodies are capped at 256 MiB, finished jobs stay
+// in memory for 2 minutes and unfetched persisted results in the store for
+// 24 hours, the plan cache keeps up to 512 MiB of encoded constants, the
+// RNS-limb worker pool has GOMAXPROCS workers, and the tracer keeps the last
+// 256 finished traces and at most 4096 active ones.
 //
 // Observability: every response carries an X-Eva-Trace id; GET /traces and
 // GET /jobs/{id}/trace expose per-request span trees, GET /metrics serves a
@@ -107,15 +117,6 @@ func main() {
 	}
 }
 
-// planCacheMB maps the -plan-cache-mb flag onto serve.Config.PlanCacheMB,
-// whose zero value means "leave the process default" rather than "off".
-func planCacheMB(flagMB int) int {
-	if flagMB <= 0 {
-		return -1
-	}
-	return flagMB
-}
-
 // parsePeers parses "id=url,id=url" into a peer map.
 func parsePeers(s string) (map[string]string, error) {
 	peers := map[string]string{}
@@ -144,20 +145,12 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		cache     = fs.Int("cache", 128, "compiled-program cache capacity")
-		workers   = fs.Int("workers", 0, "default executor workers per batch (0 = GOMAXPROCS)")
-		ringW     = fs.Int("ring-workers", 0, "RNS-limb worker pool shared by all executions (0 = GOMAXPROCS)")
-		planMB    = fs.Int("plan-cache-mb", 512, "byte budget in MiB for keeping programs' constants encoded between runs (0 = off)")
-		batches   = fs.Int("batches", 0, "max concurrent batches per request (0 = GOMAXPROCS)")
-		contexts  = fs.Int("contexts", 256, "max retained execution contexts (LRU)")
 		demo      = fs.Bool("demo", false, "enable server-side keygen (trusted demo mode)")
 		jobW      = fs.Int("job-workers", 0, "async jobs executed concurrently (0 = 2)")
 		jobQueue  = fs.Int("job-queue", 0, "async job queue depth (0 = 64)")
 		jobMemMB  = fs.Int64("job-memory-mb", 0, "admitted-jobs ciphertext memory budget in MiB (0 = 8192)")
-		resultTTL = fs.Duration("result-ttl", 0, "retention of finished jobs and unfetched results (0 = 2m)")
 		coalMax   = fs.Int("coalesce-max", 0, "max callers packed into one coalesced batch (0 = 64)")
 		coalWait  = fs.Duration("coalesce-wait", 0, "max wait for co-batched company before a coalesced batch runs (0 = 25ms)")
-		resultRet = fs.Duration("result-retention", 0, "retention of persisted unfetched results in the store (0 = 24h, <0 = forever)")
 		handleMB  = fs.Int64("handle-quota-mb", 0, "ciphertext handle store byte quota in MiB (0 = 4096)")
 		handleRet = fs.Duration("handle-retention", 0, "retention of stored ciphertext handles (0 = 24h, <0 = forever)")
 		routedRet = fs.Duration("routed-job-retention", 0, "cluster: retention of live routed-job records (0 = 24h)")
@@ -170,8 +163,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		logLevel  = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		slowTrace = fs.Duration("slow-trace", 0, "log a structured phase breakdown for requests slower than this (0 = off)")
-		traceRing = fs.Int("trace-ring", 0, "finished traces retained for GET /traces (0 = 256)")
-		maxTraces = fs.Int("max-active-traces", 0, "in-flight traces tracked before shedding (0 = 4096)")
 		profSamp  = fs.Int("profile-sample", 0, "instruction profiler stride: record every Nth instruction (0 = 16, 1 = all, <0 = off, which also drops the execute span's per-opcode op.*_ms attrs)")
 		calibrate = fs.Bool("calibrate", false, "fit cost-model calibration from the profiles in -data-dir, save it, print it, and exit")
 		calibFile = fs.String("calibration", "", "calibration JSON file to install at startup (overrides the store's copy)")
@@ -231,28 +222,18 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 	}
 
 	srv := serve.NewServer(serve.Config{
-		CacheCapacity:        *cache,
-		DefaultWorkers:       *workers,
-		MaxConcurrentBatches: *batches,
-		MaxContexts:          *contexts,
 		AllowServerKeygen:    *demo,
-		RingWorkers:          *ringW,
-		PlanCacheMB:          planCacheMB(*planMB),
 		JobWorkers:           *jobW,
 		JobQueueDepth:        *jobQueue,
 		JobMemoryBudgetBytes: *jobMemMB << 20,
-		JobResultTTL:         *resultTTL,
 		CoalesceMaxBatch:     *coalMax,
 		CoalesceMaxWait:      *coalWait,
-		ResultRetention:      *resultRet,
 		HandleQuotaBytes:     *handleMB << 20,
 		HandleRetention:      *handleRet,
 		Store:                st,
 		NodeID:               *nodeID,
 		Logger:               logger,
 		SlowTraceThreshold:   *slowTrace,
-		TraceCapacity:        *traceRing,
-		MaxActiveTraces:      *maxTraces,
 		ProfileSampleRate:    *profSamp,
 		// Peer nodes replicate contexts through the bundle surface, which
 		// for demo-keygen contexts includes the secret key and has no

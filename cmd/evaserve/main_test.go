@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +193,31 @@ func TestRunPeersRequireNodeID(t *testing.T) {
 func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-nonsense"}, io.Discard, io.Discard, nil, nil); err == nil {
 		t.Error("expected an error for an unknown flag")
+	}
+}
+
+// TestFlagSet pins evaserve's flags: a value only becomes a flag when some
+// deployment needs a second value of it, so adding one means adding it here.
+func TestFlagSet(t *testing.T) {
+	var usage strings.Builder
+	if err := run([]string{"-h"}, io.Discard, &usage, nil, nil); err != flag.ErrHelp {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	var got []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	want := []string{
+		"addr", "calibrate", "calibration", "coalesce-max", "coalesce-wait",
+		"data-dir", "demo", "drain-timeout", "handle-quota-mb", "handle-retention",
+		"job-memory-mb", "job-queue", "job-workers", "log-format", "log-level",
+		"node-id", "peers", "pprof-addr", "profile-sample", "retired-job-retention",
+		"route-sweep-interval", "routed-job-retention", "slow-trace",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("evaserve flags = %v (%d)\nwant %v (%d)", got, len(got), want, len(want))
 	}
 }
 

@@ -127,8 +127,9 @@ func Run(ctx *Context, c *Compiled, in *EncryptedInputs, opts RunOptions) (*Outp
 
 // RunContext is Run with cancellation: cancelling stdctx stops the DAG
 // scheduler promptly (in-flight CKKS kernels finish, nothing new starts) and
-// returns the context's error. RunOptions.Progress, when set, receives one
-// serialized callback per completed instruction.
+// returns the context's error. RunOptions.OnInstruction, when set, receives
+// one serialized callback per completed instruction, so a counter in it
+// tracks the run's progress.
 func RunContext(stdctx context.Context, ctx *Context, c *Compiled, in *EncryptedInputs, opts RunOptions) (*Outputs, error) {
 	return execute.RunContext(stdctx, ctx, c, in, opts)
 }

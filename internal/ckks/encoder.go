@@ -114,22 +114,10 @@ func (e *Encoder) fftSpecialInv(vals []complex128) {
 	}
 }
 
-// EncodeComplex encodes up to Slots() complex values at the given scale and
-// level. Shorter inputs are replicated to fill all slots (matching EVA's
-// treatment of inputs whose vector size divides the slot count); the input
-// length must be a power of two.
-func (e *Encoder) EncodeComplex(values []complex128, scale float64, level int) (*Plaintext, error) {
-	buf, err := e.slotBuffer(len(values), scale, level)
-	if err != nil {
-		return nil, err
-	}
-	for i := range buf {
-		buf[i] = values[i%len(values)]
-	}
-	return e.encodeSlots(buf, scale, level), nil
-}
-
-// Encode encodes real values (see EncodeComplex for the semantics of short inputs).
+// Encode encodes up to Slots() real values at the given scale and level.
+// Shorter inputs are replicated to fill all slots (matching EVA's treatment
+// of inputs whose vector size divides the slot count); the input length must
+// be a power of two.
 func (e *Encoder) Encode(values []float64, scale float64, level int) (*Plaintext, error) {
 	buf, err := e.slotBuffer(len(values), scale, level)
 	if err != nil {
@@ -173,11 +161,6 @@ func (e *Encoder) encodeSlots(buf []complex128, scale float64, level int) *Plain
 	}
 	r.NTT(pt)
 	return &Plaintext{Value: pt, Scale: scale, Level: level}
-}
-
-// EncodeSingle encodes the same scalar in every slot.
-func (e *Encoder) EncodeSingle(value float64, scale float64, level int) (*Plaintext, error) {
-	return e.Encode([]float64{value}, scale, level)
 }
 
 // encodeCoefficient rounds x to the nearest integer and stores its residues

@@ -356,9 +356,6 @@ func TestOpCodeHelpers(t *testing.T) {
 	if !OpInput.IsLeaf() || OpAdd.IsLeaf() {
 		t.Error("IsLeaf wrong")
 	}
-	if !OpAdd.IsFrontendOp() || OpRescale.IsFrontendOp() {
-		t.Error("IsFrontendOp wrong")
-	}
 	if !OpModSwitch.IsCompilerOp() || OpAdd.IsCompilerOp() {
 		t.Error("IsCompilerOp wrong")
 	}

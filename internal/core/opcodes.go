@@ -79,16 +79,6 @@ func ParseOpCode(s string) (OpCode, error) {
 // IsLeaf reports whether the opcode denotes a node without parameters.
 func (op OpCode) IsLeaf() bool { return op == OpInput || op == OpConstant }
 
-// IsFrontendOp reports whether the opcode is allowed in input programs (the
-// first group of Table 2).
-func (op OpCode) IsFrontendOp() bool {
-	switch op {
-	case OpInput, OpConstant, OpNegate, OpAdd, OpSub, OpMultiply, OpRotateLeft, OpRotateRight:
-		return true
-	}
-	return false
-}
-
 // IsCompilerOp reports whether the opcode may only be inserted by the
 // compiler (RELINEARIZE, MOD_SWITCH, RESCALE).
 func (op OpCode) IsCompilerOp() bool {

@@ -9,6 +9,7 @@ import (
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
+	"eva/internal/core"
 )
 
 // setupRun compiles a program and prepares encrypted inputs for RunContext.
@@ -35,8 +36,8 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	cancel()
 	var executed atomic.Int64
 	_, err := RunContext(stdctx, ctx, res, enc, RunOptions{
-		Workers:  2,
-		Progress: func(done, total int) { executed.Store(int64(done)) },
+		Workers:       2,
+		OnInstruction: func(*core.Term, InstrRecord) { executed.Add(1) },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v; want context.Canceled", err)
@@ -49,7 +50,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 // TestRunContextCancelMidRun is the regression test for the runner ignoring
 // caller cancellation: cancelling while workers are blocked mid-run must make
 // RunContext return promptly with the context error, without executing the
-// rest of the program. The Progress callback cancels after the first
+// rest of the program. The OnInstruction callback cancels after the first
 // instruction, so with a single worker the remaining instructions are all
 // still pending at cancellation time.
 func TestRunContextCancelMidRun(t *testing.T) {
@@ -66,9 +67,8 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		_, err := RunContext(stdctx, ctx, res, enc, RunOptions{
 			Workers:   1,
 			Scheduler: SchedulerParallel,
-			Progress: func(done, total int) {
-				executed.Store(int64(done))
-				if done == 1 {
+			OnInstruction: func(*core.Term, InstrRecord) {
+				if executed.Add(1) == 1 {
 					cancel()
 				}
 			},
@@ -110,31 +110,29 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestProgressReportsEveryInstruction: a full run reports a monotone sequence
-// ending at (total, total).
+// TestProgressReportsEveryInstruction: a full run calls OnInstruction once
+// per compiled instruction, so a counter in it — how serve tracks a run's
+// progress — ends at (total, total).
 func TestProgressReportsEveryInstruction(t *testing.T) {
 	ctx, res, enc := setupRun(t)
-	var calls []int
-	total := -1
+	seen := make([]int, len(res.Instrs))
+	done := 0
 	out, err := RunContext(context.Background(), ctx, res, enc, RunOptions{
-		Workers:  2,
-		Progress: func(done, n int) { calls = append(calls, done); total = n },
+		Workers: 2,
+		OnInstruction: func(_ *core.Term, rec InstrRecord) {
+			seen[rec.ID]++
+			done++
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil {
-		t.Fatal("no outputs")
+	if done != out.Stats.Instructions || done != len(res.Instrs) {
+		t.Errorf("OnInstruction called %d times; want %d (Stats.Instructions %d)", done, len(res.Instrs), out.Stats.Instructions)
 	}
-	if total != out.Stats.Instructions {
-		t.Errorf("Progress total = %d; want %d", total, out.Stats.Instructions)
-	}
-	if len(calls) != total {
-		t.Fatalf("Progress called %d times; want %d", len(calls), total)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("Progress sequence not monotone at %d: got %d", i, d)
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("instruction %d reported %d times; want once", id, n)
 		}
 	}
 }

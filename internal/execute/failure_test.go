@@ -17,16 +17,14 @@ import (
 // that the executor surfaces clean errors — the failure modes EVA's
 // validation exists to prevent from ever reaching the FHE library.
 
-// compileSkippingPasses compiles while disabling parts of the pipeline so the
+// compileSkippingPasses compiles with an incomplete rewrite pipeline, so the
 // resulting program violates scheme constraints at run time.
-func compileSkippingPasses(t *testing.T, p *core.Program, tweak func(*rewrite.Options)) *compile.Result {
+func compileSkippingPasses(t *testing.T, p *core.Program, transform func(*core.Program) error) *compile.Result {
 	t.Helper()
 	// Bypass compile.Compile (whose validation would reject the program) and
 	// lower the under-transformed program itself, as a buggy compiler would.
 	prog := p.Clone()
-	opts := rewrite.DefaultOptions()
-	tweak(&opts)
-	if err := rewrite.Transform(prog, opts); err != nil {
+	if err := transform(prog); err != nil {
 		t.Fatal(err)
 	}
 	full := compile.DefaultOptions()
@@ -44,7 +42,14 @@ func compileSkippingPasses(t *testing.T, p *core.Program, tweak func(*rewrite.Op
 
 func TestRunSurfacesMissingRelinearization(t *testing.T) {
 	p := buildPolynomialProgram(t, 8)
-	res := compileSkippingPasses(t, p, func(o *rewrite.Options) { o.SkipRelinearize = true })
+	// The default pipeline's passes, RELINEARIZE left out.
+	res := compileSkippingPasses(t, p, func(q *core.Program) error {
+		if err := rewrite.InsertRescaleWaterline(q, 60, 0); err != nil {
+			return err
+		}
+		rewrite.InsertModSwitchEager(q)
+		return rewrite.MatchScales(q)
+	})
 	prng := ckks.NewTestPRNG(1)
 	ctx, keys, err := NewContext(res, prng)
 	if err != nil {
@@ -65,7 +70,11 @@ func TestRunSurfacesMissingRelinearization(t *testing.T) {
 
 func TestRunSurfacesMissingModSwitch(t *testing.T) {
 	p := buildPolynomialProgram(t, 8)
-	res := compileSkippingPasses(t, p, func(o *rewrite.Options) { o.ModSwitch = rewrite.ModSwitchNone })
+	res := compileSkippingPasses(t, p, func(q *core.Program) error {
+		opts := rewrite.DefaultOptions()
+		opts.ModSwitch = rewrite.ModSwitchNone
+		return rewrite.Transform(q, opts)
+	})
 	prng := ckks.NewTestPRNG(2)
 	ctx, keys, err := NewContext(res, prng)
 	if err != nil {

@@ -1,15 +1,15 @@
 package execute
 
 import (
-	"sync"
 	"testing"
 
 	"eva/internal/compile"
+	"eva/internal/core"
 )
 
 // TestHoistedRotationDispatch checks that the executor dispatches a shared-
-// source rotation group as one hoisted batch (visible in RunStats and through
-// the OnHoistedBatch callback), that disabling hoisting suppresses it, and
+// source rotation group as one hoisted batch (visible in RunStats and in the
+// records' Hoisted flag), that disabling hoisting suppresses it, and
 // that both paths decrypt to identical values — hoisting is bit-exact, so
 // this is float equality, not a tolerance check.
 func TestHoistedRotationDispatch(t *testing.T) {
@@ -17,22 +17,21 @@ func TestHoistedRotationDispatch(t *testing.T) {
 	res := compileForTest(t, p, compile.Options{})
 	in := randomInputs(p, 11)
 
-	var mu sync.Mutex
-	var batches []int
+	members := 0
 	hoisted, outHoisted := runEncrypted(t, res, in, RunOptions{
 		Scheduler: SchedulerSequential,
-		OnHoistedBatch: func(rotations int) {
-			mu.Lock()
-			batches = append(batches, rotations)
-			mu.Unlock()
+		OnInstruction: func(_ *core.Term, rec InstrRecord) {
+			if rec.Hoisted {
+				members++
+			}
 		},
 	})
 	if outHoisted.Stats.HoistedBatches != 1 || outHoisted.Stats.HoistedRotations != 4 {
 		t.Errorf("hoisted run stats = %d batches / %d rotations, want 1 / 4",
 			outHoisted.Stats.HoistedBatches, outHoisted.Stats.HoistedRotations)
 	}
-	if len(batches) != 1 || batches[0] != 4 {
-		t.Errorf("OnHoistedBatch calls = %v, want [4]", batches)
+	if members != 4 {
+		t.Errorf("%d instruction records flagged Hoisted, want 4", members)
 	}
 
 	plain, outPlain := runEncrypted(t, res, in, RunOptions{

@@ -135,10 +135,11 @@ func TestCallerOwnedBuffersSurviveRecycling(t *testing.T) {
 		f.run(t, execute.RunOptions{Workers: 2})
 	}
 	stdctx, cancel := context.WithCancel(context.Background())
+	done := 0
 	_, err := execute.RunContext(stdctx, f.ctx, f.res, f.enc, execute.RunOptions{
 		Workers: 1,
-		Progress: func(done, total int) {
-			if done == total/2 {
+		OnInstruction: func(*core.Term, execute.InstrRecord) {
+			if done++; done == len(f.res.Instrs)/2 {
 				cancel()
 			}
 		},

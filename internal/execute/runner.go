@@ -36,23 +36,16 @@ type RunOptions struct {
 	// Workers is the number of worker goroutines (0 means GOMAXPROCS).
 	Workers   int
 	Scheduler Scheduler
-	// Progress, when non-nil, is called after every completed instruction with
-	// the number of instructions finished so far and the total. Calls are
-	// serialized (never concurrent) but may come from any worker goroutine, so
-	// the callback must be fast and must not call back into the executor.
-	Progress func(done, total int)
 	// DisableHoisting turns off hoisted rotation batching: every rotation is
 	// then an independent key switch, as in the sequential baseline.
 	DisableHoisting bool
-	// OnHoistedBatch, when non-nil, is called once per dispatched hoisted
-	// batch with the number of distinct rotation steps it evaluated. It may be
-	// called from any worker goroutine (calls for different batches can be
-	// concurrent) and must not call back into the executor.
-	OnHoistedBatch func(rotations int)
-	// OnInstruction, when non-nil, is called after every completed instruction
-	// with the term and its measured record. Like Progress, calls are
-	// serialized under the run's lock but may come from any worker goroutine;
-	// the callback must be fast and must not call back into the executor.
+	// OnInstruction, when non-nil, is called once per instruction of the
+	// compiled program (len(res.Instrs) calls in all) as it completes, with
+	// the term and its measured record — the run's only observer, so a
+	// counter in it is the run's progress. Calls are serialized under the
+	// run's lock but may come from any worker goroutine; the callback must be
+	// fast and must not call back into the executor. Hoisted batches are
+	// counted in the Outputs' RunStats.
 	OnInstruction func(t *core.Term, rec InstrRecord)
 
 	// withoutPlanMechanisms is the differential tests' switch: the run goes
@@ -122,9 +115,7 @@ type runState struct {
 	res    *compile.Result
 	in     *EncryptedInputs
 
-	onDone         func(done, total int)
-	onInstr        func(t *core.Term, rec InstrRecord)
-	onHoistedBatch func(rotations int)
+	onInstr func(t *core.Term, rec InstrRecord)
 
 	// The three plan mechanisms, each of which a run may have to do without:
 	// cache (the context's parameters match the cached encodings), recycle
@@ -148,7 +139,6 @@ type runState struct {
 	remaining  int        // units not yet complete
 	liveBytes  int
 	liveValues int
-	completed  int
 	stats      RunStats
 	firstErr   error
 }
@@ -186,9 +176,6 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v 
 		st.stats.HoistedBatches++
 		st.stats.HoistedRotations += len(batch)
 		st.mu.Unlock()
-		if st.onHoistedBatch != nil {
-			st.onHoistedBatch(len(batch))
-		}
 	}
 	ct, ok := g.results[in.Rot]
 	return value{ct: ct, owned: !set.Shared[in.HoistPos]}, ok
@@ -235,7 +222,6 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		ctx:       ctx,
 		res:       res,
 		in:        in,
-		onDone:    opts.Progress,
 		onInstr:   opts.OnInstruction,
 		cache:     res.Cache.UsableWith(ctx.Params) && on,
 		recycle:   on,
@@ -249,7 +235,6 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		st.refs[i], st.pending[i] = res.Instrs[i].Refs, res.Instrs[i].Pending
 	}
 	if !opts.DisableHoisting && len(res.Hoists) > 0 {
-		st.onHoistedBatch = opts.OnHoistedBatch
 		st.hoists = make([]hoistRun, len(res.Hoists))
 	}
 
@@ -300,7 +285,7 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 // completeInvariants is the run's prologue: the run-invariant instructions
 // need no evaluation — consumers read their values and encodings from the
 // cache — so they complete here, before anything is dispatched, each with its
-// profiler record and progress tick like any other instruction.
+// profiler record like any other instruction.
 func (st *runState) completeInvariants() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -316,7 +301,6 @@ func (st *runState) completeInvariants() {
 				Operands:     len(in.Parms),
 			})
 		}
-		st.tickLocked()
 	}
 }
 
@@ -544,9 +528,9 @@ func (st *runState) evalAndStore(id int32) error {
 }
 
 // completeChain completes every member of a chain that evaluated fused to ct:
-// only the root has a value, but each member still gets its profiler record,
-// operand release and progress tick, so a fused run reports the same
-// instructions as an unfused one.
+// only the root has a value, but each member still gets its profiler record
+// and operand release, so a fused run reports the same instructions as an
+// unfused one.
 func (st *runState) completeChain(ch *compile.FusedChain, ct *ckks.Ciphertext, elapsed time.Duration) {
 	v := value{ct: ct, owned: true}
 	vb := v.bytes()
@@ -609,15 +593,15 @@ func (st *runState) recordLocked(id int32, wall time.Duration, v value, vb int, 
 			rec.OperandBytes += vb
 		}
 	}
-	// Serialized under st.mu like Progress.
+	// Invoked under st.mu so calls are serialized; the callback contract
+	// requires it to be fast.
 	st.onInstr(in.Term, rec)
 }
 
 // finishLocked retires one completed instruction: it releases the operands
 // whose uses are all satisfied (one reference per (child, slot) edge this
-// instruction consumed), recycling the ciphertexts the run owns, ticks the
-// progress callback, and — when the instruction is a unit of the schedule —
-// tells its dependants.
+// instruction consumed), recycling the ciphertexts the run owns, and — when
+// the instruction is a unit of the schedule — tells its dependants.
 func (st *runState) finishLocked(in *compile.Instr) {
 	for _, q := range in.Parms {
 		st.refs[q]--
@@ -637,7 +621,6 @@ func (st *runState) finishLocked(in *compile.Instr) {
 			st.ctx.Evaluator.Recycle(old.ct)
 		}
 	}
-	st.tickLocked()
 	if in.Absorbed {
 		return
 	}
@@ -650,15 +633,6 @@ func (st *runState) finishLocked(in *compile.Instr) {
 	st.remaining--
 	if st.remaining == 0 && st.ready != nil {
 		close(st.ready)
-	}
-}
-
-func (st *runState) tickLocked() {
-	st.completed++
-	if st.onDone != nil {
-		// Invoked under st.mu so calls are serialized and the (done, total)
-		// pairs are monotone; the callback contract requires it to be fast.
-		st.onDone(st.completed, len(st.res.Instrs))
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 func TestTraceLifecycle(t *testing.T) {
-	tr := NewTracer(TracerConfig{Node: "n1", Capacity: 8})
+	tr := NewTracer(TracerConfig{Node: "n1", capacity: 8})
 	trace := tr.Start("")
 	if trace.ID() == "" {
 		t.Fatal("expected minted trace id")
@@ -57,7 +57,7 @@ func TestTraceLifecycle(t *testing.T) {
 }
 
 func TestTraceRefcountMerge(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4})
+	tr := NewTracer(TracerConfig{capacity: 4})
 	a := tr.Start("deadbeefdeadbeef")
 	b := tr.Start("deadbeefdeadbeef") // a cluster self-call re-entering the node
 	if a != b {
@@ -80,7 +80,7 @@ func TestTraceRefcountMerge(t *testing.T) {
 }
 
 func TestTraceHoldOutlivesRequest(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4})
+	tr := NewTracer(TracerConfig{capacity: 4})
 	trace := tr.Start("")
 	trace.Hold()    // async job takes a reference
 	trace.Release() // HTTP exchange ends
@@ -97,7 +97,7 @@ func TestTraceHoldOutlivesRequest(t *testing.T) {
 }
 
 func TestRecentFilters(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4})
+	tr := NewTracer(TracerConfig{capacity: 4})
 	for i := 0; i < 6; i++ {
 		trace := tr.Start("")
 		trace.StartSpan(fmt.Sprintf("s%d", i), nil).End()
@@ -122,7 +122,7 @@ func TestRecentFilters(t *testing.T) {
 func TestSlowTraceLogged(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
-	tr := NewTracer(TracerConfig{Capacity: 4, SlowThreshold: time.Nanosecond, Logger: log})
+	tr := NewTracer(TracerConfig{capacity: 4, SlowThreshold: time.Nanosecond, Logger: log})
 	trace := tr.Start("")
 	sp := trace.StartSpan("execute", nil)
 	time.Sleep(2 * time.Millisecond)
@@ -142,7 +142,7 @@ func TestSlowTraceLogged(t *testing.T) {
 // usable trace but stops tracking it, so a flood of concurrent requests
 // cannot grow the active map without bound.
 func TestMaxActiveBound(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4, MaxActive: 2})
+	tr := NewTracer(TracerConfig{capacity: 4, maxActive: 2})
 	t1 := tr.Start("trace-1")
 	t2 := tr.Start("trace-2")
 	t3 := tr.Start("trace-3")
@@ -153,7 +153,7 @@ func TestMaxActiveBound(t *testing.T) {
 		t.Fatal("second trace should be tracked")
 	}
 	if _, ok := tr.Get("trace-3"); ok {
-		t.Fatal("third trace should be shed by the MaxActive bound")
+		t.Fatal("third trace should be shed by the maxActive bound")
 	}
 	// The shed trace still works as a recorder.
 	sp := t3.StartSpan("execute", nil)
@@ -195,7 +195,7 @@ func TestContextRoundTrip(t *testing.T) {
 }
 
 func TestTracerConcurrency(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 16})
+	tr := NewTracer(TracerConfig{capacity: 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -16,6 +16,7 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -82,8 +83,8 @@ func (sp *Span) SetAttr(key, value string) {
 	sp.t.mu.Unlock()
 }
 
-// Progress records instruction progress (an execute.RunOptions.Progress
-// callback). It is cheap enough for per-instruction use.
+// Progress records instruction progress (done of total instructions). It is
+// cheap enough to call from the executor's per-instruction callback.
 func (sp *Span) Progress(done, total int) {
 	if sp == nil {
 		return
@@ -268,26 +269,30 @@ func (t *Trace) finish() {
 	}
 }
 
+// The tracer's fixed bounds.
+const (
+	// traceRing is how many finished traces the ring behind GET /traces keeps.
+	traceRing = 256
+	// maxActiveTraces bounds the active-trace table: beyond it, new traces
+	// are still functional (spans record, ids propagate) but not registered
+	// for lookup, so a reference leak cannot grow the table without bound.
+	maxActiveTraces = 4096
+)
+
 // TracerConfig configures a Tracer. Zero values select the defaults.
 type TracerConfig struct {
 	// Node labels every trace with the owning node id.
 	Node string
-	// Capacity bounds the finished-trace ring buffer (default 256).
-	Capacity int
 	// SlowThreshold is the duration at or above which a finished trace is
 	// logged with its phase breakdown (default 0 = disabled).
 	SlowThreshold time.Duration
-	// MaxActive bounds the active-trace table: beyond it, new traces are
-	// still functional (spans record, ids propagate) but not registered for
-	// lookup, so a reference leak cannot grow the table without bound
-	// (default 4096).
-	MaxActive int
 	// Logger receives slow-trace records; nil disables them.
 	Logger *slog.Logger
-}
 
-// defaultMaxActiveTraces is the default TracerConfig.MaxActive bound.
-const defaultMaxActiveTraces = 4096
+	// capacity and maxActive shrink traceRing and maxActiveTraces for the
+	// package's tests (0 = the constant).
+	capacity, maxActive int
+}
 
 // Tracer owns a node's traces: the active table (reference-counted,
 // in-flight) and the bounded ring of finished traces.
@@ -304,17 +309,13 @@ type Tracer struct {
 
 // NewTracer builds a tracer.
 func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
-	if cfg.MaxActive <= 0 {
-		cfg.MaxActive = defaultMaxActiveTraces
-	}
+	cfg.capacity = cmp.Or(cfg.capacity, traceRing)
+	cfg.maxActive = cmp.Or(cfg.maxActive, maxActiveTraces)
 	return &Tracer{
 		cfg:    cfg,
 		log:    cfg.Logger,
 		active: map[string]*Trace{},
-		ring:   make([]*Trace, cfg.Capacity),
+		ring:   make([]*Trace, cfg.capacity),
 		phases: map[string]*Histogram{},
 	}
 }
@@ -339,7 +340,7 @@ func (tr *Tracer) Start(id string) *Trace {
 		id = NewTraceID()
 	}
 	t := &Trace{tr: tr, id: id, node: tr.cfg.Node, start: time.Now(), refs: 1}
-	if len(tr.active) < tr.cfg.MaxActive {
+	if len(tr.active) < tr.cfg.maxActive {
 		tr.active[id] = t
 	}
 	return t

@@ -18,6 +18,7 @@
 package profile
 
 import (
+	"cmp"
 	"iter"
 	"log/slog"
 	"math"
@@ -47,20 +48,6 @@ type Config struct {
 	// SampleRate records one in every SampleRate instructions (1 = all,
 	// 0 = DefaultSampleRate, < 0 = disabled).
 	SampleRate int
-	// ScaleTolBits is the allowed |log2(measured) − expected| scale deviation
-	// before a "scale" drift event is recorded (0 = 0.5 bits).
-	ScaleTolBits float64
-	// CostDriftFactor flags a "cost" drift when measured wall time differs
-	// from the predicted time by at least this factor either way (0 = 8).
-	CostDriftFactor float64
-	// MinCostWall is the minimum measured wall time for a sample to be
-	// eligible for cost-drift checking; faster instructions are all scheduler
-	// noise (0 = 250µs).
-	MinCostWall time.Duration
-	// DriftRing bounds the retained drift events (0 = 256).
-	DriftRing int
-	// PersistInterval throttles per-program persistence to Store (0 = 5s).
-	PersistInterval time.Duration
 	// Store, when non-nil, accumulates per-program profiles under kind
 	// "profile" across process restarts.
 	Store store.Store
@@ -70,27 +57,23 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.SampleRate == 0 {
-		cfg.SampleRate = DefaultSampleRate
-	}
-	if cfg.ScaleTolBits == 0 {
-		cfg.ScaleTolBits = 0.5
-	}
-	if cfg.CostDriftFactor == 0 {
-		cfg.CostDriftFactor = 8
-	}
-	if cfg.MinCostWall == 0 {
-		cfg.MinCostWall = 250 * time.Microsecond
-	}
-	if cfg.DriftRing == 0 {
-		cfg.DriftRing = 256
-	}
-	if cfg.PersistInterval == 0 {
-		cfg.PersistInterval = 5 * time.Second
-	}
-	return cfg
-}
+// The drift checks' thresholds and the collector's bounds.
+const (
+	// scaleTolBits is the allowed |log2(measured) − expected| scale deviation
+	// before a "scale" drift event is recorded.
+	scaleTolBits = 0.5
+	// costDriftFactor flags a "cost" drift when measured wall time differs
+	// from the predicted time by at least this factor either way.
+	costDriftFactor = 8
+	// minCostWall is the minimum measured wall time for a sample to be
+	// eligible for cost-drift checking; faster instructions are all scheduler
+	// noise.
+	minCostWall = 250 * time.Microsecond
+	// driftRing bounds the retained drift events.
+	driftRing = 256
+	// persistInterval throttles per-program persistence to Store.
+	persistInterval = 5 * time.Second
+)
 
 // Collector aggregates instruction samples across executions. It is safe for
 // concurrent use; per-run state lives in Recorders that fold in at Finish.
@@ -106,7 +89,7 @@ type Collector struct {
 	samples      uint64
 	buckets      map[BucketKey]*Bucket
 	driftCounts  map[string]uint64
-	drift        []DriftEvent // ring of size cfg.DriftRing
+	drift        []DriftEvent // ring of size driftRing
 	driftNext    int
 	driftTotal   uint64
 	totalNs      float64 // cipher, non-hoisted, non-fused compute samples only:
@@ -131,7 +114,7 @@ type programAgg struct {
 // cfg.SampleRate < 0 it is disabled and Recorder returns nil recorders.
 func NewCollector(cfg Config) *Collector {
 	enabled := cfg.SampleRate >= 0
-	cfg = cfg.withDefaults()
+	cfg.SampleRate = cmp.Or(cfg.SampleRate, DefaultSampleRate)
 	return &Collector{
 		cfg:         cfg,
 		enabled:     enabled,
@@ -267,7 +250,7 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 		if expLevel := r.maxLevel - in.Level; rec.Level != expLevel {
 			r.addDrift(DriftKindLevel, t, rec, float64(expLevel), float64(rec.Level))
 		}
-		if logScale := math.Log2(rec.Scale); rec.Scale > 0 && math.Abs(logScale-in.LogScale) > r.c.cfg.ScaleTolBits {
+		if logScale := math.Log2(rec.Scale); rec.Scale > 0 && math.Abs(logScale-in.LogScale) > scaleTolBits {
 			r.addDrift(DriftKindScale, t, rec, in.LogScale, logScale)
 		}
 	}
@@ -275,7 +258,7 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 	// running-baseline) prediction. Hoisted and fused members are excluded:
 	// their wall times diverge from the per-instruction model by design (see
 	// BucketKey.priced).
-	if !key.priced() || units <= 0 || rec.Wall < r.c.cfg.MinCostWall {
+	if !key.priced() || units <= 0 || rec.Wall < minCostWall {
 		return
 	}
 	var predNs float64
@@ -287,7 +270,7 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 	if predNs <= 0 {
 		return
 	}
-	if f := r.c.cfg.CostDriftFactor; wallNs >= predNs*f || wallNs*f <= predNs {
+	if wallNs >= predNs*costDriftFactor || wallNs*costDriftFactor <= predNs {
 		r.addDrift(DriftKindCost, t, rec, predNs, wallNs)
 	}
 }
@@ -358,11 +341,11 @@ func (c *Collector) fold(r *Recorder) {
 	}
 	for _, ev := range r.drift {
 		ev.At = now
-		if len(c.drift) < c.cfg.DriftRing {
+		if len(c.drift) < driftRing {
 			c.drift = append(c.drift, ev)
 		} else {
 			c.drift[c.driftNext] = ev
-			c.driftNext = (c.driftNext + 1) % c.cfg.DriftRing
+			c.driftNext = (c.driftNext + 1) % driftRing
 		}
 		c.driftTotal++
 	}
@@ -377,7 +360,7 @@ func (c *Collector) fold(r *Recorder) {
 	for _, lb := range r.local {
 		addBucket(pa.buckets, lb)
 	}
-	if c.cfg.Store != nil && now.Sub(pa.lastPersist) >= c.cfg.PersistInterval {
+	if c.cfg.Store != nil && now.Sub(pa.lastPersist) >= persistInterval {
 		pa.lastPersist = now
 		persist = pa
 	}

@@ -1,10 +1,6 @@
 package rewrite
 
-import (
-	"sort"
-
-	"eva/internal/core"
-)
+import "eva/internal/core"
 
 // RotationSets returns the hoistable rotation groups of a program: maximal
 // sets of two or more rotation instructions (ROTATE_LEFT / ROTATE_RIGHT) that
@@ -48,23 +44,6 @@ func RotationSets(p *core.Program) [][]*core.Term {
 		}
 	}
 	return sets
-}
-
-// RotationSetSteps returns the distinct effective left-rotation steps of one
-// rotation set, sorted ascending: ROTATE_RIGHT by k contributes -k. This is
-// the step list a hoisted batch evaluates.
-func RotationSetSteps(set []*core.Term) []int {
-	seen := make(map[int]bool, len(set))
-	var steps []int
-	for _, t := range set {
-		k := EffectiveRotation(t)
-		if !seen[k] {
-			seen[k] = true
-			steps = append(steps, k)
-		}
-	}
-	sort.Ints(steps)
-	return steps
 }
 
 // EffectiveRotation returns the left-rotation step a rotation instruction

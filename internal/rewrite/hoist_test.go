@@ -72,10 +72,6 @@ func TestRotationSets(t *testing.T) {
 		}
 	}
 
-	steps := RotationSetSteps(sets[0])
-	if len(steps) != 3 || steps[0] != -3 || steps[1] != 1 || steps[2] != 2 {
-		t.Errorf("RotationSetSteps = %v, want [-3 1 2]", steps)
-	}
 	if got := EffectiveRotation(xr); got != -3 {
 		t.Errorf("EffectiveRotation(rotate-right 3) = %d, want -3", got)
 	}

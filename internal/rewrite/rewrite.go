@@ -116,10 +116,6 @@ type Options struct {
 	WaterlineLog float64
 	Rescale      RescaleStrategy
 	ModSwitch    ModSwitchStrategy
-	// SkipMatchScale disables the MATCH-SCALE pass (for ablation only).
-	SkipMatchScale bool
-	// SkipRelinearize disables the RELINEARIZE pass (for ablation only).
-	SkipRelinearize bool
 }
 
 // DefaultOptions returns the paper's default pipeline configuration.
@@ -159,14 +155,10 @@ func Transform(p *core.Program, opts Options) error {
 	default:
 		return fmt.Errorf("rewrite: unknown modswitch strategy %d", opts.ModSwitch)
 	}
-	if !opts.SkipMatchScale {
-		if err := MatchScales(p); err != nil {
-			return err
-		}
+	if err := MatchScales(p); err != nil {
+		return err
 	}
-	if !opts.SkipRelinearize {
-		InsertRelinearize(p)
-	}
+	InsertRelinearize(p)
 	return nil
 }
 

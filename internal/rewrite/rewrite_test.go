@@ -356,15 +356,6 @@ func TestTransformStrategyValidation(t *testing.T) {
 	if err := Transform(p, Options{MaxRescaleLog: 60, ModSwitch: ModSwitchStrategy(99)}); err == nil {
 		t.Error("expected error for unknown modswitch strategy")
 	}
-	// Disabled passes leave the program untouched.
-	q := buildX2PlusX(t)
-	before := q.NumTerms()
-	if err := Transform(q, Options{MaxRescaleLog: 60, Rescale: RescaleNone, ModSwitch: ModSwitchNone, SkipMatchScale: true, SkipRelinearize: true}); err != nil {
-		t.Fatal(err)
-	}
-	if q.NumTerms() != before {
-		t.Error("disabled pipeline modified the program")
-	}
 }
 
 func TestWaterlineComputation(t *testing.T) {

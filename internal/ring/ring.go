@@ -382,14 +382,6 @@ func (p *Poly) Copy(src *Poly) {
 	p.IsNTT = src.IsNTT
 }
 
-// DropToLevel truncates p to the given (lower or equal) level.
-func (p *Poly) DropToLevel(level int) {
-	if level+1 > len(p.Coeffs) {
-		panic(fmt.Sprintf("ring: cannot raise level from %d to %d", p.Level(), level))
-	}
-	p.Coeffs = p.Coeffs[:level+1]
-}
-
 // Zero sets every coefficient of p to zero.
 func (p *Poly) Zero() {
 	for i := range p.Coeffs {

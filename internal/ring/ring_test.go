@@ -281,8 +281,4 @@ func TestPolyHelpers(t *testing.T) {
 			}
 		}
 	}
-	q.DropToLevel(0)
-	if q.Level() != 0 {
-		t.Error("DropToLevel failed")
-	}
 }

@@ -44,8 +44,8 @@ func Workers() int {
 }
 
 // SetWorkers bounds the number of goroutines the ring layer may run
-// concurrently (the -ring-workers knob of evaserve). n <= 0 resets the pool
-// to GOMAXPROCS. Safe to call at any time: operations already in flight keep
+// concurrently. n <= 0 resets the pool to GOMAXPROCS, the size evaserve
+// runs with. Safe to call at any time: operations already in flight keep
 // the semaphore they started with and drain into it.
 func SetWorkers(n int) {
 	if n <= 0 {

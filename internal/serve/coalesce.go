@@ -10,6 +10,7 @@ import (
 
 	"eva/internal/coalesce"
 	"eva/internal/core"
+	"eva/internal/execute"
 	"eva/internal/obs"
 )
 
@@ -83,7 +84,7 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 		// surface still accepts every input form. Input failures keep their
 		// submit-time statuses; the run reports errors in the result body
 		// like /execute does.
-		ropts, err := s.runOptions(req.Workers, req.Scheduler)
+		ropts, err := runOptions(req.Workers, req.Scheduler)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -234,7 +235,7 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 	}
 	packSpan.End()
 
-	ropts, _ := s.runOptions(0, "") // shared runs use the server's defaults
+	var ropts execute.RunOptions // shared runs use the executor's defaults
 	snap, err := s.admit(bt, nil, []*stagePlan{plan}, func(jctx context.Context, batchDone func(int)) (any, error) {
 		start := time.Now()
 		result, _ := s.runStage(jctx, plan, nil, ropts)

@@ -177,14 +177,10 @@ func (s *Server) loadContext(id string) (*contextEntry, bool) {
 }
 
 // installContext inserts a context at the front of the LRU table, evicting
-// beyond MaxContexts. If the id is already installed (a concurrent load or
+// beyond maxContexts. If the id is already installed (a concurrent load or
 // a replayed create), the existing entry wins so everyone agrees on one
 // object.
 func (s *Server) installContext(ce *contextEntry) *contextEntry {
-	maxContexts := s.cfg.MaxContexts
-	if maxContexts <= 0 {
-		maxContexts = 256
-	}
 	s.ctxMu.Lock()
 	defer s.ctxMu.Unlock()
 	if elem, ok := s.contexts[ce.ID]; ok {
@@ -192,7 +188,7 @@ func (s *Server) installContext(ce *contextEntry) *contextEntry {
 		return elem.Value.(*contextEntry)
 	}
 	s.contexts[ce.ID] = s.ctxLRU.PushFront(ce)
-	for s.ctxLRU.Len() > maxContexts {
+	for s.ctxLRU.Len() > s.cfg.maxContexts {
 		oldest := s.ctxLRU.Back()
 		s.ctxLRU.Remove(oldest)
 		delete(s.contexts, oldest.Value.(*contextEntry).ID)
@@ -319,15 +315,11 @@ func (s *Server) resultJanitor() {
 		}
 		return sweep
 	}
-	resultRetention := s.cfg.ResultRetention
-	if resultRetention == 0 {
-		resultRetention = 24 * time.Hour
-	}
-	sweepResults := s.cfg.Store != nil && s.cfg.ResultRetention >= 0
+	sweepResults := s.cfg.Store != nil
 	sweepHandles := s.handles.Retention() >= 0
 	sweep := 5 * time.Minute
 	if sweepResults {
-		sweep = clampSweep(resultRetention)
+		sweep = clampSweep(s.cfg.resultRetention)
 	}
 	if sweepHandles {
 		if hs := clampSweep(s.handles.Retention()); hs < sweep {
@@ -342,7 +334,7 @@ func (s *Server) resultJanitor() {
 			return
 		case <-ticker.C:
 			if sweepResults {
-				s.sweepResults(resultRetention)
+				s.sweepResults(s.cfg.resultRetention)
 			}
 			if sweepHandles {
 				s.handles.Sweep()

@@ -264,7 +264,7 @@ func (s *Server) checkBatches(w http.ResponseWriter, req *JobRequest) (*contextE
 		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
 		return nil, execute.RunOptions{}, false
 	}
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
+	ropts, err := runOptions(req.Workers, req.Scheduler)
 	if err == nil {
 		err = validOutputMode(req.Output)
 	}
@@ -276,16 +276,13 @@ func (s *Server) checkBatches(w http.ResponseWriter, req *JobRequest) (*contextE
 }
 
 // runOptions resolves the per-request scheduler/worker knobs against the
-// server's defaults and DoS clamps.
-func (s *Server) runOptions(workers int, scheduler string) (execute.RunOptions, error) {
+// DoS clamp; zero workers leaves the executor's GOMAXPROCS default.
+func runOptions(workers int, scheduler string) (execute.RunOptions, error) {
 	sched, err := parseScheduler(scheduler)
 	if err != nil {
 		return execute.RunOptions{}, err
 	}
 	ropts := execute.RunOptions{Workers: workers, Scheduler: sched}
-	if ropts.Workers <= 0 {
-		ropts.Workers = s.cfg.DefaultWorkers
-	}
 	// Clamp the client-supplied knob: goroutines beyond the machine's
 	// parallelism only cost memory, and an unbounded value is a DoS vector.
 	if maxWorkers := 4 * runtime.GOMAXPROCS(0); ropts.Workers > maxWorkers {

@@ -220,7 +220,7 @@ func TestJobsMemoryBudgetShed(t *testing.T) {
 // TestJobsResultTTLEviction: finished jobs and their unfetched results are
 // evicted after the TTL; later polls and fetches 404.
 func TestJobsResultTTLEviction(t *testing.T) {
-	f := newJobsFixture(t, Config{JobResultTTL: 50 * time.Millisecond})
+	f := newJobsFixture(t, Config{jobResultTTL: 50 * time.Millisecond})
 	status, resp := f.submit(t, 1)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", resp.StatusCode)

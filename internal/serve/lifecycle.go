@@ -438,28 +438,24 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 	}
 
 	// The execute span carries per-instruction progress (readable on live
-	// traces) and, after the run, the per-opcode time the profiler summed.
+	// traces) and, after the run, the per-opcode time the profiler summed and
+	// the run's hoisted rotation batches.
 	t := obs.TraceFromContext(stdctx)
 	sp := t.StartSpan("execute", obs.SpanFromContext(stdctx))
-	if sp != nil && ropts.Progress == nil {
-		ropts.Progress = sp.Progress
-	}
 	// The instruction profiler measures this run; the trace id rides along
 	// so drift events in /profile link back to their /traces entry.
 	rec := s.profiles.Recorder(plan.entry.ID, res, t.ID())
 	if rec != nil {
-		ropts.OnInstruction = rec.OnInstruction
 		defer rec.Finish()
 	}
-	if sp != nil && ropts.OnHoistedBatch == nil {
-		// Record every hoisted rotation batch the executor dispatches as a
-		// child span, so traces show how many rotations shared one
-		// decomposition. StartSpan is goroutine-safe; the callback can fire
-		// from any executor worker.
-		ropts.OnHoistedBatch = func(rotations int) {
-			hsp := t.StartSpan("rotate_hoisted", sp)
-			hsp.SetAttr("rotations", strconv.Itoa(rotations))
-			hsp.End()
+	if sp != nil || rec != nil {
+		// The executor calls OnInstruction once per instruction under its
+		// run lock, so a plain counter is the run's progress.
+		done, total := 0, len(res.Instrs)
+		ropts.OnInstruction = func(term *core.Term, ir execute.InstrRecord) {
+			rec.OnInstruction(term, ir)
+			done++
+			sp.Progress(done, total)
 		}
 	}
 	out, err := execute.RunContext(stdctx, ce.Ctx, res, enc, ropts)
@@ -475,6 +471,8 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 	}
 	if sp != nil {
 		sp.SetAttr("workers", strconv.Itoa(out.Stats.Workers))
+		sp.SetAttr("hoisted_batches", strconv.Itoa(out.Stats.HoistedBatches))
+		sp.SetAttr("hoisted_rotations", strconv.Itoa(out.Stats.HoistedRotations))
 		for op, wall := range rec.OpWall() {
 			sp.SetAttr("op."+op+"_ms", strconv.FormatFloat(float64(wall)/float64(time.Millisecond), 'f', 3, 64))
 		}

@@ -226,7 +226,7 @@ func TestHandleRestartDurability(t *testing.T) {
 // in-memory record was TTL-evicted is still fetchable exactly once.
 func TestResultPersistsAcrossTTL(t *testing.T) {
 	st := store.NewMemory()
-	s := NewServer(Config{Store: st, AllowServerKeygen: true, JobResultTTL: 30 * time.Millisecond})
+	s := NewServer(Config{Store: st, AllowServerKeygen: true, jobResultTTL: 30 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 	client := ts.Client()
@@ -278,7 +278,7 @@ func TestResultPersistsAcrossTTL(t *testing.T) {
 // window are reclaimed by the janitor.
 func TestResultRetentionSweep(t *testing.T) {
 	st := store.NewMemory()
-	s := NewServer(Config{Store: st, AllowServerKeygen: true, ResultRetention: 50 * time.Millisecond})
+	s := NewServer(Config{Store: st, AllowServerKeygen: true, resultRetention: 50 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 	client := ts.Client()

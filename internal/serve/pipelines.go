@@ -57,7 +57,7 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "%d stages exceeds the pipeline limit of %d", len(req.Stages), maxPipelineStages)
 		return
 	}
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
+	ropts, err := runOptions(req.Workers, req.Scheduler)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

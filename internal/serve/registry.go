@@ -106,8 +106,8 @@ func (e *Entry) recordHit() {
 
 // NewRegistry returns a registry holding at most capacity compiled programs.
 // The capacity is clamped to at least 1: capacity <= 0 means the default of
-// 128, so a zero-value Config can never produce a cache that evicts entries
-// the moment they are inserted.
+// registryCapacity, so a registry can never evict entries the moment they
+// are inserted.
 func NewRegistry(capacity int) *Registry {
 	return NewRegistryWithStore(capacity, nil)
 }
@@ -117,7 +117,7 @@ func NewRegistry(capacity int) *Registry {
 // st may be nil for a cache-only registry.
 func NewRegistryWithStore(capacity int, st store.Store) *Registry {
 	if capacity <= 0 {
-		capacity = 128
+		capacity = registryCapacity
 	}
 	return &Registry{
 		capacity: capacity,

@@ -421,7 +421,7 @@ func TestProgramsAndHealth(t *testing.T) {
 // working after its compiled program is evicted from the LRU registry: the
 // context pins the compiled result.
 func TestContextSurvivesEviction(t *testing.T) {
-	ts, _ := newTestServer(t, Config{CacheCapacity: 1, AllowServerKeygen: true})
+	ts, _ := newTestServer(t, Config{registryCapacity: 1, AllowServerKeygen: true})
 	client := ts.Client()
 	progA := e2eProgram(t)
 	compA, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, progA))
@@ -472,7 +472,7 @@ func TestContextSurvivesEviction(t *testing.T) {
 // TestContextLRUBound checks that the context store is bounded and drops the
 // least recently used context.
 func TestContextLRUBound(t *testing.T) {
-	ts, _ := newTestServer(t, Config{MaxContexts: 2, AllowServerKeygen: true})
+	ts, _ := newTestServer(t, Config{maxContexts: 2, AllowServerKeygen: true})
 	client := ts.Client()
 	comp, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, e2eProgram(t)))
 

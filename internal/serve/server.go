@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"crypto/rand"
@@ -48,49 +49,38 @@ import (
 	"eva/internal/obs"
 	"eva/internal/profile"
 	"eva/internal/rewrite"
-	"eva/internal/ring"
 	"eva/internal/store"
+)
+
+// The serving tier's fixed bounds. The package's tests shrink some of them
+// through Config's unexported fields.
+const (
+	// registryCapacity bounds the compiled-program registry.
+	registryCapacity = 128
+	// maxBodyBytes caps the size of any request body; key material for large
+	// rings runs to tens of megabytes, so it is generous. Oversized requests
+	// are rejected mid-read.
+	maxBodyBytes = 256 << 20
+	// maxContexts bounds how many execution contexts (evaluation-key sets)
+	// the server retains; the least recently used one is dropped beyond it.
+	// Contexts hold key material, which is far heavier than compiled programs.
+	maxContexts = 256
+	// resultRetention is how long a persisted, unfetched job result stays in
+	// the store before the background sweep reclaims it: much longer than the
+	// jobs manager's 2-minute result TTL (which bounds the job table; this
+	// bounds the disk) but finite, so abandoned results cannot grow the store
+	// without bound.
+	resultRetention = 24 * time.Hour
 )
 
 // Config configures a Server.
 type Config struct {
-	// CacheCapacity bounds the compiled-program registry (0 = 128).
-	CacheCapacity int
-	// DefaultWorkers is the executor worker count when a request does not set
-	// one (0 = GOMAXPROCS).
-	DefaultWorkers int
-	// MaxConcurrentBatches bounds how many batches of one /execute request
-	// run simultaneously (0 = GOMAXPROCS). Each batch additionally
-	// parallelizes internally across the executor's workers.
-	MaxConcurrentBatches int
-	// MaxBodyBytes caps the size of any request body (0 = 256 MiB — key
-	// material for large rings runs to tens of megabytes, so the default is
-	// generous). Oversized requests are rejected mid-read.
-	MaxBodyBytes int64
-	// MaxContexts bounds how many execution contexts (evaluation-key sets)
-	// the server retains; the least recently used context is dropped when
-	// the bound is exceeded (0 = 256). Contexts hold key material, which is
-	// far heavier than compiled programs.
-	MaxContexts int
 	// AllowServerKeygen enables the trusted demo mode: POST /contexts with a
 	// "keygen" clause makes the server generate and hold all key material,
 	// including the secret key, so clients can submit plaintext values and
 	// read back decrypted results. This breaks the paper's threat model (the
 	// server can decrypt) and exists for demos and load tests only.
 	AllowServerKeygen bool
-	// RingWorkers sizes the process-wide RNS-limb worker pool that the ring
-	// layer uses to parallelize NTTs and key-switching inner products
-	// (0 = GOMAXPROCS). It is process-wide — the last server configured wins —
-	// because the pool bounds total ring-level parallelism, not per-request
-	// parallelism.
-	RingWorkers int
-	// PlanCacheMB sets the byte budget, in MiB, of the compiled programs'
-	// plaintext caches, which keep each program's constants encoded between runs
-	// (0 = leave the process's budget alone, 512 MiB unless something changed
-	// it; < 0 = no caching, every run encodes its constants itself). Like
-	// RingWorkers it is process-wide — one budget bounds all plans, and the
-	// last server configured wins.
-	PlanCacheMB int
 
 	// JobWorkers is how many async jobs run concurrently (0 = 2); each job
 	// additionally parallelizes internally across the executor's workers.
@@ -102,9 +92,6 @@ type Config struct {
 	// footprint of all queued and running jobs (0 = 8 GiB); submissions that
 	// would exceed it are shed with 429.
 	JobMemoryBudgetBytes int64
-	// JobResultTTL is how long finished jobs and unfetched results are
-	// retained (0 = 2 minutes).
-	JobResultTTL time.Duration
 
 	// CoalesceMaxBatch caps how many callers POST /jobs?coalesce=1 packs
 	// into one shared execution (0 = 64); each batch is additionally bounded
@@ -123,13 +110,6 @@ type Config struct {
 	// Nil disables durability (the pre-store, in-memory-only behavior);
 	// ciphertext handles then live in a process-local memory store.
 	Store store.Store
-	// ResultRetention bounds how long a persisted, unfetched job result is
-	// kept in the store before a background sweep reclaims it (0 = 24h;
-	// negative = keep forever). This is deliberately much longer than
-	// JobResultTTL — the in-memory TTL bounds the job table, the store
-	// retention bounds the disk — but still finite, so abandoned results
-	// cannot grow the store without bound.
-	ResultRetention time.Duration
 	// NodeID labels this server in /healthz, /programs, and /metrics so
 	// responses are attributable in a cluster. Empty outside clusters.
 	NodeID string
@@ -152,14 +132,9 @@ type Config struct {
 	// Logger receives structured records (job lifecycle, slow traces) with
 	// trace-id/node/job-id attributes. Nil discards.
 	Logger *slog.Logger
-	// TraceCapacity bounds the finished-trace ring buffer behind GET
-	// /traces and GET /jobs/{id}/trace (0 = 256).
-	TraceCapacity int
 	// SlowTraceThreshold is the end-to-end duration at or above which a
 	// finished trace is logged with its per-phase breakdown (0 = disabled).
 	SlowTraceThreshold time.Duration
-	// MaxActiveTraces bounds the tracer's active-trace table (0 = 4096).
-	MaxActiveTraces int
 
 	// ProfileSampleRate is the instruction profiler's sampling stride: every
 	// execution records one in ProfileSampleRate instructions into the
@@ -171,6 +146,12 @@ type Config struct {
 	// Store, per-program profiles persist under kind "profile" and a fitted
 	// calibration (kind "calibration") is loaded at startup.
 	ProfileSampleRate int
+
+	// The package's tests shrink these bounds to reach eviction and expiry
+	// quickly; zero means the default (the constant of the same name, or
+	// jobs.Config's for jobResultTTL).
+	registryCapacity, maxContexts int
+	jobResultTTL, resultRetention time.Duration
 }
 
 // Server is the evaserve HTTP service. Create one with NewServer and mount
@@ -242,15 +223,11 @@ func NewServer(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	if cfg.RingWorkers > 0 {
-		ring.SetWorkers(cfg.RingWorkers)
-	}
-	if cfg.PlanCacheMB != 0 {
-		compile.SetPlanCacheBudget(int64(max(cfg.PlanCacheMB, 0)) << 20)
-	}
+	cfg.maxContexts = cmp.Or(cfg.maxContexts, maxContexts)
+	cfg.resultRetention = cmp.Or(cfg.resultRetention, resultRetention)
 	s := &Server{
 		cfg:       cfg,
-		registry:  NewRegistryWithStore(cfg.CacheCapacity, cfg.Store),
+		registry:  NewRegistryWithStore(cfg.registryCapacity, cfg.Store),
 		metrics:   NewMetrics(),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
@@ -261,9 +238,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		Node:          cfg.NodeID,
-		Capacity:      cfg.TraceCapacity,
 		SlowThreshold: cfg.SlowTraceThreshold,
-		MaxActive:     cfg.MaxActiveTraces,
 		Logger:        s.log,
 	})
 	s.profiles = profile.NewCollector(profile.Config{
@@ -285,7 +260,7 @@ func NewServer(cfg Config) *Server {
 		Workers:           cfg.JobWorkers,
 		QueueDepth:        cfg.JobQueueDepth,
 		MemoryBudgetBytes: cfg.JobMemoryBudgetBytes,
-		ResultTTL:         cfg.JobResultTTL,
+		ResultTTL:         cfg.jobResultTTL,
 		// Persist finished results before they become visible (a client that
 		// observes "done" can rely on the result surviving a restart, and
 		// the fetch-once contract is served from the store after the TTL
@@ -332,7 +307,7 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /profile", s.route("profile", s.handleProfile))
-	if (cfg.Store != nil && cfg.ResultRetention >= 0) || s.handles.Retention() >= 0 {
+	if cfg.Store != nil || s.handles.Retention() >= 0 {
 		s.janitorStop = make(chan struct{})
 		s.janitorWG.Add(1)
 		go s.resultJanitor()
@@ -425,10 +400,6 @@ func (s *Server) InstallProgram(source json.RawMessage, opts compile.Options) (s
 // route, and folds the response's status class and latency into the
 // per-route metrics.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
-	maxBody := s.cfg.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 256 << 20
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		t := s.tracer.Start(r.Header.Get(obs.TraceHeader))
@@ -441,7 +412,7 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 		defer sp.End()
 		r = r.WithContext(obs.ContextWithSpan(obs.ContextWithTrace(r.Context(), t), sp))
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
@@ -1069,7 +1040,7 @@ type ExecuteBatch struct {
 }
 
 // ExecuteRequest is the body of POST /execute/{program-id}. Batches run
-// concurrently (bounded by the server's MaxConcurrentBatches) and each batch
+// concurrently (at most GOMAXPROCS at once) and each batch
 // additionally fans out across Workers executor goroutines. Output selects
 // the result form: "" returns ciphertext payloads (or decrypted values in
 // demo mode), "handle" persists every encrypted output as a content-addressed
@@ -1134,19 +1105,15 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fan the batches out across the worker pool: each batch is lowered to
-	// a stage and run as one DAG-parallel execution, up to maxConcurrent at
+	// a stage and run as one DAG-parallel execution, up to GOMAXPROCS at
 	// once. A batch's input or run failure is its own result's error. The
 	// request context propagates into the executor, so a disconnected client
 	// stops its in-flight work. The handle cache is shared across the
 	// request's batches: a handle referenced by many batches is fetched and
 	// deserialized once (resolved ciphertexts are read-only to the executor).
-	maxConcurrent := s.cfg.MaxConcurrentBatches
-	if maxConcurrent <= 0 {
-		maxConcurrent = runtime.GOMAXPROCS(0)
-	}
 	cache := newHandleCache()
 	results := make([]BatchResult, len(req.Batches))
-	sem := make(chan struct{}, maxConcurrent)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i := range req.Batches {
 		wg.Add(1)
