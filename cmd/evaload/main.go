@@ -807,7 +807,7 @@ func runPipelineSmoke(ctx context.Context, stdout io.Writer, client *eva.Client)
 	if err != nil {
 		return fmt.Errorf("pipeline submit: %w", err)
 	}
-	res, err := client.WaitPipeline(ctx, st.JobID)
+	res, err := client.WaitResult(ctx, st.JobID)
 	if err != nil {
 		return fmt.Errorf("pipeline wait: %w", err)
 	}

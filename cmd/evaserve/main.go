@@ -2,14 +2,12 @@
 // API over the full pipeline. Clients POST serialized EVA programs to
 // /compile (compiled once per distinct program, cached in an LRU registry),
 // install evaluation keys with POST /contexts, and run batches of encrypted
-// inputs with POST /execute/{id}. GET /programs, /healthz and /metrics
-// expose the registry, liveness, and request/cache/latency metrics.
-//
-// Long-running work goes through the asynchronous jobs API: POST /jobs
-// enqueues an execution and returns a job id, a bounded worker pool drains
-// the queue under a configurable memory budget, GET /jobs/{id} polls,
-// GET /jobs/{id}/events streams progress over SSE, and GET /jobs/{id}/result
-// delivers the results exactly once.
+// inputs through the jobs API: POST /jobs enqueues an execution and returns
+// a job id, a bounded worker pool drains the queue under a configurable
+// memory budget, GET /jobs/{id} polls, GET /jobs/{id}/events streams
+// progress over SSE, and GET /jobs/{id}/result delivers the results exactly
+// once. GET /programs, /healthz and /metrics expose the registry, liveness,
+// and request/cache/latency metrics.
 //
 // With -data-dir the node is durable: compiled programs, installed contexts
 // (their evaluation-key bundles), and finished job results are persisted in
@@ -35,9 +33,9 @@
 //	         [-pprof-addr 127.0.0.1:6060]
 //
 // Everything else is fixed: the compiled-program registry holds 128
-// programs, the server retains 256 contexts, /execute runs up to GOMAXPROCS
-// batches at once on GOMAXPROCS workers each unless the request names its
-// own worker count, request bodies are capped at 256 MiB, finished jobs stay
+// programs, the server retains 256 contexts, each job batch runs on
+// GOMAXPROCS workers unless the request names its own worker count, request
+// bodies are capped at 256 MiB, finished jobs stay
 // in memory for 2 minutes and unfetched persisted results in the store for
 // 24 hours, the plan cache keeps up to 512 MiB of encoded constants, the
 // RNS-limb worker pool has GOMAXPROCS workers, and the tracer keeps the last

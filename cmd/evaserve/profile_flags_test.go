@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"eva/eva"
 	"eva/internal/profile"
+	"eva/internal/serve"
 )
 
 const profileTestProgram = `program profsmoke vec=8;
@@ -53,59 +55,36 @@ func startNode(t *testing.T, extra ...string) (string, func()) {
 	}
 }
 
-func postProfileJSON(t *testing.T, url string, body any, out any) {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, raw)
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		t.Fatalf("POST %s: %v in %s", url, err, raw)
-	}
-}
-
 // runDemoBatch compiles the smoke program, installs a demo context, and
-// executes one batch against the node.
+// runs one batch against the node as a job.
 func runDemoBatch(t *testing.T, addr string) {
 	t.Helper()
-	base := "http://" + addr
-	var comp struct {
-		ID string `json:"id"`
+	ctx := context.Background()
+	c := eva.NewClient("http://" + addr)
+	comp, err := c.Compile(ctx, eva.CompileRequest{
+		Source:  profileTestProgram,
+		Options: &serve.CompileOptionsJSON{AllowInsecure: true},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	postProfileJSON(t, base+"/compile", map[string]any{
-		"source":  profileTestProgram,
-		"options": map[string]any{"allow_insecure": true},
-	}, &comp)
-	var ectx struct {
-		ContextID string `json:"context_id"`
+	ectx, err := c.NewKeygenContext(ctx, comp.ID, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	postProfileJSON(t, base+"/contexts", map[string]any{
-		"program_id": comp.ID,
-		"keygen":     map[string]any{"seed": 11},
-	}, &ectx)
-	var exec struct {
-		Results []struct {
-			Error string `json:"error"`
-		} `json:"results"`
+	sub, err := c.Submit(ctx, comp.ID, ectx.ContextID, []eva.ExecuteBatch{{Values: map[string][]float64{
+		"x": {1, 2, 3, 4, 5, 6, 7, 8},
+		"y": {8, 7, 6, 5, 4, 3, 2, 1},
+	}}}, eva.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	postProfileJSON(t, base+"/execute/"+comp.ID, map[string]any{
-		"context_id": ectx.ContextID,
-		"batches": []map[string]any{{"values": map[string][]float64{
-			"x": {1, 2, 3, 4, 5, 6, 7, 8},
-			"y": {8, 7, 6, 5, 4, 3, 2, 1},
-		}}},
-	}, &exec)
-	if len(exec.Results) != 1 || exec.Results[0].Error != "" {
-		t.Fatalf("execute: %+v", exec)
+	res, err := c.WaitResult(ctx, sub.Job.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != 1 || res.Results[0].Error != "" {
+		t.Fatalf("execute: %+v", res)
 	}
 }
 

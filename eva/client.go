@@ -35,12 +35,8 @@ type (
 	ContextRequest = serve.ContextRequest
 	// ContextResponse is the body returned by POST /contexts.
 	ContextResponse = serve.ContextResponse
-	// ExecuteBatch is one input set of an execute or job request.
+	// ExecuteBatch is one input set of a job request.
 	ExecuteBatch = serve.ExecuteBatch
-	// ExecuteRequest is the body of POST /execute/{id}.
-	ExecuteRequest = serve.ExecuteRequest
-	// ExecuteResponse is the body returned by POST /execute/{id}.
-	ExecuteResponse = serve.ExecuteResponse
 	// BatchResult is one batch's execution result.
 	BatchResult = serve.BatchResult
 	// JobRequest is the body of POST /jobs.
@@ -103,8 +99,8 @@ func (e *APIError) Unavailable() bool {
 // (429) or an unavailable hop (502/503).
 func (e *APIError) Transient() bool { return e.Overloaded() || e.Unavailable() }
 
-// Client is a client for an evaserve instance: the synchronous compile /
-// contexts / execute endpoints plus the asynchronous jobs API (submit, poll,
+// Client is a client for an evaserve instance: the compile and contexts
+// endpoints plus the jobs API, the one way to run a program (submit, poll,
 // stream progress over SSE, fetch the result once, cancel).
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
@@ -326,13 +322,6 @@ func (c *Client) NewKeygenContext(ctx context.Context, programID string, seed ui
 	return out, err
 }
 
-// Execute runs batches synchronously (POST /execute/{id}).
-func (c *Client) Execute(ctx context.Context, programID string, req ExecuteRequest) (ExecuteResponse, error) {
-	var out ExecuteResponse
-	err := c.do(ctx, http.MethodPost, "/execute/"+programID, req, &out)
-	return out, err
-}
-
 // JobStatus polls a job (GET /jobs/{id}).
 func (c *Client) JobStatus(ctx context.Context, jobID string) (JobStatusInfo, error) {
 	var out JobStatusInfo
@@ -481,4 +470,19 @@ func (c *Client) WaitJob(ctx context.Context, jobID string) (JobStatusInfo, erro
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
+}
+
+// WaitResult blocks until a submitted job or pipeline reaches a terminal
+// status and fetches its results (delivered exactly once): Submit then
+// WaitResult is the one-call way to run a program and read its outputs.
+func (c *Client) WaitResult(ctx context.Context, jobID string) (JobResult, error) {
+	st, err := c.WaitJob(ctx, jobID)
+	if err != nil {
+		return JobResult{}, err
+	}
+	if st.Status != string(jobs.StatusDone) {
+		return JobResult{}, &APIError{Status: http.StatusConflict,
+			Message: "job " + jobID + " finished " + st.Status + ": " + st.Error}
+	}
+	return c.FetchJobResult(ctx, jobID)
 }

@@ -80,17 +80,3 @@ func (c *Client) SubmitPipeline(ctx context.Context, req PipelineRequest) (JobSt
 	err := c.do(ctx, http.MethodPost, "/pipelines", req, &out)
 	return out, err
 }
-
-// WaitPipeline blocks until a submitted pipeline reaches a terminal status
-// and fetches its per-stage results (delivered exactly once).
-func (c *Client) WaitPipeline(ctx context.Context, jobID string) (JobResult, error) {
-	st, err := c.WaitJob(ctx, jobID)
-	if err != nil {
-		return JobResult{}, err
-	}
-	if st.Status != "done" {
-		return JobResult{}, &APIError{Status: http.StatusConflict,
-			Message: "pipeline " + jobID + " finished " + st.Status + ": " + st.Error}
-	}
-	return c.FetchJobResult(ctx, jobID)
-}

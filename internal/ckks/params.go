@@ -68,14 +68,13 @@ func MinLogNFor(logQP int, minLogN int) (int, error) {
 // prime therefore decomposes per chain prime; one with as many special primes
 // as chain primes has a single digit.
 type Parameters struct {
-	logN     int
-	logSlots int
-	qi       []uint64
-	logQi    []int
-	pi       []uint64
-	logPi    []int
-	scale    float64
-	sigma    float64
+	logN  int
+	qi    []uint64
+	logQi []int
+	pi    []uint64
+	logPi []int
+	scale float64
+	sigma float64
 
 	ringQ *ring.Ring
 	ringP *ring.Ring // nil without special primes
@@ -184,15 +183,14 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		return nil, err
 	}
 	params := &Parameters{
-		logN:     lit.LogN,
-		logSlots: lit.LogN - 1,
-		qi:       qi,
-		logQi:    append([]int(nil), lit.LogQi...),
-		pi:       pi,
-		logPi:    append([]int(nil), lit.LogPi...),
-		scale:    lit.Scale,
-		sigma:    sigma,
-		ringQ:    ringQ,
+		logN:  lit.LogN,
+		qi:    qi,
+		logQi: append([]int(nil), lit.LogQi...),
+		pi:    pi,
+		logPi: append([]int(nil), lit.LogPi...),
+		scale: lit.Scale,
+		sigma: sigma,
+		ringQ: ringQ,
 	}
 	if len(pi) > 0 {
 		if err := params.buildKeySwitchTables(); err != nil {
@@ -249,10 +247,7 @@ func (p *Parameters) LogN() int { return p.logN }
 func (p *Parameters) N() int { return 1 << uint(p.logN) }
 
 // Slots returns the number of plaintext slots (N/2).
-func (p *Parameters) Slots() int { return 1 << uint(p.logSlots) }
-
-// LogSlots returns log2 of the slot count.
-func (p *Parameters) LogSlots() int { return p.logSlots }
+func (p *Parameters) Slots() int { return p.N() / 2 }
 
 // MaxLevel returns the level of a fresh ciphertext (number of chain primes - 1).
 func (p *Parameters) MaxLevel() int { return len(p.qi) - 1 }

@@ -10,7 +10,7 @@ import (
 // per-instruction hot paths (key switching, rescaling, rotations) do not
 // allocate multi-megabyte backing arrays on every homomorphic operation.
 // Pooled polynomials come back with undefined coefficients and IsNTT
-// cleared; callers must overwrite every slot or use GetZero.
+// cleared; callers must overwrite every slot.
 type polyPool struct {
 	pools []sync.Pool // index = level
 }
@@ -27,13 +27,6 @@ func newPolyPool(r *ring.Ring) *polyPool {
 func (pp *polyPool) Get(level int) *ring.Poly {
 	p := pp.pools[level].Get().(*ring.Poly)
 	p.IsNTT = false
-	return p
-}
-
-// GetZero returns a zeroed polynomial at the given level.
-func (pp *polyPool) GetZero(level int) *ring.Poly {
-	p := pp.Get(level)
-	p.Zero()
 	return p
 }
 

@@ -87,8 +87,7 @@ func TestRescaleSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPolyPoolLevels checks the pool hands back polynomials of the requested
-// level with a cleared NTT flag, and that GetZero actually zeroes recycled
-// buffers.
+// level with a cleared NTT flag, recycled buffers included.
 func TestPolyPoolLevels(t *testing.T) {
 	tc := newTestContext(t, 10, []int{45, 40, 40}, 45, 1<<40, nil)
 	pp := tc.eval.pool
@@ -107,18 +106,11 @@ func TestPolyPoolLevels(t *testing.T) {
 		}
 		p.IsNTT = true
 		pp.Put(p)
-		z := pp.GetZero(level)
-		if z.IsNTT {
-			t.Fatal("GetZero returned a polynomial with IsNTT set")
+		r := pp.Get(level)
+		if r.Level() != level || r.IsNTT {
+			t.Fatalf("recycled polynomial at level %d (IsNTT %v), want level %d with IsNTT cleared", r.Level(), r.IsNTT, level)
 		}
-		for i := range z.Coeffs {
-			for j := range z.Coeffs[i] {
-				if z.Coeffs[i][j] != 0 {
-					t.Fatal("GetZero returned a dirty polynomial")
-				}
-			}
-		}
-		pp.Put(z)
+		pp.Put(r)
 	}
 }
 

@@ -140,7 +140,7 @@ func compileAndContext(t *testing.T, ctx context.Context, router *testNode) (pro
 	return comp.ID, ectx.ContextID
 }
 
-// TestClusterRoutingAndScatter: any node serves compile/execute for any
+// TestClusterRoutingAndScatter: any node serves compile and jobs for any
 // context (forwarding to the owner), /programs and /metrics aggregate the
 // membership, and the forwarded/local counters move.
 func TestClusterRoutingAndScatter(t *testing.T) {
@@ -149,13 +149,14 @@ func TestClusterRoutingAndScatter(t *testing.T) {
 	nodes := startTestCluster(t, 3, 0)
 	programID, contextID := compileAndContext(t, ctx, nodes[0])
 
-	// Execute through every node: owners serve locally, the rest forward.
+	// Run a job through every node: owners serve locally, the rest forward.
 	var want []float64
 	for _, node := range nodes {
-		res, err := node.client.Execute(ctx, programID, eva.ExecuteRequest{
-			ContextID: contextID,
-			Batches:   []serve.ExecuteBatch{clusterBatch},
-		})
+		sub, err := node.client.Submit(ctx, programID, contextID, []serve.ExecuteBatch{clusterBatch}, eva.SubmitOptions{})
+		if err != nil {
+			t.Fatalf("submit via %s: %v", node.id, err)
+		}
+		res, err := node.client.WaitResult(ctx, sub.Job.JobID)
 		if err != nil {
 			t.Fatalf("execute via %s: %v", node.id, err)
 		}
@@ -176,6 +177,17 @@ func TestClusterRoutingAndScatter(t *testing.T) {
 		}
 	}
 
+	// No node runs a program outside the jobs API.
+	resp, err := http.Post(nodes[1].url+"/execute/"+programID, "application/json",
+		strings.NewReader(`{"context_id":"`+contextID+`","batches":[{}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /execute/{id} on a cluster node: status %d, want 404 or 405", resp.StatusCode)
+	}
+
 	// The context must live on exactly its candidate nodes' stores.
 	candidates := nodes[0].cluster.ContextCandidates(contextID)
 	if len(candidates) != 2 {
@@ -189,7 +201,7 @@ func TestClusterRoutingAndScatter(t *testing.T) {
 	}
 
 	// Scatter-gather /programs: every node's listing appears.
-	resp, err := http.Get(nodes[2].url + "/programs")
+	resp, err = http.Get(nodes[2].url + "/programs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +548,7 @@ output out2 @30;`)
 	if !strings.Contains(pst.JobID, "~") {
 		t.Fatalf("pipeline job id %q is not cluster-routed", pst.JobID)
 	}
-	pres, err := nodes[0].client.WaitPipeline(ctx, pst.JobID)
+	pres, err := nodes[0].client.WaitResult(ctx, pst.JobID)
 	if err != nil {
 		t.Fatalf("wait pipeline via %s: %v", nodes[0].id, err)
 	}

@@ -27,7 +27,6 @@ func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", c.routed("compile", c.handleCompile))
 	mux.HandleFunc("POST /contexts", c.routed("contexts", c.handleContexts))
-	mux.HandleFunc("POST /execute/{id}", c.routed("execute", c.handleExecute))
 	mux.HandleFunc("POST /jobs", c.routed("jobs_submit", c.handleJobSubmit))
 	mux.HandleFunc("GET /jobs/{id}", c.handleJobGet("jobs_status", c.jobStatus))
 	mux.HandleFunc("GET /jobs/{id}/result", c.handleJobGet("jobs_result", c.jobResult))
@@ -373,36 +372,6 @@ func (c *Cluster) installContextOn(node, contextID, programID string, bundle *se
 		return fmt.Errorf("cluster: replicating context %s to %s: HTTP %d: %s", contextID, node, status, truncate(data))
 	}
 	return nil
-}
-
-// --- /execute ---
-
-// handleExecute routes a synchronous execution to the context's owner,
-// failing over to the next replica when the owner is down or no longer
-// knows the context.
-func (c *Cluster) handleExecute(w http.ResponseWriter, r *http.Request, body []byte) {
-	var req struct {
-		ContextID string `json:"context_id"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil || req.ContextID == "" {
-		// Let the local server produce its ordinary validation error.
-		c.serveLocal("execute", w, r, body)
-		return
-	}
-	candidates := c.ContextCandidates(req.ContextID)
-	for _, node := range candidates {
-		if !c.healthy(node) {
-			continue
-		}
-		if c.isSelf(node) {
-			c.serveLocal("execute", w, r, body)
-			return
-		}
-		if c.forward("execute", w, r, node, body) {
-			return
-		}
-	}
-	writeError(w, http.StatusServiceUnavailable, "cluster: no healthy node holds context %q", req.ContextID)
 }
 
 // --- scatter-gather ---

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func doLocal[T any](t *testing.T, node *testNode, method, path string, body any)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		t.Fatalf("%s %s on %s: status %d: %s", method, path, node.id, resp.StatusCode, data)
 	}
 	var out T
@@ -69,10 +70,17 @@ func TestClusterProfileScatter(t *testing.T) {
 			ProgramID: comp.ID,
 			Keygen:    &serve.KeygenJSON{Seed: uint64(100 + i)},
 		})
-		exec := doLocal[serve.ExecuteResponse](t, node, http.MethodPost, "/execute/"+comp.ID, serve.ExecuteRequest{
+		job := doLocal[serve.JobStatus](t, node, http.MethodPost, "/jobs", serve.JobRequest{
+			ProgramID: comp.ID,
 			ContextID: ectx.ContextID,
 			Batches:   []serve.ExecuteBatch{clusterBatch},
 		})
+		// A job submitted past routing keeps a plain id, which every node
+		// serves locally.
+		exec, err := node.client.WaitResult(context.Background(), job.JobID)
+		if err != nil {
+			t.Fatalf("job on %s: %v", node.id, err)
+		}
 		if exec.Results[0].Error != "" {
 			t.Fatalf("execute on %s: %s", node.id, exec.Results[0].Error)
 		}

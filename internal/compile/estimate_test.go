@@ -84,7 +84,7 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 }
 
 // referencePeak replays liveness over the topological order with refcounts
-// from Term.NumUses, which counts the uses of dead terms too: after
+// from Term.UseEdges, which counts the uses of dead terms too: after
 // Optimize a value some dead term still names is never freed, so it agrees
 // with PeakMemoryBytes only on programs without dead terms.
 func referencePeak(m analysis.CostModel, p *core.Program) int64 {
@@ -109,7 +109,7 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 		refcounts[o.Term]++
 	}
 	for _, t := range order {
-		refcounts[t] += t.NumUses()
+		refcounts[t] += len(t.UseEdges())
 	}
 	var live, peak int64
 	alive := make(map[*core.Term]int64, len(order))

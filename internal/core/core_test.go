@@ -211,12 +211,12 @@ func TestSetParmAndInsertUnaryAfter(t *testing.T) {
 	if sum.Parm(0) != x || sum.Parm(1) != y {
 		t.Fatal("SetParm did not rewire the slot")
 	}
-	if x.NumUses() != 1 || y.NumUses() != 1 {
-		t.Fatalf("use counts wrong: x=%d y=%d", x.NumUses(), y.NumUses())
+	if len(x.UseEdges()) != 1 || len(y.UseEdges()) != 1 {
+		t.Fatalf("use counts wrong: x=%d y=%d", len(x.UseEdges()), len(y.UseEdges()))
 	}
 	// Redirecting to the same parm is a no-op.
 	p.SetParm(sum, 1, y)
-	if y.NumUses() != 1 {
+	if len(y.UseEdges()) != 1 {
 		t.Error("SetParm to the same term changed use counts")
 	}
 
@@ -225,8 +225,8 @@ func TestSetParmAndInsertUnaryAfter(t *testing.T) {
 	if sum.Parm(0) != relin || relin.Parm(0) != x {
 		t.Error("InsertUnaryAfter did not splice the node")
 	}
-	if x.NumUses() != 1 {
-		t.Errorf("x should only be used by the inserted node, has %d uses", x.NumUses())
+	if len(x.UseEdges()) != 1 {
+		t.Errorf("x should only be used by the inserted node, has %d uses", len(x.UseEdges()))
 	}
 
 	// Selective insertion: only slot 1 of sum.

@@ -46,9 +46,6 @@ func (t *Term) Parms() []*Term { return t.parms }
 // Parm returns the i-th parameter.
 func (t *Term) Parm(i int) *Term { return t.parms[i] }
 
-// NumUses returns the number of (child, slot) references to this term.
-func (t *Term) NumUses() int { return len(t.uses) }
-
 // Uses returns the children referring to this term. The same child appears
 // once per parameter slot through which it uses the term.
 func (t *Term) Uses() []*Term {

@@ -3,7 +3,6 @@ package profile
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -97,32 +96,6 @@ func Fit(profiles []ProgramProfile) (*Calibration, error) {
 		}
 	}
 	return cal, nil
-}
-
-// MeanRelativeError scores a predictor against accumulated profiles: for
-// every eligible bucket it compares the predicted wall time for the bucket's
-// mean units against the measured mean, weighting by sample count. Lower is
-// better; the calibration round-trip test asserts Fit beats the uncalibrated
-// single-ratio baseline on real workloads.
-func MeanRelativeError(profiles []ProgramProfile, predict func(op string, units float64) float64) float64 {
-	var werr, weight float64
-	for i := range profiles {
-		for j := range profiles[i].Buckets {
-			b := &profiles[i].Buckets[j]
-			if !b.key().priced() || b.Units <= 0 || b.Count == 0 || b.TotalNS <= 0 {
-				continue
-			}
-			n := float64(b.Count)
-			meanNs := b.TotalNS / n
-			pred := predict(b.Op, b.Units/n)
-			werr += n * math.Abs(pred-meanNs) / meanNs
-			weight += n
-		}
-	}
-	if weight == 0 {
-		return 0
-	}
-	return werr / weight
 }
 
 // LoadProfiles reads every accumulated program profile from the store,

@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"math"
 	"testing"
 
 	"eva/internal/profile"
@@ -64,8 +65,8 @@ func TestCalibrationRoundTrip(t *testing.T) {
 	// stay in the baseline's neighborhood; the strict improvement assertion
 	// runs on every un-instrumented build.
 	uncalibrated := func(op string, units float64) float64 { return cal.BaselineNsPerUnit * units }
-	baseErr := profile.MeanRelativeError(profiles, uncalibrated)
-	calErr := profile.MeanRelativeError(profiles, cal.PredictNs)
+	baseErr := meanRelativeError(profiles, uncalibrated)
+	calErr := meanRelativeError(profiles, cal.PredictNs)
 	if baseErr <= 0 {
 		t.Fatalf("baseline error %v, want > 0 (workloads too uniform to distinguish?)", baseErr)
 	}
@@ -78,6 +79,28 @@ func TestCalibrationRoundTrip(t *testing.T) {
 	}
 	t.Logf("mean relative error: uncalibrated %.4f -> calibrated %.4f (%d ops, %d samples)",
 		baseErr, calErr, len(cal.NsPerUnit), cal.Samples)
+}
+
+// meanRelativeError scores a predictor against accumulated profiles: for
+// every bucket Fit prices it compares the predicted wall time for the
+// bucket's mean units against the measured mean, weighting by sample count.
+func meanRelativeError(profiles []profile.ProgramProfile, predict func(op string, units float64) float64) float64 {
+	var werr, weight float64
+	for _, p := range profiles {
+		for _, b := range p.Buckets {
+			if b.Hoisted || b.Fused || b.Units <= 0 || b.Count == 0 || b.TotalNS <= 0 {
+				continue
+			}
+			n := float64(b.Count)
+			meanNs := b.TotalNS / n
+			werr += n * math.Abs(predict(b.Op, b.Units/n)-meanNs) / meanNs
+			weight += n
+		}
+	}
+	if weight == 0 {
+		return 0
+	}
+	return werr / weight
 }
 
 // TestFitNoSamples checks the error path: nothing eligible to fit.

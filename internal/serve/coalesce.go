@@ -78,32 +78,9 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 	}
 	batch := &req.Batches[0]
 	if len(batch.Cipher) > 0 || len(batch.Handles) > 0 {
-		// Ciphertext-carrying submissions (uploads or stored handles) occupy
-		// the full slot vector, so they cannot share a packed execution with
-		// other callers; run them inline as a batch of one so the coalesce
-		// surface still accepts every input form. Input failures keep their
-		// submit-time statuses; the run reports errors in the result body
-		// like /execute does.
-		ropts, err := runOptions(req.Workers, req.Scheduler)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		plan := newStagePlan(ce, req.Output)
-		if !s.lowerStages(w, r, "batch", []*stagePlan{plan}, []func(string) InputBinding{batch.binding}) {
-			return
-		}
-		start := time.Now()
-		result, _ := s.runStage(r.Context(), plan, nil, ropts)
-		writeJSON(w, http.StatusOK, CoalesceResponse{
-			ProgramID:  entry.ID,
-			ContextID:  ce.ID,
-			BatchSize:  1,
-			Slot:       coalesce.Range{Start: 0, Width: entry.Result.Program.VecSize},
-			Occupancy:  1,
-			WaitMillis: float64(time.Since(start)) / float64(time.Millisecond),
-			Result:     result,
-		})
+		// Ciphertext inputs (uploads or stored handles) fill the whole slot
+		// vector, so they can never share a packed execution.
+		writeError(w, http.StatusBadRequest, "coalesced callers supply plaintext \"values\" or \"plain\"; ciphertext inputs (\"cipher\", \"handles\") fill the whole slot vector — POST /jobs without coalesce=1 instead")
 		return
 	}
 	if req.Output == outputHandle {

@@ -200,14 +200,12 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	}
 
 	// Execute by reference: no ciphertext in the request body at all.
-	execResp, resp := postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, ExecuteRequest{
+	execResp := runJob(t, f.client, f.url, JobRequest{
+		ProgramID: f.programID,
 		ContextID: f.contextID,
 		Batches:   []ExecuteBatch{{Handles: map[string]string{"x": metaX.ID, "y": idY}}},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute with handles: status %d", resp.StatusCode)
-	}
-	if len(execResp.Results) != 1 || execResp.Results[0].Error != "" {
+	if execResp.Results[0].Error != "" {
 		t.Fatalf("unexpected results: %+v", execResp.Results)
 	}
 	ref, err := execute.RunReference(e2eProgram(t), execute.Inputs{"x": x, "y": y})
@@ -222,18 +220,20 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	}
 
 	// Mixed sources in one batch: handle for x, inline upload for y.
-	execResp, _ = postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, ExecuteRequest{
+	execResp = runJob(t, f.client, f.url, JobRequest{
+		ProgramID: f.programID,
 		ContextID: f.contextID,
 		Batches: []ExecuteBatch{{
 			Handles: map[string]string{"x": metaX.ID},
 			Cipher:  map[string]string{"y": f.encryptB64(t, "y", y)},
 		}},
 	})
-	if len(execResp.Results) != 1 || execResp.Results[0].Error != "" {
+	if execResp.Results[0].Error != "" {
 		t.Fatalf("mixed-source batch failed: %+v", execResp.Results)
 	}
 
-	// Deletion is observable and referencing a deleted handle fails the batch.
+	// Deletion is observable and referencing a deleted handle fails the
+	// submission with 404.
 	req, err := http.NewRequest(http.MethodDelete, f.url+"/handles/"+metaX.ID, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -254,12 +254,13 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	if gresp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET deleted handle: status %d, want 404", gresp.StatusCode)
 	}
-	execResp, _ = postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, ExecuteRequest{
+	_, resp = postJSON[apiError](t, f.client, f.url+"/jobs", JobRequest{
+		ProgramID: f.programID,
 		ContextID: f.contextID,
 		Batches:   []ExecuteBatch{{Handles: map[string]string{"x": metaX.ID, "y": idY}}},
 	})
-	if len(execResp.Results) != 1 || execResp.Results[0].Error == "" {
-		t.Errorf("deleted handle should fail the batch: %+v", execResp.Results)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("deleted handle: status %d, want 404", resp.StatusCode)
 	}
 
 	// Garbage payloads and unknown contexts are rejected up front.

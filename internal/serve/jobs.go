@@ -13,7 +13,7 @@ import (
 )
 
 // The jobs API fronts long-running encrypted computations with a queue:
-// POST /jobs enqueues an execute request and returns a job id immediately, a
+// POST /jobs enqueues a run of a program and returns a job id immediately, a
 // bounded worker pool drains the FIFO queue, GET /jobs/{id} polls status,
 // GET /jobs/{id}/events streams progress over SSE, GET /jobs/{id}/result
 // returns the results exactly once, and DELETE /jobs/{id} cancels. Admission
@@ -21,10 +21,12 @@ import (
 // estimated resident ciphertext footprint of all admitted jobs would exceed
 // the configured budget.
 
-// JobRequest is the body of POST /jobs — the asynchronous counterpart of
-// ExecuteRequest, plus the program id (which /execute carries in the path).
-// Output "handle" persists encrypted outputs as content-addressed handles
-// and returns their ids in the job result instead of ciphertext payloads.
+// JobRequest is the body of POST /jobs: batches of inputs for one program on
+// one context. Batches run one after another inside the job, and each batch
+// fans out across Workers executor goroutines. Output selects the result
+// form: "" returns ciphertext payloads (or decrypted values in demo mode),
+// "handle" persists every encrypted output as a content-addressed handle and
+// returns ids instead of payloads.
 type JobRequest struct {
 	ProgramID string         `json:"program_id"`
 	ContextID string         `json:"context_id"`
@@ -32,6 +34,40 @@ type JobRequest struct {
 	Scheduler string         `json:"scheduler,omitempty"`
 	Output    string         `json:"output,omitempty"`
 	Batches   []ExecuteBatch `json:"batches"`
+}
+
+// ExecuteBatch is one input set of a /jobs request. Cipher carries
+// base64 ciphertexts (client-encrypted), Handles references stored
+// ciphertext handles by id (resolved server-side, so chained jobs never
+// round-trip ciphertext through the client), Plain carries the program's
+// unencrypted inputs, and Values carries plaintext values for the program's
+// Cipher inputs — allowed only on demo-mode contexts, where the server
+// encrypts them (and decrypts the outputs) itself. Each Cipher input must be
+// supplied by exactly one of Cipher, Handles, or Values.
+type ExecuteBatch struct {
+	Cipher  map[string]string    `json:"cipher,omitempty"`
+	Handles map[string]string    `json:"handles,omitempty"`
+	Plain   map[string][]float64 `json:"plain,omitempty"`
+	Values  map[string][]float64 `json:"values,omitempty"`
+}
+
+// BatchStats summarizes one batch's execution.
+type BatchStats struct {
+	Instructions int     `json:"instructions"`
+	Workers      int     `json:"workers"`
+	WallMillis   float64 `json:"wall_ms"`
+}
+
+// BatchResult is the per-batch response: base64 ciphertext outputs, plus
+// decrypted (or natively unencrypted) outputs in Values where available.
+// When the request asked for "output": "handle", Handles maps each encrypted
+// output to the id of its stored content-addressed handle instead.
+type BatchResult struct {
+	Cipher  map[string]string    `json:"cipher,omitempty"`
+	Handles map[string]string    `json:"handles,omitempty"`
+	Values  map[string][]float64 `json:"values,omitempty"`
+	Error   string               `json:"error,omitempty"`
+	Stats   BatchStats           `json:"stats"`
 }
 
 // JobStatus is the wire form of a job's state (POST /jobs and GET /jobs/{id}).
@@ -50,9 +86,9 @@ type JobStatus struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// JobResult is the body of GET /jobs/{id}/result: the same per-batch results
-// /execute returns synchronously. The result is delivered exactly once; a
-// second fetch (or a fetch after the TTL) gets 410 Gone.
+// JobResult is the body of GET /jobs/{id}/result: one BatchResult per batch
+// (or per pipeline stage). The result is delivered exactly once; a second
+// fetch (or a fetch after the TTL) gets 410 Gone.
 type JobResult struct {
 	JobID   string        `json:"job_id"`
 	Status  string        `json:"status"`
@@ -231,7 +267,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveExecution looks up the execution context, which pins its program, for
-// an execute or job request, refreshing LRU recency. A context missing from
+// a job or coalesced request, refreshing LRU recency. A context missing from
 // the in-memory table (restart, LRU eviction) is restored from the durable
 // store, so execution against a context id survives both.
 func (s *Server) resolveExecution(programID, contextID string) (*contextEntry, int, error) {
@@ -246,7 +282,7 @@ func (s *Server) resolveExecution(programID, contextID string) (*contextEntry, i
 	return ce, http.StatusOK, nil
 }
 
-// checkBatches runs the checks an /execute or /jobs request passes before
+// checkBatches runs the checks a /jobs request passes before
 // any input is resolved — its context (which pins the program, so LRU
 // eviction never breaks a live context), batch count, run options and output
 // mode — answering the request itself on failure.
@@ -289,4 +325,17 @@ func runOptions(workers int, scheduler string) (execute.RunOptions, error) {
 		ropts.Workers = maxWorkers
 	}
 	return ropts, nil
+}
+
+// parseScheduler resolves a request's scheduler name. The bulk-synchronous
+// scheduler models the CHET baseline for the paper's comparisons and is not
+// served.
+func parseScheduler(s string) (execute.Scheduler, error) {
+	switch s {
+	case "", "parallel":
+		return execute.SchedulerParallel, nil
+	case "sequential":
+		return execute.SchedulerSequential, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q (want parallel or sequential)", s)
 }

@@ -110,12 +110,13 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := ct.MarshalBinary()
-	execResp, resp := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+	execResp := runJob(t, client, ts.URL, JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{{Cipher: map[string]string{"x": base64.StdEncoding.EncodeToString(data)}}},
 	})
-	if resp.StatusCode != http.StatusOK || len(execResp.Results) != 1 || execResp.Results[0].Error != "" {
-		t.Fatalf("execute: status %d, results %+v", resp.StatusCode, execResp.Results)
+	if execResp.Results[0].Error != "" {
+		t.Fatalf("execute: results %+v", execResp.Results)
 	}
 	outData, err := base64.StdEncoding.DecodeString(execResp.Results[0].Cipher["out"])
 	if err != nil {

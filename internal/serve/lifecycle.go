@@ -25,15 +25,15 @@ import (
 //
 //	request → []*stagePlan (lowerStage) → admit → runStages → runStage → persist → deliver
 //
-// An /execute or /jobs batch lowers to a stage with no upstream edges, a
-// pipeline stage to a stage whose inputs may name earlier stages' outputs,
-// and a sealed coalesced batch to one packed stage. admit is the one path
-// into the job manager; persistence is its finish hook (onJobFinish) and
-// delivery the job result endpoints. /execute skips the queue and runs its
-// stages concurrently, answering in the same request.
+// A /jobs batch lowers to a stage with no upstream edges, a pipeline stage
+// to a stage whose inputs may name earlier stages' outputs, and a sealed
+// coalesced batch to one packed stage. admit is the one path into the job
+// manager and the only way a stage reaches runStage, so every execution is
+// estimated, queued, traced, persisted and cancellable alike; persistence is
+// its finish hook (onJobFinish) and delivery the job result endpoints.
 
 // InputBinding is one wire-level input binding, shared by every execution
-// entry point: /execute and /jobs batches (via ExecuteBatch.binding) and
+// entry point: /jobs batches (via ExecuteBatch.binding) and
 // pipeline stages (where PipelineInput is an alias of this type). Exactly one
 // source must be set for a Cipher program input: Handle (a stored handle id),
 // Stage (pipelines only: a 0-based index of an earlier stage, whose output

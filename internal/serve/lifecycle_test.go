@@ -16,8 +16,8 @@ import (
 )
 
 // parityFixture drives one program and one demo context through every
-// execution entry point: POST /execute, POST /jobs, POST /jobs?coalesce=1
-// and a one-stage POST /pipelines.
+// execution entry point: POST /jobs, POST /jobs?coalesce=1 and a one-stage
+// POST /pipelines.
 type parityFixture struct {
 	*coalesceFixture
 	ce *contextEntry
@@ -28,8 +28,6 @@ type parityFixture struct {
 func (f *parityFixture) request(entry string, batch ExecuteBatch, output string) (string, any) {
 	req := JobRequest{ProgramID: f.programID, ContextID: f.contextID, Output: output, Batches: []ExecuteBatch{batch}}
 	switch entry {
-	case "execute":
-		return f.url + "/execute/" + f.programID, ExecuteRequest{ContextID: f.contextID, Output: output, Batches: req.Batches}
 	case "coalesce":
 		return f.url + "/jobs?coalesce=1", req
 	case "jobs":
@@ -53,16 +51,9 @@ func (f *parityFixture) request(entry string, batch ExecuteBatch, output string)
 func (f *parityFixture) run(t *testing.T, entry string, batch ExecuteBatch, output string) (int, BatchResult, int64) {
 	t.Helper()
 	url, body := f.request(entry, batch, output)
-	switch entry {
-	case "execute":
-		out, resp := postJSON[ExecuteResponse](t, f.client, url, body)
-		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode, BatchResult{}, 0
-		}
-		return resp.StatusCode, out.Results[0], 0
-	case "coalesce":
+	if entry == "coalesce" {
 		out, resp := postJSON[CoalesceResponse](t, f.client, url, body)
-		if resp.StatusCode != http.StatusOK || out.BatchJobID == "" {
+		if resp.StatusCode != http.StatusOK {
 			return resp.StatusCode, out.Result, 0
 		}
 		return resp.StatusCode, out.Result, getJSON[JobStatus](t, f.client, f.url+"/jobs/"+out.BatchJobID).EstBytes
@@ -144,6 +135,18 @@ func (f *parityFixture) outputBytes(t *testing.T, r BatchResult) []byte {
 	return data
 }
 
+// coalesceRefuses checks that POST /jobs?coalesce=1 answers a batch carrying
+// ciphertexts with 400 pointing at POST /jobs: such inputs fill the whole
+// slot vector, so they never share a packed execution.
+func (f *parityFixture) coalesceRefuses(t *testing.T, batch ExecuteBatch) {
+	t.Helper()
+	url, body := f.request("coalesce", batch, "")
+	apiErr, resp := postJSON[apiError](t, f.client, url, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "POST /jobs") {
+		t.Errorf("coalesce: status %d (%q), want 400 naming POST /jobs", resp.StatusCode, apiErr.Error)
+	}
+}
+
 func (f *parityFixture) putHandle(t *testing.T, b64 string) string {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPut, f.url+"/handles", jsonBody(t, HandlePutRequest{ContextID: f.contextID, Cipher: b64}))
@@ -167,9 +170,10 @@ func (f *parityFixture) putHandle(t *testing.T, b64 string) string {
 // entry point and every input source, and holds them to one behaviour: the
 // same outputs (byte-identical ciphertexts from the same input ciphertexts,
 // the reference's values from demo values), the same admission estimate,
-// and the same status for each class of bad input. A second copy of the
-// program, compiled with level headroom, takes ciphertexts below the top of
-// the chain.
+// and the same status for each class of bad input. Coalescing takes only
+// plaintext values and refuses every ciphertext-carrying batch with 400. A
+// second copy of the program, compiled with level headroom, takes
+// ciphertexts below the top of the chain.
 func TestEntryPointParity(t *testing.T) {
 	cf := newCoalesceFixture(t, Config{CoalesceMaxBatch: 1, CoalesceMaxWait: time.Second})
 	ce, ok := cf.srv.lookupContext(cf.contextID)
@@ -208,7 +212,7 @@ func TestEntryPointParity(t *testing.T) {
 	lowX := deep.encrypt(t, "x", in["x"], deepTop-1, 0)
 	lowHandle := deep.putHandle(t, b64(t, lowX))
 
-	entries := []string{"execute", "jobs", "coalesce", "pipelines"}
+	entries := []string{"jobs", "coalesce", "pipelines"}
 	shapes := []struct {
 		name  string
 		fx    *parityFixture
@@ -227,8 +231,13 @@ func TestEntryPointParity(t *testing.T) {
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
 			values := shape.batch.Values != nil
+			ciphered := shape.batch.Cipher != nil || shape.batch.Handles != nil
 			var ref []byte
 			for _, entry := range entries {
+				if entry == "coalesce" && ciphered {
+					shape.fx.coalesceRefuses(t, shape.batch)
+					continue
+				}
 				output := ""
 				if entry == "pipelines" && !values {
 					output = outputHandle
@@ -237,8 +246,7 @@ func TestEntryPointParity(t *testing.T) {
 				if status/100 != 2 || r.Error != "" {
 					t.Fatalf("%s: status %d, result error %q", entry, status, r.Error)
 				}
-				packed := entry == "coalesce" && shape.batch.Cipher == nil && shape.batch.Handles == nil
-				if (entry == "jobs" || entry == "pipelines" || packed) && est != shape.est {
+				if est != shape.est {
 					t.Errorf("%s: est_bytes %d, want %d", entry, est, shape.est)
 				}
 				if values {
@@ -257,7 +265,7 @@ func TestEntryPointParity(t *testing.T) {
 				if ref == nil {
 					ref = out
 				} else if !bytes.Equal(out, ref) {
-					t.Errorf("%s: output ciphertext differs from /execute's", entry)
+					t.Errorf("%s: output ciphertext differs from /jobs'", entry)
 				}
 			}
 		})
@@ -266,6 +274,7 @@ func TestEntryPointParity(t *testing.T) {
 	// A ciphertext breaking the input contract is rejected, whether it comes
 	// as a handle or inline: encoded at a scale x does not take, below the
 	// depth of its input, or at another level than the rest of its group.
+	// Every bad batch carries ciphertexts, so coalescing refuses it first.
 	skewed := f.encrypt(t, "x", in["x"], ce.Ctx.Params.MaxLevel(), -10)
 	skewedHandle := f.putHandle(t, b64(t, skewed))
 	bad := []struct {
@@ -291,12 +300,8 @@ func TestEntryPointParity(t *testing.T) {
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, entry := range entries {
-				if entry == "execute" {
-					// /execute answers 200 and reports input errors per batch.
-					status, r, _ := tc.fx.run(t, entry, tc.batch, "")
-					if status != http.StatusOK || r.Error == "" || tc.field != "" && !strings.Contains(r.Error, "incompatible "+tc.field) {
-						t.Errorf("execute: status %d, result error %q; want 200 with a batch error", status, r.Error)
-					}
+				if entry == "coalesce" {
+					tc.fx.coalesceRefuses(t, tc.batch)
 					continue
 				}
 				url, body := tc.fx.request(entry, tc.batch, "")
@@ -328,5 +333,61 @@ func TestEntryPointParity(t *testing.T) {
 		if inc.Stage != i || inc.Input != "x" || inc.Field != "scale" {
 			t.Errorf("incompatibility %d: %+v, want batch %d input x field scale", i, inc, i)
 		}
+	}
+}
+
+// TestEveryExecutionIsAdmitted: admission is the only way into the executor.
+// With a one-byte memory budget no program fits, so every entry point that
+// runs a program must refuse it — /jobs and /pipelines with 413, a
+// ciphertext-carrying coalesced submission with 400, and the route the
+// synchronous /execute once had with 404 or 405 — and nothing executes.
+func TestEveryExecutionIsAdmitted(t *testing.T) {
+	f := newJobsFixture(t, Config{JobMemoryBudgetBytes: 1})
+
+	_, resp := f.submit(t, 1)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /jobs: status %d, want 413", resp.StatusCode)
+	}
+
+	inputs := map[string]PipelineInput{}
+	for name, v := range f.inputs {
+		inputs[name] = PipelineInput{Values: v}
+	}
+	_, resp = postJSON[apiError](t, f.client, f.url+"/pipelines", PipelineRequest{Stages: []PipelineStage{{
+		ProgramID: f.programID, ContextID: f.contextID, Inputs: inputs, Output: outputValues,
+	}}})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /pipelines: status %d, want 413", resp.StatusCode)
+	}
+
+	ce, ok := f.srv.lookupContext(f.contextID)
+	if !ok {
+		t.Fatal("fixture context not installed")
+	}
+	cts, err := execute.EncryptInputs(ce.Ctx, ce.Entry.Result, ce.Keys, f.inputs, ckks.NewTestPRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := map[string]string{}
+	for name, ct := range cts.Cipher {
+		wire[name] = b64(t, ct)
+	}
+	req := JobRequest{ProgramID: f.programID, ContextID: f.contextID, Batches: []ExecuteBatch{{Cipher: wire}}}
+	_, resp = postJSON[apiError](t, f.client, f.url+"/jobs?coalesce=1", req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /jobs?coalesce=1 with ciphertexts: status %d, want 400", resp.StatusCode)
+	}
+
+	resp, err = f.client.Post(f.url+"/execute/"+f.programID, "application/json", jsonBody(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /execute/{id}: status %d, want 404 or 405", resp.StatusCode)
+	}
+
+	if n := f.srv.MetricsReport().Executions; n != 0 {
+		t.Errorf("%d executions ran past a budget no program fits", n)
 	}
 }

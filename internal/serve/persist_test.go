@@ -23,22 +23,6 @@ func persistentServer(t testing.TB, dir string) (*httptest.Server, *Server, *sto
 	return ts, s, st
 }
 
-func waitJobDone(t testing.TB, client *http.Client, base, jobID string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st := getJSON[JobStatus](t, client, base+"/jobs/"+jobID)
-		switch st.Status {
-		case "done":
-			return
-		case "failed", "cancelled":
-			t.Fatalf("job %s terminal status %s: %s", jobID, st.Status, st.Error)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("job %s never finished", jobID)
-}
-
 // TestRestartDurability is the acceptance e2e for the artifact store: stop
 // and restart a server onto the same data directory, then (a) execute a
 // previously compiled program against a previously installed context with
@@ -67,12 +51,13 @@ func TestRestartDurability(t *testing.T) {
 		"y": {8, 7, 6, 5, 4, 3, 2, 1},
 	}}
 	// Reference run before the restart, for comparing output values after.
-	execResp, resp := postJSON[ExecuteResponse](t, client, ts1.URL+"/execute/"+comp.ID, ExecuteRequest{
+	execResp := runJob(t, client, ts1.URL, JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{batch},
 	})
-	if resp.StatusCode != http.StatusOK || execResp.Results[0].Error != "" {
-		t.Fatalf("pre-restart execute: status %d, err %q", resp.StatusCode, execResp.Results[0].Error)
+	if execResp.Results[0].Error != "" {
+		t.Fatalf("pre-restart execute: %s", execResp.Results[0].Error)
 	}
 	want := execResp.Results[0].Values["out"]
 	if len(want) == 0 {
@@ -103,13 +88,11 @@ func TestRestartDurability(t *testing.T) {
 
 	// (a) Execute against the pre-restart program and context ids without
 	// any /compile or /contexts round-trip.
-	execResp2, resp := postJSON[ExecuteResponse](t, client2, ts2.URL+"/execute/"+comp.ID, ExecuteRequest{
+	execResp2 := runJob(t, client2, ts2.URL, JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{batch},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-restart execute: status %d", resp.StatusCode)
-	}
 	if execResp2.Results[0].Error != "" {
 		t.Fatalf("post-restart execute: %s", execResp2.Results[0].Error)
 	}
@@ -202,14 +185,12 @@ func TestHandleRestartDurability(t *testing.T) {
 
 	// Consume the pre-restart handle in the successor program without any
 	// re-encryption or client round-trip of the ciphertext.
-	execResp, resp := postJSON[ExecuteResponse](t, client2, ts2.URL+"/execute/"+p2, ExecuteRequest{
+	execResp := runJob(t, client2, ts2.URL, JobRequest{
+		ProgramID: p2,
 		ContextID: c2,
 		Batches:   []ExecuteBatch{{Handles: map[string]string{"z": handleID}}},
 		Output:    "values",
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-restart execute: status %d", resp.StatusCode)
-	}
 	if execResp.Results[0].Error != "" {
 		t.Fatalf("post-restart execute: %s", execResp.Results[0].Error)
 	}
@@ -366,11 +347,11 @@ func TestContextBundleTransfer(t *testing.T) {
 	batch := ExecuteBatch{Values: map[string][]float64{
 		"x": {3, 1, 4, 1, 5, 9, 2, 6}, "y": {2, 7, 1, 8, 2, 8, 1, 8},
 	}}
-	outA, _ := postJSON[ExecuteResponse](t, client, tsA.URL+"/execute/"+comp.ID, ExecuteRequest{
-		ContextID: "shared-ctx-1", Batches: []ExecuteBatch{batch},
+	outA := runJob(t, client, tsA.URL, JobRequest{
+		ProgramID: comp.ID, ContextID: "shared-ctx-1", Batches: []ExecuteBatch{batch},
 	})
-	outB, _ := postJSON[ExecuteResponse](t, client, tsB.URL+"/execute/"+comp.ID, ExecuteRequest{
-		ContextID: "shared-ctx-1", Batches: []ExecuteBatch{batch},
+	outB := runJob(t, client, tsB.URL, JobRequest{
+		ProgramID: comp.ID, ContextID: "shared-ctx-1", Batches: []ExecuteBatch{batch},
 	})
 	if outA.Results[0].Error != "" || outB.Results[0].Error != "" {
 		t.Fatalf("execute errors: %q / %q", outA.Results[0].Error, outB.Results[0].Error)

@@ -18,12 +18,13 @@ func TestProfileEndToEnd(t *testing.T) {
 	st := store.NewMemory()
 	f := newJobsFixture(t, Config{ProfileSampleRate: 1, Store: st})
 
-	execResp, resp := postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, ExecuteRequest{
+	execResp := runJob(t, f.client, f.url, JobRequest{
+		ProgramID: f.programID,
 		ContextID: f.contextID,
 		Batches:   []ExecuteBatch{{Values: f.inputs}},
 	})
-	if resp.StatusCode != http.StatusOK || execResp.Results[0].Error != "" {
-		t.Fatalf("execute: status %d, err %q", resp.StatusCode, execResp.Results[0].Error)
+	if execResp.Results[0].Error != "" {
+		t.Fatalf("execute: %s", execResp.Results[0].Error)
 	}
 
 	rep := getJSON[profile.Report](t, f.client, f.url+"/profile")
@@ -110,12 +111,13 @@ func TestProfileEndToEnd(t *testing.T) {
 // touching the execution path, and /profile reports it honestly.
 func TestProfileDisabled(t *testing.T) {
 	f := newJobsFixture(t, Config{ProfileSampleRate: -1})
-	execResp, resp := postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, ExecuteRequest{
+	execResp := runJob(t, f.client, f.url, JobRequest{
+		ProgramID: f.programID,
 		ContextID: f.contextID,
 		Batches:   []ExecuteBatch{{Values: f.inputs}},
 	})
-	if resp.StatusCode != http.StatusOK || execResp.Results[0].Error != "" {
-		t.Fatalf("execute with profiler off: status %d, err %q", resp.StatusCode, execResp.Results[0].Error)
+	if execResp.Results[0].Error != "" {
+		t.Fatalf("execute with profiler off: %s", execResp.Results[0].Error)
 	}
 	rep := getJSON[profile.Report](t, f.client, f.url+"/profile")
 	if rep.Enabled || rep.Samples != 0 || len(rep.Buckets) != 0 {

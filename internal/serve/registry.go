@@ -232,7 +232,7 @@ func (r *Registry) insertLocked(e *Entry) {
 		if oldest == elem {
 			// Never evict the entry this call is about to hand out: a
 			// /compile response whose program id immediately 404s on
-			// /execute is worse than briefly exceeding the capacity.
+			// /contexts is worse than briefly exceeding the capacity.
 			// (Unreachable while NewRegistry clamps capacity >= 1, but
 			// cheap insurance against a future constructor bypass.)
 			break

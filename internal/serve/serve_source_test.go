@@ -77,11 +77,12 @@ func TestCompileSourceEndToEnd(t *testing.T) {
 	}
 
 	inputs := execute.Inputs{"x": {1, 2, 3, 4, 5, 6, 7, 8}, "y": {8, 7, 6, 5, 4, 3, 2, 1}}
-	execResp, _ := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+	execResp := runJob(t, client, ts.URL, JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{{Values: inputs}},
 	})
-	if len(execResp.Results) != 1 || execResp.Results[0].Error != "" {
+	if execResp.Results[0].Error != "" {
 		t.Fatalf("unexpected results: %+v", execResp.Results)
 	}
 	got := execResp.Results[0].Values["result"]

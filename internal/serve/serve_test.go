@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"eva/internal/builder"
 	"eva/internal/ckks"
@@ -78,6 +79,40 @@ func getJSON[T any](t testing.TB, client *http.Client, url string) T {
 	return out
 }
 
+// runJob runs req the one way a program runs over HTTP: POST /jobs, wait for
+// the job to finish, then fetch its result once.
+func runJob(t testing.TB, client *http.Client, base string, req JobRequest) JobResult {
+	t.Helper()
+	st, resp := postJSON[JobStatus](t, client, base+"/jobs", req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs: status %d: %s", resp.StatusCode, st.Error)
+	}
+	waitJobDone(t, client, base, st.JobID)
+	res := getJSON[JobResult](t, client, base+"/jobs/"+st.JobID+"/result")
+	if len(res.Results) != len(req.Batches) {
+		t.Fatalf("job %s: %d results for %d batches", st.JobID, len(res.Results), len(req.Batches))
+	}
+	return res
+}
+
+// waitJobDone polls a job until it is done, failing the test if it ends any
+// other way.
+func waitJobDone(t testing.TB, client *http.Client, base, jobID string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		st := getJSON[JobStatus](t, client, base+"/jobs/"+jobID)
+		switch st.Status {
+		case "done":
+			return
+		case "failed", "cancelled":
+			t.Fatalf("job %s terminal status %s: %s", jobID, st.Status, st.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("job %s never finished", jobID)
+}
+
 func newTestServer(t testing.TB, cfg Config) (*httptest.Server, *Server) {
 	t.Helper()
 	s := NewServer(cfg)
@@ -144,19 +179,15 @@ func TestEndToEndClientKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rotations := map[string]string{}
-	for galEl, swk := range rtk.Keys {
-		data, err := swk.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rotations[fmt.Sprint(galEl)] = base64.StdEncoding.EncodeToString(data)
+	rtkData, err := rtk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctxResp, resp := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{
 		ProgramID: comp.ID,
 		Keys: &EvalKeysJSON{
-			Relin:     base64.StdEncoding.EncodeToString(rlkData),
-			Rotations: rotations,
+			Relin:       base64.StdEncoding.EncodeToString(rlkData),
+			RotationSet: base64.StdEncoding.EncodeToString(rtkData),
 		},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -171,22 +202,6 @@ func TestEndToEndClientKeys(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("context without rotation keys: status %d, want 422", resp.StatusCode)
-	}
-
-	// The whole-set rotation encoding must be accepted too.
-	rtkData, err := rtk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, resp = postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{
-		ProgramID: comp.ID,
-		Keys: &EvalKeysJSON{
-			Relin:       base64.StdEncoding.EncodeToString(rlkData),
-			RotationSet: base64.StdEncoding.EncodeToString(rtkData),
-		},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("contexts with rotation_set: status %d", resp.StatusCode)
 	}
 
 	// Encrypt two input sets locally and submit them as one batched request.
@@ -215,17 +230,12 @@ func TestEndToEndClientKeys(t *testing.T) {
 			batches[i].Cipher[name] = base64.StdEncoding.EncodeToString(data)
 		}
 	}
-	execResp, resp := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+	execResp := runJob(t, client, ts.URL, JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Workers:   2,
 		Batches:   batches,
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute: status %d", resp.StatusCode)
-	}
-	if len(execResp.Results) != len(inputSets) {
-		t.Fatalf("got %d results, want %d", len(execResp.Results), len(inputSets))
-	}
 
 	// Decrypt locally and compare against the reference executor.
 	decryptor := ckks.NewDecryptor(params, sk)
@@ -260,7 +270,7 @@ func TestEndToEndClientKeys(t *testing.T) {
 		}
 	}
 
-	// Malformed ciphertext uploads must be rejected per batch, not crash the
+	// Malformed ciphertext uploads must be rejected at submit, not crash the
 	// server: garbage bytes, and a structurally wrong (non-NTT) ciphertext.
 	badCT := ckks.NewCiphertext(params, 2, params.MaxLevel(), math.Exp2(30))
 	badCT.Value[0].IsNTT = false
@@ -273,12 +283,13 @@ func TestEndToEndClientKeys(t *testing.T) {
 		"non-NTT": base64.StdEncoding.EncodeToString(badData),
 	} {
 		bad := ExecuteBatch{Cipher: map[string]string{"x": payload, "y": batches[0].Cipher["y"]}}
-		r, resp := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+		r, resp := postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{
+			ProgramID: comp.ID,
 			ContextID: ctxResp.ContextID,
 			Batches:   []ExecuteBatch{bad},
 		})
-		if resp.StatusCode != http.StatusOK || len(r.Results) != 1 || r.Results[0].Error == "" {
-			t.Errorf("%s ciphertext: want per-batch error, got status %d results %+v", name, resp.StatusCode, r.Results)
+		if resp.StatusCode != http.StatusBadRequest || r.Error == "" {
+			t.Errorf("%s ciphertext: status %d (%+v), want 400", name, resp.StatusCode, r)
 		}
 	}
 
@@ -358,11 +369,12 @@ func TestDemoModeRoundTrip(t *testing.T) {
 	}
 
 	inputs := execute.Inputs{"x": {1, 2, 3, 4, 5, 6, 7, 8}, "y": {8, 7, 6, 5, 4, 3, 2, 1}}
-	execResp, _ := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+	execResp := runJob(t, client, ts.URL, JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{{Values: inputs}},
 	})
-	if len(execResp.Results) != 1 || execResp.Results[0].Error != "" {
+	if execResp.Results[0].Error != "" {
 		t.Fatalf("unexpected results: %+v", execResp.Results)
 	}
 	ref, err := execute.RunReference(prog, inputs)
@@ -447,14 +459,12 @@ func TestContextSurvivesEviction(t *testing.T) {
 	}
 
 	inputs := execute.Inputs{"x": {1, 2, 3, 4, 5, 6, 7, 8}, "y": {8, 7, 6, 5, 4, 3, 2, 1}}
-	execResp, resp := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+compA.ID, ExecuteRequest{
+	execResp := runJob(t, client, ts.URL, JobRequest{
+		ProgramID: compA.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{{Values: inputs}},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute after eviction: status %d", resp.StatusCode)
-	}
-	if len(execResp.Results) != 1 || execResp.Results[0].Error != "" {
+	if execResp.Results[0].Error != "" {
 		t.Fatalf("execute after eviction failed: %+v", execResp.Results)
 	}
 	ref, err := execute.RunReference(progA, inputs)
@@ -484,7 +494,8 @@ func TestContextLRUBound(t *testing.T) {
 		})
 		ids = append(ids, ctxResp.ContextID)
 	}
-	_, resp := postJSON[apiError](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+	_, resp := postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ids[0],
 		Batches:   []ExecuteBatch{{}},
 	})
@@ -497,27 +508,29 @@ func TestContextLRUBound(t *testing.T) {
 	}
 }
 
-// TestExecuteErrors checks the failure modes of /execute.
+// TestExecuteErrors checks how running a program fails: an unknown program
+// or context is a 404 and a batch missing an input a 400, both at submit.
 func TestExecuteErrors(t *testing.T) {
 	ts, _ := newTestServer(t, Config{AllowServerKeygen: true})
 	client := ts.Client()
 	comp, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, e2eProgram(t)))
 
-	_, resp := postJSON[apiError](t, client, ts.URL+"/execute/nosuch", ExecuteRequest{ContextID: "x"})
+	_, resp := postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{ProgramID: "nosuch", ContextID: "x"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown program: status %d, want 404", resp.StatusCode)
 	}
-	_, resp = postJSON[apiError](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{ContextID: "nosuch", Batches: []ExecuteBatch{{}}})
+	_, resp = postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{ProgramID: comp.ID, ContextID: "nosuch", Batches: []ExecuteBatch{{}}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown context: status %d, want 404", resp.StatusCode)
 	}
 
 	ctxResp, _ := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{ProgramID: comp.ID, Keygen: &KeygenJSON{Seed: 5}})
-	execResp, _ := postJSON[ExecuteResponse](t, client, ts.URL+"/execute/"+comp.ID, ExecuteRequest{
+	apiErr, resp := postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{
+		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
 		Batches:   []ExecuteBatch{{Values: execute.Inputs{"x": {1}}}}, // missing input y
 	})
-	if len(execResp.Results) != 1 || execResp.Results[0].Error == "" {
-		t.Errorf("missing input should fail the batch: %+v", execResp.Results)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, `"y"`) {
+		t.Errorf("missing input: status %d (%+v), want 400 naming y", resp.StatusCode, apiErr)
 	}
 }

@@ -6,18 +6,15 @@
 // compiles exactly once under concurrent load; both submission formats of
 // the same program share one cache entry), POST /contexts
 // installs evaluation keys — either client-generated, the paper's deployment
-// model, or server-generated for the trusted demo mode — and POST
-// /execute/{id} runs batches of encrypted input sets through the parallel
-// executor, fanning the batches out across the runner's worker pool.
-// GET /programs, GET /healthz and GET /metrics expose the registry contents,
-// liveness, and request/cache/per-opcode-latency metrics.
-//
-// Long-running work goes through the asynchronous jobs API (jobs.go): POST
-// /jobs enqueues an execution behind a bounded worker pool with
-// memory-budget admission control, GET /jobs/{id} polls, GET
-// /jobs/{id}/events streams progress over SSE, GET /jobs/{id}/result
-// delivers results exactly once with TTL eviction, and DELETE /jobs/{id}
-// cancels.
+// model, or server-generated for the trusted demo mode — and the jobs API
+// (jobs.go) runs programs: POST /jobs enqueues batches of encrypted input
+// sets behind a bounded worker pool with memory-budget admission control,
+// GET /jobs/{id} polls, GET /jobs/{id}/events streams progress over SSE,
+// GET /jobs/{id}/result delivers results exactly once with TTL eviction,
+// and DELETE /jobs/{id} cancels. POST /pipelines and POST /jobs?coalesce=1
+// run through the same admission. GET /programs, GET /healthz, GET /metrics
+// and GET /profile expose the registry contents, liveness, request/cache
+// metrics and the per-opcode profile.
 package serve
 
 import (
@@ -25,7 +22,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/rand"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -33,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -291,7 +286,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /programs/{id}/source", s.route("program_source", s.handleProgramSource))
 	s.mux.HandleFunc("POST /contexts", s.route("contexts", s.handleContexts))
 	s.mux.HandleFunc("GET /contexts/{id}/bundle", s.route("context_bundle", s.handleContextBundle))
-	s.mux.HandleFunc("POST /execute/{id}", s.route("execute", s.handleExecute))
 	s.mux.HandleFunc("POST /jobs", s.route("jobs_submit", s.handleJobSubmit))
 	s.mux.HandleFunc("GET /jobs/{id}", s.route("jobs_status", s.handleJobStatus))
 	s.mux.HandleFunc("GET /jobs/{id}/events", s.route("jobs_events", s.handleJobEvents))
@@ -336,8 +330,8 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 func (s *Server) Coalescer() *coalesce.Coalescer { return s.coalescer }
 
 // Close stops the async job subsystem: running jobs are cancelled and the
-// worker pool drains. The HTTP handlers remain usable for synchronous
-// requests, but further job submissions fail.
+// worker pool drains. The compile, context and handle endpoints remain
+// usable, but further job submissions fail.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.janitorStop != nil {
@@ -355,8 +349,8 @@ func (s *Server) Close() {
 // Drain gracefully stops the async job subsystem: new submissions are
 // rejected immediately while queued and running jobs get until ctx expires
 // to finish (their results are persisted on the way out when a store is
-// configured); the remainder is then cancelled. The HTTP handlers remain
-// usable for synchronous requests.
+// configured); the remainder is then cancelled. The compile, context and
+// handle endpoints remain usable.
 func (s *Server) Drain(ctx context.Context) error { return s.jobs.Drain(ctx) }
 
 // Registry exposes the program registry (for tests and tooling).
@@ -448,9 +442,9 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// maxBatchesPerRequest caps how many input sets one /execute request may
-// carry; each batch gets a goroutine parked on the fan-out semaphore, so the
-// count must be bounded.
+// maxBatchesPerRequest caps how many input sets one /jobs request may carry;
+// every batch is resolved at submit and pins its inputs until the job runs,
+// so the count must be bounded.
 const maxBatchesPerRequest = 4096
 
 // SourceError is one positioned diagnostic from compiling the "source" form
@@ -755,14 +749,11 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 // --- /contexts ---
 
 // EvalKeysJSON carries client-generated public evaluation keys: the
-// relinearization key, plus rotation keys either as one whole
-// RotationKeySet payload (RotationSet) or as one key per Galois element
-// (Rotations: decimal Galois elements mapping to SwitchingKey payloads).
-// All payloads are base64 of the ckks binary wire format.
+// relinearization key and the whole RotationKeySet, each base64 of the ckks
+// binary wire format.
 type EvalKeysJSON struct {
-	Relin       string            `json:"relin,omitempty"`
-	RotationSet string            `json:"rotation_set,omitempty"`
-	Rotations   map[string]string `json:"rotations,omitempty"`
+	Relin       string `json:"relin,omitempty"`
+	RotationSet string `json:"rotation_set,omitempty"`
 }
 
 // KeygenJSON asks the server to generate key material itself (demo mode).
@@ -971,44 +962,15 @@ func decodeEvalKeys(keys *EvalKeysJSON) (*ckks.RelinearizationKey, *ckks.Rotatio
 	var rlk *ckks.RelinearizationKey
 	var rtk *ckks.RotationKeySet
 	if keys.Relin != "" {
-		data, err := base64.StdEncoding.DecodeString(keys.Relin)
-		if err != nil {
-			return nil, nil, fmt.Errorf("relin key: %w", err)
-		}
 		rlk = &ckks.RelinearizationKey{}
-		if err := rlk.UnmarshalBinary(data); err != nil {
-			return nil, nil, fmt.Errorf("relin key: %w", err)
+		if err := decodeKeyB64(keys.Relin, "relin key", rlk); err != nil {
+			return nil, nil, err
 		}
-	}
-	if keys.RotationSet != "" && len(keys.Rotations) > 0 {
-		return nil, nil, fmt.Errorf("supply either \"rotation_set\" or \"rotations\", not both")
 	}
 	if keys.RotationSet != "" {
-		data, err := base64.StdEncoding.DecodeString(keys.RotationSet)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rotation set: %w", err)
-		}
 		rtk = &ckks.RotationKeySet{}
-		if err := rtk.UnmarshalBinary(data); err != nil {
-			return nil, nil, fmt.Errorf("rotation set: %w", err)
-		}
-	}
-	if len(keys.Rotations) > 0 {
-		rtk = &ckks.RotationKeySet{Keys: map[uint64]*ckks.SwitchingKey{}}
-		for galStr, b64 := range keys.Rotations {
-			galEl, err := strconv.ParseUint(galStr, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("rotation key %q: bad Galois element: %w", galStr, err)
-			}
-			data, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("rotation key %q: %w", galStr, err)
-			}
-			swk := &ckks.SwitchingKey{}
-			if err := swk.UnmarshalBinary(data); err != nil {
-				return nil, nil, fmt.Errorf("rotation key %q: %w", galStr, err)
-			}
-			rtk.Keys[galEl] = swk
+		if err := decodeKeyB64(keys.RotationSet, "rotation set", rtk); err != nil {
+			return nil, nil, err
 		}
 	}
 	return rlk, rtk, nil
@@ -1020,122 +982,6 @@ func randomID() (string, error) {
 		return "", fmt.Errorf("serve: generating id: %w", err)
 	}
 	return hex.EncodeToString(b[:]), nil
-}
-
-// --- /execute ---
-
-// ExecuteBatch is one input set of an /execute request. Cipher carries
-// base64 ciphertexts (client-encrypted), Handles references stored
-// ciphertext handles by id (resolved server-side, so chained jobs never
-// round-trip ciphertext through the client), Plain carries the program's
-// unencrypted inputs, and Values carries plaintext values for the program's
-// Cipher inputs — allowed only on demo-mode contexts, where the server
-// encrypts them (and decrypts the outputs) itself. Each Cipher input must be
-// supplied by exactly one of Cipher, Handles, or Values.
-type ExecuteBatch struct {
-	Cipher  map[string]string    `json:"cipher,omitempty"`
-	Handles map[string]string    `json:"handles,omitempty"`
-	Plain   map[string][]float64 `json:"plain,omitempty"`
-	Values  map[string][]float64 `json:"values,omitempty"`
-}
-
-// ExecuteRequest is the body of POST /execute/{program-id}. Batches run
-// concurrently (at most GOMAXPROCS at once) and each batch
-// additionally fans out across Workers executor goroutines. Output selects
-// the result form: "" returns ciphertext payloads (or decrypted values in
-// demo mode), "handle" persists every encrypted output as a content-addressed
-// handle and returns ids instead of payloads.
-type ExecuteRequest struct {
-	ContextID string         `json:"context_id"`
-	Workers   int            `json:"workers,omitempty"`
-	Scheduler string         `json:"scheduler,omitempty"`
-	Output    string         `json:"output,omitempty"`
-	Batches   []ExecuteBatch `json:"batches"`
-}
-
-// BatchStats summarizes one batch's execution.
-type BatchStats struct {
-	Instructions int     `json:"instructions"`
-	Workers      int     `json:"workers"`
-	WallMillis   float64 `json:"wall_ms"`
-}
-
-// BatchResult is the per-batch response: base64 ciphertext outputs, plus
-// decrypted (or natively unencrypted) outputs in Values where available.
-// When the request asked for "output": "handle", Handles maps each encrypted
-// output to the id of its stored content-addressed handle instead.
-type BatchResult struct {
-	Cipher  map[string]string    `json:"cipher,omitempty"`
-	Handles map[string]string    `json:"handles,omitempty"`
-	Values  map[string][]float64 `json:"values,omitempty"`
-	Error   string               `json:"error,omitempty"`
-	Stats   BatchStats           `json:"stats"`
-}
-
-// ExecuteResponse is the body returned by POST /execute/{id}.
-type ExecuteResponse struct {
-	ProgramID string        `json:"program_id"`
-	Results   []BatchResult `json:"results"`
-}
-
-// parseScheduler resolves a request's scheduler name. The bulk-synchronous
-// scheduler models the CHET baseline for the paper's comparisons and is not
-// served.
-func parseScheduler(s string) (execute.Scheduler, error) {
-	switch s {
-	case "", "parallel":
-		return execute.SchedulerParallel, nil
-	case "sequential":
-		return execute.SchedulerSequential, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want parallel or sequential)", s)
-}
-
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	var body ExecuteRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	req := JobRequest{ProgramID: r.PathValue("id"), ContextID: body.ContextID, Workers: body.Workers,
-		Scheduler: body.Scheduler, Output: body.Output, Batches: body.Batches}
-	ce, ropts, ok := s.checkBatches(w, &req)
-	if !ok {
-		return
-	}
-
-	// Fan the batches out across the worker pool: each batch is lowered to
-	// a stage and run as one DAG-parallel execution, up to GOMAXPROCS at
-	// once. A batch's input or run failure is its own result's error. The
-	// request context propagates into the executor, so a disconnected client
-	// stops its in-flight work. The handle cache is shared across the
-	// request's batches: a handle referenced by many batches is fetched and
-	// deserialized once (resolved ciphertexts are read-only to the executor).
-	cache := newHandleCache()
-	results := make([]BatchResult, len(req.Batches))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range req.Batches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			plan := newStagePlan(ce, req.Output)
-			incs, err := s.lowerStage(r.Context(), plan, req.Batches[i].binding, nil, cache)
-			if err == nil && len(incs) > 0 {
-				err = incs[0]
-			}
-			if err != nil {
-				s.metrics.RecordExecutionError()
-				results[i] = batchError("%v", err)
-				return
-			}
-			results[i], _ = s.runStage(r.Context(), plan, nil, ropts)
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, ExecuteResponse{ProgramID: req.ProgramID, Results: results})
 }
 
 // --- /healthz and /metrics ---
