@@ -246,7 +246,9 @@ func BenchmarkRotateHoisted(b *testing.B) {
 
 // BenchmarkKeyGeneration generates a secret, a public and a relinearization
 // key: the switching key is ⌈L/α⌉ samples over L+α limbs, so it shrinks with
-// the digit size.
+// the digit size. The rotations=8 case generates the eight rotation keys of
+// Sobel on the production-size chain (α = 1): rotation keys are the bulk of
+// an application's key generation.
 func BenchmarkKeyGeneration(b *testing.B) {
 	benchKeySwitch(b, nil, func(b *testing.B, tc *testContext) {
 		prng := NewTestPRNG(1)
@@ -256,6 +258,19 @@ func BenchmarkKeyGeneration(b *testing.B) {
 			sk := kg.GenSecretKey()
 			kg.GenPublicKey(sk)
 			if _, err := kg.GenRelinearizationKey(sk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	chain := keySwitchBenchChains[1]
+	b.Run(chain.name+"/rotations=8", func(b *testing.B) {
+		tc := newTestContextSpecials(b, chain.logN, chain.logQi, []int{60}, 1<<40, nil)
+		steps := []int{1, 2, 64, 65, 66, 128, 129, 130} // Sobel's taps on a 64-wide image
+		kg := NewKeyGenerator(tc.params, NewTestPRNG(1))
+		sk := kg.GenSecretKey()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := kg.GenRotationKeys(steps, sk); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"slices"
 
 	"eva/internal/numth"
 	"eva/internal/ring"
@@ -14,7 +15,6 @@ import (
 type SecretKey struct {
 	Value  *ring.Poly
 	ValueP *ring.Poly
-	signed []int64 // the raw ternary coefficients, kept to derive rotated secrets
 }
 
 // PublicKey is a (b, a) = (-a*s + e, a) RLWE sample in NTT form at the top level.
@@ -30,7 +30,10 @@ type PublicKey struct {
 // (BQ/AQ) and the special primes (BP/AP), all in NTT form. Digit j's sample
 // carries P·s' in the chain limbs of digit j and nothing elsewhere, which
 // does not depend on the level: a key switch at a lower level uses the first
-// ⌈(level+1)/α⌉ digits and the limbs of the primes still alive.
+// ⌈(level+1)/α⌉ digits and the limbs of the primes still alive. The
+// generator draws the digits' randomness in one fixed order and computes
+// the samples on the ring workers, so a key depends only on the PRNG and the
+// order of the Gen calls, never on the worker count.
 type SwitchingKey struct {
 	BQ []*ring.Poly
 	AQ []*ring.Poly
@@ -108,13 +111,9 @@ func NewKeyGenerator(params *Parameters, prng *PRNG) *KeyGenerator {
 // GenSecretKey samples a fresh ternary secret key.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	signed := kg.sampler.ternarySigned()
-	return kg.secretFromSigned(signed)
-}
-
-func (kg *KeyGenerator) secretFromSigned(signed []int64) *SecretKey {
 	params := kg.params
 	r := params.RingQ()
-	sk := &SecretKey{signed: signed}
+	sk := &SecretKey{}
 	sk.Value = kg.sampler.signedToPoly(r, signed, params.MaxLevel())
 	r.NTT(sk.Value)
 	if rp := params.RingP(); rp != nil {
@@ -130,12 +129,10 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	r := params.RingQ()
 	level := params.MaxLevel()
 	a := kg.sampler.uniform(r, level)
-	e := kg.sampler.signedToPoly(r, kg.sampler.gaussianSigned(), level)
-	r.NTT(e)
+	e := kg.sampler.gaussianSigned()
 	b := r.NewPoly(level)
-	r.MulCoeffs(a, sk.Value, b)
-	r.Neg(b, b)
-	r.Add(b, e, b)
+	ring.Parallel(level+1, func(i int) { rlweLimb(r.Moduli[i], e, a.Coeffs[i], sk.Value.Coeffs[i], b.Coeffs[i]) })
+	b.IsNTT = true
 	return &PublicKey{B: b, A: a}
 }
 
@@ -148,82 +145,115 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) (*RelinearizationKe
 	r := kg.params.RingQ()
 	s2 := r.NewPoly(kg.params.MaxLevel())
 	r.MulCoeffs(sk.Value, sk.Value, s2) // NTT domain: s², consistent across limbs since s is tiny
-	swk := kg.genSwitchingKey(sk, s2)
-	return &RelinearizationKey{Key: swk}, nil
+	return &RelinearizationKey{Key: kg.genSwitchingKeys(sk, []*ring.Poly{s2})[0]}, nil
 }
 
 // GenRotationKeys generates Galois switching keys for the given rotation
-// steps (positive = left rotation, negative = right).
+// steps (positive = left rotation, negative = right), one per distinct Galois
+// element in step order. Each key's foreign secret s(X^g) is the NTT-domain
+// slot permutation of s, and all the keys come from one genSwitchingKeys
+// call, so their digits share the ring workers.
 func (kg *KeyGenerator) GenRotationKeys(steps []int, sk *SecretKey) (*RotationKeySet, error) {
 	if kg.params.RingP() == nil {
 		return nil, fmt.Errorf("ckks: parameters have no special prime; rotation keys unavailable")
 	}
 	params := kg.params
 	r := params.RingQ()
-	set := &RotationKeySet{Keys: make(map[uint64]*SwitchingKey, len(steps))}
+	var galEls []uint64
+	var sPrimes []*ring.Poly
 	for _, k := range steps {
 		galEl := params.GaloisElementForRotation(k)
-		if _, done := set.Keys[galEl]; done {
+		if slices.Contains(galEls, galEl) {
 			continue
 		}
-		// s' = s(X^galEl): permute the secret in coefficient domain.
-		sCoeff := sk.Value.CopyNew()
-		r.InvNTT(sCoeff)
 		sRot := r.NewPoly(params.MaxLevel())
-		r.Automorphism(sCoeff, galEl, sRot)
-		r.NTT(sRot)
-		set.Keys[galEl] = kg.genSwitchingKey(sk, sRot)
+		r.AutomorphismNTT(sk.Value, galEl, sRot)
+		galEls = append(galEls, galEl)
+		sPrimes = append(sPrimes, sRot)
+	}
+	set := &RotationKeySet{Keys: make(map[uint64]*SwitchingKey, len(galEls))}
+	for i, swk := range kg.genSwitchingKeys(sk, sPrimes) {
+		set.Keys[galEls[i]] = swk
 	}
 	return set, nil
 }
 
-// genSwitchingKey builds a switching key encrypting sPrime (NTT form, full
-// level) under sk: one RLWE sample per digit over the extended basis
-// {q_0..q_L, p_0..p_{α-1}}, with P·s' added into the chain limbs of the
-// digit's own primes. (The gadget factor P·(Q/Q_j)·[(Q/Q_j)^-1]_{Q_j} is P
-// modulo the primes of digit j and 0 modulo every other chain prime, at every
-// level — which is why one key serves all levels.)
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) *SwitchingKey {
+// genSwitchingKeys builds one switching key per foreign secret in sPrimes
+// (NTT form, full level), each encrypting its s' under sk: one RLWE sample
+// per digit over the extended basis {q_0..q_L, p_0..p_{α-1}}, with P·s' added
+// into the chain limbs of the digit's own primes. (The gadget factor
+// P·(Q/Q_j)·[(Q/Q_j)^-1]_{Q_j} is P modulo the primes of digit j and 0
+// modulo every other chain prime, at every level — which is why one key
+// serves all levels.)
+//
+// The caller draws every digit's aQ, aP and Gaussian error in key order,
+// then digit order, exactly as one sequential loop would; the arithmetic on
+// those draws (reducing the error over both bases, the NTTs, −a·s+e and P·s')
+// runs on the ring workers while later digits are drawn. The keys are
+// therefore byte-identical to the sequential order's for the same PRNG.
+func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []*SwitchingKey {
 	params := kg.params
 	r, rp := params.RingQ(), params.RingP()
 	level, levelP := params.MaxLevel(), rp.MaxLevel()
 	alpha := params.DigitSize()
 	digits := params.Digits(level)
-	swk := &SwitchingKey{
-		BQ: make([]*ring.Poly, digits),
-		AQ: make([]*ring.Poly, digits),
-		BP: make([]*ring.Poly, digits),
-		AP: make([]*ring.Poly, digits),
-	}
-	for j := 0; j < digits; j++ {
-		aQ := kg.sampler.uniform(r, level)
-		aP := kg.sampler.uniform(rp, levelP)
-		eSigned := kg.sampler.gaussianSigned()
-		eQ := kg.sampler.signedToPoly(r, eSigned, level)
-		r.NTT(eQ)
-		eP := kg.sampler.signedToPoly(rp, eSigned, levelP)
-		rp.NTT(eP)
-
-		// (bQ, bP) = -a·s + e over the chain and the special primes.
-		bQ := r.NewPoly(level)
-		r.MulCoeffs(aQ, sk.Value, bQ)
-		r.Neg(bQ, bQ)
-		r.Add(bQ, eQ, bQ)
-		bP := rp.NewPoly(levelP)
-		rp.MulCoeffs(aP, sk.ValueP, bP)
-		rp.Neg(bP, bP)
-		rp.Add(bP, eP, bP)
-		// Add P·s' into the limbs of digit j's primes only.
-		for i := j * alpha; i < min((j+1)*alpha, level+1); i++ {
-			qi := r.Moduli[i].Q
-			pModQ := params.specialProductMod(qi)
-			w := numth.ShoupPrecomp(pModQ, qi)
-			bi, si := bQ.Coeffs[i], sPrime.Coeffs[i]
-			for t := range bi {
-				bi[t] = numth.AddMod(bi[t], numth.MulModShoup(si[t], pModQ, w, qi), qi)
-			}
+	keys := make([]*SwitchingKey, len(sPrimes))
+	for k := range keys {
+		keys[k] = &SwitchingKey{
+			BQ: make([]*ring.Poly, digits),
+			AQ: make([]*ring.Poly, digits),
+			BP: make([]*ring.Poly, digits),
+			AP: make([]*ring.Poly, digits),
 		}
-		swk.BQ[j], swk.AQ[j], swk.BP[j], swk.AP[j] = bQ, aQ, bP, aP
 	}
-	return swk
+	errs := make([][]int64, len(keys)*digits) // each digit's Gaussian draw, until its arithmetic takes it
+	ring.Pipeline(len(errs), func(t int) {
+		swk, j := keys[t/digits], t%digits
+		swk.AQ[j] = kg.sampler.uniform(r, level)
+		swk.AP[j] = kg.sampler.uniform(rp, levelP)
+		errs[t] = kg.sampler.gaussianSigned()
+	}, func(t int) {
+		k, j := t/digits, t%digits
+		swk, e := keys[k], errs[t]
+		errs[t] = nil
+		// (bQ, bP) = -a·s + e over the chain and the special primes, and P·s'
+		// in the limbs of digit j's primes only.
+		bQ, bP := r.NewPoly(level), rp.NewPoly(levelP)
+		first, last := j*alpha, min((j+1)*alpha, level+1)
+		// Limb-parallel only while the pool has free slots (a lone digit);
+		// inside a Pipeline helper the pool is saturated and this runs inline.
+		ring.Parallel(level+1+levelP+1, func(i int) {
+			if i > level {
+				i -= level + 1
+				rlweLimb(rp.Moduli[i], e, swk.AP[j].Coeffs[i], sk.ValueP.Coeffs[i], bP.Coeffs[i])
+				return
+			}
+			rlweLimb(r.Moduli[i], e, swk.AQ[j].Coeffs[i], sk.Value.Coeffs[i], bQ.Coeffs[i])
+			if i >= first && i < last {
+				qi := r.Moduli[i].Q
+				pModQ := params.specialProductMod(qi)
+				w := numth.ShoupPrecomp(pModQ, qi)
+				bi, si := bQ.Coeffs[i], sPrimes[k].Coeffs[i]
+				for x := range bi {
+					bi[x] = numth.AddMod(bi[x], numth.MulModShoup(si[x], pModQ, w, qi), qi)
+				}
+			}
+		})
+		bQ.IsNTT, bP.IsNTT = true, true
+		swk.BQ[j], swk.BP[j] = bQ, bP
+	})
+	return keys
+}
+
+// rlweLimb writes one limb of an RLWE sample's b = −a·s + e (NTT domain):
+// the signed error e reduced modulo m and transformed, minus a·s.
+func rlweLimb(m *ring.Modulus, e []int64, a, s, b []uint64) {
+	q, br := m.Q, m.Barrett()
+	for t, c := range e {
+		b[t] = reduceSigned(c, q)
+	}
+	m.NTT(b)
+	for t := range b {
+		b[t] = numth.SubMod(b[t], br.MulMod(a[t], s[t]), q)
+	}
 }

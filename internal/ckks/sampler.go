@@ -59,14 +59,14 @@ func newSampler(params *Parameters, prng *PRNG) *sampler {
 func (s *sampler) uniform(r *ring.Ring, level int) *ring.Poly {
 	p := r.NewPoly(level)
 	for i := 0; i <= level; i++ {
-		q := r.Moduli[i].Q
-		bound := (^uint64(0) / q) * q
+		br := r.Moduli[i].Barrett()
+		bound := (^uint64(0) / br.Q) * br.Q
 		for j := range p.Coeffs[i] {
 			v := s.prng.Uint64()
 			for v >= bound {
 				v = s.prng.Uint64()
 			}
-			p.Coeffs[i][j] = v % q
+			p.Coeffs[i][j] = br.ReduceWord(v)
 		}
 	}
 	p.IsNTT = true
@@ -124,10 +124,20 @@ func (s *sampler) signedToPoly(r *ring.Ring, coeffs []int64, level int) *ring.Po
 	return p
 }
 
-// reduceSigned maps a signed integer to its residue in [0, q).
+// reduceSigned maps a signed integer to its residue in [0, q). Errors and
+// secrets are far smaller than q, so the common case needs no division.
 func reduceSigned(c int64, q uint64) uint64 {
 	if c >= 0 {
+		if uint64(c) < q {
+			return uint64(c)
+		}
 		return uint64(c) % q
 	}
-	return q - (uint64(-c) % q)
+	m := uint64(-c) // |c|, also for math.MinInt64
+	if m >= q {
+		if m %= q; m == 0 {
+			return 0
+		}
+	}
+	return q - m
 }
