@@ -1,212 +1,19 @@
-// Benchmarks regenerating the paper's evaluation (Section 8). There is one
-// benchmark per table and figure:
-//
-//	BenchmarkTable4Accuracy    - encrypted-inference fidelity (Table 4)
-//	BenchmarkTable5DNNLatency  - CHET vs EVA inference latency (Table 5)
-//	BenchmarkTable6Parameters  - selected encryption parameters (Table 6)
-//	BenchmarkTable7Times       - compile / context / encrypt / decrypt (Table 7)
-//	BenchmarkTable8Applications- the application suite (Table 8)
-//	BenchmarkFigure7Scaling    - strong scaling of both pipelines (Figure 7)
-//
-// plus ablation benchmarks for the design choices called out in DESIGN.md
-// (rescale strategy, modulus-switch strategy, scheduler). The benchmarks use
-// the scaled-down network configuration so the whole suite completes in
-// minutes; `cmd/evabench -full -secure` runs the paper-scale setting.
-//
-// Numbers are reported through b.ReportMetric so `go test -bench` output
-// doubles as the data for EXPERIMENTS.md.
+// Ablation benchmarks for the compiler's design choices: the rescale
+// strategy, the modulus-switch strategy and the scheduler. The paper's
+// tables and Figure 7 come from cmd/evabench (internal/bench), which also
+// checks the paper's claims; these measure what no table reports.
 package eva_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"eva/internal/apps"
-	"eva/internal/bench"
 	"eva/internal/chet"
 	"eva/internal/ckks"
 	"eva/internal/compile"
-	"eva/internal/core"
 	"eva/internal/execute"
-	"eva/internal/nn"
 	"eva/internal/rewrite"
 )
-
-func benchOptions() bench.Options {
-	o := bench.DefaultOptions()
-	o.Config = nn.Config{InputSize: 8, ChannelDivisor: 8}
-	return o
-}
-
-// benchNetworks returns the evaluation networks in a configuration small
-// enough for repeated benchmark iterations.
-func benchNetworks() []*nn.Network {
-	return nn.All(nn.Config{InputSize: 8, ChannelDivisor: 8})
-}
-
-// BenchmarkTable4Accuracy measures the fidelity of encrypted inference
-// relative to the unencrypted reference for both pipelines (the offline
-// analogue of Table 4's accuracy columns: same model, same inputs, encrypted
-// vs unencrypted execution).
-func BenchmarkTable4Accuracy(b *testing.B) {
-	for _, net := range benchNetworks() {
-		b.Run(net.Name, func(b *testing.B) {
-			opts := benchOptions()
-			var res *bench.NetworkResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = bench.RunNetwork(net, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.EVA.MaxError, "eva-max-err")
-			b.ReportMetric(res.CHET.MaxError, "chet-max-err")
-			b.ReportMetric(boolMetric(res.EVA.AgreesRef), "eva-agree")
-			b.ReportMetric(boolMetric(res.CHET.AgreesRef), "chet-agree")
-		})
-	}
-}
-
-// BenchmarkTable5DNNLatency measures the inference latency of the CHET
-// baseline and of EVA on every network (Table 5). The reported speedup is the
-// paper's headline metric.
-func BenchmarkTable5DNNLatency(b *testing.B) {
-	for _, net := range benchNetworks() {
-		b.Run(net.Name, func(b *testing.B) {
-			opts := benchOptions()
-			var res *bench.NetworkResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = bench.RunNetwork(net, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.EVA.RunTime.Seconds(), "eva-s")
-			b.ReportMetric(res.CHET.RunTime.Seconds(), "chet-s")
-			b.ReportMetric(res.Speedup(), "speedup-x")
-			b.ReportMetric(float64(net.Paper.CHETLatency)/float64(net.Paper.EVALatency), "paper-speedup-x")
-		})
-	}
-}
-
-// BenchmarkTable6Parameters measures compilation and reports the encryption
-// parameters both pipelines select (Table 6).
-func BenchmarkTable6Parameters(b *testing.B) {
-	for _, net := range benchNetworks() {
-		b.Run(net.Name, func(b *testing.B) {
-			rngSeed := int64(1)
-			weights := nn.RandomWeights(net, newRand(rngSeed))
-			prog, err := nn.BuildProgram(net, weights)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := compile.DefaultOptions()
-			opts.AllowInsecure = true
-			var evaRes, chetRes *compile.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				evaRes, err = compile.Compile(prog, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				chetRes, err = chet.Compile(prog, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(evaRes.Plan.LogQP()), "eva-logQ")
-			b.ReportMetric(float64(evaRes.Plan.NumPrimes()), "eva-r")
-			b.ReportMetric(float64(chetRes.Plan.LogQP()), "chet-logQ")
-			b.ReportMetric(float64(chetRes.Plan.NumPrimes()), "chet-r")
-		})
-	}
-}
-
-// BenchmarkTable7Times measures the EVA pipeline's compilation, encryption
-// context (key generation), encryption, and decryption times (Table 7).
-func BenchmarkTable7Times(b *testing.B) {
-	for _, net := range benchNetworks() {
-		b.Run(net.Name, func(b *testing.B) {
-			opts := benchOptions()
-			var res *bench.NetworkResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = bench.RunNetwork(net, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.EVA.CompileTime.Seconds(), "compile-s")
-			b.ReportMetric(res.EVA.ContextTime.Seconds(), "context-s")
-			b.ReportMetric(res.EVA.EncryptTime.Seconds(), "encrypt-s")
-			b.ReportMetric(res.EVA.DecryptTime.Seconds(), "decrypt-s")
-		})
-	}
-}
-
-// BenchmarkTable8Applications measures the single-thread latency of every
-// application of Table 8 and reports the error against the plain reference.
-func BenchmarkTable8Applications(b *testing.B) {
-	suite, err := apps.Suite(256, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, app := range suite {
-		b.Run(app.Name, func(b *testing.B) {
-			opts := benchOptions()
-			var res *bench.AppResult
-			for i := 0; i < b.N; i++ {
-				res, err = bench.RunApplication(app, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.RunTime.Seconds(), "run-s")
-			b.ReportMetric(res.MaxError, "max-err")
-			b.ReportMetric(float64(app.LinesOfCode), "loc")
-			b.ReportMetric(app.Paper.TimeSeconds, "paper-s")
-		})
-	}
-}
-
-// BenchmarkFigure7Scaling measures strong scaling of both pipelines over
-// increasing worker counts (Figure 7). LeNet-5-small is omitted as in the paper.
-func BenchmarkFigure7Scaling(b *testing.B) {
-	threadCounts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		threadCounts = append(threadCounts, p)
-	}
-	nets := []*nn.Network{
-		nn.LeNet5Medium(nn.Config{InputSize: 8, ChannelDivisor: 8}),
-		nn.Industrial(nn.Config{InputSize: 8, ChannelDivisor: 8}),
-	}
-	for _, net := range nets {
-		for _, threads := range threadCounts {
-			b.Run(fmt.Sprintf("%s/threads=%d", net.Name, threads), func(b *testing.B) {
-				opts := benchOptions()
-				var points []bench.ScalingPoint
-				var err error
-				for i := 0; i < b.N; i++ {
-					points, err = bench.RunScaling(net, []int{threads}, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, p := range points {
-					switch p.Pipeline {
-					case "EVA":
-						b.ReportMetric(p.Latency.Seconds(), "eva-s")
-					case "CHET":
-						b.ReportMetric(p.Latency.Seconds(), "chet-s")
-					}
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkAblationRescaleStrategy compares the paper's waterline insertion
 // against the per-multiply always-rescale rule and against the CHET-style
@@ -318,79 +125,4 @@ func BenchmarkAblationScheduler(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSourceFrontend measures the textual frontend (beyond the paper):
-// for each program it reports how long printing to .eva source and parsing +
-// lowering the source back take next to the backend compile time, plus the
-// frontend's share of a source-submission /compile request. This is the cost
-// a client pays for POSTing source text to evaserve instead of the JSON wire
-// format.
-func BenchmarkSourceFrontend(b *testing.B) {
-	programs := map[string]*core.Program{
-		"x2y3": bench.FigureDemoProgram(),
-	}
-	sobel, err := apps.SobelFilter(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	programs["sobel-16"] = sobel.Program
-	harris, err := apps.HarrisCornerDetection(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	programs["harris-16"] = harris.Program
-	net := nn.LeNet5Small(nn.Config{InputSize: 8, ChannelDivisor: 8})
-	lenet, err := nn.BuildProgram(net, nn.RandomWeights(net, newRand(3)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	programs["lenet-5-small"] = lenet
-
-	opts := compile.DefaultOptions()
-	opts.AllowInsecure = true
-	for name, prog := range programs {
-		b.Run(name, func(b *testing.B) {
-			var res *bench.FrontendResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = bench.RunFrontend(prog, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.PrintTime.Seconds()*1e3, "print-ms")
-			b.ReportMetric(res.ParseTime.Seconds()*1e3, "parse-ms")
-			b.ReportMetric(res.CompileTime.Seconds()*1e3, "compile-ms")
-			b.ReportMetric(res.FrontendShare()*100, "frontend-%")
-			b.ReportMetric(float64(res.SourceBytes), "src-bytes")
-		})
-	}
-}
-
-// BenchmarkCompilerOnly isolates compilation throughput on the largest
-// tensor program of the suite (part of Table 7's compile-time column).
-func BenchmarkCompilerOnly(b *testing.B) {
-	net := nn.SqueezeNetCIFAR(nn.Config{InputSize: 8, ChannelDivisor: 8})
-	weights := nn.RandomWeights(net, newRand(2))
-	prog, err := nn.BuildProgram(net, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := compile.DefaultOptions()
-	opts.AllowInsecure = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Compile(prog, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(prog.NumTerms()), "input-terms")
-}
-
-func boolMetric(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }

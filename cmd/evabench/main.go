@@ -1,7 +1,12 @@
 // Command evabench regenerates the tables and figures of the paper's
 // evaluation (Section 8): Tables 3-8 and Figure 7. By default it uses the
-// scaled-down network configuration (see DESIGN.md) so every experiment runs
+// scaled-down network configuration (nn.BenchConfig) so every experiment runs
 // on a laptop; -full and -secure move toward the paper-scale setting.
+//
+// After the tables it prints a claims block: the paper's machine-independent
+// results (Table 6's parameters, Table 5's cost and speedup, Table 4's and
+// Table 8's accuracy) checked on the same runs. It exits non-zero if any
+// claim fails.
 //
 // Usage:
 //
@@ -45,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		figure   = fs.Int("figure", 0, "regenerate one figure (7)")
 		all      = fs.Bool("all", false, "regenerate every table and figure")
 		full     = fs.Bool("full", false, "use the paper-scale network configuration (slow)")
-		secure   = fs.Bool("secure", false, "require 128-bit-secure parameters (paper setting; slower)")
+		secure   = fs.Bool("secure", false, "run at 128-bit-secure parameters (paper setting; slower); Table 6 always is")
 		workers  = fs.Int("workers", 0, "executor threads (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		networks = fs.String("networks", "", "comma-separated subset of networks to evaluate")
@@ -73,50 +78,51 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	show := func(n int) bool { return *all || *table == n }
+	fig := *all || *figure == 7
+	var counts []int
+	if fig {
+		if counts, err = parseThreads(*threads); err != nil {
+			return err
+		}
+	}
 
-	needNetworkRuns := *all || *table == 4 || *table == 5 || *table == 6 || *table == 7
-	var results []*bench.NetworkResult
-	if needNetworkRuns {
-		for _, n := range nets {
-			fmt.Fprintf(stderr, "running %s (EVA + CHET pipelines)...\n", n.Name)
-			r, err := bench.RunNetwork(n, opts)
-			if err != nil {
-				return err
+	// Tables 4, 5 and 7 and Figure 7 read one run per network; Table 6 alone
+	// needs only the compile at 128-bit security.
+	var results, scaled []*bench.NetworkResult
+	for _, n := range nets {
+		// The paper's Figure 7 omits LeNet-5-small (too fast to scale).
+		scale := fig && (*networks != "" || n.Name != "LeNet-5-small")
+		var r *bench.NetworkResult
+		switch {
+		case scale || show(4) || show(5) || show(7):
+			var scaling []int
+			if scale {
+				scaling = counts
 			}
-			results = append(results, r)
+			fmt.Fprintf(stderr, "running %s (EVA + CHET pipelines)...\n", n.Name)
+			r, err = bench.RunNetwork(n, opts, scaling)
+		case show(6):
+			fmt.Fprintf(stderr, "compiling %s at 128-bit security...\n", n.Name)
+			r, err = bench.CompileNetwork(n, opts)
+		default:
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		results = append(results, r)
+		if scale {
+			scaled = append(scaled, r)
 		}
 	}
 
-	if *all || *table == 3 {
-		bench.PrintTable3(stdout, opts.Config)
-		fmt.Fprintln(stdout)
-	}
-	if *all || *table == 4 {
-		bench.PrintTable4(stdout, results)
-		fmt.Fprintln(stdout)
-	}
-	if *all || *table == 5 {
-		w := opts.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		bench.PrintTable5(stdout, results, w)
-		fmt.Fprintln(stdout)
-	}
-	if *all || *table == 6 {
-		bench.PrintTable6(stdout, results)
-		fmt.Fprintln(stdout)
-	}
-	if *all || *table == 7 {
-		bench.PrintTable7(stdout, results)
-		fmt.Fprintln(stdout)
-	}
-	if *all || *table == 8 {
+	var appResults []*bench.AppResult
+	if show(8) {
 		suite, err := apps.Suite(*vecSize, *imgSize)
 		if err != nil {
 			return err
 		}
-		var appResults []*bench.AppResult
 		for _, app := range suite {
 			fmt.Fprintf(stderr, "running %s...\n", app.Name)
 			r, err := bench.RunApplication(app, opts)
@@ -125,34 +131,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			appResults = append(appResults, r)
 		}
-		bench.PrintTable8(stdout, appResults)
+	}
+
+	for i, printTable := range []func(){
+		func() { bench.PrintTable3(stdout, nets) },
+		func() { bench.PrintTable4(stdout, results) },
+		func() { bench.PrintTable5(stdout, results) },
+		func() { bench.PrintTable6(stdout, results) },
+		func() { bench.PrintTable7(stdout, results) },
+		func() { bench.PrintTable8(stdout, appResults) },
+	} {
+		if show(i + 3) {
+			printTable()
+			fmt.Fprintln(stdout)
+		}
+	}
+	if fig {
+		bench.PrintFigure7(stdout, scaled, counts)
 		fmt.Fprintln(stdout)
 	}
-	if *all || *figure == 7 {
-		counts, err := parseThreads(*threads)
-		if err != nil {
-			return err
+	if claims := bench.Claims(results, appResults); len(claims) > 0 {
+		if failed := bench.PrintClaims(stdout, claims); failed > 0 {
+			return fmt.Errorf("%d of %d claims failed", failed, len(claims))
 		}
-		var points []bench.ScalingPoint
-		scalingNets := nets
-		if *networks == "" {
-			// The paper's Figure 7 omits LeNet-5-small (too fast to scale).
-			scalingNets = nil
-			for _, n := range nets {
-				if n.Name != "LeNet-5-small" {
-					scalingNets = append(scalingNets, n)
-				}
-			}
-		}
-		for _, n := range scalingNets {
-			fmt.Fprintf(stderr, "scaling %s over threads %v...\n", n.Name, counts)
-			p, err := bench.RunScaling(n, counts, opts)
-			if err != nil {
-				return err
-			}
-			points = append(points, p...)
-		}
-		bench.PrintFigure7(stdout, points)
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 
-	"eva/internal/bench"
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/lang"
@@ -108,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		est.Total, est.CriticalPath, est.ParallelSpeedupBound())
 	if *printProg {
 		fmt.Fprintln(stdout, "transformed program:")
-		bench.DescribeProgram(stdout, res.Program)
+		describeProgram(stdout, res.Program)
 	}
 	if *outPath != "" {
 		if err := writeProgram(res.Program, *outPath, *emit); err != nil {
@@ -134,7 +133,7 @@ func loadProgram(inPath, srcPath, demo string) (*core.Program, error) {
 		if demo != "x2y3" {
 			return nil, fmt.Errorf("unknown demo %q (available: x2y3)", demo)
 		}
-		return bench.FigureDemoProgram(), nil
+		return demoProgram(), nil
 	case srcPath != "":
 		src, err := os.ReadFile(srcPath)
 		if err != nil {
@@ -170,4 +169,45 @@ func writeProgram(p *core.Program, path, emit string) error {
 		return err
 	}
 	return p.Serialize(f)
+}
+
+// demoProgram builds the x²y³ running example (Figure 2), so the effect of
+// each transformation pass can be shown without writing a program first.
+func demoProgram() *core.Program {
+	p := core.MustNewProgram("x2y3", 8)
+	x, _ := p.NewInput("x", core.TypeCipher, 8, 60)
+	y, _ := p.NewInput("y", core.TypeCipher, 8, 30)
+	x2, _ := p.NewBinary(core.OpMultiply, x, x)
+	y2, _ := p.NewBinary(core.OpMultiply, y, y)
+	y3, _ := p.NewBinary(core.OpMultiply, y2, y)
+	out, _ := p.NewBinary(core.OpMultiply, x2, y3)
+	_ = p.AddOutput("out", out, 30)
+	return p
+}
+
+// describeProgram renders a program's instructions in topological order, one
+// per line.
+func describeProgram(w io.Writer, p *core.Program) {
+	types := p.InferTypes()
+	for _, t := range p.TopoSort() {
+		line := fmt.Sprintf("  t%-4d %-12s", t.ID, t.Op)
+		for _, parm := range t.Parms() {
+			line += fmt.Sprintf(" t%d", parm.ID)
+		}
+		switch t.Op {
+		case core.OpInput:
+			line += fmt.Sprintf("  name=%q type=%s scale=2^%g", t.Name, t.InType, t.LogScale)
+		case core.OpConstant:
+			line += fmt.Sprintf("  width=%d scale=2^%g", t.VecWidth, t.LogScale)
+		case core.OpRotateLeft, core.OpRotateRight:
+			line += fmt.Sprintf("  by=%d", t.RotateBy)
+		case core.OpRescale:
+			line += fmt.Sprintf("  divisor=2^%g", t.LogScale)
+		}
+		line += fmt.Sprintf("  [%s]", types[t])
+		fmt.Fprintln(w, line)
+	}
+	for _, o := range p.Outputs() {
+		fmt.Fprintf(w, "  output %q = t%d (desired scale 2^%g)\n", o.Name, o.Term.ID, o.LogScale)
+	}
 }

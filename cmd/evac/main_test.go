@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"eva/internal/bench"
 	"eva/internal/core"
 	"eva/internal/lang"
 )
@@ -92,7 +91,7 @@ func TestRunJSONInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bench.FigureDemoProgram().Serialize(f); err != nil {
+	if err := demoProgram().Serialize(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -133,5 +132,20 @@ func TestRunSourceErrorsArePositioned(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "3:16") || !strings.Contains(err.Error(), "undefined name") {
 		t.Errorf("error lacks position or message: %v", err)
+	}
+}
+
+func TestFigureDemoAndDescribe(t *testing.T) {
+	p := demoProgram()
+	if p.NumTerms() != 6 || len(p.Outputs()) != 1 {
+		t.Fatalf("unexpected demo program shape: %d terms", p.NumTerms())
+	}
+	var buf strings.Builder
+	describeProgram(&buf, p)
+	out := buf.String()
+	for _, want := range []string{"INPUT", "MULTIPLY", "output \"out\""} {
+		if !strings.Contains(out, want) {
+			t.Errorf("program description missing %q", want)
+		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Section 8). It is used both by the
-// cmd/evabench command-line tool and by the repository's Go benchmarks, so
-// that `go test -bench` and the CLI print the same rows the paper reports.
+// Package bench is the harness for the paper's evaluation (Section 8). It
+// runs the networks and applications, prints Tables 3-8 and Figure 7 next to
+// the paper's numbers, and checks the paper's machine-independent claims on
+// the same results (claims.go). cmd/evabench is its command line.
 package bench
 
 import (
@@ -10,7 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -30,19 +30,17 @@ type Options struct {
 	// Workers is the number of executor threads (0 = GOMAXPROCS), the
 	// "56 threads" column of Table 5.
 	Workers int
-	// Secure selects 128-bit-secure parameters (the paper's setting); when
-	// false, scaled-down insecure parameters are allowed so the experiments
-	// run quickly on small rings.
+	// Secure selects 128-bit-secure parameters for the encrypted runs (the
+	// paper's setting); when false, scaled-down insecure parameters are
+	// allowed so the runs are quick. Table 6 is at 128-bit security either way.
 	Secure bool
 	// Seed drives all randomness (weights, inputs, keys) for reproducibility.
 	Seed int64
-	// Trials is the number of inference runs averaged for latency numbers.
-	Trials int
 }
 
-// DefaultOptions returns the scaled-down configuration used by `go test -bench`.
+// DefaultOptions returns the scaled-down configuration evabench runs by default.
 func DefaultOptions() Options {
-	return Options{Config: nn.BenchConfig(), Workers: 0, Secure: false, Seed: 1, Trials: 1}
+	return Options{Config: nn.BenchConfig(), Seed: 1}
 }
 
 func (o Options) normalize() Options {
@@ -52,260 +50,210 @@ func (o Options) normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Trials <= 0 {
-		o.Trials = 1
-	}
 	return o
 }
 
-// PipelineResult holds the measurements of one compiler pipeline (EVA or the
-// CHET baseline) on one network.
+// Params are the encryption parameters a compiler selected (Table 6) and the
+// estimated cost of its program at them.
+type Params struct {
+	LogN, LogQP, Primes int
+	Cost                float64 // compile.Result.Cost().Total
+}
+
+// pipeline is a compiler with the executor schedule it is measured under.
+type pipeline struct {
+	name    string
+	compile func(*core.Program, compile.Options) (*compile.Result, error)
+	sched   execute.Scheduler
+}
+
+var (
+	evaPipeline = pipeline{"EVA", compile.Compile, execute.SchedulerParallel}
+	// chetPipeline is the baseline: CHET's compiler and its bulk-synchronous
+	// executor.
+	chetPipeline = pipeline{"CHET", chet.Compile, chet.RunOptions(0).Scheduler}
+	// appPipeline runs Table 8 as the paper does, on one thread.
+	appPipeline = pipeline{"EVA", compile.Compile, execute.SchedulerSequential}
+)
+
+// PipelineResult is one pipeline on one program: one compile, one key set
+// and one encryption, then one run at each requested worker count.
 type PipelineResult struct {
-	Name        string
-	CompileTime time.Duration
-	ContextTime time.Duration
-	EncryptTime time.Duration
-	RunTime     time.Duration
-	DecryptTime time.Duration
-
-	LogN, LogQ, LogQP, Primes int
-	RotationKeys              int
-	Instructions              int
-
-	Scores    []float64
-	MaxError  float64
-	AgreesRef bool
-	Stats     execute.RunStats
+	Name                                               string
+	CompileTime, ContextTime, EncryptTime, DecryptTime time.Duration
+	// Latency is the wall time of the run at each worker count.
+	Latency map[int]time.Duration
+	// Outputs are the decrypted outputs of the last run; MaxError is their
+	// largest distance from the reference (NaN if any output is NaN).
+	Outputs  map[string][]float64
+	MaxError float64
 }
 
-// NetworkResult bundles the EVA and CHET measurements for one network.
-type NetworkResult struct {
-	Network   *nn.Network
-	Reference []float64
-	EVA       *PipelineResult
-	CHET      *PipelineResult
-}
+// runPipeline compiles prog with pl, builds the context, encrypts in, runs
+// the program once at each worker count, decrypts, and measures the error
+// against want, which may cover a prefix of each output.
+func runPipeline(pl pipeline, prog *core.Program, copts compile.Options, in execute.Inputs,
+	want map[string][]float64, workers []int, seed int64) (*PipelineResult, error) {
 
-// Speedup returns CHET latency divided by EVA latency (the Table 5 column).
-func (r *NetworkResult) Speedup() float64 {
-	if r.EVA.RunTime <= 0 {
-		return 0
-	}
-	return float64(r.CHET.RunTime) / float64(r.EVA.RunTime)
-}
-
-// RunNetwork builds, compiles (with both pipelines), and executes one network
-// on a random model and image, measuring everything Tables 4-7 need.
-func RunNetwork(net *nn.Network, opts Options) (*NetworkResult, error) {
-	opts = opts.normalize()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	weights := nn.RandomWeights(net, rng)
-	prog, err := nn.BuildProgram(net, weights)
-	if err != nil {
-		return nil, fmt.Errorf("bench: building %s: %w", net.Name, err)
-	}
-	image := nn.RandomImage(net, rng)
-	ref, err := execute.RunReference(prog, image)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reference inference for %s: %w", net.Name, err)
-	}
-	refScores := ref["scores"][:net.NumClasses]
-
-	result := &NetworkResult{Network: net, Reference: refScores}
-
-	copts := compile.DefaultOptions()
-	copts.AllowInsecure = !opts.Secure
-
-	evaCompile := func() (*compile.Result, error) { return compile.Compile(prog, copts) }
-	chetCompile := func() (*compile.Result, error) { return chet.Compile(prog, copts) }
-
-	result.EVA, err = runPipeline("EVA", evaCompile, execute.RunOptions{Workers: opts.Workers, Scheduler: execute.SchedulerParallel}, image, refScores, net.NumClasses, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: EVA pipeline for %s: %w", net.Name, err)
-	}
-	result.CHET, err = runPipeline("CHET", chetCompile, chet.RunOptions(opts.Workers), image, refScores, net.NumClasses, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: CHET pipeline for %s: %w", net.Name, err)
-	}
-	return result, nil
-}
-
-func runPipeline(name string, compileFn func() (*compile.Result, error), ropts execute.RunOptions,
-	image execute.Inputs, refScores []float64, numClasses int, opts Options) (*PipelineResult, error) {
-
-	pr := &PipelineResult{Name: name}
+	pr := &PipelineResult{Name: pl.name, Latency: map[int]time.Duration{}}
 	start := time.Now()
-	res, err := compileFn()
+	res, err := pl.compile(prog, copts)
 	if err != nil {
 		return nil, err
 	}
 	pr.CompileTime = time.Since(start)
-	pr.LogN = res.LogN
-	pr.LogQ = res.Plan.LogQ()
-	pr.LogQP = res.Plan.LogQP()
-	pr.Primes = res.Plan.NumPrimes()
-	pr.RotationKeys = len(res.RotationSteps)
-	pr.Instructions = res.CompiledStats.Terms
 
-	prng := ckks.NewTestPRNG(uint64(opts.Seed) + 1000)
+	prng := ckks.NewTestPRNG(uint64(seed))
 	ctx, keys, err := execute.NewContext(res, prng)
 	if err != nil {
 		return nil, err
 	}
 	pr.ContextTime = ctx.KeyGenTime
-
-	enc, err := execute.EncryptInputs(ctx, res, keys, image, prng)
+	enc, err := execute.EncryptInputs(ctx, res, keys, in, prng)
 	if err != nil {
 		return nil, err
 	}
 	pr.EncryptTime = enc.EncryptTime
 
 	var out *execute.Outputs
-	var total time.Duration
-	for trial := 0; trial < opts.Trials; trial++ {
+	for _, w := range workers {
+		if _, done := pr.Latency[w]; done {
+			continue
+		}
 		start = time.Now()
-		out, err = execute.Run(ctx, res, enc, ropts)
-		if err != nil {
+		if out, err = execute.Run(ctx, res, enc, execute.RunOptions{Workers: w, Scheduler: pl.sched}); err != nil {
 			return nil, err
 		}
-		total += time.Since(start)
+		pr.Latency[w] = time.Since(start)
 	}
-	pr.RunTime = total / time.Duration(opts.Trials)
-	pr.Stats = out.Stats
 
-	dec, decTime := execute.DecryptOutputs(ctx, res, keys, out)
-	pr.DecryptTime = decTime
-	pr.Scores = dec["scores"][:numClasses]
-	for i := range refScores {
-		if e := math.Abs(pr.Scores[i] - refScores[i]); e > pr.MaxError {
-			pr.MaxError = e
+	pr.Outputs, pr.DecryptTime = execute.DecryptOutputs(ctx, res, keys, out)
+	for name, w := range want {
+		for i, v := range w {
+			pr.MaxError = math.Max(pr.MaxError, math.Abs(pr.Outputs[name][i]-v))
 		}
 	}
-	pr.AgreesRef = nn.Argmax(pr.Scores, numClasses) == nn.Argmax(refScores, numClasses)
 	return pr, nil
 }
 
-// AppResult holds one row of Table 8.
-type AppResult struct {
-	App         *apps.App
-	CompileTime time.Duration
-	RunTime     time.Duration
-	MaxError    float64
-	VectorSize  int
-	LogN, LogQ  int
-	Primes      int
+// NetworkResult is one network under both pipelines.
+type NetworkResult struct {
+	Network *nn.Network
+	// EVAParams and CHETParams are what each compiler selects at 128-bit
+	// security (Table 6), from a compile-only pass.
+	EVAParams, CHETParams Params
+	// Workers is Table 5's thread count. Reference, EVA and CHET are nil for
+	// a network that was only compiled.
+	Workers   int
+	Reference []float64
+	EVA, CHET *PipelineResult
 }
 
-// RunApplication measures one application of Table 8 on a single thread, as
-// in the paper.
-func RunApplication(app *apps.App, opts Options) (*AppResult, error) {
+// Speedup returns CHET latency divided by EVA latency at Table 5's thread
+// count.
+func (r *NetworkResult) Speedup() float64 {
+	eva := r.EVA.Latency[r.Workers]
+	if eva <= 0 {
+		return 0
+	}
+	return float64(r.CHET.Latency[r.Workers]) / float64(eva)
+}
+
+// Agrees reports whether pr classifies the image as the reference does.
+func (r *NetworkResult) Agrees(pr *PipelineResult) bool {
+	n := r.Network.NumClasses
+	return nn.Argmax(pr.Outputs["scores"], n) == nn.Argmax(r.Reference, n)
+}
+
+// CompileNetwork builds net's program from opts.Seed and compiles it with
+// both pipelines at 128-bit security, running nothing: Table 6's row.
+func CompileNetwork(net *nn.Network, opts Options) (*NetworkResult, error) {
 	opts = opts.normalize()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	in := app.MakeInputs(rng)
-	want := app.Plain(in)
+	prog, _, err := networkProgram(net, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return compileSecure(net, prog, opts)
+}
+
+// RunNetwork is CompileNetwork followed by one encrypted inference per
+// pipeline, run at opts.Workers and at each of threads: Tables 4, 5 and 7
+// and Figure 7 all read these runs.
+func RunNetwork(net *nn.Network, opts Options, threads []int) (*NetworkResult, error) {
+	opts = opts.normalize()
+	prog, image, err := networkProgram(net, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	r, err := compileSecure(net, prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := execute.RunReference(prog, image)
+	if err != nil {
+		return nil, fmt.Errorf("bench: reference inference for %s: %w", net.Name, err)
+	}
+	r.Reference = ref["scores"][:net.NumClasses]
 
 	copts := compile.DefaultOptions()
 	copts.AllowInsecure = !opts.Secure
-	start := time.Now()
-	res, err := compile.Compile(app.Program, copts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: compiling %s: %w", app.Name, err)
+	want := map[string][]float64{"scores": r.Reference}
+	workers := append([]int{opts.Workers}, threads...)
+	if r.EVA, err = runPipeline(evaPipeline, prog, copts, image, want, workers, opts.Seed+1000); err != nil {
+		return nil, fmt.Errorf("bench: EVA pipeline for %s: %w", net.Name, err)
 	}
-	r := &AppResult{
-		App: app, CompileTime: time.Since(start), VectorSize: app.Program.VecSize,
-		LogN: res.LogN, LogQ: res.Plan.LogQ(), Primes: res.Plan.NumPrimes(),
-	}
-	prng := ckks.NewTestPRNG(uint64(opts.Seed) + 2000)
-	ctx, keys, err := execute.NewContext(res, prng)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := execute.EncryptInputs(ctx, res, keys, in, prng)
-	if err != nil {
-		return nil, err
-	}
-	var out *execute.Outputs
-	var total time.Duration
-	for trial := 0; trial < opts.Trials; trial++ {
-		start = time.Now()
-		out, err = execute.Run(ctx, res, enc, execute.RunOptions{Workers: 1, Scheduler: execute.SchedulerSequential})
-		if err != nil {
-			return nil, err
-		}
-		total += time.Since(start)
-	}
-	r.RunTime = total / time.Duration(opts.Trials)
-	dec, _ := execute.DecryptOutputs(ctx, res, keys, out)
-	for name, w := range want {
-		g := dec[name]
-		for i := range w {
-			if e := math.Abs(g[i] - w[i]); e > r.MaxError {
-				r.MaxError = e
-			}
-		}
+	if r.CHET, err = runPipeline(chetPipeline, prog, copts, image, want, workers, opts.Seed+1000); err != nil {
+		return nil, fmt.Errorf("bench: CHET pipeline for %s: %w", net.Name, err)
 	}
 	return r, nil
 }
 
-// ScalingPoint is one measurement of Figure 7: a network, a compiler, a
-// thread count, and the resulting latency.
-type ScalingPoint struct {
-	Network  string
-	Pipeline string
-	Threads  int
-	Latency  time.Duration
+// networkProgram builds net with random weights and draws an input image,
+// both from seed.
+func networkProgram(net *nn.Network, seed int64) (*core.Program, execute.Inputs, error) {
+	rng := rand.New(rand.NewSource(seed))
+	prog, err := nn.BuildProgram(net, nn.RandomWeights(net, rng))
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: building %s: %w", net.Name, err)
+	}
+	return prog, nn.RandomImage(net, rng), nil
 }
 
-// RunScaling measures strong scaling (Figure 7) for a network over the given
-// thread counts, reusing the compiled program and keys across points.
-func RunScaling(net *nn.Network, threads []int, opts Options) ([]ScalingPoint, error) {
-	opts = opts.normalize()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	weights := nn.RandomWeights(net, rng)
-	prog, err := nn.BuildProgram(net, weights)
-	if err != nil {
-		return nil, err
+// compileSecure compiles prog with both pipelines at the default 128-bit
+// security and records the selected parameters.
+func compileSecure(net *nn.Network, prog *core.Program, opts Options) (*NetworkResult, error) {
+	r := &NetworkResult{Network: net, Workers: opts.Workers}
+	for _, p := range []struct {
+		pl  pipeline
+		dst *Params
+	}{{evaPipeline, &r.EVAParams}, {chetPipeline, &r.CHETParams}} {
+		res, err := p.pl.compile(prog, compile.DefaultOptions())
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s at 128-bit security for %s: %w", p.pl.name, net.Name, err)
+		}
+		*p.dst = Params{LogN: res.LogN, LogQP: res.Plan.LogQP(), Primes: res.Plan.NumPrimes(), Cost: res.Cost().Total}
 	}
-	image := nn.RandomImage(net, rng)
+	return r, nil
+}
+
+// AppResult is one row of Table 8.
+type AppResult struct {
+	App *apps.App
+	Run *PipelineResult
+}
+
+// RunApplication measures one application of Table 8 on a single thread, as
+// in the paper, against its plain reference.
+func RunApplication(app *apps.App, opts Options) (*AppResult, error) {
+	opts = opts.normalize()
+	in := app.MakeInputs(rand.New(rand.NewSource(opts.Seed)))
 	copts := compile.DefaultOptions()
 	copts.AllowInsecure = !opts.Secure
-
-	type pipeline struct {
-		name  string
-		res   *compile.Result
-		sched execute.Scheduler
-	}
-	evaRes, err := compile.Compile(prog, copts)
+	run, err := runPipeline(appPipeline, app.Program, copts, in, app.Plain(in), []int{1}, opts.Seed+2000)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bench: %s: %w", app.Name, err)
 	}
-	chetRes, err := chet.Compile(prog, copts)
-	if err != nil {
-		return nil, err
-	}
-	var points []ScalingPoint
-	for _, pl := range []pipeline{
-		{"EVA", evaRes, execute.SchedulerParallel},
-		{"CHET", chetRes, execute.SchedulerBulkSynchronous},
-	} {
-		prng := ckks.NewTestPRNG(uint64(opts.Seed) + 3000)
-		ctx, keys, err := execute.NewContext(pl.res, prng)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := execute.EncryptInputs(ctx, pl.res, keys, image, prng)
-		if err != nil {
-			return nil, err
-		}
-		for _, th := range threads {
-			start := time.Now()
-			if _, err := execute.Run(ctx, pl.res, enc, execute.RunOptions{Workers: th, Scheduler: pl.sched}); err != nil {
-				return nil, err
-			}
-			points = append(points, ScalingPoint{Network: net.Name, Pipeline: pl.name, Threads: th, Latency: time.Since(start)})
-		}
-	}
-	return points, nil
+	return &AppResult{App: app, Run: run}, nil
 }
 
 // --- Table printers ---
@@ -314,13 +262,13 @@ func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// PrintTable3 prints the network inventory (Table 3) for the instantiated
-// configuration next to the paper's layer counts.
-func PrintTable3(w io.Writer, cfg nn.Config) {
+// PrintTable3 prints the inventory of the given networks (Table 3) next to
+// the paper's layer counts.
+func PrintTable3(w io.Writer, nets []*nn.Network) {
 	tw := newTable(w)
 	fmt.Fprintln(w, "Table 3: Deep Neural Networks used in the evaluation")
 	fmt.Fprintln(tw, "Network\tConv\tFC\tAct\tPaper FP ops\tPaper accuracy (%)")
-	for _, n := range nn.All(cfg) {
+	for _, n := range nets {
 		conv, fc, act := n.CountLayers()
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.2f\n", n.Name, conv, fc, act, n.Paper.FPOperations, n.Paper.UnencryptedAccuracy)
 	}
@@ -337,17 +285,21 @@ func PrintTable4(w io.Writer, results []*NetworkResult) {
 		s := r.Network.Scales
 		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.2e\t%.2e\t%v\t%v\t%.2f\t%.2f\n",
 			r.Network.Name, s.Cipher, s.Vector, s.Scalar, s.Output,
-			r.CHET.MaxError, r.EVA.MaxError, r.CHET.AgreesRef, r.EVA.AgreesRef,
+			r.CHET.MaxError, r.EVA.MaxError, r.Agrees(r.CHET), r.Agrees(r.EVA),
 			r.Network.Paper.CHETAccuracy, r.Network.Paper.EVAAccuracy)
 	}
 	tw.Flush()
 }
 
-// PrintTable5 prints average latencies and the EVA speedup next to the
-// paper's numbers.
-func PrintTable5(w io.Writer, results []*NetworkResult, workers int) {
+// PrintTable5 prints latencies and the EVA speedup next to the paper's
+// numbers.
+func PrintTable5(w io.Writer, results []*NetworkResult) {
+	threads := 0
+	if len(results) > 0 {
+		threads = results[0].Workers
+	}
 	tw := newTable(w)
-	fmt.Fprintf(w, "Table 5: average latency on %d threads (measured, this backend) vs paper (56 threads)\n", workers)
+	fmt.Fprintf(w, "Table 5: average latency on %d threads (measured, this backend) vs paper (56 threads)\n", threads)
 	fmt.Fprintln(tw, "Network\tCHET (s)\tEVA (s)\tSpeedup\tPaper CHET (s)\tPaper EVA (s)\tPaper speedup")
 	for _, r := range results {
 		paperSpeedup := 0.0
@@ -355,21 +307,22 @@ func PrintTable5(w io.Writer, results []*NetworkResult, workers int) {
 			paperSpeedup = r.Network.Paper.CHETLatency / r.Network.Paper.EVALatency
 		}
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.2fx\t%.1f\t%.1f\t%.1fx\n",
-			r.Network.Name, r.CHET.RunTime.Seconds(), r.EVA.RunTime.Seconds(), r.Speedup(),
+			r.Network.Name, r.CHET.Latency[r.Workers].Seconds(), r.EVA.Latency[r.Workers].Seconds(), r.Speedup(),
 			r.Network.Paper.CHETLatency, r.Network.Paper.EVALatency, paperSpeedup)
 	}
 	tw.Flush()
 }
 
-// PrintTable6 prints the selected encryption parameters next to the paper's.
+// PrintTable6 prints the parameters selected at 128-bit security next to the
+// paper's.
 func PrintTable6(w io.Writer, results []*NetworkResult) {
 	tw := newTable(w)
-	fmt.Fprintln(w, "Table 6: encryption parameters selected by CHET and EVA")
+	fmt.Fprintln(w, "Table 6: encryption parameters selected by CHET and EVA (128-bit security)")
 	fmt.Fprintln(tw, "Network\tCHET logN\tCHET logQ\tCHET r\tEVA logN\tEVA logQ\tEVA r\tPaper CHET (logN,logQ,r)\tPaper EVA (logN,logQ,r)")
 	for _, r := range results {
-		p := r.Network.Paper
+		p, c, e := r.Network.Paper, r.CHETParams, r.EVAParams
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t(%d,%d,%d)\t(%d,%d,%d)\n",
-			r.Network.Name, r.CHET.LogN, r.CHET.LogQP, r.CHET.Primes, r.EVA.LogN, r.EVA.LogQP, r.EVA.Primes,
+			r.Network.Name, c.LogN, c.LogQP, c.Primes, e.LogN, e.LogQP, e.Primes,
 			p.CHETLogN, p.CHETLogQ, p.CHETPrimes, p.EVALogN, p.EVALogQ, p.EVAPrimes)
 	}
 	tw.Flush()
@@ -398,99 +351,35 @@ func PrintTable8(w io.Writer, results []*AppResult) {
 	fmt.Fprintln(tw, "Application\tVector size\tLoC\tTime (s)\tMax err\tPaper vector size\tPaper LoC\tPaper time (s)")
 	for _, r := range results {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\t%.2e\t%d\t%d\t%.3f\n",
-			r.App.Name, r.VectorSize, r.App.LinesOfCode, r.RunTime.Seconds(), r.MaxError,
+			r.App.Name, r.App.Program.VecSize, r.App.LinesOfCode, r.Run.Latency[1].Seconds(), r.Run.MaxError,
 			r.App.Paper.VectorSize, r.App.Paper.LinesOfCode, r.App.Paper.TimeSeconds)
 	}
 	tw.Flush()
 }
 
-// PrintFigure7 prints the strong-scaling series of Figure 7.
-func PrintFigure7(w io.Writer, points []ScalingPoint) {
+// PrintFigure7 prints the strong-scaling series of Figure 7: each network's
+// latency at every thread count, which RunNetwork must have been given.
+func PrintFigure7(w io.Writer, results []*NetworkResult, threads []int) {
+	threads = slices.Compact(slices.Sorted(slices.Values(threads)))
 	fmt.Fprintln(w, "Figure 7: strong scaling of CHET and EVA (average latency in seconds)")
-	byNet := map[string]map[string]map[int]time.Duration{}
-	threadSet := map[int]bool{}
-	for _, p := range points {
-		if byNet[p.Network] == nil {
-			byNet[p.Network] = map[string]map[int]time.Duration{}
-		}
-		if byNet[p.Network][p.Pipeline] == nil {
-			byNet[p.Network][p.Pipeline] = map[int]time.Duration{}
-		}
-		byNet[p.Network][p.Pipeline][p.Threads] = p.Latency
-		threadSet[p.Threads] = true
-	}
-	threads := make([]int, 0, len(threadSet))
-	for t := range threadSet {
-		threads = append(threads, t)
-	}
-	sort.Ints(threads)
 	tw := newTable(w)
 	header := "Network\tPipeline"
 	for _, t := range threads {
 		header += fmt.Sprintf("\t%d thr", t)
 	}
-	header += "\tSpeedup(max/1)"
-	fmt.Fprintln(tw, header)
-	nets := make([]string, 0, len(byNet))
-	for n := range byNet {
-		nets = append(nets, n)
-	}
-	sort.Strings(nets)
-	for _, n := range nets {
-		for _, pl := range []string{"CHET", "EVA"} {
-			row := fmt.Sprintf("%s\t%s", n, pl)
-			series := byNet[n][pl]
+	fmt.Fprintln(tw, header+"\tSpeedup(max/1)")
+	for _, r := range results {
+		for _, pr := range []*PipelineResult{r.CHET, r.EVA} {
+			row := r.Network.Name + "\t" + pr.Name
 			for _, t := range threads {
-				row += fmt.Sprintf("\t%.3f", series[t].Seconds())
+				row += fmt.Sprintf("\t%.3f", pr.Latency[t].Seconds())
 			}
-			if len(threads) > 1 && series[threads[len(threads)-1]] > 0 {
-				row += fmt.Sprintf("\t%.2fx", float64(series[threads[0]])/float64(series[threads[len(threads)-1]]))
-			} else {
-				row += "\t-"
+			speedup := "-"
+			if n := len(threads); n > 1 && pr.Latency[threads[n-1]] > 0 {
+				speedup = fmt.Sprintf("%.2fx", float64(pr.Latency[threads[0]])/float64(pr.Latency[threads[n-1]]))
 			}
-			fmt.Fprintln(tw, row)
+			fmt.Fprintln(tw, row+"\t"+speedup)
 		}
 	}
 	tw.Flush()
-}
-
-// FigureDemoProgram builds the x²y³ running example (Figure 2) so command-line
-// tools can show the effect of each transformation pass.
-func FigureDemoProgram() *core.Program {
-	p := core.MustNewProgram("x2y3", 8)
-	x, _ := p.NewInput("x", core.TypeCipher, 8, 60)
-	y, _ := p.NewInput("y", core.TypeCipher, 8, 30)
-	x2, _ := p.NewBinary(core.OpMultiply, x, x)
-	y2, _ := p.NewBinary(core.OpMultiply, y, y)
-	y3, _ := p.NewBinary(core.OpMultiply, y2, y)
-	out, _ := p.NewBinary(core.OpMultiply, x2, y3)
-	_ = p.AddOutput("out", out, 30)
-	return p
-}
-
-// DescribeProgram renders a program's instructions in topological order,
-// one per line, for the command-line tools.
-func DescribeProgram(w io.Writer, p *core.Program) {
-	types := p.InferTypes()
-	for _, t := range p.TopoSort() {
-		line := fmt.Sprintf("  t%-4d %-12s", t.ID, t.Op)
-		for _, parm := range t.Parms() {
-			line += fmt.Sprintf(" t%d", parm.ID)
-		}
-		switch t.Op {
-		case core.OpInput:
-			line += fmt.Sprintf("  name=%q type=%s scale=2^%g", t.Name, t.InType, t.LogScale)
-		case core.OpConstant:
-			line += fmt.Sprintf("  width=%d scale=2^%g", t.VecWidth, t.LogScale)
-		case core.OpRotateLeft, core.OpRotateRight:
-			line += fmt.Sprintf("  by=%d", t.RotateBy)
-		case core.OpRescale:
-			line += fmt.Sprintf("  divisor=2^%g", t.LogScale)
-		}
-		line += fmt.Sprintf("  [%s]", types[t])
-		fmt.Fprintln(w, line)
-	}
-	for _, o := range p.Outputs() {
-		fmt.Fprintf(w, "  output %q = t%d (desired scale 2^%g)\n", o.Name, o.Term.ID, o.LogScale)
-	}
 }

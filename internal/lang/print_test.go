@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"eva/internal/apps"
-	"eva/internal/bench"
 	"eva/internal/builder"
 	"eva/internal/compile"
 	"eva/internal/core"
@@ -212,13 +211,22 @@ func TestPrintIsCreationOrderIndependent(t *testing.T) {
 }
 
 // TestCanonicalityAcrossRepositoryPrograms is the printer-canonicality
-// sweep: every program the bench harness and the examples build — and its
-// compiled form, which exercises the relin/modswitch/rescale syntax — must
-// survive Lower(Parse(Print(p))) unchanged.
+// sweep: every program the bench harness, evac's demo and the examples
+// build — and its compiled form, which exercises the relin/modswitch/rescale
+// syntax — must survive Lower(Parse(Print(p))) unchanged.
 func TestCanonicalityAcrossRepositoryPrograms(t *testing.T) {
 	var programs []*core.Program
 
-	programs = append(programs, bench.FigureDemoProgram())
+	// evac's x²y³ demo (Figure 2).
+	demo := core.MustNewProgram("x2y3", 8)
+	x, _ := demo.NewInput("x", core.TypeCipher, 8, 60)
+	y, _ := demo.NewInput("y", core.TypeCipher, 8, 30)
+	x2, _ := demo.NewBinary(core.OpMultiply, x, x)
+	y2, _ := demo.NewBinary(core.OpMultiply, y, y)
+	y3, _ := demo.NewBinary(core.OpMultiply, y2, y)
+	out, _ := demo.NewBinary(core.OpMultiply, x2, y3)
+	_ = demo.AddOutput("out", out, 30)
+	programs = append(programs, demo)
 
 	suite, err := apps.Suite(16, 8) // the Table 8 applications (examples/*)
 	if err != nil {

@@ -4,7 +4,7 @@
 // for Tables 3-7. Networks are described as layer lists and lowered onto the
 // hetensor kernel library; weights are randomly generated (the paper itself
 // uses random weights for the Industrial network, and the MNIST/CIFAR models
-// are not available offline — see DESIGN.md for the substitution note).
+// are not available offline, so every network substitutes random weights).
 package nn
 
 import (

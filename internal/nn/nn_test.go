@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"eva/internal/chet"
-	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/execute"
 )
@@ -112,73 +111,6 @@ func TestCompileEVAAndCHETParameterComparison(t *testing.T) {
 		if chetRes.Plan.LogQP() < evaRes.Plan.LogQP() {
 			t.Errorf("%s: CHET modulus (%d bits) smaller than EVA's (%d bits); expected the opposite",
 				n.Name, chetRes.Plan.LogQP(), evaRes.Plan.LogQP())
-		}
-	}
-}
-
-func TestEncryptedInferenceMatchesReference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping encrypted DNN inference in -short mode")
-	}
-	// A small LeNet-style network end to end under both the EVA pipeline and
-	// the CHET baseline; both must agree with the unencrypted reference.
-	cfg := Config{InputSize: 8, ChannelDivisor: 8}
-	n := LeNet5Small(cfg)
-	rng := rand.New(rand.NewSource(4))
-	w := RandomWeights(n, rng)
-	prog, err := BuildProgram(n, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := RandomImage(n, rng)
-	ref, err := execute.RunReference(prog, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantScores := ref["scores"][:n.NumClasses]
-
-	opts := compile.DefaultOptions()
-	opts.AllowInsecure = true
-	prng := ckks.NewTestPRNG(5)
-
-	type pipeline struct {
-		name string
-		res  *compile.Result
-		ropt execute.RunOptions
-	}
-	evaRes, err := compile.Compile(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chetRes, err := chet.Compile(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pl := range []pipeline{
-		{"EVA", evaRes, execute.RunOptions{Scheduler: execute.SchedulerParallel}},
-		{"CHET", chetRes, chet.RunOptions(0)},
-	} {
-		ctx, keys, err := execute.NewContext(pl.res, prng)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.name, err)
-		}
-		enc, err := execute.EncryptInputs(ctx, pl.res, keys, in, prng)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.name, err)
-		}
-		out, err := execute.Run(ctx, pl.res, enc, pl.ropt)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.name, err)
-		}
-		dec, _ := execute.DecryptOutputs(ctx, pl.res, keys, out)
-		scores := dec["scores"]
-		for i := 0; i < n.NumClasses; i++ {
-			if math.Abs(scores[i]-wantScores[i]) > 2e-2 {
-				t.Errorf("%s: class %d score %g, want %g", pl.name, i, scores[i], wantScores[i])
-			}
-		}
-		if Argmax(scores, n.NumClasses) != Argmax(wantScores, n.NumClasses) {
-			t.Errorf("%s: encrypted classification disagrees with the reference", pl.name)
 		}
 	}
 }
