@@ -188,8 +188,9 @@ func demoProgram() *core.Program {
 // describeProgram renders a program's instructions in topological order, one
 // per line.
 func describeProgram(w io.Writer, p *core.Program) {
-	types := p.InferTypes()
-	for _, t := range p.TopoSort() {
+	order := p.TopoSort()
+	types := core.InferTypes(order)
+	for _, t := range order {
 		line := fmt.Sprintf("  t%-4d %-12s", t.ID, t.Op)
 		for _, parm := range t.Parms() {
 			line += fmt.Sprintf(" t%d", parm.ID)

@@ -44,7 +44,7 @@ func main() {
 	}
 	refScores := reference["scores"][:network.NumClasses]
 	fmt.Printf("network %s: %d-term tensor program, multiplicative depth %d\n",
-		network.Name, program.NumTerms(), program.MultiplicativeDepth())
+		network.Name, program.NumTerms(), program.ComputeStats().MultDepth)
 
 	opts := eva.DefaultCompileOptions()
 	opts.AllowInsecure = true

@@ -68,140 +68,111 @@ func (e *ConstraintError) Error() string {
 	return fmt.Sprintf("analysis: constraint %d violated at %s: %s", e.Constraint, e.Term, e.Detail)
 }
 
-// ComputeChains performs the first validation pass: it computes the rescale
-// chain of every Cipher term, asserting that chains are conforming and that
-// the chains of the Cipher operands of ADD, SUB and MULTIPLY match
-// (Constraint 1). Plain terms are not tracked (they carry no coefficient
-// modulus of their own; the executor encodes them at the level of the Cipher
-// operand they meet).
-func ComputeChains(p *core.Program) (map[*core.Term]Chain, error) {
-	types := p.InferTypes()
-	chains := make(map[*core.Term]Chain, p.NumTerms())
-	for _, t := range p.TopoSort() {
-		if types[t] != core.TypeCipher {
-			continue
-		}
-		var merged Chain
-		var have bool
-		for _, parm := range t.Parms() {
-			if types[parm] != core.TypeCipher {
-				continue
-			}
-			pc := chains[parm]
-			if !have {
-				merged, have = pc.clone(), true
-				continue
-			}
-			if !merged.Equal(pc) {
-				return nil, &ConstraintError{Term: t, Constraint: 1,
-					Detail: fmt.Sprintf("operand coefficient moduli differ: chains %v vs %v", merged, pc)}
-			}
-			merged = merged.merge(pc)
-		}
-		switch t.Op {
-		case core.OpRescale:
-			merged = append(merged, t.LogScale)
-		case core.OpModSwitch:
-			merged = append(merged, ModSwitchMark)
-		}
-		chains[t] = merged
-	}
-	return chains, nil
-}
-
-// ValidateScales performs the second validation pass: it recomputes the
-// fixed-point scale of every term and asserts that ADD and SUB operands have
-// matching scales (Constraint 2), that every RESCALE divides by at most the
-// maximum allowed rescale value (Constraint 4), and that no scale drops to or
-// below zero (which would destroy the message).
-func ValidateScales(p *core.Program, maxRescaleLog float64) (map[*core.Term]float64, error) {
+// Validate checks that a transformed program satisfies every constraint of
+// the scheme, in one walk over its topological order, and returns the
+// rescale chain of every Cipher term and the log2 scale of every term for
+// parameter selection. Everything is derived from the program itself.
+//
+//   - Constraint 1: the rescale chains of the Cipher operands of every
+//     instruction match. Plain terms carry no chain: they have no coefficient
+//     modulus of their own, and the executor encodes them at the level of the
+//     Cipher operand they meet.
+//   - Constraints 2 and 4: ADD and SUB operands have equal scales, no RESCALE
+//     divides by more than the maximum 2^maxRescaleLog, and no scale drops to
+//     or below zero (which would destroy the message). Scales follow
+//     rewrite.ScaleOf.
+//   - Constraint 3: the operands of every MULTIPLY of two ciphertexts and of
+//     every rotation consist of exactly two polynomials, so a single
+//     relinearization key suffices.
+//
+// When the program violates more than one kind, the error reported is the
+// first violation in topological order of the first kind in the list above.
+func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map[*core.Term]float64, error) {
 	const tolerance = 1e-9
-	scales := rewrite.ComputeLogScales(p)
-	for _, t := range p.TopoSort() {
-		switch t.Op {
-		case core.OpAdd, core.OpSub:
-			a, b := scales[t.Parm(0)], scales[t.Parm(1)]
-			if math.Abs(a-b) > tolerance {
-				return nil, &ConstraintError{Term: t, Constraint: 2,
-					Detail: fmt.Sprintf("operand scales differ: 2^%g vs 2^%g", a, b)}
+	order := p.TopoSort()
+	chains := make(map[*core.Term]Chain, len(order))
+	scales := make(map[*core.Term]float64, len(order))
+	// polys counts the polynomials of every Cipher term, so a term is Cipher
+	// exactly when it has a count.
+	polys := make(map[*core.Term]int, len(order))
+	var scaleErr, polyErr *ConstraintError
+	for _, t := range order {
+		scale := rewrite.ScaleOf(t, scales)
+		scales[t] = scale
+		if scaleErr == nil {
+			switch t.Op {
+			case core.OpAdd, core.OpSub:
+				if a, b := scales[t.Parm(0)], scales[t.Parm(1)]; math.Abs(a-b) > tolerance {
+					scaleErr = &ConstraintError{Term: t, Constraint: 2,
+						Detail: fmt.Sprintf("operand scales differ: 2^%g vs 2^%g", a, b)}
+				}
+			case core.OpRescale:
+				if t.LogScale > maxRescaleLog {
+					scaleErr = &ConstraintError{Term: t, Constraint: 4,
+						Detail: fmt.Sprintf("rescale divisor 2^%g exceeds the maximum 2^%g", t.LogScale, maxRescaleLog)}
+				}
 			}
-		case core.OpRescale:
-			if t.LogScale > maxRescaleLog {
-				return nil, &ConstraintError{Term: t, Constraint: 4,
-					Detail: fmt.Sprintf("rescale divisor 2^%g exceeds the maximum 2^%g", t.LogScale, maxRescaleLog)}
+			if scaleErr == nil && scale <= 0 {
+				scaleErr = &ConstraintError{Term: t, Constraint: 2,
+					Detail: fmt.Sprintf("scale dropped to 2^%g; the message would be lost", scale)}
 			}
 		}
-		if scales[t] <= 0 {
-			return nil, &ConstraintError{Term: t, Constraint: 2,
-				Detail: fmt.Sprintf("scale dropped to 2^%g; the message would be lost", scales[t])}
-		}
-	}
-	return scales, nil
-}
 
-// ValidatePolynomialCounts performs the third validation pass: it tracks the
-// number of polynomials of every Cipher term and asserts that the operands of
-// every MULTIPLY (and rotation) consist of exactly two polynomials
-// (Constraint 3), which guarantees a single relinearization key suffices.
-func ValidatePolynomialCounts(p *core.Program) error {
-	types := p.InferTypes()
-	polys := make(map[*core.Term]int, p.NumTerms())
-	for _, t := range p.TopoSort() {
-		if types[t] != core.TypeCipher {
+		// Cipher-ness, chain and polynomial count.
+		var chain Chain
+		cipher := t.IsLeaf() && t.InType == core.TypeCipher
+		n := 2
+		for _, parm := range t.Parms() {
+			pn, ok := polys[parm]
+			if !ok {
+				continue
+			}
+			n = max(n, pn)
+			pc := chains[parm]
+			if !cipher {
+				chain, cipher = pc.clone(), true
+				continue
+			}
+			if !chain.Equal(pc) {
+				return nil, nil, &ConstraintError{Term: t, Constraint: 1,
+					Detail: fmt.Sprintf("operand coefficient moduli differ: chains %v vs %v", chain, pc)}
+			}
+			chain = chain.merge(pc)
+		}
+		if !cipher {
 			continue
 		}
 		switch t.Op {
-		case core.OpInput:
-			polys[t] = 2
+		case core.OpRescale:
+			chain = append(chain, t.LogScale)
+		case core.OpModSwitch:
+			chain = append(chain, ModSwitchMark)
 		case core.OpMultiply:
-			a, b := t.Parm(0), t.Parm(1)
-			if types[a] == core.TypeCipher && types[b] == core.TypeCipher {
-				if polys[a] != 2 || polys[b] != 2 {
-					return &ConstraintError{Term: t, Constraint: 3,
-						Detail: fmt.Sprintf("multiplication operands have %d and %d polynomials; relinearization missing", polys[a], polys[b])}
-				}
-				polys[t] = 3
-			} else {
-				polys[t] = maxCipherPolys(t, types, polys)
+			a, b := polys[t.Parm(0)], polys[t.Parm(1)]
+			if a == 0 || b == 0 {
+				break // a product with a plain operand keeps the cipher's count
 			}
+			if (a != 2 || b != 2) && polyErr == nil {
+				polyErr = &ConstraintError{Term: t, Constraint: 3,
+					Detail: fmt.Sprintf("multiplication operands have %d and %d polynomials; relinearization missing", a, b)}
+			}
+			n = 3
 		case core.OpRelinearize:
-			polys[t] = 2
+			n = 2
 		case core.OpRotateLeft, core.OpRotateRight:
-			if polys[t.Parm(0)] != 2 {
-				return &ConstraintError{Term: t, Constraint: 3,
+			if n != 2 && polyErr == nil {
+				polyErr = &ConstraintError{Term: t, Constraint: 3,
 					Detail: "rotation of a ciphertext with more than two polynomials; relinearization missing"}
 			}
-			polys[t] = 2
-		default:
-			polys[t] = maxCipherPolys(t, types, polys)
+			n = 2
 		}
+		chains[t], polys[t] = chain, n
 	}
-	return nil
-}
-
-func maxCipherPolys(t *core.Term, types map[*core.Term]core.Type, polys map[*core.Term]int) int {
-	n := 2
-	for _, parm := range t.Parms() {
-		if types[parm] == core.TypeCipher && polys[parm] > n {
-			n = polys[parm]
-		}
-	}
-	return n
-}
-
-// Validate runs all validation passes and returns the computed chains and
-// scales for use by parameter selection.
-func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map[*core.Term]float64, error) {
-	chains, err := ComputeChains(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	scales, err := ValidateScales(p, maxRescaleLog)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ValidatePolynomialCounts(p); err != nil {
-		return nil, nil, err
+	switch {
+	case scaleErr != nil:
+		return nil, nil, scaleErr
+	case polyErr != nil:
+		return nil, nil, polyErr
 	}
 	return chains, scales, nil
 }

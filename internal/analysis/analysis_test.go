@@ -56,7 +56,7 @@ func TestChainEquality(t *testing.T) {
 
 func TestComputeChainsOnCompiledProgram(t *testing.T) {
 	p := buildCompiledX2Y3(t)
-	chains, err := ComputeChains(p)
+	chains, _, err := Validate(p, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,9 @@ func TestComputeChainsDetectsConstraint1Violation(t *testing.T) {
 	rs, _ := p.NewRescale(x2, 30)
 	sum, _ := p.NewBinary(core.OpAdd, rs, x)
 	p.AddOutput("out", sum, 30)
-	_, err := ComputeChains(p)
-	if err == nil {
-		t.Fatal("expected a constraint-1 violation")
-	}
-	var cerr *ConstraintError
-	if !asConstraintError(err, &cerr) || cerr.Constraint != 1 {
-		t.Fatalf("expected ConstraintError{1}, got %v", err)
+	_, _, err := Validate(p, 60)
+	if got := constraintOf(err); got != 1 {
+		t.Fatalf("expected a constraint-1 violation, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "constraint 1") {
 		t.Errorf("error message should mention the constraint: %v", err)
@@ -100,8 +96,8 @@ func TestValidateScalesDetectsViolations(t *testing.T) {
 	y, _ := p.NewInput("y", core.TypeCipher, 8, 20)
 	sum, _ := p.NewBinary(core.OpAdd, x, y)
 	p.AddOutput("out", sum, 30)
-	if _, err := ValidateScales(p, 60); err == nil {
-		t.Error("expected constraint-2 violation for mismatched ADD scales")
+	if _, _, err := Validate(p, 60); constraintOf(err) != 2 {
+		t.Errorf("expected constraint-2 violation for mismatched ADD scales, got %v", err)
 	}
 
 	// Constraint 4: rescale divisor larger than the maximum.
@@ -110,8 +106,8 @@ func TestValidateScalesDetectsViolations(t *testing.T) {
 	a2, _ := q.NewBinary(core.OpMultiply, a, a)
 	rs, _ := q.NewRescale(a2, 70)
 	q.AddOutput("out", rs, 30)
-	if _, err := ValidateScales(q, 60); err == nil {
-		t.Error("expected constraint-4 violation for oversized rescale")
+	if _, _, err := Validate(q, 60); constraintOf(err) != 4 {
+		t.Errorf("expected constraint-4 violation for oversized rescale, got %v", err)
 	}
 
 	// Scale dropping to zero or below destroys the message.
@@ -120,13 +116,13 @@ func TestValidateScalesDetectsViolations(t *testing.T) {
 	b2, _ := r.NewBinary(core.OpMultiply, b, b)
 	rs2, _ := r.NewRescale(b2, 60)
 	r.AddOutput("out", rs2, 30)
-	if _, err := ValidateScales(r, 60); err == nil {
-		t.Error("expected violation for vanishing scale")
+	if _, _, err := Validate(r, 60); constraintOf(err) != 2 {
+		t.Errorf("expected violation for vanishing scale, got %v", err)
 	}
 
 	// A valid program passes and returns the scales.
 	ok := buildCompiledX2Y3(t)
-	scales, err := ValidateScales(ok, 60)
+	_, scales, err := Validate(ok, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +138,8 @@ func TestValidatePolynomialCounts(t *testing.T) {
 	x2, _ := p.NewBinary(core.OpMultiply, x, x)
 	x3, _ := p.NewBinary(core.OpMultiply, x2, x)
 	p.AddOutput("out", x3, 30)
-	if err := ValidatePolynomialCounts(p); err == nil {
-		t.Error("expected constraint-3 violation for missing relinearization")
+	if _, _, err := Validate(p, 60); constraintOf(err) != 3 {
+		t.Errorf("expected constraint-3 violation for missing relinearization, got %v", err)
 	}
 
 	// Rotating an unrelinearized product is also rejected.
@@ -152,13 +148,13 @@ func TestValidatePolynomialCounts(t *testing.T) {
 	y2, _ := q.NewBinary(core.OpMultiply, y, y)
 	rot, _ := q.NewRotation(core.OpRotateLeft, y2, 1)
 	q.AddOutput("out", rot, 30)
-	if err := ValidatePolynomialCounts(q); err == nil {
-		t.Error("expected constraint-3 violation for rotating a degree-2 ciphertext")
+	if _, _, err := Validate(q, 60); constraintOf(err) != 3 {
+		t.Errorf("expected constraint-3 violation for rotating a degree-2 ciphertext, got %v", err)
 	}
 
 	// With RELINEARIZE inserted, validation passes.
 	r := buildCompiledX2Y3(t)
-	if err := ValidatePolynomialCounts(r); err != nil {
+	if _, _, err := Validate(r, 60); err != nil {
 		t.Errorf("valid program rejected: %v", err)
 	}
 }
@@ -246,10 +242,10 @@ func TestFactorizeScale(t *testing.T) {
 	}
 }
 
-func asConstraintError(err error, target **ConstraintError) bool {
-	ce, ok := err.(*ConstraintError)
-	if ok {
-		*target = ce
+// constraintOf returns the constraint a ConstraintError names, or 0.
+func constraintOf(err error) int {
+	if ce, ok := err.(*ConstraintError); ok {
+		return ce.Constraint
 	}
-	return ok
+	return 0
 }

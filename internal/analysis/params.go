@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"eva/internal/core"
-	"eva/internal/rewrite"
 )
 
 // minPrimeLog is the smallest chain prime the backend can generate.
@@ -55,9 +54,10 @@ func sum(bits []int) int {
 }
 
 // SelectParameters implements the encryption-parameter selection pass of
-// Section 6.2: it computes the conforming rescale chain and scale of every
-// output, determines the output with the longest requirement, and produces
-// the vector of prime bit sizes for the modulus chain.
+// Section 6.2: from Validate's chains and scales it takes the conforming
+// rescale chain and scale of every output, determines the output with the
+// longest requirement, and produces the vector of prime bit sizes for the
+// modulus chain. The waterline is the largest scale of a leaf in scales.
 func SelectParameters(p *core.Program, chains map[*core.Term]Chain, scales map[*core.Term]float64, maxRescaleLog float64) (*ParameterPlan, error) {
 	if len(p.Outputs()) == 0 {
 		return nil, fmt.Errorf("analysis: program has no outputs")
@@ -65,9 +65,11 @@ func SelectParameters(p *core.Program, chains map[*core.Term]Chain, scales map[*
 	if maxRescaleLog <= 0 {
 		maxRescaleLog = SpecialPrimeLog
 	}
-	waterline := rewrite.Waterline(p)
-	if waterline < minPrimeLog {
-		waterline = minPrimeLog
+	waterline := 0.0
+	for t, s := range scales {
+		if t.IsLeaf() {
+			waterline = max(waterline, s)
+		}
 	}
 
 	best := -1
@@ -96,7 +98,7 @@ func SelectParameters(p *core.Program, chains map[*core.Term]Chain, scales map[*
 		if math.IsInf(c, 1) {
 			// A position consumed only by MOD_SWITCH constrains nothing; use
 			// the waterline so the prime stays as small as possible.
-			plan.BitSizes = append(plan.BitSizes, int(math.Ceil(waterline)))
+			plan.BitSizes = append(plan.BitSizes, WaterlinePrimeBits(waterline))
 			continue
 		}
 		plan.BitSizes = append(plan.BitSizes, clampPrimeBits(int(math.Ceil(c))))
@@ -120,6 +122,13 @@ func factorizeScale(logScale, maxRescaleLog float64) []int {
 	}
 	out = append(out, clampPrimeBits(int(math.Ceil(remaining))))
 	return out
+}
+
+// WaterlinePrimeBits is the bit size of a chain prime that divides no scale
+// (a MOD_SWITCH position, or headroom for pipeline chaining): the waterline
+// rounded up, within the sizes the backend can generate.
+func WaterlinePrimeBits(waterline float64) int {
+	return clampPrimeBits(int(math.Ceil(waterline)))
 }
 
 func clampPrimeBits(bits int) int {

@@ -148,14 +148,7 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	// enter up to ExtraLevels below fresh and every rescale still finds a
 	// prime of the size the scale analysis assumed.
 	if opts.ExtraLevels > 0 {
-		w := int(math.Ceil(res.waterline))
-		if w < 20 {
-			w = 20
-		}
-		pad := make([]int, opts.ExtraLevels, opts.ExtraLevels+len(plan.BitSizes))
-		for i := range pad {
-			pad[i] = w
-		}
+		pad := slices.Repeat([]int{analysis.WaterlinePrimeBits(res.waterline)}, opts.ExtraLevels)
 		plan.BitSizes = append(pad, plan.BitSizes...)
 	}
 

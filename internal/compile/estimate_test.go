@@ -61,10 +61,11 @@ func referenceKeySwitchLoad(chains map[*core.Term]analysis.Chain) analysis.KeySw
 // OpUnits and tracks the dearest dependence chain.
 func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate {
 	levels := referenceLevels(p)
-	types := p.InferTypes()
+	order := p.TopoSort()
+	types := core.InferTypes(order)
 	est := analysis.CostEstimate{ByOp: map[string]float64{}}
 	pathCost := map[*core.Term]float64{}
-	for _, t := range p.TopoSort() {
+	for _, t := range order {
 		var cost float64
 		if !t.IsLeaf() && types[t] == core.TypeCipher {
 			ctct := t.Op == core.OpMultiply &&
@@ -89,7 +90,8 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 // with PeakMemoryBytes only on programs without dead terms.
 func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 	levels := referenceLevels(p)
-	types := p.InferTypes()
+	order := p.TopoSort()
+	types := core.InferTypes(order)
 	n := int64(1) << uint(m.LogN)
 	bytesOf := func(t *core.Term) int64 {
 		if types[t] != core.TypeCipher {
@@ -103,7 +105,6 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 		}
 		return 8 * n * limbs * polys
 	}
-	order := p.TopoSort()
 	refcounts := make(map[*core.Term]int, len(order))
 	for _, o := range p.Outputs() {
 		refcounts[o.Term]++
@@ -128,29 +129,23 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 }
 
 // lowerAt lowers a program as it stands, without transforming or validating
-// it, and prices it at ring degree 2^logN on a chain of the given length with
-// per-prime key switching.
-func lowerAt(t *testing.T, p *core.Program, logN, chainLength int) *Result {
-	t.Helper()
-	chains, err := analysis.ComputeChains(p)
-	if err != nil {
-		t.Fatal(err)
+// it (each term's level is referenceLevels'), and prices it at ring degree
+// 2^logN on a chain of the given length with per-prime key switching.
+func lowerAt(p *core.Program, logN, chainLength int) *Result {
+	chains := map[*core.Term]analysis.Chain{}
+	for t, l := range referenceLevels(p) {
+		chains[t] = make(analysis.Chain, l)
 	}
 	res := Lower(p, chains, rewrite.ComputeLogScales(p))
 	res.LogN, res.Plan = logN, &analysis.ParameterPlan{BitSizes: make([]int, chainLength)}
 	return res
 }
 
-// maxChain is the longest chain of a program's Cipher terms.
-func maxChain(t *testing.T, p *core.Program) int {
-	t.Helper()
-	chains, err := analysis.ComputeChains(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+// maxChain is the longest chain of a program's terms.
+func maxChain(p *core.Program) int {
 	longest := 0
-	for _, c := range chains {
-		longest = max(longest, len(c))
+	for _, l := range referenceLevels(p) {
+		longest = max(longest, l)
 	}
 	return longest
 }
@@ -160,7 +155,7 @@ func TestCostModelBasicProperties(t *testing.T) {
 	if err := rewrite.Transform(p, rewrite.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	est := lowerAt(t, p, 13, maxChain(t, p)+2).Cost()
+	est := lowerAt(p, 13, maxChain(p)+2).Cost()
 	if est.Total <= 0 || est.CriticalPath <= 0 {
 		t.Fatal("cost estimate should be positive")
 	}
@@ -208,8 +203,8 @@ func TestCostModelRewardsShorterChains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wlCost := lowerAt(t, waterline, 14, maxChain(t, waterline)+2).Cost()
-	fxCost := lowerAt(t, fixed, 14, maxChain(t, fixed)+2).Cost()
+	wlCost := lowerAt(waterline, 14, maxChain(waterline)+2).Cost()
+	fxCost := lowerAt(fixed, 14, maxChain(fixed)+2).Cost()
 	if wlCost.Total >= fxCost.Total {
 		t.Errorf("waterline cost %.3g should be below fixed-rescale cost %.3g", wlCost.Total, fxCost.Total)
 	}
@@ -230,8 +225,8 @@ func memProgram(t *testing.T, chain int) *core.Program {
 }
 
 func TestEstimatePeakMemoryBytes(t *testing.T) {
-	small := lowerAt(t, memProgram(t, 1), 12, 4).PeakMemoryBytes()
-	large := lowerAt(t, memProgram(t, 3), 12, 4).PeakMemoryBytes()
+	small := lowerAt(memProgram(t, 1), 12, 4).PeakMemoryBytes()
+	large := lowerAt(memProgram(t, 3), 12, 4).PeakMemoryBytes()
 	if small <= 0 {
 		t.Fatalf("estimate not positive: %d", small)
 	}
@@ -252,7 +247,7 @@ func TestEstimatePeakMemoryPlainProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two live plain vectors of 2^12 float64s.
-	if est, want := lowerAt(t, p, 12, 4).PeakMemoryBytes(), int64(2*8*4096); est != want {
+	if est, want := lowerAt(p, 12, 4).PeakMemoryBytes(), int64(2*8*4096); est != want {
 		t.Errorf("plain-only estimate = %d; want %d", est, want)
 	}
 }
@@ -262,7 +257,7 @@ func TestEstimatePeakMemoryPlainProgram(t *testing.T) {
 func TestEstimatePeakAccountsDegree3Products(t *testing.T) {
 	// Live set peaks with the input (2 polys) plus the product (3 polys),
 	// all at 1 limb of 4096 coefficients.
-	if est, want := lowerAt(t, memProgram(t, 1), 12, 1).PeakMemoryBytes(), int64((2+3)*1*4096*8); est != want {
+	if est, want := lowerAt(memProgram(t, 1), 12, 1).PeakMemoryBytes(), int64((2+3)*1*4096*8); est != want {
 		t.Errorf("estimate = %d; want %d", est, want)
 	}
 }

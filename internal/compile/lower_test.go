@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,8 +12,8 @@ import (
 )
 
 // checkLowering cross-checks a Result's dense form against derivations that
-// do not share the lowering walk: the program's own type inference,
-// statistics and rotation steps, the analysis passes' chains, rewrite's
+// do not share the lowering walk: the program's own type inference and
+// statistics, the rotation steps of its rotations, Validate's chains, rewrite's
 // scales and rotation sets, the term-graph estimators (key-switch load and
 // cost always, peak memory where the program has no dead terms, whose uses
 // the term-graph replay counts), and — for programs with at most 64 Cipher
@@ -21,8 +22,8 @@ func checkLowering(t testing.TB, res *Result) {
 	t.Helper()
 	prog := res.Program
 	order := prog.TopoSort()
-	types := prog.InferTypes()
-	chains, err := analysis.ComputeChains(prog)
+	types := core.InferTypes(order)
+	chains, _, err := analysis.Validate(prog, res.Options.MaxRescaleLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,17 @@ func checkLowering(t testing.TB, res *Result) {
 	if want := prog.ComputeStats(); !reflect.DeepEqual(res.CompiledStats, want) {
 		t.Errorf("CompiledStats %+v, ComputeStats %+v", res.CompiledStats, want)
 	}
-	if want := prog.RotationSteps(); !slices.Equal(res.RotationSteps, want) {
+	stepSet := map[int]bool{}
+	for _, term := range order {
+		switch {
+		case term.RotateBy == 0:
+		case term.Op == core.OpRotateLeft:
+			stepSet[term.RotateBy] = true
+		case term.Op == core.OpRotateRight:
+			stepSet[-term.RotateBy] = true
+		}
+	}
+	if want := slices.Sorted(maps.Keys(stepSet)); !slices.Equal(res.RotationSteps, want) {
 		t.Errorf("RotationSteps %v, program rotation steps %v", res.RotationSteps, want)
 	}
 	if got, want := res.KeySwitchLoad(), referenceKeySwitchLoad(chains); !reflect.DeepEqual(got, want) {

@@ -57,9 +57,6 @@ func TestProgramConstruction(t *testing.T) {
 	if p.InputByName("missing") != nil {
 		t.Error("lookup of missing input should be nil")
 	}
-	if d := p.MultiplicativeDepth(); d != 3 {
-		t.Errorf("multiplicative depth = %d, want 3", d)
-	}
 	if err := p.ValidateStructure(true); err != nil {
 		t.Errorf("ValidateStructure: %v", err)
 	}
@@ -172,7 +169,7 @@ func TestInferTypes(t *testing.T) {
 	vc, _ := p.NewBinary(OpMultiply, v, c)
 	p.AddOutput("xc", xc, 30)
 	p.AddOutput("vc", vc, 30)
-	types := p.InferTypes()
+	types := InferTypes(p.TopoSort())
 	if types[x] != TypeCipher || types[xc] != TypeCipher {
 		t.Error("cipher type not propagated")
 	}
@@ -184,18 +181,21 @@ func TestInferTypes(t *testing.T) {
 	}
 }
 
+// TestRotationSteps: the statistics count distinct left-rotation steps, a
+// right rotation by k being a left one by -k, and no step for a rotation by 0.
 func TestRotationSteps(t *testing.T) {
 	p := MustNewProgram("rot", 8)
 	x, _ := p.NewInput("x", TypeCipher, 8, 30)
 	r1, _ := p.NewRotation(OpRotateLeft, x, 1)
 	r2, _ := p.NewRotation(OpRotateRight, x, 2)
+	r3, _ := p.NewRotation(OpRotateLeft, x, -2)
 	r0, _ := p.NewRotation(OpRotateLeft, x, 0)
 	s, _ := p.NewBinary(OpAdd, r1, r2)
-	s2, _ := p.NewBinary(OpAdd, s, r0)
-	p.AddOutput("o", s2, 30)
-	steps := p.RotationSteps()
-	if len(steps) != 2 || steps[0] != -2 || steps[1] != 1 {
-		t.Errorf("RotationSteps = %v, want [-2 1]", steps)
+	s2, _ := p.NewBinary(OpAdd, s, r3)
+	s3, _ := p.NewBinary(OpAdd, s2, r0)
+	p.AddOutput("o", s3, 30)
+	if steps := p.ComputeStats().RotationSteps; steps != 2 {
+		t.Errorf("RotationSteps = %d, want 2 (steps -2 and 1)", steps)
 	}
 }
 
@@ -376,9 +376,6 @@ func TestOpCodeHelpers(t *testing.T) {
 	}
 	if _, err := ParseType("NOPE"); err == nil {
 		t.Error("expected error for unknown type")
-	}
-	if !TypeVector.IsPlain() || TypeCipher.IsPlain() {
-		t.Error("IsPlain wrong")
 	}
 }
 

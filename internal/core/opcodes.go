@@ -147,6 +147,3 @@ func ParseType(s string) (Type, error) {
 	}
 	return TypeInvalid, fmt.Errorf("core: unknown type %q", s)
 }
-
-// IsPlain reports whether the type is unencrypted.
-func (t Type) IsPlain() bool { return t == TypeVector || t == TypeScalar }

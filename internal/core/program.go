@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Output names a term whose value the program returns, together with the
 // desired fixed-point scale (log2) of the result.
@@ -339,11 +336,12 @@ func (p *Program) liveTerms() map[*Term]bool {
 	return live
 }
 
-// InferTypes computes the value type of every live term: a term is Cipher if
-// any of its parameters is Cipher, otherwise it keeps the plain vector type.
-func (p *Program) InferTypes() map[*Term]Type {
-	types := make(map[*Term]Type, len(p.terms))
-	for _, t := range p.TopoSort() {
+// InferTypes computes the value type of every term of order, a topological
+// order of live terms such as TopoSort returns: a term is Cipher if any of its
+// parameters is Cipher, otherwise it keeps the plain vector type.
+func InferTypes(order []*Term) map[*Term]Type {
+	types := make(map[*Term]Type, len(order))
+	for _, t := range order {
 		if t.IsLeaf() {
 			types[t] = t.InType
 			continue
@@ -364,54 +362,6 @@ func (p *Program) InferTypes() map[*Term]Type {
 	return types
 }
 
-// MultiplicativeDepth returns the maximum number of MULTIPLY instructions on
-// any input-to-output path of the live graph.
-func (p *Program) MultiplicativeDepth() int {
-	depth := map[*Term]int{}
-	maxDepth := 0
-	for _, t := range p.TopoSort() {
-		d := 0
-		for _, parm := range t.parms {
-			if depth[parm] > d {
-				d = depth[parm]
-			}
-		}
-		if t.Op == OpMultiply {
-			d++
-		}
-		depth[t] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	return maxDepth
-}
-
-// RotationSteps returns the sorted set of distinct rotation step counts used
-// by the live graph, normalized to left-rotation steps (a right rotation by k
-// is a left rotation by -k).
-func (p *Program) RotationSteps() []int {
-	set := map[int]bool{}
-	for _, t := range p.TopoSort() {
-		switch t.Op {
-		case OpRotateLeft:
-			if t.RotateBy != 0 {
-				set[t.RotateBy] = true
-			}
-		case OpRotateRight:
-			if t.RotateBy != 0 {
-				set[-t.RotateBy] = true
-			}
-		}
-	}
-	steps := make([]int, 0, len(set))
-	for s := range set {
-		steps = append(steps, s)
-	}
-	sort.Ints(steps)
-	return steps
-}
-
 // ValidateStructure checks the structural well-formedness of the program:
 // arities, leaf attributes, output presence, and (for input programs) the
 // absence of compiler-only instructions.
@@ -419,7 +369,6 @@ func (p *Program) ValidateStructure(asInput bool) error {
 	if len(p.outputs) == 0 {
 		return fmt.Errorf("core: program %q has no outputs", p.Name)
 	}
-	types := p.InferTypes()
 	for _, t := range p.TopoSort() {
 		if len(t.parms) != t.Op.Arity() {
 			return fmt.Errorf("core: %s has %d parameters, want %d", t, len(t.parms), t.Op.Arity())
@@ -438,13 +387,6 @@ func (p *Program) ValidateStructure(asInput bool) error {
 			}
 			if len(t.Value) != t.VecWidth {
 				return fmt.Errorf("core: constant t%d has %d values for width %d", t.ID, len(t.Value), t.VecWidth)
-			}
-		case OpAdd, OpSub, OpMultiply:
-			if types[t.parms[0]].IsPlain() && types[t.parms[1]].IsPlain() {
-				// Plain-plain arithmetic is allowed (it folds at run time),
-				// but at least the signature of Table 2 expects Cipher
-				// somewhere in encrypted programs; nothing to check here.
-				continue
 			}
 		case OpRescale:
 			if t.LogScale <= 0 {
@@ -516,16 +458,36 @@ type Stats struct {
 	RotationSteps int
 }
 
-// ComputeStats gathers instruction counts and depth information.
+// ComputeStats gathers instruction counts, the multiplicative depth (the
+// most MULTIPLY instructions on any input-to-output path) and the number of
+// distinct rotation steps (a right rotation by k is a left rotation by -k) of
+// the live graph.
 func (p *Program) ComputeStats() Stats {
 	s := Stats{Instructions: map[string]int{}, Inputs: len(p.inputs), Outputs: len(p.outputs)}
+	depth := map[*Term]int{}
+	steps := map[int]bool{}
 	for _, t := range p.TopoSort() {
 		s.Terms++
 		if !t.IsLeaf() {
 			s.Instructions[t.Op.String()]++
 		}
+		d := 0
+		for _, parm := range t.parms {
+			d = max(d, depth[parm])
+		}
+		if t.Op == OpMultiply {
+			d++
+		}
+		depth[t] = d
+		s.MultDepth = max(s.MultDepth, d)
+		if t.Op.IsRotation() && t.RotateBy != 0 {
+			step := t.RotateBy
+			if t.Op == OpRotateRight {
+				step = -step
+			}
+			steps[step] = true
+		}
 	}
-	s.MultDepth = p.MultiplicativeDepth()
-	s.RotationSteps = len(p.RotationSteps())
+	s.RotationSteps = len(steps)
 	return s
 }

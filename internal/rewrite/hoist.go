@@ -21,10 +21,11 @@ import "eva/internal/core"
 // members within a set in topological order, so callers get deterministic
 // output for a given program.
 func RotationSets(p *core.Program) [][]*core.Term {
-	types := p.InferTypes()
+	order := p.TopoSort()
+	types := core.InferTypes(order)
 	groups := make(map[*core.Term][]*core.Term)
 	var sources []*core.Term
-	for _, t := range p.TopoSort() {
+	for _, t := range order {
 		if !t.Op.IsRotation() {
 			continue
 		}

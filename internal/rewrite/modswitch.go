@@ -61,21 +61,17 @@ func InsertModSwitchLazy(p *core.Program) {
 func InsertModSwitchEager(p *core.Program) {
 	rlevels := make(map[*core.Term]int, p.NumTerms())
 	order := p.TopoSort()
-	types := p.InferTypes()
-
-	outputLevel := func(t *core.Term) (int, bool) {
-		isOut := false
-		for _, o := range p.Outputs() {
-			if o.Term == t {
-				isOut = true
-			}
-		}
-		return 0, isOut
+	types := core.InferTypes(order)
+	// Only the term being equalized is ever redirected away from an output,
+	// so the set of output terms can be taken once, before the walk.
+	outputs := make(map[*core.Term]bool, len(p.Outputs()))
+	for _, o := range p.Outputs() {
+		outputs[o.Term] = true
 	}
 
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
-		equalizeUses(p, t, rlevels, outputLevel)
+		equalizeUses(p, t, rlevels, outputs[t])
 		r := 0
 		for _, u := range t.Uses() {
 			if rlevels[u] > r {
@@ -116,9 +112,9 @@ func InsertModSwitchEager(p *core.Program) {
 // equalizeUses groups the uses of t by the rescale-chain length they require
 // below t and, when they disagree, inserts a shared chain of MOD_SWITCH nodes
 // after t so that lower-requirement uses are fed through additional drops.
-func equalizeUses(p *core.Program, t *core.Term, rlevels map[*core.Term]int, outputLevel func(*core.Term) (int, bool)) {
+// An output (isOutput) requires level 0.
+func equalizeUses(p *core.Program, t *core.Term, rlevels map[*core.Term]int, isOutput bool) {
 	edges := t.UseEdges()
-	_, isOutput := outputLevel(t)
 	if len(edges) == 0 && !isOutput {
 		return
 	}

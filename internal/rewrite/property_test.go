@@ -143,7 +143,9 @@ func TestTransformChainsConformingBothStrategies(t *testing.T) {
 				t.Logf("seed %d: transform failed: %v", seed, err)
 				return false
 			}
-			if _, err := analysis.ComputeChains(prog); err != nil {
+			// Validate reports a chain violation ahead of any other kind.
+			_, _, err := analysis.Validate(prog, opts.MaxRescaleLog)
+			if ce, ok := err.(*analysis.ConstraintError); ok && ce.Constraint == 1 {
 				t.Logf("seed %d strategy %d: chains not conforming: %v", seed, strategy, err)
 				return false
 			}

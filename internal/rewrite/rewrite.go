@@ -162,11 +162,12 @@ func Transform(p *core.Program, opts Options) error {
 	return nil
 }
 
-// Waterline returns the waterline scale s_w for the program: the maximum
-// log2 scale over all inputs and constants, as the paper prescribes.
-func Waterline(p *core.Program) float64 {
+// Waterline returns the waterline scale s_w of a program given its
+// topological order: the maximum log2 scale over all inputs and constants, as
+// the paper prescribes.
+func Waterline(order []*core.Term) float64 {
 	sw := 0.0
-	for _, t := range p.TopoSort() {
+	for _, t := range order {
 		if t.IsLeaf() && t.LogScale > sw {
 			sw = t.LogScale
 		}
@@ -180,13 +181,14 @@ func Waterline(p *core.Program) float64 {
 func ComputeLogScales(p *core.Program) map[*core.Term]float64 {
 	scales := make(map[*core.Term]float64, p.NumTerms())
 	for _, t := range p.TopoSort() {
-		scales[t] = scaleOf(t, scales)
+		scales[t] = ScaleOf(t, scales)
 	}
 	return scales
 }
 
-// scaleOf computes the scale of t given the scales of its parameters.
-func scaleOf(t *core.Term, scales map[*core.Term]float64) float64 {
+// ScaleOf computes the scale of t given the scales of its parameters: the one
+// definition of the scale rule, shared by the passes and validation.
+func ScaleOf(t *core.Term, scales map[*core.Term]float64) float64 {
 	switch t.Op {
 	case core.OpInput, core.OpConstant:
 		return t.LogScale
@@ -213,13 +215,14 @@ func InsertRescaleWaterline(p *core.Program, maxRescaleLog, waterlineLog float64
 	if maxRescaleLog <= 0 {
 		return fmt.Errorf("rewrite: maximum rescale value must be positive")
 	}
+	order := p.TopoSort()
 	sw := waterlineLog
 	if sw == 0 {
-		sw = Waterline(p)
+		sw = Waterline(order)
 	}
 	scales := make(map[*core.Term]float64, p.NumTerms())
-	for _, t := range p.TopoSort() {
-		scales[t] = scaleOf(t, scales)
+	for _, t := range order {
+		scales[t] = ScaleOf(t, scales)
 		if t.Op != core.OpMultiply {
 			continue
 		}
@@ -246,7 +249,7 @@ func InsertRescaleAlways(p *core.Program, maxRescaleLog float64) error {
 	const minPrimeLog = 20
 	scales := make(map[*core.Term]float64, p.NumTerms())
 	for _, t := range p.TopoSort() {
-		scales[t] = scaleOf(t, scales)
+		scales[t] = ScaleOf(t, scales)
 		if t.Op != core.OpMultiply {
 			continue
 		}
@@ -278,8 +281,9 @@ func InsertRescaleFixed(p *core.Program, divisorLog float64) error {
 	if divisorLog <= 0 {
 		return fmt.Errorf("rewrite: rescale divisor must be positive")
 	}
-	types := p.InferTypes()
-	for _, t := range p.TopoSort() {
+	order := p.TopoSort()
+	types := core.InferTypes(order)
+	for _, t := range order {
 		if t.Op != core.OpMultiply {
 			continue
 		}
@@ -301,7 +305,7 @@ func InsertRescaleFixed(p *core.Program, divisorLog float64) error {
 func MatchScales(p *core.Program) error {
 	scales := make(map[*core.Term]float64, p.NumTerms())
 	for _, t := range p.TopoSort() {
-		scales[t] = scaleOf(t, scales)
+		scales[t] = ScaleOf(t, scales)
 		if t.Op != core.OpAdd && t.Op != core.OpSub {
 			continue
 		}
@@ -334,8 +338,9 @@ func MatchScales(p *core.Program) error {
 // of two Cipher operands, insert a RELINEARIZE so that every downstream
 // instruction sees ciphertexts of two polynomials (Constraint 3).
 func InsertRelinearize(p *core.Program) {
-	types := p.InferTypes()
-	for _, t := range p.TopoSort() {
+	order := p.TopoSort()
+	types := core.InferTypes(order)
+	for _, t := range order {
 		if t.Op != core.OpMultiply {
 			continue
 		}

@@ -289,8 +289,9 @@ func TestFigure2Relinearize(t *testing.T) {
 	}
 	// Every multiply of two Cipher operands is immediately followed by a
 	// RELINEARIZE before any other use.
-	types := p.InferTypes()
-	for _, term := range p.TopoSort() {
+	order := p.TopoSort()
+	types := core.InferTypes(order)
+	for _, term := range order {
 		if term.Op != core.OpMultiply {
 			continue
 		}
@@ -364,7 +365,7 @@ func TestWaterlineComputation(t *testing.T) {
 	c, _ := p.NewScalarConstant(2, 40)
 	m, _ := p.NewBinary(core.OpMultiply, x, c)
 	p.AddOutput("o", m, 25)
-	if got := Waterline(p); got != 40 {
+	if got := Waterline(p.TopoSort()); got != 40 {
 		t.Errorf("Waterline = %g, want 40", got)
 	}
 }
