@@ -18,7 +18,7 @@ import (
 // This is the quantity EVA's parameter-minimizing passes reduce, and it
 // explains the Table 5/6 relationship: fewer chain primes means both fewer
 // and cheaper operations. The model only prices; compile.Result applies it to
-// a compiled program (Cost, PeakMemoryBytes, KeySwitchLoad).
+// a compiled program (InstrUnits, Cost, PeakMemoryBytes).
 type CostModel struct {
 	// LogN is the ring-degree exponent used for the estimate.
 	LogN int
@@ -43,8 +43,10 @@ type CostEstimate struct {
 // compiled instruction's Level; deeper positions operate on fewer limbs), and
 // — for multiplies — whether both operands are ciphertexts. Leaves and plain
 // terms cost 0 by definition and are the caller's responsibility to exclude.
-// The per-op shape here is what calibration (internal/profile) fits measured
-// wall-clock coefficients against.
+// Key switching is priced apart (KeySwitchPrice): a relinearization or
+// rotation pays one element-wise pass here, what a rotation by a zero step
+// costs, the copy it makes. The per-op shape here is what calibration
+// (internal/profile) fits measured wall-clock coefficients against.
 func (m CostModel) OpUnits(op core.OpCode, chainPos int, ctct bool) float64 {
 	n, logN, limbs := m.shape(chainPos)
 	switch {
@@ -59,9 +61,6 @@ func (m CostModel) OpUnits(op core.OpCode, chainPos int, ctct bool) float64 {
 		return factor * n * limbs
 	case op == core.OpRescale:
 		return n * logN * limbs
-	case op == core.OpRelinearize || op.IsRotation():
-		decompose, perKey := m.KeySwitchUnits(chainPos)
-		return decompose + perKey
 	default:
 		return n * limbs
 	}
@@ -85,9 +84,7 @@ func (m CostModel) shape(chainPos int) (n, logN, limbs float64) {
 //	           (α+1)-term conversion into each of the limbs, the final scaling
 //
 // A relinearization or a lone rotation pays both; the rotations of one hoisted
-// batch share a single decompose. OpUnits prices every rotation in full, as
-// the profiler's calibration assumes (hoisted members are excluded from its
-// fit); SelectKeySwitchDigits prices batches as the executor runs them.
+// batch share a single decompose.
 func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
 	n, logN, limbs := m.shape(chainPos)
 	alpha := float64(max(m.DigitSize, 1))
@@ -101,6 +98,30 @@ func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
 	decompose = n*logN*transforms + n*passes
 	perKey = n*logN*2*(alpha+limbs) + n*(2*math.Ceil(limbs/alpha)*ext+2*limbs*(alpha+2))
 	return decompose, perKey
+}
+
+// KeySwitch is the key-switching work of one relinearization or rotation as
+// the executor runs it, at chain position Level: Decompose its input into
+// digits, and ApplyKey one switching key to them. A rotation whose step its
+// hoisted batch already took does neither.
+type KeySwitch struct {
+	Level               int
+	Decompose, ApplyKey bool
+}
+
+// KeySwitchPrice sums the KeySwitchUnits halves the switches do.
+func (m CostModel) KeySwitchPrice(switches ...KeySwitch) float64 {
+	total := 0.0
+	for _, ks := range switches {
+		decompose, perKey := m.KeySwitchUnits(ks.Level)
+		if ks.Decompose {
+			total += decompose
+		}
+		if ks.ApplyKey {
+			total += perKey
+		}
+	}
+	return total
 }
 
 // ParallelSpeedupBound returns the cost model's upper bound on the speedup an

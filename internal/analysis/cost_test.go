@@ -15,9 +15,10 @@ func TestParallelSpeedupBoundDegenerate(t *testing.T) {
 
 // TestKeySwitchUnitsShape pins the hybrid key-switch term of the model on the
 // 16-prime chain of the bench SqueezeNet: the two halves add up to what
-// OpUnits charges, a zero DigitSize means per-prime, the limb-transform counts
-// are the ones the backend performs (306 per-prime, 120 in digits of four),
-// and grouping helps a full chain but not a single remaining limb.
+// KeySwitchPrice charges a whole switch, a zero DigitSize means per-prime, the
+// limb-transform counts are the ones the backend performs (306 per-prime, 120
+// in digits of four), and grouping helps a full chain but not a single
+// remaining limb.
 func TestKeySwitchUnitsShape(t *testing.T) {
 	const logN, chain = 10, 16
 	n := float64(int(1) << logN)
@@ -37,26 +38,59 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 		t.Errorf("key switch in digits of 4 at 16 limbs: %v limb transforms, want 120", got)
 	}
 
+	whole := func(m CostModel, pos int) float64 {
+		return m.KeySwitchPrice(KeySwitch{Level: pos, Decompose: true, ApplyKey: true})
+	}
 	perPrime := CostModel{LogN: logN, TotalLevels: chain}
 	explicit := CostModel{LogN: logN, TotalLevels: chain, DigitSize: 1}
 	grouped := CostModel{LogN: logN, TotalLevels: chain, DigitSize: 4}
-	for _, op := range []core.OpCode{core.OpRelinearize, core.OpRotateLeft, core.OpRotateRight} {
-		if perPrime.OpUnits(op, 0, false) != explicit.OpUnits(op, 0, false) {
-			t.Errorf("%s: DigitSize 0 and 1 are priced differently", op)
-		}
-		d, k := grouped.KeySwitchUnits(3)
-		if got := grouped.OpUnits(op, 3, false); got != d+k {
-			t.Errorf("%s: OpUnits %v, decompose+perKey %v", op, got, d+k)
-		}
+	if whole(perPrime, 0) != whole(explicit, 0) {
+		t.Error("DigitSize 0 and 1 are priced differently")
 	}
-	if ratio := grouped.OpUnits(core.OpRelinearize, 0, false) / perPrime.OpUnits(core.OpRelinearize, 0, false); ratio < 0.35 || ratio > 0.6 {
+	d, k := grouped.KeySwitchUnits(3)
+	if got := whole(grouped, 3); got != d+k {
+		t.Errorf("KeySwitchPrice %v, decompose+perKey %v", got, d+k)
+	}
+	if ratio := whole(grouped, 0) / whole(perPrime, 0); ratio < 0.35 || ratio > 0.6 {
 		t.Errorf("digits of 4 at 16 limbs are priced at %.2f of per-prime; the backend measures about 0.5", ratio)
 	}
-	if grouped.OpUnits(core.OpRotateLeft, chain-1, false) <= perPrime.OpUnits(core.OpRotateLeft, chain-1, false) {
+	if whole(grouped, chain-1) <= whole(perPrime, chain-1) {
 		t.Error("with one limb left, three more special primes should cost, not save")
 	}
-	if units := perPrime.OpUnits(core.OpRelinearize, 0, false); units < n {
+	if units := whole(perPrime, 0); units < n {
 		t.Errorf("implausible key-switch units %v", units)
+	}
+}
+
+// TestKeySwitchPriceHalves: KeySwitchPrice charges exactly the halves each
+// switch does and sums a list; OpUnits charges a relinearization or rotation
+// only the element-wise pass of a zero step's copy.
+func TestKeySwitchPriceHalves(t *testing.T) {
+	m := CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}
+	d, k := m.KeySwitchUnits(5)
+	cases := []struct {
+		ks   KeySwitch
+		want float64
+	}{
+		{KeySwitch{Level: 5, Decompose: true}, d},
+		{KeySwitch{Level: 5, ApplyKey: true}, k},
+		{KeySwitch{Level: 5, Decompose: true, ApplyKey: true}, d + k},
+		{KeySwitch{Level: 5}, 0},
+	}
+	total := 0.0
+	for _, c := range cases {
+		if got := m.KeySwitchPrice(c.ks); got != c.want {
+			t.Errorf("%+v: %v units, want %v", c.ks, got, c.want)
+		}
+		total += c.want
+	}
+	if got := m.KeySwitchPrice(cases[0].ks, cases[1].ks, cases[2].ks, cases[3].ks); got != total {
+		t.Errorf("the four together cost %v, want %v", got, total)
+	}
+	for _, op := range []core.OpCode{core.OpRelinearize, core.OpRotateLeft, core.OpRotateRight} {
+		if got, want := m.OpUnits(op, 5, false), m.OpUnits(core.OpAdd, 5, false); got != want {
+			t.Errorf("%s: OpUnits %v, want one element-wise pass %v", op, got, want)
+		}
 	}
 }
 

@@ -141,36 +141,21 @@ func clampPrimeBits(bits int) int {
 	return bits
 }
 
-// minKeySwitchGain is the fraction by which the modelled key-switch cost must
+// minKeySwitchGain is the fraction by which the modelled key-switch price must
 // fall before a digit size above 1 is taken: every extra special prime widens
 // each mod-down and enlarges the parameter set, so a marginal modelled gain is
 // not worth leaving the per-prime construction.
 const minKeySwitchGain = 0.10
 
-// KeySwitchLoad counts, per chain position, the key-switch work a program
-// gives the backend: how many polynomials are decomposed and how many
-// switching keys are applied to a decomposition (compile.Result.KeySwitchLoad
-// counts it for a compiled program).
-type KeySwitchLoad map[int]KeySwitchCount
-
-// KeySwitchCount is one chain position's entry of a KeySwitchLoad.
-type KeySwitchCount struct{ Decompositions, Keys int }
-
-// UniformKeySwitchLoad is the load of one plain key switch at every position
-// of a chain of the given length — what a digit size is chosen for when it
-// may depend on the chain but not on any one program (pipeline stages).
-func UniformKeySwitchLoad(chainLength int) KeySwitchLoad {
-	load := KeySwitchLoad{}
-	for pos := 0; pos < chainLength; pos++ {
-		load[pos] = KeySwitchCount{Decompositions: 1, Keys: 1}
-	}
-	return load
-}
+// digitSizeTie is the fraction within which two digit sizes' prices are a
+// tie, kept by the smaller: far below what the model can resolve, and one
+// special prime fewer is a smaller modulus for no modelled loss.
+const digitSizeTie = 0.001
 
 // SelectKeySwitchDigits chooses the key-switch digit size α for a plan whose
 // chain (pl.BitSizes) and ring degree are already fixed, and sets
-// pl.SpecialBits to the α special primes it needs. It minimises the cost
-// model's units over the given load, under two rules:
+// pl.SpecialBits to the α special primes it needs. It takes the feasible α
+// whose cost model prices the given key switches lowest, under two rules:
 //
 //   - The ring degree is never raised. maxLogQP is the total-modulus budget of
 //     the degree the one-special-prime plan already needs (0 = unbounded, for
@@ -181,29 +166,20 @@ func UniformKeySwitchLoad(chainLength int) KeySwitchLoad {
 //     when the budget allows; otherwise the remaining budget is shared evenly,
 //     and a digit size whose largest digit exceeds the budget is infeasible.
 //
-// α > 1 is taken only when it cuts the modelled key-switch cost by at least
-// minKeySwitchGain; an empty load keeps α = 1.
-func (pl *ParameterPlan) SelectKeySwitchDigits(load KeySwitchLoad, logN, maxLogQP int) {
-	if len(load) == 0 {
-		return
-	}
-	cost := func(alpha int) float64 {
-		m := CostModel{LogN: logN, TotalLevels: len(pl.BitSizes), DigitSize: alpha}
-		total := 0.0
-		for pos, l := range load {
-			decompose, perKey := m.KeySwitchUnits(pos)
-			total += float64(l.Decompositions)*decompose + float64(l.Keys)*perKey
-		}
-		return total
-	}
-	base := cost(1)
+// A larger α must beat the best smaller one by more than digitSizeTie, and α >
+// 1 is taken only when it cuts the price by at least minKeySwitchGain, so a
+// program without key switches keeps α = 1.
+func (pl *ParameterPlan) SelectKeySwitchDigits(switches []KeySwitch, logN, maxLogQP int) {
+	m := CostModel{LogN: logN, TotalLevels: len(pl.BitSizes), DigitSize: 1}
+	base := m.KeySwitchPrice(switches...)
 	best, bestCost := pl.SpecialBits, base
 	for alpha := 2; alpha <= len(pl.BitSizes); alpha++ {
 		special := pl.specialBitsFor(alpha, maxLogQP)
 		if special == nil {
 			continue
 		}
-		if c := cost(alpha); c < bestCost {
+		m.DigitSize = alpha
+		if c := m.KeySwitchPrice(switches...); c < (1-digitSizeTie)*bestCost {
 			best, bestCost = special, c
 		}
 	}

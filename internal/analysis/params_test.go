@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-func topLevelSwitches(n int) KeySwitchLoad {
-	return KeySwitchLoad{0: {Decompositions: n, Keys: n}}
+// topLevelSwitches is n whole key switches at the top of the chain.
+func topLevelSwitches(n int) []KeySwitch {
+	return slices.Repeat([]KeySwitch{{Level: 0, Decompose: true, ApplyKey: true}}, n)
 }
 
 // TestSelectKeySwitchDigitsBudget pins the never-raise-logN rule on the
@@ -20,7 +21,7 @@ func TestSelectKeySwitchDigitsBudget(t *testing.T) {
 	pl := sobel()
 	pl.SelectKeySwitchDigits(topLevelSwitches(10), 14, 438)
 	if !slices.Equal(pl.SpecialBits, []int{60, 60}) {
-		t.Errorf("secure Sobel plan under a relinearization-heavy load: special primes %v, want [60 60]", pl.SpecialBits)
+		t.Errorf("secure Sobel plan under relinearization-heavy work: special primes %v, want [60 60]", pl.SpecialBits)
 	}
 	if pl.LogQP() > 438 {
 		t.Errorf("plan grew to %d bits, budget 438", pl.LogQP())
@@ -56,19 +57,20 @@ func TestSpecialBitsShrinkToBudget(t *testing.T) {
 	}
 }
 
-// TestSelectKeySwitchDigitsKeepsPerPrime: no key-switch load, or a modelled
-// gain under the threshold, leaves the single special prime alone.
+// TestSelectKeySwitchDigitsKeepsPerPrime: no key switches, or a modelled gain
+// under the threshold, leaves the single special prime alone.
 func TestSelectKeySwitchDigitsKeepsPerPrime(t *testing.T) {
 	pl := &ParameterPlan{BitSizes: []int{60, 60, 60, 60, 60}, SpecialBits: []int{60}}
-	pl.SelectKeySwitchDigits(KeySwitchLoad{}, 14, 0)
+	pl.SelectKeySwitchDigits(nil, 14, 0)
 	if !slices.Equal(pl.SpecialBits, []int{60}) {
-		t.Errorf("empty load changed the special primes to %v", pl.SpecialBits)
+		t.Errorf("no key switches changed the special primes to %v", pl.SpecialBits)
 	}
 	// One long hoisted batch at the bottom of the chain: a single limb left,
 	// where grouping cannot save a transform and every extra special prime
 	// widens each mod-down.
-	pl.SelectKeySwitchDigits(KeySwitchLoad{4: {Decompositions: 1, Keys: 16}}, 14, 0)
+	batch := append([]KeySwitch{{Level: 4, Decompose: true}}, slices.Repeat([]KeySwitch{{Level: 4, ApplyKey: true}}, 16)...)
+	pl.SelectKeySwitchDigits(batch, 14, 0)
 	if !slices.Equal(pl.SpecialBits, []int{60}) {
-		t.Errorf("a load the model cannot speed up changed the special primes to %v", pl.SpecialBits)
+		t.Errorf("a batch the model cannot speed up changed the special primes to %v", pl.SpecialBits)
 	}
 }

@@ -141,12 +141,17 @@ var keySwitchBenchChains = []struct {
 }
 
 // chosenSpecials asks the compiler's digit-size selection what it would pick
-// for a chain under one key switch per level with no security budget — the
-// "alpha=chosen" side of the key-switch benchmarks.
+// for a chain priced on the chain alone, one relinearization per level, as
+// for a pipeline stage, with no security budget — the "alpha=chosen" side of
+// the key-switch benchmarks.
 func chosenSpecials(logN int, logQi []int) []int {
 	plan := &analysis.ParameterPlan{BitSizes: slices.Clone(logQi), SpecialBits: []int{analysis.SpecialPrimeLog}}
 	slices.Reverse(plan.BitSizes) // plans list the chain in consumption order
-	plan.SelectKeySwitchDigits(analysis.UniformKeySwitchLoad(len(logQi)), logN, 0)
+	var switches []analysis.KeySwitch
+	for pos := range logQi {
+		switches = append(switches, analysis.KeySwitch{Level: pos, Decompose: true, ApplyKey: true})
+	}
+	plan.SelectKeySwitchDigits(switches, logN, 0)
 	return plan.SpecialBits
 }
 

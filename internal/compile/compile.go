@@ -157,21 +157,30 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
 	// Step 5: key-switch digit size, within the security budget of the ring
-	// degree just chosen.
+	// degree just chosen, priced as InstrUnits prices each key switch.
+	res.LogN = logN
 	budget := ckks.MaxLogQP(logN)
 	if opts.AllowInsecure {
 		budget = 0
 	}
-	load := res.KeySwitchLoad()
+	var switches []analysis.KeySwitch
 	if opts.ExtraLevels > 0 {
 		// A pipeline stage shares its parameter set, not only its chain, with
-		// stages compiled from other programs, so its digit size may depend
-		// on the chain alone.
-		load = analysis.UniformKeySwitchLoad(len(plan.BitSizes))
+		// stages compiled from other programs, so its digit size is priced
+		// on the chain alone: one relinearization per level.
+		for pos := range plan.BitSizes {
+			switches = append(switches, analysis.KeySwitch{Level: pos, Decompose: true, ApplyKey: true})
+		}
+	} else {
+		for i := range res.Instrs {
+			if ks, ok := res.keySwitch(&res.Instrs[i]); ok {
+				switches = append(switches, ks)
+			}
+		}
 	}
-	plan.SelectKeySwitchDigits(load, logN, budget)
+	plan.SelectKeySwitchDigits(switches, logN, budget)
 
-	res.Plan, res.LogN, res.Options, res.SourceStats = plan, logN, opts, input.ComputeStats()
+	res.Plan, res.Options, res.SourceStats = plan, opts, input.ComputeStats()
 	return res, nil
 }
 

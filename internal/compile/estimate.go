@@ -1,44 +1,60 @@
 package compile
 
 import (
+	"slices"
+
 	"eva/internal/analysis"
 	"eva/internal/core"
 )
 
-// KeySwitchLoad counts the program's key switches per chain position as the
-// executor runs them: a RELINEARIZE is one decomposition and one key; a
-// rotation is one key, and the rotations of one hoist set share a single
-// decomposition, which a lone rotation pays alone.
-func (r *Result) KeySwitchLoad() analysis.KeySwitchLoad {
-	load := analysis.KeySwitchLoad{}
-	for i := range r.Instrs {
-		in := &r.Instrs[i]
-		if !in.Cipher || !(in.Term.Op == core.OpRelinearize || in.Term.Op.IsRotation()) {
-			continue
-		}
-		l := load[in.Level]
-		l.Keys++
-		if in.HoistPos == 0 { // a relinearization, a lone rotation or a set's first member
-			l.Decompositions++
-		}
-		load[in.Level] = l
+// InstrUnits is the cost model's price of instruction id as the executor runs
+// it, the one rule that Cost sums, the digit-size choice minimises and the
+// profiler samples: KeySwitchPrice of the key switching keySwitch finds,
+// OpUnits for any other Cipher instruction, 0 for leaves and plain values.
+func (r *Result) InstrUnits(id int32) float64 {
+	in, m := &r.Instrs[id], r.CostModel()
+	switch ks, ok := r.keySwitch(in); {
+	case ok:
+		return m.KeySwitchPrice(ks)
+	case in.Cipher && !in.Term.IsLeaf():
+		return m.OpUnits(in.Term.Op, in.Level, r.degree2(in))
 	}
-	return load
+	return 0
+}
+
+// keySwitch reports whether in key-switches as the executor runs it, and
+// which halves it does. A relinearization, or a rotation by a non-zero step
+// outside any hoist set, does both. A hoist set's batch decomposes once, for
+// its first non-zero member, and takes each step once, for the first member
+// taking it; later members with that step reuse its result and do neither.
+// A rotation by a zero step (a multiple of the slot count) that no earlier
+// member took is a copy, not a key switch.
+func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
+	zero := func(step int) bool { return step%(1<<max(r.LogN-1, 0)) == 0 }
+	switch op := in.Term.Op; {
+	case !in.Cipher || (op != core.OpRelinearize && !op.IsRotation()):
+		return ks, false
+	case in.Hoist >= 0 && slices.Index(r.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):
+		return analysis.KeySwitch{Level: in.Level}, true
+	case op.IsRotation() && zero(in.Rot):
+		return ks, false
+	}
+	ks = analysis.KeySwitch{Level: in.Level, Decompose: true, ApplyKey: true}
+	if in.Hoist >= 0 {
+		ks.Decompose = slices.IndexFunc(r.Hoists[in.Hoist].Steps, func(step int) bool { return !zero(step) }) == int(in.HoistPos)
+	}
+	return ks, true
 }
 
 // Cost estimates the program's execution cost under its cost model
-// (Result.CostModel): every Cipher instruction is priced by OpUnits at its
-// level, and the critical path is the most expensive dependence chain.
+// (Result.CostModel): every instruction is priced by InstrUnits, and the
+// critical path is the most expensive dependence chain.
 func (r *Result) Cost() analysis.CostEstimate {
-	m := r.CostModel()
 	est := analysis.CostEstimate{ByOp: map[string]float64{}}
 	path := make([]float64, len(r.Instrs)) // cost of the dearest chain ending at each instruction
 	for i := range r.Instrs {
 		in := &r.Instrs[i]
-		var cost float64
-		if in.Cipher && !in.Term.IsLeaf() {
-			cost = m.OpUnits(in.Term.Op, in.Level, r.degree2(in))
-		}
+		cost := r.InstrUnits(int32(i))
 		est.Total += cost
 		est.ByOp[in.Term.Op.String()] += cost
 		longest := 0.0

@@ -31,46 +31,53 @@ func referenceLevels(p *core.Program) map[*core.Term]int {
 	return levels
 }
 
-// referenceKeySwitchLoad counts key switches from Validate's chains, which
-// hold exactly the Cipher terms: a RELINEARIZE is one decomposition and one
-// key; the rotations of one Cipher source share a decomposition.
-func referenceKeySwitchLoad(chains map[*core.Term]analysis.Chain) analysis.KeySwitchLoad {
-	load := analysis.KeySwitchLoad{}
-	rotated := map[*core.Term]bool{}
-	for t, chain := range chains {
-		l := load[len(chain)]
-		switch {
-		case t.Op == core.OpRelinearize:
-			l.Decompositions++
-			l.Keys++
-		case t.Op.IsRotation():
-			if src := t.Parm(0); !rotated[src] {
-				rotated[src] = true
-				l.Decompositions++
-			}
-			l.Keys++
-		default:
-			continue
-		}
-		load[len(chain)] = l
-	}
-	return load
-}
-
-// referenceCost prices every Cipher instruction of the topological order by
-// OpUnits and tracks the dearest dependence chain.
+// referenceCost prices every Cipher term of the topological order by OpUnits
+// at its chain length, except the key switching relinearizations and
+// rotations do, priced by KeySwitchPrice: rewrite.RotationSets are the
+// hoisted batches, each decomposing once (for its first non-zero step) and
+// applying one key per distinct non-zero step, a repeated step reusing the
+// batch's result at no cost; any other relinearization or non-zero rotation
+// does both halves. A rotation by a multiple of the slot count is a copy,
+// priced by OpUnits. It tracks the dearest dependence chain.
 func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate {
 	levels := referenceLevels(p)
 	order := p.TopoSort()
 	types := core.InferTypes(order)
+	zero := func(t *core.Term) bool { return rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) == 0 }
+	// batched holds what each hoisted rotation does: nil for a copy.
+	batched := map[*core.Term]*analysis.KeySwitch{}
+	for _, set := range rewrite.RotationSets(p) {
+		decomposed, taken := false, map[int]bool{}
+		for _, t := range set {
+			ks, step := &analysis.KeySwitch{Level: levels[t]}, rewrite.EffectiveRotation(t)
+			switch {
+			case taken[step]:
+			case zero(t):
+				ks = nil
+			default:
+				ks.Decompose, ks.ApplyKey = !decomposed, true
+				decomposed = true
+			}
+			taken[step] = true
+			batched[t] = ks
+		}
+	}
 	est := analysis.CostEstimate{ByOp: map[string]float64{}}
 	pathCost := map[*core.Term]float64{}
 	for _, t := range order {
 		var cost float64
 		if !t.IsLeaf() && types[t] == core.TypeCipher {
-			ctct := t.Op == core.OpMultiply &&
-				types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
-			cost = m.OpUnits(t.Op, levels[t], ctct)
+			ks, inSet := batched[t]
+			if !inSet && (t.Op == core.OpRelinearize || (t.Op.IsRotation() && !zero(t))) {
+				ks = &analysis.KeySwitch{Level: levels[t], Decompose: true, ApplyKey: true}
+			}
+			if ks != nil {
+				cost = m.KeySwitchPrice(*ks)
+			} else {
+				ctct := t.Op == core.OpMultiply &&
+					types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
+				cost = m.OpUnits(t.Op, levels[t], ctct)
+			}
 		}
 		est.Total += cost
 		est.ByOp[t.Op.String()] += cost

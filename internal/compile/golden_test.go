@@ -36,8 +36,11 @@ func compiledDigest(t *testing.T, res *compile.Result) string {
 // the six applications at test size (also with Optimize and one extra level)
 // and the five networks at the benchmark configuration (also compiled the
 // CHET way) compile to the program, plan, ring degree and rotation steps
-// recorded in testdata/compiled.golden ("name<TAB>digest" lines). A missing
-// or differing line is reported in the file's format.
+// recorded in testdata/compiled.golden ("name<TAB>digest" lines). The
+// applications at benchmark size and the five networks are also compiled with
+// the default, 128-bit secure options: there the security budget limits the
+// special primes, so those lines pin the digit size α the budget allows. A
+// missing or differing line is reported in the file's format.
 func TestCompiledMatchesGolden(t *testing.T) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/compiled.golden")
@@ -55,7 +58,8 @@ func TestCompiledMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := compile.DefaultOptions()
+	secure := compile.DefaultOptions()
+	opts := secure
 	opts.AllowInsecure = true
 	optimized := opts
 	optimized.Optimize, optimized.ExtraLevels = true, 1
@@ -101,5 +105,14 @@ func TestCompiledMatchesGolden(t *testing.T) {
 		}
 		check("nn/"+net.Name, prog, compile.Compile, opts)
 		check("nn-chet/"+net.Name, prog, chet.Compile, opts)
+		check("nn-secure/"+net.Name, prog, compile.Compile, secure)
+		check("nn-chet-secure/"+net.Name, prog, chet.Compile, secure)
+	}
+	benchSuite, err := apps.Suite(4096, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range benchSuite {
+		check("app-secure/"+app.Name, app.Program, compile.Compile, secure)
 	}
 }

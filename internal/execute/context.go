@@ -215,9 +215,10 @@ type RunStats struct {
 	PeakLiveBytes  int
 	ReusedValues   int
 
-	// HoistedBatches counts the hoisted rotation batches dispatched by this
-	// run, and HoistedRotations the distinct rotation steps they covered —
-	// each batch shares one RNS digit decomposition across all its steps.
+	// HoistedBatches counts the hoisted rotation batches this run key
+	// switched, and HoistedRotations the distinct non-zero steps they covered
+	// — each batch shares one RNS digit decomposition across all its steps.
+	// Zero steps are copies and count in neither.
 	HoistedBatches   int
 	HoistedRotations int
 

@@ -1,0 +1,121 @@
+package execute_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"eva/internal/apps"
+	"eva/internal/compile"
+	"eva/internal/core"
+	"eva/internal/execute"
+	"eva/internal/nn"
+	"eva/internal/rewrite"
+)
+
+// TestCostModelMatchesRun holds the compiler's price list to the executor: on
+// Sobel, Harris, bench LeNet-5-small (steps repeated inside hoist sets) and
+// bench SqueezeNet (zero steps, hoisted and lone), the decompositions and key
+// applications compile.Result.Cost charges, read off each instruction's
+// InstrUnits, are the ones a sequential run performs. The run's side is one decomposition per hoisted batch
+// (RunStats.HoistedBatches), one key per distinct non-zero step a batch
+// covers (RunStats.HoistedRotations), and one of each per relinearization
+// and per rotation by a non-zero step outside a batch.
+func TestCostModelMatchesRun(t *testing.T) {
+	type program struct {
+		name string
+		prog *core.Program
+		in   execute.Inputs
+	}
+	var corpus []program
+	for _, mk := range []func(int) (*apps.App, error){apps.SobelFilter, apps.HarrisCornerDetection} {
+		app, err := mk(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, program{app.Name, app.Program, app.MakeInputs(rand.New(rand.NewSource(3)))})
+	}
+	if !raceEnabled {
+		for _, net := range []*nn.Network{nn.LeNet5Small(nn.BenchConfig()), nn.SqueezeNetCIFAR(nn.BenchConfig())} {
+			rng := rand.New(rand.NewSource(1))
+			prog, err := nn.BuildProgram(net, nn.RandomWeights(net, rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpus = append(corpus, program{net.Name, prog, nn.RandomImage(net, rng)})
+		}
+	}
+
+	var repeated, hoistedZero, loneZero int
+	for _, p := range corpus {
+		t.Run(p.name, func(t *testing.T) {
+			res := compileInsecure(t, p.prog, compile.DefaultOptions())
+			f := newFixture(t, res, p.in, 7)
+			slots := f.ctx.Params.Slots()
+			for _, in := range res.Instrs {
+				if !in.Cipher || !in.Term.Op.IsRotation() {
+					continue
+				}
+				switch zero := in.Rot%slots == 0; {
+				case in.Hoist >= 0 && slices.Index(res.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):
+					repeated++
+				case zero && in.Hoist >= 0:
+					hoistedZero++
+				case zero:
+					loneZero++
+				}
+			}
+
+			var relinearized, lone int
+			out := f.run(t, execute.RunOptions{
+				Scheduler: execute.SchedulerSequential,
+				OnInstruction: func(term *core.Term, rec execute.InstrRecord) {
+					switch {
+					case !rec.Cipher || rec.Hoisted:
+					case term.Op == core.OpRelinearize:
+						relinearized++
+					case term.Op.IsRotation() && rewrite.EffectiveRotation(term)%slots != 0:
+						lone++
+					}
+				},
+			})
+			// Cost sums InstrUnits: read what it charges each key switch off
+			// its units.
+			m := res.CostModel()
+			var decompositions, keys int
+			total := 0.0
+			for i, in := range res.Instrs {
+				units := res.InstrUnits(int32(i))
+				total += units
+				if !in.Cipher || (in.Term.Op != core.OpRelinearize && !in.Term.Op.IsRotation()) {
+					continue
+				}
+				switch d, k := m.KeySwitchUnits(in.Level); units {
+				case d + k:
+					decompositions++
+					keys++
+				case k:
+					keys++
+				case 0, m.OpUnits(core.OpAdd, in.Level, false): // a repeated step, a copy
+				default:
+					t.Errorf("%s is charged %v units: not a whole switch, a key, a copy or nothing", in.Term, units)
+				}
+			}
+			if est := res.Cost(); est.Total != total {
+				t.Fatalf("Cost charges %v units, its instructions %v", est.Total, total)
+			}
+			if want := out.Stats.HoistedBatches + relinearized + lone; decompositions != want {
+				t.Errorf("Cost charges %d decompositions; the run made %d (%d batches, %d relinearizations, %d lone rotations)",
+					decompositions, want, out.Stats.HoistedBatches, relinearized, lone)
+			}
+			if got, want := keys, out.Stats.HoistedRotations+relinearized+lone; got != want {
+				t.Errorf("Cost charges %d key applications; the run made %d (%d hoisted steps, %d relinearizations, %d lone rotations)",
+					got, want, out.Stats.HoistedRotations, relinearized, lone)
+			}
+		})
+	}
+	if !raceEnabled && (repeated == 0 || hoistedZero == 0 || loneZero == 0) {
+		t.Errorf("the corpus no longer exercises every pricing case: %d repeated steps, %d hoisted and %d lone zero steps",
+			repeated, hoistedZero, loneZero)
+	}
+}

@@ -69,7 +69,11 @@ func TestOnInstructionRecords(t *testing.T) {
 			}
 		}
 	}
-	if hoisted != out.Stats.HoistedRotations {
-		t.Errorf("%d records flagged hoisted, want %d", hoisted, out.Stats.HoistedRotations)
+	members := 0
+	for _, set := range res.Hoists {
+		members += len(set.Steps)
+	}
+	if hoisted != members {
+		t.Errorf("%d records flagged hoisted, want the hoist sets' %d members", hoisted, members)
 	}
 }

@@ -64,9 +64,12 @@ type InstrRecord struct {
 	ID int32
 	// Wall is the instruction's evaluation wall time (backend call only, not
 	// queueing). For the first-scheduled member of a hoisted rotation batch it
-	// includes the whole batch's shared key-switch work; for a member of a
-	// fused chain it is the chain's wall time apportioned by the cost model's
-	// units (CostModel.OpUnits).
+	// includes the whole batch's key-switch work, which the cost model
+	// (compile.Result.InstrUnits) charges instead to the members that do it:
+	// the decomposition to the first with a non-zero step, a key application
+	// to the first taking each step. For a member of a fused chain it is the
+	// chain's wall time apportioned by the cost model's units
+	// (CostModel.OpUnits).
 	Wall time.Duration
 	// Cipher reports whether the result is a ciphertext. Level and Scale are
 	// the result ciphertext's post-op level and raw scale (Level is -1 and
@@ -172,10 +175,19 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v 
 			return value{}, false
 		}
 		g.results = batch
-		st.mu.Lock()
-		st.stats.HoistedBatches++
-		st.stats.HoistedRotations += len(batch)
-		st.mu.Unlock()
+		// The batch also holds the copies RotateHoisted makes for zero steps.
+		switched := 0
+		for k := range batch {
+			if k%st.ctx.Params.Slots() != 0 {
+				switched++
+			}
+		}
+		if switched > 0 {
+			st.mu.Lock()
+			st.stats.HoistedBatches++
+			st.stats.HoistedRotations += switched
+			st.mu.Unlock()
+		}
 	}
 	ct, ok := g.results[in.Rot]
 	return value{ct: ct, owned: !set.Shared[in.HoistPos]}, ok

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eva/internal/analysis"
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
@@ -152,7 +151,6 @@ func (c *Collector) Calibration() *Calibration {
 type Recorder struct {
 	c         *Collector
 	res       *compile.Result
-	model     analysis.CostModel
 	maxLevel  int
 	programID string
 	traceID   string
@@ -188,7 +186,6 @@ func (c *Collector) Recorder(programID string, res *compile.Result, traceID stri
 	r := &Recorder{
 		c:          c,
 		res:        res,
-		model:      res.CostModel(),
 		maxLevel:   len(res.Plan.BitSizes) - 1,
 		programID:  programID,
 		traceID:    traceID,
@@ -227,13 +224,7 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 	}
 	r.samples++
 	in := &r.res.Instrs[rec.ID]
-	// The cost model prices ciphertext compute only; leaves and plain
-	// results cost 0 units.
-	var units float64
-	if in.Cipher && !t.IsLeaf() {
-		ctct := t.Op == core.OpMultiply && r.res.Instrs[in.Parms[0]].Cipher && r.res.Instrs[in.Parms[1]].Cipher
-		units = r.model.OpUnits(t.Op, in.Level, ctct)
-	}
+	units := r.res.InstrUnits(rec.ID)
 	key := BucketKey{Op: t.Op.String(), Level: rec.Level, Hoisted: rec.Hoisted, Fused: rec.Fused}
 	b := r.local[key]
 	if b == nil {
