@@ -50,8 +50,6 @@ type CostEstimate struct {
 func (m CostModel) OpUnits(op core.OpCode, chainPos int, ctct bool) float64 {
 	n, logN, limbs := m.shape(chainPos)
 	switch {
-	case op == core.OpAdd || op == core.OpSub || op == core.OpNegate || op == core.OpModSwitch:
-		return n * limbs
 	case op == core.OpMultiply:
 		// Element-wise limb products; ct-pt and ct-ct differ by a small factor.
 		factor := 2.0
@@ -107,6 +105,17 @@ func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
 type KeySwitch struct {
 	Level               int
 	Decompose, ApplyKey bool
+}
+
+// ChainKeySwitches is one relinearization at every position of a chain of the
+// given length: the price a digit size is chosen for when it may depend on the
+// chain but not on any one program (pipeline stages).
+func ChainKeySwitches(chainLength int) []KeySwitch {
+	switches := make([]KeySwitch, chainLength)
+	for pos := range switches {
+		switches[pos] = KeySwitch{Level: pos, Decompose: true, ApplyKey: true}
+	}
+	return switches
 }
 
 // KeySwitchPrice sums the KeySwitchUnits halves the switches do.

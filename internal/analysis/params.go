@@ -147,11 +147,6 @@ func clampPrimeBits(bits int) int {
 // not worth leaving the per-prime construction.
 const minKeySwitchGain = 0.10
 
-// digitSizeTie is the fraction within which two digit sizes' prices are a
-// tie, kept by the smaller: far below what the model can resolve, and one
-// special prime fewer is a smaller modulus for no modelled loss.
-const digitSizeTie = 0.001
-
 // SelectKeySwitchDigits chooses the key-switch digit size α for a plan whose
 // chain (pl.BitSizes) and ring degree are already fixed, and sets
 // pl.SpecialBits to the α special primes it needs. It takes the feasible α
@@ -166,9 +161,8 @@ const digitSizeTie = 0.001
 //     when the budget allows; otherwise the remaining budget is shared evenly,
 //     and a digit size whose largest digit exceeds the budget is infeasible.
 //
-// A larger α must beat the best smaller one by more than digitSizeTie, and α >
-// 1 is taken only when it cuts the price by at least minKeySwitchGain, so a
-// program without key switches keeps α = 1.
+// α > 1 is taken only when it cuts the price by at least minKeySwitchGain, so
+// a program without key switches keeps α = 1.
 func (pl *ParameterPlan) SelectKeySwitchDigits(switches []KeySwitch, logN, maxLogQP int) {
 	m := CostModel{LogN: logN, TotalLevels: len(pl.BitSizes), DigitSize: 1}
 	base := m.KeySwitchPrice(switches...)
@@ -179,7 +173,7 @@ func (pl *ParameterPlan) SelectKeySwitchDigits(switches []KeySwitch, logN, maxLo
 			continue
 		}
 		m.DigitSize = alpha
-		if c := m.KeySwitchPrice(switches...); c < (1-digitSizeTie)*bestCost {
+		if c := m.KeySwitchPrice(switches...); c < bestCost {
 			best, bestCost = special, c
 		}
 	}

@@ -147,11 +147,7 @@ var keySwitchBenchChains = []struct {
 func chosenSpecials(logN int, logQi []int) []int {
 	plan := &analysis.ParameterPlan{BitSizes: slices.Clone(logQi), SpecialBits: []int{analysis.SpecialPrimeLog}}
 	slices.Reverse(plan.BitSizes) // plans list the chain in consumption order
-	var switches []analysis.KeySwitch
-	for pos := range logQi {
-		switches = append(switches, analysis.KeySwitch{Level: pos, Decompose: true, ApplyKey: true})
-	}
-	plan.SelectKeySwitchDigits(switches, logN, 0)
+	plan.SelectKeySwitchDigits(analysis.ChainKeySwitches(len(logQi)), logN, 0)
 	return plan.SpecialBits
 }
 

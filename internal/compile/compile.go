@@ -168,9 +168,7 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 		// A pipeline stage shares its parameter set, not only its chain, with
 		// stages compiled from other programs, so its digit size is priced
 		// on the chain alone: one relinearization per level.
-		for pos := range plan.BitSizes {
-			switches = append(switches, analysis.KeySwitch{Level: pos, Decompose: true, ApplyKey: true})
-		}
+		switches = analysis.ChainKeySwitches(len(plan.BitSizes))
 	} else {
 		for i := range res.Instrs {
 			if ks, ok := res.keySwitch(&res.Instrs[i]); ok {
