@@ -70,20 +70,22 @@ func (m CostModel) shape(chainPos int) (n, logN, limbs float64) {
 	return math.Exp2(float64(m.LogN)), float64(m.LogN), float64(max(m.TotalLevels-chainPos, 1))
 }
 
-// KeySwitchUnits prices the two halves of one hybrid key switch at a chain
+// KeySwitchUnits prices the three parts of one hybrid key switch at a chain
 // position: transforms at n·logN each, element-wise multiply-accumulate
 // passes at n each. With d = ⌈limbs/α⌉ digits over e = limbs+α extended limbs:
 //
 //	decompose  limbs inverse transforms, then per digit of s primes a basis
 //	           conversion (s residues and the overshoot row) into, and a
 //	           forward transform of, the e−s limbs outside it
-//	perKey     the inner product, 2·d·e passes (both halves of the key), and
-//	           two mod-downs: α inverse and limbs forward transforms, an
-//	           (α+1)-term conversion into each of the limbs, the final scaling
+//	applyKey   the inner product, 2·d·e passes (both halves of the key)
+//	modDown    two mod-downs, one per component: α inverse and limbs forward
+//	           transforms, an (α+1)-term conversion into each of the limbs,
+//	           the final scaling
 //
-// A relinearization or a lone rotation pays both; the rotations of one hoisted
-// batch share a single decompose.
-func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
+// A relinearization or a lone rotation pays all three; the rotations of one
+// hoisted batch share a single decompose, and a rotation whose mod-down is
+// deferred leaves modDown to its fused chain.
+func (m CostModel) KeySwitchUnits(chainPos int) (decompose, applyKey, modDown float64) {
 	n, logN, limbs := m.shape(chainPos)
 	alpha := float64(max(m.DigitSize, 1))
 	ext := limbs + alpha
@@ -94,17 +96,23 @@ func (m CostModel) KeySwitchUnits(chainPos int) (decompose, perKey float64) {
 		passes += (ext - s) * (s + 1)
 	}
 	decompose = n*logN*transforms + n*passes
-	perKey = n*logN*2*(alpha+limbs) + n*(2*math.Ceil(limbs/alpha)*ext+2*limbs*(alpha+2))
-	return decompose, perKey
+	applyKey = n * 2 * math.Ceil(limbs/alpha) * ext
+	modDown = n*logN*2*(alpha+limbs) + n*2*limbs*(alpha+2)
+	return decompose, applyKey, modDown
 }
 
-// KeySwitch is the key-switching work of one relinearization or rotation as
-// the executor runs it, at chain position Level: Decompose its input into
-// digits, and ApplyKey one switching key to them. A rotation whose step its
-// hoisted batch already took does neither.
+// KeySwitch is the key-switching work of one instruction as the executor
+// runs it, at chain position Level: Decompose its input into digits, ApplyKey
+// one switching key to them, and ModDown the result out of the extended
+// basis. A relinearization or rotation does what its hoisted batch leaves to
+// it; a rotation whose mod-down is deferred skips ModDown, and the root of
+// its fused chain does it instead, once for the whole sum, multiplying each
+// of its Leaves deferred rotations by a plaintext over the α special limbs
+// too.
 type KeySwitch struct {
-	Level               int
-	Decompose, ApplyKey bool
+	Level                        int
+	Decompose, ApplyKey, ModDown bool
+	Leaves                       int
 }
 
 // ChainKeySwitches is one relinearization at every position of a chain of the
@@ -113,21 +121,30 @@ type KeySwitch struct {
 func ChainKeySwitches(chainLength int) []KeySwitch {
 	switches := make([]KeySwitch, chainLength)
 	for pos := range switches {
-		switches[pos] = KeySwitch{Level: pos, Decompose: true, ApplyKey: true}
+		switches[pos] = KeySwitch{Level: pos, Decompose: true, ApplyKey: true, ModDown: true}
 	}
 	return switches
 }
 
-// KeySwitchPrice sums the KeySwitchUnits halves the switches do.
+// KeySwitchPrice sums the KeySwitchUnits parts the switches do, and the
+// special-limb products of their deferred leaves (what a ciphertext-plaintext
+// product costs, OpUnits, over α limbs instead of the chain's).
 func (m CostModel) KeySwitchPrice(switches ...KeySwitch) float64 {
 	total := 0.0
 	for _, ks := range switches {
-		decompose, perKey := m.KeySwitchUnits(ks.Level)
+		decompose, applyKey, modDown := m.KeySwitchUnits(ks.Level)
 		if ks.Decompose {
 			total += decompose
 		}
 		if ks.ApplyKey {
-			total += perKey
+			total += applyKey
+		}
+		if ks.ModDown {
+			total += modDown
+		}
+		if ks.Leaves > 0 {
+			n, _, _ := m.shape(ks.Level)
+			total += float64(ks.Leaves) * 2 * n * float64(max(m.DigitSize, 1))
 		}
 	}
 	return total

@@ -14,7 +14,7 @@ func TestParallelSpeedupBoundDegenerate(t *testing.T) {
 }
 
 // TestKeySwitchUnitsShape pins the hybrid key-switch term of the model on the
-// 16-prime chain of the bench SqueezeNet: the two halves add up to what
+// 16-prime chain of the bench SqueezeNet: the three parts add up to what
 // KeySwitchPrice charges a whole switch, a zero DigitSize means per-prime, the
 // limb-transform counts are the ones the backend performs (306 per-prime, 120
 // in digits of four), and grouping helps a full chain but not a single
@@ -26,8 +26,8 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 		// Passes are charged n each, transforms n·logN: read the transform
 		// count off the difference between two ring degrees.
 		at := func(lg int) float64 {
-			d, k := CostModel{LogN: lg, TotalLevels: chain, DigitSize: alpha}.KeySwitchUnits(pos)
-			return (d + k) / float64(int(1)<<lg)
+			d, k, md := CostModel{LogN: lg, TotalLevels: chain, DigitSize: alpha}.KeySwitchUnits(pos)
+			return (d + k + md) / float64(int(1)<<lg)
 		}
 		return at(logN+1) - at(logN)
 	}
@@ -39,7 +39,7 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 	}
 
 	whole := func(m CostModel, pos int) float64 {
-		return m.KeySwitchPrice(KeySwitch{Level: pos, Decompose: true, ApplyKey: true})
+		return m.KeySwitchPrice(KeySwitch{Level: pos, Decompose: true, ApplyKey: true, ModDown: true})
 	}
 	perPrime := CostModel{LogN: logN, TotalLevels: chain}
 	explicit := CostModel{LogN: logN, TotalLevels: chain, DigitSize: 1}
@@ -47,9 +47,9 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 	if whole(perPrime, 0) != whole(explicit, 0) {
 		t.Error("DigitSize 0 and 1 are priced differently")
 	}
-	d, k := grouped.KeySwitchUnits(3)
-	if got := whole(grouped, 3); got != d+k {
-		t.Errorf("KeySwitchPrice %v, decompose+perKey %v", got, d+k)
+	d, k, md := grouped.KeySwitchUnits(3)
+	if got := whole(grouped, 3); got != d+k+md {
+		t.Errorf("KeySwitchPrice %v, decompose+applyKey+modDown %v", got, d+k+md)
 	}
 	if ratio := whole(grouped, 0) / whole(perPrime, 0); ratio < 0.35 || ratio > 0.6 {
 		t.Errorf("digits of 4 at 16 limbs are priced at %.2f of per-prime; the backend measures about 0.5", ratio)
@@ -62,19 +62,27 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 	}
 }
 
-// TestKeySwitchPriceHalves: KeySwitchPrice charges exactly the halves each
-// switch does and sums a list; OpUnits charges a relinearization or rotation
-// only the element-wise pass of a zero step's copy.
+// TestKeySwitchPriceHalves: KeySwitchPrice charges exactly the parts each
+// switch does, a deferred leaf a ciphertext-plaintext product over the α
+// special limbs, and sums a list; OpUnits charges a relinearization or
+// rotation only the element-wise pass of a zero step's copy.
 func TestKeySwitchPriceHalves(t *testing.T) {
 	m := CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}
-	d, k := m.KeySwitchUnits(5)
+	d, k, md := m.KeySwitchUnits(5)
+	if md <= k {
+		t.Errorf("two mod-downs (%v units) priced below the key's inner product (%v)", md, k)
+	}
+	leaf := m.OpUnits(core.OpMultiply, 16-4, false) // a product over 4 limbs
 	cases := []struct {
 		ks   KeySwitch
 		want float64
 	}{
 		{KeySwitch{Level: 5, Decompose: true}, d},
 		{KeySwitch{Level: 5, ApplyKey: true}, k},
+		{KeySwitch{Level: 5, ModDown: true}, md},
+		{KeySwitch{Level: 5, Decompose: true, ApplyKey: true, ModDown: true}, d + k + md},
 		{KeySwitch{Level: 5, Decompose: true, ApplyKey: true}, d + k},
+		{KeySwitch{Level: 5, ModDown: true, Leaves: 3}, md + 3*leaf},
 		{KeySwitch{Level: 5}, 0},
 	}
 	total := 0.0
@@ -84,8 +92,12 @@ func TestKeySwitchPriceHalves(t *testing.T) {
 		}
 		total += c.want
 	}
-	if got := m.KeySwitchPrice(cases[0].ks, cases[1].ks, cases[2].ks, cases[3].ks); got != total {
-		t.Errorf("the four together cost %v, want %v", got, total)
+	all := make([]KeySwitch, len(cases))
+	for i, c := range cases {
+		all[i] = c.ks
+	}
+	if got := m.KeySwitchPrice(all...); got != total {
+		t.Errorf("the %d together cost %v, want %v", len(all), got, total)
 	}
 	for _, op := range []core.OpCode{core.OpRelinearize, core.OpRotateLeft, core.OpRotateRight} {
 		if got, want := m.OpUnits(op, 5, false), m.OpUnits(core.OpAdd, 5, false); got != want {

@@ -107,8 +107,38 @@ func BenchmarkMulPlain(b *testing.B) {
 // BenchmarkMulPlainAccumulate compares Σ ctᵢ·ptᵢ over 36 products — the
 // longest chain of the bench-config SqueezeNet — as one fused kernel and as
 // the MulPlain/Add sequence it replaces (intermediates recycled, so both
-// sides run allocation-free).
+// sides run allocation-free). "deferred" is the double-hoisted shape at the
+// bench SqueezeNet's parameters (N = 2^10, 16 chain primes, α = 4): 16
+// rotations that deferred their mod-downs, summed over Q∪P and modded down
+// once per component.
 func BenchmarkMulPlainAccumulate(b *testing.B) {
+	b.Run("deferred", func(b *testing.B) {
+		steps := make([]int, 16)
+		for i := range steps {
+			steps[i] = i + 1
+		}
+		tc := newTestContextSpecials(b, 10, keySwitchBenchChains[0].logQi, []int{60, 60, 60, 60}, 1<<40, steps)
+		batch, err := tc.eval.RotateHoisted(tc.encrypt(b, tc.randomVector(1, 1)), steps, slices.Repeat([]bool{true}, len(steps)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cts := make([]*Ciphertext, len(steps))
+		pts := make([]*Plaintext, len(steps))
+		for i, k := range steps {
+			cts[i] = batch[k]
+			if pts[i], err = tc.enc.EncodeExtended(tc.randomVector(int64(k), 1), tc.params.DefaultScale(), tc.params.MaxLevel()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := tc.eval.MulPlainAccumulate(cts, pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tc.eval.Recycle(out)
+		}
+	})
 	tc := benchContext(b)
 	cts, pts := accumulateOperands(b, tc, 36)
 	b.Run("fused", func(b *testing.B) {
@@ -234,7 +264,7 @@ func BenchmarkRotateHoisted(b *testing.B) {
 		ct := tc.encrypt(b, va)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := tc.eval.RotateHoisted(ct, ks)
+			out, err := tc.eval.RotateHoisted(ct, ks, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,10 +10,16 @@ import (
 // Ciphertext is an RLWE ciphertext in NTT form. Freshly encrypted ciphertexts
 // hold two polynomials; the product of two ciphertexts holds three until it
 // is relinearized (Constraint 3 of the paper).
+//
+// A rotation whose mod-down is deferred (RotateHoisted) is the one other
+// shape: it stays in the extended basis Q∪P, Value over the chain primes and
+// ValueP over the special primes, and only MulPlainAccumulate accepts it —
+// every other evaluator method refuses it, and it never leaves the evaluator.
 type Ciphertext struct {
-	Value []*ring.Poly
-	Scale float64
-	Level int
+	Value  []*ring.Poly
+	ValueP []*ring.Poly
+	Scale  float64
+	Level  int
 }
 
 // NewCiphertext allocates a zero ciphertext of the given degree+1 size at the
@@ -30,6 +36,10 @@ func NewCiphertext(params *Parameters, size, level int, scale float64) *Cipherte
 // Degree returns the ciphertext degree (number of polynomials minus one).
 func (ct *Ciphertext) Degree() int { return len(ct.Value) - 1 }
 
+// Deferred reports a rotation whose mod-down is deferred: a ciphertext over
+// Q∪P that only MulPlainAccumulate accepts.
+func (ct *Ciphertext) Deferred() bool { return ct.ValueP != nil }
+
 // Validate checks that the ciphertext is well-formed for the parameter set:
 // plausible degree, level within the modulus chain, positive scale, and
 // every polynomial in NTT form with exactly level+1 limbs of length N.
@@ -37,6 +47,9 @@ func (ct *Ciphertext) Degree() int { return len(ct.Value) - 1 }
 // before being handed to an evaluator — the ring layer assumes well-shaped
 // NTT operands and does not re-check them.
 func (ct *Ciphertext) Validate(params *Parameters) error {
+	if ct.Deferred() {
+		return fmt.Errorf("ckks: ciphertext has a deferred mod-down")
+	}
 	if len(ct.Value) < 2 || len(ct.Value) > 3 {
 		return fmt.Errorf("ckks: ciphertext has %d polynomials; want 2 or 3", len(ct.Value))
 	}
@@ -72,6 +85,12 @@ func (ct *Ciphertext) CopyNew() *Ciphertext {
 	for i := range ct.Value {
 		out.Value[i] = ct.Value[i].CopyNew()
 	}
+	if ct.Deferred() {
+		out.ValueP = make([]*ring.Poly, len(ct.ValueP))
+		for i := range ct.ValueP {
+			out.ValueP[i] = ct.ValueP[i].CopyNew()
+		}
+	}
 	return out
 }
 
@@ -87,11 +106,14 @@ func (ct *Ciphertext) LogScale() float64 {
 }
 
 // MemoryBytes returns an estimate of the ciphertext's memory footprint, used
-// by the executor's memory accounting.
+// by the executor's memory accounting. A deferred rotation also holds its
+// special-prime limbs.
 func (ct *Ciphertext) MemoryBytes() int {
 	total := 0
-	for _, p := range ct.Value {
-		total += 8 * (p.Level() + 1) * len(p.Coeffs[0])
+	for _, polys := range [2][]*ring.Poly{ct.Value, ct.ValueP} {
+		for _, p := range polys {
+			total += 8 * (p.Level() + 1) * len(p.Coeffs[0])
+		}
 	}
 	return total
 }

@@ -14,13 +14,21 @@ import (
 // plaintext-ciphertext operations.
 type Plaintext struct {
 	Value *ring.Poly
-	Scale float64
-	Level int
+	// ValueP is the same integer polynomial over every special prime, in NTT
+	// form, for a plaintext EncodeExtended made; nil otherwise. Only
+	// MulPlainAccumulate reads it, to multiply deferred rotations.
+	ValueP *ring.Poly
+	Scale  float64
+	Level  int
 }
 
 // CopyNew returns a deep copy of the plaintext.
 func (p *Plaintext) CopyNew() *Plaintext {
-	return &Plaintext{Value: p.Value.CopyNew(), Scale: p.Scale, Level: p.Level}
+	out := &Plaintext{Value: p.Value.CopyNew(), Scale: p.Scale, Level: p.Level}
+	if p.ValueP != nil {
+		out.ValueP = p.ValueP.CopyNew()
+	}
+	return out
 }
 
 // Encoder maps vectors of complex (or real) numbers to and from CKKS
@@ -119,24 +127,25 @@ func (e *Encoder) fftSpecialInv(vals []complex128) {
 // of inputs whose vector size divides the slot count); the input length must
 // be a power of two.
 func (e *Encoder) Encode(values []float64, scale float64, level int) (*Plaintext, error) {
-	buf, err := e.slotBuffer(len(values), scale, level)
-	if err != nil {
-		return nil, err
-	}
-	for i := range buf {
-		buf[i] = complex(values[i%len(values)], 0)
-	}
-	return e.encodeSlots(buf, scale, level), nil
+	return e.encode(values, scale, level, false)
 }
 
-// slotBuffer validates an encoding request of n values and returns the slot
-// buffer for the caller to fill.
-func (e *Encoder) slotBuffer(n int, scale float64, level int) ([]complex128, error) {
-	slots := e.params.Slots()
-	if n == 0 || n > slots {
-		return nil, fmt.Errorf("ckks: encoding %d values into %d slots", n, slots)
+// EncodeExtended is Encode that also encodes the values over the special
+// primes (Plaintext.ValueP), so MulPlainAccumulate can multiply deferred
+// rotations by it. The parameters must have special primes.
+func (e *Encoder) EncodeExtended(values []float64, scale float64, level int) (*Plaintext, error) {
+	if e.params.RingP() == nil {
+		return nil, fmt.Errorf("ckks: extended encoding requires a special prime")
 	}
-	if n&(n-1) != 0 {
+	return e.encode(values, scale, level, true)
+}
+
+// encode is Encode, extended over the special primes when asked.
+func (e *Encoder) encode(values []float64, scale float64, level int, extended bool) (*Plaintext, error) {
+	slots := e.params.Slots()
+	if n := len(values); n == 0 || n > slots {
+		return nil, fmt.Errorf("ckks: encoding %d values into %d slots", n, slots)
+	} else if n&(n-1) != 0 {
 		return nil, fmt.Errorf("ckks: input length %d is not a power of two", n)
 	}
 	if level < 0 || level > e.params.MaxLevel() {
@@ -145,22 +154,32 @@ func (e *Encoder) slotBuffer(n int, scale float64, level int) ([]complex128, err
 	if scale <= 0 {
 		return nil, fmt.Errorf("ckks: scale must be positive")
 	}
-	return make([]complex128, slots), nil
-}
-
-// encodeSlots turns a full buffer of slot values (consumed as scratch) into
-// an NTT-form plaintext.
-func (e *Encoder) encodeSlots(buf []complex128, scale float64, level int) *Plaintext {
-	e.fftSpecialInv(buf)
-	r := e.params.RingQ()
-	pt := r.NewPoly(level)
-	slots := len(buf)
-	for j := 0; j < slots; j++ {
-		encodeCoefficient(real(buf[j])*scale, j, pt, r)
-		encodeCoefficient(imag(buf[j])*scale, j+slots, pt, r)
+	buf := make([]complex128, slots)
+	for i := range buf {
+		buf[i] = complex(values[i%len(values)], 0)
 	}
-	r.NTT(pt)
-	return &Plaintext{Value: pt, Scale: scale, Level: level}
+	e.fftSpecialInv(buf)
+
+	r := e.params.RingQ()
+	pt := &Plaintext{Value: r.NewPoly(level), Scale: scale, Level: level}
+	var rp *ring.Ring
+	if extended {
+		rp = e.params.RingP()
+		pt.ValueP = rp.NewPoly(rp.MaxLevel())
+	}
+	for j := 0; j < slots; j++ {
+		for k, x := range [2]float64{real(buf[j]), imag(buf[j])} {
+			encodeCoefficient(x*scale, j+k*slots, pt.Value, r)
+			if extended {
+				encodeCoefficient(x*scale, j+k*slots, pt.ValueP, rp)
+			}
+		}
+	}
+	r.NTT(pt.Value)
+	if extended {
+		rp.NTT(pt.ValueP)
+	}
+	return pt, nil
 }
 
 // encodeCoefficient rounds x to the nearest integer and stores its residues

@@ -58,21 +58,20 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 }
 
 // Decrypt evaluates c0 + c1·s (+ c2·s² for unrelinearized ciphertexts) and
-// returns the resulting plaintext at the ciphertext's scale and level.
+// returns the resulting plaintext at the ciphertext's scale and level. Only
+// the result (and s² for a degree-2 ciphertext) is allocated: the secret key
+// is read in place.
 func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	r := dec.params.RingQ()
-	level := ct.Level
 	acc := ct.Value[0].CopyNew()
-	sPow := dec.sk.Value
-	tmp := r.NewPoly(level)
-	power := dec.sk.Value.CopyNew()
+	power := dec.sk.Value
 	for i := 1; i < len(ct.Value); i++ {
 		if i > 1 {
-			r.MulCoeffs(power, sPow, power)
+			next := r.NewPoly(ct.Level)
+			r.MulCoeffs(power, dec.sk.Value, next)
+			power = next
 		}
-		r.MulCoeffs(ct.Value[i], power, tmp)
-		tmp.IsNTT = true
-		r.Add(acc, tmp, acc)
+		r.MulCoeffsAndAdd(ct.Value[i], power, acc)
 	}
-	return &Plaintext{Value: acc, Scale: ct.Scale, Level: level}
+	return &Plaintext{Value: acc, Scale: ct.Scale, Level: ct.Level}
 }

@@ -94,10 +94,27 @@ func (ev *Evaluator) Recycle(ct *Ciphertext) {
 	for _, p := range ct.Value {
 		ev.pool.Put(p)
 	}
-	ct.Value = nil
+	for _, p := range ct.ValueP {
+		ev.poolP.Put(p)
+	}
+	ct.Value, ct.ValueP = nil, nil
+}
+
+// checkNotDeferred refuses a rotation whose mod-down is deferred: only
+// MulPlainAccumulate can finish it.
+func checkNotDeferred(cts ...*Ciphertext) error {
+	for _, ct := range cts {
+		if ct.Deferred() {
+			return fmt.Errorf("ckks: ciphertext has a deferred mod-down; only MulPlainAccumulate accepts it")
+		}
+	}
+	return nil
 }
 
 func (ev *Evaluator) checkBinaryCt(a, b *Ciphertext) error {
+	if err := checkNotDeferred(a, b); err != nil {
+		return err
+	}
 	if a.Level != b.Level {
 		return fmt.Errorf("ckks: operand level mismatch (%d vs %d): ciphertexts must have the same coefficient modulus", a.Level, b.Level)
 	}
@@ -167,6 +184,9 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 
 // Negate returns -a.
 func (ev *Evaluator) Negate(a *Ciphertext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	r := ev.params.RingQ()
 	out := ev.newCiphertext(len(a.Value), a.Level, a.Scale)
 	for i := range a.Value {
@@ -188,6 +208,9 @@ func (ev *Evaluator) checkPlain(a *Ciphertext, p *Plaintext) error {
 
 // AddPlain returns a + p where p is a plaintext at the same scale.
 func (ev *Evaluator) AddPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if err := ev.checkPlain(a, p); err != nil {
 		return nil, err
 	}
@@ -212,6 +235,9 @@ func (ev *Evaluator) combinePlain(a *Ciphertext, p *Plaintext, op func(a, b, out
 
 // SubPlain returns a - p.
 func (ev *Evaluator) SubPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if err := ev.checkPlain(a, p); err != nil {
 		return nil, err
 	}
@@ -244,6 +270,9 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 // MulPlain multiplies a ciphertext by a plaintext; the result scale is the
 // product of both scales.
 func (ev *Evaluator) MulPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if err := ev.checkPlain(a, p); err != nil {
 		return nil, err
 	}
@@ -265,11 +294,19 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) 
 // the digits and the ciphertext halves the key. All ciphertexts must be
 // degree 1 and at one level, and every product must match the first one's
 // scale.
+//
+// A deferred rotation (RotateHoisted) may be among the ciphertexts; its
+// plaintext must then be extended over the special primes
+// (Encoder.EncodeExtended). The deferred products accumulate over Q∪P and
+// the sum mods down once per component — double hoisting — before the other
+// products are added: the division by P commutes with the sum up to its
+// single rounding, so the result is the same sum, not the same bits.
 func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*Ciphertext, error) {
 	if len(cts) == 0 || len(cts) != len(pts) {
 		return nil, fmt.Errorf("ckks: multiply-accumulate of %d ciphertexts and %d plaintexts", len(cts), len(pts))
 	}
 	level, scale := cts[0].Level, cts[0].Scale*pts[0].Scale
+	deferred := 0
 	for i, ct := range cts {
 		if ct.Degree() != 1 {
 			return nil, fmt.Errorf("ckks: multiply-accumulate requires degree-1 ciphertexts (operand %d has degree %d)", i, ct.Degree())
@@ -283,36 +320,97 @@ func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*C
 		if s := ct.Scale * pts[i].Scale; !scalesMatch(scale, s) {
 			return nil, fmt.Errorf("ckks: addition operand scale mismatch (%g vs %g)", scale, s)
 		}
+		if ct.Deferred() {
+			if pts[i].ValueP == nil {
+				return nil, fmt.Errorf("ckks: operand %d has a deferred mod-down but its plaintext is not extended over the special primes", i)
+			}
+			deferred++
+		}
+	}
+	// leaves yields the products over deferred rotations or over the other
+	// ciphertexts, over the chain primes or over the special ones.
+	leaves := func(deferred, special bool) func(int) (p, c0, c1 *ring.Poly) {
+		return func(i int) (p, c0, c1 *ring.Poly) {
+			switch ct := cts[i]; {
+			case ct.Deferred() != deferred:
+				return nil, nil, nil
+			case special:
+				return pts[i].ValueP, ct.ValueP[0], ct.ValueP[1]
+			default:
+				return pts[i].Value, ct.Value[0], ct.Value[1]
+			}
+		}
 	}
 	r := ev.params.RingQ()
-	out := ev.newCiphertext(2, level, scale)
+	if deferred == 0 {
+		out := ev.newCiphertext(2, level, scale)
+		ev.accumulate(r, ev.pool, len(cts), leaves(false, false), out.Value[0], out.Value[1])
+		return out, nil
+	}
+
+	rp := ev.params.RingP()
+	acc0, acc1 := ev.pool.Get(level), ev.pool.Get(level)
+	acc0P, acc1P := ev.poolP.Get(rp.MaxLevel()), ev.poolP.Get(rp.MaxLevel())
+	ev.accumulate(r, ev.pool, len(cts), leaves(true, false), acc0, acc1)
+	ev.accumulate(rp, ev.poolP, len(cts), leaves(true, true), acc0P, acc1P)
+	out := &Ciphertext{Value: []*ring.Poly{ev.modDownByP(acc0, acc0P), ev.modDownByP(acc1, acc1P)}, Scale: scale, Level: level}
+	if deferred < len(cts) {
+		ev.accumulate(r, ev.pool, len(cts), leaves(false, false), acc0, acc1)
+		r.Add(out.Value[0], acc0, out.Value[0])
+		r.Add(out.Value[1], acc1, out.Value[1])
+	}
+	ev.pool.Put(acc0)
+	ev.pool.Put(acc1)
+	ev.poolP.Put(acc0P)
+	ev.poolP.Put(acc1P)
+	return out, nil
+}
+
+// accumulate sets out0 = Σ p·c0 and out1 = Σ p·c1 over r, the sums running
+// over the n products operand yields (a nil p skips the product; at least
+// one must be present), in chunks of ring.MaxLazyDigits lazy products whose
+// partial sums come from pool.
+func (ev *Evaluator) accumulate(r *ring.Ring, pool *polyPool, n int, operand func(i int) (p, c0, c1 *ring.Poly), out0, out1 *ring.Poly) {
 	var ps, c0s, c1s [ring.MaxLazyDigits]*ring.Poly
 	var part0, part1 *ring.Poly // partial sums of the chunks after the first
-	for start := 0; start < len(cts); start += ring.MaxLazyDigits {
-		n := min(len(cts)-start, ring.MaxLazyDigits)
-		for i := 0; i < n; i++ {
-			ps[i] = pts[start+i].Value
-			c0s[i], c1s[i] = cts[start+i].Value[0], cts[start+i].Value[1]
+	k, first := 0, true
+	flush := func() {
+		if first {
+			r.InnerProductAutoNTTPair(ps[:k], c0s[:k], c1s[:k], 1, out0, out1)
+			first = false
+		} else {
+			if part0 == nil {
+				part0, part1 = pool.Get(out0.Level()), pool.Get(out1.Level())
+			}
+			r.InnerProductAutoNTTPair(ps[:k], c0s[:k], c1s[:k], 1, part0, part1)
+			r.Add(out0, part0, out0)
+			r.Add(out1, part1, out1)
 		}
-		if start == 0 {
-			r.InnerProductAutoNTTPair(ps[:n], c0s[:n], c1s[:n], 1, out.Value[0], out.Value[1])
+		k = 0
+	}
+	for i := 0; i < n; i++ {
+		p, c0, c1 := operand(i)
+		if p == nil {
 			continue
 		}
-		if part0 == nil {
-			part0, part1 = ev.pool.Get(level), ev.pool.Get(level)
+		ps[k], c0s[k], c1s[k] = p, c0, c1
+		if k++; k == ring.MaxLazyDigits {
+			flush()
 		}
-		r.InnerProductAutoNTTPair(ps[:n], c0s[:n], c1s[:n], 1, part0, part1)
-		r.Add(out.Value[0], part0, out.Value[0])
-		r.Add(out.Value[1], part1, out.Value[1])
 	}
-	ev.pool.Put(part0)
-	ev.pool.Put(part1)
-	return out, nil
+	if k > 0 {
+		flush()
+	}
+	pool.Put(part0)
+	pool.Put(part1)
 }
 
 // Relinearize reduces a degree-2 ciphertext back to degree 1 using the
 // relinearization key.
 func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if a.Degree() == 1 {
 		return ev.copyCiphertext(a), nil
 	}
@@ -338,26 +436,27 @@ func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
 // dropping one level and dividing the scale accordingly (the RESCALE
 // instruction). It fails at level 0, mirroring SEAL's runtime exception.
 func (ev *Evaluator) Rescale(a *Ciphertext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if a.Level == 0 {
 		return nil, fmt.Errorf("ckks: cannot rescale a level-0 ciphertext (modulus chain exhausted)")
 	}
 	r := ev.params.RingQ()
 	q := r.Moduli[a.Level].Q
 	out := ev.newCiphertext(len(a.Value), a.Level-1, a.Scale/float64(q))
-	tmp := ev.pool.Get(a.Level)
 	for i := range a.Value {
-		tmp.Copy(a.Value[i])
-		r.InvNTT(tmp)
-		r.DivideByLastModulusInto(tmp, out.Value[i])
-		r.NTT(out.Value[i])
+		r.DivideByLastModulusNTT(a.Value[i], out.Value[i])
 	}
-	ev.pool.Put(tmp)
 	return out, nil
 }
 
 // ModSwitch drops the last prime of the modulus chain without scaling the
 // plaintext (the MODSWITCH instruction).
 func (ev *Evaluator) ModSwitch(a *Ciphertext) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if a.Level == 0 {
 		return nil, fmt.Errorf("ckks: cannot modulus-switch a level-0 ciphertext")
 	}
@@ -394,10 +493,20 @@ func (ev *Evaluator) rotationElement(k, level int) (uint64, *SwitchingKey, error
 // of the rotated c1 back to the original secret; the automorphism commutes
 // with the NTT, so it is applied directly in the NTT domain as a slot
 // permutation — no InvNTT+NTT round trip.
-func (ev *Evaluator) rotateFromDecomp(a *Ciphertext, h *hoistedDecomp, swk *SwitchingKey, galEl uint64) *Ciphertext {
+//
+// A deferred rotation skips the mod-down: it returns P·φ(c0)+IP₀ and IP₁ over
+// the chain primes, with IP₀ and IP₁ over the special primes beside them
+// (ValueP), IP being the key inner product before its division by P.
+func (ev *Evaluator) rotateFromDecomp(a *Ciphertext, h *hoistedDecomp, swk *SwitchingKey, galEl uint64, deferred bool) *Ciphertext {
 	r := ev.params.RingQ()
 	rot0 := ev.pool.Get(a.Level)
 	r.AutomorphismNTT(a.Value[0], galEl, rot0)
+	if deferred {
+		acc0Q, acc1Q, acc0P, acc1P := ev.innerProductHoisted(h, swk, galEl)
+		ev.addTimesP(acc0Q, rot0)
+		ev.pool.Put(rot0)
+		return &Ciphertext{Value: []*ring.Poly{acc0Q, acc1Q}, ValueP: []*ring.Poly{acc0P, acc1P}, Scale: a.Scale, Level: a.Level}
+	}
 	ks0, ks1 := ev.keySwitchHoisted(h, swk, galEl)
 	// Assemble the result in place: the key-switch outputs become the
 	// ciphertext components directly (they leave the pool for good), so the
@@ -416,9 +525,10 @@ type rotationBatch struct {
 }
 
 type rotationElem struct {
-	k     int
-	galEl uint64
-	swk   *SwitchingKey
+	k        int
+	galEl    uint64
+	swk      *SwitchingKey
+	deferred bool
 }
 
 // RotateHoisted rotates a by every step in ks, sharing one decomposition of
@@ -428,7 +538,18 @@ type rotationElem struct {
 // work is fanned across the ring worker pool. Results are keyed by step;
 // duplicate steps collapse to one entry. Each result is bit-identical to the
 // corresponding RotateLeft call.
-func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int) (map[int]*Ciphertext, error) {
+//
+// deferred, when non-nil, runs beside ks: a step with deferred[i] set skips
+// its mod-down and returns a deferred rotation (Ciphertext.Deferred), which
+// only MulPlainAccumulate accepts. A step listed twice must be asked for the
+// same way; a zero step is a copy and never deferred.
+func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int, deferred []bool) (map[int]*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
+	if deferred != nil && len(deferred) != len(ks) {
+		return nil, fmt.Errorf("ckks: %d deferral flags for %d rotation steps", len(deferred), len(ks))
+	}
 	if a.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext; relinearize first")
 	}
@@ -441,15 +562,22 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int) (map[int]*Ciphertext
 	}()
 	// Resolve every key before producing anything, so a missing key fails
 	// the batch without results to hand back.
-	for _, k := range ks {
-		if k%ev.params.Slots() == 0 || slices.ContainsFunc(b.elems, func(e rotationElem) bool { return e.k == k }) {
+	for i, k := range ks {
+		def := deferred != nil && deferred[i]
+		if k%ev.params.Slots() == 0 {
+			continue
+		}
+		if j := slices.IndexFunc(b.elems, func(e rotationElem) bool { return e.k == k }); j >= 0 {
+			if b.elems[j].deferred != def {
+				return nil, fmt.Errorf("ckks: rotation step %d asked for both with and without its mod-down", k)
+			}
 			continue
 		}
 		galEl, swk, err := ev.rotationElement(k, a.Level)
 		if err != nil {
 			return nil, err
 		}
-		b.elems = append(b.elems, rotationElem{k, galEl, swk})
+		b.elems = append(b.elems, rotationElem{k, galEl, swk, def})
 	}
 	out := make(map[int]*Ciphertext, len(ks))
 	for _, k := range ks {
@@ -465,7 +593,7 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int) (map[int]*Ciphertext
 	b.cts = append(b.cts, make([]*Ciphertext, len(b.elems))...)
 	elems, cts := b.elems, b.cts
 	ring.Parallel(len(elems), func(i int) {
-		cts[i] = ev.rotateFromDecomp(a, h, elems[i].swk, elems[i].galEl)
+		cts[i] = ev.rotateFromDecomp(a, h, elems[i].swk, elems[i].galEl, elems[i].deferred)
 	})
 	ev.releaseDecomp(h)
 	for i, e := range elems {
@@ -478,6 +606,9 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int) (map[int]*Ciphertext
 // required Galois key must have been generated for this step count. It is the
 // batch-of-one case of RotateHoisted, without the batch bookkeeping.
 func (ev *Evaluator) RotateLeft(a *Ciphertext, k int) (*Ciphertext, error) {
+	if err := checkNotDeferred(a); err != nil {
+		return nil, err
+	}
 	if a.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext; relinearize first")
 	}
@@ -489,7 +620,7 @@ func (ev *Evaluator) RotateLeft(a *Ciphertext, k int) (*Ciphertext, error) {
 		return nil, err
 	}
 	h := ev.decomposeNTT(a.Value[1], a.Level)
-	out := ev.rotateFromDecomp(a, h, swk, galEl)
+	out := ev.rotateFromDecomp(a, h, swk, galEl, false)
 	ev.releaseDecomp(h)
 	return out, nil
 }

@@ -65,7 +65,7 @@ func hoistedMatchesRotateLeft(t *testing.T, tc *testContext) {
 		}
 		ct := cts[int(rawLevel)%len(cts)]
 
-		batch, err := tc.eval.RotateHoisted(ct, ks)
+		batch, err := tc.eval.RotateHoisted(ct, ks, nil)
 		if err != nil {
 			t.Logf("RotateHoisted(%v): %v", ks, err)
 			return false
@@ -95,21 +95,21 @@ func TestRotateHoistedErrors(t *testing.T) {
 	tc := newTestContext(t, 11, []int{50, 40}, 50, 1<<40, []int{1})
 	va := tc.randomVector(5, 1)
 	ct := tc.encrypt(t, va)
-	if _, err := tc.eval.RotateHoisted(ct, []int{1, 3}); err == nil {
+	if _, err := tc.eval.RotateHoisted(ct, []int{1, 3}, nil); err == nil {
 		t.Error("RotateHoisted with a missing rotation key did not fail")
 	}
 	prod, err := tc.eval.Mul(ct, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.eval.RotateHoisted(prod, []int{1}); err == nil {
+	if _, err := tc.eval.RotateHoisted(prod, []int{1}, nil); err == nil {
 		t.Error("RotateHoisted on a degree-2 ciphertext did not fail")
 	}
-	out, err := tc.eval.RotateHoisted(ct, nil)
+	out, err := tc.eval.RotateHoisted(ct, nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("RotateHoisted with no steps = (%v, %v), want empty map", out, err)
 	}
-	trivial, err := tc.eval.RotateHoisted(ct, []int{0})
+	trivial, err := tc.eval.RotateHoisted(ct, []int{0}, nil)
 	if err != nil || len(trivial) != 1 {
 		t.Fatalf("RotateHoisted([0]) = (%v, %v)", trivial, err)
 	}
@@ -133,11 +133,11 @@ func TestRotateHoistedSteadyStateAllocs(t *testing.T) {
 	va := tc.randomVector(7, 1)
 	ct := tc.encrypt(t, va)
 	ks := []int{1, 2, 3, 4}
-	if _, err := tc.eval.RotateHoisted(ct, ks); err != nil { // warm the pools
+	if _, err := tc.eval.RotateHoisted(ct, ks, nil); err != nil { // warm the pools
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := tc.eval.RotateHoisted(ct, ks); err != nil {
+		if _, err := tc.eval.RotateHoisted(ct, ks, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -177,7 +177,7 @@ func TestEvaluatorConcurrentHoisting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				batch, err := tc.eval.RotateHoisted(ct, ks)
+				batch, err := tc.eval.RotateHoisted(ct, ks, nil)
 				if err != nil {
 					errs <- err
 					return

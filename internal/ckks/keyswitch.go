@@ -25,7 +25,14 @@ import (
 //
 //   - keySwitchHoisted performs the per-key half: the inner product of the
 //     (optionally automorphism-permuted) extended digits against the key
-//     digits, and the final modDownByP.
+//     digits (innerProductHoisted), and the final modDownByP.
+//
+// Double hoisting (Bossuat et al.) goes one step further for a rotation whose
+// only uses are products in a fused multiply-accumulate: it skips the
+// mod-down and stays in the extended basis, and MulPlainAccumulate sums such
+// rotations over Q∪P and mods down once per component for the whole sum. The
+// division by P is linear up to its rounding, so the sum rounds once instead
+// of once per rotation.
 //
 // The hoisting trick (Halevi–Shoup) is that the lift commutes with the Galois
 // automorphism well enough: the automorphism only permutes and negates
@@ -136,25 +143,14 @@ func (ev *Evaluator) releaseDecomp(h *hoistedDecomp) {
 // is the identity (plain key switch); odd galEl > 1 permutes each digit in
 // the NTT domain before the inner product, which is where a hoisted rotation
 // saves its transforms. swk must have passed checkSwitchable for h's level.
-// The returned polynomials come from the evaluator's pool; the caller
-// releases them with ev.pool.Put.
+// It is innerProductHoisted followed by one modDownByP per component. The
+// returned polynomials come from the evaluator's pool; the caller releases
+// them with ev.pool.Put.
 //
 // h is only read, so concurrent calls with distinct Galois elements may share
 // one decomposition.
 func (ev *Evaluator) keySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey, galEl uint64) (ks0, ks1 *ring.Poly) {
-	params := ev.params
-	rp := params.RingP()
-
-	// The paired inner-product kernel overwrites its accumulators, fuses the
-	// Galois permutation into the digit gather, and shares each gathered digit
-	// between the B and A halves of the key, so there is no zeroing pass, no
-	// permutation scratch, a single load of every digit coefficient, and one
-	// Barrett reduction per output coefficient regardless of the digit count.
-	acc0Q, acc1Q := ev.pool.Get(h.level), ev.pool.Get(h.level)
-	params.RingQ().InnerProductAutoNTTPair(h.extQ, swk.BQ, swk.AQ, galEl, acc0Q, acc1Q)
-	acc0P, acc1P := ev.poolP.Get(rp.MaxLevel()), ev.poolP.Get(rp.MaxLevel())
-	rp.InnerProductAutoNTTPair(h.extP, swk.BP, swk.AP, galEl, acc0P, acc1P)
-
+	acc0Q, acc1Q, acc0P, acc1P := ev.innerProductHoisted(h, swk, galEl)
 	ks0 = ev.modDownByP(acc0Q, acc0P)
 	ks1 = ev.modDownByP(acc1Q, acc1P)
 	ev.pool.Put(acc0Q)
@@ -162,6 +158,40 @@ func (ev *Evaluator) keySwitchHoisted(h *hoistedDecomp, swk *SwitchingKey, galEl
 	ev.poolP.Put(acc0P)
 	ev.poolP.Put(acc1P)
 	return ks0, ks1
+}
+
+// innerProductHoisted is the key switch before its mod-down: the inner
+// product of the (optionally φ_galEl-permuted) digits h with the key swk over
+// the extended basis, P times the switched value plus the key's noise. The
+// chain halves come from ev.pool and the special halves from ev.poolP; the
+// caller releases them.
+func (ev *Evaluator) innerProductHoisted(h *hoistedDecomp, swk *SwitchingKey, galEl uint64) (acc0Q, acc1Q, acc0P, acc1P *ring.Poly) {
+	rp := ev.params.RingP()
+	// The paired inner-product kernel overwrites its accumulators, fuses the
+	// Galois permutation into the digit gather, and shares each gathered digit
+	// between the B and A halves of the key, so there is no zeroing pass, no
+	// permutation scratch, a single load of every digit coefficient, and one
+	// Barrett reduction per output coefficient regardless of the digit count.
+	acc0Q, acc1Q = ev.pool.Get(h.level), ev.pool.Get(h.level)
+	ev.params.RingQ().InnerProductAutoNTTPair(h.extQ, swk.BQ, swk.AQ, galEl, acc0Q, acc1Q)
+	acc0P, acc1P = ev.poolP.Get(rp.MaxLevel()), ev.poolP.Get(rp.MaxLevel())
+	rp.InnerProductAutoNTTPair(h.extP, swk.BP, swk.AP, galEl, acc0P, acc1P)
+	return acc0Q, acc1Q, acc0P, acc1P
+}
+
+// addTimesP sets acc = acc + P·b over acc's chain limbs (NTT form), P the
+// special product: it lifts a ciphertext component into the extended basis,
+// where it is zero modulo every special prime.
+func (ev *Evaluator) addTimesP(acc, b *ring.Poly) {
+	params := ev.params
+	for i, ai := range acc.Coeffs {
+		q := params.RingQ().Moduli[i].Q
+		pm, ps := params.pModQ[i], params.pShoupModQ[i]
+		bi := b.Coeffs[i]
+		for j := range ai {
+			ai[j] = numth.AddMod(ai[j], numth.MulModShoup(bi[j], pm, ps, q), q)
+		}
+	}
 }
 
 // keySwitch applies the switching key swk to the polynomial d (NTT form, at

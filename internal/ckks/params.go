@@ -87,11 +87,15 @@ type Parameters struct {
 	//                    partial, hence one converter per prefix length);
 	//   modDown          converts the special primes to every chain prime;
 	//   pInvModQ[i]      = (P mod q_i)^{-1} mod q_i, P the special product;
-	//   pInvShoupModQ[i] = Shoup quotient of pInvModQ[i].
+	//   pInvShoupModQ[i] = Shoup quotient of pInvModQ[i];
+	//   pModQ[i], pShoupModQ[i] = P mod q_i and its Shoup quotient, which lift
+	//   a deferred rotation's φ(c0) into the extended basis.
 	modUp         [][]*ring.BasisConverter
 	modDown       *ring.BasisConverter
 	pInvModQ      []uint64
 	pInvShoupModQ []uint64
+	pModQ         []uint64
+	pShoupModQ    []uint64
 }
 
 // ParametersLiteral is the user-facing description from which Parameters are
@@ -224,8 +228,12 @@ func (p *Parameters) buildKeySwitchTables() (err error) {
 	}
 	p.pInvModQ = make([]uint64, len(chain))
 	p.pInvShoupModQ = make([]uint64, len(chain))
+	p.pModQ = make([]uint64, len(chain))
+	p.pShoupModQ = make([]uint64, len(chain))
 	for i, m := range chain {
-		p.pInvModQ[i] = numth.MustInvMod(p.specialProductMod(m.Q), m.Q)
+		p.pModQ[i] = p.specialProductMod(m.Q)
+		p.pShoupModQ[i] = numth.ShoupPrecomp(p.pModQ[i], m.Q)
+		p.pInvModQ[i] = numth.MustInvMod(p.pModQ[i], m.Q)
 		p.pInvShoupModQ[i] = numth.ShoupPrecomp(p.pInvModQ[i], m.Q)
 	}
 	return nil

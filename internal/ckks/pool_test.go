@@ -172,7 +172,7 @@ func TestKeySwitchSteadyStateBytes(t *testing.T) {
 				tc.eval.Recycle(out)
 			},
 			"RotateHoisted(4)": func() {
-				out, err := tc.eval.RotateHoisted(ct, ks)
+				out, err := tc.eval.RotateHoisted(ct, ks, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

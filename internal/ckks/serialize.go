@@ -91,6 +91,9 @@ func readPoly(r *bytes.Reader) (*ring.Poly, error) {
 
 // MarshalBinary encodes the ciphertext.
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
+	if ct.Deferred() {
+		return nil, fmt.Errorf("ckks: cannot encode a ciphertext with a deferred mod-down")
+	}
 	buf := &bytes.Buffer{}
 	buf.WriteByte(magicCiphertext)
 	binary.Write(buf, binary.LittleEndian, uint32(len(ct.Value)))

@@ -67,10 +67,13 @@ type PlainCache struct {
 }
 
 // PlainKey identifies one encoding of an invariant instruction's value.
+// Extended encodings (ckks.Encoder.EncodeExtended) also hold the special
+// primes, for products with a rotation that defers its mod-down.
 type PlainKey struct {
-	ID    int32
-	Level int
-	Scale float64
+	ID       int32
+	Level    int
+	Scale    float64
+	Extended bool
 }
 
 func newPlainCache() *PlainCache {
@@ -109,6 +112,9 @@ func (c *PlainCache) Plaintext(key PlainKey) *ckks.Plaintext {
 // pt itself, or the entry a concurrent run stored first.
 func (c *PlainCache) KeepPlaintext(key PlainKey, pt *ckks.Plaintext) *ckks.Plaintext {
 	size := int64(8 * len(pt.Value.Coeffs) * len(pt.Value.Coeffs[0]))
+	if pt.ValueP != nil {
+		size += int64(8 * len(pt.ValueP.Coeffs) * len(pt.ValueP.Coeffs[0]))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if held := c.pts[key]; held != nil {

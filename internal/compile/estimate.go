@@ -10,10 +10,13 @@ import (
 // InstrUnits is the cost model's price of instruction id as the executor runs
 // it, the one rule that Cost sums, the digit-size choice minimises and the
 // profiler samples: KeySwitchPrice of the key switching keySwitch finds,
-// OpUnits for any other Cipher instruction, 0 for leaves and plain values.
+// OpUnits for any other Cipher instruction (a fused chain's root pays both),
+// 0 for leaves and plain values.
 func (r *Result) InstrUnits(id int32) float64 {
 	in, m := &r.Instrs[id], r.CostModel()
 	switch ks, ok := r.keySwitch(in); {
+	case ok && in.Chain != nil:
+		return m.OpUnits(in.Term.Op, in.Level, false) + m.KeySwitchPrice(ks)
 	case ok:
 		return m.KeySwitchPrice(ks)
 	case in.Cipher && !in.Term.IsLeaf():
@@ -23,28 +26,43 @@ func (r *Result) InstrUnits(id int32) float64 {
 }
 
 // keySwitch reports whether in key-switches as the executor runs it, and
-// which halves it does. A relinearization, or a rotation by a non-zero step
-// outside any hoist set, does both. A hoist set's batch decomposes once, for
-// its first non-zero member, and takes each step once, for the first member
-// taking it; later members with that step reuse its result and do neither.
-// A rotation by a zero step (a multiple of the slot count) that no earlier
-// member took is a copy, not a key switch.
+// which parts it does. A relinearization, or a rotation by a non-zero step
+// outside any hoist set, does all three. A hoist set's batch decomposes once,
+// for its first non-zero member, and takes each step once, for the first
+// member taking it; later members with that step reuse its result and do
+// nothing. A rotation by a zero step (a multiple of the slot count) that no
+// earlier member took is a copy, not a key switch. A rotation that defers its
+// mod-down (Instr.DeferModDown) skips it, and the root of a fused chain with
+// such leaves does it once, multiplying each deferred leaf over the special
+// limbs as well.
 func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
-	zero := func(step int) bool { return step%(1<<max(r.LogN-1, 0)) == 0 }
+	if in.Chain != nil {
+		ks = analysis.KeySwitch{Level: in.Level, ModDown: true}
+		for _, pr := range in.Chain.Products {
+			if ct := &r.Instrs[pr.Ct]; ct.DeferModDown && !r.zeroStep(ct.Rot) {
+				ks.Leaves++
+			}
+		}
+		return ks, ks.Leaves > 0
+	}
 	switch op := in.Term.Op; {
 	case !in.Cipher || (op != core.OpRelinearize && !op.IsRotation()):
 		return ks, false
 	case in.Hoist >= 0 && slices.Index(r.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):
 		return analysis.KeySwitch{Level: in.Level}, true
-	case op.IsRotation() && zero(in.Rot):
+	case op.IsRotation() && r.zeroStep(in.Rot):
 		return ks, false
 	}
-	ks = analysis.KeySwitch{Level: in.Level, Decompose: true, ApplyKey: true}
+	ks = analysis.KeySwitch{Level: in.Level, Decompose: true, ApplyKey: true, ModDown: !in.DeferModDown}
 	if in.Hoist >= 0 {
-		ks.Decompose = slices.IndexFunc(r.Hoists[in.Hoist].Steps, func(step int) bool { return !zero(step) }) == int(in.HoistPos)
+		ks.Decompose = slices.IndexFunc(r.Hoists[in.Hoist].Steps, func(step int) bool { return !r.zeroStep(step) }) == int(in.HoistPos)
 	}
 	return ks, true
 }
+
+// zeroStep reports a rotation step that is a multiple of the slot count: the
+// executor copies instead of key-switching.
+func (r *Result) zeroStep(step int) bool { return step%(1<<max(r.LogN-1, 0)) == 0 }
 
 // Cost estimates the program's execution cost under its cost model
 // (Result.CostModel): every instruction is priced by InstrUnits, and the
@@ -72,7 +90,8 @@ func (r *Result) Cost() analysis.CostEstimate {
 // its last reference is consumed, Instr.Refs) over the topological order and
 // charges each live value its size — CiphertextBytes at its level, with three
 // polynomials for an unrelinearized ciphertext-ciphertext product and two
-// otherwise, and one float64 vector of 2^LogN for a plain value.
+// otherwise (plus their special limbs for a rotation that defers its
+// mod-down), and one float64 vector of 2^LogN for a plain value.
 //
 // The executor evaluates in whatever order the scheduler picks, so the true
 // peak can exceed this sequential estimate when many instructions are in
@@ -89,6 +108,8 @@ func (r *Result) PeakMemoryBytes() int64 {
 			size[i] = 8 << uint(r.LogN)
 		case r.degree2(in):
 			size[i] = r.CiphertextBytes(in.Level, 3)
+		case in.DeferModDown && !r.zeroStep(in.Rot):
+			size[i] = r.CiphertextBytes(in.Level, 2) + 2*8*int64(len(r.Plan.SpecialBits))<<uint(r.LogN)
 		default:
 			size[i] = r.CiphertextBytes(in.Level, 2)
 		}

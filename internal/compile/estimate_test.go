@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"math"
 	"testing"
 
 	"eva/internal/analysis"
@@ -31,19 +32,124 @@ func referenceLevels(p *core.Program) map[*core.Term]int {
 	return levels
 }
 
+// referenceDeferred re-derives double hoisting over the term graph. The fused
+// chains are the maximal ADD trees whose sums and leaves are used once and are
+// not outputs, a leaf being a product of a Cipher term with a Plain term that
+// no INPUT reaches; a chain is statically fusable when its leaves share one
+// level and one scale. A rotation by a non-zero step that is not an output
+// and whose every use is a leaf of a fusable chain defers its mod-down, unless
+// a member of its rotation set taking the same step does not. It returns the
+// deferring rotations and, per chain root, how many of its leaves multiply a
+// deferring rotation by a non-zero (key-switched) step.
+func referenceDeferred(p *core.Program, zero func(*core.Term) bool) (map[*core.Term]bool, map[*core.Term]int) {
+	order := p.TopoSort()
+	types := core.InferTypes(order)
+	levels, scales := referenceLevels(p), rewrite.ComputeLogScales(p)
+	uses, output := map[*core.Term]int{}, map[*core.Term]bool{}
+	for _, o := range p.Outputs() {
+		uses[o.Term]++
+		output[o.Term] = true
+	}
+	invariant, user := map[*core.Term]bool{}, map[*core.Term]*core.Term{}
+	leafCt, tree := map[*core.Term]*core.Term{}, map[*core.Term]bool{}
+	once := func(t *core.Term) bool { return uses[t] == 1 && !output[t] }
+	for _, t := range order {
+		inv := t.Op != core.OpInput
+		for _, q := range t.Parms() {
+			uses[q]++
+			user[q] = t
+			inv = inv && invariant[q]
+		}
+		invariant[t] = inv && types[t] != core.TypeCipher
+	}
+	for _, t := range order {
+		if types[t] != core.TypeCipher || len(t.Parms()) != 2 {
+			continue
+		}
+		a, b := t.Parm(0), t.Parm(1)
+		switch {
+		case t.Op == core.OpMultiply && once(t) && types[a] == core.TypeCipher && invariant[b]:
+			leafCt[t] = a
+		case t.Op == core.OpMultiply && once(t) && types[b] == core.TypeCipher && invariant[a]:
+			leafCt[t] = b
+		case t.Op == core.OpAdd:
+			fusable := func(q *core.Term) bool { return once(q) && (leafCt[q] != nil || tree[q]) }
+			tree[t] = fusable(a) && fusable(b)
+		}
+	}
+	leaves := func(root *core.Term) []*core.Term {
+		var out []*core.Term
+		var walk func(t *core.Term)
+		walk = func(t *core.Term) {
+			if leafCt[t] != nil {
+				out = append(out, t)
+				return
+			}
+			walk(t.Parm(0))
+			walk(t.Parm(1))
+		}
+		walk(root)
+		return out
+	}
+	var roots []*core.Term
+	leafUses := map[*core.Term]int{}
+	for _, t := range order {
+		if !tree[t] || (once(t) && tree[user[t]]) {
+			continue
+		}
+		roots = append(roots, t)
+		ls := leaves(t)
+		fusable := true
+		for _, l := range ls {
+			fusable = fusable && levels[l] == levels[ls[0]] && math.Abs(scales[l]-scales[ls[0]]) <= 1e-9
+		}
+		for _, l := range ls {
+			if fusable {
+				leafUses[leafCt[l]]++
+			}
+		}
+	}
+	deferred := map[*core.Term]bool{}
+	for ct, n := range leafUses {
+		deferred[ct] = ct.Op.IsRotation() && rewrite.EffectiveRotation(ct) != 0 && !output[ct] && uses[ct] == n
+	}
+	for _, set := range rewrite.RotationSets(p) {
+		undeferred := map[int]bool{}
+		for _, r := range set {
+			undeferred[rewrite.EffectiveRotation(r)] = undeferred[rewrite.EffectiveRotation(r)] || !deferred[r]
+		}
+		for _, r := range set {
+			deferred[r] = deferred[r] && !undeferred[rewrite.EffectiveRotation(r)]
+		}
+	}
+	finished := map[*core.Term]int{}
+	for _, root := range roots {
+		for _, l := range leaves(root) {
+			if deferred[leafCt[l]] && !zero(leafCt[l]) {
+				finished[root]++
+			}
+		}
+	}
+	return deferred, finished
+}
+
 // referenceCost prices every Cipher term of the topological order by OpUnits
 // at its chain length, except the key switching relinearizations and
 // rotations do, priced by KeySwitchPrice: rewrite.RotationSets are the
 // hoisted batches, each decomposing once (for its first non-zero step) and
 // applying one key per distinct non-zero step, a repeated step reusing the
 // batch's result at no cost; any other relinearization or non-zero rotation
-// does both halves. A rotation by a multiple of the slot count is a copy,
-// priced by OpUnits. It tracks the dearest dependence chain.
+// does all three parts. A rotation by a multiple of the slot count is a copy,
+// priced by OpUnits. A rotation referenceDeferred finds deferring skips its
+// mod-down, and the root of its chain pays it (with the special-limb products
+// of its deferred leaves) on top of its sum. It tracks the dearest dependence
+// chain.
 func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate {
 	levels := referenceLevels(p)
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	zero := func(t *core.Term) bool { return rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) == 0 }
+	deferred, finished := referenceDeferred(p, zero)
 	// batched holds what each hoisted rotation does: nil for a copy.
 	batched := map[*core.Term]*analysis.KeySwitch{}
 	for _, set := range rewrite.RotationSets(p) {
@@ -55,7 +161,7 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 			case zero(t):
 				ks = nil
 			default:
-				ks.Decompose, ks.ApplyKey = !decomposed, true
+				ks.Decompose, ks.ApplyKey, ks.ModDown = !decomposed, true, !deferred[t]
 				decomposed = true
 			}
 			taken[step] = true
@@ -69,11 +175,14 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 		if !t.IsLeaf() && types[t] == core.TypeCipher {
 			ks, inSet := batched[t]
 			if !inSet && (t.Op == core.OpRelinearize || (t.Op.IsRotation() && !zero(t))) {
-				ks = &analysis.KeySwitch{Level: levels[t], Decompose: true, ApplyKey: true}
+				ks = &analysis.KeySwitch{Level: levels[t], Decompose: true, ApplyKey: true, ModDown: !deferred[t]}
 			}
-			if ks != nil {
+			switch {
+			case finished[t] > 0:
+				cost = m.OpUnits(t.Op, levels[t], false) + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: true, Leaves: finished[t]})
+			case ks != nil:
 				cost = m.KeySwitchPrice(*ks)
-			} else {
+			default:
 				ctct := t.Op == core.OpMultiply &&
 					types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
 				cost = m.OpUnits(t.Op, levels[t], ctct)
@@ -94,12 +203,15 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 // referencePeak replays liveness over the topological order with refcounts
 // from Term.UseEdges, which counts the uses of dead terms too: after
 // Optimize a value some dead term still names is never freed, so it agrees
-// with PeakMemoryBytes only on programs without dead terms.
+// with PeakMemoryBytes only on programs without dead terms. A rotation that
+// defers its mod-down (referenceDeferred) also holds two polynomials over the
+// α special primes.
 func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 	levels := referenceLevels(p)
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	n := int64(1) << uint(m.LogN)
+	deferred, _ := referenceDeferred(p, func(t *core.Term) bool { return rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) == 0 })
 	bytesOf := func(t *core.Term) int64 {
 		if types[t] != core.TypeCipher {
 			return 8 * n
@@ -109,6 +221,9 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 		if t.Op == core.OpMultiply &&
 			types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher {
 			polys = 3
+		}
+		if deferred[t] && rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) != 0 {
+			limbs += int64(max(m.DigitSize, 1))
 		}
 		return 8 * n * limbs * polys
 	}

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"math"
 	"slices"
 
 	"eva/internal/analysis"
@@ -34,6 +35,11 @@ type Instr struct {
 	// Hoist and HoistPos locate a rotation in its hoistable set (Hoist is -1
 	// for everything else).
 	Hoist, HoistPos int32
+	// DeferModDown marks a rotation whose every reference is a product leaf
+	// of a fused chain: the executor leaves its key switch in the extended
+	// basis Q∪P, and the chain mods down once for all such leaves (double
+	// hoisting; Evaluator.RotateHoisted, Evaluator.MulPlainAccumulate).
+	DeferModDown bool
 
 	// Chain is set on the root of a fused chain; Absorbed on its other
 	// members, which are never dispatched on their own.
@@ -57,6 +63,9 @@ type HoistSet struct {
 	// evaluates a step once, so those members alias one result ciphertext and
 	// none of them may recycle it.
 	Shared []bool
+	// Deferred holds each member's DeferModDown, in member order; nil when no
+	// member defers. Members taking one step agree.
+	Deferred []bool
 }
 
 // FusedChain is a maximal tree of ciphertext additions whose interior sums
@@ -241,6 +250,7 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 	}
 
 	r.findChains(isOutput, user)
+	r.deferModDowns(isOutput)
 	r.schedule()
 
 	// An input's depth is the longest chain below it: one reverse sweep
@@ -326,6 +336,69 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 			instrs[m].Absorbed = true
 		}
 		instrs[i].Chain = ch
+	}
+}
+
+// deferModDowns marks the rotations whose mod-down their fused chains take
+// over (Instr.DeferModDown): a rotation by a non-zero step, not an output,
+// whose every reference is a product leaf of a chain that is statically
+// fusable — all its products at one level and one scale, so the fused kernel
+// never refuses them. In a hoist set a step defers only if every member
+// taking it does, since those members share one result.
+func (r *Result) deferModDowns(isOutput []bool) {
+	instrs := r.Instrs
+	leafUses := map[int32]int32{}
+	for i := range instrs {
+		ch := instrs[i].Chain
+		if ch == nil {
+			continue
+		}
+		first := &instrs[ch.Members[0]]
+		fusable := true
+		for _, m := range ch.Members {
+			in := &instrs[m]
+			if in.Term.Op == core.OpMultiply && (in.Level != first.Level || math.Abs(in.LogScale-first.LogScale) > 1e-9) {
+				fusable = false
+			}
+		}
+		if fusable {
+			for _, pr := range ch.Products {
+				leafUses[pr.Ct]++
+			}
+		}
+	}
+	members := make([][]int32, len(r.Hoists))
+	for id, uses := range leafUses {
+		in := &instrs[id]
+		in.DeferModDown = in.Term.Op.IsRotation() && in.Rot != 0 && !isOutput[id] && in.Refs == uses
+		if in.DeferModDown && in.Hoist >= 0 {
+			members[in.Hoist] = append(members[in.Hoist], id)
+		}
+	}
+	for h, deferred := range members {
+		if len(deferred) == 0 {
+			continue
+		}
+		set := &r.Hoists[h]
+		set.Deferred = make([]bool, len(set.Steps))
+		for _, id := range deferred {
+			set.Deferred[instrs[id].HoistPos] = true
+		}
+		// A step some member takes without deferring stays undeferred for all.
+		for pos, step := range set.Steps {
+			if set.Deferred[pos] {
+				continue
+			}
+			for _, id := range deferred {
+				if instrs[id].Rot == step {
+					instrs[id].DeferModDown = false
+					set.Deferred[instrs[id].HoistPos] = false
+				}
+			}
+		}
+		if !slices.Contains(set.Deferred, true) {
+			set.Deferred = nil
+		}
 	}
 }
 

@@ -236,6 +236,11 @@ type RunStats struct {
 	// RecycledBuffers counts the ciphertext polynomials returned to the
 	// evaluator's pool at their value's last use.
 	RecycledBuffers int
+	// ModDowns counts the divisions by the special product P this run made:
+	// two per relinearization and per rotation key switch, except that a
+	// rotation deferring its mod-down makes none and its fused chain makes
+	// two for all its deferred leaves.
+	ModDowns int
 }
 
 // DecryptOutputs decrypts and decodes every encrypted output, truncating each

@@ -15,12 +15,14 @@ import (
 
 // TestCostModelMatchesRun holds the compiler's price list to the executor: on
 // Sobel, Harris, bench LeNet-5-small (steps repeated inside hoist sets) and
-// bench SqueezeNet (zero steps, hoisted and lone), the decompositions and key
-// applications compile.Result.Cost charges, read off each instruction's
-// InstrUnits, are the ones a sequential run performs. The run's side is one decomposition per hoisted batch
-// (RunStats.HoistedBatches), one key per distinct non-zero step a batch
-// covers (RunStats.HoistedRotations), and one of each per relinearization
-// and per rotation by a non-zero step outside a batch.
+// bench SqueezeNet (zero steps, hoisted and lone, and rotations deferring
+// their mod-downs to fused chains), the decompositions, key applications and
+// mod-downs compile.Result.Cost charges, read off each instruction's
+// InstrUnits, are the ones a sequential run performs. The run's side is one
+// decomposition per hoisted batch (RunStats.HoistedBatches), one key per
+// distinct non-zero step a batch covers (RunStats.HoistedRotations), one of
+// each per relinearization and per rotation by a non-zero step outside a
+// batch, and the mod-downs it counted (RunStats.ModDowns).
 func TestCostModelMatchesRun(t *testing.T) {
 	type program struct {
 		name string
@@ -46,7 +48,7 @@ func TestCostModelMatchesRun(t *testing.T) {
 		}
 	}
 
-	var repeated, hoistedZero, loneZero int
+	var repeated, hoistedZero, loneZero, deferred int
 	for _, p := range corpus {
 		t.Run(p.name, func(t *testing.T) {
 			res := compileInsecure(t, p.prog, compile.DefaultOptions())
@@ -55,6 +57,9 @@ func TestCostModelMatchesRun(t *testing.T) {
 			for _, in := range res.Instrs {
 				if !in.Cipher || !in.Term.Op.IsRotation() {
 					continue
+				}
+				if in.DeferModDown {
+					deferred++
 				}
 				switch zero := in.Rot%slots == 0; {
 				case in.Hoist >= 0 && slices.Index(res.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):
@@ -82,23 +87,44 @@ func TestCostModelMatchesRun(t *testing.T) {
 			// Cost sums InstrUnits: read what it charges each key switch off
 			// its units.
 			m := res.CostModel()
-			var decompositions, keys int
+			var decompositions, keys, modDowns int
 			total := 0.0
 			for i, in := range res.Instrs {
 				units := res.InstrUnits(int32(i))
 				total += units
+				d, k, md := m.KeySwitchUnits(in.Level)
+				if in.Chain != nil {
+					// A chain root: its sum, or its sum and the mod-downs of
+					// its deferred leaves, each also multiplied over the
+					// special limbs.
+					sum := m.OpUnits(core.OpAdd, in.Level, false)
+					leaf := 2 * float64(int(1)<<res.LogN) * float64(len(res.Plan.SpecialBits))
+					if leaves := (units - sum - md) / leaf; units != sum && (leaves < 1 || leaves != float64(int(leaves))) {
+						t.Errorf("chain root %s is charged %v units: not its sum (%v), nor its sum and a mod-down (%v) with whole leaves", in.Term, units, sum, sum+md)
+					} else if units != sum {
+						modDowns += 2
+					}
+					continue
+				}
 				if !in.Cipher || (in.Term.Op != core.OpRelinearize && !in.Term.Op.IsRotation()) {
 					continue
 				}
-				switch d, k := m.KeySwitchUnits(in.Level); units {
-				case d + k:
+				switch units {
+				case d + k + md:
 					decompositions++
 					keys++
+					modDowns += 2
+				case d + k: // deferring its mod-down
+					decompositions++
+					keys++
+				case k + md:
+					keys++
+					modDowns += 2
 				case k:
 					keys++
 				case 0, m.OpUnits(core.OpAdd, in.Level, false): // a repeated step, a copy
 				default:
-					t.Errorf("%s is charged %v units: not a whole switch, a key, a copy or nothing", in.Term, units)
+					t.Errorf("%s is charged %v units: not a whole switch, a key with or without its mod-down, a copy or nothing", in.Term, units)
 				}
 			}
 			if est := res.Cost(); est.Total != total {
@@ -112,10 +138,13 @@ func TestCostModelMatchesRun(t *testing.T) {
 				t.Errorf("Cost charges %d key applications; the run made %d (%d hoisted steps, %d relinearizations, %d lone rotations)",
 					got, want, out.Stats.HoistedRotations, relinearized, lone)
 			}
+			if modDowns != out.Stats.ModDowns {
+				t.Errorf("Cost charges %d mod-downs; the run made %d", modDowns, out.Stats.ModDowns)
+			}
 		})
 	}
-	if !raceEnabled && (repeated == 0 || hoistedZero == 0 || loneZero == 0) {
-		t.Errorf("the corpus no longer exercises every pricing case: %d repeated steps, %d hoisted and %d lone zero steps",
-			repeated, hoistedZero, loneZero)
+	if !raceEnabled && (repeated == 0 || hoistedZero == 0 || loneZero == 0 || deferred == 0) {
+		t.Errorf("the corpus no longer exercises every pricing case: %d repeated steps, %d hoisted and %d lone zero steps, %d deferred mod-downs",
+			repeated, hoistedZero, loneZero, deferred)
 	}
 }

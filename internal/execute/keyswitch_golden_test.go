@@ -19,25 +19,28 @@ import (
 	"eva/internal/lang"
 )
 
-// goldenDigests reads testdata/keyswitch_alpha1.golden: "name digest" lines,
+// goldenDigests reads testdata/keyswitch_alpha1.golden and, prefixing its
+// names with "fused:", testdata/keyswitch_fused.golden: "name digest" lines,
 // the name being everything before the last space.
 func goldenDigests(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := os.Open("testdata/keyswitch_alpha1.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	golden := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
-			golden[line[:i]] = line[i+1:]
+	for file, prefix := range map[string]string{"keyswitch_alpha1.golden": "", "keyswitch_fused.golden": "fused:"} {
+		f, err := os.Open(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			line := sc.Text()
+			if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+				golden[prefix+line[:i]] = line[i+1:]
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return golden
 }
@@ -45,11 +48,14 @@ func goldenDigests(t *testing.T) map[string]string {
 // TestKeySwitchDigitSizeOneMatchesParent shows that hybrid key switching with
 // one special prime is the construction it replaced, not an approximation of
 // it: on plan_diff_test's corpus, with the compiler's digit-size choice
-// overridden to 1, keys, inputs and every output ciphertext are byte-identical
-// to what the parent commit produced (digests recorded there, see the golden
-// file). Digit sizes above 1 compute a different — equally valid — lift of
-// each digit, so their outputs differ in the noise bits; TestKeySwitchNoise in
-// internal/ckks bounds that.
+// overridden to 1 and the plan mechanisms off, keys, inputs and every output
+// ciphertext are byte-identical to what the commit with the per-prime key
+// switch produced (digests recorded there, see the golden file); the
+// differential tests show that a run with the mechanisms on produces the same
+// bytes unless it defers mod-downs to fused chains. For the programs that do,
+// the fused run's digest is pinned too (keyswitch_fused.golden). Digit sizes above 1
+// compute a different — equally valid — lift of each digit, so their outputs
+// differ in the noise bits; TestKeySwitchNoise in internal/ckks bounds that.
 func TestKeySwitchDigitSizeOneMatchesParent(t *testing.T) {
 	golden := goldenDigests(t)
 	check := func(name string, prog *core.Program, in execute.Inputs) {
@@ -57,23 +63,29 @@ func TestKeySwitchDigitSizeOneMatchesParent(t *testing.T) {
 			res := compileInsecure(t, prog, compile.DefaultOptions())
 			res.Plan.SpecialBits = []int{analysis.SpecialPrimeLog}
 			f := newFixture(t, res, in, 41)
-			ser := serialized(t, f.run(t, execute.RunOptions{Scheduler: execute.SchedulerSequential, Workers: 1}))
-			names := make([]string, 0, len(ser))
-			for n := range ser {
-				names = append(names, n)
+			sequential := execute.RunOptions{Scheduler: execute.SchedulerSequential, Workers: 1}
+			compare := func(name string, opts execute.RunOptions) {
+				ser := serialized(t, f.run(t, opts))
+				names := make([]string, 0, len(ser))
+				for n := range ser {
+					names = append(names, n)
+				}
+				sort.Strings(names)
+				h := sha256.New()
+				for _, n := range names {
+					h.Write([]byte(n))
+					h.Write(ser[n])
+				}
+				got := hex.EncodeToString(h.Sum(nil))
+				if want, ok := golden[name]; !ok {
+					t.Errorf("no golden digest recorded; got\n%s %s", name, got)
+				} else if got != want {
+					t.Errorf("%s: outputs digest %s, the recorded one is %s", name, got, want)
+				}
 			}
-			sort.Strings(names)
-			h := sha256.New()
-			for _, n := range names {
-				h.Write([]byte(n))
-				h.Write(ser[n])
-			}
-			want, ok := golden[name]
-			if !ok {
-				t.Fatalf("no golden digest recorded for %q", name)
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != want {
-				t.Errorf("outputs digest %s, the parent commit's was %s", got, want)
+			compare(name, execute.WithoutPlanMechanisms(sequential))
+			if defers(res) {
+				compare("fused:"+name, sequential)
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"eva/internal/apps"
@@ -133,13 +134,38 @@ func requireSameBytes(t testing.TB, what string, got, want map[string][]byte) {
 	}
 }
 
+// defers reports a compiled program with a rotation that defers its mod-down
+// to its fused chain (compile.Instr.DeferModDown).
+func defers(res *compile.Result) bool {
+	return slices.ContainsFunc(res.Instrs, func(in compile.Instr) bool { return in.DeferModDown })
+}
+
+// maxRunError is the largest distance between a run's decrypted outputs and
+// the plain reference's.
+func maxRunError(t testing.TB, f *fixture, out *execute.Outputs, want map[string][]float64) float64 {
+	t.Helper()
+	got, _ := execute.DecryptOutputs(f.ctx, f.res, f.keys, out)
+	worst := 0.0
+	for name, w := range want {
+		for i, x := range w {
+			worst = max(worst, math.Abs(got[name][i]-x))
+		}
+	}
+	return worst
+}
+
 // differential runs one program cold-plan, warm-plan and with the plan's
-// mechanisms switched off, under each scheduler, and requires every run's
-// serialized outputs to be byte-identical. Each scheduler gets a freshly
-// compiled result (so its first run really is the plan's first) with the
-// same keys and inputs, which also makes the schedulers comparable.
+// mechanisms switched off, under each scheduler. Cold and warm runs are
+// byte-identical, and so are the runs of each kind across schedulers. Each
+// scheduler gets a freshly compiled result (so its first run really is the
+// plan's first) with the same keys and inputs, which also makes the
+// schedulers comparable. The switched-off run defers no mod-down: for a
+// program that defers none it is byte-identical to the others, and for one
+// that does the others' error against RunReference is at most 1.25× its own
+// (one rounding per fused sum instead of one per rotation) with fewer
+// mod-downs.
 func differential(t *testing.T, prog *core.Program, opts compile.Options, in execute.Inputs) {
-	var reference map[string][]byte
+	var reference, offReference map[string][]byte
 	for name, sched := range schedulers {
 		f := newFixture(t, compileInsecure(t, prog, opts), in, 41)
 		ropts := execute.RunOptions{Scheduler: sched, Workers: 3}
@@ -172,13 +198,31 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 			}
 		}
 
-		want := serialized(t, off)
-		requireSameBytes(t, name+" cold", serialized(t, cold), want)
-		requireSameBytes(t, name+" warm", serialized(t, warm), want)
-		if reference == nil {
-			reference = want
+		on, offBytes := serialized(t, cold), serialized(t, off)
+		requireSameBytes(t, name+" warm", serialized(t, warm), on)
+		if !defers(f.res) {
+			requireSameBytes(t, name+" cold", on, offBytes)
+			if cold.Stats.ModDowns != off.Stats.ModDowns {
+				t.Errorf("%s: %d mod-downs, switched-off run %d", name, cold.Stats.ModDowns, off.Stats.ModDowns)
+			}
+		} else {
+			want, err := execute.RunReference(prog, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errOn, errOff := maxRunError(t, f, cold, want), maxRunError(t, f, off, want)
+			if errOn > 1.25*errOff {
+				t.Errorf("%s: deferred mod-downs give error %g, more than 1.25× the switched-off run's %g", name, errOn, errOff)
+			}
+			if cold.Stats.ModDowns >= off.Stats.ModDowns {
+				t.Errorf("%s: %d mod-downs, switched-off run %d: nothing deferred", name, cold.Stats.ModDowns, off.Stats.ModDowns)
+			}
 		}
-		requireSameBytes(t, name+" vs other schedulers", want, reference)
+		if reference == nil {
+			reference, offReference = on, offBytes
+		}
+		requireSameBytes(t, name+" vs other schedulers", on, reference)
+		requireSameBytes(t, name+" switched off vs other schedulers", offBytes, offReference)
 	}
 }
 

@@ -65,6 +65,20 @@ func (b *treeBuilder) bin(op core.OpCode, l, r *core.Term) *core.Term {
 // product is a fusable leaf: a ciphertext times a fresh constant.
 func (b *treeBuilder) product() *core.Term { return b.bin(core.OpMultiply, b.x(), b.constant()) }
 
+// rotation rotates a ciphertext input left by a step in [1, treeVec).
+func (b *treeBuilder) rotation() *core.Term {
+	r, err := b.p.NewRotation(core.OpRotateLeft, b.x(), 1+b.rng.Intn(treeVec-1))
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return r
+}
+
+// times multiplies a ciphertext by a fresh constant: a fusable leaf.
+func (b *treeBuilder) times(ct *core.Term) *core.Term {
+	return b.bin(core.OpMultiply, ct, b.constant())
+}
+
 func (b *treeBuilder) add(l, r *core.Term) *core.Term { return b.bin(core.OpAdd, l, r) }
 
 func (b *treeBuilder) output(name string, t *core.Term) {
@@ -73,21 +87,37 @@ func (b *treeBuilder) output(name string, t *core.Term) {
 	}
 }
 
-// runBothWays executes the program with and without the plan's mechanisms on
-// identical keys and inputs, requires byte-identical outputs, and returns
-// the statistics of the (warm) fused run.
-func runBothWays(t *testing.T, prog *core.Program, sched execute.Scheduler) execute.RunStats {
+// runBothWays executes the program cold, warm and without the plan's
+// mechanisms on identical keys and inputs. Cold and warm outputs are
+// byte-identical; so is the run without mechanisms unless the program defers
+// mod-downs to fused chains, when the warm run's error against RunReference
+// is at most 1.25× its. It returns the statistics and serialized outputs of
+// the warm run.
+func runBothWays(t *testing.T, prog *core.Program, sched execute.Scheduler) (execute.RunStats, map[string][]byte) {
 	t.Helper()
-	f := newFixture(t, compileInsecure(t, prog, compile.DefaultOptions()), randomInputs(prog, 9), 43)
+	in := randomInputs(prog, 9)
+	f := newFixture(t, compileInsecure(t, prog, compile.DefaultOptions()), in, 43)
 	ropts := execute.RunOptions{Scheduler: sched, Workers: 2}
-	f.run(t, ropts)
+	cold := f.run(t, ropts)
 	fused := f.run(t, ropts)
 	plain := f.run(t, execute.WithoutPlanMechanisms(ropts))
-	requireSameBytes(t, "fused vs unfused", serialized(t, fused), serialized(t, plain))
+	out := serialized(t, fused)
+	requireSameBytes(t, "cold vs warm", serialized(t, cold), out)
+	if !defers(f.res) {
+		requireSameBytes(t, "fused vs unfused", out, serialized(t, plain))
+	} else {
+		want, err := execute.RunReference(prog, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errOn, errOff := maxRunError(t, f, fused, want), maxRunError(t, f, plain, want); errOn > 1.25*errOff {
+			t.Errorf("deferred mod-downs give error %g, more than 1.25× the unfused run's %g", errOn, errOff)
+		}
+	}
 	if fused.Stats.Instructions != plain.Stats.Instructions {
 		t.Fatalf("fused run reports %d instructions, unfused %d", fused.Stats.Instructions, plain.Stats.Instructions)
 	}
-	return fused.Stats
+	return fused.Stats, out
 }
 
 // TestFusedChainShapes pins which add trees fuse: pure trees of single-use
@@ -143,26 +173,38 @@ func TestFusedChainShapes(t *testing.T) {
 			l := b.bin(core.OpMultiply, b.x(), b.v)
 			b.output("out", b.add(l, b.product()))
 		}, 0, 0},
+		{"rotated leaves, one shared and one also used outside the chain", func(b *treeBuilder) {
+			shared, outside := b.rotation(), b.rotation()
+			l := b.add(b.add(b.times(b.rotation()), b.times(shared)), b.add(b.times(shared), b.product()))
+			b.output("out", b.add(b.add(l, b.times(outside)), b.times(b.rotation())))
+			b.output("outside", b.add(outside, b.x()))
+		}, 1, 11},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newTreeBuilder(t, 3)
 			tc.build(b)
+			var reference map[string][]byte
 			for name, sched := range schedulers {
-				stats := runBothWays(t, b.p, sched)
+				stats, out := runBothWays(t, b.p, sched)
 				if stats.FusedChains != tc.chains || stats.FusedTerms != tc.terms {
 					t.Errorf("%s: fused %d chains over %d terms, want %d over %d",
 						name, stats.FusedChains, stats.FusedTerms, tc.chains, tc.terms)
 				}
+				if reference == nil {
+					reference = out
+				}
+				requireSameBytes(t, name+" vs other schedulers", out, reference)
 			}
 		})
 	}
 }
 
 // TestFusedRandomTrees is the property test: random trees mixing ADD and SUB
-// over fusable products, reused (multi-use) leaves, bare ciphertexts and
-// run-dependent plain factors, some with extra outputs in the middle,
-// compute the same bytes fused and unfused.
+// over fusable products, products of rotations, reused (multi-use) leaves,
+// bare ciphertexts and run-dependent plain factors, some with extra outputs
+// in the middle, compute the same bytes fused and unfused — or, where
+// rotations defer their mod-downs, the same values within runBothWays' bound.
 func TestFusedRandomTrees(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		b := newTreeBuilder(t, seed)
@@ -183,6 +225,8 @@ func TestFusedRandomTrees(t *testing.T) {
 				n = b.bin(core.OpMultiply, b.x(), b.v)
 			case r < 0.75:
 				n = b.bin(core.OpMultiply, b.constant(), b.x())
+			case r < 0.85:
+				n = b.times(b.rotation())
 			default:
 				n = b.product()
 			}
@@ -193,7 +237,7 @@ func TestFusedRandomTrees(t *testing.T) {
 		if seed%3 == 0 {
 			b.output("extra", made[b.rng.Intn(len(made))])
 		}
-		stats := runBothWays(t, b.p, execute.SchedulerParallel)
+		stats, _ := runBothWays(t, b.p, execute.SchedulerParallel)
 		t.Logf("seed %d: %d instructions, %d chains over %d terms", seed, stats.Instructions, stats.FusedChains, stats.FusedTerms)
 	}
 }

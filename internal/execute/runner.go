@@ -129,6 +129,7 @@ type runState struct {
 	hoists []hoistRun
 
 	cacheHits, cacheMisses atomic.Int64
+	modDowns               atomic.Int64
 
 	mu sync.Mutex
 	// values, refs and pending are indexed by instruction id. A worker reads
@@ -169,7 +170,11 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v 
 		return value{}, false
 	}
 	if g.results == nil {
-		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.Steps)
+		var deferred []bool
+		if st.fuse {
+			deferred = set.Deferred
+		}
+		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.Steps, deferred)
 		if err != nil {
 			g.failed = true
 			return value{}, false
@@ -177,9 +182,10 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v 
 		g.results = batch
 		// The batch also holds the copies RotateHoisted makes for zero steps.
 		switched := 0
-		for k := range batch {
+		for k, ct := range batch {
 			if k%st.ctx.Params.Slots() != 0 {
 				switched++
+				st.countModDowns(ct)
 			}
 		}
 		if switched > 0 {
@@ -191,6 +197,33 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v 
 	}
 	ct, ok := g.results[in.Rot]
 	return value{ct: ct, owned: !set.Shared[in.HoistPos]}, ok
+}
+
+// rotate is a rotation outside a hoisted batch: a batch of one when the
+// compiler deferred its mod-down to its fused chain (and the run fuses),
+// Evaluator.RotateLeft otherwise.
+func (st *runState) rotate(in *compile.Instr, src *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	ev := st.ctx.Evaluator
+	if !st.fuse || !in.DeferModDown {
+		ct, err := ev.RotateLeft(src, in.Rot)
+		if err == nil && in.Rot%st.ctx.Params.Slots() != 0 {
+			st.countModDowns(ct)
+		}
+		return ct, err
+	}
+	batch, err := ev.RotateHoisted(src, []int{in.Rot}, []bool{true})
+	if err != nil {
+		return nil, err
+	}
+	return batch[in.Rot], nil
+}
+
+// countModDowns counts the two mod-downs of a key switch that produced ct,
+// unless ct defers them to its fused chain.
+func (st *runState) countModDowns(ct *ckks.Ciphertext) {
+	if !ct.Deferred() {
+		st.modDowns.Add(2)
+	}
 }
 
 // Run executes a compiled program on encrypted inputs using the CKKS backend.
@@ -287,6 +320,7 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		}
 	}
 	st.stats.PlainCacheHits, st.stats.PlainCacheMisses = int(st.cacheHits.Load()), int(st.cacheMisses.Load())
+	st.stats.ModDowns = int(st.modDowns.Load())
 	st.stats.Instructions = n
 	st.stats.Workers = opts.Workers
 	st.stats.WallTime = time.Since(start)
@@ -629,7 +663,7 @@ func (st *runState) finishLocked(in *compile.Instr) {
 		st.values[q] = value{}
 		st.stats.ReusedValues++
 		if old.owned && st.recycle {
-			st.stats.RecycledBuffers += len(old.ct.Value)
+			st.stats.RecycledBuffers += len(old.ct.Value) + len(old.ct.ValueP)
 			st.ctx.Evaluator.Recycle(old.ct)
 		}
 	}
@@ -662,13 +696,14 @@ func (st *runState) operand(in *compile.Instr, slot int) (value, error) {
 	return v, nil
 }
 
-// plaintext encodes the plain operand q at a level and scale. A run-invariant
+// plaintext encodes the plain operand q at a level and scale, extended over
+// the special primes when it multiplies a deferred rotation. A run-invariant
 // operand comes from the program's cache when it can — encoded on the first run
 // that needs it there, never ahead of time.
-func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintext, error) {
+func (st *runState) plaintext(q int32, level int, scale float64, extended bool) (*ckks.Plaintext, error) {
 	invariant := st.res.Instrs[q].Invariant
 	cached := st.cache && invariant
-	key := compile.PlainKey{ID: q, Level: level, Scale: scale}
+	key := compile.PlainKey{ID: q, Level: level, Scale: scale, Extended: extended}
 	if cached {
 		if pt := st.res.Cache.Plaintext(key); pt != nil {
 			st.cacheHits.Add(1)
@@ -683,7 +718,11 @@ func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintex
 			return nil, err
 		}
 	}
-	pt, err := st.ctx.Encoder.Encode(plain, scale, level)
+	encode := st.ctx.Encoder.Encode
+	if extended {
+		encode = st.ctx.Encoder.EncodeExtended
+	}
+	pt, err := encode(plain, scale, level)
 	if err != nil {
 		return nil, err
 	}
@@ -693,27 +732,32 @@ func (st *runState) plaintext(q int32, level int, scale float64) (*ckks.Plaintex
 	return pt, nil
 }
 
-// evalChain evaluates a fused chain as one multiply-accumulate. It returns
-// nil when the backend refuses the operands (mixed levels or degrees,
-// mismatched scales); the caller then evaluates the chain's members one by
-// one.
+// evalChain evaluates a fused chain as one multiply-accumulate, which also
+// finishes the mod-downs its deferred rotations left to it. It returns nil
+// when the backend refuses the operands (mixed levels or degrees, mismatched
+// scales); the caller then evaluates the chain's members one by one.
 func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
 	cts := make([]*ckks.Ciphertext, len(ch.Products))
 	pts := make([]*ckks.Plaintext, len(ch.Products))
+	deferred := false
 	for i, pr := range ch.Products {
 		ct := st.values[pr.Ct].ct
 		if ct == nil {
 			return nil
 		}
-		pt, err := st.plaintext(pr.Plain, ct.Level, math.Exp2(st.res.Instrs[pr.Plain].LogScale))
+		pt, err := st.plaintext(pr.Plain, ct.Level, math.Exp2(st.res.Instrs[pr.Plain].LogScale), ct.Deferred())
 		if err != nil {
 			return nil
 		}
 		cts[i], pts[i] = ct, pt
+		deferred = deferred || ct.Deferred()
 	}
 	out, err := st.ctx.Evaluator.MulPlainAccumulate(cts, pts)
 	if err != nil {
 		return nil
+	}
+	if deferred {
+		st.modDowns.Add(2)
 	}
 	return out
 }
@@ -761,9 +805,12 @@ func (st *runState) eval(in *compile.Instr) (value, error) {
 				return v, nil
 			}
 		}
-		ct, err = ev.RotateLeft(a.ct, in.Rot)
+		ct, err = st.rotate(in, a.ct)
 	case core.OpRelinearize:
 		ct, err = ev.Relinearize(a.ct)
+		if err == nil && a.ct.Degree() == 2 {
+			st.modDowns.Add(2)
+		}
 	case core.OpModSwitch:
 		ct, err = ev.ModSwitch(a.ct)
 	case core.OpRescale:
@@ -807,7 +854,7 @@ func (st *runState) evalBinary(in *compile.Instr, a, b value) (*ckks.Ciphertext,
 	if t.Op == core.OpMultiply {
 		scale = math.Exp2(st.res.Instrs[q].LogScale)
 	}
-	pt, err := st.plaintext(q, ct.Level, scale)
+	pt, err := st.plaintext(q, ct.Level, scale, false)
 	if err != nil {
 		return nil, fmt.Errorf("execute: encoding plain operand of %s: %w", t, err)
 	}

@@ -132,6 +132,9 @@ func (bc *BasisConverter) ConvertNTT(in [][]uint64, out [][]uint64) {
 // convertLimb computes out[j] = Σ_i terms[j][i]·c_i mod t for destination k:
 // the overshoot count rides along as one more term with constant −A, products
 // accumulate in 128 bits, and each coefficient pays one Barrett reduction.
+// A one-prime source a < 2t needs no product at all: the output is
+// y − overshoot·a mod t, with y < 2t and an overshoot of 0 or 1, so two
+// conditional subtractions reduce it.
 func (bc *BasisConverter) convertLimb(k int, terms []uint64, out []uint64) {
 	if out == nil {
 		return
@@ -139,6 +142,24 @@ func (bc *BasisConverter) convertLimb(k int, terms []uint64, out []uint64) {
 	m := bc.dst[k]
 	consts := bc.constants[k]
 	w := len(consts)
+	if t := m.Q; w == 2 && bc.src[0].Q < 2*t {
+		aModT := t - consts[1] // consts[1] = −a mod t; aModT = t when t is a itself
+		for j := range out {
+			y := terms[2*j]
+			if y >= t {
+				y -= t
+			}
+			if terms[2*j+1] != 0 {
+				if y < aModT {
+					y += t
+				}
+				y -= aModT
+			}
+			out[j] = y
+		}
+		m.NTT(out)
+		return
+	}
 	for j := range out {
 		var hi, lo, c uint64
 		for i, x := range terms[j*w : j*w+w] {

@@ -81,13 +81,15 @@ func BenchmarkMulCoeffs(b *testing.B) {
 	}
 }
 
-func BenchmarkDivideByLastModulus(b *testing.B) {
+func BenchmarkDivideByLastModulusNTT(b *testing.B) {
 	r := benchRing(b, 13, 4)
 	x := benchPoly(r, 3)
-	b.ReportAllocs() // regression guard: only the output poly may allocate
+	x.IsNTT = true
+	out := r.NewPoly(2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.DivideByLastModulus(x)
+		r.DivideByLastModulusNTT(x, out)
 	}
 }
 
@@ -119,15 +121,17 @@ func sizeName(logN int) string {
 }
 
 // BenchmarkBasisConvert measures the hybrid key switch's mod-up kernel in the
-// two shapes the tracked chains give it: a digit of 4 primes lifted to the 16
-// other limbs of a 16+4-limb extended basis on a small ring, and a digit of 2
-// lifted to the 5 others of a 5+2-limb basis on a production-size ring. Each
-// converted limb is also forward-transformed, as in the key switch.
+// three shapes the tracked chains give it: a digit of 4 primes lifted to the
+// 16 other limbs of a 16+4-limb extended basis on a small ring, a digit of 2
+// lifted to the 5 others of a 5+2-limb basis on a production-size ring, and
+// the one-prime digit (α = 1, every application at 128-bit) lifted to the 5
+// others of a 5+1-limb basis. Each converted limb is also forward-transformed,
+// as in the key switch.
 func BenchmarkBasisConvert(b *testing.B) {
 	for _, shape := range []struct {
 		name            string
 		logN, src, rest int
-	}{{"N=1024/4to16", 10, 4, 16}, {"N=16384/2to5", 14, 2, 5}} {
+	}{{"N=1024/4to16", 10, 4, 16}, {"N=16384/2to5", 14, 2, 5}, {"N=16384/1to5", 14, 1, 5}} {
 		r := benchRing(b, shape.logN, shape.src+shape.rest)
 		bc, err := NewBasisConverter(r.Moduli[:shape.src], r.Moduli[shape.src:])
 		if err != nil {

@@ -227,7 +227,7 @@ func TestElementwiseOpsAliasSafe(t *testing.T) {
 }
 
 // TestRescaleConstantsPrecomputed verifies the tables NewRing builds for
-// DivideByLastModulus against freshly computed inverses, for every level.
+// DivideByLastModulusNTT against freshly computed inverses, for every level.
 func TestRescaleConstantsPrecomputed(t *testing.T) {
 	r := testRing(t, 5, 4)
 	for l := 1; l <= r.MaxLevel(); l++ {
@@ -248,18 +248,46 @@ func TestRescaleConstantsPrecomputed(t *testing.T) {
 }
 
 // TestDivideByLastModulusAllocs is the no-inverse-recompute regression guard:
-// the rescale hot path must allocate exactly its output polynomial (header,
-// limb slice, one backing array) and nothing else — recomputing MustInvMod
-// or any big-number scratch per call would show up here as extra allocations
-// (and in BenchmarkDivideByLastModulus's -benchmem column as regressed ns/op).
+// the rescale hot path writes into a caller-owned output and takes its one
+// scratch limb from the ring's pool, so it allocates nothing beyond the
+// closure that fans its limbs out — recomputing MustInvMod or any big-number
+// scratch per call would show up here as extra allocations (and in
+// BenchmarkDivideByLastModulusNTT's -benchmem column as regressed ns/op).
 func TestDivideByLastModulusAllocs(t *testing.T) {
 	r := testRing(t, 8, 4)
 	p := randPoly(r, 3, 304)
+	p.IsNTT = true
+	out := r.NewPoly(2)
 	allocs := testing.AllocsPerRun(50, func() {
-		r.DivideByLastModulus(p)
+		r.DivideByLastModulusNTT(p, out)
 	})
-	if allocs > 3 {
-		t.Errorf("DivideByLastModulus allocates %.0f objects per call, want <= 3 (output poly only)", allocs)
+	if allocs > 1 {
+		t.Errorf("DivideByLastModulusNTT allocates %.0f objects per call, want <= 1", allocs)
+	}
+}
+
+// TestDivideByLastModulusNTTMatchesOracle: rescaling in the NTT domain is
+// bit-identical to the coefficient-domain division between the transforms,
+// at every level of the chain, serially and on the worker pool.
+func TestDivideByLastModulusNTTMatchesOracle(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		setWorkersForTest(t, workers)
+		for _, logN := range []int{5, 11} {
+			r := testRing(t, logN, 6)
+			for level := 1; level <= r.MaxLevel(); level++ {
+				p := randPoly(r, level, int64(100*logN+level))
+				want := r.NewPoly(level - 1)
+				r.divideByLastModulus(p, want)
+				r.NTT(want)
+				p.IsNTT = false
+				r.NTT(p)
+				got := r.NewPoly(level - 1)
+				r.DivideByLastModulusNTT(p, got)
+				if !got.Equal(want) || !got.IsNTT {
+					t.Fatalf("workers=%d logN=%d level=%d: NTT-domain rescale differs from the coefficient-domain oracle", workers, logN, level)
+				}
+			}
+		}
 	}
 }
 

@@ -269,7 +269,7 @@ type Ring struct {
 	LogN   int
 	Moduli []*Modulus
 
-	// Rescale constants, precomputed so DivideByLastModulus never runs an
+	// Rescale constants, precomputed so DivideByLastModulusNTT never runs an
 	// extended-Euclid inverse on the hot path. Indexed by the level being
 	// dropped: for l >= 1 and i < l,
 	//   rescaleInv[l][i]      = (q_l mod q_i)^{-1} mod q_i
@@ -284,6 +284,9 @@ type Ring struct {
 	// serves every level.
 	autoMu  sync.RWMutex
 	autoIdx map[uint64][]uint32
+
+	// limbScratch recycles one-limb (N-word) scratch buffers, *[]uint64.
+	limbScratch sync.Pool
 }
 
 // NewRing builds a Ring of degree 2^logN over the given chain of primes.
@@ -301,6 +304,10 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 		LogN:    logN,
 		Moduli:  make([]*Modulus, len(primes)),
 		autoIdx: map[uint64][]uint32{},
+	}
+	r.limbScratch.New = func() any {
+		buf := make([]uint64, r.N)
+		return &buf
 	}
 	seen := map[uint64]bool{}
 	for i, q := range primes {
@@ -915,46 +922,83 @@ func permuteLimb(idx []uint32, ai, oi []uint64) {
 	}
 }
 
-// DivideByLastModulus performs RNS rescaling: it interprets p (coefficient
-// domain) as an integer polynomial modulo Q = q_0*...*q_L, divides it by the
-// last prime q_L with rounding, and returns the result at level L-1. This is
-// the core of the CKKS RESCALE and of modulus-switching with scaling. All
-// per-limb constants ((q_L mod q_i)^{-1}, q_L/2 mod q_i) are precomputed at
-// ring construction.
-func (r *Ring) DivideByLastModulus(p *Poly) *Poly {
-	if p.Level() == 0 {
-		panic("ring: cannot rescale below level 0")
-	}
-	out := r.NewPoly(p.Level() - 1)
-	r.DivideByLastModulusInto(p, out)
-	return out
-}
-
-// DivideByLastModulusInto is DivideByLastModulus writing into a caller-owned
-// polynomial one level below p (every coefficient of out is overwritten), so
-// hot paths can draw the result from a buffer pool.
-func (r *Ring) DivideByLastModulusInto(p, out *Poly) {
-	if p.IsNTT {
-		panic("ring: DivideByLastModulus requires coefficient-domain input")
+// DivideByLastModulusNTT performs RNS rescaling in the NTT domain: it
+// interprets p (NTT form, level L) as an integer polynomial modulo
+// Q = q_0*...*q_L, divides it by the last prime q_L with rounding, and writes
+// the result at level L-1, in NTT form, into out (every coefficient is
+// overwritten). This is the core of the CKKS RESCALE. The rounded division
+// (x − [x]_{q_L})·q_L⁻¹ is a per-coefficient linear map modulo each remaining
+// prime, so it commutes with the transform: only the dropped limb leaves the
+// NTT domain, and its centred residue is transformed forward under each
+// remaining prime and subtracted there. The result is bit-identical to the
+// coefficient-domain division (divideByLastModulus) between the transforms.
+// All per-limb constants are precomputed at ring construction.
+func (r *Ring) DivideByLastModulusNTT(p, out *Poly) {
+	if !p.IsNTT {
+		panic("ring: DivideByLastModulusNTT requires NTT-domain input")
 	}
 	level := p.Level()
 	if level == 0 {
 		panic("ring: cannot rescale below level 0")
 	}
 	if out.Level() != level-1 {
-		panic("ring: DivideByLastModulusInto output must be one level below the input")
+		panic("ring: DivideByLastModulusNTT output must be one level below the input")
+	}
+	mL := r.Moduli[level]
+	buf := r.limbScratch.Get().(*[]uint64)
+	last := (*buf)[:r.N]
+	copy(last, p.Coeffs[level])
+	mL.InvNTT(last)
+	// Shifting the last limb by q_L/2 (and each output back by its residue)
+	// rounds instead of flooring.
+	qL, half := mL.Q, mL.Q>>1
+	for j, x := range last {
+		last[j] = numth.AddMod(x, half, qL)
+	}
+	divide := func(i int) {
+		m := r.Moduli[i]
+		q, br := m.Q, m.br
+		halfMod := r.rescaleHalf[level][i]
+		qLInv, qLInvShoup := r.rescaleInv[level][i], r.rescaleInvShoup[level][i]
+		pi, oi := p.Coeffs[i], out.Coeffs[i]
+		for j, x := range last {
+			oi[j] = numth.SubMod(br.ReduceWord(x), halfMod, q)
+		}
+		m.NTT(oi)
+		for j := range oi {
+			oi[j] = numth.MulModShoup(numth.SubMod(pi[j], oi[j], q), qLInv, qLInvShoup, q)
+		}
+	}
+	if r.limbsParallel(level) {
+		Parallel(level, divide)
+	} else {
+		for i := 0; i < level; i++ {
+			divide(i)
+		}
+	}
+	r.limbScratch.Put(buf)
+	out.IsNTT = true
+}
+
+// divideByLastModulus is the coefficient-domain rescale, the oracle of
+// DivideByLastModulusNTT: p (coefficient domain, level L) divided by q_L with
+// rounding into out at level L-1 (every coefficient is overwritten).
+func (r *Ring) divideByLastModulus(p, out *Poly) {
+	if p.IsNTT {
+		panic("ring: divideByLastModulus requires coefficient-domain input")
+	}
+	level := p.Level()
+	if level == 0 {
+		panic("ring: cannot rescale below level 0")
+	}
+	if out.Level() != level-1 {
+		panic("ring: divideByLastModulus output must be one level below the input")
 	}
 	qL := r.Moduli[level].Q
 	last := p.Coeffs[level]
 	half := qL >> 1
-	// Every output limb reads only the shared last limb and its own limb, so
-	// the limbs divide independently.
-	if r.limbsParallel(level) {
-		Parallel(level, func(i int) { r.rescaleLimb(p, out, level, i, last, half, qL) })
-	} else {
-		for i := 0; i <= level-1; i++ {
-			r.rescaleLimb(p, out, level, i, last, half, qL)
-		}
+	for i := 0; i <= level-1; i++ {
+		r.rescaleLimb(p, out, level, i, last, half, qL)
 	}
 	out.IsNTT = false
 }

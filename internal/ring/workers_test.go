@@ -203,9 +203,8 @@ func TestRingOpsParallelMatchSerial(t *testing.T) {
 		r.MulCoeffsAndAdd(an, bn, res.acc)
 		res.auto = r.NewPoly(level)
 		r.AutomorphismNTT(an, galEl, res.auto)
-		coeff := a.CopyNew()
-		coeff.IsNTT = false
-		res.resc = r.DivideByLastModulus(coeff)
+		res.resc = r.NewPoly(level - 1)
+		r.DivideByLastModulusNTT(an, res.resc)
 		return res
 	}
 
@@ -215,12 +214,12 @@ func TestRingOpsParallelMatchSerial(t *testing.T) {
 	parallel := runAll()
 
 	for name, pair := range map[string][2]*Poly{
-		"NTT":                 {serial.ntt, parallel.ntt},
-		"Add":                 {serial.sum, parallel.sum},
-		"MulCoeffs":           {serial.prod, parallel.prod},
-		"MulCoeffsAndAdd":     {serial.acc, parallel.acc},
-		"AutomorphismNTT":     {serial.auto, parallel.auto},
-		"DivideByLastModulus": {serial.resc, parallel.resc},
+		"NTT":                    {serial.ntt, parallel.ntt},
+		"Add":                    {serial.sum, parallel.sum},
+		"MulCoeffs":              {serial.prod, parallel.prod},
+		"MulCoeffsAndAdd":        {serial.acc, parallel.acc},
+		"AutomorphismNTT":        {serial.auto, parallel.auto},
+		"DivideByLastModulusNTT": {serial.resc, parallel.resc},
 	} {
 		if !pair[0].Equal(pair[1]) {
 			t.Errorf("%s: parallel result differs from serial", name)
