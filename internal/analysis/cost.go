@@ -43,10 +43,10 @@ type CostEstimate struct {
 // compiled instruction's Level; deeper positions operate on fewer limbs), and
 // — for multiplies — whether both operands are ciphertexts. Leaves and plain
 // terms cost 0 by definition and are the caller's responsibility to exclude.
-// Key switching is priced apart (KeySwitchPrice): a relinearization or
-// rotation pays one element-wise pass here, what a rotation by a zero step
-// costs, the copy it makes. The per-op shape here is what calibration
-// (internal/profile) fits measured wall-clock coefficients against.
+// Key switching is priced apart (KeySwitchPrice), so a relinearization or
+// rotation is priced there, not here. The per-op shape here is what
+// calibration (internal/profile) fits measured wall-clock coefficients
+// against.
 func (m CostModel) OpUnits(op core.OpCode, chainPos int, ctct bool) float64 {
 	n, logN, limbs := m.shape(chainPos)
 	switch {

@@ -64,8 +64,7 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 
 // TestKeySwitchPriceHalves: KeySwitchPrice charges exactly the parts each
 // switch does, a deferred leaf a ciphertext-plaintext product over the α
-// special limbs, and sums a list; OpUnits charges a relinearization or
-// rotation only the element-wise pass of a zero step's copy.
+// special limbs, and sums a list.
 func TestKeySwitchPriceHalves(t *testing.T) {
 	m := CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}
 	d, k, md := m.KeySwitchUnits(5)
@@ -98,11 +97,6 @@ func TestKeySwitchPriceHalves(t *testing.T) {
 	}
 	if got := m.KeySwitchPrice(all...); got != total {
 		t.Errorf("the %d together cost %v, want %v", len(all), got, total)
-	}
-	for _, op := range []core.OpCode{core.OpRelinearize, core.OpRotateLeft, core.OpRotateRight} {
-		if got, want := m.OpUnits(op, 5, false), m.OpUnits(core.OpAdd, 5, false); got != want {
-			t.Errorf("%s: OpUnits %v, want one element-wise pass %v", op, got, want)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -303,12 +304,13 @@ func TestRotation(t *testing.T) {
 	}
 	requireClose(t, tc.decryptTo(t, rot), want, 1e-4, "rotate right")
 
-	// Rotation by 0 is the identity and needs no key.
-	same, err := tc.eval.RotateLeft(ct, 0)
-	if err != nil {
-		t.Fatal(err)
+	// A rotation by a multiple of the slot count is refused like any step
+	// without a key: the compiler folds those identity rotations away.
+	for _, k := range []int{0, slots} {
+		if _, err := tc.eval.RotateLeft(ct, k); err == nil || !strings.Contains(err.Error(), "missing rotation key for step") {
+			t.Errorf("RotateLeft by %d = %v, want the missing-key refusal", k, err)
+		}
 	}
-	requireClose(t, tc.decryptTo(t, same), values, 1e-6, "rotate by zero")
 }
 
 func TestModSwitchPreservesValues(t *testing.T) {

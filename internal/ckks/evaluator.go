@@ -474,7 +474,7 @@ func (ev *Evaluator) ModSwitch(a *Ciphertext) (*Ciphertext, error) {
 // switching key, validating that the key exists and covers the level.
 func (ev *Evaluator) rotationElement(k, level int) (uint64, *SwitchingKey, error) {
 	if ev.rtk == nil {
-		return 0, nil, fmt.Errorf("ckks: no rotation keys available")
+		return 0, nil, fmt.Errorf("ckks: missing rotation key for step %d (no rotation keys available)", k)
 	}
 	galEl := ev.params.GaloisElementForRotation(k)
 	swk, ok := ev.rtk.Keys[galEl]
@@ -542,7 +542,8 @@ type rotationElem struct {
 // deferred, when non-nil, runs beside ks: a step with deferred[i] set skips
 // its mod-down and returns a deferred rotation (Ciphertext.Deferred), which
 // only MulPlainAccumulate accepts. A step listed twice must be asked for the
-// same way; a zero step is a copy and never deferred.
+// same way. Every step needs its rotation key, a step that is a multiple of
+// the slot count included: the compiler folds those identity rotations away.
 func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int, deferred []bool) (map[int]*Ciphertext, error) {
 	if err := checkNotDeferred(a); err != nil {
 		return nil, err
@@ -564,9 +565,6 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int, deferred []bool) (ma
 	// the batch without results to hand back.
 	for i, k := range ks {
 		def := deferred != nil && deferred[i]
-		if k%ev.params.Slots() == 0 {
-			continue
-		}
 		if j := slices.IndexFunc(b.elems, func(e rotationElem) bool { return e.k == k }); j >= 0 {
 			if b.elems[j].deferred != def {
 				return nil, fmt.Errorf("ckks: rotation step %d asked for both with and without its mod-down", k)
@@ -579,12 +577,7 @@ func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int, deferred []bool) (ma
 		}
 		b.elems = append(b.elems, rotationElem{k, galEl, swk, def})
 	}
-	out := make(map[int]*Ciphertext, len(ks))
-	for _, k := range ks {
-		if _, dup := out[k]; !dup && k%ev.params.Slots() == 0 {
-			out[k] = ev.copyCiphertext(a)
-		}
-	}
+	out := make(map[int]*Ciphertext, len(b.elems))
 	if len(b.elems) == 0 {
 		return out, nil
 	}
@@ -611,9 +604,6 @@ func (ev *Evaluator) RotateLeft(a *Ciphertext, k int) (*Ciphertext, error) {
 	}
 	if a.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext; relinearize first")
-	}
-	if k%ev.params.Slots() == 0 {
-		return ev.copyCiphertext(a), nil
 	}
 	galEl, swk, err := ev.rotationElement(k, a.Level)
 	if err != nil {

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -109,12 +110,8 @@ func TestRotateHoistedErrors(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Errorf("RotateHoisted with no steps = (%v, %v), want empty map", out, err)
 	}
-	trivial, err := tc.eval.RotateHoisted(ct, []int{0}, nil)
-	if err != nil || len(trivial) != 1 {
-		t.Fatalf("RotateHoisted([0]) = (%v, %v)", trivial, err)
-	}
-	if !ciphertextsEqual(trivial[0], ct) {
-		t.Error("RotateHoisted step 0 is not a copy of the input")
+	if _, err := tc.eval.RotateHoisted(ct, []int{0}, nil); err == nil || !strings.Contains(err.Error(), "missing rotation key for step 0") {
+		t.Errorf("RotateHoisted([0]) = %v, want the missing-key refusal", err)
 	}
 }
 

@@ -116,6 +116,9 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	}
 
 	prog := input.Clone()
+	// A rotation by a multiple of the vector size is the identity; no pass
+	// below it, and no backend, sees one.
+	rewrite.FoldIdentityRotations(prog)
 	if opts.Optimize {
 		rewrite.Optimize(prog)
 	}

@@ -26,20 +26,18 @@ func (r *Result) InstrUnits(id int32) float64 {
 }
 
 // keySwitch reports whether in key-switches as the executor runs it, and
-// which parts it does. A relinearization, or a rotation by a non-zero step
-// outside any hoist set, does all three. A hoist set's batch decomposes once,
-// for its first non-zero member, and takes each step once, for the first
-// member taking it; later members with that step reuse its result and do
-// nothing. A rotation by a zero step (a multiple of the slot count) that no
-// earlier member took is a copy, not a key switch. A rotation that defers its
-// mod-down (Instr.DeferModDown) skips it, and the root of a fused chain with
-// such leaves does it once, multiplying each deferred leaf over the special
-// limbs as well.
+// which parts it does. A relinearization, or a rotation outside any hoist
+// set, does all three. A hoist set's batch decomposes once, for its first
+// member, and takes each step once, for the first member taking it; later
+// members with that step reuse its result and do nothing. A rotation that
+// defers its mod-down (Instr.DeferModDown) skips it, and the root of a fused
+// chain with such leaves does it once, multiplying each deferred leaf over
+// the special limbs as well.
 func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
 	if in.Chain != nil {
 		ks = analysis.KeySwitch{Level: in.Level, ModDown: true}
 		for _, pr := range in.Chain.Products {
-			if ct := &r.Instrs[pr.Ct]; ct.DeferModDown && !r.zeroStep(ct.Rot) {
+			if r.Instrs[pr.Ct].DeferModDown {
 				ks.Leaves++
 			}
 		}
@@ -50,19 +48,9 @@ func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
 		return ks, false
 	case in.Hoist >= 0 && slices.Index(r.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):
 		return analysis.KeySwitch{Level: in.Level}, true
-	case op.IsRotation() && r.zeroStep(in.Rot):
-		return ks, false
 	}
-	ks = analysis.KeySwitch{Level: in.Level, Decompose: true, ApplyKey: true, ModDown: !in.DeferModDown}
-	if in.Hoist >= 0 {
-		ks.Decompose = slices.IndexFunc(r.Hoists[in.Hoist].Steps, func(step int) bool { return !r.zeroStep(step) }) == int(in.HoistPos)
-	}
-	return ks, true
+	return analysis.KeySwitch{Level: in.Level, Decompose: in.HoistPos == 0, ApplyKey: true, ModDown: !in.DeferModDown}, true
 }
-
-// zeroStep reports a rotation step that is a multiple of the slot count: the
-// executor copies instead of key-switching.
-func (r *Result) zeroStep(step int) bool { return step%(1<<max(r.LogN-1, 0)) == 0 }
 
 // Cost estimates the program's execution cost under its cost model
 // (Result.CostModel): every instruction is priced by InstrUnits, and the
@@ -108,7 +96,7 @@ func (r *Result) PeakMemoryBytes() int64 {
 			size[i] = 8 << uint(r.LogN)
 		case r.degree2(in):
 			size[i] = r.CiphertextBytes(in.Level, 3)
-		case in.DeferModDown && !r.zeroStep(in.Rot):
+		case in.DeferModDown:
 			size[i] = r.CiphertextBytes(in.Level, 2) + 2*8*int64(len(r.Plan.SpecialBits))<<uint(r.LogN)
 		default:
 			size[i] = r.CiphertextBytes(in.Level, 2)

@@ -36,12 +36,12 @@ func referenceLevels(p *core.Program) map[*core.Term]int {
 // chains are the maximal ADD trees whose sums and leaves are used once and are
 // not outputs, a leaf being a product of a Cipher term with a Plain term that
 // no INPUT reaches; a chain is statically fusable when its leaves share one
-// level and one scale. A rotation by a non-zero step that is not an output
-// and whose every use is a leaf of a fusable chain defers its mod-down, unless
-// a member of its rotation set taking the same step does not. It returns the
-// deferring rotations and, per chain root, how many of its leaves multiply a
-// deferring rotation by a non-zero (key-switched) step.
-func referenceDeferred(p *core.Program, zero func(*core.Term) bool) (map[*core.Term]bool, map[*core.Term]int) {
+// level and one scale. A rotation that is not an output and whose every use is
+// a leaf of a fusable chain defers its mod-down, unless a member of its
+// rotation set taking the same step does not. It returns the deferring
+// rotations and, per chain root, how many of its leaves multiply a deferring
+// rotation.
+func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int) {
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	levels, scales := referenceLevels(p), rewrite.ComputeLogScales(p)
@@ -111,21 +111,21 @@ func referenceDeferred(p *core.Program, zero func(*core.Term) bool) (map[*core.T
 	}
 	deferred := map[*core.Term]bool{}
 	for ct, n := range leafUses {
-		deferred[ct] = ct.Op.IsRotation() && rewrite.EffectiveRotation(ct) != 0 && !output[ct] && uses[ct] == n
+		deferred[ct] = ct.Op.IsRotation() && !output[ct] && uses[ct] == n
 	}
 	for _, set := range rewrite.RotationSets(p) {
 		undeferred := map[int]bool{}
 		for _, r := range set {
-			undeferred[rewrite.EffectiveRotation(r)] = undeferred[rewrite.EffectiveRotation(r)] || !deferred[r]
+			undeferred[r.EffectiveRotation()] = undeferred[r.EffectiveRotation()] || !deferred[r]
 		}
 		for _, r := range set {
-			deferred[r] = deferred[r] && !undeferred[rewrite.EffectiveRotation(r)]
+			deferred[r] = deferred[r] && !undeferred[r.EffectiveRotation()]
 		}
 	}
 	finished := map[*core.Term]int{}
 	for _, root := range roots {
 		for _, l := range leaves(root) {
-			if deferred[leafCt[l]] && !zero(leafCt[l]) {
+			if deferred[leafCt[l]] {
 				finished[root]++
 			}
 		}
@@ -136,11 +136,10 @@ func referenceDeferred(p *core.Program, zero func(*core.Term) bool) (map[*core.T
 // referenceCost prices every Cipher term of the topological order by OpUnits
 // at its chain length, except the key switching relinearizations and
 // rotations do, priced by KeySwitchPrice: rewrite.RotationSets are the
-// hoisted batches, each decomposing once (for its first non-zero step) and
-// applying one key per distinct non-zero step, a repeated step reusing the
-// batch's result at no cost; any other relinearization or non-zero rotation
-// does all three parts. A rotation by a multiple of the slot count is a copy,
-// priced by OpUnits. A rotation referenceDeferred finds deferring skips its
+// hoisted batches, each decomposing once (for its first member) and applying
+// one key per distinct step, a repeated step reusing the batch's result at no
+// cost; any other relinearization or rotation does all three parts. A
+// rotation referenceDeferred finds deferring skips its
 // mod-down, and the root of its chain pays it (with the special-limb products
 // of its deferred leaves) on top of its sum. It tracks the dearest dependence
 // chain.
@@ -148,21 +147,15 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 	levels := referenceLevels(p)
 	order := p.TopoSort()
 	types := core.InferTypes(order)
-	zero := func(t *core.Term) bool { return rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) == 0 }
-	deferred, finished := referenceDeferred(p, zero)
-	// batched holds what each hoisted rotation does: nil for a copy.
+	deferred, finished := referenceDeferred(p)
+	// batched holds what each hoisted rotation does.
 	batched := map[*core.Term]*analysis.KeySwitch{}
 	for _, set := range rewrite.RotationSets(p) {
-		decomposed, taken := false, map[int]bool{}
-		for _, t := range set {
-			ks, step := &analysis.KeySwitch{Level: levels[t]}, rewrite.EffectiveRotation(t)
-			switch {
-			case taken[step]:
-			case zero(t):
-				ks = nil
-			default:
-				ks.Decompose, ks.ApplyKey, ks.ModDown = !decomposed, true, !deferred[t]
-				decomposed = true
+		taken := map[int]bool{}
+		for i, t := range set {
+			ks, step := &analysis.KeySwitch{Level: levels[t]}, t.EffectiveRotation()
+			if !taken[step] {
+				ks.Decompose, ks.ApplyKey, ks.ModDown = i == 0, true, !deferred[t]
 			}
 			taken[step] = true
 			batched[t] = ks
@@ -174,7 +167,7 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 		var cost float64
 		if !t.IsLeaf() && types[t] == core.TypeCipher {
 			ks, inSet := batched[t]
-			if !inSet && (t.Op == core.OpRelinearize || (t.Op.IsRotation() && !zero(t))) {
+			if !inSet && (t.Op == core.OpRelinearize || t.Op.IsRotation()) {
 				ks = &analysis.KeySwitch{Level: levels[t], Decompose: true, ApplyKey: true, ModDown: !deferred[t]}
 			}
 			switch {
@@ -211,7 +204,7 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	n := int64(1) << uint(m.LogN)
-	deferred, _ := referenceDeferred(p, func(t *core.Term) bool { return rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) == 0 })
+	deferred, _ := referenceDeferred(p)
 	bytesOf := func(t *core.Term) int64 {
 		if types[t] != core.TypeCipher {
 			return 8 * n
@@ -222,7 +215,7 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 			types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher {
 			polys = 3
 		}
-		if deferred[t] && rewrite.EffectiveRotation(t)%(1<<(m.LogN-1)) != 0 {
+		if deferred[t] {
 			limbs += int64(max(m.DigitSize, 1))
 		}
 		return 8 * n * limbs * polys

@@ -6,7 +6,6 @@ import (
 
 	"eva/internal/analysis"
 	"eva/internal/core"
-	"eva/internal/rewrite"
 )
 
 // Instr is one term of the compiled program in the executor's dense form.
@@ -29,7 +28,8 @@ type Instr struct {
 	// Level is the length of the term's rescale chain: the primes consumed
 	// below a fresh encryption (0 for plain terms).
 	Level int
-	// Rot is the effective left-rotation step of a rotation.
+	// Rot is the effective left-rotation step of a rotation, never a
+	// multiple of the vector size (Compile folds those away).
 	Rot int
 
 	// Hoist and HoistPos locate a rotation in its hoistable set (Hoist is -1
@@ -122,7 +122,9 @@ type Output struct {
 // scales are analysis.Validate's per-term results and are not kept. Lower
 // checks nothing itself, so a program that fails validation lowers too; the
 // other fields of the Result (Plan, LogN, Options, SourceStats) are the
-// caller's to fill.
+// caller's to fill. The program must hold no rotation by a multiple of its
+// vector size (rewrite.FoldIdentityRotations): the backend has no key for
+// one.
 func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64) *Result {
 	order := prog.TopoSort()
 	n := len(order)
@@ -198,10 +200,8 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 		}
 		stats.MultDepth = max(stats.MultDepth, depth[i])
 		if t.Op.IsRotation() {
-			in.Rot = rewrite.EffectiveRotation(t)
-			if in.Rot != 0 {
-				steps[in.Rot] = true
-			}
+			in.Rot = t.EffectiveRotation()
+			steps[in.Rot] = true
 			if src := in.Parms[0]; r.Instrs[src].Cipher {
 				if len(rotations[src]) == 0 {
 					sources = append(sources, src)
@@ -340,11 +340,11 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 }
 
 // deferModDowns marks the rotations whose mod-down their fused chains take
-// over (Instr.DeferModDown): a rotation by a non-zero step, not an output,
-// whose every reference is a product leaf of a chain that is statically
-// fusable — all its products at one level and one scale, so the fused kernel
-// never refuses them. In a hoist set a step defers only if every member
-// taking it does, since those members share one result.
+// over (Instr.DeferModDown): a rotation, not an output, whose every
+// reference is a product leaf of a chain that is statically fusable — all
+// its products at one level and one scale, so the fused kernel never refuses
+// them. In a hoist set a step defers only if every member taking it does,
+// since those members share one result.
 func (r *Result) deferModDowns(isOutput []bool) {
 	instrs := r.Instrs
 	leafUses := map[int32]int32{}
@@ -370,7 +370,7 @@ func (r *Result) deferModDowns(isOutput []bool) {
 	members := make([][]int32, len(r.Hoists))
 	for id, uses := range leafUses {
 		in := &instrs[id]
-		in.DeferModDown = in.Term.Op.IsRotation() && in.Rot != 0 && !isOutput[id] && in.Refs == uses
+		in.DeferModDown = in.Term.Op.IsRotation() && !isOutput[id] && in.Refs == uses
 		if in.DeferModDown && in.Hoist >= 0 {
 			members[in.Hoist] = append(members[in.Hoist], id)
 		}

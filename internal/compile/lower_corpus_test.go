@@ -16,7 +16,8 @@ import (
 
 // TestLoweringMatchesAnalyses cross-checks the lowering (see CheckLowering)
 // on the executor's differential corpus: every examples/*.eva, the six
-// applications at test size and the benchmark's SqueezeNet.
+// applications at test size and the benchmark's SqueezeNet. No compiled
+// instruction rotates by a multiple of the vector size: Compile folds those.
 func TestLoweringMatchesAnalyses(t *testing.T) {
 	progs := map[string]*core.Program{}
 	sources, err := filepath.Glob("../../examples/*/*.eva")
@@ -53,6 +54,11 @@ func TestLoweringMatchesAnalyses(t *testing.T) {
 				t.Fatal(err)
 			}
 			compile.CheckLowering(t, res)
+			for _, in := range res.Instrs {
+				if in.Term.Op.IsRotation() && in.Rot%prog.VecSize == 0 {
+					t.Errorf("%s rotates by %d, a multiple of the vector size %d", in.Term, in.Rot, prog.VecSize)
+				}
+			}
 		})
 	}
 }

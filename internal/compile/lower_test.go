@@ -49,12 +49,8 @@ func checkLowering(t testing.TB, res *Result) {
 	}
 	stepSet := map[int]bool{}
 	for _, term := range order {
-		switch {
-		case term.RotateBy == 0:
-		case term.Op == core.OpRotateLeft:
-			stepSet[term.RotateBy] = true
-		case term.Op == core.OpRotateRight:
-			stepSet[-term.RotateBy] = true
+		if term.Op.IsRotation() {
+			stepSet[term.EffectiveRotation()] = true
 		}
 	}
 	if want := slices.Sorted(maps.Keys(stepSet)); !slices.Equal(res.RotationSteps, want) {
@@ -76,7 +72,7 @@ func checkLowering(t testing.TB, res *Result) {
 	for s, set := range sets {
 		steps := make([]int, len(set))
 		for i, m := range set {
-			steps[i] = rewrite.EffectiveRotation(m)
+			steps[i] = m.EffectiveRotation()
 			if in := res.Instrs[slices.Index(order, m)]; in.Hoist != int32(s) || in.HoistPos != int32(i) {
 				t.Fatalf("%s is member %d of rotation set %d, lowered as %d of %d", m, i, s, in.HoistPos, in.Hoist)
 			}

@@ -182,20 +182,26 @@ func TestInferTypes(t *testing.T) {
 }
 
 // TestRotationSteps: the statistics count distinct left-rotation steps, a
-// right rotation by k being a left one by -k, and no step for a rotation by 0.
+// right rotation by k being a left one by -k, and no step for an identity
+// rotation by a multiple of the vector size.
 func TestRotationSteps(t *testing.T) {
 	p := MustNewProgram("rot", 8)
 	x, _ := p.NewInput("x", TypeCipher, 8, 30)
-	r1, _ := p.NewRotation(OpRotateLeft, x, 1)
-	r2, _ := p.NewRotation(OpRotateRight, x, 2)
-	r3, _ := p.NewRotation(OpRotateLeft, x, -2)
-	r0, _ := p.NewRotation(OpRotateLeft, x, 0)
-	s, _ := p.NewBinary(OpAdd, r1, r2)
-	s2, _ := p.NewBinary(OpAdd, s, r3)
-	s3, _ := p.NewBinary(OpAdd, s2, r0)
-	p.AddOutput("o", s3, 30)
+	sum, _ := p.NewRotation(OpRotateLeft, x, 1)
+	for _, r := range []struct {
+		op OpCode
+		by int
+	}{{OpRotateRight, 2}, {OpRotateLeft, -2}, {OpRotateLeft, 0}, {OpRotateLeft, 8}, {OpRotateRight, 16}} {
+		rot, _ := p.NewRotation(r.op, x, r.by)
+		sum, _ = p.NewBinary(OpAdd, sum, rot)
+	}
+	p.AddOutput("o", sum, 30)
 	if steps := p.ComputeStats().RotationSteps; steps != 2 {
 		t.Errorf("RotationSteps = %d, want 2 (steps -2 and 1)", steps)
+	}
+	right, _ := p.NewRotation(OpRotateRight, x, 3)
+	if got := right.EffectiveRotation(); got != -3 {
+		t.Errorf("EffectiveRotation(rotate-right 3) = %d, want -3", got)
 	}
 }
 

@@ -448,6 +448,12 @@ func (p *Program) Clone() *Program {
 	return cp
 }
 
+// IsIdentityRotation reports a rotation by a multiple of the program's vector
+// size: the identity on its cyclic vectors.
+func (p *Program) IsIdentityRotation(t *Term) bool {
+	return t.Op.IsRotation() && t.EffectiveRotation()%p.VecSize == 0
+}
+
 // Stats summarizes a program for reporting.
 type Stats struct {
 	Terms         int
@@ -461,7 +467,7 @@ type Stats struct {
 // ComputeStats gathers instruction counts, the multiplicative depth (the
 // most MULTIPLY instructions on any input-to-output path) and the number of
 // distinct rotation steps (a right rotation by k is a left rotation by -k) of
-// the live graph.
+// the live graph, not counting identity rotations by a multiple of VecSize.
 func (p *Program) ComputeStats() Stats {
 	s := Stats{Instructions: map[string]int{}, Inputs: len(p.inputs), Outputs: len(p.outputs)}
 	depth := map[*Term]int{}
@@ -480,12 +486,8 @@ func (p *Program) ComputeStats() Stats {
 		}
 		depth[t] = d
 		s.MultDepth = max(s.MultDepth, d)
-		if t.Op.IsRotation() && t.RotateBy != 0 {
-			step := t.RotateBy
-			if t.Op == OpRotateRight {
-				step = -step
-			}
-			steps[step] = true
+		if t.Op.IsRotation() && !p.IsIdentityRotation(t) {
+			steps[t.EffectiveRotation()] = true
 		}
 	}
 	s.RotationSteps = len(steps)

@@ -73,6 +73,15 @@ func (t *Term) UseEdges() []UseEdge {
 	return out
 }
 
+// EffectiveRotation returns the left-rotation step a rotation instruction
+// performs: RotateBy for ROTATE_LEFT, -RotateBy for ROTATE_RIGHT.
+func (t *Term) EffectiveRotation() int {
+	if t.Op == OpRotateRight {
+		return -t.RotateBy
+	}
+	return t.RotateBy
+}
+
 // IsLeaf reports whether the term has no parameters.
 func (t *Term) IsLeaf() bool { return t.Op.IsLeaf() }
 

@@ -216,9 +216,8 @@ type RunStats struct {
 	ReusedValues   int
 
 	// HoistedBatches counts the hoisted rotation batches this run key
-	// switched, and HoistedRotations the distinct non-zero steps they covered
-	// — each batch shares one RNS digit decomposition across all its steps.
-	// Zero steps are copies and count in neither.
+	// switched, and HoistedRotations the distinct steps they covered — each
+	// batch shares one RNS digit decomposition across all its steps.
 	HoistedBatches   int
 	HoistedRotations int
 

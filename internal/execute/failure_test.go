@@ -3,7 +3,9 @@ package execute
 import (
 	"errors"
 	"math"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,6 +91,9 @@ func TestRunSurfacesMissingModSwitch(t *testing.T) {
 	}
 }
 
+// TestRunSurfacesMissingRotationKey: without Galois keys, a hoisted batch
+// and a lone rotation both fail the run under every scheduler, and the error
+// names a step the program rotates by.
 func TestRunSurfacesMissingRotationKey(t *testing.T) {
 	p := buildRotationProgram(t, 16)
 	opts := compile.DefaultOptions()
@@ -98,6 +103,7 @@ func TestRunSurfacesMissingRotationKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop the rotation steps so no Galois keys are generated.
+	steps := res.RotationSteps
 	res.RotationSteps = nil
 	prng := ckks.NewTestPRNG(3)
 	ctx, keys, err := NewContext(res, prng)
@@ -108,12 +114,20 @@ func TestRunSurfacesMissingRotationKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(ctx, res, enc, RunOptions{})
-	if err == nil {
-		t.Fatal("expected a runtime error for a missing rotation key")
-	}
-	if !strings.Contains(err.Error(), "rotation") {
-		t.Errorf("unexpected error: %v", err)
+	missing := regexp.MustCompile(`missing rotation key for step (-?[0-9]+)`)
+	for _, sched := range []Scheduler{SchedulerParallel, SchedulerBulkSynchronous, SchedulerSequential} {
+		_, err = Run(ctx, res, enc, RunOptions{Scheduler: sched})
+		if err == nil {
+			t.Fatalf("scheduler %d: expected a runtime error for a missing rotation key", sched)
+		}
+		m := missing.FindStringSubmatch(err.Error())
+		if m == nil {
+			t.Errorf("scheduler %d: the error names no missing step: %v", sched, err)
+			continue
+		}
+		if step, _ := strconv.Atoi(m[1]); !slices.Contains(steps, step) {
+			t.Errorf("scheduler %d: the error names step %d, not one of the program's %v", sched, step, steps)
+		}
 	}
 }
 

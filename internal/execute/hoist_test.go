@@ -11,8 +11,8 @@ import (
 // source rotation group as one hoisted batch (visible in RunStats and in the
 // records' Hoisted flag), that disabling hoisting suppresses it, and
 // that both paths decrypt to identical values — hoisting is bit-exact, so
-// this is float equality, not a tolerance check. The group's four members
-// rotate by 0–3; the zero step is a copy, so RunStats counts three rotations.
+// this is float equality, not a tolerance check. The program rotates by 0–3;
+// Compile folds the rotation by 0 away, so the group has three members.
 func TestHoistedRotationDispatch(t *testing.T) {
 	p := buildRotationProgram(t, 8)
 	res := compileForTest(t, p, compile.Options{})
@@ -31,8 +31,8 @@ func TestHoistedRotationDispatch(t *testing.T) {
 		t.Errorf("hoisted run stats = %d batches / %d rotations, want 1 / 3",
 			outHoisted.Stats.HoistedBatches, outHoisted.Stats.HoistedRotations)
 	}
-	if members != 4 {
-		t.Errorf("%d instruction records flagged Hoisted, want 4", members)
+	if members != 3 {
+		t.Errorf("%d instruction records flagged Hoisted, want 3", members)
 	}
 
 	plain, outPlain := runEncrypted(t, res, in, RunOptions{

@@ -23,6 +23,10 @@ type treeBuilder struct {
 
 const treeVec = 8
 
+// treeTolerance bounds the error of a tree program's encrypted run against
+// RunReference.
+const treeTolerance = 1e-3
+
 func newTreeBuilder(t testing.TB, seed int64) *treeBuilder {
 	b := &treeBuilder{t: t, p: core.MustNewProgram("tree", treeVec), rng: rand.New(rand.NewSource(seed))}
 	for i := 0; i < 3; i++ {
@@ -66,8 +70,11 @@ func (b *treeBuilder) bin(op core.OpCode, l, r *core.Term) *core.Term {
 func (b *treeBuilder) product() *core.Term { return b.bin(core.OpMultiply, b.x(), b.constant()) }
 
 // rotation rotates a ciphertext input left by a step in [1, treeVec).
-func (b *treeBuilder) rotation() *core.Term {
-	r, err := b.p.NewRotation(core.OpRotateLeft, b.x(), 1+b.rng.Intn(treeVec-1))
+func (b *treeBuilder) rotation() *core.Term { return b.rotate(1 + b.rng.Intn(treeVec-1)) }
+
+// rotate rotates one of the ciphertext inputs left by step.
+func (b *treeBuilder) rotate(step int) *core.Term {
+	r, err := b.p.NewRotation(core.OpRotateLeft, b.x(), step)
 	if err != nil {
 		b.t.Fatal(err)
 	}
@@ -89,7 +96,8 @@ func (b *treeBuilder) output(name string, t *core.Term) {
 
 // runBothWays executes the program cold, warm and without the plan's
 // mechanisms on identical keys and inputs. Cold and warm outputs are
-// byte-identical; so is the run without mechanisms unless the program defers
+// byte-identical and within treeTolerance of RunReference on the source
+// program; so is the run without mechanisms unless the program defers
 // mod-downs to fused chains, when the warm run's error against RunReference
 // is at most 1.25× its. It returns the statistics and serialized outputs of
 // the warm run.
@@ -103,16 +111,18 @@ func runBothWays(t *testing.T, prog *core.Program, sched execute.Scheduler) (exe
 	plain := f.run(t, execute.WithoutPlanMechanisms(ropts))
 	out := serialized(t, fused)
 	requireSameBytes(t, "cold vs warm", serialized(t, cold), out)
+	want, err := execute.RunReference(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errOn := maxRunError(t, f, fused, want)
+	if errOn > treeTolerance {
+		t.Errorf("error %g against RunReference, more than %g", errOn, treeTolerance)
+	}
 	if !defers(f.res) {
 		requireSameBytes(t, "fused vs unfused", out, serialized(t, plain))
-	} else {
-		want, err := execute.RunReference(prog, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errOn, errOff := maxRunError(t, f, fused, want), maxRunError(t, f, plain, want); errOn > 1.25*errOff {
-			t.Errorf("deferred mod-downs give error %g, more than 1.25× the unfused run's %g", errOn, errOff)
-		}
+	} else if errOff := maxRunError(t, f, plain, want); errOn > 1.25*errOff {
+		t.Errorf("deferred mod-downs give error %g, more than 1.25× the unfused run's %g", errOn, errOff)
 	}
 	if fused.Stats.Instructions != plain.Stats.Instructions {
 		t.Fatalf("fused run reports %d instructions, unfused %d", fused.Stats.Instructions, plain.Stats.Instructions)
@@ -201,11 +211,16 @@ func TestFusedChainShapes(t *testing.T) {
 }
 
 // TestFusedRandomTrees is the property test: random trees mixing ADD and SUB
-// over fusable products, products of rotations, reused (multi-use) leaves,
+// over fusable products, products of rotations (identity rotations by 0 and
+// ±treeVec among them, which Compile folds away), reused (multi-use) leaves,
 // bare ciphertexts and run-dependent plain factors, some with extra outputs
 // in the middle, compute the same bytes fused and unfused — or, where
 // rotations defer their mod-downs, the same values within runBothWays' bound.
 func TestFusedRandomTrees(t *testing.T) {
+	steps := []int{0, treeVec, -treeVec}
+	for k := 1; k < treeVec; k++ {
+		steps = append(steps, k)
+	}
 	for seed := int64(0); seed < 12; seed++ {
 		b := newTreeBuilder(t, seed)
 		var made []*core.Term
@@ -226,7 +241,7 @@ func TestFusedRandomTrees(t *testing.T) {
 			case r < 0.75:
 				n = b.bin(core.OpMultiply, b.constant(), b.x())
 			case r < 0.85:
-				n = b.times(b.rotation())
+				n = b.times(b.rotate(steps[b.rng.Intn(len(steps))]))
 			default:
 				n = b.product()
 			}

@@ -66,10 +66,9 @@ type InstrRecord struct {
 	// queueing). For the first-scheduled member of a hoisted rotation batch it
 	// includes the whole batch's key-switch work, which the cost model
 	// (compile.Result.InstrUnits) charges instead to the members that do it:
-	// the decomposition to the first with a non-zero step, a key application
-	// to the first taking each step. For a member of a fused chain it is the
-	// chain's wall time apportioned by the cost model's units
-	// (CostModel.OpUnits).
+	// the decomposition to the first member, a key application to the first
+	// taking each step. For a member of a fused chain it is the chain's wall
+	// time apportioned by the cost model's units (CostModel.OpUnits).
 	Wall time.Duration
 	// Cipher reports whether the result is a ciphertext. Level and Scale are
 	// the result ciphertext's post-op level and raw scale (Level is -1 and
@@ -154,21 +153,15 @@ type runState struct {
 type hoistRun struct {
 	mu      sync.Mutex
 	results map[int]*ckks.Ciphertext // by step; nil until the batch has run
-	failed  bool
 }
 
 // hoistedRotation returns the batch result for the rotation in, computing the
-// batch on first use. ok is false when the batch failed (the caller falls
-// back to an independent rotation, so a batch error can only ever degrade
-// performance, not correctness).
-func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v value, ok bool) {
+// batch on first use.
+func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (value, error) {
 	set := &st.res.Hoists[in.Hoist]
 	g := &st.hoists[in.Hoist]
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.failed {
-		return value{}, false
-	}
 	if g.results == nil {
 		var deferred []bool
 		if st.fuse {
@@ -176,27 +169,18 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (v 
 		}
 		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.Steps, deferred)
 		if err != nil {
-			g.failed = true
-			return value{}, false
+			return value{}, err
 		}
 		g.results = batch
-		// The batch also holds the copies RotateHoisted makes for zero steps.
-		switched := 0
-		for k, ct := range batch {
-			if k%st.ctx.Params.Slots() != 0 {
-				switched++
-				st.countModDowns(ct)
-			}
+		for _, ct := range batch {
+			st.countModDowns(ct)
 		}
-		if switched > 0 {
-			st.mu.Lock()
-			st.stats.HoistedBatches++
-			st.stats.HoistedRotations += switched
-			st.mu.Unlock()
-		}
+		st.mu.Lock()
+		st.stats.HoistedBatches++
+		st.stats.HoistedRotations += len(batch)
+		st.mu.Unlock()
 	}
-	ct, ok := g.results[in.Rot]
-	return value{ct: ct, owned: !set.Shared[in.HoistPos]}, ok
+	return value{ct: g.results[in.Rot], owned: !set.Shared[in.HoistPos]}, nil
 }
 
 // rotate is a rotation outside a hoisted batch: a batch of one when the
@@ -206,7 +190,7 @@ func (st *runState) rotate(in *compile.Instr, src *ckks.Ciphertext) (*ckks.Ciphe
 	ev := st.ctx.Evaluator
 	if !st.fuse || !in.DeferModDown {
 		ct, err := ev.RotateLeft(src, in.Rot)
-		if err == nil && in.Rot%st.ctx.Params.Slots() != 0 {
+		if err == nil {
 			st.countModDowns(ct)
 		}
 		return ct, err
@@ -801,9 +785,7 @@ func (st *runState) eval(in *compile.Instr) (value, error) {
 		ct, err = st.evalBinary(in, a, b)
 	case core.OpRotateLeft, core.OpRotateRight:
 		if st.hoists != nil && in.Hoist >= 0 {
-			if v, ok := st.hoistedRotation(in, a.ct); ok {
-				return v, nil
-			}
+			return st.hoistedRotation(in, a.ct)
 		}
 		ct, err = st.rotate(in, a.ct)
 	case core.OpRelinearize:

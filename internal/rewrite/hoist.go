@@ -47,11 +47,23 @@ func RotationSets(p *core.Program) [][]*core.Term {
 	return sets
 }
 
-// EffectiveRotation returns the left-rotation step a rotation instruction
-// performs: RotateBy for ROTATE_LEFT, -RotateBy for ROTATE_RIGHT.
-func EffectiveRotation(t *core.Term) int {
-	if t.Op == core.OpRotateRight {
-		return -t.RotateBy
+// FoldIdentityRotations bypasses every rotation by a multiple of the vector
+// size, which is the identity on EVA's cyclic vectors: each use and output of
+// such a rotation is rewired to its operand, leaving the rotation dead. Slot
+// counts are multiples of the vector size, so after this pass no rotation
+// reaching the backend has a step ≡ 0 modulo the slot count. It returns the
+// number of identity rotations it found.
+func FoldIdentityRotations(p *core.Program) int {
+	folded := 0
+	for _, t := range p.Terms() {
+		if !p.IsIdentityRotation(t) {
+			continue
+		}
+		for _, e := range t.UseEdges() {
+			p.SetParm(e.Child, e.Slot, t.Parm(0))
+		}
+		p.RedirectOutputs(t, t.Parm(0))
+		folded++
 	}
-	return t.RotateBy
+	return folded
 }

@@ -149,10 +149,7 @@ func foldTerm(t *core.Term) ([]float64, float64, bool) {
 		}
 		logScale = t.Parm(0).LogScale + t.Parm(1).LogScale
 	case core.OpRotateLeft, core.OpRotateRight:
-		k := t.RotateBy
-		if t.Op == core.OpRotateRight {
-			k = -k
-		}
+		k := t.EffectiveRotation()
 		for i := range out {
 			out[i] = at(t.Parm(0), ((i+k)%width+width)%width)
 		}
