@@ -25,7 +25,7 @@ func TestRunDemo(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{"program \"x2y3\"", "rotation steps", "RESCALE", "transformed program:",
-		"estimated cost: 1.31e+06 limb-element ops, critical path 8.59e+05 (ideal parallel speedup <= 1.5x)\n"} {
+		"estimated cost: 1.26e+06 limb-element ops, critical path 8.37e+05 (ideal parallel speedup <= 1.5x)\n"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("demo output missing %q:\n%s", want, got)
 		}

@@ -83,8 +83,8 @@ func (m CostModel) shape(chainPos int) (n, logN, limbs float64) {
 //	           the final scaling
 //
 // A relinearization or a lone rotation pays all three; the rotations of one
-// hoisted batch share a single decompose, and a rotation whose mod-down is
-// deferred leaves modDown to its fused chain.
+// hoisted batch share a single decompose, and a key switch whose mod-down is
+// deferred leaves modDown to the consumer that finishes its value.
 func (m CostModel) KeySwitchUnits(chainPos int) (decompose, applyKey, modDown float64) {
 	n, logN, limbs := m.shape(chainPos)
 	alpha := float64(max(m.DigitSize, 1))
@@ -101,18 +101,32 @@ func (m CostModel) KeySwitchUnits(chainPos int) (decompose, applyKey, modDown fl
 	return decompose, applyKey, modDown
 }
 
+// FusedRescaleUnits prices the rescale of a deferred value at a chain
+// position, which divides both components by P·q_ℓ in one step: per
+// component α+1 inverse transforms (the special limbs and the dropped one), an
+// (α+2)-term conversion into, a forward transform of and the final scaling of
+// each of the limbs−1 remaining limbs. It replaces a mod-down (modDown of
+// KeySwitchUnits) followed by a RESCALE (OpUnits).
+func (m CostModel) FusedRescaleUnits(chainPos int) float64 {
+	n, logN, limbs := m.shape(chainPos)
+	alpha := float64(max(m.DigitSize, 1))
+	return n*logN*2*(alpha+limbs) + n*2*(limbs-1)*(alpha+3)
+}
+
 // KeySwitch is the key-switching work of one instruction as the executor
 // runs it, at chain position Level: Decompose its input into digits, ApplyKey
 // one switching key to them, and ModDown the result out of the extended
 // basis. A relinearization or rotation does what its hoisted batch leaves to
-// it; a rotation whose mod-down is deferred skips ModDown, and the root of
-// its fused chain does it instead, once for the whole sum, multiplying each
-// of its Leaves deferred rotations by a plaintext over the α special limbs
-// too.
+// it, and skips ModDown when its result stays over Q∪P; the consumer that
+// finishes such a value does it instead. The root of a fused chain finishes
+// the sum of its Leaves deferred operands, multiplying each by a plaintext
+// over the α special limbs too; a sum with a deferred operand finishes it
+// with ModDown; and a Rescale of a deferred value (Level is then the
+// operand's) divides by P·q_ℓ in one step.
 type KeySwitch struct {
-	Level                        int
-	Decompose, ApplyKey, ModDown bool
-	Leaves                       int
+	Level                                 int
+	Decompose, ApplyKey, ModDown, Rescale bool
+	Leaves                                int
 }
 
 // ChainKeySwitches is one relinearization at every position of a chain of the
@@ -126,9 +140,10 @@ func ChainKeySwitches(chainLength int) []KeySwitch {
 	return switches
 }
 
-// KeySwitchPrice sums the KeySwitchUnits parts the switches do, and the
-// special-limb products of their deferred leaves (what a ciphertext-plaintext
-// product costs, OpUnits, over α limbs instead of the chain's).
+// KeySwitchPrice sums the KeySwitchUnits parts the switches do, their fused
+// rescales (FusedRescaleUnits), and the special-limb products of their
+// deferred leaves (what a ciphertext-plaintext product costs, OpUnits, over α
+// limbs instead of the chain's).
 func (m CostModel) KeySwitchPrice(switches ...KeySwitch) float64 {
 	total := 0.0
 	for _, ks := range switches {
@@ -141,6 +156,9 @@ func (m CostModel) KeySwitchPrice(switches ...KeySwitch) float64 {
 		}
 		if ks.ModDown {
 			total += modDown
+		}
+		if ks.Rescale {
+			total += m.FusedRescaleUnits(ks.Level)
 		}
 		if ks.Leaves > 0 {
 			n, _, _ := m.shape(ks.Level)

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -35,13 +36,23 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode decodes a plaintext at one, two and four limbs: the first
+// two reconstruct each coefficient in machine words, the last through
+// math/big.
 func BenchmarkDecode(b *testing.B) {
 	tc := benchContext(b)
 	values, _ := benchVectors(tc)
-	pt, _ := tc.enc.Encode(values, tc.params.DefaultScale(), tc.params.MaxLevel())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc.enc.Decode(pt)
+	for _, limbs := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("limbs=%d", limbs), func(b *testing.B) {
+			pt, err := tc.enc.Encode(values, tc.params.DefaultScale(), limbs-1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tc.enc.Decode(pt)
+			}
+		})
 	}
 }
 
@@ -215,6 +226,32 @@ func BenchmarkRelinearize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			tc.eval.Recycle(out)
+		}
+	})
+}
+
+// BenchmarkRelinearizeRescale is a relinearization whose result only feeds a
+// rescale, as the executor runs it: the key switch skips its mod-down and the
+// rescale divides by P·q_ℓ in one step.
+func BenchmarkRelinearizeRescale(b *testing.B) {
+	benchKeySwitch(b, nil, func(b *testing.B, tc *testContext) {
+		va, vb := benchVectors(tc)
+		prod, err := tc.eval.Mul(tc.encrypt(b, va), tc.encrypt(b, vb))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			relin, err := tc.eval.RelinearizeDeferred(prod)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := tc.eval.Rescale(relin)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tc.eval.Recycle(relin)
 			tc.eval.Recycle(out)
 		}
 	})

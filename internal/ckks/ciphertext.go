@@ -11,10 +11,12 @@ import (
 // hold two polynomials; the product of two ciphertexts holds three until it
 // is relinearized (Constraint 3 of the paper).
 //
-// A rotation whose mod-down is deferred (RotateHoisted) is the one other
-// shape: it stays in the extended basis Q∪P, Value over the chain primes and
-// ValueP over the special primes, and only MulPlainAccumulate accepts it —
-// every other evaluator method refuses it, and it never leaves the evaluator.
+// A key switch whose mod-down is deferred (RotateHoisted, RelinearizeDeferred)
+// gives the one other shape: a degree-1 ciphertext in the extended basis Q∪P,
+// Value over the chain primes and ValueP over the special primes, P times the
+// value plus the key's noise. Add, Sub, MulPlainAccumulate, Rescale and
+// ModDown accept it — every other evaluator method refuses it, and it never
+// leaves the evaluator.
 type Ciphertext struct {
 	Value  []*ring.Poly
 	ValueP []*ring.Poly
@@ -36,8 +38,8 @@ func NewCiphertext(params *Parameters, size, level int, scale float64) *Cipherte
 // Degree returns the ciphertext degree (number of polynomials minus one).
 func (ct *Ciphertext) Degree() int { return len(ct.Value) - 1 }
 
-// Deferred reports a rotation whose mod-down is deferred: a ciphertext over
-// Q∪P that only MulPlainAccumulate accepts.
+// Deferred reports a ciphertext whose mod-down is deferred: a value over Q∪P
+// that only Add, Sub, MulPlainAccumulate, Rescale and ModDown accept.
 func (ct *Ciphertext) Deferred() bool { return ct.ValueP != nil }
 
 // Validate checks that the ciphertext is well-formed for the parameter set:
@@ -106,7 +108,7 @@ func (ct *Ciphertext) LogScale() float64 {
 }
 
 // MemoryBytes returns an estimate of the ciphertext's memory footprint, used
-// by the executor's memory accounting. A deferred rotation also holds its
+// by the executor's memory accounting. A deferred ciphertext also holds its
 // special-prime limbs.
 func (ct *Ciphertext) MemoryBytes() int {
 	total := 0

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/cmplx"
 
+	"eva/internal/numth"
 	"eva/internal/ring"
 )
 
@@ -16,7 +18,7 @@ type Plaintext struct {
 	Value *ring.Poly
 	// ValueP is the same integer polynomial over every special prime, in NTT
 	// form, for a plaintext EncodeExtended made; nil otherwise. Only
-	// MulPlainAccumulate reads it, to multiply deferred rotations.
+	// MulPlainAccumulate reads it, to multiply deferred ciphertexts.
 	ValueP *ring.Poly
 	Scale  float64
 	Level  int
@@ -214,13 +216,11 @@ func (e *Encoder) DecodeComplex(pt *Plaintext) []complex128 {
 	level := value.Level()
 	slots := e.params.Slots()
 
-	coeffs := e.centeredBigCoeffs(value, level)
+	coeffs := e.centeredCoeffs(value, level)
 	buf := make([]complex128, slots)
 	scale := pt.Scale
 	for j := 0; j < slots; j++ {
-		re := bigToFloat(coeffs[j]) / scale
-		im := bigToFloat(coeffs[j+slots]) / scale
-		buf[j] = complex(re, im)
+		buf[j] = complex(coeffs[j]/scale, coeffs[j+slots]/scale)
 	}
 	e.fftSpecial(buf)
 	return buf
@@ -234,6 +234,78 @@ func (e *Encoder) Decode(pt *Plaintext) []float64 {
 		out[i] = real(c)
 	}
 	return out
+}
+
+// centeredCoeffs CRT-reconstructs each coefficient of value as the centred
+// integer modulo the product Q of its limbs at the given level, in (−Q/2,
+// Q/2], and returns it correctly rounded to float64. One limb is its centred
+// residue; two take Garner's reconstruction in 128 bits (centredTwoLimbs);
+// more take math/big (centeredBigCoeffs), the oracle the fast paths are held
+// to bit for bit.
+func (e *Encoder) centeredCoeffs(value *ring.Poly, level int) []float64 {
+	r := e.params.RingQ()
+	out := make([]float64, e.params.N())
+	switch level {
+	case 0:
+		q := r.Moduli[0].Q
+		for j, x := range value.Coeffs[0] {
+			if x > q>>1 {
+				out[j] = -float64(q - x)
+			} else {
+				out[j] = float64(x)
+			}
+		}
+	case 1:
+		q0, q1 := r.Moduli[0].Q, r.Moduli[1].Q
+		inv := numth.MustInvMod(q0%q1, q1)
+		invShoup := numth.ShoupPrecomp(inv, q1)
+		br1 := r.Moduli[1].Barrett()
+		qHi, qLo := bits.Mul64(q0, q1)
+		halfHi, halfLo := qHi>>1, qLo>>1|qHi<<63
+		for j := range out {
+			a0, a1 := value.Coeffs[0][j], value.Coeffs[1][j]
+			// x = a0 + q0·k with k = (a1 − a0)·q0⁻¹ mod q1 is the residue
+			// in [0, Q).
+			k := numth.MulModShoup(numth.SubMod(a1, br1.ReduceWord(a0), q1), inv, invShoup, q1)
+			hi, lo := bits.Mul64(q0, k)
+			var c uint64
+			lo, c = bits.Add64(lo, a0, 0)
+			hi += c
+			if hi > halfHi || (hi == halfHi && lo > halfLo) {
+				hi, lo = sub128(qHi, qLo, hi, lo)
+				out[j] = -uint128ToFloat(hi, lo)
+			} else {
+				out[j] = uint128ToFloat(hi, lo)
+			}
+		}
+	default:
+		for j, c := range e.centeredBigCoeffs(value, level) {
+			out[j], _ = new(big.Float).SetInt(c).Float64()
+		}
+	}
+	return out
+}
+
+// sub128 returns (aHi, aLo) − (bHi, bLo) for a ≥ b.
+func sub128(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
+	lo, borrow := bits.Sub64(aLo, bLo, 0)
+	hi, _ = bits.Sub64(aHi, bHi, borrow)
+	return hi, lo
+}
+
+// uint128ToFloat converts hi·2^64 + lo to the nearest float64, ties to even:
+// the top 64 bits, with a sticky bit for anything nonzero below them, round
+// once in the conversion, and math.Ldexp scales them back exactly.
+func uint128ToFloat(hi, lo uint64) float64 {
+	if hi == 0 {
+		return float64(lo)
+	}
+	shift := 64 - bits.LeadingZeros64(hi)
+	top := hi<<(64-shift) | lo>>shift
+	if lo<<(64-shift) != 0 {
+		top |= 1
+	}
+	return math.Ldexp(float64(top), shift)
 }
 
 // centeredBigCoeffs CRT-reconstructs each coefficient of value as a centered
@@ -272,9 +344,4 @@ func (e *Encoder) centeredBigCoeffs(value *ring.Poly, level int) []*big.Int {
 		out[j] = c
 	}
 	return out
-}
-
-func bigToFloat(x *big.Int) float64 {
-	f, _ := new(big.Float).SetInt(x).Float64()
-	return f
 }

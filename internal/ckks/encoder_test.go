@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -140,6 +141,61 @@ func TestAutomorphismRotatesSlots(t *testing.T) {
 			want := values[(i+k)%slots]
 			if math.Abs(got[i]-want) > 1e-4 {
 				t.Fatalf("rotation by %d: slot %d = %g, want %g", k, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestDecodeCoefficientsMatchBig holds the one- and two-limb decode paths to
+// the math/big reconstruction they replace, bit for bit: random residues and
+// the edges 0, Q−1, (Q−1)/2 and (Q+1)/2 (the two sides of the centring), and
+// for two limbs magnitudes whose rounding to float64 is a tie (to even, down
+// and up) or just above one.
+func TestDecodeCoefficientsMatchBig(t *testing.T) {
+	for _, logQi := range [][]int{{55}, {30}, {50, 45}, {60, 60}, {40, 30, 35}} {
+		params, err := NewParameters(ParametersLiteral{LogN: 10, LogQi: logQi, Scale: 1 << 20, AllowInsecure: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := params.RingQ()
+		level := params.MaxLevel()
+		bigQ := big.NewInt(1)
+		for _, m := range r.Moduli {
+			bigQ.Mul(bigQ, new(big.Int).SetUint64(m.Q))
+		}
+		one := big.NewInt(1)
+		half := new(big.Int).Rsh(bigQ, 1)
+		edges := []*big.Int{
+			big.NewInt(0), one, new(big.Int).Sub(bigQ, one), half, new(big.Int).Add(half, one),
+		}
+		if bigQ.BitLen() > 72 {
+			// 2^70 has an ulp of 2^18: +2^17 is a tie (even: down), +3·2^17
+			// a tie (odd: up), and +2^17+1 just above one.
+			base := new(big.Int).Lsh(one, 70)
+			for _, off := range []int64{1 << 17, 3 << 17, 1<<17 + 1, 1<<17 - 1} {
+				x := new(big.Int).Add(base, big.NewInt(off))
+				edges = append(edges, x, new(big.Int).Sub(bigQ, x))
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(len(logQi))))
+		p := r.NewPoly(level)
+		for j := 0; j < params.N(); j++ {
+			var x *big.Int
+			if j < len(edges) {
+				x = edges[j]
+			} else {
+				x = new(big.Int).Rand(rng, bigQ)
+			}
+			for i, m := range r.Moduli {
+				p.Coeffs[i][j] = new(big.Int).Mod(x, new(big.Int).SetUint64(m.Q)).Uint64()
+			}
+		}
+		enc := NewEncoder(params)
+		got := enc.centeredCoeffs(p, level)
+		for j, c := range enc.centeredBigCoeffs(p, level) {
+			want, _ := new(big.Float).SetInt(c).Float64()
+			if math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Fatalf("limbs %v, coefficient %d (%v): decoded %v, math/big gives %v", logQi, j, c, got[j], want)
 			}
 		}
 	}

@@ -100,12 +100,12 @@ func (ev *Evaluator) Recycle(ct *Ciphertext) {
 	ct.Value, ct.ValueP = nil, nil
 }
 
-// checkNotDeferred refuses a rotation whose mod-down is deferred: only
-// MulPlainAccumulate can finish it.
+// checkNotDeferred refuses a ciphertext whose mod-down is deferred: only
+// Add, Sub, MulPlainAccumulate, Rescale and ModDown accept one.
 func checkNotDeferred(cts ...*Ciphertext) error {
 	for _, ct := range cts {
 		if ct.Deferred() {
-			return fmt.Errorf("ckks: ciphertext has a deferred mod-down; only MulPlainAccumulate accepts it")
+			return fmt.Errorf("ckks: ciphertext has a deferred mod-down; only Add, Sub, MulPlainAccumulate, Rescale and ModDown accept it")
 		}
 	}
 	return nil
@@ -115,6 +115,10 @@ func (ev *Evaluator) checkBinaryCt(a, b *Ciphertext) error {
 	if err := checkNotDeferred(a, b); err != nil {
 		return err
 	}
+	return checkLevels(a, b)
+}
+
+func checkLevels(a, b *Ciphertext) error {
 	if a.Level != b.Level {
 		return fmt.Errorf("ckks: operand level mismatch (%d vs %d): ciphertexts must have the same coefficient modulus", a.Level, b.Level)
 	}
@@ -126,26 +130,45 @@ func scalesMatch(a, b float64) bool {
 }
 
 // Add returns a + b element-wise. Both operands must be at the same level and
-// scale (Constraints 1 and 2 of the paper).
+// scale (Constraints 1 and 2 of the paper). Either may be deferred
+// (Ciphertext.Deferred), and then so is the sum: it stays over Q∪P, a Q-only
+// operand lifted as P·x.
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.checkBinaryCt(a, b); err != nil {
+	return ev.addSub(a, b, false)
+}
+
+// Sub returns a - b element-wise under the same constraints as Add.
+func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.addSub(a, b, true)
+}
+
+func (ev *Evaluator) addSub(a, b *Ciphertext, sub bool) (*Ciphertext, error) {
+	what := "addition"
+	if sub {
+		what = "subtraction"
+	}
+	if err := checkLevels(a, b); err != nil {
 		return nil, err
 	}
 	if !scalesMatch(a.Scale, b.Scale) {
-		return nil, fmt.Errorf("ckks: addition operand scale mismatch (%g vs %g)", a.Scale, b.Scale)
+		return nil, fmt.Errorf("ckks: %s operand scale mismatch (%g vs %g)", what, a.Scale, b.Scale)
 	}
-	size := len(a.Value)
-	if len(b.Value) > size {
-		size = len(b.Value)
+	if a.Deferred() || b.Deferred() {
+		return ev.addSubDeferred(a, b, sub, what)
 	}
+	size := max(len(a.Value), len(b.Value))
 	r := ev.params.RingQ()
 	out := ev.newCiphertext(size, a.Level, a.Scale)
 	for i := 0; i < size; i++ {
 		switch {
+		case i < len(a.Value) && i < len(b.Value) && sub:
+			r.Sub(a.Value[i], b.Value[i], out.Value[i])
 		case i < len(a.Value) && i < len(b.Value):
 			r.Add(a.Value[i], b.Value[i], out.Value[i])
 		case i < len(a.Value):
 			out.Value[i].Copy(a.Value[i])
+		case sub:
+			r.Neg(b.Value[i], out.Value[i])
 		default:
 			out.Value[i].Copy(b.Value[i])
 		}
@@ -154,31 +177,66 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// Sub returns a - b element-wise under the same constraints as Add.
-func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.checkBinaryCt(a, b); err != nil {
-		return nil, err
+// addSubDeferred is a ± b with at least one deferred operand, both of degree
+// 1: the result stays over Q∪P. Over the special primes a Q-only operand is
+// P·x ≡ 0, so there the result is the deferred operand's limbs (negated for
+// a deferred subtrahend of a Q-only minuend).
+func (ev *Evaluator) addSubDeferred(a, b *Ciphertext, sub bool, what string) (*Ciphertext, error) {
+	if a.Degree() != 1 || b.Degree() != 1 {
+		return nil, fmt.Errorf("ckks: %s of a deferred ciphertext requires degree-1 operands (got %d and %d)", what, a.Degree(), b.Degree())
 	}
-	if !scalesMatch(a.Scale, b.Scale) {
-		return nil, fmt.Errorf("ckks: subtraction operand scale mismatch (%g vs %g)", a.Scale, b.Scale)
-	}
-	size := len(a.Value)
-	if len(b.Value) > size {
-		size = len(b.Value)
-	}
-	r := ev.params.RingQ()
-	out := ev.newCiphertext(size, a.Level, a.Scale)
-	for i := 0; i < size; i++ {
+	r, rp := ev.params.RingQ(), ev.params.RingP()
+	out := ev.newDeferred(a.Level, a.Scale)
+	for i := range out.Value {
 		switch {
-		case i < len(a.Value) && i < len(b.Value):
+		case a.Deferred() && b.Deferred() && sub:
 			r.Sub(a.Value[i], b.Value[i], out.Value[i])
-		case i < len(a.Value):
-			out.Value[i].Copy(a.Value[i])
+			rp.Sub(a.ValueP[i], b.ValueP[i], out.ValueP[i])
+		case a.Deferred() && b.Deferred():
+			r.Add(a.Value[i], b.Value[i], out.Value[i])
+			rp.Add(a.ValueP[i], b.ValueP[i], out.ValueP[i])
+		case a.Deferred():
+			op := xPlusPY
+			if sub {
+				op = xMinusPY
+			}
+			ev.liftCombine(a.Value[i], b.Value[i], out.Value[i], op)
+			out.ValueP[i].Copy(a.ValueP[i])
+		case sub:
+			ev.liftCombine(b.Value[i], a.Value[i], out.Value[i], pYMinusX)
+			rp.Neg(b.ValueP[i], out.ValueP[i])
 		default:
-			r.Neg(b.Value[i], out.Value[i])
+			ev.liftCombine(b.Value[i], a.Value[i], out.Value[i], xPlusPY)
+			out.ValueP[i].Copy(b.ValueP[i])
 		}
-		out.Value[i].IsNTT = true
+		out.Value[i].IsNTT, out.ValueP[i].IsNTT = true, true
 	}
+	return out, nil
+}
+
+// newDeferred assembles a degree-1 deferred result from pooled polynomials,
+// chain and special halves; the caller overwrites every limb.
+func (ev *Evaluator) newDeferred(level int, scale float64) *Ciphertext {
+	out := ev.newCiphertext(2, level, scale)
+	alpha := ev.params.DigitSize()
+	out.ValueP = []*ring.Poly{ev.poolP.Get(alpha - 1), ev.poolP.Get(alpha - 1)}
+	return out
+}
+
+// ModDown finishes a deferred ciphertext: it divides each component by the
+// special product P with rounding and returns the result over the chain
+// primes alone. a is only read.
+func (ev *Evaluator) ModDown(a *Ciphertext) (*Ciphertext, error) {
+	if !a.Deferred() {
+		return nil, fmt.Errorf("ckks: ModDown of a ciphertext with no deferred mod-down")
+	}
+	out := &Ciphertext{Value: make([]*ring.Poly, len(a.Value)), Scale: a.Scale, Level: a.Level}
+	scratch := ev.poolP.Get(ev.params.DigitSize() - 1)
+	for i := range a.Value {
+		scratch.Copy(a.ValueP[i])
+		out.Value[i] = ev.modDownByP(a.Value[i], scratch)
+	}
+	ev.poolP.Put(scratch)
 	return out, nil
 }
 
@@ -295,12 +353,14 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, p *Plaintext) (*Ciphertext, error) 
 // degree 1 and at one level, and every product must match the first one's
 // scale.
 //
-// A deferred rotation (RotateHoisted) may be among the ciphertexts; its
-// plaintext must then be extended over the special primes
-// (Encoder.EncodeExtended). The deferred products accumulate over Q∪P and
-// the sum mods down once per component — double hoisting — before the other
-// products are added: the division by P commutes with the sum up to its
-// single rounding, so the result is the same sum, not the same bits.
+// A deferred ciphertext (Ciphertext.Deferred) may be among the ciphertexts;
+// its plaintext must then be extended over the special primes
+// (Encoder.EncodeExtended). The deferred products accumulate over Q∪P, the
+// sum of the other products is lifted there as P·Σ, and the result stays
+// deferred: one ModDown or Rescale finishes the whole sum — double hoisting.
+// The division by P commutes with the sum up to its single rounding, so the
+// result is the same sum, not the same bits, as finishing each operand
+// first.
 func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*Ciphertext, error) {
 	if len(cts) == 0 || len(cts) != len(pts) {
 		return nil, fmt.Errorf("ckks: multiply-accumulate of %d ciphertexts and %d plaintexts", len(cts), len(pts))
@@ -327,7 +387,7 @@ func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*C
 			deferred++
 		}
 	}
-	// leaves yields the products over deferred rotations or over the other
+	// leaves yields the products over deferred ciphertexts or over the other
 	// ciphertexts, over the chain primes or over the special ones.
 	leaves := func(deferred, special bool) func(int) (p, c0, c1 *ring.Poly) {
 		return func(i int) (p, c0, c1 *ring.Poly) {
@@ -349,20 +409,17 @@ func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*C
 	}
 
 	rp := ev.params.RingP()
-	acc0, acc1 := ev.pool.Get(level), ev.pool.Get(level)
-	acc0P, acc1P := ev.poolP.Get(rp.MaxLevel()), ev.poolP.Get(rp.MaxLevel())
-	ev.accumulate(r, ev.pool, len(cts), leaves(true, false), acc0, acc1)
-	ev.accumulate(rp, ev.poolP, len(cts), leaves(true, true), acc0P, acc1P)
-	out := &Ciphertext{Value: []*ring.Poly{ev.modDownByP(acc0, acc0P), ev.modDownByP(acc1, acc1P)}, Scale: scale, Level: level}
+	out := ev.newDeferred(level, scale)
+	ev.accumulate(r, ev.pool, len(cts), leaves(true, false), out.Value[0], out.Value[1])
+	ev.accumulate(rp, ev.poolP, len(cts), leaves(true, true), out.ValueP[0], out.ValueP[1])
 	if deferred < len(cts) {
+		acc0, acc1 := ev.pool.Get(level), ev.pool.Get(level)
 		ev.accumulate(r, ev.pool, len(cts), leaves(false, false), acc0, acc1)
-		r.Add(out.Value[0], acc0, out.Value[0])
-		r.Add(out.Value[1], acc1, out.Value[1])
+		ev.liftCombine(out.Value[0], acc0, out.Value[0], xPlusPY)
+		ev.liftCombine(out.Value[1], acc1, out.Value[1], xPlusPY)
+		ev.pool.Put(acc0)
+		ev.pool.Put(acc1)
 	}
-	ev.pool.Put(acc0)
-	ev.pool.Put(acc1)
-	ev.poolP.Put(acc0P)
-	ev.poolP.Put(acc1P)
 	return out, nil
 }
 
@@ -408,6 +465,18 @@ func (ev *Evaluator) accumulate(r *ring.Ring, pool *polyPool, n int, operand fun
 // Relinearize reduces a degree-2 ciphertext back to degree 1 using the
 // relinearization key.
 func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
+	return ev.relinearize(a, false)
+}
+
+// RelinearizeDeferred is Relinearize without the key switch's mod-down: the
+// result of a degree-2 ciphertext stays over Q∪P (Ciphertext.Deferred), for
+// Add, Sub, MulPlainAccumulate or Rescale to finish. A degree-1 ciphertext is
+// copied as Relinearize copies it.
+func (ev *Evaluator) RelinearizeDeferred(a *Ciphertext) (*Ciphertext, error) {
+	return ev.relinearize(a, true)
+}
+
+func (ev *Evaluator) relinearize(a *Ciphertext, deferred bool) (*Ciphertext, error) {
 	if err := checkNotDeferred(a); err != nil {
 		return nil, err
 	}
@@ -420,11 +489,19 @@ func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
 	if ev.rlk == nil {
 		return nil, fmt.Errorf("ckks: no relinearization key available")
 	}
-	r := ev.params.RingQ()
-	ks0, ks1, err := ev.keySwitch(a.Value[2], a.Level, ev.rlk.Key)
-	if err != nil {
+	if err := ev.checkSwitchable(ev.rlk.Key, a.Level); err != nil {
 		return nil, err
 	}
+	r := ev.params.RingQ()
+	h := ev.decomposeNTT(a.Value[2], a.Level)
+	defer ev.releaseDecomp(h)
+	if deferred {
+		acc0Q, acc1Q, acc0P, acc1P := ev.innerProductHoisted(h, ev.rlk.Key, 1)
+		ev.liftCombine(acc0Q, a.Value[0], acc0Q, xPlusPY)
+		ev.liftCombine(acc1Q, a.Value[1], acc1Q, xPlusPY)
+		return &Ciphertext{Value: []*ring.Poly{acc0Q, acc1Q}, ValueP: []*ring.Poly{acc0P, acc1P}, Scale: a.Scale, Level: a.Level}, nil
+	}
+	ks0, ks1 := ev.keySwitchHoisted(h, ev.rlk.Key, 1)
 	// The key-switch outputs become the result's components in place.
 	r.Add(a.Value[0], ks0, ks0)
 	r.Add(a.Value[1], ks1, ks1)
@@ -434,16 +511,22 @@ func (ev *Evaluator) Relinearize(a *Ciphertext) (*Ciphertext, error) {
 
 // Rescale divides the ciphertext by the last prime of its modulus chain,
 // dropping one level and dividing the scale accordingly (the RESCALE
-// instruction). It fails at level 0, mirroring SEAL's runtime exception.
+// instruction). It fails at level 0, mirroring SEAL's runtime exception. A
+// deferred ciphertext is divided by P·q_ℓ in one step, one rounding, and the
+// result is over the chain primes alone.
 func (ev *Evaluator) Rescale(a *Ciphertext) (*Ciphertext, error) {
-	if err := checkNotDeferred(a); err != nil {
-		return nil, err
-	}
 	if a.Level == 0 {
 		return nil, fmt.Errorf("ckks: cannot rescale a level-0 ciphertext (modulus chain exhausted)")
 	}
 	r := ev.params.RingQ()
 	q := r.Moduli[a.Level].Q
+	if a.Deferred() {
+		out := &Ciphertext{Value: make([]*ring.Poly, len(a.Value)), Scale: a.Scale / float64(q), Level: a.Level - 1}
+		for i := range a.Value {
+			out.Value[i] = ev.divideByPQ(a.Value[i], a.ValueP[i])
+		}
+		return out, nil
+	}
 	out := ev.newCiphertext(len(a.Value), a.Level-1, a.Scale/float64(q))
 	for i := range a.Value {
 		r.DivideByLastModulusNTT(a.Value[i], out.Value[i])
@@ -503,7 +586,7 @@ func (ev *Evaluator) rotateFromDecomp(a *Ciphertext, h *hoistedDecomp, swk *Swit
 	r.AutomorphismNTT(a.Value[0], galEl, rot0)
 	if deferred {
 		acc0Q, acc1Q, acc0P, acc1P := ev.innerProductHoisted(h, swk, galEl)
-		ev.addTimesP(acc0Q, rot0)
+		ev.liftCombine(acc0Q, rot0, acc0Q, xPlusPY)
 		ev.pool.Put(rot0)
 		return &Ciphertext{Value: []*ring.Poly{acc0Q, acc1Q}, ValueP: []*ring.Poly{acc0P, acc1P}, Scale: a.Scale, Level: a.Level}
 	}
@@ -541,7 +624,7 @@ type rotationElem struct {
 //
 // deferred, when non-nil, runs beside ks: a step with deferred[i] set skips
 // its mod-down and returns a deferred rotation (Ciphertext.Deferred), which
-// only MulPlainAccumulate accepts. A step listed twice must be asked for the
+// only Add, Sub, MulPlainAccumulate, Rescale and ModDown accept. A step listed twice must be asked for the
 // same way. Every step needs its rotation key, a step that is a multiple of
 // the slot count included: the compiler folds those identity rotations away.
 func (ev *Evaluator) RotateHoisted(a *Ciphertext, ks []int, deferred []bool) (map[int]*Ciphertext, error) {

@@ -27,12 +27,15 @@ import (
 //     (optionally automorphism-permuted) extended digits against the key
 //     digits (innerProductHoisted), and the final modDownByP.
 //
-// Double hoisting (Bossuat et al.) goes one step further for a rotation whose
-// only uses are products in a fused multiply-accumulate: it skips the
-// mod-down and stays in the extended basis, and MulPlainAccumulate sums such
-// rotations over Q∪P and mods down once per component for the whole sum. The
-// division by P is linear up to its rounding, so the sum rounds once instead
-// of once per rotation.
+// Lazy mod-down goes one step further (double hoisting, Bossuat et al.): a
+// rotation or relinearization may skip its mod-down and leave its result in
+// the extended basis Q∪P — a deferred ciphertext, P times the switched value
+// plus the key's noise. Add and Sub combine deferred values there (a Q-only
+// operand is lifted as P·x), MulPlainAccumulate sums deferred products there,
+// Rescale divides a deferred value by P·q_ℓ in one step (divideByPQ), and
+// ModDown finishes one for any other consumer. The division by P is linear up
+// to its rounding, so a sum of deferred values rounds once instead of once per
+// term, and a rescale rounds once instead of twice.
 //
 // The hoisting trick (Halevi–Shoup) is that the lift commutes with the Galois
 // automorphism well enough: the automorphism only permutes and negates
@@ -179,38 +182,42 @@ func (ev *Evaluator) innerProductHoisted(h *hoistedDecomp, swk *SwitchingKey, ga
 	return acc0Q, acc1Q, acc0P, acc1P
 }
 
-// addTimesP sets acc = acc + P·b over acc's chain limbs (NTT form), P the
-// special product: it lifts a ciphertext component into the extended basis,
-// where it is zero modulo every special prime.
-func (ev *Evaluator) addTimesP(acc, b *ring.Poly) {
+// liftOp selects what liftCombine computes from x (over Q) and P·y, y over Q
+// lifted into the extended basis Q∪P, where it is zero modulo every special
+// prime.
+type liftOp int
+
+const (
+	xPlusPY  liftOp = iota // x + P·y
+	xMinusPY               // x − P·y
+	pYMinusX               // P·y − x
+)
+
+// liftCombine sets out = x ± P·y (or P·y − x) over out's chain limbs, NTT
+// form, P the special product: the chain half of combining a deferred value
+// with a Q-only one. Aliasing out with x or y is safe.
+func (ev *Evaluator) liftCombine(x, y, out *ring.Poly, op liftOp) {
 	params := ev.params
-	for i, ai := range acc.Coeffs {
+	for i, oi := range out.Coeffs {
 		q := params.RingQ().Moduli[i].Q
 		pm, ps := params.pModQ[i], params.pShoupModQ[i]
-		bi := b.Coeffs[i]
-		for j := range ai {
-			ai[j] = numth.AddMod(ai[j], numth.MulModShoup(bi[j], pm, ps, q), q)
+		xi, yi := x.Coeffs[i][:len(oi)], y.Coeffs[i][:len(oi)]
+		switch op {
+		case xPlusPY:
+			for j := range oi {
+				oi[j] = numth.AddMod(xi[j], numth.MulModShoup(yi[j], pm, ps, q), q)
+			}
+		case xMinusPY:
+			for j := range oi {
+				oi[j] = numth.SubMod(xi[j], numth.MulModShoup(yi[j], pm, ps, q), q)
+			}
+		default:
+			for j := range oi {
+				oi[j] = numth.SubMod(numth.MulModShoup(yi[j], pm, ps, q), xi[j], q)
+			}
 		}
 	}
-}
-
-// keySwitch applies the switching key swk to the polynomial d (NTT form, at
-// the given level), producing the pair (ks0, ks1) such that
-// ks0 + ks1·s ≈ d·s', where s' is the secret the switching key encodes
-// (s² for relinearization, a rotated s for rotations). It is the
-// decompose-once, switch-once composition of the two halves above.
-//
-// The returned polynomials are drawn from the evaluator's scratch pool; the
-// caller owns them and must release them with ev.pool.Put once their values
-// have been consumed.
-func (ev *Evaluator) keySwitch(d *ring.Poly, level int, swk *SwitchingKey) (ks0, ks1 *ring.Poly, err error) {
-	if err := ev.checkSwitchable(swk, level); err != nil {
-		return nil, nil, err
-	}
-	h := ev.decomposeNTT(d, level)
-	ks0, ks1 = ev.keySwitchHoisted(h, swk, 1)
-	ev.releaseDecomp(h)
-	return ks0, ks1, nil
+	out.IsNTT = true
 }
 
 // modDownByP divides the value represented by (accQ, accP) — an RNS value over
@@ -228,23 +235,55 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, level int, swk *SwitchingKey) (ks0,
 // converted limb), while accQ itself never leaves the NTT domain.
 func (ev *Evaluator) modDownByP(accQ, accP *ring.Poly) *ring.Poly {
 	params := ev.params
-	r := params.RingQ()
 	params.RingP().InvNTT(accP)
+	return ev.divideRounded(accQ, accP.Coeffs, params.modDown, params.pInvModQ, params.pInvShoupModQ, accQ.Level())
+}
 
-	level := accQ.Level()
+// divideRounded finishes a rounded division of the NTT-form value accQ by the
+// product A of a basis of primes whose coefficient-domain residues src holds:
+// conv converts src to the chain, and out = (accQ − [acc]_A)·A⁻¹ over chain
+// limbs 0..level, pointwise in the NTT domain — exactly the
+// coefficient-domain rounded division pushed through the transform. inv and
+// invShoup hold A⁻¹ mod q_i and its Shoup quotient. The result comes from the
+// evaluator's pool (every slot is written).
+func (ev *Evaluator) divideRounded(accQ *ring.Poly, src [][]uint64, conv *ring.BasisConverter, inv, invShoup []uint64, level int) *ring.Poly {
+	r := ev.params.RingQ()
 	out := ev.pool.Get(level)
-	params.modDown.ConvertNTT(accP.Coeffs, out.Coeffs)
-	// out = (accQ − remainder)·P⁻¹, pointwise in the NTT domain — exactly
-	// the coefficient-domain rounded division pushed through the transform.
+	conv.ConvertNTT(src, out.Coeffs)
 	for i := 0; i <= level; i++ {
 		q := r.Moduli[i].Q
-		pInv := params.pInvModQ[i]
-		pInvShoup := params.pInvShoupModQ[i]
 		ai, oi := accQ.Coeffs[i], out.Coeffs[i]
 		for j := range oi {
-			oi[j] = numth.MulModShoup(numth.SubMod(ai[j], oi[j], q), pInv, pInvShoup, q)
+			oi[j] = numth.MulModShoup(numth.SubMod(ai[j], oi[j], q), inv[i], invShoup[i], q)
 		}
 	}
 	out.IsNTT = true
+	return out
+}
+
+// divideByPQ is the rescale of a deferred value: it divides (accQ, accP) — an
+// RNS value over {q_0..q_ℓ}∪P in NTT form — by P·q_ℓ with one rounding and
+// returns the result over {q_0..q_{ℓ-1}} in NTT form, from the evaluator's
+// pool. Both inputs are only read. It is modDownByP with the dropped chain
+// prime joining the special ones: the centred remainder modulo P·q_ℓ comes
+// from the α+1 limbs {q_ℓ}∪P (their inverse transforms and one basis
+// conversion, which transforms each converted limb forward), and the rest of
+// the division is one pointwise pass in the NTT domain. Mod-down followed by
+// rescale rounds twice and transforms the chain limbs once more.
+func (ev *Evaluator) divideByPQ(accQ, accP *ring.Poly) *ring.Poly {
+	params := ev.params
+	r, rp := params.RingQ(), params.RingP()
+	level := accQ.Level()
+	special := ev.poolP.Get(rp.MaxLevel())
+	special.Copy(accP)
+	rp.InvNTT(special)
+	last := ev.pool.Get(0)
+	copy(last.Coeffs[0], accQ.Coeffs[level])
+	r.Moduli[level].InvNTT(last.Coeffs[0])
+	var buf [ring.MaxLazyDigits][]uint64
+	src := append(append(buf[:0], last.Coeffs[0]), special.Coeffs...)
+	out := ev.divideRounded(accQ, src, params.rescaleDown[level], params.pqInvModQ[level], params.pqInvShoupModQ[level], level-1)
+	ev.poolP.Put(special)
+	ev.pool.Put(last)
 	return out
 }

@@ -89,13 +89,21 @@ type Parameters struct {
 	//   pInvModQ[i]      = (P mod q_i)^{-1} mod q_i, P the special product;
 	//   pInvShoupModQ[i] = Shoup quotient of pInvModQ[i];
 	//   pModQ[i], pShoupModQ[i] = P mod q_i and its Shoup quotient, which lift
-	//   a deferred rotation's φ(c0) into the extended basis.
-	modUp         [][]*ring.BasisConverter
-	modDown       *ring.BasisConverter
-	pInvModQ      []uint64
-	pInvShoupModQ []uint64
-	pModQ         []uint64
-	pShoupModQ    []uint64
+	//   a Q-only value into the extended basis (P·x is 0 modulo P);
+	//   rescaleDown[l]   converts {q_l}∪P to q_0..q_{l-1} (l ≥ 1; nil at 0),
+	//                    the one basis conversion of the rescale of a
+	//                    deferred ciphertext, which divides by P·q_l at once;
+	//   pqInvModQ[l][i], pqInvShoupModQ[l][i] = (P·q_l)^{-1} mod q_i (i < l)
+	//                    and its Shoup quotient.
+	modUp          [][]*ring.BasisConverter
+	modDown        *ring.BasisConverter
+	pInvModQ       []uint64
+	pInvShoupModQ  []uint64
+	pModQ          []uint64
+	pShoupModQ     []uint64
+	rescaleDown    []*ring.BasisConverter
+	pqInvModQ      [][]uint64
+	pqInvShoupModQ [][]uint64
 }
 
 // ParametersLiteral is the user-facing description from which Parameters are
@@ -235,6 +243,22 @@ func (p *Parameters) buildKeySwitchTables() (err error) {
 		p.pShoupModQ[i] = numth.ShoupPrecomp(p.pModQ[i], m.Q)
 		p.pInvModQ[i] = numth.MustInvMod(p.pModQ[i], m.Q)
 		p.pInvShoupModQ[i] = numth.ShoupPrecomp(p.pInvModQ[i], m.Q)
+	}
+	p.rescaleDown = make([]*ring.BasisConverter, len(chain))
+	p.pqInvModQ = make([][]uint64, len(chain))
+	p.pqInvShoupModQ = make([][]uint64, len(chain))
+	for l := 1; l < len(chain); l++ {
+		src := append([]*ring.Modulus{chain[l]}, special...)
+		if p.rescaleDown[l], err = ring.NewBasisConverter(src, chain[:l]); err != nil {
+			return err
+		}
+		p.pqInvModQ[l] = make([]uint64, l)
+		p.pqInvShoupModQ[l] = make([]uint64, l)
+		for i, m := range chain[:l] {
+			inv := numth.MustInvMod(numth.MulMod(p.pModQ[i], chain[l].Q%m.Q, m.Q), m.Q)
+			p.pqInvModQ[l][i] = inv
+			p.pqInvShoupModQ[l][i] = numth.ShoupPrecomp(inv, m.Q)
+		}
 	}
 	return nil
 }

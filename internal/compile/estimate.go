@@ -9,47 +9,64 @@ import (
 
 // InstrUnits is the cost model's price of instruction id as the executor runs
 // it, the one rule that Cost sums, the digit-size choice minimises and the
-// profiler samples: KeySwitchPrice of the key switching keySwitch finds,
-// OpUnits for any other Cipher instruction (a fused chain's root pays both),
-// 0 for leaves and plain values.
+// profiler samples: KeySwitchPrice of the key-switching work keySwitch finds,
+// plus OpUnits for any other Cipher instruction except a rescale that divides
+// by P·q_ℓ in one step (its KeySwitchPrice is the whole division); 0 for
+// leaves and plain values.
 func (r *Result) InstrUnits(id int32) float64 {
 	in, m := &r.Instrs[id], r.CostModel()
-	switch ks, ok := r.keySwitch(in); {
-	case ok && in.Chain != nil:
-		return m.OpUnits(in.Term.Op, in.Level, false) + m.KeySwitchPrice(ks)
-	case ok:
-		return m.KeySwitchPrice(ks)
-	case in.Cipher && !in.Term.IsLeaf():
-		return m.OpUnits(in.Term.Op, in.Level, r.degree2(in))
+	if !in.Cipher || in.Term.IsLeaf() {
+		return 0
 	}
-	return 0
+	units := 0.0
+	ks, ok := r.keySwitch(in)
+	if ok {
+		units = m.KeySwitchPrice(ks)
+	}
+	if op := in.Term.Op; op == core.OpRelinearize || op.IsRotation() || ks.Rescale {
+		return units
+	}
+	return units + m.OpUnits(in.Term.Op, in.Level, r.degree2(in))
 }
 
-// keySwitch reports whether in key-switches as the executor runs it, and
-// which parts it does. A relinearization, or a rotation outside any hoist
-// set, does all three. A hoist set's batch decomposes once, for its first
-// member, and takes each step once, for the first member taking it; later
-// members with that step reuse its result and do nothing. A rotation that
-// defers its mod-down (Instr.DeferModDown) skips it, and the root of a fused
-// chain with such leaves does it once, multiplying each deferred leaf over
-// the special limbs as well.
+// keySwitch reports whether in does key-switching work as the executor runs
+// it, and which. A relinearization, or a rotation outside any hoist set,
+// decomposes and applies its key. A hoist set's batch decomposes once, for
+// its first member, and takes each step once, for the first member taking
+// it; later members with that step reuse its result and do nothing. Either
+// mods down its result unless it defers (Instr.DeferModDown). A value left
+// over Q∪P is finished by its consumer: the root of a fused chain with
+// deferred leaves multiplies each over the special limbs as well, and it or
+// a sum with a deferred operand mods down unless it defers in turn; a
+// rescale of a deferred value divides by P·q_ℓ in one step.
 func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
+	ks.Level = in.Level
 	if in.Chain != nil {
-		ks = analysis.KeySwitch{Level: in.Level, ModDown: true}
 		for _, pr := range in.Chain.Products {
 			if r.Instrs[pr.Ct].DeferModDown {
 				ks.Leaves++
 			}
 		}
+		ks.ModDown = !in.DeferModDown
 		return ks, ks.Leaves > 0
 	}
 	switch op := in.Term.Op; {
-	case !in.Cipher || (op != core.OpRelinearize && !op.IsRotation()):
+	case !in.Cipher:
+		return ks, false
+	case op == core.OpRescale:
+		operand := &r.Instrs[in.Parms[0]]
+		ks.Level, ks.Rescale = operand.Level, operand.DeferModDown
+		return ks, ks.Rescale
+	case op == core.OpAdd || op == core.OpSub:
+		ks.ModDown = r.deferredOperand(in) && !in.DeferModDown
+		return ks, ks.ModDown
+	case op != core.OpRelinearize && !op.IsRotation():
 		return ks, false
 	case in.Hoist >= 0 && slices.Index(r.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):
-		return analysis.KeySwitch{Level: in.Level}, true
+		return ks, true
 	}
-	return analysis.KeySwitch{Level: in.Level, Decompose: in.HoistPos == 0, ApplyKey: true, ModDown: !in.DeferModDown}, true
+	ks.Decompose, ks.ApplyKey, ks.ModDown = in.HoistPos == 0, true, !in.DeferModDown
+	return ks, true
 }
 
 // Cost estimates the program's execution cost under its cost model
@@ -78,8 +95,8 @@ func (r *Result) Cost() analysis.CostEstimate {
 // its last reference is consumed, Instr.Refs) over the topological order and
 // charges each live value its size — CiphertextBytes at its level, with three
 // polynomials for an unrelinearized ciphertext-ciphertext product and two
-// otherwise (plus their special limbs for a rotation that defers its
-// mod-down), and one float64 vector of 2^LogN for a plain value.
+// otherwise (plus their special limbs for a value left over Q∪P,
+// Instr.DeferModDown), and one float64 vector of 2^LogN for a plain value.
 //
 // The executor evaluates in whatever order the scheduler picks, so the true
 // peak can exceed this sequential estimate when many instructions are in

@@ -32,15 +32,18 @@ func referenceLevels(p *core.Program) map[*core.Term]int {
 	return levels
 }
 
-// referenceDeferred re-derives double hoisting over the term graph. The fused
-// chains are the maximal ADD trees whose sums and leaves are used once and are
-// not outputs, a leaf being a product of a Cipher term with a Plain term that
-// no INPUT reaches; a chain is statically fusable when its leaves share one
-// level and one scale. A rotation that is not an output and whose every use is
-// a leaf of a fusable chain defers its mod-down, unless a member of its
-// rotation set taking the same step does not. It returns the deferring
-// rotations and, per chain root, how many of its leaves multiply a deferring
-// rotation.
+// referenceDeferred re-derives the lazy mod-downs over the term graph. The
+// fused chains are the maximal ADD trees whose sums and leaves are used once
+// and are not outputs, a leaf being a product of a Cipher term with a Plain
+// term that no INPUT reaches; a chain is statically fusable when its leaves
+// share one level and one scale. A Cipher rotation, a relinearization of a
+// degree-2 term, a chain root with a deferred leaf, and a Cipher ADD or SUB
+// with a deferred operand leave their result over Q∪P when they are not
+// outputs and either every use is a leaf of a fusable chain or their one use
+// is a RESCALE or an ADD or SUB of two degree-1 Cipher terms — except a
+// rotation some member of its rotation set taking the same step does not
+// defer with. It returns the deferring terms and, per chain root, how many of
+// its leaves multiply a deferring term.
 func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int) {
 	order := p.TopoSort()
 	types := core.InferTypes(order)
@@ -109,9 +112,39 @@ func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int
 			}
 		}
 	}
+	degree2 := map[*core.Term]bool{}
+	for _, t := range order {
+		degree2[t] = t.Op == core.OpMultiply && len(t.Parms()) == 2 &&
+			types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
+		for _, q := range t.Parms() {
+			degree2[t] = degree2[t] || (degree2[q] && t.Op != core.OpRelinearize)
+		}
+	}
+	mayDefer := func(t *core.Term) bool {
+		if output[t] {
+			return false
+		}
+		if leafUses[t] > 0 && uses[t] == leafUses[t] {
+			return true
+		}
+		if uses[t] != 1 {
+			return false
+		}
+		switch u := user[t]; u.Op {
+		case core.OpRescale:
+			return true
+		case core.OpAdd, core.OpSub:
+			a, b := u.Parm(0), u.Parm(1)
+			return types[a] == core.TypeCipher && types[b] == core.TypeCipher && !degree2[a] && !degree2[b]
+		}
+		return false
+	}
 	deferred := map[*core.Term]bool{}
-	for ct, n := range leafUses {
-		deferred[ct] = ct.Op.IsRotation() && !output[ct] && uses[ct] == n
+	for _, t := range order {
+		if types[t] == core.TypeCipher && !t.IsLeaf() &&
+			(t.Op.IsRotation() || (t.Op == core.OpRelinearize && degree2[t.Parm(0)])) {
+			deferred[t] = mayDefer(t)
+		}
 	}
 	for _, set := range rewrite.RotationSets(p) {
 		undeferred := map[int]bool{}
@@ -123,11 +156,22 @@ func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int
 		}
 	}
 	finished := map[*core.Term]int{}
+	isRoot := map[*core.Term]bool{}
 	for _, root := range roots {
-		for _, l := range leaves(root) {
-			if deferred[leafCt[l]] {
-				finished[root]++
+		isRoot[root] = true
+	}
+	for _, t := range order {
+		if isRoot[t] {
+			for _, l := range leaves(t) {
+				if deferred[leafCt[l]] {
+					finished[t]++
+				}
 			}
+			deferred[t] = finished[t] > 0 && mayDefer(t)
+			continue
+		}
+		if types[t] == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) {
+			deferred[t] = (deferred[t.Parm(0)] || deferred[t.Parm(1)]) && mayDefer(t)
 		}
 	}
 	return deferred, finished
@@ -138,11 +182,12 @@ func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int
 // rotations do, priced by KeySwitchPrice: rewrite.RotationSets are the
 // hoisted batches, each decomposing once (for its first member) and applying
 // one key per distinct step, a repeated step reusing the batch's result at no
-// cost; any other relinearization or rotation does all three parts. A
-// rotation referenceDeferred finds deferring skips its
-// mod-down, and the root of its chain pays it (with the special-limb products
-// of its deferred leaves) on top of its sum. It tracks the dearest dependence
-// chain.
+// cost; any other relinearization or rotation does all three parts. A term
+// referenceDeferred finds deferring skips its mod-down. The root of a chain
+// with deferred leaves pays their special-limb products on top of its sum,
+// and it or a sum with a deferred operand pays the mod-down unless it defers
+// too; a rescale of a deferred term pays the division by P·q_ℓ in one step
+// instead of its OpUnits. It tracks the dearest dependence chain.
 func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate {
 	levels := referenceLevels(p)
 	order := p.TopoSort()
@@ -170,14 +215,19 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 			if !inSet && (t.Op == core.OpRelinearize || t.Op.IsRotation()) {
 				ks = &analysis.KeySwitch{Level: levels[t], Decompose: true, ApplyKey: true, ModDown: !deferred[t]}
 			}
+			ctct := t.Op == core.OpMultiply &&
+				types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
+			sum := func() float64 { return m.OpUnits(t.Op, levels[t], false) }
 			switch {
 			case finished[t] > 0:
-				cost = m.OpUnits(t.Op, levels[t], false) + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: true, Leaves: finished[t]})
+				cost = sum() + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: !deferred[t], Leaves: finished[t]})
 			case ks != nil:
 				cost = m.KeySwitchPrice(*ks)
+			case (t.Op == core.OpAdd || t.Op == core.OpSub) && (deferred[t.Parm(0)] || deferred[t.Parm(1)]) && !deferred[t]:
+				cost = sum() + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: true})
+			case t.Op == core.OpRescale && deferred[t.Parm(0)]:
+				cost = m.FusedRescaleUnits(levels[t.Parm(0)])
 			default:
-				ctct := t.Op == core.OpMultiply &&
-					types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
 				cost = m.OpUnits(t.Op, levels[t], ctct)
 			}
 		}
@@ -196,7 +246,7 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 // referencePeak replays liveness over the topological order with refcounts
 // from Term.UseEdges, which counts the uses of dead terms too: after
 // Optimize a value some dead term still names is never freed, so it agrees
-// with PeakMemoryBytes only on programs without dead terms. A rotation that
+// with PeakMemoryBytes only on programs without dead terms. A term that
 // defers its mod-down (referenceDeferred) also holds two polynomials over the
 // α special primes.
 func referencePeak(m analysis.CostModel, p *core.Program) int64 {

@@ -35,10 +35,13 @@ type Instr struct {
 	// Hoist and HoistPos locate a rotation in its hoistable set (Hoist is -1
 	// for everything else).
 	Hoist, HoistPos int32
-	// DeferModDown marks a rotation whose every reference is a product leaf
-	// of a fused chain: the executor leaves its key switch in the extended
-	// basis Q∪P, and the chain mods down once for all such leaves (double
-	// hoisting; Evaluator.RotateHoisted, Evaluator.MulPlainAccumulate).
+	// DeferModDown marks an instruction whose result stays in the extended
+	// basis Q∪P until a consumer that needs Q finishes it: a key-switched
+	// rotation or relinearization skips its mod-down, and a fused chain or a
+	// sum with such an operand leaves its result there too. Its consumers are
+	// product leaves of fused chains, which mod down once for the whole sum
+	// (double hoisting), or its one consumer is an ADD, a SUB, or a RESCALE
+	// that divides by P·q_ℓ in one step (Result.deferModDowns).
 	DeferModDown bool
 
 	// Chain is set on the root of a fused chain; Absorbed on its other
@@ -250,7 +253,7 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 	}
 
 	r.findChains(isOutput, user)
-	r.deferModDowns(isOutput)
+	r.deferModDowns(isOutput, user)
 	r.schedule()
 
 	// An input's depth is the longest chain below it: one reverse sweep
@@ -339,13 +342,19 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 	}
 }
 
-// deferModDowns marks the rotations whose mod-down their fused chains take
-// over (Instr.DeferModDown): a rotation, not an output, whose every
-// reference is a product leaf of a chain that is statically fusable — all
-// its products at one level and one scale, so the fused kernel never refuses
-// them. In a hoist set a step defers only if every member taking it does,
-// since those members share one result.
-func (r *Result) deferModDowns(isOutput []bool) {
+// deferModDowns marks the instructions whose results stay over Q∪P
+// (Instr.DeferModDown). Four kinds produce such a result: a key-switched
+// rotation, a RELINEARIZE of a ciphertext-ciphertext product, the root of a
+// fused chain with a deferred leaf, and a ciphertext ADD or SUB with a
+// deferred operand. One of them defers when it is not an output and either
+// every reference is a product leaf of a statically fusable chain — all its
+// products at one level and one scale, so the fused kernel never refuses them
+// — or its one reference is a RESCALE (which then divides by P·q_ℓ in one
+// step) or an ADD or SUB of two degree-1 ciphertexts. Any other mods down its
+// own result. In a hoist set a step defers only if every member taking it
+// does, since those members share one result. user is some consumer of each
+// instruction, its only one when Refs is 1.
+func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 	instrs := r.Instrs
 	leafUses := map[int32]int32{}
 	for i := range instrs {
@@ -367,12 +376,46 @@ func (r *Result) deferModDowns(isOutput []bool) {
 			}
 		}
 	}
-	members := make([][]int32, len(r.Hoists))
-	for id, uses := range leafUses {
+	// degree2 marks the ciphertexts of degree 2: a product of two
+	// ciphertexts until its RELINEARIZE.
+	degree2 := make([]bool, len(instrs))
+	for i := range instrs {
+		in := &instrs[i]
+		degree2[i] = r.degree2(in)
+		for _, q := range in.Parms {
+			degree2[i] = degree2[i] || (degree2[q] && in.Term.Op != core.OpRelinearize)
+		}
+	}
+	// finishes reports that a consumer takes a Q∪P operand and leaves no
+	// mod-down to redo: a RESCALE, or an ADD or SUB of degree-1 ciphertexts.
+	finishes := func(c int32) bool {
+		in := &instrs[c]
+		switch in.Term.Op {
+		case core.OpRescale:
+			return true
+		case core.OpAdd, core.OpSub:
+			a, b := in.Parms[0], in.Parms[1]
+			return instrs[a].Cipher && instrs[b].Cipher && !degree2[a] && !degree2[b]
+		}
+		return false
+	}
+	defers := func(id int32) bool {
 		in := &instrs[id]
-		in.DeferModDown = in.Term.Op.IsRotation() && !isOutput[id] && in.Refs == uses
-		if in.DeferModDown && in.Hoist >= 0 {
-			members[in.Hoist] = append(members[in.Hoist], id)
+		return !isOutput[id] && ((leafUses[id] > 0 && in.Refs == leafUses[id]) || (in.Refs == 1 && finishes(user[id])))
+	}
+
+	members := make([][]int32, len(r.Hoists))
+	for i := range instrs {
+		in := &instrs[i]
+		if !in.Cipher || in.Term.IsLeaf() {
+			continue
+		}
+		switch op := in.Term.Op; {
+		case op.IsRotation() || (op == core.OpRelinearize && degree2[in.Parms[0]]):
+			in.DeferModDown = defers(int32(i))
+			if in.DeferModDown && in.Hoist >= 0 {
+				members[in.Hoist] = append(members[in.Hoist], int32(i))
+			}
 		}
 	}
 	for h, deferred := range members {
@@ -400,6 +443,34 @@ func (r *Result) deferModDowns(isOutput []bool) {
 			set.Deferred = nil
 		}
 	}
+	// Sums and chain roots follow their operands, which come first in
+	// topological order.
+	for i := range instrs {
+		in := &instrs[i]
+		if in.Absorbed || (in.Chain == nil && in.Term.Op != core.OpAdd && in.Term.Op != core.OpSub) {
+			continue
+		}
+		in.DeferModDown = r.deferredOperand(in) && defers(int32(i))
+	}
+}
+
+// deferredOperand reports that in's operands include a deferred value: for
+// the root of a fused chain, one of its leaves' ciphertexts.
+func (r *Result) deferredOperand(in *Instr) bool {
+	if in.Chain != nil {
+		for _, pr := range in.Chain.Products {
+			if r.Instrs[pr.Ct].DeferModDown {
+				return true
+			}
+		}
+		return false
+	}
+	for _, q := range in.Parms {
+		if r.Instrs[q].DeferModDown {
+			return true
+		}
+	}
+	return false
 }
 
 // schedule builds the scheduling graph — fused chains contracted into their

@@ -71,7 +71,7 @@ func TestLoweringMatchesAnalyses(t *testing.T) {
 func TestPeakIgnoresDeadTerms(t *testing.T) {
 	want := map[string]int64{
 		"Sobel Filter Detection":  1351680,
-		"Harris Corner Detection": 1572864,
+		"Harris Corner Detection": 2392064,
 	}
 	suite, err := apps.Suite(64, 8)
 	if err != nil {

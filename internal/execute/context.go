@@ -235,11 +235,14 @@ type RunStats struct {
 	// RecycledBuffers counts the ciphertext polynomials returned to the
 	// evaluator's pool at their value's last use.
 	RecycledBuffers int
-	// ModDowns counts the divisions by the special product P this run made:
-	// two per relinearization and per rotation key switch, except that a
-	// rotation deferring its mod-down makes none and its fused chain makes
-	// two for all its deferred leaves.
-	ModDowns int
+	// ModDowns counts the divisions by the special product P this run made,
+	// one per ciphertext component: two per relinearization and per rotation
+	// key switch, except that one leaving its result over Q∪P
+	// (compile.Instr.DeferModDown) makes none, and two where a fused chain or
+	// a sum finishes such values. FusedRescales counts the rescales of such a
+	// value, each dividing by P·q_ℓ in one step instead of a mod-down.
+	ModDowns      int
+	FusedRescales int
 }
 
 // DecryptOutputs decrypts and decodes every encrypted output, truncating each

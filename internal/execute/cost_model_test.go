@@ -14,13 +14,14 @@ import (
 
 // TestCostModelMatchesRun holds the compiler's price list to the executor: on
 // Sobel, Harris, bench LeNet-5-small (steps repeated inside hoist sets) and
-// bench SqueezeNet (rotations deferring their mod-downs to fused chains), the
-// decompositions, key applications and mod-downs compile.Result.Cost charges,
-// read off each instruction's InstrUnits, are the ones a sequential run
-// performs. The run's side is one decomposition per hoisted batch
-// (RunStats.HoistedBatches), one key per distinct step a batch covers
-// (RunStats.HoistedRotations), one of each per relinearization and per
-// rotation outside a batch, and the mod-downs it counted (RunStats.ModDowns).
+// bench SqueezeNet (values left over Q∪P for fused chains, sums and
+// rescales), the decompositions, key applications, mod-downs and fused
+// rescales compile.Result.Cost charges, read off each instruction's
+// InstrUnits, are the ones a sequential run performs. The run's side is one
+// decomposition per hoisted batch (RunStats.HoistedBatches), one key per
+// distinct step a batch covers (RunStats.HoistedRotations), one of each per
+// relinearization and per rotation outside a batch, and the mod-downs and
+// fused rescales it counted (RunStats.ModDowns, RunStats.FusedRescales).
 func TestCostModelMatchesRun(t *testing.T) {
 	type program struct {
 		name string
@@ -46,17 +47,17 @@ func TestCostModelMatchesRun(t *testing.T) {
 		}
 	}
 
-	var repeated, deferred int
+	var repeated, deferred, fusedRescales int
 	for _, p := range corpus {
 		t.Run(p.name, func(t *testing.T) {
 			res := compileInsecure(t, p.prog, compile.DefaultOptions())
 			f := newFixture(t, res, p.in, 7)
 			for _, in := range res.Instrs {
-				if !in.Cipher || !in.Term.Op.IsRotation() {
-					continue
-				}
 				if in.DeferModDown {
 					deferred++
+				}
+				if !in.Cipher || !in.Term.Op.IsRotation() {
+					continue
 				}
 				if in.Hoist >= 0 && slices.Index(res.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos) {
 					repeated++
@@ -76,29 +77,50 @@ func TestCostModelMatchesRun(t *testing.T) {
 					}
 				},
 			})
-			// Cost sums InstrUnits: read what it charges each key switch off
-			// its units.
+			// Cost sums InstrUnits: read what it charges each key switch, each
+			// mod-down and each fused rescale off its units.
 			m := res.CostModel()
-			var decompositions, keys, modDowns int
+			leaf := 2 * float64(int(1)<<res.LogN) * float64(len(res.Plan.SpecialBits))
+			var decompositions, keys, modDowns, fused int
 			total := 0.0
 			for i, in := range res.Instrs {
 				units := res.InstrUnits(int32(i))
 				total += units
 				d, k, md := m.KeySwitchUnits(in.Level)
-				if in.Chain != nil {
-					// A chain root: its sum, or its sum and the mod-downs of
-					// its deferred leaves, each also multiplied over the
-					// special limbs.
+				op := in.Term.Op
+				switch {
+				case !in.Cipher || in.Term.IsLeaf():
+					continue
+				case in.Chain != nil:
+					// A chain root: its sum, plus the special-limb products
+					// of its deferred leaves, plus a mod-down unless its
+					// result stays deferred.
 					sum := m.OpUnits(core.OpAdd, in.Level, false)
-					leaf := 2 * float64(int(1)<<res.LogN) * float64(len(res.Plan.SpecialBits))
-					if leaves := (units - sum - md) / leaf; units != sum && (leaves < 1 || leaves != float64(int(leaves))) {
-						t.Errorf("chain root %s is charged %v units: not its sum (%v), nor its sum and a mod-down (%v) with whole leaves", in.Term, units, sum, sum+md)
-					} else if units != sum {
+					if leaves := (units - sum - md) / leaf; units > sum+md && leaves == float64(int(leaves)) {
 						modDowns += 2
+					} else if leaves := (units - sum) / leaf; units != sum && (leaves < 1 || leaves != float64(int(leaves))) {
+						t.Errorf("chain root %s is charged %v units: not its sum (%v), with or without a mod-down (%v), and whole leaves", in.Term, units, sum, md)
 					}
 					continue
-				}
-				if !in.Cipher || (in.Term.Op != core.OpRelinearize && !in.Term.Op.IsRotation()) {
+				case op == core.OpAdd || op == core.OpSub:
+					switch sum := m.OpUnits(op, in.Level, false); units {
+					case sum + md:
+						modDowns += 2
+					case sum:
+					default:
+						t.Errorf("%s is charged %v units: not its sum (%v), with or without a mod-down (%v)", in.Term, units, sum, md)
+					}
+					continue
+				case op == core.OpRescale:
+					switch operand := res.Instrs[in.Parms[0]]; units {
+					case m.FusedRescaleUnits(operand.Level):
+						fused++
+					case m.OpUnits(op, in.Level, false):
+					default:
+						t.Errorf("%s is charged %v units: not a rescale nor a fused one", in.Term, units)
+					}
+					continue
+				case op != core.OpRelinearize && !op.IsRotation():
 					continue
 				}
 				switch units {
@@ -133,9 +155,14 @@ func TestCostModelMatchesRun(t *testing.T) {
 			if modDowns != out.Stats.ModDowns {
 				t.Errorf("Cost charges %d mod-downs; the run made %d", modDowns, out.Stats.ModDowns)
 			}
+			if fused != out.Stats.FusedRescales {
+				t.Errorf("Cost charges %d fused rescales; the run made %d", fused, out.Stats.FusedRescales)
+			}
+			fusedRescales += fused
 		})
 	}
-	if !raceEnabled && (repeated == 0 || deferred == 0) {
-		t.Errorf("the corpus no longer exercises every pricing case: %d repeated steps, %d deferred mod-downs", repeated, deferred)
+	if !raceEnabled && (repeated == 0 || deferred == 0 || fusedRescales == 0) {
+		t.Errorf("the corpus no longer exercises every pricing case: %d repeated steps, %d deferred mod-downs, %d fused rescales",
+			repeated, deferred, fusedRescales)
 	}
 }

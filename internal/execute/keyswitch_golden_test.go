@@ -52,8 +52,8 @@ func goldenDigests(t *testing.T) map[string]string {
 // ciphertext are byte-identical to what the commit with the per-prime key
 // switch produced (digests recorded there, see the golden file); the
 // differential tests show that a run with the mechanisms on produces the same
-// bytes unless it defers mod-downs to fused chains. For the programs that do,
-// the fused run's digest is pinned too (keyswitch_fused.golden). Digit sizes above 1
+// bytes unless it defers mod-downs. For the programs that do, the digest of
+// the run with the mechanisms on is pinned too (keyswitch_fused.golden). Digit sizes above 1
 // compute a different — equally valid — lift of each digit, so their outputs
 // differ in the noise bits; TestKeySwitchNoise in internal/ckks bounds that.
 func TestKeySwitchDigitSizeOneMatchesParent(t *testing.T) {

@@ -98,9 +98,8 @@ func (b *treeBuilder) output(name string, t *core.Term) {
 // mechanisms on identical keys and inputs. Cold and warm outputs are
 // byte-identical and within treeTolerance of RunReference on the source
 // program; so is the run without mechanisms unless the program defers
-// mod-downs to fused chains, when the warm run's error against RunReference
-// is at most 1.25× its. It returns the statistics and serialized outputs of
-// the warm run.
+// mod-downs, when the warm run's error against RunReference is at most 1.25×
+// its. It returns the statistics and serialized outputs of the warm run.
 func runBothWays(t *testing.T, prog *core.Program, sched execute.Scheduler) (execute.RunStats, map[string][]byte) {
 	t.Helper()
 	in := randomInputs(prog, 9)

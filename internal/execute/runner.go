@@ -129,6 +129,7 @@ type runState struct {
 
 	cacheHits, cacheMisses atomic.Int64
 	modDowns               atomic.Int64
+	fusedRescales          atomic.Int64
 
 	mu sync.Mutex
 	// values, refs and pending are indexed by instruction id. A worker reads
@@ -184,7 +185,7 @@ func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (va
 }
 
 // rotate is a rotation outside a hoisted batch: a batch of one when the
-// compiler deferred its mod-down to its fused chain (and the run fuses),
+// compiler deferred its mod-down to its consumer (and the run fuses),
 // Evaluator.RotateLeft otherwise.
 func (st *runState) rotate(in *compile.Instr, src *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	ev := st.ctx.Evaluator
@@ -203,11 +204,29 @@ func (st *runState) rotate(in *compile.Instr, src *ckks.Ciphertext) (*ckks.Ciphe
 }
 
 // countModDowns counts the two mod-downs of a key switch that produced ct,
-// unless ct defers them to its fused chain.
+// unless ct defers them to its consumer.
 func (st *runState) countModDowns(ct *ckks.Ciphertext) {
 	if !ct.Deferred() {
 		st.modDowns.Add(2)
 	}
+}
+
+// finish mods down a result left over Q∪P unless the compiler left it there
+// for its consumer (Instr.DeferModDown). It returns ct itself otherwise.
+func (st *runState) finish(in *compile.Instr, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	if !ct.Deferred() || in.DeferModDown {
+		return ct, nil
+	}
+	ev := st.ctx.Evaluator
+	out, err := ev.ModDown(ct)
+	if err != nil {
+		return nil, err
+	}
+	st.modDowns.Add(2)
+	if st.recycle {
+		ev.Recycle(ct)
+	}
+	return out, nil
 }
 
 // Run executes a compiled program on encrypted inputs using the CKKS backend.
@@ -305,6 +324,7 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 	}
 	st.stats.PlainCacheHits, st.stats.PlainCacheMisses = int(st.cacheHits.Load()), int(st.cacheMisses.Load())
 	st.stats.ModDowns = int(st.modDowns.Load())
+	st.stats.FusedRescales = int(st.fusedRescales.Load())
 	st.stats.Instructions = n
 	st.stats.Workers = opts.Workers
 	st.stats.WallTime = time.Since(start)
@@ -681,7 +701,7 @@ func (st *runState) operand(in *compile.Instr, slot int) (value, error) {
 }
 
 // plaintext encodes the plain operand q at a level and scale, extended over
-// the special primes when it multiplies a deferred rotation. A run-invariant
+// the special primes when it multiplies a deferred ciphertext. A run-invariant
 // operand comes from the program's cache when it can — encoded on the first run
 // that needs it there, never ahead of time.
 func (st *runState) plaintext(q int32, level int, scale float64, extended bool) (*ckks.Plaintext, error) {
@@ -716,14 +736,14 @@ func (st *runState) plaintext(q int32, level int, scale float64, extended bool) 
 	return pt, nil
 }
 
-// evalChain evaluates a fused chain as one multiply-accumulate, which also
-// finishes the mod-downs its deferred rotations left to it. It returns nil
-// when the backend refuses the operands (mixed levels or degrees, mismatched
-// scales); the caller then evaluates the chain's members one by one.
+// evalChain evaluates a fused chain as one multiply-accumulate, whose sum
+// stays over Q∪P when a leaf is deferred, and mods that sum down unless the
+// chain's root defers it too. It returns nil when the backend refuses the
+// operands (mixed levels or degrees, mismatched scales); the caller then
+// evaluates the chain's members one by one.
 func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
 	cts := make([]*ckks.Ciphertext, len(ch.Products))
 	pts := make([]*ckks.Plaintext, len(ch.Products))
-	deferred := false
 	for i, pr := range ch.Products {
 		ct := st.values[pr.Ct].ct
 		if ct == nil {
@@ -734,14 +754,13 @@ func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
 			return nil
 		}
 		cts[i], pts[i] = ct, pt
-		deferred = deferred || ct.Deferred()
 	}
 	out, err := st.ctx.Evaluator.MulPlainAccumulate(cts, pts)
 	if err != nil {
 		return nil
 	}
-	if deferred {
-		st.modDowns.Add(2)
+	if out, err = st.finish(&st.res.Instrs[ch.Members[len(ch.Members)-1]], out); err != nil {
+		return nil
 	}
 	return out
 }
@@ -789,14 +808,18 @@ func (st *runState) eval(in *compile.Instr) (value, error) {
 		}
 		ct, err = st.rotate(in, a.ct)
 	case core.OpRelinearize:
-		ct, err = ev.Relinearize(a.ct)
-		if err == nil && a.ct.Degree() == 2 {
+		if in.DeferModDown && st.fuse {
+			ct, err = ev.RelinearizeDeferred(a.ct)
+		} else if ct, err = ev.Relinearize(a.ct); err == nil && a.ct.Degree() == 2 {
 			st.modDowns.Add(2)
 		}
 	case core.OpModSwitch:
 		ct, err = ev.ModSwitch(a.ct)
 	case core.OpRescale:
 		ct, err = ev.Rescale(a.ct)
+		if err == nil && a.ct.Deferred() {
+			st.fusedRescales.Add(1)
+		}
 	default:
 		err = fmt.Errorf("execute: unsupported opcode %s", t.Op)
 	}
@@ -812,13 +835,20 @@ func (st *runState) evalBinary(in *compile.Instr, a, b value) (*ckks.Ciphertext,
 	t := in.Term
 	ev := st.ctx.Evaluator
 
-	// Cipher-cipher uses the homomorphic evaluator directly.
+	// Cipher-cipher uses the homomorphic evaluator directly. A sum with an
+	// operand left over Q∪P stays there too, until finish mods it down.
 	if a.ct != nil && b.ct != nil {
 		switch t.Op {
-		case core.OpAdd:
-			return ev.Add(a.ct, b.ct)
-		case core.OpSub:
-			return ev.Sub(a.ct, b.ct)
+		case core.OpAdd, core.OpSub:
+			op := ev.Add
+			if t.Op == core.OpSub {
+				op = ev.Sub
+			}
+			ct, err := op(a.ct, b.ct)
+			if err != nil {
+				return nil, err
+			}
+			return st.finish(in, ct)
 		default:
 			return ev.Mul(a.ct, b.ct)
 		}

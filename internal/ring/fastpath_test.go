@@ -14,7 +14,7 @@ import (
 // retained Div64-based reference implementations.
 
 func TestNTTMatchesReference(t *testing.T) {
-	for _, logN := range []int{2, 4, 8, 10} {
+	for _, logN := range []int{2, 3, 4, 8, 10, 12, 13, 14} {
 		r := testRing(t, logN, 3)
 		for seed := int64(0); seed < 4; seed++ {
 			p := randPoly(r, 2, 100+seed)

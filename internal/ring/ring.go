@@ -36,6 +36,11 @@ type Modulus struct {
 	psiInvShoup []uint64      // Shoup quotients of psiInv
 	nInv        uint64        // N^{-1} mod Q
 	nInvShoup   uint64        // Shoup quotient of nInv
+	// psiInvNInv is psiInv^brv(1)·N^{-1} mod Q, the last inverse stage's
+	// twiddle with the final scaling folded in; psiInvNInvShoup its Shoup
+	// quotient.
+	psiInvNInv      uint64
+	psiInvNInvShoup uint64
 }
 
 // NewModulus precomputes the NTT tables for prime q and transform length
@@ -77,6 +82,8 @@ func NewModulus(q uint64, logN int) (*Modulus, error) {
 		m.psiShoup[i] = numth.ShoupPrecomp(m.psiPows[i], q)
 		m.psiInvShoup[i] = numth.ShoupPrecomp(m.psiInv[i], q)
 	}
+	m.psiInvNInv = numth.MulMod(m.psiInv[1], m.nInv, q)
+	m.psiInvNInvShoup = numth.ShoupPrecomp(m.psiInvNInv, q)
 	return m, nil
 }
 
@@ -88,130 +95,153 @@ func (m *Modulus) Barrett() numth.Barrett { return m.br }
 // modulo m.Q) into the negacyclic NTT domain in place. The output is fully
 // reduced to [0, Q).
 //
-// The butterflies are the lazy-reduction Cooley-Tukey form: values ride in
-// [0, 4q), the twiddle product is a Shoup multiplication into [0, 2q), and a
-// single final pass reduces everything to [0, q). This removes every
-// hardware division from the transform.
+// The butterflies are the lazy-reduction Cooley-Tukey form (ctButterfly):
+// values ride in [0, 4q), the twiddle product is a Shoup multiplication into
+// [0, 2q), and the last pass reduces everything to [0, q). This removes every
+// hardware division from the transform. The stages run two per sweep over
+// the array (radix 4: each group of four values takes its two butterflies of
+// one stage and its two of the next while in registers), after a lone first
+// stage when the count is odd, and the last two stages (strides 2 and 1) run
+// with the final reduction as one pass over blocks of four. Every butterfly
+// sees the operands the stage-by-stage order gives it, so the output is the
+// same.
 func (m *Modulus) NTT(a []uint64) {
-	q := m.Q
+	q, n := m.Q, m.n
 	twoQ := q << 1
-	t := m.n
-	for mm := 1; mm < m.n; mm <<= 1 {
-		t >>= 1
+	a = a[:n]
+	mm, t := 1, n>>1 // the next stage: mm blocks of 2t values
+	if m.logN%2 == 1 {
+		s, sh := m.psiPows[1], m.psiShoup[1]
+		x, y := a[:t], a[t : 2*t][:t]
+		for j := range x {
+			x[j], y[j] = ctButterfly(x[j], y[j], s, sh, q, twoQ)
+		}
+		mm, t = 2, t>>1
+	}
+	for ; t >= 8; mm, t = mm<<2, t>>2 {
+		h := t >> 1
 		for i := 0; i < mm; i++ {
+			s, sh := m.psiPows[mm+i], m.psiShoup[mm+i]
+			s1, sh1 := m.psiPows[2*mm+2*i], m.psiShoup[2*mm+2*i]
+			s2, sh2 := m.psiPows[2*mm+2*i+1], m.psiShoup[2*mm+2*i+1]
 			j1 := 2 * i * t
-			s := m.psiPows[mm+i]
-			sh := m.psiShoup[mm+i]
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			// The butterflies are unrolled four wide: x and y are two
-			// contiguous streams exactly one cache block apart per
-			// iteration, so widening each step amortizes the loop control
-			// and the bounds checks over four loads from each line.
-			j := 0
-			for ; j+4 <= t; j += 4 {
-				u0, u1, u2, u3 := x[j], x[j+1], x[j+2], x[j+3]
-				if u0 >= twoQ {
-					u0 -= twoQ
-				}
-				if u1 >= twoQ {
-					u1 -= twoQ
-				}
-				if u2 >= twoQ {
-					u2 -= twoQ
-				}
-				if u3 >= twoQ {
-					u3 -= twoQ
-				}
-				v0 := numth.MulModShoupLazy(y[j], s, sh, q)
-				v1 := numth.MulModShoupLazy(y[j+1], s, sh, q)
-				v2 := numth.MulModShoupLazy(y[j+2], s, sh, q)
-				v3 := numth.MulModShoupLazy(y[j+3], s, sh, q)
-				x[j], x[j+1], x[j+2], x[j+3] = u0+v0, u1+v1, u2+v2, u3+v3
-				y[j] = u0 + twoQ - v0
-				y[j+1] = u1 + twoQ - v1
-				y[j+2] = u2 + twoQ - v2
-				y[j+3] = u3 + twoQ - v3
-			}
-			for ; j < t; j++ {
-				u := x[j]
-				if u >= twoQ {
-					u -= twoQ
-				}
-				v := numth.MulModShoupLazy(y[j], s, sh, q)
-				x[j] = u + v
-				y[j] = u + twoQ - v
+			x0 := a[j1 : j1+h]
+			x1 := a[j1+h : j1+t][:len(x0)]
+			x2 := a[j1+t : j1+t+h][:len(x0)]
+			x3 := a[j1+t+h : j1+2*t][:len(x0)]
+			for k := range x0 {
+				u0, u2 := ctButterfly(x0[k], x2[k], s, sh, q, twoQ)
+				u1, u3 := ctButterfly(x1[k], x3[k], s, sh, q, twoQ)
+				x0[k], x1[k] = ctButterfly(u0, u1, s1, sh1, q, twoQ)
+				x2[k], x3[k] = ctButterfly(u2, u3, s2, sh2, q, twoQ)
 			}
 		}
 	}
-	for j, x := range a {
-		if x >= twoQ {
-			x -= twoQ
-		}
-		if x >= q {
-			x -= q
-		}
-		a[j] = x
+	// Strides 2 and 1: block b of four takes twiddle ψ[n/4+b] for the first
+	// and ψ[n/2+2b], ψ[n/2+2b+1] for the second.
+	quarter, half := n>>2, n>>1
+	ts, tsh := m.psiPows[quarter:half], m.psiShoup[quarter:half]
+	for b, s := range ts {
+		v := (*[4]uint64)(a[4*b : 4*b+4])
+		w := (*[2]uint64)(m.psiPows[half+2*b : half+2*b+2])
+		wh := (*[2]uint64)(m.psiShoup[half+2*b : half+2*b+2])
+		sh := tsh[b]
+		u0, u2 := ctButterfly(v[0], v[2], s, sh, q, twoQ)
+		u1, u3 := ctButterfly(v[1], v[3], s, sh, q, twoQ)
+		u0, u1 = ctButterfly(u0, u1, w[0], wh[0], q, twoQ)
+		u2, u3 = ctButterfly(u2, u3, w[1], wh[1], q, twoQ)
+		v[0], v[1], v[2], v[3] = reduce4q(u0, q, twoQ), reduce4q(u1, q, twoQ), reduce4q(u2, q, twoQ), reduce4q(u3, q, twoQ)
 	}
+}
+
+// ctButterfly is the lazy Cooley-Tukey butterfly: from x, y in [0, 4q) it
+// returns x + ψy and x − ψy, both in [0, 4q), with ψ = s and sh its Shoup
+// quotient.
+func ctButterfly(x, y, s, sh, q, twoQ uint64) (uint64, uint64) {
+	if x >= twoQ {
+		x -= twoQ
+	}
+	v := numth.MulModShoupLazy(y, s, sh, q)
+	return x + v, x + twoQ - v
+}
+
+// reduce4q reduces x in [0, 4q) to [0, q).
+func reduce4q(x, q, twoQ uint64) uint64 {
+	if x >= twoQ {
+		x -= twoQ
+	}
+	if x >= q {
+		x -= q
+	}
+	return x
+}
+
+// gsButterfly is the lazy Gentleman-Sande butterfly: from x, y in [0, 2q) it
+// returns x + y and (x − y)·ψ, both in [0, 2q), with ψ = s and sh its Shoup
+// quotient.
+func gsButterfly(x, y, s, sh, q, twoQ uint64) (uint64, uint64) {
+	w := x + y
+	if w >= twoQ {
+		w -= twoQ
+	}
+	return w, numth.MulModShoupLazy(x+twoQ-y, s, sh, q)
 }
 
 // InvNTT transforms a from the NTT domain back to coefficient representation
 // in place, output fully reduced to [0, Q). It is the lazy Gentleman-Sande
-// form: values ride in [0, 2q), and the final multiplication by N^{-1} (a
-// strict Shoup multiplication) performs the last reduction.
+// form (gsButterfly): values ride in [0, 2q). The first two stages (strides 1
+// and 2) run as one pass over blocks of four, and the last stage multiplies
+// by N^{-1} as it goes — its sums by N^{-1}, its differences by ψ^{-1}·N^{-1},
+// both strict Shoup multiplications — so there is no separate scaling pass.
+// Each output is the residue the stage-by-stage order with a final scaling
+// gives.
 func (m *Modulus) InvNTT(a []uint64) {
-	q := m.Q
+	q, n := m.Q, m.n
 	twoQ := q << 1
-	t := 1
-	for mm := m.n; mm > 1; mm >>= 1 {
+	a = a[:n]
+	quarter, half := n>>2, n>>1
+	ts, tsh := m.psiInv[quarter:half], m.psiInvShoup[quarter:half]
+	for b, s := range ts {
+		v := (*[4]uint64)(a[4*b : 4*b+4])
+		w := (*[2]uint64)(m.psiInv[half+2*b : half+2*b+2])
+		wh := (*[2]uint64)(m.psiInvShoup[half+2*b : half+2*b+2])
+		sh := tsh[b]
+		u0, u1 := gsButterfly(v[0], v[1], w[0], wh[0], q, twoQ)
+		u2, u3 := gsButterfly(v[2], v[3], w[1], wh[1], q, twoQ)
+		v[0], v[2] = gsButterfly(u0, u2, s, sh, q, twoQ)
+		v[1], v[3] = gsButterfly(u1, u3, s, sh, q, twoQ)
+	}
+	if n == 4 {
+		for j := range a {
+			a[j] = numth.MulModShoup(a[j], m.nInv, m.nInvShoup, q)
+		}
+		return
+	}
+	t := 4
+	for mm := quarter; mm > 2; mm >>= 1 {
 		j1 := 0
 		h := mm >> 1
 		for i := 0; i < h; i++ {
 			s := m.psiInv[h+i]
 			sh := m.psiInvShoup[h+i]
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			j := 0
-			for ; j+4 <= t; j += 4 {
-				u0, v0 := x[j], y[j]
-				u1, v1 := x[j+1], y[j+1]
-				u2, v2 := x[j+2], y[j+2]
-				u3, v3 := x[j+3], y[j+3]
-				w0, w1, w2, w3 := u0+v0, u1+v1, u2+v2, u3+v3
-				if w0 >= twoQ {
-					w0 -= twoQ
-				}
-				if w1 >= twoQ {
-					w1 -= twoQ
-				}
-				if w2 >= twoQ {
-					w2 -= twoQ
-				}
-				if w3 >= twoQ {
-					w3 -= twoQ
-				}
-				x[j], x[j+1], x[j+2], x[j+3] = w0, w1, w2, w3
-				y[j] = numth.MulModShoupLazy(u0+twoQ-v0, s, sh, q)
-				y[j+1] = numth.MulModShoupLazy(u1+twoQ-v1, s, sh, q)
-				y[j+2] = numth.MulModShoupLazy(u2+twoQ-v2, s, sh, q)
-				y[j+3] = numth.MulModShoupLazy(u3+twoQ-v3, s, sh, q)
-			}
-			for ; j < t; j++ {
-				u := x[j]
-				v := y[j]
-				w := u + v
-				if w >= twoQ {
-					w -= twoQ
-				}
-				x[j] = w
-				y[j] = numth.MulModShoupLazy(u+twoQ-v, s, sh, q)
+			x := a[j1 : j1+t]
+			y := a[j1+t : j1+2*t][:len(x)]
+			for j := range x {
+				x[j], y[j] = gsButterfly(x[j], y[j], s, sh, q, twoQ)
 			}
 			j1 += 2 * t
 		}
 		t <<= 1
 	}
-	for j := range a {
-		a[j] = numth.MulModShoup(a[j], m.nInv, m.nInvShoup, q)
+	x, y := a[:half], a[half:][:half]
+	for j := range x {
+		u, v := x[j], y[j]
+		w := u + v
+		if w >= twoQ {
+			w -= twoQ
+		}
+		x[j] = numth.MulModShoup(w, m.nInv, m.nInvShoup, q)
+		y[j] = numth.MulModShoup(u+twoQ-v, m.psiInvNInv, m.psiInvNInvShoup, q)
 	}
 }
 
