@@ -122,11 +122,12 @@ func (m CostModel) FusedRescaleUnits(chainPos int) float64 {
 // the sum of its Leaves deferred operands, multiplying each by a plaintext
 // over the α special limbs too; a sum with a deferred operand finishes it
 // with ModDown; and a Rescale of a deferred value (Level is then the
-// operand's) divides by P·q_ℓ in one step.
+// operand's) divides by P·q_ℓ in one step. A chain root or sum that adds a
+// Q-only value to a deferred one Lifts it into the extended basis as P·x.
 type KeySwitch struct {
-	Level                                 int
-	Decompose, ApplyKey, ModDown, Rescale bool
-	Leaves                                int
+	Level                                       int
+	Decompose, ApplyKey, ModDown, Rescale, Lift bool
+	Leaves                                      int
 }
 
 // ChainKeySwitches is one relinearization at every position of a chain of the
@@ -141,9 +142,10 @@ func ChainKeySwitches(chainLength int) []KeySwitch {
 }
 
 // KeySwitchPrice sums the KeySwitchUnits parts the switches do, their fused
-// rescales (FusedRescaleUnits), and the special-limb products of their
-// deferred leaves (what a ciphertext-plaintext product costs, OpUnits, over α
-// limbs instead of the chain's).
+// rescales (FusedRescaleUnits), the special-limb products of their deferred
+// leaves (what a ciphertext-plaintext product costs, OpUnits, over α limbs
+// instead of the chain's), and their lifts (per component, one pass over the
+// chain limbs and one over the special limbs).
 func (m CostModel) KeySwitchPrice(switches ...KeySwitch) float64 {
 	total := 0.0
 	for _, ks := range switches {
@@ -160,9 +162,11 @@ func (m CostModel) KeySwitchPrice(switches ...KeySwitch) float64 {
 		if ks.Rescale {
 			total += m.FusedRescaleUnits(ks.Level)
 		}
-		if ks.Leaves > 0 {
-			n, _, _ := m.shape(ks.Level)
-			total += float64(ks.Leaves) * 2 * n * float64(max(m.DigitSize, 1))
+		n, _, limbs := m.shape(ks.Level)
+		alpha := float64(max(m.DigitSize, 1))
+		total += float64(ks.Leaves) * 2 * n * alpha
+		if ks.Lift {
+			total += 2 * n * (limbs + alpha)
 		}
 	}
 	return total

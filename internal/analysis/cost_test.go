@@ -64,7 +64,8 @@ func TestKeySwitchUnitsShape(t *testing.T) {
 
 // TestKeySwitchPriceHalves: KeySwitchPrice charges exactly the parts each
 // switch does, a deferred leaf a ciphertext-plaintext product over the α
-// special limbs, and sums a list.
+// special limbs, a lift one such product over the chain and special limbs,
+// and sums a list.
 func TestKeySwitchPriceHalves(t *testing.T) {
 	m := CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}
 	d, k, md := m.KeySwitchUnits(5)
@@ -72,6 +73,7 @@ func TestKeySwitchPriceHalves(t *testing.T) {
 		t.Errorf("two mod-downs (%v units) priced below the key's inner product (%v)", md, k)
 	}
 	leaf := m.OpUnits(core.OpMultiply, 16-4, false) // a product over 4 limbs
+	lift := m.OpUnits(core.OpMultiply, 5-4, false)  // a product over the 11 chain and 4 special limbs
 	cases := []struct {
 		ks   KeySwitch
 		want float64
@@ -82,6 +84,8 @@ func TestKeySwitchPriceHalves(t *testing.T) {
 		{KeySwitch{Level: 5, Decompose: true, ApplyKey: true, ModDown: true}, d + k + md},
 		{KeySwitch{Level: 5, Decompose: true, ApplyKey: true}, d + k},
 		{KeySwitch{Level: 5, ModDown: true, Leaves: 3}, md + 3*leaf},
+		{KeySwitch{Level: 5, Lift: true}, lift},
+		{KeySwitch{Level: 5, ModDown: true, Lift: true, Leaves: 1}, md + lift + leaf},
 		{KeySwitch{Level: 5}, 0},
 	}
 	total := 0.0

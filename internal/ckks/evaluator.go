@@ -179,35 +179,34 @@ func (ev *Evaluator) addSub(a, b *Ciphertext, sub bool) (*Ciphertext, error) {
 
 // addSubDeferred is a ± b with at least one deferred operand, both of degree
 // 1: the result stays over Q∪P. Over the special primes a Q-only operand is
-// P·x ≡ 0, so there the result is the deferred operand's limbs (negated for
-// a deferred subtrahend of a Q-only minuend).
+// P·x ≡ 0, so there the result is the deferred operand's limbs. A Q-only
+// first operand swaps places with the deferred one: a + b = b + a, and
+// a − b = −(b − a).
 func (ev *Evaluator) addSubDeferred(a, b *Ciphertext, sub bool, what string) (*Ciphertext, error) {
 	if a.Degree() != 1 || b.Degree() != 1 {
 		return nil, fmt.Errorf("ckks: %s of a deferred ciphertext requires degree-1 operands (got %d and %d)", what, a.Degree(), b.Degree())
+	}
+	negate := false
+	if !a.Deferred() {
+		a, b, negate = b, a, sub
 	}
 	r, rp := ev.params.RingQ(), ev.params.RingP()
 	out := ev.newDeferred(a.Level, a.Scale)
 	for i := range out.Value {
 		switch {
-		case a.Deferred() && b.Deferred() && sub:
+		case b.Deferred() && sub:
 			r.Sub(a.Value[i], b.Value[i], out.Value[i])
 			rp.Sub(a.ValueP[i], b.ValueP[i], out.ValueP[i])
-		case a.Deferred() && b.Deferred():
+		case b.Deferred():
 			r.Add(a.Value[i], b.Value[i], out.Value[i])
 			rp.Add(a.ValueP[i], b.ValueP[i], out.ValueP[i])
-		case a.Deferred():
-			op := xPlusPY
-			if sub {
-				op = xMinusPY
-			}
-			ev.liftCombine(a.Value[i], b.Value[i], out.Value[i], op)
-			out.ValueP[i].Copy(a.ValueP[i])
-		case sub:
-			ev.liftCombine(b.Value[i], a.Value[i], out.Value[i], pYMinusX)
-			rp.Neg(b.ValueP[i], out.ValueP[i])
 		default:
-			ev.liftCombine(b.Value[i], a.Value[i], out.Value[i], xPlusPY)
-			out.ValueP[i].Copy(b.ValueP[i])
+			ev.liftCombine(a.Value[i], b.Value[i], out.Value[i], sub)
+			out.ValueP[i].Copy(a.ValueP[i])
+		}
+		if negate {
+			r.Neg(out.Value[i], out.Value[i])
+			rp.Neg(out.ValueP[i], out.ValueP[i])
 		}
 		out.Value[i].IsNTT, out.ValueP[i].IsNTT = true, true
 	}
@@ -415,8 +414,8 @@ func (ev *Evaluator) MulPlainAccumulate(cts []*Ciphertext, pts []*Plaintext) (*C
 	if deferred < len(cts) {
 		acc0, acc1 := ev.pool.Get(level), ev.pool.Get(level)
 		ev.accumulate(r, ev.pool, len(cts), leaves(false, false), acc0, acc1)
-		ev.liftCombine(out.Value[0], acc0, out.Value[0], xPlusPY)
-		ev.liftCombine(out.Value[1], acc1, out.Value[1], xPlusPY)
+		ev.liftCombine(out.Value[0], acc0, out.Value[0], false)
+		ev.liftCombine(out.Value[1], acc1, out.Value[1], false)
 		ev.pool.Put(acc0)
 		ev.pool.Put(acc1)
 	}
@@ -497,8 +496,8 @@ func (ev *Evaluator) relinearize(a *Ciphertext, deferred bool) (*Ciphertext, err
 	defer ev.releaseDecomp(h)
 	if deferred {
 		acc0Q, acc1Q, acc0P, acc1P := ev.innerProductHoisted(h, ev.rlk.Key, 1)
-		ev.liftCombine(acc0Q, a.Value[0], acc0Q, xPlusPY)
-		ev.liftCombine(acc1Q, a.Value[1], acc1Q, xPlusPY)
+		ev.liftCombine(acc0Q, a.Value[0], acc0Q, false)
+		ev.liftCombine(acc1Q, a.Value[1], acc1Q, false)
 		return &Ciphertext{Value: []*ring.Poly{acc0Q, acc1Q}, ValueP: []*ring.Poly{acc0P, acc1P}, Scale: a.Scale, Level: a.Level}, nil
 	}
 	ks0, ks1 := ev.keySwitchHoisted(h, ev.rlk.Key, 1)
@@ -586,7 +585,7 @@ func (ev *Evaluator) rotateFromDecomp(a *Ciphertext, h *hoistedDecomp, swk *Swit
 	r.AutomorphismNTT(a.Value[0], galEl, rot0)
 	if deferred {
 		acc0Q, acc1Q, acc0P, acc1P := ev.innerProductHoisted(h, swk, galEl)
-		ev.liftCombine(acc0Q, rot0, acc0Q, xPlusPY)
+		ev.liftCombine(acc0Q, rot0, acc0Q, false)
 		ev.pool.Put(rot0)
 		return &Ciphertext{Value: []*ring.Poly{acc0Q, acc1Q}, ValueP: []*ring.Poly{acc0P, acc1P}, Scale: a.Scale, Level: a.Level}
 	}

@@ -182,38 +182,24 @@ func (ev *Evaluator) innerProductHoisted(h *hoistedDecomp, swk *SwitchingKey, ga
 	return acc0Q, acc1Q, acc0P, acc1P
 }
 
-// liftOp selects what liftCombine computes from x (over Q) and P·y, y over Q
-// lifted into the extended basis Q∪P, where it is zero modulo every special
-// prime.
-type liftOp int
-
-const (
-	xPlusPY  liftOp = iota // x + P·y
-	xMinusPY               // x − P·y
-	pYMinusX               // P·y − x
-)
-
-// liftCombine sets out = x ± P·y (or P·y − x) over out's chain limbs, NTT
-// form, P the special product: the chain half of combining a deferred value
-// with a Q-only one. Aliasing out with x or y is safe.
-func (ev *Evaluator) liftCombine(x, y, out *ring.Poly, op liftOp) {
+// liftCombine sets out = x + P·y, or x − P·y when sub, over out's chain
+// limbs, NTT form, P the special product and y over Q lifted into the
+// extended basis Q∪P, where it is zero modulo every special prime: the chain
+// half of combining a deferred value with a Q-only one. Aliasing out with x
+// or y is safe.
+func (ev *Evaluator) liftCombine(x, y, out *ring.Poly, sub bool) {
 	params := ev.params
 	for i, oi := range out.Coeffs {
 		q := params.RingQ().Moduli[i].Q
 		pm, ps := params.pModQ[i], params.pShoupModQ[i]
 		xi, yi := x.Coeffs[i][:len(oi)], y.Coeffs[i][:len(oi)]
-		switch op {
-		case xPlusPY:
-			for j := range oi {
-				oi[j] = numth.AddMod(xi[j], numth.MulModShoup(yi[j], pm, ps, q), q)
-			}
-		case xMinusPY:
+		if sub {
 			for j := range oi {
 				oi[j] = numth.SubMod(xi[j], numth.MulModShoup(yi[j], pm, ps, q), q)
 			}
-		default:
+		} else {
 			for j := range oi {
-				oi[j] = numth.SubMod(numth.MulModShoup(yi[j], pm, ps, q), xi[j], q)
+				oi[j] = numth.AddMod(xi[j], numth.MulModShoup(yi[j], pm, ps, q), q)
 			}
 		}
 	}

@@ -36,9 +36,10 @@ func (r *Result) InstrUnits(id int32) float64 {
 // it; later members with that step reuse its result and do nothing. Either
 // mods down its result unless it defers (Instr.DeferModDown). A value left
 // over Q∪P is finished by its consumer: the root of a fused chain with
-// deferred leaves multiplies each over the special limbs as well, and it or
-// a sum with a deferred operand mods down unless it defers in turn; a
-// rescale of a deferred value divides by P·q_ℓ in one step.
+// deferred leaves multiplies each over the special limbs as well, it or a
+// sum with a deferred operand lifts a Q-only operand as P·x, and mods down
+// unless it defers in turn; a rescale of a deferred value divides by P·q_ℓ in
+// one step.
 func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
 	ks.Level = in.Level
 	if in.Chain != nil {
@@ -47,7 +48,7 @@ func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
 				ks.Leaves++
 			}
 		}
-		ks.ModDown = !in.DeferModDown
+		ks.ModDown, ks.Lift = !in.DeferModDown, ks.Leaves < len(in.Chain.Products)
 		return ks, ks.Leaves > 0
 	}
 	switch op := in.Term.Op; {
@@ -58,8 +59,12 @@ func (r *Result) keySwitch(in *Instr) (ks analysis.KeySwitch, ok bool) {
 		ks.Level, ks.Rescale = operand.Level, operand.DeferModDown
 		return ks, ks.Rescale
 	case op == core.OpAdd || op == core.OpSub:
-		ks.ModDown = r.deferredOperand(in) && !in.DeferModDown
-		return ks, ks.ModDown
+		if !r.deferredOperand(in) {
+			return ks, false
+		}
+		a, b := &r.Instrs[in.Parms[0]], &r.Instrs[in.Parms[1]]
+		ks.ModDown, ks.Lift = !in.DeferModDown, a.DeferModDown != b.DeferModDown
+		return ks, true
 	case op != core.OpRelinearize && !op.IsRotation():
 		return ks, false
 	case in.Hoist >= 0 && slices.Index(r.Hoists[in.Hoist].Steps, in.Rot) < int(in.HoistPos):

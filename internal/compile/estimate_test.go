@@ -42,9 +42,11 @@ func referenceLevels(p *core.Program) map[*core.Term]int {
 // outputs and either every use is a leaf of a fusable chain or their one use
 // is a RESCALE or an ADD or SUB of two degree-1 Cipher terms — except a
 // rotation some member of its rotation set taking the same step does not
-// defer with. It returns the deferring terms and, per chain root, how many of
-// its leaves multiply a deferring term.
-func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int) {
+// defer with, and a term whose sum would mod down the one deferred operand
+// it has (found by refusing such sums and marking again). It returns the
+// deferring terms, per chain root how many of its leaves multiply a deferring
+// term, and the chain roots with a leaf that multiplies no deferring term.
+func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished map[*core.Term]int, lifted map[*core.Term]bool) {
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	levels, scales := referenceLevels(p), rewrite.ComputeLogScales(p)
@@ -120,61 +122,85 @@ func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int
 			degree2[t] = degree2[t] || (degree2[q] && t.Op != core.OpRelinearize)
 		}
 	}
-	mayDefer := func(t *core.Term) bool {
-		if output[t] {
-			return false
-		}
-		if leafUses[t] > 0 && uses[t] == leafUses[t] {
-			return true
-		}
-		if uses[t] != 1 {
-			return false
-		}
-		switch u := user[t]; u.Op {
-		case core.OpRescale:
-			return true
-		case core.OpAdd, core.OpSub:
-			a, b := u.Parm(0), u.Parm(1)
-			return types[a] == core.TypeCipher && types[b] == core.TypeCipher && !degree2[a] && !degree2[b]
-		}
-		return false
-	}
-	deferred := map[*core.Term]bool{}
-	for _, t := range order {
-		if types[t] == core.TypeCipher && !t.IsLeaf() &&
-			(t.Op.IsRotation() || (t.Op == core.OpRelinearize && degree2[t.Parm(0)])) {
-			deferred[t] = mayDefer(t)
-		}
-	}
-	for _, set := range rewrite.RotationSets(p) {
-		undeferred := map[int]bool{}
-		for _, r := range set {
-			undeferred[r.EffectiveRotation()] = undeferred[r.EffectiveRotation()] || !deferred[r]
-		}
-		for _, r := range set {
-			deferred[r] = deferred[r] && !undeferred[r.EffectiveRotation()]
-		}
-	}
-	finished := map[*core.Term]int{}
 	isRoot := map[*core.Term]bool{}
 	for _, root := range roots {
 		isRoot[root] = true
 	}
-	for _, t := range order {
-		if isRoot[t] {
-			for _, l := range leaves(t) {
-				if deferred[leafCt[l]] {
-					finished[t]++
-				}
+	summand := func(u *core.Term) bool {
+		a, b := u.Parm(0), u.Parm(1)
+		return !isRoot[u] && types[a] == core.TypeCipher && types[b] == core.TypeCipher && !degree2[a] && !degree2[b]
+	}
+	// mark defers greedily: every sum takes deferred operands unless refused.
+	mark := func(refused map[*core.Term]bool) (map[*core.Term]bool, map[*core.Term]int, map[*core.Term]bool) {
+		mayDefer := func(t *core.Term) bool {
+			if output[t] {
+				return false
 			}
-			deferred[t] = finished[t] > 0 && mayDefer(t)
-			continue
+			if leafUses[t] > 0 && uses[t] == leafUses[t] {
+				return true
+			}
+			if uses[t] != 1 {
+				return false
+			}
+			switch u := user[t]; u.Op {
+			case core.OpRescale:
+				return true
+			case core.OpAdd, core.OpSub:
+				return summand(u) && !refused[u]
+			}
+			return false
 		}
-		if types[t] == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) {
-			deferred[t] = (deferred[t.Parm(0)] || deferred[t.Parm(1)]) && mayDefer(t)
+		deferred := map[*core.Term]bool{}
+		for _, t := range order {
+			if types[t] == core.TypeCipher && !t.IsLeaf() &&
+				(t.Op.IsRotation() || (t.Op == core.OpRelinearize && degree2[t.Parm(0)])) {
+				deferred[t] = mayDefer(t)
+			}
+		}
+		for _, set := range rewrite.RotationSets(p) {
+			undeferred := map[int]bool{}
+			for _, r := range set {
+				undeferred[r.EffectiveRotation()] = undeferred[r.EffectiveRotation()] || !deferred[r]
+			}
+			for _, r := range set {
+				deferred[r] = deferred[r] && !undeferred[r.EffectiveRotation()]
+			}
+		}
+		finished, lifted := map[*core.Term]int{}, map[*core.Term]bool{}
+		for _, t := range order {
+			if isRoot[t] {
+				for _, l := range leaves(t) {
+					if deferred[leafCt[l]] {
+						finished[t]++
+					} else {
+						lifted[t] = true
+					}
+				}
+				deferred[t] = finished[t] > 0 && mayDefer(t)
+				continue
+			}
+			if types[t] == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) {
+				deferred[t] = (deferred[t.Parm(0)] || deferred[t.Parm(1)]) && mayDefer(t)
+			}
+		}
+		return deferred, finished, lifted
+	}
+	// A sum that mods down the one deferred operand it has saves nothing:
+	// refuse it deferred operands until no such sum is left.
+	refused := map[*core.Term]bool{}
+	for {
+		deferred, finished, lifted := mark(refused)
+		done := true
+		for _, t := range order {
+			if types[t] == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) && !isRoot[t] &&
+				!deferred[t] && deferred[t.Parm(0)] != deferred[t.Parm(1)] {
+				refused[t], done = true, false
+			}
+		}
+		if done {
+			return deferred, finished, lifted
 		}
 	}
-	return deferred, finished
 }
 
 // referenceCost prices every Cipher term of the topological order by OpUnits
@@ -185,14 +211,14 @@ func referenceDeferred(p *core.Program) (map[*core.Term]bool, map[*core.Term]int
 // cost; any other relinearization or rotation does all three parts. A term
 // referenceDeferred finds deferring skips its mod-down. The root of a chain
 // with deferred leaves pays their special-limb products on top of its sum,
-// and it or a sum with a deferred operand pays the mod-down unless it defers
-// too; a rescale of a deferred term pays the division by P·q_ℓ in one step
+// and it or a sum with a deferred operand pays the lift of its Q-only
+// operands, if any, and the mod-down unless it defers too; a rescale of a deferred term pays the division by P·q_ℓ in one step
 // instead of its OpUnits. It tracks the dearest dependence chain.
 func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate {
 	levels := referenceLevels(p)
 	order := p.TopoSort()
 	types := core.InferTypes(order)
-	deferred, finished := referenceDeferred(p)
+	deferred, finished, lifted := referenceDeferred(p)
 	// batched holds what each hoisted rotation does.
 	batched := map[*core.Term]*analysis.KeySwitch{}
 	for _, set := range rewrite.RotationSets(p) {
@@ -220,11 +246,13 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 			sum := func() float64 { return m.OpUnits(t.Op, levels[t], false) }
 			switch {
 			case finished[t] > 0:
-				cost = sum() + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: !deferred[t], Leaves: finished[t]})
+				cost = sum() + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: !deferred[t],
+					Lift: lifted[t], Leaves: finished[t]})
 			case ks != nil:
 				cost = m.KeySwitchPrice(*ks)
-			case (t.Op == core.OpAdd || t.Op == core.OpSub) && (deferred[t.Parm(0)] || deferred[t.Parm(1)]) && !deferred[t]:
-				cost = sum() + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: true})
+			case (t.Op == core.OpAdd || t.Op == core.OpSub) && (deferred[t.Parm(0)] || deferred[t.Parm(1)]):
+				cost = sum() + m.KeySwitchPrice(analysis.KeySwitch{Level: levels[t], ModDown: !deferred[t],
+					Lift: deferred[t.Parm(0)] != deferred[t.Parm(1)]})
 			case t.Op == core.OpRescale && deferred[t.Parm(0)]:
 				cost = m.FusedRescaleUnits(levels[t.Parm(0)])
 			default:
@@ -254,7 +282,7 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	n := int64(1) << uint(m.LogN)
-	deferred, _ := referenceDeferred(p)
+	deferred, _, _ := referenceDeferred(p)
 	bytesOf := func(t *core.Term) int64 {
 		if types[t] != core.TypeCipher {
 			return 8 * n

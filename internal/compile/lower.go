@@ -40,8 +40,9 @@ type Instr struct {
 	// rotation or relinearization skips its mod-down, and a fused chain or a
 	// sum with such an operand leaves its result there too. Its consumers are
 	// product leaves of fused chains, which mod down once for the whole sum
-	// (double hoisting), or its one consumer is an ADD, a SUB, or a RESCALE
-	// that divides by P·q_ℓ in one step (Result.deferModDowns).
+	// (double hoisting), or its one consumer is a RESCALE that divides by
+	// P·q_ℓ in one step, or an ADD or SUB that saves a mod-down by taking it
+	// (Result.deferModDowns).
 	DeferModDown bool
 
 	// Chain is set on the root of a fused chain; Absorbed on its other
@@ -343,20 +344,24 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 }
 
 // deferModDowns marks the instructions whose results stay over Q∪P
-// (Instr.DeferModDown). Four kinds produce such a result: a key-switched
+// (Instr.DeferModDown). Four kinds can hold such a result: a key-switched
 // rotation, a RELINEARIZE of a ciphertext-ciphertext product, the root of a
-// fused chain with a deferred leaf, and a ciphertext ADD or SUB with a
-// deferred operand. One of them defers when it is not an output and either
-// every reference is a product leaf of a statically fusable chain — all its
-// products at one level and one scale, so the fused kernel never refuses them
-// — or its one reference is a RESCALE (which then divides by P·q_ℓ in one
-// step) or an ADD or SUB of two degree-1 ciphertexts. Any other mods down its
-// own result. In a hoist set a step defers only if every member taking it
-// does, since those members share one result. user is some consumer of each
-// instruction, its only one when Refs is 1.
+// fused chain with a deferred leaf, and a degree-1 ciphertext ADD or SUB with
+// a deferred operand. One of them defers when it is not an output and its
+// consumers save a mod-down by taking the value over Q∪P: every reference is
+// a product leaf of a statically fusable chain — all its products at one
+// level and one scale, so the fused kernel never refuses them — or its one
+// reference is a RESCALE, which then divides by P·q_ℓ in one step, or an ADD
+// or SUB that merges it with a second deferred operand or defers in turn. A
+// value that would only move its mod-down to a sum, paying the lift of the
+// sum's other operand on top, mods down its own result. In a hoist set a step
+// defers only if every member taking it does, since those members share one
+// result. user is some consumer of each instruction, its only one when Refs
+// is 1.
 func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 	instrs := r.Instrs
-	leafUses := map[int32]int32{}
+	n := len(instrs)
+	leafUses := make([]int32, n)
 	for i := range instrs {
 		ch := instrs[i].Chain
 		if ch == nil {
@@ -378,7 +383,7 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 	}
 	// degree2 marks the ciphertexts of degree 2: a product of two
 	// ciphertexts until its RELINEARIZE.
-	degree2 := make([]bool, len(instrs))
+	degree2 := make([]bool, n)
 	for i := range instrs {
 		in := &instrs[i]
 		degree2[i] = r.degree2(in)
@@ -386,33 +391,66 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 			degree2[i] = degree2[i] || (degree2[q] && in.Term.Op != core.OpRelinearize)
 		}
 	}
-	// finishes reports that a consumer takes a Q∪P operand and leaves no
-	// mod-down to redo: a RESCALE, or an ADD or SUB of degree-1 ciphertexts.
-	finishes := func(c int32) bool {
+	// sum reports an ADD or SUB of two degree-1 ciphertexts outside fused
+	// chains: it takes deferred operands and its result stays over Q∪P.
+	sum := func(c int32) bool {
 		in := &instrs[c]
-		switch in.Term.Op {
-		case core.OpRescale:
-			return true
-		case core.OpAdd, core.OpSub:
-			a, b := in.Parms[0], in.Parms[1]
-			return instrs[a].Cipher && instrs[b].Cipher && !degree2[a] && !degree2[b]
+		if in.Absorbed || in.Chain != nil || (in.Term.Op != core.OpAdd && in.Term.Op != core.OpSub) {
+			return false
 		}
-		return false
+		a, b := in.Parms[0], in.Parms[1]
+		return instrs[a].Cipher && instrs[b].Cipher && !degree2[a] && !degree2[b]
 	}
-	defers := func(id int32) bool {
-		in := &instrs[id]
-		return !isOutput[id] && ((leafUses[id] > 0 && in.Refs == leafUses[id]) || (in.Refs == 1 && finishes(user[id])))
+	leavesOnly := func(id int32) bool { return leafUses[id] > 0 && instrs[id].Refs == leafUses[id] }
+	// held[i] reports that i can hold its result over Q∪P; single reports
+	// such a value with one reference.
+	held := make([]bool, n)
+	single := func(id int32) bool { return held[id] && !isOutput[id] && instrs[id].Refs == 1 }
+	for i := range instrs {
+		in := &instrs[i]
+		switch op := in.Term.Op; {
+		case !in.Cipher || in.Term.IsLeaf():
+		case op.IsRotation() || (op == core.OpRelinearize && degree2[in.Parms[0]]):
+			held[i] = true
+		case in.Chain != nil:
+			held[i] = slices.ContainsFunc(in.Chain.Products, func(pr FusedProduct) bool {
+				return held[pr.Ct] && !isOutput[pr.Ct] && leavesOnly(pr.Ct)
+			})
+		case sum(int32(i)):
+			held[i] = single(in.Parms[0]) || single(in.Parms[1])
+		}
+	}
+	// onward[i] reports that a held i saves its consumers a mod-down by
+	// deferring; the reverse sweep has decided every consumer first.
+	onward := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		if !held[i] || isOutput[i] {
+			continue
+		}
+		if leavesOnly(int32(i)) {
+			onward[i] = true
+			continue
+		}
+		if instrs[i].Refs != 1 {
+			continue
+		}
+		switch c := user[i]; {
+		case instrs[c].Term.Op == core.OpRescale:
+			onward[i] = true
+		case sum(c):
+			other := instrs[c].Parms[0]
+			if other == int32(i) {
+				other = instrs[c].Parms[1]
+			}
+			onward[i] = single(other) || onward[c]
+		}
 	}
 
 	members := make([][]int32, len(r.Hoists))
 	for i := range instrs {
 		in := &instrs[i]
-		if !in.Cipher || in.Term.IsLeaf() {
-			continue
-		}
-		switch op := in.Term.Op; {
-		case op.IsRotation() || (op == core.OpRelinearize && degree2[in.Parms[0]]):
-			in.DeferModDown = defers(int32(i))
+		if held[i] && in.Chain == nil && !sum(int32(i)) {
+			in.DeferModDown = onward[i]
 			if in.DeferModDown && in.Hoist >= 0 {
 				members[in.Hoist] = append(members[in.Hoist], int32(i))
 			}
@@ -446,11 +484,9 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 	// Sums and chain roots follow their operands, which come first in
 	// topological order.
 	for i := range instrs {
-		in := &instrs[i]
-		if in.Absorbed || (in.Chain == nil && in.Term.Op != core.OpAdd && in.Term.Op != core.OpSub) {
-			continue
+		if in := &instrs[i]; held[i] && (in.Chain != nil || sum(int32(i))) {
+			in.DeferModDown = onward[i] && r.deferredOperand(in)
 		}
-		in.DeferModDown = r.deferredOperand(in) && defers(int32(i))
 	}
 }
 

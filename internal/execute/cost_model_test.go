@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"eva/internal/analysis"
 	"eva/internal/apps"
 	"eva/internal/compile"
 	"eva/internal/core"
@@ -91,24 +92,25 @@ func TestCostModelMatchesRun(t *testing.T) {
 				switch {
 				case !in.Cipher || in.Term.IsLeaf():
 					continue
-				case in.Chain != nil:
-					// A chain root: its sum, plus the special-limb products
-					// of its deferred leaves, plus a mod-down unless its
-					// result stays deferred.
-					sum := m.OpUnits(core.OpAdd, in.Level, false)
-					if leaves := (units - sum - md) / leaf; units > sum+md && leaves == float64(int(leaves)) {
-						modDowns += 2
-					} else if leaves := (units - sum) / leaf; units != sum && (leaves < 1 || leaves != float64(int(leaves))) {
-						t.Errorf("chain root %s is charged %v units: not its sum (%v), with or without a mod-down (%v), and whole leaves", in.Term, units, sum, md)
+				case in.Chain != nil || op == core.OpAdd || op == core.OpSub:
+					// A chain root or sum: its sum, plus for a chain root the
+					// special-limb products of its deferred leaves, plus the
+					// lift of a Q-only operand of a deferred one and a
+					// mod-down unless its result stays deferred.
+					sum := m.OpUnits(op, in.Level, false)
+					lift := m.KeySwitchPrice(analysis.KeySwitch{Level: in.Level, Lift: true})
+					found := units == sum
+					for _, extra := range [][2]float64{{md, 0}, {md, lift}, {0, lift}, {0, 0}} {
+						leaves := (units - sum - extra[0] - extra[1]) / leaf
+						if found || (in.Chain == nil && leaves != 0) || (in.Chain != nil && leaves < 1) || leaves != float64(int(leaves)) {
+							continue
+						}
+						if found = true; extra[0] != 0 {
+							modDowns += 2
+						}
 					}
-					continue
-				case op == core.OpAdd || op == core.OpSub:
-					switch sum := m.OpUnits(op, in.Level, false); units {
-					case sum + md:
-						modDowns += 2
-					case sum:
-					default:
-						t.Errorf("%s is charged %v units: not its sum (%v), with or without a mod-down (%v)", in.Term, units, sum, md)
+					if !found {
+						t.Errorf("%s is charged %v units: not its sum (%v), with or without a lift (%v) and a mod-down (%v), and whole leaves of a chain root", in.Term, units, sum, lift, md)
 					}
 					continue
 				case op == core.OpRescale:

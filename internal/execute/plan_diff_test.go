@@ -154,17 +154,45 @@ func maxRunError(t testing.TB, f *fixture, out *execute.Outputs, want map[string
 	return worst
 }
 
+// extraKeySetErrors sums, over sequential runs under three more key sets
+// than the fixtures' one, maxRunError of the runs with and without the plan
+// mechanisms; it is 0, 0 for a program that defers no mod-down. A deferred
+// rounding changes the bits every later rescale and mod-down rounds, so the
+// two runs' errors are two draws of the same noise: one key set's sixteen
+// lenet.eva scores put the ratio of the draws above 1.25 for 3 of 24 key
+// sets, while the mean of their errors over the 24 key sets is 2.13e-6 with
+// the mechanisms and 2.15e-6 without.
+func extraKeySetErrors(t *testing.T, res *compile.Result, in execute.Inputs, want map[string][]float64) (on, off float64) {
+	t.Helper()
+	if !defers(res) {
+		return 0, 0
+	}
+	seq := execute.RunOptions{Scheduler: execute.SchedulerSequential}
+	for seed := uint64(42); seed < 45; seed++ {
+		f := newFixture(t, res, in, seed)
+		on += maxRunError(t, f, f.run(t, seq), want)
+		off += maxRunError(t, f, f.run(t, execute.WithoutPlanMechanisms(seq)), want)
+	}
+	return on, off
+}
+
 // differential runs one program cold-plan, warm-plan and with the plan's
 // mechanisms switched off, under each scheduler. Cold and warm runs are
 // byte-identical, and so are the runs of each kind across schedulers. Each
 // scheduler gets a freshly compiled result (so its first run really is the
 // plan's first) with the same keys and inputs, which also makes the
-// schedulers comparable. The switched-off run defers no mod-down and makes no
-// fewer than the others: for a program that defers none it is byte-identical
-// to them, and for one that does their error against RunReference is at most
-// 1.25× its own (deferralError; one rounding per sum over Q∪P instead of one
-// per key switch, one per fused rescale instead of two).
+// schedulers comparable. The switched-off run defers no mod-down and fuses no
+// rescale: for a program that defers none it is byte-identical to the
+// others, and for one that does it makes more mod-downs, and the others'
+// error against RunReference, summed with extraKeySetErrors, is at most 1.25×
+// its own (one rounding per sum over Q∪P instead of one per key switch, one
+// per fused rescale instead of two).
 func differential(t *testing.T, prog *core.Program, opts compile.Options, in execute.Inputs) {
+	want, err := execute.RunReference(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extraOn, extraOff := extraKeySetErrors(t, compileInsecure(t, prog, opts), in, want)
 	var reference, offReference map[string][]byte
 	for name, sched := range schedulers {
 		f := newFixture(t, compileInsecure(t, prog, opts), in, 41)
@@ -205,9 +233,17 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 			if cold.Stats.ModDowns != off.Stats.ModDowns {
 				t.Errorf("%s: %d mod-downs, switched-off run %d", name, cold.Stats.ModDowns, off.Stats.ModDowns)
 			}
-		} else if cold.Stats.ModDowns > off.Stats.ModDowns || off.Stats.FusedRescales != 0 {
-			t.Errorf("%s: %d mod-downs and %d fused rescales, switched-off run %d and %d", name,
-				cold.Stats.ModDowns, cold.Stats.FusedRescales, off.Stats.ModDowns, off.Stats.FusedRescales)
+		} else {
+			errOn, errOff := maxRunError(t, f, cold, want)+extraOn, maxRunError(t, f, off, want)+extraOff
+			if errOn > 1.25*errOff {
+				t.Errorf("%s: deferred mod-downs give error %g, more than 1.25× the switched-off runs' %g", name, errOn, errOff)
+			}
+			if cold.Stats.ModDowns >= off.Stats.ModDowns {
+				t.Errorf("%s: %d mod-downs, switched-off run %d: nothing deferred", name, cold.Stats.ModDowns, off.Stats.ModDowns)
+			}
+		}
+		if off.Stats.FusedRescales != 0 {
+			t.Errorf("%s: switched-off run made %d fused rescales", name, off.Stats.FusedRescales)
 		}
 		if reference == nil {
 			reference, offReference = on, offBytes
@@ -215,47 +251,6 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 		requireSameBytes(t, name+" vs other schedulers", on, reference)
 		requireSameBytes(t, name+" switched off vs other schedulers", offBytes, offReference)
 	}
-	if res := compileInsecure(t, prog, opts); defers(res) {
-		if errOn, errOff := deferralError(t, res, prog, in); errOn > 1.25*errOff {
-			t.Errorf("deferred mod-downs give error %g, more than 1.25× the switched-off runs' %g", errOn, errOff)
-		}
-	}
-}
-
-// deferralError is the error against RunReference of sequential runs with and
-// without the plan mechanisms, as the root mean square over every output value
-// of runs under four key sets: the runs round differently where the program
-// defers mod-downs, and one key set's outputs are too few values to tell two
-// equally precise roundings apart within 1.25× (lenet.eva's 16 scores: the
-// ratio of one key set's errors ranges 0.64–1.56 over 24 key sets, four key
-// sets' 0.87–1.19, and the 24 sets' RMS errors are 8.86e-7 and 8.88e-7).
-func deferralError(t *testing.T, res *compile.Result, prog *core.Program, in execute.Inputs) (on, off float64) {
-	t.Helper()
-	want, err := execute.RunReference(prog, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sumOn, sumOff float64
-	n := 0
-	seq := execute.RunOptions{Scheduler: execute.SchedulerSequential}
-	for seed := uint64(41); seed < 45; seed++ {
-		f := newFixture(t, res, in, seed)
-		for k, opts := range []execute.RunOptions{seq, execute.WithoutPlanMechanisms(seq)} {
-			got, _ := execute.DecryptOutputs(f.ctx, f.res, f.keys, f.run(t, opts))
-			for name, w := range want {
-				for i, x := range w {
-					d := (got[name][i] - x) * (got[name][i] - x)
-					if k == 0 {
-						sumOn += d
-						n++
-					} else {
-						sumOff += d
-					}
-				}
-			}
-		}
-	}
-	return math.Sqrt(sumOn / float64(n)), math.Sqrt(sumOff / float64(n))
 }
 
 // TestPlanDifferentialExamples covers every program under examples/.
