@@ -68,7 +68,7 @@ type PlainCache struct {
 
 // PlainKey identifies one encoding of an invariant instruction's value.
 // Extended encodings (ckks.Encoder.EncodeExtended) also hold the special
-// primes, for products with a value left over Q∪P (Instr.DeferModDown).
+// primes, for products with a value left over Q∪P (BasisQP).
 type PlainKey struct {
 	ID       int32
 	Level    int

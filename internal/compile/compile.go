@@ -80,14 +80,16 @@ type Result struct {
 	// values come from Cache.
 	Invariants []int32
 	// Units lists what the schedulers dispatch, in topological order: every
-	// other instruction except the absorbed members of fused chains, which
-	// run as part of their chain's root.
+	// other instruction except the absorbed members of fused chains and hoist
+	// sets, which run as part of their unit.
 	Units []int32
 	// Kernels groups the units by kernel label for the bulk-synchronous
 	// scheduler.
 	Kernels [][]int32
 	// Hoists are the hoistable rotation sets (Instr.Hoist indexes them).
 	Hoists []HoistSet
+	// VecSize is the program's vector size: the width of every plain value.
+	VecSize int
 	// Inputs lists the program's inputs in declaration order, Outputs its
 	// outputs.
 	Inputs  []Input
@@ -174,8 +176,8 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 		switches = analysis.ChainKeySwitches(len(plan.BitSizes))
 	} else {
 		for i := range res.Instrs {
-			if ks, ok := res.keySwitch(&res.Instrs[i]); ok {
-				switches = append(switches, ks)
+			if w := res.Instrs[i].Work; w != (analysis.KeySwitch{}) {
+				switches = append(switches, w)
 			}
 		}
 	}

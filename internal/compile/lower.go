@@ -8,12 +8,24 @@ import (
 	"eva/internal/core"
 )
 
-// Instr is one term of the compiled program in the executor's dense form.
-// Operands, dependants and sets are instruction ids: indices into
-// Result.Instrs, which lists the live terms in topological order.
+// Instr is one term of the compiled program in the executor's dense form:
+// what Lower decided the term does — its backend call, its result basis and
+// its key-switching work — so that the executor, the cost model and the
+// memory estimate read those decisions instead of re-deriving them. Operands,
+// dependants and sets are instruction ids: indices into Result.Instrs, which
+// lists the live terms in topological order.
 type Instr struct {
-	Term  *core.Term
+	// Term is the source term, for naming the instruction to observers and
+	// in errors.
+	Term *core.Term
+	// Kind is the one backend call that computes the instruction, Op its
+	// opcode (the operation of KindPlain and the key of Cost's ByOp).
+	Kind  Kind
+	Op    core.OpCode
 	Parms []int32 // operand ids, one per parameter slot
+	// Name is an input's name; Value a constant's value.
+	Name  string
+	Value []float64
 	// Cipher reports that the term's value is a ciphertext.
 	Cipher bool
 	// Invariant marks a Plain term with no INPUT ancestor: its value is the
@@ -32,43 +44,117 @@ type Instr struct {
 	// multiple of the vector size (Compile folds those away).
 	Rot int
 
-	// Hoist and HoistPos locate a rotation in its hoistable set (Hoist is -1
-	// for everything else).
-	Hoist, HoistPos int32
-	// DeferModDown marks an instruction whose result stays in the extended
-	// basis Q∪P until a consumer that needs Q finishes it: a key-switched
-	// rotation or relinearization skips its mod-down, and a fused chain or a
-	// sum with such an operand leaves its result there too. Its consumers are
-	// product leaves of fused chains, which mod down once for the whole sum
-	// (double hoisting), or its one consumer is a RESCALE that divides by
-	// P·q_ℓ in one step, or an ADD or SUB that saves a mod-down by taking it
-	// (Result.deferModDowns).
-	DeferModDown bool
+	// Basis is the basis the instruction leaves its ciphertext in.
+	Basis Basis
+	// Work is the key-switching work the instruction does as the executor
+	// runs it (analysis.KeySwitch): a relinearization, or a rotation outside
+	// any hoist set, decomposes and applies its key; a hoist set decomposes
+	// once, for its first member, and takes each step once, for the first
+	// member taking it. Either mods down unless its result stays over Q∪P.
+	// A value left there is finished by its consumer: the root of a fused
+	// chain multiplies its deferred Leaves over the special limbs too, it or
+	// a sum with a deferred operand Lifts a Q-only operand as P·x and mods
+	// down unless it defers in turn, and a KindRescaleQP divides by P·q_ℓ
+	// (Work.Level is then its operand's). The zero value is no work.
+	Work analysis.KeySwitch
 
-	// Chain is set on the root of a fused chain; Absorbed on its other
-	// members, which are never dispatched on their own.
+	// Hoist and HoistPos locate a rotation in its hoist set (Hoist is -1 for
+	// everything else); the set's first member is the set's unit.
+	Hoist, HoistPos int32
+	// Chain is set on the root of a fused chain, the chain's unit. Absorbed
+	// marks the other members of units — a chain's members below its root,
+	// a hoist set's members after its first — which are never dispatched on
+	// their own.
 	Chain    *FusedChain
 	Absorbed bool
 
-	// Children are the distinct units that consume this instruction's value
-	// and Pending the number of distinct run-dependent instructions a unit
-	// waits for — both on the graph with every fused chain contracted into
-	// its root.
+	// Children are the distinct units that consume the values of this
+	// unit's members, and Pending the number of distinct run-dependent units
+	// it waits for.
 	Children []int32
 	Pending  int32
 }
 
+// Kind is the backend call that computes an instruction, with its operands'
+// roles fixed at compile time. A cipher-plain kind names its plain operand's
+// slot: KindAddPlain is ct + pt, KindPlainAdd pt + ct. A KindPlainSub negates
+// the ciphertext and adds the plaintext. Each QP kind follows its Q kind.
+type Kind uint8
+
+const (
+	KindInput     Kind = iota // the run's value of the input Name
+	KindInvariant             // a constant's Value, or plain arithmetic on such values (the plan cache)
+	KindPlain                 // plain vector arithmetic (Op) on run-dependent values
+	KindNegate
+	KindAdd // ct + ct; either may be over Q∪P, and so is the sum
+	KindSub
+	KindMul // ct × ct, a degree-2 result
+	KindAddPlain
+	KindPlainAdd
+	KindSubPlain
+	KindPlainSub
+	KindMulPlain
+	KindPlainMul
+	KindRotate   // a left rotation by Rot into Q
+	KindRotateQP // a left rotation by Rot left over Q∪P
+	KindRelinearize
+	KindRelinearizeQP
+	KindModSwitch
+	KindRescale   // division by the last chain prime
+	KindRescaleQP // division of a value over Q∪P by P·q_ℓ in one step
+)
+
+// kinds lists each opcode's kinds on cipher-cipher, cipher-plain and
+// plain-cipher operands; a unary opcode has the first only.
+var kinds = [...][3]Kind{
+	core.OpNegate:      {KindNegate},
+	core.OpAdd:         {KindAdd, KindAddPlain, KindPlainAdd},
+	core.OpSub:         {KindSub, KindSubPlain, KindPlainSub},
+	core.OpMultiply:    {KindMul, KindMulPlain, KindPlainMul},
+	core.OpRotateLeft:  {KindRotate},
+	core.OpRotateRight: {KindRotate},
+	core.OpRelinearize: {KindRelinearize},
+	core.OpModSwitch:   {KindModSwitch},
+	core.OpRescale:     {KindRescale},
+}
+
+// PlainSlot is the slot of a cipher-plain kind's plain operand.
+func (k Kind) PlainSlot() int {
+	if k == KindPlainAdd || k == KindPlainSub || k == KindPlainMul {
+		return 0
+	}
+	return 1
+}
+
+// Basis is the RNS basis of an instruction's result: the chain primes Q, or
+// Q∪P, extended by the special primes. A key-switched rotation or
+// relinearization left over Q∪P skips its mod-down, and a fused chain or a
+// sum with such an operand leaves its result there too. Its consumers are
+// product leaves of fused chains, which mod down once for the whole sum
+// (double hoisting), or its one consumer is a RESCALE that divides by P·q_ℓ
+// in one step, or an ADD or SUB that saves a mod-down by taking it
+// (Result.deferModDowns).
+type Basis uint8
+
+const (
+	BasisQ Basis = iota
+	BasisQP
+)
+
 // HoistSet is one hoistable rotation set: two or more rotations of one
-// Cipher term, which share one key-switch decomposition when run as a batch.
+// Cipher term, which run as one unit, a batch sharing one key-switch
+// decomposition, at their first member.
 type HoistSet struct {
-	// Steps holds each member's effective left rotation, in member order.
-	Steps []int
+	// Members are the rotations, in topological order, and Steps each
+	// member's effective left rotation.
+	Members []int32
+	Steps   []int
 	// Shared marks members whose step another member also takes: the batch
 	// evaluates a step once, so those members alias one result ciphertext and
 	// none of them may recycle it.
 	Shared []bool
-	// Deferred holds each member's DeferModDown, in member order; nil when no
-	// member defers. Members taking one step agree.
+	// Deferred marks the members left over Q∪P, in member order; nil when no
+	// member is. Members taking one step agree.
 	Deferred []bool
 }
 
@@ -76,8 +162,9 @@ type HoistSet struct {
 // are single-use and not program outputs and whose leaves are all single-use,
 // non-output products of a ciphertext with a run-invariant plain value. The
 // whole tree evaluates as one Σ ctᵢ·ptᵢ (Evaluator.MulPlainAccumulate) when
-// its root is dispatched. SUB never joins a chain: it stays an ordinary
-// instruction, so the tree it roots or feeds is simply cut there.
+// its root, the chain's unit, is dispatched. SUB never joins a chain: it
+// stays an ordinary instruction, so the tree it roots or feeds is simply cut
+// there.
 type FusedChain struct {
 	// Members lists every term of the tree — leaf products and sums — in
 	// topological order, the root last.
@@ -85,9 +172,6 @@ type FusedChain struct {
 	// Products are the leaves left to right, so Products[0] is the leftmost
 	// leaf, whose scale a chain of Evaluator.Add calls would give the result.
 	Products []FusedProduct
-	// Weights apportions the chain's measured wall time over Members by the
-	// cost model's units (they sum to 1).
-	Weights []float64
 }
 
 // FusedProduct is one leaf of a fused chain: its ciphertext and plain
@@ -120,19 +204,41 @@ type Output struct {
 }
 
 // Lower builds the Result of a transformed program in one walk over its
-// topological order: the dense instruction list, units, kernels, hoist sets,
-// fused chains and invariants the executor runs, the inputs and outputs by
-// id with their level groups, CompiledStats and RotationSteps. chains and
-// scales are analysis.Validate's per-term results and are not kept. Lower
-// checks nothing itself, so a program that fails validation lowers too; the
-// other fields of the Result (Plan, LogN, Options, SourceStats) are the
-// caller's to fill. The program must hold no rotation by a multiple of its
-// vector size (rewrite.FoldIdentityRotations): the backend has no key for
-// one.
+// topological order: the dense instruction list with each instruction's kind,
+// basis and key-switching work, the units, kernels, hoist sets, fused chains
+// and invariants the executor runs, the inputs and outputs by id with their
+// level groups, CompiledStats and RotationSteps. chains and scales are
+// analysis.Validate's per-term results and are not kept. Lower checks nothing
+// itself, so a program that fails validation lowers too; the other fields of
+// the Result (Plan, LogN, Options, SourceStats) are the caller's to fill. The
+// program must hold no rotation by a multiple of its vector size
+// (rewrite.FoldIdentityRotations): the backend has no key for one.
 func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64) *Result {
+	return lower(prog, func(t *core.Term) int { return len(chains[t]) }, scales, true)
+}
+
+// Reference lowers r's program again, for r's parameters, without fused
+// chains or results left over Q∪P: the program the differential tests run,
+// with the plan cache and buffer recycling off, as the reference that the
+// lowering's mechanisms must reproduce — byte for byte unless a value stays
+// over Q∪P, which changes the rounding.
+func (r *Result) Reference() *Result {
+	levels := make(map[*core.Term]int, len(r.Instrs))
+	scales := make(map[*core.Term]float64, len(r.Instrs))
+	for _, in := range r.Instrs {
+		levels[in.Term], scales[in.Term] = in.Level, in.LogScale
+	}
+	ref := lower(r.Program, func(t *core.Term) int { return levels[t] }, scales, false)
+	ref.Plan, ref.LogN, ref.Options, ref.SourceStats = r.Plan, r.LogN, r.Options, r.SourceStats
+	return ref
+}
+
+// lower is Lower, finding fused chains and deferring mod-downs only when
+// mechanisms is set.
+func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term]float64, mechanisms bool) *Result {
 	order := prog.TopoSort()
 	n := len(order)
-	r := &Result{Program: prog, Instrs: make([]Instr, n), Cache: newPlainCache()}
+	r := &Result{Program: prog, VecSize: prog.VecSize, Instrs: make([]Instr, n), Cache: newPlainCache()}
 	ids := make(map[*core.Term]int32, n)
 	stats := core.Stats{Terms: n, Instructions: map[string]int{}, Inputs: len(prog.Inputs()), Outputs: len(prog.Outputs())}
 	steps := map[int]bool{}
@@ -165,10 +271,11 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 	for i, t := range order {
 		ids[t] = int32(i)
 		in := &r.Instrs[i]
-		in.Term = t
+		in.Term, in.Op = t, t.Op
 		in.LogScale = scales[t]
-		in.Level = len(chains[t])
+		in.Level = level(t)
 		in.Hoist = -1
+		in.Name, in.Value = t.Name, t.Value
 		if t.IsLeaf() {
 			in.Cipher = t.InType == core.TypeCipher
 			r.waterline = max(r.waterline, t.LogScale)
@@ -199,6 +306,7 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 			}
 		}
 		in.Invariant = invariant && !in.Cipher
+		in.Kind = r.kind(in)
 		if t.Op == core.OpMultiply {
 			depth[i]++
 		}
@@ -239,11 +347,11 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 		if len(set) < 2 {
 			continue
 		}
-		hs := HoistSet{Steps: make([]int, len(set)), Shared: make([]bool, len(set))}
+		hs := HoistSet{Members: set, Steps: make([]int, len(set)), Shared: make([]bool, len(set))}
 		taken := make(map[int]int, len(set))
 		for i, m := range set {
 			in := &r.Instrs[m]
-			in.Hoist, in.HoistPos = int32(len(r.Hoists)), int32(i)
+			in.Hoist, in.HoistPos, in.Absorbed = int32(len(r.Hoists)), int32(i), i > 0
 			hs.Steps[i] = in.Rot
 			taken[in.Rot]++
 		}
@@ -253,8 +361,12 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 		r.Hoists = append(r.Hoists, hs)
 	}
 
-	r.findChains(isOutput, user)
-	r.deferModDowns(isOutput, user)
+	var deferred []bool
+	if mechanisms {
+		r.findChains(isOutput, user)
+		deferred = r.deferModDowns(isOutput, user)
+	}
+	r.settle(deferred)
 	r.schedule()
 
 	// An input's depth is the longest chain below it: one reverse sweep
@@ -276,6 +388,25 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 	return r
 }
 
+// kind is the backend call of an instruction whose operands are lowered; a
+// rotation, relinearization or rescale is over Q until settle finds
+// otherwise.
+func (r *Result) kind(in *Instr) Kind {
+	switch {
+	case in.Op == core.OpInput:
+		return KindInput
+	case in.Invariant:
+		return KindInvariant
+	case !in.Cipher:
+		return KindPlain
+	case len(in.Parms) == 2 && !r.Instrs[in.Parms[1]].Cipher:
+		return kinds[in.Op][1]
+	case len(in.Parms) == 2 && !r.Instrs[in.Parms[0]].Cipher:
+		return kinds[in.Op][2]
+	}
+	return kinds[in.Op][0]
+}
+
 // findChains marks the fused chains of the program (see FusedChain).
 func (r *Result) findChains(isOutput []bool, user []int32) {
 	instrs := r.Instrs
@@ -287,28 +418,16 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 	absorbable := func(i int32) bool { return instrs[i].Refs == 1 && !isOutput[i] }
 	for i := range instrs {
 		in := &instrs[i]
-		if !in.Cipher || len(in.Parms) != 2 {
-			continue
-		}
-		a, b := &instrs[in.Parms[0]], &instrs[in.Parms[1]]
-		switch in.Term.Op {
-		case core.OpMultiply:
-			if !absorbable(int32(i)) {
-				continue
+		switch in.Kind {
+		case KindMulPlain, KindPlainMul:
+			if slot := in.Kind.PlainSlot(); absorbable(int32(i)) && instrs[in.Parms[slot]].Invariant {
+				product[i] = int8(2 - slot)
 			}
-			if a.Cipher && b.Invariant {
-				product[i] = 1
-			} else if b.Cipher && a.Invariant {
-				product[i] = 2
-			}
-		case core.OpAdd:
+		case KindAdd:
 			leaf := func(q int32) bool { return absorbable(q) && (product[q] != 0 || sum[q]) }
 			sum[i] = leaf(in.Parms[0]) && leaf(in.Parms[1])
 		}
 	}
-	// Every member of a chain works on the same limbs, so the units at any
-	// one chain position and ring degree give the right shares.
-	model := analysis.CostModel{TotalLevels: 1}
 	for i := range instrs {
 		if !sum[i] || (absorbable(int32(i)) && sum[user[i]]) {
 			continue // not a sum, or an interior sum of a larger tree
@@ -327,15 +446,6 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 			ch.Members = append(ch.Members, id)
 		}
 		walk(int32(i))
-		ch.Weights = make([]float64, len(ch.Members))
-		total := 0.0
-		for k, m := range ch.Members {
-			ch.Weights[k] = model.OpUnits(instrs[m].Term.Op, 0, false)
-			total += ch.Weights[k]
-		}
-		for k := range ch.Weights {
-			ch.Weights[k] /= total
-		}
 		for _, m := range ch.Members[:len(ch.Members)-1] {
 			instrs[m].Absorbed = true
 		}
@@ -343,22 +453,22 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 	}
 }
 
-// deferModDowns marks the instructions whose results stay over Q∪P
-// (Instr.DeferModDown). Four kinds can hold such a result: a key-switched
-// rotation, a RELINEARIZE of a ciphertext-ciphertext product, the root of a
-// fused chain with a deferred leaf, and a degree-1 ciphertext ADD or SUB with
-// a deferred operand. One of them defers when it is not an output and its
-// consumers save a mod-down by taking the value over Q∪P: every reference is
-// a product leaf of a statically fusable chain — all its products at one
-// level and one scale, so the fused kernel never refuses them — or its one
-// reference is a RESCALE, which then divides by P·q_ℓ in one step, or an ADD
-// or SUB that merges it with a second deferred operand or defers in turn. A
-// value that would only move its mod-down to a sum, paying the lift of the
-// sum's other operand on top, mods down its own result. In a hoist set a step
-// defers only if every member taking it does, since those members share one
-// result. user is some consumer of each instruction, its only one when Refs
-// is 1.
-func (r *Result) deferModDowns(isOutput []bool, user []int32) {
+// deferModDowns decides which instructions leave their results over Q∪P
+// (BasisQP), returning the decision by instruction id; settle applies it.
+// Four kinds can hold such a result: a key-switched rotation, a RELINEARIZE
+// of a ciphertext-ciphertext product, the root of a fused chain with a
+// deferred leaf, and a degree-1 ciphertext ADD or SUB with a deferred
+// operand. One of them defers when it is not an output and its consumers save
+// a mod-down by taking the value over Q∪P: every reference is a product leaf
+// of a statically fusable chain — all its products at one level and one
+// scale, so the fused kernel never refuses them — or its one reference is a
+// RESCALE, which then divides by P·q_ℓ in one step, or an ADD or SUB that
+// merges it with a second deferred operand or defers in turn. A value that
+// would only move its mod-down to a sum, paying the lift of the sum's other
+// operand on top, mods down its own result. In a hoist set a step defers only
+// if every member taking it does, since those members share one result. user
+// is some consumer of each instruction, its only one when Refs is 1.
+func (r *Result) deferModDowns(isOutput []bool, user []int32) []bool {
 	instrs := r.Instrs
 	n := len(instrs)
 	leafUses := make([]int32, n)
@@ -368,14 +478,10 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 			continue
 		}
 		first := &instrs[ch.Members[0]]
-		fusable := true
-		for _, m := range ch.Members {
+		if !slices.ContainsFunc(ch.Members, func(m int32) bool {
 			in := &instrs[m]
-			if in.Term.Op == core.OpMultiply && (in.Level != first.Level || math.Abs(in.LogScale-first.LogScale) > 1e-9) {
-				fusable = false
-			}
-		}
-		if fusable {
+			return in.Op == core.OpMultiply && (in.Level != first.Level || math.Abs(in.LogScale-first.LogScale) > 1e-9)
+		}) {
 			for _, pr := range ch.Products {
 				leafUses[pr.Ct]++
 			}
@@ -386,20 +492,17 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 	degree2 := make([]bool, n)
 	for i := range instrs {
 		in := &instrs[i]
-		degree2[i] = r.degree2(in)
+		degree2[i] = in.Kind == KindMul
 		for _, q := range in.Parms {
-			degree2[i] = degree2[i] || (degree2[q] && in.Term.Op != core.OpRelinearize)
+			degree2[i] = degree2[i] || (degree2[q] && in.Kind != KindRelinearize)
 		}
 	}
 	// sum reports an ADD or SUB of two degree-1 ciphertexts outside fused
 	// chains: it takes deferred operands and its result stays over Q∪P.
 	sum := func(c int32) bool {
 		in := &instrs[c]
-		if in.Absorbed || in.Chain != nil || (in.Term.Op != core.OpAdd && in.Term.Op != core.OpSub) {
-			return false
-		}
-		a, b := in.Parms[0], in.Parms[1]
-		return instrs[a].Cipher && instrs[b].Cipher && !degree2[a] && !degree2[b]
+		return !in.Absorbed && in.Chain == nil && (in.Kind == KindAdd || in.Kind == KindSub) &&
+			!degree2[in.Parms[0]] && !degree2[in.Parms[1]]
 	}
 	leavesOnly := func(id int32) bool { return leafUses[id] > 0 && instrs[id].Refs == leafUses[id] }
 	// held[i] reports that i can hold its result over Q∪P; single reports
@@ -408,9 +511,8 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 	single := func(id int32) bool { return held[id] && !isOutput[id] && instrs[id].Refs == 1 }
 	for i := range instrs {
 		in := &instrs[i]
-		switch op := in.Term.Op; {
-		case !in.Cipher || in.Term.IsLeaf():
-		case op.IsRotation() || (op == core.OpRelinearize && degree2[in.Parms[0]]):
+		switch {
+		case in.Kind == KindRotate || (in.Kind == KindRelinearize && degree2[in.Parms[0]]):
 			held[i] = true
 		case in.Chain != nil:
 			held[i] = slices.ContainsFunc(in.Chain.Products, func(pr FusedProduct) bool {
@@ -435,7 +537,7 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 			continue
 		}
 		switch c := user[i]; {
-		case instrs[c].Term.Op == core.OpRescale:
+		case instrs[c].Kind == KindRescale:
 			onward[i] = true
 		case sum(c):
 			other := instrs[c].Parms[0]
@@ -445,76 +547,88 @@ func (r *Result) deferModDowns(isOutput []bool, user []int32) {
 			onward[i] = single(other) || onward[c]
 		}
 	}
-
-	members := make([][]int32, len(r.Hoists))
-	for i := range instrs {
-		in := &instrs[i]
-		if held[i] && in.Chain == nil && !sum(int32(i)) {
-			in.DeferModDown = onward[i]
-			if in.DeferModDown && in.Hoist >= 0 {
-				members[in.Hoist] = append(members[in.Hoist], int32(i))
-			}
-		}
-	}
-	for h, deferred := range members {
-		if len(deferred) == 0 {
-			continue
-		}
-		set := &r.Hoists[h]
-		set.Deferred = make([]bool, len(set.Steps))
-		for _, id := range deferred {
-			set.Deferred[instrs[id].HoistPos] = true
-		}
-		// A step some member takes without deferring stays undeferred for all.
-		for pos, step := range set.Steps {
-			if set.Deferred[pos] {
-				continue
-			}
-			for _, id := range deferred {
-				if instrs[id].Rot == step {
-					instrs[id].DeferModDown = false
-					set.Deferred[instrs[id].HoistPos] = false
+	// A step some member of a hoist set takes without deferring stays
+	// undeferred for all.
+	for _, set := range r.Hoists {
+		for _, m := range set.Members {
+			for _, o := range set.Members {
+				if !onward[m] && instrs[o].Rot == instrs[m].Rot {
+					onward[o] = false
 				}
 			}
 		}
-		if !slices.Contains(set.Deferred, true) {
-			set.Deferred = nil
-		}
 	}
-	// Sums and chain roots follow their operands, which come first in
-	// topological order.
-	for i := range instrs {
-		if in := &instrs[i]; held[i] && (in.Chain != nil || sum(int32(i))) {
-			in.DeferModDown = onward[i] && r.deferredOperand(in)
-		}
-	}
+	return onward
 }
 
-// deferredOperand reports that in's operands include a deferred value: for
-// the root of a fused chain, one of its leaves' ciphertexts.
-func (r *Result) deferredOperand(in *Instr) bool {
-	if in.Chain != nil {
-		for _, pr := range in.Chain.Products {
-			if r.Instrs[pr.Ct].DeferModDown {
-				return true
+// settle gives every instruction its basis, its key-switching work and the
+// kind they imply, in topological order: deferred[i] (nil for none) leaves a
+// rotation or relinearization over Q∪P, and a chain root or sum too when one
+// of its operands is.
+func (r *Result) settle(deferred []bool) {
+	instrs := r.Instrs
+	qp := func(id int32) bool { return instrs[id].Basis == BasisQP }
+	for i := range instrs {
+		in := &instrs[i]
+		if deferred != nil && deferred[i] {
+			in.Basis = BasisQP
+		}
+		switch in.Kind {
+		case KindRotate, KindRelinearize:
+			if in.Basis == BasisQP {
+				in.Kind++ // KindRotateQP, KindRelinearizeQP
+			}
+			if in.Hoist >= 0 {
+				set := &r.Hoists[in.Hoist]
+				if in.Basis == BasisQP {
+					if set.Deferred == nil {
+						set.Deferred = make([]bool, len(set.Steps))
+					}
+					set.Deferred[in.HoistPos] = true
+				}
+				if slices.Index(set.Steps, in.Rot) < int(in.HoistPos) {
+					continue // a repeated step reuses the first's result
+				}
+			}
+			in.Work = analysis.KeySwitch{Level: in.Level, Decompose: in.HoistPos == 0, ApplyKey: true, ModDown: in.Basis == BasisQ}
+		case KindRescale:
+			if qp(in.Parms[0]) {
+				in.Kind, in.Work = KindRescaleQP, analysis.KeySwitch{Level: instrs[in.Parms[0]].Level, Rescale: true}
+			}
+		case KindAdd, KindSub:
+			leaves, operands := 0, 0
+			count := func(q int32) {
+				if operands++; qp(q) {
+					leaves++
+				}
+			}
+			if in.Chain == nil {
+				count(in.Parms[0])
+				count(in.Parms[1])
+			} else {
+				for _, pr := range in.Chain.Products {
+					count(pr.Ct)
+				}
+			}
+			if leaves == 0 {
+				in.Basis = BasisQ
+				continue
+			}
+			in.Work = analysis.KeySwitch{Level: in.Level, ModDown: in.Basis == BasisQ, Lift: leaves < operands}
+			if in.Chain != nil {
+				in.Work.Leaves = leaves
 			}
 		}
-		return false
 	}
-	for _, q := range in.Parms {
-		if r.Instrs[q].DeferModDown {
-			return true
-		}
-	}
-	return false
 }
 
-// schedule builds the scheduling graph — fused chains contracted into their
-// roots, invariant terms left out (they are complete before the first unit is
-// dispatched) — and the kernel groups of the bulk-synchronous scheduler.
+// schedule builds the scheduling graph — each fused chain contracted into its
+// root and each hoist set into its first member, invariant terms left out
+// (they are complete before the first unit is dispatched) — and the kernel
+// groups of the bulk-synchronous scheduler.
 func (r *Result) schedule() {
 	instrs := r.Instrs
-	seenBy := make([]int32, len(instrs)) // seenBy[q] == i+1: q already counted as a producer of unit i
+	seenBy := make([]int32, len(instrs)) // seenBy[u] == i+1: unit u already counted as a producer of unit i
 	for i := range instrs {
 		in := &instrs[i]
 		switch {
@@ -526,6 +640,9 @@ func (r *Result) schedule() {
 		}
 		r.Units = append(r.Units, int32(i))
 		depend := func(q int32) {
+			if h := instrs[q].Hoist; h >= 0 {
+				q = r.Hoists[h].Members[0]
+			}
 			if instrs[q].Invariant || seenBy[q] == int32(i)+1 {
 				return
 			}

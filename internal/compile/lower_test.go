@@ -16,8 +16,9 @@ import (
 // statistics, the rotation steps of its rotations, Validate's chains, rewrite's
 // scales and rotation sets, the term-graph estimators (cost always, peak
 // memory where the program has no dead terms, whose uses the term-graph
-// replay counts), and — for programs with at most 64 Cipher inputs — each
-// input's depth against a reachability-mask fold.
+// replay counts), each instruction's basis and each chain root's deferred
+// leaves against the term-graph deferral, and — for programs with at most 64
+// Cipher inputs — each input's depth against a reachability-mask fold.
 func checkLowering(t testing.TB, res *Result) {
 	t.Helper()
 	prog := res.Program
@@ -59,6 +60,16 @@ func checkLowering(t testing.TB, res *Result) {
 	model := res.CostModel()
 	if got, want := res.Cost(), referenceCost(model, prog); !reflect.DeepEqual(got, want) {
 		t.Errorf("Cost %+v, the term-graph walk gives %+v", got, want)
+	}
+	deferred, finished, lifted := referenceDeferred(prog)
+	for i, in := range res.Instrs {
+		term := order[i]
+		if (in.Basis == BasisQP) != deferred[term] {
+			t.Errorf("%s: basis %d, the term-graph walk defers it: %v", term, in.Basis, deferred[term])
+		}
+		if w := in.Work; in.Chain != nil && (w.Leaves != finished[term] || (w.Leaves > 0 && w.Lift != lifted[term])) {
+			t.Errorf("%s: finishes %d deferred leaves (lift %v), the term-graph walk %d (lift %v)", term, w.Leaves, w.Lift, finished[term], lifted[term])
+		}
 	}
 	if prog.NumTerms() == len(res.Instrs) {
 		if got, want := res.PeakMemoryBytes(), referencePeak(model, prog); got != want {

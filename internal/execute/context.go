@@ -237,10 +237,11 @@ type RunStats struct {
 	RecycledBuffers int
 	// ModDowns counts the divisions by the special product P this run made,
 	// one per ciphertext component: two per relinearization and per rotation
-	// key switch, except that one leaving its result over Q∪P
-	// (compile.Instr.DeferModDown) makes none, and two where a fused chain or
-	// a sum finishes such values. FusedRescales counts the rescales of such a
-	// value, each dividing by P·q_ℓ in one step instead of a mod-down.
+	// key switch whose result the evaluator returned over Q, and two where a
+	// fused chain or a sum finishes values over Q∪P. FusedRescales counts the
+	// rescales of such a value, each dividing by P·q_ℓ in one step instead of
+	// a mod-down. Both are measured from what the evaluator returned, so they
+	// check the compiler's Instr.Work rather than restate it.
 	ModDowns      int
 	FusedRescales int
 }

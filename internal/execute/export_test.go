@@ -1,8 +1,8 @@
 package execute
 
 // WithoutPlanMechanisms returns opts with the differential tests' switch set:
-// the run uses the compiled schedule but none of the three plan mechanisms
-// (constant cache, buffer recycling, fused chains).
+// the run encodes every constant itself and allocates every result fresh, as
+// the run of compile.Result.Reference that the tests compare against.
 func WithoutPlanMechanisms(opts RunOptions) RunOptions {
 	opts.withoutPlanMechanisms = true
 	return opts

@@ -1,25 +1,42 @@
 package execute
 
 import (
+	"bytes"
 	"testing"
 
+	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
 )
 
 // TestHoistedRotationDispatch checks that the executor dispatches a shared-
-// source rotation group as one hoisted batch (visible in RunStats and in the
-// records' Hoisted flag), that disabling hoisting suppresses it, and
-// that both paths decrypt to identical values — hoisting is bit-exact, so
-// this is float equality, not a tolerance check. The program rotates by 0–3;
-// Compile folds the rotation by 0 away, so the group has three members.
+// source rotation set as one hoisted batch (visible in RunStats and in the
+// records' Hoisted flag) and that every member's output is byte for byte what
+// Evaluator.RotateLeft makes of the same input ciphertext: hoisting is
+// bit-exact. The rotations are program outputs, so none is left over Q∪P;
+// step 2 is taken twice, so the batch covers three distinct steps.
 func TestHoistedRotationDispatch(t *testing.T) {
-	p := buildRotationProgram(t, 8)
+	p := core.MustNewProgram("rotations", 8)
+	x, _ := p.NewInput("x", core.TypeCipher, 8, 40)
+	steps := map[string]int{"r1": 1, "r2": 2, "r2again": 2, "r5": 5}
+	for name, k := range steps {
+		rot, _ := p.NewRotation(core.OpRotateLeft, x, k)
+		if err := p.AddOutput(name, rot, 40); err != nil {
+			t.Fatal(err)
+		}
+	}
 	res := compileForTest(t, p, compile.Options{})
-	in := randomInputs(p, 11)
-
+	prng := ckks.NewTestPRNG(11)
+	ctx, keys, err := NewContext(res, prng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncryptInputs(ctx, res, keys, randomInputs(p, 11), prng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	members := 0
-	hoisted, outHoisted := runEncrypted(t, res, in, RunOptions{
+	out, err := Run(ctx, res, enc, RunOptions{
 		Scheduler: SchedulerSequential,
 		OnInstruction: func(_ *core.Term, rec InstrRecord) {
 			if rec.Hoisted {
@@ -27,40 +44,37 @@ func TestHoistedRotationDispatch(t *testing.T) {
 			}
 		},
 	})
-	if outHoisted.Stats.HoistedBatches != 1 || outHoisted.Stats.HoistedRotations != 3 {
-		t.Errorf("hoisted run stats = %d batches / %d rotations, want 1 / 3",
-			outHoisted.Stats.HoistedBatches, outHoisted.Stats.HoistedRotations)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if members != 3 {
-		t.Errorf("%d instruction records flagged Hoisted, want 3", members)
+	if out.Stats.HoistedBatches != 1 || out.Stats.HoistedRotations != 3 {
+		t.Errorf("run stats = %d batches / %d rotations, want 1 / 3", out.Stats.HoistedBatches, out.Stats.HoistedRotations)
 	}
-
-	plain, outPlain := runEncrypted(t, res, in, RunOptions{
-		Scheduler:       SchedulerSequential,
-		DisableHoisting: true,
-	})
-	if outPlain.Stats.HoistedBatches != 0 || outPlain.Stats.HoistedRotations != 0 {
-		t.Errorf("DisableHoisting run still reports %d batches / %d rotations",
-			outPlain.Stats.HoistedBatches, outPlain.Stats.HoistedRotations)
+	if members != len(steps) {
+		t.Errorf("%d instruction records flagged Hoisted, want %d", members, len(steps))
 	}
-
-	for name, want := range plain {
-		got, ok := hoisted[name]
-		if !ok || len(got) != len(want) {
-			t.Fatalf("output %q shape mismatch between hoisted and sequential runs", name)
+	for name, k := range steps {
+		want, err := ctx.Evaluator.RotateLeft(enc.Cipher["x"], k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("output %q slot %d: hoisted %v != sequential %v (hoisting must be bit-exact)",
-					name, i, got[i], want[i])
-			}
+		wantBytes, err := want.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := out.Cipher[name].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Errorf("output %q differs from RotateLeft by %d (hoisting must be bit-exact)", name, k)
 		}
 	}
 }
 
-// TestHoistedRotationParallelScheduler runs the same program under the
-// parallel scheduler, where several group members can race to compute the
-// batch; exactly one must win.
+// TestHoistedRotationParallelScheduler runs a program with a hoist set under
+// the parallel scheduler, where the set is one dispatch unit: its batch runs
+// exactly once.
 func TestHoistedRotationParallelScheduler(t *testing.T) {
 	p := buildRotationProgram(t, 8)
 	res := compileForTest(t, p, compile.Options{})

@@ -48,12 +48,12 @@ func goldenDigests(t *testing.T) map[string]string {
 // TestKeySwitchDigitSizeOneMatchesParent shows that hybrid key switching with
 // one special prime is the construction it replaced, not an approximation of
 // it: on plan_diff_test's corpus, with the compiler's digit-size choice
-// overridden to 1 and the plan mechanisms off, keys, inputs and every output
-// ciphertext are byte-identical to what the commit with the per-prime key
-// switch produced (digests recorded there, see the golden file); the
-// differential tests show that a run with the mechanisms on produces the same
-// bytes unless it defers mod-downs. For the programs that do, the digest of
-// the run with the mechanisms on is pinned too (keyswitch_fused.golden). Digit sizes above 1
+// overridden to 1 and run as the reference lowering (fixture.runReference),
+// keys, inputs and every output ciphertext are byte-identical to what the
+// commit with the per-prime key switch produced (digests recorded there, see
+// the golden file); the differential tests show that the program as compiled
+// produces the same bytes unless it defers mod-downs. For the programs that
+// do, the digest of its run is pinned too (keyswitch_fused.golden). Digit sizes above 1
 // compute a different — equally valid — lift of each digit, so their outputs
 // differ in the noise bits; TestKeySwitchNoise in internal/ckks bounds that.
 func TestKeySwitchDigitSizeOneMatchesParent(t *testing.T) {
@@ -64,8 +64,8 @@ func TestKeySwitchDigitSizeOneMatchesParent(t *testing.T) {
 			res.Plan.SpecialBits = []int{analysis.SpecialPrimeLog}
 			f := newFixture(t, res, in, 41)
 			sequential := execute.RunOptions{Scheduler: execute.SchedulerSequential, Workers: 1}
-			compare := func(name string, opts execute.RunOptions) {
-				ser := serialized(t, f.run(t, opts))
+			compare := func(name string, out *execute.Outputs) {
+				ser := serialized(t, out)
 				names := make([]string, 0, len(ser))
 				for n := range ser {
 					names = append(names, n)
@@ -83,9 +83,9 @@ func TestKeySwitchDigitSizeOneMatchesParent(t *testing.T) {
 					t.Errorf("%s: outputs digest %s, the recorded one is %s", name, got, want)
 				}
 			}
-			compare(name, execute.WithoutPlanMechanisms(sequential))
+			compare(name, f.runReference(t, sequential))
 			if defers(res) {
-				compare("fused:"+name, sequential)
+				compare("fused:"+name, f.run(t, sequential))
 			}
 		})
 	}

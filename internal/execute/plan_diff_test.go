@@ -79,6 +79,21 @@ func (f *fixture) run(t testing.TB, opts execute.RunOptions) *execute.Outputs {
 	return out
 }
 
+// runReference runs the fixture's program as compile.Result.Reference lowers
+// it — no fused chains, nothing left over Q∪P — with the plan cache and buffer
+// recycling off: the differential tests' reference run. The run still keeps
+// the values of computed invariants, so the reference result is released.
+func (f *fixture) runReference(t testing.TB, opts execute.RunOptions) *execute.Outputs {
+	t.Helper()
+	ref := f.res.Reference()
+	defer compile.ReleasePlan(ref)
+	out, err := execute.Run(f.ctx, ref, f.enc, execute.WithoutPlanMechanisms(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // countingOps returns opts with an OnInstruction callback that counts the
 // run's records per opcode into the returned map.
 func countingOps(opts execute.RunOptions) (execute.RunOptions, map[core.OpCode]int) {
@@ -135,9 +150,9 @@ func requireSameBytes(t testing.TB, what string, got, want map[string][]byte) {
 }
 
 // defers reports a compiled program with an instruction that leaves its
-// result over Q∪P for its consumer (compile.Instr.DeferModDown).
+// result over Q∪P for its consumer (compile.BasisQP).
 func defers(res *compile.Result) bool {
-	return slices.ContainsFunc(res.Instrs, func(in compile.Instr) bool { return in.DeferModDown })
+	return slices.ContainsFunc(res.Instrs, func(in compile.Instr) bool { return in.Basis == compile.BasisQP })
 }
 
 // maxRunError is the largest distance between a run's decrypted outputs and
@@ -155,8 +170,8 @@ func maxRunError(t testing.TB, f *fixture, out *execute.Outputs, want map[string
 }
 
 // extraKeySetErrors sums, over sequential runs under three more key sets
-// than the fixtures' one, maxRunError of the runs with and without the plan
-// mechanisms; it is 0, 0 for a program that defers no mod-down. A deferred
+// than the fixtures' one, maxRunError of the program's runs and of the
+// reference lowering's; it is 0, 0 for a program that defers no mod-down. A deferred
 // rounding changes the bits every later rescale and mod-down rounds, so the
 // two runs' errors are two draws of the same noise: one key set's sixteen
 // lenet.eva scores put the ratio of the draws above 1.25 for 3 of 24 key
@@ -171,17 +186,17 @@ func extraKeySetErrors(t *testing.T, res *compile.Result, in execute.Inputs, wan
 	for seed := uint64(42); seed < 45; seed++ {
 		f := newFixture(t, res, in, seed)
 		on += maxRunError(t, f, f.run(t, seq), want)
-		off += maxRunError(t, f, f.run(t, execute.WithoutPlanMechanisms(seq)), want)
+		off += maxRunError(t, f, f.runReference(t, seq), want)
 	}
 	return on, off
 }
 
-// differential runs one program cold-plan, warm-plan and with the plan's
-// mechanisms switched off, under each scheduler. Cold and warm runs are
+// differential runs one program cold-plan, warm-plan and as the reference
+// lowering (fixture.runReference), under each scheduler. Cold and warm runs are
 // byte-identical, and so are the runs of each kind across schedulers. Each
 // scheduler gets a freshly compiled result (so its first run really is the
 // plan's first) with the same keys and inputs, which also makes the
-// schedulers comparable. The switched-off run defers no mod-down and fuses no
+// schedulers comparable. The reference run defers no mod-down and fuses no
 // rescale: for a program that defers none it is byte-identical to the
 // others, and for one that does it makes more mod-downs, and the others'
 // error against RunReference, summed with extraKeySetErrors, is at most 1.25×
@@ -199,10 +214,10 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 		ropts := execute.RunOptions{Scheduler: sched, Workers: 3}
 		coldOpts, coldOps := countingOps(ropts)
 		warmOpts, warmOps := countingOps(ropts)
-		offOpts, offOps := countingOps(execute.WithoutPlanMechanisms(ropts))
+		offOpts, offOps := countingOps(ropts)
 		cold := f.run(t, coldOpts)
 		warm := f.run(t, warmOpts)
-		off := f.run(t, offOpts)
+		off := f.runReference(t, offOpts)
 
 		if warm.Stats.PlainCacheMisses != 0 {
 			t.Errorf("%s: warm run missed the plan cache %d times", name, warm.Stats.PlainCacheMisses)
@@ -212,17 +227,17 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 				warm.Stats.PlainCacheHits, cold.Stats.PlainCacheHits+cold.Stats.PlainCacheMisses)
 		}
 		if s := off.Stats; s.PlainCacheHits != 0 || s.FusedChains != 0 || s.RecycledBuffers != 0 {
-			t.Errorf("%s: switched-off run still reports %d cache hits, %d fused chains, %d recycled buffers",
+			t.Errorf("%s: reference run still reports %d cache hits, %d fused chains, %d recycled buffers",
 				name, s.PlainCacheHits, s.FusedChains, s.RecycledBuffers)
 		}
 		for _, o := range []*execute.Outputs{cold, warm} {
 			if o.Stats.Instructions != off.Stats.Instructions {
-				t.Errorf("%s: %d instructions, switched-off run %d", name, o.Stats.Instructions, off.Stats.Instructions)
+				t.Errorf("%s: %d instructions, reference run %d", name, o.Stats.Instructions, off.Stats.Instructions)
 			}
 		}
 		for _, ops := range []map[core.OpCode]int{coldOps, warmOps} {
 			if !maps.Equal(ops, offOps) {
-				t.Errorf("%s: per-opcode record counts %v differ from the switched-off run's %v", name, ops, offOps)
+				t.Errorf("%s: per-opcode record counts %v differ from the reference run's %v", name, ops, offOps)
 			}
 		}
 
@@ -231,25 +246,25 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 		if !defers(f.res) {
 			requireSameBytes(t, name+" cold", on, offBytes)
 			if cold.Stats.ModDowns != off.Stats.ModDowns {
-				t.Errorf("%s: %d mod-downs, switched-off run %d", name, cold.Stats.ModDowns, off.Stats.ModDowns)
+				t.Errorf("%s: %d mod-downs, reference run %d", name, cold.Stats.ModDowns, off.Stats.ModDowns)
 			}
 		} else {
 			errOn, errOff := maxRunError(t, f, cold, want)+extraOn, maxRunError(t, f, off, want)+extraOff
 			if errOn > 1.25*errOff {
-				t.Errorf("%s: deferred mod-downs give error %g, more than 1.25× the switched-off runs' %g", name, errOn, errOff)
+				t.Errorf("%s: deferred mod-downs give error %g, more than 1.25× the reference runs' %g", name, errOn, errOff)
 			}
 			if cold.Stats.ModDowns >= off.Stats.ModDowns {
-				t.Errorf("%s: %d mod-downs, switched-off run %d: nothing deferred", name, cold.Stats.ModDowns, off.Stats.ModDowns)
+				t.Errorf("%s: %d mod-downs, reference run %d: nothing deferred", name, cold.Stats.ModDowns, off.Stats.ModDowns)
 			}
 		}
 		if off.Stats.FusedRescales != 0 {
-			t.Errorf("%s: switched-off run made %d fused rescales", name, off.Stats.FusedRescales)
+			t.Errorf("%s: reference run made %d fused rescales", name, off.Stats.FusedRescales)
 		}
 		if reference == nil {
 			reference, offReference = on, offBytes
 		}
 		requireSameBytes(t, name+" vs other schedulers", on, reference)
-		requireSameBytes(t, name+" switched off vs other schedulers", offBytes, offReference)
+		requireSameBytes(t, name+" reference vs other schedulers", offBytes, offReference)
 	}
 }
 

@@ -94,10 +94,10 @@ func (b *treeBuilder) output(name string, t *core.Term) {
 	}
 }
 
-// runBothWays executes the program cold, warm and without the plan's
-// mechanisms on identical keys and inputs. Cold and warm outputs are
-// byte-identical and within treeTolerance of RunReference on the source
-// program; so is the run without mechanisms unless the program defers
+// runBothWays executes the program cold, warm and as the reference lowering
+// (fixture.runReference) on identical keys and inputs. Cold and warm outputs
+// are byte-identical and within treeTolerance of RunReference on the source
+// program; so is the reference run unless the program defers
 // mod-downs, when the warm run's error against RunReference is at most 1.25×
 // its. It returns the statistics and serialized outputs of the warm run.
 func runBothWays(t *testing.T, prog *core.Program, sched execute.Scheduler) (execute.RunStats, map[string][]byte) {
@@ -107,7 +107,7 @@ func runBothWays(t *testing.T, prog *core.Program, sched execute.Scheduler) (exe
 	ropts := execute.RunOptions{Scheduler: sched, Workers: 2}
 	cold := f.run(t, ropts)
 	fused := f.run(t, ropts)
-	plain := f.run(t, execute.WithoutPlanMechanisms(ropts))
+	plain := f.runReference(t, ropts)
 	out := serialized(t, fused)
 	requireSameBytes(t, "cold vs warm", serialized(t, cold), out)
 	want, err := execute.RunReference(prog, in)

@@ -24,14 +24,21 @@ func RunReference(p *core.Program, values Inputs) (map[string][]float64, error) 
 		env[in] = Replicate(v, p.VecSize)
 	}
 	for _, t := range p.TopoSort() {
-		if t.Op == core.OpInput {
-			continue
+		var args [2][]float64
+		for slot, q := range t.Parms() {
+			args[slot] = env[q]
 		}
-		v, err := evalReference(t, env, p.VecSize)
-		if err != nil {
-			return nil, err
+		switch t.Op {
+		case core.OpInput:
+		case core.OpConstant:
+			env[t] = Replicate(t.Value, p.VecSize)
+		default:
+			v, err := plainOp(t.Op, t.EffectiveRotation(), args[0], args[1])
+			if err != nil {
+				return nil, err
+			}
+			env[t] = v
 		}
-		env[t] = v
 	}
 	out := make(map[string][]float64, len(p.Outputs()))
 	for _, o := range p.Outputs() {
@@ -40,26 +47,13 @@ func RunReference(p *core.Program, values Inputs) (map[string][]float64, error) 
 	return out, nil
 }
 
-func evalReference(t *core.Term, env map[*core.Term][]float64, vecSize int) ([]float64, error) {
-	if t.Op == core.OpConstant {
-		return Replicate(t.Value, vecSize), nil
-	}
-	var a, b []float64
-	if len(t.Parms()) > 0 {
-		a = env[t.Parm(0)]
-	}
-	if len(t.Parms()) > 1 {
-		b = env[t.Parm(1)]
-	}
-	return plainOp(t, a, b)
-}
-
 // plainOp evaluates one instruction on unencrypted operand vectors (b is nil
-// for unary instructions): the reference semantics, which is also how the
-// CKKS executor evaluates the Plain terms of a program. The FHE-specific
-// instructions return their operand itself, not a copy.
-func plainOp(t *core.Term, a, b []float64) ([]float64, error) {
-	switch t.Op {
+// for unary instructions, rot a rotation's effective left step): the
+// reference semantics, which is also how the CKKS executor evaluates the
+// Plain terms of a program. The FHE-specific instructions return their
+// operand itself, not a copy.
+func plainOp(op core.OpCode, rot int, a, b []float64) ([]float64, error) {
+	switch op {
 	case core.OpNegate:
 		return mapVec(a, func(x float64) float64 { return -x }), nil
 	case core.OpAdd:
@@ -68,14 +62,12 @@ func plainOp(t *core.Term, a, b []float64) ([]float64, error) {
 		return zipVec(a, b, func(a, b float64) float64 { return a - b }), nil
 	case core.OpMultiply:
 		return zipVec(a, b, func(a, b float64) float64 { return a * b }), nil
-	case core.OpRotateLeft:
-		return rotate(a, t.RotateBy), nil
-	case core.OpRotateRight:
-		return rotate(a, -t.RotateBy), nil
+	case core.OpRotateLeft, core.OpRotateRight:
+		return rotate(a, rot), nil
 	case core.OpRelinearize, core.OpModSwitch, core.OpRescale:
 		return a, nil
 	default:
-		return nil, fmt.Errorf("execute: unsupported opcode %s", t.Op)
+		return nil, fmt.Errorf("execute: unsupported opcode %s", op)
 	}
 }
 

@@ -36,9 +36,6 @@ type RunOptions struct {
 	// Workers is the number of worker goroutines (0 means GOMAXPROCS).
 	Workers   int
 	Scheduler Scheduler
-	// DisableHoisting turns off hoisted rotation batching: every rotation is
-	// then an independent key switch, as in the sequential baseline.
-	DisableHoisting bool
 	// OnInstruction, when non-nil, is called once per instruction of the
 	// compiled program (len(res.Instrs) calls in all) as it completes, with
 	// the term and its measured record — the run's only observer, so a
@@ -48,10 +45,9 @@ type RunOptions struct {
 	// counted in the Outputs' RunStats.
 	OnInstruction func(t *core.Term, rec InstrRecord)
 
-	// withoutPlanMechanisms is the differential tests' switch: the run goes
-	// through the same program and scheduler but encodes every constant itself,
-	// allocates every result fresh and evaluates fused chains one member at
-	// a time — what every run did before plans carried those mechanisms.
+	// withoutPlanMechanisms is the differential tests' switch, for running
+	// compile.Result.Reference: the run encodes every constant itself and
+	// allocates every result fresh.
 	withoutPlanMechanisms bool
 }
 
@@ -63,12 +59,10 @@ type InstrRecord struct {
 	// key to everything the compiler knows about it.
 	ID int32
 	// Wall is the instruction's evaluation wall time (backend call only, not
-	// queueing). For the first-scheduled member of a hoisted rotation batch it
-	// includes the whole batch's key-switch work, which the cost model
-	// (compile.Result.InstrUnits) charges instead to the members that do it:
-	// the decomposition to the first member, a key application to the first
-	// taking each step. For a member of a fused chain it is the chain's wall
-	// time apportioned by the cost model's units (CostModel.OpUnits).
+	// queueing). The members of a unit that runs as one backend call — a
+	// hoisted rotation batch, a fused chain — split the unit's wall in
+	// proportion to their compile.Result.InstrUnits, so their walls sum to
+	// the unit's.
 	Wall time.Duration
 	// Cipher reports whether the result is a ciphertext. Level and Scale are
 	// the result ciphertext's post-op level and raw scale (Level is -1 and
@@ -119,13 +113,10 @@ type runState struct {
 
 	onInstr func(t *core.Term, rec InstrRecord)
 
-	// The three plan mechanisms, each of which a run may have to do without:
-	// cache (the context's parameters match the cached encodings), recycle
-	// and fuse (off only under the tests' switch).
-	cache, recycle, fuse bool
-	// hoists holds the per-run state of the program's hoistable rotation
-	// sets; nil when hoisting is disabled.
-	hoists []hoistRun
+	// The run's two mechanisms, each of which it may have to do without:
+	// cache (the context's parameters match the cached encodings) and
+	// recycle (off only under the tests' switch).
+	cache, recycle bool
 
 	cacheHits, cacheMisses atomic.Int64
 	modDowns               atomic.Int64
@@ -144,77 +135,12 @@ type runState struct {
 	liveBytes  int
 	liveValues int
 	stats      RunStats
-	firstErr   error
-}
-
-// hoistRun carries the shared state of one hoistable rotation set during a
-// run: whichever member is scheduled first computes the whole batch with one
-// shared decomposition (Evaluator.RotateHoisted) and parks the results; the
-// remaining members pick theirs up without touching the backend.
-type hoistRun struct {
-	mu      sync.Mutex
-	results map[int]*ckks.Ciphertext // by step; nil until the batch has run
-}
-
-// hoistedRotation returns the batch result for the rotation in, computing the
-// batch on first use.
-func (st *runState) hoistedRotation(in *compile.Instr, src *ckks.Ciphertext) (value, error) {
-	set := &st.res.Hoists[in.Hoist]
-	g := &st.hoists[in.Hoist]
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.results == nil {
-		var deferred []bool
-		if st.fuse {
-			deferred = set.Deferred
-		}
-		batch, err := st.ctx.Evaluator.RotateHoisted(src, set.Steps, deferred)
-		if err != nil {
-			return value{}, err
-		}
-		g.results = batch
-		for _, ct := range batch {
-			st.countModDowns(ct)
-		}
-		st.mu.Lock()
-		st.stats.HoistedBatches++
-		st.stats.HoistedRotations += len(batch)
-		st.mu.Unlock()
-	}
-	return value{ct: g.results[in.Rot], owned: !set.Shared[in.HoistPos]}, nil
-}
-
-// rotate is a rotation outside a hoisted batch: a batch of one when the
-// compiler deferred its mod-down to its consumer (and the run fuses),
-// Evaluator.RotateLeft otherwise.
-func (st *runState) rotate(in *compile.Instr, src *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	ev := st.ctx.Evaluator
-	if !st.fuse || !in.DeferModDown {
-		ct, err := ev.RotateLeft(src, in.Rot)
-		if err == nil {
-			st.countModDowns(ct)
-		}
-		return ct, err
-	}
-	batch, err := ev.RotateHoisted(src, []int{in.Rot}, []bool{true})
-	if err != nil {
-		return nil, err
-	}
-	return batch[in.Rot], nil
-}
-
-// countModDowns counts the two mod-downs of a key switch that produced ct,
-// unless ct defers them to its consumer.
-func (st *runState) countModDowns(ct *ckks.Ciphertext) {
-	if !ct.Deferred() {
-		st.modDowns.Add(2)
-	}
 }
 
 // finish mods down a result left over Q∪P unless the compiler left it there
-// for its consumer (Instr.DeferModDown). It returns ct itself otherwise.
+// for its consumer (compile.BasisQP). It returns ct itself otherwise.
 func (st *runState) finish(in *compile.Instr, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	if !ct.Deferred() || in.DeferModDown {
+	if !ct.Deferred() || in.Basis == compile.BasisQP {
 		return ct, nil
 	}
 	ev := st.ctx.Evaluator
@@ -248,7 +174,7 @@ func Run(ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions
 func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *EncryptedInputs, opts RunOptions) (*Outputs, error) {
 	args := make(map[string]compile.CipherArg, len(in.Cipher))
 	for name, ct := range in.Cipher {
-		args[name] = compile.CipherArg{Level: ct.Level, LogScale: math.Log2(ct.Scale), Width: res.Program.VecSize}
+		args[name] = compile.CipherArg{Level: ct.Level, LogScale: math.Log2(ct.Scale), Width: res.VecSize}
 	}
 	if _, mismatches := res.Bind(ctx.Params, args); len(mismatches) > 0 {
 		return nil, fmt.Errorf("execute: %w", mismatches[0])
@@ -273,7 +199,6 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		onInstr:   opts.OnInstruction,
 		cache:     res.Cache.UsableWith(ctx.Params) && on,
 		recycle:   on,
-		fuse:      on,
 		values:    make([]value, n),
 		refs:      make([]int32, n),
 		pending:   make([]int32, n),
@@ -281,9 +206,6 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 	}
 	for i := range res.Instrs {
 		st.refs[i], st.pending[i] = res.Instrs[i].Refs, res.Instrs[i].Pending
-	}
-	if !opts.DisableHoisting && len(res.Hoists) > 0 {
-		st.hoists = make([]hoistRun, len(res.Hoists))
 	}
 
 	err := stdctx.Err()
@@ -337,20 +259,15 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 // cache — so they complete here, before anything is dispatched, each with its
 // profiler record like any other instruction.
 func (st *runState) completeInvariants() {
+	if st.onInstr == nil {
+		return
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	vb := 8 * st.res.Program.VecSize
+	vb := 8 * st.res.VecSize
 	for _, id := range st.res.Invariants {
 		in := &st.res.Instrs[id]
-		if st.onInstr != nil {
-			st.onInstr(in.Term, InstrRecord{
-				ID:           id,
-				Level:        -1,
-				OutBytes:     vb,
-				OperandBytes: vb * len(in.Parms),
-				Operands:     len(in.Parms),
-			})
-		}
+		st.onInstr(in.Term, InstrRecord{ID: id, Level: -1, OutBytes: vb, OperandBytes: vb * len(in.Parms), Operands: len(in.Parms)})
 	}
 }
 
@@ -358,9 +275,9 @@ func (st *runState) completeInvariants() {
 // shared between runs: callers must not modify it.
 func invariantValue(res *compile.Result, id int32) ([]float64, error) {
 	in := &res.Instrs[id]
-	if in.Term.Op == core.OpConstant {
+	if in.Value != nil {
 		// Replicating a constant is cheaper than remembering it.
-		return Replicate(in.Term.Value, res.Program.VecSize), nil
+		return Replicate(in.Value, res.VecSize), nil
 	}
 	if v := res.Cache.Value(id); v != nil {
 		return v, nil
@@ -373,7 +290,7 @@ func invariantValue(res *compile.Result, id int32) ([]float64, error) {
 		}
 		args[slot] = a
 	}
-	v, err := plainOp(in.Term, args[0], args[1])
+	v, err := plainOp(in.Op, in.Rot, args[0], args[1])
 	if err != nil {
 		return nil, err
 	}
@@ -400,10 +317,10 @@ func runParallel(st *runState, workers int) error {
 	}
 
 	done := make(chan struct{})
-	var closeDone sync.Once
+	var failed sync.Once
+	var firstErr error
 	fail := func(err error) {
-		st.setErr(err)
-		closeDone.Do(func() { close(done) })
+		failed.Do(func() { firstErr = err; close(done) })
 	}
 	var wg sync.WaitGroup
 	cancelled := st.stdctx.Done()
@@ -439,7 +356,7 @@ func runParallel(st *runState, workers int) error {
 		}()
 	}
 	wg.Wait()
-	return st.firstErr
+	return firstErr
 }
 
 // runBulkSynchronous executes the program kernel by kernel: the units of each
@@ -474,40 +391,23 @@ func runBulkSynchronous(st *runState, workers int) error {
 			remaining = next
 		}
 	}
-	return st.firstErr
+	return nil
 }
 
+// parallelFor calls f on every item from up to workers goroutines, each
+// taking the next item until one fails; it returns the first error.
 func parallelFor(items []int32, workers int, f func(int32) error) error {
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for _, id := range items {
-			if err := f(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	var next atomic.Int64
+	var failed sync.Once
 	var firstErr error
-	work := make(chan int32, len(items))
-	for _, id := range items {
-		work <- id
-	}
-	close(work)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for range min(workers, len(items)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for id := range work {
-				if err := f(id); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
+			for i := next.Add(1) - 1; i < int64(len(items)); i = next.Add(1) - 1 {
+				if err := f(items[i]); err != nil {
+					failed.Do(func() { firstErr = err })
 					return
 				}
 			}
@@ -517,16 +417,8 @@ func parallelFor(items []int32, workers int, f func(int32) error) error {
 	return firstErr
 }
 
-func (st *runState) setErr(err error) {
-	st.mu.Lock()
-	if st.firstErr == nil {
-		st.firstErr = err
-	}
-	st.mu.Unlock()
-}
-
-// runUnit evaluates one dispatched unit: a single instruction, or a whole
-// fused chain when id is a chain's root.
+// runUnit evaluates one dispatched unit: a single instruction, a whole fused
+// chain at its root or a whole hoist set at its first member.
 func (st *runState) runUnit(id int32) (err error) {
 	// The backend assumes well-shaped operands; inputs from untrusted wire
 	// formats are validated before they get here, but a panic in a worker
@@ -537,26 +429,108 @@ func (st *runState) runUnit(id int32) (err error) {
 			err = fmt.Errorf("execute: panic evaluating %s: %v", st.res.Instrs[id].Term, r)
 		}
 	}()
-	ch := st.res.Instrs[id].Chain
-	if ch == nil {
-		return st.evalAndStore(id)
-	}
-	if st.fuse {
-		start := time.Now()
-		if ct := st.evalChain(ch); ct != nil {
-			st.completeChain(ch, ct, time.Since(start))
+	in := &st.res.Instrs[id]
+	switch {
+	case in.Chain != nil:
+		if st.runChain(in.Chain) {
 			return nil
 		}
+		// The fused kernel refused the operands: evaluate the members one at
+		// a time, which also reports exactly the error an unfused run would.
+		for _, m := range in.Chain.Members {
+			if err := st.evalAndStore(m); err != nil {
+				return err
+			}
+		}
+		return nil
+	case in.Hoist >= 0:
+		return st.runHoist(&st.res.Hoists[in.Hoist])
 	}
-	// Unfused (the tests' switch), or the fused kernel refused the operands:
-	// evaluate the members one at a time, which also reproduces exactly the
-	// error an unfused run reports.
-	for _, m := range ch.Members {
-		if err := st.evalAndStore(m); err != nil {
-			return err
+	return st.evalAndStore(id)
+}
+
+// runHoist evaluates a hoist set as one batch sharing one decomposition
+// (Evaluator.RotateHoisted) and stores every member's value.
+func (st *runState) runHoist(set *compile.HoistSet) error {
+	src, err := st.operand(&st.res.Instrs[set.Members[0]], 0)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	batch, err := st.ctx.Evaluator.RotateHoisted(src.ct, set.Steps, set.Deferred)
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
+	for _, ct := range batch {
+		if !ct.Deferred() {
+			st.modDowns.Add(2) // one per component
 		}
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	// Every member's value is stored before the first member, the unit,
+	// releases its dependants.
+	for k, m := range set.Members {
+		st.storeLocked(m, value{ct: batch[set.Steps[k]], owned: !set.Shared[k]})
+	}
+	st.retireUnitLocked(set.Members, wall, nil)
+	st.stats.HoistedBatches++
+	st.stats.HoistedRotations += len(batch)
 	return nil
+}
+
+// runChain evaluates a fused chain as one multiply-accumulate and completes
+// every member: only the root has a value, but each member still gets its
+// profiler record and operand release, so a fused run reports the same
+// instructions as an unfused one. It reports false, having done nothing, when
+// the backend refuses the operands.
+func (st *runState) runChain(ch *compile.FusedChain) bool {
+	start := time.Now()
+	ct := st.evalChain(ch)
+	if ct == nil {
+		return false
+	}
+	wall := time.Since(start)
+	v := value{ct: ct, owned: true}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.storeLocked(ch.Members[len(ch.Members)-1], v)
+	st.retireUnitLocked(ch.Members, wall, &v)
+	st.stats.FusedChains++
+	st.stats.FusedTerms += len(ch.Members)
+	return true
+}
+
+// retireUnitLocked records and retires the members of a unit that ran as one
+// backend call. The records split the unit's wall in proportion to the
+// members' InstrUnits, the last member taking the rounding, so they sum to
+// wall; a fused chain's members all report its result, chain.
+func (st *runState) retireUnitLocked(members []int32, wall time.Duration, chain *value) {
+	if st.onInstr != nil {
+		units := make([]float64, len(members))
+		total := 0.0
+		for k, m := range members {
+			units[k] = st.res.InstrUnits(m)
+			total += units[k]
+		}
+		rest := wall
+		for k, m := range members {
+			share := rest
+			if k < len(members)-1 {
+				share = time.Duration(float64(wall) * units[k] / total)
+				rest -= share
+			}
+			v := st.values[m]
+			if chain != nil {
+				v = *chain
+			}
+			st.recordLocked(m, share, v, chain != nil)
+		}
+	}
+	for _, m := range members {
+		st.finishLocked(&st.res.Instrs[m])
+	}
 }
 
 // evalAndStore computes the value of one instruction, stores it, and releases
@@ -571,29 +545,10 @@ func (st *runState) evalAndStore(id int32) error {
 	elapsed := time.Since(start)
 	st.mu.Lock()
 	st.storeLocked(id, v)
-	st.recordLocked(id, elapsed, v, v.bytes(), false)
+	st.recordLocked(id, elapsed, v, false)
 	st.finishLocked(in)
 	st.mu.Unlock()
 	return nil
-}
-
-// completeChain completes every member of a chain that evaluated fused to ct:
-// only the root has a value, but each member still gets its profiler record
-// and operand release, so a fused run reports the same instructions as an
-// unfused one.
-func (st *runState) completeChain(ch *compile.FusedChain, ct *ckks.Ciphertext, elapsed time.Duration) {
-	v := value{ct: ct, owned: true}
-	vb := v.bytes()
-	root := ch.Members[len(ch.Members)-1]
-	st.mu.Lock()
-	st.storeLocked(root, v)
-	for k, m := range ch.Members {
-		st.recordLocked(m, time.Duration(float64(elapsed)*ch.Weights[k]), v, vb, true)
-		st.finishLocked(&st.res.Instrs[m])
-	}
-	st.stats.FusedChains++
-	st.stats.FusedTerms += len(ch.Members)
-	st.mu.Unlock()
 }
 
 func (st *runState) storeLocked(id int32, v value) {
@@ -612,18 +567,19 @@ func (st *runState) storeLocked(id int32, v value) {
 // is the instruction's result — for a fused member, its chain's. It must run
 // before finishLocked, which releases the operands whose footprints the
 // record reads.
-func (st *runState) recordLocked(id int32, wall time.Duration, v value, vb int, fused bool) {
+func (st *runState) recordLocked(id int32, wall time.Duration, v value, fused bool) {
 	if st.onInstr == nil {
 		return
 	}
 	in := &st.res.Instrs[id]
+	vb := v.bytes()
 	rec := InstrRecord{
 		ID:       id,
 		Wall:     wall,
 		Level:    -1,
 		OutBytes: vb,
 		Operands: len(in.Parms),
-		Hoisted:  st.hoists != nil && in.Hoist >= 0,
+		Hoisted:  in.Hoist >= 0,
 		Fused:    fused,
 	}
 	if v.ct != nil {
@@ -636,7 +592,7 @@ func (st *runState) recordLocked(id int32, wall time.Duration, v value, vb int, 
 		case parm.ct != nil || parm.plain != nil:
 			rec.OperandBytes += parm.bytes()
 		case st.res.Instrs[q].Invariant:
-			rec.OperandBytes += 8 * st.res.Program.VecSize
+			rec.OperandBytes += 8 * st.res.VecSize
 		default:
 			// An absorbed member of this fused chain: never materialised,
 			// but it would have had the footprint of the chain's result.
@@ -739,8 +695,7 @@ func (st *runState) plaintext(q int32, level int, scale float64, extended bool) 
 // evalChain evaluates a fused chain as one multiply-accumulate, whose sum
 // stays over Q∪P when a leaf is deferred, and mods that sum down unless the
 // chain's root defers it too. It returns nil when the backend refuses the
-// operands (mixed levels or degrees, mismatched scales); the caller then
-// evaluates the chain's members one by one.
+// operands (mixed levels or degrees, mismatched scales).
 func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
 	cts := make([]*ckks.Ciphertext, len(ch.Products))
 	pts := make([]*ckks.Plaintext, len(ch.Products))
@@ -765,63 +720,73 @@ func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
 	return out
 }
 
-// eval dispatches one instruction to the CKKS evaluator (for ciphertext
-// values) or to plain vector arithmetic (for unencrypted values).
+// eval makes the backend call of one instruction (compile.Kind): a CKKS
+// evaluator call for a ciphertext, plain vector arithmetic otherwise.
 func (st *runState) eval(in *compile.Instr) (value, error) {
-	t := in.Term
-	if t.Op == core.OpInput {
-		if ct, ok := st.in.Cipher[t.Name]; ok {
+	if in.Kind == compile.KindInput {
+		if ct, ok := st.in.Cipher[in.Name]; ok {
 			return value{ct: ct}, nil
 		}
-		if pv, ok := st.in.Plain[t.Name]; ok {
+		if pv, ok := st.in.Plain[in.Name]; ok {
 			return value{plain: pv}, nil
 		}
-		return value{}, fmt.Errorf("execute: no value supplied for input %q", t.Name)
+		return value{}, fmt.Errorf("execute: no value supplied for input %q", in.Name)
 	}
-	var a, b value
+	var ops [2]value
 	var err error
-	if len(in.Parms) > 0 {
-		if a, err = st.operand(in, 0); err != nil {
+	for slot := range in.Parms {
+		if ops[slot], err = st.operand(in, slot); err != nil {
 			return value{}, err
 		}
 	}
-	if len(in.Parms) > 1 {
-		if b, err = st.operand(in, 1); err != nil {
-			return value{}, err
-		}
-	}
-	if a.ct == nil && b.ct == nil {
-		plain, err := plainOp(t, a.plain, b.plain)
-		return value{plain: plain}, err
-	}
+	a, b := ops[0], ops[1]
 
 	ev := st.ctx.Evaluator
 	var ct *ckks.Ciphertext
-	switch t.Op {
-	case core.OpNegate:
+	switch in.Kind {
+	case compile.KindPlain:
+		plain, err := plainOp(in.Op, in.Rot, a.plain, b.plain)
+		return value{plain: plain}, err
+	case compile.KindNegate:
 		ct, err = ev.Negate(a.ct)
-	case core.OpAdd, core.OpSub, core.OpMultiply:
-		ct, err = st.evalBinary(in, a, b)
-	case core.OpRotateLeft, core.OpRotateRight:
-		if st.hoists != nil && in.Hoist >= 0 {
-			return st.hoistedRotation(in, a.ct)
+	case compile.KindAdd, compile.KindSub:
+		// A sum with an operand left over Q∪P stays there too, until finish
+		// mods it down.
+		op := ev.Add
+		if in.Kind == compile.KindSub {
+			op = ev.Sub
 		}
-		ct, err = st.rotate(in, a.ct)
-	case core.OpRelinearize:
-		if in.DeferModDown && st.fuse {
-			ct, err = ev.RelinearizeDeferred(a.ct)
-		} else if ct, err = ev.Relinearize(a.ct); err == nil && a.ct.Degree() == 2 {
+		if ct, err = op(a.ct, b.ct); err == nil {
+			ct, err = st.finish(in, ct)
+		}
+	case compile.KindMul:
+		ct, err = ev.Mul(a.ct, b.ct)
+	case compile.KindAddPlain, compile.KindPlainAdd, compile.KindSubPlain, compile.KindPlainSub, compile.KindMulPlain, compile.KindPlainMul:
+		ct, err = st.evalPlain(in, a, b)
+	case compile.KindRotate:
+		if ct, err = ev.RotateLeft(a.ct, in.Rot); err == nil && !ct.Deferred() {
 			st.modDowns.Add(2)
 		}
-	case core.OpModSwitch:
+	case compile.KindRotateQP:
+		var batch map[int]*ckks.Ciphertext
+		if batch, err = ev.RotateHoisted(a.ct, []int{in.Rot}, []bool{true}); err == nil {
+			ct = batch[in.Rot]
+		}
+	case compile.KindRelinearize:
+		if ct, err = ev.Relinearize(a.ct); err == nil && a.ct.Degree() == 2 {
+			st.modDowns.Add(2)
+		}
+	case compile.KindRelinearizeQP:
+		ct, err = ev.RelinearizeDeferred(a.ct)
+	case compile.KindModSwitch:
 		ct, err = ev.ModSwitch(a.ct)
-	case core.OpRescale:
+	case compile.KindRescale, compile.KindRescaleQP:
 		ct, err = ev.Rescale(a.ct)
 		if err == nil && a.ct.Deferred() {
 			st.fusedRescales.Add(1)
 		}
 	default:
-		err = fmt.Errorf("execute: unsupported opcode %s", t.Op)
+		err = fmt.Errorf("execute: %s has kind %d, which no run evaluates", in.Term, in.Kind)
 	}
 	if err != nil {
 		return value{}, err
@@ -829,56 +794,32 @@ func (st *runState) eval(in *compile.Instr) (value, error) {
 	return value{ct: ct, owned: true}, nil
 }
 
-// evalBinary evaluates ADD, SUB or MULTIPLY with at least one ciphertext
-// operand.
-func (st *runState) evalBinary(in *compile.Instr, a, b value) (*ckks.Ciphertext, error) {
-	t := in.Term
+// evalPlain evaluates a cipher-plain kind: it encodes the plain operand at
+// the ciphertext's level, at the scale the compiler assigned to the plain
+// term for a product or at the ciphertext's own scale for a sum (to satisfy
+// Constraint 2 exactly).
+func (st *runState) evalPlain(in *compile.Instr, a, b value) (*ckks.Ciphertext, error) {
+	ct, q := a.ct, in.Parms[1]
+	if in.Kind.PlainSlot() == 0 {
+		ct, q = b.ct, in.Parms[0]
+	}
 	ev := st.ctx.Evaluator
-
-	// Cipher-cipher uses the homomorphic evaluator directly. A sum with an
-	// operand left over Q∪P stays there too, until finish mods it down.
-	if a.ct != nil && b.ct != nil {
-		switch t.Op {
-		case core.OpAdd, core.OpSub:
-			op := ev.Add
-			if t.Op == core.OpSub {
-				op = ev.Sub
-			}
-			ct, err := op(a.ct, b.ct)
-			if err != nil {
-				return nil, err
-			}
-			return st.finish(in, ct)
-		default:
-			return ev.Mul(a.ct, b.ct)
-		}
-	}
-
-	// Mixed cipher-plain: encode the plain operand at the ciphertext's level,
-	// at the scale the compiler assigned to the plain term (for products) or
-	// at the ciphertext's own scale (for sums, to satisfy Constraint 2 exactly).
-	ct, plainSlot := a.ct, 1
-	if ct == nil {
-		ct, plainSlot = b.ct, 0
-	}
-	q := in.Parms[plainSlot]
+	mul := in.Kind == compile.KindMulPlain || in.Kind == compile.KindPlainMul
 	scale := ct.Scale
-	if t.Op == core.OpMultiply {
+	if mul {
 		scale = math.Exp2(st.res.Instrs[q].LogScale)
 	}
 	pt, err := st.plaintext(q, ct.Level, scale, false)
 	if err != nil {
-		return nil, fmt.Errorf("execute: encoding plain operand of %s: %w", t, err)
+		return nil, fmt.Errorf("execute: encoding plain operand of %s: %w", in.Term, err)
 	}
 	var out *ckks.Ciphertext
 	switch {
-	case t.Op == core.OpAdd:
-		out, err = ev.AddPlain(ct, pt)
-	case t.Op == core.OpMultiply:
+	case mul:
 		out, err = ev.MulPlain(ct, pt)
-	case plainSlot == 1:
+	case in.Kind == compile.KindSubPlain:
 		out, err = ev.SubPlain(ct, pt)
-	default:
+	case in.Kind == compile.KindPlainSub:
 		// plain - cipher = -(cipher) + plain.
 		var neg *ckks.Ciphertext
 		if neg, err = ev.Negate(ct); err != nil {
@@ -888,9 +829,11 @@ func (st *runState) evalBinary(in *compile.Instr, a, b value) (*ckks.Ciphertext,
 		if st.recycle {
 			ev.Recycle(neg)
 		}
+	default:
+		out, err = ev.AddPlain(ct, pt)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("execute: %s: %w", t, err)
+		return nil, fmt.Errorf("execute: %s: %w", in.Term, err)
 	}
 	return out, nil
 }

@@ -158,20 +158,9 @@ func TestMatmulDispatchesHoistedBatches(t *testing.T) {
 
 // BenchmarkHetensorMatmul is the end-to-end hoisting benchmark: one compiled
 // 32x32 diagonal-method matmul executed on the CKKS backend. Its rotations
-// dispatch as a single hoisted batch; compare against a run with
-// DisableHoisting to see the end-to-end effect of sharing the decomposition.
+// dispatch as a single hoisted batch; ckks's BenchmarkRotate and
+// BenchmarkRotateHoisted measure what sharing the decomposition saves.
 func BenchmarkHetensorMatmul(b *testing.B) {
-	benchmarkMatmul(b, execute.RunOptions{Scheduler: execute.SchedulerSequential})
-}
-
-// BenchmarkHetensorMatmulUnhoisted is the same workload with hoisting
-// disabled — the baseline the CI gate compares BenchmarkHetensorMatmul
-// against.
-func BenchmarkHetensorMatmulUnhoisted(b *testing.B) {
-	benchmarkMatmul(b, execute.RunOptions{Scheduler: execute.SchedulerSequential, DisableHoisting: true})
-}
-
-func benchmarkMatmul(b *testing.B, ropts execute.RunOptions) {
 	const dim = 32
 	res := buildMatmulProgram(b, 4096, dim)
 	prng := ckks.NewTestPRNG(3)
@@ -186,7 +175,7 @@ func benchmarkMatmul(b *testing.B, ropts execute.RunOptions) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := execute.Run(ctx, res, enc, ropts); err != nil {
+		if _, err := execute.Run(ctx, res, enc, execute.RunOptions{Scheduler: execute.SchedulerSequential}); err != nil {
 			b.Fatal(err)
 		}
 	}
