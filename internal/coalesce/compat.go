@@ -9,12 +9,13 @@ import (
 // Compatible decides whether a compiled program can host coalesced
 // execution, and at what stride. The rules:
 //
-//   - The program must not rotate. A rotation moves data across slot-range
-//     boundaries, so caller j's slots would read caller j±1's data; the
-//     unbatched replicated encoding is immune (rotating a w-periodic vector
-//     is a per-period rotation) but a packed one is not. Both compiler-era
-//     and source rotations count — a rotation on an all-plain operand needs
-//     no Galois key yet still crosses ranges.
+//   - No instruction of the compiled program may rotate. A rotation moves
+//     data across slot-range boundaries, so caller j's slots would read
+//     caller j±1's data; the unbatched replicated encoding is immune
+//     (rotating a w-periodic vector is a per-period rotation) but a packed
+//     one is not. Both compiler-era and source rotations count — a rotation
+//     on an all-plain operand needs no Galois key yet still crosses ranges —
+//     but not one by a multiple of the vector size, which Compile folds away.
 //
 //   - The stride is the widest leaf of the program (inputs and constants;
 //     widths are powers of two, so the max is also the least common
@@ -25,20 +26,22 @@ import (
 //   - At least two callers must fit (stride·2 ≤ VecSize); a full-width
 //     program has nothing to amortize.
 func Compatible(res *compile.Result) (stride int, err error) {
-	prog := res.Program
-	for _, t := range prog.Terms() {
-		if t.Op.IsRotation() {
-			return 0, fmt.Errorf("coalesce: program %q rotates (op %s); rotations cross slot-range boundaries", prog.Name, t.Op)
+	for _, in := range res.Instrs {
+		if in.Op.IsRotation() {
+			return 0, fmt.Errorf("coalesce: the program rotates (op %s); rotations cross slot-range boundaries", in.Op)
 		}
-		if t.IsLeaf() && t.VecWidth > stride {
-			stride = t.VecWidth
+		if in.Value != nil {
+			stride = max(stride, len(in.Value))
 		}
+	}
+	for _, in := range res.Inputs {
+		stride = max(stride, in.Term.VecWidth)
 	}
 	if stride <= 0 {
 		stride = 1
 	}
-	if stride*2 > prog.VecSize {
-		return 0, fmt.Errorf("coalesce: program %q has width %d of %d slots; nothing to coalesce", prog.Name, stride, prog.VecSize)
+	if stride*2 > res.VecSize {
+		return 0, fmt.Errorf("coalesce: the program has width %d of %d slots; nothing to coalesce", stride, res.VecSize)
 	}
 	return stride, nil
 }

@@ -36,10 +36,6 @@ type Options struct {
 	// AllowInsecure permits parameter sets below the 128-bit security level.
 	// It exists for unit tests and scaled-down benchmarks only.
 	AllowInsecure bool
-	// Optimize enables the frontend optimizations (common-subexpression
-	// elimination and plain-constant folding) before the FHE-specific passes.
-	// They preserve reference semantics exactly and only reduce work.
-	Optimize bool
 	// ExtraLevels prepends this many waterline-sized primes to the modulus
 	// chain beyond what the program itself consumes. Pipelined programs use
 	// it to compile every stage against one shared chain: a downstream stage
@@ -121,9 +117,6 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	// A rotation by a multiple of the vector size is the identity; no pass
 	// below it, and no backend, sees one.
 	rewrite.FoldIdentityRotations(prog)
-	if opts.Optimize {
-		rewrite.Optimize(prog)
-	}
 	// Step 1: transformation.
 	if err := rewrite.Transform(prog, rewrite.Options{
 		MaxRescaleLog: opts.MaxRescaleLog,

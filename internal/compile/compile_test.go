@@ -210,34 +210,6 @@ func TestCompileInputScales(t *testing.T) {
 	}
 }
 
-func TestCompileWithFrontendOptimizations(t *testing.T) {
-	// A program with duplicate subexpressions compiles to fewer instructions
-	// when the optional optimizer is enabled, with identical parameters.
-	p := core.MustNewProgram("dup", 8)
-	x, _ := p.NewInput("x", core.TypeCipher, 8, 30)
-	a, _ := p.NewBinary(core.OpMultiply, x, x)
-	b, _ := p.NewBinary(core.OpMultiply, x, x)
-	sum, _ := p.NewBinary(core.OpAdd, a, b)
-	p.AddOutput("out", sum, 30)
-
-	plain, err := Compile(p, Options{MaxRescaleLog: 60, AllowInsecure: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := Compile(p, Options{MaxRescaleLog: 60, AllowInsecure: true, Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLowering(t, plain)
-	checkLowering(t, opt)
-	if opt.CompiledStats.Terms >= plain.CompiledStats.Terms {
-		t.Errorf("optimized program has %d terms, unoptimized %d", opt.CompiledStats.Terms, plain.CompiledStats.Terms)
-	}
-	if opt.Plan.NumPrimes() > plain.Plan.NumPrimes() {
-		t.Error("optimization should never increase the modulus chain")
-	}
-}
-
 func TestCompileHugeModulusFailsSecurely(t *testing.T) {
 	// A very deep program with large scales cannot fit any supported secure
 	// ring; compilation must fail rather than emit insecure parameters.

@@ -273,8 +273,8 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 
 // referencePeak replays liveness over the topological order with refcounts
 // from Term.UseEdges, which counts the uses of dead terms too: after
-// Optimize a value some dead term still names is never freed, so it agrees
-// with PeakMemoryBytes only on programs without dead terms. A term that
+// FoldIdentityRotations a value some dead rotation still names is never freed,
+// so it agrees with PeakMemoryBytes only on programs without dead terms. A term that
 // defers its mod-down (referenceDeferred) also holds two polynomials over the
 // α special primes.
 func referencePeak(m analysis.CostModel, p *core.Program) int64 {

@@ -33,7 +33,7 @@ func compiledDigest(t *testing.T, res *compile.Result) string {
 }
 
 // TestCompiledMatchesGolden pins the compiler's output: every examples/*.eva,
-// the six applications at test size (also with Optimize and one extra level)
+// the six applications at test size (also with one extra level)
 // and the five networks at the benchmark configuration (also compiled the
 // CHET way) compile to the program, plan, ring degree and rotation steps
 // recorded in testdata/compiled.golden ("name<TAB>digest" lines). The
@@ -61,8 +61,8 @@ func TestCompiledMatchesGolden(t *testing.T) {
 	secure := compile.DefaultOptions()
 	opts := secure
 	opts.AllowInsecure = true
-	optimized := opts
-	optimized.Optimize, optimized.ExtraLevels = true, 1
+	extra := opts
+	extra.ExtraLevels = 1
 	check := func(name string, prog *core.Program, compileFn func(*core.Program, compile.Options) (*compile.Result, error), opts compile.Options) {
 		res, err := compileFn(prog, opts)
 		if err != nil {
@@ -96,7 +96,7 @@ func TestCompiledMatchesGolden(t *testing.T) {
 	}
 	for _, app := range suite {
 		check("app/"+app.Name, app.Program, compile.Compile, opts)
-		check("app-optimized/"+app.Name, app.Program, compile.Compile, optimized)
+		check("app-extra/"+app.Name, app.Program, compile.Compile, extra)
 	}
 	for _, net := range nn.All(nn.BenchConfig()) {
 		prog, err := nn.BuildProgram(net, nn.RandomWeights(net, rand.New(rand.NewSource(1))))

@@ -160,11 +160,12 @@ type HoistSet struct {
 
 // FusedChain is a maximal tree of ciphertext additions whose interior sums
 // are single-use and not program outputs and whose leaves are all single-use,
-// non-output products of a ciphertext with a run-invariant plain value. The
-// whole tree evaluates as one Σ ctᵢ·ptᵢ (Evaluator.MulPlainAccumulate) when
-// its root, the chain's unit, is dispatched. SUB never joins a chain: it
-// stays an ordinary instruction, so the tree it roots or feeds is simply cut
-// there.
+// non-output products of a degree-1 ciphertext with a run-invariant plain
+// value, all at one level and one scale — the operands the fused kernel
+// accepts. The whole tree evaluates as one Σ ctᵢ·ptᵢ
+// (Evaluator.MulPlainAccumulate) when its root, the chain's unit, is
+// dispatched. SUB never joins a chain: it stays an ordinary instruction, so
+// the tree it roots or feeds is simply cut there.
 type FusedChain struct {
 	// Members lists every term of the tree — leaf products and sums — in
 	// topological order, the root last.
@@ -363,8 +364,9 @@ func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term
 
 	var deferred []bool
 	if mechanisms {
-		r.findChains(isOutput, user)
-		deferred = r.deferModDowns(isOutput, user)
+		degree2 := r.degree2()
+		r.findChains(isOutput, user, degree2)
+		deferred = r.deferModDowns(isOutput, user, degree2)
 	}
 	r.settle(deferred)
 	r.schedule()
@@ -407,8 +409,26 @@ func (r *Result) kind(in *Instr) Kind {
 	return kinds[in.Op][0]
 }
 
-// findChains marks the fused chains of the program (see FusedChain).
-func (r *Result) findChains(isOutput []bool, user []int32) {
+// degree2 marks the ciphertexts of degree 2: a product of two ciphertexts
+// until its RELINEARIZE.
+func (r *Result) degree2() []bool {
+	instrs := r.Instrs
+	degree2 := make([]bool, len(instrs))
+	for i := range instrs {
+		in := &instrs[i]
+		degree2[i] = in.Kind == KindMul
+		for _, q := range in.Parms {
+			degree2[i] = degree2[i] || (degree2[q] && in.Kind != KindRelinearize)
+		}
+	}
+	return degree2
+}
+
+// findChains marks the fused chains of the program (see FusedChain). It
+// admits only trees the fused kernel accepts — every leaf ciphertext of
+// degree 1 and every product at one level and one scale — so the executor
+// runs each chain as one kernel call; degree2 marks the degree-2 ciphertexts.
+func (r *Result) findChains(isOutput []bool, user []int32, degree2 []bool) {
 	instrs := r.Instrs
 	n := len(instrs)
 	// product[i] is 1 + the slot of the ciphertext operand when instruction i
@@ -420,7 +440,8 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 		in := &instrs[i]
 		switch in.Kind {
 		case KindMulPlain, KindPlainMul:
-			if slot := in.Kind.PlainSlot(); absorbable(int32(i)) && instrs[in.Parms[slot]].Invariant {
+			slot := in.Kind.PlainSlot()
+			if absorbable(int32(i)) && instrs[in.Parms[slot]].Invariant && !degree2[in.Parms[1-slot]] {
 				product[i] = int8(2 - slot)
 			}
 		case KindAdd:
@@ -446,6 +467,13 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 			ch.Members = append(ch.Members, id)
 		}
 		walk(int32(i))
+		first := &instrs[ch.Members[0]]
+		if slices.ContainsFunc(ch.Members, func(m int32) bool {
+			in := &instrs[m]
+			return product[m] != 0 && (in.Level != first.Level || math.Abs(in.LogScale-first.LogScale) > 1e-9)
+		}) {
+			continue
+		}
 		for _, m := range ch.Members[:len(ch.Members)-1] {
 			instrs[m].Absorbed = true
 		}
@@ -460,41 +488,23 @@ func (r *Result) findChains(isOutput []bool, user []int32) {
 // deferred leaf, and a degree-1 ciphertext ADD or SUB with a deferred
 // operand. One of them defers when it is not an output and its consumers save
 // a mod-down by taking the value over Q∪P: every reference is a product leaf
-// of a statically fusable chain — all its products at one level and one
-// scale, so the fused kernel never refuses them — or its one reference is a
-// RESCALE, which then divides by P·q_ℓ in one step, or an ADD or SUB that
-// merges it with a second deferred operand or defers in turn. A value that
-// would only move its mod-down to a sum, paying the lift of the sum's other
-// operand on top, mods down its own result. In a hoist set a step defers only
-// if every member taking it does, since those members share one result. user
-// is some consumer of each instruction, its only one when Refs is 1.
-func (r *Result) deferModDowns(isOutput []bool, user []int32) []bool {
+// of a fused chain, or its one reference is a RESCALE, which then divides by
+// P·q_ℓ in one step, or an ADD or SUB that merges it with a second deferred
+// operand or defers in turn. A value that would only move its mod-down to a
+// sum, paying the lift of the sum's other operand on top, mods down its own
+// result. In a hoist set a step defers only if every member taking it does,
+// since those members share one result. user is some consumer of each
+// instruction, its only one when Refs is 1; degree2 marks the degree-2
+// ciphertexts.
+func (r *Result) deferModDowns(isOutput []bool, user []int32, degree2 []bool) []bool {
 	instrs := r.Instrs
 	n := len(instrs)
 	leafUses := make([]int32, n)
 	for i := range instrs {
-		ch := instrs[i].Chain
-		if ch == nil {
-			continue
-		}
-		first := &instrs[ch.Members[0]]
-		if !slices.ContainsFunc(ch.Members, func(m int32) bool {
-			in := &instrs[m]
-			return in.Op == core.OpMultiply && (in.Level != first.Level || math.Abs(in.LogScale-first.LogScale) > 1e-9)
-		}) {
+		if ch := instrs[i].Chain; ch != nil {
 			for _, pr := range ch.Products {
 				leafUses[pr.Ct]++
 			}
-		}
-	}
-	// degree2 marks the ciphertexts of degree 2: a product of two
-	// ciphertexts until its RELINEARIZE.
-	degree2 := make([]bool, n)
-	for i := range instrs {
-		in := &instrs[i]
-		degree2[i] = in.Kind == KindMul
-		for _, q := range in.Parms {
-			degree2[i] = degree2[i] || (degree2[q] && in.Kind != KindRelinearize)
 		}
 	}
 	// sum reports an ADD or SUB of two degree-1 ciphertexts outside fused

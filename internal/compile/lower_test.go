@@ -221,3 +221,64 @@ func maskFoldDepths(prog *core.Program, chains map[*core.Term]analysis.Chain) ma
 	}
 	return req
 }
+
+// TestChainAdmission: Lower fuses a sum of products only when the fused
+// kernel accepts its operands — every leaf ciphertext of degree 1, every
+// product at one level and one scale — so a chain never falls back to its
+// members at run time.
+func TestChainAdmission(t *testing.T) {
+	must := func(term *core.Term, err error) *core.Term {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return term
+	}
+	// build returns x·c1 + y·c2 with y squared first when square is set, and
+	// the two products.
+	build := func(square bool) (*core.Program, *core.Term, *core.Term) {
+		p := core.MustNewProgram("sum", 8)
+		x := must(p.NewInput("x", core.TypeCipher, 8, 30))
+		y := must(p.NewInput("y", core.TypeCipher, 8, 30))
+		if square {
+			y = must(p.NewBinary(core.OpMultiply, y, y))
+		}
+		c1 := must(p.NewConstant([]float64{1, 2}, 30))
+		c2 := must(p.NewConstant([]float64{3, 4}, 30))
+		p1 := must(p.NewBinary(core.OpMultiply, x, c1))
+		p2 := must(p.NewBinary(core.OpMultiply, y, c2))
+		p.AddOutput("out", must(p.NewBinary(core.OpAdd, p1, p2)), 30)
+		return p, p1, p2
+	}
+	cases := []struct {
+		name   string
+		square bool
+		// skew makes the second product differ from the first.
+		skew  func(p2 *core.Term, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64)
+		fused bool
+	}{
+		{"uniform", false, func(*core.Term, map[*core.Term]analysis.Chain, map[*core.Term]float64) {}, true},
+		{"levels differ", false, func(p2 *core.Term, chains map[*core.Term]analysis.Chain, _ map[*core.Term]float64) {
+			chains[p2] = analysis.Chain{60}
+		}, false},
+		{"scales differ", false, func(p2 *core.Term, _ map[*core.Term]analysis.Chain, scales map[*core.Term]float64) {
+			scales[p2]++
+		}, false},
+		{"degree-2 leaf", true, func(p2 *core.Term, _ map[*core.Term]analysis.Chain, scales map[*core.Term]float64) {
+			scales[p2] = 60 // as the first product's, so only the degree differs
+		}, false},
+	}
+	for _, tc := range cases {
+		prog, p1, p2 := build(tc.square)
+		chains := map[*core.Term]analysis.Chain{}
+		scales := rewrite.ComputeLogScales(prog)
+		tc.skew(p2, chains, scales)
+		if scales[p1] != 60 {
+			t.Fatalf("%s: first product at scale %g, want 60", tc.name, scales[p1])
+		}
+		res := Lower(prog, chains, scales)
+		if fused := slices.ContainsFunc(res.Instrs, func(in Instr) bool { return in.Chain != nil }); fused != tc.fused {
+			t.Errorf("%s: fused %v, want %v", tc.name, fused, tc.fused)
+		}
+	}
+}

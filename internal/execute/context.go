@@ -135,7 +135,8 @@ type EncryptedInputs struct {
 func EncryptInputs(ctx *Context, res *compile.Result, keys *KeyMaterial, values Inputs, prng *ckks.PRNG) (*EncryptedInputs, error) {
 	out := &EncryptedInputs{Plain: map[string][]float64{}}
 	cipher := Inputs{}
-	for _, in := range res.Program.Inputs() {
+	for _, input := range res.Inputs {
+		in := input.Term
 		v, ok := values[in.Name]
 		switch {
 		case !ok:
@@ -165,16 +166,11 @@ func EncryptInputs(ctx *Context, res *compile.Result, keys *KeyMaterial, values 
 func EncryptSelected(ctx *Context, res *compile.Result, keys *KeyMaterial, values Inputs, entry []int, prng *ckks.PRNG) (map[string]*ckks.Ciphertext, time.Duration, error) {
 	start := time.Now()
 	enc := ckks.NewEncryptor(ctx.Params, keys.Public, prng)
-	for name := range values {
-		if in := res.Program.InputByName(name); in == nil || in.InType != core.TypeCipher {
-			return nil, 0, fmt.Errorf("execute: %q is not a Cipher input of the program", name)
-		}
-	}
 	out := make(map[string]*ckks.Ciphertext, len(values))
 	for _, in := range res.Inputs {
 		t := in.Term
 		v, ok := values[t.Name]
-		if !ok {
+		if !ok || t.InType != core.TypeCipher {
 			continue
 		}
 		if err := CheckWidth(res, t.Name, v); err != nil {
@@ -193,6 +189,11 @@ func EncryptSelected(ctx *Context, res *compile.Result, keys *KeyMaterial, value
 			return nil, 0, fmt.Errorf("execute: encrypting input %q: %w", t.Name, err)
 		}
 		out[t.Name] = ct
+	}
+	for name := range values {
+		if out[name] == nil {
+			return nil, 0, fmt.Errorf("execute: %q is not a Cipher input of the program", name)
+		}
 	}
 	return out, time.Since(start), nil
 }
@@ -254,10 +255,10 @@ func DecryptOutputs(ctx *Context, res *compile.Result, keys *KeyMaterial, output
 	out := make(map[string][]float64, len(outputs.Cipher)+len(outputs.Plain))
 	for name, ct := range outputs.Cipher {
 		values := ctx.Encoder.Decode(dec.Decrypt(ct))
-		out[name] = values[:min(res.Program.VecSize, len(values))]
+		out[name] = values[:min(res.VecSize, len(values))]
 	}
 	for name, v := range outputs.Plain {
-		out[name] = v[:min(res.Program.VecSize, len(v))]
+		out[name] = v[:min(res.VecSize, len(v))]
 	}
 	return out, time.Since(start)
 }
@@ -265,8 +266,8 @@ func DecryptOutputs(ctx *Context, res *compile.Result, keys *KeyMaterial, output
 // CheckWidth rejects an input vector that is empty or wider than the
 // program's vector size: shorter vectors are replicated to the full width.
 func CheckWidth(res *compile.Result, name string, v []float64) error {
-	if len(v) == 0 || len(v) > res.Program.VecSize {
-		return fmt.Errorf("execute: input %q has %d values; want 1..%d", name, len(v), res.Program.VecSize)
+	if len(v) == 0 || len(v) > res.VecSize {
+		return fmt.Errorf("execute: input %q has %d values; want 1..%d", name, len(v), res.VecSize)
 	}
 	return nil
 }
@@ -279,7 +280,7 @@ func PreparePlain(res *compile.Result, name string, v []float64) ([]float64, err
 	if err := CheckWidth(res, name, v); err != nil {
 		return nil, err
 	}
-	return Replicate(v, res.Program.VecSize), nil
+	return Replicate(v, res.VecSize), nil
 }
 
 // Replicate tiles a vector to the given size: out[i] = v[i mod len(v)]. This

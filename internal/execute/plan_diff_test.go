@@ -81,13 +81,10 @@ func (f *fixture) run(t testing.TB, opts execute.RunOptions) *execute.Outputs {
 
 // runReference runs the fixture's program as compile.Result.Reference lowers
 // it — no fused chains, nothing left over Q∪P — with the plan cache and buffer
-// recycling off: the differential tests' reference run. The run still keeps
-// the values of computed invariants, so the reference result is released.
+// recycling off: the differential tests' reference run.
 func (f *fixture) runReference(t testing.TB, opts execute.RunOptions) *execute.Outputs {
 	t.Helper()
-	ref := f.res.Reference()
-	defer compile.ReleasePlan(ref)
-	out, err := execute.Run(f.ctx, ref, f.enc, execute.WithoutPlanMechanisms(opts))
+	out, err := execute.Run(f.ctx, f.res.Reference(), f.enc, execute.WithoutPlanMechanisms(opts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,6 +272,31 @@ func TestReleasePlan(t *testing.T) {
 	}
 }
 
+// TestReferenceRunKeepsNothing: a run without the plan mechanisms — the
+// differential tests' reference run — computes the program's invariant
+// values itself, leaves none in the program's cache and charges the budget
+// nothing, and still computes what the program's own run does.
+func TestReferenceRunKeepsNothing(t *testing.T) {
+	b := newTreeBuilder(t, 19)
+	weight := b.bin(core.OpAdd, b.constant(), b.constant()) // run-invariant, not a constant
+	b.output("out", b.bin(core.OpMultiply, b.x(), weight))
+	res := compileInsecure(t, b.p, compile.DefaultOptions())
+	f := newFixture(t, res, randomInputs(b.p, 9), 93)
+	before, _ := compile.PlanCacheBudget()
+	ref := res.Reference()
+	out, err := execute.Run(f.ctx, ref, f.enc, execute.WithoutPlanMechanisms(execute.RunOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := compile.PlanStatsOf(ref); got.CachedBytes != 0 {
+		t.Errorf("the reference run left %d bytes in its program's cache", got.CachedBytes)
+	}
+	if used, _ := compile.PlanCacheBudget(); used != before {
+		t.Errorf("budget use went %d → %d over a reference run", before, used)
+	}
+	requireSameBytes(t, "reference run", serialized(t, out), serialized(t, f.run(t, execute.RunOptions{})))
+}
+
 // TestDroppedResultFreesBudget: a result that becomes garbage without
 // ReleasePlan — nothing outside a server releases — gives its bytes back too.
 func TestDroppedResultFreesBudget(t *testing.T) {

@@ -227,7 +227,7 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 	out := &Outputs{Cipher: map[string]*ckks.Ciphertext{}, Plain: map[string][]float64{}}
 	for _, o := range res.Outputs {
 		if res.Instrs[o.ID].Invariant {
-			v, err := invariantValue(res, o.ID)
+			v, err := st.invariant(o.ID)
 			if err != nil {
 				return nil, err
 			}
@@ -271,20 +271,24 @@ func (st *runState) completeInvariants() {
 	}
 }
 
-// invariantValue returns the value of a run-invariant instruction. It is
-// shared between runs: callers must not modify it.
-func invariantValue(res *compile.Result, id int32) ([]float64, error) {
+// invariant returns the value of a run-invariant instruction: computed once
+// for every run of the program when the run uses the cache, and at each use
+// otherwise. It may be shared between runs: callers must not modify it.
+func (st *runState) invariant(id int32) ([]float64, error) {
+	res := st.res
 	in := &res.Instrs[id]
 	if in.Value != nil {
 		// Replicating a constant is cheaper than remembering it.
 		return Replicate(in.Value, res.VecSize), nil
 	}
-	if v := res.Cache.Value(id); v != nil {
-		return v, nil
+	if st.cache {
+		if v := res.Cache.Value(id); v != nil {
+			return v, nil
+		}
 	}
 	var args [2][]float64
 	for slot, q := range in.Parms {
-		a, err := invariantValue(res, q)
+		a, err := st.invariant(q)
 		if err != nil {
 			return nil, err
 		}
@@ -294,7 +298,9 @@ func invariantValue(res *compile.Result, id int32) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Cache.KeepValue(id, v)
+	if st.cache {
+		res.Cache.KeepValue(id, v)
+	}
 	return v, nil
 }
 
@@ -432,17 +438,7 @@ func (st *runState) runUnit(id int32) (err error) {
 	in := &st.res.Instrs[id]
 	switch {
 	case in.Chain != nil:
-		if st.runChain(in.Chain) {
-			return nil
-		}
-		// The fused kernel refused the operands: evaluate the members one at
-		// a time, which also reports exactly the error an unfused run would.
-		for _, m := range in.Chain.Members {
-			if err := st.evalAndStore(m); err != nil {
-				return err
-			}
-		}
-		return nil
+		return st.runChain(in.Chain)
 	case in.Hoist >= 0:
 		return st.runHoist(&st.res.Hoists[in.Hoist])
 	}
@@ -452,7 +448,7 @@ func (st *runState) runUnit(id int32) (err error) {
 // runHoist evaluates a hoist set as one batch sharing one decomposition
 // (Evaluator.RotateHoisted) and stores every member's value.
 func (st *runState) runHoist(set *compile.HoistSet) error {
-	src, err := st.operand(&st.res.Instrs[set.Members[0]], 0)
+	src, err := st.operand(st.res.Instrs[set.Members[0]].Parms[0])
 	if err != nil {
 		return err
 	}
@@ -483,13 +479,12 @@ func (st *runState) runHoist(set *compile.HoistSet) error {
 // runChain evaluates a fused chain as one multiply-accumulate and completes
 // every member: only the root has a value, but each member still gets its
 // profiler record and operand release, so a fused run reports the same
-// instructions as an unfused one. It reports false, having done nothing, when
-// the backend refuses the operands.
-func (st *runState) runChain(ch *compile.FusedChain) bool {
+// instructions as an unfused one.
+func (st *runState) runChain(ch *compile.FusedChain) error {
 	start := time.Now()
-	ct := st.evalChain(ch)
-	if ct == nil {
-		return false
+	ct, err := st.evalChain(ch)
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start)
 	v := value{ct: ct, owned: true}
@@ -499,7 +494,7 @@ func (st *runState) runChain(ch *compile.FusedChain) bool {
 	st.retireUnitLocked(ch.Members, wall, &v)
 	st.stats.FusedChains++
 	st.stats.FusedTerms += len(ch.Members)
-	return true
+	return nil
 }
 
 // retireUnitLocked records and retires the members of a unit that ran as one
@@ -642,11 +637,10 @@ func (st *runState) finishLocked(in *compile.Instr) {
 	}
 }
 
-// operand returns the computed value of an instruction's operand.
-func (st *runState) operand(in *compile.Instr, slot int) (value, error) {
-	q := in.Parms[slot]
+// operand returns the computed value of instruction q, an operand.
+func (st *runState) operand(q int32) (value, error) {
 	if st.res.Instrs[q].Invariant {
-		v, err := invariantValue(st.res, q)
+		v, err := st.invariant(q)
 		return value{plain: v}, err
 	}
 	v := st.values[q]
@@ -674,7 +668,7 @@ func (st *runState) plaintext(q int32, level int, scale float64, extended bool) 
 	if invariant {
 		st.cacheMisses.Add(1)
 		var err error
-		if plain, err = invariantValue(st.res, q); err != nil {
+		if plain, err = st.invariant(q); err != nil {
 			return nil, err
 		}
 	}
@@ -694,30 +688,28 @@ func (st *runState) plaintext(q int32, level int, scale float64, extended bool) 
 
 // evalChain evaluates a fused chain as one multiply-accumulate, whose sum
 // stays over Q∪P when a leaf is deferred, and mods that sum down unless the
-// chain's root defers it too. It returns nil when the backend refuses the
-// operands (mixed levels or degrees, mismatched scales).
-func (st *runState) evalChain(ch *compile.FusedChain) *ckks.Ciphertext {
+// chain's root defers it too.
+func (st *runState) evalChain(ch *compile.FusedChain) (*ckks.Ciphertext, error) {
+	root := &st.res.Instrs[ch.Members[len(ch.Members)-1]]
 	cts := make([]*ckks.Ciphertext, len(ch.Products))
 	pts := make([]*ckks.Plaintext, len(ch.Products))
 	for i, pr := range ch.Products {
-		ct := st.values[pr.Ct].ct
-		if ct == nil {
-			return nil
+		v, err := st.operand(pr.Ct)
+		if err != nil {
+			return nil, err
 		}
+		ct := v.ct
 		pt, err := st.plaintext(pr.Plain, ct.Level, math.Exp2(st.res.Instrs[pr.Plain].LogScale), ct.Deferred())
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("execute: encoding plain operand of %s: %w", root.Term, err)
 		}
 		cts[i], pts[i] = ct, pt
 	}
 	out, err := st.ctx.Evaluator.MulPlainAccumulate(cts, pts)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("execute: %s: %w", root.Term, err)
 	}
-	if out, err = st.finish(&st.res.Instrs[ch.Members[len(ch.Members)-1]], out); err != nil {
-		return nil
-	}
-	return out
+	return st.finish(root, out)
 }
 
 // eval makes the backend call of one instruction (compile.Kind): a CKKS
@@ -734,8 +726,8 @@ func (st *runState) eval(in *compile.Instr) (value, error) {
 	}
 	var ops [2]value
 	var err error
-	for slot := range in.Parms {
-		if ops[slot], err = st.operand(in, slot); err != nil {
+	for slot, q := range in.Parms {
+		if ops[slot], err = st.operand(q); err != nil {
 			return value{}, err
 		}
 	}

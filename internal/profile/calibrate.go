@@ -54,7 +54,7 @@ var ErrNoSamples = errors.New("profile: no eligible samples to fit")
 // Fit computes per-opcode cost coefficients from accumulated profiles as the
 // ratio of summed measured nanoseconds to summed predicted units — the
 // least-squares slope through the origin under per-sample unit weighting.
-// Hoisted and fused buckets are excluded (see BucketKey.priced), as are
+// Fused buckets are excluded (see BucketKey.priced), as are
 // buckets with no model units (leaves and plain results, which the model
 // prices at zero).
 func Fit(profiles []ProgramProfile) (*Calibration, error) {

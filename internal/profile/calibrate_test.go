@@ -88,7 +88,7 @@ func meanRelativeError(profiles []profile.ProgramProfile, predict func(op string
 	var werr, weight float64
 	for _, p := range profiles {
 		for _, b := range p.Buckets {
-			if b.Hoisted || b.Fused || b.Units <= 0 || b.Count == 0 || b.TotalNS <= 0 {
+			if b.Fused || b.Units <= 0 || b.Count == 0 || b.TotalNS <= 0 {
 				continue
 			}
 			n := float64(b.Count)

@@ -91,7 +91,7 @@ type Collector struct {
 	drift        []DriftEvent // ring of size driftRing
 	driftNext    int
 	driftTotal   uint64
-	totalNs      float64 // cipher, non-hoisted, non-fused compute samples only:
+	totalNs      float64 // priced samples with model units only (BucketKey.priced):
 	totalUnits   float64 // the global measured ns-per-cost-unit baseline
 	programs     map[string]*programAgg
 	lastDriftLog time.Time
@@ -246,8 +246,8 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 		}
 	}
 	// Cost drift: compare measured wall time against the calibrated (or
-	// running-baseline) prediction. Hoisted and fused members are excluded:
-	// their wall times diverge from the per-instruction model by design (see
+	// running-baseline) prediction. Fused members are excluded: their wall
+	// times diverge from the per-instruction model by design (see
 	// BucketKey.priced).
 	if !key.priced() || units <= 0 || rec.Wall < minCostWall {
 		return

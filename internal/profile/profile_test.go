@@ -291,6 +291,81 @@ func TestFusedChainsProfiled(t *testing.T) {
 	}
 }
 
+// TestHoistedMembersArePriced: a hoisted member's record carries its
+// InstrUnits share of the batch's wall, so hoisted buckets feed the running
+// baseline and Fit like any other, a batch measured at the calibrated rate
+// raises no cost drift, and a hoisted outlier still does.
+func TestHoistedMembersArePriced(t *testing.T) {
+	res := buildMatmul(t, 64, 8)
+	if len(res.Hoists) == 0 {
+		t.Fatal("the matmul hoists nothing; the test needs a workload with hoist sets")
+	}
+	c := profile.NewCollector(profile.Config{SampleRate: 1})
+	runProfiled(t, c, "matmul", res, "", 11)
+	rep := c.Report()
+	var hoisted, samples uint64
+	var ns, units float64
+	for _, b := range rep.Buckets {
+		if b.Fused || b.Units <= 0 {
+			continue
+		}
+		if b.Hoisted {
+			hoisted += b.Count
+		}
+		samples += b.Count
+		ns += b.TotalNS
+		units += b.Units
+	}
+	if hoisted == 0 {
+		t.Fatal("no hoisted bucket carries model units")
+	}
+	if want := ns / units; math.Abs(rep.NsPerUnit-want) > 1e-9*want {
+		t.Errorf("running baseline %v ns/unit, want %v over every unfused bucket, hoisted ones included", rep.NsPerUnit, want)
+	}
+	cal, err := profile.Fit([]profile.ProgramProfile{{ProgramID: "matmul", Buckets: rep.Buckets}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.Samples != samples {
+		t.Errorf("Fit used %d samples, want %d (%d of them hoisted)", cal.Samples, samples, hoisted)
+	}
+
+	// Feed every member of a hoist set its share of a batch timed at a
+	// calibrated rate, each share long enough to be checked for drift.
+	set := res.Hoists[0]
+	minUnits := math.Inf(1)
+	for _, m := range set.Members {
+		if u := res.InstrUnits(m); u > 0 {
+			minUnits = min(minUnits, u)
+		}
+	}
+	nsPerUnit := 2 * float64(time.Millisecond) / minUnits
+	c2 := profile.NewCollector(profile.Config{SampleRate: 1})
+	c2.SetCalibration(&profile.Calibration{BaselineNsPerUnit: nsPerUnit})
+	rec := c2.Recorder("matmul", res, "")
+	maxLevel := len(res.Plan.BitSizes) - 1
+	record := func(m int32, wall time.Duration) {
+		in := &res.Instrs[m]
+		rec.OnInstruction(in.Term, execute.InstrRecord{ID: m, Wall: wall, Cipher: true, Hoisted: true,
+			Level: maxLevel - in.Level, Scale: math.Exp2(in.LogScale), OutBytes: 4096, Operands: 1})
+	}
+	for _, m := range set.Members {
+		record(m, time.Duration(res.InstrUnits(m)*nsPerUnit))
+	}
+	rec.Finish()
+	if n := c2.Report().DriftCounts[profile.DriftKindCost]; n != 0 {
+		t.Errorf("a hoisted batch timed at the calibrated rate raised %d cost drift events", n)
+	}
+	// Ten times its predicted time is beyond the drift bound.
+	rec = c2.Recorder("matmul", res, "")
+	m := set.Members[0]
+	record(m, time.Duration(10*res.InstrUnits(m)*nsPerUnit))
+	rec.Finish()
+	if n := c2.Report().DriftCounts[profile.DriftKindCost]; n != 1 {
+		t.Errorf("a hoisted member ten times its predicted time raised %d cost drift events, want 1", n)
+	}
+}
+
 // TestPipelineHeadroomSkipsExpectations: with ExtraLevels the absolute entry
 // level is unknowable at compile time, so level/scale checks must not fire.
 func TestPipelineHeadroomSkipsExpectations(t *testing.T) {

@@ -39,11 +39,13 @@ type BucketKey struct {
 }
 
 // priced reports whether the bucket's wall times are comparable with the
-// cost model's per-instruction units. A hoisted batch charges all its shared
-// key-switch work to the first member scheduled, and a fused chain's wall
-// time is one measurement split over its members by the model's own units,
-// so neither may feed the baseline, a fit, or a cost-drift check.
-func (k BucketKey) priced() bool { return !k.Hoisted && !k.Fused }
+// cost model's per-instruction units. A fused chain runs as one kernel the
+// model does not price — it prices each member as the lone instruction it
+// replaces — so its members' shares of the kernel's wall may not feed the
+// baseline, a fit, or a cost-drift check. A hoisted member's share of its
+// batch's wall is its InstrUnits share, and those units already price the
+// batch's one decomposition at its first member, so hoisted buckets count.
+func (k BucketKey) priced() bool { return !k.Fused }
 
 func bucketIndexF(bounds []float64, v float64) int {
 	i := 0

@@ -92,9 +92,10 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	prog := entry.Result.Program
-	inputs := make(map[string][]float64, len(prog.Inputs()))
-	for _, in := range prog.Inputs() {
+	res := entry.Result
+	inputs := make(map[string][]float64, len(res.Inputs))
+	for _, input := range res.Inputs {
+		in := input.Term
 		var v []float64
 		var ok bool
 		if in.InType == core.TypeCipher {
@@ -123,7 +124,7 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 	waitSpan := obs.TraceFromContext(r.Context()).StartSpan("coalesce_wait", obs.SpanFromContext(r.Context()))
 	d, err := s.coalescer.Submit(r.Context(), &coalesce.Request{
 		Key:     coalesce.Key{Program: entry.ID, Context: ce.ID},
-		VecSize: prog.VecSize,
+		VecSize: res.VecSize,
 		Stride:  stride,
 		Inputs:  inputs,
 	})
@@ -187,7 +188,8 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 	packSpan := bt.StartSpan("coalesce_pack", nil)
 	packSpan.SetAttr("callers", strconv.Itoa(len(reqs)))
 	packed := &ExecuteBatch{Values: map[string][]float64{}, Plain: map[string][]float64{}}
-	for _, in := range ce.Entry.Result.Program.Inputs() {
+	for _, input := range ce.Entry.Result.Inputs {
+		in := input.Term
 		per := make([][]float64, len(reqs))
 		for j, req := range reqs {
 			per[j] = req.Inputs[in.Name]

@@ -33,7 +33,23 @@ func coalesceProgram(t testing.TB) *core.Program {
 	return prog
 }
 
-// coalesceFixture compiles the rotation-free program onto a demo context.
+// identityRotationProgram is coalesceProgram with x rotated by the vector
+// size on its way in: the identity, which Compile folds away, so the compiled
+// program rotates nothing and coalesces like coalesceProgram.
+func identityRotationProgram(t testing.TB) *core.Program {
+	t.Helper()
+	b := builder.New("coalesce-identity", 32)
+	x := b.InputWithWidth("x", 4, 30)
+	y := b.InputWithWidth("y", 4, 30)
+	b.Output("out", x.RotateLeft(32).Square().Add(y).MulScalar(0.5, 30), 30)
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// coalesceFixture compiles a rotation-free program onto a demo context.
 type coalesceFixture struct {
 	url       string
 	client    *http.Client
@@ -45,10 +61,14 @@ type coalesceFixture struct {
 
 func newCoalesceFixture(t testing.TB, cfg Config) *coalesceFixture {
 	t.Helper()
+	return newCoalesceFixtureFor(t, cfg, coalesceProgram(t))
+}
+
+func newCoalesceFixtureFor(t testing.TB, cfg Config, prog *core.Program) *coalesceFixture {
+	t.Helper()
 	cfg.AllowServerKeygen = true
 	ts, srv := newTestServer(t, cfg)
 	client := ts.Client()
-	prog := coalesceProgram(t)
 	comp, resp := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, prog))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: status %d", resp.StatusCode)
@@ -122,14 +142,13 @@ func (f *coalesceFixture) postCoalesced(ctx context.Context, i int) (CoalesceRes
 	return out, resp.StatusCode, nil
 }
 
-// TestCoalesceSharedBatch: two concurrent narrow callers ride ONE batched
-// execution — same batch job, disjoint slot ranges, correct per-caller
-// results, occupancy visible in /metrics.
-func TestCoalesceSharedBatch(t *testing.T) {
-	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 10 * time.Second})
+// coalesceConcurrently submits callers 0..k-1 at once and returns their
+// responses.
+func (f *coalesceFixture) coalesceConcurrently(t *testing.T, k int) []CoalesceResponse {
+	t.Helper()
 	var wg sync.WaitGroup
-	responses := make([]CoalesceResponse, 2)
-	for i := 0; i < 2; i++ {
+	responses := make([]CoalesceResponse, k)
+	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -142,6 +161,35 @@ func TestCoalesceSharedBatch(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	return responses
+}
+
+// requireCallerResults checks each caller's result against its reference.
+func (f *coalesceFixture) requireCallerResults(t *testing.T, responses []CoalesceResponse) {
+	t.Helper()
+	for i, r := range responses {
+		if r.Result.Error != "" {
+			t.Fatalf("caller %d result error: %s", i, r.Result.Error)
+		}
+		want := f.wantOutput(t, i)
+		got := r.Result.Values["out"]
+		if len(got) != len(want) {
+			t.Fatalf("caller %d got %d output slots; want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 1e-2 {
+				t.Errorf("caller %d slot %d: got %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestCoalesceSharedBatch: two concurrent narrow callers ride ONE batched
+// execution — same batch job, disjoint slot ranges, correct per-caller
+// results, occupancy visible in /metrics.
+func TestCoalesceSharedBatch(t *testing.T) {
+	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 10 * time.Second})
+	responses := f.coalesceConcurrently(t, 2)
 
 	if responses[0].BatchJobID == "" || responses[0].BatchJobID != responses[1].BatchJobID {
 		t.Fatalf("callers rode different batches: %q vs %q", responses[0].BatchJobID, responses[1].BatchJobID)
@@ -158,20 +206,8 @@ func TestCoalesceSharedBatch(t *testing.T) {
 		if want := 8.0 / 32.0; r.Occupancy != want {
 			t.Errorf("caller %d occupancy %v; want %v", i, r.Occupancy, want)
 		}
-		if r.Result.Error != "" {
-			t.Fatalf("caller %d result error: %s", i, r.Result.Error)
-		}
-		want := f.wantOutput(t, i)
-		got := r.Result.Values["out"]
-		if len(got) != len(want) {
-			t.Fatalf("caller %d got %d output slots; want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if math.Abs(got[j]-want[j]) > 1e-2 {
-				t.Errorf("caller %d slot %d: got %v, want %v", i, j, got[j], want[j])
-			}
-		}
 	}
+	f.requireCallerResults(t, responses)
 
 	report := getJSON[MetricsReport](t, f.client, f.url+"/metrics")
 	if report.Coalesce == nil {
@@ -188,27 +224,25 @@ func TestCoalesceSharedBatch(t *testing.T) {
 	}
 }
 
+// TestCoalesceIdentityRotation: a program whose only rotation is by its
+// vector size compiles to one that rotates nothing, so it coalesces: both
+// callers ride one batch and each gets its own reference result.
+func TestCoalesceIdentityRotation(t *testing.T) {
+	f := newCoalesceFixtureFor(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 10 * time.Second}, identityRotationProgram(t))
+	responses := f.coalesceConcurrently(t, 2)
+	if responses[0].BatchJobID == "" || responses[0].BatchJobID != responses[1].BatchJobID {
+		t.Fatalf("callers rode different batches: %q vs %q", responses[0].BatchJobID, responses[1].BatchJobID)
+	}
+	f.requireCallerResults(t, responses)
+}
+
 // TestCoalesceEstimateChargesBatchOnce is the admission-control regression
 // test: a batch of k coalesced callers is charged like ONE job of this
 // program — the shared ciphertexts are estimated once, not once per caller.
 func TestCoalesceEstimateChargesBatchOnce(t *testing.T) {
 	const k = 4
 	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: k, CoalesceMaxWait: 10 * time.Second})
-	var wg sync.WaitGroup
-	responses := make([]CoalesceResponse, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, status, err := f.postCoalesced(context.Background(), i)
-			if err != nil || status != http.StatusOK {
-				t.Errorf("caller %d: status %d err %v", i, status, err)
-				return
-			}
-			responses[i] = resp
-		}(i)
-	}
-	wg.Wait()
+	responses := f.coalesceConcurrently(t, k)
 	batchID := responses[0].BatchJobID
 	for i, r := range responses {
 		if r.BatchJobID != batchID || r.BatchSize != k {

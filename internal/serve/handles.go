@@ -116,7 +116,7 @@ func (s *Server) storeHandle(ce *contextEntry, ct *ckks.Ciphertext, data []byte)
 		ParamsID:  ce.Ctx.Params.Fingerprint(),
 		Level:     ct.Level,
 		LogScale:  math.Log2(ct.Scale),
-		Width:     ce.Entry.Result.Program.VecSize,
+		Width:     ce.Entry.Result.VecSize,
 	}, data)
 }
 

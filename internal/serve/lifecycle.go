@@ -159,7 +159,7 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 				return nil, fmt.Errorf("input %q: %w", in.Name, err)
 			}
 			plan.in.Cipher[in.Name] = upload
-			args[in.Name] = compile.CipherArg{Level: upload.Level, LogScale: math.Log2(upload.Scale), Width: res.Program.VecSize}
+			args[in.Name] = compile.CipherArg{Level: upload.Level, LogScale: math.Log2(upload.Scale), Width: res.VecSize}
 		case b.Handle != "":
 			rh, err := s.resolveHandle(stdctx, b.Handle, cache)
 			if err != nil {
@@ -181,7 +181,7 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 			}
 			pin := &p.entry.Result.Instrs[out.ID]
 			args[in.Name] = compile.CipherArg{Level: p.levels[out.Group] - pin.Level, LogScale: pin.LogScale,
-				Width: p.entry.Result.Program.VecSize, Params: p.ce.Ctx.Params.Fingerprint()}
+				Width: p.entry.Result.VecSize, Params: p.ce.Ctx.Params.Fingerprint()}
 			from[in.Name] = fmt.Sprintf("stage[%d].%s", j, out.Name)
 			plan.refs[in.Name] = stageRef{stage: j, output: out.Name}
 		}
@@ -514,7 +514,7 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 		if result.Values == nil {
 			result.Values = map[string][]float64{}
 		}
-		result.Values[name] = v[:min(res.Program.VecSize, len(v))]
+		result.Values[name] = v[:min(res.VecSize, len(v))]
 	}
 	return result, out
 }

@@ -402,7 +402,7 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 	cases := []*CompileOptionsJSON{
 		nil,
 		{AllowInsecure: true},
-		{MaxRescaleLog: 40, WaterlineLog: 25, Rescale: "always", ModSwitch: "lazy", MinLogN: 12, Optimize: true},
+		{MaxRescaleLog: 40, WaterlineLog: 25, Rescale: "always", ModSwitch: "lazy", MinLogN: 12},
 		{Rescale: "fixed", ModSwitch: "none", AllowInsecure: true},
 		{MaxRescaleLog: 30, AllowInsecure: true, ExtraLevels: 2},
 	}

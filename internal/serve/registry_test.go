@@ -103,7 +103,7 @@ func TestRegistrySequentialHit(t *testing.T) {
 
 	// Different options are a different entry.
 	opts2 := opts
-	opts2.Optimize = true
+	opts2.ExtraLevels = 1
 	e3, cached, err := reg.GetOrCompile(prog, opts2)
 	if err != nil {
 		t.Fatal(err)

@@ -505,7 +505,6 @@ type CompileOptionsJSON struct {
 	ModSwitch     string  `json:"mod_switch,omitempty"`
 	MinLogN       int     `json:"min_log_n,omitempty"`
 	AllowInsecure bool    `json:"allow_insecure,omitempty"`
-	Optimize      bool    `json:"optimize,omitempty"`
 	// ExtraLevels adds level headroom for pipeline chaining; see
 	// compile.Options.ExtraLevels.
 	ExtraLevels int `json:"extra_levels,omitempty"`
@@ -522,7 +521,6 @@ func (o *CompileOptionsJSON) toOptions() (compile.Options, error) {
 	opts.WaterlineLog = o.WaterlineLog
 	opts.MinLogN = o.MinLogN
 	opts.AllowInsecure = o.AllowInsecure
-	opts.Optimize = o.Optimize
 	opts.ExtraLevels = o.ExtraLevels
 	var err error
 	if o.Rescale != "" {
@@ -551,7 +549,6 @@ func OptionsJSON(opts compile.Options) CompileOptionsJSON {
 		ModSwitch:     opts.ModSwitch.String(),
 		MinLogN:       opts.MinLogN,
 		AllowInsecure: opts.AllowInsecure,
-		Optimize:      opts.Optimize,
 		ExtraLevels:   opts.ExtraLevels,
 	}
 }
@@ -726,7 +723,7 @@ func programInfo(e *Entry) ProgramInfo {
 	return ProgramInfo{
 		ID:           e.ID,
 		Name:         e.Result.Program.Name,
-		VecSize:      e.Result.Program.VecSize,
+		VecSize:      e.Result.VecSize,
 		Instructions: e.Result.CompiledStats.Terms,
 		Hits:         e.Hits(),
 		CompiledAt:   e.CreatedAt.UTC().Format(time.RFC3339),
