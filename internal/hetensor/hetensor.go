@@ -9,7 +9,10 @@
 // Layout: each channel of a feature map is packed row-major into its own
 // ciphertext (the HW layout of CHET). Convolutions use one rotation per
 // kernel tap shared across output channels and one plaintext mask
-// multiplication per (input channel, output channel, tap).
+// multiplication per (input channel, output channel, tap). FC and FlattenFC
+// are one dense kernel: a neuron multiplies every channel by its weight
+// segment, adds the products and reduces the sum once (SumSlots is linear),
+// so it takes log2(width) reduction rotations whatever the channel count.
 package hetensor
 
 import (
@@ -121,12 +124,7 @@ func (c *Compiler) Conv2D(kernel string, in *Tensor, weights [][][][]float64, bi
 						continue
 					}
 					mask := convMask(h, w, dy, dx, wv)
-					term := rotated[i][(dy+ph)*kw+(dx+pw)].MulVector(mask, c.WeightScale)
-					if acc.Term() == nil {
-						acc = term
-					} else {
-						acc = acc.Add(term)
-					}
+					acc = add(acc, rotated[i][(dy+ph)*kw+(dx+pw)].MulVector(mask, c.WeightScale))
 				}
 			}
 		}
@@ -202,12 +200,7 @@ func (c *Compiler) AvgPool2(kernel string, in *Tensor) (*Tensor, error) {
 			for r := 0; r < h; r += 2 {
 				mask[r*w+cp] = 0.25
 			}
-			term := sum.RotateLeft(cp).MulVector(mask, c.WeightScale)
-			if colPacked.Term() == nil {
-				colPacked = term
-			} else {
-				colPacked = colPacked.Add(term)
-			}
+			colPacked = add(colPacked, sum.RotateLeft(cp).MulVector(mask, c.WeightScale))
 		}
 
 		// Phase B: compact rows into the (H/2)×(W/2) layout.
@@ -219,12 +212,7 @@ func (c *Compiler) AvgPool2(kernel string, in *Tensor) (*Tensor, error) {
 			for cp := 0; cp < ow; cp++ {
 				mask[dst+cp] = 1
 			}
-			term := colPacked.RotateLeft(src-dst).MulVector(mask, c.WeightScale)
-			if packed.Term() == nil {
-				packed = term
-			} else {
-				packed = packed.Add(term)
-			}
+			packed = add(packed, colPacked.RotateLeft(src-dst).MulVector(mask, c.WeightScale))
 		}
 		out.Channels = append(out.Channels, packed)
 	}
@@ -237,18 +225,9 @@ func (c *Compiler) AvgPool2(kernel string, in *Tensor) (*Tensor, error) {
 func (c *Compiler) GlobalAvgPool(kernel string, in *Tensor) (*Vector, error) {
 	c.b.SetKernel(kernel)
 	n := in.H * in.W
-	var packed builder.Expr
-	for i, ch := range in.Channels {
-		avg := ch.SumSlots(n).MulScalar(1/float64(n), c.ScalarScale)
-		mask := make([]float64, i+1)
-		mask[i] = 1
-		term := avg.RotateRight(i).MulVector(padPow2(mask, len(in.Channels)), c.WeightScale)
-		if packed.Term() == nil {
-			packed = term
-		} else {
-			packed = packed.Add(term)
-		}
-	}
+	packed := c.pack(len(in.Channels), func(i int) builder.Expr {
+		return in.Channels[i].SumSlots(n).MulScalar(1/float64(n), c.ScalarScale)
+	})
 	return &Vector{Value: packed, Length: len(in.Channels)}, c.b.Err()
 }
 
@@ -257,79 +236,71 @@ func (c *Compiler) GlobalAvgPool(kernel string, in *Tensor) (*Vector, error) {
 // be nil). Output neuron j lands in slot j of the result.
 func (c *Compiler) FlattenFC(kernel string, in *Tensor, weights [][]float64, bias []float64) (*Vector, error) {
 	n := in.H * in.W
-	wantLen := in.NumChannels() * n
-	if len(weights) == 0 || len(weights[0]) != wantLen {
-		return nil, fmt.Errorf("hetensor: %s: weight row length %d, want %d", kernel, len(weights[0]), wantLen)
-	}
-	if bias != nil && len(bias) != len(weights) {
-		return nil, fmt.Errorf("hetensor: %s: bias length mismatch", kernel)
-	}
-	c.b.SetKernel(kernel)
-	outLen := len(weights)
-	var packed builder.Expr
-	for j := 0; j < outLen; j++ {
-		// Dot product of the flattened input with row j, channel by channel.
-		var dot builder.Expr
-		for i, ch := range in.Channels {
-			seg := weights[j][i*n : (i+1)*n]
-			if allZero(seg) {
-				continue
-			}
-			term := ch.DotPlain(seg, c.WeightScale, n)
-			if dot.Term() == nil {
-				dot = term
-			} else {
-				dot = dot.Add(term)
-			}
-		}
-		if dot.Term() == nil {
-			dot = c.b.Scalar(0, c.WeightScale)
-		}
-		// Place neuron j into slot j.
-		mask := make([]float64, j+1)
-		mask[j] = 1
-		placed := dot.RotateRight(j).MulVector(padPow2(mask, outLen), c.WeightScale)
-		if packed.Term() == nil {
-			packed = placed
-		} else {
-			packed = packed.Add(placed)
-		}
-	}
-	v := &Vector{Value: packed, Length: outLen}
-	if bias != nil {
-		v.Value = v.Value.Add(c.b.Constant(padPow2(bias, outLen), c.WeightScale))
-	}
-	return v, c.b.Err()
+	return c.dense(kernel, in.Channels, n, n, weights, bias)
 }
 
 // FC applies a fully-connected layer to a packed vector: weights[out][in.Length].
 func (c *Compiler) FC(kernel string, in *Vector, weights [][]float64, bias []float64) (*Vector, error) {
-	if len(weights) == 0 || len(weights[0]) != in.Length {
-		return nil, fmt.Errorf("hetensor: %s: weight row length %d, want %d", kernel, len(weights[0]), in.Length)
-	}
-	if bias != nil && len(bias) != len(weights) {
-		return nil, fmt.Errorf("hetensor: %s: bias length mismatch", kernel)
+	return c.dense(kernel, []builder.Expr{in.Value}, in.Length, nextPow2(in.Length), weights, bias)
+}
+
+// dense is the one fully-connected kernel: weights[j] is neuron j's row over
+// the concatenation of channels, seg values each. Neuron j multiplies every
+// channel by its segment of the row (skipping all-zero segments), adds the
+// products and reduces their sum over width slots once: SumSlots is linear,
+// so one reduction per neuron replaces one per channel.
+func (c *Compiler) dense(kernel string, channels []builder.Expr, seg, width int, weights [][]float64, bias []float64) (*Vector, error) {
+	if err := checkWeights(kernel, weights, len(channels)*seg, bias); err != nil {
+		return nil, err
 	}
 	c.b.SetKernel(kernel)
-	width := nextPow2(in.Length)
-	outLen := len(weights)
-	var packed builder.Expr
-	for j := 0; j < outLen; j++ {
-		dot := in.Value.DotPlain(padPow2(weights[j], in.Length), c.WeightScale, width)
-		mask := make([]float64, j+1)
-		mask[j] = 1
-		placed := dot.RotateRight(j).MulVector(padPow2(mask, outLen), c.WeightScale)
-		if packed.Term() == nil {
-			packed = placed
-		} else {
-			packed = packed.Add(placed)
+	v := &Vector{Length: len(weights)}
+	v.Value = c.pack(v.Length, func(j int) builder.Expr {
+		var dot builder.Expr
+		for i, ch := range channels {
+			if row := weights[j][i*seg : (i+1)*seg]; !allZero(row) {
+				dot = add(dot, ch.MulVector(padPow2(row, width), c.WeightScale))
+			}
 		}
-	}
-	v := &Vector{Value: packed, Length: outLen}
+		if dot.Term() == nil {
+			return c.b.Scalar(0, c.WeightScale)
+		}
+		return dot.SumSlots(width)
+	})
 	if bias != nil {
-		v.Value = v.Value.Add(c.b.Constant(padPow2(bias, outLen), c.WeightScale))
+		v.Value = v.Value.Add(c.b.Constant(padPow2(bias, v.Length), c.WeightScale))
 	}
 	return v, c.b.Err()
+}
+
+// pack places slot 0 of value(j) into slot j of one vector, for j < n. Each
+// value is built just before it is placed, which fixes the order in which
+// the program's terms are created.
+func (c *Compiler) pack(n int, value func(j int) builder.Expr) builder.Expr {
+	var packed builder.Expr
+	for j := 0; j < n; j++ {
+		mask := make([]float64, j+1)
+		mask[j] = 1
+		packed = add(packed, value(j).RotateRight(j).MulVector(padPow2(mask, n), c.WeightScale))
+	}
+	return packed
+}
+
+// checkWeights reports an empty weight matrix, a row whose length is not
+// cols, or a bias whose length is not the row count.
+func checkWeights(kernel string, weights [][]float64, cols int, bias []float64) error {
+	if len(weights) == 0 {
+		return fmt.Errorf("hetensor: %s: no weight rows", kernel)
+	}
+	for j, row := range weights {
+		if len(row) != cols {
+			return fmt.Errorf("hetensor: %s: weight row %d has length %d, want %d", kernel, j, len(row), cols)
+		}
+	}
+	if bias != nil && len(bias) != len(weights) {
+		return fmt.Errorf("hetensor: %s: bias length %d, want %d", kernel, len(bias), len(weights))
+	}
+	return nil
 }
 
 // Matmul applies a plaintext matrix weights[out][in.Length] (plus optional
@@ -351,11 +322,8 @@ func (c *Compiler) FC(kernel string, in *Vector, weights [][]float64, bias []flo
 // fold restores the packed-vector layout (period nextPow2(rows), zeros past
 // rows), so Matmul chains with FC, GlobalAvgPool, and itself.
 func (c *Compiler) Matmul(kernel string, in *Vector, weights [][]float64, bias []float64) (*Vector, error) {
-	if len(weights) == 0 || len(weights[0]) != in.Length {
-		return nil, fmt.Errorf("hetensor: %s: weight row length %d, want %d", kernel, len(weights[0]), in.Length)
-	}
-	if bias != nil && len(bias) != len(weights) {
-		return nil, fmt.Errorf("hetensor: %s: bias length mismatch", kernel)
+	if err := checkWeights(kernel, weights, in.Length, bias); err != nil {
+		return nil, err
 	}
 	outLen := len(weights)
 	n := nextPow2(max(outLen, in.Length))
@@ -385,12 +353,7 @@ func (c *Compiler) Matmul(kernel string, in *Vector, weights [][]float64, bias [
 		if d != 0 {
 			src = in.Value.RotateLeft(d)
 		}
-		term := src.MulVector(diag, c.WeightScale)
-		if acc.Term() == nil {
-			acc = term
-		} else {
-			acc = acc.Add(term)
-		}
+		acc = add(acc, src.MulVector(diag, c.WeightScale))
 	}
 	if acc.Term() == nil {
 		acc = c.b.Scalar(0, c.WeightScale)
@@ -438,9 +401,10 @@ func allZero(v []float64) bool {
 	return true
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// add returns acc + term, or term when acc is still empty.
+func add(acc, term builder.Expr) builder.Expr {
+	if acc.Term() == nil {
+		return term
 	}
-	return b
+	return acc.Add(term)
 }

@@ -170,35 +170,59 @@ func TestActivations(t *testing.T) {
 	}
 }
 
+// TestFlattenFCMatchesPlain checks FlattenFC's values against a plain dot
+// product, and that it reduces slots once per neuron, not once per channel:
+// the program holds outLen·log2(H·W) reduction rotations plus one placement
+// rotation per neuron, whatever the channel count.
 func TestFlattenFCMatchesPlain(t *testing.T) {
-	const h, w = 4, 4
-	rng := rand.New(rand.NewSource(3))
-	b := builder.New("fc", h*w)
-	tc := NewCompiler(b, 20, 15)
-	in, _ := tc.InputImage("image", 2, h, w, 30)
-	weights := make([][]float64, 3)
-	for j := range weights {
-		weights[j] = randPlane(rng, 2*h*w)
-	}
-	bias := []float64{0.5, -0.5, 0.25}
-	out, err := tc.FlattenFC("fc1", in, weights, bias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Length != 3 {
-		t.Fatalf("fc output length %d, want 3", out.Length)
-	}
-	b.Output("fc", out.Value, 30)
-
-	inputs := execute.Inputs{"image_c0": randPlane(rng, h*w), "image_c1": randPlane(rng, h*w)}
-	got := runRef(t, b, inputs)["fc"]
-	for j := 0; j < 3; j++ {
-		want := bias[j]
-		for i := 0; i < h*w; i++ {
-			want += weights[j][i]*inputs["image_c0"][i] + weights[j][h*w+i]*inputs["image_c1"][i]
+	const h, w, outLen = 4, 4, 3
+	for _, channels := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(3))
+		b := builder.New("fc", h*w)
+		tc := NewCompiler(b, 20, 15)
+		in, _ := tc.InputImage("image", channels, h, w, 30)
+		weights := make([][]float64, outLen)
+		for j := range weights {
+			weights[j] = randPlane(rng, channels*h*w)
 		}
-		if math.Abs(got[j]-want) > 1e-9 {
-			t.Fatalf("fc neuron %d: got %g want %g", j, got[j], want)
+		bias := []float64{0.5, -0.5, 0.25}
+		out, err := tc.FlattenFC("fc1", in, weights, bias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Length != outLen {
+			t.Fatalf("fc output length %d, want %d", out.Length, outLen)
+		}
+		b.Output("fc", out.Value, 30)
+
+		p, err := b.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := p.ComputeStats()
+		const log2HW = 4
+		if got, want := stats.Instructions["ROTATE_LEFT"]+stats.Instructions["ROTATE_RIGHT"], outLen*log2HW+outLen; got != want {
+			t.Errorf("%d channels: %d rotations, want %d (one slot reduction per neuron)", channels, got, want)
+		}
+
+		inputs := execute.Inputs{}
+		for c := 0; c < channels; c++ {
+			inputs[fmt.Sprintf("image_c%d", c)] = randPlane(rng, h*w)
+		}
+		got, err := execute.RunReference(p, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < outLen; j++ {
+			want := bias[j]
+			for c := 0; c < channels; c++ {
+				for i := 0; i < h*w; i++ {
+					want += weights[j][c*h*w+i] * inputs[fmt.Sprintf("image_c%d", c)][i]
+				}
+			}
+			if math.Abs(got["fc"][j]-want) > 1e-9 {
+				t.Fatalf("%d channels: fc neuron %d: got %g want %g", channels, j, got["fc"][j], want)
+			}
 		}
 	}
 }
@@ -271,6 +295,18 @@ func TestKernelErrors(t *testing.T) {
 	}
 	if _, err := tc.FC("fc", &Vector{Value: in.Channels[0], Length: 8}, [][]float64{make([]float64, 5)}, nil); err == nil {
 		t.Error("expected error for FC weight shape mismatch")
+	}
+	if _, err := tc.FlattenFC("fc", in, nil, nil); err == nil {
+		t.Error("expected error for empty FC weights")
+	}
+	if _, err := tc.FC("fc", &Vector{Value: in.Channels[0], Length: 8}, nil, nil); err == nil {
+		t.Error("expected error for empty FC weights")
+	}
+	if _, err := tc.FlattenFC("fc", in, [][]float64{make([]float64, 64), make([]float64, 5)}, nil); err == nil {
+		t.Error("expected error for a short later FC weight row")
+	}
+	if _, err := tc.FC("fc", &Vector{Value: in.Channels[0], Length: 8}, [][]float64{make([]float64, 8), make([]float64, 5)}, nil); err == nil {
+		t.Error("expected error for a short later FC weight row")
 	}
 	odd := &Tensor{Channels: in.Channels, H: 3, W: 3}
 	if _, err := tc.AvgPool2("p", odd); err == nil {

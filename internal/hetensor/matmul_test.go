@@ -88,6 +88,12 @@ func TestMatmulErrors(t *testing.T) {
 	if _, err := tc.Matmul("m", x, [][]float64{make([]float64, 5)}, nil); err == nil {
 		t.Error("expected error for weight row length mismatch")
 	}
+	if _, err := tc.Matmul("m", x, nil, nil); err == nil {
+		t.Error("expected error for empty weights")
+	}
+	if _, err := tc.Matmul("m", x, [][]float64{make([]float64, 8), make([]float64, 5)}, nil); err == nil {
+		t.Error("expected error for a short later weight row")
+	}
 	if _, err := tc.Matmul("m", x, randMatrix(rand.New(rand.NewSource(9)), 2, 8), []float64{1}); err == nil {
 		t.Error("expected error for bias length mismatch")
 	}

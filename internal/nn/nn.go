@@ -346,26 +346,6 @@ func RandomWeights(n *Network, rng *rand.Rand) *Weights {
 	return w
 }
 
-// fcInputLength tracks how the FC input length evolves (mirrors RandomWeights).
-func (n *Network) shapeAt(layerIdx int) (channels, size int) {
-	channels = n.InputChannels
-	size = n.InputSize
-	for i := 0; i < layerIdx; i++ {
-		switch n.Layers[i].Kind {
-		case LayerConv:
-			channels = n.Layers[i].OutChannels
-		case LayerPool:
-			size /= 2
-		case LayerFC:
-			channels = n.Layers[i].OutFeatures
-			size = 1
-		case LayerGlobalPool:
-			size = 1
-		}
-	}
-	return channels, size
-}
-
 // BuildProgram lowers the network onto an EVA program using the hetensor
 // kernels, with one kernel label per layer. The returned program has a single
 // output "scores" holding the class scores in its first NumClasses slots.

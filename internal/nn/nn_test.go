@@ -122,10 +122,11 @@ func TestArgmaxAndShapeHelpers(t *testing.T) {
 	if Argmax([]float64{5, 1}, 1) != 0 {
 		t.Error("Argmax with limit wrong")
 	}
+	// The last FC layer maps fc1's flat 1×1 features to the 10 classes.
 	n := LeNet5Small(BenchConfig())
-	c, s := n.shapeAt(len(n.Layers))
-	if s != 1 || c != 10 {
-		t.Errorf("final shape = %d channels, size %d; want 10, 1", c, s)
+	fc2 := RandomWeights(n, rand.New(rand.NewSource(4))).FC["fc2"]
+	if len(fc2) != 10 || len(fc2[0]) != n.Layers[6].OutFeatures {
+		t.Errorf("fc2 weights = %d rows of %d; want 10 rows of %d", len(fc2), len(fc2[0]), n.Layers[6].OutFeatures)
 	}
 	cfg := Config{}
 	norm := cfg.normalize()

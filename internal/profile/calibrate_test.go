@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"eva/internal/ckks"
+	"eva/internal/compile"
+	"eva/internal/execute"
 	"eva/internal/profile"
 	"eva/internal/store"
 )
@@ -21,10 +24,12 @@ func TestCalibrationRoundTrip(t *testing.T) {
 
 	deep := buildDeepChain(t)
 	mm := buildMatmul(t, 64, 8)
-	runProfiled(t, c, "deep", deep, "", 7)
-	runProfiled(t, c, "matmul", mm, "", 8)
-	runProfiled(t, c, "deep", deep, "", 9)
-	runProfiled(t, c, "matmul", mm, "", 10)
+	// Each workload runs 64 times under one context, so every priced
+	// bucket's mean averages at least 64 wall samples: an instruction
+	// preempted for milliseconds on a loaded machine then shifts its
+	// bucket's mean by a fraction instead of several-fold.
+	profileRuns(t, c, "deep", deep, 7, 64)
+	profileRuns(t, c, "matmul", mm, 8, 64)
 	c.Flush()
 
 	profiles, err := profile.LoadProfiles(st)
@@ -79,6 +84,31 @@ func TestCalibrationRoundTrip(t *testing.T) {
 	}
 	t.Logf("mean relative error: uncalibrated %.4f -> calibrated %.4f (%d ops, %d samples)",
 		baseErr, calErr, len(cal.NsPerUnit), cal.Samples)
+}
+
+// profileRuns encrypts one input set under one context and records runs
+// sequential executions of res into c.
+func profileRuns(tb testing.TB, c *profile.Collector, programID string, res *compile.Result, seed uint64, runs int) {
+	tb.Helper()
+	prng := ckks.NewTestPRNG(seed)
+	ctx, keys, err := execute.NewContext(res, prng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := execute.EncryptInputs(ctx, res, keys, randomInputs(res, int64(seed)), prng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < runs; i++ {
+		rec := c.Recorder(programID, res, "")
+		if _, err := execute.Run(ctx, res, enc, execute.RunOptions{
+			Scheduler:     execute.SchedulerSequential,
+			OnInstruction: rec.OnInstruction,
+		}); err != nil {
+			tb.Fatal(err)
+		}
+		rec.Finish()
+	}
 }
 
 // meanRelativeError scores a predictor against accumulated profiles: for
