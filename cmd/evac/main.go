@@ -205,7 +205,7 @@ func describeProgram(w io.Writer, p *core.Program) {
 		case core.OpRescale:
 			line += fmt.Sprintf("  divisor=2^%g", t.LogScale)
 		}
-		line += fmt.Sprintf("  [%s]", types[t])
+		line += fmt.Sprintf("  [%s]", types.Get(t))
 		fmt.Fprintln(w, line)
 	}
 	for _, o := range p.Outputs() {

@@ -27,10 +27,11 @@ func TestLoadSmoke(t *testing.T) {
 
 // TestLoadProfileSmoke is the nightly profiler assertion: with full
 // sampling, the post-run profile fetch must show samples and produce a
-// non-empty calibration fit.
+// non-empty calibration fit. Four jobs of four batches give every opcode the
+// 16 samples (profile.MinOpSamples) a coefficient of its own needs.
 func TestLoadProfileSmoke(t *testing.T) {
 	var stdout, stderr strings.Builder
-	err := run([]string{"-jobs", "4", "-concurrency", "2", "-batches", "1",
+	err := run([]string{"-jobs", "4", "-concurrency", "2", "-batches", "4",
 		"-profile-sample", "1", "-profile"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())

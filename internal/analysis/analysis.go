@@ -92,12 +92,13 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 	order := p.TopoSort()
 	chains := make(map[*core.Term]Chain, len(order))
 	scales := make(map[*core.Term]float64, len(order))
+	scaleOf := func(t *core.Term) float64 { return scales[t] }
 	// polys counts the polynomials of every Cipher term, so a term is Cipher
-	// exactly when it has a count.
-	polys := make(map[*core.Term]int, len(order))
+	// exactly when its count is not zero.
+	polys := core.NewTermMap[int](p)
 	var scaleErr, polyErr *ConstraintError
 	for _, t := range order {
-		scale := rewrite.ScaleOf(t, scales)
+		scale := rewrite.ScaleOf(t, scaleOf)
 		scales[t] = scale
 		if scaleErr == nil {
 			switch t.Op {
@@ -123,8 +124,8 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 		cipher := t.IsLeaf() && t.InType == core.TypeCipher
 		n := 2
 		for _, parm := range t.Parms() {
-			pn, ok := polys[parm]
-			if !ok {
+			pn := polys.Get(parm)
+			if pn == 0 {
 				continue
 			}
 			n = max(n, pn)
@@ -148,7 +149,7 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 		case core.OpModSwitch:
 			chain = append(chain, ModSwitchMark)
 		case core.OpMultiply:
-			a, b := polys[t.Parm(0)], polys[t.Parm(1)]
+			a, b := polys.Get(t.Parm(0)), polys.Get(t.Parm(1))
 			if a == 0 || b == 0 {
 				break // a product with a plain operand keeps the cipher's count
 			}
@@ -166,7 +167,8 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 			}
 			n = 2
 		}
-		chains[t], polys[t] = chain, n
+		chains[t] = chain
+		polys.Set(t, n)
 	}
 	switch {
 	case scaleErr != nil:

@@ -27,13 +27,13 @@ func oracleChains(p *core.Program) (map[*core.Term]analysis.Chain, error) {
 	types := core.InferTypes(p.TopoSort())
 	chains := make(map[*core.Term]analysis.Chain, p.NumTerms())
 	for _, t := range p.TopoSort() {
-		if types[t] != core.TypeCipher {
+		if types.Get(t) != core.TypeCipher {
 			continue
 		}
 		var merged analysis.Chain
 		var have bool
 		for _, parm := range t.Parms() {
-			if types[parm] != core.TypeCipher {
+			if types.Get(parm) != core.TypeCipher {
 				continue
 			}
 			pc := chains[parm]
@@ -98,14 +98,14 @@ func oraclePolys(p *core.Program) error {
 	maxCipherPolys := func(t *core.Term) int {
 		n := 2
 		for _, parm := range t.Parms() {
-			if types[parm] == core.TypeCipher && polys[parm] > n {
+			if types.Get(parm) == core.TypeCipher && polys[parm] > n {
 				n = polys[parm]
 			}
 		}
 		return n
 	}
 	for _, t := range p.TopoSort() {
-		if types[t] != core.TypeCipher {
+		if types.Get(t) != core.TypeCipher {
 			continue
 		}
 		switch t.Op {
@@ -113,7 +113,7 @@ func oraclePolys(p *core.Program) error {
 			polys[t] = 2
 		case core.OpMultiply:
 			a, b := t.Parm(0), t.Parm(1)
-			if types[a] == core.TypeCipher && types[b] == core.TypeCipher {
+			if types.Get(a) == core.TypeCipher && types.Get(b) == core.TypeCipher {
 				if polys[a] != 2 || polys[b] != 2 {
 					return &analysis.ConstraintError{Term: t, Constraint: 3,
 						Detail: fmt.Sprintf("multiplication operands have %d and %d polynomials; relinearization missing", polys[a], polys[b])}

@@ -126,7 +126,7 @@ func (b *Builder) Program() (*core.Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if err := b.prog.ValidateStructure(true); err != nil {
+	if _, err := b.prog.ValidateStructure(true); err != nil {
 		return nil, err
 	}
 	return b.prog, nil

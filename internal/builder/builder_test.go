@@ -237,7 +237,7 @@ func TestBuilderProducesValidInputProgram(t *testing.T) {
 	x := b.Input("x", 30)
 	b.Output("out", x.Square().Add(x), 30)
 	p := b.MustProgram()
-	if err := p.ValidateStructure(true); err != nil {
+	if _, err := p.ValidateStructure(true); err != nil {
 		t.Fatal(err)
 	}
 	for _, term := range p.Terms() {

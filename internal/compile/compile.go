@@ -109,7 +109,8 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	if opts.MaxRescaleLog <= 0 {
 		opts.MaxRescaleLog = 60
 	}
-	if err := input.ValidateStructure(true); err != nil {
+	order, err := input.ValidateStructure(true)
+	if err != nil {
 		return nil, fmt.Errorf("compile: invalid input program: %w", err)
 	}
 
@@ -176,7 +177,7 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	}
 	plan.SelectKeySwitchDigits(switches, logN, budget)
 
-	res.Plan, res.Options, res.SourceStats = plan, opts, input.ComputeStats()
+	res.Plan, res.Options, res.SourceStats = plan, opts, input.StatsOf(order)
 	return res, nil
 }
 

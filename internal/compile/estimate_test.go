@@ -65,17 +65,17 @@ func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished 
 			user[q] = t
 			inv = inv && invariant[q]
 		}
-		invariant[t] = inv && types[t] != core.TypeCipher
+		invariant[t] = inv && types.Get(t) != core.TypeCipher
 	}
 	for _, t := range order {
-		if types[t] != core.TypeCipher || len(t.Parms()) != 2 {
+		if types.Get(t) != core.TypeCipher || len(t.Parms()) != 2 {
 			continue
 		}
 		a, b := t.Parm(0), t.Parm(1)
 		switch {
-		case t.Op == core.OpMultiply && once(t) && types[a] == core.TypeCipher && invariant[b]:
+		case t.Op == core.OpMultiply && once(t) && types.Get(a) == core.TypeCipher && invariant[b]:
 			leafCt[t] = a
-		case t.Op == core.OpMultiply && once(t) && types[b] == core.TypeCipher && invariant[a]:
+		case t.Op == core.OpMultiply && once(t) && types.Get(b) == core.TypeCipher && invariant[a]:
 			leafCt[t] = b
 		case t.Op == core.OpAdd:
 			fusable := func(q *core.Term) bool { return once(q) && (leafCt[q] != nil || tree[q]) }
@@ -117,7 +117,7 @@ func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished 
 	degree2 := map[*core.Term]bool{}
 	for _, t := range order {
 		degree2[t] = t.Op == core.OpMultiply && len(t.Parms()) == 2 &&
-			types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
+			types.Get(t.Parm(0)) == core.TypeCipher && types.Get(t.Parm(1)) == core.TypeCipher
 		for _, q := range t.Parms() {
 			degree2[t] = degree2[t] || (degree2[q] && t.Op != core.OpRelinearize)
 		}
@@ -128,7 +128,7 @@ func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished 
 	}
 	summand := func(u *core.Term) bool {
 		a, b := u.Parm(0), u.Parm(1)
-		return !isRoot[u] && types[a] == core.TypeCipher && types[b] == core.TypeCipher && !degree2[a] && !degree2[b]
+		return !isRoot[u] && types.Get(a) == core.TypeCipher && types.Get(b) == core.TypeCipher && !degree2[a] && !degree2[b]
 	}
 	// mark defers greedily: every sum takes deferred operands unless refused.
 	mark := func(refused map[*core.Term]bool) (map[*core.Term]bool, map[*core.Term]int, map[*core.Term]bool) {
@@ -152,7 +152,7 @@ func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished 
 		}
 		deferred := map[*core.Term]bool{}
 		for _, t := range order {
-			if types[t] == core.TypeCipher && !t.IsLeaf() &&
+			if types.Get(t) == core.TypeCipher && !t.IsLeaf() &&
 				(t.Op.IsRotation() || (t.Op == core.OpRelinearize && degree2[t.Parm(0)])) {
 				deferred[t] = mayDefer(t)
 			}
@@ -179,7 +179,7 @@ func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished 
 				deferred[t] = finished[t] > 0 && mayDefer(t)
 				continue
 			}
-			if types[t] == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) {
+			if types.Get(t) == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) {
 				deferred[t] = (deferred[t.Parm(0)] || deferred[t.Parm(1)]) && mayDefer(t)
 			}
 		}
@@ -192,7 +192,7 @@ func referenceDeferred(p *core.Program) (deferred map[*core.Term]bool, finished 
 		deferred, finished, lifted := mark(refused)
 		done := true
 		for _, t := range order {
-			if types[t] == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) && !isRoot[t] &&
+			if types.Get(t) == core.TypeCipher && (t.Op == core.OpAdd || t.Op == core.OpSub) && !isRoot[t] &&
 				!deferred[t] && deferred[t.Parm(0)] != deferred[t.Parm(1)] {
 				refused[t], done = true, false
 			}
@@ -236,13 +236,13 @@ func referenceCost(m analysis.CostModel, p *core.Program) analysis.CostEstimate 
 	pathCost := map[*core.Term]float64{}
 	for _, t := range order {
 		var cost float64
-		if !t.IsLeaf() && types[t] == core.TypeCipher {
+		if !t.IsLeaf() && types.Get(t) == core.TypeCipher {
 			ks, inSet := batched[t]
 			if !inSet && (t.Op == core.OpRelinearize || t.Op.IsRotation()) {
 				ks = &analysis.KeySwitch{Level: levels[t], Decompose: true, ApplyKey: true, ModDown: !deferred[t]}
 			}
 			ctct := t.Op == core.OpMultiply &&
-				types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher
+				types.Get(t.Parm(0)) == core.TypeCipher && types.Get(t.Parm(1)) == core.TypeCipher
 			sum := func() float64 { return m.OpUnits(t.Op, levels[t], false) }
 			switch {
 			case finished[t] > 0:
@@ -284,13 +284,13 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 	n := int64(1) << uint(m.LogN)
 	deferred, _, _ := referenceDeferred(p)
 	bytesOf := func(t *core.Term) int64 {
-		if types[t] != core.TypeCipher {
+		if types.Get(t) != core.TypeCipher {
 			return 8 * n
 		}
 		limbs := int64(max(m.TotalLevels-levels[t], 1))
 		polys := int64(2)
 		if t.Op == core.OpMultiply &&
-			types[t.Parm(0)] == core.TypeCipher && types[t.Parm(1)] == core.TypeCipher {
+			types.Get(t.Parm(0)) == core.TypeCipher && types.Get(t.Parm(1)) == core.TypeCipher {
 			polys = 3
 		}
 		if deferred[t] {

@@ -215,7 +215,7 @@ type Output struct {
 // program must hold no rotation by a multiple of its vector size
 // (rewrite.FoldIdentityRotations): the backend has no key for one.
 func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64) *Result {
-	return lower(prog, func(t *core.Term) int { return len(chains[t]) }, scales, true)
+	return lower(prog, func(t *core.Term) int { return len(chains[t]) }, func(t *core.Term) float64 { return scales[t] }, true)
 }
 
 // Reference lowers r's program again, for r's parameters, without fused
@@ -224,23 +224,23 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 // lowering's mechanisms must reproduce — byte for byte unless a value stays
 // over Q∪P, which changes the rounding.
 func (r *Result) Reference() *Result {
-	levels := make(map[*core.Term]int, len(r.Instrs))
-	scales := make(map[*core.Term]float64, len(r.Instrs))
+	levels, scales := core.NewTermMap[int](r.Program), core.NewTermMap[float64](r.Program)
 	for _, in := range r.Instrs {
-		levels[in.Term], scales[in.Term] = in.Level, in.LogScale
+		levels.Set(in.Term, in.Level)
+		scales.Set(in.Term, in.LogScale)
 	}
-	ref := lower(r.Program, func(t *core.Term) int { return levels[t] }, scales, false)
+	ref := lower(r.Program, levels.Get, scales.Get, false)
 	ref.Plan, ref.LogN, ref.Options, ref.SourceStats = r.Plan, r.LogN, r.Options, r.SourceStats
 	return ref
 }
 
 // lower is Lower, finding fused chains and deferring mod-downs only when
 // mechanisms is set.
-func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term]float64, mechanisms bool) *Result {
+func lower(prog *core.Program, level func(*core.Term) int, scale func(*core.Term) float64, mechanisms bool) *Result {
 	order := prog.TopoSort()
 	n := len(order)
 	r := &Result{Program: prog, VecSize: prog.VecSize, Instrs: make([]Instr, n), Cache: newPlainCache()}
-	ids := make(map[*core.Term]int32, n)
+	ids := core.NewTermMap[int32](prog) // each live term's index in order
 	stats := core.Stats{Terms: n, Instructions: map[string]int{}, Inputs: len(prog.Inputs()), Outputs: len(prog.Outputs())}
 	steps := map[int]bool{}
 	depth := make([]int, n) // multiplicative depth
@@ -250,10 +250,11 @@ func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term
 	// reaches (-1 for none), and union-find over the input indices, rooted at
 	// each group's first input, merges the inputs of every term's operands.
 	reached := make([]int32, n)
-	index := make(map[*core.Term]int32, len(prog.Inputs()))
+	index := core.NewTermMap[int32](prog)
 	root := make([]int32, len(prog.Inputs()))
 	for k, t := range prog.Inputs() {
-		index[t], root[k] = int32(k), int32(k)
+		index.Set(t, int32(k))
+		root[k] = int32(k)
 	}
 	find := func(x int32) int32 {
 		for root[x] != x {
@@ -270,10 +271,10 @@ func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term
 	parmBacking := make([]int32, nparms)
 	user := make([]int32, n) // some consumer of each term; the only one when Refs == 1
 	for i, t := range order {
-		ids[t] = int32(i)
+		ids.Set(t, int32(i))
 		in := &r.Instrs[i]
 		in.Term, in.Op = t, t.Op
-		in.LogScale = scales[t]
+		in.LogScale = scale(t)
 		in.Level = level(t)
 		in.Hoist = -1
 		in.Name, in.Value = t.Name, t.Value
@@ -287,10 +288,10 @@ func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term
 		invariant := t.Op != core.OpInput
 		reached[i] = -1
 		if t.Op == core.OpInput && in.Cipher {
-			reached[i] = index[t]
+			reached[i] = index.Get(t)
 		}
 		for slot, parm := range t.Parms() {
-			q := ids[parm]
+			q := ids.Get(parm)
 			in.Parms[slot] = q
 			r.Instrs[q].Refs++
 			user[q] = int32(i)
@@ -338,7 +339,7 @@ func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term
 	}
 	isOutput := make([]bool, n)
 	for _, o := range prog.Outputs() {
-		id := ids[o.Term]
+		id := ids.Get(o.Term)
 		r.Instrs[id].Refs++
 		isOutput[id] = true
 		r.Outputs = append(r.Outputs, Output{Name: o.Name, ID: id, Group: group(id)})
@@ -382,7 +383,8 @@ func lower(prog *core.Program, level func(*core.Term) int, scales map[*core.Term
 	}
 	for _, t := range prog.Inputs() {
 		in := Input{Term: t, ID: -1, Group: -1}
-		if id, ok := ids[t]; ok {
+		// A dead input is not in order: its id reads 0, another term's.
+		if id := ids.Get(t); r.Instrs[id].Term == t {
 			in.ID, in.Depth, in.Group = id, reach[id], group(id)
 		}
 		r.Inputs = append(r.Inputs, in)

@@ -37,8 +37,8 @@ func checkLowering(t testing.TB, res *Result) {
 		switch {
 		case in.Term != term:
 			t.Fatalf("instruction %d is %s, the topological order has %s", i, in.Term, term)
-		case in.Cipher != (types[term] == core.TypeCipher):
-			t.Fatalf("%s: Cipher %v, inferred type %s", term, in.Cipher, types[term])
+		case in.Cipher != (types.Get(term) == core.TypeCipher):
+			t.Fatalf("%s: Cipher %v, inferred type %s", term, in.Cipher, types.Get(term))
 		case in.Level != len(chains[term]):
 			t.Fatalf("%s: Level %d, chain %v", term, in.Level, chains[term])
 		case in.LogScale != scales[term]:

@@ -57,7 +57,7 @@ func TestProgramConstruction(t *testing.T) {
 	if p.InputByName("missing") != nil {
 		t.Error("lookup of missing input should be nil")
 	}
-	if err := p.ValidateStructure(true); err != nil {
+	if _, err := p.ValidateStructure(true); err != nil {
 		t.Errorf("ValidateStructure: %v", err)
 	}
 	stats := p.ComputeStats()
@@ -170,13 +170,13 @@ func TestInferTypes(t *testing.T) {
 	p.AddOutput("xc", xc, 30)
 	p.AddOutput("vc", vc, 30)
 	types := InferTypes(p.TopoSort())
-	if types[x] != TypeCipher || types[xc] != TypeCipher {
+	if types.Get(x) != TypeCipher || types.Get(xc) != TypeCipher {
 		t.Error("cipher type not propagated")
 	}
-	if types[v] != TypeVector || types[vc] != TypeVector {
+	if types.Get(v) != TypeVector || types.Get(vc) != TypeVector {
 		t.Error("vector type not propagated")
 	}
-	if types[c] != TypeScalar {
+	if types.Get(c) != TypeScalar {
 		t.Error("scalar constant type wrong")
 	}
 }
@@ -256,15 +256,15 @@ func TestRedirectOutputs(t *testing.T) {
 func TestValidateStructure(t *testing.T) {
 	p := MustNewProgram("v", 8)
 	x, _ := p.NewInput("x", TypeCipher, 8, 30)
-	if err := p.ValidateStructure(true); err == nil {
+	if _, err := p.ValidateStructure(true); err == nil {
 		t.Error("expected error for program without outputs")
 	}
 	relin, _ := p.NewUnary(OpRelinearize, x)
 	p.AddOutput("o", relin, 30)
-	if err := p.ValidateStructure(true); err == nil {
+	if _, err := p.ValidateStructure(true); err == nil {
 		t.Error("expected error for compiler-only op in input program")
 	}
-	if err := p.ValidateStructure(false); err != nil {
+	if _, err := p.ValidateStructure(false); err != nil {
 		t.Errorf("ValidateStructure(false): %v", err)
 	}
 }
@@ -286,7 +286,7 @@ func TestCloneIsIndependent(t *testing.T) {
 			t.Fatal("mutating clone affected original")
 		}
 	}
-	if err := cp.ValidateStructure(false); err != nil {
+	if _, err := cp.ValidateStructure(false); err != nil {
 		t.Errorf("clone validation: %v", err)
 	}
 }
@@ -325,7 +325,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 			t.Errorf("instruction count for %s = %d, want %d", op, gotStats.Instructions[op], n)
 		}
 	}
-	if err := back.ValidateStructure(true); err != nil {
+	if _, err := back.ValidateStructure(true); err != nil {
 		t.Errorf("round-tripped program invalid: %v", err)
 	}
 }

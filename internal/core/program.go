@@ -249,106 +249,93 @@ func (p *Program) RedirectOutputs(old, new *Term) {
 // omitted. Ready terms are emitted in creation order, which keeps pass
 // output deterministic.
 func (p *Program) TopoSort() []*Term {
-	live := p.liveTerms()
-	indeg := make(map[*Term]int, len(live))
-	var queue []*Term
+	live, n := p.liveTerms()
+	indeg := make([]int32, len(p.terms))
+	// out is also the queue: a term is emitted in the order it became ready.
+	out := make([]*Term, 0, n)
 	for _, t := range p.terms {
-		if !live[t] {
+		if !live[t.ID-1] {
 			continue
 		}
-		n := 0
+		k := int32(0)
 		for _, parm := range t.parms {
-			if live[parm] {
-				n++
+			if live[parm.ID-1] {
+				k++
 			}
 		}
-		indeg[t] = n
-		if n == 0 {
-			queue = append(queue, t)
+		indeg[t.ID-1] = k
+		if k == 0 {
+			out = append(out, t)
 		}
 	}
-	out := make([]*Term, 0, len(live))
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		out = append(out, t)
-		for i, u := range t.uses {
+	for next := 0; next < len(out); next++ {
+		t := out[next]
+		for _, u := range t.uses {
 			c := u.child
-			if !live[c] {
+			if !live[c.ID-1] {
 				continue
 			}
 			// Retire every parameter edge from t to c at c's first use, so c
-			// is queued in the order of its first use.
-			edges := 0
+			// is queued in the order of its first use; a second use of t by
+			// c (x+x) drives c's count below zero and queues nothing.
+			edges := int32(0)
 			for _, parm := range c.parms {
 				if parm == t {
 					edges++
 				}
 			}
-			if edges > 1 && usedBefore(t.uses[:i], c) {
-				continue
-			}
-			indeg[c] -= edges
-			if indeg[c] == 0 {
-				queue = append(queue, c)
+			if indeg[c.ID-1] -= edges; indeg[c.ID-1] == 0 {
+				out = append(out, c)
 			}
 		}
 	}
-	if len(out) != len(live) {
+	if len(out) != n {
 		panic("core: cycle detected in program graph")
 	}
 	return out
 }
 
-// usedBefore reports whether c is the child of one of the uses.
-func usedBefore(uses []use, c *Term) bool {
-	for _, u := range uses {
-		if u.child == c {
-			return true
-		}
-	}
-	return false
-}
-
-// liveTerms returns the set of terms reachable from the outputs (or all
-// terms, if the program has no outputs yet).
-func (p *Program) liveTerms() map[*Term]bool {
-	live := make(map[*Term]bool, len(p.terms))
+// liveTerms marks, by ID-1, the terms reachable from the outputs (or all
+// terms, if the program has no outputs yet) and counts them.
+func (p *Program) liveTerms() ([]bool, int) {
+	live := make([]bool, len(p.terms))
 	if len(p.outputs) == 0 {
-		for _, t := range p.terms {
-			live[t] = true
+		for i := range live {
+			live[i] = true
 		}
-		return live
+		return live, len(live)
 	}
-	var visit func(t *Term)
-	visit = func(t *Term) {
-		if live[t] {
-			return
-		}
-		live[t] = true
-		for _, parm := range t.parms {
-			visit(parm)
-		}
-	}
+	n := 0
+	stack := make([]*Term, 0, len(p.outputs))
 	for _, o := range p.outputs {
-		visit(o.Term)
+		stack = append(stack, o.Term)
 	}
-	return live
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if live[t.ID-1] {
+			continue
+		}
+		live[t.ID-1] = true
+		n++
+		stack = append(stack, t.parms...)
+	}
+	return live, n
 }
 
 // InferTypes computes the value type of every term of order, a topological
 // order of live terms such as TopoSort returns: a term is Cipher if any of its
 // parameters is Cipher, otherwise it keeps the plain vector type.
-func InferTypes(order []*Term) map[*Term]Type {
-	types := make(map[*Term]Type, len(order))
+func InferTypes(order []*Term) *TermMap[Type] {
+	types := &TermMap[Type]{vals: make([]Type, 0, len(order))}
 	for _, t := range order {
 		if t.IsLeaf() {
-			types[t] = t.InType
+			types.Set(t, t.InType)
 			continue
 		}
 		typ := TypeScalar
 		for _, parm := range t.parms {
-			switch types[parm] {
+			switch types.Get(parm) {
 			case TypeCipher:
 				typ = TypeCipher
 			case TypeVector:
@@ -357,63 +344,75 @@ func InferTypes(order []*Term) map[*Term]Type {
 				}
 			}
 		}
-		types[t] = typ
+		types.Set(t, typ)
 	}
 	return types
 }
 
 // ValidateStructure checks the structural well-formedness of the program:
 // arities, leaf attributes, output presence, and (for input programs) the
-// absence of compiler-only instructions.
-func (p *Program) ValidateStructure(asInput bool) error {
+// absence of compiler-only instructions. It returns the TopoSort it checked.
+func (p *Program) ValidateStructure(asInput bool) ([]*Term, error) {
 	if len(p.outputs) == 0 {
-		return fmt.Errorf("core: program %q has no outputs", p.Name)
+		return nil, fmt.Errorf("core: program %q has no outputs", p.Name)
 	}
-	for _, t := range p.TopoSort() {
+	order := p.TopoSort()
+	for _, t := range order {
 		if len(t.parms) != t.Op.Arity() {
-			return fmt.Errorf("core: %s has %d parameters, want %d", t, len(t.parms), t.Op.Arity())
+			return nil, fmt.Errorf("core: %s has %d parameters, want %d", t, len(t.parms), t.Op.Arity())
 		}
 		if asInput && t.Op.IsCompilerOp() {
-			return fmt.Errorf("core: input programs may not contain %s instructions", t.Op)
+			return nil, fmt.Errorf("core: input programs may not contain %s instructions", t.Op)
 		}
 		switch t.Op {
 		case OpInput:
 			if t.Name == "" {
-				return fmt.Errorf("core: input term t%d has no name", t.ID)
+				return nil, fmt.Errorf("core: input term t%d has no name", t.ID)
 			}
 		case OpConstant:
 			if t.InType == TypeCipher {
-				return fmt.Errorf("core: constant t%d cannot have Cipher type", t.ID)
+				return nil, fmt.Errorf("core: constant t%d cannot have Cipher type", t.ID)
 			}
 			if len(t.Value) != t.VecWidth {
-				return fmt.Errorf("core: constant t%d has %d values for width %d", t.ID, len(t.Value), t.VecWidth)
+				return nil, fmt.Errorf("core: constant t%d has %d values for width %d", t.ID, len(t.Value), t.VecWidth)
 			}
 		case OpRescale:
 			if t.LogScale <= 0 {
-				return fmt.Errorf("core: %s has non-positive divisor", t)
+				return nil, fmt.Errorf("core: %s has non-positive divisor", t)
 			}
 		}
 	}
 	for _, o := range p.outputs {
 		if o.Term == nil {
-			return fmt.Errorf("core: output %q has no term", o.Name)
+			return nil, fmt.Errorf("core: output %q has no term", o.Name)
 		}
 	}
-	return nil
+	return order, nil
 }
 
-// Clone returns a deep copy of the program. Compilation operates on a clone
-// so the caller's input program is never mutated.
+// Clone returns a deep copy of the program with the same term IDs.
+// Compilation operates on a clone so the caller's input program is never
+// mutated.
 func (p *Program) Clone() *Program {
 	cp := &Program{
 		Name:    p.Name,
 		VecSize: p.VecSize,
 		nextID:  p.nextID,
-		byName:  map[string]*Term{},
+		terms:   make([]*Term, len(p.terms)),
+		byName:  make(map[string]*Term, len(p.byName)),
 	}
-	mapping := make(map[*Term]*Term, len(p.terms))
+	// Terms()[i].ID == i+1, so a term's copy is cp.terms[ID-1]. The copies
+	// and their edge lists are carved out of three blocks.
+	block := make([]Term, len(p.terms))
+	nparms, nuses := 0, 0
 	for _, t := range p.terms {
-		nt := &Term{
+		nparms += len(t.parms)
+		nuses += len(t.uses)
+	}
+	parms, uses := make([]*Term, nparms), make([]use, nuses)
+	for i, t := range p.terms {
+		nt := &block[i]
+		*nt = Term{
 			ID:       t.ID,
 			Op:       t.Op,
 			Name:     t.Name,
@@ -424,26 +423,28 @@ func (p *Program) Clone() *Program {
 			RotateBy: t.RotateBy,
 			Kernel:   t.Kernel,
 		}
-		mapping[t] = nt
-		cp.terms = append(cp.terms, nt)
+		cp.terms[i] = nt
 	}
-	for _, t := range p.terms {
-		nt := mapping[t]
-		nt.parms = make([]*Term, len(t.parms))
-		for i, parm := range t.parms {
-			nt.parms[i] = mapping[parm]
+	for i, t := range p.terms {
+		nt := cp.terms[i]
+		k := len(t.parms)
+		nt.parms, parms = parms[:k:k], parms[k:]
+		for j, parm := range t.parms {
+			nt.parms[j] = cp.terms[parm.ID-1]
 		}
-		nt.uses = make([]use, len(t.uses))
-		for i, u := range t.uses {
-			nt.uses[i] = use{child: mapping[u.child], slot: u.slot}
+		k = len(t.uses)
+		nt.uses, uses = uses[:k:k], uses[k:]
+		for j, u := range t.uses {
+			nt.uses[j] = use{child: cp.terms[u.child.ID-1], slot: u.slot}
 		}
 	}
 	for _, in := range p.inputs {
-		cp.inputs = append(cp.inputs, mapping[in])
-		cp.byName[in.Name] = mapping[in]
+		nt := cp.terms[in.ID-1]
+		cp.inputs = append(cp.inputs, nt)
+		cp.byName[in.Name] = nt
 	}
 	for _, o := range p.outputs {
-		cp.outputs = append(cp.outputs, &Output{Name: o.Name, Term: mapping[o.Term], LogScale: o.LogScale})
+		cp.outputs = append(cp.outputs, &Output{Name: o.Name, Term: cp.terms[o.Term.ID-1], LogScale: o.LogScale})
 	}
 	return cp
 }
@@ -468,23 +469,26 @@ type Stats struct {
 // most MULTIPLY instructions on any input-to-output path) and the number of
 // distinct rotation steps (a right rotation by k is a left rotation by -k) of
 // the live graph, not counting identity rotations by a multiple of VecSize.
-func (p *Program) ComputeStats() Stats {
-	s := Stats{Instructions: map[string]int{}, Inputs: len(p.inputs), Outputs: len(p.outputs)}
-	depth := map[*Term]int{}
+func (p *Program) ComputeStats() Stats { return p.StatsOf(p.TopoSort()) }
+
+// StatsOf is ComputeStats over order, a TopoSort of p that the caller already
+// holds.
+func (p *Program) StatsOf(order []*Term) Stats {
+	s := Stats{Terms: len(order), Instructions: map[string]int{}, Inputs: len(p.inputs), Outputs: len(p.outputs)}
+	depth := NewTermMap[int](p)
 	steps := map[int]bool{}
-	for _, t := range p.TopoSort() {
-		s.Terms++
+	for _, t := range order {
 		if !t.IsLeaf() {
 			s.Instructions[t.Op.String()]++
 		}
 		d := 0
 		for _, parm := range t.parms {
-			d = max(d, depth[parm])
+			d = max(d, depth.Get(parm))
 		}
 		if t.Op == OpMultiply {
 			d++
 		}
-		depth[t] = d
+		depth.Set(t, d)
 		s.MultDepth = max(s.MultDepth, d)
 		if t.Op.IsRotation() && !p.IsIdentityRotation(t) {
 			steps[t.EffectiveRotation()] = true

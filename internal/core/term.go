@@ -8,6 +8,9 @@ import "fmt"
 // (parents) and its uses (children), which is what the rewriting framework
 // requires.
 type Term struct {
+	// ID is the term's position in creation order, counted from 1: a
+	// program's Terms()[i].ID is i+1. Terms are only ever appended and Clone
+	// keeps IDs, so per-term tables (TermMap) index a slice by ID-1.
 	ID uint64
 	Op OpCode
 

@@ -14,12 +14,9 @@ import (
 	"eva/internal/nn"
 )
 
-// referenceTopoSort is TopoSort as it was written before it stopped
-// allocating a set per emitted term: Kahn's algorithm over the live terms in
-// creation order, where an emitted term retires all its edges to a child at
-// the child's first use. Canonical serialization, and so every registry id,
-// depends on this order.
-func referenceTopoSort(p *core.Program) []*core.Term {
+// referenceLive is the set of terms TopoSort emits, kept as a map: every
+// term reachable from an output, or every term if there are no outputs.
+func referenceLive(p *core.Program) map[*core.Term]bool {
 	live := map[*core.Term]bool{}
 	var visit func(t *core.Term)
 	visit = func(t *core.Term) {
@@ -39,6 +36,16 @@ func referenceTopoSort(p *core.Program) []*core.Term {
 			live[t] = true
 		}
 	}
+	return live
+}
+
+// referenceTopoSort is TopoSort as it was written before it stopped
+// allocating a set per emitted term and a map per sort: Kahn's algorithm over
+// the live terms in creation order, where an emitted term retires all its
+// edges to a child at the child's first use. Canonical serialization, and so
+// every registry id, depends on this order.
+func referenceTopoSort(p *core.Program) []*core.Term {
+	live := referenceLive(p)
 	indeg := map[*core.Term]int{}
 	var queue, out []*core.Term
 	for _, t := range p.Terms() {

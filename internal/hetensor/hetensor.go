@@ -86,11 +86,10 @@ func (c *Compiler) checkPlane(h, w int) error {
 // Conv2D applies a same-padded, stride-1 convolution with plaintext weights
 // weights[out][in][kh][kw] and per-output-channel bias (bias may be nil).
 func (c *Compiler) Conv2D(kernel string, in *Tensor, weights [][][][]float64, bias []float64) (*Tensor, error) {
-	if len(weights) == 0 || len(weights[0]) != in.NumChannels() {
-		return nil, fmt.Errorf("hetensor: %s: weight shape mismatch (%d input channels, got %d)", kernel, in.NumChannels(), len(weights))
+	kh, kw, err := checkKernels(kernel, weights, in.NumChannels())
+	if err != nil {
+		return nil, err
 	}
-	kh := len(weights[0][0])
-	kw := len(weights[0][0][0])
 	if kh%2 == 0 || kw%2 == 0 {
 		return nil, fmt.Errorf("hetensor: %s: kernel %dx%d must have odd dimensions", kernel, kh, kw)
 	}
@@ -137,6 +136,32 @@ func (c *Compiler) Conv2D(kernel string, in *Tensor, weights [][][][]float64, bi
 		out.Channels = append(out.Channels, acc)
 	}
 	return out, c.b.Err()
+}
+
+// checkKernels checks that weights holds a kh×kw kernel for every pair of
+// output and input channel, with kh×kw the shape of the first one, and
+// returns that shape.
+func checkKernels(kernel string, weights [][][][]float64, channels int) (kh, kw int, err error) {
+	if len(weights) == 0 || len(weights[0]) == 0 || len(weights[0][0]) == 0 || len(weights[0][0][0]) == 0 {
+		return 0, 0, fmt.Errorf("hetensor: %s: empty convolution kernel", kernel)
+	}
+	kh, kw = len(weights[0][0]), len(weights[0][0][0])
+	for o, perIn := range weights {
+		if len(perIn) != channels {
+			return 0, 0, fmt.Errorf("hetensor: %s: output channel %d has kernels for %d input channels, want %d", kernel, o, len(perIn), channels)
+		}
+		for i, k := range perIn {
+			if len(k) != kh {
+				return 0, 0, fmt.Errorf("hetensor: %s: kernel [%d][%d] has %d rows, want %d", kernel, o, i, len(k), kh)
+			}
+			for _, row := range k {
+				if len(row) != kw {
+					return 0, 0, fmt.Errorf("hetensor: %s: kernel [%d][%d] has a row of %d, want %d", kernel, o, i, len(row), kw)
+				}
+			}
+		}
+	}
+	return kh, kw, nil
 }
 
 // convMask builds the plaintext mask for one convolution tap: the weight

@@ -290,6 +290,13 @@ func TestKernelErrors(t *testing.T) {
 	if _, err := tc.Conv2D("c", in, randKernel(rand.New(rand.NewSource(7)), 2, 1, 3), []float64{1}); err == nil {
 		t.Error("expected error for bias length mismatch")
 	}
+	if _, err := tc.Conv2D("c", in, [][][][]float64{{{}}}, nil); err == nil {
+		t.Error("expected error for an empty kernel")
+	}
+	mixed := append(randKernel(rand.New(rand.NewSource(8)), 1, 1, 3), randKernel(rand.New(rand.NewSource(9)), 1, 1, 1)...)
+	if _, err := tc.Conv2D("c", in, mixed, nil); err == nil {
+		t.Error("expected error for a 3x3 kernel followed by a 1x1 one")
+	}
 	if _, err := tc.FlattenFC("fc", in, [][]float64{make([]float64, 5)}, nil); err == nil {
 		t.Error("expected error for FC weight shape mismatch")
 	}

@@ -43,7 +43,7 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		if err := prog.ValidateStructure(false); err != nil {
+		if _, err := prog.ValidateStructure(false); err != nil {
 			t.Fatalf("lowered program is structurally invalid: %v", err)
 		}
 	})

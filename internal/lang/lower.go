@@ -30,7 +30,7 @@ func Lower(f *File) (*core.Program, ErrorList) {
 	// The checker guarantees frontend-visible structure; ValidateStructure
 	// additionally covers invariants of compiler-inserted instructions
 	// (rescale divisors and the like) for sources that spell them out.
-	if err := prog.ValidateStructure(false); err != nil {
+	if _, err := prog.ValidateStructure(false); err != nil {
 		return nil, ErrorList{&Error{Pos: Position{Line: 1, Col: 1}, Msg: err.Error()}}
 	}
 	return prog, nil

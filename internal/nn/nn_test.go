@@ -62,7 +62,7 @@ func TestBuildProgramAllNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name, err)
 		}
-		if err := prog.ValidateStructure(true); err != nil {
+		if _, err := prog.ValidateStructure(true); err != nil {
 			t.Fatalf("%s: invalid program: %v", n.Name, err)
 		}
 		in := RandomImage(n, rng)

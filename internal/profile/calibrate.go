@@ -51,14 +51,24 @@ func (cal *Calibration) PredictNs(op string, units float64) float64 {
 // (cipher, non-hoisted, non-fused) compute samples.
 var ErrNoSamples = errors.New("profile: no eligible samples to fit")
 
+// MinOpSamples is the fewest priced samples an opcode needs for a coefficient
+// of its own. Below it, one preempted instruction would move the opcode's
+// raw-sum rate several-fold, so the opcode takes BaselineNsPerUnit instead.
+const MinOpSamples = 16
+
 // Fit computes per-opcode cost coefficients from accumulated profiles as the
 // ratio of summed measured nanoseconds to summed predicted units — the
 // least-squares slope through the origin under per-sample unit weighting.
 // Fused buckets are excluded (see BucketKey.priced), as are
 // buckets with no model units (leaves and plain results, which the model
-// prices at zero).
+// prices at zero). An opcode with fewer than MinOpSamples priced samples gets
+// no coefficient and is predicted at BaselineNsPerUnit, the ratio over every
+// priced sample.
 func Fit(profiles []ProgramProfile) (*Calibration, error) {
-	type sums struct{ ns, units float64 }
+	type sums struct {
+		ns, units float64
+		count     uint64
+	}
 	perOp := map[string]*sums{}
 	var totalNs, totalUnits float64
 	var samples uint64
@@ -75,6 +85,7 @@ func Fit(profiles []ProgramProfile) (*Calibration, error) {
 			}
 			s.ns += b.TotalNS
 			s.units += b.Units
+			s.count += b.Count
 			totalNs += b.TotalNS
 			totalUnits += b.Units
 			samples += b.Count
@@ -91,7 +102,7 @@ func Fit(profiles []ProgramProfile) (*Calibration, error) {
 		FittedAt:          time.Now().UTC().Format(time.RFC3339),
 	}
 	for op, s := range perOp {
-		if s.units > 0 {
+		if s.units > 0 && s.count >= MinOpSamples {
 			cal.NsPerUnit[op] = s.ns / s.units
 		}
 	}

@@ -152,3 +152,46 @@ func TestLoadCalibrationMissing(t *testing.T) {
 		t.Fatalf("LoadCalibration on empty store = %+v, %v; want nil, nil", cal, err)
 	}
 }
+
+// TestFitResistsOnePreemptedInstruction fits a profile whose only MULTIPLY
+// samples are two buckets of two, one sample preempted to 14× its cost. A
+// raw-sum MULTIPLY rate would mispredict both buckets by several-fold; with
+// too few samples for a rate of its own MULTIPLY takes the baseline, so the
+// calibrated error, on MULTIPLY and overall, is no worse than the
+// uncalibrated one.
+func TestFitResistsOnePreemptedInstruction(t *testing.T) {
+	const units = 1000 // per sample
+	bucket := func(op string, level int, count uint64, nsPerUnit float64) profile.Bucket {
+		return profile.Bucket{Op: op, Level: level, Count: count,
+			TotalNS: float64(count) * units * nsPerUnit, Units: float64(count) * units}
+	}
+	outlier := bucket("MULTIPLY", 1, 2, 2)
+	outlier.TotalNS += 13 * units * 2 // one of the two samples took 14×
+	loaded := []profile.ProgramProfile{{ProgramID: "p", Buckets: []profile.Bucket{
+		bucket("ADD", 1, 100, 1),
+		bucket("ROTATE_LEFT", 1, 100, 4),
+		outlier,
+		bucket("MULTIPLY", 2, 2, 2),
+	}}}
+	cal, err := profile.Fit(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cal.NsPerUnit["MULTIPLY"]; ok {
+		t.Fatalf("MULTIPLY got a coefficient of its own from 4 samples: %v", cal.NsPerUnit)
+	}
+	if len(cal.NsPerUnit) != 2 {
+		t.Fatalf("coefficients %v, want ADD and ROTATE_LEFT", cal.NsPerUnit)
+	}
+	multiply := []profile.ProgramProfile{{Buckets: loaded[0].Buckets[2:]}}
+	uncalibrated := func(op string, units float64) float64 { return cal.BaselineNsPerUnit * units }
+	for _, c := range []struct {
+		name     string
+		profiles []profile.ProgramProfile
+	}{{"overall", loaded}, {"MULTIPLY", multiply}} {
+		base, got := meanRelativeError(c.profiles, uncalibrated), meanRelativeError(c.profiles, cal.PredictNs)
+		if got > base {
+			t.Errorf("%s: calibrated error %.4f exceeds uncalibrated %.4f", c.name, got, base)
+		}
+	}
+}

@@ -23,24 +23,24 @@ import "eva/internal/core"
 func RotationSets(p *core.Program) [][]*core.Term {
 	order := p.TopoSort()
 	types := core.InferTypes(order)
-	groups := make(map[*core.Term][]*core.Term)
+	groups := core.NewTermMap[[]*core.Term](p)
 	var sources []*core.Term
 	for _, t := range order {
 		if !t.Op.IsRotation() {
 			continue
 		}
 		src := t.Parm(0)
-		if types[src] != core.TypeCipher {
+		if types.Get(src) != core.TypeCipher {
 			continue
 		}
-		if len(groups[src]) == 0 {
+		if len(groups.Get(src)) == 0 {
 			sources = append(sources, src)
 		}
-		groups[src] = append(groups[src], t)
+		groups.Set(src, append(groups.Get(src), t))
 	}
 	var sets [][]*core.Term
 	for _, src := range sources {
-		if members := groups[src]; len(members) >= 2 {
+		if members := groups.Get(src); len(members) >= 2 {
 			sets = append(sets, members)
 		}
 	}

@@ -11,24 +11,22 @@ import (
 // appropriate number of MOD_SWITCH instructions directly before the
 // instruction, on the edge of the higher-modulus (lower-level) operand.
 func InsertModSwitchLazy(p *core.Program) {
-	levels := make(map[*core.Term]int, p.NumTerms())
+	levels := core.NewTermMap[int](p)
 	for _, t := range p.TopoSort() {
 		// Compute this term's level from its (possibly rewritten) operands.
 		l := 0
 		for _, parm := range t.Parms() {
-			if levels[parm] > l {
-				l = levels[parm]
-			}
+			l = max(l, levels.Get(parm))
 		}
 		if t.Op.IsModulusChanging() {
 			l++
 		}
-		levels[t] = l
+		levels.Set(t, l)
 
 		if !t.Op.IsBinary() {
 			continue
 		}
-		la, lb := levels[t.Parm(0)], levels[t.Parm(1)]
+		la, lb := levels.Get(t.Parm(0)), levels.Get(t.Parm(1))
 		if la == lb {
 			continue
 		}
@@ -44,7 +42,7 @@ func InsertModSwitchLazy(p *core.Program) {
 			if err != nil {
 				panic(err) // cannot happen: MOD_SWITCH is a valid unary op
 			}
-			levels[ms] = levels[cur] + 1
+			levels.Set(ms, levels.Get(cur)+1)
 			cur = ms
 		}
 		p.SetParm(t, lowSlot, cur)
@@ -59,29 +57,27 @@ func InsertModSwitchLazy(p *core.Program) {
 // chains are shorter than the longest root chain are padded right below the
 // root (the paper's omitted root rule).
 func InsertModSwitchEager(p *core.Program) {
-	rlevels := make(map[*core.Term]int, p.NumTerms())
+	rlevels := core.NewTermMap[int](p)
 	order := p.TopoSort()
 	types := core.InferTypes(order)
 	// Only the term being equalized is ever redirected away from an output,
 	// so the set of output terms can be taken once, before the walk.
-	outputs := make(map[*core.Term]bool, len(p.Outputs()))
+	outputs := core.NewTermMap[bool](p)
 	for _, o := range p.Outputs() {
-		outputs[o.Term] = true
+		outputs.Set(o.Term, true)
 	}
 
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
-		equalizeUses(p, t, rlevels, outputs[t])
+		equalizeUses(p, t, rlevels, outputs.Get(t))
 		r := 0
 		for _, u := range t.Uses() {
-			if rlevels[u] > r {
-				r = rlevels[u]
-			}
+			r = max(r, rlevels.Get(u))
 		}
 		if t.Op.IsModulusChanging() {
 			r++
 		}
-		rlevels[t] = r
+		rlevels.Set(t, r)
 	}
 
 	// Root rule: all Cipher inputs are freshly encrypted under the same
@@ -89,23 +85,23 @@ func InsertModSwitchEager(p *core.Program) {
 	// immediately below the root.
 	rmax := 0
 	for _, in := range p.Inputs() {
-		if types[in] == core.TypeCipher && rlevels[in] > rmax {
-			rmax = rlevels[in]
+		if types.Get(in) == core.TypeCipher {
+			rmax = max(rmax, rlevels.Get(in))
 		}
 	}
 	for _, in := range p.Inputs() {
-		if types[in] != core.TypeCipher || rlevels[in] >= rmax {
+		if types.Get(in) != core.TypeCipher || rlevels.Get(in) >= rmax {
 			continue
 		}
-		needed := rmax - rlevels[in]
+		needed := rmax - rlevels.Get(in)
 		cur := in
 		for i := 0; i < needed; i++ {
 			ms := p.InsertUnaryAfter(cur, core.OpModSwitch, nil)
 			p.RedirectOutputs(cur, ms)
-			rlevels[ms] = rlevels[cur]
+			rlevels.Set(ms, rlevels.Get(cur))
 			cur = ms
 		}
-		rlevels[in] = rmax
+		rlevels.Set(in, rmax)
 	}
 }
 
@@ -113,7 +109,7 @@ func InsertModSwitchEager(p *core.Program) {
 // below t and, when they disagree, inserts a shared chain of MOD_SWITCH nodes
 // after t so that lower-requirement uses are fed through additional drops.
 // An output (isOutput) requires level 0.
-func equalizeUses(p *core.Program, t *core.Term, rlevels map[*core.Term]int, isOutput bool) {
+func equalizeUses(p *core.Program, t *core.Term, rlevels *core.TermMap[int], isOutput bool) {
 	edges := t.UseEdges()
 	if len(edges) == 0 && !isOutput {
 		return
@@ -121,7 +117,7 @@ func equalizeUses(p *core.Program, t *core.Term, rlevels map[*core.Term]int, isO
 	// Distinct required levels among uses (outputs require level 0).
 	levelSet := map[int]bool{}
 	for _, e := range edges {
-		levelSet[rlevels[e.Child]] = true
+		levelSet[rlevels.Get(e.Child)] = true
 	}
 	if isOutput {
 		levelSet[0] = true
@@ -145,13 +141,13 @@ func equalizeUses(p *core.Program, t *core.Term, rlevels map[*core.Term]int, isO
 			if err != nil {
 				panic(err)
 			}
-			rlevels[ms] = curLevel // a drop node at requirement curLevel has rlevel curLevel
+			rlevels.Set(ms, curLevel) // a drop node at requirement curLevel has rlevel curLevel
 			cur = ms
 			curLevel--
 		}
 		// Attach every use requiring exactly lv to the end of the chain.
 		for _, e := range edges {
-			if rlevels[e.Child] == lv && e.Child.Parm(e.Slot) == t {
+			if rlevels.Get(e.Child) == lv && e.Child.Parm(e.Slot) == t {
 				p.SetParm(e.Child, e.Slot, cur)
 			}
 		}

@@ -180,30 +180,32 @@ func Waterline(order []*core.Term) float64 {
 // other instructions preserve the maximum operand scale.
 func ComputeLogScales(p *core.Program) map[*core.Term]float64 {
 	scales := make(map[*core.Term]float64, p.NumTerms())
+	scale := func(t *core.Term) float64 { return scales[t] }
 	for _, t := range p.TopoSort() {
-		scales[t] = ScaleOf(t, scales)
+		scales[t] = ScaleOf(t, scale)
 	}
 	return scales
 }
 
-// ScaleOf computes the scale of t given the scales of its parameters: the one
-// definition of the scale rule, shared by the passes and validation.
-func ScaleOf(t *core.Term, scales map[*core.Term]float64) float64 {
+// ScaleOf computes the scale of t given scale, which looks up the scales of
+// its parameters: the one definition of the scale rule, shared by the passes
+// (over a core.TermMap) and validation (over a map).
+func ScaleOf(t *core.Term, scale func(*core.Term) float64) float64 {
 	switch t.Op {
 	case core.OpInput, core.OpConstant:
 		return t.LogScale
 	case core.OpMultiply:
-		return scales[t.Parm(0)] + scales[t.Parm(1)]
+		return scale(t.Parm(0)) + scale(t.Parm(1))
 	case core.OpRescale:
-		return scales[t.Parm(0)] - t.LogScale
+		return scale(t.Parm(0)) - t.LogScale
 	case core.OpAdd, core.OpSub:
-		a, b := scales[t.Parm(0)], scales[t.Parm(1)]
+		a, b := scale(t.Parm(0)), scale(t.Parm(1))
 		if a > b {
 			return a
 		}
 		return b
 	default: // NEGATE, rotations, RELINEARIZE, MOD_SWITCH
-		return scales[t.Parm(0)]
+		return scale(t.Parm(0))
 	}
 }
 
@@ -220,18 +222,19 @@ func InsertRescaleWaterline(p *core.Program, maxRescaleLog, waterlineLog float64
 	if sw == 0 {
 		sw = Waterline(order)
 	}
-	scales := make(map[*core.Term]float64, p.NumTerms())
+	scales := core.NewTermMap[float64](p)
 	for _, t := range order {
-		scales[t] = ScaleOf(t, scales)
+		s := ScaleOf(t, scales.Get)
+		scales.Set(t, s)
 		if t.Op != core.OpMultiply {
 			continue
 		}
-		cur := t
-		for scales[cur]-maxRescaleLog >= sw {
+		for cur := t; s-maxRescaleLog >= sw; {
 			rs := p.InsertUnaryAfter(cur, core.OpRescale, nil)
 			rs.LogScale = maxRescaleLog
 			p.RedirectOutputs(cur, rs)
-			scales[rs] = scales[cur] - maxRescaleLog
+			s -= maxRescaleLog
+			scales.Set(rs, s)
 			cur = rs
 		}
 	}
@@ -247,26 +250,21 @@ func InsertRescaleAlways(p *core.Program, maxRescaleLog float64) error {
 		return fmt.Errorf("rewrite: maximum rescale value must be positive")
 	}
 	const minPrimeLog = 20
-	scales := make(map[*core.Term]float64, p.NumTerms())
+	scales := core.NewTermMap[float64](p)
 	for _, t := range p.TopoSort() {
-		scales[t] = ScaleOf(t, scales)
+		s := ScaleOf(t, scales.Get)
+		scales.Set(t, s)
 		if t.Op != core.OpMultiply {
 			continue
 		}
-		div := scales[t.Parm(0)]
-		if s := scales[t.Parm(1)]; s < div {
-			div = s
-		}
-		if div > maxRescaleLog {
-			div = maxRescaleLog
-		}
+		div := min(scales.Get(t.Parm(0)), scales.Get(t.Parm(1)), maxRescaleLog)
 		if div < minPrimeLog {
 			continue
 		}
 		rs := p.InsertUnaryAfter(t, core.OpRescale, nil)
 		rs.LogScale = div
 		p.RedirectOutputs(t, rs)
-		scales[rs] = scales[t] - div
+		scales.Set(rs, s-div)
 	}
 	return nil
 }
@@ -287,12 +285,12 @@ func InsertRescaleFixed(p *core.Program, divisorLog float64) error {
 		if t.Op != core.OpMultiply {
 			continue
 		}
-		if types[t.Parm(0)] != core.TypeCipher && types[t.Parm(1)] != core.TypeCipher {
+		if types.Get(t.Parm(0)) != core.TypeCipher && types.Get(t.Parm(1)) != core.TypeCipher {
 			continue
 		}
 		rs := p.InsertUnaryAfter(t, core.OpRescale, nil)
 		rs.LogScale = divisorLog
-		types[rs] = core.TypeCipher
+		types.Set(rs, core.TypeCipher)
 		p.RedirectOutputs(t, rs)
 	}
 	return nil
@@ -303,13 +301,13 @@ func InsertRescaleFixed(p *core.Program, divisorLog float64) error {
 // constant 1 encoded at the ratio of the scales, so that Constraint 2 holds
 // without inserting additional RESCALE or MOD_SWITCH instructions.
 func MatchScales(p *core.Program) error {
-	scales := make(map[*core.Term]float64, p.NumTerms())
+	scales := core.NewTermMap[float64](p)
 	for _, t := range p.TopoSort() {
-		scales[t] = ScaleOf(t, scales)
+		scales.Set(t, ScaleOf(t, scales.Get))
 		if t.Op != core.OpAdd && t.Op != core.OpSub {
 			continue
 		}
-		a, b := scales[t.Parm(0)], scales[t.Parm(1)]
+		a, b := scales.Get(t.Parm(0)), scales.Get(t.Parm(1))
 		if a == b {
 			continue
 		}
@@ -317,19 +315,19 @@ func MatchScales(p *core.Program) error {
 		if b > a {
 			big, small = 1, 0
 		}
-		ratio := scales[t.Parm(big)] - scales[t.Parm(small)]
+		ratio := scales.Get(t.Parm(big)) - scales.Get(t.Parm(small))
 		one, err := p.NewScalarConstant(1, ratio)
 		if err != nil {
 			return err
 		}
-		scales[one] = ratio
+		scales.Set(one, ratio)
 		mul, err := p.NewBinary(core.OpMultiply, t.Parm(small), one)
 		if err != nil {
 			return err
 		}
-		scales[mul] = scales[t.Parm(small)] + ratio
+		scales.Set(mul, scales.Get(t.Parm(small))+ratio)
 		p.SetParm(t, small, mul)
-		scales[t] = scales[t.Parm(big)]
+		scales.Set(t, scales.Get(t.Parm(big)))
 	}
 	return nil
 }
@@ -344,11 +342,11 @@ func InsertRelinearize(p *core.Program) {
 		if t.Op != core.OpMultiply {
 			continue
 		}
-		if types[t.Parm(0)] != core.TypeCipher || types[t.Parm(1)] != core.TypeCipher {
+		if types.Get(t.Parm(0)) != core.TypeCipher || types.Get(t.Parm(1)) != core.TypeCipher {
 			continue
 		}
 		relin := p.InsertUnaryAfter(t, core.OpRelinearize, nil)
-		types[relin] = core.TypeCipher
+		types.Set(relin, core.TypeCipher)
 		p.RedirectOutputs(t, relin)
 	}
 }

@@ -295,7 +295,7 @@ func TestFigure2Relinearize(t *testing.T) {
 		if term.Op != core.OpMultiply {
 			continue
 		}
-		if types[term.Parm(0)] != core.TypeCipher || types[term.Parm(1)] != core.TypeCipher {
+		if types.Get(term.Parm(0)) != core.TypeCipher || types.Get(term.Parm(1)) != core.TypeCipher {
 			continue
 		}
 		for _, u := range term.Uses() {

@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,10 +11,12 @@ import (
 	"eva/internal/store"
 )
 
-// TestProfileEndToEnd: with sampling at every instruction, one executed batch
+// TestProfileEndToEnd: with sampling at every instruction, one executed job
 // surfaces in GET /profile (buckets, per-program roll-up), in the Prometheus
 // exposition (eva_profile_* families), and — after a flush — in the durable
-// store as a kind-"profile" artifact that LoadProfiles can feed to Fit.
+// store as a kind-"profile" artifact that LoadProfiles can feed to Fit. The
+// job runs profile.MinOpSamples batches, so every opcode has the samples Fit
+// needs for a coefficient of its own.
 func TestProfileEndToEnd(t *testing.T) {
 	st := store.NewMemory()
 	f := newJobsFixture(t, Config{ProfileSampleRate: 1, Store: st})
@@ -21,7 +24,7 @@ func TestProfileEndToEnd(t *testing.T) {
 	execResp := runJob(t, f.client, f.url, JobRequest{
 		ProgramID: f.programID,
 		ContextID: f.contextID,
-		Batches:   []ExecuteBatch{{Values: f.inputs}},
+		Batches:   slices.Repeat([]ExecuteBatch{{Values: f.inputs}}, profile.MinOpSamples),
 	})
 	if execResp.Results[0].Error != "" {
 		t.Fatalf("execute: %s", execResp.Results[0].Error)
