@@ -8,7 +8,7 @@
 // Usage:
 //
 //	evaload [-addr http://host:8080] [-jobs 50] [-concurrency 8] [-batches 2]
-//	        [-job-workers 2] [-job-queue 64] [-job-memory-mb 512]
+//	        [-timeout 10m] [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192]
 //	        [-coalesce] [-pipeline] [-cluster 0] [-kill-owner] [-trace]
 //	        [-profile-sample 0] [-profile]
 //

@@ -22,12 +22,8 @@
 //
 //	evaserve [-addr :8080] [-demo]
 //	         [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192]
-//	         [-coalesce-max 64] [-coalesce-wait 25ms]
-//	         [-handle-quota-mb 4096] [-handle-retention 24h]
 //	         [-data-dir /var/lib/evaserve] [-drain-timeout 30s]
 //	         [-node-id n1] [-peers n2=http://host2:8080,n3=http://host3:8080]
-//	         [-routed-job-retention 24h] [-retired-job-retention 10m]
-//	         [-route-sweep-interval 1m]
 //	         [-log-level info] [-log-format text] [-slow-trace 0]
 //	         [-profile-sample 0] [-calibration fit.json] [-calibrate]
 //	         [-pprof-addr 127.0.0.1:6060]
@@ -37,9 +33,14 @@
 // GOMAXPROCS workers unless the request names its own worker count, request
 // bodies are capped at 256 MiB, finished jobs stay
 // in memory for 2 minutes and unfetched persisted results in the store for
-// 24 hours, the plan cache keeps up to 512 MiB of encoded constants, the
-// RNS-limb worker pool has GOMAXPROCS workers, and the tracer keeps the last
-// 256 finished traces and at most 4096 active ones.
+// 24 hours, a coalesced batch packs at most 64 callers and its first caller
+// waits at most 25ms for company, stored ciphertext handles are capped at
+// 4 GiB and kept for 24 hours, the plan cache keeps up to 512 MiB of encoded
+// constants, the RNS-limb worker pool has GOMAXPROCS workers, and the tracer
+// keeps the last 256 finished traces and at most 4096 active ones. In a
+// cluster each context lives on 2 nodes, every node probes its peers every
+// 2s, and routed-job records are kept for 24 hours (10 minutes once
+// delivered or cancelled), swept at most once a minute.
 //
 // Observability: every response carries an X-Eva-Trace id; GET /traces and
 // GET /jobs/{id}/trace expose per-request span trees, GET /metrics serves a
@@ -64,8 +65,7 @@
 // POST /jobs?coalesce=1 opts a submission into cross-request coalescing:
 // compatible concurrent callers (same program and context, rotation-free,
 // narrow input width) are packed into disjoint slot ranges of one shared
-// execution — -coalesce-max bounds how many callers share a batch and
-// -coalesce-wait bounds how long the first caller waits for company.
+// execution.
 //
 // -demo enables server-side key generation ("keygen" contexts): the server
 // then holds secret keys and accepts plaintext values, which breaks the
@@ -147,13 +147,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		jobW      = fs.Int("job-workers", 0, "async jobs executed concurrently (0 = 2)")
 		jobQueue  = fs.Int("job-queue", 0, "async job queue depth (0 = 64)")
 		jobMemMB  = fs.Int64("job-memory-mb", 0, "admitted-jobs ciphertext memory budget in MiB (0 = 8192)")
-		coalMax   = fs.Int("coalesce-max", 0, "max callers packed into one coalesced batch (0 = 64)")
-		coalWait  = fs.Duration("coalesce-wait", 0, "max wait for co-batched company before a coalesced batch runs (0 = 25ms)")
-		handleMB  = fs.Int64("handle-quota-mb", 0, "ciphertext handle store byte quota in MiB (0 = 4096)")
-		handleRet = fs.Duration("handle-retention", 0, "retention of stored ciphertext handles (0 = 24h, <0 = forever)")
-		routedRet = fs.Duration("routed-job-retention", 0, "cluster: retention of live routed-job records (0 = 24h)")
-		retireRet = fs.Duration("retired-job-retention", 0, "cluster: retention of delivered/cancelled routed-job records (0 = 10m)")
-		sweepInt  = fs.Duration("route-sweep-interval", 0, "cluster: min interval between routed-job sweeps (0 = 1m)")
 		dataDir   = fs.String("data-dir", "", "durable artifact store directory (empty = in-memory only)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight jobs")
 		nodeID    = fs.String("node-id", "", "this node's id in a cluster (required with -peers)")
@@ -224,10 +217,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		JobWorkers:           *jobW,
 		JobQueueDepth:        *jobQueue,
 		JobMemoryBudgetBytes: *jobMemMB << 20,
-		CoalesceMaxBatch:     *coalMax,
-		CoalesceMaxWait:      *coalWait,
-		HandleQuotaBytes:     *handleMB << 20,
-		HandleRetention:      *handleRet,
 		Store:                st,
 		NodeID:               *nodeID,
 		Logger:               logger,
@@ -258,13 +247,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 	handler := srv.Handler()
 	if len(peers) > 0 {
 		cl, err := cluster.New(srv, cluster.Config{
-			Self:                *nodeID,
-			Peers:               peers,
-			Store:               st,
-			Logger:              logger,
-			RoutedJobRetention:  *routedRet,
-			RetiredJobRetention: *retireRet,
-			SweepInterval:       *sweepInt,
+			Self:   *nodeID,
+			Peers:  peers,
+			Store:  st,
+			Logger: logger,
 		})
 		if err != nil {
 			return err

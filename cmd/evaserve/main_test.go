@@ -210,11 +210,9 @@ func TestFlagSet(t *testing.T) {
 		}
 	}
 	want := []string{
-		"addr", "calibrate", "calibration", "coalesce-max", "coalesce-wait",
-		"data-dir", "demo", "drain-timeout", "handle-quota-mb", "handle-retention",
+		"addr", "calibrate", "calibration", "data-dir", "demo", "drain-timeout",
 		"job-memory-mb", "job-queue", "job-workers", "log-format", "log-level",
-		"node-id", "peers", "pprof-addr", "profile-sample", "retired-job-retention",
-		"route-sweep-interval", "routed-job-retention", "slow-trace",
+		"node-id", "peers", "pprof-addr", "profile-sample", "slow-trace",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("evaserve flags = %v (%d)\nwant %v (%d)", got, len(got), want, len(want))

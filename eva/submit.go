@@ -12,11 +12,8 @@ import (
 // way to submit a job.
 type SubmitOptions struct {
 	// Workers overrides the executor worker count for this job (0 = the
-	// server's default; the server clamps excessive values).
+	// server's default, 1 = sequential; the server clamps excessive values).
 	Workers int
-	// Scheduler selects the executor scheduler: "" or "parallel" (DAG
-	// parallel), or "sequential".
-	Scheduler string
 	// Output selects the result form: "" returns ciphertext payloads
 	// (decrypted values on demo contexts), "handle" persists every encrypted
 	// output as a content-addressed handle and returns ids, "values" forces
@@ -51,7 +48,7 @@ type SubmitResult struct {
 
 // Submit enqueues batches of encrypted (or demo plaintext) inputs for
 // asynchronous execution of a compiled program under an installed context.
-// opts selects everything else: worker count, scheduler, result form,
+// opts selects everything else: worker count, result form,
 // coalescing, and trace adoption. When the server sheds the submission the
 // returned error is an *APIError with Overloaded() == true; retry after its
 // RetryAfter hint (DoWithRetry does this).
@@ -60,7 +57,6 @@ func (c *Client) Submit(ctx context.Context, programID, contextID string, batche
 		ProgramID: programID,
 		ContextID: contextID,
 		Workers:   opts.Workers,
-		Scheduler: opts.Scheduler,
 		Output:    opts.Output,
 		Batches:   batches,
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -32,6 +33,32 @@ const (
 	maxHops         = 3
 )
 
+// The tier's fixed bounds. The package's tests shrink some of them through
+// Config's unexported fields.
+const (
+	// replicas is how many distinct nodes hold each context — the owner plus
+	// replicas-1 successors, clamped to the cluster size.
+	replicas = 2
+	// vnodes is the virtual-node count per member on the hash ring.
+	vnodes = 64
+	// probeInterval is the background health-probe period.
+	probeInterval = 2 * time.Second
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+	// routedJobRetention bounds how long a routed-job record outlives its
+	// admission: the worker-side result is itself swept after the serve
+	// layer's retention window, so a record this old can never deliver
+	// again.
+	routedJobRetention = 24 * time.Hour
+	// retiredJobRetention bounds how long a delivered or cancelled record
+	// lingers — it exists only so GET /jobs/{id}/trace can still find the
+	// worker after the result is gone.
+	retiredJobRetention = 10 * time.Minute
+	// sweepInterval throttles the routed-job sweep piggybacked on the health
+	// prober.
+	sweepInterval = time.Minute
+)
+
 // Config configures a node's cluster tier.
 type Config struct {
 	// Self is this node's id. Ids are path-safe tokens without "~" (which
@@ -40,17 +67,6 @@ type Config struct {
 	// Peers maps every *other* member's id to its base URL
 	// (e.g. "http://node2:8080").
 	Peers map[string]string
-	// Replicas is how many distinct nodes hold each context — the owner
-	// plus Replicas-1 successors (default 2, clamped to the cluster size).
-	Replicas int
-	// VNodes is the virtual-node count per member (default 64).
-	VNodes int
-	// ProbeInterval is the background health-probe period (default 2s;
-	// negative disables the prober — health is then driven only by forward
-	// failures and explicit Probe calls).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
 	// Store durably homes this node's routed-job records so requeue
 	// decisions survive a router restart. Usually the same store the serve
 	// layer uses; may be nil.
@@ -58,29 +74,24 @@ type Config struct {
 	// Logger receives structured cluster events (peer health transitions,
 	// routed-job requeues). Nil discards them.
 	Logger *slog.Logger
-	// RoutedJobRetention bounds how long a routed-job record outlives its
-	// admission (default 24h): the worker-side result is itself swept after
-	// the serve layer's retention window, so a record this old can never
-	// deliver again.
-	RoutedJobRetention time.Duration
-	// RetiredJobRetention bounds how long a delivered or cancelled record
-	// lingers (default 10m) — it exists only so GET /jobs/{id}/trace can
-	// still find the worker after the result is gone.
-	RetiredJobRetention time.Duration
-	// SweepInterval throttles the routed-job sweep piggybacked on the health
-	// prober (default 1m).
-	SweepInterval time.Duration
+
+	// Zero means the constant of the same name. A negative probeInterval
+	// turns the prober off, so health is driven only by forward failures
+	// and explicit Probe calls.
+	probeInterval                                          time.Duration
+	routedJobRetention, retiredJobRetention, sweepInterval time.Duration
 }
 
 // Cluster is one node's view of the sharded tier: the ring, per-peer
 // clients and health, and the routed-job table for jobs this node admitted
 // as a router.
 type Cluster struct {
-	cfg     Config
-	local   *serve.Server
-	ring    *ring
-	clients map[string]*eva.Client
-	log     *slog.Logger
+	cfg      Config
+	replicas int // replicas clamped to the cluster size
+	local    *serve.Server
+	ring     *ring
+	clients  map[string]*eva.Client
+	log      *slog.Logger
 
 	mu    sync.Mutex
 	peers map[string]*peerState
@@ -151,37 +162,21 @@ func New(local *serve.Server, cfg Config) (*Cluster, error) {
 		// down on a forward failure is immediate.
 		peers[id] = &peerState{url: url, healthy: true}
 	}
-	r, err := newRing(members, cfg.VNodes)
+	r, err := newRing(members, vnodes)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Replicas > len(members) {
-		cfg.Replicas = len(members)
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.RoutedJobRetention <= 0 {
-		cfg.RoutedJobRetention = 24 * time.Hour
-	}
-	if cfg.RetiredJobRetention <= 0 {
-		cfg.RetiredJobRetention = 10 * time.Minute
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = time.Minute
-	}
+	cfg.probeInterval = cmp.Or(cfg.probeInterval, probeInterval)
+	cfg.routedJobRetention = cmp.Or(cfg.routedJobRetention, routedJobRetention)
+	cfg.retiredJobRetention = cmp.Or(cfg.retiredJobRetention, retiredJobRetention)
+	cfg.sweepInterval = cmp.Or(cfg.sweepInterval, sweepInterval)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
 	c := &Cluster{
 		cfg:       cfg,
+		replicas:  min(replicas, len(members)),
 		local:     local,
 		ring:      r,
 		clients:   clients,
@@ -197,7 +192,7 @@ func New(local *serve.Server, cfg Config) (*Cluster, error) {
 	// handle stored on the node its uploader talked to. The serve layer
 	// calls this when its local registry misses.
 	local.SetHandleFetcher(c.fetchHandleFromPeers)
-	if cfg.ProbeInterval > 0 && len(peers) > 0 {
+	if cfg.probeInterval > 0 && len(peers) > 0 {
 		c.probeWG.Add(1)
 		go c.probeLoop()
 	}
@@ -216,11 +211,11 @@ func (c *Cluster) Nodes() []string { return append([]string(nil), c.ring.nodes..
 // ContextCandidates returns the nodes that should hold a context, owner
 // first. Exported for tooling (evaload's kill-the-owner smoke targets it).
 func (c *Cluster) ContextCandidates(contextID string) []string {
-	return c.ring.successors("ctx/"+contextID, c.cfg.Replicas)
+	return c.ring.successors("ctx/"+contextID, c.replicas)
 }
 
 func (c *Cluster) programCandidates(programID string) []string {
-	return c.ring.successors("prog/"+programID, c.cfg.Replicas)
+	return c.ring.successors("prog/"+programID, c.replicas)
 }
 
 func (c *Cluster) isSelf(node string) bool { return node == c.cfg.Self }
@@ -298,7 +293,7 @@ func (c *Cluster) markUp(node string) {
 // probeLoop drives periodic health probes until Close.
 func (c *Cluster) probeLoop() {
 	defer c.probeWG.Done()
-	ticker := time.NewTicker(c.cfg.ProbeInterval)
+	ticker := time.NewTicker(c.cfg.probeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -322,7 +317,7 @@ func (c *Cluster) Probe(ctx context.Context) {
 	c.mu.Unlock()
 	var wentDown []string
 	for _, id := range ids {
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		_, err := c.clients[id].Health(pctx)
 		cancel()
 		if err != nil {
@@ -345,16 +340,16 @@ func (c *Cluster) Probe(ctx context.Context) {
 
 // sweepRoutedJobs drops records for jobs abandoned past the configured
 // retention windows, bounding the router table and its store kind. Runs at
-// most once per Config.SweepInterval (piggybacked on the health prober).
+// most once per sweepInterval (piggybacked on the health prober).
 func (c *Cluster) sweepRoutedJobs() {
 	c.mu.Lock()
-	if time.Since(c.lastSweep) < c.cfg.SweepInterval {
+	if time.Since(c.lastSweep) < c.cfg.sweepInterval {
 		c.mu.Unlock()
 		return
 	}
 	c.lastSweep = time.Now()
-	cutoff := time.Now().Add(-c.cfg.RoutedJobRetention)
-	retiredCutoff := time.Now().Add(-c.cfg.RetiredJobRetention)
+	cutoff := time.Now().Add(-c.cfg.routedJobRetention)
+	retiredCutoff := time.Now().Add(-c.cfg.retiredJobRetention)
 	var expired []*routedJob
 	for _, rec := range c.cjobs {
 		switch {
@@ -484,7 +479,7 @@ func (c *Cluster) Stats() Stats {
 	st := Stats{
 		Self:      c.cfg.Self,
 		Nodes:     len(c.ring.nodes),
-		Replicas:  c.cfg.Replicas,
+		Replicas:  c.replicas,
 		Forwarded: map[string]uint64{},
 		Served:    map[string]uint64{},
 		RoutedJobs: func() int {

@@ -91,7 +91,7 @@ func startTestCluster(t *testing.T, n int, jobWorkers int) []*testNode {
 			Peers: peers,
 			Store: st,
 			// Tests drive probes explicitly for determinism.
-			ProbeInterval: -1,
+			probeInterval: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -565,17 +565,18 @@ output out2 @30;`)
 
 func intPtr(v int) *int { return &v }
 
-// TestRoutedJobSweepConfig: the retention and sweep knobs hoisted into
-// Config drive sweepRoutedJobs — no production clocks in tests.
+// TestRoutedJobSweepConfig: the retention and sweep bounds drive
+// sweepRoutedJobs, shrunk through Config's unexported fields so no
+// production clocks run in tests, and an unset bound is its constant.
 func TestRoutedJobSweepConfig(t *testing.T) {
 	srv := serve.NewServer(serve.Config{AllowServerKeygen: true})
 	defer srv.Close()
 	c, err := New(srv, Config{
 		Self:                "solo",
-		ProbeInterval:       -1,
-		RoutedJobRetention:  time.Hour,
-		RetiredJobRetention: time.Minute,
-		SweepInterval:       time.Nanosecond,
+		probeInterval:       -1,
+		routedJobRetention:  time.Hour,
+		retiredJobRetention: time.Minute,
+		sweepInterval:       time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,15 +611,23 @@ func TestRoutedJobSweepConfig(t *testing.T) {
 		}
 	}
 
-	// Zero-valued knobs fall back to the documented defaults.
-	d, err := New(srv, Config{Self: "solo2", ProbeInterval: -1})
+	// The bounds are the documented constants, and a node that sets none
+	// of them runs on them.
+	if routedJobRetention != 24*time.Hour || retiredJobRetention != 10*time.Minute || sweepInterval != time.Minute {
+		t.Errorf("constants = %v/%v/%v, want 24h/10m/1m", routedJobRetention, retiredJobRetention, sweepInterval)
+	}
+	if replicas != 2 || vnodes != 64 || probeInterval != 2*time.Second || probeTimeout != time.Second {
+		t.Errorf("constants = %d replicas, %d vnodes, probe every %v with timeout %v; want 2, 64, 2s, 1s",
+			replicas, vnodes, probeInterval, probeTimeout)
+	}
+	d, err := New(srv, Config{Self: "solo2", probeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.cfg.RoutedJobRetention != 24*time.Hour || d.cfg.RetiredJobRetention != 10*time.Minute || d.cfg.SweepInterval != time.Minute {
-		t.Errorf("defaults = %v/%v/%v, want 24h/10m/1m",
-			d.cfg.RoutedJobRetention, d.cfg.RetiredJobRetention, d.cfg.SweepInterval)
+	if d.cfg.routedJobRetention != routedJobRetention || d.cfg.retiredJobRetention != retiredJobRetention || d.cfg.sweepInterval != sweepInterval {
+		t.Errorf("unset bounds = %v/%v/%v, want the constants",
+			d.cfg.routedJobRetention, d.cfg.retiredJobRetention, d.cfg.sweepInterval)
 	}
 }
 

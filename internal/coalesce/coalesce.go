@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -158,14 +159,19 @@ func (b *Batch) Done(wall time.Duration) {
 	c.mu.Unlock()
 }
 
+// A batch's fixed bounds. The package's tests shrink them through Config's
+// unexported fields.
+const (
+	// maxBatch caps callers per batch; each batch is additionally bounded by
+	// its program's slot capacity VecSize/Stride.
+	maxBatch = 64
+	// maxWait bounds how long the first caller of a batch waits for
+	// co-batched company before the batch is sealed anyway.
+	maxWait = 25 * time.Millisecond
+)
+
 // Config configures a Coalescer.
 type Config struct {
-	// MaxBatch caps callers per batch (0 = 64); each batch is additionally
-	// bounded by its program's slot capacity VecSize/Stride.
-	MaxBatch int
-	// MaxWait bounds how long the first caller of a batch waits for
-	// co-batched company before the batch is sealed anyway (0 = 25ms).
-	MaxWait time.Duration
 	// Run executes one sealed batch on its own goroutine: pack the callers'
 	// inputs per Layout, run the shared execution, Deliver each caller's
 	// slice (or FailAll), and record Done. Required.
@@ -173,15 +179,15 @@ type Config struct {
 	// Logger receives structured batch-seal records at debug level. Nil
 	// discards.
 	Logger *slog.Logger
+
+	// Zero means the constant of the same name.
+	maxBatch int
+	maxWait  time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 25 * time.Millisecond
-	}
+	c.maxBatch = cmp.Or(c.maxBatch, maxBatch)
+	c.maxWait = cmp.Or(c.maxWait, maxWait)
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
@@ -238,9 +244,6 @@ func New(cfg Config) *Coalescer {
 	return &Coalescer{cfg: cfg.withDefaults(), open: map[Key]*Batch{}}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Coalescer) Config() Config { return c.cfg }
-
 // Submit enqueues one caller and blocks until its batch delivers, the
 // caller's ctx is cancelled, or the coalescer closes. Input validation is
 // the caller's job — a malformed request rejected here would already have
@@ -259,7 +262,7 @@ func (c *Coalescer) Submit(ctx context.Context, req *Request) (Delivery, error) 
 	b := c.open[req.Key]
 	if b == nil {
 		b = &Batch{Key: req.Key, VecSize: req.VecSize, Stride: req.Stride, c: c, opened: time.Now()}
-		b.timer = time.AfterFunc(c.cfg.MaxWait, func() { c.sealExpired(b) })
+		b.timer = time.AfterFunc(c.cfg.maxWait, func() { c.sealExpired(b) })
 		c.open[req.Key] = b
 	}
 	if b.VecSize != req.VecSize || b.Stride != req.Stride {
@@ -269,7 +272,7 @@ func (c *Coalescer) Submit(ctx context.Context, req *Request) (Delivery, error) 
 	}
 	b.mu.Lock()
 	b.waiters = append(b.waiters, w)
-	full := len(b.waiters) >= Capacity(b.VecSize, b.Stride, c.cfg.MaxBatch)
+	full := len(b.waiters) >= Capacity(b.VecSize, b.Stride, c.cfg.maxBatch)
 	b.mu.Unlock()
 	if full {
 		c.sealLocked(b)

@@ -32,7 +32,7 @@ func testRequest(key Key) *Request {
 // without waiting for the timer, and everyone shares one batch id.
 func TestSealAtCapacity(t *testing.T) {
 	var seq atomic.Int64
-	c := New(Config{MaxBatch: 4, MaxWait: time.Hour, Run: echoRunner(&seq)})
+	c := New(Config{maxBatch: 4, maxWait: time.Hour, Run: echoRunner(&seq)})
 	defer c.Close()
 	key := Key{Program: "p", Context: "c"}
 
@@ -74,11 +74,11 @@ func TestSealAtCapacity(t *testing.T) {
 	}
 }
 
-// TestSealOnTimer: a lone caller's batch runs after MaxWait even though the
+// TestSealOnTimer: a lone caller's batch runs after maxWait even though the
 // batch never fills.
 func TestSealOnTimer(t *testing.T) {
 	var seq atomic.Int64
-	c := New(Config{MaxBatch: 8, MaxWait: 10 * time.Millisecond, Run: echoRunner(&seq)})
+	c := New(Config{maxBatch: 8, maxWait: 10 * time.Millisecond, Run: echoRunner(&seq)})
 	defer c.Close()
 	d, err := c.Submit(context.Background(), testRequest(Key{Program: "p", Context: "c"}))
 	if err != nil {
@@ -95,7 +95,7 @@ func TestSealOnTimer(t *testing.T) {
 // TestKeysDoNotMix: different (program, context) keys never share a batch.
 func TestKeysDoNotMix(t *testing.T) {
 	var seq atomic.Int64
-	c := New(Config{MaxBatch: 8, MaxWait: 10 * time.Millisecond, Run: echoRunner(&seq)})
+	c := New(Config{maxBatch: 8, maxWait: 10 * time.Millisecond, Run: echoRunner(&seq)})
 	defer c.Close()
 	var wg sync.WaitGroup
 	ids := make([]string, 2)
@@ -121,7 +121,7 @@ func TestKeysDoNotMix(t *testing.T) {
 // the survivors run without it and the evicted caller gets its ctx error.
 func TestPreSealEviction(t *testing.T) {
 	var seq atomic.Int64
-	c := New(Config{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Run: echoRunner(&seq)})
+	c := New(Config{maxBatch: 8, maxWait: 50 * time.Millisecond, Run: echoRunner(&seq)})
 	defer c.Close()
 	key := Key{Program: "p", Context: "c"}
 
@@ -160,7 +160,7 @@ func TestPreSealEviction(t *testing.T) {
 // is discarded — the timer firing later must not dispatch an empty batch.
 func TestEvictionEmptiesBatch(t *testing.T) {
 	var ran atomic.Int64
-	c := New(Config{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Run: func(b *Batch) {
+	c := New(Config{maxBatch: 8, maxWait: 20 * time.Millisecond, Run: func(b *Batch) {
 		ran.Add(1)
 		b.FailAll(errors.New("should not run"))
 	}})
@@ -191,7 +191,7 @@ func TestEvictionEmptiesBatch(t *testing.T) {
 func TestPostSealAbandonment(t *testing.T) {
 	release := make(chan struct{})
 	cancelled := make(chan struct{}, 1)
-	c := New(Config{MaxBatch: 2, MaxWait: time.Hour, Run: func(b *Batch) {
+	c := New(Config{maxBatch: 2, maxWait: time.Hour, Run: func(b *Batch) {
 		b.SetID("held")
 		b.SetCancel(func() { cancelled <- struct{}{} })
 		<-release // hold the batch "running" until the test releases it
@@ -245,7 +245,7 @@ func TestPostSealAbandonment(t *testing.T) {
 // derives both from the same compiled program).
 func TestGeometryMismatch(t *testing.T) {
 	var seq atomic.Int64
-	c := New(Config{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Run: echoRunner(&seq)})
+	c := New(Config{maxBatch: 8, maxWait: 50 * time.Millisecond, Run: echoRunner(&seq)})
 	defer c.Close()
 	key := Key{Program: "p", Context: "c"}
 	go c.Submit(context.Background(), testRequest(key))
@@ -265,7 +265,7 @@ func TestGeometryMismatch(t *testing.T) {
 // TestCloseFailsWaiters: Close fails parked callers with ErrClosed and
 // rejects later submissions.
 func TestCloseFailsWaiters(t *testing.T) {
-	c := New(Config{MaxBatch: 8, MaxWait: time.Hour, Run: func(b *Batch) {}})
+	c := New(Config{maxBatch: 8, maxWait: time.Hour, Run: func(b *Batch) {}})
 	errs := make(chan error, 1)
 	go func() {
 		_, err := c.Submit(context.Background(), testRequest(Key{Program: "p", Context: "c"}))
@@ -290,7 +290,7 @@ func TestCloseFailsWaiters(t *testing.T) {
 // TestRunFailureFansOut: a runner failure reaches every co-batched caller.
 func TestRunFailureFansOut(t *testing.T) {
 	boom := errors.New("boom")
-	c := New(Config{MaxBatch: 2, MaxWait: time.Hour, Run: func(b *Batch) { b.FailAll(boom) }})
+	c := New(Config{maxBatch: 2, maxWait: time.Hour, Run: func(b *Batch) { b.FailAll(boom) }})
 	defer c.Close()
 	key := Key{Program: "p", Context: "c"}
 	errs := make(chan error, 2)

@@ -13,6 +13,7 @@
 package handle
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -69,16 +70,24 @@ var ErrNotFound = errors.New("handle: not found")
 // byte quota.
 var ErrQuotaExceeded = errors.New("handle: quota exceeded")
 
+// A registry's fixed bounds. The package's tests shrink them through
+// Config's unexported fields.
+const (
+	// quotaBytes bounds the resident handle bytes; puts beyond it fail with
+	// ErrQuotaExceeded.
+	quotaBytes = 4 << 30
+	// retention bounds a handle's lifetime: Sweep deletes older handles.
+	retention = 24 * time.Hour
+)
+
 // Config configures a Registry.
 type Config struct {
 	// Store is the backing artifact store (required).
 	Store store.Store
-	// QuotaBytes bounds the resident handle bytes (0 = 4 GiB; negative =
-	// unbounded). Puts beyond the quota fail with ErrQuotaExceeded.
-	QuotaBytes int64
-	// Retention bounds a handle's lifetime for Sweep (0 = 24h; negative =
-	// keep forever).
-	Retention time.Duration
+
+	// Zero means the constant of the same name.
+	quotaBytes int64
+	retention  time.Duration
 }
 
 // Stats is a snapshot of a registry's contents and traffic.
@@ -111,17 +120,10 @@ type Registry struct {
 
 // NewRegistry builds a handle registry over a store.
 func NewRegistry(cfg Config) *Registry {
-	if cfg.QuotaBytes == 0 {
-		cfg.QuotaBytes = 4 << 30
-	}
-	if cfg.Retention == 0 {
-		cfg.Retention = 24 * time.Hour
-	}
+	cfg.quotaBytes = cmp.Or(cfg.quotaBytes, quotaBytes)
+	cfg.retention = cmp.Or(cfg.retention, retention)
 	return &Registry{cfg: cfg}
 }
-
-// Retention returns the configured sweep window (negative = keep forever).
-func (r *Registry) Retention() time.Duration { return r.cfg.Retention }
 
 func (r *Registry) usedBytes() int64 { return r.cfg.Store.Stats().PerKind[Kind].Bytes }
 
@@ -142,10 +144,10 @@ func (r *Registry) Put(meta Meta, data []byte) (Meta, error) {
 	if err != nil {
 		return Meta{}, fmt.Errorf("handle: encoding record: %w", err)
 	}
-	if r.cfg.QuotaBytes > 0 && r.usedBytes()+int64(len(rec)) > r.cfg.QuotaBytes {
+	if r.usedBytes()+int64(len(rec)) > r.cfg.quotaBytes {
 		r.rejected.Add(1)
 		return Meta{}, fmt.Errorf("%w: %d handle bytes resident, quota %d",
-			ErrQuotaExceeded, r.usedBytes(), r.cfg.QuotaBytes)
+			ErrQuotaExceeded, r.usedBytes(), r.cfg.quotaBytes)
 	}
 	if err := r.cfg.Store.Put(Kind, meta.ID, rec); err != nil {
 		return Meta{}, fmt.Errorf("handle: persisting %s: %w", meta.ID, err)
@@ -228,16 +230,13 @@ func (r *Registry) List() ([]Meta, error) {
 }
 
 // Sweep deletes handles older than the retention window and returns how many
-// it reclaimed. A negative retention keeps everything.
+// it reclaimed.
 func (r *Registry) Sweep() int {
-	if r.cfg.Retention < 0 {
-		return 0
-	}
 	ids, err := r.cfg.Store.List(Kind)
 	if err != nil {
 		return 0
 	}
-	cutoff := time.Now().Add(-r.cfg.Retention)
+	cutoff := time.Now().Add(-r.cfg.retention)
 	swept := 0
 	for _, id := range ids {
 		rec, err := r.load(id)
@@ -260,7 +259,7 @@ func (r *Registry) Stats() Stats {
 	return Stats{
 		Entries:       ks.Entries,
 		Bytes:         ks.Bytes,
-		QuotaBytes:    r.cfg.QuotaBytes,
+		QuotaBytes:    r.cfg.quotaBytes,
 		Puts:          r.puts.Load(),
 		Dedups:        r.dedups.Load(),
 		Resolves:      r.resolves.Load(),

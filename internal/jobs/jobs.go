@@ -15,6 +15,7 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -77,9 +78,6 @@ type Config struct {
 	// it fail with ErrOverBudget, and a single job estimated over the whole
 	// budget fails with ErrJobTooLarge.
 	MemoryBudgetBytes int64
-	// ResultTTL is how long a finished job (and its result, if not yet
-	// fetched) is retained before eviction (default 2 minutes).
-	ResultTTL time.Duration
 	// OnFinish, when non-nil, is called once per job as it reaches a
 	// terminal status, with the job's final snapshot and — for StatusDone
 	// only — its result. evaserve uses it to persist completed results to
@@ -93,7 +91,14 @@ type Config struct {
 	// Logger receives structured lifecycle records (admission sheds at
 	// debug, job completion at debug, failures at warn). Nil discards.
 	Logger *slog.Logger
+
+	// The package's tests shrink the result TTL; zero means resultTTL.
+	resultTTL time.Duration
 }
+
+// resultTTL is how long a finished job (and its result, if not yet fetched)
+// is retained before eviction.
+const resultTTL = 2 * time.Minute
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -105,9 +110,7 @@ func (c Config) withDefaults() Config {
 	if c.MemoryBudgetBytes <= 0 {
 		c.MemoryBudgetBytes = 8 << 30
 	}
-	if c.ResultTTL <= 0 {
-		c.ResultTTL = 2 * time.Minute
-	}
+	c.resultTTL = cmp.Or(c.resultTTL, resultTTL)
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
@@ -290,9 +293,6 @@ poll:
 	m.Close()
 	return err
 }
-
-// Config returns the effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Submit admits a job or rejects it with ErrQueueFull, ErrOverBudget, or
 // ErrJobTooLarge. estBytes is the caller's footprint estimate; batches is the
@@ -626,7 +626,7 @@ func (m *Manager) finalize(j *job, status Status, wasQueued bool) {
 		m.stats.Cancelled++
 	}
 	m.mu.Unlock()
-	time.AfterFunc(m.cfg.ResultTTL, func() {
+	time.AfterFunc(m.cfg.resultTTL, func() {
 		m.mu.Lock()
 		delete(m.jobs, j.id)
 		m.mu.Unlock()

@@ -255,7 +255,7 @@ func TestFailedJob(t *testing.T) {
 }
 
 func TestResultTTLEviction(t *testing.T) {
-	m := NewManager(Config{Workers: 1, ResultTTL: 30 * time.Millisecond})
+	m := NewManager(Config{Workers: 1, resultTTL: 30 * time.Millisecond})
 	defer m.Close()
 	snap, err := m.Submit(1, 0, func(ctx context.Context, _ func(int)) (any, error) { return "r", nil })
 	if err != nil {

@@ -16,11 +16,7 @@ import (
 // the cost of one batched execution serving 8 requests; divide by 8 for the
 // amortized per-request figure. Tracked by the CI bench-regression gate.
 func BenchmarkCoalescedExecute(b *testing.B) {
-	f := newCoalesceFixture(b, Config{
-		JobWorkers:       2,
-		CoalesceMaxBatch: 8,
-		CoalesceMaxWait:  time.Second,
-	})
+	f := newCoalesceFixture(b, Config{JobWorkers: 2}, 8, time.Second)
 	const callers = 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

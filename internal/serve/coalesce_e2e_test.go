@@ -59,15 +59,19 @@ type coalesceFixture struct {
 	contextID string
 }
 
-func newCoalesceFixture(t testing.TB, cfg Config) *coalesceFixture {
+// newCoalesceFixture serves cfg with the coalescer's batch cap and wait
+// shrunk to maxBatch callers and maxWait.
+func newCoalesceFixture(t testing.TB, cfg Config, maxBatch int, maxWait time.Duration) *coalesceFixture {
 	t.Helper()
-	return newCoalesceFixtureFor(t, cfg, coalesceProgram(t))
+	return newCoalesceFixtureFor(t, cfg, maxBatch, maxWait, coalesceProgram(t))
 }
 
-func newCoalesceFixtureFor(t testing.TB, cfg Config, prog *core.Program) *coalesceFixture {
+func newCoalesceFixtureFor(t testing.TB, cfg Config, maxBatch int, maxWait time.Duration, prog *core.Program) *coalesceFixture {
 	t.Helper()
 	cfg.AllowServerKeygen = true
 	ts, srv := newTestServer(t, cfg)
+	setBound(t, srv.coalescer, "cfg.maxBatch", maxBatch)
+	setBound(t, srv.coalescer, "cfg.maxWait", maxWait)
 	client := ts.Client()
 	comp, resp := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, prog))
 	if resp.StatusCode != http.StatusOK {
@@ -188,7 +192,7 @@ func (f *coalesceFixture) requireCallerResults(t *testing.T, responses []Coalesc
 // execution — same batch job, disjoint slot ranges, correct per-caller
 // results, occupancy visible in /metrics.
 func TestCoalesceSharedBatch(t *testing.T) {
-	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 10 * time.Second})
+	f := newCoalesceFixture(t, Config{}, 2, 10*time.Second)
 	responses := f.coalesceConcurrently(t, 2)
 
 	if responses[0].BatchJobID == "" || responses[0].BatchJobID != responses[1].BatchJobID {
@@ -228,7 +232,7 @@ func TestCoalesceSharedBatch(t *testing.T) {
 // vector size compiles to one that rotates nothing, so it coalesces: both
 // callers ride one batch and each gets its own reference result.
 func TestCoalesceIdentityRotation(t *testing.T) {
-	f := newCoalesceFixtureFor(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 10 * time.Second}, identityRotationProgram(t))
+	f := newCoalesceFixtureFor(t, Config{}, 2, 10*time.Second, identityRotationProgram(t))
 	responses := f.coalesceConcurrently(t, 2)
 	if responses[0].BatchJobID == "" || responses[0].BatchJobID != responses[1].BatchJobID {
 		t.Fatalf("callers rode different batches: %q vs %q", responses[0].BatchJobID, responses[1].BatchJobID)
@@ -241,7 +245,7 @@ func TestCoalesceIdentityRotation(t *testing.T) {
 // program — the shared ciphertexts are estimated once, not once per caller.
 func TestCoalesceEstimateChargesBatchOnce(t *testing.T) {
 	const k = 4
-	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: k, CoalesceMaxWait: 10 * time.Second})
+	f := newCoalesceFixture(t, Config{}, k, 10*time.Second)
 	responses := f.coalesceConcurrently(t, k)
 	batchID := responses[0].BatchJobID
 	for i, r := range responses {
@@ -270,7 +274,7 @@ func TestCoalesceEstimateChargesBatchOnce(t *testing.T) {
 // TestCoalesceValidation: everything wrong with a caller is rejected before
 // it can join (and poison) a batch.
 func TestCoalesceValidation(t *testing.T) {
-	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 20 * time.Millisecond})
+	f := newCoalesceFixture(t, Config{}, 2, 20*time.Millisecond)
 
 	// A program that rotates is incompatible with slot packing.
 	rot, resp := postJSON[CompileResponse](t, f.client, f.url+"/compile", compileRequest(t, e2eProgram(t)))
@@ -327,11 +331,7 @@ func TestCoalesceValidation(t *testing.T) {
 // callers never poison co-batched peers — and every survivor's slot
 // placement is internally consistent.
 func TestCoalesceRace(t *testing.T) {
-	f := newCoalesceFixture(t, Config{
-		CoalesceMaxBatch: 4,
-		CoalesceMaxWait:  15 * time.Millisecond,
-		JobWorkers:       4,
-	})
+	f := newCoalesceFixture(t, Config{JobWorkers: 4}, 4, 15*time.Millisecond)
 	const callers = 24
 	rng := rand.New(rand.NewSource(42))
 	jitters := make([]time.Duration, callers)
@@ -420,7 +420,7 @@ func TestCoalesceRace(t *testing.T) {
 // coalesced path and the plain /jobs path produce the same answer (within
 // CKKS precision) — packing is semantically invisible.
 func TestCoalesceUnbatchedAgreement(t *testing.T) {
-	f := newCoalesceFixture(t, Config{CoalesceMaxBatch: 2, CoalesceMaxWait: 10 * time.Second})
+	f := newCoalesceFixture(t, Config{}, 2, 10*time.Second)
 	var wg sync.WaitGroup
 	coalesced := make([]CoalesceResponse, 2)
 	for i := 0; i < 2; i++ {

@@ -4,12 +4,14 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 
 	"eva/internal/ckks"
 	"eva/internal/execute"
 	"eva/internal/jobs"
+	"eva/internal/obs"
 )
 
 // Artifact-store kinds for installed contexts and finished job results.
@@ -253,8 +255,9 @@ type resultRecord struct {
 // persistJobResult is the jobs.Manager OnFinish hook: completed results are
 // written to the durable store before the job turns terminal, so a client
 // that observes "done" can fetch the result even across a restart or after
-// the in-memory TTL eviction.
-func (s *Server) persistJobResult(snap jobs.Snapshot, result any) {
+// the in-memory TTL eviction. A failed write is logged at warn and leaves
+// the result in memory only; the job still succeeds.
+func (s *Server) persistJobResult(snap jobs.Snapshot, result any, traceID string) {
 	if s.cfg.Store == nil || snap.Status != jobs.StatusDone {
 		return
 	}
@@ -268,12 +271,15 @@ func (s *Server) persistJobResult(snap jobs.Snapshot, result any) {
 		Results:    results,
 		FinishedAt: snap.Finished,
 	})
-	if err != nil {
-		return
+	if err == nil {
+		err = s.cfg.Store.Put(kindResult, snap.ID, data)
 	}
-	// Best effort: a failed persist degrades to the old in-memory-only
-	// behavior rather than failing the job.
-	s.cfg.Store.Put(kindResult, snap.ID, data)
+	if err != nil {
+		s.log.Warn("job result not persisted; it survives only in memory",
+			slog.String(obs.LogJobID, snap.ID),
+			slog.String(obs.LogTraceID, traceID),
+			slog.String("error", err.Error()))
+	}
 }
 
 // fetchStoredResult serves the fetch-once contract from the durable store.
@@ -301,44 +307,21 @@ func (s *Server) fetchStoredResult(id string) (*resultRecord, bool) {
 // retention window — unfetched job results and stored ciphertext handles —
 // so abandoned jobs and forgotten handles cannot grow the store without
 // bound. The in-memory TTL still governs the job table; this only reclaims
-// the durable copies. The tick is an eighth of the shortest enabled
-// retention, clamped to [1s, 5min].
+// the durable copies. The tick is an eighth of the result retention (which
+// is never longer than the handle registry's), clamped to [1s, 5min].
 func (s *Server) resultJanitor() {
 	defer s.janitorWG.Done()
-	clampSweep := func(retention time.Duration) time.Duration {
-		sweep := retention / 8
-		if sweep > 5*time.Minute {
-			sweep = 5 * time.Minute
-		}
-		if sweep < time.Second {
-			sweep = time.Second
-		}
-		return sweep
-	}
-	sweepResults := s.cfg.Store != nil
-	sweepHandles := s.handles.Retention() >= 0
-	sweep := 5 * time.Minute
-	if sweepResults {
-		sweep = clampSweep(s.cfg.resultRetention)
-	}
-	if sweepHandles {
-		if hs := clampSweep(s.handles.Retention()); hs < sweep {
-			sweep = hs
-		}
-	}
-	ticker := time.NewTicker(sweep)
+	ticker := time.NewTicker(min(max(s.cfg.resultRetention/8, time.Second), 5*time.Minute))
 	defer ticker.Stop()
 	for {
 		select {
 		case <-s.janitorStop:
 			return
 		case <-ticker.C:
-			if sweepResults {
+			if s.cfg.Store != nil {
 				s.sweepResults(s.cfg.resultRetention)
 			}
-			if sweepHandles {
-				s.handles.Sweep()
-			}
+			s.handles.Sweep()
 		}
 	}
 }

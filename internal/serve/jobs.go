@@ -31,7 +31,6 @@ type JobRequest struct {
 	ProgramID string         `json:"program_id"`
 	ContextID string         `json:"context_id"`
 	Workers   int            `json:"workers,omitempty"`
-	Scheduler string         `json:"scheduler,omitempty"`
 	Output    string         `json:"output,omitempty"`
 	Batches   []ExecuteBatch `json:"batches"`
 }
@@ -206,7 +205,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, JobResult{JobID: id, Status: rec.Status, Results: rec.Results})
 			return
 		}
-		writeError(w, http.StatusNotFound, "unknown job %q (results are evicted %s after completion)", id, s.jobs.Config().ResultTTL)
+		writeError(w, http.StatusNotFound, "unknown job %q (finished jobs are evicted minutes after completion)", id)
 	case jobs.FetchNotDone:
 		writeError(w, http.StatusConflict, "job %q is %s; poll GET /jobs/%s until it is done", id, snap.Status, id)
 	case jobs.FetchGone:
@@ -300,42 +299,21 @@ func (s *Server) checkBatches(w http.ResponseWriter, req *JobRequest) (*contextE
 		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
 		return nil, execute.RunOptions{}, false
 	}
-	ropts, err := runOptions(req.Workers, req.Scheduler)
-	if err == nil {
-		err = validOutputMode(req.Output)
-	}
-	if err != nil {
+	if err := validOutputMode(req.Output); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, execute.RunOptions{}, false
 	}
-	return ce, ropts, true
+	return ce, runOptions(req.Workers), true
 }
 
-// runOptions resolves the per-request scheduler/worker knobs against the
-// DoS clamp; zero workers leaves the executor's GOMAXPROCS default.
-func runOptions(workers int, scheduler string) (execute.RunOptions, error) {
-	sched, err := parseScheduler(scheduler)
-	if err != nil {
-		return execute.RunOptions{}, err
-	}
-	ropts := execute.RunOptions{Workers: workers, Scheduler: sched}
+// runOptions resolves a request's worker count against the DoS clamp on the
+// DAG-parallel scheduler; zero workers leaves the executor's GOMAXPROCS
+// default, and one worker runs the program sequentially.
+func runOptions(workers int) execute.RunOptions {
 	// Clamp the client-supplied knob: goroutines beyond the machine's
 	// parallelism only cost memory, and an unbounded value is a DoS vector.
-	if maxWorkers := 4 * runtime.GOMAXPROCS(0); ropts.Workers > maxWorkers {
-		ropts.Workers = maxWorkers
+	return execute.RunOptions{
+		Workers:   min(workers, 4*runtime.GOMAXPROCS(0)),
+		Scheduler: execute.SchedulerParallel,
 	}
-	return ropts, nil
-}
-
-// parseScheduler resolves a request's scheduler name. The bulk-synchronous
-// scheduler models the CHET baseline for the paper's comparisons and is not
-// served.
-func parseScheduler(s string) (execute.Scheduler, error) {
-	switch s {
-	case "", "parallel":
-		return execute.SchedulerParallel, nil
-	case "sequential":
-		return execute.SchedulerSequential, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want parallel or sequential)", s)
 }

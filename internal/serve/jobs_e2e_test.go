@@ -220,7 +220,8 @@ func TestJobsMemoryBudgetShed(t *testing.T) {
 // TestJobsResultTTLEviction: finished jobs and their unfetched results are
 // evicted after the TTL; later polls and fetches 404.
 func TestJobsResultTTLEviction(t *testing.T) {
-	f := newJobsFixture(t, Config{jobResultTTL: 50 * time.Millisecond})
+	f := newJobsFixture(t, Config{})
+	setBound(t, f.srv.jobs, "cfg.resultTTL", 50*time.Millisecond)
 	status, resp := f.submit(t, 1)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", resp.StatusCode)
@@ -327,8 +328,6 @@ func TestJobsValidationErrors(t *testing.T) {
 		{"unknown context", JobRequest{ProgramID: f.programID, ContextID: "nope", Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusNotFound},
 		{"program mismatch", JobRequest{ProgramID: "wrong", ContextID: f.contextID, Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusConflict},
 		{"no batches", JobRequest{ProgramID: f.programID, ContextID: f.contextID}, http.StatusBadRequest},
-		{"bad scheduler", JobRequest{ProgramID: f.programID, ContextID: f.contextID, Scheduler: "warp", Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusBadRequest},
-		{"bulk scheduler", JobRequest{ProgramID: f.programID, ContextID: f.contextID, Scheduler: "bulk", Batches: []ExecuteBatch{{Values: f.inputs}}}, http.StatusBadRequest},
 		{"missing input", JobRequest{ProgramID: f.programID, ContextID: f.contextID, Batches: []ExecuteBatch{{Plain: map[string][]float64{"x": {1}}}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -349,6 +348,21 @@ func TestJobsValidationErrors(t *testing.T) {
 		if r.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d; want 404", url, r.StatusCode)
 		}
+	}
+}
+
+// TestJobsOneWorker: a request runs sequentially by asking for one worker,
+// and its batch reports the one worker it ran on.
+func TestJobsOneWorker(t *testing.T) {
+	f := newJobsFixture(t, Config{})
+	res := runJob(t, f.client, f.url, JobRequest{
+		ProgramID: f.programID,
+		ContextID: f.contextID,
+		Workers:   1,
+		Batches:   []ExecuteBatch{{Values: f.inputs}},
+	})
+	if got := res.Results[0]; got.Error != "" || got.Stats.Workers != 1 {
+		t.Fatalf("one-worker batch: error %q, stats %+v; want 1 worker", got.Error, got.Stats)
 	}
 }
 

@@ -175,7 +175,7 @@ func (f *parityFixture) putHandle(t *testing.T, b64 string) string {
 // second copy of the program, compiled with level headroom, takes
 // ciphertexts below the top of the chain.
 func TestEntryPointParity(t *testing.T) {
-	cf := newCoalesceFixture(t, Config{CoalesceMaxBatch: 1, CoalesceMaxWait: time.Second})
+	cf := newCoalesceFixture(t, Config{}, 1, time.Second)
 	ce, ok := cf.srv.lookupContext(cf.contextID)
 	if !ok {
 		t.Fatal("fixture context not installed")

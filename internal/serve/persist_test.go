@@ -1,13 +1,21 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"eva/internal/obs"
 	"eva/internal/store"
 )
 
@@ -207,7 +215,8 @@ func TestHandleRestartDurability(t *testing.T) {
 // in-memory record was TTL-evicted is still fetchable exactly once.
 func TestResultPersistsAcrossTTL(t *testing.T) {
 	st := store.NewMemory()
-	s := NewServer(Config{Store: st, AllowServerKeygen: true, jobResultTTL: 30 * time.Millisecond})
+	s := NewServer(Config{Store: st, AllowServerKeygen: true})
+	setBound(t, s.jobs, "cfg.resultTTL", 30*time.Millisecond)
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 	client := ts.Client()
@@ -252,6 +261,98 @@ func TestResultPersistsAcrossTTL(t *testing.T) {
 	second.Body.Close()
 	if second.StatusCode == http.StatusOK {
 		t.Fatal("fetch-once violated after TTL eviction")
+	}
+}
+
+// failingResultStore refuses every write of a job result.
+type failingResultStore struct{ store.Store }
+
+func (f failingResultStore) Put(kind, id string, data []byte) error {
+	if kind == kindResult {
+		return errors.New("disk full")
+	}
+	return f.Store.Put(kind, id, data)
+}
+
+// lockedBuffer is a log sink that server goroutines and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestResultPersistFailureLogged: a result the store refuses to write is
+// logged at warn with its job and trace ids, and the job still delivers it
+// exactly once from memory.
+func TestResultPersistFailureLogged(t *testing.T) {
+	var logs lockedBuffer
+	s := NewServer(Config{
+		Store:             failingResultStore{store.NewMemory()},
+		AllowServerKeygen: true,
+		Logger:            slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	client := ts.Client()
+
+	comp, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, e2eProgram(t)))
+	ctxResp, _ := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{
+		ProgramID: comp.ID, Keygen: &KeygenJSON{Seed: 3},
+	})
+	jobSt, resp := postJSON[JobStatus](t, client, ts.URL+"/jobs", JobRequest{
+		ProgramID: comp.ID,
+		ContextID: ctxResp.ContextID,
+		Batches: []ExecuteBatch{{Values: map[string][]float64{
+			"x": {1, 1, 1, 1, 1, 1, 1, 1}, "y": {2, 2, 2, 2, 2, 2, 2, 2},
+		}}},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	traceID := resp.Header.Get(obs.TraceHeader)
+	waitJobDone(t, client, ts.URL, jobSt.JobID)
+
+	jr := getJSON[JobResult](t, client, ts.URL+"/jobs/"+jobSt.JobID+"/result")
+	if len(jr.Results) != 1 || jr.Results[0].Error != "" {
+		t.Fatalf("fetch from memory: %+v", jr)
+	}
+	second, err := client.Get(ts.URL + "/jobs/" + jobSt.JobID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Body.Close()
+	if second.StatusCode == http.StatusOK {
+		t.Fatal("fetch-once violated")
+	}
+
+	var warned bool
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] != "job result not persisted; it survives only in memory" {
+			continue
+		}
+		warned = true
+		if rec["level"] != "WARN" || rec[obs.LogJobID] != jobSt.JobID || rec[obs.LogTraceID] != traceID ||
+			!strings.Contains(fmt.Sprint(rec["error"]), "disk full") {
+			t.Errorf("persist failure record %v; want WARN with job %s, trace %s and the store's error", rec, jobSt.JobID, traceID)
+		}
+	}
+	if !warned || traceID == "" {
+		t.Fatalf("no persist-failure warning for trace %q in the log:\n%s", traceID, logs.String())
 	}
 }
 

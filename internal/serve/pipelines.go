@@ -34,9 +34,8 @@ type PipelineStage struct {
 
 // PipelineRequest is the body of POST /pipelines.
 type PipelineRequest struct {
-	Stages    []PipelineStage `json:"stages"`
-	Workers   int             `json:"workers,omitempty"`
-	Scheduler string          `json:"scheduler,omitempty"`
+	Stages  []PipelineStage `json:"stages"`
+	Workers int             `json:"workers,omitempty"`
 }
 
 // maxPipelineStages bounds a pipeline's length; each stage is a full
@@ -57,11 +56,7 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "%d stages exceeds the pipeline limit of %d", len(req.Stages), maxPipelineStages)
 		return
 	}
-	ropts, err := runOptions(req.Workers, req.Scheduler)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	ropts := runOptions(req.Workers)
 
 	// Validate the whole DAG before anything runs: every stage's context and
 	// output mode, then every input edge (lowerStages collects chaining

@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"eva/internal/builder"
 	"eva/internal/ckks"
@@ -120,6 +122,23 @@ func newTestServer(t testing.TB, cfg Config) (*httptest.Server, *Server) {
 	t.Cleanup(ts.Close)
 	t.Cleanup(s.Close)
 	return ts, s
+}
+
+// setBound overwrites an unexported bound of one of a server's subsystems
+// (the path names fields from the subsystem's struct down) before the server
+// takes traffic. The coalescer's batch cap and wait and the jobs manager's
+// result TTL are constants of their packages, whose own tests shrink them
+// through Config's unexported fields; no configuration reaches them from
+// here.
+func setBound(t testing.TB, subsystem any, path string, value any) {
+	t.Helper()
+	v := reflect.ValueOf(subsystem).Elem()
+	for _, name := range strings.Split(path, ".") {
+		if v = v.FieldByName(name); !v.IsValid() {
+			t.Fatalf("%T has no field %s", subsystem, path)
+		}
+	}
+	reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Set(reflect.ValueOf(value))
 }
 
 func compileRequest(t testing.TB, p *core.Program) CompileRequest {

@@ -88,14 +88,6 @@ type Config struct {
 	// would exceed it are shed with 429.
 	JobMemoryBudgetBytes int64
 
-	// CoalesceMaxBatch caps how many callers POST /jobs?coalesce=1 packs
-	// into one shared execution (0 = 64); each batch is additionally bounded
-	// by its program's slot capacity VecSize/width.
-	CoalesceMaxBatch int
-	// CoalesceMaxWait bounds how long the first coalescing caller waits for
-	// co-batched company before its batch runs anyway (0 = 25ms).
-	CoalesceMaxWait time.Duration
-
 	// Store is the durable artifact store. When set, compiled programs,
 	// installed contexts (their evaluation-key bundles in the ckks wire
 	// format), finished job results, and ciphertext handles are persisted
@@ -108,14 +100,6 @@ type Config struct {
 	// NodeID labels this server in /healthz, /programs, and /metrics so
 	// responses are attributable in a cluster. Empty outside clusters.
 	NodeID string
-	// HandleQuotaBytes bounds the resident bytes of stored ciphertext
-	// handles (0 = 4 GiB; negative = unbounded). PUT /handles and jobs with
-	// "output": "handle" fail with 507 when the quota is reached.
-	HandleQuotaBytes int64
-	// HandleRetention bounds how long a stored ciphertext handle is kept
-	// before the background sweep reclaims it (0 = 24h; negative = keep
-	// forever).
-	HandleRetention time.Duration
 	// AllowContextTransfer enables the context replication surface used by
 	// the cluster tier: GET /contexts/{id}/bundle exports an installed
 	// context's key bundle and POST /contexts accepts a "bundle" clause
@@ -143,10 +127,9 @@ type Config struct {
 	ProfileSampleRate int
 
 	// The package's tests shrink these bounds to reach eviction and expiry
-	// quickly; zero means the default (the constant of the same name, or
-	// jobs.Config's for jobResultTTL).
+	// quickly; zero means the constant of the same name.
 	registryCapacity, maxContexts int
-	jobResultTTL, resultRetention time.Duration
+	resultRetention               time.Duration
 }
 
 // Server is the evaserve HTTP service. Create one with NewServer and mount
@@ -255,7 +238,6 @@ func NewServer(cfg Config) *Server {
 		Workers:           cfg.JobWorkers,
 		QueueDepth:        cfg.JobQueueDepth,
 		MemoryBudgetBytes: cfg.JobMemoryBudgetBytes,
-		ResultTTL:         cfg.jobResultTTL,
 		// Persist finished results before they become visible (a client that
 		// observes "done" can rely on the result surviving a restart, and
 		// the fetch-once contract is served from the store after the TTL
@@ -264,10 +246,8 @@ func NewServer(cfg Config) *Server {
 		Logger:   s.log,
 	})
 	s.coalescer = coalesce.New(coalesce.Config{
-		MaxBatch: cfg.CoalesceMaxBatch,
-		MaxWait:  cfg.CoalesceMaxWait,
-		Run:      s.runCoalescedBatch,
-		Logger:   s.log,
+		Run:    s.runCoalescedBatch,
+		Logger: s.log,
 	})
 	handleStore := cfg.Store
 	if handleStore == nil {
@@ -275,11 +255,7 @@ func NewServer(cfg Config) *Server {
 		// process, like everything else on a store-less server.
 		handleStore = store.NewMemory()
 	}
-	s.handles = handle.NewRegistry(handle.Config{
-		Store:      handleStore,
-		QuotaBytes: cfg.HandleQuotaBytes,
-		Retention:  cfg.HandleRetention,
-	})
+	s.handles = handle.NewRegistry(handle.Config{Store: handleStore})
 	s.mux.HandleFunc("POST /compile", s.route("compile", s.handleCompile))
 	s.mux.HandleFunc("GET /programs", s.route("programs", s.handlePrograms))
 	s.mux.HandleFunc("GET /programs/{id}", s.route("program", s.handleProgram))
@@ -301,11 +277,9 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /profile", s.route("profile", s.handleProfile))
-	if cfg.Store != nil || s.handles.Retention() >= 0 {
-		s.janitorStop = make(chan struct{})
-		s.janitorWG.Add(1)
-		go s.resultJanitor()
-	}
+	s.janitorStop = make(chan struct{})
+	s.janitorWG.Add(1)
+	go s.resultJanitor()
 	return s
 }
 
@@ -333,11 +307,7 @@ func (s *Server) Coalescer() *coalesce.Coalescer { return s.coalescer }
 // worker pool drains. The compile, context and handle endpoints remain
 // usable, but further job submissions fail.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.janitorStop != nil {
-			close(s.janitorStop)
-		}
-	})
+	s.closeOnce.Do(func() { close(s.janitorStop) })
 	s.coalescer.Close()
 	s.jobs.Close()
 	s.janitorWG.Wait()

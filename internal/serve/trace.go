@@ -47,7 +47,7 @@ func (s *Server) onJobFinish(snap jobs.Snapshot, result any) {
 	if s.cfg.Store != nil && snap.Status == jobs.StatusDone {
 		sp = t.StartSpan("store_write", nil)
 	}
-	s.persistJobResult(snap, result)
+	s.persistJobResult(snap, result, t.ID())
 	sp.End()
 	if t == nil {
 		return
