@@ -16,8 +16,9 @@
 //
 // In -compare mode, every benchmark whose name matches -track (default: the
 // hot backend ops NTT, BasisConvert, Rotate, RotateHoisted, Relinearize
-// (RelinearizeRescale too), KeyGeneration, Rescale and Decode, the serving
-// tier's CoalescedExecute and
+// (RelinearizeRescale too), KeyGeneration, NewParameters (a context's
+// set-up before key generation), Rescale and Decode, the serving tier's
+// CoalescedExecute and
 // HandleResolve, the end-to-end HetensorMatmul, ProfiledExecute and
 // PlannedExecute workloads, the fused MulPlainAccumulate kernel, and the
 // compiler's Compile) is compared between the two documents on the -metric value (default ns/op); if
@@ -75,7 +76,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	outPath := fs.String("o", "", "write JSON to this file instead of stdout")
 	compare := fs.Bool("compare", false, "compare two JSON reports (old.json new.json) instead of parsing bench output")
 	threshold := fs.Float64("threshold", 0.25, "compare mode: allowed fractional slowdown per tracked benchmark")
-	track := fs.String("track", "NTT|BasisConvert|Rotate|RotateHoisted|Relinearize|KeyGeneration|Rescale|Decode|CoalescedExecute|HandleResolve|HetensorMatmul|ProfiledExecute|PlannedExecute|MulPlainAccumulate|Compile", "compare mode: regexp of benchmark names to gate on")
+	track := fs.String("track", "NTT|BasisConvert|Rotate|RotateHoisted|Relinearize|KeyGeneration|NewParameters|Rescale|Decode|CoalescedExecute|HandleResolve|HetensorMatmul|ProfiledExecute|PlannedExecute|MulPlainAccumulate|Compile", "compare mode: regexp of benchmark names to gate on")
 	ref := fs.String("ref", "", "compare mode: regexp of a reference benchmark used to normalize machine speed (empty = raw times)")
 	metric := fs.String("metric", "ns/op", "compare mode: metric to compare")
 	if err := fs.Parse(args); err != nil {

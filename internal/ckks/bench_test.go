@@ -344,3 +344,31 @@ func BenchmarkKeyGeneration(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNewParameters builds a parameter set from its literal — primes,
+// 2N-th roots, NTT tables and key-switch tables — at the shapes the compiler
+// picks for the serving benchmark's program and for SqueezeNet-CIFAR in its
+// bench (N=2^10) and paper-scale (N=2^16) configurations: the part of a
+// context's set-up that comes before key generation.
+func BenchmarkNewParameters(b *testing.B) {
+	squeezeNet := append([]int{20}, slices.Repeat([]int{60}, 15)...)
+	for _, shape := range []struct {
+		name  string
+		logN  int
+		logQi []int
+		logPi []int
+	}{
+		{"serve_jobs/N=1024x2+1", 10, []int{60, 60}, []int{60}},
+		{"nn_infer/N=1024x16+4", 10, squeezeNet, []int{60, 60, 60, 60}},
+		{"squeezenet/N=65536x16+4", 16, squeezeNet, []int{60, 60, 60, 60}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			lit := ParametersLiteral{LogN: shape.logN, LogQi: shape.logQi, LogPi: shape.logPi, Scale: 1 << 40, AllowInsecure: true}
+			for i := 0; i < b.N; i++ {
+				if _, err := NewParameters(lit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"eva/internal/numth"
 )
 
 // testContext bundles everything needed for scheme-level tests.
@@ -404,6 +406,37 @@ func TestParametersAccessors(t *testing.T) {
 	}
 	if params.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestNewParametersPrimes pins the primes NewParameters hands out against
+// one GenerateNTTPrimes call per prime that skips every prime already taken,
+// chain first, on a literal that repeats bit sizes across the chain and the
+// special primes.
+func TestNewParametersPrimes(t *testing.T) {
+	lit := ParametersLiteral{LogN: 12, LogQi: []int{40, 50, 40, 60, 50, 40}, LogPi: []int{60, 40}, Scale: 1 << 40, AllowInsecure: true}
+	params, err := NewParameters(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[uint64]bool{}
+	want := func(bitSizes []int) []uint64 {
+		var primes []uint64
+		for _, b := range bitSizes {
+			ps, err := numth.GenerateNTTPrimes(b, lit.LogN, 1, used)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used[ps[0]] = true
+			primes = append(primes, ps[0])
+		}
+		return primes
+	}
+	if got, w := params.Qi(), want(lit.LogQi); !slices.Equal(got, w) {
+		t.Errorf("chain primes %v, want %v", got, w)
+	}
+	if got, w := params.SpecialPrimes(), want(lit.LogPi); !slices.Equal(got, w) {
+		t.Errorf("special primes %v, want %v", got, w)
 	}
 }
 

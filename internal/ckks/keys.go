@@ -131,7 +131,7 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	a := kg.sampler.uniform(r, level)
 	e := kg.sampler.gaussianSigned()
 	b := r.NewPoly(level)
-	ring.Parallel(level+1, func(i int) { rlweLimb(r.Moduli[i], e, a.Coeffs[i], sk.Value.Coeffs[i], b.Coeffs[i]) })
+	ring.Parallel(level+1, func(i int) { rlweLimb(r.Moduli[i], e, a.Coeffs[i], sk.Value.Coeffs[i], nil, b.Coeffs[i]) })
 	b.IsNTT = true
 	return &PublicKey{B: b, A: a}
 }
@@ -206,6 +206,9 @@ func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []
 			AP: make([]*ring.Poly, digits),
 		}
 	}
+	// s is the fixed operand of every digit's a·s: its Shoup quotients, built
+	// once here, make each of those products a Shoup multiplication.
+	sShoup, sShoupP := shoupTable(r, sk.Value), shoupTable(rp, sk.ValueP)
 	errs := make([][]int64, len(keys)*digits) // each digit's Gaussian draw, until its arithmetic takes it
 	ring.Pipeline(len(errs), func(t int) {
 		swk, j := keys[t/digits], t%digits
@@ -225,10 +228,10 @@ func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []
 		ring.Parallel(level+1+levelP+1, func(i int) {
 			if i > level {
 				i -= level + 1
-				rlweLimb(rp.Moduli[i], e, swk.AP[j].Coeffs[i], sk.ValueP.Coeffs[i], bP.Coeffs[i])
+				rlweLimb(rp.Moduli[i], e, swk.AP[j].Coeffs[i], sk.ValueP.Coeffs[i], sShoupP[i], bP.Coeffs[i])
 				return
 			}
-			rlweLimb(r.Moduli[i], e, swk.AQ[j].Coeffs[i], sk.Value.Coeffs[i], bQ.Coeffs[i])
+			rlweLimb(r.Moduli[i], e, swk.AQ[j].Coeffs[i], sk.Value.Coeffs[i], sShoup[i], bQ.Coeffs[i])
 			if i >= first && i < last {
 				qi := r.Moduli[i].Q
 				pModQ := params.specialProductMod(qi)
@@ -246,14 +249,38 @@ func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []
 }
 
 // rlweLimb writes one limb of an RLWE sample's b = −a·s + e (NTT domain):
-// the signed error e reduced modulo m and transformed, minus a·s.
-func rlweLimb(m *ring.Modulus, e []int64, a, s, b []uint64) {
+// the signed error e reduced modulo m and transformed, minus a·s — by Shoup
+// multiplication when sShoup holds s's Shoup quotients, by Barrett reduction
+// when it is nil (a lone sample, where building the quotients would cost
+// more than they save). Both give the exact residue.
+func rlweLimb(m *ring.Modulus, e []int64, a, s, sShoup, b []uint64) {
 	q, br := m.Q, m.Barrett()
 	for t, c := range e {
 		b[t] = reduceSigned(c, q)
 	}
 	m.NTT(b)
-	for t := range b {
-		b[t] = numth.SubMod(b[t], br.MulMod(a[t], s[t]), q)
+	if sShoup == nil {
+		for t := range b {
+			b[t] = numth.SubMod(b[t], br.MulMod(a[t], s[t]), q)
+		}
+		return
 	}
+	a, s, sShoup = a[:len(b)], s[:len(b)], sShoup[:len(b)]
+	for t := range b {
+		b[t] = numth.SubMod(b[t], numth.MulModShoup(a[t], s[t], sShoup[t], q), q)
+	}
+}
+
+// shoupTable returns the Shoup quotient of every coefficient of p, a
+// polynomial of r, limb by limb on the ring workers.
+func shoupTable(r *ring.Ring, p *ring.Poly) [][]uint64 {
+	out := make([][]uint64, len(p.Coeffs))
+	ring.Parallel(len(out), func(i int) {
+		q := r.Moduli[i].Q
+		out[i] = make([]uint64, len(p.Coeffs[i]))
+		for t, c := range p.Coeffs[i] {
+			out[i][t] = numth.ShoupPrecomp(c, q)
+		}
+	})
+	return out
 }

@@ -166,29 +166,32 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		sigma = DefaultSigma
 	}
 
-	// Generate distinct primes, chain first, so equal bit sizes yield
-	// distinct primes.
-	used := map[uint64]bool{}
-	generate := func(bitSizes []int) ([]uint64, error) {
+	// Generate distinct primes: the primes of one bit size are the largest
+	// NTT primes of that size, handed out in decreasing order, chain first.
+	all := slices.Concat(lit.LogQi, lit.LogPi)
+	need := map[int]int{}
+	for _, b := range all {
+		need[b]++
+	}
+	pool := map[int][]uint64{}
+	for _, b := range all {
+		if pool[b] != nil {
+			continue
+		}
+		ps, err := numth.GenerateNTTPrimes(b, lit.LogN, need[b], nil)
+		if err != nil {
+			return nil, err
+		}
+		pool[b] = ps
+	}
+	take := func(bitSizes []int) []uint64 {
 		primes := make([]uint64, len(bitSizes))
 		for i, b := range bitSizes {
-			ps, err := numth.GenerateNTTPrimes(b, lit.LogN, 1, used)
-			if err != nil {
-				return nil, err
-			}
-			primes[i] = ps[0]
-			used[ps[0]] = true
+			primes[i], pool[b] = pool[b][0], pool[b][1:]
 		}
-		return primes, nil
+		return primes
 	}
-	qi, err := generate(lit.LogQi)
-	if err != nil {
-		return nil, err
-	}
-	pi, err := generate(lit.LogPi)
-	if err != nil {
-		return nil, err
-	}
+	qi, pi := take(lit.LogQi), take(lit.LogPi)
 
 	ringQ, err := ring.NewRing(lit.LogN, qi)
 	if err != nil {

@@ -13,7 +13,13 @@ import (
 // error sampling. Tests inject a deterministic instance; production code uses
 // NewPRNG, which seeds a ChaCha8 generator from crypto/rand.
 type PRNG struct {
-	rng *rand.Rand
+	src *rand.ChaCha8 // the stream; uniform words are drawn from it directly
+	rng *rand.Rand    // src, for the Gaussian draws
+}
+
+func newPRNG(seed [32]byte) *PRNG {
+	src := rand.NewChaCha8(seed)
+	return &PRNG{src: src, rng: rand.New(src)}
 }
 
 // NewPRNG returns a PRNG seeded from the operating system entropy source.
@@ -23,7 +29,7 @@ func NewPRNG() *PRNG {
 		// crypto/rand failing is unrecoverable for a cryptographic library.
 		panic("ckks: reading entropy: " + err.Error())
 	}
-	return &PRNG{rng: rand.New(rand.NewChaCha8(seed))}
+	return newPRNG(seed)
 }
 
 // NewTestPRNG returns a deterministic PRNG for reproducible tests and benchmarks.
@@ -31,11 +37,11 @@ func NewTestPRNG(seed uint64) *PRNG {
 	var s [32]byte
 	binary.LittleEndian.PutUint64(s[:8], seed)
 	binary.LittleEndian.PutUint64(s[8:16], seed^0x9e3779b97f4a7c15)
-	return &PRNG{rng: rand.New(rand.NewChaCha8(s))}
+	return newPRNG(s)
 }
 
 // Uint64 returns a uniform 64-bit value.
-func (p *PRNG) Uint64() uint64 { return p.rng.Uint64() }
+func (p *PRNG) Uint64() uint64 { return p.src.Uint64() }
 
 // NormFloat64 returns a normally distributed value with mean 0 and stddev 1.
 func (p *PRNG) NormFloat64() float64 { return p.rng.NormFloat64() }

@@ -249,7 +249,7 @@ func (c *Cluster) handlePipelineSubmit(w http.ResponseWriter, r *http.Request, b
 		writeError(w, http.StatusBadGateway, "cluster: node %s returned an unreadable job status: %v", primary, err)
 		return
 	}
-	rec := &routedJob{
+	c.admitRoutedJob(w, &routedJob{
 		Suffix:    suffix,
 		ContextID: req.Stages[0].ContextID,
 		Body:      json.RawMessage(body),
@@ -258,14 +258,7 @@ func (c *Cluster) handlePipelineSubmit(w http.ResponseWriter, r *http.Request, b
 		LocalID:   st.JobID,
 		Attempts:  1,
 		CreatedAt: time.Now(),
-	}
-	c.mu.Lock()
-	c.cjobs[suffix] = rec
-	c.mu.Unlock()
-	c.persistRoutedJob(rec)
-	st.JobID = c.cfg.Self + "~" + suffix
-	w.Header().Set("Location", "/jobs/"+st.JobID)
-	writeJSON(w, http.StatusAccepted, st)
+	}, st)
 }
 
 // ensureContext makes a node hold a context, shipping the key bundle from

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"time"
@@ -76,24 +77,73 @@ func (c *Cluster) loadRoutedJobs() {
 	}
 }
 
-func (c *Cluster) persistRoutedJob(rec *routedJob) {
+// persistRoutedJob writes rec to the store (a no-op without one).
+func (c *Cluster) persistRoutedJob(rec *routedJob) error {
 	if c.cfg.Store == nil {
-		return
+		return nil
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {
-		return
+		return err
 	}
-	c.cfg.Store.Put(kindRoutedJob, rec.Suffix, data)
+	return c.cfg.Store.Put(kindRoutedJob, rec.Suffix, data)
+}
+
+// saveRoutedJob persists an update to a record whose id the client already
+// holds. A failed write leaves the stored copy stale, which is logged.
+func (c *Cluster) saveRoutedJob(rec *routedJob) {
+	if err := c.persistRoutedJob(rec); err != nil {
+		c.log.Warn("routed job update not persisted; a restart reverts it",
+			slog.String(obs.LogJobID, c.clusterJobID(rec)),
+			slog.String("error", err.Error()))
+	}
 }
 
 func (c *Cluster) dropRoutedJob(rec *routedJob) {
 	c.mu.Lock()
 	delete(c.cjobs, rec.Suffix)
 	c.mu.Unlock()
-	if c.cfg.Store != nil {
-		c.cfg.Store.Delete(kindRoutedJob, rec.Suffix)
+	if c.cfg.Store == nil {
+		return
 	}
+	if err := c.cfg.Store.Delete(kindRoutedJob, rec.Suffix); err != nil {
+		c.log.Warn("retired routed job not deleted from the store; a restart reloads it",
+			slog.String(obs.LogJobID, c.clusterJobID(rec)),
+			slog.String("error", err.Error()))
+	}
+}
+
+// admitRoutedJob answers the submission of a job that rec.Node accepted as
+// st. The client gets 202 and the cluster id only once the record is
+// durable; if it cannot be written, the node's copy is cancelled (best
+// effort) and the client gets 503, so no acknowledged job is lost to a
+// restart.
+func (c *Cluster) admitRoutedJob(w http.ResponseWriter, rec *routedJob, st serve.JobStatus) {
+	if err := c.persistRoutedJob(rec); err != nil {
+		status, _, cancelErr := c.roundTrip(nodeCtx(), rec.Node, http.MethodDelete, "/jobs/"+rec.LocalID, nil)
+		if cancelErr == nil && status != http.StatusOK {
+			cancelErr = fmt.Errorf("status %d", status)
+		}
+		attrs := []any{
+			slog.String(obs.LogJobID, c.clusterJobID(rec)),
+			slog.String("node", rec.Node),
+			slog.String("local_id", rec.LocalID),
+			slog.String("error", err.Error()),
+		}
+		if cancelErr != nil {
+			attrs = append(attrs, slog.String("cancel_error", cancelErr.Error()))
+		}
+		c.log.Warn("routed job refused: its record could not be persisted, so the node's copy was cancelled", attrs...)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "cluster: the job could not be recorded durably: %v", err)
+		return
+	}
+	c.mu.Lock()
+	c.cjobs[rec.Suffix] = rec
+	c.mu.Unlock()
+	st.JobID = c.clusterJobID(rec)
+	w.Header().Set("Location", "/jobs/"+st.JobID)
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleJobSubmit admits an async job as a router: pick the context's
@@ -151,7 +201,7 @@ func (c *Cluster) handleJobSubmit(w http.ResponseWriter, r *http.Request, body [
 			writeError(w, http.StatusBadGateway, "cluster: node %s returned an unreadable job status: %v", node, err)
 			return
 		}
-		rec := &routedJob{
+		c.admitRoutedJob(w, &routedJob{
 			Suffix:    suffix,
 			ContextID: req.ContextID,
 			Body:      json.RawMessage(body),
@@ -159,15 +209,7 @@ func (c *Cluster) handleJobSubmit(w http.ResponseWriter, r *http.Request, body [
 			LocalID:   st.JobID,
 			Attempts:  1,
 			CreatedAt: time.Now(),
-		}
-		c.mu.Lock()
-		c.cjobs[suffix] = rec
-		c.mu.Unlock()
-		c.persistRoutedJob(rec)
-
-		st.JobID = c.cfg.Self + "~" + suffix
-		w.Header().Set("Location", "/jobs/"+st.JobID)
-		writeJSON(w, http.StatusAccepted, st)
+		}, st)
 		return
 	}
 	if lastStatus != 0 {
@@ -294,7 +336,7 @@ func (c *Cluster) jobResult(w http.ResponseWriter, r *http.Request, rec *routedJ
 				rec.Delivered = true
 				rec.RetiredAt = time.Now()
 				c.mu.Unlock()
-				c.persistRoutedJob(rec)
+				c.saveRoutedJob(rec)
 				writeJSON(w, http.StatusOK, jr)
 				return
 			}
@@ -376,7 +418,7 @@ func (c *Cluster) jobCancel(w http.ResponseWriter, r *http.Request, rec *routedJ
 	rec.Cancelled = true
 	rec.RetiredAt = time.Now()
 	c.mu.Unlock()
-	c.persistRoutedJob(rec)
+	c.saveRoutedJob(rec)
 	status, data, err := c.roundTrip(r.Context(), node, http.MethodDelete, "/jobs/"+localID, nil)
 	if err == nil && status == http.StatusOK {
 		var st serve.JobStatus
@@ -521,7 +563,7 @@ func (c *Cluster) requeue(rec *routedJob, failedNode string) bool {
 		attempts := rec.Attempts
 		c.requeues++
 		c.mu.Unlock()
-		c.persistRoutedJob(rec)
+		c.saveRoutedJob(rec)
 		c.log.Info("routed job requeued",
 			slog.String(obs.LogJobID, c.clusterJobID(rec)),
 			slog.String("from", failedNode),
@@ -532,7 +574,7 @@ func (c *Cluster) requeue(rec *routedJob, failedNode string) bool {
 	c.mu.Lock()
 	rec.Failed = "no healthy replica could take the job after node " + failedNode + " failed"
 	c.mu.Unlock()
-	c.persistRoutedJob(rec)
+	c.saveRoutedJob(rec)
 	c.log.Warn("routed job failed: no healthy replica",
 		slog.String(obs.LogJobID, c.clusterJobID(rec)),
 		slog.String("from", failedNode))

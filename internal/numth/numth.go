@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // MaxModulusBits is the largest bit size allowed for a coefficient modulus
@@ -165,9 +166,9 @@ func GenerateNTTPrimes(bitSize, logN, count int, skip map[uint64]bool) ([]uint64
 	return nil, fmt.Errorf("numth: could not find %d NTT primes of %d bits for logN=%d", count, bitSize, logN)
 }
 
-// PrimitiveRoot returns a generator of the multiplicative group modulo the
-// prime p. It factorizes p-1 by trial division (p-1 is highly smooth for the
-// NTT primes we generate, so this is fast).
+// PrimitiveRoot returns the least generator of the multiplicative group
+// modulo the prime p: the least g whose order is p-1, tested against each
+// distinct prime factor of p-1.
 func PrimitiveRoot(p uint64) (uint64, error) {
 	if !IsPrime(p) {
 		return 0, fmt.Errorf("numth: %d is not prime", p)
@@ -189,9 +190,12 @@ func PrimitiveRoot(p uint64) (uint64, error) {
 	return 0, fmt.Errorf("numth: no primitive root found modulo %d", p)
 }
 
-// MinimalPrimitiveNthRoot returns a primitive n-th root of unity modulo the
-// prime p. n must divide p-1 and be a power of two.
-func MinimalPrimitiveNthRoot(n, p uint64) (uint64, error) {
+// PrimitiveNthRoot returns g^((p-1)/n) mod the prime p, where g is the least
+// generator of the group (PrimitiveRoot). That is a primitive n-th root of
+// unity, but not in general the least one; every NTT table, key and stored
+// ciphertext is built on this particular root, so it must not change. n must
+// divide p-1 and be a power of two.
+func PrimitiveNthRoot(n, p uint64) (uint64, error) {
 	if n == 0 || (p-1)%n != 0 {
 		return 0, fmt.Errorf("numth: %d does not divide %d-1", n, p)
 	}
@@ -207,10 +211,15 @@ func MinimalPrimitiveNthRoot(n, p uint64) (uint64, error) {
 	return root, nil
 }
 
-// distinctFactors returns the distinct prime factors of n by trial division.
+// smallPrimes are divided out of n before distinctFactors turns to rho.
+var smallPrimes = []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61}
+
+// distinctFactors returns the distinct prime factors of n > 0 in increasing
+// order: the small primes by division, the cofactor split by Pollard–Brent
+// rho until IsPrime accepts every part.
 func distinctFactors(n uint64) []uint64 {
 	var factors []uint64
-	for _, p := range []uint64{2, 3, 5} {
+	for _, p := range smallPrimes {
 		if n%p == 0 {
 			factors = append(factors, p)
 			for n%p == 0 {
@@ -218,18 +227,65 @@ func distinctFactors(n uint64) []uint64 {
 			}
 		}
 	}
-	for f := uint64(7); f*f <= n; f += 2 {
-		if n%f == 0 {
-			factors = append(factors, f)
-			for n%f == 0 {
-				n /= f
-			}
+	parts := []uint64{n}
+	for len(parts) > 0 {
+		m := parts[len(parts)-1]
+		parts = parts[:len(parts)-1]
+		switch {
+		case m == 1 || slices.Contains(factors, m):
+		case IsPrime(m):
+			factors = append(factors, m)
+		default:
+			d := rho(m)
+			parts = append(parts, d, m/d)
 		}
 	}
-	if n > 1 {
-		factors = append(factors, n)
-	}
+	slices.Sort(factors)
 	return factors
+}
+
+// rho returns a nontrivial divisor of the odd composite n, which has no
+// prime factor below 64, by Brent's variant of Pollard's rho: the walk
+// x -> x²+c doubles its stride, the differences are multiplied together 128
+// at a time before one gcd, and a batch that overshoots to gcd n is replayed
+// one step at a time. A walk that only finds n itself restarts with the next c.
+func rho(n uint64) uint64 {
+	const batch = 128
+	br := NewBarrett(n)
+	for c := uint64(1); ; c++ {
+		f := func(x uint64) uint64 { return AddMod(br.MulMod(x, x), c, n) }
+		x, y, ys, acc, g := uint64(0), uint64(2), uint64(0), uint64(1), uint64(1)
+		for r := 1; g == 1; r *= 2 {
+			x = y
+			for range r {
+				y = f(y)
+			}
+			for k := 0; k < r && g == 1; k += batch {
+				ys = y
+				for range min(batch, r-k) {
+					y = f(y)
+					acc = br.MulMod(acc, max(x, y)-min(x, y))
+				}
+				g = gcd(acc, n)
+			}
+		}
+		if g == n {
+			for g = 1; g == 1; {
+				ys = f(ys)
+				g = gcd(max(x, ys)-min(x, ys), n)
+			}
+		}
+		if g != n {
+			return g
+		}
+	}
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // BitReverse returns the bit-reversal of x within width bits.

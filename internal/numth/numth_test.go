@@ -3,6 +3,7 @@ package numth
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,9 +166,9 @@ func TestPrimitiveNthRoot(t *testing.T) {
 	}
 	n := uint64(1) << 14 // 2N for logN=13
 	for _, p := range primes {
-		root, err := MinimalPrimitiveNthRoot(n, p)
+		root, err := PrimitiveNthRoot(n, p)
 		if err != nil {
-			t.Fatalf("MinimalPrimitiveNthRoot(%d, %d): %v", n, p, err)
+			t.Fatalf("PrimitiveNthRoot(%d, %d): %v", n, p, err)
 		}
 		if PowMod(root, n, p) != 1 {
 			t.Errorf("root^n != 1 mod %d", p)
@@ -182,8 +183,108 @@ func TestPrimitiveRootErrors(t *testing.T) {
 	if _, err := PrimitiveRoot(100); err == nil {
 		t.Error("expected error for composite modulus")
 	}
-	if _, err := MinimalPrimitiveNthRoot(7, 65537); err == nil {
+	if _, err := PrimitiveNthRoot(7, 65537); err == nil {
 		t.Error("expected error when n does not divide p-1")
+	}
+}
+
+// trialDivisionFactors is the trial-division factorization distinctFactors
+// replaced, kept as the oracle its factor sets are pinned against.
+func trialDivisionFactors(n uint64) []uint64 {
+	var factors []uint64
+	for f := uint64(2); f*f <= n; f += 1 + f&1 {
+		if n%f == 0 {
+			factors = append(factors, f)
+			for n%f == 0 {
+				n /= f
+			}
+		}
+	}
+	if n > 1 {
+		factors = append(factors, n)
+	}
+	return factors
+}
+
+// TestDistinctFactorsMatchTrialDivision pins the factor sets of p-1, and
+// the 2N-th root built on them, against trial division for 12 NTT primes of
+// every (logN, bits) shape the ring accepts (all of them, where a shape has
+// fewer).
+func TestDistinctFactorsMatchTrialDivision(t *testing.T) {
+	checked := 0
+	for logN := 10; logN <= 17; logN++ {
+		for bitSize := 20; bitSize <= 60; bitSize += 5 {
+			used := map[uint64]bool{}
+			for range 12 {
+				ps, err := GenerateNTTPrimes(bitSize, logN, 1, used)
+				if err != nil {
+					break
+				}
+				p := ps[0]
+				used[p] = true
+				want := trialDivisionFactors(p - 1)
+				if got := distinctFactors(p - 1); !slices.Equal(got, want) {
+					t.Fatalf("distinctFactors(%d) = %v, trial division %v", p-1, got, want)
+				}
+				psi, err := PrimitiveNthRoot(2<<logN, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if oracle := PowMod(leastGenerator(p, want), (p-1)>>(logN+1), p); psi != oracle {
+					t.Fatalf("p=%d logN=%d: psi %d, oracle %d", p, logN, psi, oracle)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 800 {
+		t.Fatalf("only %d primes checked", checked)
+	}
+}
+
+// leastGenerator is the least g of order p-1, given p-1's prime factors.
+func leastGenerator(p uint64, factors []uint64) uint64 {
+	for g := uint64(2); ; g++ {
+		if !slices.ContainsFunc(factors, func(f uint64) bool { return PowMod(g, (p-1)/f, p) == 1 }) {
+			return g
+		}
+	}
+}
+
+// TestPrimitiveNthRootPinned pins the root of a prime whose p-1 has a 47-bit
+// prime cofactor (p-1 = 2^14·5·112589990684257) to the value every stored
+// key and ciphertext at logN 10 was built on.
+func TestPrimitiveNthRootPinned(t *testing.T) {
+	const p = 1152921504606791681
+	psi, err := PrimitiveNthRoot(2048, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if psi != 581990559703064139 {
+		t.Fatalf("psi = %d, want 581990559703064139", psi)
+	}
+	if got, want := distinctFactors(p-1), []uint64{2, 5, 112589990684257}; !slices.Equal(got, want) {
+		t.Fatalf("distinctFactors(p-1) = %v, want %v", got, want)
+	}
+}
+
+func TestDistinctFactorsRho(t *testing.T) {
+	const p32, q32 = 4294967291, 4294967279 // the two largest primes below 2^32
+	cases := []struct {
+		n    uint64
+		want []uint64
+	}{
+		{p32 * q32, []uint64{q32, p32}},
+		{p32 * p32, []uint64{p32}},
+		{1 << 63, []uint64{2}},
+		{2 * 3 * 67 * 67 * 71 * 1000003, []uint64{2, 3, 67, 71, 1000003}},
+		{1, nil},
+		{61, []uint64{61}},
+	}
+	for _, c := range cases {
+		if got := distinctFactors(c.n); !slices.Equal(got, c.want) {
+			t.Errorf("distinctFactors(%d) = %v, want %v", c.n, got, c.want)
+		}
 	}
 }
 
@@ -221,4 +322,12 @@ func bitLen(x uint64) int {
 		x >>= 1
 	}
 	return n
+}
+
+func BenchmarkPrimitiveNthRoot(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := PrimitiveNthRoot(2048, 1152921504606791681); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -50,11 +50,10 @@ func NewModulus(q uint64, logN int) (*Modulus, error) {
 	if q%(2*uint64(n)) != 1 {
 		return nil, fmt.Errorf("ring: prime %d is not 1 mod 2N for N=%d", q, n)
 	}
-	psi, err := numth.MinimalPrimitiveNthRoot(2*uint64(n), q)
+	psi, err := numth.PrimitiveNthRoot(2*uint64(n), q)
 	if err != nil {
 		return nil, fmt.Errorf("ring: finding 2N-th root modulo %d: %w", q, err)
 	}
-	psiInv := numth.MustInvMod(psi, q)
 	m := &Modulus{
 		Q:           q,
 		n:           n,
@@ -67,20 +66,29 @@ func NewModulus(q uint64, logN int) (*Modulus, error) {
 		nInv:        numth.MustInvMod(uint64(n), q),
 	}
 	m.nInvShoup = numth.ShoupPrecomp(m.nInv, q)
-	// Tables in bit-reversed order, as required by the CT/GS butterflies below.
-	powsFwd := make([]uint64, n)
-	powsInv := make([]uint64, n)
-	powsFwd[0], powsInv[0] = 1, 1
+	// ψ^i for i < n by Shoup products by ψ (exact, so the same residues as
+	// any other multiplication), with their Shoup quotients. The inverse
+	// powers need no products of their own: ψ^n = −1 makes ψ^−i = q − ψ^(n−i)
+	// for 0 < i < n, and the Shoup quotient of q − s is the complement of
+	// s's, floor((q−s)·2^64/q) = 2^64 − 1 − floor(s·2^64/q) for 0 < s < q.
+	pows, powsShoup := make([]uint64, n), make([]uint64, n)
+	psiShoup := numth.ShoupPrecomp(psi, q)
+	pows[0] = 1
 	for i := 1; i < n; i++ {
-		powsFwd[i] = numth.MulMod(powsFwd[i-1], psi, q)
-		powsInv[i] = numth.MulMod(powsInv[i-1], psiInv, q)
+		pows[i] = numth.MulModShoup(pows[i-1], psi, psiShoup, q)
 	}
+	for i, p := range pows {
+		powsShoup[i] = numth.ShoupPrecomp(p, q)
+	}
+	// Tables in bit-reversed order, as required by the CT/GS butterflies below.
 	for i := 0; i < n; i++ {
 		r := numth.BitReverse(uint64(i), uint64(logN))
-		m.psiPows[i] = powsFwd[r]
-		m.psiInv[i] = powsInv[r]
-		m.psiShoup[i] = numth.ShoupPrecomp(m.psiPows[i], q)
-		m.psiInvShoup[i] = numth.ShoupPrecomp(m.psiInv[i], q)
+		m.psiPows[i], m.psiShoup[i] = pows[r], powsShoup[r]
+		if r == 0 {
+			m.psiInv[i], m.psiInvShoup[i] = 1, powsShoup[0]
+		} else {
+			m.psiInv[i], m.psiInvShoup[i] = q-pows[uint64(n)-r], ^powsShoup[uint64(n)-r]
+		}
 	}
 	m.psiInvNInv = numth.MulMod(m.psiInv[1], m.nInv, q)
 	m.psiInvNInvShoup = numth.ShoupPrecomp(m.psiInvNInv, q)
@@ -340,16 +348,20 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 		return &buf
 	}
 	seen := map[uint64]bool{}
-	for i, q := range primes {
+	for _, q := range primes {
 		if seen[q] {
 			return nil, fmt.Errorf("ring: duplicate modulus %d", q)
 		}
 		seen[q] = true
-		m, err := NewModulus(q, logN)
+	}
+	// Each prime's tables are independent of the others': build them on the
+	// ring workers, each into its own slot, and report the first prime's error.
+	errs := make([]error, len(primes))
+	Parallel(len(primes), func(i int) { r.Moduli[i], errs[i] = NewModulus(primes[i], logN) })
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		r.Moduli[i] = m
 	}
 	r.rescaleInv = make([][]uint64, len(primes))
 	r.rescaleInvShoup = make([][]uint64, len(primes))

@@ -49,6 +49,48 @@ func TestNewRingErrors(t *testing.T) {
 	}
 }
 
+// TestNewModulusTablesMatchDirectPowers pins the twiddle tables NewModulus
+// builds by Shoup steps and by the ψ^n = −1 symmetry against the direct
+// construction: ψ^i and ψ^−i by repeated MulMod, in bit-reversed order, each
+// with its own Shoup quotient.
+func TestNewModulusTablesMatchDirectPowers(t *testing.T) {
+	for _, logN := range []int{2, 3, 10, 13} {
+		for _, bitSize := range []int{30, 45, 61} {
+			primes, err := numth.GenerateNTTPrimes(bitSize, logN, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range primes {
+				m, err := NewModulus(q, logN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				psi, err := numth.PrimitiveNthRoot(2<<logN, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				psiInv := numth.MustInvMod(psi, q)
+				n := 1 << logN
+				fwd, inv := make([]uint64, n), make([]uint64, n)
+				fwd[0], inv[0] = 1, 1
+				for i := 1; i < n; i++ {
+					fwd[i] = numth.MulMod(fwd[i-1], psi, q)
+					inv[i] = numth.MulMod(inv[i-1], psiInv, q)
+				}
+				for i := 0; i < n; i++ {
+					r := numth.BitReverse(uint64(i), uint64(logN))
+					if m.psiPows[i] != fwd[r] || m.psiShoup[i] != numth.ShoupPrecomp(fwd[r], q) {
+						t.Fatalf("q=%d logN=%d: forward twiddle %d differs", q, logN, i)
+					}
+					if m.psiInv[i] != inv[r] || m.psiInvShoup[i] != numth.ShoupPrecomp(inv[r], q) {
+						t.Fatalf("q=%d logN=%d: inverse twiddle %d differs", q, logN, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNTTRoundTrip(t *testing.T) {
 	r := testRing(t, 10, 3)
 	p := randPoly(r, 2, 7)

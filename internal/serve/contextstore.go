@@ -284,23 +284,31 @@ func (s *Server) persistJobResult(snap jobs.Snapshot, result any, traceID string
 
 // fetchStoredResult serves the fetch-once contract from the durable store.
 // The get-and-delete pair runs under resultMu so two concurrent fetches of
-// a restart-survived result cannot both win.
-func (s *Server) fetchStoredResult(id string) (*resultRecord, bool) {
+// a restart-survived result cannot both win. A result is handed out only
+// once its record is deleted: when the delete fails, the record stays for a
+// later fetch and the error is returned (and logged) instead of the result.
+// No record and no error means there is nothing stored.
+func (s *Server) fetchStoredResult(id string) (*resultRecord, error) {
 	if s.cfg.Store == nil {
-		return nil, false
+		return nil, nil
 	}
 	s.resultMu.Lock()
 	defer s.resultMu.Unlock()
 	data, err := s.cfg.Store.Get(kindResult, id)
 	if err != nil {
-		return nil, false
+		return nil, nil
 	}
 	var rec resultRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, false
+		return nil, nil
 	}
-	s.cfg.Store.Delete(kindResult, id)
-	return &rec, true
+	if err := s.cfg.Store.Delete(kindResult, id); err != nil {
+		s.log.Warn("stored job result not served: deleting it failed, so it stays stored for a retry",
+			slog.String(obs.LogJobID, id),
+			slog.String("error", err.Error()))
+		return nil, err
+	}
+	return &rec, nil
 }
 
 // resultJanitor sweeps persisted artifacts whose lifetime exceeded their
@@ -348,8 +356,13 @@ func (s *Server) sweepResults(retention time.Duration) {
 // dropStoredResult removes a persisted result (after an in-memory fetch
 // already delivered it, preserving fetch-once).
 func (s *Server) dropStoredResult(id string) {
-	if s.cfg.Store != nil {
-		s.cfg.Store.Delete(kindResult, id)
+	if s.cfg.Store == nil {
+		return
+	}
+	if err := s.cfg.Store.Delete(kindResult, id); err != nil {
+		s.log.Warn("delivered job result not deleted from the store; a restart could deliver it again",
+			slog.String(obs.LogJobID, id),
+			slog.String("error", err.Error()))
 	}
 }
 

@@ -200,8 +200,14 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case jobs.FetchNotFound:
 		// The in-memory record was lost to a restart or the TTL, but the
 		// persisted copy still honors fetch-once: it is returned and
-		// deleted in one step.
-		if rec, ok := s.fetchStoredResult(id); ok {
+		// deleted in one step, or kept for a retry if it cannot be deleted.
+		rec, err := s.fetchStoredResult(id)
+		if err != nil {
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, "job %q result could not be retired from the store; it is kept for a retry: %v", id, err)
+			return
+		}
+		if rec != nil {
 			writeJSON(w, http.StatusOK, JobResult{JobID: id, Status: rec.Status, Results: rec.Results})
 			return
 		}

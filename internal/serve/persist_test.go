@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,15 +215,34 @@ func TestHandleRestartDurability(t *testing.T) {
 // TestResultPersistsAcrossTTL: with a store configured, a result whose
 // in-memory record was TTL-evicted is still fetchable exactly once.
 func TestResultPersistsAcrossTTL(t *testing.T) {
-	st := store.NewMemory()
-	s := NewServer(Config{Store: st, AllowServerKeygen: true})
-	setBound(t, s.jobs, "cfg.resultTTL", 30*time.Millisecond)
+	s := NewServer(Config{Store: store.NewMemory(), AllowServerKeygen: true})
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 	client := ts.Client()
-	prog := e2eProgram(t)
+	id := evictedJob(t, s, ts)
 
-	comp, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, prog))
+	jr := getJSON[JobResult](t, client, ts.URL+"/jobs/"+id+"/result")
+	if len(jr.Results) != 1 || jr.Results[0].Error != "" {
+		t.Fatalf("post-TTL fetch: %+v", jr)
+	}
+	second, err := client.Get(ts.URL + "/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Body.Close()
+	if second.StatusCode == http.StatusOK {
+		t.Fatal("fetch-once violated after TTL eviction")
+	}
+}
+
+// evictedJob runs one job on s to completion, leaves its result unfetched
+// and waits until a 30 ms result TTL has evicted the in-memory record, so a
+// fetch can only be served from the store. It returns the job id.
+func evictedJob(t *testing.T, s *Server, ts *httptest.Server) string {
+	t.Helper()
+	setBound(t, s.jobs, "cfg.resultTTL", 30*time.Millisecond)
+	client := ts.Client()
+	comp, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, e2eProgram(t)))
 	ctxResp, _ := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{
 		ProgramID: comp.ID, Keygen: &KeygenJSON{Seed: 3},
 	})
@@ -242,25 +262,67 @@ func TestResultPersistsAcrossTTL(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, ok := s.Jobs().Get(jobSt.JobID); !ok {
-			break
+			return jobSt.JobID
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("job record never TTL-evicted")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
 
-	jr := getJSON[JobResult](t, client, ts.URL+"/jobs/"+jobSt.JobID+"/result")
-	if len(jr.Results) != 1 || jr.Results[0].Error != "" {
-		t.Fatalf("post-TTL fetch: %+v", jr)
+// undeletableResultStore fails every delete of a job result while failing
+// is set.
+type undeletableResultStore struct {
+	store.Store
+	failing atomic.Bool
+}
+
+func (u *undeletableResultStore) Delete(kind, id string) error {
+	if kind == kindResult && u.failing.Load() {
+		return errors.New("read-only file system")
 	}
-	second, err := client.Get(ts.URL + "/jobs/" + jobSt.JobID + "/result")
-	if err != nil {
-		t.Fatal(err)
+	return u.Store.Delete(kind, id)
+}
+
+// TestStoredResultServedOnlyOnceDeleted: a stored result whose record the
+// store cannot delete is not served — the fetch answers 503 with
+// Retry-After, logs at warn and keeps the record — and once the store
+// recovers it is served exactly once.
+func TestStoredResultServedOnlyOnceDeleted(t *testing.T) {
+	var logs lockedBuffer
+	st := &undeletableResultStore{Store: store.NewMemory()}
+	st.failing.Store(true)
+	s := NewServer(Config{Store: st, AllowServerKeygen: true, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	client := ts.Client()
+	id := evictedJob(t, s, ts)
+
+	fetch := func() int {
+		resp, err := client.Get(ts.URL + "/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+			t.Error("503 without Retry-After")
+		}
+		return resp.StatusCode
 	}
-	second.Body.Close()
-	if second.StatusCode == http.StatusOK {
-		t.Fatal("fetch-once violated after TTL eviction")
+	for range 2 {
+		if code := fetch(); code != http.StatusServiceUnavailable {
+			t.Fatalf("fetch with a failing delete: %d, want 503", code)
+		}
+	}
+	if !strings.Contains(logs.String(), `"level":"WARN"`) || !strings.Contains(logs.String(), "read-only file system") {
+		t.Errorf("no warning with the store's error in the log:\n%s", logs.String())
+	}
+	st.failing.Store(false)
+	for _, want := range []int{http.StatusOK, http.StatusNotFound} {
+		if code := fetch(); code != want {
+			t.Fatalf("fetch after the store recovered: %d, want %d", code, want)
+		}
 	}
 }
 
