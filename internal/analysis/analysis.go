@@ -8,6 +8,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"eva/internal/core"
 	"eva/internal/rewrite"
@@ -39,21 +40,24 @@ func (c Chain) Equal(o Chain) bool {
 	return true
 }
 
-// merge combines two equal chains, preferring concrete entries over ∞.
+// merge combines two equal chains, preferring concrete entries over ∞. It
+// returns c itself when o fills none of c's ∞ entries, and a new chain
+// otherwise: chains are shared between terms and never written.
 func (c Chain) merge(o Chain) Chain {
-	out := make(Chain, len(c))
+	var out Chain
 	for i := range c {
-		switch {
-		case !math.IsInf(c[i], 1):
-			out[i] = c[i]
-		default:
+		if math.IsInf(c[i], 1) && !math.IsInf(o[i], 1) {
+			if out == nil {
+				out = slices.Clone(c)
+			}
 			out[i] = o[i]
 		}
 	}
+	if out == nil {
+		return c
+	}
 	return out
 }
-
-func (c Chain) clone() Chain { return append(Chain(nil), c...) }
 
 // ConstraintError describes a violated scheme constraint, identifying the
 // term at which validation failed. The compiler surfaces these at compile
@@ -68,10 +72,42 @@ func (e *ConstraintError) Error() string {
 	return fmt.Sprintf("analysis: constraint %d violated at %s: %s", e.Constraint, e.Term, e.Detail)
 }
 
-// Validate checks that a transformed program satisfies every constraint of
-// the scheme, in one walk over its topological order, and returns the
-// rescale chain of every Cipher term and the log2 scale of every term for
-// parameter selection. Everything is derived from the program itself.
+// Facts are the per-term results of validating a program, for its live
+// terms: Order lists them topologically, and the tables hold each one's
+// rescale chain (nil for a Plain term and for a Cipher term below no
+// RESCALE or MOD_SWITCH), log2 scale and number of polynomials (zero exactly
+// for a Plain term). Terms share chains, which are never written. Waterline
+// is the largest scale of a leaf.
+type Facts struct {
+	Order     []*core.Term
+	Chains    *core.TermMap[Chain]
+	Scales    *core.TermMap[float64]
+	Polys     *core.TermMap[int]
+	Waterline float64
+}
+
+// Validate is Check with the chains of the Cipher terms and the scales of
+// the live terms returned as maps; the benchmark's per-pass replay calls it.
+func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map[*core.Term]float64, error) {
+	f, err := Check(p, maxRescaleLog)
+	if err != nil {
+		return nil, nil, err
+	}
+	chains := make(map[*core.Term]Chain, len(f.Order))
+	scales := make(map[*core.Term]float64, len(f.Order))
+	for _, t := range f.Order {
+		scales[t] = f.Scales.Get(t)
+		if f.Polys.Get(t) != 0 {
+			chains[t] = f.Chains.Get(t)
+		}
+	}
+	return chains, scales, nil
+}
+
+// Check checks that a transformed program satisfies every constraint of the
+// scheme, in one walk over its topological order, and returns the Facts
+// parameter selection and lowering read. Everything is derived from the
+// program itself.
 //
 //   - Constraint 1: the rescale chains of the Cipher operands of every
 //     instruction match. Plain terms carry no chain: they have no coefficient
@@ -87,23 +123,20 @@ func (e *ConstraintError) Error() string {
 //
 // When the program violates more than one kind, the error reported is the
 // first violation in topological order of the first kind in the list above.
-func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map[*core.Term]float64, error) {
+func Check(p *core.Program, maxRescaleLog float64) (*Facts, error) {
 	const tolerance = 1e-9
 	order := p.TopoSort()
-	chains := make(map[*core.Term]Chain, len(order))
-	scales := make(map[*core.Term]float64, len(order))
-	scaleOf := func(t *core.Term) float64 { return scales[t] }
-	// polys counts the polynomials of every Cipher term, so a term is Cipher
-	// exactly when its count is not zero.
-	polys := core.NewTermMap[int](p)
+	f := &Facts{Order: order, Chains: core.NewTermMap[Chain](p), Scales: core.NewTermMap[float64](p), Polys: core.NewTermMap[int](p)}
+	chains, scales, polys := f.Chains, f.Scales, f.Polys
+	scaleOf := scales.Get
 	var scaleErr, polyErr *ConstraintError
 	for _, t := range order {
 		scale := rewrite.ScaleOf(t, scaleOf)
-		scales[t] = scale
+		scales.Set(t, scale)
 		if scaleErr == nil {
 			switch t.Op {
 			case core.OpAdd, core.OpSub:
-				if a, b := scales[t.Parm(0)], scales[t.Parm(1)]; math.Abs(a-b) > tolerance {
+				if a, b := scales.Get(t.Parm(0)), scales.Get(t.Parm(1)); math.Abs(a-b) > tolerance {
 					scaleErr = &ConstraintError{Term: t, Constraint: 2,
 						Detail: fmt.Sprintf("operand scales differ: 2^%g vs 2^%g", a, b)}
 				}
@@ -122,6 +155,9 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 		// Cipher-ness, chain and polynomial count.
 		var chain Chain
 		cipher := t.IsLeaf() && t.InType == core.TypeCipher
+		if t.IsLeaf() {
+			f.Waterline = max(f.Waterline, scale)
+		}
 		n := 2
 		for _, parm := range t.Parms() {
 			pn := polys.Get(parm)
@@ -129,13 +165,13 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 				continue
 			}
 			n = max(n, pn)
-			pc := chains[parm]
+			pc := chains.Get(parm)
 			if !cipher {
-				chain, cipher = pc.clone(), true
+				chain, cipher = pc, true
 				continue
 			}
 			if !chain.Equal(pc) {
-				return nil, nil, &ConstraintError{Term: t, Constraint: 1,
+				return nil, &ConstraintError{Term: t, Constraint: 1,
 					Detail: fmt.Sprintf("operand coefficient moduli differ: chains %v vs %v", chain, pc)}
 			}
 			chain = chain.merge(pc)
@@ -145,9 +181,9 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 		}
 		switch t.Op {
 		case core.OpRescale:
-			chain = append(chain, t.LogScale)
+			chain = append(slices.Clip(chain), t.LogScale)
 		case core.OpModSwitch:
-			chain = append(chain, ModSwitchMark)
+			chain = append(slices.Clip(chain), ModSwitchMark)
 		case core.OpMultiply:
 			a, b := polys.Get(t.Parm(0)), polys.Get(t.Parm(1))
 			if a == 0 || b == 0 {
@@ -167,14 +203,14 @@ func Validate(p *core.Program, maxRescaleLog float64) (map[*core.Term]Chain, map
 			}
 			n = 2
 		}
-		chains[t] = chain
+		chains.Set(t, chain)
 		polys.Set(t, n)
 	}
 	switch {
 	case scaleErr != nil:
-		return nil, nil, scaleErr
+		return nil, scaleErr
 	case polyErr != nil:
-		return nil, nil, polyErr
+		return nil, polyErr
 	}
-	return chains, scales, nil
+	return f, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"eva/internal/analysis"
@@ -45,9 +46,9 @@ func oracleChains(p *core.Program) (map[*core.Term]analysis.Chain, error) {
 				return nil, &analysis.ConstraintError{Term: t, Constraint: 1,
 					Detail: fmt.Sprintf("operand coefficient moduli differ: chains %v vs %v", merged, pc)}
 			}
-			out := make(analysis.Chain, len(merged))
+			out := slices.Clone(merged) // nil stays nil, as for the first operand
 			for i := range merged {
-				if out[i] = merged[i]; math.IsInf(merged[i], 1) {
+				if math.IsInf(merged[i], 1) {
 					out[i] = pc[i]
 				}
 			}
@@ -189,10 +190,12 @@ func validationCorpus(t *testing.T) map[string]*core.Program {
 // TestValidateMatchesOracle: on the corpus, transformed in full, with one of
 // the modulus-switch, scale-matching and relinearization passes skipped, with
 // the other strategies, and validated against a maximum rescale below the
-// divisor the passes used (alone and combined), Validate returns the
+// divisor the passes used (alone and combined), Validate and Check return the
 // oracle's error — the same constraint, term and message — and on valid
-// programs the oracle's chains and scales. Every constraint is violated
-// somewhere in the corpus.
+// programs the oracle's chains and scales: Validate's maps equal the
+// oracle's, and Check's tables hold, for every live term in the oracle's
+// order, its chain, its scale and whether it is Cipher. Every constraint is
+// violated somewhere in the corpus.
 func TestValidateMatchesOracle(t *testing.T) {
 	const maxRescaleLog = 60
 	type variant struct {
@@ -249,21 +252,39 @@ func TestValidateMatchesOracle(t *testing.T) {
 			}
 			wantChains, wantScales, wantErr := oracleValidate(p, v.validateMax)
 			chains, scales, err := analysis.Validate(p, v.validateMax)
+			facts, checkErr := analysis.Check(p, v.validateMax)
 			if wantErr != nil {
 				want := wantErr.(*analysis.ConstraintError)
-				got, ok := err.(*analysis.ConstraintError)
-				if !ok || got.Constraint != want.Constraint || got.Term != want.Term || got.Error() != want.Error() {
-					t.Errorf("%s/%s: Validate returned %v; the oracle %v", name, v.name, err, wantErr)
+				for _, e := range []error{err, checkErr} {
+					got, ok := e.(*analysis.ConstraintError)
+					if !ok || got.Constraint != want.Constraint || got.Term != want.Term || got.Error() != want.Error() {
+						t.Errorf("%s/%s: Validate or Check returned %v; the oracle %v", name, v.name, e, wantErr)
+					}
 				}
 				seen[want.Constraint]++
 				continue
 			}
-			if err != nil {
-				t.Errorf("%s/%s: Validate returned %v; the oracle accepts the program", name, v.name, err)
+			if err != nil || checkErr != nil {
+				t.Errorf("%s/%s: Validate returned %v and Check %v; the oracle accepts the program", name, v.name, err, checkErr)
 				continue
 			}
 			if !reflect.DeepEqual(chains, wantChains) || !reflect.DeepEqual(scales, wantScales) {
 				t.Errorf("%s/%s: Validate's chains or scales differ from the oracle's", name, v.name)
+			}
+			if !slices.Equal(facts.Order, p.TopoSort()) {
+				t.Errorf("%s/%s: Check's order is not the program's TopoSort", name, v.name)
+			}
+			for _, term := range p.TopoSort() {
+				want, cipher := wantChains[term]
+				if got := facts.Chains.Get(term); !reflect.DeepEqual(got, want) || (facts.Polys.Get(term) != 0) != cipher {
+					t.Errorf("%s/%s: Check's chain of %s is %v (Cipher %v); the oracle's %v (Cipher %v)",
+						name, v.name, term, got, facts.Polys.Get(term) != 0, want, cipher)
+					break
+				}
+				if got := facts.Scales.Get(term); got != wantScales[term] {
+					t.Errorf("%s/%s: Check's scale of %s is 2^%g; the oracle's 2^%g", name, v.name, term, got, wantScales[term])
+					break
+				}
 			}
 		}
 	}

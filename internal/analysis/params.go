@@ -53,23 +53,34 @@ func sum(bits []int) int {
 	return total
 }
 
-// SelectParameters implements the encryption-parameter selection pass of
-// Section 6.2: from Validate's chains and scales it takes the conforming
-// rescale chain and scale of every output, determines the output with the
-// longest requirement, and produces the vector of prime bit sizes for the
-// modulus chain. The waterline is the largest scale of a leaf in scales.
+// SelectParameters is Facts.SelectParameters over Validate's maps: the
+// waterline is the largest scale of a leaf in scales. The benchmark's
+// per-pass replay calls it.
 func SelectParameters(p *core.Program, chains map[*core.Term]Chain, scales map[*core.Term]float64, maxRescaleLog float64) (*ParameterPlan, error) {
-	if len(p.Outputs()) == 0 {
-		return nil, fmt.Errorf("analysis: program has no outputs")
-	}
-	if maxRescaleLog <= 0 {
-		maxRescaleLog = SpecialPrimeLog
-	}
 	waterline := 0.0
 	for t, s := range scales {
 		if t.IsLeaf() {
 			waterline = max(waterline, s)
 		}
+	}
+	return selectParameters(p, func(t *core.Term) Chain { return chains[t] }, func(t *core.Term) float64 { return scales[t] }, waterline, maxRescaleLog)
+}
+
+// SelectParameters implements the encryption-parameter selection pass of
+// Section 6.2: from the validated chains and scales it takes the conforming
+// rescale chain and scale of every output, determines the output with the
+// longest requirement, and produces the vector of prime bit sizes for the
+// modulus chain.
+func (f *Facts) SelectParameters(p *core.Program, maxRescaleLog float64) (*ParameterPlan, error) {
+	return selectParameters(p, f.Chains.Get, f.Scales.Get, f.Waterline, maxRescaleLog)
+}
+
+func selectParameters(p *core.Program, chainOf func(*core.Term) Chain, scaleOf func(*core.Term) float64, waterline, maxRescaleLog float64) (*ParameterPlan, error) {
+	if len(p.Outputs()) == 0 {
+		return nil, fmt.Errorf("analysis: program has no outputs")
+	}
+	if maxRescaleLog <= 0 {
+		maxRescaleLog = SpecialPrimeLog
 	}
 
 	best := -1
@@ -78,13 +89,13 @@ func SelectParameters(p *core.Program, chains map[*core.Term]Chain, scales map[*
 	var bestName string
 	maxChain := 0
 	for _, o := range p.Outputs() {
-		chain := chains[o.Term]
+		chain := chainOf(o.Term)
 		if len(chain) > maxChain {
 			maxChain = len(chain)
 		}
 		// s'_o = o.scale * desired output scale, factorized into primes of at
 		// most the maximum rescale size.
-		tail := factorizeScale(scales[o.Term]+o.LogScale, maxRescaleLog)
+		tail := factorizeScale(scaleOf(o.Term)+o.LogScale, maxRescaleLog)
 		if score := len(chain) + len(tail); score > best {
 			best = score
 			bestChain = chain

@@ -129,18 +129,19 @@ func Compile(input *core.Program, opts Options) (*Result, error) {
 	}
 	// Step 2: validation. A failure here is a compiler bug surfaced at
 	// compile time rather than an FHE-library exception at run time.
-	chains, scales, err := analysis.Validate(prog, opts.MaxRescaleLog)
+	facts, err := analysis.Check(prog, opts.MaxRescaleLog)
 	if err != nil {
 		return nil, fmt.Errorf("compile: validation failed: %w", err)
 	}
 	// Step 3: encryption parameter selection.
-	plan, err := analysis.SelectParameters(prog, chains, scales, opts.MaxRescaleLog)
+	plan, err := facts.SelectParameters(prog, opts.MaxRescaleLog)
 	if err != nil {
 		return nil, fmt.Errorf("compile: parameter selection failed: %w", err)
 	}
 	// Step 4: lowering to the executor's form, which also selects the
-	// rotation steps.
-	res := Lower(prog, chains, scales)
+	// rotation steps. Nothing has changed the program since validation, so
+	// the validated order is still its order.
+	res := Lower(prog, facts)
 
 	// Level headroom for pipeline chaining: pad the front of the chain (the
 	// positions consumed first) with waterline-sized primes, so inputs may

@@ -325,11 +325,7 @@ func referencePeak(m analysis.CostModel, p *core.Program) int64 {
 // it (each term's level is referenceLevels'), and prices it at ring degree
 // 2^logN on a chain of the given length with per-prime key switching.
 func lowerAt(p *core.Program, logN, chainLength int) *Result {
-	chains := map[*core.Term]analysis.Chain{}
-	for t, l := range referenceLevels(p) {
-		chains[t] = make(analysis.Chain, l)
-	}
-	res := Lower(p, chains, rewrite.ComputeLogScales(p))
+	res := Lower(p, factsOf(p, referenceLevels(p), rewrite.ComputeLogScales(p)))
 	res.LogN, res.Plan = logN, &analysis.ParameterPlan{BitSizes: make([]int, chainLength)}
 	return res
 }
@@ -453,4 +449,15 @@ func TestEstimatePeakAccountsDegree3Products(t *testing.T) {
 	if est, want := lowerAt(memProgram(t, 1), 12, 1).PeakMemoryBytes(), int64((2+3)*1*4096*8); est != want {
 		t.Errorf("estimate = %d; want %d", est, want)
 	}
+}
+
+// factsOf builds Lower's facts for p by hand, without validating it: each
+// live term's level from levels and its scale from scales.
+func factsOf(p *core.Program, levels map[*core.Term]int, scales map[*core.Term]float64) *analysis.Facts {
+	f := &analysis.Facts{Order: p.TopoSort(), Chains: core.NewTermMap[analysis.Chain](p), Scales: core.NewTermMap[float64](p)}
+	for _, t := range f.Order {
+		f.Chains.Set(t, make(analysis.Chain, levels[t]))
+		f.Scales.Set(t, scales[t])
+	}
+	return f
 }

@@ -208,14 +208,16 @@ type Output struct {
 // topological order: the dense instruction list with each instruction's kind,
 // basis and key-switching work, the units, kernels, hoist sets, fused chains
 // and invariants the executor runs, the inputs and outputs by id with their
-// level groups, CompiledStats and RotationSteps. chains and scales are
-// analysis.Validate's per-term results and are not kept. Lower checks nothing
-// itself, so a program that fails validation lowers too; the other fields of
-// the Result (Plan, LogN, Options, SourceStats) are the caller's to fill. The
-// program must hold no rotation by a multiple of its vector size
+// level groups, CompiledStats and RotationSteps. facts are analysis.Check's
+// for the program as it stands: Lower walks their Order and reads each term's
+// level (its chain's length) and scale from their tables, and keeps none of
+// them. Lower checks nothing itself, so a program that fails validation
+// lowers too, from facts built by hand; the other fields of the Result (Plan,
+// LogN, Options, SourceStats) are the caller's to fill. The program must hold
+// no rotation by a multiple of its vector size
 // (rewrite.FoldIdentityRotations): the backend has no key for one.
-func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64) *Result {
-	return lower(prog, func(t *core.Term) int { return len(chains[t]) }, func(t *core.Term) float64 { return scales[t] }, true)
+func Lower(prog *core.Program, facts *analysis.Facts) *Result {
+	return lower(prog, facts.Order, func(t *core.Term) int { return len(facts.Chains.Get(t)) }, facts.Scales.Get, true)
 }
 
 // Reference lowers r's program again, for r's parameters, without fused
@@ -224,20 +226,21 @@ func Lower(prog *core.Program, chains map[*core.Term]analysis.Chain, scales map[
 // lowering's mechanisms must reproduce — byte for byte unless a value stays
 // over Q∪P, which changes the rounding.
 func (r *Result) Reference() *Result {
+	order := make([]*core.Term, len(r.Instrs))
 	levels, scales := core.NewTermMap[int](r.Program), core.NewTermMap[float64](r.Program)
-	for _, in := range r.Instrs {
+	for i, in := range r.Instrs {
+		order[i] = in.Term
 		levels.Set(in.Term, in.Level)
 		scales.Set(in.Term, in.LogScale)
 	}
-	ref := lower(r.Program, levels.Get, scales.Get, false)
+	ref := lower(r.Program, order, levels.Get, scales.Get, false)
 	ref.Plan, ref.LogN, ref.Options, ref.SourceStats = r.Plan, r.LogN, r.Options, r.SourceStats
 	return ref
 }
 
-// lower is Lower, finding fused chains and deferring mod-downs only when
-// mechanisms is set.
-func lower(prog *core.Program, level func(*core.Term) int, scale func(*core.Term) float64, mechanisms bool) *Result {
-	order := prog.TopoSort()
+// lower is Lower over order, the program's TopoSort, finding fused chains and
+// deferring mod-downs only when mechanisms is set.
+func lower(prog *core.Program, order []*core.Term, level func(*core.Term) int, scale func(*core.Term) float64, mechanisms bool) *Result {
 	n := len(order)
 	r := &Result{Program: prog, VecSize: prog.VecSize, Instrs: make([]Instr, n), Cache: newPlainCache()}
 	ids := core.NewTermMap[int32](prog) // each live term's index in order

@@ -109,11 +109,11 @@ func TestPeakIgnoresDeadTerms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chains, scales, err := analysis.Validate(back, opts.MaxRescaleLog)
+		facts, err := analysis.Check(back, opts.MaxRescaleLog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := compile.Lower(back, chains, scales)
+		rt := compile.Lower(back, facts)
 		rt.Plan, rt.LogN = res.Plan, res.LogN
 		if got, trip := res.PeakMemoryBytes(), rt.PeakMemoryBytes(); got != peak || trip != peak {
 			t.Errorf("%s: peak %d B, after a round trip %d B; want %d B", name, got, trip, peak)

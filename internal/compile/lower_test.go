@@ -254,29 +254,29 @@ func TestChainAdmission(t *testing.T) {
 		name   string
 		square bool
 		// skew makes the second product differ from the first.
-		skew  func(p2 *core.Term, chains map[*core.Term]analysis.Chain, scales map[*core.Term]float64)
+		skew  func(p2 *core.Term, levels map[*core.Term]int, scales map[*core.Term]float64)
 		fused bool
 	}{
-		{"uniform", false, func(*core.Term, map[*core.Term]analysis.Chain, map[*core.Term]float64) {}, true},
-		{"levels differ", false, func(p2 *core.Term, chains map[*core.Term]analysis.Chain, _ map[*core.Term]float64) {
-			chains[p2] = analysis.Chain{60}
+		{"uniform", false, func(*core.Term, map[*core.Term]int, map[*core.Term]float64) {}, true},
+		{"levels differ", false, func(p2 *core.Term, levels map[*core.Term]int, _ map[*core.Term]float64) {
+			levels[p2] = 1
 		}, false},
-		{"scales differ", false, func(p2 *core.Term, _ map[*core.Term]analysis.Chain, scales map[*core.Term]float64) {
+		{"scales differ", false, func(p2 *core.Term, _ map[*core.Term]int, scales map[*core.Term]float64) {
 			scales[p2]++
 		}, false},
-		{"degree-2 leaf", true, func(p2 *core.Term, _ map[*core.Term]analysis.Chain, scales map[*core.Term]float64) {
+		{"degree-2 leaf", true, func(p2 *core.Term, _ map[*core.Term]int, scales map[*core.Term]float64) {
 			scales[p2] = 60 // as the first product's, so only the degree differs
 		}, false},
 	}
 	for _, tc := range cases {
 		prog, p1, p2 := build(tc.square)
-		chains := map[*core.Term]analysis.Chain{}
+		levels := map[*core.Term]int{}
 		scales := rewrite.ComputeLogScales(prog)
-		tc.skew(p2, chains, scales)
+		tc.skew(p2, levels, scales)
 		if scales[p1] != 60 {
 			t.Fatalf("%s: first product at scale %g, want 60", tc.name, scales[p1])
 		}
-		res := Lower(prog, chains, scales)
+		res := Lower(prog, factsOf(prog, levels, scales))
 		if fused := slices.ContainsFunc(res.Instrs, func(in Instr) bool { return in.Chain != nil }); fused != tc.fused {
 			t.Errorf("%s: fused %v, want %v", tc.name, fused, tc.fused)
 		}

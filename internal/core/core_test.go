@@ -281,8 +281,8 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone shares term pointers with the original")
 	}
 	cp.InsertUnaryAfter(cx, OpRelinearize, nil)
-	for _, u := range x.Uses() {
-		if u.Op == OpRelinearize {
+	for _, e := range x.UseEdges() {
+		if e.Child.Op == OpRelinearize {
 			t.Fatal("mutating clone affected original")
 		}
 	}

@@ -390,9 +390,9 @@ func (p *Program) ValidateStructure(asInput bool) ([]*Term, error) {
 	return order, nil
 }
 
-// Clone returns a deep copy of the program with the same term IDs.
-// Compilation operates on a clone so the caller's input program is never
-// mutated.
+// Clone returns a copy of the program's graph with the same term IDs; the
+// copies share the originals' immutable constant values. Compilation operates
+// on a clone so the caller's input program is never mutated.
 func (p *Program) Clone() *Program {
 	cp := &Program{
 		Name:    p.Name,
@@ -416,7 +416,7 @@ func (p *Program) Clone() *Program {
 			ID:       t.ID,
 			Op:       t.Op,
 			Name:     t.Name,
-			Value:    append([]float64(nil), t.Value...),
+			Value:    t.Value, // immutable, so shared
 			InType:   t.InType,
 			VecWidth: t.VecWidth,
 			LogScale: t.LogScale,

@@ -17,7 +17,9 @@ type Term struct {
 	parms []*Term // ordered parameters (parents)
 	uses  []use   // children together with the parameter slot they use this term in
 
-	// Attributes of leaf terms.
+	// Attributes of leaf terms. A constant's Value is immutable once the
+	// term is built: NewConstant takes its own copy, and Clone and the
+	// compiled program share it.
 	Name     string    // input name (OpInput)
 	Value    []float64 // constant value (OpConstant); length 1 for scalars
 	InType   Type      // declared type of an OpInput / OpConstant leaf
@@ -49,14 +51,15 @@ func (t *Term) Parms() []*Term { return t.parms }
 // Parm returns the i-th parameter.
 func (t *Term) Parm(i int) *Term { return t.parms[i] }
 
-// Uses returns the children referring to this term. The same child appears
-// once per parameter slot through which it uses the term.
-func (t *Term) Uses() []*Term {
-	out := make([]*Term, len(t.uses))
-	for i, u := range t.uses {
-		out[i] = u.child
-	}
-	return out
+// NumUses returns the number of (child, slot) references to this term: a
+// child counts once per parameter slot through which it uses the term.
+func (t *Term) NumUses() int { return len(t.uses) }
+
+// UseAt returns the i-th (child, slot) reference to this term without
+// copying the use list; a graph edit may reorder it.
+func (t *Term) UseAt(i int) UseEdge {
+	u := t.uses[i]
+	return UseEdge{Child: u.child, Slot: u.slot}
 }
 
 // UseEdge identifies one reference to a term: the child instruction and the

@@ -86,8 +86,8 @@ func reaches(a, b *core.Term) bool {
 	if a == b {
 		return true
 	}
-	for _, u := range a.Uses() {
-		if reaches(u, b) {
+	for _, e := range a.UseEdges() {
+		if reaches(e.Child, b) {
 			return true
 		}
 	}

@@ -66,7 +66,8 @@ func referenceTopoSort(p *core.Program) []*core.Term {
 		queue = queue[1:]
 		out = append(out, t)
 		seen := map[*core.Term]bool{}
-		for _, c := range t.Uses() {
+		for _, e := range t.UseEdges() {
+			c := e.Child
 			if !live[c] || seen[c] {
 				continue
 			}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"eva/internal/analysis"
 	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
@@ -37,7 +38,11 @@ func compileSkippingPasses(t *testing.T, p *core.Program, transform func(*core.P
 	}
 	// Keep the (valid) parameter plan, so execution reaches the backend and
 	// fails there.
-	bad := compile.Lower(prog, nil, rewrite.ComputeLogScales(prog))
+	facts := &analysis.Facts{Order: prog.TopoSort(), Chains: core.NewTermMap[analysis.Chain](prog), Scales: core.NewTermMap[float64](prog)}
+	for term, s := range rewrite.ComputeLogScales(prog) {
+		facts.Scales.Set(term, s)
+	}
+	bad := compile.Lower(prog, facts)
 	bad.Plan, bad.LogN, bad.Options, bad.SourceStats = good.Plan, good.LogN, good.Options, good.SourceStats
 	return bad
 }

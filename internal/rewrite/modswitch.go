@@ -71,8 +71,8 @@ func InsertModSwitchEager(p *core.Program) {
 		t := order[i]
 		equalizeUses(p, t, rlevels, outputs.Get(t))
 		r := 0
-		for _, u := range t.Uses() {
-			r = max(r, rlevels.Get(u))
+		for j := range t.NumUses() {
+			r = max(r, rlevels.Get(t.UseAt(j).Child))
 		}
 		if t.Op.IsModulusChanging() {
 			r++
@@ -110,10 +110,22 @@ func InsertModSwitchEager(p *core.Program) {
 // after t so that lower-requirement uses are fed through additional drops.
 // An output (isOutput) requires level 0.
 func equalizeUses(p *core.Program, t *core.Term, rlevels *core.TermMap[int], isOutput bool) {
-	edges := t.UseEdges()
-	if len(edges) == 0 && !isOutput {
+	// Most terms' uses agree: check that before snapshotting anything.
+	want, agree := -1, true
+	if isOutput {
+		want = 0
+	}
+	for i := 0; agree && i < t.NumUses(); i++ {
+		l := rlevels.Get(t.UseAt(i).Child)
+		if want < 0 {
+			want = l
+		}
+		agree = l == want
+	}
+	if agree {
 		return
 	}
+	edges := t.UseEdges()
 	// Distinct required levels among uses (outputs require level 0).
 	levelSet := map[int]bool{}
 	for _, e := range edges {
@@ -121,9 +133,6 @@ func equalizeUses(p *core.Program, t *core.Term, rlevels *core.TermMap[int], isO
 	}
 	if isOutput {
 		levelSet[0] = true
-	}
-	if len(levelSet) <= 1 {
-		return
 	}
 	levels := make([]int, 0, len(levelSet))
 	for l := range levelSet {

@@ -33,8 +33,8 @@ func reverseLevels(p *core.Program) map[*core.Term]int {
 	order := p.TopoSort()
 	for i := len(order) - 1; i >= 0; i-- {
 		r := 0
-		for _, u := range order[i].Uses() {
-			r = max(r, rlevels[u])
+		for _, e := range order[i].UseEdges() {
+			r = max(r, rlevels[e.Child])
 		}
 		if order[i].Op.IsModulusChanging() {
 			r++
@@ -256,8 +256,8 @@ func TestFigure5LazyVsEagerModSwitch(t *testing.T) {
 		t.Errorf("eager MOD_SWITCH parent is %s, want the input", ms.Parm(0).Op)
 	}
 	addUses := 0
-	for _, u := range ms.Uses() {
-		if u.Op == core.OpAdd {
+	for _, e := range ms.UseEdges() {
+		if e.Child.Op == core.OpAdd {
 			addUses++
 		}
 	}
@@ -298,9 +298,9 @@ func TestFigure2Relinearize(t *testing.T) {
 		if types.Get(term.Parm(0)) != core.TypeCipher || types.Get(term.Parm(1)) != core.TypeCipher {
 			continue
 		}
-		for _, u := range term.Uses() {
-			if u.Op != core.OpRelinearize {
-				t.Errorf("ct-ct multiply %s is used by %s before relinearization", term, u)
+		for _, e := range term.UseEdges() {
+			if e.Child.Op != core.OpRelinearize {
+				t.Errorf("ct-ct multiply %s is used by %s before relinearization", term, e.Child)
 			}
 		}
 	}
@@ -424,7 +424,7 @@ func TestEagerModSwitchEqualizesRoots(t *testing.T) {
 		t.Errorf("root rlevels differ after eager insertion: %d vs %d", rlevels[x], rlevels[y])
 	}
 	// y's drops were inserted directly below y.
-	if len(y.Uses()) != 1 || y.Uses()[0].Op != core.OpModSwitch {
+	if y.NumUses() != 1 || y.UseAt(0).Child.Op != core.OpModSwitch {
 		t.Error("shallow root should feed a MOD_SWITCH chain")
 	}
 	// The shallow output follows the chain.

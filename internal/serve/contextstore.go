@@ -334,9 +334,12 @@ func (s *Server) resultJanitor() {
 	}
 }
 
+// sweepResults deletes the stored results older than retention. A failed
+// listing or delete is logged at warn; the next sweep tries again.
 func (s *Server) sweepResults(retention time.Duration) {
 	ids, err := s.cfg.Store.List(kindResult)
 	if err != nil {
+		s.log.Warn("stored job results not swept: listing them failed", slog.String("error", err.Error()))
 		return
 	}
 	cutoff := time.Now().Add(-retention)
@@ -346,7 +349,11 @@ func (s *Server) sweepResults(retention time.Duration) {
 		if err == nil {
 			var rec resultRecord
 			if json.Unmarshal(data, &rec) != nil || rec.FinishedAt.Before(cutoff) {
-				s.cfg.Store.Delete(kindResult, id)
+				if err := s.cfg.Store.Delete(kindResult, id); err != nil {
+					s.log.Warn("expired job result not deleted from the store; the next sweep retries it",
+						slog.String(obs.LogJobID, id),
+						slog.String("error", err.Error()))
+				}
 			}
 		}
 		s.resultMu.Unlock()

@@ -326,6 +326,59 @@ func TestStoredResultServedOnlyOnceDeleted(t *testing.T) {
 	}
 }
 
+// unlistableResultStore fails every listing of the job results.
+type unlistableResultStore struct{ store.Store }
+
+func (u unlistableResultStore) List(kind string) ([]string, error) {
+	if kind == kindResult {
+		return nil, errors.New("permission denied")
+	}
+	return u.Store.List(kind)
+}
+
+// TestSweepReportsStoreFailures: a result janitor sweep that cannot delete
+// an expired result logs it at warn with the job id, keeps the record, and
+// the next sweep deletes it once the store recovers; a sweep that cannot
+// list the results logs at warn too.
+func TestSweepReportsStoreFailures(t *testing.T) {
+	var logs lockedBuffer
+	st := &undeletableResultStore{Store: store.NewMemory()}
+	st.failing.Store(true)
+	s := NewServer(Config{Store: st, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	defer s.Close()
+	const id = "expired-job"
+	data, err := json.Marshal(resultRecord{JobID: id, Status: "done", FinishedAt: time.Now().Add(-2 * time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(kindResult, id, data); err != nil {
+		t.Fatal(err)
+	}
+
+	s.sweepResults(time.Hour)
+	if _, err := st.Get(kindResult, id); err != nil {
+		t.Fatalf("record gone after a failed delete: %v", err)
+	}
+	for _, want := range []string{`"level":"WARN"`, `"job_id":"` + id + `"`, "read-only file system"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("sweep log lacks %s:\n%s", want, logs.String())
+		}
+	}
+	st.failing.Store(false)
+	s.sweepResults(time.Hour)
+	if _, err := st.Get(kindResult, id); err == nil {
+		t.Error("the next sweep did not delete the expired record")
+	}
+
+	var listLogs lockedBuffer
+	unlistable := NewServer(Config{Store: unlistableResultStore{store.NewMemory()}, Logger: slog.New(slog.NewJSONHandler(&listLogs, nil))})
+	defer unlistable.Close()
+	unlistable.sweepResults(time.Hour)
+	if !strings.Contains(listLogs.String(), `"level":"WARN"`) || !strings.Contains(listLogs.String(), "permission denied") {
+		t.Errorf("no warning for a failed list:\n%s", listLogs.String())
+	}
+}
+
 // failingResultStore refuses every write of a job result.
 type failingResultStore struct{ store.Store }
 
