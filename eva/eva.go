@@ -75,7 +75,8 @@ const (
 // Context bundles the CKKS runtime objects for a compiled program.
 type Context = execute.Context
 
-// KeyMaterial is the key set (secret, public, relinearization, rotation keys).
+// KeyMaterial is the key set (secret, relinearization, rotation keys); the
+// secret key both encrypts and decrypts.
 type KeyMaterial = execute.KeyMaterial
 
 // Inputs maps input names to plaintext vectors.

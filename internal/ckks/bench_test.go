@@ -312,9 +312,9 @@ func BenchmarkRotateHoisted(b *testing.B) {
 	})
 }
 
-// BenchmarkKeyGeneration generates a secret, a public and a relinearization
-// key: the switching key is ⌈L/α⌉ samples over L+α limbs, so it shrinks with
-// the digit size. The rotations=8 case generates the eight rotation keys of
+// BenchmarkKeyGeneration generates a secret and a relinearization key: the
+// switching key is ⌈L/α⌉ samples over L+α limbs, so it shrinks with the
+// digit size. The rotations=8 case generates the eight rotation keys of
 // Sobel on the production-size chain (α = 1): rotation keys are the bulk of
 // an application's key generation.
 func BenchmarkKeyGeneration(b *testing.B) {
@@ -324,7 +324,6 @@ func BenchmarkKeyGeneration(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			kg := NewKeyGenerator(tc.params, prng)
 			sk := kg.GenSecretKey()
-			kg.GenPublicKey(sk)
 			if _, err := kg.GenRelinearizationKey(sk); err != nil {
 				b.Fatal(err)
 			}

@@ -16,7 +16,6 @@ type testContext struct {
 	enc    *Encoder
 	kg     *KeyGenerator
 	sk     *SecretKey
-	pk     *PublicKey
 	rlk    *RelinearizationKey
 	rtk    *RotationKeySet
 	encr   *Encryptor
@@ -42,7 +41,6 @@ func newTestContextSpecials(t testing.TB, logN int, logQi, logPi []int, scale fl
 	prng := NewTestPRNG(42)
 	kg := NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	var rlk *RelinearizationKey
 	var rtk *RotationKeySet
 	if len(logPi) > 0 {
@@ -62,10 +60,9 @@ func newTestContextSpecials(t testing.TB, logN int, logQi, logPi []int, scale fl
 		enc:    NewEncoder(params),
 		kg:     kg,
 		sk:     sk,
-		pk:     pk,
 		rlk:    rlk,
 		rtk:    rtk,
-		encr:   NewEncryptor(params, pk, prng),
+		encr:   NewEncryptor(params, sk, prng),
 		decr:   NewDecryptor(params, sk),
 		eval:   NewEvaluator(params, EvaluationKeys{Rlk: rlk, Rtk: rtk}),
 	}
@@ -111,6 +108,33 @@ func TestEncryptDecrypt(t *testing.T) {
 	values := tc.randomVector(1, 0)
 	ct := tc.encrypt(t, values)
 	requireClose(t, tc.decryptTo(t, ct), values, 1e-6, "encrypt/decrypt")
+}
+
+// TestFreshEncryptionNoise checks that a fresh encryption carries exactly
+// the Gaussian error e: c0 + c1·s − m, read as a centered integer
+// polynomial, stays within the sampler's 6σ truncation at every level the
+// plaintext can sit on. A public-key encryption would add u·e with standard
+// deviation σ·√(2N/3), far outside that bound.
+func TestFreshEncryptionNoise(t *testing.T) {
+	tc := newTestContext(t, 12, []int{50, 40, 40}, 50, 1<<40, nil)
+	r := tc.params.RingQ()
+	bound := int64(math.Round(6 * tc.params.Sigma()))
+	for level := tc.params.MaxLevel(); level >= 0; level-- {
+		pt, err := tc.enc.Encode(tc.randomVector(int64(level), 0), tc.params.DefaultScale(), level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := tc.encr.Encrypt(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct.Level != level || ct.Value[1].Level() != level {
+			t.Fatalf("level %d: ciphertext at level %d (a at %d)", level, ct.Level, ct.Value[1].Level())
+		}
+		if worst := maxCenteredDiff(t, r, tc.decr.Decrypt(ct).Value, pt.Value); worst > bound {
+			t.Fatalf("level %d: fresh noise reaches %d; the Gaussian error is truncated at %d", level, worst, bound)
+		}
+	}
 }
 
 func TestHomomorphicAddSub(t *testing.T) {

@@ -2,23 +2,28 @@ package ckks
 
 import (
 	"fmt"
+
+	"eva/internal/ring"
 )
 
-// Encryptor encrypts plaintexts under a public key.
+// Encryptor encrypts plaintexts under the secret key. In EVA's deployment
+// model the party that encrypts is the one that generated the keys, so no
+// public key is needed.
 type Encryptor struct {
 	params  *Parameters
-	pk      *PublicKey
+	sk      *SecretKey
 	sampler *sampler
 }
 
-// NewEncryptor returns an encryptor for the given public key; prng may be nil
+// NewEncryptor returns an encryptor for the given secret key; prng may be nil
 // to use a secure default.
-func NewEncryptor(params *Parameters, pk *PublicKey, prng *PRNG) *Encryptor {
-	return &Encryptor{params: params, pk: pk, sampler: newSampler(params, prng)}
+func NewEncryptor(params *Parameters, sk *SecretKey, prng *PRNG) *Encryptor {
+	return &Encryptor{params: params, sk: sk, sampler: newSampler(params, prng)}
 }
 
-// Encrypt produces a fresh degree-1 ciphertext of the plaintext:
-// (b·u + e0 + m, a·u + e1).
+// Encrypt produces a fresh degree-1 ciphertext of the plaintext,
+// (−a·s + e + m, a) with a uniform at the plaintext's level: its only noise
+// is the Gaussian e.
 func (enc *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 	if pt == nil || pt.Value == nil {
 		return nil, fmt.Errorf("ckks: encrypting nil plaintext")
@@ -26,24 +31,15 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 	if !pt.Value.IsNTT {
 		return nil, fmt.Errorf("ckks: plaintext must be in NTT form")
 	}
-	params := enc.params
-	r := params.RingQ()
+	r := enc.params.RingQ()
 	level := pt.Level
-
-	u := enc.sampler.signedToPoly(r, enc.sampler.ternarySigned(), level)
-	r.NTT(u)
-	e0 := enc.sampler.signedToPoly(r, enc.sampler.gaussianSigned(), level)
-	r.NTT(e0)
-	e1 := enc.sampler.signedToPoly(r, enc.sampler.gaussianSigned(), level)
-	r.NTT(e1)
-
-	ct := NewCiphertext(params, 2, level, pt.Scale)
-	r.MulCoeffs(enc.pk.B, u, ct.Value[0])
-	r.Add(ct.Value[0], e0, ct.Value[0])
-	r.Add(ct.Value[0], pt.Value, ct.Value[0])
-	r.MulCoeffs(enc.pk.A, u, ct.Value[1])
-	r.Add(ct.Value[1], e1, ct.Value[1])
-	return ct, nil
+	a := enc.sampler.uniform(r, level)
+	e := enc.sampler.gaussianSigned()
+	b := r.NewPoly(level)
+	ring.Parallel(level+1, func(i int) { rlweLimb(r.Moduli[i], e, a.Coeffs[i], enc.sk.Value.Coeffs[i], nil, b.Coeffs[i]) })
+	b.IsNTT = true
+	r.Add(b, pt.Value, b)
+	return &Ciphertext{Value: []*ring.Poly{b, a}, Scale: pt.Scale, Level: level}, nil
 }
 
 // Decryptor decrypts ciphertexts with the secret key.

@@ -17,12 +17,6 @@ type SecretKey struct {
 	ValueP *ring.Poly
 }
 
-// PublicKey is a (b, a) = (-a*s + e, a) RLWE sample in NTT form at the top level.
-type PublicKey struct {
-	B *ring.Poly
-	A *ring.Poly
-}
-
 // SwitchingKey re-encrypts, under the owner's secret s, a "foreign" secret s'
 // (either s² for relinearization or a rotated copy of s for rotations). It
 // holds one RLWE sample per decomposition digit — a group of α consecutive
@@ -121,19 +115,6 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 		rp.NTT(sk.ValueP)
 	}
 	return sk
-}
-
-// GenPublicKey derives a public key from the secret key.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	params := kg.params
-	r := params.RingQ()
-	level := params.MaxLevel()
-	a := kg.sampler.uniform(r, level)
-	e := kg.sampler.gaussianSigned()
-	b := r.NewPoly(level)
-	ring.Parallel(level+1, func(i int) { rlweLimb(r.Moduli[i], e, a.Coeffs[i], sk.Value.Coeffs[i], nil, b.Coeffs[i]) })
-	b.IsNTT = true
-	return &PublicKey{B: b, A: a}
 }
 
 // GenRelinearizationKey generates the switching key for s², enabling
@@ -251,8 +232,8 @@ func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []
 // rlweLimb writes one limb of an RLWE sample's b = −a·s + e (NTT domain):
 // the signed error e reduced modulo m and transformed, minus a·s — by Shoup
 // multiplication when sShoup holds s's Shoup quotients, by Barrett reduction
-// when it is nil (a lone sample, where building the quotients would cost
-// more than they save). Both give the exact residue.
+// when it is nil (a fresh encryption, where building the quotients would
+// cost more than they save). Both give the exact residue.
 func rlweLimb(m *ring.Modulus, e []int64, a, s, sShoup, b []uint64) {
 	q, br := m.Q, m.Barrett()
 	for t, c := range e {

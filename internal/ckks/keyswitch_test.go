@@ -9,17 +9,24 @@ import (
 	"eva/internal/ring"
 )
 
-// noiseBits returns log2 of the largest coefficient of got − want, both
-// NTT-form polynomials at one level, read as a centered integer polynomial.
-// Key-switch noise is far below any chain prime, so the centered residue of
+// noiseBits returns log2 of the largest coefficient of got − want (see
+// maxCenteredDiff).
+func noiseBits(t *testing.T, r *ring.Ring, got, want *ring.Poly) float64 {
+	t.Helper()
+	return math.Log2(float64(maxCenteredDiff(t, r, got, want)) + 1)
+}
+
+// maxCenteredDiff returns the largest absolute coefficient of got − want,
+// both NTT-form polynomials at one level, read as a centered integer
+// polynomial. Noise is far below any chain prime, so the centered residue of
 // limb 0 is the integer itself; every other limb must agree with it, which
 // fails loudly if the difference is not small.
-func noiseBits(t *testing.T, r *ring.Ring, got, want *ring.Poly) float64 {
+func maxCenteredDiff(t *testing.T, r *ring.Ring, got, want *ring.Poly) int64 {
 	t.Helper()
 	diff := r.NewPoly(got.Level())
 	r.Sub(got, want, diff)
 	r.InvNTT(diff)
-	worst := 0.0
+	var worst int64
 	for j := range diff.Coeffs[0] {
 		e := numth.CenteredRem(diff.Coeffs[0][j], r.Moduli[0].Q)
 		for i := 1; i < len(diff.Coeffs); i++ {
@@ -27,9 +34,9 @@ func noiseBits(t *testing.T, r *ring.Ring, got, want *ring.Poly) float64 {
 				t.Fatalf("coefficient %d: the difference is not a small integer (limb 0 reads %d, limb %d disagrees)", j, e, i)
 			}
 		}
-		worst = math.Max(worst, math.Abs(float64(e)))
+		worst = max(worst, e, -e)
 	}
-	return math.Log2(worst + 1)
+	return worst
 }
 
 // TestKeySwitchNoise pins the arithmetic of hybrid key switching for every

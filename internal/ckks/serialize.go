@@ -10,7 +10,7 @@ import (
 	"eva/internal/ring"
 )
 
-// Binary serialization of ciphertexts, plaintexts and public key material.
+// Binary serialization of ciphertexts, plaintexts and key material.
 // In the paper's deployment model the client encrypts inputs locally and
 // ships ciphertexts (and evaluation keys) to the untrusted server, so wire
 // formats are part of the system. The format is a simple
@@ -20,7 +20,6 @@ import (
 const (
 	magicCiphertext byte = 0xC1
 	magicPlaintext  byte = 0xA1
-	magicPublicKey  byte = 0xB1
 
 	// The key formats that carry special-prime material are at their second
 	// layout: digits of α chain primes with α special limbs each. The first
@@ -165,29 +164,6 @@ func (pt *Plaintext) UnmarshalBinary(data []byte) error {
 	pt.Level = int(level)
 	pt.Scale = math.Float64frombits(scaleBits)
 	pt.Value, err = readPoly(r)
-	return err
-}
-
-// MarshalBinary encodes the public key.
-func (pk *PublicKey) MarshalBinary() ([]byte, error) {
-	buf := &bytes.Buffer{}
-	buf.WriteByte(magicPublicKey)
-	writePoly(buf, pk.B)
-	writePoly(buf, pk.A)
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary decodes a public key produced by MarshalBinary.
-func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
-	if err != nil || magic != magicPublicKey {
-		return fmt.Errorf("ckks: not a public-key payload")
-	}
-	if pk.B, err = readPoly(r); err != nil {
-		return err
-	}
-	pk.A, err = readPoly(r)
 	return err
 }
 

@@ -58,16 +58,7 @@ func TestPlaintextSerializationRoundTrip(t *testing.T) {
 func TestKeySerializationRoundTrip(t *testing.T) {
 	tc := newTestContext(t, 12, []int{50, 40}, 50, 1<<40, nil)
 
-	pkData, err := tc.pk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk := &PublicKey{}
-	if err := pk.UnmarshalBinary(pkData); err != nil {
-		t.Fatal(err)
-	}
-	// Encrypt under the restored public key and decrypt with the restored
-	// secret key.
+	// Encrypt and decrypt under the restored secret key.
 	skData, err := tc.sk.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -78,13 +69,13 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 	}
 	values := tc.randomVector(23, 0)
 	pt, _ := tc.enc.Encode(values, tc.params.DefaultScale(), tc.params.MaxLevel())
-	enc := NewEncryptor(tc.params, pk, NewTestPRNG(77))
+	enc := NewEncryptor(tc.params, sk, NewTestPRNG(77))
 	ct, err := enc.Encrypt(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec := NewDecryptor(tc.params, sk)
-	requireClose(t, tc.enc.Decode(dec.Decrypt(ct)), values, 1e-6, "restored key pair")
+	requireClose(t, tc.enc.Decode(dec.Decrypt(ct)), values, 1e-6, "restored secret key")
 }
 
 // TestEvaluationKeySerializationRoundTrip ships the public evaluation keys
@@ -157,10 +148,6 @@ func TestSerializationRejectsGarbage(t *testing.T) {
 	pt := &Plaintext{}
 	if err := pt.UnmarshalBinary([]byte{0xFF}); err == nil {
 		t.Error("expected error for wrong plaintext magic")
-	}
-	pk := &PublicKey{}
-	if err := pk.UnmarshalBinary(nil); err == nil {
-		t.Error("expected error for empty public key payload")
 	}
 	sk := &SecretKey{}
 	if err := sk.UnmarshalBinary([]byte{magicSecretKey}); err == nil {

@@ -18,8 +18,8 @@ import (
 
 // Context bundles the CKKS backend objects needed to execute a compiled
 // program: parameters, the encoder, and an evaluator armed with the public
-// evaluation keys. Encryption and decryption additionally need the key pair,
-// which the helper functions below manage.
+// evaluation keys. Encryption and decryption additionally need the secret
+// key, which the helper functions below take from the KeyMaterial.
 type Context struct {
 	Params    *ckks.Parameters
 	Encoder   *ckks.Encoder
@@ -30,16 +30,16 @@ type Context struct {
 	KeyGenTime time.Duration
 }
 
-// KeyMaterial is the full key set produced for a compiled program.
+// KeyMaterial is the full key set produced for a compiled program: the
+// secret key, which both encrypts and decrypts, and the evaluation keys.
 type KeyMaterial struct {
 	Secret *ckks.SecretKey
-	Public *ckks.PublicKey
 	Relin  *ckks.RelinearizationKey
 	Rot    *ckks.RotationKeySet
 }
 
 // NewContext generates the encryption context for a compiled program: the
-// concrete encryption parameters, the key pair, the relinearization key, and
+// concrete encryption parameters, the secret key, the relinearization key, and
 // one Galois key per rotation step the compiler selected. prng may be nil for
 // a securely seeded default.
 func NewContext(res *compile.Result, prng *ckks.PRNG) (*Context, *KeyMaterial, error) {
@@ -50,7 +50,6 @@ func NewContext(res *compile.Result, prng *ckks.PRNG) (*Context, *KeyMaterial, e
 	}
 	kg := ckks.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		return nil, nil, fmt.Errorf("execute: relinearization key: %w", err)
@@ -68,7 +67,7 @@ func NewContext(res *compile.Result, prng *ckks.PRNG) (*Context, *KeyMaterial, e
 		Evaluator:  ckks.NewEvaluator(params, ckks.EvaluationKeys{Rlk: rlk, Rtk: rtk}),
 		KeyGenTime: time.Since(start),
 	}
-	return ctx, &KeyMaterial{Secret: sk, Public: pk, Relin: rlk, Rot: rtk}, nil
+	return ctx, &KeyMaterial{Secret: sk, Relin: rlk, Rot: rtk}, nil
 }
 
 // NewEvaluationContext builds the server-side execution context from public
@@ -165,7 +164,7 @@ func EncryptInputs(ctx *Context, res *compile.Result, keys *KeyMaterial, values 
 // to match them. Every name must be a Cipher input of the program.
 func EncryptSelected(ctx *Context, res *compile.Result, keys *KeyMaterial, values Inputs, entry []int, prng *ckks.PRNG) (map[string]*ckks.Ciphertext, time.Duration, error) {
 	start := time.Now()
-	enc := ckks.NewEncryptor(ctx.Params, keys.Public, prng)
+	enc := ckks.NewEncryptor(ctx.Params, keys.Secret, prng)
 	out := make(map[string]*ckks.Ciphertext, len(values))
 	for _, in := range res.Inputs {
 		t := in.Term

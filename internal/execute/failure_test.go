@@ -217,7 +217,7 @@ func TestRunRejectsInputsBreakingTheContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, err := ckks.NewEncryptor(ctx.Params, keys.Public, prng).Encrypt(pt)
+	skewed, err := ckks.NewEncryptor(ctx.Params, keys.Secret, prng).Encrypt(pt)
 	if err != nil {
 		t.Fatal(err)
 	}

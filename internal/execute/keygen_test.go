@@ -13,7 +13,7 @@ import (
 
 // keyPolys flattens a key set into its polynomials in a fixed order.
 func keyPolys(km *KeyMaterial) []*ring.Poly {
-	polys := []*ring.Poly{km.Secret.Value, km.Secret.ValueP, km.Public.B, km.Public.A}
+	polys := []*ring.Poly{km.Secret.Value, km.Secret.ValueP}
 	add := func(swk *ckks.SwitchingKey) {
 		for j := range swk.BQ {
 			polys = append(polys, swk.BQ[j], swk.AQ[j], swk.BP[j], swk.AP[j])

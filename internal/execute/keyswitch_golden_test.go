@@ -50,8 +50,9 @@ func goldenDigests(t *testing.T) map[string]string {
 // it: on plan_diff_test's corpus, with the compiler's digit-size choice
 // overridden to 1 and run as the reference lowering (fixture.runReference),
 // keys, inputs and every output ciphertext are byte-identical to what the
-// commit with the per-prime key switch produced (digests recorded there, see
-// the golden file); the differential tests show that the program as compiled
+// commit with the per-prime key switch produced (digests recorded there, and
+// re-recorded with the evaluator's bytes unchanged when encryption moved to
+// the secret key; see the golden file); the differential tests show that the program as compiled
 // produces the same bytes unless it defers mod-downs. For the programs that
 // do, the digest of its run is pinned too (keyswitch_fused.golden). Digit sizes above 1
 // compute a different — equally valid — lift of each digit, so their outputs

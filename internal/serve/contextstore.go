@@ -24,9 +24,9 @@ const (
 // context: the program it belongs to plus every key needed to rebuild the
 // CKKS runtime objects, each in the ckks binary wire format (base64). For
 // contexts created by server-side keygen (demo mode) the bundle also
-// carries the secret and public keys — the server already held them — so a
-// restored or replicated demo context can keep encrypting plaintext values
-// and decrypting outputs. Client-keygen bundles carry public evaluation
+// carries the secret key — the server already held it — so a restored or
+// replicated demo context can keep encrypting plaintext values and
+// decrypting outputs. Client-keygen bundles carry public evaluation
 // material only, preserving the paper's threat model.
 //
 // The bundle doubles as the context's artifact-store record and as the wire
@@ -40,7 +40,6 @@ type ContextBundle struct {
 	Relin       string `json:"relin,omitempty"`
 	RotationSet string `json:"rotation_set,omitempty"`
 	Secret      string `json:"secret,omitempty"` // demo contexts only
-	Public      string `json:"public,omitempty"` // demo contexts only
 }
 
 func marshalKeyB64(m interface{ MarshalBinary() ([]byte, error) }) (string, error) {
@@ -71,9 +70,6 @@ func buildBundle(programID string, keys *execute.KeyMaterial, rlk *ckks.Relinear
 		b.Demo = true
 		if b.Secret, err = marshalKeyB64(keys.Secret); err != nil {
 			return nil, fmt.Errorf("serve: bundling secret key: %w", err)
-		}
-		if b.Public, err = marshalKeyB64(keys.Public); err != nil {
-			return nil, fmt.Errorf("serve: bundling public key: %w", err)
 		}
 	}
 	return b, nil
@@ -122,18 +118,14 @@ func (s *Server) restoreContext(id string, b *ContextBundle) (*contextEntry, err
 		ce.CreatedAt = time.Now()
 	}
 	if b.Demo {
-		if b.Secret == "" || b.Public == "" {
+		if b.Secret == "" {
 			return nil, fmt.Errorf("serve: context %s: demo bundle is missing key material", id)
 		}
 		sk := &ckks.SecretKey{}
 		if err := decodeKeyB64(b.Secret, "secret key", sk); err != nil {
 			return nil, err
 		}
-		pk := &ckks.PublicKey{}
-		if err := decodeKeyB64(b.Public, "public key", pk); err != nil {
-			return nil, err
-		}
-		ce.Keys = &execute.KeyMaterial{Secret: sk, Public: pk, Relin: rlk, Rot: rtk}
+		ce.Keys = &execute.KeyMaterial{Secret: sk, Relin: rlk, Rot: rtk}
 	}
 	if s.cfg.AllowContextTransfer {
 		ce.Bundle = b

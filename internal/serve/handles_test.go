@@ -67,7 +67,6 @@ func newHandleFixture(t testing.TB, cfg Config) *handleFixture {
 	prng := ckks.NewTestPRNG(21)
 	kg := ckks.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func newHandleFixture(t testing.TB, cfg Config) *handleFixture {
 		params:    params,
 		scales:    comp.InputScales,
 		encoder:   ckks.NewEncoder(params),
-		encryptor: ckks.NewEncryptor(params, pk, prng),
+		encryptor: ckks.NewEncryptor(params, sk, prng),
 		decryptor: ckks.NewDecryptor(params, sk),
 	}
 }
@@ -604,7 +603,7 @@ func TestHandleAdmissionUsesPerInputDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ckks.NewEncryptor(ce.Ctx.Params, ce.Keys.Public, ckks.NewTestPRNG(10)).Encrypt(pt)
+	ct, err := ckks.NewEncryptor(ce.Ctx.Params, ce.Keys.Secret, ckks.NewTestPRNG(10)).Encrypt(pt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		t.Fatalf("the deep program compiled to special primes %v; this test needs a grouped digit", comp.Params.LogPi)
 	}
 
-	keysFor := func(lit ckks.ParametersLiteral) (*ckks.Parameters, *ckks.SecretKey, *ckks.PublicKey, *EvalKeysJSON) {
+	keysFor := func(lit ckks.ParametersLiteral) (*ckks.Parameters, *ckks.SecretKey, *EvalKeysJSON) {
 		params, err := ckks.NewParameters(lit)
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		}
 		rlkData, _ := rlk.MarshalBinary()
 		rtkData, _ := rtk.MarshalBinary()
-		return params, sk, kg.GenPublicKey(sk), &EvalKeysJSON{
+		return params, sk, &EvalKeysJSON{
 			Relin:       base64.StdEncoding.EncodeToString(rlkData),
 			RotationSet: base64.StdEncoding.EncodeToString(rtkData),
 		}
@@ -80,7 +80,7 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 	// The mismatched client: same chain, one special prime.
 	perPrime := comp.Params.Literal()
 	perPrime.LogPi = perPrime.LogPi[:1]
-	_, _, _, staleKeys := keysFor(perPrime)
+	_, _, staleKeys := keysFor(perPrime)
 	apiErr, resp := postJSON[apiError](t, client, ts.URL+"/contexts", ContextRequest{ProgramID: comp.ID, Keys: staleKeys})
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, "digits") {
 		t.Errorf("per-prime key set: status %d, error %q; want 422 naming the digit count", resp.StatusCode, apiErr.Error)
@@ -94,7 +94,7 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 	}
 
 	// The client that reads log_pi.
-	params, sk, pk, keys := keysFor(comp.Params.Literal())
+	params, sk, keys := keysFor(comp.Params.Literal())
 	ctxResp, resp := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{ProgramID: comp.ID, Keys: keys})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("contexts: status %d", resp.StatusCode)
@@ -105,7 +105,7 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ckks.NewEncryptor(params, pk, ckks.NewTestPRNG(6)).Encrypt(pt)
+	ct, err := ckks.NewEncryptor(params, sk, ckks.NewTestPRNG(6)).Encrypt(pt)
 	if err != nil {
 		t.Fatal(err)
 	}

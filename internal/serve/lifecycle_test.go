@@ -100,7 +100,7 @@ func (f *parityFixture) encrypt(t *testing.T, name string, v []float64, level in
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ckks.NewEncryptor(params, f.ce.Keys.Public, ckks.NewTestPRNG(4)).Encrypt(pt)
+	ct, err := ckks.NewEncryptor(params, f.ce.Keys.Secret, ckks.NewTestPRNG(4)).Encrypt(pt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -582,6 +585,75 @@ func TestContextBundleTransfer(t *testing.T) {
 		if math.Abs(a[i]-b[i]) > 1e-3 {
 			t.Fatalf("replicated context diverged at [%d]: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestDemoBundleWithoutPublicKey pins the demo bundle's format across the
+// removal of the public key: a new bundle carries the secret key and no
+// "public" field; a bundle written before, which still has one, restores
+// from the store and encrypts plaintext values and decrypts outputs (the
+// field is ignored, as ContextBundle is decoded leniently); and a demo
+// bundle without its secret key is still refused.
+func TestDemoBundleWithoutPublicKey(t *testing.T) {
+	tsA, _ := newTestServer(t, Config{AllowServerKeygen: true, AllowContextTransfer: true})
+	client := tsA.Client()
+	prog := e2eProgram(t)
+	comp, _ := postJSON[CompileResponse](t, client, tsA.URL+"/compile", compileRequest(t, prog))
+	postJSON[ContextResponse](t, client, tsA.URL+"/contexts", ContextRequest{
+		ProgramID: comp.ID, ContextID: "demo", Keygen: &KeygenJSON{Seed: 3},
+	})
+	bundle := getJSON[map[string]json.RawMessage](t, client, tsA.URL+"/contexts/demo/bundle")
+	if _, ok := bundle["public"]; ok {
+		t.Error("a new demo bundle carries a public key")
+	}
+	if _, ok := bundle["secret"]; !ok {
+		t.Fatalf("demo bundle has no secret key: fields %v", slices.Sorted(maps.Keys(bundle)))
+	}
+
+	// The older layout: the same bundle plus a "public" field. Its stand-in
+	// payload starts with the old public-key magic byte and is truncated
+	// after it, so restoring succeeds only if the field is never decoded.
+	withPublic := maps.Clone(bundle)
+	stale, _ := json.Marshal(base64.StdEncoding.EncodeToString([]byte{0xB1, 1, 2, 3}))
+	withPublic["public"] = stale
+	data, err := json.Marshal(withPublic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMemory()
+	if err := st.Put(kindContext, "old-demo", data); err != nil {
+		t.Fatal(err)
+	}
+	tsB, _ := newTestServer(t, Config{Store: st, AllowContextTransfer: true})
+	if compB, _ := postJSON[CompileResponse](t, client, tsB.URL+"/compile", compileRequest(t, prog)); compB.ID != comp.ID {
+		t.Fatalf("program id %s on the second server, want %s", compB.ID, comp.ID)
+	}
+	x := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	y := []float64{2, 7, 1, 8, 2, 8, 1, 8}
+	out := runJob(t, client, tsB.URL, JobRequest{
+		ProgramID: comp.ID, ContextID: "old-demo",
+		Batches: []ExecuteBatch{{Values: map[string][]float64{"x": x, "y": y}}},
+	})
+	if out.Results[0].Error != "" {
+		t.Fatalf("job on the restored bundle: %s", out.Results[0].Error)
+	}
+	got := out.Results[0].Values["out"]
+	if len(got) != len(x) {
+		t.Fatalf("%d output slots, want %d", len(got), len(x))
+	}
+	for i := range x {
+		if want := 0.5 * (x[(i+1)%len(x)]*x[(i+1)%len(x)] + y[i]); math.Abs(got[i]-want) > 1e-3 {
+			t.Fatalf("out[%d] = %v, want %v", i, got[i], want)
+		}
+	}
+
+	noSecret := maps.Clone(withPublic)
+	delete(noSecret, "secret")
+	apiErr, resp := postJSON[apiError](t, client, tsB.URL+"/contexts", map[string]any{
+		"program_id": comp.ID, "context_id": "no-secret", "bundle": noSecret,
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, "missing key material") {
+		t.Errorf("demo bundle without a secret key: status %d, error %q; want 422 naming the missing key material", resp.StatusCode, apiErr.Error)
 	}
 }
 

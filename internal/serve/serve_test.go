@@ -180,7 +180,6 @@ func TestEndToEndClientKeys(t *testing.T) {
 	prng := ckks.NewTestPRNG(11)
 	kg := ckks.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func TestEndToEndClientKeys(t *testing.T) {
 		{"x": {0.5, -1, 2, -2, 3, -3, 4, -4}, "y": {1, 1, 2, 2, 3, 3, 4, 4}},
 	}
 	encoder := ckks.NewEncoder(params)
-	encryptor := ckks.NewEncryptor(params, pk, prng)
+	encryptor := ckks.NewEncryptor(params, sk, prng)
 	batches := make([]ExecuteBatch, len(inputSets))
 	for i, in := range inputSets {
 		batches[i].Cipher = map[string]string{}
