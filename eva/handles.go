@@ -2,7 +2,6 @@ package eva
 
 import (
 	"context"
-	"encoding/base64"
 	"net/http"
 
 	"eva/internal/handle"
@@ -43,7 +42,7 @@ func (c *Client) StoreCiphertext(ctx context.Context, contextID string, cipher [
 	var out HandleMeta
 	err := c.do(ctx, http.MethodPut, "/handles", serve.HandlePutRequest{
 		ContextID: contextID,
-		Cipher:    base64.StdEncoding.EncodeToString(cipher),
+		Cipher:    cipher,
 	}, &out)
 	return out, err
 }

@@ -50,6 +50,16 @@ func expectKeyMagic(r *bytes.Reader, want, retired byte, what string) error {
 	return fmt.Errorf("ckks: not a %s payload", what)
 }
 
+// expectEnd refuses bytes after a payload, so each value has exactly one
+// encoding: persisted uploads are canonical, and so are the content
+// addresses computed from them.
+func expectEnd(r *bytes.Reader, what string) error {
+	if n := r.Len(); n > 0 {
+		return fmt.Errorf("ckks: %d trailing bytes after the %s payload", n, what)
+	}
+	return nil
+}
+
 func writePoly(buf *bytes.Buffer, p *ring.Poly) {
 	var flags byte
 	if p.IsNTT {
@@ -67,6 +77,9 @@ func readPoly(r *bytes.Reader) (*ring.Poly, error) {
 	flags, err := r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("ckks: reading polynomial header: %w", err)
+	}
+	if flags > 1 {
+		return nil, fmt.Errorf("ckks: unknown polynomial flags %#x", flags)
 	}
 	var limbs, n uint32
 	if err := binary.Read(r, binary.LittleEndian, &limbs); err != nil {
@@ -133,7 +146,7 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 			return err
 		}
 	}
-	return nil
+	return expectEnd(r, "ciphertext")
 }
 
 // MarshalBinary encodes the plaintext.
@@ -163,8 +176,10 @@ func (pt *Plaintext) UnmarshalBinary(data []byte) error {
 	}
 	pt.Level = int(level)
 	pt.Scale = math.Float64frombits(scaleBits)
-	pt.Value, err = readPoly(r)
-	return err
+	if pt.Value, err = readPoly(r); err != nil {
+		return err
+	}
+	return expectEnd(r, "plaintext")
 }
 
 func writeSwitchingKey(buf *bytes.Buffer, swk *SwitchingKey) {
@@ -220,6 +235,9 @@ func (swk *SwitchingKey) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := expectEnd(r, "switching-key"); err != nil {
+		return err
+	}
 	*swk = *decoded
 	return nil
 }
@@ -241,8 +259,10 @@ func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	var err error
-	rlk.Key, err = readSwitchingKey(r)
-	return err
+	if rlk.Key, err = readSwitchingKey(r); err != nil {
+		return err
+	}
+	return expectEnd(r, "relinearization-key")
 }
 
 // MarshalBinary encodes the rotation key set: one Galois switching key per
@@ -288,7 +308,7 @@ func (rtk *RotationKeySet) UnmarshalBinary(data []byte) error {
 			return err
 		}
 	}
-	return nil
+	return expectEnd(r, "rotation-key-set")
 }
 
 // MarshalBinary encodes the secret key (including its special-prime limbs,
@@ -318,7 +338,9 @@ func (sk *SecretKey) UnmarshalBinary(data []byte) error {
 	}
 	sk.ValueP = nil
 	if r.Len() > 0 {
-		sk.ValueP, err = readPoly(r)
+		if sk.ValueP, err = readPoly(r); err != nil {
+			return err
+		}
 	}
-	return err
+	return expectEnd(r, "secret-key")
 }

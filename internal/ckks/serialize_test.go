@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -244,4 +245,68 @@ func TestSwitchingKeyValidate(t *testing.T) {
 	corrupt("missing polynomial", func(swk *SwitchingKey) { swk.BP[1] = nil })
 	corrupt("coefficient-domain polynomial", func(swk *SwitchingKey) { swk.BQ[0].IsNTT = false })
 	corrupt("dropped digit", func(swk *SwitchingKey) { swk.BQ = swk.BQ[:2] })
+}
+
+// TestSerializationRefusesTrailingBytes: every decoder accepts exactly the
+// bytes its encoder wrote — they round-trip unchanged — and refuses the same
+// payload with one byte appended or an unused flag bit set, so each value
+// has a single encoding.
+func TestSerializationRefusesTrailingBytes(t *testing.T) {
+	tc := newTestContextSpecials(t, 11, []int{45, 40}, []int{50}, 1<<35, []int{1})
+	pt, err := tc.enc.Encode(tc.randomVector(26, 0), tc.params.DefaultScale(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type codec interface {
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}
+	cases := []struct {
+		name  string
+		value codec
+		fresh func() codec
+	}{
+		{"ciphertext", tc.encrypt(t, tc.randomVector(27, 0)), func() codec { return &Ciphertext{} }},
+		{"plaintext", pt, func() codec { return &Plaintext{} }},
+		{"switching key", tc.rlk.Key, func() codec { return &SwitchingKey{} }},
+		{"relinearization key", tc.rlk, func() codec { return &RelinearizationKey{} }},
+		{"rotation key set", tc.rtk, func() codec { return &RotationKeySet{} }},
+		{"secret key", tc.sk, func() codec { return &SecretKey{} }},
+	}
+	for _, c := range cases {
+		data, err := c.value.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		restored := c.fresh()
+		if err := restored.UnmarshalBinary(data); err != nil {
+			t.Fatalf("%s: exact bytes refused: %v", c.name, err)
+		}
+		again, err := restored.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: bytes changed across a round trip", c.name)
+		}
+		err = c.fresh().UnmarshalBinary(append(data[:len(data):len(data)], 0))
+		if err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("%s with one appended byte: error %v, want a trailing-bytes refusal", c.name, err)
+		}
+	}
+
+	// A polynomial's flags byte has one meaning per value: an unused bit set
+	// would give the same ciphertext a second encoding.
+	data, err := cases[0].value.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flagsAt = 1 + 4 + 4 + 8 // magic, size, level, scale
+	if data[flagsAt] != 1 {
+		t.Fatalf("first polynomial flags %#x, want 1 (NTT)", data[flagsAt])
+	}
+	data[flagsAt] |= 2
+	if err := new(Ciphertext).UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Errorf("ciphertext with an unused flag bit: error %v, want a flags refusal", err)
+	}
 }

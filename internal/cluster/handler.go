@@ -335,13 +335,7 @@ func (c *Cluster) replicateContext(contextID, programID, primary string, candida
 			continue
 		}
 		if bundle == nil {
-			status, data, err := c.roundTrip(nodeCtx(), primary, http.MethodGet, "/contexts/"+contextID+"/bundle", nil)
-			if err != nil || status != http.StatusOK {
-				c.countReplErr()
-				return
-			}
-			bundle = &serve.ContextBundle{}
-			if err := json.Unmarshal(data, bundle); err != nil {
+			if bundle = c.fetchBundle(contextID, []string{primary}); bundle == nil {
 				c.countReplErr()
 				return
 			}

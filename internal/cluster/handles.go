@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"time"
 
 	"eva/internal/handle"
@@ -268,23 +269,26 @@ func (c *Cluster) ensureContext(node, contextID, programID string) error {
 	if err == nil && status == http.StatusOK {
 		return nil
 	}
-	var bundle *serve.ContextBundle
-	for _, src := range c.ContextCandidates(contextID) {
-		if src == node || !c.healthy(src) {
-			continue
-		}
-		status, data, err := c.roundTrip(nodeCtx(), src, http.MethodGet, "/contexts/"+contextID+"/bundle", nil)
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		b := &serve.ContextBundle{}
-		if json.Unmarshal(data, b) == nil {
-			bundle = b
-			break
-		}
-	}
+	sources := slices.DeleteFunc(c.ContextCandidates(contextID), func(src string) bool { return src == node })
+	bundle := c.fetchBundle(contextID, sources)
 	if bundle == nil {
 		return errors.New("no candidate node holds the context bundle")
 	}
 	return c.installContextOn(node, contextID, programID, bundle)
+}
+
+// fetchBundle GETs a context's key bundle from the first healthy source
+// that serves one; nil when none does.
+func (c *Cluster) fetchBundle(contextID string, sources []string) *serve.ContextBundle {
+	for _, src := range sources {
+		if !c.healthy(src) {
+			continue
+		}
+		status, data, err := c.roundTrip(nodeCtx(), src, http.MethodGet, "/contexts/"+contextID+"/bundle", nil)
+		b := &serve.ContextBundle{}
+		if err == nil && status == http.StatusOK && json.Unmarshal(data, b) == nil {
+			return b
+		}
+	}
+	return nil
 }

@@ -298,7 +298,7 @@ func TestCoalesceValidation(t *testing.T) {
 	missing := f.coalescedRequest(0)
 	missing.Batches = []ExecuteBatch{{Values: map[string][]float64{"x": {1}}}}
 	encrypted := f.coalescedRequest(0)
-	encrypted.Batches = []ExecuteBatch{{Cipher: map[string]string{"x": "AAAA", "y": "AAAA"}}}
+	encrypted.Batches = []ExecuteBatch{{Cipher: map[string][]byte{"x": {0, 0, 0}, "y": {0, 0, 0}}}}
 
 	cases := []struct {
 		name string

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -12,6 +12,7 @@ import (
 	"eva/internal/execute"
 	"eva/internal/jobs"
 	"eva/internal/obs"
+	"eva/internal/store"
 )
 
 // Artifact-store kinds for installed contexts and finished job results.
@@ -22,12 +23,13 @@ const (
 
 // ContextBundle is the portable, durable form of an installed execution
 // context: the program it belongs to plus every key needed to rebuild the
-// CKKS runtime objects, each in the ckks binary wire format (base64). For
+// CKKS runtime objects, each in the ckks binary wire format. Client-keygen
+// bundles carry the uploaded evaluation keys exactly as they arrived, so
+// they hold public material only, preserving the paper's threat model. For
 // contexts created by server-side keygen (demo mode) the bundle also
 // carries the secret key — the server already held it — so a restored or
 // replicated demo context can keep encrypting plaintext values and
-// decrypting outputs. Client-keygen bundles carry public evaluation
-// material only, preserving the paper's threat model.
+// decrypting outputs.
 //
 // The bundle doubles as the context's artifact-store record and as the wire
 // body of the cluster replication surface (GET /contexts/{id}/bundle and
@@ -36,94 +38,78 @@ type ContextBundle struct {
 	ProgramID string    `json:"program_id"`
 	Demo      bool      `json:"demo,omitempty"`
 	CreatedAt time.Time `json:"created_at,omitempty"`
-
-	Relin       string `json:"relin,omitempty"`
-	RotationSet string `json:"rotation_set,omitempty"`
-	Secret      string `json:"secret,omitempty"` // demo contexts only
+	EvalKeysJSON
+	Secret []byte `json:"secret,omitempty"` // demo contexts only
 }
 
-func marshalKeyB64(m interface{ MarshalBinary() ([]byte, error) }) (string, error) {
-	data, err := m.MarshalBinary()
-	if err != nil {
-		return "", err
+// errMalformedKey marks key bytes that do not decode at all, as opposed to
+// keys that decode but do not fit the program.
+var errMalformedKey = errors.New("malformed key")
+
+// decode turns the uploaded keys into their ckks forms; a key that is
+// absent stays nil.
+func (k *EvalKeysJSON) decode() (*ckks.RelinearizationKey, *ckks.RotationKeySet, error) {
+	var rlk *ckks.RelinearizationKey
+	var rtk *ckks.RotationKeySet
+	if len(k.Relin) > 0 {
+		rlk = &ckks.RelinearizationKey{}
+		if err := rlk.UnmarshalBinary(k.Relin); err != nil {
+			return nil, nil, fmt.Errorf("%w: relin key: %w", errMalformedKey, err)
+		}
 	}
-	return base64.StdEncoding.EncodeToString(data), nil
+	if len(k.RotationSet) > 0 {
+		rtk = &ckks.RotationKeySet{}
+		if err := rtk.UnmarshalBinary(k.RotationSet); err != nil {
+			return nil, nil, fmt.Errorf("%w: rotation set: %w", errMalformedKey, err)
+		}
+	}
+	return rlk, rtk, nil
 }
 
-// buildBundle assembles the portable form of a context from its in-memory
-// keys. rlk and rtk may be nil when the program needs neither; keys is nil
-// for client-keygen contexts.
-func buildBundle(programID string, keys *execute.KeyMaterial, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeySet, createdAt time.Time) (*ContextBundle, error) {
-	b := &ContextBundle{ProgramID: programID, CreatedAt: createdAt}
+// buildBundle assembles the portable form of a context whose keys the
+// server generated itself.
+func buildBundle(programID string, keys *execute.KeyMaterial, createdAt time.Time) (*ContextBundle, error) {
+	b := &ContextBundle{ProgramID: programID, Demo: true, CreatedAt: createdAt}
 	var err error
-	if rlk != nil {
-		if b.Relin, err = marshalKeyB64(rlk); err != nil {
+	if keys.Relin != nil {
+		if b.Relin, err = keys.Relin.MarshalBinary(); err != nil {
 			return nil, fmt.Errorf("serve: bundling relinearization key: %w", err)
 		}
 	}
-	if rtk != nil {
-		if b.RotationSet, err = marshalKeyB64(rtk); err != nil {
+	if keys.Rot != nil {
+		if b.RotationSet, err = keys.Rot.MarshalBinary(); err != nil {
 			return nil, fmt.Errorf("serve: bundling rotation keys: %w", err)
 		}
 	}
-	if keys != nil {
-		b.Demo = true
-		if b.Secret, err = marshalKeyB64(keys.Secret); err != nil {
-			return nil, fmt.Errorf("serve: bundling secret key: %w", err)
-		}
+	if b.Secret, err = keys.Secret.MarshalBinary(); err != nil {
+		return nil, fmt.Errorf("serve: bundling secret key: %w", err)
 	}
 	return b, nil
 }
 
-func decodeKeyB64(b64, what string, m interface{ UnmarshalBinary([]byte) error }) error {
-	data, err := base64.StdEncoding.DecodeString(b64)
+// restoreContext builds a live execution context for entry's program from
+// uploaded keys: a client's evaluation keys, a peer's bundle or the durable
+// store's record. The keys are validated the same way on every path.
+func (s *Server) restoreContext(id string, entry *Entry, b *ContextBundle) (*contextEntry, error) {
+	rlk, rtk, err := b.decode()
 	if err != nil {
-		return fmt.Errorf("serve: %s: %w", what, err)
-	}
-	if err := m.UnmarshalBinary(data); err != nil {
-		return fmt.Errorf("serve: %s: %w", what, err)
-	}
-	return nil
-}
-
-// restoreContext rebuilds a live execution context from a bundle: the
-// program is resolved through the registry (which recompiles from the
-// durable store on a cache miss) and the keys are validated the same way a
-// fresh client upload would be.
-func (s *Server) restoreContext(id string, b *ContextBundle) (*contextEntry, error) {
-	entry, ok := s.registry.Get(b.ProgramID)
-	if !ok {
-		return nil, fmt.Errorf("serve: context %s: unknown program %q", id, b.ProgramID)
-	}
-	var rlk *ckks.RelinearizationKey
-	var rtk *ckks.RotationKeySet
-	if b.Relin != "" {
-		rlk = &ckks.RelinearizationKey{}
-		if err := decodeKeyB64(b.Relin, "relinearization key", rlk); err != nil {
-			return nil, err
-		}
-	}
-	if b.RotationSet != "" {
-		rtk = &ckks.RotationKeySet{}
-		if err := decodeKeyB64(b.RotationSet, "rotation keys", rtk); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("serve: context %s: %w", id, err)
 	}
 	ctx, err := execute.NewEvaluationContext(entry.Result, rlk, rtk)
 	if err != nil {
-		return nil, fmt.Errorf("serve: restoring context %s: %w", id, err)
+		return nil, fmt.Errorf("serve: context %s: %w", id, err)
 	}
 	ce := &contextEntry{ID: id, Entry: entry, Ctx: ctx, CreatedAt: b.CreatedAt}
 	if ce.CreatedAt.IsZero() {
 		ce.CreatedAt = time.Now()
 	}
 	if b.Demo {
-		if b.Secret == "" {
+		if len(b.Secret) == 0 {
 			return nil, fmt.Errorf("serve: context %s: demo bundle is missing key material", id)
 		}
 		sk := &ckks.SecretKey{}
-		if err := decodeKeyB64(b.Secret, "secret key", sk); err != nil {
-			return nil, err
+		if err := sk.UnmarshalBinary(b.Secret); err != nil {
+			return nil, fmt.Errorf("serve: context %s: %w: secret key: %w", id, errMalformedKey, err)
 		}
 		ce.Keys = &execute.KeyMaterial{Secret: sk, Relin: rlk, Rot: rtk}
 	}
@@ -150,21 +136,32 @@ func (s *Server) persistContext(id string, b *ContextBundle) error {
 
 // loadContext restores a context from the durable store and installs it in
 // the LRU table, so execution against a context id survives restarts and
-// LRU eviction.
+// LRU eviction. A record that exists but cannot be read or restored is
+// logged; the context then reads as unknown.
 func (s *Server) loadContext(id string) (*contextEntry, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
 	}
 	data, err := s.cfg.Store.Get(kindContext, id)
-	if err != nil {
+	if errors.Is(err, store.ErrNotFound) {
 		return nil, false
 	}
-	var b ContextBundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, false
+	var ce *contextEntry
+	if err == nil {
+		var b ContextBundle
+		if err = json.Unmarshal(data, &b); err == nil {
+			entry, ok := s.registry.Get(b.ProgramID)
+			if !ok {
+				err = fmt.Errorf("unknown program %q", b.ProgramID)
+			} else {
+				ce, err = s.restoreContext(id, entry, &b)
+			}
+		}
 	}
-	ce, err := s.restoreContext(id, &b)
 	if err != nil {
+		s.log.Warn("stored context not restored; it reads as unknown",
+			slog.String("context_id", id),
+			slog.String("error", err.Error()))
 		return nil, false
 	}
 	return s.installContext(ce), true
@@ -219,17 +216,6 @@ func (s *Server) handleContextBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ce.Bundle == nil {
-		// Installed before transfer was enabled, or rebuilt without a
-		// bundle; reconstruct from the store if possible.
-		if s.cfg.Store != nil {
-			if data, err := s.cfg.Store.Get(kindContext, id); err == nil {
-				var b ContextBundle
-				if json.Unmarshal(data, &b) == nil {
-					writeJSON(w, http.StatusOK, &b)
-					return
-				}
-			}
-		}
 		writeError(w, http.StatusNotFound, "context %q has no exportable bundle", id)
 		return
 	}

@@ -132,11 +132,10 @@ type Incompat struct {
 // --- /handles handlers ---
 
 // HandlePutRequest is the body of PUT /handles: a client-encrypted
-// ciphertext (base64 ckks wire format) to store under a context's content
-// address.
+// ciphertext (ckks wire format) to store under a context's content address.
 type HandlePutRequest struct {
 	ContextID string `json:"context_id"`
-	Cipher    string `json:"cipher"`
+	Cipher    []byte `json:"cipher"`
 }
 
 // HandleRecordJSON is the body of GET /handles/{id}: the metadata plus the
@@ -163,12 +162,14 @@ func (s *Server) handleHandlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown context %q; POST /contexts first", req.ContextID)
 		return
 	}
-	if req.Cipher == "" {
+	if len(req.Cipher) == 0 {
 		writeError(w, http.StatusBadRequest, "\"cipher\" is required")
 		return
 	}
-	ct, data, err := decodeCiphertext(req.Cipher)
-	if err != nil {
+	// Validation precedes every use: the ring layer assumes well-shaped NTT
+	// operands.
+	ct := &ckks.Ciphertext{}
+	if err := ct.UnmarshalBinary(req.Cipher); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding ciphertext: %v", err)
 		return
 	}
@@ -176,7 +177,7 @@ func (s *Server) handleHandlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "ciphertext does not fit context %q: %v", req.ContextID, err)
 		return
 	}
-	meta, err := s.storeHandle(ce, ct, data)
+	meta, err := s.storeHandle(ce, ct, req.Cipher)
 	if err != nil {
 		if errors.Is(err, handle.ErrQuotaExceeded) {
 			writeError(w, http.StatusInsufficientStorage, "%v", err)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -86,8 +85,8 @@ func newHandleFixture(t testing.TB, cfg Config) *handleFixture {
 	ctxResp, resp := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{
 		ProgramID: comp.ID,
 		Keys: &EvalKeysJSON{
-			Relin:       base64.StdEncoding.EncodeToString(rlkData),
-			RotationSet: base64.StdEncoding.EncodeToString(rtkData),
+			Relin:       rlkData,
+			RotationSet: rtkData,
 		},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -108,8 +107,8 @@ func newHandleFixture(t testing.TB, cfg Config) *handleFixture {
 	}
 }
 
-// encryptB64 encrypts one named input locally and returns the base64 wire form.
-func (f *handleFixture) encryptB64(t testing.TB, name string, v []float64) string {
+// encryptWire encrypts one named input locally and returns its wire bytes.
+func (f *handleFixture) encryptWire(t testing.TB, name string, v []float64) []byte {
 	t.Helper()
 	pt, err := f.encoder.Encode(v, math.Exp2(f.scales[name]), f.params.MaxLevel())
 	if err != nil {
@@ -123,20 +122,20 @@ func (f *handleFixture) encryptB64(t testing.TB, name string, v []float64) strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base64.StdEncoding.EncodeToString(data)
+	return data
 }
 
 // putHandle stores one locally encrypted input through PUT /handles.
 func (f *handleFixture) putHandle(t testing.TB, name string, v []float64) string {
 	t.Helper()
-	meta, resp := f.putHandleRaw(t, f.encryptB64(t, name, v))
+	meta, resp := f.putHandleRaw(t, f.encryptWire(t, name, v))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PUT /handles: status %d", resp.StatusCode)
 	}
 	return meta.ID
 }
 
-func (f *handleFixture) putHandleRaw(t testing.TB, cipher string) (handle.Meta, *http.Response) {
+func (f *handleFixture) putHandleRaw(t testing.TB, cipher []byte) (handle.Meta, *http.Response) {
 	t.Helper()
 	payload := HandlePutRequest{ContextID: f.contextID, Cipher: cipher}
 	req, err := http.NewRequest(http.MethodPut, f.url+"/handles", jsonBody(t, payload))
@@ -163,8 +162,8 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	y := []float64{8, 7, 6, 5, 4, 3, 2, 1}
 
-	xB64 := f.encryptB64(t, "x", x)
-	metaX, resp := f.putHandleRaw(t, xB64)
+	xWire := f.encryptWire(t, "x", x)
+	metaX, resp := f.putHandleRaw(t, xWire)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PUT /handles: status %d", resp.StatusCode)
 	}
@@ -179,7 +178,7 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	}
 
 	// Content addressing: storing identical bytes yields the same id.
-	metaX2, _ := f.putHandleRaw(t, xB64)
+	metaX2, _ := f.putHandleRaw(t, xWire)
 	if metaX2.ID != metaX.ID {
 		t.Errorf("re-put changed the id: %s vs %s", metaX2.ID, metaX.ID)
 	}
@@ -224,7 +223,7 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 		ContextID: f.contextID,
 		Batches: []ExecuteBatch{{
 			Handles: map[string]string{"x": metaX.ID},
-			Cipher:  map[string]string{"y": f.encryptB64(t, "y", y)},
+			Cipher:  map[string][]byte{"y": f.encryptWire(t, "y", y)},
 		}},
 	})
 	if execResp.Results[0].Error != "" {
@@ -263,11 +262,11 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	}
 
 	// Garbage payloads and unknown contexts are rejected up front.
-	_, resp = f.putHandleRaw(t, base64.StdEncoding.EncodeToString([]byte("junk")))
+	_, resp = f.putHandleRaw(t, []byte("junk"))
 	if resp.StatusCode == http.StatusOK {
 		t.Error("garbage cipher accepted by PUT /handles")
 	}
-	preq, err := http.NewRequest(http.MethodPut, f.url+"/handles", jsonBody(t, HandlePutRequest{ContextID: "nosuch", Cipher: xB64}))
+	preq, err := http.NewRequest(http.MethodPut, f.url+"/handles", jsonBody(t, HandlePutRequest{ContextID: "nosuch", Cipher: xWire}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +280,8 @@ func TestHandleCRUDAndExecute(t *testing.T) {
 	}
 }
 
-func (f *handleFixture) decryptOut(t testing.TB, b64 string) []float64 {
+func (f *handleFixture) decryptOut(t testing.TB, data []byte) []float64 {
 	t.Helper()
-	data, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ct := &ckks.Ciphertext{}
 	if err := ct.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
@@ -617,7 +612,7 @@ func TestHandleAdmissionUsesPerInputDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	hf := &handleFixture{url: ts.URL, client: client, contextID: ctxResp.ContextID}
-	meta, resp := hf.putHandleRaw(t, base64.StdEncoding.EncodeToString(data))
+	meta, resp := hf.putHandleRaw(t, data)
 	if resp.StatusCode != http.StatusOK || meta.Level != 0 {
 		t.Fatalf("PUT /handles: status %d, level %d", resp.StatusCode, meta.Level)
 	}

@@ -36,15 +36,16 @@ type JobRequest struct {
 }
 
 // ExecuteBatch is one input set of a /jobs request. Cipher carries
-// base64 ciphertexts (client-encrypted), Handles references stored
-// ciphertext handles by id (resolved server-side, so chained jobs never
-// round-trip ciphertext through the client), Plain carries the program's
-// unencrypted inputs, and Values carries plaintext values for the program's
-// Cipher inputs — allowed only on demo-mode contexts, where the server
-// encrypts them (and decrypts the outputs) itself. Each Cipher input must be
-// supplied by exactly one of Cipher, Handles, or Values.
+// client-encrypted ciphertexts in the ckks wire format (base64 in JSON),
+// Handles references stored ciphertext handles by id (resolved server-side,
+// so chained jobs never round-trip ciphertext through the client), Plain
+// carries the program's unencrypted inputs, and Values carries plaintext
+// values for the program's Cipher inputs — allowed only on demo-mode
+// contexts, where the server encrypts them (and decrypts the outputs)
+// itself. Each Cipher input must be supplied by exactly one of Cipher,
+// Handles, or Values.
 type ExecuteBatch struct {
-	Cipher  map[string]string    `json:"cipher,omitempty"`
+	Cipher  map[string][]byte    `json:"cipher,omitempty"`
 	Handles map[string]string    `json:"handles,omitempty"`
 	Plain   map[string][]float64 `json:"plain,omitempty"`
 	Values  map[string][]float64 `json:"values,omitempty"`
@@ -57,12 +58,12 @@ type BatchStats struct {
 	WallMillis   float64 `json:"wall_ms"`
 }
 
-// BatchResult is the per-batch response: base64 ciphertext outputs, plus
+// BatchResult is the per-batch response: ciphertext outputs, plus
 // decrypted (or natively unencrypted) outputs in Values where available.
 // When the request asked for "output": "handle", Handles maps each encrypted
 // output to the id of its stored content-addressed handle instead.
 type BatchResult struct {
-	Cipher  map[string]string    `json:"cipher,omitempty"`
+	Cipher  map[string][]byte    `json:"cipher,omitempty"`
 	Handles map[string]string    `json:"handles,omitempty"`
 	Values  map[string][]float64 `json:"values,omitempty"`
 	Error   string               `json:"error,omitempty"`

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -72,8 +71,8 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		rlkData, _ := rlk.MarshalBinary()
 		rtkData, _ := rtk.MarshalBinary()
 		return params, sk, &EvalKeysJSON{
-			Relin:       base64.StdEncoding.EncodeToString(rlkData),
-			RotationSet: base64.StdEncoding.EncodeToString(rtkData),
+			Relin:       rlkData,
+			RotationSet: rtkData,
 		}
 	}
 
@@ -86,7 +85,7 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		t.Errorf("per-prime key set: status %d, error %q; want 422 naming the digit count", resp.StatusCode, apiErr.Error)
 	}
 	// A blob in the retired layout (old relinearization-key magic byte).
-	retired := base64.StdEncoding.EncodeToString([]byte{0xD2, 1, 0, 0, 0})
+	retired := []byte{0xD2, 1, 0, 0, 0}
 	apiErr, resp = postJSON[apiError](t, client, ts.URL+"/contexts", ContextRequest{
 		ProgramID: comp.ID, Keys: &EvalKeysJSON{Relin: retired, RotationSet: staleKeys.RotationSet}})
 	if resp.StatusCode/100 != 4 || !strings.Contains(apiErr.Error, "retired") {
@@ -113,17 +112,13 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 	execResp := runJob(t, client, ts.URL, JobRequest{
 		ProgramID: comp.ID,
 		ContextID: ctxResp.ContextID,
-		Batches:   []ExecuteBatch{{Cipher: map[string]string{"x": base64.StdEncoding.EncodeToString(data)}}},
+		Batches:   []ExecuteBatch{{Cipher: map[string][]byte{"x": data}}},
 	})
 	if execResp.Results[0].Error != "" {
 		t.Fatalf("execute: results %+v", execResp.Results)
 	}
-	outData, err := base64.StdEncoding.DecodeString(execResp.Results[0].Cipher["out"])
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := &ckks.Ciphertext{}
-	if err := out.UnmarshalBinary(outData); err != nil {
+	if err := out.UnmarshalBinary(execResp.Results[0].Cipher["out"]); err != nil {
 		t.Fatal(err)
 	}
 	got := encoder.Decode(ckks.NewDecryptor(params, sk).Decrypt(out))

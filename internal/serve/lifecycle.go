@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -38,14 +37,14 @@ import (
 // source must be set for a Cipher program input: Handle (a stored handle id),
 // Stage (pipelines only: a 0-based index of an earlier stage, whose output
 // named Output — defaulting to the producer's single encrypted output — feeds
-// this input), Cipher (an inline base64 ciphertext), or Values (demo-mode
+// this input), Cipher (an inline ciphertext), or Values (demo-mode
 // plaintext, encrypted server-side). Plain program inputs take Plain (or
 // Values).
 type InputBinding struct {
 	Handle string    `json:"handle,omitempty"`
 	Stage  *int      `json:"stage,omitempty"`
 	Output string    `json:"output,omitempty"`
-	Cipher string    `json:"cipher,omitempty"`
+	Cipher []byte    `json:"cipher,omitempty"`
 	Values []float64 `json:"values,omitempty"`
 	Plain  []float64 `json:"plain,omitempty"`
 }
@@ -133,7 +132,7 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 			continue
 		}
 		sources := 0
-		for _, set := range []bool{b.Handle != "", b.Stage != nil, b.Cipher != "", b.Values != nil} {
+		for _, set := range []bool{b.Handle != "", b.Stage != nil, len(b.Cipher) > 0, b.Values != nil} {
 			if set {
 				sources++
 			}
@@ -150,8 +149,9 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 				return nil, err
 			}
 			plan.values[in.Name] = b.Values
-		case b.Cipher != "":
-			upload, _, err := decodeCiphertext(b.Cipher)
+		case len(b.Cipher) > 0:
+			upload := &ckks.Ciphertext{}
+			err := upload.UnmarshalBinary(b.Cipher)
 			if err == nil {
 				err = upload.Validate(ce.Ctx.Params)
 			}
@@ -207,18 +207,6 @@ func (s *Server) lowerStage(stdctx context.Context, plan *stagePlan, binding fun
 		plan.outMode = outputValues
 	}
 	return nil, nil
-}
-
-// decodeCiphertext decodes a base64 ciphertext upload, returning it with its
-// wire bytes. Callers validate it against their context's parameters before
-// the executor touches it: the ring layer assumes well-shaped NTT operands.
-func decodeCiphertext(b64 string) (*ckks.Ciphertext, []byte, error) {
-	data, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, nil, err
-	}
-	ct := &ckks.Ciphertext{}
-	return ct, data, ct.UnmarshalBinary(data)
 }
 
 // stageOutput is the encrypted output of an earlier stage that feeds an
@@ -501,13 +489,13 @@ func (s *Server) runStage(stdctx context.Context, plan *stagePlan, upstream []*e
 			result.Handles[name] = meta.ID
 		}
 	default:
-		result.Cipher = map[string]string{}
+		result.Cipher = map[string][]byte{}
 		for name, ct := range out.Cipher {
 			data, err := ct.MarshalBinary()
 			if err != nil {
 				return fail("serializing output %q: %v", name, err)
 			}
-			result.Cipher[name] = base64.StdEncoding.EncodeToString(data)
+			result.Cipher[name] = data
 		}
 	}
 	for name, v := range out.Plain {

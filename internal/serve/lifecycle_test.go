@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/base64"
+	"encoding/json"
 	"math"
 	"net/http"
 	"strings"
@@ -112,13 +112,13 @@ func (f *parityFixture) encrypt(t *testing.T, name string, v []float64, level in
 	return ct
 }
 
-func b64(t *testing.T, ct *ckks.Ciphertext) string {
+func wireBytes(t *testing.T, ct *ckks.Ciphertext) []byte {
 	t.Helper()
 	data, err := ct.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base64.StdEncoding.EncodeToString(data)
+	return data
 }
 
 // outputBytes is the serialized "out" ciphertext of a result, whether it
@@ -128,9 +128,9 @@ func (f *parityFixture) outputBytes(t *testing.T, r BatchResult) []byte {
 	if id, ok := r.Handles["out"]; ok {
 		return getJSON[HandleRecordJSON](t, f.client, f.url+"/handles/"+id).Cipher
 	}
-	data, err := base64.StdEncoding.DecodeString(r.Cipher["out"])
-	if err != nil || len(data) == 0 {
-		t.Fatalf("result carries no output ciphertext: %+v (%v)", r, err)
+	data := r.Cipher["out"]
+	if len(data) == 0 {
+		t.Fatalf("result carries no output ciphertext: %+v", r)
 	}
 	return data
 }
@@ -147,9 +147,9 @@ func (f *parityFixture) coalesceRefuses(t *testing.T, batch ExecuteBatch) {
 	}
 }
 
-func (f *parityFixture) putHandle(t *testing.T, b64 string) string {
+func (f *parityFixture) putHandle(t *testing.T, cipher []byte) string {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, f.url+"/handles", jsonBody(t, HandlePutRequest{ContextID: f.contextID, Cipher: b64}))
+	req, err := http.NewRequest(http.MethodPut, f.url+"/handles", jsonBody(t, HandlePutRequest{ContextID: f.contextID, Cipher: cipher}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestEntryPointParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := map[string]string{}
+	wire := map[string][]byte{}
 	handles := map[string]string{}
 	var cipherBytes int64
 	for name, ct := range cts.Cipher {
-		wire[name] = b64(t, ct)
+		wire[name] = wireBytes(t, ct)
 		handles[name] = f.putHandle(t, wire[name])
 		cipherBytes += int64(ct.MemoryBytes())
 	}
@@ -210,7 +210,7 @@ func TestEntryPointParity(t *testing.T) {
 	deep := f.withHeadroom(t, 2)
 	deepTop := deep.ce.Ctx.Params.MaxLevel()
 	lowX := deep.encrypt(t, "x", in["x"], deepTop-1, 0)
-	lowHandle := deep.putHandle(t, b64(t, lowX))
+	lowHandle := deep.putHandle(t, wireBytes(t, lowX))
 
 	entries := []string{"jobs", "coalesce", "pipelines"}
 	shapes := []struct {
@@ -221,7 +221,7 @@ func TestEntryPointParity(t *testing.T) {
 	}{
 		{"cipher", f, ExecuteBatch{Cipher: wire}, estimate(res, cipherBytes, 0)},
 		{"handle", f, ExecuteBatch{Handles: handles}, estimate(res, cipherBytes, 0)},
-		{"mixed", f, ExecuteBatch{Handles: map[string]string{"x": handles["x"]}, Cipher: map[string]string{"y": wire["y"]}}, estimate(res, cipherBytes, 0)},
+		{"mixed", f, ExecuteBatch{Handles: map[string]string{"x": handles["x"]}, Cipher: map[string][]byte{"y": wire["y"]}}, estimate(res, cipherBytes, 0)},
 		{"shared handle", f, ExecuteBatch{Handles: map[string]string{"x": handles["x"], "y": handles["x"]}}, estimate(res, int64(x.MemoryBytes()), 0)},
 		{"values", f, ExecuteBatch{Values: in}, estimate(res, 0, 2)},
 		// y's values are encrypted at the level x's handle enters at.
@@ -276,7 +276,7 @@ func TestEntryPointParity(t *testing.T) {
 	// depth of its input, or at another level than the rest of its group.
 	// Every bad batch carries ciphertexts, so coalescing refuses it first.
 	skewed := f.encrypt(t, "x", in["x"], ce.Ctx.Params.MaxLevel(), -10)
-	skewedHandle := f.putHandle(t, b64(t, skewed))
+	skewedHandle := f.putHandle(t, wireBytes(t, skewed))
 	bad := []struct {
 		name   string
 		fx     *parityFixture
@@ -284,17 +284,17 @@ func TestEntryPointParity(t *testing.T) {
 		status int
 		field  string
 	}{
-		{"bad base64", f, ExecuteBatch{Cipher: map[string]string{"x": "!!not base64", "y": wire["y"]}}, http.StatusBadRequest, ""},
+		{"bad cipher bytes", f, ExecuteBatch{Cipher: map[string][]byte{"x": []byte("!!not base64"), "y": wire["y"]}}, http.StatusBadRequest, ""},
 		{"unknown handle", f, ExecuteBatch{Handles: map[string]string{"x": "0000000000000000000000000000000000000000000000000000000000000000", "y": handles["y"]}}, http.StatusNotFound, ""},
 		{"scale mismatch", f, ExecuteBatch{Handles: map[string]string{"x": skewedHandle, "y": handles["y"]}}, http.StatusUnprocessableEntity, "scale"},
-		{"missing input", f, ExecuteBatch{Cipher: map[string]string{"x": wire["x"]}}, http.StatusBadRequest, ""},
-		{"inline scale mismatch", f, ExecuteBatch{Cipher: map[string]string{"x": b64(t, skewed), "y": wire["y"]}}, http.StatusUnprocessableEntity, "scale"},
-		{"inline below depth", f, ExecuteBatch{Cipher: map[string]string{
-			"x": b64(t, f.encrypt(t, "x", in["x"], 0, 0)), "y": b64(t, f.encrypt(t, "y", in["y"], 0, 0)),
+		{"missing input", f, ExecuteBatch{Cipher: map[string][]byte{"x": wire["x"]}}, http.StatusBadRequest, ""},
+		{"inline scale mismatch", f, ExecuteBatch{Cipher: map[string][]byte{"x": wireBytes(t, skewed), "y": wire["y"]}}, http.StatusUnprocessableEntity, "scale"},
+		{"inline below depth", f, ExecuteBatch{Cipher: map[string][]byte{
+			"x": wireBytes(t, f.encrypt(t, "x", in["x"], 0, 0)), "y": wireBytes(t, f.encrypt(t, "y", in["y"], 0, 0)),
 		}}, http.StatusUnprocessableEntity, "level"},
 		{"lowered handle and top-level cipher", deep, ExecuteBatch{
 			Handles: map[string]string{"x": lowHandle},
-			Cipher:  map[string]string{"y": b64(t, deep.encrypt(t, "y", in["y"], deepTop, 0))},
+			Cipher:  map[string][]byte{"y": wireBytes(t, deep.encrypt(t, "y", in["y"], deepTop, 0))},
 		}, http.StatusUnprocessableEntity, "level"},
 	}
 	for _, tc := range bad {
@@ -320,6 +320,25 @@ func TestEntryPointParity(t *testing.T) {
 			}
 		})
 	}
+
+	// Malformed base64 in an inline cipher fails the request decode: 400 on
+	// every entry point.
+	t.Run("bad base64", func(t *testing.T) {
+		for _, entry := range entries {
+			url, body := f.request(entry, ExecuteBatch{Cipher: map[string][]byte{"x": {0}, "y": wire["y"]}}, "")
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(raw, []byte(`"AA=="`)) {
+				t.Fatalf("%s: the one-byte cipher is not in the body %s", entry, raw)
+			}
+			raw = bytes.Replace(raw, []byte(`"AA=="`), []byte(`"!!not base64"`), 1)
+			if _, resp := postJSON[apiError](t, f.client, url, json.RawMessage(raw)); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400", entry, resp.StatusCode)
+			}
+		}
+	})
 
 	// A two-batch /jobs 422 names every incompatible input, not the first.
 	batch := ExecuteBatch{Handles: map[string]string{"x": skewedHandle, "y": handles["y"]}}
@@ -368,9 +387,9 @@ func TestEveryExecutionIsAdmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := map[string]string{}
+	wire := map[string][]byte{}
 	for name, ct := range cts.Cipher {
-		wire[name] = b64(t, ct)
+		wire[name] = wireBytes(t, ct)
 	}
 	req := JobRequest{ProgramID: f.programID, ContextID: f.contextID, Batches: []ExecuteBatch{{Cipher: wire}}}
 	_, resp = postJSON[apiError](t, f.client, f.url+"/jobs?coalesce=1", req)

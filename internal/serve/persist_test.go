@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"eva/internal/execute"
 	"eva/internal/obs"
 	"eva/internal/store"
 )
@@ -531,7 +531,7 @@ func TestContextBundleTransfer(t *testing.T) {
 	}
 
 	bundle := getJSON[ContextBundle](t, client, tsA.URL+"/contexts/shared-ctx-1/bundle")
-	if !bundle.Demo || bundle.Secret == "" || bundle.Relin == "" {
+	if !bundle.Demo || len(bundle.Secret) == 0 || len(bundle.Relin) == 0 {
 		t.Fatalf("demo bundle incomplete: %+v", bundle)
 	}
 
@@ -614,7 +614,7 @@ func TestDemoBundleWithoutPublicKey(t *testing.T) {
 	// payload starts with the old public-key magic byte and is truncated
 	// after it, so restoring succeeds only if the field is never decoded.
 	withPublic := maps.Clone(bundle)
-	stale, _ := json.Marshal(base64.StdEncoding.EncodeToString([]byte{0xB1, 1, 2, 3}))
+	stale, _ := json.Marshal([]byte{0xB1, 1, 2, 3})
 	withPublic["public"] = stale
 	data, err := json.Marshal(withPublic)
 	if err != nil {
@@ -706,6 +706,88 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(opts, back) {
 			t.Errorf("case %d: %+v round-tripped to %+v", i, opts, back)
+		}
+	}
+}
+
+// TestClientKeysContextSurvivesRestart: a context installed from uploaded
+// evaluation keys is restored from its stored record after a restart onto
+// the same data directory, and a ciphertext job against it decrypts, under
+// the client's secret key, to the cleartext reference.
+func TestClientKeysContextSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newHandleFixture(t, Config{Store: st1})
+	f.ts.Close()
+	f.srv.Close()
+	st1.Close()
+
+	ts2, s2, st2 := persistentServer(t, dir)
+	defer func() { ts2.Close(); s2.Close(); st2.Close() }()
+	in := execute.Inputs{"x": {1, -2, 3, 0.5, 5, 6, -7, 8}, "y": {0.25, 7, 6, 5, -4, 3, 2, 1}}
+	batch := ExecuteBatch{Cipher: map[string][]byte{}}
+	for name, v := range in {
+		batch.Cipher[name] = f.encryptWire(t, name, v)
+	}
+	out := runJob(t, ts2.Client(), ts2.URL, JobRequest{
+		ProgramID: f.programID, ContextID: f.contextID, Batches: []ExecuteBatch{batch},
+	})
+	if out.Results[0].Error != "" {
+		t.Fatalf("job on the restored context: %s", out.Results[0].Error)
+	}
+	got := f.decryptOut(t, out.Results[0].Cipher["out"])
+	ref, err := execute.RunReference(e2eProgram(t), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range ref["out"] {
+		if math.Abs(got[i]-want) > 1e-2 {
+			t.Errorf("slot %d: got %v, want %v", i, got[i], want)
+		}
+	}
+}
+
+// TestBadContextRecordLogged: a stored context record that cannot be
+// decoded or restored reads as an unknown context (404), and the server
+// logs a warning naming the context and the error.
+func TestBadContextRecordLogged(t *testing.T) {
+	var logs lockedBuffer
+	st := store.NewMemory()
+	ts, _ := newTestServer(t, Config{Store: st, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	client := ts.Client()
+	comp, _ := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, e2eProgram(t)))
+	records := map[string]string{
+		"not-json": `{"program_id":`,
+		"bad-keys": `{"program_id":"` + comp.ID + `","relin":"AA=="}`,
+	}
+	for id, rec := range records {
+		if err := st.Put(kindContext, id, []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		_, resp := postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{
+			ProgramID: comp.ID, ContextID: id,
+			Batches: []ExecuteBatch{{Values: map[string][]float64{"x": {1}, "y": {1}}}},
+		})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	warned := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if id, ok := rec["context_id"].(string); ok && rec["level"] == "WARN" && rec["error"] != "" {
+			warned[id] = true
+		}
+	}
+	for id := range records {
+		if !warned[id] {
+			t.Errorf("no warning for the bad record %q in the log:\n%s", id, logs.String())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -204,8 +203,8 @@ func TestEndToEndClientKeys(t *testing.T) {
 	ctxResp, resp := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{
 		ProgramID: comp.ID,
 		Keys: &EvalKeysJSON{
-			Relin:       base64.StdEncoding.EncodeToString(rlkData),
-			RotationSet: base64.StdEncoding.EncodeToString(rtkData),
+			Relin:       rlkData,
+			RotationSet: rtkData,
 		},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -216,7 +215,7 @@ func TestEndToEndClientKeys(t *testing.T) {
 	// at execution time.
 	_, resp = postJSON[apiError](t, client, ts.URL+"/contexts", ContextRequest{
 		ProgramID: comp.ID,
-		Keys:      &EvalKeysJSON{Relin: base64.StdEncoding.EncodeToString(rlkData)},
+		Keys:      &EvalKeysJSON{Relin: rlkData},
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("context without rotation keys: status %d, want 422", resp.StatusCode)
@@ -231,7 +230,7 @@ func TestEndToEndClientKeys(t *testing.T) {
 	encryptor := ckks.NewEncryptor(params, sk, prng)
 	batches := make([]ExecuteBatch, len(inputSets))
 	for i, in := range inputSets {
-		batches[i].Cipher = map[string]string{}
+		batches[i].Cipher = map[string][]byte{}
 		for name, v := range in {
 			pt, err := encoder.Encode(v, math.Exp2(comp.InputScales[name]), params.MaxLevel())
 			if err != nil {
@@ -245,7 +244,7 @@ func TestEndToEndClientKeys(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batches[i].Cipher[name] = base64.StdEncoding.EncodeToString(data)
+			batches[i].Cipher[name] = data
 		}
 	}
 	execResp := runJob(t, client, ts.URL, JobRequest{
@@ -265,13 +264,9 @@ func TestEndToEndClientKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b64, ok := result.Cipher["out"]
+		data, ok := result.Cipher["out"]
 		if !ok {
 			t.Fatalf("batch %d: no ciphertext for output \"out\"", i)
-		}
-		data, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			t.Fatal(err)
 		}
 		ct := &ckks.Ciphertext{}
 		if err := ct.UnmarshalBinary(data); err != nil {
@@ -296,11 +291,11 @@ func TestEndToEndClientKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, payload := range map[string]string{
-		"garbage": base64.StdEncoding.EncodeToString([]byte("\xC1not a ciphertext")),
-		"non-NTT": base64.StdEncoding.EncodeToString(badData),
+	for name, payload := range map[string][]byte{
+		"garbage": []byte("\xC1not a ciphertext"),
+		"non-NTT": badData,
 	} {
-		bad := ExecuteBatch{Cipher: map[string]string{"x": payload, "y": batches[0].Cipher["y"]}}
+		bad := ExecuteBatch{Cipher: map[string][]byte{"x": payload, "y": batches[0].Cipher["y"]}}
 		r, resp := postJSON[apiError](t, client, ts.URL+"/jobs", JobRequest{
 			ProgramID: comp.ID,
 			ContextID: ctxResp.ContextID,

@@ -24,6 +24,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -715,12 +716,12 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 
 // --- /contexts ---
 
-// EvalKeysJSON carries client-generated public evaluation keys: the
-// relinearization key and the whole RotationKeySet, each base64 of the ckks
-// binary wire format.
+// EvalKeysJSON carries public evaluation keys: the relinearization key and
+// the whole RotationKeySet, each in the ckks binary wire format (base64 in
+// JSON).
 type EvalKeysJSON struct {
-	Relin       string `json:"relin,omitempty"`
-	RotationSet string `json:"rotation_set,omitempty"`
+	Relin       []byte `json:"relin,omitempty"`
+	RotationSet []byte `json:"rotation_set,omitempty"`
 }
 
 // KeygenJSON asks the server to generate key material itself (demo mode).
@@ -810,31 +811,21 @@ func (s *Server) handleContexts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown program %q; POST /compile first", req.ProgramID)
 		return
 	}
+	id := req.ContextID
+	if id == "" {
+		var err error
+		if id, err = randomID(); err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
 
-	ce := &contextEntry{Entry: entry, CreatedAt: time.Now()}
-	var rlk *ckks.RelinearizationKey
-	var rtk *ckks.RotationKeySet
+	// bundle is the context's portable form: the store record and the
+	// cluster transfer body are the same document. Uploaded keys are kept
+	// as they arrived; keygen contexts build theirs below when needed.
+	var ce *contextEntry
+	var bundle *ContextBundle
 	switch {
-	case req.Bundle != nil:
-		if !s.cfg.AllowContextTransfer {
-			writeError(w, http.StatusForbidden, "context transfer is disabled on this server")
-			return
-		}
-		if req.ContextID == "" {
-			writeError(w, http.StatusBadRequest, "a bundle install requires \"context_id\"")
-			return
-		}
-		if req.Bundle.ProgramID != "" && req.Bundle.ProgramID != req.ProgramID {
-			writeError(w, http.StatusBadRequest, "bundle belongs to program %q, not %q", req.Bundle.ProgramID, req.ProgramID)
-			return
-		}
-		req.Bundle.ProgramID = req.ProgramID
-		restored, err := s.restoreContext(req.ContextID, req.Bundle)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		ce = restored
 	case req.Keygen != nil:
 		if !s.cfg.AllowServerKeygen {
 			writeError(w, http.StatusForbidden, "server-side keygen is disabled; supply client-generated evaluation keys")
@@ -849,52 +840,51 @@ func (s *Server) handleContexts(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusUnprocessableEntity, "key generation: %v", err)
 			return
 		}
-		ce.Ctx, ce.Keys = ctx, keys
-		rlk, rtk = keys.Relin, keys.Rot
+		ce = &contextEntry{ID: id, Entry: entry, Ctx: ctx, Keys: keys, CreatedAt: time.Now()}
+	case req.Bundle != nil:
+		if !s.cfg.AllowContextTransfer {
+			writeError(w, http.StatusForbidden, "context transfer is disabled on this server")
+			return
+		}
+		if req.ContextID == "" {
+			writeError(w, http.StatusBadRequest, "a bundle install requires \"context_id\"")
+			return
+		}
+		if req.Bundle.ProgramID != "" && req.Bundle.ProgramID != req.ProgramID {
+			writeError(w, http.StatusBadRequest, "bundle belongs to program %q, not %q", req.Bundle.ProgramID, req.ProgramID)
+			return
+		}
+		bundle = req.Bundle
+		bundle.ProgramID = req.ProgramID
 	default:
-		var err error
-		rlk, rtk, err = decodeEvalKeys(req.Keys)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		ctx, err := execute.NewEvaluationContext(entry.Result, rlk, rtk)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		ce.Ctx = ctx
+		bundle = &ContextBundle{ProgramID: entry.ID, CreatedAt: time.Now(), EvalKeysJSON: *req.Keys}
 	}
-
-	id := req.ContextID
-	if id == "" {
+	if bundle != nil {
 		var err error
-		if id, err = randomID(); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+		if ce, err = s.restoreContext(id, entry, bundle); err != nil {
+			status := http.StatusUnprocessableEntity
+			if req.Keys != nil && errors.Is(err, errMalformedKey) {
+				status = http.StatusBadRequest
+			}
+			writeError(w, status, "%v", err)
 			return
 		}
 	}
-	ce.ID = id
 
-	// Build the portable bundle when durability or replication needs it:
-	// the store record and the cluster transfer body are the same document.
-	if ce.Bundle == nil && (s.cfg.Store != nil || s.cfg.AllowContextTransfer) {
-		bundle, err := buildBundle(entry.ID, ce.Keys, rlk, rtk, ce.CreatedAt)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if s.cfg.AllowContextTransfer {
-			ce.Bundle = bundle
+	if s.cfg.Store != nil || s.cfg.AllowContextTransfer {
+		if bundle == nil {
+			var err error
+			if bundle, err = buildBundle(entry.ID, ce.Keys, ce.CreatedAt); err != nil {
+				writeError(w, http.StatusInternalServerError, "%v", err)
+				return
+			}
 		}
 		if err := s.persistContext(id, bundle); err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-	} else if ce.Bundle != nil {
-		if err := s.persistContext(id, ce.Bundle); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
+		if s.cfg.AllowContextTransfer {
+			ce.Bundle = bundle
 		}
 	}
 
@@ -923,24 +913,6 @@ func (s *Server) handleProgramSource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ProgramSourceResponse{ID: id, Program: source, Options: opts})
-}
-
-func decodeEvalKeys(keys *EvalKeysJSON) (*ckks.RelinearizationKey, *ckks.RotationKeySet, error) {
-	var rlk *ckks.RelinearizationKey
-	var rtk *ckks.RotationKeySet
-	if keys.Relin != "" {
-		rlk = &ckks.RelinearizationKey{}
-		if err := decodeKeyB64(keys.Relin, "relin key", rlk); err != nil {
-			return nil, nil, err
-		}
-	}
-	if keys.RotationSet != "" {
-		rtk = &ckks.RotationKeySet{}
-		if err := decodeKeyB64(keys.RotationSet, "rotation set", rtk); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rlk, rtk, nil
 }
 
 func randomID() (string, error) {
