@@ -1,29 +1,15 @@
 // Command evaload is a load generator for the evaserve jobs API: it drives N
 // concurrent asynchronous jobs end to end (submit → stream progress → fetch
 // result), retries submissions the server sheds with 429 + Retry-After, and
-// prints throughput and latency percentiles. CI's nightly load smoke runs it
-// against an in-process server; with -addr it targets a live evaserve
-// running in -demo mode.
+// prints throughput and latency percentiles. CI runs it against an
+// in-process server; with -addr it targets a live evaserve running in -demo
+// mode.
 //
 // Usage:
 //
 //	evaload [-addr http://host:8080] [-jobs 50] [-concurrency 8] [-batches 2]
 //	        [-timeout 10m] [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192]
-//	        [-coalesce] [-pipeline] [-cluster 0] [-kill-owner] [-trace]
-//	        [-profile-sample 0] [-profile]
-//
-// With -trace, evaload ends the run by fetching the slowest completed job's
-// server-side trace (GET /jobs/{id}/trace) and printing its span tree — the
-// phase breakdown of where that job's latency went (queue wait, per-opcode
-// execution, store write; routing hops in cluster mode).
-//
-// With -profile, evaload ends the run by fetching the server's
-// per-instruction profile (GET /profile; the merged cluster view under
-// -cluster), printing the hottest per-opcode buckets and any scale/level/cost
-// drift, and fitting a cost-model calibration from the recorded samples; the
-// run fails if the profiler recorded nothing or the fit comes back empty.
-// -profile-sample sets the in-process server's sampling stride (1 = every
-// instruction, as the nightly smoke runs it).
+//	        [-coalesce]
 //
 // With no -addr, evaload starts an in-process evaserve (demo mode) on a
 // loopback port and drives that, making it a self-contained smoke test: it
@@ -37,19 +23,9 @@
 // reports amortized per-request latency percentiles, throughput, and the
 // coalesced-over-unbatched speedup plus the server's occupancy metrics.
 //
-// With -pipeline, evaload smokes the encrypted pipeline endpoint: it submits
-// a two-stage chain (stage 2 consumes stage 1's output handle server-side),
-// verifies the decrypted final result against the cleartext reference, and
-// then submits an over-deep chain that the chaining checker must reject at
-// submit with a structured 422.
-//
-// With -cluster N (N >= 2), evaload instead boots an in-process N-node
-// evaserve cluster (each node durable in its own temp directory) and drives
-// the load through a router node that does not own the test context, so
-// every job is forwarded across the ring. Adding -kill-owner kills the
-// context's owner node after a quarter of the jobs have finished: the
-// surviving replica must absorb the requeued jobs and the run must still
-// end with zero lost results — the nightly owner-failover smoke.
+// Cluster routing, owner failover, pipelines, the instruction profiler and
+// job traces are checked by the end-to-end tests of internal/cluster and
+// internal/serve, not here.
 package main
 
 import (
@@ -63,17 +39,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eva/eva"
-	"eva/internal/cluster"
-	"eva/internal/obs"
-	"eva/internal/profile"
 	"eva/internal/serve"
-	"eva/internal/store"
 )
 
 func main() {
@@ -122,72 +92,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jobWorkers  = fs.Int("job-workers", 0, "in-process server: async job workers (0 = 2)")
 		jobQueue    = fs.Int("job-queue", 0, "in-process server: job queue depth (0 = 64)")
 		jobMemMB    = fs.Int64("job-memory-mb", 0, "in-process server: job memory budget in MiB (0 = 8192)")
-		clusterN    = fs.Int("cluster", 0, "boot an in-process N-node cluster and drive it through a router (0 = single node)")
-		killOwner   = fs.Bool("kill-owner", false, "cluster mode: kill the context owner after 25% of jobs complete")
 		coalesce    = fs.Bool("coalesce", false, "benchmark POST /jobs?coalesce=1 against the unbatched jobs API")
-		pipeline    = fs.Bool("pipeline", false, "smoke POST /pipelines: a two-stage encrypted chain verified against the cleartext reference, plus an incompatible chain rejected with 422")
-		traceFlag   = fs.Bool("trace", false, "after the run, print the slowest job's phase breakdown from its server-side trace")
-		profSample  = fs.Int("profile-sample", 0, "in-process server: instruction profiler stride (0 = 16, 1 = all, <0 = off)")
-		profFlag    = fs.Bool("profile", false, "after the run, fetch /profile, print the per-opcode breakdown, and fit a calibration from it (fails if the fit is empty)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	if *clusterN != 0 && *addr != "" {
-		return fmt.Errorf("-cluster starts its own in-process nodes; drop -addr")
-	}
-	if *coalesce && *clusterN != 0 {
-		return fmt.Errorf("-coalesce measures a single node; drop -cluster")
-	}
-	if *clusterN != 0 && *clusterN < 2 {
-		return fmt.Errorf("-cluster needs at least 2 nodes")
-	}
-	if *killOwner && *clusterN == 0 {
-		return fmt.Errorf("-kill-owner needs -cluster")
-	}
-
-	srvCfg := serve.Config{
-		AllowServerKeygen:    true,
-		JobWorkers:           *jobWorkers,
-		JobQueueDepth:        *jobQueue,
-		JobMemoryBudgetBytes: *jobMemMB << 20,
-		ProfileSampleRate:    *profSample,
-	}
 
 	var client *eva.Client
-	var nodes []*loadNode
-	switch {
-	case *clusterN > 0:
-		var err error
-		if nodes, err = startCluster(stdout, *clusterN, srvCfg); err != nil {
-			return err
-		}
-		defer func() {
-			for _, n := range nodes {
-				n.stop()
-			}
-		}()
-		client = nodes[0].client // placement is refined after the context exists
-	case *addr == "":
-		node, err := startNode(srvCfg, "", nil, "")
+	if *addr != "" {
+		client = eva.NewClient(*addr)
+	} else {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
-		defer node.stop()
-		nodes = []*loadNode{node}
-		client = node.client
-		fmt.Fprintf(stdout, "in-process evaserve on %s\n", node.url)
-	default:
-		client = eva.NewClient(*addr)
+		srv := serve.NewServer(serve.Config{
+			AllowServerKeygen:    true,
+			JobWorkers:           *jobWorkers,
+			JobQueueDepth:        *jobQueue,
+			JobMemoryBudgetBytes: *jobMemMB << 20,
+		})
+		defer srv.Close()
+		httpSrv := &http.Server{Handler: srv.Handler()}
+		go httpSrv.Serve(ln)
+		defer httpSrv.Close()
+		url := "http://" + ln.Addr().String()
+		client = eva.NewClient(url)
+		fmt.Fprintf(stdout, "in-process evaserve on %s\n", url)
 	}
 
 	if *coalesce {
 		return runCoalesceBench(ctx, stdout, client, *jobCount, *concurrency)
-	}
-	if *pipeline {
-		return runPipelineSmoke(ctx, stdout, client)
 	}
 
 	comp, err := client.Compile(ctx, eva.CompileRequest{
@@ -201,52 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("context (the server must run -demo): %w", err)
 	}
-
-	// Cluster mode: route the load through a node that does NOT own the
-	// context, so every job crosses the ring; with -kill-owner, arm the
-	// owner's execution.
-	var owner *loadNode
-	var completedCount atomic.Int64
-	if *clusterN > 0 {
-		candidates := nodes[0].cluster.ContextCandidates(ectx.ContextID)
-		ownerID := candidates[0]
-		isCandidate := map[string]bool{}
-		for _, c := range candidates {
-			isCandidate[c] = true
-		}
-		var router *loadNode
-		for _, n := range nodes {
-			if n.id == ownerID {
-				owner = n
-			}
-			// Prefer a router outside the candidate set so every request
-			// crosses the ring; fall back to the replica.
-			if n.id != ownerID && (router == nil || !isCandidate[n.id] && isCandidate[router.id]) {
-				router = n
-			}
-		}
-		if router == nil || owner == nil {
-			return fmt.Errorf("cluster: could not pick a router distinct from owner %s", ownerID)
-		}
-		client = router.client
-		fmt.Fprintf(stdout, "cluster: context %s owned by %s (replicas %v), routing via %s\n",
-			ectx.ContextID, ownerID, candidates[1:], router.id)
-		if *killOwner {
-			threshold := int64(*jobCount / 4)
-			go func() {
-				for completedCount.Load() < threshold {
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(10 * time.Millisecond):
-					}
-				}
-				fmt.Fprintf(stdout, "cluster: killing owner %s after %d jobs completed\n", owner.id, completedCount.Load())
-				owner.stop()
-			}()
-		}
-	}
-
 	fmt.Fprintf(stdout, "program %s, context %s, %d jobs x %d batches, concurrency %d\n",
 		comp.ID, ectx.ContextID, *jobCount, *batches, *concurrency)
 
@@ -261,9 +152,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			outcomes[i] = runJob(ctx, client, comp.ID, ectx.ContextID, *batches, i)
-			if outcomes[i].err == nil {
-				completedCount.Add(1)
-			}
 		}(i)
 	}
 	wg.Wait()
@@ -294,140 +182,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "queue wait p50 %.1fms  p90 %.1fms\n",
 			pct(waits, 0.50), pct(waits, 0.90))
 	}
-	if *traceFlag {
-		slowest := -1
-		for i, o := range outcomes {
-			if o.err == nil && o.jobID != "" && (slowest < 0 || o.latency > outcomes[slowest].latency) {
-				slowest = i
-			}
-		}
-		if slowest >= 0 {
-			printJobTrace(ctx, stdout, client, outcomes[slowest].jobID, outcomes[slowest].latency)
-		}
-	}
-	if *profFlag {
-		if err := reportProfile(ctx, stdout, client, *clusterN > 0); err != nil {
-			return err
-		}
-	}
-	if *clusterN > 0 && *killOwner && owner != nil {
-		var requeues uint64
-		for _, n := range nodes {
-			if n != owner {
-				requeues += n.cluster.Stats().Requeues
-			}
-		}
-		fmt.Fprintf(stdout, "cluster: %d jobs requeued off the killed owner\n", requeues)
-	}
 	if lost > 0 {
 		return fmt.Errorf("%d of %d jobs lost their results", lost, *jobCount)
 	}
 	return nil
-}
-
-// loadNode is one in-process evaserve (optionally a cluster member).
-type loadNode struct {
-	id       string
-	url      string
-	dataDir  string
-	srv      *serve.Server
-	cluster  *cluster.Cluster
-	httpSrv  *http.Server
-	client   *eva.Client
-	stopOnce sync.Once // the kill-owner goroutine races the deferred cleanup
-}
-
-func (n *loadNode) stop() {
-	n.stopOnce.Do(func() {
-		n.httpSrv.Close()
-		n.srv.Close()
-		if n.cluster != nil {
-			n.cluster.Close()
-		}
-		if n.dataDir != "" {
-			os.RemoveAll(n.dataDir)
-		}
-	})
-}
-
-// startNode boots one in-process server. When peers is non-empty the node
-// joins the cluster under nodeID with a durable store at dataDir.
-func startNode(cfg serve.Config, nodeID string, peers map[string]string, dataDir string) (*loadNode, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	return startNodeOn(ln, cfg, nodeID, peers, dataDir)
-}
-
-func startNodeOn(ln net.Listener, cfg serve.Config, nodeID string, peers map[string]string, dataDir string) (*loadNode, error) {
-	var st store.Store
-	if dataDir != "" {
-		fsStore, err := store.OpenFS(dataDir)
-		if err != nil {
-			return nil, err
-		}
-		st = fsStore
-	}
-	cfg.Store = st
-	cfg.NodeID = nodeID
-	cfg.AllowContextTransfer = len(peers) > 0
-	srv := serve.NewServer(cfg)
-	node := &loadNode{
-		id:      nodeID,
-		url:     "http://" + ln.Addr().String(),
-		dataDir: dataDir,
-		srv:     srv,
-	}
-	handler := srv.Handler()
-	if len(peers) > 0 {
-		cl, err := cluster.New(srv, cluster.Config{Self: nodeID, Peers: peers, Store: st})
-		if err != nil {
-			return nil, err
-		}
-		node.cluster = cl
-		handler = cl.Handler()
-	}
-	node.httpSrv = &http.Server{Handler: handler}
-	go node.httpSrv.Serve(ln)
-	node.client = eva.NewClient(node.url)
-	return node, nil
-}
-
-// startCluster boots n in-process nodes with static membership, each
-// durable in its own temp directory.
-func startCluster(stdout io.Writer, n int, cfg serve.Config) ([]*loadNode, error) {
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	nodes := make([]*loadNode, n)
-	for i := range nodes {
-		id := fmt.Sprintf("n%d", i+1)
-		peers := map[string]string{}
-		for j := range urls {
-			if j != i {
-				peers[fmt.Sprintf("n%d", j+1)] = urls[j]
-			}
-		}
-		dir, err := os.MkdirTemp("", "evaload-"+id+"-*")
-		if err != nil {
-			return nil, err
-		}
-		node, err := startNodeOn(listeners[i], cfg, id, peers, dir)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-		fmt.Fprintf(stdout, "cluster node %s on %s (data %s)\n", id, node.url, dir)
-	}
-	return nodes, nil
 }
 
 // runJob drives one job end to end; shed (429) and routing-unavailable
@@ -457,8 +215,9 @@ func runJob(ctx context.Context, client *eva.Client, programID, contextID string
 	if err != nil {
 		return outcome{retries: retries, err: fmt.Errorf("submit: %w", err)}
 	}
-	// Wait and fetch; a 409 on fetch means the job was requeued after its
-	// node died between "done" and the fetch — wait again.
+	// Wait and fetch; a 409 on fetch means a cluster router (under -addr)
+	// requeued the job after its node died between "done" and the fetch —
+	// wait again.
 	for {
 		final, err := client.WaitJob(ctx, status.JobID)
 		if err != nil {
@@ -486,114 +245,16 @@ func runJob(ctx context.Context, client *eva.Client, programID, contextID string
 				return outcome{retries: retries, err: fmt.Errorf("batch %d: missing output", i)}
 			}
 		}
-		return outcome{jobID: status.JobID, latency: time.Since(start), wait: final.WaitMillis, retries: retries}
+		return outcome{latency: time.Since(start), wait: final.WaitMillis, retries: retries}
 	}
 }
 
 // outcome is the result of driving one job end to end.
 type outcome struct {
-	jobID   string
 	latency time.Duration
 	wait    float64
 	retries int
 	err     error
-}
-
-// reportProfile fetches the server's instruction-profiler aggregate after
-// the run, prints the hottest per-(opcode, level) buckets and any drift, and
-// fits a calibration from the recorded samples — failing the run when the
-// profiler recorded nothing (the nightly smoke's assertion that the flight
-// recorder actually flew).
-func reportProfile(ctx context.Context, stdout io.Writer, client *eva.Client, clusterMode bool) error {
-	var rep eva.ProfileReport
-	if clusterMode {
-		cp, err := client.FetchClusterProfile(ctx)
-		if err != nil {
-			return fmt.Errorf("profile: %w", err)
-		}
-		rep = cp.Merged
-	} else {
-		var err error
-		if rep, err = client.FetchProfile(ctx); err != nil {
-			return fmt.Errorf("profile: %w", err)
-		}
-	}
-	fmt.Fprintf(stdout, "profile: %d executions, %d instructions, %d sampled, %d drift events\n",
-		rep.Executions, rep.Instructions, rep.Samples, rep.DriftTotal)
-	buckets := append([]profile.Bucket(nil), rep.Buckets...)
-	sort.Slice(buckets, func(a, b int) bool { return buckets[a].TotalNS > buckets[b].TotalNS })
-	for i, b := range buckets {
-		if i == 8 {
-			fmt.Fprintf(stdout, "  ... %d more buckets\n", len(buckets)-i)
-			break
-		}
-		fmt.Fprintf(stdout, "  %-14s L%-2d n=%-6d mean %8.1fus  max %8.1fus\n",
-			b.Op, b.Level, b.Count, b.MeanUS, b.MaxNS/1e3)
-	}
-	for kind, n := range rep.DriftCounts {
-		fmt.Fprintf(stdout, "  drift %s: %d\n", kind, n)
-	}
-	if rep.Samples == 0 {
-		return fmt.Errorf("profile: server recorded no samples (is -profile-sample >= 0?)")
-	}
-	cal, err := profile.Fit([]profile.ProgramProfile{{
-		ProgramID:    "evaload",
-		Executions:   rep.Executions,
-		Instructions: rep.Instructions,
-		Samples:      rep.Samples,
-		Buckets:      rep.Buckets,
-	}})
-	if err != nil {
-		return fmt.Errorf("profile: calibration fit: %w", err)
-	}
-	if len(cal.NsPerUnit) == 0 || cal.BaselineNsPerUnit <= 0 {
-		return fmt.Errorf("profile: calibration fit is empty: %+v", cal)
-	}
-	ops := make([]string, 0, len(cal.NsPerUnit))
-	for op := range cal.NsPerUnit {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	fmt.Fprintf(stdout, "calibration fit (baseline %.4g ns/unit, %d samples):\n", cal.BaselineNsPerUnit, cal.Samples)
-	for _, op := range ops {
-		fmt.Fprintf(stdout, "  %-14s %.4g ns/unit\n", op, cal.NsPerUnit[op])
-	}
-	return nil
-}
-
-// printJobTrace fetches a job's server-side trace and prints its span tree —
-// the phase breakdown (queue wait vs coalesce wait vs execution vs store
-// write) of where the job's latency went.
-func printJobTrace(ctx context.Context, stdout io.Writer, client *eva.Client, jobID string, latency time.Duration) {
-	tr, err := client.FetchJobTrace(ctx, jobID)
-	if err != nil {
-		fmt.Fprintf(stdout, "trace: slowest job %s: %v\n", jobID, err)
-		return
-	}
-	fmt.Fprintf(stdout, "slowest job %s: %.1fms client-observed (trace %s, node %s, %.1fms server-side):\n",
-		jobID, ms(latency), tr.TraceID, tr.Node, tr.DurationMS)
-	var walk func(sp obs.SpanJSON, depth int)
-	walk = func(sp obs.SpanJSON, depth int) {
-		line := fmt.Sprintf("  %s%s", strings.Repeat("  ", depth), sp.Name)
-		fmt.Fprintf(stdout, "%-36s %9.2fms", line, sp.DurationMS)
-		if len(sp.Attrs) > 0 {
-			keys := make([]string, 0, len(sp.Attrs))
-			for k := range sp.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(stdout, "  %s=%s", k, sp.Attrs[k])
-			}
-		}
-		fmt.Fprintln(stdout)
-		for _, ch := range sp.Children {
-			walk(ch, depth+1)
-		}
-	}
-	for _, sp := range tr.Spans {
-		walk(sp, 0)
-	}
 }
 
 // runCoalesceBench drives coalesceSource through the plain jobs API (the
@@ -730,132 +391,6 @@ func runCoalesceBench(ctx context.Context, stdout io.Writer, client *eva.Client,
 		}
 	}
 	return nil
-}
-
-// Stage programs of the -pipeline smoke. Both compile with the same options
-// (MaxRescaleLog 30 keeps each product's rescale at the 2^30 waterline;
-// ExtraLevels 1 adds the headroom the chaining consumes), so they share one
-// parameter chain, and with the same keygen seed their demo contexts share
-// keys — the conditions under which stage outputs are consumable downstream.
-const (
-	pipelineStage1 = `program pstage1 vec=8;
-input x @30;
-input y @30;
-out = x * y;
-output out @30;`
-	pipelineStage2 = `program pstage2 vec=8;
-input z @30;
-out2 = z * 0.5@30;
-output out2 @30;`
-)
-
-// runPipelineSmoke drives POST /pipelines end to end: a two-stage encrypted
-// chain (stage 2 consumes stage 1's output server-side, zero client-side
-// ciphertext round-trips) whose decrypted result must match the cleartext
-// reference, then an over-deep chain that must be rejected at submit with a
-// structured 422 — the chaining checker working is part of the contract.
-func runPipelineSmoke(ctx context.Context, stdout io.Writer, client *eva.Client) error {
-	opts := &serve.CompileOptionsJSON{AllowInsecure: true, MaxRescaleLog: 30, ExtraLevels: 1}
-	compile := func(src string) (string, error) {
-		comp, err := client.Compile(ctx, eva.CompileRequest{Source: src, Options: opts})
-		if err != nil {
-			return "", fmt.Errorf("compile: %w", err)
-		}
-		return comp.ID, nil
-	}
-	p1, err := compile(pipelineStage1)
-	if err != nil {
-		return err
-	}
-	p2, err := compile(pipelineStage2)
-	if err != nil {
-		return err
-	}
-	mkctx := func(programID string) (string, error) {
-		ec, err := client.NewKeygenContext(ctx, programID, 7)
-		if err != nil {
-			return "", fmt.Errorf("context (the server must run -demo): %w", err)
-		}
-		return ec.ContextID, nil
-	}
-	c1, err := mkctx(p1)
-	if err != nil {
-		return err
-	}
-	c2, err := mkctx(p2)
-	if err != nil {
-		return err
-	}
-
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	ys := []float64{8, 7, 6, 5, 4, 3, 2, 1}
-	stageRef := func(stage int, output string) eva.PipelineInput {
-		return eva.PipelineInput{Stage: &stage, Output: output}
-	}
-
-	start := time.Now()
-	st, err := client.SubmitPipeline(ctx, eva.PipelineRequest{
-		Stages: []eva.PipelineStage{
-			{ProgramID: p1, ContextID: c1, Inputs: map[string]eva.PipelineInput{
-				"x": {Values: xs}, "y": {Values: ys},
-			}},
-			{ProgramID: p2, ContextID: c2, Inputs: map[string]eva.PipelineInput{
-				"z": stageRef(0, "out"),
-			}, Output: "values"},
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("pipeline submit: %w", err)
-	}
-	res, err := client.WaitResult(ctx, st.JobID)
-	if err != nil {
-		return fmt.Errorf("pipeline wait: %w", err)
-	}
-	if len(res.Results) != 2 {
-		return fmt.Errorf("pipeline returned %d stage results; want 2", len(res.Results))
-	}
-	out := res.Results[1].Values["out2"]
-	if len(out) != len(xs) {
-		return fmt.Errorf("final stage returned %d values; want %d", len(out), len(xs))
-	}
-	for i := range xs {
-		want := xs[i] * ys[i] * 0.5
-		if math.Abs(out[i]-want) > 1e-2 {
-			return fmt.Errorf("pipeline output[%d] = %v; cleartext reference %v", i, out[i], want)
-		}
-	}
-	fmt.Fprintf(stdout, "pipeline: 2-stage chain (job %s) verified against the cleartext reference in %.1fms\n",
-		st.JobID, ms(time.Since(start)))
-
-	// Negative path: chain until the level budget runs dry; the checker must
-	// reject the submission — a mid-run failure here would mean the static
-	// check let an impossible chain through.
-	deep := eva.PipelineRequest{Stages: []eva.PipelineStage{
-		{ProgramID: p1, ContextID: c1, Inputs: map[string]eva.PipelineInput{
-			"x": {Values: xs}, "y": {Values: ys},
-		}},
-	}}
-	for i := 1; i <= 3; i++ {
-		deep.Stages = append(deep.Stages, eva.PipelineStage{
-			ProgramID: p2, ContextID: c2,
-			Inputs: map[string]eva.PipelineInput{"z": stageRef(i-1, outputName(i))},
-		})
-	}
-	if _, err := client.SubmitPipeline(ctx, deep); err == nil {
-		return fmt.Errorf("over-deep chain was accepted; the chaining checker must reject it at submit")
-	} else if apiErr, ok := err.(*eva.APIError); !ok || apiErr.Status != http.StatusUnprocessableEntity {
-		return fmt.Errorf("over-deep chain: got %v; want a structured 422", err)
-	}
-	fmt.Fprintln(stdout, "pipeline: incompatible chain rejected at submit with 422")
-	return nil
-}
-
-// outputName names stage i's encrypted output in the -pipeline smoke.
-func outputName(stage int) string {
-	if stage == 1 {
-		return "out" // stage 0 is pstage1
-	}
-	return "out2"
 }
 
 // drivePhase runs jobCount requests through one at the given concurrency and

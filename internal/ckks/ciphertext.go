@@ -44,7 +44,9 @@ func (ct *Ciphertext) Deferred() bool { return ct.ValueP != nil }
 
 // Validate checks that the ciphertext is well-formed for the parameter set:
 // plausible degree, level within the modulus chain, positive scale, and
-// every polynomial in NTT form with exactly level+1 limbs of length N.
+// every polynomial in NTT form with exactly level+1 limbs of length N whose
+// coefficients are reduced below their limb's prime (an unreduced one would
+// decrypt to a different value and give one ciphertext many encodings).
 // Deserialized ciphertexts from untrusted sources must pass this check
 // before being handed to an evaluator — the ring layer assumes well-shaped
 // NTT operands and does not re-check them.
@@ -76,6 +78,19 @@ func (ct *Ciphertext) Validate(params *Parameters) error {
 			if len(limb) != n {
 				return fmt.Errorf("ckks: ciphertext polynomial %d limb %d has %d coefficients; ring degree is %d", i, j, len(limb), n)
 			}
+			if err := checkReduced(limb, params.RingQ().Moduli[j].Q); err != nil {
+				return fmt.Errorf("ckks: ciphertext polynomial %d limb %d: %w", i, j, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkReduced refuses a limb with a coefficient that is not below its prime q.
+func checkReduced(limb []uint64, q uint64) error {
+	for k, c := range limb {
+		if c >= q {
+			return fmt.Errorf("coefficient %d is %d, not reduced below the prime %d", k, c, q)
 		}
 	}
 	return nil

@@ -37,7 +37,8 @@ type SwitchingKey struct {
 
 // Validate checks that the switching key is well-shaped for the parameter
 // set: ⌈(L+1)/α⌉ digits, every digit carrying L+1 chain limbs and α special
-// limbs of length N, in NTT form. Keys deserialized from untrusted sources
+// limbs of length N, in NTT form, with every coefficient reduced below its
+// limb's prime. Keys deserialized from untrusted sources
 // must pass this check before use — the key-switching kernels assume
 // well-shaped operands.
 func (swk *SwitchingKey) Validate(params *Parameters) error {
@@ -50,7 +51,8 @@ func (swk *SwitchingKey) Validate(params *Parameters) error {
 			len(swk.BQ), len(swk.AQ), len(swk.BP), len(swk.AP), digits, params.MaxLevel()+1, params.DigitSize())
 	}
 	n := params.N()
-	check := func(j int, what string, p *ring.Poly, limbs int) error {
+	check := func(j int, what string, p *ring.Poly, r *ring.Ring) error {
+		limbs := len(r.Moduli)
 		if p == nil || len(p.Coeffs) != limbs {
 			return fmt.Errorf("ckks: switching-key digit %d %s polynomial is malformed (want %d limbs; %d extended limbs per digit)",
 				j, what, limbs, params.MaxLevel()+1+params.DigitSize())
@@ -58,21 +60,24 @@ func (swk *SwitchingKey) Validate(params *Parameters) error {
 		if !p.IsNTT {
 			return fmt.Errorf("ckks: switching-key digit %d %s polynomial is not in NTT form", j, what)
 		}
-		for _, limb := range p.Coeffs {
+		for i, limb := range p.Coeffs {
 			if len(limb) != n {
 				return fmt.Errorf("ckks: switching-key digit %d has a limb of %d coefficients; ring degree is %d", j, len(limb), n)
+			}
+			if err := checkReduced(limb, r.Moduli[i].Q); err != nil {
+				return fmt.Errorf("ckks: switching-key digit %d %s polynomial limb %d: %w", j, what, i, err)
 			}
 		}
 		return nil
 	}
+	rq, rp := params.RingQ(), params.RingP()
 	for j := 0; j < digits; j++ {
-		for _, p := range []*ring.Poly{swk.BQ[j], swk.AQ[j]} {
-			if err := check(j, "chain", p, params.MaxLevel()+1); err != nil {
-				return err
-			}
-		}
-		for _, p := range []*ring.Poly{swk.BP[j], swk.AP[j]} {
-			if err := check(j, "special", p, params.DigitSize()); err != nil {
+		for _, c := range []struct {
+			what string
+			p    *ring.Poly
+			r    *ring.Ring
+		}{{"chain BQ", swk.BQ[j], rq}, {"chain AQ", swk.AQ[j], rq}, {"special BP", swk.BP[j], rp}, {"special AP", swk.AP[j], rp}} {
+			if err := check(j, c.what, c.p, c.r); err != nil {
 				return err
 			}
 		}

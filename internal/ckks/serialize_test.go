@@ -25,6 +25,21 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("metadata changed: %v vs %v", restored, ct)
 	}
 	requireClose(t, tc.decryptTo(t, restored), values, 1e-6, "restored ciphertext")
+	if err := restored.Validate(tc.params); err != nil {
+		t.Fatalf("restored ciphertext fails validation: %v", err)
+	}
+
+	// A limb with q₀ added to one coefficient still decodes (the wire format
+	// does not know the primes) but is not reduced: it would decrypt to a
+	// different value, so validation refuses it by polynomial and limb.
+	unreduced := &Ciphertext{}
+	if err := unreduced.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	unreduced.Value[1].Coeffs[0][7] += tc.params.RingQ().Moduli[0].Q
+	if err := unreduced.Validate(tc.params); err == nil || !strings.Contains(err.Error(), "polynomial 1 limb 0") {
+		t.Errorf("ciphertext with an unreduced coefficient: error %v, want a refusal naming polynomial 1 limb 0", err)
+	}
 
 	// Restored ciphertexts participate in homomorphic operations.
 	sum, err := tc.eval.Add(restored, ct)
@@ -224,7 +239,7 @@ func TestSwitchingKeyValidate(t *testing.T) {
 		t.Error("key validated against parameters without special primes")
 	}
 
-	corrupt := func(name string, mutate func(swk *SwitchingKey)) {
+	corrupt := func(name string, mutate func(swk *SwitchingKey)) error {
 		data, err := grouped.rlk.Key.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -234,9 +249,11 @@ func TestSwitchingKeyValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(swk)
-		if err := swk.Validate(grouped.params); err == nil {
+		err = swk.Validate(grouped.params)
+		if err == nil {
 			t.Errorf("%s: validation passed", name)
 		}
+		return err
 	}
 	corrupt("chain polynomial short of a limb", func(swk *SwitchingKey) { swk.AQ[1].Coeffs = swk.AQ[1].Coeffs[:4] })
 	corrupt("special polynomial short of a limb", func(swk *SwitchingKey) { swk.BP[0].Coeffs = swk.BP[0].Coeffs[:1] })
@@ -245,6 +262,15 @@ func TestSwitchingKeyValidate(t *testing.T) {
 	corrupt("missing polynomial", func(swk *SwitchingKey) { swk.BP[1] = nil })
 	corrupt("coefficient-domain polynomial", func(swk *SwitchingKey) { swk.BQ[0].IsNTT = false })
 	corrupt("dropped digit", func(swk *SwitchingKey) { swk.BQ = swk.BQ[:2] })
+	q0, p1 := grouped.params.RingQ().Moduli[0].Q, grouped.params.RingP().Moduli[1].Q
+	for want, mutate := range map[string]func(swk *SwitchingKey){
+		"digit 1 chain AQ polynomial limb 0":   func(swk *SwitchingKey) { swk.AQ[1].Coeffs[0][9] += q0 },
+		"digit 2 special BP polynomial limb 1": func(swk *SwitchingKey) { swk.BP[2].Coeffs[1][3] += p1 },
+	} {
+		if err := corrupt("unreduced coefficient in "+want, mutate); err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("unreduced coefficient: error %v, want one naming %s", err, want)
+		}
+	}
 }
 
 // TestSerializationRefusesTrailingBytes: every decoder accepts exactly the

@@ -208,9 +208,9 @@ func (c *Cluster) Close() {
 // Nodes returns the sorted member ids.
 func (c *Cluster) Nodes() []string { return append([]string(nil), c.ring.nodes...) }
 
-// ContextCandidates returns the nodes that should hold a context, owner
-// first. Exported for tooling (evaload's kill-the-owner smoke targets it).
-func (c *Cluster) ContextCandidates(contextID string) []string {
+// contextCandidates returns the nodes that should hold a context, owner
+// first.
+func (c *Cluster) contextCandidates(contextID string) []string {
 	return c.ring.successors("ctx/"+contextID, c.replicas)
 }
 

@@ -189,7 +189,7 @@ func TestClusterRoutingAndScatter(t *testing.T) {
 	}
 
 	// The context must live on exactly its candidate nodes' stores.
-	candidates := nodes[0].cluster.ContextCandidates(contextID)
+	candidates := nodes[0].cluster.contextCandidates(contextID)
 	if len(candidates) != 2 {
 		t.Fatalf("context candidates = %v, want 2 nodes", candidates)
 	}
@@ -278,7 +278,8 @@ func TestClusterRoutingAndScatter(t *testing.T) {
 // TestClusterOwnerKilledMidJob is the acceptance e2e: jobs are admitted
 // through a router, their owner node is killed while they are queued or
 // running, and every job must still complete on a surviving replica with
-// its result delivered — zero lost results.
+// its result delivered — zero lost results. Jobs submitted after the kill
+// must go straight to the replica and complete too.
 func TestClusterOwnerKilledMidJob(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -287,7 +288,7 @@ func TestClusterOwnerKilledMidJob(t *testing.T) {
 	nodes := startTestCluster(t, 3, 1)
 	programID, contextID := compileAndContext(t, ctx, nodes[0])
 
-	candidates := nodes[0].cluster.ContextCandidates(contextID)
+	candidates := nodes[0].cluster.contextCandidates(contextID)
 	owner := nodeByID(nodes, candidates[0])
 	var router *testNode
 	for _, n := range nodes {
@@ -313,8 +314,23 @@ func TestClusterOwnerKilledMidJob(t *testing.T) {
 		jobIDs[i] = st.JobID
 	}
 
-	// Kill the owner while the queue drains.
+	// Kill the owner while the queue drains, then keep submitting through
+	// the router: those jobs must be placed on the surviving replica.
 	owner.kill()
+	for i := 0; i < 3; i++ {
+		sub, err := router.client.Submit(ctx, programID, contextID, batches, eva.SubmitOptions{})
+		if err != nil {
+			t.Fatalf("submit %d via %s after the owner died: %v", i, router.id, err)
+		}
+		_, suffix, _ := splitJobID(sub.Job.JobID)
+		router.cluster.mu.Lock()
+		node := router.cluster.cjobs[suffix].Node
+		router.cluster.mu.Unlock()
+		if node != candidates[1] {
+			t.Fatalf("job %s submitted after the owner died was placed on %s; want replica %s", sub.Job.JobID, node, candidates[1])
+		}
+		jobIDs = append(jobIDs, sub.Job.JobID)
+	}
 
 	for i, id := range jobIDs {
 		final, err := router.client.WaitJob(ctx, id)
@@ -413,7 +429,7 @@ output out2 @30;`)
 	}
 
 	nonCandidate := func(contextID string) *testNode {
-		cands := nodes[0].cluster.ContextCandidates(contextID)
+		cands := nodes[0].cluster.contextCandidates(contextID)
 		for _, n := range nodes {
 			member := false
 			for _, c := range cands {
@@ -431,7 +447,7 @@ output out2 @30;`)
 
 	// Stage 1 as a routed job with handle output, submitted via a node that
 	// does not own c1.
-	owner1 := nodes[0].cluster.ContextCandidates(c1)[0]
+	owner1 := nodes[0].cluster.contextCandidates(c1)[0]
 	var router *testNode
 	for _, n := range nodes {
 		if n.id != owner1 {
@@ -638,7 +654,7 @@ func TestClusterProbeRequeuesProactively(t *testing.T) {
 	defer cancel()
 	nodes := startTestCluster(t, 3, 1)
 	programID, contextID := compileAndContext(t, ctx, nodes[0])
-	candidates := nodes[0].cluster.ContextCandidates(contextID)
+	candidates := nodes[0].cluster.contextCandidates(contextID)
 	owner := nodeByID(nodes, candidates[0])
 	var router *testNode
 	for _, n := range nodes {

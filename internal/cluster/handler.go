@@ -292,7 +292,7 @@ func (c *Cluster) handleContexts(w http.ResponseWriter, r *http.Request, body []
 		}
 		req.ContextID = suffix
 	}
-	candidates := c.ContextCandidates(req.ContextID)
+	candidates := c.contextCandidates(req.ContextID)
 	primary, ok := c.firstHealthy(candidates)
 	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "cluster: no healthy node for context %s", req.ContextID)

@@ -32,7 +32,7 @@ func (c *Cluster) handleHandlePut(w http.ResponseWriter, r *http.Request, body [
 		c.serveLocal("handles_put", w, r, body)
 		return
 	}
-	candidates := c.ContextCandidates(req.ContextID)
+	candidates := c.contextCandidates(req.ContextID)
 	var lastStatus int
 	var lastBody []byte
 	for _, node := range candidates {
@@ -209,7 +209,7 @@ func (c *Cluster) handlePipelineSubmit(w http.ResponseWriter, r *http.Request, b
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	candidates := c.ContextCandidates(req.Stages[0].ContextID)
+	candidates := c.contextCandidates(req.Stages[0].ContextID)
 	primary, ok := c.firstHealthy(candidates)
 	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "cluster: no healthy node holds context %q", req.Stages[0].ContextID)
@@ -269,7 +269,7 @@ func (c *Cluster) ensureContext(node, contextID, programID string) error {
 	if err == nil && status == http.StatusOK {
 		return nil
 	}
-	sources := slices.DeleteFunc(c.ContextCandidates(contextID), func(src string) bool { return src == node })
+	sources := slices.DeleteFunc(c.contextCandidates(contextID), func(src string) bool { return src == node })
 	bundle := c.fetchBundle(contextID, sources)
 	if bundle == nil {
 		return errors.New("no candidate node holds the context bundle")

@@ -164,7 +164,7 @@ func (c *Cluster) handleJobSubmit(w http.ResponseWriter, r *http.Request, body [
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	candidates := c.ContextCandidates(req.ContextID)
+	candidates := c.contextCandidates(req.ContextID)
 	var lastStatus int
 	var lastBody []byte
 	for _, node := range candidates {
@@ -545,7 +545,7 @@ func (c *Cluster) requeue(rec *routedJob, failedNode string) bool {
 	if path == "" {
 		path = "/jobs"
 	}
-	for _, node := range c.ContextCandidates(rec.ContextID) {
+	for _, node := range c.contextCandidates(rec.ContextID) {
 		if node == failedNode || !c.healthy(node) {
 			continue
 		}

@@ -23,7 +23,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	nodes := startTestCluster(t, 3, 1)
 	programID, contextID := compileAndContext(t, ctx, nodes[0])
 
-	candidates := nodes[0].cluster.ContextCandidates(contextID)
+	candidates := nodes[0].cluster.contextCandidates(contextID)
 	ownerID := candidates[0]
 	owner := nodeByID(nodes, ownerID)
 	var router *testNode

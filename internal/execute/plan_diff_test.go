@@ -189,8 +189,9 @@ func extraKeySetErrors(t *testing.T, res *compile.Result, in execute.Inputs, wan
 }
 
 // differential runs one program cold-plan, warm-plan and as the reference
-// lowering (fixture.runReference), under each scheduler. Cold and warm runs are
-// byte-identical, and so are the runs of each kind across schedulers. Each
+// lowering (fixture.runReference), under each scheduler. Every output
+// ciphertext passes ckks.Ciphertext.Validate (the check uploads must pass,
+// limbs fully reduced included). Cold and warm runs are byte-identical, and so are the runs of each kind across schedulers. Each
 // scheduler gets a freshly compiled result (so its first run really is the
 // plan's first) with the same keys and inputs, which also makes the
 // schedulers comparable. The reference run defers no mod-down and fuses no
@@ -226,6 +227,13 @@ func differential(t *testing.T, prog *core.Program, opts compile.Options, in exe
 		if s := off.Stats; s.PlainCacheHits != 0 || s.FusedChains != 0 || s.RecycledBuffers != 0 {
 			t.Errorf("%s: reference run still reports %d cache hits, %d fused chains, %d recycled buffers",
 				name, s.PlainCacheHits, s.FusedChains, s.RecycledBuffers)
+		}
+		for _, o := range []*execute.Outputs{cold, warm, off} {
+			for out, ct := range o.Cipher {
+				if err := ct.Validate(f.ctx.Params); err != nil {
+					t.Errorf("%s: output %q fails validation: %v", name, out, err)
+				}
+			}
 		}
 		for _, o := range []*execute.Outputs{cold, warm} {
 			if o.Stats.Instructions != off.Stats.Instructions {
