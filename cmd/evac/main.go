@@ -100,8 +100,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %-12s %d\n", op, count)
 	}
 	model := res.CostModel()
-	fmt.Fprintf(stdout, "key switching: digits of %d chain primes, %.1f MB per switching key\n",
-		model.DigitSize, float64(model.SwitchingKeyBytes())/1e6)
+	fmt.Fprintf(stdout, "key switching: digits of %d chain primes, %.1f MB of evaluation keys\n",
+		model.DigitSize, float64(res.KeySetBytes())/1e6)
 	est := res.Cost()
 	fmt.Fprintf(stdout, "estimated cost: %.3g limb-element ops, critical path %.3g (ideal parallel speedup <= %.1fx)\n",
 		est.Total, est.CriticalPath, est.ParallelSpeedupBound())

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
 	"eva/eva"
+	"eva/internal/profile"
 	"eva/internal/serve"
 )
 
@@ -37,7 +39,7 @@ output out @30;`
 // client: compile from source, keygen context, submit, stream events, wait,
 // fetch the result exactly once.
 func TestClientJobsRoundTrip(t *testing.T) {
-	c := startDemoServer(t, serve.Config{})
+	c := startDemoServer(t, serve.Config{ProfileSampleRate: 1})
 	ctx := context.Background()
 
 	comp, err := c.Compile(ctx, eva.CompileRequest{
@@ -111,6 +113,25 @@ func TestClientJobsRoundTrip(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.Status != 410 {
 			t.Fatalf("second fetch error = %v; want *APIError with status 410", err)
 		}
+	}
+
+	// The profiler sampled every instruction of both batches, under the
+	// program's id.
+	prof, err := c.FetchProfile(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(prof.Programs, func(p profile.ProgramSummary) bool { return p.ProgramID == comp.ID })
+	if i < 0 || prof.Programs[i].Executions != 2 || prof.Programs[i].Samples == 0 || prof.Programs[i].Samples != prof.Programs[i].Instructions {
+		t.Fatalf("profile of program %s: %+v; want 2 executions with every instruction sampled", comp.ID, prof.Programs)
+	}
+	// A standalone server ignores the cluster scope: the merged view is empty.
+	cluster, err := c.FetchClusterProfile(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cluster.Merged.Executions != 0 || len(cluster.Merged.Programs) != 0 || len(cluster.Nodes) != 0 {
+		t.Fatalf("cluster profile from a standalone server: %+v; want an empty merged view", cluster)
 	}
 }
 

@@ -182,14 +182,15 @@ func (e CostEstimate) ParallelSpeedupBound() float64 {
 	return e.Total / e.CriticalPath
 }
 
-// SwitchingKeyBytes returns the size of one switching key (the
-// relinearization key, or one rotation's Galois key): ⌈L/α⌉ digits, each a
-// pair of polynomials over the L chain primes and the α special primes, with
-// L = TotalLevels and α = DigitSize. Keys do not shrink with the level, so
-// this is also what each key occupies for the lifetime of a context.
-func (m CostModel) SwitchingKeyBytes() int64 {
+// SwitchingKeyBytes returns the size of one switching key of level ℓ (the
+// relinearization key, or one rotation's Galois key, built only as deep as
+// the program uses it): ⌈(ℓ+1)/α⌉ digits, each a pair of polynomials over the
+// ℓ+1 chain primes and the α special primes, with α = DigitSize. The level
+// counts chain primes above q_0, as the backend does: the top of the chain is
+// TotalLevels−1, where a key serves every level.
+func (m CostModel) SwitchingKeyBytes(level int) int64 {
 	alpha := int64(max(m.DigitSize, 1))
-	limbs := int64(m.TotalLevels)
+	limbs := int64(level + 1)
 	digits := (limbs + alpha - 1) / alpha
 	return digits * 2 * (limbs + alpha) * 8 << uint(m.LogN)
 }

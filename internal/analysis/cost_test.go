@@ -104,19 +104,23 @@ func TestKeySwitchPriceHalves(t *testing.T) {
 	}
 }
 
-// TestSwitchingKeyBytes: ⌈L/α⌉ digits of two polynomials over L+α limbs.
+// TestSwitchingKeyBytes: ⌈(ℓ+1)/α⌉ digits of two polynomials over ℓ+1+α
+// limbs.
 func TestSwitchingKeyBytes(t *testing.T) {
 	cases := []struct {
 		model CostModel
+		level int
 		limbs int64 // limb count of one key
 	}{
-		{CostModel{LogN: 10, TotalLevels: 16}, 16 * 2 * 17},
-		{CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}, 4 * 2 * 20},
-		{CostModel{LogN: 14, TotalLevels: 5, DigitSize: 2}, 3 * 2 * 7},
+		{CostModel{LogN: 10, TotalLevels: 16}, 15, 16 * 2 * 17},
+		{CostModel{LogN: 10, TotalLevels: 16, DigitSize: 4}, 15, 4 * 2 * 20},
+		{CostModel{LogN: 14, TotalLevels: 5, DigitSize: 2}, 4, 3 * 2 * 7},
+		{CostModel{LogN: 14, TotalLevels: 5, DigitSize: 2}, 1, 1 * 2 * 4},
+		{CostModel{LogN: 14, TotalLevels: 5, DigitSize: 4}, 0, 1 * 2 * 5},
 	}
 	for _, c := range cases {
-		if got, want := c.model.SwitchingKeyBytes(), c.limbs*8<<uint(c.model.LogN); got != want {
-			t.Errorf("%+v: %d bytes, want %d", c.model, got, want)
+		if got, want := c.model.SwitchingKeyBytes(c.level), c.limbs*8<<uint(c.model.LogN); got != want {
+			t.Errorf("%+v at level %d: %d bytes, want %d", c.model, c.level, got, want)
 		}
 	}
 }

@@ -312,9 +312,9 @@ func BenchmarkRotateHoisted(b *testing.B) {
 	})
 }
 
-// BenchmarkKeyGeneration generates a secret and a relinearization key: the
-// switching key is ⌈L/α⌉ samples over L+α limbs, so it shrinks with the
-// digit size. The rotations=8 case generates the eight rotation keys of
+// BenchmarkKeyGeneration generates a secret and a full-depth relinearization
+// key: the switching key is ⌈L/α⌉ samples over L+α limbs, so it shrinks with
+// the digit size. The rotations=8 case generates the eight rotation keys of
 // Sobel on the production-size chain (α = 1): rotation keys are the bulk of
 // an application's key generation.
 func BenchmarkKeyGeneration(b *testing.B) {
@@ -324,7 +324,7 @@ func BenchmarkKeyGeneration(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			kg := NewKeyGenerator(tc.params, prng)
 			sk := kg.GenSecretKey()
-			if _, err := kg.GenRelinearizationKey(sk); err != nil {
+			if _, err := kg.GenRelinearizationKey(sk, tc.params.MaxLevel()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -335,9 +335,10 @@ func BenchmarkKeyGeneration(b *testing.B) {
 		steps := []int{1, 2, 64, 65, 66, 128, 129, 130} // Sobel's taps on a 64-wide image
 		kg := NewKeyGenerator(tc.params, NewTestPRNG(1))
 		sk := kg.GenSecretKey()
+		levels := fullLevels(tc.params, steps)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := kg.GenRotationKeys(steps, sk); err != nil {
+			if _, err := kg.GenRotationKeys(sk, levels); err != nil {
 				b.Fatal(err)
 			}
 		}

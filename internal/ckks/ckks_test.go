@@ -44,12 +44,12 @@ func newTestContextSpecials(t testing.TB, logN int, logQi, logPi []int, scale fl
 	var rlk *RelinearizationKey
 	var rtk *RotationKeySet
 	if len(logPi) > 0 {
-		rlk, err = kg.GenRelinearizationKey(sk)
+		rlk, err = kg.GenRelinearizationKey(sk, params.MaxLevel())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rotations) > 0 {
-			rtk, err = kg.GenRotationKeys(rotations, sk)
+			rtk, err = kg.GenRotationKeys(sk, fullLevels(params, rotations))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -579,10 +579,10 @@ func TestKeyGenErrorsWithoutSpecialPrime(t *testing.T) {
 	params := testParams(t, 11, []int{40}, 0, 1<<30)
 	kg := NewKeyGenerator(params, NewTestPRNG(1))
 	sk := kg.GenSecretKey()
-	if _, err := kg.GenRelinearizationKey(sk); err == nil {
+	if _, err := kg.GenRelinearizationKey(sk, params.MaxLevel()); err == nil {
 		t.Error("expected error generating relinearization key without special prime")
 	}
-	if _, err := kg.GenRotationKeys([]int{1}, sk); err == nil {
+	if _, err := kg.GenRotationKeys(sk, map[uint64]int{params.GaloisElementForRotation(1): params.MaxLevel()}); err == nil {
 		t.Error("expected error generating rotation keys without special prime")
 	}
 }

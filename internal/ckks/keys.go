@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"eva/internal/numth"
@@ -23,11 +24,11 @@ type SecretKey struct {
 // chain primes, α being the number of special primes — over the chain primes
 // (BQ/AQ) and the special primes (BP/AP), all in NTT form. Digit j's sample
 // carries P·s' in the chain limbs of digit j and nothing elsewhere, which
-// does not depend on the level: a key switch at a lower level uses the first
-// ⌈(level+1)/α⌉ digits and the limbs of the primes still alive. The
-// generator draws the digits' randomness in one fixed order and computes
-// the samples on the ring workers, so a key depends only on the PRNG and the
-// order of the Gen calls, never on the worker count.
+// does not depend on the level: a key of level ℓ has ⌈(ℓ+1)/α⌉ digits over
+// ℓ+1 chain limbs, and a key switch at level ℓ' ≤ ℓ uses its first
+// ⌈(ℓ'+1)/α⌉ digits and the limbs of the primes still alive. A key is built
+// only as deep as its deepest use (compile.Result.KeyLevels), and it is
+// exactly the prefix of the full-depth key drawn from the same PRNG.
 type SwitchingKey struct {
 	BQ []*ring.Poly
 	AQ []*ring.Poly
@@ -36,26 +37,35 @@ type SwitchingKey struct {
 }
 
 // Validate checks that the switching key is well-shaped for the parameter
-// set: ⌈(L+1)/α⌉ digits, every digit carrying L+1 chain limbs and α special
+// set and reaches level need: a key of level ℓ, need ≤ ℓ ≤ MaxLevel, has
+// ⌈(ℓ+1)/α⌉ digits, every digit carrying ℓ+1 chain limbs and α special
 // limbs of length N, in NTT form, with every coefficient reduced below its
-// limb's prime. Keys deserialized from untrusted sources
-// must pass this check before use — the key-switching kernels assume
-// well-shaped operands.
-func (swk *SwitchingKey) Validate(params *Parameters) error {
+// limb's prime. Keys deserialized from untrusted sources must pass this
+// check before use — the key-switching kernels assume well-shaped operands.
+func (swk *SwitchingKey) Validate(params *Parameters, need int) error {
 	if params.DigitSize() == 0 {
 		return fmt.Errorf("ckks: parameters have no special primes; switching keys are unusable")
 	}
-	digits := params.Digits(params.MaxLevel())
+	if len(swk.BQ) == 0 || swk.BQ[0] == nil {
+		return fmt.Errorf("ckks: switching key has no digits")
+	}
+	level := len(swk.BQ[0].Coeffs) - 1
+	switch {
+	case level < need:
+		return fmt.Errorf("ckks: switching key reaches level %d; it is used at level %d", level, need)
+	case level > params.MaxLevel():
+		return fmt.Errorf("ckks: switching key has %d chain limbs; the chain has %d primes", level+1, params.MaxLevel()+1)
+	}
+	digits := params.Digits(level)
 	if len(swk.BQ) != digits || len(swk.AQ) != digits || len(swk.BP) != digits || len(swk.AP) != digits {
 		return fmt.Errorf("ckks: switching key has %d/%d/%d/%d digits; want %d (%d chain primes in digits of %d)",
-			len(swk.BQ), len(swk.AQ), len(swk.BP), len(swk.AP), digits, params.MaxLevel()+1, params.DigitSize())
+			len(swk.BQ), len(swk.AQ), len(swk.BP), len(swk.AP), digits, level+1, params.DigitSize())
 	}
 	n := params.N()
-	check := func(j int, what string, p *ring.Poly, r *ring.Ring) error {
-		limbs := len(r.Moduli)
+	check := func(j int, what string, p *ring.Poly, r *ring.Ring, limbs int) error {
 		if p == nil || len(p.Coeffs) != limbs {
 			return fmt.Errorf("ckks: switching-key digit %d %s polynomial is malformed (want %d limbs; %d extended limbs per digit)",
-				j, what, limbs, params.MaxLevel()+1+params.DigitSize())
+				j, what, limbs, level+1+params.DigitSize())
 		}
 		if !p.IsNTT {
 			return fmt.Errorf("ckks: switching-key digit %d %s polynomial is not in NTT form", j, what)
@@ -73,11 +83,12 @@ func (swk *SwitchingKey) Validate(params *Parameters) error {
 	rq, rp := params.RingQ(), params.RingP()
 	for j := 0; j < digits; j++ {
 		for _, c := range []struct {
-			what string
-			p    *ring.Poly
-			r    *ring.Ring
-		}{{"chain BQ", swk.BQ[j], rq}, {"chain AQ", swk.AQ[j], rq}, {"special BP", swk.BP[j], rp}, {"special AP", swk.AP[j], rp}} {
-			if err := check(j, c.what, c.p, c.r); err != nil {
+			what  string
+			p     *ring.Poly
+			r     *ring.Ring
+			limbs int
+		}{{"chain BQ", swk.BQ[j], rq, level + 1}, {"chain AQ", swk.AQ[j], rq, level + 1}, {"special BP", swk.BP[j], rp, params.DigitSize()}, {"special AP", swk.AP[j], rp, params.DigitSize()}} {
+			if err := check(j, c.what, c.p, c.r, c.limbs); err != nil {
 				return err
 			}
 		}
@@ -122,102 +133,125 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	return sk
 }
 
-// GenRelinearizationKey generates the switching key for s², enabling
-// RELINEARIZE of degree-2 ciphertexts back to degree 1.
-func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) (*RelinearizationKey, error) {
+// GenRelinearizationKey generates the switching key for s² at the given
+// level, enabling RELINEARIZE of degree-2 ciphertexts back to degree 1 at
+// that level and below (MaxLevel for a key that serves every level).
+func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey, level int) (*RelinearizationKey, error) {
 	if kg.params.RingP() == nil {
 		return nil, fmt.Errorf("ckks: parameters have no special prime; relinearization keys unavailable")
 	}
 	r := kg.params.RingQ()
 	s2 := r.NewPoly(kg.params.MaxLevel())
 	r.MulCoeffs(sk.Value, sk.Value, s2) // NTT domain: s², consistent across limbs since s is tiny
-	return &RelinearizationKey{Key: kg.genSwitchingKeys(sk, []*ring.Poly{s2})[0]}, nil
+	keys, err := kg.genSwitchingKeys(sk, []*ring.Poly{s2}, []int{level})
+	if err != nil {
+		return nil, err
+	}
+	return &RelinearizationKey{Key: keys[0]}, nil
 }
 
-// GenRotationKeys generates Galois switching keys for the given rotation
-// steps (positive = left rotation, negative = right), one per distinct Galois
-// element in step order. Each key's foreign secret s(X^g) is the NTT-domain
-// slot permutation of s, and all the keys come from one genSwitchingKeys
-// call, so their digits share the ring workers.
-func (kg *KeyGenerator) GenRotationKeys(steps []int, sk *SecretKey) (*RotationKeySet, error) {
-	if kg.params.RingP() == nil {
+// GenRotationKeys generates one Galois switching key per element of levels,
+// the key of element g at level levels[g]: the highest level at which the
+// program rotates by g (compile.Result.KeyLevels), or MaxLevel for a key
+// that serves every level. Each key's foreign secret s(X^g) is the
+// NTT-domain slot permutation of s; the keys are drawn in ascending element
+// order and come from one genSwitchingKeys call, so their digits share the
+// ring workers.
+func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, levels map[uint64]int) (*RotationKeySet, error) {
+	params := kg.params
+	if params.RingP() == nil {
 		return nil, fmt.Errorf("ckks: parameters have no special prime; rotation keys unavailable")
 	}
-	params := kg.params
 	r := params.RingQ()
-	var galEls []uint64
-	var sPrimes []*ring.Poly
-	for _, k := range steps {
-		galEl := params.GaloisElementForRotation(k)
-		if slices.Contains(galEls, galEl) {
-			continue
+	galEls := slices.Sorted(maps.Keys(levels))
+	sPrimes := make([]*ring.Poly, len(galEls))
+	keyLevels := make([]int, len(galEls))
+	for i, galEl := range galEls {
+		if galEl%2 == 0 || galEl >= uint64(2*params.N()) {
+			return nil, fmt.Errorf("ckks: %d is not a Galois element of the ring", galEl)
 		}
-		sRot := r.NewPoly(params.MaxLevel())
-		r.AutomorphismNTT(sk.Value, galEl, sRot)
-		galEls = append(galEls, galEl)
-		sPrimes = append(sPrimes, sRot)
+		keyLevels[i] = levels[galEl]
+		sPrimes[i] = r.NewPoly(params.MaxLevel())
+		r.AutomorphismNTT(sk.Value, galEl, sPrimes[i])
+	}
+	keys, err := kg.genSwitchingKeys(sk, sPrimes, keyLevels)
+	if err != nil {
+		return nil, err
 	}
 	set := &RotationKeySet{Keys: make(map[uint64]*SwitchingKey, len(galEls))}
-	for i, swk := range kg.genSwitchingKeys(sk, sPrimes) {
+	for i, swk := range keys {
 		set.Keys[galEls[i]] = swk
 	}
 	return set, nil
 }
 
 // genSwitchingKeys builds one switching key per foreign secret in sPrimes
-// (NTT form, full level), each encrypting its s' under sk: one RLWE sample
-// per digit over the extended basis {q_0..q_L, p_0..p_{α-1}}, with P·s' added
-// into the chain limbs of the digit's own primes. (The gadget factor
-// P·(Q/Q_j)·[(Q/Q_j)^-1]_{Q_j} is P modulo the primes of digit j and 0
-// modulo every other chain prime, at every level — which is why one key
-// serves all levels.)
+// (NTT form, at least levels[k]+1 limbs), key k at level levels[k], each
+// encrypting its s' under sk: one RLWE sample per digit over the extended
+// basis {q_0..q_ℓ, p_0..p_{α-1}}, with P·s' added into the chain limbs of the
+// digit's own primes. (The gadget factor P·(Q/Q_j)·[(Q/Q_j)^-1]_{Q_j} is P
+// modulo the primes of digit j and 0 modulo every other chain prime, at every
+// level — which is why a key serves every level up to its own.)
 //
-// The caller draws every digit's aQ, aP and Gaussian error in key order,
-// then digit order, exactly as one sequential loop would; the arithmetic on
-// those draws (reducing the error over both bases, the NTTs, −a·s+e and P·s')
-// runs on the ring workers while later digits are drawn. The keys are
-// therefore byte-identical to the sequential order's for the same PRNG.
-func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []*SwitchingKey {
+// Every key draws one 32-byte seed per digit of a full-depth key from the
+// generator's PRNG, in key order and then digit order, whatever its level,
+// so the stream that follows does not depend on the levels. Digit j expands
+// its own seed as a ChaCha8 stream in a fixed order — the Gaussian error,
+// the special limbs of a, then its chain limbs 0..ℓ — so a key of level ℓ is
+// exactly the full-depth key cut to its first ⌈(ℓ+1)/α⌉ digits and ℓ+1
+// chain limbs. The digits' draws and arithmetic run on the ring workers; a
+// key depends only on the PRNG and the order of the Gen calls, never on the
+// worker count.
+func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly, levels []int) ([]*SwitchingKey, error) {
 	params := kg.params
 	r, rp := params.RingQ(), params.RingP()
-	level, levelP := params.MaxLevel(), rp.MaxLevel()
-	alpha := params.DigitSize()
-	digits := params.Digits(level)
+	levelP, alpha := rp.MaxLevel(), params.DigitSize()
+	type digit struct {
+		key, j int
+		seed   [32]byte
+	}
+	var digits []digit
 	keys := make([]*SwitchingKey, len(sPrimes))
-	for k := range keys {
+	for k, level := range levels {
+		if level < 0 || level > params.MaxLevel() {
+			return nil, fmt.Errorf("ckks: switching-key level %d outside 0..%d", level, params.MaxLevel())
+		}
+		n := params.Digits(level)
 		keys[k] = &SwitchingKey{
-			BQ: make([]*ring.Poly, digits),
-			AQ: make([]*ring.Poly, digits),
-			BP: make([]*ring.Poly, digits),
-			AP: make([]*ring.Poly, digits),
+			BQ: make([]*ring.Poly, n),
+			AQ: make([]*ring.Poly, n),
+			BP: make([]*ring.Poly, n),
+			AP: make([]*ring.Poly, n),
+		}
+		for j := range params.Digits(params.MaxLevel()) {
+			if seed := kg.sampler.seed(); j < n {
+				digits = append(digits, digit{k, j, seed})
+			}
 		}
 	}
 	// s is the fixed operand of every digit's a·s: its Shoup quotients, built
 	// once here, make each of those products a Shoup multiplication.
 	sShoup, sShoupP := shoupTable(r, sk.Value), shoupTable(rp, sk.ValueP)
-	errs := make([][]int64, len(keys)*digits) // each digit's Gaussian draw, until its arithmetic takes it
-	ring.Pipeline(len(errs), func(t int) {
-		swk, j := keys[t/digits], t%digits
-		swk.AQ[j] = kg.sampler.uniform(r, level)
-		swk.AP[j] = kg.sampler.uniform(rp, levelP)
-		errs[t] = kg.sampler.gaussianSigned()
-	}, func(t int) {
-		k, j := t/digits, t%digits
-		swk, e := keys[k], errs[t]
-		errs[t] = nil
+	ring.Parallel(len(digits), func(t int) {
+		k, j := digits[t].key, digits[t].j
+		swk, level := keys[k], levels[k]
+		s := newSampler(params, newPRNG(digits[t].seed))
+		e := s.gaussianSigned()
+		aP := s.uniform(rp, levelP)
+		aQ := s.uniform(r, level)
 		// (bQ, bP) = -a·s + e over the chain and the special primes, and P·s'
 		// in the limbs of digit j's primes only.
 		bQ, bP := r.NewPoly(level), rp.NewPoly(levelP)
 		first, last := j*alpha, min((j+1)*alpha, level+1)
 		// Limb-parallel only while the pool has free slots (a lone digit);
-		// inside a Pipeline helper the pool is saturated and this runs inline.
+		// inside a helper of the digits' Parallel this runs inline.
 		ring.Parallel(level+1+levelP+1, func(i int) {
 			if i > level {
 				i -= level + 1
-				rlweLimb(rp.Moduli[i], e, swk.AP[j].Coeffs[i], sk.ValueP.Coeffs[i], sShoupP[i], bP.Coeffs[i])
+				rlweLimb(rp.Moduli[i], e, aP.Coeffs[i], sk.ValueP.Coeffs[i], sShoupP[i], bP.Coeffs[i])
 				return
 			}
-			rlweLimb(r.Moduli[i], e, swk.AQ[j].Coeffs[i], sk.Value.Coeffs[i], sShoup[i], bQ.Coeffs[i])
+			rlweLimb(r.Moduli[i], e, aQ.Coeffs[i], sk.Value.Coeffs[i], sShoup[i], bQ.Coeffs[i])
 			if i >= first && i < last {
 				qi := r.Moduli[i].Q
 				pModQ := params.specialProductMod(qi)
@@ -229,9 +263,9 @@ func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly) []
 			}
 		})
 		bQ.IsNTT, bP.IsNTT = true, true
-		swk.BQ[j], swk.BP[j] = bQ, bP
+		swk.BQ[j], swk.AQ[j], swk.BP[j], swk.AP[j] = bQ, aQ, bP, aP
 	})
-	return keys
+	return keys, nil
 }
 
 // rlweLimb writes one limb of an RLWE sample's b = −a·s + e (NTT domain):

@@ -84,6 +84,9 @@ func (ev *Evaluator) checkSwitchable(swk *SwitchingKey, level int) error {
 	if need := ev.params.Digits(level); len(swk.BQ) < need {
 		return fmt.Errorf("ckks: switching key has %d digits, need %d", len(swk.BQ), need)
 	}
+	if have := len(swk.BQ[0].Coeffs); have <= level {
+		return fmt.Errorf("ckks: switching key has %d chain limbs, need %d", have, level+1)
+	}
 	return nil
 }
 

@@ -366,11 +366,12 @@ func (p *Parameters) QAtLevel(level int) float64 {
 // GaloisElementForRotation returns the Galois automorphism exponent realizing
 // a cyclic left rotation of the plaintext slots by k positions (k may be
 // negative for right rotations).
-func (p *Parameters) GaloisElementForRotation(k int) uint64 {
-	slots := uint64(p.Slots())
-	m := uint64(2 * p.N())
-	kk := ((int64(k) % int64(slots)) + int64(slots)) % int64(slots)
-	return numth.PowMod(5, uint64(kk), m)
+func (p *Parameters) GaloisElementForRotation(k int) uint64 { return GaloisElement(p.logN, k) }
+
+// GaloisElement is GaloisElementForRotation for a ring of degree 2^logN.
+func GaloisElement(logN, k int) uint64 {
+	slots := int64(1) << (logN - 1)
+	return numth.PowMod(5, uint64((int64(k)%slots+slots)%slots), uint64(4*slots))
 }
 
 // Equal reports whether two parameter sets use identical chain and special

@@ -79,6 +79,14 @@ func (s *sampler) uniform(r *ring.Ring, level int) *ring.Poly {
 	return p
 }
 
+// seed draws the 32-byte seed of a derived stream (newPRNG).
+func (s *sampler) seed() (out [32]byte) {
+	for i := 0; i < len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], s.prng.Uint64())
+	}
+	return out
+}
+
 // ternarySigned samples a ternary polynomial with entries in {-1,0,1}
 // (uniform), returned as signed coefficients for later reduction across
 // bases.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -73,30 +74,33 @@ func writePoly(buf *bytes.Buffer, p *ring.Poly) {
 	}
 }
 
+// readPoly decodes one polynomial. The header's shape is checked against
+// the bytes left before anything is allocated, so a short payload that
+// claims a large polynomial costs nothing.
 func readPoly(r *bytes.Reader) (*ring.Poly, error) {
-	flags, err := r.ReadByte()
-	if err != nil {
+	var hdr [9]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ckks: reading polynomial header: %w", err)
 	}
+	flags, limbs, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:]), binary.LittleEndian.Uint32(hdr[5:])
 	if flags > 1 {
 		return nil, fmt.Errorf("ckks: unknown polynomial flags %#x", flags)
-	}
-	var limbs, n uint32
-	if err := binary.Read(r, binary.LittleEndian, &limbs); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
 	}
 	if limbs == 0 || limbs > 64 || n == 0 || n > (1<<18) {
 		return nil, fmt.Errorf("ckks: implausible polynomial shape %dx%d", limbs, n)
 	}
-	p := &ring.Poly{Coeffs: make([][]uint64, limbs), IsNTT: flags&1 == 1}
+	if need := int64(limbs) * int64(n) * 8; int64(r.Len()) < need {
+		return nil, fmt.Errorf("ckks: polynomial of %dx%d coefficients needs %d bytes; %d remain", limbs, n, need, r.Len())
+	}
+	p := &ring.Poly{Coeffs: make([][]uint64, limbs), IsNTT: flags == 1}
+	buf := make([]byte, 8*n)
 	for i := range p.Coeffs {
-		p.Coeffs[i] = make([]uint64, n)
-		if err := binary.Read(r, binary.LittleEndian, p.Coeffs[i]); err != nil {
-			return nil, fmt.Errorf("ckks: reading polynomial limb %d: %w", i, err)
+		r.Read(buf) // cannot come up short: the length was checked above
+		limb := make([]uint64, n)
+		for j := range limb {
+			limb[j] = binary.LittleEndian.Uint64(buf[8*j:])
 		}
+		p.Coeffs[i] = limb
 	}
 	return p, nil
 }

@@ -2,6 +2,9 @@ package ckks
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -222,20 +225,20 @@ func TestSwitchingKeyValidate(t *testing.T) {
 	logQi := []int{50, 40, 40, 40, 40}
 	perPrime := newTestContextSpecials(t, 11, logQi, []int{60}, 1<<40, []int{1})
 	grouped := newTestContextSpecials(t, 11, logQi, []int{60, 60}, 1<<40, []int{1})
-	if err := grouped.rlk.Key.Validate(grouped.params); err != nil {
+	if err := grouped.rlk.Key.Validate(grouped.params, grouped.params.MaxLevel()); err != nil {
 		t.Fatalf("a freshly generated key fails validation: %v", err)
 	}
 	if got := len(grouped.rlk.Key.BQ); got != 3 {
 		t.Fatalf("5 chain primes in digits of 2: %d digits, want 3", got)
 	}
-	if err := perPrime.rlk.Key.Validate(grouped.params); err == nil || !strings.Contains(err.Error(), "digits") {
+	if err := perPrime.rlk.Key.Validate(grouped.params, grouped.params.MaxLevel()); err == nil || !strings.Contains(err.Error(), "digits") {
 		t.Errorf("per-prime key against digit size 2: error %v, want a digit-count error", err)
 	}
-	if err := grouped.rlk.Key.Validate(perPrime.params); err == nil {
+	if err := grouped.rlk.Key.Validate(perPrime.params, perPrime.params.MaxLevel()); err == nil {
 		t.Error("digit-size-2 key validated against per-prime parameters")
 	}
 	noSpecial := testParams(t, 11, logQi, 0, 1<<40)
-	if err := grouped.rlk.Key.Validate(noSpecial); err == nil {
+	if err := grouped.rlk.Key.Validate(noSpecial, noSpecial.MaxLevel()); err == nil {
 		t.Error("key validated against parameters without special primes")
 	}
 
@@ -249,7 +252,7 @@ func TestSwitchingKeyValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(swk)
-		err = swk.Validate(grouped.params)
+		err = swk.Validate(grouped.params, grouped.params.MaxLevel())
 		if err == nil {
 			t.Errorf("%s: validation passed", name)
 		}
@@ -270,6 +273,25 @@ func TestSwitchingKeyValidate(t *testing.T) {
 		if err := corrupt("unreduced coefficient in "+want, mutate); err != nil && !strings.Contains(err.Error(), want) {
 			t.Errorf("unreduced coefficient: error %v, want one naming %s", err, want)
 		}
+	}
+
+	// A key built to level 2 has ⌈3/2⌉ = 2 digits of 3 chain limbs: it
+	// serves uses up to level 2 and is refused, by its level, above that.
+	kg := NewKeyGenerator(grouped.params, NewTestPRNG(3))
+	shallow, err := kg.GenRelinearizationKey(kg.GenSecretKey(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limbs := len(shallow.Key.BQ), len(shallow.Key.BQ[0].Coeffs); got != 2 || limbs != 3 {
+		t.Fatalf("level-2 key: %d digits of %d chain limbs, want 2 of 3", got, limbs)
+	}
+	for need := 0; need <= 2; need++ {
+		if err := shallow.Key.Validate(grouped.params, need); err != nil {
+			t.Errorf("level-2 key used at level %d: %v", need, err)
+		}
+	}
+	if err := shallow.Key.Validate(grouped.params, 3); err == nil || !strings.Contains(err.Error(), "reaches level 2; it is used at level 3") {
+		t.Errorf("level-2 key used at level 3: error %v, want a refusal naming both levels", err)
 	}
 }
 
@@ -334,5 +356,31 @@ func TestSerializationRefusesTrailingBytes(t *testing.T) {
 	data[flagsAt] |= 2
 	if err := new(Ciphertext).UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), "flags") {
 		t.Errorf("ciphertext with an unused flag bit: error %v, want a flags refusal", err)
+	}
+}
+
+// TestShortPayloadAllocatesLittle: a 26-byte ciphertext whose one polynomial
+// claims 64 limbs of 2^18 coefficients (128 MiB) is refused before the
+// decoder allocates for the claim.
+func TestShortPayloadAllocatesLittle(t *testing.T) {
+	data := []byte{magicCiphertext}
+	data = binary.LittleEndian.AppendUint32(data, 1) // one polynomial
+	data = binary.LittleEndian.AppendUint32(data, 0) // level
+	data = binary.LittleEndian.AppendUint64(data, math.Float64bits(1<<40))
+	data = append(data, 1) // NTT form
+	data = binary.LittleEndian.AppendUint32(data, 64)
+	data = binary.LittleEndian.AppendUint32(data, 1<<18)
+	if len(data) != 26 {
+		t.Fatalf("payload of %d bytes, want 26", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := (&Ciphertext{}).UnmarshalBinary(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "needs") {
+		t.Errorf("error %v, want a refusal naming the bytes the shape needs", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("decoding the 26-byte payload allocated %d bytes, want under 64 KiB", alloc)
 	}
 }

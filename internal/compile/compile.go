@@ -224,6 +224,33 @@ func (r *Result) ParametersLiteral() ckks.ParametersLiteral {
 	}
 }
 
+// KeyLevels returns the level each switching key of the program must reach:
+// for the Galois element of every step of RotationSteps, the highest backend
+// level (MaxLevel − Instr.Level) of a rotation by that element, and the same
+// for the relinearization key. A key nothing switches with (a step only
+// plain values rotate by, or the relinearization key of a program that
+// never relinearizes) gets level 0. No run reads more of a key: an input
+// that enters below the top of the chain only lowers every use.
+func (r *Result) KeyLevels() (rot map[uint64]int, relin int) {
+	top := len(r.Plan.BitSizes) - 1
+	rot = make(map[uint64]int, len(r.RotationSteps))
+	for _, step := range r.RotationSteps {
+		rot[ckks.GaloisElement(r.LogN, step)] = 0
+	}
+	for i := range r.Instrs {
+		switch in := &r.Instrs[i]; in.Kind {
+		case KindRotate, KindRotateQP:
+			galEl := ckks.GaloisElement(r.LogN, in.Rot)
+			if level, ok := rot[galEl]; ok {
+				rot[galEl] = max(level, top-in.Level)
+			}
+		case KindRelinearize, KindRelinearizeQP:
+			relin = max(relin, top-in.Level)
+		}
+	}
+	return rot, relin
+}
+
 // InputScales returns the log2 encoding scale of every program input by name.
 func (r *Result) InputScales() map[string]float64 {
 	out := map[string]float64{}

@@ -84,6 +84,19 @@ func (r *Result) PeakMemoryBytes() int64 {
 	return peak
 }
 
+// KeySetBytes is the size of the evaluation keys execute.NewContext builds
+// for the program: the relinearization key and one Galois key per element,
+// each SwitchingKeyBytes at its level from KeyLevels.
+func (r *Result) KeySetBytes() int64 {
+	m := r.CostModel()
+	rot, relin := r.KeyLevels()
+	total := m.SwitchingKeyBytes(relin)
+	for _, level := range rot {
+		total += m.SwitchingKeyBytes(level)
+	}
+	return total
+}
+
 // CiphertextBytes is the size of a ciphertext of the given number of
 // polynomials at a level: each polynomial holds 2^LogN 64-bit coefficients
 // in every limb the chain has left (at least one).

@@ -40,7 +40,8 @@ type KeyMaterial struct {
 
 // NewContext generates the encryption context for a compiled program: the
 // concrete encryption parameters, the secret key, the relinearization key, and
-// one Galois key per rotation step the compiler selected. prng may be nil for
+// one Galois key per rotation step the compiler selected, each key only as
+// deep as the program uses it (compile.Result.KeyLevels). prng may be nil for
 // a securely seeded default.
 func NewContext(res *compile.Result, prng *ckks.PRNG) (*Context, *KeyMaterial, error) {
 	start := time.Now()
@@ -50,13 +51,14 @@ func NewContext(res *compile.Result, prng *ckks.PRNG) (*Context, *KeyMaterial, e
 	}
 	kg := ckks.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	rlk, err := kg.GenRelinearizationKey(sk)
+	rot, relin := res.KeyLevels()
+	rlk, err := kg.GenRelinearizationKey(sk, relin)
 	if err != nil {
 		return nil, nil, fmt.Errorf("execute: relinearization key: %w", err)
 	}
 	var rtk *ckks.RotationKeySet
-	if len(res.RotationSteps) > 0 {
-		rtk, err = kg.GenRotationKeys(res.RotationSteps, sk)
+	if len(rot) > 0 {
+		rtk, err = kg.GenRotationKeys(sk, rot)
 		if err != nil {
 			return nil, nil, fmt.Errorf("execute: rotation keys: %w", err)
 		}
@@ -75,12 +77,15 @@ func NewContext(res *compile.Result, prng *ckks.PRNG) (*Context, *KeyMaterial, e
 // the paper's deployment model, in which the client generates all key
 // material locally and ships only the relinearization and rotation keys to
 // the untrusted server. rtk may be nil when the compiled program performs no
-// rotations, and rlk may be nil when it never relinearizes.
+// rotations, and rlk may be nil when it never relinearizes. Every key must
+// reach its level from compile.Result.KeyLevels; a deeper one, such as a
+// full-depth key, is accepted.
 func NewEvaluationContext(res *compile.Result, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeySet) (*Context, error) {
 	params, err := ckks.NewParameters(res.ParametersLiteral())
 	if err != nil {
 		return nil, fmt.Errorf("execute: building parameters: %w", err)
 	}
+	rot, relin := res.KeyLevels()
 	if len(res.RotationSteps) > 0 {
 		if rtk == nil {
 			return nil, fmt.Errorf("execute: program needs rotation keys for steps %v but none were supplied", res.RotationSteps)
@@ -88,11 +93,12 @@ func NewEvaluationContext(res *compile.Result, rlk *ckks.RelinearizationKey, rtk
 		// Check completeness and shape now so a bad key upload fails at
 		// context creation rather than on every execution.
 		for _, step := range res.RotationSteps {
-			swk := rtk.Keys[params.GaloisElementForRotation(step)]
+			galEl := params.GaloisElementForRotation(step)
+			swk := rtk.Keys[galEl]
 			if swk == nil {
-				return nil, fmt.Errorf("execute: missing rotation key for step %d (Galois element %d)", step, params.GaloisElementForRotation(step))
+				return nil, fmt.Errorf("execute: missing rotation key for step %d (Galois element %d)", step, galEl)
 			}
-			if err := swk.Validate(params); err != nil {
+			if err := swk.Validate(params, rot[galEl]); err != nil {
 				return nil, fmt.Errorf("execute: rotation key for step %d: %w", step, err)
 			}
 		}
@@ -104,7 +110,7 @@ func NewEvaluationContext(res *compile.Result, rlk *ckks.RelinearizationKey, rtk
 		if rlk.Key == nil {
 			return nil, fmt.Errorf("execute: relinearization key is empty")
 		}
-		if err := rlk.Key.Validate(params); err != nil {
+		if err := rlk.Key.Validate(params, relin); err != nil {
 			return nil, fmt.Errorf("execute: relinearization key: %w", err)
 		}
 	}

@@ -11,16 +11,17 @@ import (
 // limbs of a polynomial fully independent, so the NTT, the element-wise
 // operations, and the automorphisms all decompose into per-limb tasks; the
 // CKKS layer additionally fans the per-Galois-element inner products of a
-// hoisted rotation batch, and the per-digit arithmetic of key generation
-// (Pipeline), across the same pool.
+// hoisted rotation batch, and the switching-key digits of key generation
+// (each drawn from its own seed), across the same pool.
 //
-// The pool is a semaphore, not a set of persistent goroutines: Parallel and
-// Pipeline spawn up to Workers()-1 helpers per call, but only when a slot is
-// free. When the pool is saturated — including when calls nest, as they do
-// when a hoisted batch's per-element tasks run limb-parallel transforms — the
-// caller simply executes the remaining work inline. Acquisition never
-// blocks, so nesting cannot deadlock and the total helper count stays
-// bounded no matter how many evaluator goroutines call in concurrently.
+// The pool is a semaphore, not a set of persistent goroutines: Parallel
+// spawns up to Workers()-1 helpers per call, but only when a slot is free.
+// When the pool is saturated — including when calls nest, as they do when a
+// hoisted batch's per-element tasks or a key's digits run limb-parallel
+// transforms — the caller simply executes the remaining work inline.
+// Acquisition never blocks, so nesting cannot deadlock and the total helper
+// count stays bounded no matter how many evaluator goroutines call in
+// concurrently.
 
 var (
 	poolMu   sync.RWMutex
@@ -95,59 +96,6 @@ func Parallel(n int, f func(int)) {
 	p.raise()
 }
 
-// Pipeline runs produce(0), ..., produce(n-1) in order on the calling
-// goroutine and hands each index, once produced, to consume, which runs on
-// up to Workers()-1 helper goroutines or on the caller. It serves work whose
-// first half must happen in one fixed order — draws from a single random
-// stream — and whose second half is independent per index. At most Workers()
-// produced indices wait for a consumer: when that many are queued, the
-// caller consumes the index it just produced itself, so it never blocks and
-// the indices in flight stay bounded. Helpers come from the pool as in
-// Parallel, so a saturated pool degrades to produce(i), consume(i) on the
-// caller. A panic in either function is re-raised on the caller after every
-// helper has returned; no goroutine outlives the call.
-func Pipeline(n int, produce, consume func(int)) {
-	if n <= 0 {
-		return
-	}
-	size, sem := pool()
-	var (
-		wg sync.WaitGroup
-		p  panicSlot
-	)
-	queue := make(chan int, size) // the bound on produced indices waiting for a helper
-	helpers := spawn(sem, min(size-1, n-1), &wg, func() {
-		defer p.catch()
-		for i := range queue {
-			consume(i)
-		}
-	})
-	func() {
-		defer p.catch()
-		for i := 0; i < n; i++ {
-			produce(i)
-			if helpers == 0 {
-				consume(i)
-				continue
-			}
-			select {
-			case queue <- i:
-			default:
-				consume(i) // queue full: the helpers are behind
-			}
-		}
-	}()
-	close(queue)
-	func() {
-		defer p.catch()
-		for i := range queue {
-			consume(i)
-		}
-	}()
-	wg.Wait()
-	p.raise()
-}
-
 // pool returns the current pool size and semaphore.
 func pool() (int, chan struct{}) {
 	poolMu.RLock()
@@ -156,10 +104,10 @@ func pool() (int, chan struct{}) {
 }
 
 // spawn starts up to want helper goroutines running body, one per free pool
-// slot, and returns how many it started. Acquisition never blocks: when the
-// pool is saturated (typically a nested call) the caller absorbs the work.
-func spawn(sem chan struct{}, want int, wg *sync.WaitGroup, body func()) int {
-	for h := 0; h < want; h++ {
+// slot. Acquisition never blocks: when the pool is saturated (typically a
+// nested call) the caller absorbs the work.
+func spawn(sem chan struct{}, want int, wg *sync.WaitGroup, body func()) {
+	for range want {
 		select {
 		case sem <- struct{}{}:
 			wg.Add(1)
@@ -171,10 +119,9 @@ func spawn(sem chan struct{}, want int, wg *sync.WaitGroup, body func()) int {
 				body()
 			}()
 		default:
-			return h
+			return
 		}
 	}
-	return want
 }
 
 // panicSlot keeps the first panic raised by any of a call's goroutines.

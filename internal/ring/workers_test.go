@@ -3,9 +3,7 @@ package ring
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"eva/internal/numth"
 )
@@ -89,82 +87,6 @@ func TestParallelNestedDoesNotDeadlock(t *testing.T) {
 	count.Range(func(_, _ any) bool { n++; return true })
 	if n != 64 {
 		t.Fatalf("nested Parallel ran %d of 64 tasks", n)
-	}
-}
-
-// TestPipelineOrderAndHandoff checks that produce runs in index order on the
-// caller, that every index is consumed exactly once after its produce, and
-// that the indices in flight stay within twice the pool size.
-func TestPipelineOrderAndHandoff(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		setWorkersForTest(t, workers)
-		const n = 200
-		var (
-			order    []int // appended by produce alone: it runs on the caller
-			data     = make([]int, n)
-			consumed = make([]atomic.Int32, n)
-			inFlight atomic.Int64
-			peak     atomic.Int64
-		)
-		Pipeline(n, func(i int) {
-			order = append(order, i)
-			data[i] = i + 1
-			if f := inFlight.Add(1); f > peak.Load() {
-				peak.Store(f)
-			}
-		}, func(i int) {
-			if data[i] != i+1 {
-				t.Errorf("workers=%d: consume(%d) ran before its produce", workers, i)
-			}
-			consumed[i].Add(1)
-			time.Sleep(10 * time.Microsecond)
-			inFlight.Add(-1)
-		})
-		for i, got := range order {
-			if got != i {
-				t.Fatalf("workers=%d: produce order %v", workers, order)
-			}
-		}
-		for i := range consumed {
-			if c := consumed[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d consumed %d times", workers, i, c)
-			}
-		}
-		if p := peak.Load(); p > int64(2*workers) {
-			t.Fatalf("workers=%d: %d indices in flight, want at most %d", workers, p, 2*workers)
-		}
-	}
-}
-
-// TestPipelinePanicPropagates checks that a panic in produce or in consume is
-// re-raised on the caller only after every helper has stopped.
-func TestPipelinePanicPropagates(t *testing.T) {
-	setWorkersForTest(t, 4)
-	for _, in := range []string{"produce", "consume"} {
-		var running atomic.Int32
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Fatalf("%s: recovered %v, want boom", in, r)
-				}
-				if r := running.Load(); r != 0 {
-					t.Fatalf("%s: %d consumers still running after the panic was raised", in, r)
-				}
-			}()
-			Pipeline(64, func(i int) {
-				if in == "produce" && i == 17 {
-					panic("boom")
-				}
-			}, func(i int) {
-				running.Add(1)
-				defer running.Add(-1)
-				time.Sleep(50 * time.Microsecond)
-				if in == "consume" && i == 17 {
-					panic("boom")
-				}
-			})
-			t.Fatalf("%s: Pipeline returned after a panic", in)
-		}()
 	}
 }
 

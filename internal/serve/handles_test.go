@@ -66,11 +66,11 @@ func newHandleFixture(t testing.TB, cfg Config) *handleFixture {
 	prng := ckks.NewTestPRNG(21)
 	kg := ckks.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	rlk, err := kg.GenRelinearizationKey(sk)
+	rlk, err := kg.GenRelinearizationKey(sk, params.MaxLevel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtk, err := kg.GenRotationKeys(comp.RotationSteps, sk)
+	rtk, err := kg.GenRotationKeys(sk, fullLevels(params, comp.RotationSteps))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -60,11 +61,11 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		}
 		kg := ckks.NewKeyGenerator(params, ckks.NewTestPRNG(5))
 		sk := kg.GenSecretKey()
-		rlk, err := kg.GenRelinearizationKey(sk)
+		rlk, err := kg.GenRelinearizationKey(sk, params.MaxLevel())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rtk, err := kg.GenRotationKeys(comp.RotationSteps, sk)
+		rtk, err := kg.GenRotationKeys(sk, fullLevels(params, comp.RotationSteps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,5 +131,71 @@ func TestClientKeysWithGroupedDigits(t *testing.T) {
 		if math.Abs(got[j]-want) > 1e-2 {
 			t.Errorf("slot %d: got %v, want %v", j, got[j], want)
 		}
+	}
+}
+
+// TestShallowKeysRefused: an uploaded key must reach the highest level the
+// program uses it at (compile.Result.KeyLevels). A rotation key or a
+// relinearization key one level shallower is a 422 at POST /contexts naming
+// the key, so no context exists and nothing runs; keys cut exactly to their
+// levels are accepted, as full-depth ones are.
+func TestShallowKeysRefused(t *testing.T) {
+	ts, srv := newTestServer(t, Config{})
+	client := ts.Client()
+	comp, resp := postJSON[CompileResponse](t, client, ts.URL+"/compile", compileRequest(t, deepProgram(t)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: status %d", resp.StatusCode)
+	}
+	entry, ok := srv.Registry().Get(comp.ID)
+	if !ok {
+		t.Fatal("compiled program is not in the registry")
+	}
+	rot, relin := entry.Result.KeyLevels()
+	params, err := ckks.NewParameters(comp.Params.Literal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := comp.RotationSteps[0]
+	galEl := params.GaloisElementForRotation(step)
+	if rot[galEl] == 0 || relin == 0 {
+		t.Fatalf("key levels %v (rotation) and %d (relinearization); the test needs both above 0", rot, relin)
+	}
+	upload := func(rotLevel, relinLevel int) (apiError, *http.Response) {
+		kg := ckks.NewKeyGenerator(params, ckks.NewTestPRNG(7))
+		sk := kg.GenSecretKey()
+		rlk, err := kg.GenRelinearizationKey(sk, relinLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtk, err := kg.GenRotationKeys(sk, map[uint64]int{galEl: rotLevel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rlkData, _ := rlk.MarshalBinary()
+		rtkData, _ := rtk.MarshalBinary()
+		return postJSON[apiError](t, client, ts.URL+"/contexts", ContextRequest{
+			ProgramID: comp.ID, Keys: &EvalKeysJSON{Relin: rlkData, RotationSet: rtkData}})
+	}
+	for _, c := range []struct {
+		name                 string
+		rotLevel, relinLevel int
+		want                 string
+	}{
+		{"shallow rotation key", rot[galEl] - 1, relin, fmt.Sprintf("rotation key for step %d", step)},
+		{"shallow relinearization key", rot[galEl], relin - 1, "relinearization key"},
+	} {
+		apiErr, resp := upload(c.rotLevel, c.relinLevel)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, c.want) || !strings.Contains(apiErr.Error, "reaches level") {
+			t.Errorf("%s: status %d, error %q; want 422 naming the %s and its level", c.name, resp.StatusCode, apiErr.Error, c.want)
+		}
+	}
+	if n := srv.MetricsReport().Executions; n != 0 {
+		t.Fatalf("%d executions after refused uploads", n)
+	}
+	if _, resp := upload(rot[galEl], relin); resp.StatusCode != http.StatusOK {
+		t.Fatalf("keys cut to their levels: status %d", resp.StatusCode)
+	}
+	if _, resp := upload(params.MaxLevel(), params.MaxLevel()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("full-depth keys: status %d", resp.StatusCode)
 	}
 }

@@ -147,6 +147,16 @@ func compileRequest(t testing.TB, p *core.Program) CompileRequest {
 	}
 }
 
+// fullLevels maps the Galois element of every step to MaxLevel: the
+// full-depth rotation keys a client builds from /compile's rotation steps.
+func fullLevels(params *ckks.Parameters, steps []int) map[uint64]int {
+	levels := make(map[uint64]int, len(steps))
+	for _, k := range steps {
+		levels[params.GaloisElementForRotation(k)] = params.MaxLevel()
+	}
+	return levels
+}
+
 // TestEndToEndClientKeys walks the paper's deployment model entirely over
 // HTTP: compile on the server, generate keys on the client, upload only the
 // public evaluation keys, submit a batch of client-encrypted input sets, and
@@ -179,14 +189,14 @@ func TestEndToEndClientKeys(t *testing.T) {
 	prng := ckks.NewTestPRNG(11)
 	kg := ckks.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
-	rlk, err := kg.GenRelinearizationKey(sk)
+	rlk, err := kg.GenRelinearizationKey(sk, params.MaxLevel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(comp.RotationSteps) == 0 {
 		t.Fatal("expected rotation steps for the e2e program")
 	}
-	rtk, err := kg.GenRotationKeys(comp.RotationSteps, sk)
+	rtk, err := kg.GenRotationKeys(sk, fullLevels(params, comp.RotationSteps))
 	if err != nil {
 		t.Fatal(err)
 	}
