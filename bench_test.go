@@ -16,11 +16,11 @@ import (
 )
 
 // BenchmarkAblationRescaleStrategy compares the paper's waterline insertion
-// against the per-multiply always-rescale rule and against the CHET-style
-// uniform-scale fixed rescaling on the Harris program, reporting the
-// resulting modulus chain length and size (the optimization target of
-// Section 5.3). The fixed-maximum discipline requires CHET's uniform 60-bit
-// working scale, so that case goes through the chet pipeline.
+// against the CHET-style uniform-scale fixed rescaling on the Harris
+// program, reporting the resulting modulus chain length and size (the
+// optimization target of Section 5.3). The fixed-maximum discipline requires
+// CHET's uniform 60-bit working scale, so that case goes through the chet
+// pipeline.
 func BenchmarkAblationRescaleStrategy(b *testing.B) {
 	app, err := apps.HarrisCornerDetection(16)
 	if err != nil {
@@ -31,12 +31,6 @@ func BenchmarkAblationRescaleStrategy(b *testing.B) {
 	cases := map[string]func() (*compile.Result, error){
 		"waterline": func() (*compile.Result, error) {
 			return compile.Compile(app.Program, opts)
-		},
-		"always": func() (*compile.Result, error) {
-			o := opts
-			o.Rescale = rewrite.RescaleAlways
-			o.ModSwitch = rewrite.ModSwitchLazy
-			return compile.Compile(app.Program, o)
 		},
 		"chet-fixed-max": func() (*compile.Result, error) {
 			return chet.Compile(app.Program, opts)

@@ -9,7 +9,7 @@
 //
 //	evac -in program.json [-out compiled.json] [-emit json|src] [-insecure] [-print]
 //	evac -src program.eva [-out compiled.eva] [-emit src]
-//	evac -demo x2y3 [-waterline 30] [-print]
+//	evac -demo x2y3 [-insecure] [-print]
 //
 // The -demo mode compiles the paper's running example (Figure 2) so the
 // effect of the transformation passes can be inspected without writing a
@@ -26,7 +26,6 @@ import (
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/lang"
-	"eva/internal/rewrite"
 )
 
 // errFlagParse marks a command-line parse failure the FlagSet already
@@ -55,9 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		demo      = fs.String("demo", "", "compile a built-in demo program instead of -in (x2y3)")
 		insecure  = fs.Bool("insecure", false, "allow parameter sets below the 128-bit security level")
 		printProg = fs.Bool("print", false, "print the transformed program instruction by instruction")
-		waterline = fs.Float64("waterline", 0, "override the waterline scale (log2); 0 = maximum input scale")
-		rescale   = fs.String("rescale", "waterline", "rescale insertion strategy: waterline, always, fixed, none")
-		modswitch = fs.String("modswitch", "eager", "modulus-switch insertion strategy: eager, lazy, none")
 	)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -77,13 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opts := compile.DefaultOptions()
 	opts.AllowInsecure = *insecure
-	opts.WaterlineLog = *waterline
-	if opts.Rescale, err = rewrite.ParseRescaleStrategy(*rescale); err != nil {
-		return err
-	}
-	if opts.ModSwitch, err = rewrite.ParseModSwitchStrategy(*modswitch); err != nil {
-		return err
-	}
 
 	res, err := compile.Compile(prog, opts)
 	if err != nil {

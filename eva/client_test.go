@@ -271,3 +271,113 @@ func TestWaitJobReturnsTerminalEvent(t *testing.T) {
 		t.Fatalf("WaitJob = %+v; want %+v", st, want)
 	}
 }
+
+// TestClientCancelJob: cancelling a job that is still queued — the one
+// worker of the server is busy with an earlier job — returns its status
+// decoded, cancelled with no batch run; a second cancel reads the same.
+func TestClientCancelJob(t *testing.T) {
+	c := startDemoServer(t, serve.Config{JobWorkers: 1})
+	ctx := context.Background()
+	comp, err := c.Compile(ctx, eva.CompileRequest{
+		Source:  clientProgramSource(),
+		Options: &serve.CompileOptionsJSON{AllowInsecure: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ectx, err := c.NewKeygenContext(ctx, comp.ID, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := func(n int) []eva.ExecuteBatch {
+		out := make([]eva.ExecuteBatch, n)
+		for i := range out {
+			out[i] = eva.ExecuteBatch{Values: map[string][]float64{"x": {1, 2, 3, 4, 5, 6, 7, 8}}}
+		}
+		return out
+	}
+	busy, err := c.Submit(ctx, comp.ID, ectx.ContextID, batches(1024), eva.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := c.Submit(ctx, comp.ID, ectx.ContextID, batches(2), eva.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		st, err := c.CancelJob(ctx, queued.Job.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.JobID != queued.Job.JobID || st.Status != "cancelled" || st.Batches != 2 || st.BatchesDone != 0 || st.Error == "" {
+			t.Fatalf("CancelJob of a queued job = %+v; want it cancelled with 0 of 2 batches done and a reason", st)
+		}
+	}
+	if st, err := c.CancelJob(ctx, busy.Job.JobID); err != nil || st.JobID != busy.Job.JobID {
+		t.Fatalf("CancelJob of the busy job = %+v, %v", st, err)
+	}
+	if _, err := c.CancelJob(ctx, "no-such-job"); err == nil {
+		t.Fatal("CancelJob of an unknown job succeeded; want 404")
+	} else if apiErr := (*eva.APIError)(nil); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("CancelJob of an unknown job: %v; want *APIError with status 404", err)
+	}
+}
+
+// TestClientListHandles: a ciphertext stored through the client is listed,
+// decoded, with the metadata the store answered with.
+func TestClientListHandles(t *testing.T) {
+	c := startDemoServer(t, serve.Config{})
+	ctx := context.Background()
+	comp, err := c.Compile(ctx, eva.CompileRequest{Source: clientProgramSource(), Options: &serve.CompileOptionsJSON{AllowInsecure: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ectx, err := c.NewKeygenContext(ctx, comp.ID, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server compiles deterministically, so the same program and
+	// options compiled here give its parameters; any key of them encrypts
+	// a ciphertext the handle store accepts.
+	program, err := eva.ParseSource(clientProgramSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := eva.DefaultCompileOptions()
+	opts.AllowInsecure = true
+	compiled, err := eva.Compile(program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hctx, keys, err := eva.NewContext(compiled, eva.NewTestPRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := eva.EncryptInputs(hctx, compiled, keys, eva.Inputs{"x": {1, 2, 3, 4, 5, 6, 7, 8}}, eva.NewTestPRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cipher, err := enc.Cipher["x"].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := c.StoreCiphertext(ctx, ectx.ContextID, cipher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := c.ListHandles(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Handles) != 1 {
+		t.Fatalf("ListHandles = %+v; want exactly the stored handle %+v", list.Handles, meta)
+	}
+	got := list.Handles[0]
+	if got.ID != meta.ID || got.ContextID != ectx.ContextID || got.Level != enc.Cipher["x"].Level ||
+		got.Width != 8 || got.Bytes != len(cipher) || !got.CreatedAt.Equal(meta.CreatedAt) {
+		t.Errorf("listed handle %+v; want %+v, under context %s at level %d", got, meta, ectx.ContextID, enc.Cipher["x"].Level)
+	}
+	if list.Stats.Entries != 1 || list.Stats.Puts != 1 {
+		t.Errorf("ListHandles stats %+v; want 1 entry from 1 put", list.Stats)
+	}
+}

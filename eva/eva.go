@@ -34,7 +34,6 @@ import (
 	"eva/internal/core"
 	"eva/internal/execute"
 	"eva/internal/lang"
-	"eva/internal/rewrite"
 )
 
 // Builder constructs EVA input programs (the PyEVA-equivalent frontend).
@@ -63,14 +62,6 @@ func Compile(p *Program, opts CompileOptions) (*Compiled, error) { return compil
 
 // DefaultCompileOptions returns the paper's default compiler configuration.
 func DefaultCompileOptions() CompileOptions { return compile.DefaultOptions() }
-
-// Rescale/modulus-switch strategies, exposed for ablation studies.
-const (
-	RescaleWaterline = rewrite.RescaleWaterline
-	RescaleAlways    = rewrite.RescaleAlways
-	ModSwitchEager   = rewrite.ModSwitchEager
-	ModSwitchLazy    = rewrite.ModSwitchLazy
-)
 
 // Context bundles the CKKS runtime objects for a compiled program.
 type Context = execute.Context
@@ -147,12 +138,9 @@ func RunReference(p *Program, values Inputs) (map[string][]float64, error) {
 	return execute.RunReference(p, values)
 }
 
-// SerializeProgram writes a program to w in the JSON program format (the
-// paper's Figure 1 schema) — the wire format accepted by the evac compiler
-// driver and the evaserve /compile endpoint.
-func SerializeProgram(p *Program, w io.Writer) error { return p.Serialize(w) }
-
-// DeserializeProgram reads a program in the JSON program format.
+// DeserializeProgram reads a program in the JSON program format (the
+// paper's Figure 1 schema), which Program.Serialize writes: the wire format
+// accepted by the evac compiler driver and the evaserve /compile endpoint.
 func DeserializeProgram(r io.Reader) (*Program, error) { return core.Deserialize(r) }
 
 // ParseSource compiles textual EVA source (the .eva language — see the

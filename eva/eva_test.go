@@ -1,6 +1,7 @@
 package eva_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -94,9 +95,9 @@ output shifted = rotl(x, 2) @30;
 	}
 }
 
-// TestPublicAPISchedulers checks the exported scheduler and strategy constants
-// are usable through the facade.
-func TestPublicAPISchedulersAndStrategies(t *testing.T) {
+// TestPublicAPISchedulers checks the exported scheduler constants are usable
+// through the facade.
+func TestPublicAPISchedulers(t *testing.T) {
 	b := eva.NewBuilder("sched", 8)
 	x := b.Input("x", 30)
 	b.Output("out", x.Square(), 30)
@@ -106,8 +107,6 @@ func TestPublicAPISchedulersAndStrategies(t *testing.T) {
 	}
 	opts := eva.DefaultCompileOptions()
 	opts.AllowInsecure = true
-	opts.Rescale = eva.RescaleAlways
-	opts.ModSwitch = eva.ModSwitchLazy
 	compiled, err := eva.Compile(program, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +131,67 @@ func TestPublicAPISchedulersAndStrategies(t *testing.T) {
 		got := eva.DecryptOutputs(ctx, compiled, keys, out)["out"]
 		if math.Abs(got[0]-0.25) > 1e-3 {
 			t.Fatalf("out[0] = %g, want 0.25", got[0])
+		}
+	}
+}
+
+// TestPublicAPIClientKeysRoundTrip is the paper's deployment model through
+// the facade, in one process: the client serializes its program, the
+// server deserializes and compiles it, the client generates the keys, and
+// the server builds its context from the relinearization and rotation keys
+// alone. The server's run decrypts, under the client's secret key, to the
+// plain reference.
+func TestPublicAPIClientKeysRoundTrip(t *testing.T) {
+	b := eva.NewBuilder("client-keys", 8)
+	x := b.Input("x", 30)
+	b.Output("out", x.Square().Add(x.RotateLeft(1)), 30)
+	program, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := program.Serialize(&wire); err != nil {
+		t.Fatal(err)
+	}
+	received, err := eva.DeserializeProgram(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := eva.DefaultCompileOptions()
+	opts.AllowInsecure = true
+	compiled, err := eva.Compile(received, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(compiled.RotationSteps) == 0 {
+		t.Fatal("the program needs a rotation key; the test would not check one")
+	}
+
+	clientCtx, keys, err := eva.NewContext(compiled, eva.NewTestPRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverCtx, err := eva.NewEvaluationContext(compiled, keys.Relin, keys.Rot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := eva.Inputs{"x": {1, 2, 3, 4, 5, 6, 7, 8}}
+	encrypted, err := eva.EncryptInputs(clientCtx, compiled, keys, inputs, eva.NewTestPRNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs, err := eva.Run(serverCtx, compiled, encrypted, eva.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := eva.DecryptOutputs(clientCtx, compiled, keys, outputs)["out"]
+	want, err := eva.RunReference(program, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want["out"] {
+		if math.Abs(got[i]-w) > 1e-3 {
+			t.Fatalf("out[%d] = %g, want %g", i, got[i], w)
 		}
 	}
 }

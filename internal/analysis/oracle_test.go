@@ -224,10 +224,17 @@ func TestValidateMatchesOracle(t *testing.T) {
 			return nil
 		}
 	}
-	strategy := func(rs rewrite.RescaleStrategy, ms rewrite.ModSwitchStrategy) func(p *core.Program) error {
-		return func(p *core.Program) error {
-			return rewrite.Transform(p, rewrite.Options{MaxRescaleLog: maxRescaleLog, Rescale: rs, ModSwitch: ms})
+	// noRescale inserts no RESCALE and no MOD_SWITCH: products' scales grow
+	// without bound.
+	noRescale := func(p *core.Program) error {
+		if err := rewrite.MatchScales(p); err != nil {
+			return err
 		}
+		rewrite.InsertRelinearize(p)
+		return nil
+	}
+	fixedLazy := func(p *core.Program) error {
+		return rewrite.Transform(p, rewrite.Options{MaxRescaleLog: maxRescaleLog, Rescale: rewrite.RescaleFixedMax, ModSwitch: rewrite.ModSwitchLazy})
 	}
 	variants := []variant{
 		{"full", passes(true, true, true), maxRescaleLog},
@@ -239,9 +246,8 @@ func TestValidateMatchesOracle(t *testing.T) {
 		{"no-modswitch-no-relinearize", passes(false, true, false), maxRescaleLog},
 		{"no-match-scale-divisor-above-max", passes(true, false, true), maxRescaleLog - 10},
 		{"no-relinearize-divisor-above-max", passes(true, true, false), maxRescaleLog - 10},
-		{"always-lazy", strategy(rewrite.RescaleAlways, rewrite.ModSwitchLazy), maxRescaleLog},
-		{"fixed-lazy", strategy(rewrite.RescaleFixedMax, rewrite.ModSwitchLazy), maxRescaleLog},
-		{"no-rescale", strategy(rewrite.RescaleNone, rewrite.ModSwitchNone), maxRescaleLog},
+		{"fixed-lazy", fixedLazy, maxRescaleLog},
+		{"no-rescale", noRescale, maxRescaleLog},
 	}
 	seen := map[int]int{} // constraint -> cases that violate it
 	for name, src := range validationCorpus(t) {

@@ -83,14 +83,6 @@ func (b *Builder) InputWithWidth(name string, width int, logScale float64) Expr 
 	return b.wrap(b.prog.NewInput(name, core.TypeCipher, width, logScale))
 }
 
-// PlainInput declares an unencrypted vector input.
-func (b *Builder) PlainInput(name string, logScale float64) Expr {
-	if b.err != nil {
-		return Expr{b: b}
-	}
-	return b.wrap(b.prog.NewInput(name, core.TypeVector, b.VecSize(), logScale))
-}
-
 // Constant introduces a compile-time constant vector at the given scale.
 func (b *Builder) Constant(values []float64, logScale float64) Expr {
 	if b.err != nil {
@@ -167,14 +159,6 @@ func (e Expr) Sub(o Expr) Expr { return e.binary(core.OpSub, o) }
 // Mul returns e * o element-wise.
 func (e Expr) Mul(o Expr) Expr { return e.binary(core.OpMultiply, o) }
 
-// Neg returns -e.
-func (e Expr) Neg() Expr {
-	if e.b == nil || e.b.err != nil {
-		return e
-	}
-	return e.b.wrap(e.b.prog.NewUnary(core.OpNegate, e.t))
-}
-
 // RotateLeft returns e rotated left (toward lower indices) by k slots.
 func (e Expr) RotateLeft(k int) Expr {
 	if e.b == nil || e.b.err != nil {
@@ -208,14 +192,6 @@ func (e Expr) AddScalar(v float64, logScale float64) Expr {
 		return e
 	}
 	return e.Add(e.b.Scalar(v, logScale))
-}
-
-// SubScalar subtracts a scalar constant encoded at the given scale.
-func (e Expr) SubScalar(v float64, logScale float64) Expr {
-	if e.b == nil || e.b.err != nil {
-		return e
-	}
-	return e.Sub(e.b.Scalar(v, logScale))
 }
 
 // MulVector multiplies by a constant vector (a plaintext mask) at the given scale.

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"math"
 
 	"eva/internal/ring"
 )
@@ -94,32 +93,6 @@ func checkReduced(limb []uint64, q uint64) error {
 		}
 	}
 	return nil
-}
-
-// CopyNew returns a deep copy of the ciphertext.
-func (ct *Ciphertext) CopyNew() *Ciphertext {
-	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Scale: ct.Scale, Level: ct.Level}
-	for i := range ct.Value {
-		out.Value[i] = ct.Value[i].CopyNew()
-	}
-	if ct.Deferred() {
-		out.ValueP = make([]*ring.Poly, len(ct.ValueP))
-		for i := range ct.ValueP {
-			out.ValueP[i] = ct.ValueP[i].CopyNew()
-		}
-	}
-	return out
-}
-
-// LogScale returns log2 of the ciphertext's scale — the unit the compiler's
-// scale tracking (compile.Instr.LogScale) and the profiler's drift checks work
-// in. Returns 0 for a non-positive (invalid) scale rather than -Inf/NaN so
-// downstream aggregation stays finite.
-func (ct *Ciphertext) LogScale() float64 {
-	if !(ct.Scale > 0) {
-		return 0
-	}
-	return math.Log2(ct.Scale)
 }
 
 // MemoryBytes returns an estimate of the ciphertext's memory footprint, used

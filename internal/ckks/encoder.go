@@ -24,15 +24,6 @@ type Plaintext struct {
 	Level  int
 }
 
-// CopyNew returns a deep copy of the plaintext.
-func (p *Plaintext) CopyNew() *Plaintext {
-	out := &Plaintext{Value: p.Value.CopyNew(), Scale: p.Scale, Level: p.Level}
-	if p.ValueP != nil {
-		out.ValueP = p.ValueP.CopyNew()
-	}
-	return out
-}
-
 // Encoder maps vectors of complex (or real) numbers to and from CKKS
 // plaintexts using the canonical embedding of the 2N-th cyclotomic field
 // (the "special FFT" over the orbit of 5 modulo 2N).
@@ -64,9 +55,6 @@ func NewEncoder(params *Parameters) *Encoder {
 	}
 	return e
 }
-
-// Slots returns the number of plaintext slots.
-func (e *Encoder) Slots() int { return e.params.Slots() }
 
 func arrayBitReverse(vals []complex128) {
 	n := len(vals)

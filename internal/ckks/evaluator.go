@@ -63,9 +63,6 @@ func NewEvaluator(params *Parameters, keys EvaluationKeys) *Evaluator {
 	return ev
 }
 
-// Params returns the evaluator's parameter set.
-func (ev *Evaluator) Params() *Parameters { return ev.params }
-
 // newCiphertext assembles a result ciphertext from pooled polynomials. Their
 // coefficients are undefined: the caller overwrites every limb.
 func (ev *Evaluator) newCiphertext(size, level int, scale float64) *Ciphertext {
@@ -76,7 +73,7 @@ func (ev *Evaluator) newCiphertext(size, level int, scale float64) *Ciphertext {
 	return ct
 }
 
-// copyCiphertext is Ciphertext.CopyNew into pooled polynomials.
+// copyCiphertext returns a deep copy of a in pooled polynomials.
 func (ev *Evaluator) copyCiphertext(a *Ciphertext) *Ciphertext {
 	out := ev.newCiphertext(len(a.Value), a.Level, a.Scale)
 	for i := range a.Value {
@@ -695,9 +692,4 @@ func (ev *Evaluator) RotateLeft(a *Ciphertext, k int) (*Ciphertext, error) {
 	out := ev.rotateFromDecomp(a, h, swk, galEl, false)
 	ev.releaseDecomp(h)
 	return out, nil
-}
-
-// RotateRight rotates slots right by k positions.
-func (ev *Evaluator) RotateRight(a *Ciphertext, k int) (*Ciphertext, error) {
-	return ev.RotateLeft(a, -k)
 }

@@ -140,8 +140,11 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey, level int) (*Reline
 	if kg.params.RingP() == nil {
 		return nil, fmt.Errorf("ckks: parameters have no special prime; relinearization keys unavailable")
 	}
+	if err := kg.checkKeyLevel(level); err != nil {
+		return nil, err
+	}
 	r := kg.params.RingQ()
-	s2 := r.NewPoly(kg.params.MaxLevel())
+	s2 := r.NewPoly(level)
 	r.MulCoeffs(sk.Value, sk.Value, s2) // NTT domain: s², consistent across limbs since s is tiny
 	keys, err := kg.genSwitchingKeys(sk, []*ring.Poly{s2}, []int{level})
 	if err != nil {
@@ -171,7 +174,10 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, levels map[uint64]int) (*
 			return nil, fmt.Errorf("ckks: %d is not a Galois element of the ring", galEl)
 		}
 		keyLevels[i] = levels[galEl]
-		sPrimes[i] = r.NewPoly(params.MaxLevel())
+		if err := kg.checkKeyLevel(keyLevels[i]); err != nil {
+			return nil, err
+		}
+		sPrimes[i] = r.NewPoly(keyLevels[i])
 		r.AutomorphismNTT(sk.Value, galEl, sPrimes[i])
 	}
 	keys, err := kg.genSwitchingKeys(sk, sPrimes, keyLevels)
@@ -185,11 +191,19 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, levels map[uint64]int) (*
 	return set, nil
 }
 
+// checkKeyLevel refuses a switching-key level outside the chain.
+func (kg *KeyGenerator) checkKeyLevel(level int) error {
+	if level < 0 || level > kg.params.MaxLevel() {
+		return fmt.Errorf("ckks: switching-key level %d outside 0..%d", level, kg.params.MaxLevel())
+	}
+	return nil
+}
+
 // genSwitchingKeys builds one switching key per foreign secret in sPrimes
-// (NTT form, at least levels[k]+1 limbs), key k at level levels[k], each
-// encrypting its s' under sk: one RLWE sample per digit over the extended
-// basis {q_0..q_ℓ, p_0..p_{α-1}}, with P·s' added into the chain limbs of the
-// digit's own primes. (The gadget factor P·(Q/Q_j)·[(Q/Q_j)^-1]_{Q_j} is P
+// (NTT form, at least levels[k]+1 limbs), key k at level levels[k] (a level
+// checkKeyLevel accepts), each encrypting its s' under sk: one RLWE sample
+// per digit over the extended basis {q_0..q_ℓ, p_0..p_{α-1}}, with P·s'
+// added into the chain limbs of the digit's own primes. (The gadget factor P·(Q/Q_j)·[(Q/Q_j)^-1]_{Q_j} is P
 // modulo the primes of digit j and 0 modulo every other chain prime, at every
 // level — which is why a key serves every level up to its own.)
 //
@@ -213,9 +227,6 @@ func (kg *KeyGenerator) genSwitchingKeys(sk *SecretKey, sPrimes []*ring.Poly, le
 	var digits []digit
 	keys := make([]*SwitchingKey, len(sPrimes))
 	for k, level := range levels {
-		if level < 0 || level > params.MaxLevel() {
-			return nil, fmt.Errorf("ckks: switching-key level %d outside 0..%d", level, params.MaxLevel())
-		}
 		n := params.Digits(level)
 		keys[k] = &SwitchingKey{
 			BQ: make([]*ring.Poly, n),

@@ -243,6 +243,9 @@ func TestKeyGenRefusesBadLevels(t *testing.T) {
 		if _, err := kg.GenRelinearizationKey(sk, level); err == nil {
 			t.Errorf("relinearization key at level %d generated", level)
 		}
+		if _, err := kg.GenRotationKeys(sk, map[uint64]int{5: level}); err == nil {
+			t.Errorf("rotation key at level %d generated", level)
+		}
 	}
 	if _, err := kg.GenRotationKeys(sk, map[uint64]int{4: 0}); err == nil {
 		t.Error("rotation key for the even element 4 generated")

@@ -275,9 +275,6 @@ func (p *Parameters) specialProductMod(q uint64) uint64 {
 	return prod
 }
 
-// LogN returns log2 of the ring degree.
-func (p *Parameters) LogN() int { return p.logN }
-
 // N returns the ring degree.
 func (p *Parameters) N() int { return 1 << uint(p.logN) }
 
@@ -286,12 +283,6 @@ func (p *Parameters) Slots() int { return p.N() / 2 }
 
 // MaxLevel returns the level of a fresh ciphertext (number of chain primes - 1).
 func (p *Parameters) MaxLevel() int { return len(p.qi) - 1 }
-
-// Qi returns the chain primes (consumption order: last element dropped first).
-func (p *Parameters) Qi() []uint64 { return append([]uint64(nil), p.qi...) }
-
-// LogQi returns the requested bit sizes of the chain primes.
-func (p *Parameters) LogQi() []int { return append([]int(nil), p.logQi...) }
 
 // Fingerprint identifies the parameter set by its ring degree and every chain
 // and special prime (the chain length separates the two lists), so no
@@ -304,9 +295,6 @@ func (p *Parameters) Fingerprint() string {
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:8])
 }
-
-// SpecialPrimes returns the key-switching special primes (empty if none).
-func (p *Parameters) SpecialPrimes() []uint64 { return append([]uint64(nil), p.pi...) }
 
 // DigitSize returns α, the number of consecutive chain primes one key-switch
 // decomposition digit covers — which is the number of special primes (0 when
@@ -340,9 +328,6 @@ func (p *Parameters) LogQ() int {
 	return total
 }
 
-// DefaultScale returns the default encoding scale.
-func (p *Parameters) DefaultScale() float64 { return p.scale }
-
 // Sigma returns the error distribution standard deviation.
 func (p *Parameters) Sigma() float64 { return p.sigma }
 
@@ -352,16 +337,6 @@ func (p *Parameters) RingQ() *ring.Ring { return p.ringQ }
 // RingP returns the RNS ring over the special primes, or nil if the parameter
 // set has none (and therefore cannot relinearize or rotate).
 func (p *Parameters) RingP() *ring.Ring { return p.ringP }
-
-// QAtLevel returns the product of the chain primes up to the given level as a
-// float64 (used for noise-budget style diagnostics only).
-func (p *Parameters) QAtLevel(level int) float64 {
-	q := 1.0
-	for i := 0; i <= level && i < len(p.qi); i++ {
-		q *= float64(p.qi[i])
-	}
-	return q
-}
 
 // GaloisElementForRotation returns the Galois automorphism exponent realizing
 // a cyclic left rotation of the plaintext slots by k positions (k may be

@@ -205,9 +205,6 @@ func (c *Cluster) Close() {
 	c.probeWG.Wait()
 }
 
-// Nodes returns the sorted member ids.
-func (c *Cluster) Nodes() []string { return append([]string(nil), c.ring.nodes...) }
-
 // contextCandidates returns the nodes that should hold a context, owner
 // first.
 func (c *Cluster) contextCandidates(contextID string) []string {

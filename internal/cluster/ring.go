@@ -99,6 +99,3 @@ func (r *ring) successors(key string, n int) []string {
 	}
 	return out
 }
-
-// owner returns the member that owns the key.
-func (r *ring) owner(key string) string { return r.successors(key, 1)[0] }

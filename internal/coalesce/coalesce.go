@@ -88,9 +88,6 @@ type Batch struct {
 	sealedAt time.Time
 }
 
-// Size returns the number of callers sealed into the batch.
-func (b *Batch) Size() int { return len(b.waiters) }
-
 // Layout returns the slot layout frozen at seal time.
 func (b *Batch) Layout() Layout { return b.layout }
 

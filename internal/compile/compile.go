@@ -26,8 +26,10 @@ type Options struct {
 	// WaterlineLog overrides the waterline s_w; zero means "maximum input
 	// scale", the paper's default.
 	WaterlineLog float64
-	// Rescale and ModSwitch select the insertion strategies; the zero values
-	// are the paper's defaults (waterline + eager).
+	// Rescale and ModSwitch select the pipeline: the zero values are the
+	// paper's (waterline + eager), and chet.Compile sets the CHET
+	// baseline's (fixed + lazy). Neither the /compile wire nor evac sets
+	// them or WaterlineLog.
 	Rescale   rewrite.RescaleStrategy
 	ModSwitch rewrite.ModSwitchStrategy
 	// MinLogN lower-bounds the ring degree (defaults to what the program's

@@ -171,11 +171,8 @@ func TestTermIDsStayDense(t *testing.T) {
 			{"InsertRelinearize", func(p *core.Program) error { rewrite.InsertRelinearize(p); return nil }},
 		},
 		{
-			{"InsertRescaleAlways", func(p *core.Program) error { return rewrite.InsertRescaleAlways(p, 60) }},
-			{"InsertModSwitchLazy", func(p *core.Program) error { rewrite.InsertModSwitchLazy(p); return nil }},
-		},
-		{
 			{"InsertRescaleFixed", func(p *core.Program) error { return rewrite.InsertRescaleFixed(p, 60) }},
+			{"InsertModSwitchLazy", func(p *core.Program) error { rewrite.InsertModSwitchLazy(p); return nil }},
 		},
 	}
 	for name, prog := range progs {

@@ -8,7 +8,6 @@ import (
 	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
-	"eva/internal/rewrite"
 )
 
 // buildPolynomialProgram builds x²y³ + x - y over vectors of the given size.
@@ -199,24 +198,6 @@ func TestSchedulersProduceSameResults(t *testing.T) {
 		got, _ := runEncrypted(t, res, in, RunOptions{Scheduler: sched, Workers: 4})
 		requireMatch(t, got, want, 1e-3)
 	}
-}
-
-func TestChetStyleCompilationExecutes(t *testing.T) {
-	// The CHET baseline pipeline (always-rescale + lazy modswitch) must also
-	// produce valid, runnable programs.
-	p := buildPolynomialProgram(t, 8)
-	in := randomInputs(p, 4)
-	want, err := RunReference(p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := compileForTest(t, p, compile.Options{
-		MaxRescaleLog: 60,
-		Rescale:       rewrite.RescaleAlways,
-		ModSwitch:     rewrite.ModSwitchLazy,
-	})
-	got, _ := runEncrypted(t, res, in, RunOptions{Scheduler: SchedulerBulkSynchronous})
-	requireMatch(t, got, want, 1e-3)
 }
 
 func TestPlainOnlyOutputs(t *testing.T) {

@@ -78,9 +78,14 @@ func TestRunSurfacesMissingRelinearization(t *testing.T) {
 func TestRunSurfacesMissingModSwitch(t *testing.T) {
 	p := buildPolynomialProgram(t, 8)
 	res := compileSkippingPasses(t, p, func(q *core.Program) error {
-		opts := rewrite.DefaultOptions()
-		opts.ModSwitch = rewrite.ModSwitchNone
-		return rewrite.Transform(q, opts)
+		if err := rewrite.InsertRescaleWaterline(q, 60, 0); err != nil {
+			return err
+		}
+		if err := rewrite.MatchScales(q); err != nil {
+			return err
+		}
+		rewrite.InsertRelinearize(q)
+		return nil
 	})
 	prng := ckks.NewTestPRNG(2)
 	ctx, keys, err := NewContext(res, prng)

@@ -54,9 +54,6 @@ func NewCompiler(b *builder.Builder, weightScale, scalarScale float64) *Compiler
 	return &Compiler{b: b, WeightScale: weightScale, ScalarScale: scalarScale}
 }
 
-// Builder returns the underlying program builder.
-func (c *Compiler) Builder() *builder.Builder { return c.b }
-
 // InputImage declares an encrypted input image of `channels` channels of size
 // h×w, one Cipher input per channel, encoded at the given log2 scale.
 func (c *Compiler) InputImage(name string, channels, h, w int, logScale float64) (*Tensor, error) {
@@ -179,16 +176,6 @@ func convMask(h, w, dy, dx int, weight float64) []float64 {
 		}
 	}
 	return mask
-}
-
-// Square applies the x² activation channel-wise.
-func (c *Compiler) Square(kernel string, in *Tensor) *Tensor {
-	c.b.SetKernel(kernel)
-	out := &Tensor{H: in.H, W: in.W}
-	for _, ch := range in.Channels {
-		out.Channels = append(out.Channels, ch.Square())
-	}
-	return out
 }
 
 // PolyActivation applies the polynomial activation c0 + c1·x + c2·x² + ...

@@ -62,14 +62,6 @@ func (l ErrorList) Error() string {
 	return fmt.Sprintf("%d errors:\n%s", len(l), strings.Join(parts, "\n"))
 }
 
-// Err returns the list as an error, or nil when it is empty.
-func (l ErrorList) Err() error {
-	if len(l) == 0 {
-		return nil
-	}
-	return l
-}
-
 // AsErrorList extracts the positioned diagnostics from an error returned by
 // this package, if any.
 func AsErrorList(err error) (ErrorList, bool) {

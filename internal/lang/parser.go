@@ -78,8 +78,7 @@ func ParseFile(src string) (*File, ErrorList) {
 	return f, p.errs
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.bump(); return t }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) bump() {
 	if p.i < len(p.toks)-1 {

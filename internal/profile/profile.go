@@ -126,9 +126,6 @@ func NewCollector(cfg Config) *Collector {
 // Enabled reports whether the collector records samples at all.
 func (c *Collector) Enabled() bool { return c != nil && c.enabled }
 
-// SampleRate returns the configured sampling stride.
-func (c *Collector) SampleRate() int { return c.cfg.SampleRate }
-
 // SetCalibration installs fitted coefficients; subsequent cost-drift checks
 // and report predictions use them instead of the running global ratio.
 func (c *Collector) SetCalibration(cal *Calibration) { c.calib.Store(cal) }

@@ -1,11 +1,14 @@
 // Package rewrite implements the graph-rewriting framework and the
 // transformation passes of the EVA compiler (Section 5 of the paper): rescale
-// insertion (waterline and always variants), modulus-switch insertion (eager
-// and lazy variants), scale matching, and relinearization insertion.
+// insertion, modulus-switch insertion, scale matching, and relinearization
+// insertion.
 //
-// Each pass is exposed individually so the benchmarks can ablate the design
-// choices; Transform applies the paper's default pipeline
-// (WATERLINE-RESCALE, EAGER-MODSWITCH, MATCH-SCALE, RELINEARIZE).
+// Transform runs one of two pipelines. The zero Options select the paper's:
+// WATERLINE-RESCALE, EAGER-MODSWITCH, MATCH-SCALE, RELINEARIZE. The CHET
+// baseline (package chet) selects a fixed rescale by the maximum prime after
+// every ciphertext multiplication and LAZY-MODSWITCH. Tests that need a
+// program violating the scheme's constraints build it from the individual
+// passes.
 package rewrite
 
 import (
@@ -14,97 +17,35 @@ import (
 	"eva/internal/core"
 )
 
-// RescaleStrategy selects how RESCALE instructions are inserted.
+// RescaleStrategy selects how RESCALE instructions are inserted. The values
+// are stored: compile.Options carries them into program ids and persisted
+// program records, so each keeps its number.
 type RescaleStrategy int
 
 const (
 	// RescaleWaterline is the paper's strategy: always divide by the maximum
 	// allowed rescale value, and only when the result stays above the
 	// waterline (the maximum input scale).
-	RescaleWaterline RescaleStrategy = iota
-	// RescaleAlways inserts a rescale after every multiplication, dividing by
-	// the smaller operand scale (Figure 4, ALWAYS-RESCALE). It is provided
-	// for the paper's illustrative comparison and for the CHET-style baseline.
-	RescaleAlways
-	// RescaleNone disables rescale insertion.
-	RescaleNone
+	RescaleWaterline RescaleStrategy = 0
 	// RescaleFixedMax inserts a rescale by the maximum allowed value after
 	// every multiplication involving a ciphertext. It models the per-kernel
 	// discipline of expert-written kernel libraries (the CHET baseline).
-	RescaleFixedMax
+	RescaleFixedMax RescaleStrategy = 3
 )
 
-// String returns the strategy's command-line/API name.
-func (s RescaleStrategy) String() string {
-	switch s {
-	case RescaleWaterline:
-		return "waterline"
-	case RescaleAlways:
-		return "always"
-	case RescaleNone:
-		return "none"
-	case RescaleFixedMax:
-		return "fixed"
-	}
-	return fmt.Sprintf("RescaleStrategy(%d)", int(s))
-}
-
-// ParseRescaleStrategy parses the command-line/API name of a rescale
-// strategy: "waterline", "always", "fixed", or "none".
-func ParseRescaleStrategy(s string) (RescaleStrategy, error) {
-	switch s {
-	case "waterline":
-		return RescaleWaterline, nil
-	case "always":
-		return RescaleAlways, nil
-	case "fixed":
-		return RescaleFixedMax, nil
-	case "none":
-		return RescaleNone, nil
-	}
-	return 0, fmt.Errorf("rewrite: unknown rescale strategy %q (want waterline, always, fixed, or none)", s)
-}
-
-// ModSwitchStrategy selects how MOD_SWITCH instructions are inserted.
+// ModSwitchStrategy selects how MOD_SWITCH instructions are inserted. Its
+// values are stored like RescaleStrategy's.
 type ModSwitchStrategy int
 
 const (
 	// ModSwitchEager inserts modulus switches at the earliest feasible edge
 	// (Figure 4, EAGER-MODSWITCH), the paper's default.
-	ModSwitchEager ModSwitchStrategy = iota
+	ModSwitchEager ModSwitchStrategy = 0
 	// ModSwitchLazy inserts modulus switches immediately before the
-	// instruction whose operands disagree (Figure 4, LAZY-MODSWITCH).
-	ModSwitchLazy
-	// ModSwitchNone disables modulus-switch insertion.
-	ModSwitchNone
+	// instruction whose operands disagree (Figure 4, LAZY-MODSWITCH), the
+	// CHET baseline's choice.
+	ModSwitchLazy ModSwitchStrategy = 1
 )
-
-// String returns the strategy's command-line/API name.
-func (s ModSwitchStrategy) String() string {
-	switch s {
-	case ModSwitchEager:
-		return "eager"
-	case ModSwitchLazy:
-		return "lazy"
-	case ModSwitchNone:
-		return "none"
-	}
-	return fmt.Sprintf("ModSwitchStrategy(%d)", int(s))
-}
-
-// ParseModSwitchStrategy parses the command-line/API name of a
-// modulus-switch strategy: "eager", "lazy", or "none".
-func ParseModSwitchStrategy(s string) (ModSwitchStrategy, error) {
-	switch s {
-	case "eager":
-		return ModSwitchEager, nil
-	case "lazy":
-		return ModSwitchLazy, nil
-	case "none":
-		return ModSwitchNone, nil
-	}
-	return 0, fmt.Errorf("rewrite: unknown modswitch strategy %q (want eager, lazy, or none)", s)
-}
 
 // Options configures the transformation pipeline.
 type Options struct {
@@ -134,15 +75,10 @@ func Transform(p *core.Program, opts Options) error {
 		if err := InsertRescaleWaterline(p, opts.MaxRescaleLog, opts.WaterlineLog); err != nil {
 			return err
 		}
-	case RescaleAlways:
-		if err := InsertRescaleAlways(p, opts.MaxRescaleLog); err != nil {
-			return err
-		}
 	case RescaleFixedMax:
 		if err := InsertRescaleFixed(p, opts.MaxRescaleLog); err != nil {
 			return err
 		}
-	case RescaleNone:
 	default:
 		return fmt.Errorf("rewrite: unknown rescale strategy %d", opts.Rescale)
 	}
@@ -151,7 +87,6 @@ func Transform(p *core.Program, opts Options) error {
 		InsertModSwitchEager(p)
 	case ModSwitchLazy:
 		InsertModSwitchLazy(p)
-	case ModSwitchNone:
 	default:
 		return fmt.Errorf("rewrite: unknown modswitch strategy %d", opts.ModSwitch)
 	}
@@ -237,34 +172,6 @@ func InsertRescaleWaterline(p *core.Program, maxRescaleLog, waterlineLog float64
 			scales.Set(rs, s)
 			cur = rs
 		}
-	}
-	return nil
-}
-
-// InsertRescaleAlways applies the ALWAYS-RESCALE rule: after every
-// multiplication, insert a RESCALE dividing by the smaller operand scale
-// (clamped to the maximum allowed rescale value). Divisors below 20 bits are
-// skipped because no valid chain prime exists for them.
-func InsertRescaleAlways(p *core.Program, maxRescaleLog float64) error {
-	if maxRescaleLog <= 0 {
-		return fmt.Errorf("rewrite: maximum rescale value must be positive")
-	}
-	const minPrimeLog = 20
-	scales := core.NewTermMap[float64](p)
-	for _, t := range p.TopoSort() {
-		s := ScaleOf(t, scales.Get)
-		scales.Set(t, s)
-		if t.Op != core.OpMultiply {
-			continue
-		}
-		div := min(scales.Get(t.Parm(0)), scales.Get(t.Parm(1)), maxRescaleLog)
-		if div < minPrimeLog {
-			continue
-		}
-		rs := p.InsertUnaryAfter(t, core.OpRescale, nil)
-		rs.LogScale = div
-		p.RedirectOutputs(t, rs)
-		scales.Set(rs, s-div)
 	}
 	return nil
 }

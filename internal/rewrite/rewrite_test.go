@@ -167,28 +167,6 @@ func TestFigure2DefaultWaterlineNeedsModSwitch(t *testing.T) {
 	}
 }
 
-// TestFigure2AlwaysRescale reproduces Figure 2(b): ALWAYS-RESCALE inserts a
-// rescale after every multiplication, dividing by the smaller operand scale.
-func TestFigure2AlwaysRescale(t *testing.T) {
-	p := buildX2Y3(t)
-	if err := InsertRescaleAlways(p, 60); err != nil {
-		t.Fatal(err)
-	}
-	if got := countOps(p)[core.OpRescale]; got != 4 {
-		t.Fatalf("rescale count = %d, want 4 (one per multiply)", got)
-	}
-	divisors := map[float64]int{}
-	for _, term := range p.TopoSort() {
-		if term.Op == core.OpRescale {
-			divisors[term.LogScale]++
-		}
-	}
-	// x² rescales by 2^60; y², y³ and the bottom multiply rescale by 2^30.
-	if divisors[60] != 1 || divisors[30] != 3 {
-		t.Errorf("divisor histogram = %v, want map[60:1 30:3]", divisors)
-	}
-}
-
 // TestFigure3MatchScale reproduces Figure 3(c): for x² + x the compiler
 // multiplies x by the constant 1 at scale 2^30 instead of rescaling, so no
 // RESCALE or MOD_SWITCH is introduced and the modulus chain stays short.
@@ -349,13 +327,19 @@ func TestTransformOutputRedirection(t *testing.T) {
 	}
 }
 
+// TestTransformStrategyValidation: a strategy value Transform does not know
+// is an error. 1 and 2 are among them: stored options may still carry the
+// always-rescale, no-rescale and no-modswitch strategies those values named.
 func TestTransformStrategyValidation(t *testing.T) {
-	p := buildX2PlusX(t)
-	if err := Transform(p, Options{MaxRescaleLog: 60, Rescale: RescaleStrategy(99)}); err == nil {
-		t.Error("expected error for unknown rescale strategy")
+	for _, rs := range []RescaleStrategy{1, 2, 99} {
+		if err := Transform(buildX2PlusX(t), Options{MaxRescaleLog: 60, Rescale: rs}); err == nil {
+			t.Errorf("expected error for unknown rescale strategy %d", rs)
+		}
 	}
-	if err := Transform(p, Options{MaxRescaleLog: 60, ModSwitch: ModSwitchStrategy(99)}); err == nil {
-		t.Error("expected error for unknown modswitch strategy")
+	for _, ms := range []ModSwitchStrategy{2, 99} {
+		if err := Transform(buildX2PlusX(t), Options{MaxRescaleLog: 60, ModSwitch: ms}); err == nil {
+			t.Errorf("expected error for unknown modswitch strategy %d", ms)
+		}
 	}
 }
 

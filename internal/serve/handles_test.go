@@ -12,9 +12,11 @@ import (
 
 	"eva/internal/builder"
 	"eva/internal/ckks"
+	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
 	"eva/internal/handle"
+	"eva/internal/rewrite"
 )
 
 // jsonBody marshals a request payload for a non-POST method.
@@ -548,8 +550,10 @@ func TestPipelineIncompatibleChaining(t *testing.T) {
 // TestHandleAdmissionUsesPerInputDepth: a handle is admitted by the depth of
 // the input it binds, whatever the number of inputs. The program has 65
 // Cipher inputs; x0 only feeds a sum, while every other input meets a
-// rescaled product (lazy mod-switching: the eager strategy would pad x0 to
-// the common depth). A handle for x0 mod-switched to level 0 — below the
+// rescaled product. The eager strategy would pad x0 to the common depth,
+// and the wire compiles only that way, so the test compiles the program
+// in-process with lazy mod-switching (the CHET pipeline's) and drives the
+// rest over the wire. A handle for x0 mod-switched to level 0 — below the
 // program's depth, at x0's own — is admitted and runs.
 func TestHandleAdmissionUsesPerInputDepth(t *testing.T) {
 	p := core.MustNewProgram("wide", 8)
@@ -578,12 +582,9 @@ func TestHandleAdmissionUsesPerInputDepth(t *testing.T) {
 
 	ts, srv := newTestServer(t, Config{AllowServerKeygen: true, JobWorkers: 1})
 	client := ts.Client()
-	comp, resp := postJSON[CompileResponse](t, client, ts.URL+"/compile", CompileRequest{
-		Program: programJSON(t, p),
-		Options: &CompileOptionsJSON{AllowInsecure: true, MaxRescaleLog: 30, ModSwitch: "lazy"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile: status %d", resp.StatusCode)
+	comp, _, err := srv.registry.GetOrCompile(p, compile.Options{AllowInsecure: true, MaxRescaleLog: 30, ModSwitch: rewrite.ModSwitchLazy})
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctxResp, resp := postJSON[ContextResponse](t, client, ts.URL+"/contexts", ContextRequest{ProgramID: comp.ID, Keygen: &KeygenJSON{Seed: 9}})
 	if resp.StatusCode != http.StatusOK {

@@ -690,21 +690,13 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 	cases := []*CompileOptionsJSON{
 		nil,
 		{AllowInsecure: true},
-		{MaxRescaleLog: 40, WaterlineLog: 25, Rescale: "always", ModSwitch: "lazy", MinLogN: 12},
-		{Rescale: "fixed", ModSwitch: "none", AllowInsecure: true},
+		{MaxRescaleLog: 40, MinLogN: 12},
 		{MaxRescaleLog: 30, AllowInsecure: true, ExtraLevels: 2},
 	}
 	for i, c := range cases {
-		opts, err := c.toOptions()
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
+		opts := c.toOptions()
 		wire := OptionsJSON(opts)
-		back, err := wire.toOptions()
-		if err != nil {
-			t.Fatalf("case %d round-trip: %v", i, err)
-		}
-		if !reflect.DeepEqual(opts, back) {
+		if back := wire.toOptions(); !reflect.DeepEqual(opts, back) {
 			t.Errorf("case %d: %+v round-tripped to %+v", i, opts, back)
 		}
 	}

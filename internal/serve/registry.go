@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"eva/internal/compile"
 	"eva/internal/core"
+	"eva/internal/rewrite"
 	"eva/internal/store"
 )
 
@@ -35,6 +37,7 @@ import (
 type Registry struct {
 	capacity int
 	store    store.Store // nil = cache only, no durability
+	log      *slog.Logger
 
 	mu       sync.Mutex
 	byID     map[string]*list.Element // values are *Entry
@@ -104,24 +107,21 @@ func (e *Entry) recordHit() {
 	e.mu.Unlock()
 }
 
-// NewRegistry returns a registry holding at most capacity compiled programs.
-// The capacity is clamped to at least 1: capacity <= 0 means the default of
-// registryCapacity, so a registry can never evict entries the moment they
-// are inserted.
-func NewRegistry(capacity int) *Registry {
-	return NewRegistryWithStore(capacity, nil)
-}
-
-// NewRegistryWithStore returns a registry backed by a durable artifact
-// store: compilations write through to it and cache misses fall back to it.
-// st may be nil for a cache-only registry.
-func NewRegistryWithStore(capacity int, st store.Store) *Registry {
+// NewRegistryWithStore returns a registry holding at most capacity compiled
+// programs, backed by a durable artifact store: compilations write through
+// to it and cache misses fall back to it. st may be nil for a cache-only
+// registry. The capacity is clamped to at least 1: capacity <= 0 means the
+// default of registryCapacity, so a registry can never evict entries the
+// moment they are inserted. A stored program that cannot be rebuilt is
+// logged to log as a warning.
+func NewRegistryWithStore(capacity int, st store.Store, log *slog.Logger) *Registry {
 	if capacity <= 0 {
 		capacity = registryCapacity
 	}
 	return &Registry{
 		capacity: capacity,
 		store:    st,
+		log:      log,
 		byID:     map[string]*list.Element{},
 		lru:      list.New(),
 		inflight: map[string]*flight{},
@@ -268,6 +268,27 @@ func (r *Registry) persist(e *Entry) error {
 	return nil
 }
 
+// errRetiredOptions refuses a stored program whose compile options the
+// /compile wire cannot express: a rescale or modulus-switch strategy other
+// than the EVA pipeline's, or a waterline override, recorded by an older
+// server. Such a program could not be re-submitted to a peer under its id
+// (OptionsJSON drops those fields), so it reads as unknown; recompile it.
+var errRetiredOptions = errors.New("stored program uses compile options the wire no longer expresses")
+
+// decodeProgramRecord decodes one stored program record, refusing retired
+// options.
+func decodeProgramRecord(id string, data []byte) (programRecord, error) {
+	var rec programRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, fmt.Errorf("serve: decoding program record %s: %w", id, err)
+	}
+	if o := rec.Options; o.Rescale != rewrite.RescaleWaterline || o.ModSwitch != rewrite.ModSwitchEager || o.WaterlineLog != 0 {
+		return rec, fmt.Errorf("serve: program %s: %w (rescale strategy %d, mod-switch strategy %d, waterline %g)",
+			id, errRetiredOptions, o.Rescale, o.ModSwitch, o.WaterlineLog)
+	}
+	return rec, nil
+}
+
 // loadFromStore rebuilds a registry entry from the persisted artifact:
 // deserialize the canonical source and recompile it with the stored
 // options. Compilation is deterministic, so the rebuilt entry matches the
@@ -277,9 +298,9 @@ func (r *Registry) loadFromStore(id string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rec programRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("serve: decoding program record %s: %w", id, err)
+	rec, err := decodeProgramRecord(id, data)
+	if err != nil {
+		return nil, err
 	}
 	prog, err := core.DeserializeBytes(rec.Source)
 	if err != nil {
@@ -352,6 +373,10 @@ func (r *Registry) Get(id string) (*Entry, bool) {
 	r.mu.Unlock()
 	close(f.done)
 	if f.err != nil {
+		if !errors.Is(f.err, store.ErrNotFound) {
+			r.log.Warn("stored program not rebuilt; it reads as unknown",
+				slog.String("program_id", id), slog.String("error", f.err.Error()))
+		}
 		return nil, false
 	}
 	f.entry.recordHit()
@@ -377,8 +402,8 @@ func (r *Registry) Source(id string) (json.RawMessage, compile.Options, bool) {
 	if err != nil {
 		return nil, compile.Options{}, false
 	}
-	var rec programRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rec, err := decodeProgramRecord(id, data)
+	if err != nil {
 		return nil, compile.Options{}, false
 	}
 	return rec.Source, rec.Options, true

@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +15,8 @@ import (
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
+	"eva/internal/rewrite"
+	"eva/internal/store"
 )
 
 // testProgram builds a small compilable program; the salt value makes
@@ -25,6 +32,12 @@ func testProgram(t testing.TB, name string, salt float64) *core.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// NewRegistry returns a cache-only registry holding at most capacity
+// compiled programs.
+func NewRegistry(capacity int) *Registry {
+	return NewRegistryWithStore(capacity, nil, slog.New(slog.DiscardHandler))
 }
 
 func insecureOptions() compile.Options {
@@ -350,5 +363,92 @@ func TestRegistryEvictionReleasesPlan(t *testing.T) {
 		if got["out"][i] != w {
 			t.Fatalf("pinned context computes slot %d = %v after the eviction, %v before", i, got["out"][i], w)
 		}
+	}
+}
+
+// TestProgramIDLock pins the program id of one fixed program under three
+// option sets. The id hashes the JSON of compile.Options, so it is what
+// stored programs, contexts and handles are keyed by: a change to a field
+// of compile.Options or to the value of a strategy constant moves it, and
+// must come with a migration of the stored records.
+func TestProgramIDLock(t *testing.T) {
+	b := builder.New("lock", 8)
+	x := b.Input("x", 30)
+	y := b.Input("y", 30)
+	b.Output("out", x.Square().Add(y).MulScalar(0.5, 30), 30)
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	source, err := prog.SerializeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts compile.Options
+		want string
+	}{
+		{"default", compile.DefaultOptions(), "9871354bbb9d4a6cf4b90330"},
+		{"pipeline", compile.Options{MaxRescaleLog: 30, AllowInsecure: true, ExtraLevels: 2}, "2c26381740fae8060d19dd46"},
+		{"chet", compile.Options{MaxRescaleLog: 60, Rescale: rewrite.RescaleFixedMax, ModSwitch: rewrite.ModSwitchLazy}, "dc70e864c3ca9afbca7010b9"},
+	} {
+		got, err := ProgramID(source, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: ProgramID = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestStoredRetiredOptionsRefused: a stored program whose options the
+// /compile wire cannot express (an older server's always-rescale or CHET
+// fixed-rescale strategy) is not rebuilt: loadFromStore names the refusal,
+// Get and Source read it as unknown, and the refusal is logged. A stored
+// program with the wire's options still loads.
+func TestStoredRetiredOptionsRefused(t *testing.T) {
+	source, err := testProgram(t, "stored", 0.5).SerializeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMemory()
+	put := func(opts compile.Options) string {
+		t.Helper()
+		id, err := ProgramID(source, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := json.Marshal(programRecord{Source: source, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(kindProgram, id, rec); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	var logs bytes.Buffer
+	reg := NewRegistryWithStore(4, st, slog.New(slog.NewTextHandler(&logs, nil)))
+	for _, rescale := range []rewrite.RescaleStrategy{1, rewrite.RescaleFixedMax} {
+		id := put(compile.Options{AllowInsecure: true, Rescale: rescale})
+		if _, err := reg.loadFromStore(id); !errors.Is(err, errRetiredOptions) {
+			t.Errorf("rescale %d: loadFromStore error %v, want errRetiredOptions", rescale, err)
+		}
+		logs.Reset()
+		if _, ok := reg.Get(id); ok {
+			t.Errorf("rescale %d: Get found the program", rescale)
+		}
+		if !strings.Contains(logs.String(), "stored program not rebuilt") || !strings.Contains(logs.String(), id) {
+			t.Errorf("rescale %d: no warning logged: %q", rescale, logs.String())
+		}
+		if _, _, ok := reg.Source(id); ok {
+			t.Errorf("rescale %d: Source found the program", rescale)
+		}
+	}
+	id := put(compile.Options{AllowInsecure: true})
+	if e, ok := reg.Get(id); !ok || e.ID != id {
+		t.Errorf("a stored program with the wire's options did not load")
 	}
 }

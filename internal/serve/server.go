@@ -44,7 +44,6 @@ import (
 	"eva/internal/lang"
 	"eva/internal/obs"
 	"eva/internal/profile"
-	"eva/internal/rewrite"
 	"eva/internal/store"
 )
 
@@ -206,7 +205,6 @@ func NewServer(cfg Config) *Server {
 	cfg.resultRetention = cmp.Or(cfg.resultRetention, resultRetention)
 	s := &Server{
 		cfg:       cfg,
-		registry:  NewRegistryWithStore(cfg.registryCapacity, cfg.Store),
 		metrics:   NewMetrics(),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
@@ -215,6 +213,7 @@ func NewServer(cfg Config) *Server {
 		log:       cfg.Logger.With(slog.String(obs.LogNodeID, cfg.NodeID)),
 		jobTraces: map[string]*obs.Trace{},
 	}
+	s.registry = NewRegistryWithStore(cfg.registryCapacity, cfg.Store, s.log)
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		Node:          cfg.NodeID,
 		SlowThreshold: cfg.SlowTraceThreshold,
@@ -301,9 +300,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Jobs exposes the async job manager (for tests and tooling).
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
-// Coalescer exposes the request coalescer (for tests and tooling).
-func (s *Server) Coalescer() *coalesce.Coalescer { return s.coalescer }
-
 // Close stops the async job subsystem: running jobs are cancelled and the
 // worker pool drains. The compile, context and handle endpoints remain
 // usable, but further job submissions fail.
@@ -323,16 +319,6 @@ func (s *Server) Close() {
 // configured); the remainder is then cancelled. The compile, context and
 // handle endpoints remain usable.
 func (s *Server) Drain(ctx context.Context) error { return s.jobs.Drain(ctx) }
-
-// Registry exposes the program registry (for tests and tooling).
-func (s *Server) Registry() *Registry { return s.registry }
-
-// Store exposes the durable artifact store (nil when durability is off).
-func (s *Server) Store() store.Store { return s.cfg.Store }
-
-// NodeID returns the node label (defaulted to the hostname when not
-// configured, so reports are attributable even in single-node mode).
-func (s *Server) NodeID() string { return s.cfg.NodeID }
 
 // Tracer exposes the request tracer (the cluster tier records its routing
 // spans through it; tests inspect finished traces).
@@ -467,13 +453,11 @@ func writeSourceError(w http.ResponseWriter, err error) {
 // --- /compile ---
 
 // CompileOptionsJSON is the wire form of compile.Options. Zero values mean
-// the paper's defaults; Rescale and ModSwitch take the strategy names also
-// accepted by the evac command line.
+// the paper's defaults. A program is always compiled the EVA way
+// (waterline rescaling, eager modulus switching); the CHET baseline's
+// pipeline is reachable only in-process.
 type CompileOptionsJSON struct {
 	MaxRescaleLog float64 `json:"max_rescale_log,omitempty"`
-	WaterlineLog  float64 `json:"waterline_log,omitempty"`
-	Rescale       string  `json:"rescale,omitempty"`
-	ModSwitch     string  `json:"mod_switch,omitempty"`
 	MinLogN       int     `json:"min_log_n,omitempty"`
 	AllowInsecure bool    `json:"allow_insecure,omitempty"`
 	// ExtraLevels adds level headroom for pipeline chaining; see
@@ -481,43 +465,29 @@ type CompileOptionsJSON struct {
 	ExtraLevels int `json:"extra_levels,omitempty"`
 }
 
-func (o *CompileOptionsJSON) toOptions() (compile.Options, error) {
+func (o *CompileOptionsJSON) toOptions() compile.Options {
 	opts := compile.DefaultOptions()
 	if o == nil {
-		return opts, nil
+		return opts
 	}
 	if o.MaxRescaleLog > 0 {
 		opts.MaxRescaleLog = o.MaxRescaleLog
 	}
-	opts.WaterlineLog = o.WaterlineLog
 	opts.MinLogN = o.MinLogN
 	opts.AllowInsecure = o.AllowInsecure
 	opts.ExtraLevels = o.ExtraLevels
-	var err error
-	if o.Rescale != "" {
-		if opts.Rescale, err = rewrite.ParseRescaleStrategy(o.Rescale); err != nil {
-			return opts, err
-		}
-	}
-	if o.ModSwitch != "" {
-		if opts.ModSwitch, err = rewrite.ParseModSwitchStrategy(o.ModSwitch); err != nil {
-			return opts, err
-		}
-	}
-	return opts, nil
+	return opts
 }
 
 // OptionsJSON converts resolved compile options back to their wire form,
 // such that round-tripping through CompileOptionsJSON.toOptions yields the
 // identical options struct (and therefore the identical program id). The
 // cluster tier relies on this to re-submit a program to a peer node through
-// the ordinary /compile endpoint.
+// the ordinary /compile endpoint; the registry refuses stored options the
+// wire cannot express (see checkWireOptions).
 func OptionsJSON(opts compile.Options) CompileOptionsJSON {
 	return CompileOptionsJSON{
 		MaxRescaleLog: opts.MaxRescaleLog,
-		WaterlineLog:  opts.WaterlineLog,
-		Rescale:       opts.Rescale.String(),
-		ModSwitch:     opts.ModSwitch.String(),
 		MinLogN:       opts.MinLogN,
 		AllowInsecure: opts.AllowInsecure,
 		ExtraLevels:   opts.ExtraLevels,
@@ -546,17 +516,6 @@ type ParamsJSON struct {
 	LogPi         []int   `json:"log_pi"`
 	Scale         float64 `json:"scale"`
 	AllowInsecure bool    `json:"allow_insecure,omitempty"`
-}
-
-// Literal converts the wire form back to a parameters literal.
-func (p ParamsJSON) Literal() ckks.ParametersLiteral {
-	return ckks.ParametersLiteral{
-		LogN:          p.LogN,
-		LogQi:         p.LogQi,
-		LogPi:         p.LogPi,
-		Scale:         p.Scale,
-		AllowInsecure: p.AllowInsecure,
-	}
 }
 
 // CompileResponse is the body returned by POST /compile.
@@ -593,15 +552,11 @@ func CanonicalCompile(req CompileRequest) (string, error) {
 	} else if prog, err = core.DeserializeBytes(req.Program); err != nil {
 		return "", fmt.Errorf("invalid program: %w", err)
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		return "", fmt.Errorf("invalid options: %w", err)
-	}
 	source, err := prog.SerializeBytes()
 	if err != nil {
 		return "", err
 	}
-	return ProgramID(source, opts)
+	return ProgramID(source, req.Options.toOptions())
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -625,12 +580,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid program: %v", err)
 		return
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	entry, cached, err := s.registry.GetOrCompile(prog, opts)
+	entry, cached, err := s.registry.GetOrCompile(prog, req.Options.toOptions())
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
